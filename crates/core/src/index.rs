@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use iva_storage::vfs::Vfs;
 use iva_storage::{
-    overwrite_in_list, read_list_to_vec, IoStats, ListHandle, ListReader, ListWriter, PageId,
-    Pager, PagerOptions, LIST_PAGE_HEADER,
+    overwrite_in_list, read_list_to_vec, IoStats, ListReader, ListWriter, PageId, Pager,
+    PagerOptions, LIST_PAGE_HEADER,
 };
 use iva_swt::{AttrId, AttrType, Catalog, RecordPtr, SwtTable, Tid, Tuple, Value};
 use iva_text::{PreparedMatcher, SigCodec};
@@ -21,13 +21,12 @@ use crate::metric::{Metric, WeightScheme};
 use crate::numeric::NumericCodec;
 use crate::packed::{self, PackedReader};
 use crate::pool::{PoolEntry, ResultPool};
-use crate::query::{exact_distance, Query, QueryStats, QueryValue};
+use crate::query::{Query, QueryStats, QueryValue};
 use crate::tier::{
     build_num_column, build_text_column, ColumnData, HotTier, NumColumn, TextColumn, TierLookup,
     TupleColumn, TUPLE_KEY,
 };
-use crate::timing::thread_cpu_time;
-use crate::veclist::{ListType, NumListCursor, TextListCursor};
+use crate::veclist::ListType;
 
 /// Result of one top-k query.
 #[derive(Debug, Clone)]
@@ -87,26 +86,16 @@ pub struct IvaIndex {
 /// Immutable per-query attribute state, built once per query and shared by
 /// every scan worker by reference: the packed-mask estimation kernel for
 /// text attributes, the quantization codec for numeric ones. Only the list
-/// cursors ([`AttrCursor`]) are per-worker.
-pub(crate) enum SharedAttr {
+/// positions ([`crate::scan::AttrScan`]) are per-worker.
+pub(crate) enum SharedAttr<'a> {
     Text {
         matcher: PreparedMatcher,
-        vlist: ListHandle,
-        ty: ListType,
-        /// How the list is stored on disk (cursors dispatch on this).
-        encoding: ListEncoding,
-        /// Raw-layout byte size (== `vlist.len` for raw lists).
-        logical_len: u64,
+        entry: &'a AttrEntry,
     },
     Num {
         q: f64,
         codec: NumericCodec,
-        vlist: ListHandle,
-        ty: ListType,
-        /// How the list is stored on disk (cursors dispatch on this).
-        encoding: ListEncoding,
-        /// Raw-layout byte size (== `vlist.len` for raw lists).
-        logical_len: u64,
+        entry: &'a AttrEntry,
     },
     /// Hot-tier fast path: the attribute's signatures are resident as one
     /// contiguous column; `pos_lb` holds the per-tuple-position lower
@@ -116,10 +105,7 @@ pub(crate) enum SharedAttr {
     TextHot {
         col: Arc<TextColumn>,
         pos_lb: Vec<f64>,
-        /// Raw-layout byte size of the backing on-disk list.
-        logical_len: u64,
-        /// Stored (possibly packed) byte size of the backing list.
-        stored_len: u64,
+        entry: &'a AttrEntry,
     },
     /// Hot-tier fast path for a numeric attribute: positionalized codes
     /// resident in RAM.
@@ -127,54 +113,10 @@ pub(crate) enum SharedAttr {
         q: f64,
         codec: NumericCodec,
         col: Arc<NumColumn>,
-        /// Raw-layout byte size of the backing on-disk list.
-        logical_len: u64,
-        /// Stored (possibly packed) byte size of the backing list.
-        stored_len: u64,
+        entry: &'a AttrEntry,
     },
     /// The attribute was added to the catalog after the last (re)build and
     /// no tuple defines it in the index: every tuple reads as *ndf*.
-    AlwaysNdf,
-}
-
-/// Borrowed dispatch-free view of one attribute of a *fully hot* query,
-/// used by the fused serial spine: every lower bound is an array read,
-/// so the scan loop carries no cursor state at all.
-enum FusedAttr<'a> {
-    /// Prefolded per-position lower bounds (`NaN` = *ndf*).
-    Text(&'a [f64]),
-    /// Positionalized numeric codes.
-    Num {
-        q: f64,
-        codec: &'a NumericCodec,
-        col: &'a NumColumn,
-    },
-    /// Reads *ndf* at every position.
-    Ndf,
-}
-
-/// The fused view of a prepared query, or `None` if any attribute still
-/// scans through the pager.
-fn fused_attrs(shared: &[SharedAttr]) -> Option<Vec<FusedAttr<'_>>> {
-    shared
-        .iter()
-        .map(|sa| match sa {
-            SharedAttr::TextHot { pos_lb, .. } => Some(FusedAttr::Text(pos_lb)),
-            SharedAttr::NumHot { q, codec, col, .. } => Some(FusedAttr::Num { q: *q, codec, col }),
-            SharedAttr::AlwaysNdf => Some(FusedAttr::Ndf),
-            SharedAttr::Text { .. } | SharedAttr::Num { .. } => None,
-        })
-        .collect()
-}
-
-/// Per-worker scan position over one attribute's vector list. Paired
-/// index-for-index with the query's `[SharedAttr]` slice. Hot variants
-/// carry only the tuple-list position — the columns are positional.
-pub(crate) enum AttrCursor {
-    Text(TextListCursor),
-    Num(NumListCursor),
-    TextHot(usize),
-    NumHot(usize),
     AlwaysNdf,
 }
 
@@ -434,102 +376,22 @@ impl IvaIndex {
         &self.pager
     }
 
+    /// The signature codec every text vector list of this index uses.
+    pub(crate) fn sig_codec(&self) -> &SigCodec {
+        &self.sig_codec
+    }
+
     /// Crate-internal companion to [`IvaIndex::pager_ref`].
     pub(crate) fn tuple_list_handle(&self) -> iva_storage::ListHandle {
         self.header.tuple_list
-    }
-
-    /// Position freshly opened cursors past the first `n` tuple-list
-    /// elements (segmented scans start mid-list).
-    pub(crate) fn seek_cursors(
-        &self,
-        shared: &[SharedAttr],
-        cursors: &mut [AttrCursor],
-        n: u64,
-    ) -> Result<()> {
-        for (sa, cur) in shared.iter().zip(cursors.iter_mut()) {
-            match (sa, cur) {
-                (SharedAttr::Text { .. }, AttrCursor::Text(c)) => {
-                    c.seek_elements(n, &self.sig_codec)?
-                }
-                (SharedAttr::Num { codec, .. }, AttrCursor::Num(c)) => c.seek_elements(n, codec)?,
-                (SharedAttr::TextHot { .. }, AttrCursor::TextHot(pos))
-                | (SharedAttr::NumHot { .. }, AttrCursor::NumHot(pos)) => *pos = n as usize,
-                (SharedAttr::AlwaysNdf, AttrCursor::AlwaysNdf) => {}
-                _ => return Err(IvaError::Corrupt("shared/cursor slices out of step".into())),
-            }
-        }
-        Ok(())
-    }
-
-    /// Advance every cursor past a tombstoned tuple.
-    pub(crate) fn skip_cursors(
-        &self,
-        shared: &[SharedAttr],
-        cursors: &mut [AttrCursor],
-        tid: u32,
-    ) -> Result<()> {
-        for (sa, cur) in shared.iter().zip(cursors.iter_mut()) {
-            match (sa, cur) {
-                (SharedAttr::Text { .. }, AttrCursor::Text(c)) => c.skip(tid, &self.sig_codec)?,
-                (SharedAttr::Num { codec, .. }, AttrCursor::Num(c)) => c.skip(tid, codec)?,
-                (SharedAttr::TextHot { .. }, AttrCursor::TextHot(pos))
-                | (SharedAttr::NumHot { .. }, AttrCursor::NumHot(pos)) => *pos += 1,
-                (SharedAttr::AlwaysNdf, AttrCursor::AlwaysNdf) => {}
-                _ => return Err(IvaError::Corrupt("shared/cursor slices out of step".into())),
-            }
-        }
-        Ok(())
-    }
-
-    /// Fill `diffs` with the weighted per-attribute lower bounds for
-    /// `tid`; returns true if any query attribute is defined on the tuple.
-    pub(crate) fn lower_bounds_into(
-        &self,
-        shared: &[SharedAttr],
-        cursors: &mut [AttrCursor],
-        tid: u32,
-        lambda: &[f64],
-        ndf_penalty: f64,
-        diffs: &mut [f64],
-    ) -> Result<bool> {
-        let mut any_defined = false;
-        let attrs = shared.iter().zip(cursors.iter_mut());
-        for ((sa, cur), (d, &lam)) in attrs.zip(diffs.iter_mut().zip(lambda)) {
-            let lb = match (sa, cur) {
-                (SharedAttr::Text { matcher, .. }, AttrCursor::Text(c)) => {
-                    c.advance(tid, &self.sig_codec, matcher)?
-                }
-                (SharedAttr::Num { q, codec, .. }, AttrCursor::Num(c)) => c
-                    .advance(tid, codec)?
-                    .map(|code| codec.lower_bound_dist(code, *q)),
-                (SharedAttr::TextHot { pos_lb, .. }, AttrCursor::TextHot(pos)) => {
-                    let lb = pos_lb.get(*pos).copied().filter(|v| !v.is_nan());
-                    *pos += 1;
-                    lb
-                }
-                (SharedAttr::NumHot { q, codec, col, .. }, AttrCursor::NumHot(pos)) => {
-                    let lb = col
-                        .code_at(*pos)
-                        .map(|code| codec.lower_bound_dist(code, *q));
-                    *pos += 1;
-                    lb
-                }
-                (SharedAttr::AlwaysNdf, AttrCursor::AlwaysNdf) => None,
-                _ => return Err(IvaError::Corrupt("shared/cursor slices out of step".into())),
-            };
-            any_defined |= lb.is_some();
-            *d = lam * lb.unwrap_or(ndf_penalty);
-        }
-        Ok(any_defined)
     }
 
     /// Build the shared immutable per-query state: prepare the packed-mask
     /// estimation kernel for each text attribute (hashing the query's
     /// grams once per distinct signature geometry) and the quantization
     /// codec for each numeric one. Workers then open cheap per-worker
-    /// cursors with [`IvaIndex::open_cursors`] and share this by reference.
-    pub(crate) fn prepare_query(&self, query: &Query) -> Result<Vec<SharedAttr>> {
+    /// [`crate::scan::AttrScan`]s over it and share this by reference.
+    pub(crate) fn prepare_query(&self, query: &Query) -> Result<Vec<SharedAttr<'_>>> {
         let mut shared = Vec::with_capacity(query.len());
         for (attr, qv) in query.iter() {
             let Some(entry) = self.attr_entry(attr) else {
@@ -555,20 +417,9 @@ impl IvaIndex {
                                 .map_err(IvaError::from)?;
                         }
                         let pos_lb = col.fold_positions(&ests);
-                        shared.push(SharedAttr::TextHot {
-                            col,
-                            pos_lb,
-                            logical_len: entry.logical_len,
-                            stored_len: entry.vlist.len,
-                        });
+                        shared.push(SharedAttr::TextHot { col, pos_lb, entry });
                     } else {
-                        shared.push(SharedAttr::Text {
-                            matcher,
-                            vlist: entry.vlist,
-                            ty: entry.list_type,
-                            encoding: entry.encoding,
-                            logical_len: entry.logical_len,
-                        });
+                        shared.push(SharedAttr::Text { matcher, entry });
                     }
                 }
                 QueryValue::Num(v) => {
@@ -583,17 +434,13 @@ impl IvaIndex {
                             q: *v,
                             codec,
                             col,
-                            logical_len: entry.logical_len,
-                            stored_len: entry.vlist.len,
+                            entry,
                         });
                     } else {
                         shared.push(SharedAttr::Num {
                             q: *v,
                             codec,
-                            vlist: entry.vlist,
-                            ty: entry.list_type,
-                            encoding: entry.encoding,
-                            logical_len: entry.logical_len,
+                            entry,
                         });
                     }
                 }
@@ -704,7 +551,7 @@ impl IvaIndex {
     }
 
     /// True if the tuple list is currently resident in the hot tier.
-    pub(crate) fn tuple_is_hot(&self) -> bool {
+    fn tuple_is_hot(&self) -> bool {
         matches!(
             self.tier.peek(TUPLE_KEY, self.header.tuple_list),
             Some(ColumnData::Tuple(_))
@@ -730,51 +577,30 @@ impl IvaIndex {
     /// `stats`: which medium served each vector-list scan and how many
     /// bytes it swept. Called once per plan (parallel plans account the
     /// merged scan once, not per worker).
-    pub(crate) fn tier_stats_into(
-        &self,
-        shared: &[SharedAttr],
-        tuple_hot: bool,
-        stats: &mut QueryStats,
-    ) {
+    pub(crate) fn tier_stats_into(&self, shared: &[SharedAttr<'_>], stats: &mut QueryStats) {
         for sa in shared {
-            match sa {
-                SharedAttr::Text {
-                    vlist, logical_len, ..
+            // The entry behind the scan, and the resident column's bytes
+            // if the hot tier served it.
+            let (entry, hot_bytes) = match sa {
+                SharedAttr::Text { entry, .. } | SharedAttr::Num { entry, .. } => (entry, None),
+                SharedAttr::TextHot { col, entry, .. } => (entry, Some(col.bytes())),
+                SharedAttr::NumHot { col, entry, .. } => (entry, Some(col.bytes())),
+                SharedAttr::AlwaysNdf => continue,
+            };
+            match hot_bytes {
+                Some(bytes) => {
+                    stats.hot_tier_attrs += 1;
+                    stats.hot_tier_bytes_scanned += bytes as u64;
                 }
-                | SharedAttr::Num {
-                    vlist, logical_len, ..
-                } => {
+                None => {
                     stats.cold_tier_attrs += 1;
-                    stats.cold_tier_bytes_scanned += vlist.len;
-                    stats.list_bytes_logical += logical_len;
-                    stats.list_bytes_physical += self.padded_list_bytes(vlist.len);
+                    stats.cold_tier_bytes_scanned += entry.vlist.len;
                 }
-                SharedAttr::TextHot {
-                    col,
-                    logical_len,
-                    stored_len,
-                    ..
-                } => {
-                    stats.hot_tier_attrs += 1;
-                    stats.hot_tier_bytes_scanned += col.bytes() as u64;
-                    stats.list_bytes_logical += logical_len;
-                    stats.list_bytes_physical += self.padded_list_bytes(*stored_len);
-                }
-                SharedAttr::NumHot {
-                    col,
-                    logical_len,
-                    stored_len,
-                    ..
-                } => {
-                    stats.hot_tier_attrs += 1;
-                    stats.hot_tier_bytes_scanned += col.bytes() as u64;
-                    stats.list_bytes_logical += logical_len;
-                    stats.list_bytes_physical += self.padded_list_bytes(*stored_len);
-                }
-                SharedAttr::AlwaysNdf => {}
             }
+            stats.list_bytes_logical += entry.logical_len;
+            stats.list_bytes_physical += self.padded_list_bytes(entry.vlist.len);
         }
-        if tuple_hot {
+        if self.tuple_is_hot() {
             stats.hot_tier_bytes_scanned += self.header.n_tuples * TUPLE_ENTRY_LEN as u64;
         } else {
             stats.cold_tier_bytes_scanned += self.header.tuple_list.len;
@@ -794,59 +620,14 @@ impl IvaIndex {
         stored.div_ceil(cap) * page
     }
 
-    /// Open one scan cursor per query attribute, positioned at the head of
-    /// each vector list. Cheap relative to [`IvaIndex::prepare_query`]:
-    /// each worker of a segmented scan opens its own set.
-    pub(crate) fn open_cursors(&self, shared: &[SharedAttr]) -> Result<Vec<AttrCursor>> {
-        shared
-            .iter()
-            .map(|sa| {
-                Ok(match sa {
-                    SharedAttr::Text {
-                        vlist,
-                        ty,
-                        encoding,
-                        ..
-                    } => {
-                        let r = ListReader::open(Arc::clone(&self.pager), *vlist)?;
-                        AttrCursor::Text(match encoding {
-                            ListEncoding::Raw => TextListCursor::new(r, *ty),
-                            ListEncoding::Packed => TextListCursor::new_packed(
-                                PackedReader::new_text(r, *ty, &self.sig_codec)?,
-                                *ty,
-                            ),
-                        })
-                    }
-                    SharedAttr::Num {
-                        vlist,
-                        ty,
-                        codec,
-                        encoding,
-                        ..
-                    } => {
-                        let r = ListReader::open(Arc::clone(&self.pager), *vlist)?;
-                        AttrCursor::Num(match encoding {
-                            ListEncoding::Raw => NumListCursor::new(r, *ty),
-                            ListEncoding::Packed => NumListCursor::new_packed(
-                                PackedReader::new_num(r, *ty, codec)?,
-                                *ty,
-                            ),
-                        })
-                    }
-                    SharedAttr::TextHot { .. } => AttrCursor::TextHot(0),
-                    SharedAttr::NumHot { .. } => AttrCursor::NumHot(0),
-                    SharedAttr::AlwaysNdf => AttrCursor::AlwaysNdf,
-                })
-            })
-            .collect()
-    }
-
     /// Algorithm 1: top-k query with the parallel filter-and-refine plan.
     ///
     /// The tuple list and the vector lists of the query's attributes are
     /// scanned in a synchronized pass; each tuple's estimated distance is a
     /// lower bound (by the monotonous property of `metric`), and only
-    /// candidates the pool admits are fetched from the table file.
+    /// candidates the pool admits are fetched from the table file. This
+    /// is the serial shape of the one scan spine (DESIGN.md §15), measured,
+    /// at the configured refinement batch size.
     pub fn query<M: Metric>(
         &self,
         table: &SwtTable,
@@ -855,201 +636,18 @@ impl IvaIndex {
         metric: &M,
         weights: WeightScheme,
     ) -> Result<QueryOutcome> {
-        self.query_serial(
-            table,
-            query,
-            k,
-            metric,
-            weights,
-            true,
-            self.config().resolved_refine_batch(),
-        )
-    }
-
-    /// The single-threaded Algorithm 1 scan. With `measured` false no
-    /// clock is read on the hot path and the phase nanos stay 0.
-    ///
-    /// With `refine_batch > 1` admitted candidates are deferred and
-    /// fetched in page-ordered, coalesced batches of up to that size; the
-    /// flush replays the admission test in scan order, so the top-k (and
-    /// `table_accesses`) stays bit-identical to the unbatched plan and
-    /// surplus fetches land in `speculative_accesses` (see
-    /// [`crate::QueryOptions::refine_batch`]).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn query_serial<M: Metric>(
-        &self,
-        table: &SwtTable,
-        query: &Query,
-        k: usize,
-        metric: &M,
-        weights: WeightScheme,
-        measured: bool,
-        refine_batch: usize,
-    ) -> Result<QueryOutcome> {
         let lambda = self.resolve_weights(query, weights);
         let mut carry = ScanCarry::new(k);
-        self.query_carry_serial(
+        self.scan_serial(
             table,
             query,
             metric,
             &lambda,
-            measured,
-            refine_batch,
+            true,
+            self.config().resolved_refine_batch(),
             &mut carry,
         )?;
         Ok(carry.finish())
-    }
-
-    /// The serial Algorithm 1 scan over *this* index's tuples, threading
-    /// the candidate pool and counters through `carry` — the segmented
-    /// engine's building block (one call per tier, in tid order). `lambda`
-    /// is the resolved per-query-attribute weight vector; the segmented
-    /// caller resolves it once, globally, so every tier admits with the
-    /// same weights a monolithic index would use.
-    #[allow(clippy::too_many_arguments)]
-    pub fn query_carry_serial<M: Metric>(
-        &self,
-        table: &SwtTable,
-        query: &Query,
-        metric: &M,
-        lambda: &[f64],
-        measured: bool,
-        refine_batch: usize,
-        carry: &mut ScanCarry,
-    ) -> Result<()> {
-        if lambda.len() != query.len() {
-            return Err(IvaError::InvalidArgument(format!(
-                "weight vector has {} entries for a {}-attribute query",
-                lambda.len(),
-                query.len()
-            )));
-        }
-        let shared = self.prepare_query(query)?;
-        let mut cursors = self.open_cursors(&shared)?;
-        let mut tsrc = self.open_tuple_source()?;
-        let ScanCarry { pool, stats } = carry;
-        let mut diffs = vec![0.0f64; query.len()];
-        let ndf = self.header.config.ndf_penalty;
-
-        // Deferred admitted candidates, `(ptr, est)` in scan order.
-        let mut pending: Vec<(u64, f64)> = Vec::new();
-        let flush = |pending: &mut Vec<(u64, f64)>,
-                     pool: &mut ResultPool,
-                     stats: &mut QueryStats|
-         -> Result<()> {
-            let ptrs: Vec<RecordPtr> = pending.iter().map(|&(p, _)| RecordPtr(p)).collect();
-            let recs = table.get_batch(&ptrs)?;
-            for (&(ptr, est), rec) in pending.iter().zip(&recs) {
-                // Replay the admission test with the now-current pool:
-                // the scan-time test above was at most B−1 inserts stale
-                // (a superset), so re-filtering here reproduces the
-                // unbatched pool evolution exactly.
-                if pool.admits(est) {
-                    stats.table_accesses += 1;
-                    let actual = exact_distance(&rec.tuple, query, lambda, metric, ndf);
-                    pool.insert_at(rec.tid, actual, RecordPtr(ptr));
-                } else {
-                    stats.speculative_accesses += 1;
-                }
-            }
-            pending.clear();
-            Ok(())
-        };
-
-        // One admission step, shared verbatim by both scan spines below so
-        // a fused scan cannot drift from the generic one.
-        let admit = |ptr: u64,
-                     est: f64,
-                     pool: &mut ResultPool,
-                     stats: &mut QueryStats,
-                     pending: &mut Vec<(u64, f64)>,
-                     refine_nanos: &mut u64|
-         -> Result<()> {
-            if refine_batch <= 1 {
-                let refine_start = measured.then(thread_cpu_time);
-                let rec = table.get(RecordPtr(ptr))?;
-                stats.table_accesses += 1;
-                let actual = exact_distance(&rec.tuple, query, lambda, metric, ndf);
-                pool.insert_at(rec.tid, actual, RecordPtr(ptr));
-                if let Some(t) = refine_start {
-                    *refine_nanos += thread_cpu_time().saturating_sub(t);
-                }
-            } else {
-                pending.push((ptr, est));
-                if pending.len() >= refine_batch {
-                    let refine_start = measured.then(thread_cpu_time);
-                    flush(pending, pool, stats)?;
-                    if let Some(t) = refine_start {
-                        *refine_nanos += thread_cpu_time().saturating_sub(t);
-                    }
-                }
-            }
-            Ok(())
-        };
-
-        // A fully-resident query — hot tuple column and only hot (or ndf)
-        // attributes — takes a fused spine over the columns: no per-tuple
-        // source/cursor enum dispatch, no cursor bookkeeping, just array
-        // reads. Anything else goes through the generic synchronized scan.
-        let fused = fused_attrs(&shared).and_then(|fattrs| match &tsrc {
-            TupleSource::Col { col, .. } if col.tids.len() as u64 == self.header.n_tuples => {
-                Some((Arc::clone(col), fattrs))
-            }
-            _ => None,
-        });
-
-        let start = measured.then(thread_cpu_time);
-        let mut refine_nanos = 0u64;
-        if let Some((tcol, fattrs)) = &fused {
-            for (i, &ptr) in tcol.ptrs.iter().enumerate() {
-                stats.tuples_scanned += 1;
-                if ptr == TOMBSTONE_PTR {
-                    continue;
-                }
-                for (fa, (d, &lam)) in fattrs.iter().zip(diffs.iter_mut().zip(lambda)) {
-                    let lb = match fa {
-                        FusedAttr::Text(lbs) => lbs.get(i).copied().filter(|v| !v.is_nan()),
-                        FusedAttr::Num { q, codec, col } => {
-                            col.code_at(i).map(|code| codec.lower_bound_dist(code, *q))
-                        }
-                        FusedAttr::Ndf => None,
-                    };
-                    *d = lam * lb.unwrap_or(ndf);
-                }
-                let est = metric.combine(&diffs);
-                if pool.admits(est) {
-                    admit(ptr, est, pool, stats, &mut pending, &mut refine_nanos)?;
-                }
-            }
-        } else {
-            for _ in 0..self.header.n_tuples {
-                let (tid, ptr) = tsrc.next_entry()?;
-                stats.tuples_scanned += 1;
-                if ptr == TOMBSTONE_PTR {
-                    self.skip_cursors(&shared, &mut cursors, tid)?;
-                    continue;
-                }
-                self.lower_bounds_into(&shared, &mut cursors, tid, lambda, ndf, &mut diffs)?;
-                let est = metric.combine(&diffs);
-                if pool.admits(est) {
-                    admit(ptr, est, pool, stats, &mut pending, &mut refine_nanos)?;
-                }
-            }
-        }
-        if !pending.is_empty() {
-            let refine_start = measured.then(thread_cpu_time);
-            flush(&mut pending, pool, stats)?;
-            if let Some(t) = refine_start {
-                refine_nanos += thread_cpu_time().saturating_sub(t);
-            }
-        }
-        if let Some(t) = start {
-            let total_nanos = thread_cpu_time().saturating_sub(t);
-            stats.refine_nanos += refine_nanos;
-            stats.filter_nanos += total_nanos.saturating_sub(refine_nanos);
-        }
-        self.tier_stats_into(&shared, tsrc.is_hot(), stats);
-        Ok(())
     }
 
     /// Index a freshly inserted tuple (Sec. IV-B): append to the tuple list
@@ -1412,11 +1010,6 @@ impl TupleSource {
                 Ok(())
             }
         }
-    }
-
-    /// True when scanning the resident column.
-    pub(crate) fn is_hot(&self) -> bool {
-        matches!(self, TupleSource::Col { .. })
     }
 }
 

@@ -15,6 +15,10 @@
 //! tuple's distance through any monotone metric, and random-accesses the
 //! table file only for candidates the top-k pool admits — the "parallel
 //! plan" that works even though unbounded strings admit no upper bound.
+//! That pass exists once (the `scan` module): serial
+//! ([`IvaIndex::query`]), segmented-parallel ([`IvaIndex::query_opts`])
+//! and multi-query batch ([`IvaIndex::query_batch`]) execution are
+//! arguments of it, bit-identical to one another by one replay argument.
 //!
 //! Guarantee: with no-false-negative vector encodings and a monotone
 //! metric, results are exactly the brute-force top-k.
@@ -37,6 +41,7 @@ mod packed;
 mod parallel;
 mod pool;
 mod query;
+mod scan;
 mod segment;
 mod seqplan;
 mod tier;

@@ -1,0 +1,469 @@
+//! lint:scope(no-panic-decode)
+//! The scan spine: the one walk of Algorithm 1 (Sec. IV-A) and the one
+//! fetch-and-replay round every execution shape runs.
+//!
+//! [`IvaIndex::scan`] walks tuple-list positions `[lo, hi)` once, in step
+//! with the vector lists of every [`Lane`] riding it. A lane is one query:
+//! its per-attribute [`AttrScan`] positions, its top-k pool and counters
+//! (a [`ScanCarry`]), and the candidates its pool admitted at scan time
+//! but has not fetched yet. Once the lanes together hold `refine_batch`
+//! pending candidates, one page-coalesced [`SwtTable::get_batch`] fetches
+//! them all and each lane's admission test is replayed in scan order.
+//!
+//! **Replay lemma.** A lane's scan-time test runs against a pool that is
+//! missing, at most, the inserts of its own still-pending candidates — a
+//! threshold never tighter than the one-at-a-time scan's at the same
+//! position — so `pending` is a superset of what that scan fetches.
+//! Replaying the exact test in scan order against the now-current pool
+//! admits, by induction, exactly the one-at-a-time scan's candidates with
+//! exactly its pool after each; rejects are surplus fetches, counted in
+//! [`crate::QueryStats::speculative_accesses`]. The argument never uses
+//! *when* a flush happens, so it holds for every `refine_batch` (at 1 the
+//! replay is trivially true) and for flush schedules driven by other
+//! lanes.
+//!
+//! The three execution shapes are arguments of the one function:
+//!
+//! * **serial** — one lane over `0..n` on the caller's carried pool
+//!   ([`IvaIndex::scan_serial`]);
+//! * **segmented-parallel** — per worker, one lane over its `[lo, hi)` on
+//!   a private pool with the candidate log on; [`crate::parallel`] fans
+//!   out and applies the lemma once more to merge the logs;
+//! * **batch** — N lanes over `0..n` sharing the tuple-list read and the
+//!   fetch rounds ([`IvaIndex::query_batch`]).
+
+use std::ops::Range;
+use std::sync::Arc;
+
+use iva_storage::ListReader;
+use iva_swt::{RecordPtr, SwtTable};
+use iva_text::{PreparedMatcher, SigCodec};
+
+use crate::error::{IvaError, Result};
+use crate::index::{IvaIndex, ScanCarry, SharedAttr};
+use crate::layout::{AttrEntry, ListEncoding, TOMBSTONE_PTR};
+use crate::metric::Metric;
+use crate::numeric::NumericCodec;
+use crate::packed::PackedReader;
+use crate::query::{exact_distance, Query};
+use crate::tier::NumColumn;
+use crate::timing::thread_cpu_time;
+use crate::veclist::{NumListCursor, TextListCursor};
+
+/// One worker's scan position over one query attribute: borrows the
+/// immutable per-query state ([`SharedAttr`]) and owns the position.
+pub(crate) enum AttrScan<'a> {
+    Text {
+        cur: TextListCursor,
+        codec: &'a SigCodec,
+        matcher: &'a PreparedMatcher,
+    },
+    Num {
+        cur: NumListCursor,
+        codec: &'a NumericCodec,
+        q: f64,
+    },
+    /// Hot tier: prefolded per-position lower bounds (`NaN` = *ndf*).
+    TextHot { pos_lb: &'a [f64], pos: usize },
+    /// Hot tier: positionalized codes.
+    NumHot {
+        col: &'a NumColumn,
+        codec: &'a NumericCodec,
+        q: f64,
+        pos: usize,
+    },
+    /// No tuple in the index defines the attribute.
+    AlwaysNdf,
+}
+
+impl<'a> AttrScan<'a> {
+    /// Open at the head of the attribute's list (or column).
+    fn open(index: &'a IvaIndex, sa: &'a SharedAttr<'a>) -> Result<Self> {
+        let reader = |e: &AttrEntry| ListReader::open(Arc::clone(index.pager_ref()), e.vlist);
+        Ok(match sa {
+            SharedAttr::Text { matcher, entry } => {
+                let (codec, ty) = (index.sig_codec(), entry.list_type);
+                let cur = match entry.encoding {
+                    ListEncoding::Raw => TextListCursor::new(reader(entry)?, ty),
+                    ListEncoding::Packed => TextListCursor::new_packed(
+                        PackedReader::new_text(reader(entry)?, ty, codec)?,
+                        ty,
+                    ),
+                };
+                AttrScan::Text {
+                    cur,
+                    codec,
+                    matcher,
+                }
+            }
+            SharedAttr::Num { q, codec, entry } => {
+                let ty = entry.list_type;
+                let cur = match entry.encoding {
+                    ListEncoding::Raw => NumListCursor::new(reader(entry)?, ty),
+                    ListEncoding::Packed => NumListCursor::new_packed(
+                        PackedReader::new_num(reader(entry)?, ty, codec)?,
+                        ty,
+                    ),
+                };
+                AttrScan::Num { cur, codec, q: *q }
+            }
+            SharedAttr::TextHot { pos_lb, .. } => AttrScan::TextHot { pos_lb, pos: 0 },
+            SharedAttr::NumHot { q, codec, col, .. } => AttrScan::NumHot {
+                col,
+                codec,
+                q: *q,
+                pos: 0,
+            },
+            SharedAttr::AlwaysNdf => AttrScan::AlwaysNdf,
+        })
+    }
+
+    /// Position a freshly opened scan past the first `n` tuple-list
+    /// elements.
+    fn seek(&mut self, n: u64) -> Result<()> {
+        match self {
+            AttrScan::Text { cur, codec, .. } => cur.seek_elements(n, codec),
+            AttrScan::Num { cur, codec, .. } => cur.seek_elements(n, codec),
+            AttrScan::TextHot { pos, .. } | AttrScan::NumHot { pos, .. } => {
+                *pos = n as usize;
+                Ok(())
+            }
+            AttrScan::AlwaysNdf => Ok(()),
+        }
+    }
+
+    /// Move past a tombstoned tuple without estimating.
+    fn skip(&mut self, tid: u32) -> Result<()> {
+        match self {
+            AttrScan::Text { cur, codec, .. } => cur.skip(tid, codec),
+            AttrScan::Num { cur, codec, .. } => cur.skip(tid, codec),
+            AttrScan::TextHot { pos, .. } | AttrScan::NumHot { pos, .. } => {
+                *pos += 1;
+                Ok(())
+            }
+            AttrScan::AlwaysNdf => Ok(()),
+        }
+    }
+
+    /// Move to `tid` and lower-bound its difference to the query value
+    /// (`None` = *ndf*). Once per live tuple-list element, in tid order.
+    #[inline]
+    fn lower_bound(&mut self, tid: u32) -> Result<Option<f64>> {
+        match self {
+            AttrScan::Text {
+                cur,
+                codec,
+                matcher,
+            } => cur.advance(tid, codec, matcher),
+            AttrScan::Num { cur, codec, q } => Ok(cur
+                .advance(tid, codec)?
+                .map(|code| codec.lower_bound_dist(code, *q))),
+            AttrScan::TextHot { pos_lb, pos } => {
+                let lb = pos_lb.get(*pos).copied().filter(|v| !v.is_nan());
+                *pos += 1;
+                Ok(lb)
+            }
+            AttrScan::NumHot { col, codec, q, pos } => {
+                let lb = col
+                    .code_at(*pos)
+                    .map(|code| codec.lower_bound_dist(code, *q));
+                *pos += 1;
+                Ok(lb)
+            }
+            AttrScan::AlwaysNdf => Ok(None),
+        }
+    }
+}
+
+/// Open one scan per query attribute, each at the head of its list.
+pub(crate) fn open_attr_scans<'a>(
+    index: &'a IvaIndex,
+    shared: &'a [SharedAttr<'a>],
+) -> Result<Vec<AttrScan<'a>>> {
+    shared.iter().map(|sa| AttrScan::open(index, sa)).collect()
+}
+
+/// Advance every scan past a tombstoned tuple.
+pub(crate) fn skip_all(attrs: &mut [AttrScan<'_>], tid: u32) -> Result<()> {
+    attrs.iter_mut().try_for_each(|a| a.skip(tid))
+}
+
+/// Fill `diffs` with the weighted per-attribute lower bounds for `tid`;
+/// returns true if any query attribute is defined on the tuple. Callers
+/// guarantee `lambda`, `diffs` and `attrs` have the query's length.
+#[inline]
+pub(crate) fn weighted_bounds(
+    attrs: &mut [AttrScan<'_>],
+    tid: u32,
+    lambda: &[f64],
+    ndf_penalty: f64,
+    diffs: &mut [f64],
+) -> Result<bool> {
+    let mut any_defined = false;
+    for (a, (d, &lam)) in attrs.iter_mut().zip(diffs.iter_mut().zip(lambda)) {
+        let lb = a.lower_bound(tid)?;
+        any_defined |= lb.is_some();
+        *d = lam * lb.unwrap_or(ndf_penalty);
+    }
+    Ok(any_defined)
+}
+
+/// One candidate a lane fetched and admitted, in scan order — the input
+/// of the segmented-parallel merge replay.
+pub(crate) struct Candidate {
+    pub(crate) tid: u64,
+    pub(crate) ptr: u64,
+    pub(crate) est: f64,
+    pub(crate) actual: f64,
+}
+
+/// One query riding a scan.
+pub(crate) struct Lane<'a> {
+    query: &'a Query,
+    lambda: &'a [f64],
+    attrs: Vec<AttrScan<'a>>,
+    carry: &'a mut ScanCarry,
+    diffs: Vec<f64>,
+    /// Admitted at scan time, not yet fetched: `(ptr, est)` in scan order.
+    pending: Vec<(u64, f64)>,
+    /// Every candidate the flush replay admitted, if asked for.
+    log: Option<Vec<Candidate>>,
+}
+
+impl<'a> Lane<'a> {
+    /// A lane for `query` under the resolved weights `lambda`, filling
+    /// `carry`. This is the spine's entry for every shape, so the weight
+    /// vector is checked here, once.
+    pub(crate) fn open(
+        index: &'a IvaIndex,
+        query: &'a Query,
+        lambda: &'a [f64],
+        shared: &'a [SharedAttr<'a>],
+        carry: &'a mut ScanCarry,
+        log_candidates: bool,
+    ) -> Result<Self> {
+        if lambda.len() != query.len() {
+            return Err(IvaError::InvalidArgument(format!(
+                "weight vector has {} entries for a {}-attribute query",
+                lambda.len(),
+                query.len()
+            )));
+        }
+        Ok(Self {
+            query,
+            lambda,
+            attrs: open_attr_scans(index, shared)?,
+            carry,
+            diffs: vec![0.0; query.len()],
+            pending: Vec::new(),
+            log: log_candidates.then(Vec::new),
+        })
+    }
+
+    /// The candidate log (empty unless the lane was opened with it on).
+    pub(crate) fn into_log(self) -> Vec<Candidate> {
+        self.log.unwrap_or_default()
+    }
+}
+
+/// Per-thread CPU time one [`IvaIndex::scan`] call spent in each phase;
+/// zero when unmeasured.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct PhaseNanos {
+    pub(crate) filter: u64,
+    pub(crate) refine: u64,
+}
+
+impl IvaIndex {
+    /// Walk tuple-list positions `range` once for every lane (see the
+    /// module doc). Lanes must be freshly opened. With `measured` false no
+    /// clock is read.
+    pub(crate) fn scan<M: Metric>(
+        &self,
+        table: &SwtTable,
+        lanes: &mut [Lane<'_>],
+        range: Range<u64>,
+        refine_batch: usize,
+        metric: &M,
+        measured: bool,
+    ) -> Result<PhaseNanos> {
+        let ndf = self.config().ndf_penalty;
+        let mut tsrc = self.open_tuple_source()?;
+        tsrc.skip_entries(range.start)?;
+        for lane in lanes.iter_mut() {
+            for a in &mut lane.attrs {
+                a.seek(range.start)?;
+            }
+        }
+        let batch = refine_batch.max(1);
+        // Fetch buffer, reused across flushes.
+        let mut ptrs: Vec<RecordPtr> = Vec::new();
+        let mut n_pending = 0usize;
+        let mut refine_nanos = 0u64;
+        let start = measured.then(thread_cpu_time);
+        for _ in range {
+            let (tid, ptr) = tsrc.next_entry()?;
+            for lane in lanes.iter_mut() {
+                lane.carry.stats.tuples_scanned += 1;
+                if ptr == TOMBSTONE_PTR {
+                    skip_all(&mut lane.attrs, tid)?;
+                    continue;
+                }
+                weighted_bounds(&mut lane.attrs, tid, lane.lambda, ndf, &mut lane.diffs)?;
+                let est = metric.combine(&lane.diffs);
+                if lane.carry.pool.admits(est) {
+                    lane.pending.push((ptr, est));
+                    n_pending += 1;
+                }
+            }
+            if n_pending >= batch {
+                refine_nanos += flush(table, lanes, metric, ndf, &mut ptrs, measured)?;
+                n_pending = 0;
+            }
+        }
+        if n_pending > 0 {
+            refine_nanos += flush(table, lanes, metric, ndf, &mut ptrs, measured)?;
+        }
+        Ok(match start {
+            Some(t) => PhaseNanos {
+                filter: thread_cpu_time()
+                    .saturating_sub(t)
+                    .saturating_sub(refine_nanos),
+                refine: refine_nanos,
+            },
+            None => PhaseNanos::default(),
+        })
+    }
+
+    /// The serial shape: one lane over the whole tuple list on the carried
+    /// pool. `lambda` is the resolved per-query-attribute weight vector; a
+    /// segmented store resolves it once, globally, so every tier admits
+    /// with the weights a monolithic index would use.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn scan_serial<M: Metric>(
+        &self,
+        table: &SwtTable,
+        query: &Query,
+        metric: &M,
+        lambda: &[f64],
+        measured: bool,
+        refine_batch: usize,
+        carry: &mut ScanCarry,
+    ) -> Result<()> {
+        let shared = self.prepare_query(query)?;
+        let mut lanes = [Lane::open(self, query, lambda, &shared, carry, false)?];
+        let nanos = self.scan(
+            table,
+            &mut lanes,
+            0..self.n_tuples(),
+            refine_batch,
+            metric,
+            measured,
+        )?;
+        carry.stats.filter_nanos += nanos.filter;
+        carry.stats.refine_nanos += nanos.refine;
+        self.tier_stats_into(&shared, &mut carry.stats);
+        Ok(())
+    }
+}
+
+/// The one fetch-and-replay round: fetch every lane's pending candidates
+/// as a single page-ordered, coalesced batch, then replay each lane's
+/// admission test in scan order against its now-current pool (the module
+/// doc's replay lemma). Returns the CPU nanos it took (0 if unmeasured).
+fn flush<M: Metric>(
+    table: &SwtTable,
+    lanes: &mut [Lane<'_>],
+    metric: &M,
+    ndf: f64,
+    ptrs: &mut Vec<RecordPtr>,
+    measured: bool,
+) -> Result<u64> {
+    let start = measured.then(thread_cpu_time);
+    ptrs.clear();
+    for lane in lanes.iter() {
+        ptrs.extend(lane.pending.iter().map(|&(p, _)| RecordPtr(p)));
+    }
+    let recs = table.get_batch(ptrs)?;
+    let mut recs = recs.iter();
+    for lane in lanes.iter_mut() {
+        let ScanCarry { pool, stats } = &mut *lane.carry;
+        for &(ptr, est) in &lane.pending {
+            let rec = recs
+                .next()
+                .ok_or_else(|| IvaError::Corrupt("batch fetch shorter than request".into()))?;
+            if pool.admits(est) {
+                stats.table_accesses += 1;
+                let actual = exact_distance(&rec.tuple, lane.query, lane.lambda, metric, ndf);
+                pool.insert_at(rec.tid, actual, RecordPtr(ptr));
+                if let Some(log) = &mut lane.log {
+                    log.push(Candidate {
+                        tid: rec.tid,
+                        ptr,
+                        est,
+                        actual,
+                    });
+                }
+            } else {
+                stats.speculative_accesses += 1;
+            }
+        }
+        lane.pending.clear();
+    }
+    Ok(start.map_or(0, |t| thread_cpu_time().saturating_sub(t)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::build::{build_index, IndexTarget};
+    use crate::config::IvaConfig;
+    use crate::metric::MetricKind;
+    use crate::parallel::QueryOptions;
+    use iva_storage::{IoStats, PagerOptions};
+    use iva_swt::{AttrId, Tuple, Value};
+
+    /// A weight vector shorter than the query used to be zipped away
+    /// silently by the parallel shape; every shape now rejects it.
+    #[test]
+    fn short_weight_vector_is_rejected_by_every_shape() {
+        let opts = PagerOptions {
+            page_size: 512,
+            cache_bytes: 64 * 1024,
+        };
+        let mut table = SwtTable::create_mem(&opts, IoStats::new()).unwrap();
+        let name = table.define_text("name").unwrap();
+        let price = table.define_numeric("price").unwrap();
+        for i in 0..200u32 {
+            let tup = Tuple::new()
+                .with(name, Value::text(format!("item {i}")))
+                .with(price, Value::num(f64::from(i)));
+            table.insert(&tup).unwrap();
+        }
+        let cfg = IvaConfig::default();
+        let index = build_index(&table, IndexTarget::Mem, &opts, IoStats::new(), cfg).unwrap();
+        let q = Query::new().text(AttrId(0), "item 7").num(AttrId(1), 7.0);
+        let (good, short) = ([1.0, 1.0], [1.0]);
+        let rejected = |r: Result<()>| matches!(r, Err(IvaError::InvalidArgument(_)));
+
+        // Serial and 2-thread segmented-parallel.
+        for threads in [1usize, 2] {
+            let o = QueryOptions {
+                threads: Some(threads),
+                ..Default::default()
+            };
+            let mut carry = ScanCarry::new(3);
+            let r = index.query_carry_opts(&table, &q, &MetricKind::L2, &short, &o, &mut carry);
+            assert!(rejected(r), "threads={threads}");
+            index
+                .query_carry_opts(&table, &q, &MetricKind::L2, &good, &o, &mut carry)
+                .unwrap();
+        }
+        // Batch of two: one well-formed lane does not excuse the other.
+        let shared = index.prepare_query(&q).unwrap();
+        let (mut a, mut b) = (ScanCarry::new(3), ScanCarry::new(3));
+        assert!(Lane::open(&index, &q, &good, &shared, &mut a, false).is_ok());
+        let second = Lane::open(&index, &q, &short, &shared, &mut b, false);
+        assert!(rejected(second.map(|_| ())));
+    }
+}

@@ -21,13 +21,45 @@
 use iva_swt::{RecordPtr, SwtTable};
 
 use crate::error::Result;
-use crate::index::{IvaIndex, QueryOutcome, ScanCarry};
+use crate::index::{IvaIndex, QueryOutcome, SharedAttr};
 use crate::layout::TOMBSTONE_PTR;
 use crate::metric::{Metric, WeightScheme};
-use crate::query::{exact_distance, Query};
+use crate::pool::ResultPool;
+use crate::query::{exact_distance, Query, QueryStats};
+use crate::scan::{open_attr_scans, skip_all, weighted_bounds};
 use crate::timing::thread_cpu_time;
 
+/// One live tuple as phase 1 saw it: `(tid, ptr, lower bound, any query
+/// attribute defined)`.
+type Scanned = (u64, u64, f64, bool);
+
 impl IvaIndex {
+    /// Phase 1 of the sequential plan: a full index scan collecting every
+    /// live tuple's lower bound, through the same per-attribute scan
+    /// positions the interleaved spine reads.
+    fn collect_lower_bounds<M: Metric>(
+        &self,
+        shared: &[SharedAttr<'_>],
+        lambda: &[f64],
+        metric: &M,
+    ) -> Result<Vec<Scanned>> {
+        let ndf = self.config().ndf_penalty;
+        let mut attrs = open_attr_scans(self, shared)?;
+        let mut tsrc = self.open_tuple_source()?;
+        let mut diffs = vec![0.0f64; shared.len()];
+        let mut scanned = Vec::new();
+        for _ in 0..self.n_tuples() {
+            let (tid, ptr) = tsrc.next_entry()?;
+            if ptr == TOMBSTONE_PTR {
+                skip_all(&mut attrs, tid)?;
+                continue;
+            }
+            let any_defined = weighted_bounds(&mut attrs, tid, lambda, ndf, &mut diffs)?;
+            scanned.push((u64::from(tid), ptr, metric.combine(&diffs), any_defined));
+        }
+        Ok(scanned)
+    }
+
     /// Top-k query under the **sequential plan**: phase 1 scans the index
     /// end to end collecting every tuple whose estimated (lower-bound)
     /// distance is below the best *upper bound* obtainable during the
@@ -51,28 +83,9 @@ impl IvaIndex {
         metric: &M,
         weights: WeightScheme,
     ) -> Result<QueryOutcome> {
-        let lambda = self.resolve_weights(query, weights);
-        let mut carry = ScanCarry::new(k);
-        self.query_carry_sequential_plan(table, query, metric, &lambda, &mut carry)?;
-        Ok(carry.finish())
-    }
-
-    /// The sequential plan threading the candidate pool and counters
-    /// through `carry` — one call per tier of a segmented store, in tid
-    /// order. The phase-1 candidate threshold (the all-ndf distance) is a
-    /// function of `lambda` alone, so every tier filters with the same
-    /// bound; top-k results stay exact. The leftover rounds, however, sort
-    /// by lower bound *within* each tier rather than globally, so
-    /// `table_accesses` may differ from a monolithic sequential plan (the
-    /// interleaved plans make the stronger bit-identical guarantee).
-    pub fn query_carry_sequential_plan<M: Metric>(
-        &self,
-        table: &SwtTable,
-        query: &Query,
-        metric: &M,
-        lambda: &[f64],
-        carry: &mut ScanCarry,
-    ) -> Result<()> {
+        let lambda = &self.resolve_weights(query, weights);
+        let mut pool = ResultPool::new(k);
+        let mut stats = QueryStats::default();
         let ndf = self.config().ndf_penalty;
         let start = thread_cpu_time();
 
@@ -84,27 +97,8 @@ impl IvaIndex {
             metric.combine(&v)
         };
 
-        // ---- Phase 1: full index scan, collect lower bounds. ----
-        // (tid, ptr, lb, any_defined)
-        let mut scanned: Vec<(u64, u64, f64, bool)> = Vec::new();
         let shared = self.prepare_query(query)?;
-        let tuple_hot;
-        {
-            let mut cursors = self.open_cursors(&shared)?;
-            let mut tsrc = self.open_tuple_source()?;
-            tuple_hot = tsrc.is_hot();
-            let mut diffs = vec![0.0f64; query.len()];
-            for _ in 0..self.n_tuples() {
-                let (tid, ptr) = tsrc.next_entry()?;
-                if ptr == TOMBSTONE_PTR {
-                    self.skip_cursors(&shared, &mut cursors, tid)?;
-                    continue;
-                }
-                let any_defined =
-                    self.lower_bounds_into(&shared, &mut cursors, tid, lambda, ndf, &mut diffs)?;
-                scanned.push((u64::from(tid), ptr, metric.combine(&diffs), any_defined));
-            }
-        }
+        let scanned = self.collect_lower_bounds(&shared, lambda, metric)?;
 
         // ---- Phase 2: refine the candidate set, batched. ----
         // Candidates: every tuple whose lower bound does not exceed the
@@ -117,8 +111,6 @@ impl IvaIndex {
         // sequence the one-at-a-time plan performed, so results and
         // `table_accesses` are unchanged.
         const REFINE_CHUNK: usize = 1024;
-        let ScanCarry { pool, stats } = carry;
-        let k = pool.capacity();
         stats.tuples_scanned += scanned.len() as u64;
         let refine_start = thread_cpu_time();
         let mut cands: Vec<(usize, u64)> = Vec::new(); // (index into `scanned`, ptr)
@@ -189,10 +181,13 @@ impl IvaIndex {
         }
         let refine_nanos = thread_cpu_time().saturating_sub(refine_start);
         let total = thread_cpu_time().saturating_sub(start);
-        stats.refine_nanos += refine_nanos;
-        stats.filter_nanos += total.saturating_sub(refine_nanos);
-        self.tier_stats_into(&shared, tuple_hot, stats);
-        Ok(())
+        stats.refine_nanos = refine_nanos;
+        stats.filter_nanos = total.saturating_sub(refine_nanos);
+        self.tier_stats_into(&shared, &mut stats);
+        Ok(QueryOutcome {
+            results: pool.into_sorted(),
+            stats,
+        })
     }
 }
 
@@ -202,7 +197,6 @@ mod tests {
     use crate::build::{build_index, IndexTarget};
     use crate::config::IvaConfig;
     use crate::metric::MetricKind;
-    use crate::pool::ResultPool;
     use iva_storage::{IoStats, PagerOptions};
     use iva_swt::{AttrId, Tuple, Value};
 
@@ -287,24 +281,10 @@ mod tests {
             let v: Vec<f64> = lambda.iter().map(|l| l * ndf).collect();
             metric.combine(&v)
         };
-        let mut scanned: Vec<(u64, u64, f64, bool)> = Vec::new();
-        {
-            let shared = index.prepare_query(query).unwrap();
-            let mut cursors = index.open_cursors(&shared).unwrap();
-            let mut tsrc = index.open_tuple_source().unwrap();
-            let mut diffs = vec![0.0f64; query.len()];
-            for _ in 0..index.n_tuples() {
-                let (tid, ptr) = tsrc.next_entry().unwrap();
-                if ptr == TOMBSTONE_PTR {
-                    index.skip_cursors(&shared, &mut cursors, tid).unwrap();
-                    continue;
-                }
-                let any = index
-                    .lower_bounds_into(&shared, &mut cursors, tid, &lambda, ndf, &mut diffs)
-                    .unwrap();
-                scanned.push((u64::from(tid), ptr, metric.combine(&diffs), any));
-            }
-        }
+        let shared = index.prepare_query(query).unwrap();
+        let scanned = index
+            .collect_lower_bounds(&shared, &lambda, metric)
+            .unwrap();
         let mut pool = ResultPool::new(k);
         let mut accesses = 0u64;
         let mut leftovers: Vec<(u64, u64, f64)> = Vec::new();

@@ -1,5 +1,5 @@
 //! Loom model of the segmented-scan merge handoff in
-//! `crates/core/src/parallel.rs` (`ParallelScanner::query_parallel`).
+//! `crates/core/src/parallel.rs` (`IvaIndex::query_carry_opts`).
 //!
 //! The production code hands each worker a disjoint `&mut` slot
 //! (`bounds.iter().zip(slots.iter_mut())` under a crossbeam scope), the
@@ -48,7 +48,7 @@ fn merge_sees_every_slot_after_join() {
             .map(|w| {
                 let slots = Arc::clone(&slots);
                 loom::thread::spawn(move || {
-                    // Worker: scan_segment(...) then publish into its own
+                    // Worker: scan its segment, then publish into its own
                     // slot. Release pairs with the Acquire loads after the
                     // join barrier.
                     slots[w].store(segment_result(w), Ordering::Release);

@@ -4,22 +4,18 @@
 
 use proptest::prelude::*;
 
+mod common;
+
+use common::{all_list_types_table, assert_bit_identical, small_pages as opts};
 use iva_core::{
-    build_index, exact_distance, IndexTarget, IvaConfig, IvaIndex, ListType, Metric, MetricKind,
-    Query, QueryOptions, WeightScheme,
+    build_index, exact_distance, BatchItem, IndexTarget, IvaConfig, IvaIndex, ListType, Metric,
+    MetricKind, Query, QueryOptions, QueryOutcome, WeightScheme,
 };
-use iva_storage::{IoStats, PagerOptions};
+use iva_storage::IoStats;
 use iva_swt::{AttrId, SwtTable, Tuple, Value};
 
 const N_TEXT_ATTRS: u32 = 4;
 const N_NUM_ATTRS: u32 = 3;
-
-fn opts() -> PagerOptions {
-    PagerOptions {
-        page_size: 256,
-        cache_bytes: 32 * 1024,
-    }
-}
 
 /// A random sparse tuple over a small attribute universe with a shared
 /// vocabulary (so queries have near-matches).
@@ -192,39 +188,6 @@ proptest! {
         let query = build_query(&qfields);
         check_equivalence(&table, &index, &query, 5, &MetricKind::L2, WeightScheme::Equal)?;
     }
-}
-
-/// A table whose attribute densities force every vector-list organization:
-/// a dense text attribute (Type III), a sparse multi-string one (I or II),
-/// a dense numeric (Type IV) and a sparse numeric (Type I).
-fn all_list_types_table(n: u32) -> SwtTable {
-    let mut t = SwtTable::create_mem(&opts(), IoStats::new()).unwrap();
-    let dense_txt = t.define_text("dense_txt").unwrap();
-    let sparse_txt = t.define_text("sparse_txt").unwrap();
-    let dense_num = t.define_numeric("dense_num").unwrap();
-    let sparse_num = t.define_numeric("sparse_num").unwrap();
-    for i in 0..n {
-        let mut tup = Tuple::new();
-        if i % 7 != 0 {
-            tup.set(dense_txt, Value::text(format!("product listing {i:04}")));
-        }
-        if i % 11 == 0 {
-            tup.set(
-                sparse_txt,
-                Value::texts([format!("note {i}"), "extra".to_string()]),
-            );
-        }
-        // 90 % density keeps Type IV the winner even at the widest code
-        // the α range below produces (4 B at α = 0.5).
-        if i % 10 != 9 {
-            tup.set(dense_num, Value::num(f64::from(i % 89)));
-        }
-        if i % 13 == 0 {
-            tup.set(sparse_num, Value::num(f64::from(i)));
-        }
-        t.insert(&tup).unwrap();
-    }
-    t
 }
 
 proptest! {
@@ -436,5 +399,103 @@ proptest! {
         }
         // And both agree with brute force over the final table state.
         check_equivalence(&table, &packed, &q, k, &MetricKind::L2, WeightScheme::Equal)?;
+    }
+
+    /// One spine, every shape: segmented-parallel (threads), deferred
+    /// refinement (B) and shared-scan batching (companions) are arguments
+    /// of the same scan, so every combination — over raw and packed
+    /// lists, with the hot tier off and warm, with tombstones in the
+    /// tuple list — must reproduce the serial `B = 1` scan of the raw,
+    /// never-tiered index bit for bit.
+    #[test]
+    fn every_execution_shape_matches_serial_unbatched(
+        rows in 200u32..400,
+        alpha in 0.1f64..0.5,
+        gram_n in 2usize..5,
+        k in 1usize..12,
+        del_stride in 3u64..9,
+    ) {
+        let table = all_list_types_table(rows);
+        let queries = [
+            Query::new()
+                .text(AttrId(0), "product listing 0042")
+                .text(AttrId(1), "note 33")
+                .num(AttrId(2), 42.0)
+                .num(AttrId(3), 26.0),
+            Query::new().text(AttrId(0), "product listing 0117").num(AttrId(3), 130.0),
+            Query::new().text(AttrId(1), "note 99").num(AttrId(2), 7.0),
+            Query::new().num(AttrId(2), 88.0),
+        ];
+        let build = |compress_lists: bool| {
+            let cfg = IvaConfig { alpha, n: gram_n, compress_lists, ..Default::default() };
+            let mut index =
+                build_index(&table, IndexTarget::Mem, &opts(), IoStats::new(), cfg).unwrap();
+            // Tombstones, including around the 2- and 3-way segment bounds.
+            for tid in (0..u64::from(rows)).step_by(del_stride as usize) {
+                assert!(index.delete(tid).unwrap());
+            }
+            index
+        };
+        let serial_unbatched = QueryOptions {
+            threads: Some(1),
+            measured: false,
+            refine_batch: Some(1),
+        };
+        let reference = build(false);
+        let want: Vec<QueryOutcome> = queries
+            .iter()
+            .map(|q| {
+                reference
+                    .query_opts(&table, q, k, &MetricKind::L2, WeightScheme::Equal, &serial_unbatched)
+                    .unwrap()
+            })
+            .collect();
+        prop_assert_eq!(want[0].stats.speculative_accesses, 0);
+
+        for packed in [false, true] {
+            for warm in [false, true] {
+                let mut index = build(packed);
+                if warm {
+                    index.set_runtime_knobs(1, 1, 1 << 20);
+                    for _ in 0..8 {
+                        for q in &queries {
+                            index
+                                .query_opts(&table, q, k, &MetricKind::L2, WeightScheme::Equal, &serial_unbatched)
+                                .unwrap();
+                        }
+                    }
+                }
+                let mut hot_attrs = 0;
+                for threads in [1usize, 2, 3] {
+                    for batch in [1usize, 2, 7, 64] {
+                        for companions in [0usize, 1, 3] {
+                            let o = QueryOptions {
+                                threads: Some(threads),
+                                measured: false,
+                                refine_batch: Some(batch),
+                            };
+                            let items: Vec<BatchItem<'_>> = queries[..=companions]
+                                .iter()
+                                .map(|query| BatchItem { query, k, weights: WeightScheme::Equal })
+                                .collect();
+                            let got = index
+                                .query_batch(&table, &items, &MetricKind::L2, &o)
+                                .unwrap();
+                            prop_assert_eq!(got.len(), items.len());
+                            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                                assert_bit_identical(w, g, &format!(
+                                    "packed={packed} warm={warm} threads={threads} B={batch} \
+                                     companions={companions} member={i}"
+                                ));
+                                hot_attrs += g.stats.hot_tier_attrs;
+                            }
+                        }
+                    }
+                }
+                // The tier must actually have served the warm runs (and
+                // nothing else), or this sweep silently weakens.
+                prop_assert_eq!(hot_attrs > 0, warm, "packed={} warm={}", packed, warm);
+            }
+        }
     }
 }

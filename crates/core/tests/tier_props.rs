@@ -9,50 +9,15 @@
 
 use proptest::prelude::*;
 
+mod common;
+
+use common::{all_list_types_table, assert_bit_identical, small_pages as opts};
 use iva_core::{
     build_index, IndexTarget, IvaConfig, IvaIndex, ListType, MetricKind, Query, QueryOptions,
-    QueryOutcome, WeightScheme,
+    WeightScheme,
 };
-use iva_storage::{IoStats, PagerOptions};
+use iva_storage::IoStats;
 use iva_swt::{AttrId, SwtTable, Tuple, Value};
-
-fn opts() -> PagerOptions {
-    PagerOptions {
-        page_size: 256,
-        cache_bytes: 32 * 1024,
-    }
-}
-
-/// A table whose attribute densities force every vector-list organization
-/// (same recipe as `properties.rs`): dense text (III), sparse multi-string
-/// text (I/II), dense numeric (IV), sparse numeric (I).
-fn all_list_types_table(n: u32) -> SwtTable {
-    let mut t = SwtTable::create_mem(&opts(), IoStats::new()).unwrap();
-    let dense_txt = t.define_text("dense_txt").unwrap();
-    let sparse_txt = t.define_text("sparse_txt").unwrap();
-    let dense_num = t.define_numeric("dense_num").unwrap();
-    let sparse_num = t.define_numeric("sparse_num").unwrap();
-    for i in 0..n {
-        let mut tup = Tuple::new();
-        if i % 7 != 0 {
-            tup.set(dense_txt, Value::text(format!("product listing {i:04}")));
-        }
-        if i % 11 == 0 {
-            tup.set(
-                sparse_txt,
-                Value::texts([format!("note {i}"), "extra".to_string()]),
-            );
-        }
-        if i % 10 != 9 {
-            tup.set(dense_num, Value::num(f64::from(i % 89)));
-        }
-        if i % 13 == 0 {
-            tup.set(sparse_num, Value::num(f64::from(i)));
-        }
-        t.insert(&tup).unwrap();
-    }
-    t
-}
 
 fn row_for(i: u32) -> Tuple {
     let mut tup = Tuple::new();
@@ -65,36 +30,6 @@ fn row_for(i: u32) -> Tuple {
         tup.set(AttrId(3), Value::num(f64::from(i)));
     }
     tup
-}
-
-/// Two runs of the same query must agree bit-for-bit on the answer and on
-/// the refinement I/O — the only thing a tier may change is *where* the
-/// filter phase read its bytes, which the tier counters report.
-fn assert_same(
-    label: &str,
-    cold: &QueryOutcome,
-    hot: &QueryOutcome,
-) -> std::result::Result<(), TestCaseError> {
-    prop_assert_eq!(cold.results.len(), hot.results.len(), "{}", label);
-    for (a, b) in cold.results.iter().zip(&hot.results) {
-        prop_assert_eq!(a.tid, b.tid, "{}", label);
-        prop_assert_eq!(a.dist.to_bits(), b.dist.to_bits(), "{}", label);
-    }
-    prop_assert_eq!(
-        cold.stats.table_accesses,
-        hot.stats.table_accesses,
-        "{}",
-        label
-    );
-    prop_assert_eq!(
-        cold.stats.tuples_scanned,
-        hot.stats.tuples_scanned,
-        "{}",
-        label
-    );
-    // The reference index never tiers — its scans are all cold.
-    prop_assert_eq!(cold.stats.hot_tier_attrs, 0, "{}", label);
-    Ok(())
 }
 
 proptest! {
@@ -143,13 +78,16 @@ proptest! {
                 .unwrap()
         };
 
+        // The reference index never tiers — its scans are all cold.
+        prop_assert_eq!(run(&reference, &table, 1).stats.hot_tier_attrs, 0);
+
         // Phase 1 — warming: repeated queries drive the access EWMA past
         // the admission bar; every round must already be bit-identical.
         let mut saw_hot = false;
         for round in 0..8 {
             let cold = run(&reference, &table, 1);
             let hot = run(&tiered, &table, 1);
-            assert_same(&format!("warming round {round}"), &cold, &hot)?;
+            assert_bit_identical(&cold, &hot, &format!("warming round {round}"));
             saw_hot |= hot.stats.hot_tier_attrs > 0;
         }
         prop_assert!(saw_hot, "tier never engaged during warmup");
@@ -158,7 +96,7 @@ proptest! {
         for threads in [2usize, 3] {
             let cold = run(&reference, &table, threads);
             let hot = run(&tiered, &table, threads);
-            assert_same(&format!("warm parallel threads={threads}"), &cold, &hot)?;
+            assert_bit_identical(&cold, &hot, &format!("warm parallel threads={threads}"));
         }
 
         // Phase 2 — writer mutations invalidate: inserts append to vector
@@ -180,7 +118,7 @@ proptest! {
         for round in 0..6 {
             let cold = run(&reference, &table, 1);
             let hot = run(&tiered, &table, 1);
-            assert_same(&format!("post-mutation round {round}"), &cold, &hot)?;
+            assert_bit_identical(&cold, &hot, &format!("post-mutation round {round}"));
         }
 
         // Phase 3 — budget squeeze mid-run: a budget too small for any
@@ -189,7 +127,7 @@ proptest! {
         for round in 0..3 {
             let cold = run(&reference, &table, 1);
             let hot = run(&tiered, &table, 1);
-            assert_same(&format!("squeezed round {round}"), &cold, &hot)?;
+            assert_bit_identical(&cold, &hot, &format!("squeezed round {round}"));
             prop_assert_eq!(hot.stats.hot_tier_attrs, 0, "64-byte budget admitted a column");
         }
 
@@ -197,7 +135,7 @@ proptest! {
         tiered.set_runtime_knobs(cfg.search_threads, cfg.refine_batch, 0);
         let cold = run(&reference, &table, 1);
         let hot = run(&tiered, &table, 1);
-        assert_same("disabled", &cold, &hot)?;
+        assert_bit_identical(&cold, &hot, "disabled");
         prop_assert_eq!(hot.stats.hot_tier_attrs, 0);
 
         tiered.set_runtime_knobs(cfg.search_threads, cfg.refine_batch, 1 << 20);
@@ -205,7 +143,7 @@ proptest! {
         for round in 0..8 {
             let cold = run(&reference, &table, 1);
             let hot = run(&tiered, &table, 1);
-            assert_same(&format!("re-enabled round {round}"), &cold, &hot)?;
+            assert_bit_identical(&cold, &hot, &format!("re-enabled round {round}"));
             saw_hot_again |= hot.stats.hot_tier_attrs > 0;
         }
         prop_assert!(saw_hot_again, "tier never re-engaged after re-enable");

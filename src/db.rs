@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use iva_core::{
     build_index, BatchItem, IndexTarget, IvaConfig, IvaError, IvaIndex, Metric, MetricKind, Query,
-    QueryOptions, QueryOutcome, QueryStats, Result, WeightScheme,
+    QueryOutcome, QueryStats, Result, WeightScheme,
 };
 use iva_storage::vfs::{RealVfs, Vfs};
 use iva_storage::{sidecar_path, IoStats, PagerOptions, StorageError};
@@ -359,11 +359,7 @@ impl IvaDb {
         request: &SearchRequest,
     ) -> Result<SearchOutcome> {
         let weights = request.weights_override().unwrap_or(self.opts.weights);
-        let qopts = QueryOptions {
-            threads: request.threads_override(),
-            measured: request.is_measured(),
-            refine_batch: request.refine_batch_override(),
-        };
+        let qopts = SearchRequest::query_options([request]);
         let out =
             self.index
                 .query_opts(&self.table, query, request.k(), metric, weights, &qopts)?;
@@ -427,13 +423,7 @@ impl IvaDb {
                     weights: r.weights_override().unwrap_or(self.opts.weights),
                 })
                 .collect();
-            let qopts = QueryOptions {
-                threads: idxs.iter().find_map(|(_, (_, r))| r.threads_override()),
-                measured: idxs.iter().any(|(_, (_, r))| r.is_measured()),
-                refine_batch: idxs
-                    .iter()
-                    .find_map(|(_, (_, r))| r.refine_batch_override()),
-            };
+            let qopts = SearchRequest::query_options(idxs.iter().map(|(_, (_, r))| r));
             let outs = self
                 .index
                 .query_batch(&self.table, &items, &metric, &qopts)?;

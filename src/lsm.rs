@@ -46,8 +46,8 @@ use std::sync::Arc;
 
 use iva_core::{
     collect_orphans, prepare_merge, remove_segment_files, write_segment, CompactionPlan, IvaConfig,
-    IvaError, Memtable, Metric, MetricKind, Query, QueryOptions, QueryOutcome, Result, ScanCarry,
-    Segment, WeightScheme,
+    IvaError, Memtable, Metric, MetricKind, Query, QueryOutcome, Result, ScanCarry, Segment,
+    WeightScheme,
 };
 use iva_storage::vfs::{MemVfs, RealVfs, Vfs};
 use iva_storage::{
@@ -666,11 +666,7 @@ impl LsmDb {
     ) -> Result<SearchOutcome> {
         let scheme = request.weights_override().unwrap_or(self.opts.weights);
         let lambda = self.resolve_weights(query, scheme);
-        let qopts = QueryOptions {
-            threads: request.threads_override(),
-            measured: request.is_measured(),
-            refine_batch: request.refine_batch_override(),
-        };
+        let qopts = SearchRequest::query_options([request]);
         let mut carry = ScanCarry::new(request.k());
         for seg in &self.segments {
             seg.index().query_carry_opts(
@@ -727,39 +723,5 @@ impl LsmDb {
     /// The metric used when a request carries no override.
     pub fn default_metric(&self) -> MetricKind {
         self.opts.metric
-    }
-
-    /// Cross-tier sequential plan (Sec. V-A's ordered-refinement
-    /// baseline): the same carried scan, driven through each tier's
-    /// [`iva_core::IvaIndex::query_sequential_plan`] stage. Hits are
-    /// bit-identical
-    /// to the monolithic sequential plan; `table_accesses` may differ,
-    /// since leftover-round ordering is per tier (DESIGN.md §14).
-    pub fn execute_sequential_plan(
-        &self,
-        query: &Query,
-        request: &SearchRequest,
-    ) -> Result<SearchOutcome> {
-        let metric = request.metric_override().unwrap_or(self.opts.metric);
-        let scheme = request.weights_override().unwrap_or(self.opts.weights);
-        let lambda = self.resolve_weights(query, scheme);
-        let mut carry = ScanCarry::new(request.k());
-        for seg in &self.segments {
-            seg.index().query_carry_sequential_plan(
-                seg.table(),
-                query,
-                &metric,
-                &lambda,
-                &mut carry,
-            )?;
-        }
-        self.memtable.index().query_carry_sequential_plan(
-            self.memtable.table(),
-            query,
-            &metric,
-            &lambda,
-            &mut carry,
-        )?;
-        self.materialize(carry.finish())
     }
 }

@@ -9,7 +9,7 @@
 //! catalog and reporting unknown or mistyped names as errors instead of
 //! panicking or silently matching nothing.
 
-use iva_core::{IvaError, MetricKind, Query, Result, WeightScheme};
+use iva_core::{IvaError, MetricKind, Query, QueryOptions, Result, WeightScheme};
 use iva_swt::{AttrType, Catalog};
 
 /// Execution options for one top-k search, builder style.
@@ -114,6 +114,25 @@ impl SearchRequest {
     /// Refinement-batch override, if any.
     pub fn refine_batch_override(&self) -> Option<usize> {
         self.refine_batch
+    }
+
+    /// The scan-level knobs of a group of requests served by one scan (a
+    /// single request is a group of one): the first explicit `threads` and
+    /// `refine_batch` override in the group, measured if any member is.
+    pub(crate) fn query_options<'a>(
+        group: impl IntoIterator<Item = &'a SearchRequest>,
+    ) -> QueryOptions {
+        let mut opts = QueryOptions {
+            threads: None,
+            measured: false,
+            refine_batch: None,
+        };
+        for r in group {
+            opts.threads = opts.threads.or(r.threads);
+            opts.measured |= r.measured;
+            opts.refine_batch = opts.refine_batch.or(r.refine_batch);
+        }
+        opts
     }
 }
 

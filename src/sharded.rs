@@ -168,14 +168,7 @@ impl ShardedIvaDb {
     ) -> Result<ShardedSearchOutcome> {
         let k = request.k();
         let weights = request.weights_override().unwrap_or(self.opts.weights);
-        let budget = request
-            .threads_override()
-            .unwrap_or_else(|| self.opts.config.resolved_search_threads());
-        let qopts = QueryOptions {
-            threads: Some((budget / self.shards.len()).max(1)),
-            measured: request.is_measured(),
-            refine_batch: request.refine_batch_override(),
-        };
+        let qopts = self.shard_options(SearchRequest::query_options([request]));
 
         let locals: Vec<Result<QueryOutcome>> = if let [only] = self.shards.as_slice() {
             vec![only
@@ -210,6 +203,18 @@ impl ShardedIvaDb {
 
         let locals = locals.into_iter().collect::<Result<Vec<_>>>()?;
         self.merge_locals(k, locals)
+    }
+
+    /// Split the request's thread budget (or the configured
+    /// [`crate::IvaConfig::search_threads`]) evenly across shards.
+    fn shard_options(&self, opts: QueryOptions) -> QueryOptions {
+        let budget = opts
+            .threads
+            .unwrap_or_else(|| self.opts.config.resolved_search_threads());
+        QueryOptions {
+            threads: Some((budget / self.shards.len()).max(1)),
+            ..opts
+        }
     }
 
     /// Merge per-shard local top-k outcomes (in shard order) into the
@@ -297,17 +302,9 @@ impl ShardedIvaDb {
                     weights: r.weights_override().unwrap_or(self.opts.weights),
                 })
                 .collect();
-            let budget = idxs
-                .iter()
-                .find_map(|(_, (_, r))| r.threads_override())
-                .unwrap_or_else(|| self.opts.config.resolved_search_threads());
-            let qopts = QueryOptions {
-                threads: Some((budget / self.shards.len()).max(1)),
-                measured: idxs.iter().any(|(_, (_, r))| r.is_measured()),
-                refine_batch: idxs
-                    .iter()
-                    .find_map(|(_, (_, r))| r.refine_batch_override()),
-            };
+            let qopts = self.shard_options(SearchRequest::query_options(
+                idxs.iter().map(|(_, (_, r))| r),
+            ));
 
             let per_shard: Vec<Result<Vec<QueryOutcome>>> = if let [only] = self.shards.as_slice() {
                 vec![only

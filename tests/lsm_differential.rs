@@ -9,8 +9,7 @@
 //! * tuple ids assigned by the two engines are identical;
 //! * top-k hits are bit-identical — same tids, same `f64::to_bits`
 //!   distances, same order — under the serial plan, the segmented
-//!   parallel plan (2 and 3 threads), batched refinement, and the
-//!   sequential plan;
+//!   parallel plan (2 and 3 threads) and batched refinement;
 //! * with `refine_batch = 1` the refinement `table_accesses` match
 //!   exactly (the carried scan replays the monolithic admission sequence
 //!   tuple for tuple);
@@ -186,18 +185,6 @@ fn check_query(mono: &IvaDb, lsm: &LsmDb, query: &Query, k: usize, ctx: &str) {
         keys(&got.hits),
         keys(&want.hits),
         "{ctx}: hits diverge at refine_batch=4"
-    );
-
-    // Sequential plan: hits bit-identical (its leftover-round ordering is
-    // per tier, so only the hit set and distances are contractual —
-    // DESIGN.md §14).
-    let got = lsm
-        .execute_sequential_plan(query, &SearchRequest::new(k))
-        .unwrap();
-    assert_eq!(
-        keys(&got.hits),
-        keys(&want.hits),
-        "{ctx}: sequential-plan hits diverge"
     );
 }
 
