@@ -65,7 +65,7 @@ pub use numeric::NumericCodec;
 pub use packed::{encode_packed_num_list, encode_packed_text_list, PackedReader};
 pub use parallel::QueryOptions;
 pub use pool::{PoolEntry, ResultPool};
-pub use query::{attr_difference, exact_distance, Query, QueryStats, QueryValue};
+pub use query::{attr_difference, bounded_distance, exact_distance, Query, QueryStats, QueryValue};
 pub use segment::{
     remove_segment_files, segment_base, segment_file_candidates, segment_files_exist,
     segment_index_path, write_segment, Segment,

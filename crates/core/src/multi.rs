@@ -5,7 +5,7 @@
 //! A serving front end that admits several concurrent top-k requests can
 //! run them as a *batch*: the tuple list is read once per scan position —
 //! not once per query — and the refinement fetches of all queries are
-//! pooled into shared page-coalesced [`SwtTable::get_batch`] rounds, so
+//! pooled into shared page-coalesced [`SwtTable::fetch`] rounds, so
 //! concurrent queries share buffer-pool pages the way the paper's cost
 //! model assumes (Sec. V-A's cache regime).
 //!
@@ -21,9 +21,10 @@
 //! [`crate::QueryStats::speculative_accesses`].
 //!
 //! Phase timings are per-*batch*, not per-query: every member reports the
-//! same shared-scan filter time and shared-round refine time, because the
-//! work genuinely is shared and cannot be attributed to one member. Treat
-//! the nanos of a batched outcome as "cost of the round you rode in".
+//! same filter time (every member's query preparation plus the shared
+//! scan) and shared-round refine time, because the work genuinely is
+//! shared and cannot be attributed to one member. Treat the nanos of a
+//! batched outcome as "cost of the round you rode in".
 
 use iva_swt::SwtTable;
 
@@ -73,9 +74,14 @@ impl IvaIndex {
             .iter()
             .map(|it| self.resolve_weights(it.query, it.weights))
             .collect();
+        let mut prepare_nanos = 0u64;
         let shared = batch
             .iter()
-            .map(|it| self.prepare_query(it.query))
+            .map(|it| {
+                let (shared, nanos) = self.prepare_query_timed(it.query, opts.measured)?;
+                prepare_nanos += nanos;
+                Ok(shared)
+            })
             .collect::<Result<Vec<_>>>()?;
         let mut carries: Vec<ScanCarry> = batch.iter().map(|it| ScanCarry::new(it.k)).collect();
         let mut lanes = Vec::with_capacity(batch.len());
@@ -99,7 +105,7 @@ impl IvaIndex {
             .into_iter()
             .zip(&shared)
             .map(|(mut carry, shared)| {
-                carry.stats.filter_nanos = nanos.filter;
+                carry.stats.filter_nanos = prepare_nanos + nanos.filter;
                 carry.stats.refine_nanos = nanos.refine;
                 self.tier_stats_into(shared, &mut carry.stats);
                 carry.finish()

@@ -5,7 +5,7 @@
 //! The tuple list is split into `t` contiguous segments; each worker runs
 //! [`IvaIndex::scan`] over its segment with one lane on a *private* top-k
 //! pool, logging every candidate its own replay admitted — `(tid, ptr,
-//! estimate, exact distance)` in scan order. The merge step replays the
+//! estimate, bounded distance)` in scan order. The merge step replays the
 //! logs through the carried pool in segment order. That is the scan
 //! spine's replay lemma (see [`crate::scan`]) applied across workers:
 //!
@@ -19,8 +19,11 @@
 //!   to [`IvaIndex::query`].
 //!
 //! Surplus worker fetches the merge rejects are reported as
-//! [`crate::QueryStats::speculative_accesses`]; the exact distances they
-//! computed are simply discarded. Refinement work rides inside the workers
+//! [`crate::QueryStats::speculative_accesses`]; the distances they
+//! computed are simply discarded. A logged distance is exact when it is
+//! below the worker's threshold at the time and otherwise only known to
+//! be at or above it — which the merged pool, never looser, rejects just
+//! as it would the exact value (see "Refine on bytes" in [`crate::scan`]). Refinement work rides inside the workers
 //! (a fetch happens once, where the candidate is found), so the table
 //! file's [`iva_storage::IoStats`] counts each physical access exactly once.
 
@@ -142,7 +145,7 @@ impl IvaIndex {
         // One prepared table per query — the packed-mask kernels and
         // numeric codecs are immutable and shared by every worker below;
         // workers only open private scan positions.
-        let shared = self.prepare_query(query)?;
+        let (shared, prepare_nanos) = self.prepare_query_timed(query, measured)?;
         let t = threads as u64;
         let bounds: Vec<(u64, u64)> = (0..t).map(|i| (i * n / t, (i + 1) * n / t)).collect();
 
@@ -178,6 +181,8 @@ impl IvaIndex {
         // the serial scan exactly).
         let merge_start = measured.then(thread_cpu_time);
         let ScanCarry { pool, stats } = carry;
+        // The coordinator prepares before the workers start and merges
+        // after they finish: both sit on the filter critical path.
         let mut max_filter = 0u64;
         let mut max_refine = 0u64;
         for slot in slots {
@@ -198,7 +203,7 @@ impl IvaIndex {
         if let Some(m) = merge_start {
             max_filter += thread_cpu_time().saturating_sub(m);
         }
-        stats.filter_nanos += max_filter;
+        stats.filter_nanos += prepare_nanos + max_filter;
         stats.refine_nanos += max_refine;
         // Tier accounting once for the merged plan — the workers scanned
         // the same prepared attributes, so per-worker accounting would

@@ -3,9 +3,21 @@
 //! A query defines values on a small subset of attributes — a string on a
 //! text attribute or a number on a numerical one — and asks for the top-k
 //! tuples under `D(T,Q) = f(λ₁d₁, …, λ_qd_q)`.
+//!
+//! Two routines compute `D(T,Q)`:
+//!
+//! * [`bounded_distance`] is what query execution runs (Algorithm 1 lines
+//!   13–16). It reads the query's attributes straight out of the stored
+//!   record's bytes ([`RecordView`]) and is told the result pool's
+//!   admission threshold, so it can stop as soon as the tuple provably
+//!   cannot enter the pool. It returns the exact distance when that is
+//!   below the threshold and otherwise *some* value at or above it —
+//!   which the pool rejects either way (DESIGN.md §15, "Refine on bytes").
+//! * [`exact_distance`] is the reference oracle over a materialized
+//!   [`Tuple`]: baselines, brute-force checks and tests.
 
-use iva_swt::{AttrId, Tuple, Value};
-use iva_text::edit_distance_bytes;
+use iva_swt::{AttrId, FieldLoc, RecordView, Tuple, Value, ValueRef};
+use iva_text::{edit_distance_bytes, edit_distance_capped};
 
 use crate::metric::Metric;
 
@@ -98,6 +110,105 @@ pub fn exact_distance<M: Metric>(
         diffs.push(w * attr_difference(tuple.get(attr), qv, ndf_penalty));
     }
     metric.combine(&diffs)
+}
+
+/// The smallest whole number of edits `e ≤ max_edits` on query attribute
+/// `slot` for which the tuple can no longer beat `threshold`:
+/// `combine(diffs with diffs[slot] = λ·e) ≥ threshold`, every other entry
+/// of `diffs` being either exact or a lower bound (0 for text attributes
+/// not yet evaluated). `None` if even `max_edits` leaves it admissible.
+///
+/// Property 3.1 is all this uses: `combine` is monotone in each argument,
+/// so the predicate is monotone in `e` and bisection finds its boundary;
+/// a metric needs no method beyond `combine` to get threshold-aware
+/// refinement.
+fn edit_cap<M: Metric>(
+    diffs: &mut [f64],
+    slot: usize,
+    lambda: f64,
+    max_edits: usize,
+    metric: &M,
+    threshold: f64,
+) -> Option<usize> {
+    let mut hopeless = |e: usize| {
+        if let Some(d) = diffs.get_mut(slot) {
+            *d = lambda * e as f64;
+        }
+        metric.combine(diffs) >= threshold
+    };
+    if !hopeless(max_edits) {
+        return None;
+    }
+    // Invariant: hopeless(hi), and lo == 0 or !hopeless(lo - 1).
+    let (mut lo, mut hi) = (0, max_edits);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if hopeless(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    Some(hi)
+}
+
+/// Refine-time distance `D(T,Q)` of the stored record `view`, bounded by
+/// the result pool's admission `threshold`: the **exact** distance — bit
+/// for bit what [`exact_distance`] returns on the decoded tuple — whenever
+/// that is `< threshold`, and otherwise some value `≥ threshold`.
+///
+/// The query's attributes are found in one pass over the record's field
+/// headers; nothing is decoded or allocated (`diffs`, one slot per query
+/// value, and `locs` are the caller's reusable buffers). *ndf* and numeric
+/// attributes are evaluated first. Each text attribute then gets a cap
+/// (see `edit_cap`) from what is known so far, shrinking to the best
+/// string found as a multi-string value is walked; the moment an
+/// attribute's difference reaches its cap the partial combine has reached
+/// the threshold, and by monotonicity so has the true distance.
+#[allow(clippy::too_many_arguments)]
+pub fn bounded_distance<M: Metric>(
+    view: &RecordView<'_>,
+    query: &Query,
+    weights: &[f64],
+    metric: &M,
+    ndf_penalty: f64,
+    threshold: f64,
+    diffs: &mut [f64],
+    locs: &mut Vec<FieldLoc>,
+) -> iva_swt::Result<f64> {
+    debug_assert_eq!(weights.len(), query.len());
+    debug_assert_eq!(diffs.len(), query.len());
+    view.locate(query.iter().map(|(attr, _)| attr), locs)?;
+    let located = || query.iter().zip(weights).zip(locs.iter());
+    for ((((_, qv), &w), &loc), d) in located().zip(diffs.iter_mut()) {
+        *d = match (view.value_at(loc), qv) {
+            (Some(ValueRef::Num(v)), QueryValue::Num(q)) => w * (q - v).abs(),
+            // Evaluated below; 0 is the lower bound until then.
+            (Some(ValueRef::Text(_)), QueryValue::Text(_)) => 0.0,
+            // ndf — or a type mismatch, which the typed build/query APIs
+            // rule out; treated as ndf like `attr_difference` does.
+            _ => w * ndf_penalty,
+        };
+    }
+    for (slot, (((_, qv), &w), &loc)) in located().enumerate() {
+        let (Some(ValueRef::Text(text)), QueryValue::Text(q)) = (view.value_at(loc), qv) else {
+            continue;
+        };
+        let q = q.as_bytes();
+        let max_edits = q.len().max(text.max_len_bound());
+        let cap = edit_cap(diffs, slot, w, max_edits, metric, threshold);
+        let mut best = cap.unwrap_or(usize::MAX);
+        for s in text.strings() {
+            best = best.min(edit_distance_capped(q, s, best));
+        }
+        if let Some(d) = diffs.get_mut(slot) {
+            *d = w * best as f64;
+        }
+        if cap.is_some_and(|cap| best >= cap) {
+            break;
+        }
+    }
+    Ok(metric.combine(diffs))
 }
 
 /// Per-query measurement counters, used by the experiment harness to split

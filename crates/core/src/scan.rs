@@ -7,8 +7,11 @@
 //! its per-attribute [`AttrScan`] positions, its top-k pool and counters
 //! (a [`ScanCarry`]), and the candidates its pool admitted at scan time
 //! but has not fetched yet. Once the lanes together hold `refine_batch`
-//! pending candidates, one page-coalesced [`SwtTable::get_batch`] fetches
-//! them all and each lane's admission test is replayed in scan order.
+//! pending candidates, one page-coalesced [`SwtTable::fetch`] pins them
+//! all and each lane's admission test is replayed in scan order, the
+//! distance of every admitted candidate computed from the record's bytes
+//! in the pinned page ([`bounded_distance`], cut off at the pool's
+//! threshold — see "Refine on bytes" below).
 //!
 //! **Replay lemma.** A lane's scan-time test runs against a pool that is
 //! missing, at most, the inserts of its own still-pending candidates — a
@@ -21,6 +24,17 @@
 //! *when* a flush happens, so it holds for every `refine_batch` (at 1 the
 //! replay is trivially true) and for flush schedules driven by other
 //! lanes.
+//!
+//! **Refine on bytes.** The replay hands [`bounded_distance`] the pool's
+//! [`threshold`](crate::ResultPool::threshold) and gets back the exact
+//! distance if that is below it and otherwise *some* value at or above
+//! it. `insert_at` admits on strict `<`, so the pool cannot tell the
+//! difference: every pool, threshold, admission and counter is what the
+//! full distance would have produced. That is immediate for a lane's own
+//! pool and for a pool carried across LSM tiers (the same pool); for the
+//! candidate log a segmented-parallel worker hands to the merge it needs
+//! one more step — the merged pool is never looser than the worker's was
+//! — argued once, next to the replay lemma, in DESIGN.md §15.
 //!
 //! The three execution shapes are arguments of the one function:
 //!
@@ -36,7 +50,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use iva_storage::ListReader;
-use iva_swt::{RecordPtr, SwtTable};
+use iva_swt::{FieldLoc, RecordFetch, RecordPtr, RecordRef, SwtTable};
 use iva_text::{PreparedMatcher, SigCodec};
 
 use crate::error::{IvaError, Result};
@@ -45,7 +59,7 @@ use crate::layout::{AttrEntry, ListEncoding, TOMBSTONE_PTR};
 use crate::metric::Metric;
 use crate::numeric::NumericCodec;
 use crate::packed::PackedReader;
-use crate::query::{exact_distance, Query};
+use crate::query::{bounded_distance, Query};
 use crate::tier::NumColumn;
 use crate::timing::thread_cpu_time;
 use crate::veclist::{NumListCursor, TextListCursor};
@@ -214,6 +228,8 @@ pub(crate) struct Candidate {
     pub(crate) tid: u64,
     pub(crate) ptr: u64,
     pub(crate) est: f64,
+    /// The lane's [`bounded_distance`]: exact if below the lane's pool
+    /// threshold at the time, otherwise only known to be at or above it.
     pub(crate) actual: f64,
 }
 
@@ -223,7 +239,11 @@ pub(crate) struct Lane<'a> {
     lambda: &'a [f64],
     attrs: Vec<AttrScan<'a>>,
     carry: &'a mut ScanCarry,
+    /// One slot per query value: the filter's weighted lower bounds
+    /// during the walk, the refine step's weighted differences in a flush.
     diffs: Vec<f64>,
+    /// Where a fetched record keeps the query's attributes (refine only).
+    locs: Vec<FieldLoc>,
     /// Admitted at scan time, not yet fetched: `(ptr, est)` in scan order.
     pending: Vec<(u64, f64)>,
     /// Every candidate the flush replay admitted, if asked for.
@@ -255,6 +275,7 @@ impl<'a> Lane<'a> {
             attrs: open_attr_scans(index, shared)?,
             carry,
             diffs: vec![0.0; query.len()],
+            locs: Vec::with_capacity(query.len()),
             pending: Vec::new(),
             log: log_candidates.then(Vec::new),
         })
@@ -275,6 +296,23 @@ pub(crate) struct PhaseNanos {
 }
 
 impl IvaIndex {
+    /// [`IvaIndex::prepare_query`] with the CPU nanos it took (0 if
+    /// unmeasured). Preparation is filter work — the matcher build and, on
+    /// the hot tier, the whole block-estimate prefold — so every
+    /// execution shape's entry charges it to `filter_nanos`.
+    pub(crate) fn prepare_query_timed(
+        &self,
+        query: &Query,
+        measured: bool,
+    ) -> Result<(Vec<SharedAttr<'_>>, u64)> {
+        let start = measured.then(thread_cpu_time);
+        let shared = self.prepare_query(query)?;
+        Ok((
+            shared,
+            start.map_or(0, |t| thread_cpu_time().saturating_sub(t)),
+        ))
+    }
+
     /// Walk tuple-list positions `range` once for every lane (see the
     /// module doc). Lanes must be freshly opened. With `measured` false no
     /// clock is read.
@@ -296,8 +334,9 @@ impl IvaIndex {
             }
         }
         let batch = refine_batch.max(1);
-        // Fetch buffer, reused across flushes.
+        // Fetch buffers, reused across flushes.
         let mut ptrs: Vec<RecordPtr> = Vec::new();
+        let mut scratch: Vec<u8> = Vec::new();
         let mut n_pending = 0usize;
         let mut refine_nanos = 0u64;
         let start = measured.then(thread_cpu_time);
@@ -317,12 +356,13 @@ impl IvaIndex {
                 }
             }
             if n_pending >= batch {
-                refine_nanos += flush(table, lanes, metric, ndf, &mut ptrs, measured)?;
+                refine_nanos +=
+                    flush(table, lanes, metric, ndf, &mut ptrs, &mut scratch, measured)?;
                 n_pending = 0;
             }
         }
         if n_pending > 0 {
-            refine_nanos += flush(table, lanes, metric, ndf, &mut ptrs, measured)?;
+            refine_nanos += flush(table, lanes, metric, ndf, &mut ptrs, &mut scratch, measured)?;
         }
         Ok(match start {
             Some(t) => PhaseNanos {
@@ -350,7 +390,7 @@ impl IvaIndex {
         refine_batch: usize,
         carry: &mut ScanCarry,
     ) -> Result<()> {
-        let shared = self.prepare_query(query)?;
+        let (shared, prepare_nanos) = self.prepare_query_timed(query, measured)?;
         let mut lanes = [Lane::open(self, query, lambda, &shared, carry, false)?];
         let nanos = self.scan(
             table,
@@ -360,23 +400,33 @@ impl IvaIndex {
             metric,
             measured,
         )?;
-        carry.stats.filter_nanos += nanos.filter;
+        carry.stats.filter_nanos += prepare_nanos + nanos.filter;
         carry.stats.refine_nanos += nanos.refine;
         self.tier_stats_into(&shared, &mut carry.stats);
         Ok(())
     }
 }
 
-/// The one fetch-and-replay round: fetch every lane's pending candidates
-/// as a single page-ordered, coalesced batch, then replay each lane's
+/// The next record of a fetch whose caller walks its own request list in
+/// step and so knows there is one.
+pub(crate) fn next_fetched<'f>(fetch: &'f mut RecordFetch<'_>) -> Result<RecordRef<'f>> {
+    fetch
+        .next_record()?
+        .ok_or_else(|| IvaError::Corrupt("batch fetch shorter than request".into()))
+}
+
+/// The one fetch-and-replay round: pin every lane's pending candidates as
+/// a single page-ordered, coalesced batch, then replay each lane's
 /// admission test in scan order against its now-current pool (the module
-/// doc's replay lemma). Returns the CPU nanos it took (0 if unmeasured).
+/// doc's replay lemma), reading each admitted record in place. Returns
+/// the CPU nanos it took (0 if unmeasured).
 fn flush<M: Metric>(
     table: &SwtTable,
     lanes: &mut [Lane<'_>],
     metric: &M,
     ndf: f64,
     ptrs: &mut Vec<RecordPtr>,
+    scratch: &mut Vec<u8>,
     measured: bool,
 ) -> Result<u64> {
     let start = measured.then(thread_cpu_time);
@@ -384,17 +434,23 @@ fn flush<M: Metric>(
     for lane in lanes.iter() {
         ptrs.extend(lane.pending.iter().map(|&(p, _)| RecordPtr(p)));
     }
-    let recs = table.get_batch(ptrs)?;
-    let mut recs = recs.iter();
+    let mut fetch = table.fetch(ptrs, scratch)?;
     for lane in lanes.iter_mut() {
         let ScanCarry { pool, stats } = &mut *lane.carry;
         for &(ptr, est) in &lane.pending {
-            let rec = recs
-                .next()
-                .ok_or_else(|| IvaError::Corrupt("batch fetch shorter than request".into()))?;
+            let rec = next_fetched(&mut fetch)?;
             if pool.admits(est) {
                 stats.table_accesses += 1;
-                let actual = exact_distance(&rec.tuple, lane.query, lane.lambda, metric, ndf);
+                let actual = bounded_distance(
+                    &rec.view,
+                    lane.query,
+                    lane.lambda,
+                    metric,
+                    ndf,
+                    pool.threshold(),
+                    &mut lane.diffs,
+                    &mut lane.locs,
+                )?;
                 pool.insert_at(rec.tid, actual, RecordPtr(ptr));
                 if let Some(log) = &mut lane.log {
                     log.push(Candidate {

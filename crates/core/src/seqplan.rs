@@ -18,15 +18,15 @@
 //! relative to Algorithm 1's interleaved plan. See the
 //! `ablation_query_plans` bench.
 
-use iva_swt::{RecordPtr, SwtTable};
+use iva_swt::{RecordPtr, RecordView, SwtTable};
 
 use crate::error::Result;
 use crate::index::{IvaIndex, QueryOutcome, SharedAttr};
 use crate::layout::TOMBSTONE_PTR;
 use crate::metric::{Metric, WeightScheme};
 use crate::pool::ResultPool;
-use crate::query::{exact_distance, Query, QueryStats};
-use crate::scan::{open_attr_scans, skip_all, weighted_bounds};
+use crate::query::{bounded_distance, Query, QueryStats};
+use crate::scan::{next_fetched, open_attr_scans, skip_all, weighted_bounds};
 use crate::timing::thread_cpu_time;
 
 /// One live tuple as phase 1 saw it: `(tid, ptr, lower bound, any query
@@ -121,13 +121,24 @@ impl IvaIndex {
         }
         cands.sort_unstable_by_key(|&(_, ptr)| ptr);
         let mut actuals: Vec<f64> = vec![0.0; scanned.len()];
+        // The spine's refine routine on the spine's in-place fetch. These
+        // distances are computed in page order, ahead of the replay that
+        // knows the pool, so they are asked for unbounded (exact).
+        let (mut scratch, mut locs) = (Vec::new(), Vec::new());
+        let mut diffs = vec![0.0f64; query.len()];
+        let mut distance = |view: &RecordView<'_>, threshold: f64| {
+            bounded_distance(
+                view, query, lambda, metric, ndf, threshold, &mut diffs, &mut locs,
+            )
+        };
         for chunk in cands.chunks(REFINE_CHUNK) {
             let ptrs: Vec<RecordPtr> = chunk.iter().map(|&(_, p)| RecordPtr(p)).collect();
-            let recs = table.get_batch(&ptrs)?;
-            stats.table_accesses += recs.len() as u64;
-            for (&(i, _), rec) in chunk.iter().zip(&recs) {
+            let mut fetch = table.fetch(&ptrs, &mut scratch)?;
+            stats.table_accesses += chunk.len() as u64;
+            for &(i, _) in chunk {
+                let actual = distance(&next_fetched(&mut fetch)?.view, f64::INFINITY)?;
                 if let Some(a) = actuals.get_mut(i) {
-                    *a = exact_distance(&rec.tuple, query, lambda, metric, ndf);
+                    *a = actual;
                 }
             }
         }
@@ -166,11 +177,12 @@ impl IvaIndex {
                 }
                 let round = leftovers.get(i..j).unwrap_or(&[]);
                 let ptrs: Vec<RecordPtr> = round.iter().map(|&(_, p, _)| RecordPtr(p)).collect();
-                let recs = table.get_batch(&ptrs)?;
-                for (&(tid, ptr, lb), rec) in round.iter().zip(&recs) {
+                let mut fetch = table.fetch(&ptrs, &mut scratch)?;
+                for &(tid, ptr, lb) in round {
+                    let rec = next_fetched(&mut fetch)?;
                     if pool.admits(lb) {
                         stats.table_accesses += 1;
-                        let actual = exact_distance(&rec.tuple, query, lambda, metric, ndf);
+                        let actual = distance(&rec.view, pool.threshold())?;
                         pool.insert_at(tid, actual, RecordPtr(ptr));
                     } else {
                         stats.speculative_accesses += 1;
@@ -197,6 +209,7 @@ mod tests {
     use crate::build::{build_index, IndexTarget};
     use crate::config::IvaConfig;
     use crate::metric::MetricKind;
+    use crate::query::exact_distance;
     use iva_storage::{IoStats, PagerOptions};
     use iva_swt::{AttrId, Tuple, Value};
 

@@ -8,11 +8,11 @@ mod common;
 
 use common::{all_list_types_table, assert_bit_identical, small_pages as opts};
 use iva_core::{
-    build_index, exact_distance, BatchItem, IndexTarget, IvaConfig, IvaIndex, ListType, Metric,
-    MetricKind, Query, QueryOptions, QueryOutcome, WeightScheme,
+    bounded_distance, build_index, exact_distance, BatchItem, IndexTarget, IvaConfig, IvaIndex,
+    ListType, Metric, MetricKind, Query, QueryOptions, QueryOutcome, WeightScheme,
 };
 use iva_storage::IoStats;
-use iva_swt::{AttrId, SwtTable, Tuple, Value};
+use iva_swt::{encode_record, AttrId, RecordView, SwtTable, Tuple, Value};
 
 const N_TEXT_ATTRS: u32 = 4;
 const N_NUM_ATTRS: u32 = 3;
@@ -64,20 +64,72 @@ fn build_table(rows: &[Vec<(u32, FieldVal)>]) -> SwtTable {
         t.define_numeric(&format!("N{i}")).unwrap();
     }
     for row in rows {
-        let mut tuple = Tuple::new();
-        for (attr, v) in row {
-            match v {
-                FieldVal::T(strings) => {
-                    tuple.set(AttrId(*attr), Value::texts(strings.clone()));
-                }
-                FieldVal::N(x) => {
-                    tuple.set(AttrId(*attr), Value::num(*x));
-                }
-            }
-        }
-        t.insert(&tuple).unwrap();
+        t.insert(&build_tuple(row)).unwrap();
     }
     t
+}
+
+fn build_tuple(row: &[(u32, FieldVal)]) -> Tuple {
+    let mut tuple = Tuple::new();
+    for (attr, v) in row {
+        match v {
+            FieldVal::T(strings) => tuple.set(AttrId(*attr), Value::texts(strings.clone())),
+            FieldVal::N(x) => tuple.set(AttrId(*attr), Value::num(*x)),
+        };
+    }
+    tuple
+}
+
+/// A monotone metric that is none of the built-in three: a superlinear
+/// sum plus the maximum. Knows nothing about thresholds — the refine
+/// step's caps must come from `combine` alone.
+struct SumPlusMax;
+
+impl Metric for SumPlusMax {
+    fn combine(&self, d: &[f64]) -> f64 {
+        d.iter().map(|x| x.powf(1.5)).sum::<f64>() + d.iter().copied().fold(0.0, f64::max)
+    }
+}
+
+/// `bounded_distance` on the tuple's encoded bytes against
+/// `exact_distance` on the tuple, for thresholds around and away from the
+/// true distance.
+fn check_bounded<M: Metric>(
+    tuple: &Tuple,
+    query: &Query,
+    weights: &[f64],
+    metric: &M,
+    thresholds: &[f64],
+) -> Result<(), TestCaseError> {
+    let ndf = 20.0;
+    let exact = exact_distance(tuple, query, weights, metric, ndf);
+    let mut buf = Vec::new();
+    encode_record(tuple, &mut buf).unwrap();
+    let view = RecordView::new(&buf);
+    let (mut diffs, mut locs) = (vec![0.0; query.len()], Vec::new());
+    let around = [
+        exact,
+        exact * (1.0 - 1e-12),
+        exact * (1.0 + 1e-12),
+        f64::INFINITY,
+        0.0,
+    ];
+    for &t in thresholds.iter().chain(&around) {
+        let got =
+            bounded_distance(&view, query, weights, metric, ndf, t, &mut diffs, &mut locs).unwrap();
+        prop_assert_eq!(got < t, exact < t, "t={} exact={} got={}", t, exact, got);
+        if exact < t {
+            prop_assert_eq!(
+                got.to_bits(),
+                exact.to_bits(),
+                "t={} exact={} got={}",
+                t,
+                exact,
+                got
+            );
+        }
+    }
+    Ok(())
 }
 
 fn build_query(fields: &[(u32, FieldVal)]) -> Query {
@@ -147,6 +199,32 @@ proptest! {
             1 => check_equivalence(&table, &index, &query, k, &MetricKind::L2, weights)?,
             _ => check_equivalence(&table, &index, &query, k, &MetricKind::LInf, weights)?,
         }
+    }
+
+    /// The refine step's distance may stop early, but never in a way the
+    /// pool can see: below the threshold it is the exact distance to the
+    /// bit, at or above it it stays at or above — for the three built-in
+    /// metrics and for one the crate has never heard of.
+    #[test]
+    fn bounded_distance_is_exact_below_threshold(
+        row in arb_tuple(),
+        qfields in proptest::collection::vec(
+            prop_oneof![
+                (0..N_TEXT_ATTRS, arb_text_value()).prop_map(|(a, v)| (a, FieldVal::T(v))),
+                (0..N_NUM_ATTRS, -60.0f64..60.0).prop_map(|(a, v)| (N_TEXT_ATTRS + a, FieldVal::N(v))),
+            ],
+            1..5,
+        ),
+        raw_weights in proptest::collection::vec(0.05f64..4.0, 8),
+        thresholds in proptest::collection::vec(0.0f64..60.0, 6),
+    ) {
+        let tuple = build_tuple(&row);
+        let query = build_query(&qfields);
+        let weights = &raw_weights[..query.len()];
+        check_bounded(&tuple, &query, weights, &MetricKind::L1, &thresholds)?;
+        check_bounded(&tuple, &query, weights, &MetricKind::L2, &thresholds)?;
+        check_bounded(&tuple, &query, weights, &MetricKind::LInf, &thresholds)?;
+        check_bounded(&tuple, &query, weights, &SumPlusMax, &thresholds)?;
     }
 
     #[test]

@@ -34,6 +34,16 @@ impl PinnedPages {
         Self { pages }
     }
 
+    /// Add `other`'s pins to this set. A page pinned by both keeps the
+    /// snapshot this set already holds.
+    pub fn merge(&mut self, other: PinnedPages) {
+        self.pages.extend(other.pages);
+        // Stable: on equal ids the earlier (own) snapshot sorts first and
+        // survives the dedup.
+        self.pages.sort_by_key(|&(id, _)| id);
+        self.pages.dedup_by_key(|&mut (id, _)| id);
+    }
+
     /// Number of pinned pages.
     pub fn len(&self) -> usize {
         self.pages.len()
@@ -49,7 +59,8 @@ impl PinnedPages {
         self.pages
             .binary_search_by_key(&id, |&(pid, _)| pid)
             .ok()
-            .map(|i| &self.pages[i].1)
+            .and_then(|i| self.pages.get(i))
+            .map(|(_, page)| page)
     }
 
     /// True if `id` is pinned.
@@ -83,5 +94,18 @@ mod tests {
         assert!(p.contains(PageId(9)));
         assert_eq!(p.iter().count(), 3);
         assert!(PinnedPages::empty().is_empty());
+    }
+
+    #[test]
+    fn merge_keeps_order_and_own_snapshot() {
+        let mk = |b: u8| Arc::new(vec![b; 4]);
+        let mut p = PinnedPages::from_sorted(vec![(PageId(2), mk(2)), (PageId(9), mk(9))]);
+        p.merge(PinnedPages::from_sorted(vec![
+            (PageId(1), mk(1)),
+            (PageId(9), mk(0)),
+        ]));
+        let ids: Vec<u64> = p.iter().map(|(id, _)| id.0).collect();
+        assert_eq!(ids, vec![1, 2, 9]);
+        assert_eq!(p.get(PageId(9)).unwrap()[0], 9);
     }
 }

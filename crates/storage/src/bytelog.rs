@@ -35,6 +35,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::batch::PinnedPages;
+use crate::cache::PageRef;
 use crate::commit::{read_commit_record, write_commit_record};
 use crate::error::{Result, StorageError};
 
@@ -317,6 +318,40 @@ impl ByteLog {
             pos += n as u64;
         }
         Ok(())
+    }
+
+    /// The bytes from logical offset `pos` to the end of its page, borrowed
+    /// in place: from the tail buffer, a buffered overwrite, `pinned`, or —
+    /// for a page in none of those — one cached pager read parked in
+    /// `held` so the slice can outlive the call. The same source order as
+    /// [`ByteLog::read_at_pinned`]. The slice may run past the log's
+    /// length (a page is handed out whole); callers bound what they use.
+    pub fn page_tail<'a>(
+        &'a self,
+        pos: u64,
+        pinned: &'a PinnedPages,
+        held: &'a mut Option<PageRef>,
+    ) -> Result<&'a [u8]> {
+        if pos >= self.len {
+            return Err(StorageError::Corrupt(format!(
+                "byte-log read at {pos} beyond length {}",
+                self.len
+            )));
+        }
+        let page_size = self.pager.page_size() as u64;
+        let page = PageId(pos / page_size);
+        let bytes: &[u8] = if page == self.tail_page {
+            &self.tail_buf
+        } else if let Some(img) = self.overlay.get(&page.0) {
+            img
+        } else if let Some(p) = pinned.get(page) {
+            p
+        } else {
+            held.insert(self.pager.read_page(page)?)
+        };
+        bytes
+            .get((pos % page_size) as usize..)
+            .ok_or_else(|| geometry("page shorter than the page size"))
     }
 
     /// Append to `out` the ids of every disk page the logical byte range

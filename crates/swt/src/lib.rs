@@ -20,9 +20,11 @@ mod table;
 mod value;
 
 pub use error::{Result, SwtError};
-pub use record::{decode_record, encode_record, record_len};
+pub use record::{
+    decode_record, encode_record, record_len, FieldLoc, Fields, RecordView, TextRef, ValueRef,
+};
 pub use schema::{AttrDef, AttrId, AttrType, Catalog};
 pub use stats::{AttrStats, TableStats};
 pub use swt::SwtTable;
-pub use table::{RecordPtr, StoredRecord, TableFile, TableScan, Tid};
+pub use table::{RecordFetch, RecordPtr, RecordRef, StoredRecord, TableFile, TableScan, Tid};
 pub use value::{Tuple, Value};

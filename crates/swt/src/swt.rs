@@ -12,7 +12,7 @@ use iva_storage::{commit, IoStats, PagerOptions};
 use crate::error::{Result, SwtError};
 use crate::schema::{AttrId, AttrType, Catalog};
 use crate::stats::TableStats;
-use crate::table::{RecordPtr, StoredRecord, TableFile, TableScan, Tid};
+use crate::table::{RecordFetch, RecordPtr, StoredRecord, TableFile, TableScan, Tid};
 use crate::value::{Tuple, Value};
 
 const META_MAGIC: u32 = 0x4956_4D54; // "IVMT"
@@ -202,6 +202,17 @@ impl SwtTable {
     /// coalesced (see [`TableFile::get_batch`]).
     pub fn get_batch(&self, ptrs: &[RecordPtr]) -> Result<Vec<StoredRecord>> {
         self.file.get_batch(ptrs)
+    }
+
+    /// Read the records at `ptrs` in place, without materializing tuples:
+    /// page-ordered, coalesced I/O, each page pinned once (see
+    /// [`TableFile::fetch`]).
+    pub fn fetch<'t>(
+        &'t self,
+        ptrs: &'t [RecordPtr],
+        scratch: &'t mut Vec<u8>,
+    ) -> Result<RecordFetch<'t>> {
+        self.file.fetch(ptrs, scratch)
     }
 
     /// Sequential scan of all records.

@@ -8,16 +8,26 @@
 //! (the DST baseline) and for rebuilds.
 //!
 //! Stored record layout: `[rec_len: u32][tid: u64][flags: u8][record bytes]`.
+//!
+//! Every read — point lookup, batch, sequential scan, and the query
+//! spine's refine round — goes through one routine, [`TableFile::fetch`]:
+//! it pins the pages the records start on (page-ordered and coalesced for
+//! a batch), parses and bounds-checks each stored header once, and hands
+//! the record out as a [`RecordView`] over the pinned page's own bytes
+//! when header and payload share a page. Records that straddle a page
+//! boundary are assembled in a caller-supplied scratch buffer instead.
+//! [`TableFile::get`] / [`TableFile::get_batch`] materialize owned
+//! [`StoredRecord`]s from those views.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use iva_storage::codec::{le_u32, le_u64};
 use iva_storage::vfs::Vfs;
-use iva_storage::{ByteLog, IoStats, PagerOptions, USER_HEADER_LEN};
+use iva_storage::{ByteLog, IoStats, PageRef, PagerOptions, PinnedPages, USER_HEADER_LEN};
 
 use crate::error::{Result, SwtError};
-use crate::record::{decode_record, encode_record};
+use crate::record::{decode_record, encode_record, RecordView};
 use crate::value::Tuple;
 
 /// Tuple identifier. Monotonically increasing; never reused (updates are
@@ -41,6 +51,38 @@ pub struct StoredRecord {
     pub deleted: bool,
     /// The tuple payload.
     pub tuple: Tuple,
+}
+
+/// A stored record read in place: borrowed from a pinned page (or the
+/// fetch's scratch buffer), valid until the fetch moves on.
+#[derive(Debug, Clone, Copy)]
+pub struct RecordRef<'a> {
+    /// Tuple id.
+    pub tid: Tid,
+    /// Tombstone flag.
+    pub deleted: bool,
+    /// The encoded tuple payload.
+    pub view: RecordView<'a>,
+}
+
+impl RecordRef<'_> {
+    /// Decode into an owned [`StoredRecord`], insisting the payload is
+    /// exactly one record.
+    pub fn materialize(&self) -> Result<StoredRecord> {
+        let (tuple, used) = decode_record(self.view.bytes())?;
+        if used != self.view.bytes().len() {
+            return Err(SwtError::Corrupt(format!(
+                "record of tuple {} decoded {used} of {} bytes",
+                self.tid,
+                self.view.bytes().len()
+            )));
+        }
+        Ok(StoredRecord {
+            tid: self.tid,
+            deleted: self.deleted,
+            tuple,
+        })
+    }
 }
 
 /// Append-only table file of interpreted records.
@@ -155,77 +197,153 @@ impl TableFile {
 
     /// Random-access fetch of the record at `ptr`.
     pub fn get(&self, ptr: RecordPtr) -> Result<StoredRecord> {
-        let mut header = [0u8; RECORD_HEADER];
-        self.log.read_at(ptr.0, &mut header)?;
-        let (rec_len, tid, flags) = parse_record_header(ptr.0, &header)?;
-        let mut payload = vec![0u8; rec_len];
-        self.log
-            .read_at(ptr.0 + RECORD_HEADER as u64, &mut payload)?;
-        let (tuple, used) = decode_record(&payload)?;
-        if used != rec_len {
-            return Err(SwtError::Corrupt(format!(
-                "record at {} decoded {used} of {rec_len} bytes",
-                ptr.0
-            )));
-        }
-        Ok(StoredRecord {
-            tid,
-            deleted: flags & FLAG_DELETED != 0,
-            tuple,
-        })
+        let (mut held, mut scratch) = (None, Vec::new());
+        self.record_at(ptr, &PinnedPages::empty(), &mut held, &mut scratch)?
+            .materialize()
     }
 
     /// Batched random-access fetch: results come back in input order, but
-    /// the disk I/O happens in **page order** — the pointers' pages are
-    /// sorted, deduplicated and coalesced into sequential runs, so several
-    /// records on one page cost a single read and adjacent pages cost one
-    /// seek (see [`Pager::read_batch`](iva_storage::Pager::read_batch)).
-    ///
-    /// Two passes: pin the record headers first (their lengths are not
-    /// known up front), then pin every page the full records span and
-    /// decode. Duplicate pointers are fine and decode independently.
+    /// the disk I/O happens in **page order** — see [`TableFile::fetch`].
+    /// Duplicate pointers are fine and decode independently.
     pub fn get_batch(&self, ptrs: &[RecordPtr]) -> Result<Vec<StoredRecord>> {
-        if ptrs.len() <= 1 {
-            return ptrs.iter().map(|&p| self.get(p)).collect();
-        }
-        // Pass 1: headers, page-coalesced.
-        let mut ids = Vec::new();
-        for &p in ptrs {
-            self.log.pages_spanning(p.0, RECORD_HEADER, &mut ids);
-        }
-        let header_pins = self.log.pin_pages(&ids)?;
-        let mut metas: Vec<(usize, Tid, u8)> = Vec::with_capacity(ptrs.len());
-        ids.clear();
-        for &p in ptrs {
-            let mut header = [0u8; RECORD_HEADER];
-            self.log.read_at_pinned(p.0, &mut header, &header_pins)?;
-            let (rec_len, tid, flags) = parse_record_header(p.0, &header)?;
-            metas.push((rec_len, tid, flags));
-            self.log
-                .pages_spanning(p.0 + RECORD_HEADER as u64, rec_len, &mut ids);
-        }
-        // Pass 2: payloads. Header pages were published to the buffer pool
-        // by pass 1, so re-pinning shared pages here is a cache hit.
-        let pins = self.log.pin_pages(&ids)?;
+        let mut scratch = Vec::new();
+        let mut fetch = self.fetch(ptrs, &mut scratch)?;
         let mut out = Vec::with_capacity(ptrs.len());
-        for (&p, &(rec_len, tid, flags)) in ptrs.iter().zip(&metas) {
-            let mut payload = vec![0u8; rec_len];
-            self.log
-                .read_at_pinned(p.0 + RECORD_HEADER as u64, &mut payload, &pins)?;
-            let (tuple, used) = decode_record(&payload)?;
-            if used != rec_len {
-                return Err(SwtError::Corrupt(format!(
-                    "record at {} decoded {used} of {rec_len} bytes",
-                    p.0
-                )));
-            }
-            out.push(StoredRecord {
-                tid,
-                deleted: flags & FLAG_DELETED != 0,
-                tuple,
-            });
+        while let Some(rec) = fetch.next_record()? {
+            out.push(rec.materialize()?);
         }
         Ok(out)
+    }
+
+    /// Start reading the records at `ptrs` in place. The records come out
+    /// of [`RecordFetch::next_record`] in input order; the disk I/O of a
+    /// batch happens up front in **page order** — the pages are sorted,
+    /// deduplicated and coalesced into sequential runs, so several records
+    /// on one page cost a single read and adjacent pages cost one seek
+    /// (see [`Pager::read_batch`](iva_storage::Pager::read_batch)) — and
+    /// each page is pinned once for the whole batch.
+    ///
+    /// Two passes, because record lengths are not known up front: pin the
+    /// pages the stored headers sit on, then — from the now-readable
+    /// lengths — the further pages that page-straddling records spill
+    /// onto. A single pointer skips the pin set: its page is read through
+    /// the pager when the record is asked for.
+    ///
+    /// `scratch` assembles the records that straddle a page boundary;
+    /// pass the same buffer to successive fetches to reuse its capacity.
+    pub fn fetch<'t>(
+        &'t self,
+        ptrs: &'t [RecordPtr],
+        scratch: &'t mut Vec<u8>,
+    ) -> Result<RecordFetch<'t>> {
+        let mut pins = PinnedPages::empty();
+        if ptrs.len() > 1 {
+            // Pass 1: headers, page-coalesced.
+            let mut ids = Vec::new();
+            for &p in ptrs {
+                self.check_header_in_bounds(p)?;
+                self.log.pages_spanning(p.0, RECORD_HEADER, &mut ids);
+            }
+            pins = self.log.pin_pages(&ids)?;
+            // Pass 2: the pages payloads spill onto. Header pages are
+            // already pinned and are not asked for again.
+            ids.clear();
+            for &p in ptrs {
+                let mut header = [0u8; RECORD_HEADER];
+                self.log.read_at_pinned(p.0, &mut header, &pins)?;
+                let (rec_len, _, _) = self.parse_record_header(p, &header)?;
+                self.log
+                    .pages_spanning(p.0 + RECORD_HEADER as u64, rec_len, &mut ids);
+            }
+            ids.retain(|&id| !pins.contains(id));
+            if !ids.is_empty() {
+                pins.merge(self.log.pin_pages(&ids)?);
+            }
+        }
+        Ok(RecordFetch {
+            file: self,
+            ptrs: ptrs.iter(),
+            pins,
+            held: None,
+            scratch,
+        })
+    }
+
+    /// A stored header must lie inside the log before its pages are
+    /// computed, let alone pinned.
+    fn check_header_in_bounds(&self, ptr: RecordPtr) -> Result<()> {
+        match ptr.0.checked_add(RECORD_HEADER as u64) {
+            Some(end) if end <= self.log.len() => Ok(()),
+            _ => Err(SwtError::Corrupt(format!(
+                "record pointer {} beyond the {}-byte table file",
+                ptr.0,
+                self.log.len()
+            ))),
+        }
+    }
+
+    /// Parse a stored-record header `[rec_len: u32][tid: u64][flags: u8]`
+    /// read at `ptr`. The length comes straight off disk: it is checked
+    /// against the log **here**, before anything sizes a buffer or a page
+    /// list from it.
+    fn parse_record_header(
+        &self,
+        ptr: RecordPtr,
+        header: &[u8; RECORD_HEADER],
+    ) -> Result<(usize, Tid, u8)> {
+        let corrupt = || SwtError::Corrupt(format!("record header at {} unreadable", ptr.0));
+        let rec_len = le_u32(header, 0).ok_or_else(corrupt)?;
+        let tid = le_u64(header, 4).ok_or_else(corrupt)?;
+        let flags = *header.get(12).ok_or_else(corrupt)?;
+        let end = ptr.0 + RECORD_HEADER as u64 + u64::from(rec_len);
+        if end > self.log.len() {
+            return Err(SwtError::Corrupt(format!(
+                "record at {} claims {rec_len} bytes, past the {}-byte table file",
+                ptr.0,
+                self.log.len()
+            )));
+        }
+        Ok((rec_len as usize, tid, flags))
+    }
+
+    /// Read the record at `ptr` in place: one page lookup (pin set, tail
+    /// buffer, buffered overwrite, else one cached pager read parked in
+    /// `held`), one header parse, and — when header and payload share the
+    /// page — a view over that page's bytes. Otherwise the payload is
+    /// assembled in `scratch`.
+    fn record_at<'a>(
+        &'a self,
+        ptr: RecordPtr,
+        pins: &'a PinnedPages,
+        held: &'a mut Option<PageRef>,
+        scratch: &'a mut Vec<u8>,
+    ) -> Result<RecordRef<'a>> {
+        self.check_header_in_bounds(ptr)?;
+        let page = self.log.page_tail(ptr.0, pins, held)?;
+        let (header, in_page) = match page.split_first_chunk::<RECORD_HEADER>() {
+            Some((header, rest)) => (*header, Some(rest)),
+            None => {
+                // The header itself straddles the page boundary.
+                let mut header = [0u8; RECORD_HEADER];
+                self.log.read_at_pinned(ptr.0, &mut header, pins)?;
+                (header, None)
+            }
+        };
+        let (rec_len, tid, flags) = self.parse_record_header(ptr, &header)?;
+        let payload = match in_page.and_then(|rest| rest.get(..rec_len)) {
+            Some(payload) => payload,
+            None => {
+                scratch.resize(rec_len, 0);
+                self.log
+                    .read_at_pinned(ptr.0 + RECORD_HEADER as u64, scratch, pins)?;
+                scratch
+            }
+        };
+        Ok(RecordRef {
+            tid,
+            deleted: flags & FLAG_DELETED != 0,
+            view: RecordView::new(payload),
+        })
     }
 
     /// Tombstone the record at `ptr` (idempotent).
@@ -319,13 +437,27 @@ impl TableFile {
     }
 }
 
-/// Parse a stored-record header `[rec_len: u32][tid: u64][flags: u8]`.
-fn parse_record_header(at: u64, header: &[u8; RECORD_HEADER]) -> Result<(usize, Tid, u8)> {
-    let corrupt = || SwtError::Corrupt(format!("record header at {at} unreadable"));
-    let rec_len = le_u32(header, 0).ok_or_else(corrupt)? as usize;
-    let tid = le_u64(header, 4).ok_or_else(corrupt)?;
-    let flags = *header.get(12).ok_or_else(corrupt)?;
-    Ok((rec_len, tid, flags))
+/// An in-progress [`TableFile::fetch`]: hands the requested records out
+/// one at a time, in input order, each borrowed until the next call.
+pub struct RecordFetch<'t> {
+    file: &'t TableFile,
+    ptrs: std::slice::Iter<'t, RecordPtr>,
+    pins: PinnedPages,
+    /// The page of the record last handed out, when no pin set holds it.
+    held: Option<PageRef>,
+    scratch: &'t mut Vec<u8>,
+}
+
+impl RecordFetch<'_> {
+    /// The next requested record, or `None` after the last.
+    pub fn next_record(&mut self) -> Result<Option<RecordRef<'_>>> {
+        let Some(&ptr) = self.ptrs.next() else {
+            return Ok(None);
+        };
+        self.file
+            .record_at(ptr, &self.pins, &mut self.held, self.scratch)
+            .map(Some)
+    }
 }
 
 /// Iterator over `(ptr, record)` pairs in file order.
@@ -342,19 +474,17 @@ impl Iterator for TableScan<'_> {
             return None;
         }
         let ptr = RecordPtr(self.pos);
-        match self.table.get(ptr) {
-            Ok(rec) => {
-                // Advance past header + payload.
-                let mut len_buf = [0u8; 4];
-                if let Err(e) = self.table.log.read_at(self.pos, &mut len_buf) {
-                    return Some(Err(e.into()));
-                }
-                let rec_len = u32::from_le_bytes(len_buf) as u64;
-                self.pos += RECORD_HEADER as u64 + rec_len;
-                Some(Ok((ptr, rec)))
-            }
-            Err(e) => Some(Err(e)),
-        }
+        let (mut held, mut scratch) = (None, Vec::new());
+        let rec = self
+            .table
+            .record_at(ptr, &PinnedPages::empty(), &mut held, &mut scratch)
+            .and_then(|rec| {
+                // Advance past header + payload by the length the fetch
+                // already parsed and bounds-checked.
+                self.pos += (RECORD_HEADER + rec.view.bytes().len()) as u64;
+                rec.materialize()
+            });
+        Some(rec.map(|rec| (ptr, rec)))
     }
 }
 
@@ -464,9 +594,105 @@ mod tests {
         assert!(t.get_batch(&[]).unwrap().is_empty());
     }
 
+    /// A flipped length byte used to size a `vec![0u8; rec_len]` (and a
+    /// page-id list) straight from the header before any bounds check.
+    /// Every read path now rejects it at the one header parse.
+    #[test]
+    fn oversized_stored_length_is_corrupt_not_allocated() {
+        let mut t = TableFile::create_mem(&opts(), IoStats::new()).unwrap();
+        let mut ptrs = Vec::new();
+        for i in 0..20 {
+            ptrs.push(t.append(&tuple(i)).unwrap().1);
+        }
+        t.flush().unwrap();
+        let bad = ptrs[7];
+        t.log.write_at(bad.0, &u32::MAX.to_le_bytes()).unwrap();
+        let corrupt = |r: Result<()>| matches!(r, Err(SwtError::Corrupt(_)));
+        assert!(corrupt(t.get(bad).map(drop)));
+        assert!(corrupt(t.get_batch(&[ptrs[2], bad, ptrs[11]]).map(drop)));
+        assert!(corrupt(t.scan().collect::<Result<Vec<_>>>().map(drop)));
+        // A length that is merely a few bytes too long for the file is
+        // caught by the same check.
+        let last = ptrs[19];
+        let len = t.data_len() - last.0 - RECORD_HEADER as u64;
+        t.log
+            .write_at(last.0, &(len as u32 + 1).to_le_bytes())
+            .unwrap();
+        assert!(corrupt(t.get(last).map(drop)));
+        // Neighbours are untouched.
+        assert_eq!(t.get(ptrs[8]).unwrap().tuple, tuple(8));
+    }
+
+    #[test]
+    fn fetch_reads_in_place_and_across_page_boundaries() {
+        // 256-byte pages and ~45-byte records: some records sit inside a
+        // page, some straddle two, the last ones are in the unflushed tail
+        // and one is under a buffered overwrite (tombstone).
+        let mut t = TableFile::create_mem(&opts(), IoStats::new()).unwrap();
+        let mut ptrs = Vec::new();
+        for i in 0..40 {
+            ptrs.push(t.append(&tuple(i)).unwrap().1);
+        }
+        t.flush().unwrap();
+        for i in 40..44 {
+            ptrs.push(t.append(&tuple(i)).unwrap().1);
+        }
+        t.mark_deleted(ptrs[3]).unwrap();
+        let straddlers = ptrs
+            .iter()
+            .filter(|p| p.0 / 256 != (p.0 + 44) / 256)
+            .count();
+        assert!(straddlers > 3 && straddlers < 40, "{straddlers}");
+
+        let mut scratch = Vec::new();
+        for batch in [&ptrs[..], &ptrs[5..6]] {
+            let mut fetch = t.fetch(batch, &mut scratch).unwrap();
+            for &p in batch {
+                let rec = fetch.next_record().unwrap().unwrap();
+                assert_eq!(rec.materialize().unwrap(), t.get(p).unwrap());
+            }
+            assert!(fetch.next_record().unwrap().is_none());
+        }
+        assert!(t.get(ptrs[3]).unwrap().deleted);
+    }
+
+    #[test]
+    fn fetch_pins_each_resident_page_once() {
+        let opts = PagerOptions {
+            page_size: 256,
+            cache_bytes: 256 * 64,
+        };
+        let mut t = TableFile::create_mem(&opts, IoStats::new()).unwrap();
+        let mut ptrs = Vec::new();
+        for i in 0..40 {
+            ptrs.push(t.append(&tuple(i)).unwrap().1);
+        }
+        t.flush().unwrap();
+        let mut scratch = Vec::new();
+        let fetched = t.get_batch(&ptrs).unwrap(); // warm
+        let pages = t.size_bytes() / 256;
+        let before = t.io_stats().snapshot();
+        let mut fetch = t.fetch(&ptrs, &mut scratch).unwrap();
+        let mut n = 0;
+        while let Some(rec) = fetch.next_record().unwrap() {
+            assert_eq!(rec.tid, fetched[n].tid);
+            n += 1;
+        }
+        let d = t.io_stats().snapshot().since(&before);
+        assert_eq!(n, 40);
+        assert_eq!(d.disk_page_reads, 0);
+        // One lookup per distinct page for the whole batch (the tail page
+        // is served from memory and never asked of the pager) — not one
+        // for the header pass and another for the payload pass.
+        assert!(
+            d.cache_hits <= pages,
+            "{} hits, {pages} pages",
+            d.cache_hits
+        );
+    }
+
     #[test]
     fn get_batch_reads_each_page_once() {
-        // Cache big enough to keep pass-1 header pins resident for pass 2.
         let opts = PagerOptions {
             page_size: 256,
             cache_bytes: 256 * 64,

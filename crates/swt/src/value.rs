@@ -87,8 +87,21 @@ impl Tuple {
         Self::default()
     }
 
-    /// Set (or replace) the value of an attribute. Keeps fields sorted.
+    /// Empty tuple with room for `n` fields.
+    pub fn with_capacity(n: usize) -> Self {
+        Self {
+            fields: Vec::with_capacity(n),
+        }
+    }
+
+    /// Set (or replace) the value of an attribute. Keeps fields sorted;
+    /// an id above every present one (how records decode and how most
+    /// callers build tuples) appends without a search.
     pub fn set(&mut self, attr: AttrId, value: Value) -> &mut Self {
+        if self.fields.last().is_none_or(|(last, _)| *last < attr) {
+            self.fields.push((attr, value));
+            return self;
+        }
         match self.fields.binary_search_by_key(&attr, |(a, _)| *a) {
             Ok(i) => {
                 if let Some(f) = self.fields.get_mut(i) {

@@ -6,28 +6,99 @@
 //! the first string into the second". All string lengths in this
 //! reproduction are measured in bytes, consistently across grams,
 //! signatures and distances, so the Gravano n-gram lower bound holds.
+//!
+//! There is one dynamic program, [`edit_distance_capped`]: a single-row,
+//! Ukkonen-banded Levenshtein that is told the value `cap` from which on
+//! the caller no longer cares. It returns the exact distance when that is
+//! `< cap` and otherwise *some* value `≥ cap`. The refine step passes the
+//! result pool's admission threshold (translated into edits) as the cap,
+//! so a candidate that cannot enter the pool costs `O(cap · n)` cells —
+//! usually far fewer, because the scan abandons at the first row whose
+//! minimum reaches the cap — instead of `n · m`. [`edit_distance_bytes`]
+//! is the same kernel with no cap and [`edit_distance_within`] a thin
+//! wrapper. The row lives on the stack when the shorter string has at most
+//! [`STACK_ROW`] bytes, so the common case allocates nothing.
 
-/// Edit distance between two byte strings (two-row dynamic program).
-pub fn edit_distance_bytes(a: &[u8], b: &[u8]) -> usize {
-    if a.is_empty() {
-        return b.len();
-    }
-    if b.is_empty() {
-        return a.len();
-    }
-    // Ensure the inner row is the shorter side.
+/// Longest shorter-side length whose DP row is kept on the stack.
+const STACK_ROW: usize = 64;
+
+/// Edit distance between two byte strings, capped: the exact distance if
+/// it is `< cap`, otherwise some value `≥ cap` (never an underestimate of
+/// `min(distance, cap)`). `usize::MAX` means "no cap".
+///
+/// Only cells with `|i − j| < cap` can hold a value below the cap, so
+/// each row visits a band of at most `2·cap − 1` cells; everything outside
+/// the band reads as `≥ cap`. The single row doubles as the previous row:
+/// a cell entering the band on the right still holds its row-0 value `j`,
+/// which is `≥ cap` exactly when it is out of band, and the cell leaving
+/// on the left is read once more as the diagonal and never again.
+pub fn edit_distance_capped(a: &[u8], b: &[u8], cap: usize) -> usize {
+    // Rows walk the longer string, the row buffer spans the shorter one.
     let (a, b) = if a.len() < b.len() { (b, a) } else { (a, b) };
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut cur: Vec<usize> = vec![0; b.len() + 1];
-    for (i, &ca) in a.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, &cb) in b.iter().enumerate() {
-            let sub = prev[j] + usize::from(ca != cb);
-            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
-        }
-        std::mem::swap(&mut prev, &mut cur);
+    let (n, m) = (a.len(), b.len());
+    // The distance never exceeds `n`, so a larger cap is no cap at all;
+    // clamping keeps every `+ 1` below far from overflow.
+    let cap = cap.min(n + 1);
+    if m == 0 || n - m >= cap {
+        return n - m;
     }
-    prev[b.len()]
+    let band = cap - 1;
+
+    let mut stack = [0usize; STACK_ROW];
+    let mut heap = Vec::new();
+    let row: &mut [usize] = match stack.get_mut(..m) {
+        Some(r) => r,
+        None => {
+            heap.resize(m, 0);
+            &mut heap
+        }
+    };
+    // `row[c]` is column `c + 1`; column 0 (`= i`) is carried in `left`.
+    for (c, cell) in row.iter_mut().enumerate() {
+        *cell = c + 1;
+    }
+
+    for (i, &ca) in a.iter().enumerate() {
+        let i = i + 1;
+        let end = m.min(i + band);
+        // First in-band column is `max(1, i − band)`; `lo` is its slot.
+        let lo = (i - 1).saturating_sub(band);
+        // `diag` = cell (i−1, first−1), `left` = cell (i, first−1): column
+        // 0 while the band still touches it, afterwards the slot that just
+        // left the band (valid as a diagonal, `≥ cap` as a left neighbor).
+        let (mut diag, mut left, cells) = if lo == 0 {
+            (i - 1, i, row.get_mut(..end))
+        } else {
+            match row
+                .get_mut(lo - 1..end)
+                .and_then(<[usize]>::split_first_mut)
+            {
+                Some((gone, cells)) => (*gone, cap, Some(cells)),
+                None => (cap, cap, None),
+            }
+        };
+        let (Some(cells), Some(chars)) = (cells, b.get(lo..end)) else {
+            return cap; // unreachable: `lo < end ≤ m` by the length check
+        };
+        let mut row_min = left;
+        for (cell, &cb) in cells.iter_mut().zip(chars) {
+            let up = *cell;
+            let v = (diag + usize::from(ca != cb)).min(up + 1).min(left + 1);
+            *cell = v;
+            diag = up;
+            left = v;
+            row_min = row_min.min(v);
+        }
+        if row_min >= cap {
+            return row_min;
+        }
+    }
+    row.last().copied().unwrap_or(n)
+}
+
+/// Edit distance between two byte strings.
+pub fn edit_distance_bytes(a: &[u8], b: &[u8]) -> usize {
+    edit_distance_capped(a, b, usize::MAX)
 }
 
 /// Edit distance between two UTF-8 strings, computed over bytes.
@@ -36,41 +107,10 @@ pub fn edit_distance(a: &str, b: &str) -> usize {
 }
 
 /// Banded edit distance: returns `Some(d)` if `d <= bound`, `None`
-/// otherwise. Used where only a threshold check is needed; `O(bound·n)`.
+/// otherwise. Used where only a threshold check is needed;
+/// `O(bound · n)`.
 pub fn edit_distance_within(a: &[u8], b: &[u8], bound: usize) -> Option<usize> {
-    let (a, b) = if a.len() < b.len() { (b, a) } else { (a, b) };
-    if a.len() - b.len() > bound {
-        return None;
-    }
-    let inf = bound + 1;
-    let mut prev: Vec<usize> = (0..=b.len())
-        .map(|j| if j <= bound { j } else { inf })
-        .collect();
-    let mut cur = vec![inf; b.len() + 1];
-    for (i, &ca) in a.iter().enumerate() {
-        let lo = (i + 1).saturating_sub(bound);
-        let hi = (i + 1 + bound).min(b.len());
-        cur[0] = if i < bound { i + 1 } else { inf };
-        if lo > 1 {
-            cur[lo - 1] = inf;
-        }
-        for j in lo.max(1)..=hi {
-            let (ca, cb) = (ca, b[j - 1]);
-            let sub = prev[j - 1] + usize::from(ca != cb);
-            let del = if prev[j] < inf { prev[j] + 1 } else { inf };
-            let ins = if cur[j - 1] < inf {
-                cur[j - 1] + 1
-            } else {
-                inf
-            };
-            cur[j] = sub.min(del).min(ins).min(inf);
-        }
-        if hi < b.len() {
-            cur[hi + 1..].fill(inf);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    let d = prev[b.len()];
+    let d = edit_distance_capped(a, b, bound.saturating_add(1));
     (d <= bound).then_some(d)
 }
 

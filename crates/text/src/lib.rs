@@ -19,7 +19,9 @@ mod ngram;
 mod params;
 mod signature;
 
-pub use edit_distance::{edit_distance, edit_distance_bytes, edit_distance_within};
+pub use edit_distance::{
+    edit_distance, edit_distance_bytes, edit_distance_capped, edit_distance_within,
+};
 pub use hash::{fnv1a64, gram_bit_positions, or_gram_into, positions_hit, splitmix64};
 pub use ngram::{est_prime, gram_count, grams_of, padded, GramMultiset, PAD_END, PAD_START};
 pub use params::{expected_relative_error, false_hit_probability, optimal_t};

@@ -7,9 +7,33 @@
 use proptest::prelude::*;
 
 use iva_text::{
-    edit_distance_bytes, edit_distance_within, est_prime, GramMultiset, PreparedMatcher,
-    QueryStringMatcher, SigCodec,
+    edit_distance_bytes, edit_distance_capped, edit_distance_within, est_prime, GramMultiset,
+    PreparedMatcher, QueryStringMatcher, SigCodec,
 };
+
+/// Textbook full-matrix Levenshtein: the reference the one production
+/// kernel is checked against.
+fn naive_edit_distance(a: &[u8], b: &[u8]) -> usize {
+    let mut d = vec![vec![0usize; b.len() + 1]; a.len() + 1];
+    for (i, row) in d.iter_mut().enumerate() {
+        row[0] = i;
+    }
+    d[0] = (0..=b.len()).collect();
+    for i in 1..=a.len() {
+        for j in 1..=b.len() {
+            let sub = d[i - 1][j - 1] + usize::from(a[i - 1] != b[j - 1]);
+            d[i][j] = sub.min(d[i - 1][j] + 1).min(d[i][j - 1] + 1);
+        }
+    }
+    d[a.len()][b.len()]
+}
+
+/// Strings over a four-letter alphabet, long enough to leave the stack
+/// row (64 bytes): small alphabets keep distances well below the lengths,
+/// so every cap sees both outcomes.
+fn dna_string() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(b'a'..b'e', 0..81)
+}
 
 fn short_string() -> impl Strategy<Value = Vec<u8>> {
     // Printable-ish bytes incl. spaces; community strings are short.
@@ -56,6 +80,48 @@ proptest! {
             prop_assert_eq!(banded, Some(full));
         } else {
             prop_assert_eq!(banded, None);
+        }
+    }
+
+    #[test]
+    fn capped_kernel_matches_naive_reference(a in dna_string(), b in dna_string()) {
+        let exact = naive_edit_distance(&a, &b);
+        prop_assert_eq!(edit_distance_bytes(&a, &b), exact);
+        for cap in (0usize..=12).chain([usize::MAX]) {
+            let got = edit_distance_capped(&a, &b, cap);
+            if exact < cap {
+                prop_assert_eq!(got, exact, "cap={}", cap);
+            } else {
+                prop_assert!(got >= cap, "cap={} got={} exact={}", cap, got, exact);
+            }
+        }
+    }
+
+    #[test]
+    fn capped_kernel_on_near_duplicates(a in dna_string(), edits in 0usize..6, salt in any::<u64>()) {
+        // A string and a lightly edited copy: the distances the refine
+        // step actually has to get right sit just under small caps.
+        let mut b = a.clone();
+        let mut s = salt;
+        for _ in 0..edits {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let at = (s >> 33) as usize % (b.len() + 1);
+            match (s >> 20) % 3 {
+                0 => b.insert(at, b'z'),
+                1 if at < b.len() => { b.remove(at); }
+                _ if at < b.len() => b[at] = b'y',
+                _ => {}
+            }
+        }
+        let exact = naive_edit_distance(&a, &b);
+        prop_assert!(exact <= edits);
+        for cap in 0usize..=8 {
+            let got = edit_distance_capped(&b, &a, cap);
+            if exact < cap {
+                prop_assert_eq!(got, exact, "cap={}", cap);
+            } else {
+                prop_assert!(got >= cap, "cap={} got={} exact={}", cap, got, exact);
+            }
         }
     }
 
