@@ -61,7 +61,7 @@ use crate::numeric::NumericCodec;
 use crate::packed::PackedReader;
 use crate::query::{bounded_distance, Query};
 use crate::tier::NumColumn;
-use crate::timing::thread_cpu_time;
+use crate::timing::{monotonic_nanos, thread_cpu_time};
 use crate::veclist::{NumListCursor, TextListCursor};
 
 /// One worker's scan position over one query attribute: borrows the
@@ -338,8 +338,12 @@ impl IvaIndex {
         let mut ptrs: Vec<RecordPtr> = Vec::new();
         let mut scratch: Vec<u8> = Vec::new();
         let mut n_pending = 0usize;
-        let mut refine_nanos = 0u64;
-        let start = measured.then(thread_cpu_time);
+        // The thread-CPU clock is a real syscall (~0.2 µs), so it is read
+        // twice per scan, not twice per flush; the scan's CPU time is
+        // split between the phases by the share of the (vDSO, ~25 ns)
+        // monotonic clock each flush took.
+        let mut refine_wall = 0u64;
+        let start = measured.then(|| (thread_cpu_time(), monotonic_nanos()));
         for _ in range {
             let (tid, ptr) = tsrc.next_entry()?;
             for lane in lanes.iter_mut() {
@@ -356,21 +360,24 @@ impl IvaIndex {
                 }
             }
             if n_pending >= batch {
-                refine_nanos +=
-                    flush(table, lanes, metric, ndf, &mut ptrs, &mut scratch, measured)?;
+                refine_wall += flush(table, lanes, metric, ndf, &mut ptrs, &mut scratch, measured)?;
                 n_pending = 0;
             }
         }
         if n_pending > 0 {
-            refine_nanos += flush(table, lanes, metric, ndf, &mut ptrs, &mut scratch, measured)?;
+            refine_wall += flush(table, lanes, metric, ndf, &mut ptrs, &mut scratch, measured)?;
         }
         Ok(match start {
-            Some(t) => PhaseNanos {
-                filter: thread_cpu_time()
-                    .saturating_sub(t)
-                    .saturating_sub(refine_nanos),
-                refine: refine_nanos,
-            },
+            Some((cpu_start, wall_start)) => {
+                let cpu = thread_cpu_time().saturating_sub(cpu_start);
+                let wall = monotonic_nanos().saturating_sub(wall_start).max(1);
+                let refine = (u128::from(cpu) * u128::from(refine_wall) / u128::from(wall)) as u64;
+                let refine = refine.min(cpu);
+                PhaseNanos {
+                    filter: cpu - refine,
+                    refine,
+                }
+            }
             None => PhaseNanos::default(),
         })
     }
@@ -419,7 +426,7 @@ pub(crate) fn next_fetched<'f>(fetch: &'f mut RecordFetch<'_>) -> Result<RecordR
 /// a single page-ordered, coalesced batch, then replay each lane's
 /// admission test in scan order against its now-current pool (the module
 /// doc's replay lemma), reading each admitted record in place. Returns
-/// the CPU nanos it took (0 if unmeasured).
+/// the monotonic-clock nanos it took (0 if unmeasured).
 fn flush<M: Metric>(
     table: &SwtTable,
     lanes: &mut [Lane<'_>],
@@ -429,7 +436,7 @@ fn flush<M: Metric>(
     scratch: &mut Vec<u8>,
     measured: bool,
 ) -> Result<u64> {
-    let start = measured.then(thread_cpu_time);
+    let start = measured.then(monotonic_nanos);
     ptrs.clear();
     for lane in lanes.iter() {
         ptrs.extend(lane.pending.iter().map(|&(p, _)| RecordPtr(p)));
@@ -466,7 +473,7 @@ fn flush<M: Metric>(
         }
         lane.pending.clear();
     }
-    Ok(start.map_or(0, |t| thread_cpu_time().saturating_sub(t)))
+    Ok(start.map_or(0, |t| monotonic_nanos().saturating_sub(t)))
 }
 
 #[cfg(test)]
@@ -478,6 +485,56 @@ mod tests {
     use crate::parallel::QueryOptions;
     use iva_storage::{IoStats, PagerOptions};
     use iva_swt::{AttrId, Tuple, Value};
+
+    /// The scan reads the CPU clock twice and apportions it by each
+    /// flush's monotonic share: both phases are charged, and together they
+    /// are the scan's CPU time, at every batch size — and an unmeasured
+    /// scan reads no clock at all.
+    #[test]
+    fn phase_nanos_split_one_cpu_reading() {
+        let opts = PagerOptions {
+            page_size: 512,
+            cache_bytes: 64 * 1024,
+        };
+        let mut table = SwtTable::create_mem(&opts, IoStats::new()).unwrap();
+        let name = table.define_text("name").unwrap();
+        for i in 0..2_000u32 {
+            let tup = Tuple::new().with(name, Value::text(format!("item number {i}")));
+            table.insert(&tup).unwrap();
+        }
+        let cfg = IvaConfig::default();
+        let index = build_index(&table, IndexTarget::Mem, &opts, IoStats::new(), cfg).unwrap();
+        let q = Query::new().text(AttrId(0), "item number 77");
+        let shared = index.prepare_query(&q).unwrap();
+        for batch in [1usize, 64] {
+            for measured in [true, false] {
+                let mut carry = ScanCarry::new(10);
+                let mut lanes =
+                    [Lane::open(&index, &q, &[1.0], &shared, &mut carry, false).unwrap()];
+                let before = crate::timing::thread_cpu_time();
+                let nanos = index
+                    .scan(
+                        &table,
+                        &mut lanes,
+                        0..index.n_tuples(),
+                        batch,
+                        &MetricKind::L2,
+                        measured,
+                    )
+                    .unwrap();
+                let spent = crate::timing::thread_cpu_time() - before;
+                if measured {
+                    assert!(nanos.filter > 0 && nanos.refine > 0, "B={batch}: {nanos:?}");
+                    assert!(
+                        nanos.filter + nanos.refine <= spent,
+                        "B={batch}: {nanos:?} > {spent}"
+                    );
+                } else {
+                    assert_eq!((nanos.filter, nanos.refine), (0, 0), "B={batch}");
+                }
+            }
+        }
+    }
 
     /// A weight vector shorter than the query used to be zipped away
     /// silently by the parallel shape; every shape now rejects it.

@@ -66,11 +66,15 @@ pub(crate) fn thread_cpu_time() -> u64 {
 ///
 /// This is the one sanctioned wall-clock for the *serving* layer: request
 /// latency is a property of the outside world (queueing + execution), so
-/// thread CPU time is the wrong instrument there. Like the crate-private
+/// thread CPU time is the wrong instrument there. The scan spine also
+/// reads it, around every fetch-and-replay round: it is a vDSO call
+/// (~25 ns) where the thread-CPU clock is a syscall (~0.2 µs), so the
+/// spine reads the CPU clock twice per scan and apportions that time to
+/// its two phases by their monotonic share. Like the crate-private
 /// `thread_cpu_time` shim, values must flow only into measurements — never
-/// into admission, ordering or merge logic — which is why the serving
-/// module imports this shim instead of `std::time::Instant` directly (the
-/// `determinism` lint enforces it).
+/// into admission, ordering or merge logic — which is why callers import
+/// this shim instead of `std::time::Instant` directly (the `determinism`
+/// lint enforces it).
 pub fn monotonic_nanos() -> u64 {
     use std::sync::OnceLock;
     use std::time::Instant;

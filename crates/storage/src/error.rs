@@ -26,9 +26,9 @@ pub enum StorageError {
         /// What the file actually contained.
         found: String,
     },
-    /// A page's stored CRC32C did not match its contents: the page is
-    /// torn or bit-rotted. Detected at read time, before any byte is
-    /// interpreted.
+    /// A page's stored CRC32C did not match its contents (or the frame's
+    /// reserved trailer bytes were not zero): the page is torn or
+    /// bit-rotted. Detected at read time, before any byte is interpreted.
     ChecksumMismatch {
         /// The physical page id.
         page: u64,

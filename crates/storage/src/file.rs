@@ -20,6 +20,18 @@
 //! in logical page units so the disk cost model is unchanged. Every read
 //! verifies the frame's CRC32C before a byte is interpreted; a mismatch is
 //! [`StorageError::ChecksumMismatch`], never a wrong answer.
+//!
+//! # Reads are two steps
+//!
+//! A physical read is a positional read ([`BlockFile::read_frames`], which
+//! needs `&mut self` for the stream classifier and so runs under whatever
+//! lock guards the file) followed by verification ([`RawFrames::verify`],
+//! which needs nothing but the bytes and so runs with no lock held). The
+//! frames land in the allocation that is handed out: a single-frame read
+//! becomes its page by truncating the trailer off, a run is verified
+//! inside its buffer and its pages are copied out of it once. The bytes of
+//! a [`RawFrames`] are private, so no page can reach a caller or the
+//! buffer pool before its frame verified.
 
 use std::path::Path;
 
@@ -58,8 +70,75 @@ pub struct BlockFile {
     /// Round-robin replacement cursor for `streams`.
     stream_clock: usize,
     stats: IoStats,
-    /// Reusable frame-sized scratch buffer for reads and writes.
+    /// Reusable frame-sized scratch buffer for writes.
     scratch: Vec<u8>,
+}
+
+/// Frames exactly as one positional read returned them: **unverified**.
+/// The bytes are reachable only through [`RawFrames::verify`].
+pub(crate) struct RawFrames {
+    first: u64,
+    page_size: usize,
+    verify: bool,
+    bytes: Vec<u8>,
+}
+
+/// Frames whose every CRC trailer matched its page data.
+pub(crate) struct Frames {
+    page_size: usize,
+    bytes: Vec<u8>,
+}
+
+impl RawFrames {
+    /// Check every frame (`data ‖ crc ‖ reserved`) against its trailer, in
+    /// place. Needs no access to the file, so callers drop the file lock
+    /// first.
+    pub(crate) fn verify(self) -> Result<Frames> {
+        let page_size = self.page_size;
+        if self.verify {
+            let frames = self.bytes.chunks_exact(page_size + FRAME_TRAILER);
+            for (id, frame) in (self.first..).zip(frames) {
+                let (data, trailer) = frame.split_at_checked(page_size).ok_or_else(short_frame)?;
+                // The trailer read as one little-endian word: the CRC in
+                // the low half, the reserved bytes — always written as
+                // zero — in the high half, so a flip in either is caught
+                // by the one comparison.
+                let stored = <[u8; FRAME_TRAILER]>::try_from(trailer)
+                    .map(u64::from_le_bytes)
+                    .map_err(|_| short_frame())?;
+                let computed = crc32c(data);
+                if stored != u64::from(computed) {
+                    return Err(StorageError::ChecksumMismatch {
+                        page: id,
+                        expected: stored as u32,
+                        found: computed,
+                    });
+                }
+            }
+        }
+        Ok(Frames {
+            page_size,
+            bytes: self.bytes,
+        })
+    }
+}
+
+impl Frames {
+    /// The page data of every frame, in file order, borrowed from the read
+    /// buffer.
+    pub(crate) fn pages(&self) -> impl Iterator<Item = &[u8]> {
+        self.bytes
+            .chunks_exact(self.page_size + FRAME_TRAILER)
+            .filter_map(|frame| frame.get(..self.page_size))
+    }
+
+    /// The first frame's page with no copy: the trailer is truncated off
+    /// the allocation the read filled. For single-frame reads.
+    pub(crate) fn into_page(self) -> Vec<u8> {
+        let mut page = self.bytes;
+        page.truncate(self.page_size);
+        page
+    }
 }
 
 impl BlockFile {
@@ -283,29 +362,6 @@ impl BlockFile {
         Ok(())
     }
 
-    /// Verify one frame (`data ‖ crc ‖ reserved`) against its trailer.
-    fn check_frame(&self, id: u64, frame: &[u8]) -> Result<()> {
-        if !self.verify {
-            return Ok(());
-        }
-        let trailer_err =
-            || StorageError::Corrupt(format!("page {id} frame shorter than its checksum trailer"));
-        let stored = frame
-            .get(self.page_size..self.page_size + 4)
-            .and_then(|b| <[u8; 4]>::try_from(b).ok())
-            .map(u32::from_le_bytes)
-            .ok_or_else(trailer_err)?;
-        let computed = crc32c(frame.get(..self.page_size).ok_or_else(trailer_err)?);
-        if stored != computed {
-            return Err(StorageError::ChecksumMismatch {
-                page: id,
-                expected: stored,
-                found: computed,
-            });
-        }
-        Ok(())
-    }
-
     /// Stream-aware classification: the read extends a tracked stream
     /// (same page or the next one) => sequential; otherwise it costs a
     /// seek and starts/steals a stream slot. The stream slot is left at
@@ -332,78 +388,61 @@ impl BlockFile {
         }
     }
 
+    /// The positional read every physical read goes through: `pages`
+    /// consecutive frames starting at `start`, fetched with **one** read of
+    /// the backing file into a fresh buffer, classified and accounted —
+    /// and nothing else. Only the run's first page can be charged as
+    /// random; every following page is sequential by construction. The
+    /// stream slot advances to the run's last page so a later read of the
+    /// next page continues sequentially. The frames come back unverified:
+    /// [`RawFrames::verify`] is the only way to their bytes.
+    pub(crate) fn read_frames(&mut self, start: PageId, pages: usize) -> Result<RawFrames> {
+        let mut bytes = Vec::new();
+        if pages > 0 {
+            let last = start.0.saturating_add(pages as u64 - 1);
+            if last >= self.num_pages {
+                return Err(StorageError::PageOutOfBounds {
+                    page: last,
+                    pages: self.num_pages,
+                });
+            }
+            bytes = vec![0u8; pages * self.frame_size()];
+            let sequential = self.classify(start.0, last);
+            read_full_at(self.file.as_ref(), &mut bytes, self.frame_offset(start.0))
+                .map_err(truncated)?;
+            self.stats
+                .record_disk_read(self.page_size as u64, sequential);
+            for _ in 1..pages {
+                self.stats.record_disk_read(self.page_size as u64, true);
+            }
+        }
+        Ok(RawFrames {
+            first: start.0,
+            page_size: self.page_size,
+            verify: self.verify,
+            bytes,
+        })
+    }
+
     /// Physically read a page into `buf` (which must be exactly one page),
-    /// verifying its checksum.
+    /// verifying its checksum: a one-page [`Self::read_run`].
     pub fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> Result<()> {
         debug_assert_eq!(buf.len(), self.page_size);
-        if id.0 >= self.num_pages {
-            return Err(StorageError::PageOutOfBounds {
-                page: id.0,
-                pages: self.num_pages,
-            });
-        }
-        let sequential = self.classify(id.0, id.0);
-        let off = self.frame_offset(id.0);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let res = read_full_at(self.file.as_ref(), &mut scratch, off);
-        self.scratch = scratch;
-        res.map_err(truncated)?;
-        self.check_frame(id.0, &self.scratch)?;
-        buf.copy_from_slice(
-            self.scratch
-                .get(..self.page_size)
-                .ok_or_else(scratch_short)?,
-        );
-        self.stats
-            .record_disk_read(self.page_size as u64, sequential);
-        Ok(())
+        self.read_run(id, buf)
     }
 
     /// Physically read a run of consecutive pages starting at `start` into
     /// `buf` (whose length must be a whole number of pages) with **one**
-    /// seek: only the run's first page can be charged as random; every
-    /// following page is sequential by construction, and the backing file
-    /// is issued a single positioned read for the whole run. The stream
-    /// slot advances to the run's last page so a later read of the next
-    /// page continues sequentially. Every frame in the run is
-    /// checksum-verified.
+    /// seek and a single positioned read for the whole run: only the run's
+    /// first page can be charged as random. Every frame in the run is
+    /// checksum-verified before any of it is copied out.
     pub fn read_run(&mut self, start: PageId, buf: &mut [u8]) -> Result<()> {
         debug_assert!(buf.len().is_multiple_of(self.page_size));
-        let pages = (buf.len() / self.page_size) as u64;
-        if pages == 0 {
-            return Ok(());
-        }
-        let last = start.0 + pages - 1;
-        if last >= self.num_pages {
-            return Err(StorageError::PageOutOfBounds {
-                page: last,
-                pages: self.num_pages,
-            });
-        }
-        let sequential = self.classify(start.0, last);
-        let frame = self.frame_size();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.resize(pages as usize * frame, 0);
-        let res = read_full_at(self.file.as_ref(), &mut scratch, self.frame_offset(start.0))
-            .map_err(truncated)
-            .and_then(|()| {
-                for (k, (fr, out)) in scratch
-                    .chunks_exact(frame)
-                    .zip(buf.chunks_exact_mut(self.page_size))
-                    .enumerate()
-                {
-                    self.check_frame(start.0 + k as u64, fr)?;
-                    out.copy_from_slice(fr.get(..self.page_size).ok_or_else(scratch_short)?);
-                }
-                Ok(())
-            });
-        self.scratch = scratch;
-        self.scratch.truncate(frame);
-        res?;
-        self.stats
-            .record_disk_read(self.page_size as u64, sequential);
-        for _ in 1..pages {
-            self.stats.record_disk_read(self.page_size as u64, true);
+        let frames = self
+            .read_frames(start, buf.len() / self.page_size)?
+            .verify()?;
+        for (out, page) in buf.chunks_exact_mut(self.page_size).zip(frames.pages()) {
+            out.copy_from_slice(page);
         }
         Ok(())
     }
@@ -440,6 +479,12 @@ impl BlockFile {
 /// `no-panic-decode` scopes and must stay total.
 fn scratch_short() -> StorageError {
     StorageError::Corrupt("block-file scratch buffer smaller than a frame".into())
+}
+
+/// Same shape for the read side: `chunks_exact` only yields whole frames,
+/// so a frame always splits into page data and a trailer.
+fn short_frame() -> StorageError {
+    StorageError::Corrupt("page frame shorter than its checksum trailer".into())
 }
 
 /// Page sizes below this are rejected: the list-page header, record
@@ -677,31 +722,89 @@ mod tests {
 
     #[test]
     fn bit_flip_detected_at_read_time() {
+        // One flipped bit anywhere in a frame — page data, the stored CRC,
+        // or the reserved trailer bytes — must surface as a checksum
+        // mismatch naming the page, whether the frame is read alone or in
+        // the middle of a run, and never as data.
         let dir = std::env::temp_dir().join(format!("iva-bf4-{}", std::process::id()));
         RealVfs.create_dir_all(&dir).unwrap();
         let path = dir.join("flip.blk");
         {
             let mut f = BlockFile::create(&path, 256, IoStats::new()).unwrap();
-            f.grow().unwrap();
-            f.write_page(PageId(0), &[0xA5u8; 256]).unwrap();
+            for i in 0..3u8 {
+                f.grow().unwrap();
+                f.write_page(PageId(u64::from(i)), &[0xA5 ^ i; 256])
+                    .unwrap();
+            }
             f.sync().unwrap();
         }
-        // Flip one bit in the middle of page 0's data.
-        let mut bytes = read_to_vec(&RealVfs, &path).unwrap();
-        let victim = SUPERBLOCK_LEN as usize + 100;
-        bytes[victim] ^= 0x08;
-        write_vec(&RealVfs, &path, &bytes).unwrap();
+        let clean = read_to_vec(&RealVfs, &path).unwrap();
+        let frame1 = SUPERBLOCK_LEN as usize + 256 + FRAME_TRAILER;
+        for (what, at) in [
+            ("data", frame1 + 100),
+            ("crc", frame1 + 256 + 2),
+            ("reserved", frame1 + 256 + 5),
+        ] {
+            let mut bytes = clean.clone();
+            bytes[at] ^= 0x08;
+            write_vec(&RealVfs, &path, &bytes).unwrap();
 
-        let mut f = BlockFile::open(&path, 256, IoStats::new()).unwrap();
-        let mut buf = vec![0u8; 256];
-        assert!(matches!(
-            f.read_page(PageId(0), &mut buf),
-            Err(StorageError::ChecksumMismatch { page: 0, .. })
-        ));
-        // With verification off the flip goes unnoticed (bench mode only).
-        f.set_verify(false);
-        f.read_page(PageId(0), &mut buf).unwrap();
+            let mut f = BlockFile::open(&path, 256, IoStats::new()).unwrap();
+            let mut one = vec![0u8; 256];
+            assert!(
+                matches!(
+                    f.read_page(PageId(1), &mut one),
+                    Err(StorageError::ChecksumMismatch { page: 1, .. })
+                ),
+                "{what} flip not caught by read_page"
+            );
+            let mut run = vec![0u8; 3 * 256];
+            assert!(
+                matches!(
+                    f.read_run(PageId(0), &mut run),
+                    Err(StorageError::ChecksumMismatch { page: 1, .. })
+                ),
+                "{what} flip not caught mid-run"
+            );
+            assert!(
+                run.iter().all(|&b| b == 0),
+                "{what} flip: a run with a bad frame handed out bytes"
+            );
+            // Its neighbours are intact and still read.
+            f.read_page(PageId(0), &mut one).unwrap();
+            f.read_page(PageId(2), &mut one).unwrap();
+            // With verification off the flip goes unnoticed (bench mode only).
+            f.set_verify(false);
+            f.read_page(PageId(1), &mut one).unwrap();
+        }
         RealVfs.remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn short_final_frame_is_a_truncation_error() {
+        // The page count says the frame exists but the file ends inside it
+        // (truncated behind an open handle): a corruption error, for the
+        // page alone and as the last frame of a run.
+        let vfs = MemVfs::new();
+        let path = Path::new("short.blk");
+        let mut f = BlockFile::create_with(&vfs, path, 256, IoStats::new()).unwrap();
+        for _ in 0..3 {
+            f.grow().unwrap();
+        }
+        let whole = SUPERBLOCK_LEN + 3 * (256 + FRAME_TRAILER as u64);
+        vfs.open(path).unwrap().set_len(whole - 5).unwrap();
+        let truncation =
+            |e: StorageError| matches!(&e, StorageError::Corrupt(m) if m.contains("truncated"));
+        let mut one = vec![0u8; 256];
+        assert!(truncation(f.read_page(PageId(2), &mut one).unwrap_err()));
+        let mut run = vec![0u8; 3 * 256];
+        assert!(truncation(f.read_run(PageId(0), &mut run).unwrap_err()));
+        f.read_page(PageId(1), &mut one).unwrap();
+        // Reopened, the same file has a torn tail and is rejected whole.
+        assert!(matches!(
+            BlockFile::open_with(&vfs, path, 256, IoStats::new()),
+            Err(StorageError::Corrupt(_))
+        ));
     }
 
     #[test]

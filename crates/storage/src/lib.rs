@@ -39,7 +39,7 @@ pub mod vfs;
 pub use batch::PinnedPages;
 pub use bytelog::{sidecar_path, ByteLog, USER_HEADER_LEN};
 pub use cache::{LruCache, PageRef};
-pub use crc::{crc32c, crc32c_append};
+pub use crc::{crc32c, crc32c_append, crc32c_append_portable, crc32c_kernel};
 pub use disk_model::DiskModel;
 pub use error::{Result, StorageError};
 pub use fault::{FaultKind, FaultVfs, PlannedFault};

@@ -12,10 +12,36 @@
 //! backing file behind a separate mutex. Cache hits on different shards
 //! proceed fully in parallel, which is what the intra-query parallel filter
 //! scan needs: worker threads streaming disjoint segments of the same lists
-//! touch different pages, and page ids map round-robin onto shards. Lock
-//! order is always shard → file; [`Pager::append_page`] takes them
-//! sequentially (file released before the shard is locked), never nested in
-//! the other direction.
+//! touch different pages, and page ids map round-robin onto shards.
+//!
+//! **Reads hold no pool lock across I/O.** [`Pager::read_page`] and
+//! [`Pager::read_batch`] share one miss protocol:
+//!
+//! 1. *look up* under the shard lock; on a miss note the shard's write
+//!    generation and release the lock (a hit is this one acquisition);
+//! 2. *read* the frames under the file lock — the positional read and the
+//!    stream classifier, nothing else;
+//! 3. *verify* the frames' checksums with no lock held;
+//! 4. *publish* under the shard lock: adopt a copy that appeared meanwhile,
+//!    otherwise install ours — but only if the shard's write generation is
+//!    still the one noted in step 1.
+//!
+//! Two threads missing the same page may both read it; whoever publishes
+//! second adopts the first copy. The generation check is what keeps step 4
+//! from installing a stale image: a write that lands between steps 2 and 4
+//! leaves a fresher entry in the pool, but a small pool can evict that entry
+//! again before the reader re-locks, and "the slot is empty" then says
+//! nothing. Every write bumps its shard's generation under the shard lock,
+//! after the file write, so a reader whose generation still matches read the
+//! file no earlier than the last write to that shard finished. A reader that
+//! loses the check keeps its private copy unpublished — still a correct pin
+//! for a read that began before the write.
+//!
+//! **Writes** ([`Pager::write_page`], [`Pager::update_page`]) hold the shard
+//! lock across the file write, which orders writers of one page identically
+//! in the file and in the pool; lock order is shard → file.
+//! [`Pager::append_page`] takes them sequentially (file released before the
+//! shard is locked), never nested in the other direction.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -25,7 +51,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::batch::PinnedPages;
 use crate::cache::{LruCache, PageRef};
 use crate::error::Result;
-use crate::file::BlockFile;
+use crate::file::{BlockFile, Frames};
 use crate::page::{PageId, DEFAULT_PAGE_SIZE};
 use crate::stats::IoStats;
 use crate::vfs::Vfs;
@@ -61,30 +87,51 @@ impl PagerOptions {
     }
 }
 
+/// One buffer-pool shard: its pages and its write generation, both behind
+/// the shard mutex.
+struct Shard {
+    pool: LruCache,
+    /// Bumped by every write to a page of this shard (see the module doc's
+    /// miss protocol); only ever compared for equality.
+    write_gen: u64,
+}
+
 /// The sharded buffer pool. Swapped wholesale on [`Pager::resize_cache`],
 /// hence the outer `RwLock` (readers only pin the current shard vector; the
 /// per-shard mutex is what serializes cache state).
 struct ShardedCache {
-    shards: Vec<Mutex<LruCache>>,
+    shards: Vec<Mutex<Shard>>,
 }
 
 impl ShardedCache {
-    fn new(total_pages: usize) -> Self {
+    /// A pool of `total_pages` whose shards all start at write generation
+    /// `first_gen`.
+    fn new(total_pages: usize, first_gen: u64) -> Self {
         // Never more shards than pages, so small caches keep their full
         // capacity in one shard instead of rounding every shard down to zero.
         let n = total_pages.clamp(1, MAX_CACHE_SHARDS);
         let shards = (0..n)
             .map(|i| {
                 let cap = total_pages / n + usize::from(i < total_pages % n);
-                Mutex::new(LruCache::new(cap))
+                Mutex::new(Shard {
+                    pool: LruCache::new(cap),
+                    write_gen: first_gen,
+                })
             })
             .collect();
         Self { shards }
     }
 
-    fn shard(&self, id: PageId) -> &Mutex<LruCache> {
+    fn shard(&self, id: PageId) -> &Mutex<Shard> {
         &self.shards[(id.0 % self.shards.len() as u64) as usize]
     }
+}
+
+/// What the pool said about a page: the resident copy, or on a miss the
+/// shard's write generation to publish against.
+enum Lookup {
+    Hit(PageRef),
+    Miss(u64),
 }
 
 /// Cached page-granular file. Cheap to share via [`Arc`]; all methods take
@@ -154,7 +201,7 @@ impl Pager {
         Arc::new(Self {
             page_size: opts.page_size,
             file: Mutex::new(file),
-            cache: RwLock::new(ShardedCache::new(opts.cache_pages())),
+            cache: RwLock::new(ShardedCache::new(opts.cache_pages(), 0)),
             stats,
         })
     }
@@ -195,122 +242,142 @@ impl Pager {
         self.file.lock().grow()
     }
 
-    /// Read a page through the cache.
-    pub fn read_page(&self, id: PageId) -> Result<PageRef> {
+    /// Miss protocol step 1, accounted as a cache hit or miss.
+    fn lookup(&self, id: PageId) -> Lookup {
         let cache = self.cache.read();
         let mut shard = cache.shard(id).lock();
-        if let Some(p) = shard.get(id) {
-            self.stats.record_cache_hit();
-            return Ok(p);
+        match shard.pool.get(id) {
+            Some(page) => {
+                self.stats.record_cache_hit();
+                Lookup::Hit(page)
+            }
+            None => {
+                self.stats.record_cache_miss();
+                Lookup::Miss(shard.write_gen)
+            }
         }
-        self.stats.record_cache_miss();
-        let mut buf = vec![0u8; self.page_size];
-        self.file.lock().read_page(id, &mut buf)?;
-        let page: PageRef = Arc::new(buf);
-        shard.put(id, Arc::clone(&page));
-        Ok(page)
+    }
+
+    /// The write generation of the shard `id` maps to, for a page about to
+    /// be read without having been looked up (a batch run's hole pages).
+    fn write_gen(&self, id: PageId) -> u64 {
+        self.cache.read().shard(id).lock().write_gen
+    }
+
+    /// Miss protocol steps 2 and 3: one positional read of `pages` frames
+    /// under the file lock, then — the lock released — their verification.
+    fn read_verified(&self, start: PageId, pages: usize) -> Result<Frames> {
+        let raw = self.file.lock().read_frames(start, pages)?;
+        raw.verify()
+    }
+
+    /// Miss protocol step 4: hand back the pool's copy if one appeared since
+    /// the lookup, otherwise ours — installed only if no write touched the
+    /// shard since `gen` was noted.
+    fn publish(&self, id: PageId, page: PageRef, gen: u64) -> PageRef {
+        let cache = self.cache.read();
+        let mut shard = cache.shard(id).lock();
+        if let Some(resident) = shard.pool.get(id) {
+            return resident;
+        }
+        if shard.write_gen == gen {
+            shard.pool.put(id, Arc::clone(&page));
+        }
+        page
+    }
+
+    /// Read a page through the cache.
+    pub fn read_page(&self, id: PageId) -> Result<PageRef> {
+        match self.lookup(id) {
+            Lookup::Hit(page) => Ok(page),
+            Lookup::Miss(gen) => {
+                let page = Arc::new(self.read_verified(id, 1)?.into_page());
+                Ok(self.publish(id, page, gen))
+            }
+        }
     }
 
     /// Read a set of pages as one coalesced batch, returning them pinned.
     ///
     /// The ids are sorted and deduplicated; pages already resident in the
     /// buffer pool are pinned as cache hits; the misses are merged into
-    /// runs and fetched under a **single** file lock acquisition, each run
-    /// costing at most one random seek (the rest of the run is accounted
-    /// sequential — see [`BlockFile::read_run`]). Like an elevator I/O
-    /// scheduler, a run reads *through* holes of up to [`Self::RUN_GAP`]
-    /// pages between requested ids: transferring a few extra sequential
-    /// pages is an order of magnitude cheaper than seeking over them, and
-    /// the hole pages are published to the buffer pool as readahead.
-    /// Fetched pages are published to the cache, but the returned
-    /// [`PinnedPages`] keeps the *requested* pages alive regardless of
-    /// later evictions.
+    /// runs, each fetched with one positional read and costing at most one
+    /// random seek (the rest of the run is accounted sequential — see
+    /// [`BlockFile::read_run`]). Like an elevator I/O scheduler, a run
+    /// reads *through* holes of up to [`Self::RUN_GAP`] pages between
+    /// requested ids: transferring a few extra sequential pages is an
+    /// order of magnitude cheaper than seeking over them, and the hole
+    /// pages are published to the buffer pool as readahead. Each run is
+    /// verified inside its read buffer and its pages are copied out of it
+    /// once (a one-page run keeps the buffer as the page). Fetched pages
+    /// are published to the cache, but the returned [`PinnedPages`] keeps
+    /// the *requested* pages alive regardless of later evictions.
     pub fn read_batch(&self, ids: &[PageId]) -> Result<PinnedPages> {
         let mut sorted: Vec<PageId> = ids.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        if sorted.is_empty() {
-            return Ok(PinnedPages::empty());
-        }
 
-        // Pass 1: serve what the buffer pool already holds.
+        // Step 1 for every requested page: serve what the pool holds.
         let mut pinned: Vec<(PageId, PageRef)> = Vec::with_capacity(sorted.len());
-        let mut missing: Vec<PageId> = Vec::new();
-        {
-            let cache = self.cache.read();
-            for &id in &sorted {
-                let mut shard = cache.shard(id).lock();
-                if let Some(p) = shard.get(id) {
-                    self.stats.record_cache_hit();
-                    pinned.push((id, p));
-                } else {
-                    self.stats.record_cache_miss();
-                    missing.push(id);
-                }
+        let mut missing: Vec<(PageId, u64)> = Vec::new();
+        for &id in &sorted {
+            match self.lookup(id) {
+                Lookup::Hit(page) => pinned.push((id, page)),
+                Lookup::Miss(gen) => missing.push((id, gen)),
             }
         }
 
-        // Pass 2: fetch the misses, nearby ids coalesced into spanning
-        // runs (reading through holes of up to RUN_GAP pages), the file
-        // locked once for the whole batch. Requested pages are pinned;
-        // hole pages are readahead, published to the pool only.
-        let mut fetched: Vec<(PageId, PageRef)> = Vec::with_capacity(missing.len());
-        let mut readahead: Vec<(PageId, PageRef)> = Vec::new();
-        if !missing.is_empty() {
-            let mut file = self.file.lock();
-            let mut i = 0;
-            while let Some(&run_start) = missing.get(i) {
-                let first = run_start.0;
-                let mut last = first;
-                let mut j = i + 1;
-                while let Some(&next) = missing.get(j) {
-                    if next.0 - last > Self::RUN_GAP + 1 || next.0 - first >= Self::MAX_RUN_PAGES {
-                        break;
-                    }
-                    last = next.0;
-                    j += 1;
+        // Steps 2 and 3 per run: nearby misses coalesced into one spanning
+        // read (through holes of up to RUN_GAP pages). Requested pages will
+        // be pinned; hole pages are readahead, published to the pool only.
+        let mut fetched: Vec<(PageId, PageRef, u64)> = Vec::with_capacity(missing.len());
+        let mut readahead: Vec<(PageId, PageRef, u64)> = Vec::new();
+        let mut i = 0;
+        while let Some(&(run_start, run_gen)) = missing.get(i) {
+            let first = run_start.0;
+            let mut last = first;
+            let mut j = i + 1;
+            // A hole was never looked up, so its shard's generation is
+            // noted as the run grows over it — still before the read.
+            let mut hole_gens: Vec<u64> = Vec::new();
+            while let Some(&(next, _)) = missing.get(j) {
+                if next.0 - last > Self::RUN_GAP + 1 || next.0 - first >= Self::MAX_RUN_PAGES {
+                    break;
                 }
-                let span = (last - first + 1) as usize;
-                let mut buf = vec![0u8; span * self.page_size];
-                file.read_run(run_start, &mut buf)?;
-                let mut want = i;
-                for (k, chunk) in buf.chunks(self.page_size).enumerate() {
-                    let id = PageId(first + k as u64);
-                    let page: PageRef = Arc::new(chunk.to_vec());
-                    if want < j && missing.get(want) == Some(&id) {
-                        fetched.push((id, page));
-                        want += 1;
-                    } else {
-                        readahead.push((id, page));
+                hole_gens.extend((last + 1..next.0).map(|id| self.write_gen(PageId(id))));
+                last = next.0;
+                j += 1;
+            }
+            let frames = self.read_verified(run_start, (last - first + 1) as usize)?;
+            if last == first {
+                fetched.push((run_start, Arc::new(frames.into_page()), run_gen));
+            } else {
+                let mut holes = hole_gens.into_iter();
+                for (id, bytes) in (first..).map(PageId).zip(frames.pages()) {
+                    let page: PageRef = Arc::new(bytes.to_vec());
+                    match missing.get(i) {
+                        Some(&(want, gen)) if want == id => {
+                            fetched.push((id, page, gen));
+                            i += 1;
+                        }
+                        _ => readahead.extend(holes.next().map(|gen| (id, page, gen))),
                     }
                 }
-                i = j;
             }
+            i = j;
         }
 
-        // Publish the fetched pages. A writer may have raced us between
-        // the file read and here; prefer the copy already in the cache
-        // (it is at least as fresh as what we read) and only publish ours
-        // if the slot is empty.
-        {
-            let cache = self.cache.read();
-            for (id, page) in &mut fetched {
-                let mut shard = cache.shard(*id).lock();
-                if let Some(fresh) = shard.get(*id) {
-                    *page = fresh;
-                } else {
-                    shard.put(*id, Arc::clone(page));
-                }
-            }
-            for (id, page) in readahead {
-                let mut shard = cache.shard(id).lock();
-                if shard.get(id).is_none() {
-                    shard.put(id, page);
-                }
-            }
+        // Step 4, requested pages first so readahead cannot push them out
+        // of a small pool before they were ever resident.
+        pinned.extend(
+            fetched
+                .into_iter()
+                .map(|(id, page, gen)| (id, self.publish(id, page, gen))),
+        );
+        for (id, page, gen) in readahead {
+            self.publish(id, page, gen);
         }
 
-        pinned.extend(fetched);
         pinned.sort_unstable_by_key(|&(id, _)| id);
         Ok(PinnedPages::from_sorted(pinned))
     }
@@ -330,7 +397,8 @@ impl Pager {
         let cache = self.cache.read();
         let mut shard = cache.shard(id).lock();
         self.file.lock().write_page(id, &data)?;
-        shard.put(id, Arc::new(data));
+        shard.pool.put(id, Arc::new(data));
+        shard.write_gen += 1;
         Ok(())
     }
 
@@ -338,19 +406,18 @@ impl Pager {
     pub fn update_page(&self, id: PageId, f: impl FnOnce(&mut [u8])) -> Result<()> {
         let cache = self.cache.read();
         let mut shard = cache.shard(id).lock();
-        let mut buf = if let Some(p) = shard.get(id) {
+        let mut buf = if let Some(p) = shard.pool.get(id) {
             self.stats.record_cache_hit();
             p.as_ref().clone()
         } else {
             self.stats.record_cache_miss();
-            let mut b = vec![0u8; self.page_size];
-            self.file.lock().read_page(id, &mut b)?;
-            b
+            self.read_verified(id, 1)?.into_page()
         };
         // lint:allow(panic-reachability, "dynamic edge: callers pass in-crate header/flag editors over a full page buffer; not driven by on-disk data")
         f(&mut buf);
         self.file.lock().write_page(id, &buf)?;
-        shard.put(id, Arc::new(buf));
+        shard.pool.put(id, Arc::new(buf));
+        shard.write_gen += 1;
         Ok(())
     }
 
@@ -367,7 +434,9 @@ impl Pager {
             id
         };
         let cache = self.cache.read();
-        cache.shard(id).lock().put(id, Arc::new(data));
+        let mut shard = cache.shard(id).lock();
+        shard.pool.put(id, Arc::new(data));
+        shard.write_gen += 1;
         Ok(id)
     }
 
@@ -375,7 +444,7 @@ impl Pager {
     pub fn clear_cache(&self) {
         let cache = self.cache.read();
         for shard in &cache.shards {
-            shard.lock().clear();
+            shard.lock().pool.clear();
         }
     }
 
@@ -385,7 +454,16 @@ impl Pager {
     /// cache is ~3 % of its 355.7 MB table file.
     pub fn resize_cache(&self, cache_bytes: usize) {
         let pages = cache_bytes / self.page_size;
-        *self.cache.write() = ShardedCache::new(pages);
+        let mut cache = self.cache.write();
+        // Start past every generation the old pool handed out, so a read
+        // that began against the old pool can never publish into this one.
+        let next_gen = cache
+            .shards
+            .iter()
+            .map(|s| s.lock().write_gen)
+            .max()
+            .map_or(0, |g| g + 1);
+        *cache = ShardedCache::new(pages, next_gen);
     }
 
     /// Drop pages `n..` from the file (crash recovery truncating torn or
@@ -396,7 +474,9 @@ impl Pager {
         let mut file = self.file.lock();
         file.truncate_pages(n)?;
         for shard in &cache.shards {
-            shard.lock().clear();
+            let mut shard = shard.lock();
+            shard.pool.clear();
+            shard.write_gen += 1;
         }
         Ok(())
     }
@@ -417,6 +497,7 @@ impl Pager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::IoSnapshot;
     use crate::vfs::{RealVfs, Vfs};
 
     fn mem_pager(cache_bytes: usize) -> Arc<Pager> {
@@ -519,6 +600,130 @@ mod tests {
         });
         let s = p.stats().snapshot();
         assert_eq!(s.cache_hits + s.cache_misses, 8 * 256);
+    }
+
+    #[test]
+    fn serial_sequence_io_counters_are_pinned() {
+        // A fixed serial mix of every read and write entry point over a
+        // pool much smaller than the file. The expected counters were
+        // produced by the implementation that verified under the shard and
+        // file locks: moving the read out of the locks must not change a
+        // single one of them, nor the LRU state they depend on.
+        let stats = IoStats::new();
+        let p = Pager::create_mem(
+            &PagerOptions {
+                page_size: 256,
+                cache_bytes: 12 * 256,
+            },
+            stats.clone(),
+        );
+        for i in 0..64u8 {
+            p.append_page(vec![i; 256]).unwrap();
+        }
+        p.clear_cache();
+        let ids = |v: &[u64]| v.iter().copied().map(PageId).collect::<Vec<_>>();
+        let before = stats.snapshot();
+        for i in 0..10 {
+            assert_eq!(p.read_page(PageId(i)).unwrap()[0], i as u8);
+        }
+        let pins = p.read_batch(&ids(&[3, 5, 9, 30, 31, 40, 60, 12])).unwrap();
+        assert_eq!(pins.len(), 8);
+        p.read_page(PageId(7)).unwrap();
+        p.read_page(PageId(31)).unwrap();
+        p.write_page(PageId(5), vec![0xF5; 256]).unwrap();
+        p.update_page(PageId(20), |b| b[1] = 0xEE).unwrap();
+        p.update_page(PageId(5), |b| b[2] = 0xDD).unwrap();
+        let pins = p.read_batch(&ids(&[4, 5, 6, 20, 21, 50])).unwrap();
+        let five = pins.get(PageId(5)).unwrap();
+        assert_eq!((five[0], five[2]), (0xF5, 0xDD));
+        assert_eq!(pins.get(PageId(20)).unwrap()[..2], [20, 0xEE]);
+        for i in [50, 51, 52, 20] {
+            p.read_page(PageId(i)).unwrap();
+        }
+        let stride: Vec<PageId> = (0..64).step_by(3).map(PageId).collect();
+        assert_eq!(p.read_batch(&stride).unwrap().len(), stride.len());
+        for i in (0..64).rev().step_by(5) {
+            p.read_page(PageId(i)).unwrap();
+        }
+        assert_eq!(p.prefetch(&ids(&[1, 2, 40, 41, 63])).unwrap(), 5);
+        for i in [1, 2, 40, 41, 63, 0] {
+            p.read_page(PageId(i)).unwrap();
+        }
+        assert_eq!(
+            stats.snapshot().since(&before),
+            IoSnapshot {
+                disk_page_reads: 131,
+                disk_page_writes: 3,
+                cache_hits: 16,
+                cache_misses: 62,
+                random_seeks: 24,
+                seq_bytes_read: 27_392,
+                random_bytes_read: 6_144,
+                bytes_written: 768,
+                ..IoSnapshot::default()
+            }
+        );
+    }
+
+    #[test]
+    fn read_overtaken_by_a_write_is_not_published() {
+        // The miss protocol's steps driven by hand, with a write and the
+        // eviction of its fresh entry slotted between the read and the
+        // publish — the schedule `loom_prefetch` case 4 explores. The
+        // one-page pool makes "the slot is empty" true again at publish.
+        let p = mem_pager(256);
+        let a = p.append_page(vec![1; 256]).unwrap();
+        let b = p.append_page(vec![2; 256]).unwrap();
+        p.clear_cache();
+        let Lookup::Miss(gen) = p.lookup(a) else {
+            panic!("cold page resident");
+        };
+        let stale: PageRef = Arc::new(p.read_verified(a, 1).unwrap().into_page());
+        p.write_page(a, vec![9; 256]).unwrap();
+        p.read_page(b).unwrap(); // evicts the written entry
+        let pin = p.publish(a, stale, gen);
+        // The reader began before the write: its private copy is a
+        // correct pin, but the pool must not serve it to anyone else.
+        assert_eq!(pin[0], 1);
+        assert_eq!(p.read_page(a).unwrap()[0], 9);
+    }
+
+    #[test]
+    fn threads_missing_the_same_cold_pages_agree() {
+        // All eight threads start on the same cold pages at the same
+        // moment, so several miss each page at once: each may read it (the
+        // protocol allows the double read), every one must see the right
+        // bytes, and every request is accounted exactly once.
+        const THREADS: usize = 8;
+        const PAGES: u64 = 48;
+        let p = mem_pager(16 * 256);
+        for i in 0..PAGES {
+            p.append_page(vec![i as u8; 256]).unwrap();
+        }
+        p.clear_cache();
+        let before = p.stats().snapshot();
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (p, start) = (&p, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..PAGES {
+                        let page = p.read_page(PageId(i)).unwrap();
+                        assert!(page.iter().all(|&b| b == i as u8), "thread {t} page {i}");
+                    }
+                    let all: Vec<PageId> = (0..PAGES).map(PageId).collect();
+                    let pins = p.read_batch(&all).unwrap();
+                    for (id, page) in pins.iter() {
+                        assert!(page.iter().all(|&b| b == id.0 as u8), "thread {t} pin {id}");
+                    }
+                });
+            }
+        });
+        let d = p.stats().snapshot().since(&before);
+        assert_eq!(d.cache_hits + d.cache_misses, 2 * THREADS as u64 * PAGES);
+        assert!(d.disk_page_reads >= PAGES, "{d:?}");
+        assert!(d.disk_page_reads >= d.cache_misses, "{d:?}");
     }
 
     #[test]
