@@ -162,7 +162,7 @@ impl VaFile {
                 diffs[i] = lambda[i] * lb;
             }
             let est = metric.combine(&diffs);
-            if pool.admits(est) {
+            if pool.admits_at(est, tid) {
                 let refine_start = Instant::now();
                 let rec = table.get(RecordPtr(ptr))?;
                 stats.table_accesses += 1;

@@ -6,8 +6,14 @@
 //! unlimited-and-variable length strings", leaving the candidate set
 //! huge. This ablation measures that directly: both plans return the
 //! exact same answers, but the sequential plan's candidate set (table
-//! accesses) balloons while the parallel plan's pool tightens as it
-//! scans.
+//! accesses) balloons while the parallel plan's does not.
+//!
+//! The "par" column is the engine's plan — since the probe-then-sweep
+//! drain, Algorithm 1's interleaved *collection* with the fetches made by
+//! need at the end of the walk (DESIGN.md §15), which fetches less than
+//! Algorithm 1's scan-order refinement did. The sequential plan still
+//! differs where the paper says it must: it has to bound candidates
+//! *before* refining any, and strings give it no upper bound to do so.
 
 use iva_bench::{report, scale_config, TestBed};
 use iva_core::{IvaConfig, MetricKind, WeightScheme};

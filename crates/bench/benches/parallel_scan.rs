@@ -98,7 +98,7 @@ fn main() {
                 assert_eq!(a.tid, b.tid, "parallel scan diverged from serial");
                 assert_eq!(a.dist.to_bits(), b.dist.to_bits());
             }
-            assert_eq!(serial.stats.table_accesses, par.stats.table_accesses);
+            assert_eq!(serial.stats.tuples_scanned, par.stats.tuples_scanned);
             filter_ms += par.stats.filter_ms();
             refine_ms += par.stats.refine_ms();
             wall_ms += wall;

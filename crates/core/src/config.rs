@@ -33,12 +33,13 @@ pub struct IvaConfig {
     /// persisted: an opened index keeps the per-list tags it was built
     /// with, and this knob only steers future (re)builds.
     pub compress_lists: bool,
-    /// Refinement batch size `B`: admitted candidates are deferred and
-    /// fetched from the table file in page-ordered, coalesced batches of
-    /// up to `B` (`0` or `1` ⇒ fetch immediately, the unbatched plan). Any
-    /// `B` produces bit-identical top-k results; larger batches trade a
-    /// slightly staler admission threshold (extra fetches land in
-    /// `QueryStats::speculative_accesses`) for far fewer random seeks.
+    /// Refinement batch size `B`: when a scan drains its candidates, the
+    /// ones the pool still admits are fetched from the table file in
+    /// page-ordered, coalesced rounds of up to `B` (`0` or `1` ⇒ one at a
+    /// time, the unbatched plan). Any `B` produces bit-identical top-k
+    /// results; larger rounds trade a slightly staler admission threshold
+    /// (extra fetches land in `QueryStats::speculative_accesses`) for
+    /// fewer random seeks.
     /// Runtime-only, like [`IvaConfig::search_threads`].
     pub refine_batch: usize,
     /// Memory budget in bytes for the in-RAM hot tier of per-attribute

@@ -22,6 +22,7 @@ use crate::numeric::NumericCodec;
 use crate::packed::{self, PackedReader};
 use crate::pool::{PoolEntry, ResultPool};
 use crate::query::{Query, QueryStats, QueryValue};
+use crate::scan::DRAIN_AT;
 use crate::tier::{
     build_num_column, build_text_column, ColumnData, HotTier, NumColumn, TextColumn, TierLookup,
     TupleColumn, TUPLE_KEY,
@@ -394,6 +395,16 @@ impl IvaIndex {
     pub(crate) fn prepare_query(&self, query: &Query) -> Result<Vec<SharedAttr<'_>>> {
         let mut shared = Vec::with_capacity(query.len());
         for (attr, qv) in query.iter() {
+            // Checked before the catalog lookup so every tier of a
+            // segmented store gives the same verdict: NaN or ±∞ would turn
+            // every distance into NaN.
+            if let QueryValue::Num(v) = qv {
+                if !v.is_finite() {
+                    return Err(IvaError::InvalidArgument(format!(
+                        "query gives the non-finite number {v} on attribute {attr}"
+                    )));
+                }
+            }
             let Some(entry) = self.attr_entry(attr) else {
                 shared.push(SharedAttr::AlwaysNdf);
                 continue;
@@ -645,6 +656,7 @@ impl IvaIndex {
             &lambda,
             true,
             self.config().resolved_refine_batch(),
+            DRAIN_AT,
             &mut carry,
         )?;
         Ok(carry.finish())

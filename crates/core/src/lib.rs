@@ -18,7 +18,10 @@
 //! That pass exists once (the `scan` module): serial
 //! ([`IvaIndex::query`]), segmented-parallel ([`IvaIndex::query_opts`])
 //! and multi-query batch ([`IvaIndex::query_batch`]) execution are
-//! arguments of it, bit-identical to one another by one replay argument.
+//! arguments of it, bit-identical to one another by one order-independence
+//! lemma: candidates are collected during the pass and fetched by need —
+//! the k best estimates first, then whatever the tightened pool still
+//! admits.
 //!
 //! Guarantee: with no-false-negative vector encodings and a monotone
 //! metric, results are exactly the brute-force top-k.

@@ -4,25 +4,21 @@
 //!
 //! A serving front end that admits several concurrent top-k requests can
 //! run them as a *batch*: the tuple list is read once per scan position —
-//! not once per query — and the refinement fetches of all queries are
-//! pooled into shared page-coalesced [`SwtTable::fetch`] rounds, so
-//! concurrent queries share buffer-pool pages the way the paper's cost
-//! model assumes (Sec. V-A's cache regime).
+//! not once per query — and the members' drains run back to back at the
+//! end of the walk, so concurrent queries share buffer-pool pages the way
+//! the paper's cost model assumes (Sec. V-A's cache regime).
 //!
 //! Bit-identity. Each query is one lane of [`IvaIndex::scan`] with
 //! private scan positions, pool and pending candidates; only the
-//! tuple-list read and the physical fetch rounds are shared. A round
-//! fires whenever the *combined* pending count reaches `B`, so one
-//! query's flush schedule depends on its neighbors — which the spine's
-//! replay lemma (see [`crate::scan`]) does not care about. The top-k and
-//! `table_accesses` of every batch member are therefore bit-identical to
-//! running that query alone through [`IvaIndex::query_opts`], for every
-//! batch composition and every `B`; surplus fetches land in
-//! [`crate::QueryStats::speculative_accesses`].
+//! tuple-list read is shared. A lane drains on its *own* pending count,
+//! so nothing about its schedule depends on its neighbors: the top-k,
+//! `table_accesses` and `speculative_accesses` of every batch member are
+//! those of running that query alone through [`IvaIndex::query_opts`] at
+//! `threads = 1`, for every batch composition and every `B`.
 //!
 //! Phase timings are per-*batch*, not per-query: every member reports the
 //! same filter time (every member's query preparation plus the shared
-//! scan) and shared-round refine time, because the work genuinely is
+//! scan) and the batch's total refine time, because the walk genuinely is
 //! shared and cannot be attributed to one member. Treat the nanos of a
 //! batched outcome as "cost of the round you rode in".
 
@@ -33,7 +29,7 @@ use crate::index::{IvaIndex, QueryOutcome, ScanCarry};
 use crate::metric::{Metric, WeightScheme};
 use crate::parallel::QueryOptions;
 use crate::query::Query;
-use crate::scan::Lane;
+use crate::scan::{Lane, DRAIN_AT};
 
 /// One query of a batch submitted to [`IvaIndex::query_batch`].
 #[derive(Debug, Clone, Copy)]
@@ -47,14 +43,14 @@ pub struct BatchItem<'a> {
 }
 
 impl IvaIndex {
-    /// Run a batch of top-k queries over one shared tuple-list scan with
-    /// shared refinement rounds. Every member's top-k and
-    /// `table_accesses` are bit-identical to running it alone through
-    /// [`IvaIndex::query_opts`] — for any batch composition and any
-    /// `refine_batch` (see the module doc). A singleton batch falls back
-    /// to the ordinary (possibly parallel) single-query plan;
-    /// `opts.threads` is otherwise ignored — batching *is* the
-    /// parallelism here, across queries instead of across segments.
+    /// Run a batch of top-k queries over one shared tuple-list scan. Every
+    /// member's top-k and access counters are bit-identical to running it
+    /// alone, serially, through [`IvaIndex::query_opts`] — for any batch
+    /// composition and any `refine_batch` (see the module doc). A
+    /// singleton batch falls back to the ordinary (possibly parallel)
+    /// single-query plan; `opts.threads` is otherwise ignored — batching
+    /// *is* the parallelism here, across queries instead of across
+    /// segments.
     pub fn query_batch<M: Metric + Sync>(
         &self,
         table: &SwtTable,
@@ -90,13 +86,14 @@ impl IvaIndex {
             .zip(carries.iter_mut())
             .zip(lambdas.iter().zip(&shared))
         {
-            lanes.push(Lane::open(self, it.query, lambda, shared, carry, false)?);
+            lanes.push(Lane::open(self, it.query, lambda, shared, carry)?);
         }
         let nanos = self.scan(
             table,
             &mut lanes,
             0..self.n_tuples(),
             opts.resolved_refine_batch(self),
+            DRAIN_AT,
             metric,
             opts.measured,
         )?;

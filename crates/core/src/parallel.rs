@@ -4,36 +4,29 @@
 //!
 //! The tuple list is split into `t` contiguous segments; each worker runs
 //! [`IvaIndex::scan`] over its segment with one lane on a *private* top-k
-//! pool, logging every candidate its own replay admitted — `(tid, ptr,
-//! estimate, bounded distance)` in scan order. The merge step replays the
-//! logs through the carried pool in segment order. That is the scan
-//! spine's replay lemma (see [`crate::scan`]) applied across workers:
+//! pool, and the merge step is a **pool union**: every worker's final
+//! entries are inserted into the carried pool. By the spine's
+//! order-independence lemma (see [`crate::scan`]) a worker's pool holds
+//! the k smallest `(dist, tid)` of its segment, each at its exact
+//! distance, and the k smallest of the whole list are among those — so
+//! the merged top-k is bit-identical to [`IvaIndex::query`]'s, for any
+//! thread count.
 //!
-//! * A worker's pool only ever holds entries from its own segment prefix,
-//!   so its admission threshold is never tighter than the serial scan's at
-//!   the same position — every candidate the serial scan fetches is also
-//!   in the log of the worker owning its segment (superset property).
-//! * The merge applies the serial admission rule to that superset in
-//!   serial order, so by induction its pool equals the serial pool at
-//!   every step: the final top-k and `table_accesses` are bit-identical
-//!   to [`IvaIndex::query`].
-//!
-//! Surplus worker fetches the merge rejects are reported as
-//! [`crate::QueryStats::speculative_accesses`]; the distances they
-//! computed are simply discarded. A logged distance is exact when it is
-//! below the worker's threshold at the time and otherwise only known to
-//! be at or above it — which the merged pool, never looser, rejects just
-//! as it would the exact value (see "Refine on bytes" in [`crate::scan`]). Refinement work rides inside the workers
-//! (a fetch happens once, where the candidate is found), so the table
-//! file's [`iva_storage::IoStats`] counts each physical access exactly once.
+//! A worker's pool starts empty, so it fetches what *its segment's* top-k
+//! needs, which is more than the serial scan fetches there:
+//! [`crate::QueryStats::table_accesses`] sums the workers' fetches and
+//! grows with the thread count — the price paid for segment parallelism.
+//! Refinement rides inside the workers (a fetch happens once, where the
+//! candidate is found), so the table file's [`iva_storage::IoStats`]
+//! counts each physical access exactly once.
 
-use iva_swt::{RecordPtr, SwtTable};
+use iva_swt::SwtTable;
 
 use crate::error::{IvaError, Result};
 use crate::index::{IvaIndex, QueryOutcome, ScanCarry};
 use crate::metric::{Metric, WeightScheme};
-use crate::query::{Query, QueryStats};
-use crate::scan::{Candidate, Lane, PhaseNanos};
+use crate::query::Query;
+use crate::scan::{Lane, PhaseNanos, DRAIN_AT};
 use crate::timing::thread_cpu_time;
 
 /// Smallest tuple-list segment worth a worker thread; requests for more
@@ -53,10 +46,10 @@ pub struct QueryOptions {
     pub measured: bool,
     /// Refinement batch size `B`. `None` defers to
     /// [`crate::IvaConfig::refine_batch`]; an effective `B ≤ 1` fetches
-    /// each admitted candidate before the scan moves on (the unbatched
-    /// plan). Larger batches defer admitted candidates and fetch them
-    /// page-ordered and coalesced; results stay bit-identical for every
-    /// `B`.
+    /// the candidates of a drain one at a time, each tested against the
+    /// pool the previous one left. Larger batches pin `B` still-admitted
+    /// candidates per page-ordered, coalesced fetch; results stay
+    /// bit-identical for every `B`.
     pub refine_batch: Option<usize>,
 }
 
@@ -80,12 +73,8 @@ impl QueryOptions {
 
 /// What one worker brings to the merge barrier.
 struct SegmentScan {
-    /// The worker lane's candidate log.
-    candidates: Vec<Candidate>,
-    /// The worker lane's counters: `tuples_scanned`, and in
-    /// `speculative_accesses` the fetches its own flush replay rejected
-    /// (they never reach the merge).
-    stats: QueryStats,
+    /// The worker lane's private pool (its segment's top-k) and counters.
+    carry: ScanCarry,
     nanos: PhaseNanos,
 }
 
@@ -115,11 +104,10 @@ impl IvaIndex {
 
     /// [`IvaIndex::query_opts`] threading the candidate pool and counters
     /// through `carry` — the segmented engine's building block (one call
-    /// per tier, in tid order). Workers still scan with private (initially
-    /// empty) pools, which admit a superset of what the carried pool
-    /// would; the merge replay filters against the carried pool in scan
-    /// order, so the concatenated multi-tier scan stays bit-identical to a
-    /// serial carried scan.
+    /// per tier, in tid order). Workers scan with private (initially
+    /// empty) pools and the merge unions them into the carried pool, so
+    /// the concatenated multi-tier scan stays bit-identical to a serial
+    /// carried scan.
     pub fn query_carry_opts<M: Metric + Sync>(
         &self,
         table: &SwtTable,
@@ -127,6 +115,25 @@ impl IvaIndex {
         metric: &M,
         lambda: &[f64],
         opts: &QueryOptions,
+        carry: &mut ScanCarry,
+    ) -> Result<()> {
+        self.query_carry_windowed(table, query, metric, lambda, opts, DRAIN_AT, carry)
+    }
+
+    /// [`IvaIndex::query_carry_opts`] with the spine's drain window as an
+    /// argument. Test hook: the window is not an option — every engine
+    /// runs the one crate-private constant — but the suites shrink it to
+    /// put window boundaries inside small tables.
+    #[doc(hidden)]
+    #[allow(clippy::too_many_arguments)]
+    pub fn query_carry_windowed<M: Metric + Sync>(
+        &self,
+        table: &SwtTable,
+        query: &Query,
+        metric: &M,
+        lambda: &[f64],
+        opts: &QueryOptions,
+        drain_at: usize,
         carry: &mut ScanCarry,
     ) -> Result<()> {
         let n = self.n_tuples();
@@ -138,7 +145,16 @@ impl IvaIndex {
         let refine_batch = opts.resolved_refine_batch(self);
         let measured = opts.measured;
         if threads == 1 {
-            return self.scan_serial(table, query, metric, lambda, measured, refine_batch, carry);
+            return self.scan_serial(
+                table,
+                query,
+                metric,
+                lambda,
+                measured,
+                refine_batch,
+                drain_at,
+                carry,
+            );
         }
 
         let k = carry.pool.capacity();
@@ -155,20 +171,23 @@ impl IvaIndex {
             for (&(lo, hi), slot) in bounds.iter().zip(slots.iter_mut()) {
                 let shared = &shared;
                 s.spawn(move |_| {
-                    // One logging lane over `[lo, hi)` on a private pool.
+                    // One lane over `[lo, hi)` on a private pool.
                     let mut worker = ScanCarry::new(k);
-                    let mut run = || -> Result<(Vec<Candidate>, PhaseNanos)> {
-                        let mut lanes =
-                            [Lane::open(self, query, lambda, shared, &mut worker, true)?];
-                        let range = lo..hi;
-                        let nanos =
-                            self.scan(table, &mut lanes, range, refine_batch, metric, measured)?;
-                        let [lane] = lanes;
-                        Ok((lane.into_log(), nanos))
-                    };
-                    *slot = Some(run().map(|(candidates, nanos)| SegmentScan {
-                        candidates,
-                        stats: worker.stats,
+                    let run =
+                        Lane::open(self, query, lambda, shared, &mut worker).and_then(|lane| {
+                            let lanes = &mut [lane];
+                            self.scan(
+                                table,
+                                lanes,
+                                lo..hi,
+                                refine_batch,
+                                drain_at,
+                                metric,
+                                measured,
+                            )
+                        });
+                    *slot = Some(run.map(|nanos| SegmentScan {
+                        carry: worker,
                         nanos,
                     }));
                 });
@@ -176,9 +195,8 @@ impl IvaIndex {
         })
         .map_err(|_| IvaError::Corrupt("filter worker panicked".into()))?;
 
-        // Merge barrier: replay the logged candidates in segment order
-        // through the carried pool (see module doc for why this reproduces
-        // the serial scan exactly).
+        // Merge barrier: union the workers' pools into the carried pool
+        // (see the module doc for why this is the serial answer).
         let merge_start = measured.then(thread_cpu_time);
         let ScanCarry { pool, stats } = carry;
         // The coordinator prepares before the workers start and merges
@@ -187,18 +205,12 @@ impl IvaIndex {
         let mut max_refine = 0u64;
         for slot in slots {
             let seg = slot.ok_or_else(|| IvaError::Corrupt("worker slot unfilled".into()))??;
-            stats.tuples_scanned += seg.stats.tuples_scanned;
-            stats.speculative_accesses += seg.stats.speculative_accesses;
+            stats.tuples_scanned += seg.carry.stats.tuples_scanned;
+            stats.table_accesses += seg.carry.stats.table_accesses;
+            stats.speculative_accesses += seg.carry.stats.speculative_accesses;
             max_filter = max_filter.max(seg.nanos.filter);
             max_refine = max_refine.max(seg.nanos.refine);
-            for c in seg.candidates {
-                if pool.admits(c.est) {
-                    stats.table_accesses += 1;
-                    pool.insert_at(c.tid, c.actual, RecordPtr(c.ptr));
-                } else {
-                    stats.speculative_accesses += 1;
-                }
-            }
+            pool.absorb(seg.carry.pool);
         }
         if let Some(m) = merge_start {
             max_filter += thread_cpu_time().saturating_sub(m);

@@ -1,10 +1,16 @@
 //! lint:scope(no-panic-decode)
 //! The temporary result pool (Sec. IV-A).
 //!
-//! Holds at most `k` `(tid, dist)` pairs with their *actual* distances; a
-//! candidate is admitted to refinement iff the pool is not yet full or its
-//! estimated distance is below the pool's current maximum. Implemented as a
-//! bounded binary max-heap on distance.
+//! Holds the `k` smallest `(dist, tid)` pairs inserted so far, with their
+//! *actual* distances, ordered lexicographically under [`f64::total_cmp`].
+//! A candidate is worth refining iff the pool is not yet full or its
+//! `(lower bound, tid)` is below the pool's current worst entry. Because
+//! the order is total and the tie goes to the lower tid, the pool's
+//! content is a function of *what* was inserted, never of *when* — the
+//! fact the scan spine's order-independence lemma rests on (see
+//! [`crate::scan`]). Inserting in ascending tid order, as every tuple list
+//! is laid out, reproduces Algorithm 1's "strictly smaller distance, first
+//! arrival wins". Implemented as a bounded binary max-heap.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -27,11 +33,7 @@ impl Eq for PoolEntry {}
 
 impl Ord for PoolEntry {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap on distance; tie-break on tid for determinism.
-        self.dist
-            .partial_cmp(&other.dist)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| self.tid.cmp(&other.tid))
+        key_cmp((self.dist, self.tid), (other.dist, other.tid))
     }
 }
 
@@ -41,7 +43,12 @@ impl PartialOrd for PoolEntry {
     }
 }
 
-/// Bounded top-k pool keyed by actual distance.
+/// The pool's one order: distance under `total_cmp`, then tid.
+fn key_cmp(a: (f64, Tid), b: (f64, Tid)) -> Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+/// Bounded top-k pool keyed by `(actual distance, tid)`.
 #[derive(Debug)]
 pub struct ResultPool {
     heap: BinaryHeap<PoolEntry>,
@@ -49,7 +56,7 @@ pub struct ResultPool {
 }
 
 impl ResultPool {
-    /// Pool retaining the `k` smallest distances.
+    /// Pool retaining the `k` smallest `(dist, tid)` pairs.
     pub fn new(k: usize) -> Self {
         Self {
             heap: BinaryHeap::with_capacity(k + 1),
@@ -67,38 +74,51 @@ impl ResultPool {
         self.k
     }
 
-    /// `pool.MaxDist()` of Algorithm 1: the largest distance currently held
-    /// (`+∞` while empty, so everything is admitted).
-    pub fn max_dist(&self) -> f64 {
-        self.heap.peek().map_or(f64::INFINITY, |e| e.dist)
+    /// The entry a full pool would evict next; `None` while there is room
+    /// (and always for `k = 0`).
+    pub(crate) fn worst(&self) -> Option<&PoolEntry> {
+        self.heap.peek().filter(|_| self.heap.len() >= self.k)
     }
 
-    /// The admission test of lines 10/13: true if a candidate with (lower
-    /// bound of) distance `d` could enter the top-k.
-    pub fn admits(&self, d: f64) -> bool {
-        if self.k == 0 {
-            return false;
-        }
-        self.heap.len() < self.k || d < self.max_dist()
+    /// The admission test of lines 10/13: true if tuple `tid`, whose
+    /// distance is at least `lower_bound`, could still enter the top-k —
+    /// the pool has room, or `(lower_bound, tid)` is below its worst entry.
+    pub fn admits_at(&self, lower_bound: f64, tid: Tid) -> bool {
+        self.k > 0
+            && self
+                .worst()
+                .is_none_or(|w| key_cmp((lower_bound, tid), (w.dist, w.tid)).is_lt())
     }
 
     /// The pool's current admission boundary as a single number: a finite
-    /// candidate distance `d` is admitted iff `d < threshold()`. `+∞` while
-    /// the pool is not yet full (everything admitted), the current maximum
-    /// once it is, and `-∞` for `k = 0` (nothing ever admitted). Lets
-    /// batch refiners early-exit over distance-sorted candidate tails
-    /// without consulting the pool per candidate.
+    /// candidate distance `d` is admitted iff `d < threshold()`, or
+    /// `d == threshold()` and its tid is below the worst entry's (the tie
+    /// clause; see [`ResultPool::refine_cap`]). `+∞` while the pool is not
+    /// yet full (everything admitted), the current maximum once it is
+    /// (`pool.MaxDist()` of Algorithm 1), and `-∞` for `k = 0` (nothing
+    /// ever admitted).
     pub fn threshold(&self) -> f64 {
         if self.k == 0 {
             f64::NEG_INFINITY
-        } else if self.heap.len() < self.k {
-            f64::INFINITY
         } else {
-            self.max_dist()
+            self.worst().map_or(f64::INFINITY, |w| w.dist)
         }
     }
 
-    /// `pool.Insert(tid, dist)`: insert, evicting the current maximum when
+    /// The bound a refiner needs `tid`'s distance exact *below*: every
+    /// distance `< refine_cap(tid)` can be admitted, none at or above it
+    /// can. That is [`ResultPool::threshold`], stepped up by one ulp when
+    /// `tid` would win a tie against the worst entry — so a distance equal
+    /// to the threshold is still computed exactly for the tuples it can
+    /// admit.
+    pub fn refine_cap(&self, tid: Tid) -> f64 {
+        match self.worst() {
+            Some(w) if tid < w.tid => w.dist.next_up(),
+            _ => self.threshold(),
+        }
+    }
+
+    /// `pool.Insert(tid, dist)`: insert, evicting the current worst when
     /// over capacity. Returns false if the entry was rejected outright.
     pub fn insert(&mut self, tid: Tid, dist: f64) -> bool {
         self.insert_at(tid, dist, RecordPtr(u64::MAX))
@@ -106,7 +126,7 @@ impl ResultPool {
 
     /// [`ResultPool::insert`] carrying the tuple's table-file location.
     pub fn insert_at(&mut self, tid: Tid, dist: f64, ptr: RecordPtr) -> bool {
-        if !self.admits(dist) {
+        if !self.admits_at(dist, tid) {
             return false;
         }
         self.heap.push(PoolEntry { tid, dist, ptr });
@@ -116,17 +136,24 @@ impl ResultPool {
         true
     }
 
-    /// Drain into ascending-distance order.
+    /// Fold another pool's entries into this one (the union of two top-k
+    /// pools over disjoint tuple sets is the top-k of their union).
+    pub fn absorb(&mut self, other: ResultPool) {
+        for e in other.heap {
+            self.insert_at(e.tid, e.dist, e.ptr);
+        }
+    }
+
+    /// Drain into ascending `(dist, tid)` order.
     pub fn into_sorted(self) -> Vec<PoolEntry> {
-        let mut v = self.heap.into_vec();
-        v.sort();
-        v
+        self.heap.into_sorted_vec()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn keeps_k_smallest() {
@@ -144,13 +171,15 @@ mod tests {
     #[test]
     fn admits_everything_until_full() {
         let mut p = ResultPool::new(2);
-        assert!(p.admits(f64::MAX));
-        assert_eq!(p.max_dist(), f64::INFINITY);
+        assert!(p.admits_at(f64::MAX, 9));
+        assert_eq!(p.threshold(), f64::INFINITY);
         p.insert(0, 10.0);
-        assert!(p.admits(1e300));
-        p.insert(1, 20.0);
-        assert!(!p.admits(20.0)); // equal to max: cannot improve
-        assert!(p.admits(19.999));
+        assert!(p.admits_at(1e300, 9));
+        p.insert(5, 20.0);
+        assert!(!p.admits_at(20.0, 5)); // the worst entry itself
+        assert!(!p.admits_at(20.0, 6)); // equal distance, later tid
+        assert!(p.admits_at(20.0, 4)); // equal distance, earlier tid
+        assert!(p.admits_at(19.999, 9));
     }
 
     #[test]
@@ -167,7 +196,9 @@ mod tests {
     #[test]
     fn k_zero_never_admits() {
         let mut p = ResultPool::new(0);
+        assert!(!p.admits_at(0.0, 0));
         assert!(!p.insert(0, 0.0));
+        assert_eq!(p.refine_cap(0), f64::NEG_INFINITY);
         assert!(p.into_sorted().is_empty());
     }
 
@@ -178,9 +209,8 @@ mod tests {
             p.insert(tid, 1.0);
         }
         let tids: Vec<_> = p.into_sorted().iter().map(|e| e.tid).collect();
-        // Once full, equal-distance candidates are rejected (strict `<`),
-        // so the first two arrivals survive, sorted by the tid tie-break.
-        assert_eq!(tids, vec![1, 5]);
+        // Equal distances rank by tid, whatever the arrival order.
+        assert_eq!(tids, vec![1, 3]);
     }
 
     #[test]
@@ -189,11 +219,17 @@ mod tests {
         assert_eq!(p.threshold(), f64::INFINITY);
         p.insert(0, 10.0);
         assert_eq!(p.threshold(), f64::INFINITY); // not full yet
-        p.insert(1, 20.0);
+        assert_eq!(p.refine_cap(7), f64::INFINITY);
+        p.insert(4, 20.0);
         assert_eq!(p.threshold(), 20.0);
-        // admits(d) ⟺ d < threshold() for finite d.
+        // Off the tie, admits_at(d, ·) ⟺ d < threshold(); on it the tid
+        // decides, and refine_cap says which side a tid is on.
         for d in [0.0, 19.999, 20.0, 25.0] {
-            assert_eq!(p.admits(d), d < p.threshold(), "d={d}");
+            for tid in [3u64, 5] {
+                let want = d < 20.0 || (d == 20.0 && tid < 4);
+                assert_eq!(p.admits_at(d, tid), want, "d={d} tid={tid}");
+                assert_eq!(d < p.refine_cap(tid), want, "d={d} tid={tid}");
+            }
         }
         p.insert(2, 5.0); // evicts 20.0
         assert_eq!(p.threshold(), 10.0);
@@ -207,5 +243,66 @@ mod tests {
         p.insert(0, 1.0);
         p.insert(1, 2.0);
         assert_eq!(p.size(), 2);
+    }
+
+    #[test]
+    fn non_finite_distances_have_a_place_in_the_order() {
+        // `total_cmp` never answers "equal by default": NaN sorts above
+        // +∞, so a poisoned distance loses to every real one.
+        let mut p = ResultPool::new(2);
+        p.insert(0, f64::NAN);
+        p.insert(1, f64::INFINITY);
+        p.insert(2, 3.0);
+        p.insert(3, 1.0);
+        let tids: Vec<_> = p.into_sorted().iter().map(|e| e.tid).collect();
+        assert_eq!(tids, vec![3, 2]);
+    }
+
+    proptest! {
+        /// The pool is a function of the multiset inserted: every visiting
+        /// order of a sequence with duplicate distances leaves the k
+        /// smallest `(dist, tid)`, and so does a union of partial pools.
+        #[test]
+        fn content_is_order_independent(
+            dists in proptest::collection::vec(0u8..6, 0..40),
+            shuffles in proptest::collection::vec(any::<u64>(), 4),
+            split in 0usize..40,
+        ) {
+            let items: Vec<(Tid, f64)> = dists
+                .iter()
+                .enumerate()
+                .map(|(tid, &d)| (tid as Tid, f64::from(d) * 0.5))
+                .collect();
+            for k in [0usize, 1, 3, 10] {
+                let mut want = items.clone();
+                want.sort_by(|a, b| key_cmp((a.1, a.0), (b.1, b.0)));
+                want.truncate(k);
+                let mut orders = vec![items.clone(), items.iter().rev().copied().collect()];
+                for &seed in &shuffles {
+                    // Fisher-Yates off a splitmix-style stream.
+                    let mut v = items.clone();
+                    let mut s = seed;
+                    for i in (1..v.len()).rev() {
+                        s = s.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(0x2545_F491_4F6C_DD1D);
+                        v.swap(i, (s >> 33) as usize % (i + 1));
+                    }
+                    orders.push(v);
+                }
+                for order in &orders {
+                    let mut whole = ResultPool::new(k);
+                    let (mut left, mut right) = (ResultPool::new(k), ResultPool::new(k));
+                    for (i, &(tid, d)) in order.iter().enumerate() {
+                        whole.insert(tid, d);
+                        if i < split { left.insert(tid, d) } else { right.insert(tid, d) };
+                    }
+                    left.absorb(right);
+                    for pool in [whole, left] {
+                        let got: Vec<(Tid, f64)> =
+                            pool.into_sorted().iter().map(|e| (e.tid, e.dist)).collect();
+                        prop_assert_eq!(&got, &want, "k={}", k);
+                    }
+                }
+            }
+        }
     }
 }

@@ -9,10 +9,11 @@
 //! * [`bounded_distance`] is what query execution runs (Algorithm 1 lines
 //!   13–16). It reads the query's attributes straight out of the stored
 //!   record's bytes ([`RecordView`]) and is told the result pool's
-//!   admission threshold, so it can stop as soon as the tuple provably
-//!   cannot enter the pool. It returns the exact distance when that is
-//!   below the threshold and otherwise *some* value at or above it —
-//!   which the pool rejects either way (DESIGN.md §15, "Refine on bytes").
+//!   admission bound for the tuple ([`crate::ResultPool::refine_cap`]),
+//!   so it can stop as soon as the tuple provably cannot enter the pool.
+//!   It returns the exact distance when that is below the bound and
+//!   otherwise *some* value at or above it — which the pool rejects
+//!   either way (DESIGN.md §15, "Refine on bytes").
 //! * [`exact_distance`] is the reference oracle over a materialized
 //!   [`Tuple`]: baselines, brute-force checks and tests.
 
@@ -217,14 +218,17 @@ pub fn bounded_distance<M: Metric>(
 pub struct QueryStats {
     /// Tuples examined in the filter step.
     pub tuples_scanned: u64,
-    /// Candidates that passed the filter and were fetched from the table
-    /// file (the paper's "table file accesses", Fig. 8). Identical for
-    /// serial and parallel execution of the same query.
+    /// Records fetched from the table file and refined (the paper's
+    /// "table file accesses", Fig. 8), summed over the workers of a
+    /// segmented-parallel scan and the tiers of a segmented store. A
+    /// property of the plan, not of the answer: it grows with the number
+    /// of lanes the tuple list is split into, and is the same for every
+    /// `refine_batch` on one lane.
     pub table_accesses: u64,
-    /// Extra table fetches made by parallel filter workers whose private
-    /// pools admit more loosely than the merged pool (0 when
-    /// single-threaded). Physical reads beyond the serial plan's — the
-    /// price paid for segment parallelism.
+    /// Records a `refine_batch > 1` round pinned and its replay then
+    /// rejected, because the pool tightened while the round was replayed.
+    /// Physical reads on top of `table_accesses`; 0 at `refine_batch = 1`
+    /// in every execution shape.
     pub speculative_accesses: u64,
     /// Time spent scanning the index and estimating distances, in nanos.
     pub filter_nanos: u64,

@@ -1,50 +1,63 @@
 //! lint:scope(no-panic-decode)
 //! The scan spine: the one walk of Algorithm 1 (Sec. IV-A) and the one
-//! fetch-and-replay round every execution shape runs.
+//! fetch-and-replay routine every execution shape runs.
 //!
 //! [`IvaIndex::scan`] walks tuple-list positions `[lo, hi)` once, in step
 //! with the vector lists of every [`Lane`] riding it. A lane is one query:
 //! its per-attribute [`AttrScan`] positions, its top-k pool and counters
-//! (a [`ScanCarry`]), and the candidates its pool admitted at scan time
-//! but has not fetched yet. Once the lanes together hold `refine_batch`
-//! pending candidates, one page-coalesced [`SwtTable::fetch`] pins them
-//! all and each lane's admission test is replayed in scan order, the
-//! distance of every admitted candidate computed from the record's bytes
-//! in the pinned page ([`bounded_distance`], cut off at the pool's
-//! threshold — see "Refine on bytes" below).
+//! (a [`ScanCarry`]), and `pending` — every candidate `(est, tid, ptr)`
+//! the live pool admitted during the walk. The walk refines nothing. When
+//! a lane's range ends (or it holds a window of `drain_at` candidates) the
+//! lane **drains**, fetching by need rather than by scan position:
 //!
-//! **Replay lemma.** A lane's scan-time test runs against a pool that is
-//! missing, at most, the inserts of its own still-pending candidates — a
-//! threshold never tighter than the one-at-a-time scan's at the same
-//! position — so `pending` is a superset of what that scan fetches.
-//! Replaying the exact test in scan order against the now-current pool
-//! admits, by induction, exactly the one-at-a-time scan's candidates with
-//! exactly its pool after each; rejects are surplus fetches, counted in
-//! [`crate::QueryStats::speculative_accesses`]. The argument never uses
-//! *when* a flush happens, so it holds for every `refine_batch` (at 1 the
-//! replay is trivially true) and for flush schedules driven by other
-//! lanes.
+//! 1. **probe** — the k candidates with the smallest `(est, tid)` are
+//!    refined first, in table order. They are the likeliest answers, so
+//!    after them the pool's threshold is at or near its final value;
+//! 2. **sweep** — the rest of `pending`, in scan order, each tested
+//!    against the now-tight pool *before* it is fetched.
+//!
+//! Both passes run the same routine: candidates the pool still admits are
+//! gathered into chunks of `refine_batch`, each chunk is pinned by one
+//! page-coalesced [`SwtTable::fetch`], and the admission test is replayed
+//! per record with the distance computed from the record's bytes in the
+//! pinned page ([`bounded_distance`], see "Refine on bytes" below). Table
+//! order inside a pass keeps the cold path's reads ascending — strict
+//! best-first order would seek backwards for every record.
+//!
+//! **Order-independence lemma.** The pool keeps the k smallest
+//! `(dist, tid)` of what was inserted, whatever the order (see
+//! [`crate::pool`]). A candidate is skipped — at walk time, before a fetch
+//! or in a chunk's replay — only when `(est, tid)` is at or above the
+//! pool's worst entry; `est ≤ dist`, and the worst entry only falls, so a
+//! skipped candidate is not among the k smallest `(dist, tid)` of the
+//! tuples visited. Hence *any* visiting order, window size, chunking or
+//! partition into lanes leaves the pool holding exactly those k, and
+//! because every tuple list is tid-ascending that is Algorithm 1's
+//! "strictly smaller distance, first arrival wins" answer. What the order
+//! changes is only how many records are fetched
+//! ([`crate::QueryStats::table_accesses`]); records a `refine_batch > 1`
+//! chunk pinned and its replay then rejected are counted in
+//! [`crate::QueryStats::speculative_accesses`] (none at `refine_batch = 1`).
 //!
 //! **Refine on bytes.** The replay hands [`bounded_distance`] the pool's
-//! [`threshold`](crate::ResultPool::threshold) and gets back the exact
-//! distance if that is below it and otherwise *some* value at or above
-//! it. `insert_at` admits on strict `<`, so the pool cannot tell the
-//! difference: every pool, threshold, admission and counter is what the
-//! full distance would have produced. That is immediate for a lane's own
-//! pool and for a pool carried across LSM tiers (the same pool); for the
-//! candidate log a segmented-parallel worker hands to the merge it needs
-//! one more step — the merged pool is never looser than the worker's was
-//! — argued once, next to the replay lemma, in DESIGN.md §15.
+//! [`refine_cap`](crate::ResultPool::refine_cap) for the candidate's tid
+//! and gets back the exact distance if that is below the cap and otherwise
+//! *some* value at or above it. The cap is the pool's threshold, stepped
+//! up one ulp when the tid would win a tie against the worst entry — so
+//! the distance is exact up to *and including* the threshold exactly when
+//! a tie can be admitted, and every value `insert_at` admits is exact.
+//! Whatever it rejects it would have rejected at its exact value too.
 //!
 //! The three execution shapes are arguments of the one function:
 //!
 //! * **serial** — one lane over `0..n` on the caller's carried pool
-//!   ([`IvaIndex::scan_serial`]);
+//!   ([`IvaIndex::scan_serial`]); a pool carried across LSM tiers is
+//!   simply already tight when the next tier's walk starts;
 //! * **segmented-parallel** — per worker, one lane over its `[lo, hi)` on
-//!   a private pool with the candidate log on; [`crate::parallel`] fans
-//!   out and applies the lemma once more to merge the logs;
-//! * **batch** — N lanes over `0..n` sharing the tuple-list read and the
-//!   fetch rounds ([`IvaIndex::query_batch`]).
+//!   a private pool; [`crate::parallel`] fans out and unions the pools;
+//! * **batch** — N lanes over `0..n` sharing the tuple-list read
+//!   ([`IvaIndex::query_batch`]); each lane drains on its own count, so
+//!   its numbers are those of its solo run.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -59,6 +72,7 @@ use crate::layout::{AttrEntry, ListEncoding, TOMBSTONE_PTR};
 use crate::metric::Metric;
 use crate::numeric::NumericCodec;
 use crate::packed::PackedReader;
+use crate::pool::{PoolEntry, ResultPool};
 use crate::query::{bounded_distance, Query};
 use crate::tier::NumColumn;
 use crate::timing::{monotonic_nanos, thread_cpu_time};
@@ -222,16 +236,11 @@ pub(crate) fn weighted_bounds(
     Ok(any_defined)
 }
 
-/// One candidate a lane fetched and admitted, in scan order — the input
-/// of the segmented-parallel merge replay.
-pub(crate) struct Candidate {
-    pub(crate) tid: u64,
-    pub(crate) ptr: u64,
-    pub(crate) est: f64,
-    /// The lane's [`bounded_distance`]: exact if below the lane's pool
-    /// threshold at the time, otherwise only known to be at or above it.
-    pub(crate) actual: f64,
-}
+/// Pending candidates at which a lane drains mid-range (1.5 MiB of
+/// them). A window's probe can only be as good as the window is
+/// wide, so this is sized to hold a whole scan's candidates in practice;
+/// [`IvaIndex::scan`] takes it as an argument only so tests can shrink it.
+pub(crate) const DRAIN_AT: usize = 65_536;
 
 /// One query riding a scan.
 pub(crate) struct Lane<'a> {
@@ -240,14 +249,14 @@ pub(crate) struct Lane<'a> {
     attrs: Vec<AttrScan<'a>>,
     carry: &'a mut ScanCarry,
     /// One slot per query value: the filter's weighted lower bounds
-    /// during the walk, the refine step's weighted differences in a flush.
+    /// during the walk, the refine step's weighted differences in a drain.
     diffs: Vec<f64>,
     /// Where a fetched record keeps the query's attributes (refine only).
     locs: Vec<FieldLoc>,
-    /// Admitted at scan time, not yet fetched: `(ptr, est)` in scan order.
-    pending: Vec<(u64, f64)>,
-    /// Every candidate the flush replay admitted, if asked for.
-    log: Option<Vec<Candidate>>,
+    /// Admitted by the live pool during the walk and not refined yet, in
+    /// scan order — entries whose `dist` is the *estimate*. Sized once,
+    /// when the scan starts, and reused across drains.
+    pending: Vec<PoolEntry>,
 }
 
 impl<'a> Lane<'a> {
@@ -260,13 +269,17 @@ impl<'a> Lane<'a> {
         lambda: &'a [f64],
         shared: &'a [SharedAttr<'a>],
         carry: &'a mut ScanCarry,
-        log_candidates: bool,
     ) -> Result<Self> {
         if lambda.len() != query.len() {
             return Err(IvaError::InvalidArgument(format!(
                 "weight vector has {} entries for a {}-attribute query",
                 lambda.len(),
                 query.len()
+            )));
+        }
+        if let Some(bad) = lambda.iter().find(|l| !l.is_finite()) {
+            return Err(IvaError::InvalidArgument(format!(
+                "attribute weight {bad} is not a finite number"
             )));
         }
         Ok(Self {
@@ -277,13 +290,7 @@ impl<'a> Lane<'a> {
             diffs: vec![0.0; query.len()],
             locs: Vec::with_capacity(query.len()),
             pending: Vec::new(),
-            log: log_candidates.then(Vec::new),
         })
-    }
-
-    /// The candidate log (empty unless the lane was opened with it on).
-    pub(crate) fn into_log(self) -> Vec<Candidate> {
-        self.log.unwrap_or_default()
     }
 }
 
@@ -313,39 +320,59 @@ impl IvaIndex {
         ))
     }
 
-    /// Walk tuple-list positions `range` once for every lane (see the
-    /// module doc). Lanes must be freshly opened. With `measured` false no
-    /// clock is read.
+    /// Walk tuple-list positions `range` once for every lane, draining
+    /// each lane at `drain_at` pending candidates and at the end of the
+    /// range (see the module doc). Lanes must be freshly opened. With
+    /// `measured` false no clock is read.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn scan<M: Metric>(
         &self,
         table: &SwtTable,
         lanes: &mut [Lane<'_>],
         range: Range<u64>,
         refine_batch: usize,
+        drain_at: usize,
         metric: &M,
         measured: bool,
     ) -> Result<PhaseNanos> {
         let ndf = self.config().ndf_penalty;
         let mut tsrc = self.open_tuple_source()?;
         tsrc.skip_entries(range.start)?;
+        // A lane never holds more than a window, nor more than its range.
+        let window = usize::try_from(range.end.saturating_sub(range.start))
+            .map_or(drain_at, |n| n.min(drain_at));
         for lane in lanes.iter_mut() {
             for a in &mut lane.attrs {
                 a.seek(range.start)?;
             }
+            lane.pending.reserve_exact(window);
         }
-        let batch = refine_batch.max(1);
-        // Fetch buffers, reused across flushes.
-        let mut ptrs: Vec<RecordPtr> = Vec::new();
-        let mut scratch: Vec<u8> = Vec::new();
-        let mut n_pending = 0usize;
+        let mut refiner = Refiner {
+            table,
+            metric,
+            ndf,
+            batch: refine_batch.max(1),
+            measured,
+            chunk: Vec::new(),
+            ptrs: Vec::new(),
+            scratch: Vec::new(),
+        };
         // The thread-CPU clock is a real syscall (~0.2 µs), so it is read
-        // twice per scan, not twice per flush; the scan's CPU time is
-        // split between the phases by the share of the (vDSO, ~25 ns)
-        // monotonic clock each flush took.
+        // twice per scan; the scan's CPU time is split between the phases
+        // by the share of the (vDSO, ~25 ns) monotonic clock the drains
+        // took.
         let mut refine_wall = 0u64;
         let start = measured.then(|| (thread_cpu_time(), monotonic_nanos()));
+        let mut prev_tid = None;
         for _ in range {
             let (tid, ptr) = tsrc.next_entry()?;
+            // The tie rule (lowest tid wins) equals Algorithm 1's "first
+            // arrival wins" only because tuple lists are tid-ascending.
+            debug_assert!(
+                prev_tid < Some(tid),
+                "tuple list not tid-ascending at {tid}"
+            );
+            prev_tid = Some(tid);
             for lane in lanes.iter_mut() {
                 lane.carry.stats.tuples_scanned += 1;
                 if ptr == TOMBSTONE_PTR {
@@ -354,18 +381,17 @@ impl IvaIndex {
                 }
                 weighted_bounds(&mut lane.attrs, tid, lane.lambda, ndf, &mut lane.diffs)?;
                 let est = metric.combine(&lane.diffs);
-                if lane.carry.pool.admits(est) {
-                    lane.pending.push((ptr, est));
-                    n_pending += 1;
+                let (tid, dist, ptr) = (u64::from(tid), est, RecordPtr(ptr));
+                if lane.carry.pool.admits_at(est, tid) {
+                    lane.pending.push(PoolEntry { tid, dist, ptr });
+                    if lane.pending.len() >= drain_at {
+                        refine_wall += refiner.drain(lane)?;
+                    }
                 }
             }
-            if n_pending >= batch {
-                refine_wall += flush(table, lanes, metric, ndf, &mut ptrs, &mut scratch, measured)?;
-                n_pending = 0;
-            }
         }
-        if n_pending > 0 {
-            refine_wall += flush(table, lanes, metric, ndf, &mut ptrs, &mut scratch, measured)?;
+        for lane in lanes.iter_mut() {
+            refine_wall += refiner.drain(lane)?;
         }
         Ok(match start {
             Some((cpu_start, wall_start)) => {
@@ -395,15 +421,17 @@ impl IvaIndex {
         lambda: &[f64],
         measured: bool,
         refine_batch: usize,
+        drain_at: usize,
         carry: &mut ScanCarry,
     ) -> Result<()> {
         let (shared, prepare_nanos) = self.prepare_query_timed(query, measured)?;
-        let mut lanes = [Lane::open(self, query, lambda, &shared, carry, false)?];
+        let mut lanes = [Lane::open(self, query, lambda, &shared, carry)?];
         let nanos = self.scan(
             table,
             &mut lanes,
             0..self.n_tuples(),
             refine_batch,
+            drain_at,
             metric,
             measured,
         )?;
@@ -422,58 +450,104 @@ pub(crate) fn next_fetched<'f>(fetch: &'f mut RecordFetch<'_>) -> Result<RecordR
         .ok_or_else(|| IvaError::Corrupt("batch fetch shorter than request".into()))
 }
 
-/// The one fetch-and-replay round: pin every lane's pending candidates as
-/// a single page-ordered, coalesced batch, then replay each lane's
-/// admission test in scan order against its now-current pool (the module
-/// doc's replay lemma), reading each admitted record in place. Returns
-/// the monotonic-clock nanos it took (0 if unmeasured).
-fn flush<M: Metric>(
-    table: &SwtTable,
-    lanes: &mut [Lane<'_>],
-    metric: &M,
+/// The refine step of one [`IvaIndex::scan`] call: what every drain
+/// needs besides the lane, and the fetch buffers reused across them.
+struct Refiner<'a, M> {
+    table: &'a SwtTable,
+    metric: &'a M,
     ndf: f64,
-    ptrs: &mut Vec<RecordPtr>,
-    scratch: &mut Vec<u8>,
+    /// Candidates per fetch round (`refine_batch`, at least 1).
+    batch: usize,
     measured: bool,
-) -> Result<u64> {
-    let start = measured.then(monotonic_nanos);
-    ptrs.clear();
-    for lane in lanes.iter() {
-        ptrs.extend(lane.pending.iter().map(|&(p, _)| RecordPtr(p)));
+    /// The round being gathered (`dist` holds the estimate).
+    chunk: Vec<PoolEntry>,
+    ptrs: Vec<RecordPtr>,
+    scratch: Vec<u8>,
+}
+
+impl<M: Metric> Refiner<'_, M> {
+    /// Drain `lane.pending`: probe the k smallest `(est, tid)`, then sweep
+    /// the rest, both in scan order (see the module doc). Returns the
+    /// monotonic-clock nanos it took (0 if unmeasured).
+    fn drain(&mut self, lane: &mut Lane<'_>) -> Result<u64> {
+        if lane.pending.is_empty() {
+            return Ok(0);
+        }
+        let start = self.measured.then(monotonic_nanos);
+        let pending = std::mem::take(&mut lane.pending);
+        // Bounded-heap selection: a pool keyed by estimate keeps exactly
+        // the probe set, and its worst entry is the cut between probe and
+        // sweep. With k or fewer candidates the probe is everything.
+        let mut best = ResultPool::new(lane.carry.pool.capacity());
+        for c in &pending {
+            best.insert_at(c.tid, c.dist, c.ptr);
+        }
+        let cut = best.worst().copied();
+        let mut probe = best.into_sorted();
+        probe.sort_unstable_by_key(|c| c.tid); // back into table order
+        self.pass(lane, probe.into_iter(), None)?;
+        if cut.is_some() {
+            self.pass(lane, pending.iter().copied(), cut)?;
+        }
+        lane.pending = pending;
+        lane.pending.clear();
+        Ok(start.map_or(0, |t| monotonic_nanos().saturating_sub(t)))
     }
-    let mut fetch = table.fetch(ptrs, scratch)?;
-    for lane in lanes.iter_mut() {
+
+    /// The one fetch-and-replay routine: every candidate of `cands` that
+    /// the lane's pool still admits — and that lies above `cut`, if the
+    /// probe already took everything at or below it — joins the current
+    /// round; a full round is fetched and replayed.
+    fn pass(
+        &mut self,
+        lane: &mut Lane<'_>,
+        cands: impl Iterator<Item = PoolEntry>,
+        cut: Option<PoolEntry>,
+    ) -> Result<()> {
+        for c in cands {
+            if lane.carry.pool.admits_at(c.dist, c.tid) && cut.is_none_or(|cut| c > cut) {
+                self.chunk.push(c);
+                if self.chunk.len() >= self.batch {
+                    self.round(lane)?;
+                }
+            }
+        }
+        self.round(lane)
+    }
+
+    /// Pin the gathered round as one page-ordered, coalesced batch and
+    /// replay the admission test per record against the now-current pool,
+    /// reading each admitted record in place.
+    fn round(&mut self, lane: &mut Lane<'_>) -> Result<()> {
+        if self.chunk.is_empty() {
+            return Ok(());
+        }
+        self.ptrs.clear();
+        self.ptrs.extend(self.chunk.iter().map(|c| c.ptr));
+        let mut fetch = self.table.fetch(&self.ptrs, &mut self.scratch)?;
         let ScanCarry { pool, stats } = &mut *lane.carry;
-        for &(ptr, est) in &lane.pending {
+        for c in &self.chunk {
             let rec = next_fetched(&mut fetch)?;
-            if pool.admits(est) {
+            if pool.admits_at(c.dist, c.tid) {
                 stats.table_accesses += 1;
                 let actual = bounded_distance(
                     &rec.view,
                     lane.query,
                     lane.lambda,
-                    metric,
-                    ndf,
-                    pool.threshold(),
+                    self.metric,
+                    self.ndf,
+                    pool.refine_cap(c.tid),
                     &mut lane.diffs,
                     &mut lane.locs,
                 )?;
-                pool.insert_at(rec.tid, actual, RecordPtr(ptr));
-                if let Some(log) = &mut lane.log {
-                    log.push(Candidate {
-                        tid: rec.tid,
-                        ptr,
-                        est,
-                        actual,
-                    });
-                }
+                pool.insert_at(c.tid, actual, c.ptr);
             } else {
                 stats.speculative_accesses += 1;
             }
         }
-        lane.pending.clear();
+        self.chunk.clear();
+        Ok(())
     }
-    Ok(start.map_or(0, |t| monotonic_nanos().saturating_sub(t)))
 }
 
 #[cfg(test)]
@@ -486,8 +560,8 @@ mod tests {
     use iva_storage::{IoStats, PagerOptions};
     use iva_swt::{AttrId, Tuple, Value};
 
-    /// The scan reads the CPU clock twice and apportions it by each
-    /// flush's monotonic share: both phases are charged, and together they
+    /// The scan reads the CPU clock twice and apportions it by the
+    /// drains' monotonic share: both phases are charged, and together they
     /// are the scan's CPU time, at every batch size — and an unmeasured
     /// scan reads no clock at all.
     #[test]
@@ -509,8 +583,7 @@ mod tests {
         for batch in [1usize, 64] {
             for measured in [true, false] {
                 let mut carry = ScanCarry::new(10);
-                let mut lanes =
-                    [Lane::open(&index, &q, &[1.0], &shared, &mut carry, false).unwrap()];
+                let mut lanes = [Lane::open(&index, &q, &[1.0], &shared, &mut carry).unwrap()];
                 let before = crate::timing::thread_cpu_time();
                 let nanos = index
                     .scan(
@@ -518,6 +591,7 @@ mod tests {
                         &mut lanes,
                         0..index.n_tuples(),
                         batch,
+                        DRAIN_AT,
                         &MetricKind::L2,
                         measured,
                     )
@@ -575,8 +649,15 @@ mod tests {
         // Batch of two: one well-formed lane does not excuse the other.
         let shared = index.prepare_query(&q).unwrap();
         let (mut a, mut b) = (ScanCarry::new(3), ScanCarry::new(3));
-        assert!(Lane::open(&index, &q, &good, &shared, &mut a, false).is_ok());
-        let second = Lane::open(&index, &q, &short, &shared, &mut b, false);
+        assert!(Lane::open(&index, &q, &good, &shared, &mut a).is_ok());
+        let second = Lane::open(&index, &q, &short, &shared, &mut b);
         assert!(rejected(second.map(|_| ())));
+        // A weight that is not a number poisons every distance: rejected
+        // at the same door.
+        for bad in [f64::NAN, f64::INFINITY] {
+            let weights = [1.0, bad];
+            let third = Lane::open(&index, &q, &weights, &shared, &mut b);
+            assert!(rejected(third.map(|_| ())), "{bad}");
+        }
     }
 }

@@ -153,21 +153,22 @@ impl IvaIndex {
             }
         }
         // To stay exact when fewer than k candidates exist, the leftovers
-        // are refined afterwards in lower-bound order, in rounds: select
-        // the longest prefix still admitted under the pool's *current*
-        // [`ResultPool::threshold`], batch-fetch it page-coalesced, and
-        // replay per candidate. Lower bounds ascend and the threshold only
-        // tightens, so the first non-admitted candidate ends refinement
-        // for good — replay-rejected fetches within a round are the stale-
-        // threshold surplus and count as speculative.
-        if pool.size() < k || leftovers.iter().any(|&(_, _, lb)| pool.admits(lb)) {
-            leftovers.sort_by(|a, b| a.2.partial_cmp(&b.2).unwrap_or(std::cmp::Ordering::Equal));
+        // are refined afterwards in `(lower bound, tid)` order, in rounds:
+        // select the longest prefix the pool's *current* state still
+        // admits, batch-fetch it page-coalesced, and replay per candidate.
+        // The order ascends and the pool's worst entry only falls, so the
+        // first non-admitted candidate ends refinement for good —
+        // replay-rejected fetches within a round are the stale-threshold
+        // surplus and count as speculative.
+        let admitted = |pool: &ResultPool, l: &(u64, u64, f64)| pool.admits_at(l.2, l.0);
+        if leftovers.iter().any(|l| admitted(&pool, l)) {
+            // Stable, and `leftovers` is in tid order: ties keep it.
+            leftovers.sort_by(|a, b| a.2.total_cmp(&b.2));
             let mut i = 0;
             while i < leftovers.len() {
-                let threshold = pool.threshold();
                 let mut j = i;
                 while let Some(l) = leftovers.get(j) {
-                    if j - i >= REFINE_CHUNK || (pool.size() + (j - i) >= k && l.2 >= threshold) {
+                    if j - i >= REFINE_CHUNK || !admitted(&pool, l) {
                         break;
                     }
                     j += 1;
@@ -178,12 +179,12 @@ impl IvaIndex {
                 let round = leftovers.get(i..j).unwrap_or(&[]);
                 let ptrs: Vec<RecordPtr> = round.iter().map(|&(_, p, _)| RecordPtr(p)).collect();
                 let mut fetch = table.fetch(&ptrs, &mut scratch)?;
-                for &(tid, ptr, lb) in round {
+                for l in round {
                     let rec = next_fetched(&mut fetch)?;
-                    if pool.admits(lb) {
+                    if admitted(&pool, l) {
                         stats.table_accesses += 1;
-                        let actual = distance(&rec.view, pool.threshold())?;
-                        pool.insert_at(tid, actual, RecordPtr(ptr));
+                        let actual = distance(&rec.view, pool.refine_cap(l.0))?;
+                        pool.insert_at(l.0, actual, RecordPtr(l.1));
                     } else {
                         stats.speculative_accesses += 1;
                     }
@@ -313,10 +314,13 @@ mod tests {
                 leftovers.push((tid, ptr, lb));
             }
         }
-        if pool.size() < k || leftovers.iter().any(|&(_, _, lb)| pool.admits(lb)) {
-            leftovers.sort_by(|a, b| a.2.partial_cmp(&b.2).unwrap_or(std::cmp::Ordering::Equal));
+        if leftovers
+            .iter()
+            .any(|&(tid, _, lb)| pool.admits_at(lb, tid))
+        {
+            leftovers.sort_by(|a, b| a.2.total_cmp(&b.2));
             for &(tid, ptr, lb) in &leftovers {
-                if !pool.admits(lb) {
+                if !pool.admits_at(lb, tid) {
                     break;
                 }
                 let rec = table.get(RecordPtr(ptr)).unwrap();

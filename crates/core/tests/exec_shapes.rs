@@ -1,17 +1,19 @@
 //! The execution shapes of the scan spine against the serial scan on one
 //! fixed table: segmented-parallel (`query_opts` at 2+ threads) and batch
-//! (`query_batch`). The randomized sweep over list organizations,
-//! encodings and tier states lives in `properties.rs`.
+//! (`query_batch`); and the spine's drain — probe, sweep, window — against
+//! a brute-force k-smallest-`(dist, tid)`. The randomized sweep over list
+//! organizations, encodings and tier states lives in `properties.rs`.
 
 mod common;
 
-use common::assert_bit_identical;
+use common::{assert_bit_identical, assert_same_plan};
 use iva_core::{
-    build_index, BatchItem, IndexTarget, IvaConfig, MetricKind, Query, QueryOptions, QueryOutcome,
-    WeightScheme,
+    build_index, exact_distance, BatchItem, IndexTarget, IvaConfig, IvaIndex, Metric, MetricKind,
+    Query, QueryOptions, QueryOutcome, ScanCarry, WeightScheme,
 };
 use iva_storage::{IoStats, PagerOptions};
 use iva_swt::{AttrId, SwtTable, Tuple, Value};
+use iva_text::PreparedMatcher;
 
 fn opts() -> PagerOptions {
     PagerOptions {
@@ -146,8 +148,10 @@ fn thread_count_clamps_to_segment_floor() {
     assert_bit_identical(&serial, &par, "clamped");
 }
 
+/// `speculative_accesses` counts records a `refine_batch > 1` round pinned
+/// and its replay rejected: 0 at B = 1 in every shape, possibly more above.
 #[test]
-fn speculative_accesses_only_in_parallel_runs() {
+fn speculative_accesses_only_in_batched_rounds() {
     let table = table(600);
     let index = build_index(
         &table,
@@ -157,23 +161,47 @@ fn speculative_accesses_only_in_parallel_runs() {
         IvaConfig::default(),
     )
     .unwrap();
-    let q = probe();
-    let serial = index
-        .query(&table, &q, 3, &MetricKind::L2, WeightScheme::Equal)
-        .unwrap();
-    assert_eq!(serial.stats.speculative_accesses, 0);
-    let o = QueryOptions {
-        threads: Some(4),
-        measured: true,
-        refine_batch: None,
+    // Misspelt, so estimates are loose and a gathered round goes stale.
+    let q = Query::new().text(AttrId(0), "prodct listng 42");
+    let run = |threads: usize, refine_batch: usize| {
+        let o = QueryOptions {
+            threads: Some(threads),
+            measured: true,
+            refine_batch: Some(refine_batch),
+        };
+        index
+            .query_opts(&table, &q, 10, &MetricKind::L2, WeightScheme::Equal, &o)
+            .unwrap()
     };
-    let par = index
-        .query_opts(&table, &q, 3, &MetricKind::L2, WeightScheme::Equal, &o)
-        .unwrap();
-    // Workers 2..4 start with empty pools, so they must over-fetch at
-    // least their warm-up candidates.
-    assert!(par.stats.speculative_accesses > 0);
-    assert_eq!(par.stats.table_accesses, serial.stats.table_accesses);
+    let serial = run(1, 1);
+    for threads in [1usize, 2, 4] {
+        let unbatched = run(threads, 1);
+        assert_eq!(unbatched.stats.speculative_accesses, 0, "threads={threads}");
+        let batched = run(threads, 64);
+        assert_bit_identical(&serial, &batched, &format!("threads={threads} B=64"));
+        // A round only pins what the pool admitted when it was gathered,
+        // and every refined record is one the unbatched plan refines too.
+        assert_eq!(batched.stats.table_accesses, unbatched.stats.table_accesses);
+    }
+    // A 64-candidate round of the sweep is gathered against the pool the
+    // probe left; the pool tightens while the round is replayed.
+    assert!(run(1, 64).stats.speculative_accesses > 0);
+    let items = [BatchItem {
+        query: &q,
+        k: 10,
+        weights: WeightScheme::Equal,
+    }; 2];
+    let o = QueryOptions {
+        refine_batch: Some(1),
+        ..QueryOptions::default()
+    };
+    for member in index
+        .query_batch(&table, &items, &MetricKind::L2, &o)
+        .unwrap()
+    {
+        assert_eq!(member.stats.speculative_accesses, 0);
+        assert_same_plan(&serial, &member, "batch member at B=1");
+    }
 }
 
 /// A spread of distinct probes so batch members chase different
@@ -234,7 +262,7 @@ fn batch_matches_solo_bit_for_bit() {
             .unwrap();
         assert_eq!(batch.len(), solo.len());
         for (i, (b, s)) in batch.iter().zip(&solo).enumerate() {
-            assert_bit_identical(s, b, &format!("B={refine_batch} item={i}"));
+            assert_same_plan(s, b, &format!("B={refine_batch} item={i}"));
         }
     }
 }
@@ -279,7 +307,7 @@ fn batch_matches_solo_with_tombstones() {
         .query_batch(&table, &items, &MetricKind::L1, &o)
         .unwrap();
     for (i, (b, s)) in batch.iter().zip(&solo).enumerate() {
-        assert_bit_identical(s, b, &format!("item={i}"));
+        assert_same_plan(s, b, &format!("item={i}"));
         assert_eq!(b.stats.filter_nanos, 0, "unmeasured run read the clock");
         assert_eq!(b.stats.refine_nanos, 0);
     }
@@ -354,6 +382,215 @@ fn identical_members_get_identical_answers() {
         .query(&table, &q, 7, &MetricKind::L2, WeightScheme::Equal)
         .unwrap();
     for b in &batch {
-        assert_bit_identical(&solo, b, "identical member");
+        assert_same_plan(&solo, b, "identical member");
+    }
+}
+
+/// Text-only table for the drain tests: `attr 0` is drawn from a handful
+/// of near-identical titles, so far more than k tuples tie at every
+/// distance — across any window or segment boundary — and `attr 1` is
+/// defined by three tuples only.
+fn tie_table(n: u32) -> (SwtTable, Vec<Tuple>) {
+    let mut t = SwtTable::create_mem(&opts(), IoStats::new()).unwrap();
+    let title = t.define_text("title").unwrap();
+    let rare = t.define_text("rare").unwrap();
+    let mut tuples = Vec::new();
+    for i in 0..n {
+        let mut tup = Tuple::new();
+        if i % 3 != 1 {
+            tup.set(title, Value::text(format!("listing {:02}", (i * 7) % 5)));
+        }
+        if [n / 2, n / 2 + 1, n - 1].contains(&i) {
+            tup.set(rare, Value::text(format!("rare {i}")));
+        }
+        t.insert(&tup).unwrap();
+        tuples.push(tup);
+    }
+    (t, tuples)
+}
+
+/// Every live tuple's `(dist, tid)`, ascending.
+fn ranked(tuples: &[Tuple], dead: &[u64], q: &Query, lambda: &[f64], ndf: f64) -> Vec<(f64, u64)> {
+    let mut all: Vec<(f64, u64)> = tuples
+        .iter()
+        .enumerate()
+        .filter(|(tid, _)| !dead.contains(&(*tid as u64)))
+        .map(|(tid, tup)| {
+            let d = exact_distance(tup, q, lambda, &MetricKind::L2, ndf);
+            (d, tid as u64)
+        })
+        .collect();
+    all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    all
+}
+
+fn windowed(
+    index: &IvaIndex,
+    table: &SwtTable,
+    q: &Query,
+    k: usize,
+    threads: usize,
+    refine_batch: usize,
+    window: usize,
+) -> QueryOutcome {
+    let lambda = index.resolve_weights(q, WeightScheme::Equal);
+    let o = QueryOptions {
+        threads: Some(threads),
+        measured: false,
+        refine_batch: Some(refine_batch),
+    };
+    let mut carry = ScanCarry::new(k);
+    index
+        .query_carry_windowed(table, q, &MetricKind::L2, &lambda, &o, window, &mut carry)
+        .unwrap();
+    carry.finish()
+}
+
+/// Any window, segment count and round size returns the k smallest
+/// `(dist, tid)`: with ties at D_k straddling every boundary, and with
+/// fewer than k tuples defining any query attribute (the all-*ndf* level
+/// then decides by tid alone).
+#[test]
+fn every_window_returns_the_k_smallest_dist_tid() {
+    let n = 400u32;
+    let (table, tuples) = tie_table(n);
+    let mut index = build_index(
+        &table,
+        IndexTarget::Mem,
+        &opts(),
+        IoStats::new(),
+        IvaConfig::default(),
+    )
+    .unwrap();
+    let dead = [3u64, 64, 65, 200, 399];
+    for &tid in &dead {
+        assert!(index.delete(tid).unwrap());
+    }
+    let ndf = index.config().ndf_penalty;
+    let queries = [
+        Query::new().text(AttrId(0), "listing 03"),
+        Query::new().text(AttrId(1), "rare 20"),
+        Query::new()
+            .text(AttrId(0), "listing 01")
+            .text(AttrId(1), "rare 200"),
+    ];
+    for (qi, q) in queries.iter().enumerate() {
+        let lambda = index.resolve_weights(q, WeightScheme::Equal);
+        let all = ranked(&tuples, &dead, q, &lambda, ndf);
+        for k in [1usize, 10, 50] {
+            let want: Vec<(u64, u64)> =
+                all.iter().take(k).map(|&(d, t)| (t, d.to_bits())).collect();
+            // The interesting case is real: the k-th distance is shared
+            // by tuples on both sides of the cut.
+            if let (0, Some(kth), Some(next)) = (qi, all.get(k - 1), all.get(k)) {
+                assert_eq!(kth.0, next.0, "k={k}: no tie at D_k");
+            }
+            for window in [1usize, 7, 64, n as usize] {
+                for (threads, refine_batch) in [(1usize, 1usize), (1, 16), (3, 1), (4, 16)] {
+                    let got = windowed(&index, &table, q, k, threads, refine_batch, window);
+                    let got: Vec<(u64, u64)> = got
+                        .results
+                        .iter()
+                        .map(|e| (e.tid, e.dist.to_bits()))
+                        .collect();
+                    assert_eq!(
+                        got, want,
+                        "q{qi} k={k} window={window} threads={threads} B={refine_batch}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// With the whole scan in one window the drain fetches by need: at most
+/// the k probes plus every tuple whose estimate reaches the threshold T₁
+/// the probe left, and at least every tuple whose estimate is below the
+/// final D_k (no correct plan can skip those).
+#[test]
+fn one_window_fetches_within_the_probe_bound() {
+    let n = 500u32;
+    let mut t = SwtTable::create_mem(&opts(), IoStats::new()).unwrap();
+    let title = t.define_text("title").unwrap();
+    let mut tuples = Vec::new();
+    for i in 0..n {
+        let mut tup = Tuple::new();
+        if i % 4 != 0 {
+            let words = ["camera", "lens", "tripod", "battery", "charger", "strap"];
+            tup.set(
+                title,
+                Value::text(format!(
+                    "{} model {:03}",
+                    words[(i % 6) as usize],
+                    (i * 37) % 500
+                )),
+            );
+        }
+        t.insert(&tup).unwrap();
+        tuples.push(tup);
+    }
+    let index = build_index(
+        &t,
+        IndexTarget::Mem,
+        &opts(),
+        IoStats::new(),
+        IvaConfig::default(),
+    )
+    .unwrap();
+    let (cfg, metric) = (index.config(), MetricKind::L2);
+    let codec = cfg.sig_codec();
+    // Exact, misspelt and hopeless needles: the bound holds whether the
+    // probe finds the answer at once or not at all.
+    for (needle, k) in [
+        ("camera model 111", 10usize),
+        ("lens modle 07", 3),
+        ("zzz", 5),
+    ] {
+        let q = Query::new().text(AttrId(0), needle);
+        let lambda = index.resolve_weights(&q, WeightScheme::Equal);
+        let matcher = PreparedMatcher::new(&codec, needle.as_bytes());
+        // (est, dist, tid) of every tuple, as the walk and the refine
+        // step compute them.
+        let rows: Vec<(f64, f64, u64)> = tuples
+            .iter()
+            .enumerate()
+            .map(|(tid, tup)| {
+                let lb = tup.get(title).map_or(cfg.ndf_penalty, |v| {
+                    let Value::Text(strings) = v else {
+                        unreachable!()
+                    };
+                    strings
+                        .iter()
+                        .map(|s| {
+                            matcher
+                                .estimate(&codec.encode_to_vec(s.as_bytes()))
+                                .unwrap()
+                        })
+                        .fold(f64::INFINITY, f64::min)
+                });
+                let est = metric.combine(&[lambda[0] * lb]);
+                let dist = exact_distance(tup, &q, &lambda, &metric, cfg.ndf_penalty);
+                assert!(est <= dist);
+                (est, dist, tid as u64)
+            })
+            .collect();
+        let by = |key: fn(&(f64, f64, u64)) -> f64| {
+            let mut v = rows.clone();
+            v.sort_by(|a, b| key(a).total_cmp(&key(b)).then(a.2.cmp(&b.2)));
+            v
+        };
+        let probe = &by(|r| r.0)[..k];
+        let t1 = probe.iter().map(|r| r.1).fold(f64::NEG_INFINITY, f64::max);
+        let d_k = by(|r| r.1)[k - 1].1;
+        let at_most = k + rows.iter().filter(|r| r.0 <= t1).count();
+        let at_least = rows.iter().filter(|r| r.0 < d_k).count();
+        for refine_batch in [1usize, 8] {
+            let got = windowed(&index, &t, &q, k, 1, refine_batch, n as usize);
+            let fetched = got.stats.table_accesses as usize;
+            assert!(
+                (at_least..=at_most).contains(&fetched),
+                "{needle:?} k={k} B={refine_batch}: {fetched} not in {at_least}..={at_most}"
+            );
+        }
     }
 }

@@ -287,7 +287,9 @@ fn filter_prunes_table_accesses() {
     assert_eq!(out.results[0].tid, 7);
     assert_eq!(out.stats.tuples_scanned, 500);
     assert!(
-        out.stats.table_accesses < 250,
+        // The probe fetches the k = 5 best estimates and finds the answer
+        // among them; the sweep then has nothing left to fetch (5 here).
+        out.stats.table_accesses <= 15,
         "expected pruning, got {} accesses",
         out.stats.table_accesses
     );

@@ -12,10 +12,12 @@
 //!    result (the production merge turns an unfilled slot into
 //!    `IvaError::Corrupt("worker slot unfilled")`; here it would be a
 //!    plain assertion failure).
-//! 2. **Deterministic merge** — the merged candidate replay and the
-//!    accumulated stats are identical regardless of how the workers
-//!    interleaved, because the merge happens strictly after the barrier
-//!    and walks slots in segment order.
+//! 2. **Deterministic merge** — the pool union and the accumulated stats
+//!    are identical regardless of how the workers interleaved, because
+//!    the merge happens strictly after the barrier and walks slots in
+//!    segment order. (The union itself would tolerate any order — the
+//!    pool's content does not depend on insertion order — but the stats
+//!    sums and error precedence are defined by segment order.)
 //!
 //! Run with the vendored bounded checker (see TESTING.md):
 //!
@@ -29,7 +31,7 @@ use loom::sync::Arc;
 
 const WORKERS: usize = 2;
 
-/// Stand-in for `SegmentScan`: the per-segment candidate partial each
+/// Stand-in for `SegmentScan`: the private top-k pool and counters each
 /// worker publishes into its slot. Slots are modeled as atomics because
 /// the vendored checker has no `UnsafeCell` tracking; a slot value of 0
 /// means "unfilled", mirroring `Option::None` in production.
@@ -79,7 +81,7 @@ fn merged_stats_are_interleaving_independent() {
         // analogue of per-segment `tuples_scanned` being summed). The
         // counter uses fetch_add, so the post-join total must be exact
         // under every schedule — a lost update here is precisely the bug
-        // the slot-per-worker design avoids for the candidate lists.
+        // the slot-per-worker design avoids for the worker pools.
         let scanned = Arc::new(AtomicUsize::new(0));
         let slots: Arc<Vec<AtomicU64>> =
             Arc::new((0..WORKERS).map(|_| AtomicU64::new(0)).collect());

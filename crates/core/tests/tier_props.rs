@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 mod common;
 
-use common::{all_list_types_table, assert_bit_identical, small_pages as opts};
+use common::{all_list_types_table, assert_same_plan, small_pages as opts};
 use iva_core::{
     build_index, IndexTarget, IvaConfig, IvaIndex, ListType, MetricKind, Query, QueryOptions,
     WeightScheme,
@@ -87,7 +87,7 @@ proptest! {
         for round in 0..8 {
             let cold = run(&reference, &table, 1);
             let hot = run(&tiered, &table, 1);
-            assert_bit_identical(&cold, &hot, &format!("warming round {round}"));
+            assert_same_plan(&cold, &hot, &format!("warming round {round}"));
             saw_hot |= hot.stats.hot_tier_attrs > 0;
         }
         prop_assert!(saw_hot, "tier never engaged during warmup");
@@ -96,7 +96,7 @@ proptest! {
         for threads in [2usize, 3] {
             let cold = run(&reference, &table, threads);
             let hot = run(&tiered, &table, threads);
-            assert_bit_identical(&cold, &hot, &format!("warm parallel threads={threads}"));
+            assert_same_plan(&cold, &hot, &format!("warm parallel threads={threads}"));
         }
 
         // Phase 2 — writer mutations invalidate: inserts append to vector
@@ -118,7 +118,7 @@ proptest! {
         for round in 0..6 {
             let cold = run(&reference, &table, 1);
             let hot = run(&tiered, &table, 1);
-            assert_bit_identical(&cold, &hot, &format!("post-mutation round {round}"));
+            assert_same_plan(&cold, &hot, &format!("post-mutation round {round}"));
         }
 
         // Phase 3 — budget squeeze mid-run: a budget too small for any
@@ -127,7 +127,7 @@ proptest! {
         for round in 0..3 {
             let cold = run(&reference, &table, 1);
             let hot = run(&tiered, &table, 1);
-            assert_bit_identical(&cold, &hot, &format!("squeezed round {round}"));
+            assert_same_plan(&cold, &hot, &format!("squeezed round {round}"));
             prop_assert_eq!(hot.stats.hot_tier_attrs, 0, "64-byte budget admitted a column");
         }
 
@@ -135,7 +135,7 @@ proptest! {
         tiered.set_runtime_knobs(cfg.search_threads, cfg.refine_batch, 0);
         let cold = run(&reference, &table, 1);
         let hot = run(&tiered, &table, 1);
-        assert_bit_identical(&cold, &hot, "disabled");
+        assert_same_plan(&cold, &hot, "disabled");
         prop_assert_eq!(hot.stats.hot_tier_attrs, 0);
 
         tiered.set_runtime_knobs(cfg.search_threads, cfg.refine_batch, 1 << 20);
@@ -143,7 +143,7 @@ proptest! {
         for round in 0..8 {
             let cold = run(&reference, &table, 1);
             let hot = run(&tiered, &table, 1);
-            assert_bit_identical(&cold, &hot, &format!("re-enabled round {round}"));
+            assert_same_plan(&cold, &hot, &format!("re-enabled round {round}"));
             saw_hot_again |= hot.stats.hot_tier_attrs > 0;
         }
         prop_assert!(saw_hot_again, "tier never re-engaged after re-enable");

@@ -1,6 +1,9 @@
 //! lint:scope(no-panic-decode)
 //! The nG-signature (Sec. III-B): encoding, hit testing and the lower-bound
-//! edit-distance estimator `est(sq, c(sd))` of Eq. 3.
+//! edit-distance estimator built on `est(sq, c(sd))` of Eq. 3 — reported
+//! rounded up to a whole edit and floored by the length difference (see
+//! `finish_estimate`); Eq. 3's own value stays reachable as
+//! [`PreparedMatcher::eq3`].
 //!
 //! A signature `c(s)` has two parts: the lower bits `cL(s)` record the
 //! string length (one byte here, clamped to 255 — clamping can only shrink
@@ -209,8 +212,8 @@ impl QueryStringMatcher {
         PreparedMatcher::build(codec, self)
     }
 
-    /// Reference implementation of `est(sq, c(sd))` (Eq. 3): per-call gram
-    /// hashing, byte-level hit tests. Bit-identical to
+    /// Reference implementation of the estimate: per-call gram hashing,
+    /// byte-level hit tests. Bit-identical to
     /// [`PreparedMatcher::estimate`]; kept as the property-test oracle and
     /// for one-off evaluations that do not amortize a `prepare` call.
     pub fn estimate_scalar(&self, codec: &SigCodec, sig: &[u8]) -> Result<f64, SigError> {
@@ -235,12 +238,35 @@ impl QueryStringMatcher {
     }
 }
 
-/// The final Eq. 3 arithmetic, shared verbatim by the scalar reference and
-/// the word-level kernel so their results are bit-identical.
+/// Eq. 3 itself: `(max(|sq|, |sd|) − |hg| − 1)/n + 1`, clamped at 0. The
+/// quantity the paper analyses (Proposition 3.3, the appendix's false-hit
+/// model); the query path uses the tighter [`finish_estimate`].
 #[inline]
-fn finish_estimate(q_len: usize, len_byte: u8, hg: u64, n: usize) -> f64 {
+fn eq3(q_len: usize, len_byte: u8, hg: u64, n: usize) -> f64 {
     let m = q_len.max(usize::from(len_byte)) as f64;
     ((m - hg as f64 - 1.0) / n as f64 + 1.0).max(0.0)
+}
+
+/// The estimate every scan path reports, shared verbatim by the scalar
+/// reference and the word-level kernel so their results are bit-identical:
+/// `max(⌈Eq. 3⌉, ||sq| − |sd||)`. Both tightenings are free — an edit
+/// distance is a whole number, so a lower bound on it may be rounded *up*,
+/// and no edit script is shorter than the length difference, which `cL`
+/// already stores. A clamped `cL = 255` only says `|sd| ≥ 255`, so the
+/// length term is dropped when `|sq|` is that long too.
+#[inline]
+fn finish_estimate(q_len: usize, len_byte: u8, hg: u64, n: usize) -> f64 {
+    let d_len = usize::from(len_byte);
+    // ⌈(m − hg − 1)/n + 1⌉ = ⌈(m + n − 1 − hg)/n⌉, in integers; `hg`
+    // never exceeds the query's gram count `|sq| + n − 1 ≤ m + n − 1`.
+    let short = (q_len.max(d_len) + n - 1).saturating_sub(hg as usize);
+    let by_grams = short.div_ceil(n.max(1));
+    let by_length = if d_len == 255 && q_len >= 255 {
+        0
+    } else {
+        q_len.abs_diff(d_len)
+    };
+    by_grams.max(by_length) as f64
 }
 
 /// Signature-word scratch that lives on the stack for every realistic
@@ -406,9 +432,11 @@ impl PreparedMatcher {
             })
     }
 
-    /// Evaluate `est(sq, c(sd))` (Eq. 3) against an encoded signature
-    /// (`[cL][cH...]`, as produced by [`SigCodec::encode`]). The result is
-    /// a lower bound on `ed(sq, sd)` (Proposition 3.3), clamped at 0.
+    /// Lower-bound `ed(sq, sd)` from an encoded signature (`[cL][cH...]`,
+    /// as produced by [`SigCodec::encode`]): Eq. 3 rounded up to a whole
+    /// number of edits and floored by the length difference `cL` implies.
+    /// Never above the true edit distance (Proposition 3.3 plus the two
+    /// facts above), never below [`PreparedMatcher::eq3`].
     ///
     /// Trailing bytes beyond the declared geometry are ignored (block scans
     /// hand in stride-sized cells); missing bytes are a corruption error.
@@ -423,6 +451,26 @@ impl PreparedMatcher {
     /// length byte from the element stream (the vector-list cursors, which
     /// must read `cL` first to learn how many `cH` bytes to view).
     pub fn estimate_parts(&self, len_byte: u8, ch: &[u8]) -> Result<f64, SigError> {
+        let hg = self.hit_grams_of(len_byte, ch)?;
+        Ok(finish_estimate(self.q_len, len_byte, hg, self.n))
+    }
+
+    /// `est(sq, c(sd))` exactly as Eq. 3 writes it — the same hit count as
+    /// [`PreparedMatcher::estimate`] without the rounding and the length
+    /// floor. What the paper's analysis is about (`est ≤ est′`, the
+    /// appendix's false-hit prediction); not on the query path.
+    pub fn eq3(&self, sig: &[u8]) -> Result<f64, SigError> {
+        let Some((&len_byte, rest)) = sig.split_first() else {
+            return Err(SigError::Empty);
+        };
+        let hg = self.hit_grams_of(len_byte, rest)?;
+        Ok(eq3(self.q_len, len_byte, hg, self.n))
+    }
+
+    /// `|hg|`: the query grams (with multiplicity) whose every hashed bit
+    /// is set in the `cH` of a signature with length byte `len_byte`.
+    #[inline]
+    fn hit_grams_of(&self, len_byte: u8, ch: &[u8]) -> Result<u64, SigError> {
         let plan = self.plan_of(len_byte);
         let ch_bytes = plan.ch_bytes as usize;
         let ch = ch.get(..ch_bytes).ok_or(SigError::Truncated {
@@ -430,15 +478,14 @@ impl PreparedMatcher {
             got: 1 + ch.len(),
         })?;
         let words = plan.words as usize;
-        let hg = if words <= STACK_WORDS {
+        Ok(if words <= STACK_WORDS {
             let mut scratch = [0u64; STACK_WORDS];
             self.hit_grams(plan, ch, scratch.get_mut(..words).unwrap_or(&mut []))
         } else {
             // Geometry too wide for the stack (needs n > 258): cold path.
             let mut scratch = vec![0u64; words];
             self.hit_grams(plan, ch, &mut scratch)
-        };
-        Ok(finish_estimate(self.q_len, len_byte, hg, self.n))
+        })
     }
 
     /// Estimate a contiguous block of `out.len()` encoded signatures, each
@@ -607,7 +654,8 @@ mod tests {
 
     #[test]
     fn estimate_never_exceeds_est_prime() {
-        // est uses |hg| >= |cg|, hence est <= est'.
+        // Eq. 3 uses |hg| >= |cg|, hence est <= est'; the reported
+        // estimate only adds facts est' does not use, and stays <= ed.
         let c = codec();
         let data: &[&[u8]] = &[b"canon", b"sony", b"digital camera", b"google base", b"x"];
         let queries: &[&[u8]] = &[b"cannon", b"sonny", b"digital kamera", b"googel", b"xyz"];
@@ -615,11 +663,41 @@ mod tests {
             let sig = c.encode_to_vec(d);
             for &q in queries {
                 let m = PreparedMatcher::new(&c, q);
-                let est = m.estimate(&sig).unwrap();
+                let eq3 = m.eq3(&sig).unwrap();
                 let estp = est_prime(q, d, 2);
-                assert!(est <= estp + 1e-9, "est({q:?},{d:?})={est} > est'={estp}");
+                assert!(eq3 <= estp + 1e-9, "est({q:?},{d:?})={eq3} > est'={estp}");
+                let est = m.estimate(&sig).unwrap();
+                assert!(eq3 <= est && est <= edit_distance_bytes(q, d) as f64);
             }
         }
+    }
+
+    #[test]
+    fn estimate_rounds_up_and_floors_by_length() {
+        let c = codec();
+        // One substitution: at most two of the six grams miss, so Eq. 3 is
+        // at most (5 - 4 - 1)/2 + 1 = 1 and there is nothing to round.
+        let m = PreparedMatcher::new(&c, b"canon");
+        let sig = c.encode_to_vec(b"caxon");
+        assert!(m.eq3(&sig).unwrap() <= 1.0);
+        assert!(m.estimate(&sig).unwrap() <= 1.0);
+        // Against the empty query Eq. 3 gives about |sd|/n; the length
+        // floor gives |sd|.
+        let m = PreparedMatcher::new(&c, b"");
+        let sig = c.encode_to_vec(b"abcdefgh");
+        assert_eq!(m.estimate(&sig).unwrap(), 8.0);
+        assert!(m.eq3(&sig).unwrap() < 8.0);
+        // Clamped cL = 255 says only |sd| >= 255: the floor holds against
+        // a shorter query and is dropped against one as long.
+        let long = vec![b'x'; 400];
+        let sig = c.encode_to_vec(&long);
+        assert!(PreparedMatcher::new(&c, b"xxxxx").estimate(&sig).unwrap() >= 250.0);
+        let same = PreparedMatcher::new(&c, &long).estimate(&sig).unwrap();
+        assert_eq!(same, 0.0);
+        let longer = PreparedMatcher::new(&c, &vec![b'x'; 300])
+            .estimate(&sig)
+            .unwrap();
+        assert!(longer <= 100.0, "{longer}");
     }
 
     #[test]

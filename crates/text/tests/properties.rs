@@ -171,13 +171,41 @@ proptest! {
 
     #[test]
     fn estimate_at_most_est_prime(a in short_string(), b in short_string()) {
-        // |hg| >= |cg| implies est <= est'.
+        // |hg| >= |cg| implies est <= est' — a statement about Eq. 3
+        // itself, before the estimate's rounding and length floor.
         let codec = SigCodec::new(0.2, 2);
         let sig = codec.encode_to_vec(&b);
         let m = PreparedMatcher::new(&codec, &a);
-        let est = m.estimate(&sig).unwrap();
+        let est = m.eq3(&sig).unwrap();
         let estp = est_prime(&a, &b, 2);
         prop_assert!(est <= estp + 1e-9);
+    }
+
+    #[test]
+    fn estimate_sits_between_eq3_and_edit_distance(
+        a in proptest::collection::vec(b'a'..b'e', 0..301),
+        tail in proptest::collection::vec(b'a'..b'e', 0..301),
+        keep in 0usize..301,
+        geometry in 0usize..4,
+    ) {
+        // eq3 ≤ estimate ≤ ed, estimate a whole number, on unrelated pairs
+        // and on pairs sharing a prefix (where the bound is nearly tight),
+        // lengths through the 255 clamp on both sides.
+        let (alpha, n) = [(0.1, 2), (0.2, 2), (0.3, 3), (0.7, 4)][geometry];
+        let codec = SigCodec::new(alpha, n);
+        let mut shared = a[..keep.min(a.len())].to_vec();
+        shared.extend_from_slice(&tail);
+        for b in [&tail, &shared] {
+            let sig = codec.encode_to_vec(b);
+            let m = PreparedMatcher::new(&codec, &a);
+            let (eq3, est) = (m.eq3(&sig).unwrap(), m.estimate(&sig).unwrap());
+            let ed = edit_distance_bytes(&a, b) as f64;
+            prop_assert!(eq3 <= est, "eq3={eq3} est={est} |a|={} |b|={}", a.len(), b.len());
+            prop_assert!(est <= ed, "est={est} ed={ed} |a|={} |b|={}", a.len(), b.len());
+            prop_assert_eq!(est, est.trunc());
+        }
+        let own = PreparedMatcher::new(&codec, &a).estimate(&codec.encode_to_vec(&a)).unwrap();
+        prop_assert_eq!(own, 0.0);
     }
 
     #[test]

@@ -39,7 +39,8 @@ use crate::search::{QueryBuilder, SearchRequest};
 ///    request or a reopened database does.
 ///
 /// Every layer-2/3 knob is plan-only: any setting produces bit-identical
-/// top-k answers, differing only in timing and speculative I/O.
+/// top-k answers, differing only in timing and in how many records are
+/// fetched to find them.
 #[derive(Debug, Clone)]
 pub struct IvaDbOptions {
     /// Pager/page-cache options (shared shape for table and index files).

@@ -35,11 +35,13 @@
 //!
 //! A query scans the tiers oldest-first (segments in tid order, then the
 //! memtable), threading one [`ScanCarry`] — the shared candidate pool
-//! and counters — through every per-tier scan. Because the concatenated
-//! tier scan visits live tuples in exactly the monolithic engine's scan
-//! order with the same vector encodings, hits, distance bits, and
-//! `table_accesses` are bit-identical to the single-file engine (see
-//! DESIGN.md §14 for the argument and the one documented exception).
+//! and counters — through every per-tier scan. The pool keeps the k
+//! smallest `(dist, tid)` of whatever it is offered, in any order, and the
+//! tiers together offer it the monolithic engine's live tuples under the
+//! same vector encodings, so hits and distance bits are bit-identical to
+//! the single-file engine (see DESIGN.md §14 for the argument and the one
+//! documented exception). `table_accesses` is not: each tier drains its
+//! own candidates, against a pool the earlier tiers already tightened.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;

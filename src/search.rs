@@ -77,10 +77,12 @@ impl SearchRequest {
     }
 
     /// Override the configured refinement batch size
-    /// ([`crate::IvaConfig::refine_batch`]) for this request. Admitted
-    /// candidates are fetched from the table file in page-ordered,
-    /// coalesced batches of up to `batch`; any size returns bit-identical
-    /// results, and `1` (or `0`) fetches one candidate at a time.
+    /// ([`crate::IvaConfig::refine_batch`]) for this request. When the
+    /// scan drains its candidates, those the pool still admits are pinned
+    /// in page-ordered, coalesced rounds of up to `batch` and re-tested
+    /// per record (a record pinned and then rejected counts as
+    /// speculative); any size returns bit-identical results, and `1` (or
+    /// `0`) fetches one candidate at a time, never speculatively.
     pub fn refine_batch(mut self, batch: usize) -> Self {
         self.refine_batch = Some(batch);
         self

@@ -9,10 +9,9 @@
 //! * tuple ids assigned by the two engines are identical;
 //! * top-k hits are bit-identical — same tids, same `f64::to_bits`
 //!   distances, same order — under the serial plan, the segmented
-//!   parallel plan (2 and 3 threads) and batched refinement;
-//! * with `refine_batch = 1` the refinement `table_accesses` match
-//!   exactly (the carried scan replays the monolithic admission sequence
-//!   tuple for tuple);
+//!   parallel plan (2 and 3 threads) and batched refinement (each tier
+//!   drains on its own, so the two engines fetch different numbers of
+//!   records: `table_accesses` is not compared);
 //! * the segmented engine never scans more tuple-list entries than the
 //!   monolith (sealing drops tombstones; the monolith keeps them).
 //!
@@ -141,8 +140,7 @@ fn keys(hits: &[iva_file::SearchHit]) -> Vec<(u64, u64)> {
 
 /// Compare every plan's answer on one query. `k` varies per call site.
 fn check_query(mono: &IvaDb, lsm: &LsmDb, query: &Query, k: usize, ctx: &str) {
-    // Serial plan, unbatched refinement, measured counters: hits AND
-    // refinement accounting must replay exactly.
+    // Serial plan, unbatched refinement, measured counters.
     let req = SearchRequest::new(k)
         .measured(true)
         .threads(1)
@@ -157,10 +155,7 @@ fn check_query(mono: &IvaDb, lsm: &LsmDb, query: &Query, k: usize, ctx: &str) {
     for (g, w) in got.hits.iter().zip(&want.hits) {
         assert_eq!(g.tuple, w.tuple, "{ctx}: tuple materialization diverges");
     }
-    assert_eq!(
-        got.stats.table_accesses, want.stats.table_accesses,
-        "{ctx}: refinement table_accesses diverge at refine_batch=1"
-    );
+    assert_eq!(got.stats.speculative_accesses, 0, "{ctx}: B = 1");
     assert!(
         got.stats.tuples_scanned <= want.stats.tuples_scanned,
         "{ctx}: segmented scan visited more directory entries ({}) than the monolith ({})",
@@ -288,6 +283,64 @@ fn pick(rng: &mut Rng, live: &HashMap<Tid, Tuple>) -> Option<Tid> {
 fn randomized_interleavings_match_monolith_bit_for_bit() {
     for seed in 0..INTERLEAVINGS {
         run_interleaving(0x5EED_0000 + seed);
+    }
+}
+
+/// The tids of an index's tuple list, tombstones included.
+fn tuple_list_tids(index: &iva_core::IvaIndex) -> Vec<u32> {
+    let exported = iva_core::export_index(index).unwrap();
+    exported.tuple_entries.iter().map(|&(tid, _)| tid).collect()
+}
+
+/// The pool's tie rule (lowest tid wins) is Algorithm 1's "first arrival
+/// wins" only because every tuple list is tid-ascending — within an
+/// index, and across an LSM's tiers in scan order. No write path may
+/// break that: insert, update, delete, rebuild, seal, compact, flush.
+#[test]
+fn tuple_lists_stay_tid_ascending() {
+    for seed in 0..4u64 {
+        let mut rng = Rng::new(0xA5CE_0000 + seed);
+        let mut mono = IvaDb::create_mem(mono_opts()).unwrap();
+        let mut lsm = LsmDb::create_mem(lsm_opts()).unwrap();
+        define_schema(&mut mono, &mut lsm);
+        let mut live: Vec<Tid> = Vec::new();
+        for op in 0..160u64 {
+            match rng.below(100) {
+                0..=49 => {
+                    let tid = mono.insert(&row(op)).unwrap();
+                    assert_eq!(lsm.insert(&row(op)).unwrap(), tid);
+                    live.push(tid);
+                }
+                50..=64 if !live.is_empty() => {
+                    let tid = live.swap_remove(rng.below(live.len() as u64) as usize);
+                    mono.delete(tid).unwrap();
+                    lsm.delete(tid).unwrap();
+                }
+                65..=79 if !live.is_empty() => {
+                    let at = rng.below(live.len() as u64) as usize;
+                    let tid = mono.update(live[at], &row(op)).unwrap();
+                    assert_eq!(lsm.update(live[at], &row(op)).unwrap(), tid);
+                    live[at] = tid;
+                }
+                80..=84 => mono.rebuild().unwrap(),
+                85..=89 => {
+                    lsm.seal().unwrap();
+                }
+                90..=94 => {
+                    lsm.compact().unwrap();
+                }
+                _ => lsm.flush().unwrap(),
+            }
+            let ctx = format!("seed={seed} op={op}");
+            let mono_tids = tuple_list_tids(mono.index());
+            assert!(mono_tids.windows(2).all(|w| w[0] < w[1]), "{ctx}: monolith");
+            let mut lsm_tids = Vec::new();
+            for seg in lsm.segments() {
+                lsm_tids.extend(tuple_list_tids(seg.index()));
+            }
+            lsm_tids.extend(tuple_list_tids(lsm.memtable().index()));
+            assert!(lsm_tids.windows(2).all(|w| w[0] < w[1]), "{ctx}: lsm tiers");
+        }
     }
 }
 

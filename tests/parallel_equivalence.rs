@@ -1,7 +1,9 @@
 //! Serial/parallel equivalence of the segmented filter scan, end to end
-//! through the `SearchRequest` API: at any thread count the top-k results
-//! must be **bit-identical** to the single-threaded scan and the filter
-//! must admit exactly the same candidates (`table_accesses`).
+//! through the `SearchRequest` API: at any thread count and any
+//! `refine_batch` the top-k results must be **bit-identical** to the
+//! single-threaded unbatched scan. How many records a plan fetches
+//! (`table_accesses`) depends on its drain schedule and is compared only
+//! where that is the same: across `refine_batch` at one thread.
 
 use iva_file::workload::{generate_query_set, Dataset, WorkloadConfig};
 use iva_file::{IvaDb, IvaDbOptions, MetricKind, SearchRequest, WeightScheme};
@@ -55,13 +57,7 @@ proptest! {
                         prop_assert_eq!(a.tid, b.tid);
                         prop_assert_eq!(a.dist.to_bits(), b.dist.to_bits());
                     }
-                    prop_assert_eq!(
-                        base.stats.table_accesses,
-                        par.stats.table_accesses,
-                        "threads={} metric={:?}",
-                        threads,
-                        metric
-                    );
+                    prop_assert_eq!(par.stats.speculative_accesses, 0, "threads={}", threads);
                     prop_assert_eq!(base.stats.tuples_scanned, par.stats.tuples_scanned);
                 }
             }
@@ -90,10 +86,12 @@ fn refine_batch_request_override_is_bit_identical() {
                 for (a, b) in base.hits.iter().zip(&got.hits) {
                     assert_eq!((a.tid, a.dist.to_bits()), (b.tid, b.dist.to_bits()));
                 }
-                assert_eq!(
-                    base.stats.table_accesses, got.stats.table_accesses,
-                    "batch={batch} threads={threads}"
-                );
+                if threads == 1 {
+                    assert_eq!(
+                        base.stats.table_accesses, got.stats.table_accesses,
+                        "batch={batch}"
+                    );
+                }
             }
         }
     }
@@ -117,7 +115,7 @@ fn parallel_equivalence_survives_deletes() {
             for (a, b) in base.hits.iter().zip(&par.hits) {
                 assert_eq!((a.tid, a.dist.to_bits()), (b.tid, b.dist.to_bits()));
             }
-            assert_eq!(base.stats.table_accesses, par.stats.table_accesses);
+            assert_eq!(base.stats.tuples_scanned, par.stats.tuples_scanned);
         }
     }
 }

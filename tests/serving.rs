@@ -13,8 +13,8 @@ use std::sync::Mutex;
 use iva_file::serve::{ServeOptions, Server, Writer};
 use iva_file::workload::{generate_query_set, Dataset, WorkloadConfig};
 use iva_file::{
-    EngineOutcome, IvaDb, IvaDbOptions, IvaError, Query, Result, SearchRequest, ShardedIvaDb,
-    Tuple, Value,
+    EngineOutcome, IvaDb, IvaDbOptions, IvaError, LsmDb, LsmOptions, Query, Result, SearchRequest,
+    ShardedIvaDb, Tuple, Value,
 };
 
 fn text_db(rows: usize) -> (Writer<IvaDb>, iva_file::AttrId) {
@@ -31,8 +31,8 @@ fn text_db(rows: usize) -> (Writer<IvaDb>, iva_file::AttrId) {
 /// The S3 property test: 4 readers hammer snapshots while the writer
 /// churns inserts and deletes. Every snapshot must (a) hold a stable
 /// epoch, (b) answer the parallel/batched plan bit-identically to a
-/// serial replay of the same snapshot with honest table-access counts,
-/// and (c) agree with every other snapshot of the same epoch.
+/// serial replay of the same snapshot, and (c) agree with every other
+/// snapshot of the same epoch.
 #[test]
 fn concurrent_readers_observe_consistent_epochs() {
     let (mut writer, name) = text_db(60);
@@ -78,9 +78,9 @@ fn concurrent_readers_observe_consistent_epochs() {
                         "snapshot answer differs from its serial replay"
                     );
                     assert_eq!(
-                        fast.stats().table_accesses,
-                        serial.stats().table_accesses,
-                        "table-access accounting depends on the plan"
+                        fast.stats().tuples_scanned,
+                        serial.stats().tuples_scanned,
+                        "scan accounting depends on the plan"
                     );
                     assert!(fast.stats().tuples_scanned > 0);
                     // The snapshot pins the engine: the epoch cannot have
@@ -158,7 +158,7 @@ fn served_answers_match_direct_execution() {
     let client = server.client();
     let request = SearchRequest::new(10).measured(true);
 
-    // (query index, hit keys, table accesses) for one served answer.
+    // (query index, hit keys, tuples scanned) for one served answer.
     type ServedAnswer = (usize, Vec<(u64, u64, u32)>, u64);
     let answers: Mutex<Vec<ServedAnswer>> = Mutex::new(Vec::new());
     crossbeam::thread::scope(|scope| {
@@ -174,7 +174,7 @@ fn served_answers_match_direct_execution() {
                     answers
                         .lock()
                         .unwrap()
-                        .push((idx, out.hit_keys(), out.stats().table_accesses));
+                        .push((idx, out.hit_keys(), out.stats().tuples_scanned));
                 }
             });
         }
@@ -184,17 +184,19 @@ fn served_answers_match_direct_execution() {
     // No writer ran: every served answer came from the same (only) epoch
     // and must match a direct, single-caller execution exactly.
     let snap = reader.snapshot();
-    for (idx, keys, accesses) in answers.lock().unwrap().iter() {
+    for (idx, keys, scanned) in answers.lock().unwrap().iter() {
         let direct = snap.execute(&queries[*idx], &request).unwrap();
         assert_eq!(
             keys,
             &direct.hit_keys(),
             "served answer differs from direct execution for query {idx}"
         );
+        // A coalesced request rides a batch lane, a lone one the
+        // configured plan: fetch counts may differ, the scan may not.
         assert_eq!(
-            *accesses,
-            direct.stats().table_accesses,
-            "served I/O accounting differs for query {idx}"
+            *scanned,
+            direct.stats().tuples_scanned,
+            "served scan accounting differs for query {idx}"
         );
     }
     drop(snap);
@@ -228,6 +230,68 @@ fn sharded_engine_serves_through_the_same_api() {
     let direct = reader.execute(&query, &SearchRequest::new(3)).unwrap();
     assert_eq!(served.hit_keys(), direct.hit_keys());
     assert_eq!(served.hits[0].dist, 0.0);
+    server.shutdown();
+}
+
+/// A query number that is not a number used to come back `Ok`: every
+/// lower bound was 0, every distance `NaN`, the pool's comparisons all
+/// answered "equal" and the caller got the first k tuples with
+/// `dist = NaN`. It is an invalid argument, at every door.
+#[test]
+fn non_finite_query_number_is_rejected_by_every_engine() {
+    fn rejected<T>(r: Result<T>, what: &str) {
+        match r {
+            Err(IvaError::InvalidArgument(msg)) => assert!(msg.contains("non-finite"), "{msg}"),
+            Err(e) => panic!("{what}: wrong error {e}"),
+            Ok(_) => panic!("{what}: accepted"),
+        }
+    }
+    let rows = |i: u32| Tuple::new().with(iva_file::AttrId(0), Value::num(f64::from(i)));
+    let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+    let mut mono = IvaDb::create_mem(IvaDbOptions::default()).unwrap();
+    let price = mono.define_numeric("price").unwrap();
+    let mut lsm = LsmDb::create_mem(LsmOptions::default()).unwrap();
+    assert_eq!(lsm.define_numeric("price").unwrap(), price);
+    for i in 0..200 {
+        mono.insert(&rows(i)).unwrap();
+        lsm.insert(&rows(i)).unwrap();
+        if i == 120 {
+            lsm.flush().unwrap(); // a sealed segment and a memtable
+        }
+    }
+    for v in bad {
+        let q = Query::new().num(price, v);
+        for threads in [1usize, 2] {
+            let req = SearchRequest::new(3).threads(threads);
+            rejected(
+                mono.execute(&q, &req),
+                &format!("IvaDb {v} threads={threads}"),
+            );
+            rejected(
+                lsm.execute(&q, &req),
+                &format!("LsmDb {v} threads={threads}"),
+            );
+        }
+    }
+    // The finite neighbours still answer.
+    let ok = mono
+        .execute(&Query::new().num(price, 7.0), &SearchRequest::new(3))
+        .unwrap();
+    assert_eq!(ok.hits[0].tid, 7);
+    assert!(ok.hits.iter().all(|h| h.dist.is_finite()));
+
+    let writer = Writer::new(mono);
+    let server = Server::start(writer.reader(), ServeOptions::default());
+    let client = server.client();
+    for v in bad {
+        let served = client.search(Query::new().num(price, v), SearchRequest::new(3));
+        rejected(served, &format!("Client::search {v}"));
+    }
+    let served = client
+        .search(Query::new().num(price, 7.0), SearchRequest::new(3))
+        .unwrap();
+    assert_eq!(served.hits[0].tid, 7);
     server.shutdown();
 }
 
