@@ -3,10 +3,6 @@
 //!
 //! Paper result: "the iVA-file sacrifices on the filtering time while
 //! gains lower refining time."
-//!
-//! Set `IVA_REFINE_BATCH=B` to run the iVA refinement with page-coalesced
-//! batches of up to `B` candidates (results are bit-identical; see the
-//! `refine_batch` bench for the I/O effect).
 
 use iva_bench::{report, run_point, scale_config, System, TestBed};
 use iva_core::{IvaConfig, MetricKind, WeightScheme};

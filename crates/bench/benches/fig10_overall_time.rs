@@ -5,10 +5,6 @@
 //! both measured wall-clock on the current machine and modeled time under
 //! the 2009-HDD cost model driven by exact I/O counters — the latter is
 //! the apples-to-apples curve.
-//!
-//! Set `IVA_REFINE_BATCH=B` to run the iVA refinement with page-coalesced
-//! batches of up to `B` candidates (results are bit-identical; see the
-//! `refine_batch` bench for the I/O effect).
 
 use iva_bench::{report, run_point, scale_config, System, TestBed};
 use iva_core::{IvaConfig, MetricKind, WeightScheme};

@@ -105,7 +105,6 @@ fn run_sweep(
     let opts = QueryOptions {
         threads: Some(1),
         measured: true,
-        refine_batch: None,
     };
     let mut out = SweepStats::default();
     let mut answers = Vec::with_capacity(queries.len());

@@ -128,7 +128,6 @@ fn run_phase(
     let opts = QueryOptions {
         threads: Some(1),
         measured: true,
-        refine_batch: None,
     };
     let mut out = PhaseStats::default();
     for (attr, q) in seq {
@@ -255,7 +254,7 @@ fn main() {
     // past admission and pay the one-time promotion I/O, then the
     // measured pass must be pure RAM for the hottest attribute.
     let generous = 64 << 20;
-    index.set_runtime_knobs(config.search_threads, config.refine_batch, generous);
+    index.set_runtime_knobs(config.search_threads, generous);
     for _ in 0..3 {
         run_phase(&index, &table, &iva_io, &seq, hottest, args.k, false);
     }
@@ -265,7 +264,7 @@ fn main() {
 
     // Phase 3 — capped: a budget that can't hold the full working set.
     let capped = generous / 64;
-    index.set_runtime_knobs(config.search_threads, config.refine_batch, capped);
+    index.set_runtime_knobs(config.search_threads, capped);
     for _ in 0..3 {
         run_phase(&index, &table, &iva_io, &seq, hottest, args.k, false);
     }

@@ -15,7 +15,7 @@ pub mod runner;
 pub mod scale;
 
 pub use runner::{
-    aggregate, bench_pager_options, refine_batch_from_env, run_point, run_queries, PerQuery,
-    PointStats, System, TestBed, CACHE_FRACTION,
+    aggregate, bench_pager_options, run_point, run_queries, PerQuery, PointStats, System, TestBed,
+    CACHE_FRACTION,
 };
 pub use scale::{queries_per_point, scale_config};

@@ -174,22 +174,9 @@ pub enum System {
     Dst,
 }
 
-/// Refinement batch override for the experiment drivers: set
-/// `IVA_REFINE_BATCH=B` to run every iVA query with page-coalesced batch
-/// refinement of up to `B` deferred candidates (see
-/// [`QueryOptions::refine_batch`]; results are bit-identical for every
-/// `B`). Unset or unparsable means the configured default — `1`, the
-/// unbatched plan.
-pub fn refine_batch_from_env() -> Option<usize> {
-    std::env::var("IVA_REFINE_BATCH")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-}
-
 /// Run a query set against one system, returning per-measured-query
 /// samples. Warm queries run first and are discarded (they populate the
-/// page caches, as in Sec. V-A). The iVA system honors the
-/// [`refine_batch_from_env`] override.
+/// page caches, as in Sec. V-A).
 pub fn run_queries(
     bed: &TestBed,
     system: System,
@@ -203,10 +190,7 @@ pub fn run_queries(
         System::Sii => Some(&bed.sii_io),
         System::Dst => None,
     };
-    let iva_opts = QueryOptions {
-        refine_batch: refine_batch_from_env(),
-        ..Default::default()
-    };
+    let iva_opts = QueryOptions::default();
     let run_one = |q: &Query| -> PerQuery {
         let io_before = combine(index_io, &bed.table_io);
         let start = Instant::now();

@@ -33,15 +33,6 @@ pub struct IvaConfig {
     /// persisted: an opened index keeps the per-list tags it was built
     /// with, and this knob only steers future (re)builds.
     pub compress_lists: bool,
-    /// Refinement batch size `B`: when a scan drains its candidates, the
-    /// ones the pool still admits are fetched from the table file in
-    /// page-ordered, coalesced rounds of up to `B` (`0` or `1` ⇒ one at a
-    /// time, the unbatched plan). Any `B` produces bit-identical top-k
-    /// results; larger rounds trade a slightly staler admission threshold
-    /// (extra fetches land in `QueryStats::speculative_accesses`) for
-    /// fewer random seeks.
-    /// Runtime-only, like [`IvaConfig::search_threads`].
-    pub refine_batch: usize,
     /// Memory budget in bytes for the in-RAM hot tier of per-attribute
     /// signature columns (`0` ⇒ tier disabled, every scan goes through
     /// the pager). Attributes are admitted by access frequency (EWMA)
@@ -63,7 +54,6 @@ impl Default for IvaConfig {
             numeric_width: 8,
             search_threads: 0,
             compress_lists: true,
-            refine_batch: 1,
             hot_tier_bytes: 0,
         }
     }
@@ -90,12 +80,6 @@ impl IvaConfig {
         }
     }
 
-    /// Resolve [`IvaConfig::refine_batch`]: `0` normalizes to `1`
-    /// (unbatched).
-    pub fn resolved_refine_batch(&self) -> usize {
-        self.refine_batch.max(1)
-    }
-
     /// Validate parameter ranges.
     pub fn validate(&self) -> Result<(), String> {
         if !(self.alpha > 0.0 && self.alpha <= 1.0) {
@@ -120,12 +104,6 @@ impl IvaConfig {
             return Err(format!(
                 "search threads must be <= 1024, got {}",
                 self.search_threads
-            ));
-        }
-        if self.refine_batch > 1 << 20 {
-            return Err(format!(
-                "refine batch must be <= 2^20, got {}",
-                self.refine_batch
             ));
         }
         if self.hot_tier_bytes > 1 << 40 {

@@ -202,19 +202,13 @@ impl IvaIndex {
     ///
     /// The persistent header stores only the structural parameters (α,
     /// `n`, ndf penalty, numeric width) — `IndexHeader::decode` resets
-    /// `search_threads`/`refine_batch`/`hot_tier_bytes` to their defaults
+    /// `search_threads`/`hot_tier_bytes` to their defaults
     /// — so an opened index forgets the knobs its caller asked for.
     /// Callers that carry execution knobs in their options re-apply them
     /// here after open. This never touches the persistent format:
     /// `IndexHeader::encode` does not serialize any of these fields.
-    pub fn set_runtime_knobs(
-        &mut self,
-        search_threads: usize,
-        refine_batch: usize,
-        hot_tier_bytes: usize,
-    ) {
+    pub fn set_runtime_knobs(&mut self, search_threads: usize, hot_tier_bytes: usize) {
         self.header.config.search_threads = search_threads;
-        self.header.config.refine_batch = refine_batch;
         self.header.config.hot_tier_bytes = hot_tier_bytes;
         self.tier.set_budget(hot_tier_bytes);
     }
@@ -637,8 +631,7 @@ impl IvaIndex {
     /// scanned in a synchronized pass; each tuple's estimated distance is a
     /// lower bound (by the monotonous property of `metric`), and only
     /// candidates the pool admits are fetched from the table file. This
-    /// is the serial shape of the one scan spine (DESIGN.md §15), measured,
-    /// at the configured refinement batch size.
+    /// is the serial shape of the one scan spine (DESIGN.md §15), measured.
     pub fn query<M: Metric>(
         &self,
         table: &SwtTable,
@@ -649,16 +642,7 @@ impl IvaIndex {
     ) -> Result<QueryOutcome> {
         let lambda = self.resolve_weights(query, weights);
         let mut carry = ScanCarry::new(k);
-        self.scan_serial(
-            table,
-            query,
-            metric,
-            &lambda,
-            true,
-            self.config().resolved_refine_batch(),
-            DRAIN_AT,
-            &mut carry,
-        )?;
+        self.scan_serial(table, query, metric, &lambda, true, DRAIN_AT, &mut carry)?;
         Ok(carry.finish())
     }
 

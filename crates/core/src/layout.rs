@@ -288,7 +288,6 @@ impl IndexHeader {
             // Runtime knobs, not part of the persistent format.
             search_threads: 0,
             compress_lists: true,
-            refine_batch: 1,
             hot_tier_bytes: 0,
         };
         let n_attrs = u32at(32)?;
@@ -515,7 +514,6 @@ mod tests {
             config: IvaConfig {
                 search_threads: 7,
                 compress_lists: false,
-                refine_batch: 64,
                 hot_tier_bytes: 1 << 20,
                 ..Default::default()
             },
@@ -531,11 +529,9 @@ mod tests {
         let back = IndexHeader::decode(&h.encode()).unwrap();
         assert_eq!(back.config.search_threads, 0);
         assert!(back.config.compress_lists);
-        assert_eq!(back.config.refine_batch, 1);
         assert_eq!(back.config.hot_tier_bytes, 0);
         h.config.search_threads = 0;
         h.config.compress_lists = true;
-        h.config.refine_batch = 1;
         h.config.hot_tier_bytes = 0;
         assert_eq!(back, h);
     }

@@ -11,10 +11,10 @@
 //! Bit-identity. Each query is one lane of [`IvaIndex::scan`] with
 //! private scan positions, pool and pending candidates; only the
 //! tuple-list read is shared. A lane drains on its *own* pending count,
-//! so nothing about its schedule depends on its neighbors: the top-k,
-//! `table_accesses` and `speculative_accesses` of every batch member are
-//! those of running that query alone through [`IvaIndex::query_opts`] at
-//! `threads = 1`, for every batch composition and every `B`.
+//! so nothing about its schedule depends on its neighbors: the top-k and
+//! `table_accesses` of every batch member are those of running that query
+//! alone through [`IvaIndex::query_opts`] at `threads = 1`, for every
+//! batch composition.
 //!
 //! Phase timings are per-*batch*, not per-query: every member reports the
 //! same filter time (every member's query preparation plus the shared
@@ -46,11 +46,10 @@ impl IvaIndex {
     /// Run a batch of top-k queries over one shared tuple-list scan. Every
     /// member's top-k and access counters are bit-identical to running it
     /// alone, serially, through [`IvaIndex::query_opts`] — for any batch
-    /// composition and any `refine_batch` (see the module doc). A
-    /// singleton batch falls back to the ordinary (possibly parallel)
-    /// single-query plan; `opts.threads` is otherwise ignored — batching
-    /// *is* the parallelism here, across queries instead of across
-    /// segments.
+    /// composition (see the module doc). A singleton batch falls back to
+    /// the ordinary (possibly parallel) single-query plan; `opts.threads`
+    /// is otherwise ignored — batching *is* the parallelism here, across
+    /// queries instead of across segments.
     pub fn query_batch<M: Metric + Sync>(
         &self,
         table: &SwtTable,
@@ -92,7 +91,6 @@ impl IvaIndex {
             table,
             &mut lanes,
             0..self.n_tuples(),
-            opts.resolved_refine_batch(self),
             DRAIN_AT,
             metric,
             opts.measured,

@@ -22,6 +22,7 @@
 
 use iva_swt::SwtTable;
 
+use crate::config::IvaConfig;
 use crate::error::{IvaError, Result};
 use crate::index::{IvaIndex, QueryOutcome, ScanCarry};
 use crate::metric::{Metric, WeightScheme};
@@ -37,20 +38,14 @@ const MIN_SEGMENT: u64 = 64;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryOptions {
     /// Worker threads for the filter scan. `None` defers to
-    /// [`crate::IvaConfig::search_threads`]. An effective count of 1 runs
+    /// [`crate::IvaConfig::search_threads`], and `Some(0)` means what `0`
+    /// means there: one per available CPU. An effective count of 1 runs
     /// the scan on the calling thread; any count returns bit-identical
     /// results.
     pub threads: Option<usize>,
     /// Collect wall-clock phase timings. When false no clock is read on
     /// the hot path and the phase nanos stay 0.
     pub measured: bool,
-    /// Refinement batch size `B`. `None` defers to
-    /// [`crate::IvaConfig::refine_batch`]; an effective `B ≤ 1` fetches
-    /// the candidates of a drain one at a time, each tested against the
-    /// pool the previous one left. Larger batches pin `B` still-admitted
-    /// candidates per page-ordered, coalesced fetch; results stay
-    /// bit-identical for every `B`.
-    pub refine_batch: Option<usize>,
 }
 
 impl Default for QueryOptions {
@@ -58,16 +53,7 @@ impl Default for QueryOptions {
         Self {
             threads: None,
             measured: true,
-            refine_batch: None,
         }
-    }
-}
-
-impl QueryOptions {
-    /// The effective refinement batch size on `index`.
-    pub(crate) fn resolved_refine_batch(&self, index: &IvaIndex) -> usize {
-        self.refine_batch
-            .unwrap_or_else(|| index.config().resolved_refine_batch())
     }
 }
 
@@ -137,24 +123,17 @@ impl IvaIndex {
         carry: &mut ScanCarry,
     ) -> Result<()> {
         let n = self.n_tuples();
-        let requested = opts
-            .threads
-            .unwrap_or_else(|| self.config().resolved_search_threads());
+        // A request's `0` means what the configured `0` means.
+        let requested = IvaConfig {
+            search_threads: opts.threads.unwrap_or(self.config().search_threads),
+            ..*self.config()
+        }
+        .resolved_search_threads();
         let max_useful = usize::try_from(n.div_ceil(MIN_SEGMENT)).unwrap_or(usize::MAX);
         let threads = requested.min(max_useful).max(1);
-        let refine_batch = opts.resolved_refine_batch(self);
         let measured = opts.measured;
         if threads == 1 {
-            return self.scan_serial(
-                table,
-                query,
-                metric,
-                lambda,
-                measured,
-                refine_batch,
-                drain_at,
-                carry,
-            );
+            return self.scan_serial(table, query, metric, lambda, measured, drain_at, carry);
         }
 
         let k = carry.pool.capacity();
@@ -176,15 +155,7 @@ impl IvaIndex {
                     let run =
                         Lane::open(self, query, lambda, shared, &mut worker).and_then(|lane| {
                             let lanes = &mut [lane];
-                            self.scan(
-                                table,
-                                lanes,
-                                lo..hi,
-                                refine_batch,
-                                drain_at,
-                                metric,
-                                measured,
-                            )
+                            self.scan(table, lanes, lo..hi, drain_at, metric, measured)
                         });
                     *slot = Some(run.map(|nanos| SegmentScan {
                         carry: worker,
@@ -207,7 +178,6 @@ impl IvaIndex {
             let seg = slot.ok_or_else(|| IvaError::Corrupt("worker slot unfilled".into()))??;
             stats.tuples_scanned += seg.carry.stats.tuples_scanned;
             stats.table_accesses += seg.carry.stats.table_accesses;
-            stats.speculative_accesses += seg.carry.stats.speculative_accesses;
             max_filter = max_filter.max(seg.nanos.filter);
             max_refine = max_refine.max(seg.nanos.refine);
             pool.absorb(seg.carry.pool);

@@ -222,13 +222,11 @@ pub struct QueryStats {
     /// "table file accesses", Fig. 8), summed over the workers of a
     /// segmented-parallel scan and the tiers of a segmented store. A
     /// property of the plan, not of the answer: it grows with the number
-    /// of lanes the tuple list is split into, and is the same for every
-    /// `refine_batch` on one lane.
+    /// of lanes the tuple list is split into.
     pub table_accesses: u64,
-    /// Records a `refine_batch > 1` round pinned and its replay then
-    /// rejected, because the pool tightened while the round was replayed.
-    /// Physical reads on top of `table_accesses`; 0 at `refine_batch = 1`
-    /// in every execution shape.
+    /// Records fetched and then rejected unrefined. Written only by the
+    /// sequential-plan ablation; 0 on every engine path — the spine
+    /// fetches one admitted candidate at a time.
     pub speculative_accesses: u64,
     /// Time spent scanning the index and estimating distances, in nanos.
     pub filter_nanos: u64,

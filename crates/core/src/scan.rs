@@ -1,6 +1,6 @@
 //! lint:scope(no-panic-decode)
 //! The scan spine: the one walk of Algorithm 1 (Sec. IV-A) and the one
-//! fetch-and-replay routine every execution shape runs.
+//! refine step every execution shape runs.
 //!
 //! [`IvaIndex::scan`] walks tuple-list positions `[lo, hi)` once, in step
 //! with the vector lists of every [`Lane`] riding it. A lane is one query:
@@ -16,31 +16,29 @@
 //! 2. **sweep** — the rest of `pending`, in scan order, each tested
 //!    against the now-tight pool *before* it is fetched.
 //!
-//! Both passes run the same routine: candidates the pool still admits are
-//! gathered into chunks of `refine_batch`, each chunk is pinned by one
-//! page-coalesced [`SwtTable::fetch`], and the admission test is replayed
-//! per record with the distance computed from the record's bytes in the
-//! pinned page ([`bounded_distance`], see "Refine on bytes" below). Table
-//! order inside a pass keeps the cold path's reads ascending — strict
-//! best-first order would seek backwards for every record.
+//! Both passes run the same routine, Algorithm 1's refine step: a
+//! candidate the pool still admits costs one [`SwtTable::fetch`] of its
+//! one pointer, and its distance is computed from the record's bytes in
+//! the page that fetch holds ([`bounded_distance`], see "Refine on bytes"
+//! below). Table order inside a pass keeps the cold path's reads
+//! ascending — strict best-first order would seek backwards for every
+//! record.
 //!
 //! **Order-independence lemma.** The pool keeps the k smallest
 //! `(dist, tid)` of what was inserted, whatever the order (see
-//! [`crate::pool`]). A candidate is skipped — at walk time, before a fetch
-//! or in a chunk's replay — only when `(est, tid)` is at or above the
-//! pool's worst entry; `est ≤ dist`, and the worst entry only falls, so a
-//! skipped candidate is not among the k smallest `(dist, tid)` of the
-//! tuples visited. Hence *any* visiting order, window size, chunking or
-//! partition into lanes leaves the pool holding exactly those k, and
-//! because every tuple list is tid-ascending that is Algorithm 1's
-//! "strictly smaller distance, first arrival wins" answer. What the order
-//! changes is only how many records are fetched
-//! ([`crate::QueryStats::table_accesses`]); records a `refine_batch > 1`
-//! chunk pinned and its replay then rejected are counted in
-//! [`crate::QueryStats::speculative_accesses`] (none at `refine_batch = 1`).
+//! [`crate::pool`]). A candidate is skipped — at walk time or before its
+//! fetch — only when `(est, tid)` is at or above the pool's worst entry;
+//! `est ≤ dist`, and the worst entry only falls, so a skipped candidate is
+//! not among the k smallest `(dist, tid)` of the tuples visited. Hence
+//! *any* visiting order, window size or partition into lanes leaves the
+//! pool holding exactly those k, and because every tuple list is
+//! tid-ascending that is Algorithm 1's "strictly smaller distance, first
+//! arrival wins" answer. What the order changes is only how many records
+//! are fetched ([`crate::QueryStats::table_accesses`]); every fetch is of
+//! a candidate the pool admitted at that moment.
 //!
-//! **Refine on bytes.** The replay hands [`bounded_distance`] the pool's
-//! [`refine_cap`](crate::ResultPool::refine_cap) for the candidate's tid
+//! **Refine on bytes.** The refine step hands [`bounded_distance`] the
+//! pool's [`refine_cap`](crate::ResultPool::refine_cap) for the candidate's tid
 //! and gets back the exact distance if that is below the cap and otherwise
 //! *some* value at or above it. The cap is the pool's threshold, stepped
 //! up one ulp when the tid would win a tie against the worst entry — so
@@ -324,13 +322,11 @@ impl IvaIndex {
     /// each lane at `drain_at` pending candidates and at the end of the
     /// range (see the module doc). Lanes must be freshly opened. With
     /// `measured` false no clock is read.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn scan<M: Metric>(
         &self,
         table: &SwtTable,
         lanes: &mut [Lane<'_>],
         range: Range<u64>,
-        refine_batch: usize,
         drain_at: usize,
         metric: &M,
         measured: bool,
@@ -351,10 +347,7 @@ impl IvaIndex {
             table,
             metric,
             ndf,
-            batch: refine_batch.max(1),
             measured,
-            chunk: Vec::new(),
-            ptrs: Vec::new(),
             scratch: Vec::new(),
         };
         // The thread-CPU clock is a real syscall (~0.2 µs), so it is read
@@ -420,7 +413,6 @@ impl IvaIndex {
         metric: &M,
         lambda: &[f64],
         measured: bool,
-        refine_batch: usize,
         drain_at: usize,
         carry: &mut ScanCarry,
     ) -> Result<()> {
@@ -430,7 +422,6 @@ impl IvaIndex {
             table,
             &mut lanes,
             0..self.n_tuples(),
-            refine_batch,
             drain_at,
             metric,
             measured,
@@ -451,17 +442,12 @@ pub(crate) fn next_fetched<'f>(fetch: &'f mut RecordFetch<'_>) -> Result<RecordR
 }
 
 /// The refine step of one [`IvaIndex::scan`] call: what every drain
-/// needs besides the lane, and the fetch buffers reused across them.
+/// needs besides the lane, and the record buffer reused across fetches.
 struct Refiner<'a, M> {
     table: &'a SwtTable,
     metric: &'a M,
     ndf: f64,
-    /// Candidates per fetch round (`refine_batch`, at least 1).
-    batch: usize,
     measured: bool,
-    /// The round being gathered (`dist` holds the estimate).
-    chunk: Vec<PoolEntry>,
-    ptrs: Vec<RecordPtr>,
     scratch: Vec<u8>,
 }
 
@@ -494,58 +480,38 @@ impl<M: Metric> Refiner<'_, M> {
         Ok(start.map_or(0, |t| monotonic_nanos().saturating_sub(t)))
     }
 
-    /// The one fetch-and-replay routine: every candidate of `cands` that
-    /// the lane's pool still admits — and that lies above `cut`, if the
-    /// probe already took everything at or below it — joins the current
-    /// round; a full round is fetched and replayed.
+    /// Algorithm 1's refine step over `cands` (`dist` holds the estimate):
+    /// every candidate the lane's pool still admits — and that lies above
+    /// `cut`, if the probe already took everything at or below it — is
+    /// fetched, read in place and offered to the pool at its distance.
     fn pass(
         &mut self,
         lane: &mut Lane<'_>,
         cands: impl Iterator<Item = PoolEntry>,
         cut: Option<PoolEntry>,
     ) -> Result<()> {
-        for c in cands {
-            if lane.carry.pool.admits_at(c.dist, c.tid) && cut.is_none_or(|cut| c > cut) {
-                self.chunk.push(c);
-                if self.chunk.len() >= self.batch {
-                    self.round(lane)?;
-                }
-            }
-        }
-        self.round(lane)
-    }
-
-    /// Pin the gathered round as one page-ordered, coalesced batch and
-    /// replay the admission test per record against the now-current pool,
-    /// reading each admitted record in place.
-    fn round(&mut self, lane: &mut Lane<'_>) -> Result<()> {
-        if self.chunk.is_empty() {
-            return Ok(());
-        }
-        self.ptrs.clear();
-        self.ptrs.extend(self.chunk.iter().map(|c| c.ptr));
-        let mut fetch = self.table.fetch(&self.ptrs, &mut self.scratch)?;
         let ScanCarry { pool, stats } = &mut *lane.carry;
-        for c in &self.chunk {
-            let rec = next_fetched(&mut fetch)?;
-            if pool.admits_at(c.dist, c.tid) {
-                stats.table_accesses += 1;
-                let actual = bounded_distance(
-                    &rec.view,
-                    lane.query,
-                    lane.lambda,
-                    self.metric,
-                    self.ndf,
-                    pool.refine_cap(c.tid),
-                    &mut lane.diffs,
-                    &mut lane.locs,
-                )?;
-                pool.insert_at(c.tid, actual, c.ptr);
-            } else {
-                stats.speculative_accesses += 1;
+        for c in cands {
+            if !pool.admits_at(c.dist, c.tid) || cut.is_some_and(|cut| c <= cut) {
+                continue;
             }
+            let mut fetch = self
+                .table
+                .fetch(std::slice::from_ref(&c.ptr), &mut self.scratch)?;
+            let rec = next_fetched(&mut fetch)?;
+            stats.table_accesses += 1;
+            let actual = bounded_distance(
+                &rec.view,
+                lane.query,
+                lane.lambda,
+                self.metric,
+                self.ndf,
+                pool.refine_cap(c.tid),
+                &mut lane.diffs,
+                &mut lane.locs,
+            )?;
+            pool.insert_at(c.tid, actual, c.ptr);
         }
-        self.chunk.clear();
         Ok(())
     }
 }
@@ -562,8 +528,8 @@ mod tests {
 
     /// The scan reads the CPU clock twice and apportions it by the
     /// drains' monotonic share: both phases are charged, and together they
-    /// are the scan's CPU time, at every batch size — and an unmeasured
-    /// scan reads no clock at all.
+    /// are the scan's CPU time — and an unmeasured scan reads no clock at
+    /// all.
     #[test]
     fn phase_nanos_split_one_cpu_reading() {
         let opts = PagerOptions {
@@ -580,32 +546,26 @@ mod tests {
         let index = build_index(&table, IndexTarget::Mem, &opts, IoStats::new(), cfg).unwrap();
         let q = Query::new().text(AttrId(0), "item number 77");
         let shared = index.prepare_query(&q).unwrap();
-        for batch in [1usize, 64] {
-            for measured in [true, false] {
-                let mut carry = ScanCarry::new(10);
-                let mut lanes = [Lane::open(&index, &q, &[1.0], &shared, &mut carry).unwrap()];
-                let before = crate::timing::thread_cpu_time();
-                let nanos = index
-                    .scan(
-                        &table,
-                        &mut lanes,
-                        0..index.n_tuples(),
-                        batch,
-                        DRAIN_AT,
-                        &MetricKind::L2,
-                        measured,
-                    )
-                    .unwrap();
-                let spent = crate::timing::thread_cpu_time() - before;
-                if measured {
-                    assert!(nanos.filter > 0 && nanos.refine > 0, "B={batch}: {nanos:?}");
-                    assert!(
-                        nanos.filter + nanos.refine <= spent,
-                        "B={batch}: {nanos:?} > {spent}"
-                    );
-                } else {
-                    assert_eq!((nanos.filter, nanos.refine), (0, 0), "B={batch}");
-                }
+        for measured in [true, false] {
+            let mut carry = ScanCarry::new(10);
+            let mut lanes = [Lane::open(&index, &q, &[1.0], &shared, &mut carry).unwrap()];
+            let before = crate::timing::thread_cpu_time();
+            let nanos = index
+                .scan(
+                    &table,
+                    &mut lanes,
+                    0..index.n_tuples(),
+                    DRAIN_AT,
+                    &MetricKind::L2,
+                    measured,
+                )
+                .unwrap();
+            let spent = crate::timing::thread_cpu_time() - before;
+            if measured {
+                assert!(nanos.filter > 0 && nanos.refine > 0, "{nanos:?}");
+                assert!(nanos.filter + nanos.refine <= spent, "{nanos:?} > {spent}");
+            } else {
+                assert_eq!((nanos.filter, nanos.refine), (0, 0));
             }
         }
     }

@@ -217,11 +217,7 @@ impl Segment {
                 IvaIndex::open_with_vfs(Arc::clone(vfs), &path, pager, index_io.clone())?
             }
         };
-        index.set_runtime_knobs(
-            config.search_threads,
-            config.refine_batch,
-            config.hot_tier_bytes,
-        );
+        index.set_runtime_knobs(config.search_threads, config.hot_tier_bytes);
         Ok(Self {
             id,
             lo_tid,

@@ -67,7 +67,7 @@ pub(crate) fn thread_cpu_time() -> u64 {
 /// This is the one sanctioned wall-clock for the *serving* layer: request
 /// latency is a property of the outside world (queueing + execution), so
 /// thread CPU time is the wrong instrument there. The scan spine also
-/// reads it, around every fetch-and-replay round: it is a vDSO call
+/// reads it, around every drain: it is a vDSO call
 /// (~25 ns) where the thread-CPU clock is a syscall (~0.2 µs), so the
 /// spine reads the CPU clock twice per scan and apportions that time to
 /// its two phases by their monotonic share. Like the crate-private

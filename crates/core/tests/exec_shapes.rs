@@ -78,7 +78,6 @@ fn parallel_matches_serial_bit_for_bit() {
             let o = QueryOptions {
                 threads: Some(threads),
                 measured: true,
-                refine_batch: None,
             };
             let par = index
                 .query_opts(&table, &q, k, &MetricKind::L2, WeightScheme::Equal, &o)
@@ -111,7 +110,6 @@ fn parallel_matches_serial_with_tombstones_and_appends() {
         let o = QueryOptions {
             threads: Some(threads),
             measured: false,
-            refine_batch: None,
         };
         let par = index
             .query_opts(&table, &q, 10, &MetricKind::L1, WeightScheme::Equal, &o)
@@ -137,71 +135,26 @@ fn thread_count_clamps_to_segment_floor() {
     let serial = index
         .query(&table, &q, 5, &MetricKind::L2, WeightScheme::Equal)
         .unwrap();
-    let o = QueryOptions {
-        threads: Some(64),
-        measured: true,
-        refine_batch: None,
-    };
-    let par = index
-        .query_opts(&table, &q, 5, &MetricKind::L2, WeightScheme::Equal, &o)
-        .unwrap();
-    assert_bit_identical(&serial, &par, "clamped");
-}
-
-/// `speculative_accesses` counts records a `refine_batch > 1` round pinned
-/// and its replay rejected: 0 at B = 1 in every shape, possibly more above.
-#[test]
-fn speculative_accesses_only_in_batched_rounds() {
-    let table = table(600);
-    let index = build_index(
-        &table,
-        IndexTarget::Mem,
-        &opts(),
-        IoStats::new(),
-        IvaConfig::default(),
-    )
-    .unwrap();
-    // Misspelt, so estimates are loose and a gathered round goes stale.
-    let q = Query::new().text(AttrId(0), "prodct listng 42");
-    let run = |threads: usize, refine_batch: usize| {
+    let run = |threads: usize| {
         let o = QueryOptions {
             threads: Some(threads),
             measured: true,
-            refine_batch: Some(refine_batch),
         };
         index
-            .query_opts(&table, &q, 10, &MetricKind::L2, WeightScheme::Equal, &o)
+            .query_opts(&table, &q, 5, &MetricKind::L2, WeightScheme::Equal, &o)
             .unwrap()
     };
-    let serial = run(1, 1);
-    for threads in [1usize, 2, 4] {
-        let unbatched = run(threads, 1);
-        assert_eq!(unbatched.stats.speculative_accesses, 0, "threads={threads}");
-        let batched = run(threads, 64);
-        assert_bit_identical(&serial, &batched, &format!("threads={threads} B=64"));
-        // A round only pins what the pool admitted when it was gathered,
-        // and every refined record is one the unbatched plan refines too.
-        assert_eq!(batched.stats.table_accesses, unbatched.stats.table_accesses);
-    }
-    // A 64-candidate round of the sweep is gathered against the pool the
-    // probe left; the pool tightens while the round is replayed.
-    assert!(run(1, 64).stats.speculative_accesses > 0);
-    let items = [BatchItem {
-        query: &q,
-        k: 10,
-        weights: WeightScheme::Equal,
-    }; 2];
-    let o = QueryOptions {
-        refine_batch: Some(1),
-        ..QueryOptions::default()
-    };
-    for member in index
-        .query_batch(&table, &items, &MetricKind::L2, &o)
-        .unwrap()
-    {
-        assert_eq!(member.stats.speculative_accesses, 0);
-        assert_same_plan(&serial, &member, "batch member at B=1");
-    }
+    assert_bit_identical(&serial, &run(64), "clamped");
+    // `0` is "one worker per CPU", as in `IvaConfig::search_threads` — not
+    // serial: the lanes that ran are those of asking for the CPU count.
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let auto = run(0);
+    assert_bit_identical(&serial, &auto, "threads=0");
+    assert_eq!(
+        auto.stats.table_accesses,
+        run(cpus).stats.table_accesses,
+        "threads=0 vs threads={cpus}"
+    );
 }
 
 /// A spread of distinct probes so batch members chase different
@@ -242,28 +195,25 @@ fn batch_matches_solo_bit_for_bit() {
                 .unwrap()
         })
         .collect();
-    for refine_batch in [1usize, 2, 7, 64, 1024] {
-        let o = QueryOptions {
-            threads: Some(1),
-            measured: true,
-            refine_batch: Some(refine_batch),
-        };
-        let items: Vec<BatchItem<'_>> = qs
-            .iter()
-            .zip(ks)
-            .map(|(query, k)| BatchItem {
-                query,
-                k,
-                weights: WeightScheme::Equal,
-            })
-            .collect();
-        let batch = index
-            .query_batch(&table, &items, &MetricKind::L2, &o)
-            .unwrap();
-        assert_eq!(batch.len(), solo.len());
-        for (i, (b, s)) in batch.iter().zip(&solo).enumerate() {
-            assert_same_plan(s, b, &format!("B={refine_batch} item={i}"));
-        }
+    let o = QueryOptions {
+        threads: Some(1),
+        measured: true,
+    };
+    let items: Vec<BatchItem<'_>> = qs
+        .iter()
+        .zip(ks)
+        .map(|(query, k)| BatchItem {
+            query,
+            k,
+            weights: WeightScheme::Equal,
+        })
+        .collect();
+    let batch = index
+        .query_batch(&table, &items, &MetricKind::L2, &o)
+        .unwrap();
+    assert_eq!(batch.len(), solo.len());
+    for (i, (b, s)) in batch.iter().zip(&solo).enumerate() {
+        assert_same_plan(s, b, &format!("item={i}"));
     }
 }
 
@@ -293,7 +243,6 @@ fn batch_matches_solo_with_tombstones() {
     let o = QueryOptions {
         threads: Some(1),
         measured: false,
-        refine_batch: Some(16),
     };
     let items: Vec<BatchItem<'_>> = qs
         .iter()
@@ -373,7 +322,6 @@ fn identical_members_get_identical_answers() {
     let o = QueryOptions {
         threads: Some(1),
         measured: true,
-        refine_batch: Some(8),
     };
     let batch = index
         .query_batch(&table, &items, &MetricKind::L2, &o)
@@ -430,14 +378,12 @@ fn windowed(
     q: &Query,
     k: usize,
     threads: usize,
-    refine_batch: usize,
     window: usize,
 ) -> QueryOutcome {
     let lambda = index.resolve_weights(q, WeightScheme::Equal);
     let o = QueryOptions {
         threads: Some(threads),
         measured: false,
-        refine_batch: Some(refine_batch),
     };
     let mut carry = ScanCarry::new(k);
     index
@@ -446,7 +392,7 @@ fn windowed(
     carry.finish()
 }
 
-/// Any window, segment count and round size returns the k smallest
+/// Any window and segment count returns the k smallest
 /// `(dist, tid)`: with ties at D_k straddling every boundary, and with
 /// fewer than k tuples defining any query attribute (the all-*ndf* level
 /// then decides by tid alone).
@@ -486,17 +432,14 @@ fn every_window_returns_the_k_smallest_dist_tid() {
                 assert_eq!(kth.0, next.0, "k={k}: no tie at D_k");
             }
             for window in [1usize, 7, 64, n as usize] {
-                for (threads, refine_batch) in [(1usize, 1usize), (1, 16), (3, 1), (4, 16)] {
-                    let got = windowed(&index, &table, q, k, threads, refine_batch, window);
+                for threads in [1usize, 3, 4] {
+                    let got = windowed(&index, &table, q, k, threads, window);
                     let got: Vec<(u64, u64)> = got
                         .results
                         .iter()
                         .map(|e| (e.tid, e.dist.to_bits()))
                         .collect();
-                    assert_eq!(
-                        got, want,
-                        "q{qi} k={k} window={window} threads={threads} B={refine_batch}"
-                    );
+                    assert_eq!(got, want, "q{qi} k={k} window={window} threads={threads}");
                 }
             }
         }
@@ -584,13 +527,11 @@ fn one_window_fetches_within_the_probe_bound() {
         let d_k = by(|r| r.1)[k - 1].1;
         let at_most = k + rows.iter().filter(|r| r.0 <= t1).count();
         let at_least = rows.iter().filter(|r| r.0 < d_k).count();
-        for refine_batch in [1usize, 8] {
-            let got = windowed(&index, &t, &q, k, 1, refine_batch, n as usize);
-            let fetched = got.stats.table_accesses as usize;
-            assert!(
-                (at_least..=at_most).contains(&fetched),
-                "{needle:?} k={k} B={refine_batch}: {fetched} not in {at_least}..={at_most}"
-            );
-        }
+        let got = windowed(&index, &t, &q, k, 1, n as usize);
+        let fetched = got.stats.table_accesses as usize;
+        assert!(
+            (at_least..=at_most).contains(&fetched),
+            "{needle:?} k={k}: {fetched} not in {at_least}..={at_most}"
+        );
     }
 }

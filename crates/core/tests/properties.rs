@@ -327,7 +327,7 @@ proptest! {
             .query(&table, &q, k, &MetricKind::L2, WeightScheme::Equal)
             .unwrap();
         for threads in [2usize, 3, 8] {
-            let o = QueryOptions { threads: Some(threads), measured: false, refine_batch: None };
+            let o = QueryOptions { threads: Some(threads), measured: false };
             let par = index
                 .query_opts(&table, &q, k, &MetricKind::L2, WeightScheme::Equal, &o)
                 .unwrap();
@@ -337,73 +337,6 @@ proptest! {
                 prop_assert_eq!(a.dist.to_bits(), b.dist.to_bits(), "threads={}", threads);
             }
             prop_assert_eq!(serial.stats.tuples_scanned, par.stats.tuples_scanned);
-        }
-    }
-
-    /// Fetching a drain's candidates in page-coalesced rounds must be
-    /// invisible in the answer: for every round size, list organization,
-    /// and thread count, the top-k (ids, distance bits, tie-breaks) match
-    /// the unbatched serial scan exactly. At one thread the drain schedule
-    /// is the same for every `B`, so `table_accesses` match too; only
-    /// `speculative_accesses` may differ from zero, and only at `B > 1`.
-    #[test]
-    fn refine_batch_bit_identical_on_all_list_types(
-        rows in 150u32..400,
-        alpha in 0.1f64..0.5,
-        gram_n in 2usize..5,
-        k in 1usize..12,
-    ) {
-        let table = all_list_types_table(rows);
-        let cfg = IvaConfig { alpha, n: gram_n, ..Default::default() };
-        let index = build_index(&table, IndexTarget::Mem, &opts(), IoStats::new(), cfg).unwrap();
-        let q = Query::new()
-            .text(AttrId(0), "product listing 0042")
-            .text(AttrId(1), "note 33")
-            .num(AttrId(2), 42.0)
-            .num(AttrId(3), 26.0);
-        let base_opts = QueryOptions {
-            threads: Some(1),
-            measured: false,
-            refine_batch: Some(1),
-        };
-        let base = index
-            .query_opts(&table, &q, k, &MetricKind::L2, WeightScheme::Equal, &base_opts)
-            .unwrap();
-        prop_assert_eq!(base.stats.speculative_accesses, 0);
-        for threads in [1usize, 2, 3, 8] {
-            for batch in [1usize, 2, 7, 64] {
-                let o = QueryOptions {
-                    threads: Some(threads),
-                    measured: false,
-                    refine_batch: Some(batch),
-                };
-                let got = index
-                    .query_opts(&table, &q, k, &MetricKind::L2, WeightScheme::Equal, &o)
-                    .unwrap();
-                prop_assert_eq!(base.results.len(), got.results.len());
-                for (a, b) in base.results.iter().zip(&got.results) {
-                    prop_assert_eq!(a.tid, b.tid, "threads={} batch={}", threads, batch);
-                    prop_assert_eq!(
-                        a.dist.to_bits(),
-                        b.dist.to_bits(),
-                        "threads={} batch={}",
-                        threads,
-                        batch
-                    );
-                }
-                if threads == 1 {
-                    prop_assert_eq!(
-                        base.stats.table_accesses,
-                        got.stats.table_accesses,
-                        "batch={}",
-                        batch
-                    );
-                }
-                // Only a round of several candidates can go stale.
-                if batch == 1 {
-                    prop_assert_eq!(got.stats.speculative_accesses, 0, "threads={}", threads);
-                }
-            }
         }
     }
 
@@ -444,7 +377,7 @@ proptest! {
             .num(AttrId(2), 42.0)
             .num(AttrId(3), 26.0);
         for threads in [1usize, 3] {
-            let o = QueryOptions { threads: Some(threads), measured: false, refine_batch: None };
+            let o = QueryOptions { threads: Some(threads), measured: false };
             let a = packed
                 .query_opts(&table, &q, k, &MetricKind::L2, WeightScheme::Equal, &o)
                 .unwrap();
@@ -480,7 +413,7 @@ proptest! {
             raw.insert(tid, ptr, &tup, table.catalog()).unwrap();
         }
         for threads in [1usize, 3] {
-            let o = QueryOptions { threads: Some(threads), measured: false, refine_batch: None };
+            let o = QueryOptions { threads: Some(threads), measured: false };
             let a = packed
                 .query_opts(&table, &q, k, &MetricKind::L2, WeightScheme::Equal, &o)
                 .unwrap();
@@ -502,15 +435,15 @@ proptest! {
         check_equivalence(&table, &packed, &q, k, &MetricKind::L2, WeightScheme::Equal)?;
     }
 
-    /// One spine, every shape: segmented-parallel (threads), deferred
-    /// refinement (B) and shared-scan batching (companions) are arguments
-    /// of the same scan, so every combination — over raw and packed
-    /// lists, with the hot tier off and warm, with tombstones in the
-    /// tuple list — must reproduce the serial `B = 1` scan of the raw,
-    /// never-tiered index bit for bit; and wherever the lanes are serial
-    /// (one thread, or a real batch) fetch exactly what it fetched.
+    /// One spine, every shape: segmented-parallel (threads) and
+    /// shared-scan batching (companions) are arguments of the same scan,
+    /// so every combination — over raw and packed lists, with the hot
+    /// tier off and warm, with tombstones in the tuple list — must
+    /// reproduce the serial scan of the raw, never-tiered index bit for
+    /// bit; and wherever the lanes are serial (one thread, or a real
+    /// batch) fetch exactly what it fetched.
     #[test]
-    fn every_execution_shape_matches_serial_unbatched(
+    fn every_execution_shape_matches_serial(
         rows in 200u32..400,
         alpha in 0.1f64..0.5,
         gram_n in 2usize..5,
@@ -538,67 +471,56 @@ proptest! {
             }
             index
         };
-        let serial_unbatched = QueryOptions {
-            threads: Some(1),
-            measured: false,
-            refine_batch: Some(1),
-        };
+        let serial = QueryOptions { threads: Some(1), measured: false };
         let reference = build(false);
         let want: Vec<QueryOutcome> = queries
             .iter()
             .map(|q| {
                 reference
-                    .query_opts(&table, q, k, &MetricKind::L2, WeightScheme::Equal, &serial_unbatched)
+                    .query_opts(&table, q, k, &MetricKind::L2, WeightScheme::Equal, &serial)
                     .unwrap()
             })
             .collect();
-        prop_assert_eq!(want[0].stats.speculative_accesses, 0);
 
         for packed in [false, true] {
             for warm in [false, true] {
                 let mut index = build(packed);
                 if warm {
-                    index.set_runtime_knobs(1, 1, 1 << 20);
+                    index.set_runtime_knobs(1, 1 << 20);
                     for _ in 0..8 {
                         for q in &queries {
                             index
-                                .query_opts(&table, q, k, &MetricKind::L2, WeightScheme::Equal, &serial_unbatched)
+                                .query_opts(&table, q, k, &MetricKind::L2, WeightScheme::Equal, &serial)
                                 .unwrap();
                         }
                     }
                 }
                 let mut hot_attrs = 0;
                 for threads in [1usize, 2, 3] {
-                    for batch in [1usize, 2, 7, 64] {
-                        for companions in [0usize, 1, 3] {
-                            let o = QueryOptions {
-                                threads: Some(threads),
-                                measured: false,
-                                refine_batch: Some(batch),
-                            };
-                            let items: Vec<BatchItem<'_>> = queries[..=companions]
-                                .iter()
-                                .map(|query| BatchItem { query, k, weights: WeightScheme::Equal })
-                                .collect();
-                            let got = index
-                                .query_batch(&table, &items, &MetricKind::L2, &o)
-                                .unwrap();
-                            prop_assert_eq!(got.len(), items.len());
-                            // A singleton batch is the (possibly parallel)
-                            // single-query plan; real batches ignore `threads`.
-                            let same_plan = threads == 1 || companions > 0;
-                            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                                let label = format!(
-                                    "packed={packed} warm={warm} threads={threads} B={batch} \
-                                     companions={companions} member={i}"
-                                );
-                                if same_plan {
-                                    assert_same_plan(w, g, &label);
-                                } else {
-                                    assert_bit_identical(w, g, &label);
-                                }
-                                hot_attrs += g.stats.hot_tier_attrs;
+                    for companions in [0usize, 1, 3] {
+                        let o = QueryOptions { threads: Some(threads), measured: false };
+                        let items: Vec<BatchItem<'_>> = queries[..=companions]
+                            .iter()
+                            .map(|query| BatchItem { query, k, weights: WeightScheme::Equal })
+                            .collect();
+                        let got = index
+                            .query_batch(&table, &items, &MetricKind::L2, &o)
+                            .unwrap();
+                        prop_assert_eq!(got.len(), items.len());
+                        // A singleton batch is the (possibly parallel)
+                        // single-query plan; real batches ignore `threads`.
+                        let same_plan = threads == 1 || companions > 0;
+                        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                            let label = format!(
+                                "packed={packed} warm={warm} threads={threads} \
+                                 companions={companions} member={i}"
+                            );
+                            if same_plan {
+                                assert_same_plan(w, g, &label);
+                            } else {
+                                assert_bit_identical(w, g, &label);
                             }
+                            hot_attrs += g.stats.hot_tier_attrs;
                         }
                     }
                 }

@@ -55,7 +55,7 @@ proptest! {
             build_index(&table, IndexTarget::Mem, &opts(), IoStats::new(), cfg.clone()).unwrap();
         let mut tiered =
             build_index(&table, IndexTarget::Mem, &opts(), IoStats::new(), cfg.clone()).unwrap();
-        tiered.set_runtime_knobs(cfg.search_threads, cfg.refine_batch, 1 << 20);
+        tiered.set_runtime_knobs(cfg.search_threads, 1 << 20);
 
         // The density split must actually materialize all four
         // organizations, or this test silently weakens.
@@ -73,7 +73,7 @@ proptest! {
             .num(AttrId(2), 42.0)
             .num(AttrId(3), 26.0);
         let run = |idx: &IvaIndex, table: &SwtTable, threads: usize| {
-            let o = QueryOptions { threads: Some(threads), measured: false, refine_batch: None };
+            let o = QueryOptions { threads: Some(threads), measured: false };
             idx.query_opts(table, &q, k, &MetricKind::L2, WeightScheme::Equal, &o)
                 .unwrap()
         };
@@ -123,7 +123,7 @@ proptest! {
 
         // Phase 3 — budget squeeze mid-run: a budget too small for any
         // column evicts everything and refuses re-admission.
-        tiered.set_runtime_knobs(cfg.search_threads, cfg.refine_batch, 64);
+        tiered.set_runtime_knobs(cfg.search_threads, 64);
         for round in 0..3 {
             let cold = run(&reference, &table, 1);
             let hot = run(&tiered, &table, 1);
@@ -132,13 +132,13 @@ proptest! {
         }
 
         // Phase 4 — disabled entirely, then re-enabled and re-warmed.
-        tiered.set_runtime_knobs(cfg.search_threads, cfg.refine_batch, 0);
+        tiered.set_runtime_knobs(cfg.search_threads, 0);
         let cold = run(&reference, &table, 1);
         let hot = run(&tiered, &table, 1);
         assert_same_plan(&cold, &hot, "disabled");
         prop_assert_eq!(hot.stats.hot_tier_attrs, 0);
 
-        tiered.set_runtime_knobs(cfg.search_threads, cfg.refine_batch, 1 << 20);
+        tiered.set_runtime_knobs(cfg.search_threads, 1 << 20);
         let mut saw_hot_again = false;
         for round in 0..8 {
             let cold = run(&reference, &table, 1);

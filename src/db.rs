@@ -5,7 +5,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use iva_core::{
-    build_index, BatchItem, IndexTarget, IvaConfig, IvaError, IvaIndex, Metric, MetricKind, Query,
+    build_index, IndexTarget, IvaConfig, IvaError, IvaIndex, Metric, MetricKind, Query,
     QueryOutcome, QueryStats, Result, WeightScheme,
 };
 use iva_storage::vfs::{RealVfs, Vfs};
@@ -26,17 +26,15 @@ use crate::search::{QueryBuilder, SearchRequest};
 ///    [`IvaDb::open`] the *stored* values win — the ones in `opts` are
 ///    only used if the index has to be rebuilt from the table.
 /// 2. **Runtime defaults** (`config.search_threads`,
-///    `config.refine_batch`, `config.hot_tier_bytes`, plus `metric` and
-///    `weights` here) set the
+///    `config.hot_tier_bytes`, plus `metric` and `weights` here) set the
 ///    database's default execution plan. They are *never* persisted:
 ///    an index header round-trip deliberately drops them, and open
 ///    re-applies the values from `opts` so a reopened database behaves
 ///    like the options say, not like the process that wrote the file.
 /// 3. **Per-request overrides** ([`SearchRequest::metric`],
-///    [`SearchRequest::threads`], [`SearchRequest::refine_batch`], ...)
-///    apply to one `execute` call only. They never write through to
-///    either layer above — a request can never change what a later
-///    request or a reopened database does.
+///    [`SearchRequest::threads`], ...) apply to one `execute` call only.
+///    They never write through to either layer above — a request can
+///    never change what a later request or a reopened database does.
 ///
 /// Every layer-2/3 knob is plan-only: any setting produces bit-identical
 /// top-k answers, differing only in timing and in how many records are
@@ -248,11 +246,7 @@ impl IvaDb {
         // caller's execution knobs so a reopened database behaves like
         // the one that was closed (see "Persisted vs. per-request
         // configuration" on [`IvaDbOptions`]).
-        index.set_runtime_knobs(
-            opts.config.search_threads,
-            opts.config.refine_batch,
-            opts.config.hot_tier_bytes,
-        );
+        index.set_runtime_knobs(opts.config.search_threads, opts.config.hot_tier_bytes);
         Ok(index)
     }
 
@@ -388,55 +382,29 @@ impl IvaDb {
     }
 
     /// Run several searches as one admission batch: the tuple list is
-    /// scanned once for the whole batch and refinement fetches are pooled
-    /// into shared page-coalesced rounds (see
-    /// [`iva_core::IvaIndex::query_batch`]). Every entry's result is
+    /// scanned once for the whole batch and the entries' refinements run
+    /// back to back (see [`iva_core::IvaIndex::query_batch`]). Every
+    /// entry's result is
     /// bit-identical to calling [`IvaDb::execute`] with the same query and
     /// request on its own.
     ///
     /// Requests may disagree on their knobs: entries are grouped by
     /// resolved metric (one shared scan per distinct metric), weights and
     /// `k` are honored per entry, and the scan-level knobs take the first
-    /// explicit override in the group (`refine_batch`, `threads` — the
-    /// latter only reaches a singleton group, since batching replaces
-    /// segment parallelism) or any entry's `measured`.
+    /// explicit `threads` override in the group (which only reaches a
+    /// singleton group, since batching replaces segment parallelism) and
+    /// any entry's `measured`.
     pub fn execute_batch(&self, batch: &[(Query, SearchRequest)]) -> Result<Vec<SearchOutcome>> {
-        let mut out: Vec<Option<SearchOutcome>> = Vec::new();
-        out.resize_with(batch.len(), || None);
-        // Group by resolved metric, preserving submission order per group.
-        // Each group keeps the entry reference next to its slot index so the
-        // batch is never re-indexed.
-        type Entry<'b> = (usize, &'b (Query, SearchRequest));
-        let mut groups: Vec<(MetricKind, Vec<Entry<'_>>)> = Vec::new();
-        for (i, entry) in batch.iter().enumerate() {
-            let m = entry.1.metric_override().unwrap_or(self.opts.metric);
-            match groups.iter_mut().find(|(g, _)| *g == m) {
-                Some((_, idxs)) => idxs.push((i, entry)),
-                None => groups.push((m, vec![(i, entry)])),
-            }
-        }
-        for (metric, idxs) in groups {
-            let items: Vec<BatchItem<'_>> = idxs
-                .iter()
-                .map(|(_, (q, r))| BatchItem {
-                    query: q,
-                    k: r.k(),
-                    weights: r.weights_override().unwrap_or(self.opts.weights),
-                })
-                .collect();
-            let qopts = SearchRequest::query_options(idxs.iter().map(|(_, (_, r))| r));
+        let mut answered = Vec::with_capacity(batch.len());
+        for g in SearchRequest::metric_groups(batch, self.opts.metric, self.opts.weights) {
             let outs = self
                 .index
-                .query_batch(&self.table, &items, &metric, &qopts)?;
-            for (&(i, _), o) in idxs.iter().zip(outs) {
-                if let Some(slot) = out.get_mut(i) {
-                    *slot = Some(self.materialize(o)?);
-                }
+                .query_batch(&self.table, &g.items, &g.metric, &g.opts)?;
+            for (slot, o) in g.slots.into_iter().zip(outs) {
+                answered.push((slot, self.materialize(o)?));
             }
         }
-        out.into_iter()
-            .map(|o| o.ok_or_else(|| IvaError::Corrupt("batch entry left unanswered".into())))
-            .collect()
+        SearchRequest::in_batch_order(batch.len(), answered)
     }
 
     /// The metric used when a request carries no override.
@@ -525,7 +493,6 @@ impl IvaDb {
                 // round-trip; restore this database's execution defaults.
                 self.index.set_runtime_knobs(
                     self.opts.config.search_threads,
-                    self.opts.config.refine_batch,
                     self.opts.config.hot_tier_bytes,
                 );
             }

@@ -65,9 +65,10 @@ use crate::search::{QueryBuilder, SearchRequest};
 /// The layering contract of [`crate::IvaDbOptions`] carries over
 /// unchanged: structural parameters in `config` shape segment bytes and
 /// are persisted per segment; runtime knobs (`metric`, `weights`,
-/// threads/batching inside `config`) are never persisted; per-request
-/// overrides win for one call. The two thresholds below only steer
-/// *when* maintenance runs — any schedule yields bit-identical answers.
+/// threads and the hot-tier budget inside `config`) are never persisted;
+/// per-request overrides win for one call. The two thresholds below only
+/// steer *when* maintenance runs — any schedule yields bit-identical
+/// answers.
 #[derive(Debug, Clone)]
 pub struct LsmOptions {
     /// Pager/page-cache options (shared shape for every tier's files).

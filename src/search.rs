@@ -9,7 +9,7 @@
 //! catalog and reporting unknown or mistyped names as errors instead of
 //! panicking or silently matching nothing.
 
-use iva_core::{IvaError, MetricKind, Query, QueryOptions, Result, WeightScheme};
+use iva_core::{BatchItem, IvaError, MetricKind, Query, QueryOptions, Result, WeightScheme};
 use iva_swt::{AttrType, Catalog};
 
 /// Execution options for one top-k search, builder style.
@@ -31,7 +31,6 @@ pub struct SearchRequest {
     weights: Option<WeightScheme>,
     threads: Option<usize>,
     measured: bool,
-    refine_batch: Option<usize>,
 }
 
 impl SearchRequest {
@@ -44,7 +43,6 @@ impl SearchRequest {
             weights: None,
             threads: None,
             measured: true,
-            refine_batch: None,
         }
     }
 
@@ -62,7 +60,8 @@ impl SearchRequest {
 
     /// Override the configured filter-scan thread count
     /// ([`crate::IvaConfig::search_threads`]) for this request. Any count
-    /// returns bit-identical results; `1` forces the single-threaded path.
+    /// returns bit-identical results; `1` forces the single-threaded path
+    /// and `0` means what it means there, one worker per available CPU.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self
@@ -73,18 +72,6 @@ impl SearchRequest {
     /// counter stats are always collected.
     pub fn measured(mut self, measured: bool) -> Self {
         self.measured = measured;
-        self
-    }
-
-    /// Override the configured refinement batch size
-    /// ([`crate::IvaConfig::refine_batch`]) for this request. When the
-    /// scan drains its candidates, those the pool still admits are pinned
-    /// in page-ordered, coalesced rounds of up to `batch` and re-tested
-    /// per record (a record pinned and then rejected counts as
-    /// speculative); any size returns bit-identical results, and `1` (or
-    /// `0`) fetches one candidate at a time, never speculatively.
-    pub fn refine_batch(mut self, batch: usize) -> Self {
-        self.refine_batch = Some(batch);
         self
     }
 
@@ -113,29 +100,79 @@ impl SearchRequest {
         self.measured
     }
 
-    /// Refinement-batch override, if any.
-    pub fn refine_batch_override(&self) -> Option<usize> {
-        self.refine_batch
-    }
-
     /// The scan-level knobs of a group of requests served by one scan (a
-    /// single request is a group of one): the first explicit `threads` and
-    /// `refine_batch` override in the group, measured if any member is.
+    /// single request is a group of one): the first explicit `threads`
+    /// override in the group, measured if any member is.
     pub(crate) fn query_options<'a>(
         group: impl IntoIterator<Item = &'a SearchRequest>,
     ) -> QueryOptions {
         let mut opts = QueryOptions {
             threads: None,
             measured: false,
-            refine_batch: None,
         };
         for r in group {
             opts.threads = opts.threads.or(r.threads);
             opts.measured |= r.measured;
-            opts.refine_batch = opts.refine_batch.or(r.refine_batch);
         }
         opts
     }
+
+    /// Split an admission batch into one group per resolved metric
+    /// (`metric` / `weights` are the database defaults), submission order
+    /// kept within a group. Each group is served by one shared scan.
+    pub(crate) fn metric_groups(
+        batch: &[(Query, SearchRequest)],
+        metric: MetricKind,
+        weights: WeightScheme,
+    ) -> Vec<MetricGroup<'_>> {
+        // Each group keeps the entry reference next to its slot index so
+        // the batch is never re-indexed.
+        type Entry<'b> = (usize, &'b (Query, SearchRequest));
+        let mut groups: Vec<(MetricKind, Vec<Entry<'_>>)> = Vec::new();
+        for (i, entry) in batch.iter().enumerate() {
+            let m = entry.1.metric.unwrap_or(metric);
+            match groups.iter_mut().find(|(g, _)| *g == m) {
+                Some((_, entries)) => entries.push((i, entry)),
+                None => groups.push((m, vec![(i, entry)])),
+            }
+        }
+        groups
+            .into_iter()
+            .map(|(metric, entries)| MetricGroup {
+                metric,
+                slots: entries.iter().map(|&(i, _)| i).collect(),
+                items: entries
+                    .iter()
+                    .map(|(_, (query, r))| BatchItem {
+                        query,
+                        k: r.k,
+                        weights: r.weights.unwrap_or(weights),
+                    })
+                    .collect(),
+                opts: Self::query_options(entries.iter().map(|(_, (_, r))| r)),
+            })
+            .collect()
+    }
+
+    /// The outcomes of a batch of `n`, each beside the slot its group
+    /// named for it, back in submission order.
+    pub(crate) fn in_batch_order<O>(n: usize, mut answered: Vec<(usize, O)>) -> Result<Vec<O>> {
+        if answered.len() != n {
+            return Err(IvaError::Corrupt("batch entry left unanswered".into()));
+        }
+        answered.sort_by_key(|&(slot, _)| slot);
+        Ok(answered.into_iter().map(|(_, o)| o).collect())
+    }
+}
+
+/// The entries of an admission batch that resolve to one metric.
+pub(crate) struct MetricGroup<'b> {
+    pub(crate) metric: MetricKind,
+    /// Where each item sits in the batch, item by item.
+    pub(crate) slots: Vec<usize>,
+    pub(crate) items: Vec<BatchItem<'b>>,
+    /// The group's scan-level knobs ([`SearchRequest::query_options`]).
+    pub(crate) opts: QueryOptions,
 }
 
 /// Builds a [`Query`] from attribute *names*, resolved through a catalog.

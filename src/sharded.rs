@@ -13,7 +13,7 @@
 //! and the global top-k is contained in the union of local top-ks.
 
 use iva_core::{
-    BatchItem, IvaError, Metric, MetricKind, PoolEntry, Query, QueryOptions, QueryOutcome,
+    IvaConfig, IvaError, Metric, MetricKind, PoolEntry, Query, QueryOptions, QueryOutcome,
     QueryStats, Result,
 };
 use iva_swt::{Tid, Tuple};
@@ -208,9 +208,12 @@ impl ShardedIvaDb {
     /// Split the request's thread budget (or the configured
     /// [`crate::IvaConfig::search_threads`]) evenly across shards.
     fn shard_options(&self, opts: QueryOptions) -> QueryOptions {
-        let budget = opts
-            .threads
-            .unwrap_or_else(|| self.opts.config.resolved_search_threads());
+        // A request's `0` means what the configured `0` means.
+        let budget = IvaConfig {
+            search_threads: opts.threads.unwrap_or(self.opts.config.search_threads),
+            ..self.opts.config
+        }
+        .resolved_search_threads();
         QueryOptions {
             threads: Some((budget / self.shards.len()).max(1)),
             ..opts
@@ -227,7 +230,6 @@ impl ShardedIvaDb {
         for (i, out) in locals.into_iter().enumerate() {
             stats.tuples_scanned += out.stats.tuples_scanned;
             stats.table_accesses += out.stats.table_accesses;
-            stats.speculative_accesses += out.stats.speculative_accesses;
             stats.hot_tier_attrs += out.stats.hot_tier_attrs;
             stats.cold_tier_attrs += out.stats.cold_tier_attrs;
             stats.hot_tier_bytes_scanned += out.stats.hot_tier_bytes_scanned;
@@ -240,13 +242,7 @@ impl ShardedIvaDb {
                 merged.push((i as u32, e));
             }
         }
-        merged.sort_by(|a, b| {
-            a.1.dist
-                .partial_cmp(&b.1.dist)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.tid.cmp(&b.1.tid))
-                .then(a.0.cmp(&b.0))
-        });
+        merged.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
         merged.truncate(k);
         let hits = merged
             .into_iter()
@@ -280,42 +276,20 @@ impl ShardedIvaDb {
         &self,
         batch: &[(Query, SearchRequest)],
     ) -> Result<Vec<ShardedSearchOutcome>> {
-        let mut out: Vec<Option<ShardedSearchOutcome>> = Vec::new();
-        out.resize_with(batch.len(), || None);
-        // As in [`crate::IvaDb::execute_batch`], each group keeps the entry
-        // reference next to its slot index so the batch is never re-indexed.
-        type Entry<'b> = (usize, &'b (Query, SearchRequest));
-        let mut groups: Vec<(MetricKind, Vec<Entry<'_>>)> = Vec::new();
-        for (i, entry) in batch.iter().enumerate() {
-            let m = entry.1.metric_override().unwrap_or(self.opts.metric);
-            match groups.iter_mut().find(|(g, _)| *g == m) {
-                Some((_, idxs)) => idxs.push((i, entry)),
-                None => groups.push((m, vec![(i, entry)])),
-            }
-        }
-        for (metric, idxs) in groups {
-            let items: Vec<BatchItem<'_>> = idxs
-                .iter()
-                .map(|(_, (q, r))| BatchItem {
-                    query: q,
-                    k: r.k(),
-                    weights: r.weights_override().unwrap_or(self.opts.weights),
-                })
-                .collect();
-            let qopts = self.shard_options(SearchRequest::query_options(
-                idxs.iter().map(|(_, (_, r))| r),
-            ));
+        let mut answered = Vec::with_capacity(batch.len());
+        for g in SearchRequest::metric_groups(batch, self.opts.metric, self.opts.weights) {
+            let (metric, items) = (g.metric, &g.items);
+            let qopts = self.shard_options(g.opts);
 
             let per_shard: Vec<Result<Vec<QueryOutcome>>> = if let [only] = self.shards.as_slice() {
                 vec![only
                     .index()
-                    .query_batch(only.table(), &items, &metric, &qopts)]
+                    .query_batch(only.table(), items, &metric, &qopts)]
             } else {
                 let mut slots: Vec<Option<Result<Vec<QueryOutcome>>>> = Vec::new();
                 slots.resize_with(self.shards.len(), || None);
                 crossbeam::thread::scope(|scope| {
                     for (shard, slot) in self.shards.iter().zip(slots.iter_mut()) {
-                        let items = &items;
                         let qopts = &qopts;
                         scope.spawn(move |_| {
                             *slot = Some(shard.index().query_batch(
@@ -338,7 +312,7 @@ impl ShardedIvaDb {
                     .collect()
             };
             let per_shard = per_shard.into_iter().collect::<Result<Vec<_>>>()?;
-            for (j, &(i, (_, r))) in idxs.iter().enumerate() {
+            for (j, (&slot, item)) in g.slots.iter().zip(items).enumerate() {
                 let locals: Vec<QueryOutcome> = per_shard
                     .iter()
                     .map(|shard_outs| {
@@ -348,14 +322,10 @@ impl ShardedIvaDb {
                             .ok_or_else(|| IvaError::Corrupt("shard batch came up short".into()))
                     })
                     .collect::<Result<Vec<_>>>()?;
-                if let Some(slot) = out.get_mut(i) {
-                    *slot = Some(self.merge_locals(r.k(), locals)?);
-                }
+                answered.push((slot, self.merge_locals(item.k, locals)?));
             }
         }
-        out.into_iter()
-            .map(|o| o.ok_or_else(|| IvaError::Corrupt("batch entry left unanswered".into())))
-            .collect()
+        SearchRequest::in_batch_order(batch.len(), answered)
     }
 
     /// Run the β-cleanup check on every shard.

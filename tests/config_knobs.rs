@@ -16,7 +16,7 @@ fn knobbed_opts() -> IvaDbOptions {
     IvaDbOptions {
         config: IvaConfig {
             search_threads: 3,
-            refine_batch: 32,
+            hot_tier_bytes: 1 << 16,
             ..Default::default()
         },
         ..Default::default()
@@ -42,7 +42,7 @@ fn runtime_knobs_survive_reopen() {
         let mut db = IvaDb::create(&dir, knobbed_opts()).unwrap();
         populate(&mut db);
         assert_eq!(db.index().config().search_threads, 3);
-        assert_eq!(db.index().config().refine_batch, 32);
+        assert_eq!(db.index().config().hot_tier_bytes, 1 << 16);
     }
     let db = IvaDb::open(&dir, knobbed_opts()).unwrap();
     assert_eq!(
@@ -51,9 +51,9 @@ fn runtime_knobs_survive_reopen() {
         "search_threads dropped on open"
     );
     assert_eq!(
-        db.index().config().refine_batch,
-        32,
-        "refine_batch dropped on open"
+        db.index().config().hot_tier_bytes,
+        1 << 16,
+        "hot_tier_bytes dropped on open"
     );
     RealVfs.remove_dir_all(&dir).unwrap();
 }
@@ -70,7 +70,7 @@ fn runtime_knobs_are_not_persisted() {
     }
     let db = IvaDb::open(&dir, IvaDbOptions::default()).unwrap();
     assert_eq!(db.index().config().search_threads, 0);
-    assert_eq!(db.index().config().refine_batch, 1);
+    assert_eq!(db.index().config().hot_tier_bytes, 0);
     RealVfs.remove_dir_all(&dir).unwrap();
 }
 
@@ -83,19 +83,19 @@ fn search_request_overrides_never_leak() {
         let mut db = IvaDb::create(&dir, knobbed_opts()).unwrap();
         populate(&mut db);
         let q = Query::new().text(db.attr("name").unwrap(), "widget 7");
-        let req = SearchRequest::new(5).threads(13).refine_batch(1024);
+        let req = SearchRequest::new(5).threads(13);
         let out = db.execute(&q, &req).unwrap();
         assert_eq!(out.hits[0].dist, 0.0);
         // The live config still holds the options' knobs.
         assert_eq!(db.index().config().search_threads, 3);
-        assert_eq!(db.index().config().refine_batch, 32);
+        assert_eq!(db.index().config().hot_tier_bytes, 1 << 16);
         db.flush().unwrap();
     }
     // ... and the durable image never saw the override either: a reopen
     // with default options shows pure defaults.
     let db = IvaDb::open(&dir, IvaDbOptions::default()).unwrap();
     assert_eq!(db.index().config().search_threads, 0);
-    assert_eq!(db.index().config().refine_batch, 1);
+    assert_eq!(db.index().config().hot_tier_bytes, 0);
     RealVfs.remove_dir_all(&dir).unwrap();
 }
 
@@ -126,7 +126,7 @@ fn structural_params_from_disk_win_over_options() {
             config: IvaConfig {
                 alpha: 0.10,
                 search_threads: 2,
-                refine_batch: 8,
+                hot_tier_bytes: 4096,
                 ..Default::default()
             },
             ..Default::default()
@@ -136,6 +136,6 @@ fn structural_params_from_disk_win_over_options() {
     let cfg = db.index().config();
     assert_eq!(cfg.alpha, 0.30, "stored structural parameter must win");
     assert_eq!(cfg.search_threads, 2, "opener's runtime knob must apply");
-    assert_eq!(cfg.refine_batch, 8);
+    assert_eq!(cfg.hot_tier_bytes, 4096);
     RealVfs.remove_dir_all(&dir).unwrap();
 }

@@ -140,11 +140,8 @@ fn keys(hits: &[iva_file::SearchHit]) -> Vec<(u64, u64)> {
 
 /// Compare every plan's answer on one query. `k` varies per call site.
 fn check_query(mono: &IvaDb, lsm: &LsmDb, query: &Query, k: usize, ctx: &str) {
-    // Serial plan, unbatched refinement, measured counters.
-    let req = SearchRequest::new(k)
-        .measured(true)
-        .threads(1)
-        .refine_batch(1);
+    // Serial plan, measured counters.
+    let req = SearchRequest::new(k).measured(true).threads(1);
     let want = mono.execute(query, &req).unwrap();
     let got = lsm.execute(query, &req).unwrap();
     assert_eq!(
@@ -155,7 +152,7 @@ fn check_query(mono: &IvaDb, lsm: &LsmDb, query: &Query, k: usize, ctx: &str) {
     for (g, w) in got.hits.iter().zip(&want.hits) {
         assert_eq!(g.tuple, w.tuple, "{ctx}: tuple materialization diverges");
     }
-    assert_eq!(got.stats.speculative_accesses, 0, "{ctx}: B = 1");
+    assert_eq!(got.stats.speculative_accesses, 0, "{ctx}");
     assert!(
         got.stats.tuples_scanned <= want.stats.tuples_scanned,
         "{ctx}: segmented scan visited more directory entries ({}) than the monolith ({})",
@@ -163,8 +160,8 @@ fn check_query(mono: &IvaDb, lsm: &LsmDb, query: &Query, k: usize, ctx: &str) {
         want.stats.tuples_scanned
     );
 
-    // Parallel filter scans and batched refinement: hits stay
-    // bit-identical (execution strategies, never semantics).
+    // Parallel filter scans: hits stay bit-identical (an execution
+    // strategy, never a semantic).
     for threads in [2usize, 3] {
         let req = SearchRequest::new(k).threads(threads);
         let got = lsm.execute(query, &req).unwrap();
@@ -174,13 +171,6 @@ fn check_query(mono: &IvaDb, lsm: &LsmDb, query: &Query, k: usize, ctx: &str) {
             "{ctx}: hits diverge at {threads} threads"
         );
     }
-    let req = SearchRequest::new(k).refine_batch(4);
-    let got = lsm.execute(query, &req).unwrap();
-    assert_eq!(
-        keys(&got.hits),
-        keys(&want.hits),
-        "{ctx}: hits diverge at refine_batch=4"
-    );
 }
 
 fn check_state(mono: &IvaDb, lsm: &LsmDb, live: &HashMap<Tid, Tuple>, ctx: &str) {

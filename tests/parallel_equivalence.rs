@@ -1,9 +1,8 @@
 //! Serial/parallel equivalence of the segmented filter scan, end to end
-//! through the `SearchRequest` API: at any thread count and any
-//! `refine_batch` the top-k results must be **bit-identical** to the
-//! single-threaded unbatched scan. How many records a plan fetches
-//! (`table_accesses`) depends on its drain schedule and is compared only
-//! where that is the same: across `refine_batch` at one thread.
+//! through the `SearchRequest` API: at any thread count the top-k results
+//! must be **bit-identical** to the single-threaded scan. How many records
+//! a plan fetches (`table_accesses`) depends on how many lanes the tuple
+//! list is split into and is not compared here.
 
 use iva_file::workload::{generate_query_set, Dataset, WorkloadConfig};
 use iva_file::{IvaDb, IvaDbOptions, MetricKind, SearchRequest, WeightScheme};
@@ -59,38 +58,6 @@ proptest! {
                     }
                     prop_assert_eq!(par.stats.speculative_accesses, 0, "threads={}", threads);
                     prop_assert_eq!(base.stats.tuples_scanned, par.stats.tuples_scanned);
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn refine_batch_request_override_is_bit_identical() {
-    let (db, dataset) = db_from_workload(600);
-    let qs = generate_query_set(&dataset, 3, 10, 2, 42);
-    for q in qs.measured() {
-        let base = db
-            .execute(q, &SearchRequest::new(15).threads(1).refine_batch(1))
-            .unwrap();
-        assert_eq!(base.stats.speculative_accesses, 0);
-        for batch in [2usize, 16, 128] {
-            for threads in [1usize, 4] {
-                let got = db
-                    .execute(
-                        q,
-                        &SearchRequest::new(15).threads(threads).refine_batch(batch),
-                    )
-                    .unwrap();
-                assert_eq!(base.hits.len(), got.hits.len());
-                for (a, b) in base.hits.iter().zip(&got.hits) {
-                    assert_eq!((a.tid, a.dist.to_bits()), (b.tid, b.dist.to_bits()));
-                }
-                if threads == 1 {
-                    assert_eq!(
-                        base.stats.table_accesses, got.stats.table_accesses,
-                        "batch={batch}"
-                    );
                 }
             }
         }

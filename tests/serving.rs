@@ -61,16 +61,10 @@ fn concurrent_readers_observe_consistent_epochs() {
                     let fast = snap
                         .execute(&query, &SearchRequest::new(8).measured(true))
                         .unwrap();
-                    // Serial replay of the *same snapshot*: single-threaded,
-                    // unbatched. The plan knobs must not change the answer.
+                    // Serial replay of the *same snapshot*. The plan knobs
+                    // must not change the answer.
                     let serial = snap
-                        .execute(
-                            &query,
-                            &SearchRequest::new(8)
-                                .measured(true)
-                                .threads(1)
-                                .refine_batch(1),
-                        )
+                        .execute(&query, &SearchRequest::new(8).measured(true).threads(1))
                         .unwrap();
                     assert_eq!(
                         fast.hit_keys(),

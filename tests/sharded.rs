@@ -4,7 +4,8 @@
 
 use iva_file::workload::{generate_query_set, Dataset, WorkloadConfig};
 use iva_file::{
-    IvaDb, IvaDbOptions, MetricKind, Query, SearchRequest, ShardedIvaDb, Tuple, Value, WeightScheme,
+    IvaDb, IvaDbOptions, Metric, MetricKind, Query, SearchRequest, ShardedIvaDb, Tuple, Value,
+    WeightScheme,
 };
 
 fn fill_both(n: usize, shards: usize) -> (IvaDb, ShardedIvaDb, Dataset) {
@@ -188,5 +189,81 @@ fn sharded_merge_breaks_distance_ties_deterministically() {
                 "non-deterministic merge at threads={threads}"
             );
         }
+    }
+}
+
+/// L1, except that an exact match has no distance at all.
+struct NanAtZero;
+
+impl Metric for NanAtZero {
+    fn combine(&self, weighted_diffs: &[f64]) -> f64 {
+        let sum: f64 = weighted_diffs.iter().sum();
+        if sum == 0.0 {
+            f64::NAN
+        } else {
+            sum
+        }
+    }
+}
+
+/// Regression: the merge sorted with `partial_cmp(..).unwrap_or(Equal)`,
+/// which is not a total order once a caller's metric yields a NaN — a NaN
+/// hit compared equal to everything and ranked by tid alone. The merge
+/// order is the pool's: `total_cmp` on distance, then tid, then shard.
+#[test]
+fn sharded_merge_ranks_nan_distances_last() {
+    let mut db = ShardedIvaDb::create_mem(2, IvaDbOptions::default()).unwrap();
+    let x = db.define_numeric("x").unwrap();
+    // Round-robin: value i lands on shard i % 2 as local tid i / 2.
+    for v in [5.0, 5.0, 1.0, 2.0, 3.0, 5.0] {
+        db.insert(&Tuple::new().with(x, Value::num(v))).unwrap();
+    }
+    let out = db
+        .execute_metric(
+            &Query::new().num(x, 5.0),
+            &NanAtZero,
+            &SearchRequest::new(6),
+        )
+        .unwrap();
+    let got: Vec<(u64, u64, u32)> = out
+        .hits
+        .iter()
+        .map(|h| (h.dist.to_bits(), h.id.tid, h.id.shard))
+        .collect();
+    let nan = f64::NAN.to_bits();
+    let want = vec![
+        (2f64.to_bits(), 2, 0),
+        (3f64.to_bits(), 1, 1),
+        (4f64.to_bits(), 1, 0),
+        (nan, 0, 0),
+        (nan, 0, 1),
+        (nan, 2, 1),
+    ];
+    assert_eq!(got, want);
+}
+
+/// Regression: `threads(0)` fell through the shard split's `.max(1)` to
+/// the serial plan, while a configured `search_threads = 0` means one
+/// worker per CPU. Both now resolve through the same rule, so the lanes
+/// that ran — visible in `table_accesses` — are those of the CPU count.
+#[test]
+fn zero_threads_means_one_per_cpu() {
+    let (_, sharded, dataset) = fill_both(600, 1);
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let qs = generate_query_set(&dataset, 3, 6, 1, 11);
+    for q in qs.measured() {
+        let run = |threads: usize| {
+            let req = SearchRequest::new(10).threads(threads);
+            sharded.execute(q, &req).unwrap()
+        };
+        let (serial, auto, explicit) = (run(1), run(0), run(cpus));
+        let keys = |o: &iva_file::ShardedSearchOutcome| -> Vec<(u64, u64)> {
+            o.hits
+                .iter()
+                .map(|h| (h.dist.to_bits(), h.id.tid))
+                .collect()
+        };
+        assert_eq!(keys(&auto), keys(&serial));
+        assert_eq!(auto.stats.table_accesses, explicit.stats.table_accesses);
     }
 }

@@ -7,7 +7,9 @@
 //! after an edit) and non-finite floats (`NaN`/`inf` format as bare
 //! words, which are not JSON). This module is a strict recursive-descent
 //! JSON parser — no dependencies — plus the repo's artifact contract:
-//! the top level must be an object carrying a `"bench"` string key.
+//! the top level must be an object carrying a `"bench"` string key, and
+//! that string must name a `[[bench]]` target of `crates/bench` — so a
+//! deleted bench cannot leave its numbers behind.
 
 use std::path::Path;
 
@@ -43,10 +45,47 @@ pub fn check_json(source: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Where the bench targets that write the artifacts are declared.
+const BENCH_MANIFEST: &str = "crates/bench/Cargo.toml";
+
+/// The `name` of every `[[bench]]` table in a Cargo manifest.
+fn bench_targets(manifest: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    let mut in_bench = false;
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_bench = line == "[[bench]]";
+        } else if let Some(name) = line
+            .strip_prefix("name")
+            .filter(|_| in_bench)
+            .and_then(|rest| rest.trim_start().strip_prefix('='))
+        {
+            names.push(name.trim().trim_matches('"').to_string());
+        }
+    }
+    names
+}
+
+/// An artifact must be the record of a bench target that still exists.
+fn check_owner(bench: &str, targets: &[String]) -> Result<(), String> {
+    if targets.iter().any(|t| t == bench) {
+        Ok(())
+    } else {
+        Err(format!(
+            "orphaned artifact: \"bench\": \"{bench}\" names no [[bench]] target in {BENCH_MANIFEST}"
+        ))
+    }
+}
+
 /// Validate every `BENCH_*.json` directly under `root`. Returns
-/// human-readable `(file, error)` pairs; empty means all artifacts parse.
+/// human-readable `(file, error)` pairs; empty means all artifacts parse
+/// and each belongs to a bench target declared under `root`.
 pub fn check_dir(root: &Path) -> Vec<(String, String)> {
     let mut out = Vec::new();
+    let targets = match std::fs::read_to_string(root.join(BENCH_MANIFEST)) {
+        Ok(manifest) => bench_targets(&manifest),
+        Err(e) => return vec![(BENCH_MANIFEST.into(), format!("unreadable: {e}"))],
+    };
     let mut names: Vec<std::path::PathBuf> = match std::fs::read_dir(root) {
         Ok(rd) => rd
             .filter_map(|e| e.ok().map(|e| e.path()))
@@ -70,7 +109,7 @@ pub fn check_dir(root: &Path) -> Vec<(String, String)> {
             .to_string();
         match std::fs::read_to_string(&path) {
             Ok(src) => {
-                if let Err(e) = check_artifact(&src) {
+                if let Err(e) = check_artifact(&src).and_then(|b| check_owner(&b, &targets)) {
                     out.push((file, e));
                 }
             }
@@ -367,6 +406,32 @@ mod tests {
         ] {
             assert!(check_artifact(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn rejects_an_artifact_whose_bench_target_is_gone() {
+        let manifest = r#"
+[package]
+name = "iva-bench"
+
+[[bench]]
+name = "tiered_scan"
+harness = false
+
+[[bench]]
+name="update_path"
+harness = false
+
+[[test]]
+name = "retired"
+"#;
+        let targets = bench_targets(manifest);
+        assert_eq!(targets, ["tiered_scan", "update_path"]);
+        let owned = check_artifact(r#"{"bench": "update_path", "n": 1}"#).unwrap();
+        assert!(check_owner(&owned, &targets).is_ok());
+        let orphan = check_artifact(r#"{"bench": "retired", "n": 1}"#).unwrap();
+        let err = check_owner(&orphan, &targets).unwrap_err();
+        assert!(err.contains("orphaned") && err.contains("retired"), "{err}");
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! - `bench-json` — validate every recorded `BENCH_*.json` artifact at
 //!   the repo root: strict JSON (the writers hand-roll their output, so
 //!   a missing comma or a formatted `NaN` ships silently otherwise) plus
-//!   the artifact contract (top-level object with a `"bench"` string).
+//!   the artifact contract (top-level object with a `"bench"` string
+//!   that names a `[[bench]]` target of `crates/bench`).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -86,7 +87,7 @@ fn main() -> ExitCode {
         Some("bench-json") => {
             let problems = xtask::benchjson::check_dir(&repo_root());
             if problems.is_empty() {
-                println!("bench-json: all artifacts parse");
+                println!("bench-json: all artifacts parse and name a bench target");
                 ExitCode::SUCCESS
             } else {
                 for (file, err) in &problems {
