@@ -224,9 +224,9 @@ pub struct QueryStats {
     /// property of the plan, not of the answer: it grows with the number
     /// of lanes the tuple list is split into.
     pub table_accesses: u64,
-    /// Records fetched and then rejected unrefined. Written only by the
-    /// sequential-plan ablation; 0 on every engine path — the spine
-    /// fetches one admitted candidate at a time.
+    /// Always 0 — every plan fetches one admitted candidate at a time;
+    /// retained until the benchmark drops
+    /// `core.speculative_accesses_per_query`.
     pub speculative_accesses: u64,
     /// Time spent scanning the index and estimating distances, in nanos.
     pub filter_nanos: u64,

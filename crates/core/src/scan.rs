@@ -17,9 +17,9 @@
 //!    against the now-tight pool *before* it is fetched.
 //!
 //! Both passes run the same routine, Algorithm 1's refine step: a
-//! candidate the pool still admits costs one [`SwtTable::fetch`] of its
-//! one pointer, and its distance is computed from the record's bytes in
-//! the page that fetch holds ([`bounded_distance`], see "Refine on bytes"
+//! candidate the pool still admits costs one [`SwtTable::read`] of its
+//! pointer, and its distance is computed from the record's bytes in the
+//! page that read holds ([`bounded_distance`], see "Refine on bytes"
 //! below). Table order inside a pass keeps the cold path's reads
 //! ascending — strict best-first order would seek backwards for every
 //! record.
@@ -61,7 +61,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use iva_storage::ListReader;
-use iva_swt::{FieldLoc, RecordFetch, RecordPtr, RecordRef, SwtTable};
+use iva_swt::{FieldLoc, RecordBuf, RecordPtr, SwtTable};
 use iva_text::{PreparedMatcher, SigCodec};
 
 use crate::error::{IvaError, Result};
@@ -348,7 +348,7 @@ impl IvaIndex {
             metric,
             ndf,
             measured,
-            scratch: Vec::new(),
+            buf: RecordBuf::default(),
         };
         // The thread-CPU clock is a real syscall (~0.2 µs), so it is read
         // twice per scan; the scan's CPU time is split between the phases
@@ -433,14 +433,6 @@ impl IvaIndex {
     }
 }
 
-/// The next record of a fetch whose caller walks its own request list in
-/// step and so knows there is one.
-pub(crate) fn next_fetched<'f>(fetch: &'f mut RecordFetch<'_>) -> Result<RecordRef<'f>> {
-    fetch
-        .next_record()?
-        .ok_or_else(|| IvaError::Corrupt("batch fetch shorter than request".into()))
-}
-
 /// The refine step of one [`IvaIndex::scan`] call: what every drain
 /// needs besides the lane, and the record buffer reused across fetches.
 struct Refiner<'a, M> {
@@ -448,7 +440,7 @@ struct Refiner<'a, M> {
     metric: &'a M,
     ndf: f64,
     measured: bool,
-    scratch: Vec<u8>,
+    buf: RecordBuf,
 }
 
 impl<M: Metric> Refiner<'_, M> {
@@ -495,10 +487,7 @@ impl<M: Metric> Refiner<'_, M> {
             if !pool.admits_at(c.dist, c.tid) || cut.is_some_and(|cut| c <= cut) {
                 continue;
             }
-            let mut fetch = self
-                .table
-                .fetch(std::slice::from_ref(&c.ptr), &mut self.scratch)?;
-            let rec = next_fetched(&mut fetch)?;
+            let rec = self.table.read(c.ptr, &mut self.buf)?;
             stats.table_accesses += 1;
             let actual = bounded_distance(
                 &rec.view,

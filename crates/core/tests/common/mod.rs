@@ -7,8 +7,7 @@ use iva_storage::{IoStats, PagerOptions};
 use iva_swt::{SwtTable, Tuple, Value};
 
 /// The bit-identity contract between two executions of one query: same
-/// ranked tids, record pointers and distance *bits*, same `tuples_scanned`,
-/// and no record fetched that was not refined.
+/// ranked tids, record pointers and distance *bits*, same `tuples_scanned`.
 /// Holds across every execution shape, list encoding and tier state.
 /// How many records were fetched to get there is a property of the drain
 /// schedule, compared only by [`assert_same_plan`].
@@ -20,8 +19,6 @@ pub fn assert_bit_identical(a: &QueryOutcome, b: &QueryOutcome, label: &str) {
         assert_eq!(x.dist.to_bits(), y.dist.to_bits(), "{label}");
     }
     assert_eq!(a.stats.tuples_scanned, b.stats.tuples_scanned, "{label}");
-    let speculative = (a.stats.speculative_accesses, b.stats.speculative_accesses);
-    assert_eq!(speculative, (0, 0), "{label}");
 }
 
 /// [`assert_bit_identical`] plus equal `table_accesses`: for two runs whose

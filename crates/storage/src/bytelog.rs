@@ -34,7 +34,6 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crate::batch::PinnedPages;
 use crate::cache::PageRef;
 use crate::commit::{read_commit_record, write_commit_record};
 use crate::error::{Result, StorageError};
@@ -267,22 +266,15 @@ impl ByteLog {
         Ok(start)
     }
 
-    /// Random read of `buf.len()` bytes at logical offset `pos`.
+    /// Random read of `buf.len()` bytes at logical offset `pos`: the tail
+    /// page from the in-memory tail buffer, a page with a buffered
+    /// overwrite from its image, anything else through the pager.
     pub fn read_at(&self, pos: u64, buf: &mut [u8]) -> Result<()> {
-        self.read_at_impl(pos, buf, None)
-    }
-
-    /// Like [`ByteLog::read_at`], but pages present in `pinned` are served
-    /// from the pins without touching the pager. The tail page is still
-    /// served from the in-memory tail buffer, buffered overwrites from the
-    /// overlay, and pages missing from `pinned` fall back to ordinary
-    /// cached reads, so the call is correct for any pin set.
-    pub fn read_at_pinned(&self, pos: u64, buf: &mut [u8], pinned: &PinnedPages) -> Result<()> {
-        self.read_at_impl(pos, buf, Some(pinned))
-    }
-
-    fn read_at_impl(&self, pos: u64, buf: &mut [u8], pinned: Option<&PinnedPages>) -> Result<()> {
-        if pos + buf.len() as u64 > self.len {
+        // `pos` can come off disk (a record pointer): the sum must not wrap.
+        if pos
+            .checked_add(buf.len() as u64)
+            .is_none_or(|end| end > self.len)
+        {
             return Err(StorageError::Corrupt(format!(
                 "byte-log read [{pos}, +{}) beyond length {}",
                 buf.len(),
@@ -308,8 +300,6 @@ impl ByteLog {
                 );
             } else if let Some(img) = self.overlay.get(&page.0) {
                 dst.copy_from_slice(img.get(in_page..in_page + n).ok_or_else(src_err)?);
-            } else if let Some(p) = pinned.and_then(|pins| pins.get(page)) {
-                dst.copy_from_slice(p.get(in_page..in_page + n).ok_or_else(src_err)?);
             } else {
                 let p = self.pager.read_page(page)?;
                 dst.copy_from_slice(p.get(in_page..in_page + n).ok_or_else(src_err)?);
@@ -321,17 +311,12 @@ impl ByteLog {
     }
 
     /// The bytes from logical offset `pos` to the end of its page, borrowed
-    /// in place: from the tail buffer, a buffered overwrite, `pinned`, or —
-    /// for a page in none of those — one cached pager read parked in
-    /// `held` so the slice can outlive the call. The same source order as
-    /// [`ByteLog::read_at_pinned`]. The slice may run past the log's
-    /// length (a page is handed out whole); callers bound what they use.
-    pub fn page_tail<'a>(
-        &'a self,
-        pos: u64,
-        pinned: &'a PinnedPages,
-        held: &'a mut Option<PageRef>,
-    ) -> Result<&'a [u8]> {
+    /// in place: from the tail buffer, a buffered overwrite, or — for a
+    /// page in neither — one cached pager read parked in `held` so the
+    /// slice can outlive the call. The same source order as
+    /// [`ByteLog::read_at`]. The slice may run past the log's length (a
+    /// page is handed out whole); callers bound what they use.
+    pub fn page_tail<'a>(&'a self, pos: u64, held: &'a mut Option<PageRef>) -> Result<&'a [u8]> {
         if pos >= self.len {
             return Err(StorageError::Corrupt(format!(
                 "byte-log read at {pos} beyond length {}",
@@ -344,8 +329,6 @@ impl ByteLog {
             &self.tail_buf
         } else if let Some(img) = self.overlay.get(&page.0) {
             img
-        } else if let Some(p) = pinned.get(page) {
-            p
         } else {
             held.insert(self.pager.read_page(page)?)
         };
@@ -354,39 +337,15 @@ impl ByteLog {
             .ok_or_else(|| geometry("page shorter than the page size"))
     }
 
-    /// Append to `out` the ids of every disk page the logical byte range
-    /// `[pos, pos + len)` touches, **excluding** the tail page and pages
-    /// with buffered overwrites (whose authoritative copies live in memory
-    /// and must never be fetched from disk). The range is not
-    /// bounds-checked here; the eventual read is.
-    pub fn pages_spanning(&self, pos: u64, len: usize, out: &mut Vec<PageId>) {
-        if len == 0 {
-            return;
-        }
-        let page_size = self.pager.page_size() as u64;
-        let first = pos / page_size;
-        let last = (pos + len as u64 - 1) / page_size;
-        for p in first..=last {
-            if p != self.tail_page.0 && !self.overlay.contains_key(&p) {
-                out.push(PageId(p));
-            }
-        }
-    }
-
-    /// Batch-read the given pages (sorted, deduplicated, adjacent pages
-    /// coalesced into sequential runs) and return them pinned for use with
-    /// [`ByteLog::read_at_pinned`]. Collect the ids with
-    /// [`ByteLog::pages_spanning`].
-    pub fn pin_pages(&self, ids: &[PageId]) -> Result<PinnedPages> {
-        self.pager.read_batch(ids)
-    }
-
     /// Random overwrite of already-appended bytes (used for in-place flag
     /// updates such as tombstones; cannot extend the log). Buffered in
     /// memory and committed — journaled, then applied — by the next
     /// [`ByteLog::flush`].
     pub fn write_at(&mut self, pos: u64, data: &[u8]) -> Result<()> {
-        if pos + data.len() as u64 > self.len {
+        if pos
+            .checked_add(data.len() as u64)
+            .is_none_or(|end| end > self.len)
+        {
             return Err(StorageError::Corrupt(format!(
                 "byte-log write [{pos}, +{}) beyond length {}",
                 data.len(),
@@ -708,69 +667,33 @@ mod tests {
     }
 
     #[test]
-    fn pinned_reads_match_plain_reads() {
-        let mut log = mem_log();
-        let data: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
-        log.append(&data).unwrap();
-        // Pin the pages of a few scattered ranges, then read through them.
-        let ranges = [(0u64, 64usize), (120, 200), (500, 13), (900, 100)];
-        let mut ids = Vec::new();
-        for &(pos, len) in &ranges {
-            log.pages_spanning(pos, len, &mut ids);
-        }
-        let pins = log.pin_pages(&ids).unwrap();
-        for &(pos, len) in &ranges {
-            let mut a = vec![0u8; len];
-            let mut b = vec![0u8; len];
-            log.read_at(pos, &mut a).unwrap();
-            log.read_at_pinned(pos, &mut b, &pins).unwrap();
-            assert_eq!(a, b, "range ({pos}, {len})");
-        }
-        // Bounds errors are identical to read_at's.
-        assert!(log.read_at_pinned(999, &mut [0u8; 2], &pins).is_err());
-    }
-
-    #[test]
-    fn pages_spanning_excludes_tail() {
+    fn page_tail_follows_read_at_source_order() {
         let mut log = mem_log(); // page size 128
-        log.append(&vec![1u8; 300]).unwrap(); // pages 0, 1, tail = 2
-        let mut ids = Vec::new();
-        log.pages_spanning(100, 150, &mut ids); // bytes 100..250 => pages 0, 1
-        assert_eq!(ids, vec![PageId(0), PageId(1)]);
-        ids.clear();
-        log.pages_spanning(250, 50, &mut ids); // bytes 250..300: page 1 + tail
-        assert_eq!(ids, vec![PageId(1)], "tail page must be excluded");
-        ids.clear();
-        log.pages_spanning(0, 0, &mut ids);
-        assert!(ids.is_empty());
-    }
-
-    #[test]
-    fn pages_spanning_excludes_overlay() {
-        let mut log = mem_log();
         log.append(&vec![3u8; 400]).unwrap(); // pages 0..2 full, tail = 3
         log.flush().unwrap();
-        log.write_at(129, b"!").unwrap(); // overlay on page 1
-        let mut ids = Vec::new();
-        log.pages_spanning(0, 390, &mut ids);
-        assert_eq!(ids, vec![PageId(0), PageId(2)], "overlay page excluded");
-        // Reads still see the overlay, pinned or not.
-        let pins = log.pin_pages(&ids).unwrap();
-        let mut b = [0u8; 1];
-        log.read_at_pinned(129, &mut b, &pins).unwrap();
-        assert_eq!(&b, b"!");
+        log.write_at(129, b"!").unwrap(); // buffered overwrite on page 1
+        log.append(b"unflushed").unwrap();
+        let mut held = None;
+        for pos in [0u64, 100, 129, 255, 256, 390, 400, 408] {
+            let tail = log.page_tail(pos, &mut held).unwrap();
+            assert_eq!(tail.len(), 128 - (pos % 128) as usize, "pos {pos}");
+            let n = tail.len().min((log.len() - pos) as usize);
+            let mut plain = vec![0u8; n];
+            log.read_at(pos, &mut plain).unwrap();
+            assert_eq!(&tail[..n], &plain[..], "pos {pos}");
+        }
+        assert_eq!(log.page_tail(129, &mut held).unwrap()[0], b'!');
+        assert!(log.page_tail(log.len(), &mut held).is_err());
     }
 
     #[test]
-    fn pinned_read_sees_unflushed_tail() {
+    fn far_offsets_are_errors_not_overflows() {
         let mut log = mem_log();
-        log.append(&[7u8; 200]).unwrap(); // tail page holds bytes 128..200
-        let mut ids = Vec::new();
-        log.pages_spanning(0, 200, &mut ids);
-        let pins = log.pin_pages(&ids).unwrap();
-        let mut buf = vec![0u8; 200];
-        log.read_at_pinned(0, &mut buf, &pins).unwrap();
-        assert!(buf.iter().all(|&b| b == 7));
+        log.append(b"abc").unwrap();
+        for pos in [u64::MAX, u64::MAX - 1, u64::MAX - 12] {
+            assert!(log.read_at(pos, &mut [0u8; 13]).is_err());
+            assert!(log.write_at(pos, &[0u8; 13]).is_err());
+        }
     }
 
     #[test]

@@ -84,9 +84,9 @@ mod tests {
 
     #[test]
     fn coalesced_run_cheaper_than_scattered_pages() {
-        // What batched refinement buys under the model: a 3-page adjacent
-        // run (1 seek + 3 pages of transfer) vs. three independent random
-        // page reads (3 seeks + 3 pages of transfer).
+        // The model charges seeks, not reads: three adjacent pages read in
+        // ascending order (1 seek + 3 pages of transfer) vs. three
+        // scattered pages (3 seeks + 3 pages of transfer).
         let m = DiskModel::hdd_2009();
         let run = IoSnapshot {
             disk_page_reads: 3,

@@ -23,15 +23,14 @@
 //!
 //! # Reads are two steps
 //!
-//! A physical read is a positional read ([`BlockFile::read_frames`], which
+//! A physical read is a positional read ([`BlockFile::read_frame`], which
 //! needs `&mut self` for the stream classifier and so runs under whatever
-//! lock guards the file) followed by verification ([`RawFrames::verify`],
+//! lock guards the file) followed by verification ([`RawFrame::verify`],
 //! which needs nothing but the bytes and so runs with no lock held). The
-//! frames land in the allocation that is handed out: a single-frame read
-//! becomes its page by truncating the trailer off, a run is verified
-//! inside its buffer and its pages are copied out of it once. The bytes of
-//! a [`RawFrames`] are private, so no page can reach a caller or the
-//! buffer pool before its frame verified.
+//! frame lands in the allocation that is handed out: it becomes its page
+//! by truncating the trailer off. The bytes of a [`RawFrame`] are private,
+//! so no page can reach a caller or the buffer pool before its frame
+//! verified.
 
 use std::path::Path;
 
@@ -74,70 +73,44 @@ pub struct BlockFile {
     scratch: Vec<u8>,
 }
 
-/// Frames exactly as one positional read returned them: **unverified**.
-/// The bytes are reachable only through [`RawFrames::verify`].
-pub(crate) struct RawFrames {
-    first: u64,
+/// One frame exactly as the positional read returned it: **unverified**.
+/// The bytes are reachable only through [`RawFrame::verify`].
+pub(crate) struct RawFrame {
+    id: u64,
     page_size: usize,
     verify: bool,
     bytes: Vec<u8>,
 }
 
-/// Frames whose every CRC trailer matched its page data.
-pub(crate) struct Frames {
-    page_size: usize,
-    bytes: Vec<u8>,
-}
-
-impl RawFrames {
-    /// Check every frame (`data ‖ crc ‖ reserved`) against its trailer, in
-    /// place. Needs no access to the file, so callers drop the file lock
-    /// first.
-    pub(crate) fn verify(self) -> Result<Frames> {
-        let page_size = self.page_size;
+impl RawFrame {
+    /// Check the frame (`data ‖ crc ‖ reserved`) against its trailer, in
+    /// place, and hand out its page with no copy: the trailer is truncated
+    /// off the allocation the read filled. Needs no access to the file, so
+    /// callers drop the file lock first.
+    pub(crate) fn verify(self) -> Result<Vec<u8>> {
+        let mut page = self.bytes;
         if self.verify {
-            let frames = self.bytes.chunks_exact(page_size + FRAME_TRAILER);
-            for (id, frame) in (self.first..).zip(frames) {
-                let (data, trailer) = frame.split_at_checked(page_size).ok_or_else(short_frame)?;
-                // The trailer read as one little-endian word: the CRC in
-                // the low half, the reserved bytes — always written as
-                // zero — in the high half, so a flip in either is caught
-                // by the one comparison.
-                let stored = <[u8; FRAME_TRAILER]>::try_from(trailer)
-                    .map(u64::from_le_bytes)
-                    .map_err(|_| short_frame())?;
-                let computed = crc32c(data);
-                if stored != u64::from(computed) {
-                    return Err(StorageError::ChecksumMismatch {
-                        page: id,
-                        expected: stored as u32,
-                        found: computed,
-                    });
-                }
+            let (data, trailer) = page
+                .split_at_checked(self.page_size)
+                .ok_or_else(short_frame)?;
+            // The trailer read as one little-endian word: the CRC in the
+            // low half, the reserved bytes — always written as zero — in
+            // the high half, so a flip in either is caught by the one
+            // comparison.
+            let stored = <[u8; FRAME_TRAILER]>::try_from(trailer)
+                .map(u64::from_le_bytes)
+                .map_err(|_| short_frame())?;
+            let computed = crc32c(data);
+            if stored != u64::from(computed) {
+                return Err(StorageError::ChecksumMismatch {
+                    page: self.id,
+                    expected: stored as u32,
+                    found: computed,
+                });
             }
         }
-        Ok(Frames {
-            page_size,
-            bytes: self.bytes,
-        })
-    }
-}
-
-impl Frames {
-    /// The page data of every frame, in file order, borrowed from the read
-    /// buffer.
-    pub(crate) fn pages(&self) -> impl Iterator<Item = &[u8]> {
-        self.bytes
-            .chunks_exact(self.page_size + FRAME_TRAILER)
-            .filter_map(|frame| frame.get(..self.page_size))
-    }
-
-    /// The first frame's page with no copy: the trailer is truncated off
-    /// the allocation the read filled. For single-frame reads.
-    pub(crate) fn into_page(self) -> Vec<u8> {
-        let mut page = self.bytes;
         page.truncate(self.page_size);
-        page
+        Ok(page)
     }
 }
 
@@ -364,23 +337,22 @@ impl BlockFile {
 
     /// Stream-aware classification: the read extends a tracked stream
     /// (same page or the next one) => sequential; otherwise it costs a
-    /// seek and starts/steals a stream slot. The stream slot is left at
-    /// `last`, so a run `[first, last]` continues the stream past its end.
-    fn classify(&mut self, first: u64, last: u64) -> bool {
+    /// seek and starts/steals a stream slot.
+    fn classify(&mut self, id: u64) -> bool {
         let hit = self
             .streams
             .iter()
-            .position(|&s| s != u64::MAX && (s == first || s + 1 == first));
+            .position(|&s| s != u64::MAX && (s == id || s + 1 == id));
         match hit {
             Some(slot) => {
                 if let Some(s) = self.streams.get_mut(slot) {
-                    *s = last;
+                    *s = id;
                 }
                 true
             }
             None => {
                 if let Some(s) = self.streams.get_mut(self.stream_clock) {
-                    *s = last;
+                    *s = id;
                 }
                 self.stream_clock = (self.stream_clock + 1) % READ_STREAMS;
                 false
@@ -388,36 +360,25 @@ impl BlockFile {
         }
     }
 
-    /// The positional read every physical read goes through: `pages`
-    /// consecutive frames starting at `start`, fetched with **one** read of
-    /// the backing file into a fresh buffer, classified and accounted —
-    /// and nothing else. Only the run's first page can be charged as
-    /// random; every following page is sequential by construction. The
-    /// stream slot advances to the run's last page so a later read of the
-    /// next page continues sequentially. The frames come back unverified:
-    /// [`RawFrames::verify`] is the only way to their bytes.
-    pub(crate) fn read_frames(&mut self, start: PageId, pages: usize) -> Result<RawFrames> {
-        let mut bytes = Vec::new();
-        if pages > 0 {
-            let last = start.0.saturating_add(pages as u64 - 1);
-            if last >= self.num_pages {
-                return Err(StorageError::PageOutOfBounds {
-                    page: last,
-                    pages: self.num_pages,
-                });
-            }
-            bytes = vec![0u8; pages * self.frame_size()];
-            let sequential = self.classify(start.0, last);
-            read_full_at(self.file.as_ref(), &mut bytes, self.frame_offset(start.0))
-                .map_err(truncated)?;
-            self.stats
-                .record_disk_read(self.page_size as u64, sequential);
-            for _ in 1..pages {
-                self.stats.record_disk_read(self.page_size as u64, true);
-            }
+    /// The positional read every physical read goes through: the frame of
+    /// page `id`, fetched with one read of the backing file into a fresh
+    /// buffer, classified and accounted — and nothing else. The frame
+    /// comes back unverified: [`RawFrame::verify`] is the only way to its
+    /// bytes.
+    pub(crate) fn read_frame(&mut self, id: PageId) -> Result<RawFrame> {
+        if id.0 >= self.num_pages {
+            return Err(StorageError::PageOutOfBounds {
+                page: id.0,
+                pages: self.num_pages,
+            });
         }
-        Ok(RawFrames {
-            first: start.0,
+        let mut bytes = vec![0u8; self.frame_size()];
+        let sequential = self.classify(id.0);
+        read_full_at(self.file.as_ref(), &mut bytes, self.frame_offset(id.0)).map_err(truncated)?;
+        self.stats
+            .record_disk_read(self.page_size as u64, sequential);
+        Ok(RawFrame {
+            id: id.0,
             page_size: self.page_size,
             verify: self.verify,
             bytes,
@@ -425,25 +386,11 @@ impl BlockFile {
     }
 
     /// Physically read a page into `buf` (which must be exactly one page),
-    /// verifying its checksum: a one-page [`Self::read_run`].
+    /// verifying its checksum before any of it is copied out.
     pub fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> Result<()> {
         debug_assert_eq!(buf.len(), self.page_size);
-        self.read_run(id, buf)
-    }
-
-    /// Physically read a run of consecutive pages starting at `start` into
-    /// `buf` (whose length must be a whole number of pages) with **one**
-    /// seek and a single positioned read for the whole run: only the run's
-    /// first page can be charged as random. Every frame in the run is
-    /// checksum-verified before any of it is copied out.
-    pub fn read_run(&mut self, start: PageId, buf: &mut [u8]) -> Result<()> {
-        debug_assert!(buf.len().is_multiple_of(self.page_size));
-        let frames = self
-            .read_frames(start, buf.len() / self.page_size)?
-            .verify()?;
-        for (out, page) in buf.chunks_exact_mut(self.page_size).zip(frames.pages()) {
-            out.copy_from_slice(page);
-        }
+        let page = self.read_frame(id)?.verify()?;
+        buf.copy_from_slice(&page);
         Ok(())
     }
 
@@ -481,8 +428,8 @@ fn scratch_short() -> StorageError {
     StorageError::Corrupt("block-file scratch buffer smaller than a frame".into())
 }
 
-/// Same shape for the read side: `chunks_exact` only yields whole frames,
-/// so a frame always splits into page data and a trailer.
+/// Same shape for the read side: a frame is read whole, so it always
+/// splits into page data and a trailer.
 fn short_frame() -> StorageError {
     StorageError::Corrupt("page frame shorter than its checksum trailer".into())
 }
@@ -601,51 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn three_page_run_charges_one_seek() {
-        // The batched-refinement contract: a coalesced run of adjacent
-        // pages costs ONE random seek plus sequential transfer for the
-        // rest — not three independent seeks.
-        let stats = IoStats::new();
-        let mut f = BlockFile::create_mem(4096, stats.clone());
-        for _ in 0..8 {
-            f.grow().unwrap();
-        }
-        let mut buf = vec![0u8; 3 * 4096];
-        f.read_run(PageId(2), &mut buf).unwrap();
-        let s = stats.snapshot();
-        assert_eq!(s.disk_page_reads, 3);
-        assert_eq!(s.random_seeks, 1);
-        assert_eq!(s.random_bytes_read, 4096);
-        assert_eq!(s.seq_bytes_read, 2 * 4096);
-        // The stream now sits at the run's last page: reading the next
-        // page continues sequentially.
-        let mut one = vec![0u8; 4096];
-        f.read_page(PageId(5), &mut one).unwrap();
-        assert_eq!(stats.snapshot().random_seeks, 1);
-    }
-
-    #[test]
-    fn run_contents_match_page_reads() {
-        let stats = IoStats::new();
-        let mut f = BlockFile::create_mem(256, stats.clone());
-        for i in 0..6u8 {
-            f.grow().unwrap();
-            f.write_page(PageId(u64::from(i)), &vec![i; 256]).unwrap();
-        }
-        let mut buf = vec![0u8; 4 * 256];
-        f.read_run(PageId(1), &mut buf).unwrap();
-        for (i, chunk) in buf.chunks(256).enumerate() {
-            assert!(chunk.iter().all(|&b| b == i as u8 + 1));
-        }
-        // A run that would end past the file is rejected whole.
-        let mut big = vec![0u8; 3 * 256];
-        assert!(matches!(
-            f.read_run(PageId(4), &mut big),
-            Err(StorageError::PageOutOfBounds { .. })
-        ));
-    }
-
-    #[test]
     fn out_of_bounds_read_is_error() {
         let mut f = BlockFile::create_mem(4096, IoStats::new());
         let mut buf = vec![0u8; 4096];
@@ -724,8 +626,7 @@ mod tests {
     fn bit_flip_detected_at_read_time() {
         // One flipped bit anywhere in a frame — page data, the stored CRC,
         // or the reserved trailer bytes — must surface as a checksum
-        // mismatch naming the page, whether the frame is read alone or in
-        // the middle of a run, and never as data.
+        // mismatch naming the page, and never as data.
         let dir = std::env::temp_dir().join(format!("iva-bf4-{}", std::process::id()));
         RealVfs.create_dir_all(&dir).unwrap();
         let path = dir.join("flip.blk");
@@ -758,17 +659,9 @@ mod tests {
                 ),
                 "{what} flip not caught by read_page"
             );
-            let mut run = vec![0u8; 3 * 256];
             assert!(
-                matches!(
-                    f.read_run(PageId(0), &mut run),
-                    Err(StorageError::ChecksumMismatch { page: 1, .. })
-                ),
-                "{what} flip not caught mid-run"
-            );
-            assert!(
-                run.iter().all(|&b| b == 0),
-                "{what} flip: a run with a bad frame handed out bytes"
+                one.iter().all(|&b| b == 0),
+                "{what} flip: a bad frame handed out bytes"
             );
             // Its neighbours are intact and still read.
             f.read_page(PageId(0), &mut one).unwrap();
@@ -783,8 +676,7 @@ mod tests {
     #[test]
     fn short_final_frame_is_a_truncation_error() {
         // The page count says the frame exists but the file ends inside it
-        // (truncated behind an open handle): a corruption error, for the
-        // page alone and as the last frame of a run.
+        // (truncated behind an open handle): a corruption error.
         let vfs = MemVfs::new();
         let path = Path::new("short.blk");
         let mut f = BlockFile::create_with(&vfs, path, 256, IoStats::new()).unwrap();
@@ -797,8 +689,6 @@ mod tests {
             |e: StorageError| matches!(&e, StorageError::Corrupt(m) if m.contains("truncated"));
         let mut one = vec![0u8; 256];
         assert!(truncation(f.read_page(PageId(2), &mut one).unwrap_err()));
-        let mut run = vec![0u8; 3 * 256];
-        assert!(truncation(f.read_run(PageId(0), &mut run).unwrap_err()));
         f.read_page(PageId(1), &mut one).unwrap();
         // Reopened, the same file has a torn tail and is rejected whole.
         assert!(matches!(

@@ -18,7 +18,6 @@
 
 #![warn(missing_docs)]
 
-mod batch;
 mod bytelog;
 mod cache;
 pub mod codec;
@@ -36,7 +35,6 @@ mod pager;
 mod stats;
 pub mod vfs;
 
-pub use batch::PinnedPages;
 pub use bytelog::{sidecar_path, ByteLog, USER_HEADER_LEN};
 pub use cache::{LruCache, PageRef};
 pub use crc::{crc32c, crc32c_append, crc32c_append_portable, crc32c_kernel};

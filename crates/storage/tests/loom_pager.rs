@@ -1,6 +1,5 @@
 //! Loom model of the pager's miss protocol in
-//! `crates/storage/src/pager.rs` (`Pager::read_page` / `Pager::read_batch`
-//! / `Pager::prefetch`).
+//! `crates/storage/src/pager.rs` (`Pager::read_page`).
 //!
 //! The production protocol: a filling thread reads a page image into a
 //! fresh buffer (`read_verified`: the positional read under the file lock,
@@ -19,9 +18,9 @@
 //! page bytes) and the cache slot is a [`loom::sync::Mutex`] — and
 //! asserts, under every explored interleaving:
 //!
-//! 1. **Complete handoff** — a prefetcher and a demand reader racing on
-//!    the same cold page both end up pinning a complete image, with no
-//!    data race between the build and the scan.
+//! 1. **Complete handoff** — two demand readers racing on the same cold
+//!    page both end up pinning a complete image, with no data race
+//!    between the build and the scan.
 //! 2. **Publication order matters** (negative control) — publishing the
 //!    `Arc` *before* writing the image lets a reader's scan overlap the
 //!    build, and the checker must catch that schedule.
@@ -38,7 +37,7 @@
 //! Run with the vendored bounded checker (see TESTING.md):
 //!
 //! ```text
-//! RUSTFLAGS="--cfg loom" cargo test -p iva-storage --test loom_prefetch --release
+//! RUSTFLAGS="--cfg loom" cargo test -p iva-storage --test loom_pager --release
 //! ```
 #![cfg(loom)]
 
@@ -54,12 +53,12 @@ type Slot = Arc<Mutex<Option<Page>>>;
 /// Distinct-from-zero payload so a torn or missing build is detectable.
 const IMAGE: u64 = 0xA11_F17;
 
-/// The `read_batch` miss path: build the image outside the lock, publish
+/// The `read_page` miss path: build the image outside the lock, publish
 /// under it, adopting the cached copy if another filler won. Returns the
 /// pin the caller scans through.
 fn fill_and_pin(slot: &Slot) -> Page {
     let page: Page = Arc::new(UnsafeCell::new(0));
-    // `file.read_run` into the private buffer: no lock held, no sharing.
+    // `read_verified` into the private buffer: no lock held, no sharing.
     page.with_mut(|p| unsafe { *p = IMAGE });
     let mut guard = slot.lock().unwrap();
     match guard.as_ref() {
@@ -80,17 +79,17 @@ fn scan(pin: &Page) -> u64 {
 fn racing_fillers_hand_off_complete_pages() {
     loom::model(|| {
         let slot: Slot = Arc::new(Mutex::new(None));
-        // Prefetcher warming the pool and a demand reader, same cold page.
+        // Two demand readers missing the same cold page.
         let s2 = Arc::clone(&slot);
-        let prefetcher = loom::thread::spawn(move || {
+        let other = loom::thread::spawn(move || {
             let pin = fill_and_pin(&s2);
             scan(&pin)
         });
         let pin = fill_and_pin(&slot);
         let seen = scan(&pin);
-        let warmed = prefetcher.join().unwrap();
-        assert_eq!(seen, IMAGE, "demand reader pinned a torn page");
-        assert_eq!(warmed, IMAGE, "prefetcher pinned a torn page");
+        let theirs = other.join().unwrap();
+        assert_eq!(seen, IMAGE, "reader pinned a torn page");
+        assert_eq!(theirs, IMAGE, "racing reader pinned a torn page");
         // Whoever lost the publication race adopted the winner's Arc, so
         // the slot holds a complete image for every later hit.
         let guard = slot.lock().unwrap();

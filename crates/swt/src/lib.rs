@@ -26,5 +26,5 @@ pub use record::{
 pub use schema::{AttrDef, AttrId, AttrType, Catalog};
 pub use stats::{AttrStats, TableStats};
 pub use swt::SwtTable;
-pub use table::{RecordFetch, RecordPtr, RecordRef, StoredRecord, TableFile, TableScan, Tid};
+pub use table::{RecordBuf, RecordPtr, RecordRef, StoredRecord, TableFile, TableScan, Tid};
 pub use value::{Tuple, Value};

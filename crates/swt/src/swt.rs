@@ -12,7 +12,7 @@ use iva_storage::{commit, IoStats, PagerOptions};
 use crate::error::{Result, SwtError};
 use crate::schema::{AttrId, AttrType, Catalog};
 use crate::stats::TableStats;
-use crate::table::{RecordFetch, RecordPtr, StoredRecord, TableFile, TableScan, Tid};
+use crate::table::{RecordBuf, RecordPtr, RecordRef, StoredRecord, TableFile, TableScan, Tid};
 use crate::value::{Tuple, Value};
 
 const META_MAGIC: u32 = 0x4956_4D54; // "IVMT"
@@ -198,21 +198,15 @@ impl SwtTable {
         self.file.get(ptr)
     }
 
-    /// Batched fetch: results in input order, disk I/O page-ordered and
-    /// coalesced (see [`TableFile::get_batch`]).
+    /// [`SwtTable::get`] of every pointer, in input order.
     pub fn get_batch(&self, ptrs: &[RecordPtr]) -> Result<Vec<StoredRecord>> {
-        self.file.get_batch(ptrs)
+        ptrs.iter().map(|&ptr| self.get(ptr)).collect()
     }
 
-    /// Read the records at `ptrs` in place, without materializing tuples:
-    /// page-ordered, coalesced I/O, each page pinned once (see
-    /// [`TableFile::fetch`]).
-    pub fn fetch<'t>(
-        &'t self,
-        ptrs: &'t [RecordPtr],
-        scratch: &'t mut Vec<u8>,
-    ) -> Result<RecordFetch<'t>> {
-        self.file.fetch(ptrs, scratch)
+    /// Read the record at `ptr` in place, without materializing its tuple
+    /// (see [`TableFile::read`]).
+    pub fn read<'a>(&'a self, ptr: RecordPtr, buf: &'a mut RecordBuf) -> Result<RecordRef<'a>> {
+        self.file.read(ptr, buf)
     }
 
     /// Sequential scan of all records.
@@ -332,6 +326,32 @@ mod tests {
         assert_eq!(t.get(ptr).unwrap().tuple, tuple);
         assert_eq!(t.stats().tuple_count, 1);
         assert_eq!(t.stats().attr(price).min, 230.0);
+    }
+
+    #[test]
+    fn get_batch_matches_serial_gets() {
+        let (mut t, ty, price, _) = camera_table();
+        let mut ptrs = Vec::new();
+        for i in 0..60 {
+            let tuple = Tuple::new()
+                .with(ty, Value::text(format!("item number {i}")))
+                .with(price, Value::num(i as f64 * 1.5));
+            ptrs.push(t.insert(&tuple).unwrap().1);
+        }
+        t.delete(ptrs[5]).unwrap();
+        // Scattered, unsorted, with a duplicate; includes a record in the
+        // unflushed tail page.
+        let req = [
+            ptrs[41], ptrs[3], ptrs[59], ptrs[5], ptrs[3], ptrs[20], ptrs[33],
+        ];
+        let batch = t.get_batch(&req).unwrap();
+        assert_eq!(batch.len(), req.len());
+        for (p, rec) in req.iter().zip(&batch) {
+            assert_eq!(rec, &t.get(*p).unwrap());
+        }
+        assert!(batch[3].deleted);
+        assert!(t.get_batch(&[]).unwrap().is_empty());
+        assert!(t.get_batch(&[ptrs[1], RecordPtr(u64::MAX - 1)]).is_err());
     }
 
     #[test]

@@ -9,22 +9,21 @@
 //!
 //! Stored record layout: `[rec_len: u32][tid: u64][flags: u8][record bytes]`.
 //!
-//! Every read — point lookup, batch, sequential scan, and the query
-//! spine's refine round — goes through one routine, [`TableFile::fetch`]:
-//! it pins the pages the records start on (page-ordered and coalesced for
-//! a batch), parses and bounds-checks each stored header once, and hands
-//! the record out as a [`RecordView`] over the pinned page's own bytes
-//! when header and payload share a page. Records that straddle a page
-//! boundary are assembled in a caller-supplied scratch buffer instead.
-//! [`TableFile::get`] / [`TableFile::get_batch`] materialize owned
-//! [`StoredRecord`]s from those views.
+//! Every read — point lookup, sequential scan, and the query spine's
+//! refine step — goes through one routine, [`TableFile::read`]: it looks
+//! up the page the record starts on, parses and bounds-checks the stored
+//! header once, and hands the record out as a [`RecordView`] over that
+//! page's own bytes when header and payload share a page. Records that
+//! straddle a page boundary are assembled in the caller's [`RecordBuf`]
+//! instead. [`TableFile::get`] materializes an owned [`StoredRecord`]
+//! from that view.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use iva_storage::codec::{le_u32, le_u64};
 use iva_storage::vfs::Vfs;
-use iva_storage::{ByteLog, IoStats, PageRef, PagerOptions, PinnedPages, USER_HEADER_LEN};
+use iva_storage::{ByteLog, IoStats, PageRef, PagerOptions, USER_HEADER_LEN};
 
 use crate::error::{Result, SwtError};
 use crate::record::{decode_record, encode_record, RecordView};
@@ -53,8 +52,18 @@ pub struct StoredRecord {
     pub tuple: Tuple,
 }
 
-/// A stored record read in place: borrowed from a pinned page (or the
-/// fetch's scratch buffer), valid until the fetch moves on.
+/// What [`TableFile::read`] borrows a record from; pass the same one to
+/// successive reads to reuse its capacity.
+#[derive(Debug, Default)]
+pub struct RecordBuf {
+    /// The page of the record last read, when the pager served it.
+    held: Option<PageRef>,
+    /// Assembles a record that straddles a page boundary.
+    scratch: Vec<u8>,
+}
+
+/// A stored record read in place: borrowed from its page (or the
+/// [`RecordBuf`]'s scratch), valid until the buffer's next read.
 #[derive(Debug, Clone, Copy)]
 pub struct RecordRef<'a> {
     /// Tuple id.
@@ -197,80 +206,11 @@ impl TableFile {
 
     /// Random-access fetch of the record at `ptr`.
     pub fn get(&self, ptr: RecordPtr) -> Result<StoredRecord> {
-        let (mut held, mut scratch) = (None, Vec::new());
-        self.record_at(ptr, &PinnedPages::empty(), &mut held, &mut scratch)?
-            .materialize()
+        self.read(ptr, &mut RecordBuf::default())?.materialize()
     }
 
-    /// Batched random-access fetch: results come back in input order, but
-    /// the disk I/O happens in **page order** — see [`TableFile::fetch`].
-    /// Duplicate pointers are fine and decode independently.
-    pub fn get_batch(&self, ptrs: &[RecordPtr]) -> Result<Vec<StoredRecord>> {
-        let mut scratch = Vec::new();
-        let mut fetch = self.fetch(ptrs, &mut scratch)?;
-        let mut out = Vec::with_capacity(ptrs.len());
-        while let Some(rec) = fetch.next_record()? {
-            out.push(rec.materialize()?);
-        }
-        Ok(out)
-    }
-
-    /// Start reading the records at `ptrs` in place. The records come out
-    /// of [`RecordFetch::next_record`] in input order; the disk I/O of a
-    /// batch happens up front in **page order** — the pages are sorted,
-    /// deduplicated and coalesced into sequential runs, so several records
-    /// on one page cost a single read and adjacent pages cost one seek
-    /// (see [`Pager::read_batch`](iva_storage::Pager::read_batch)) — and
-    /// each page is pinned once for the whole batch.
-    ///
-    /// Two passes, because record lengths are not known up front: pin the
-    /// pages the stored headers sit on, then — from the now-readable
-    /// lengths — the further pages that page-straddling records spill
-    /// onto. A single pointer skips the pin set: its page is read through
-    /// the pager when the record is asked for.
-    ///
-    /// `scratch` assembles the records that straddle a page boundary;
-    /// pass the same buffer to successive fetches to reuse its capacity.
-    pub fn fetch<'t>(
-        &'t self,
-        ptrs: &'t [RecordPtr],
-        scratch: &'t mut Vec<u8>,
-    ) -> Result<RecordFetch<'t>> {
-        let mut pins = PinnedPages::empty();
-        if ptrs.len() > 1 {
-            // Pass 1: headers, page-coalesced.
-            let mut ids = Vec::new();
-            for &p in ptrs {
-                self.check_header_in_bounds(p)?;
-                self.log.pages_spanning(p.0, RECORD_HEADER, &mut ids);
-            }
-            pins = self.log.pin_pages(&ids)?;
-            // Pass 2: the pages payloads spill onto. Header pages are
-            // already pinned and are not asked for again.
-            ids.clear();
-            for &p in ptrs {
-                let mut header = [0u8; RECORD_HEADER];
-                self.log.read_at_pinned(p.0, &mut header, &pins)?;
-                let (rec_len, _, _) = self.parse_record_header(p, &header)?;
-                self.log
-                    .pages_spanning(p.0 + RECORD_HEADER as u64, rec_len, &mut ids);
-            }
-            ids.retain(|&id| !pins.contains(id));
-            if !ids.is_empty() {
-                pins.merge(self.log.pin_pages(&ids)?);
-            }
-        }
-        Ok(RecordFetch {
-            file: self,
-            ptrs: ptrs.iter(),
-            pins,
-            held: None,
-            scratch,
-        })
-    }
-
-    /// A stored header must lie inside the log before its pages are
-    /// computed, let alone pinned.
+    /// A stored header must lie inside the log before its page is looked
+    /// up.
     fn check_header_in_bounds(&self, ptr: RecordPtr) -> Result<()> {
         match ptr.0.checked_add(RECORD_HEADER as u64) {
             Some(end) if end <= self.log.len() => Ok(()),
@@ -284,8 +224,7 @@ impl TableFile {
 
     /// Parse a stored-record header `[rec_len: u32][tid: u64][flags: u8]`
     /// read at `ptr`. The length comes straight off disk: it is checked
-    /// against the log **here**, before anything sizes a buffer or a page
-    /// list from it.
+    /// against the log **here**, before anything sizes a buffer from it.
     fn parse_record_header(
         &self,
         ptr: RecordPtr,
@@ -306,26 +245,21 @@ impl TableFile {
         Ok((rec_len as usize, tid, flags))
     }
 
-    /// Read the record at `ptr` in place: one page lookup (pin set, tail
-    /// buffer, buffered overwrite, else one cached pager read parked in
-    /// `held`), one header parse, and — when header and payload share the
-    /// page — a view over that page's bytes. Otherwise the payload is
-    /// assembled in `scratch`.
-    fn record_at<'a>(
-        &'a self,
-        ptr: RecordPtr,
-        pins: &'a PinnedPages,
-        held: &'a mut Option<PageRef>,
-        scratch: &'a mut Vec<u8>,
-    ) -> Result<RecordRef<'a>> {
+    /// Read the record at `ptr` in place: one page lookup (tail buffer,
+    /// buffered overwrite, else one cached pager read parked in `buf`),
+    /// one header parse, and — when header and payload share the page — a
+    /// view over that page's bytes. Otherwise the payload is assembled in
+    /// `buf`'s scratch.
+    pub fn read<'a>(&'a self, ptr: RecordPtr, buf: &'a mut RecordBuf) -> Result<RecordRef<'a>> {
         self.check_header_in_bounds(ptr)?;
-        let page = self.log.page_tail(ptr.0, pins, held)?;
+        let RecordBuf { held, scratch } = buf;
+        let page = self.log.page_tail(ptr.0, held)?;
         let (header, in_page) = match page.split_first_chunk::<RECORD_HEADER>() {
             Some((header, rest)) => (*header, Some(rest)),
             None => {
                 // The header itself straddles the page boundary.
                 let mut header = [0u8; RECORD_HEADER];
-                self.log.read_at_pinned(ptr.0, &mut header, pins)?;
+                self.log.read_at(ptr.0, &mut header)?;
                 (header, None)
             }
         };
@@ -334,8 +268,7 @@ impl TableFile {
             Some(payload) => payload,
             None => {
                 scratch.resize(rec_len, 0);
-                self.log
-                    .read_at_pinned(ptr.0 + RECORD_HEADER as u64, scratch, pins)?;
+                self.log.read_at(ptr.0 + RECORD_HEADER as u64, scratch)?;
                 scratch
             }
         };
@@ -348,6 +281,7 @@ impl TableFile {
 
     /// Tombstone the record at `ptr` (idempotent).
     pub fn mark_deleted(&mut self, ptr: RecordPtr) -> Result<()> {
+        self.check_header_in_bounds(ptr)?;
         let mut header = [0u8; RECORD_HEADER];
         self.log.read_at(ptr.0, &mut header)?;
         let flags = header.last().copied().unwrap_or(0);
@@ -437,29 +371,6 @@ impl TableFile {
     }
 }
 
-/// An in-progress [`TableFile::fetch`]: hands the requested records out
-/// one at a time, in input order, each borrowed until the next call.
-pub struct RecordFetch<'t> {
-    file: &'t TableFile,
-    ptrs: std::slice::Iter<'t, RecordPtr>,
-    pins: PinnedPages,
-    /// The page of the record last handed out, when no pin set holds it.
-    held: Option<PageRef>,
-    scratch: &'t mut Vec<u8>,
-}
-
-impl RecordFetch<'_> {
-    /// The next requested record, or `None` after the last.
-    pub fn next_record(&mut self) -> Result<Option<RecordRef<'_>>> {
-        let Some(&ptr) = self.ptrs.next() else {
-            return Ok(None);
-        };
-        self.file
-            .record_at(ptr, &self.pins, &mut self.held, self.scratch)
-            .map(Some)
-    }
-}
-
 /// Iterator over `(ptr, record)` pairs in file order.
 pub struct TableScan<'a> {
     table: &'a TableFile,
@@ -474,16 +385,13 @@ impl Iterator for TableScan<'_> {
             return None;
         }
         let ptr = RecordPtr(self.pos);
-        let (mut held, mut scratch) = (None, Vec::new());
-        let rec = self
-            .table
-            .record_at(ptr, &PinnedPages::empty(), &mut held, &mut scratch)
-            .and_then(|rec| {
-                // Advance past header + payload by the length the fetch
-                // already parsed and bounds-checked.
-                self.pos += (RECORD_HEADER + rec.view.bytes().len()) as u64;
-                rec.materialize()
-            });
+        let mut buf = RecordBuf::default();
+        let rec = self.table.read(ptr, &mut buf).and_then(|rec| {
+            // Advance past header + payload by the length the read
+            // already parsed and bounds-checked.
+            self.pos += (RECORD_HEADER + rec.view.bytes().len()) as u64;
+            rec.materialize()
+        });
         Some(rec.map(|rec| (ptr, rec)))
     }
 }
@@ -572,28 +480,6 @@ mod tests {
         RealVfs.remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn get_batch_matches_serial_gets() {
-        let mut t = TableFile::create_mem(&opts(), IoStats::new()).unwrap();
-        let mut ptrs = Vec::new();
-        for i in 0..60 {
-            ptrs.push(t.append(&tuple(i)).unwrap().1);
-        }
-        t.mark_deleted(ptrs[5]).unwrap();
-        // Scattered, unsorted, with a duplicate; includes a record in the
-        // unflushed tail page.
-        let req = [
-            ptrs[41], ptrs[3], ptrs[59], ptrs[5], ptrs[3], ptrs[20], ptrs[33],
-        ];
-        let batch = t.get_batch(&req).unwrap();
-        assert_eq!(batch.len(), req.len());
-        for (p, rec) in req.iter().zip(&batch) {
-            assert_eq!(rec, &t.get(*p).unwrap());
-        }
-        assert!(batch[3].deleted);
-        assert!(t.get_batch(&[]).unwrap().is_empty());
-    }
-
     /// A flipped length byte used to size a `vec![0u8; rec_len]` (and a
     /// page-id list) straight from the header before any bounds check.
     /// Every read path now rejects it at the one header parse.
@@ -609,7 +495,7 @@ mod tests {
         t.log.write_at(bad.0, &u32::MAX.to_le_bytes()).unwrap();
         let corrupt = |r: Result<()>| matches!(r, Err(SwtError::Corrupt(_)));
         assert!(corrupt(t.get(bad).map(drop)));
-        assert!(corrupt(t.get_batch(&[ptrs[2], bad, ptrs[11]]).map(drop)));
+        assert!(corrupt(t.read(bad, &mut RecordBuf::default()).map(drop)));
         assert!(corrupt(t.scan().collect::<Result<Vec<_>>>().map(drop)));
         // A length that is merely a few bytes too long for the file is
         // caught by the same check.
@@ -624,10 +510,11 @@ mod tests {
     }
 
     #[test]
-    fn fetch_reads_in_place_and_across_page_boundaries() {
+    fn read_is_in_place_and_crosses_page_boundaries() {
         // 256-byte pages and ~45-byte records: some records sit inside a
-        // page, some straddle two, the last ones are in the unflushed tail
-        // and one is under a buffered overwrite (tombstone).
+        // page, some straddle two (header or payload), the last ones are
+        // in the unflushed tail and one is under a buffered overwrite
+        // (tombstone).
         let mut t = TableFile::create_mem(&opts(), IoStats::new()).unwrap();
         let mut ptrs = Vec::new();
         for i in 0..40 {
@@ -638,86 +525,38 @@ mod tests {
             ptrs.push(t.append(&tuple(i)).unwrap().1);
         }
         t.mark_deleted(ptrs[3]).unwrap();
-        let straddlers = ptrs
+        let straddles = |p: &&RecordPtr, bytes: u64| p.0 / 256 != (p.0 + bytes - 1) / 256;
+        let split_header = ptrs
             .iter()
-            .filter(|p| p.0 / 256 != (p.0 + 44) / 256)
+            .filter(|p| straddles(p, RECORD_HEADER as u64))
             .count();
-        assert!(straddlers > 3 && straddlers < 40, "{straddlers}");
+        let split_record = ptrs.iter().filter(|p| straddles(p, 45)).count();
+        assert!(split_header > 0 && split_record > split_header && split_record < 40);
 
-        let mut scratch = Vec::new();
-        for batch in [&ptrs[..], &ptrs[5..6]] {
-            let mut fetch = t.fetch(batch, &mut scratch).unwrap();
-            for &p in batch {
-                let rec = fetch.next_record().unwrap().unwrap();
-                assert_eq!(rec.materialize().unwrap(), t.get(p).unwrap());
-            }
-            assert!(fetch.next_record().unwrap().is_none());
+        // One buffer across every read, in file order and back.
+        let mut buf = RecordBuf::default();
+        for (i, &p) in ptrs.iter().enumerate().chain(ptrs.iter().enumerate().rev()) {
+            let rec = t.read(p, &mut buf).unwrap();
+            assert_eq!((rec.tid, rec.deleted), (i as u64, i == 3));
+            assert_eq!(rec.materialize().unwrap().tuple, tuple(i as u64));
         }
-        assert!(t.get(ptrs[3]).unwrap().deleted);
     }
 
+    /// A pointer near `u64::MAX` used to overflow the bounds sum (a panic
+    /// in debug builds) on the delete path, which skipped the header check.
     #[test]
-    fn fetch_pins_each_resident_page_once() {
-        let opts = PagerOptions {
-            page_size: 256,
-            cache_bytes: 256 * 64,
-        };
-        let mut t = TableFile::create_mem(&opts, IoStats::new()).unwrap();
-        let mut ptrs = Vec::new();
-        for i in 0..40 {
-            ptrs.push(t.append(&tuple(i)).unwrap().1);
+    fn far_pointer_is_corrupt_for_get_and_delete() {
+        let mut t = TableFile::create_mem(&opts(), IoStats::new()).unwrap();
+        t.append(&tuple(0)).unwrap();
+        for far in [u64::MAX, u64::MAX - 1, u64::MAX - 12, u64::MAX - 13] {
+            let ptr = RecordPtr(far);
+            assert!(matches!(t.get(ptr), Err(SwtError::Corrupt(_))), "{far}");
+            assert!(
+                matches!(t.mark_deleted(ptr), Err(SwtError::Corrupt(_))),
+                "{far}"
+            );
         }
-        t.flush().unwrap();
-        let mut scratch = Vec::new();
-        let fetched = t.get_batch(&ptrs).unwrap(); // warm
-        let pages = t.size_bytes() / 256;
-        let before = t.io_stats().snapshot();
-        let mut fetch = t.fetch(&ptrs, &mut scratch).unwrap();
-        let mut n = 0;
-        while let Some(rec) = fetch.next_record().unwrap() {
-            assert_eq!(rec.tid, fetched[n].tid);
-            n += 1;
-        }
-        let d = t.io_stats().snapshot().since(&before);
-        assert_eq!(n, 40);
-        assert_eq!(d.disk_page_reads, 0);
-        // One lookup per distinct page for the whole batch (the tail page
-        // is served from memory and never asked of the pager) — not one
-        // for the header pass and another for the payload pass.
-        assert!(
-            d.cache_hits <= pages,
-            "{} hits, {pages} pages",
-            d.cache_hits
-        );
-    }
-
-    #[test]
-    fn get_batch_reads_each_page_once() {
-        let opts = PagerOptions {
-            page_size: 256,
-            cache_bytes: 256 * 64,
-        };
-        let mut t = TableFile::create_mem(&opts, IoStats::new()).unwrap();
-        let mut ptrs = Vec::new();
-        for i in 0..60 {
-            ptrs.push(t.append(&tuple(i)).unwrap().1);
-        }
-        t.flush().unwrap();
-        t.clear_cache();
-        let before = t.io_stats().snapshot();
-        let batch = t.get_batch(&ptrs).unwrap();
-        let d = t.io_stats().snapshot().since(&before);
-        assert_eq!(batch.len(), 60);
-        // Fetching every record must read each data page at most once;
-        // pages form one adjacent run, so (almost) all of it sequential.
-        let pages = t.size_bytes() / 256;
-        assert!(
-            d.disk_page_reads <= pages,
-            "{} reads for a {}-page file",
-            d.disk_page_reads,
-            pages
-        );
-        assert!(d.random_seeks <= 2, "run not coalesced: {d:?}");
+        assert_eq!(t.deleted_records(), 0);
     }
 
     #[test]

@@ -152,7 +152,6 @@ fn check_query(mono: &IvaDb, lsm: &LsmDb, query: &Query, k: usize, ctx: &str) {
     for (g, w) in got.hits.iter().zip(&want.hits) {
         assert_eq!(g.tuple, w.tuple, "{ctx}: tuple materialization diverges");
     }
-    assert_eq!(got.stats.speculative_accesses, 0, "{ctx}");
     assert!(
         got.stats.tuples_scanned <= want.stats.tuples_scanned,
         "{ctx}: segmented scan visited more directory entries ({}) than the monolith ({})",
