@@ -17,26 +17,15 @@ use iva_swt::{SwtTable, Value};
 use crate::config::IvaConfig;
 use crate::error::{IvaError, Result};
 use crate::index::IvaIndex;
-use crate::layout::{AttrEntry, IndexHeader, ListEncoding, INDEX_VERSION};
+use crate::interchange::{ExportedAttr, ExportedIndex};
+use crate::layout::{
+    AttrEntry, IndexHeader, ListEncoding, INDEX_VERSION, TOMBSTONE_PTR, TUPLE_ENTRY_LEN,
+};
 use crate::numeric::NumericCodec;
 use crate::packed::{encode_packed_num_list, encode_packed_text_list};
 use crate::veclist::{
     choose_num_type, choose_text_type, encode_num_list, encode_text_list, ListType,
 };
-
-/// Pick the stored image of a freshly encoded list: the packed encoding
-/// when enabled *and* strictly smaller than the raw layout, else raw. The
-/// raw length is the list's logical length either way.
-pub(crate) fn choose_encoding(
-    raw: Vec<u8>,
-    packed: Option<Vec<u8>>,
-) -> (Vec<u8>, ListEncoding, u64) {
-    let logical = raw.len() as u64;
-    match packed {
-        Some(p) if p.len() < raw.len() => (p, ListEncoding::Packed, logical),
-        _ => (raw, ListEncoding::Raw, logical),
-    }
-}
 
 /// Where to put the index file.
 pub enum IndexTarget<'a> {
@@ -121,58 +110,30 @@ pub fn build_index_with_domains(
         }
     }
 
-    let all_tids: Vec<u32> = tuple_entries.iter().map(|(t, _)| *t).collect();
-    let n_tuples = all_tids.len() as u64;
-
-    // Create the index file: page 0 reserved for the header.
-    let pager = match target {
-        IndexTarget::Disk(path) => Pager::create(path, opts, io)?,
-        IndexTarget::Mem => Pager::create_mem(opts, io),
-        IndexTarget::Vfs(vfs, path) => Pager::create_with_vfs(vfs.as_ref(), path, opts, io)?,
-    };
-    let header_page = pager.allocate_page()?;
-    debug_assert_eq!(header_page.0, 0);
-
-    let mut entries: Vec<AttrEntry> = Vec::with_capacity(n_attrs);
+    // Choose each attribute's organization (Sec. III-D) and quantize its
+    // numbers on the pinned or current relative domain; what is left is
+    // the index's logical content, which one writer turns into a file.
+    let n_tuples = tuple_entries.len() as u64;
+    let mut attrs: Vec<ExportedAttr> = Vec::with_capacity(n_attrs);
     for (attr, def) in table.catalog().iter() {
         let i = attr.index();
-        let entry = if def.ty == iva_swt::AttrType::Text {
-            let items = text_items.get(i).map(Vec::as_slice).unwrap_or_default();
-            let df = items.len() as u64;
-            let str_count: u64 = items.iter().map(|(_, s)| s.len() as u64).sum();
-            let ty = choose_text_type(str_count, df, n_tuples);
-            let raw = encode_text_list(ty, items, &all_tids)?;
-            let packed = config
-                .compress_lists
-                .then(|| encode_packed_text_list(ty, items, &all_tids));
-            let (data, encoding, logical_len) = choose_encoding(raw, packed);
-            let vlist = write_contiguous_list(&pager, &data)?;
-            let elem_count = match ty {
-                ListType::I => str_count,
-                ListType::II => df,
-                ListType::III => n_tuples,
-                ListType::IV => {
-                    return Err(IvaError::InvalidArgument(
-                        "choose_text_type produced the numeric-only Type IV".into(),
-                    ))
-                }
-            };
-            AttrEntry {
-                vlist,
-                df,
-                str_count,
-                elem_count,
-                list_type: ty,
+        attrs.push(if def.ty == iva_swt::AttrType::Text {
+            let text_postings = text_items
+                .get_mut(i)
+                .map(std::mem::take)
+                .unwrap_or_default();
+            let df = text_postings.len() as u64;
+            let str_count: u64 = text_postings.iter().map(|(_, s)| s.len() as u64).sum();
+            ExportedAttr {
                 is_text: true,
-                alpha: config.alpha,
+                list_type: choose_text_type(str_count, df, n_tuples),
                 min: f64::INFINITY,
                 max: f64::NEG_INFINITY,
-                encoding,
-                logical_len,
+                text_postings,
+                num_postings: Vec::new(),
             }
         } else {
-            let values = num_items.get(i).map(Vec::as_slice).unwrap_or_default();
-            let df = values.len() as u64;
+            let values = num_items.get_mut(i).map(std::mem::take).unwrap_or_default();
             let (min, max) = match domains.and_then(|d| d.get(i)) {
                 Some(pin) if pin.is_pinned() => (pin.min, pin.max),
                 _ => values
@@ -182,39 +143,118 @@ pub fn build_index_with_domains(
                     }),
             };
             let codec = NumericCodec::new(min, max, config.numeric_code_bytes());
-            let items: Vec<(u32, u64)> =
-                values.iter().map(|(t, v)| (*t, codec.encode(*v))).collect();
-            let ty = choose_num_type(config.numeric_code_bytes(), df, n_tuples);
-            let raw = encode_num_list(ty, &items, &all_tids, &codec)?;
-            let packed = config
-                .compress_lists
-                .then(|| encode_packed_num_list(ty, &items, &all_tids, &codec));
-            let (data, encoding, logical_len) = choose_encoding(raw, packed);
-            let vlist = write_contiguous_list(&pager, &data)?;
-            let elem_count = match ty {
-                ListType::I => df,
-                ListType::IV => n_tuples,
-                other => {
-                    return Err(IvaError::InvalidArgument(format!(
-                        "choose_num_type produced the text-only {other:?}"
-                    )))
-                }
-            };
-            AttrEntry {
-                vlist,
-                df,
-                str_count: 0,
-                elem_count,
-                list_type: ty,
+            ExportedAttr {
                 is_text: false,
-                alpha: config.alpha,
+                list_type: choose_num_type(
+                    config.numeric_code_bytes(),
+                    values.len() as u64,
+                    n_tuples,
+                ),
                 min,
                 max,
-                encoding,
-                logical_len,
+                text_postings: Vec::new(),
+                num_postings: values.iter().map(|(t, v)| (*t, codec.encode(*v))).collect(),
             }
+        });
+    }
+    let parts = ExportedIndex {
+        config,
+        tuple_entries,
+        // A fresh build covers exactly the table contents just scanned.
+        table_watermark: table.file().data_len(),
+        attrs,
+    };
+    write_index(target, opts, io, &parts)
+}
+
+/// Pick the stored image of a freshly encoded list: the packed encoding
+/// when enabled *and* strictly smaller than the raw layout, else raw. The
+/// raw length is the list's logical length either way.
+fn choose_encoding(raw: Vec<u8>, packed: Option<Vec<u8>>) -> (Vec<u8>, ListEncoding, u64) {
+    let logical = raw.len() as u64;
+    match packed {
+        Some(p) if p.len() < raw.len() => (p, ListEncoding::Packed, logical),
+        _ => (raw, ListEncoding::Raw, logical),
+    }
+}
+
+/// The builder's writer: lay out an index file from its logical content —
+/// tuple entries plus, per attribute, postings, the chosen organization
+/// and the numeric domain. Every vector list is encoded raw and (under
+/// `compress_lists`) packed, the smaller image stored, all lists written
+/// physically contiguous. [`build_index_with_domains`] arrives here from a
+/// table scan, [`crate::import_index`] from validated interchange content;
+/// `parts` is trusted to hold strictly ascending tids, postings aligned to
+/// the tuple list, and list types that suit their attribute's kind.
+pub(crate) fn write_index(
+    target: IndexTarget<'_>,
+    opts: &PagerOptions,
+    io: IoStats,
+    parts: &ExportedIndex,
+) -> Result<IvaIndex> {
+    let config = parts.config;
+    let all_tids: Vec<u32> = parts.tuple_entries.iter().map(|(t, _)| *t).collect();
+    let n_tuples = all_tids.len() as u64;
+
+    // Create the index file: page 0 reserved for the header.
+    let pager = match target {
+        IndexTarget::Disk(path) => Pager::create(path, opts, io)?,
+        IndexTarget::Mem => Pager::create_mem(opts, io),
+        IndexTarget::Vfs(vfs, path) => Pager::create_with_vfs(vfs.as_ref(), path, opts, io)?,
+    };
+    let header_page = pager.allocate_page()?;
+    if header_page.0 != 0 {
+        return Err(IvaError::Corrupt(
+            "fresh pager did not hand out page 0".into(),
+        ));
+    }
+
+    let mut entries: Vec<AttrEntry> = Vec::with_capacity(parts.attrs.len());
+    for attr in &parts.attrs {
+        let ty = attr.list_type;
+        let (raw, packed, df, str_count) = if attr.is_text {
+            let items = &attr.text_postings;
+            let raw = encode_text_list(ty, items, &all_tids)?;
+            let packed = config
+                .compress_lists
+                .then(|| encode_packed_text_list(ty, items, &all_tids));
+            let str_count = items.iter().map(|(_, s)| s.len() as u64).sum();
+            (raw, packed, items.len() as u64, str_count)
+        } else {
+            let items = &attr.num_postings;
+            let codec = NumericCodec::new(attr.min, attr.max, config.numeric_code_bytes());
+            let raw = encode_num_list(ty, items, &all_tids, &codec)?;
+            let packed = config
+                .compress_lists
+                .then(|| encode_packed_num_list(ty, items, &all_tids, &codec));
+            (raw, packed, items.len() as u64, 0)
         };
-        entries.push(entry);
+        let (data, encoding, logical_len) = choose_encoding(raw, packed);
+        // Only numbers have a relative domain; a text entry's is empty.
+        let (min, max) = if attr.is_text {
+            (f64::INFINITY, f64::NEG_INFINITY)
+        } else {
+            (attr.min, attr.max)
+        };
+        entries.push(AttrEntry {
+            vlist: write_contiguous_list(&pager, &data)?,
+            df,
+            str_count,
+            // Positional lists cover every tuple; Type I stores an element
+            // per string (per value when numeric), Type II one per value.
+            elem_count: match ty {
+                ListType::III | ListType::IV => n_tuples,
+                ListType::I if attr.is_text => str_count,
+                ListType::I | ListType::II => df,
+            },
+            list_type: ty,
+            is_text: attr.is_text,
+            alpha: config.alpha,
+            min,
+            max,
+            encoding,
+            logical_len,
+        });
     }
 
     // Attribute list (fresh builds always write the current version).
@@ -232,10 +272,10 @@ pub fn build_index_with_domains(
         ListEncoding::Raw
     };
     let tuple_bytes = match dir_encoding {
-        ListEncoding::Packed => crate::dirlist::encode_dir(&tuple_entries),
+        ListEncoding::Packed => crate::dirlist::encode_dir(&parts.tuple_entries),
         ListEncoding::Raw => {
-            let mut raw = Vec::with_capacity(tuple_entries.len() * 12);
-            for (tid, ptr) in &tuple_entries {
+            let mut raw = Vec::with_capacity(parts.tuple_entries.len() * TUPLE_ENTRY_LEN);
+            for (tid, ptr) in &parts.tuple_entries {
                 raw.extend_from_slice(&tid.to_le_bytes());
                 raw.extend_from_slice(&ptr.to_le_bytes());
             }
@@ -247,13 +287,16 @@ pub fn build_index_with_domains(
     let header = IndexHeader {
         version: INDEX_VERSION,
         config,
-        n_attrs: n_attrs as u32,
+        n_attrs: entries.len() as u32,
         n_tuples,
-        n_deleted: 0,
+        n_deleted: parts
+            .tuple_entries
+            .iter()
+            .filter(|(_, ptr)| *ptr == TOMBSTONE_PTR)
+            .count() as u64,
         attr_list,
         tuple_list,
-        // A fresh build covers exactly the table contents just scanned.
-        table_watermark: table.file().data_len(),
+        table_watermark: parts.table_watermark,
         dirty: false,
         dir_encoding,
     };

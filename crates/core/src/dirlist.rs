@@ -32,14 +32,13 @@
 
 use std::sync::Arc;
 
-use iva_storage::codec::{le_u32, le_u64};
+use iva_storage::codec::SliceReader;
 use iva_storage::compress::{bit_width, pack_bits, packed_len, BitUnpacker};
 use iva_storage::{ListHandle, ListReader, Pager};
 
 use crate::error::{IvaError, Result};
 use crate::layout::{ListEncoding, TOMBSTONE_PTR, TUPLE_ENTRY_LEN};
 use crate::packed::append_frame;
-use crate::tier::{parse_tuple_column, TupleColumn};
 
 /// Raw 12-byte elements.
 pub(crate) const DIR_RAW: u8 = 0;
@@ -62,56 +61,6 @@ fn zigzag(d: i64) -> u64 {
 
 fn unzigzag(z: u64) -> i64 {
     ((z >> 1) as i64) ^ -((z & 1) as i64)
-}
-
-/// Minimal checked cursor over extracted frame bytes.
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos >= self.buf.len()
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| corrupt("directory frame length overflow"))?;
-        let out = self
-            .buf
-            .get(self.pos..end)
-            .ok_or_else(|| corrupt("short directory frame"))?;
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        let b = *self
-            .buf
-            .get(self.pos)
-            .ok_or_else(|| corrupt("short directory frame"))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        let v = le_u32(self.buf, self.pos).ok_or_else(|| corrupt("short directory frame"))?;
-        self.pos += 4;
-        Ok(v)
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        let v = le_u64(self.buf, self.pos).ok_or_else(|| corrupt("short directory frame"))?;
-        self.pos += 8;
-        Ok(v)
-    }
 }
 
 /// Encode the full directory as frames. Chunks whose tids are not
@@ -207,7 +156,7 @@ fn decode_raw_dir_frame(
     if payload.len() != elems.saturating_mul(TUPLE_ENTRY_LEN) {
         return Err(corrupt("raw directory frame length mismatch"));
     }
-    let mut c = Cur::new(payload);
+    let mut c = SliceReader::new(payload, "directory frame");
     for _ in 0..elems {
         tids.push(c.u32()?);
         ptrs.push(c.u64()?);
@@ -227,7 +176,7 @@ fn decode_packed_dir_frame(
     if elems == 0 || elems > MAX_DIR_FRAME_ELEMS {
         return Err(corrupt("bad directory frame element count"));
     }
-    let mut c = Cur::new(payload);
+    let mut c = SliceReader::new(payload, "directory frame");
     let first_tid = c.u32()?;
     let tbw = u32::from(c.u8()?);
     let tbytes = c.take(packed_len(elems - 1, tbw))?;
@@ -239,9 +188,7 @@ fn decode_packed_dir_frame(
     let mut pup =
         BitUnpacker::new(pbytes, pbw).ok_or_else(|| corrupt("bad directory ptr delta width"))?;
     let bitmap = c.take(elems.div_ceil(8))?;
-    if !c.at_end() {
-        return Err(corrupt("directory frame payload overrun"));
-    }
+    c.finish()?;
     let live = |j: usize| bitmap.get(j / 8).is_some_and(|b| b & (1u8 << (j % 8)) != 0);
     let mut tid = first_tid;
     let mut sp = first_ptr;
@@ -266,31 +213,6 @@ fn decode_packed_dir_frame(
         ptrs.push(if live(j) { sp } else { TOMBSTONE_PTR });
     }
     Ok(())
-}
-
-/// Decode an extracted directory (all frames, or the legacy raw stream)
-/// into a [`TupleColumn`] — the hot-tier promotion path.
-pub(crate) fn dir_column(raw: &[u8], encoding: ListEncoding) -> Result<TupleColumn> {
-    match encoding {
-        ListEncoding::Raw => parse_tuple_column(raw),
-        ListEncoding::Packed => {
-            let mut tids = Vec::new();
-            let mut ptrs = Vec::new();
-            let mut c = Cur::new(raw);
-            while !c.at_end() {
-                let kind = c.u8()?;
-                let elems = c.u32()? as usize;
-                let plen = c.u32()? as usize;
-                let payload = c.take(plen)?;
-                match kind {
-                    DIR_RAW => decode_raw_dir_frame(payload, elems, &mut tids, &mut ptrs)?,
-                    DIR_PACKED => decode_packed_dir_frame(payload, elems, &mut tids, &mut ptrs)?,
-                    _ => return Err(corrupt("bad directory frame kind")),
-                }
-            }
-            Ok(TupleColumn { tids, ptrs })
-        }
-    }
 }
 
 /// Streaming `(tid, ptr)` cursor over the durable directory, either
@@ -537,31 +459,29 @@ mod tests {
             .collect()
     }
 
-    fn decode_all(
+    /// Every element of the directory stored in `data`, through the
+    /// streaming cursor (the one decoder).
+    fn read_dir(data: &[u8], encoding: ListEncoding) -> Result<Vec<(u32, u64)>> {
+        let p = pager();
+        let h = write_contiguous_list(&p, data).unwrap();
+        read_dir_at(&p, h, encoding)
+    }
+
+    fn read_dir_at(
         p: &Arc<Pager>,
-        data: &[u8],
+        h: ListHandle,
         encoding: ListEncoding,
-        n: usize,
-    ) -> Vec<(u32, u64)> {
-        // Via the slice decoder...
-        let col = dir_column(data, encoding).unwrap();
-        let slice: Vec<(u32, u64)> = col
-            .tids
-            .iter()
-            .copied()
-            .zip(col.ptrs.iter().copied())
-            .collect();
-        // ...and via the streaming cursor; both must agree.
-        let h = write_contiguous_list(p, data).unwrap();
-        let mut cur = DirCursor::open(p, h, encoding).unwrap();
-        let streamed: Vec<(u32, u64)> = (0..n).map(|_| cur.next_entry().unwrap()).collect();
-        assert_eq!(slice, streamed);
-        slice
+    ) -> Result<Vec<(u32, u64)>> {
+        let mut cur = DirCursor::open(p, h, encoding)?;
+        let mut out = Vec::new();
+        while cur.pos < cur.tids.len() || !cur.r.at_end() {
+            out.push(cur.next_entry()?);
+        }
+        Ok(out)
     }
 
     #[test]
     fn packed_roundtrip_with_tombstones() {
-        let p = pager();
         let entries = sample(3000);
         let framed = encode_dir(&entries);
         assert!(
@@ -570,39 +490,29 @@ mod tests {
             framed.len(),
             entries.len() * TUPLE_ENTRY_LEN
         );
-        assert_eq!(
-            decode_all(&p, &framed, ListEncoding::Packed, entries.len()),
-            entries
-        );
+        assert_eq!(read_dir(&framed, ListEncoding::Packed).unwrap(), entries);
     }
 
     #[test]
     fn raw_mode_matches_legacy_stream() {
-        let p = pager();
         let entries = sample(500);
         let mut raw = Vec::new();
         for &(t, ptr) in &entries {
             raw.extend_from_slice(&t.to_le_bytes());
             raw.extend_from_slice(&ptr.to_le_bytes());
         }
-        assert_eq!(
-            decode_all(&p, &raw, ListEncoding::Raw, entries.len()),
-            entries
-        );
+        assert_eq!(read_dir(&raw, ListEncoding::Raw).unwrap(), entries);
     }
 
     #[test]
     fn non_monotonic_tids_fall_back_to_raw_frames() {
         let entries: Vec<(u32, u64)> = vec![(5, 10), (3, 20), (3, 30), (9, 40)];
         let framed = encode_dir(&entries);
-        let col = dir_column(&framed, ListEncoding::Packed).unwrap();
-        assert_eq!(col.tids, vec![5, 3, 3, 9]);
-        assert_eq!(col.ptrs, vec![10, 20, 30, 40]);
+        assert_eq!(read_dir(&framed, ListEncoding::Packed).unwrap(), entries);
     }
 
     #[test]
     fn raw_tail_frames_append_after_packed_frames() {
-        let p = pager();
         let mut entries = sample(1500);
         let mut framed = encode_dir(&entries);
         for t in 0..5u32 {
@@ -610,10 +520,7 @@ mod tests {
             append_raw_entry(&mut framed, tid, ptr);
             entries.push((tid, ptr));
         }
-        assert_eq!(
-            decode_all(&p, &framed, ListEncoding::Packed, entries.len()),
-            entries
-        );
+        assert_eq!(read_dir(&framed, ListEncoding::Packed).unwrap(), entries);
     }
 
     #[test]
@@ -655,14 +562,14 @@ mod tests {
                 .unwrap();
             assert!(!again.live);
         }
-        let raw = iva_storage::read_list_to_vec(&p, h).unwrap();
-        let col = dir_column(&raw, ListEncoding::Packed).unwrap();
-        for (i, &(t, ptr)) in entries.iter().enumerate() {
-            assert_eq!(col.tids[i], t);
+        let got = read_dir_at(&p, h, ListEncoding::Packed).unwrap();
+        assert_eq!(got.len(), entries.len());
+        for (&(got_t, got_ptr), &(t, ptr)) in got.iter().zip(&entries) {
+            assert_eq!(got_t, t);
             if t == entries[700].0 || t == 90_000 {
-                assert_eq!(col.ptrs[i], TOMBSTONE_PTR, "tid {t} must be tombstoned");
+                assert_eq!(got_ptr, TOMBSTONE_PTR, "tid {t} must be tombstoned");
             } else {
-                assert_eq!(col.ptrs[i], ptr);
+                assert_eq!(got_ptr, ptr);
             }
         }
         // Absent tids: inside a frame's tid range and past the end.
@@ -698,20 +605,20 @@ mod tests {
         let framed = encode_dir(&entries);
         // Truncations at every prefix.
         for cut in 0..framed.len().min(64) {
-            let _ = dir_column(&framed[..cut], ListEncoding::Packed);
+            let _ = read_dir(&framed[..cut], ListEncoding::Packed);
         }
         // Bad kind byte.
         let mut bad = framed.clone();
         bad[0] = 7;
-        assert!(dir_column(&bad, ListEncoding::Packed).is_err());
+        assert!(read_dir(&bad, ListEncoding::Packed).is_err());
         // Overclaimed element count.
         let mut bad = framed.clone();
         bad[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(dir_column(&bad, ListEncoding::Packed).is_err());
+        assert!(read_dir(&bad, ListEncoding::Packed).is_err());
         // Zero elements.
         let mut bad = framed;
         bad[1..5].copy_from_slice(&0u32.to_le_bytes());
-        assert!(dir_column(&bad, ListEncoding::Packed).is_err());
+        assert!(read_dir(&bad, ListEncoding::Packed).is_err());
     }
 
     #[test]

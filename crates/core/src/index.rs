@@ -7,14 +7,14 @@ use std::sync::Arc;
 
 use iva_storage::vfs::Vfs;
 use iva_storage::{
-    overwrite_in_list, read_list_to_vec, IoStats, ListReader, ListWriter, PageId, Pager,
-    PagerOptions, LIST_PAGE_HEADER,
+    overwrite_in_list, IoStats, ListReader, ListWriter, PageId, Pager, PagerOptions,
+    LIST_PAGE_HEADER,
 };
 use iva_swt::{AttrId, AttrType, Catalog, RecordPtr, SwtTable, Tid, Tuple, Value};
 use iva_text::{PreparedMatcher, SigCodec};
 
 use crate::config::IvaConfig;
-use crate::dirlist::{append_raw_entry, dir_column, locate_tombstone, DirCursor};
+use crate::dirlist::{append_raw_entry, locate_tombstone, DirCursor};
 use crate::error::{IvaError, Result};
 use crate::layout::{AttrEntry, IndexHeader, ListEncoding, TOMBSTONE_PTR, TUPLE_ENTRY_LEN};
 use crate::metric::{Metric, WeightScheme};
@@ -27,7 +27,7 @@ use crate::tier::{
     build_num_column, build_text_column, ColumnData, HotTier, NumColumn, TextColumn, TierLookup,
     TupleColumn, TUPLE_KEY,
 };
-use crate::veclist::ListType;
+use crate::veclist::{push_num_elem, push_text_elem, ListType, NumListCursor, TextListCursor};
 
 /// Result of one top-k query.
 #[derive(Debug, Clone)]
@@ -162,6 +162,26 @@ impl IvaIndex {
         let page0 = pager.read_page(PageId(0))?;
         let header = IndexHeader::decode(&page0)?;
         drop(page0);
+        // The header's counts size allocations and loops from here on, and
+        // a page checksum is no authentication: hold the counts to what
+        // the lists they count can hold, and the lists to the file.
+        let (attr_list, tuple_list) = (header.attr_list.len, header.tuple_list.len);
+        let entry_len = AttrEntry::encoded_len(header.version) as u64;
+        let tuples_fit = match header.dir_encoding {
+            ListEncoding::Raw => header.n_tuples <= tuple_list / TUPLE_ENTRY_LEN as u64,
+            // A packed frame spends at least a liveness bit per element.
+            ListEncoding::Packed => header.n_tuples / 8 <= tuple_list,
+        };
+        if u64::from(header.n_attrs) * entry_len > attr_list
+            || !tuples_fit
+            || header.n_deleted > header.n_tuples
+            || attr_list.max(tuple_list) > pager.size_bytes()
+        {
+            return Err(IvaError::Corrupt(format!(
+                "index header counts {} attributes, {} tuples and {} tombstones over lists of {attr_list} and {tuple_list} bytes",
+                header.n_attrs, header.n_tuples, header.n_deleted
+            )));
+        }
         let mut reader = ListReader::open(Arc::clone(&pager), header.attr_list)?;
         let mut entries = Vec::with_capacity(header.n_attrs as usize);
         // The attribute-list entry layout is versioned with the index: v2
@@ -364,21 +384,49 @@ impl IvaIndex {
             .collect()
     }
 
-    /// Crate-internal access for reference plans and the interchange
-    /// exporter, which read the durable tuple list directly, bypassing
-    /// the hot tier.
-    pub(crate) fn pager_ref(&self) -> &Arc<Pager> {
-        &self.pager
-    }
-
     /// The signature codec every text vector list of this index uses.
     pub(crate) fn sig_codec(&self) -> &SigCodec {
         &self.sig_codec
     }
 
-    /// Crate-internal companion to [`IvaIndex::pager_ref`].
-    pub(crate) fn tuple_list_handle(&self) -> iva_storage::ListHandle {
-        self.header.tuple_list
+    /// A cursor at the head of the durable tuple list.
+    pub(crate) fn open_dir_cursor(&self) -> Result<DirCursor> {
+        DirCursor::open(
+            &self.pager,
+            self.header.tuple_list,
+            self.header.dir_encoding,
+        )
+    }
+
+    /// A cursor at the head of a text attribute's durable vector list,
+    /// whichever its encoding — how the scan, a hot-tier promotion and an
+    /// export all read it.
+    pub(crate) fn open_text_cursor(&self, entry: &AttrEntry) -> Result<TextListCursor> {
+        let reader = ListReader::open(Arc::clone(&self.pager), entry.vlist)?;
+        let ty = entry.list_type;
+        Ok(match entry.encoding {
+            ListEncoding::Raw => TextListCursor::new(reader, ty),
+            ListEncoding::Packed => {
+                TextListCursor::new_packed(PackedReader::new_text(reader, ty, &self.sig_codec)?, ty)
+            }
+        })
+    }
+
+    /// [`IvaIndex::open_text_cursor`] for a numeric attribute, under the
+    /// attribute's `codec` ([`IvaIndex::numeric_codec`]).
+    pub(crate) fn open_num_cursor(
+        &self,
+        entry: &AttrEntry,
+        codec: &NumericCodec,
+    ) -> Result<NumListCursor> {
+        let reader = ListReader::open(Arc::clone(&self.pager), entry.vlist)?;
+        let ty = entry.list_type;
+        Ok(match entry.encoding {
+            ListEncoding::Raw => NumListCursor::new(reader, ty),
+            ListEncoding::Packed => {
+                NumListCursor::new_packed(PackedReader::new_num(reader, ty, codec)?, ty)
+            }
+        })
     }
 
     /// Build the shared immutable per-query state: prepare the packed-mask
@@ -459,8 +507,8 @@ impl IvaIndex {
     }
 
     /// Consult the hot tier for a text attribute's column, building and
-    /// publishing it on promotion. The extraction cost is paid (and
-    /// visible in the pager's `IoStats`) by the query that promotes.
+    /// publishing it on promotion. The cost of the build's walk is paid
+    /// (and visible in the pager's `IoStats`) by the query that promotes.
     fn tier_text_column(&self, key: usize, entry: &AttrEntry) -> Result<Option<Arc<TextColumn>>> {
         let est = self.sig_codec.max_encoded_len() * entry.str_count as usize
             + 4 * (self.header.n_tuples as usize + 1);
@@ -469,10 +517,8 @@ impl IvaIndex {
             TierLookup::Hit(_) => Ok(None),
             TierLookup::Promote { epoch } => {
                 let tuples = self.tier_tuple_column_for_build()?;
-                let raw = self.list_raw_bytes(entry)?;
                 let col = Arc::new(build_text_column(
-                    &raw,
-                    entry.list_type,
+                    self.open_text_cursor(entry)?,
                     &self.sig_codec,
                     &tuples.tids,
                 )?);
@@ -497,10 +543,8 @@ impl IvaIndex {
             TierLookup::Hit(_) => Ok(None),
             TierLookup::Promote { epoch } => {
                 let tuples = self.tier_tuple_column_for_build()?;
-                let raw = self.list_raw_bytes(entry)?;
                 let col = Arc::new(build_num_column(
-                    &raw,
-                    entry.list_type,
+                    self.open_num_cursor(entry, codec)?,
                     codec,
                     &tuples.tids,
                 )?);
@@ -512,34 +556,36 @@ impl IvaIndex {
         }
     }
 
-    /// The raw-layout bytes of an attribute's vector list: a straight
-    /// extraction for raw lists, a frame-wise decode for packed ones. The
-    /// decoded image is transient (column builds consume and drop it), so
-    /// packed lists promote to the hot tier with the same peak footprint
-    /// as raw ones.
-    pub(crate) fn list_raw_bytes(&self, entry: &AttrEntry) -> Result<Vec<u8>> {
-        match entry.encoding {
-            ListEncoding::Raw => Ok(read_list_to_vec(&self.pager, entry.vlist)?),
-            ListEncoding::Packed => {
-                let r = ListReader::open(Arc::clone(&self.pager), entry.vlist)?;
-                if entry.is_text {
-                    PackedReader::new_text(r, entry.list_type, &self.sig_codec)?.decode_to_vec()
-                } else {
-                    let codec = self.numeric_codec(entry);
-                    PackedReader::new_num(r, entry.list_type, &codec)?.decode_to_vec()
-                }
-            }
-        }
-    }
-
     /// The tuple-list tids a column build positionalizes against: the
-    /// resident tuple column if valid, else a transient extraction.
+    /// resident tuple column if valid, else a transient one.
     fn tier_tuple_column_for_build(&self) -> Result<Arc<TupleColumn>> {
         if let Some(ColumnData::Tuple(col)) = self.tier.peek(TUPLE_KEY, self.header.tuple_list) {
             return Ok(col);
         }
-        let raw = read_list_to_vec(&self.pager, self.header.tuple_list)?;
-        Ok(Arc::new(dir_column(&raw, self.header.dir_encoding)?))
+        self.read_tuple_column()
+    }
+
+    /// The durable tuple list as a column: the directory cursor's first
+    /// `n_tuples` elements, exactly what a scan walks.
+    fn read_tuple_column(&self) -> Result<Arc<TupleColumn>> {
+        let mut cur = self.open_dir_cursor()?;
+        let n = self.tuple_capacity();
+        let (mut tids, mut ptrs) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for _ in 0..self.header.n_tuples {
+            let (tid, ptr) = cur.next_entry()?;
+            tids.push(tid);
+            ptrs.push(ptr);
+        }
+        Ok(Arc::new(TupleColumn { tids, ptrs }))
+    }
+
+    /// How many tuple-list elements to reserve room for up front: the
+    /// header's count, but never more than the stored list would hold at
+    /// the raw element width — a reservation bounded by the file's size
+    /// whatever the header claims.
+    pub(crate) fn tuple_capacity(&self) -> usize {
+        let stored = self.header.tuple_list.len / TUPLE_ENTRY_LEN as u64;
+        usize::try_from(self.header.n_tuples.min(stored)).unwrap_or(0)
     }
 
     /// Score the tuple list in the tier and promote it when hot.
@@ -547,8 +593,7 @@ impl IvaIndex {
         let handle = self.header.tuple_list;
         let est = TUPLE_ENTRY_LEN * self.header.n_tuples as usize;
         if let TierLookup::Promote { epoch } = self.tier.lookup(TUPLE_KEY, handle, est) {
-            let raw = read_list_to_vec(&self.pager, handle)?;
-            let col = Arc::new(dir_column(&raw, self.header.dir_encoding)?);
+            let col = self.read_tuple_column()?;
             self.tier
                 .insert(TUPLE_KEY, handle, ColumnData::Tuple(col), epoch);
         }
@@ -571,11 +616,7 @@ impl IvaIndex {
         if let Some(ColumnData::Tuple(col)) = self.tier.peek(TUPLE_KEY, self.header.tuple_list) {
             return Ok(TupleSource::Col { col, pos: 0 });
         }
-        Ok(TupleSource::Pager(DirCursor::open(
-            &self.pager,
-            self.header.tuple_list,
-            self.header.dir_encoding,
-        )?))
+        Ok(TupleSource::Pager(self.open_dir_cursor()?))
     }
 
     /// Fold the per-attribute tier breakdown of a prepared query into
@@ -680,57 +721,35 @@ impl IvaIndex {
                 .clone();
             let mut w = ListWriter::append_to(Arc::clone(&self.pager), entry.vlist)?;
             let mut new_entry = entry;
+            let ty = new_entry.list_type;
             // Build the raw-layout bytes of the new elements first; how
-            // they land on disk depends on the list's encoding tag. `gap`
-            // counts the positional ndf elements (each `gap_pad` bytes
-            // raw) owed since the last element on this attribute.
+            // they land on disk depends on the list's encoding tag. A
+            // positional list owes `gap` ndf elements (each `gap_pad`
+            // raw) for the tuples inserted since its last element — lazy
+            // positional padding. Both counts come off disk.
+            let gap = if ty.is_positional() {
+                tuple_index.checked_sub(new_entry.elem_count).ok_or_else(|| {
+                    IvaError::Corrupt(format!(
+                        "attribute {attr} claims {} positional elements over a {tuple_index}-element tuple list",
+                        new_entry.elem_count
+                    ))
+                })?
+            } else {
+                0
+            };
             let mut elem_buf: Vec<u8> = Vec::new();
-            let mut n_elems = 0usize;
-            let mut gap = 0u64;
             let mut gap_pad: Vec<u8> = Vec::new();
-            match value {
+            let n_elems = match value {
                 Value::Text(strings) => {
                     let sigs: Vec<Vec<u8>> = strings
                         .iter()
                         .map(|s| self.sig_codec.encode_to_vec(s.as_bytes()))
                         .collect();
-                    match new_entry.list_type {
-                        ListType::I => {
-                            for sig in &sigs {
-                                elem_buf.extend_from_slice(&tid32.to_le_bytes());
-                                elem_buf.extend_from_slice(sig);
-                                new_entry.elem_count += 1;
-                                n_elems += 1;
-                            }
-                        }
-                        ListType::II => {
-                            elem_buf.extend_from_slice(&tid32.to_le_bytes());
-                            elem_buf.push(sigs.len() as u8);
-                            for sig in &sigs {
-                                elem_buf.extend_from_slice(sig);
-                            }
-                            new_entry.elem_count += 1;
-                            n_elems = 1;
-                        }
-                        ListType::III => {
-                            // Lazy positional padding for tuples inserted
-                            // since the last element on this attribute.
-                            gap = tuple_index - new_entry.elem_count;
-                            gap_pad.push(0);
-                            elem_buf.push(sigs.len() as u8);
-                            for sig in &sigs {
-                                elem_buf.extend_from_slice(sig);
-                            }
-                            new_entry.elem_count = tuple_index + 1;
-                            n_elems = 1;
-                        }
-                        ListType::IV => {
-                            return Err(IvaError::Corrupt(
-                                "text attribute with Type IV list".into(),
-                            ))
-                        }
-                    }
                     new_entry.str_count += sigs.len() as u64;
+                    if gap > 0 {
+                        push_text_elem(ty, tid32, &[], &mut gap_pad)?;
+                    }
+                    push_text_elem(ty, tid32, &sigs, &mut elem_buf)?
                 }
                 Value::Num(v) => {
                     // First value on a fresh attribute fixes a degenerate
@@ -740,29 +759,18 @@ impl IvaIndex {
                         new_entry.max = *v;
                     }
                     let codec = self.numeric_codec(&new_entry);
-                    let code = codec.encode(*v);
-                    match new_entry.list_type {
-                        ListType::I => {
-                            elem_buf.extend_from_slice(&tid32.to_le_bytes());
-                            codec.write_code(code, &mut elem_buf);
-                            new_entry.elem_count += 1;
-                            n_elems = 1;
-                        }
-                        ListType::IV => {
-                            gap = tuple_index - new_entry.elem_count;
-                            codec.write_code(codec.ndf_code(), &mut gap_pad);
-                            codec.write_code(code, &mut elem_buf);
-                            new_entry.elem_count = tuple_index + 1;
-                            n_elems = 1;
-                        }
-                        _ => {
-                            return Err(IvaError::Corrupt(
-                                "numeric attribute with text list type".into(),
-                            ))
-                        }
+                    if gap > 0 {
+                        push_num_elem(ty, tid32, codec.ndf_code(), &codec, &mut gap_pad)?;
                     }
+                    push_num_elem(ty, tid32, codec.encode(*v), &codec, &mut elem_buf)?;
+                    1
                 }
-            }
+            };
+            new_entry.elem_count = if ty.is_positional() {
+                tuple_index + 1
+            } else {
+                new_entry.elem_count + n_elems
+            };
             match new_entry.encoding {
                 ListEncoding::Raw => {
                     for _ in 0..gap {
@@ -781,7 +789,12 @@ impl IvaIndex {
                         packed::append_frame(&mut framed, packed::FRAME_NDF_RUN, gap as usize, &[]);
                     }
                     if n_elems > 0 {
-                        packed::append_frame(&mut framed, packed::FRAME_RAW, n_elems, &elem_buf);
+                        packed::append_frame(
+                            &mut framed,
+                            packed::FRAME_RAW,
+                            n_elems as usize,
+                            &elem_buf,
+                        );
                     }
                     w.append(&framed)?;
                 }
@@ -913,11 +926,7 @@ impl IvaIndex {
             return Err(IvaError::TidOverflow(tid));
         }
         let tid32 = tid as u32;
-        let mut reader = DirCursor::open(
-            &self.pager,
-            self.header.tuple_list,
-            self.header.dir_encoding,
-        )?;
+        let mut reader = self.open_dir_cursor()?;
         for _ in 0..self.header.n_tuples {
             let (t, ptr) = reader.next_entry()?;
             if t == tid32 {

@@ -6,33 +6,34 @@
 //! [`export_index`] decodes an index back into its *logical* content:
 //! the tuple list plus, per attribute, a postings list of
 //! `(tid, payload)` pairs — nG-signature blobs for text, quantized codes
-//! for numbers. The physical organization (Type I–IV layout, raw vs
-//! packed encoding, lazy positional tails) is deliberately erased: it is
-//! an implementation detail the interchange must not pin.
+//! for numbers. It is the scan's own walk with a collecting visitor
+//! ([`crate::veclist`]), so the physical organization (Type I–IV layout,
+//! raw vs packed encoding, lazy positional tails) is erased by the one
+//! reader that knows it, and what is exported is exactly what a query can
+//! see.
 //!
 //! [`import_index`] rebuilds a canonical index from that content alone —
-//! no table scan, no re-encoding of values — re-deriving each list's
-//! stored image exactly as a fresh build would (including re-packing
-//! when `compress_lists` is set). Round-tripping therefore reproduces
+//! no table scan, no re-encoding of values: it validates the foreign
+//! postings and hands them to the builder's own writer
+//! (`build::write_index`), which re-derives each list's stored image
+//! exactly as a fresh build would (including re-packing when
+//! `compress_lists` is set). Round-tripping therefore reproduces
 //! bit-identical query answers: the postings carry the exact vectors the
 //! original index filtered with.
 //!
-//! Everything here decodes bytes that crossed a trust boundary (a list
+//! Everything here handles data that crossed a trust boundary (a list
 //! image off disk, postings from a foreign CIFF file), so malformed
 //! input must surface [`IvaError::Corrupt`], never a panic.
 
-use iva_storage::{write_contiguous_list, IoStats, Pager, PagerOptions};
+use iva_storage::{IoStats, PagerOptions};
 use iva_swt::AttrId;
-use iva_text::SigCodec;
 
-use crate::build::{choose_encoding, IndexTarget};
+use crate::build::{write_index, IndexTarget};
 use crate::config::IvaConfig;
 use crate::error::{IvaError, Result};
 use crate::index::IvaIndex;
-use crate::layout::{AttrEntry, IndexHeader, ListEncoding, INDEX_VERSION, TOMBSTONE_PTR};
 use crate::numeric::NumericCodec;
-use crate::packed::{encode_packed_num_list, encode_packed_text_list};
-use crate::veclist::{encode_num_list, encode_text_list, ListType};
+use crate::veclist::ListType;
 
 /// One attribute's logical content: a postings list in the CIFF sense,
 /// except that each posting carries the attribute's approximation
@@ -73,162 +74,13 @@ fn corrupt(what: &str) -> IvaError {
     IvaError::Corrupt(format!("interchange: {what}"))
 }
 
-/// Split `n` bytes off the front of `buf`.
-fn take<'a>(buf: &mut &'a [u8], n: usize, what: &str) -> Result<&'a [u8]> {
-    if buf.len() < n {
-        return Err(corrupt(what));
-    }
-    let (head, tail) = buf.split_at(n);
-    *buf = tail;
-    Ok(head)
-}
-
-fn take_u8(buf: &mut &[u8], what: &str) -> Result<u8> {
-    take(buf, 1, what)?
-        .first()
-        .copied()
-        .ok_or_else(|| corrupt(what))
-}
-
-fn take_u32(buf: &mut &[u8], what: &str) -> Result<u32> {
-    let b = take(buf, 4, what)?;
-    let arr: [u8; 4] = b.try_into().map_err(|_| corrupt(what))?;
-    Ok(u32::from_le_bytes(arr))
-}
-
-/// One `[cL][cH…]` signature blob, length-derived from the codec table.
-fn take_sig(buf: &mut &[u8], codec: &SigCodec) -> Result<Vec<u8>> {
-    let len_byte = take_u8(buf, "truncated signature length byte")?;
-    let ch = codec.ch_bytes(len_byte);
-    let body = take(buf, ch, "truncated signature body")?;
-    let mut sig = Vec::with_capacity(1 + ch);
-    sig.push(len_byte);
-    sig.extend_from_slice(body);
-    Ok(sig)
-}
-
-/// Parse a raw-layout text vector list back into `(tid, signatures)`
-/// postings. `all_tids` is the full tuple-list tid sequence (positional
-/// Type III aligns against it; a list shorter than the tuple list is a
-/// legal lazy tail — the remainder reads as *ndf*).
-fn parse_text_list(
-    ty: ListType,
-    mut buf: &[u8],
-    all_tids: &[u32],
-    codec: &SigCodec,
-) -> Result<Vec<(u32, Vec<Vec<u8>>)>> {
-    let mut out: Vec<(u32, Vec<Vec<u8>>)> = Vec::new();
-    match ty {
-        ListType::I => {
-            // One element per *string*; consecutive equal tids are one
-            // tuple's strings.
-            while !buf.is_empty() {
-                let tid = take_u32(&mut buf, "truncated Type I tid")?;
-                let sig = take_sig(&mut buf, codec)?;
-                match out.last_mut() {
-                    Some((t, sigs)) if *t == tid => sigs.push(sig),
-                    Some((t, _)) if *t > tid => {
-                        return Err(corrupt("Type I tids out of order"));
-                    }
-                    _ => out.push((tid, vec![sig])),
-                }
-            }
-        }
-        ListType::II => {
-            while !buf.is_empty() {
-                let tid = take_u32(&mut buf, "truncated Type II tid")?;
-                let num = take_u8(&mut buf, "truncated Type II string count")?;
-                if num == 0 {
-                    return Err(corrupt("Type II element with zero strings"));
-                }
-                let mut sigs = Vec::with_capacity(usize::from(num));
-                for _ in 0..num {
-                    sigs.push(take_sig(&mut buf, codec)?);
-                }
-                if out.last().is_some_and(|(t, _)| *t >= tid) {
-                    return Err(corrupt("Type II tids out of order"));
-                }
-                out.push((tid, sigs));
-            }
-        }
-        ListType::III => {
-            for &tid in all_tids {
-                if buf.is_empty() {
-                    break; // lazy positional tail: the rest reads as ndf
-                }
-                let num = take_u8(&mut buf, "truncated Type III string count")?;
-                if num == 0 {
-                    continue; // ndf position
-                }
-                let mut sigs = Vec::with_capacity(usize::from(num));
-                for _ in 0..num {
-                    sigs.push(take_sig(&mut buf, codec)?);
-                }
-                out.push((tid, sigs));
-            }
-            if !buf.is_empty() {
-                return Err(corrupt("Type III list longer than the tuple list"));
-            }
-        }
-        ListType::IV => return Err(corrupt("Type IV is numeric-only")),
-    }
-    Ok(out)
-}
-
-/// Parse a raw-layout numeric vector list back into `(tid, code)`
-/// postings.
-fn parse_num_list(
-    ty: ListType,
-    mut buf: &[u8],
-    all_tids: &[u32],
-    codec: &NumericCodec,
-) -> Result<Vec<(u32, u64)>> {
-    let cb = codec.code_bytes();
-    let mut out: Vec<(u32, u64)> = Vec::new();
-    match ty {
-        ListType::I => {
-            while !buf.is_empty() {
-                let tid = take_u32(&mut buf, "truncated numeric tid")?;
-                let code = codec.read_code(take(&mut buf, cb, "truncated numeric code")?)?;
-                if out.last().is_some_and(|(t, _)| *t >= tid) {
-                    return Err(corrupt("numeric Type I tids out of order"));
-                }
-                out.push((tid, code));
-            }
-        }
-        ListType::IV => {
-            for &tid in all_tids {
-                if buf.is_empty() {
-                    break; // lazy positional tail
-                }
-                let code = codec.read_code(take(&mut buf, cb, "truncated numeric code")?)?;
-                if code != codec.ndf_code() {
-                    out.push((tid, code));
-                }
-            }
-            if !buf.is_empty() {
-                return Err(corrupt("Type IV list longer than the tuple list"));
-            }
-        }
-        ListType::II | ListType::III => return Err(corrupt("text-only list type on numeric attr")),
-    }
-    Ok(out)
-}
-
 /// Decode `index` into its logical interchange content.
 pub fn export_index(index: &IvaIndex) -> Result<ExportedIndex> {
-    let config = *index.config();
-    let sig_codec = config.sig_codec();
-
     // The tuple list, tombstones included: positional lists align
     // against every element, live or not. The cursor surfaces packed
     // directories as the same `(tid, ptr)` stream.
-    let mut reader = crate::dirlist::DirCursor::open(
-        index.pager_ref(),
-        index.tuple_list_handle(),
-        index.dir_encoding(),
-    )?;
-    let mut tuple_entries = Vec::with_capacity(index.n_tuples() as usize);
+    let mut reader = index.open_dir_cursor()?;
+    let mut tuple_entries = Vec::with_capacity(index.tuple_capacity());
     for _ in 0..index.n_tuples() {
         let (tid, ptr) = reader.next_entry()?;
         if tuple_entries.last().is_some_and(|(t, _)| *t >= tid) {
@@ -238,23 +90,20 @@ pub fn export_index(index: &IvaIndex) -> Result<ExportedIndex> {
     }
     let all_tids: Vec<u32> = tuple_entries.iter().map(|(t, _)| *t).collect();
 
+    // Each vector list through the scan's own cursor: what a query can
+    // see of a list is its content (see the `veclist` module doc).
     let mut attrs = Vec::with_capacity(index.n_attrs());
     for a in 0..index.n_attrs() {
         let entry = index
             .attr_entry(AttrId(a as u32))
             .ok_or_else(|| corrupt("attribute entry vanished mid-export"))?;
-        let raw = index.list_raw_bytes(entry)?;
         let (text_postings, num_postings) = if entry.is_text {
-            (
-                parse_text_list(entry.list_type, &raw, &all_tids, &sig_codec)?,
-                Vec::new(),
-            )
+            let cur = index.open_text_cursor(entry)?;
+            (cur.postings(index.sig_codec(), &all_tids)?, Vec::new())
         } else {
             let codec = index.numeric_codec(entry);
-            (
-                Vec::new(),
-                parse_num_list(entry.list_type, &raw, &all_tids, &codec)?,
-            )
+            let cur = index.open_num_cursor(entry, &codec)?;
+            (Vec::new(), cur.postings(&codec, &all_tids)?)
         };
         attrs.push(ExportedAttr {
             is_text: entry.is_text,
@@ -267,7 +116,7 @@ pub fn export_index(index: &IvaIndex) -> Result<ExportedIndex> {
     }
 
     Ok(ExportedIndex {
-        config,
+        config: *index.config(),
         tuple_entries,
         table_watermark: index.table_watermark(),
         attrs,
@@ -317,26 +166,13 @@ pub fn import_index(
         return Err(corrupt("tuple list tids out of order"));
     }
     let all_tids: Vec<u32> = parts.tuple_entries.iter().map(|(t, _)| *t).collect();
-    let n_tuples = all_tids.len() as u64;
 
-    let pager = match target {
-        IndexTarget::Disk(path) => Pager::create(path, opts, io)?,
-        IndexTarget::Mem => Pager::create_mem(opts, io),
-        IndexTarget::Vfs(vfs, path) => Pager::create_with_vfs(vfs.as_ref(), path, opts, io)?,
-    };
-    let header_page = pager.allocate_page()?;
-    if header_page.0 != 0 {
-        return Err(corrupt("fresh pager did not hand out page 0"));
-    }
-
-    let mut entries: Vec<AttrEntry> = Vec::with_capacity(parts.attrs.len());
     for attr in &parts.attrs {
-        let entry = if attr.is_text {
+        if attr.is_text {
             if !matches!(attr.list_type, ListType::I | ListType::II | ListType::III) {
                 return Err(corrupt("text attribute with a numeric list type"));
             }
             check_alignment(attr.text_postings.iter().map(|(t, _)| t), &all_tids)?;
-            let mut str_count = 0u64;
             for (_, sigs) in &attr.text_postings {
                 if sigs.is_empty() || sigs.len() > 255 {
                     return Err(corrupt("text posting with 0 or > 255 strings"));
@@ -347,31 +183,6 @@ pub fn import_index(
                         return Err(corrupt("signature length disagrees with the codec"));
                     }
                 }
-                str_count += sigs.len() as u64;
-            }
-            let df = attr.text_postings.len() as u64;
-            let raw = encode_text_list(attr.list_type, &attr.text_postings, &all_tids)?;
-            let packed = config
-                .compress_lists
-                .then(|| encode_packed_text_list(attr.list_type, &attr.text_postings, &all_tids));
-            let (data, encoding, logical_len) = choose_encoding(raw, packed);
-            let vlist = write_contiguous_list(&pager, &data)?;
-            AttrEntry {
-                vlist,
-                df,
-                str_count,
-                elem_count: match attr.list_type {
-                    ListType::I => str_count,
-                    ListType::II => df,
-                    _ => n_tuples,
-                },
-                list_type: attr.list_type,
-                is_text: true,
-                alpha: config.alpha,
-                min: f64::INFINITY,
-                max: f64::NEG_INFINITY,
-                encoding,
-                logical_len,
             }
         } else {
             if !matches!(attr.list_type, ListType::I | ListType::IV) {
@@ -384,73 +195,7 @@ pub fn import_index(
                     return Err(corrupt("numeric code outside the quantized domain"));
                 }
             }
-            let df = attr.num_postings.len() as u64;
-            let raw = encode_num_list(attr.list_type, &attr.num_postings, &all_tids, &codec)?;
-            let packed = config.compress_lists.then(|| {
-                encode_packed_num_list(attr.list_type, &attr.num_postings, &all_tids, &codec)
-            });
-            let (data, encoding, logical_len) = choose_encoding(raw, packed);
-            let vlist = write_contiguous_list(&pager, &data)?;
-            AttrEntry {
-                vlist,
-                df,
-                str_count: 0,
-                elem_count: match attr.list_type {
-                    ListType::I => df,
-                    _ => n_tuples,
-                },
-                list_type: attr.list_type,
-                is_text: false,
-                alpha: config.alpha,
-                min: attr.min,
-                max: attr.max,
-                encoding,
-                logical_len,
-            }
-        };
-        entries.push(entry);
-    }
-
-    let mut attr_bytes = Vec::with_capacity(entries.len() * AttrEntry::ENCODED_LEN_V3);
-    for e in &entries {
-        e.encode(INDEX_VERSION, &mut attr_bytes);
-    }
-    let attr_list = write_contiguous_list(&pager, &attr_bytes)?;
-
-    let n_deleted = parts
-        .tuple_entries
-        .iter()
-        .filter(|(_, ptr)| *ptr == TOMBSTONE_PTR)
-        .count() as u64;
-    let dir_encoding = if config.compress_lists {
-        ListEncoding::Packed
-    } else {
-        ListEncoding::Raw
-    };
-    let tuple_bytes = match dir_encoding {
-        ListEncoding::Packed => crate::dirlist::encode_dir(&parts.tuple_entries),
-        ListEncoding::Raw => {
-            let mut raw = Vec::with_capacity(parts.tuple_entries.len() * 12);
-            for (tid, ptr) in &parts.tuple_entries {
-                raw.extend_from_slice(&tid.to_le_bytes());
-                raw.extend_from_slice(&ptr.to_le_bytes());
-            }
-            raw
         }
-    };
-    let tuple_list = write_contiguous_list(&pager, &tuple_bytes)?;
-
-    let header = IndexHeader {
-        version: INDEX_VERSION,
-        config,
-        n_attrs: entries.len() as u32,
-        n_tuples,
-        n_deleted,
-        attr_list,
-        tuple_list,
-        table_watermark: parts.table_watermark,
-        dirty: false,
-        dir_encoding,
-    };
-    IvaIndex::assemble(pager, header, entries)
+    }
+    write_index(target, opts, io, parts)
 }

@@ -53,7 +53,7 @@
 //! frames, bad tags, and overflowing deltas surface as
 //! [`IvaError::Corrupt`], never a panic.
 
-use iva_storage::codec::le_u32;
+use iva_storage::codec::{le_u32, SliceReader};
 use iva_storage::compress::{bit_width, pack_bits, packed_len, BitUnpacker};
 use iva_storage::ListReader;
 use iva_text::SigCodec;
@@ -141,53 +141,9 @@ fn pack_byte_section(vals: &[u8], out: &mut Vec<u8>) {
     pack_bits(&wide, bw, out);
 }
 
-/// Checked sequential reader over one frame payload.
-struct Sections<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Sections<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| corrupt("packed frame section overflow"))?;
-        let s = self
-            .buf
-            .get(self.pos..end)
-            .ok_or_else(|| corrupt("truncated packed frame"))?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn take_u8(&mut self) -> Result<u8> {
-        self.take(1)?
-            .first()
-            .copied()
-            .ok_or_else(|| corrupt("truncated packed frame"))
-    }
-
-    fn take_u32(&mut self) -> Result<u32> {
-        le_u32(self.take(4)?, 0).ok_or_else(|| corrupt("truncated packed frame"))
-    }
-
-    fn finish(&self) -> Result<()> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(corrupt("trailing bytes in packed frame"))
-        }
-    }
-}
-
 /// Inverse of [`pack_byte_section`]: `n` byte-sized values.
-fn unpack_byte_section(s: &mut Sections<'_>, n: usize) -> Result<Vec<u8>> {
-    let bw = u32::from(s.take_u8()?);
+fn unpack_byte_section(s: &mut SliceReader<'_>, n: usize) -> Result<Vec<u8>> {
+    let bw = u32::from(s.u8()?);
     if bw > 8 {
         return Err(corrupt("bad packed byte-section width"));
     }
@@ -206,9 +162,9 @@ fn unpack_byte_section(s: &mut Sections<'_>, n: usize) -> Result<Vec<u8>> {
 
 /// Rebuild the tuple-id run of a frame. Deltas accumulate in u64 with an
 /// explicit tuple-id domain check: a corrupt frame must not wrap.
-fn decode_tids(s: &mut Sections<'_>, n: usize) -> Result<Vec<u32>> {
-    let first = s.take_u32()?;
-    let bw = u32::from(s.take_u8()?);
+fn decode_tids(s: &mut SliceReader<'_>, n: usize) -> Result<Vec<u32>> {
+    let first = s.u32()?;
+    let bw = u32::from(s.u8()?);
     let dbytes = s.take(packed_len(n.saturating_sub(1), bw))?;
     let mut up = BitUnpacker::new(dbytes, bw).ok_or_else(|| corrupt("bad tuple-id delta width"))?;
     let mut tids = Vec::with_capacity(n);
@@ -718,10 +674,11 @@ impl PackedReader {
         Ok(())
     }
 
-    /// Inflate the rest of the list into one raw-layout buffer — the
-    /// column-extraction read used by hot-tier promotion, mirroring
-    /// [`iva_storage::read_list_to_vec`] for raw lists. Strict: the
-    /// decoded size must equal the declared logical length.
+    /// Inflate the rest of the list into one raw-layout buffer — the whole
+    /// image at once, for tools and tests that compare it with the raw
+    /// encoder's output (scans, promotions and exports read frame by
+    /// frame through the cursors). Strict: the decoded size must equal the
+    /// declared logical length.
     pub fn decode_to_vec(mut self) -> Result<Vec<u8>> {
         let expected = self.remaining;
         // Pre-size from the prologue, but cap the up-front trust placed in
@@ -777,7 +734,7 @@ fn decode_packed_payload(
             Ok(())
         }
     };
-    let mut s = Sections::new(payload);
+    let mut s = SliceReader::new(payload, "packed frame");
     match org {
         Org::TextI(codec) => {
             let tids = decode_tids(&mut s, elems)?;
@@ -864,7 +821,7 @@ fn decode_packed_payload(
         }
         Org::NumI(codec) => {
             let tids = decode_tids(&mut s, elems)?;
-            let cbw = u32::from(s.take_u8()?);
+            let cbw = u32::from(s.u8()?);
             let cbytes = s.take(packed_len(elems, cbw))?;
             s.finish()?;
             let mut up = BitUnpacker::new(cbytes, cbw).ok_or_else(|| corrupt("bad code width"))?;
@@ -883,7 +840,7 @@ fn decode_packed_payload(
             }
         }
         Org::NumIV(codec) => {
-            let cbw = u32::from(s.take_u8()?);
+            let cbw = u32::from(s.u8()?);
             let sbytes = s.take(packed_len(elems, cbw))?;
             s.finish()?;
             let mut up = BitUnpacker::new(sbytes, cbw).ok_or_else(|| corrupt("bad code width"))?;

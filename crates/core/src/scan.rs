@@ -58,18 +58,15 @@
 //!   its numbers are those of its solo run.
 
 use std::ops::Range;
-use std::sync::Arc;
 
-use iva_storage::ListReader;
 use iva_swt::{FieldLoc, RecordBuf, RecordPtr, SwtTable};
 use iva_text::{PreparedMatcher, SigCodec};
 
 use crate::error::{IvaError, Result};
 use crate::index::{IvaIndex, ScanCarry, SharedAttr};
-use crate::layout::{AttrEntry, ListEncoding, TOMBSTONE_PTR};
+use crate::layout::TOMBSTONE_PTR;
 use crate::metric::Metric;
 use crate::numeric::NumericCodec;
-use crate::packed::PackedReader;
 use crate::pool::{PoolEntry, ResultPool};
 use crate::query::{bounded_distance, Query};
 use crate::tier::NumColumn;
@@ -105,34 +102,17 @@ pub(crate) enum AttrScan<'a> {
 impl<'a> AttrScan<'a> {
     /// Open at the head of the attribute's list (or column).
     fn open(index: &'a IvaIndex, sa: &'a SharedAttr<'a>) -> Result<Self> {
-        let reader = |e: &AttrEntry| ListReader::open(Arc::clone(index.pager_ref()), e.vlist);
         Ok(match sa {
-            SharedAttr::Text { matcher, entry } => {
-                let (codec, ty) = (index.sig_codec(), entry.list_type);
-                let cur = match entry.encoding {
-                    ListEncoding::Raw => TextListCursor::new(reader(entry)?, ty),
-                    ListEncoding::Packed => TextListCursor::new_packed(
-                        PackedReader::new_text(reader(entry)?, ty, codec)?,
-                        ty,
-                    ),
-                };
-                AttrScan::Text {
-                    cur,
-                    codec,
-                    matcher,
-                }
-            }
-            SharedAttr::Num { q, codec, entry } => {
-                let ty = entry.list_type;
-                let cur = match entry.encoding {
-                    ListEncoding::Raw => NumListCursor::new(reader(entry)?, ty),
-                    ListEncoding::Packed => NumListCursor::new_packed(
-                        PackedReader::new_num(reader(entry)?, ty, codec)?,
-                        ty,
-                    ),
-                };
-                AttrScan::Num { cur, codec, q: *q }
-            }
+            SharedAttr::Text { matcher, entry } => AttrScan::Text {
+                cur: index.open_text_cursor(entry)?,
+                codec: index.sig_codec(),
+                matcher,
+            },
+            SharedAttr::Num { q, codec, entry } => AttrScan::Num {
+                cur: index.open_num_cursor(entry, codec)?,
+                codec,
+                q: *q,
+            },
             SharedAttr::TextHot { pos_lb, .. } => AttrScan::TextHot { pos_lb, pos: 0 },
             SharedAttr::NumHot { q, codec, col, .. } => AttrScan::NumHot {
                 col,

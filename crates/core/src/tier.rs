@@ -24,7 +24,7 @@
 //!    built against an older epoch is refused at insert time, so a build
 //!    that raced a writer can never be published.
 //! 2. **Handle validation.** Each column records the [`ListHandle`] it was
-//!    extracted from. Appends change the handle (its length grows), so a
+//!    built from. Appends change the handle (its length grows), so a
 //!    lookup whose current handle disagrees with the recorded one drops
 //!    the entry instead of hitting it.
 //!
@@ -45,14 +45,13 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use iva_storage::codec::{le_u32, le_u64};
 use iva_storage::ListHandle;
 use iva_text::SigCodec;
 
 use crate::error::{IvaError, Result};
 use crate::layout::TUPLE_ENTRY_LEN;
 use crate::numeric::NumericCodec;
-use crate::veclist::ListType;
+use crate::veclist::{text_lower_bound, ListType, NumListCursor, SigVisitor, TextListCursor};
 
 /// Tier key of the tuple column (attribute columns use the attribute
 /// index, which can never reach this value — tids are capped at `u32`).
@@ -89,7 +88,7 @@ pub(crate) struct TextColumn {
     /// Prefix offsets: position `i` owns cells `starts[i]..starts[i+1]`.
     /// Length is `positions + 1`; an empty range means *ndf*.
     pub starts: Vec<u32>,
-    /// Source organization — Type II keeps its all-infinite guard.
+    /// Source organization, for [`text_lower_bound`].
     ty: ListType,
 }
 
@@ -105,25 +104,18 @@ impl TextColumn {
     }
 
     /// Per-tuple lower bound from the precomputed per-string estimates:
-    /// the min-fold over this position's cells, with the exact gates of
-    /// the pager cursors (`None` for *ndf*; Type II additionally maps an
-    /// all-infinite fold back to *ndf*). Positions past the column end —
+    /// the min-fold over this position's cells through the pager cursors'
+    /// own gate ([`text_lower_bound`]). Positions past the column end —
     /// the lazy positional tail — read as *ndf*.
     pub fn min_estimate(&self, ests: &[f64], pos: usize) -> Option<f64> {
         let s = *self.starts.get(pos)? as usize;
         let e = *self.starts.get(pos + 1)? as usize;
         let cell_ests = ests.get(s..e)?;
-        if cell_ests.is_empty() {
-            return None;
-        }
         let mut best = f64::INFINITY;
         for &v in cell_ests {
             best = best.min(v);
         }
-        match self.ty {
-            ListType::II if !best.is_finite() => None,
-            _ => Some(best),
-        }
+        text_lower_bound(self.ty, cell_ests.len(), best)
     }
 
     /// Prefold the per-string estimates into one lower bound per tuple
@@ -185,89 +177,20 @@ impl TupleColumn {
     }
 }
 
-/// Minimal checked cursor over an extracted list's raw bytes.
-struct SliceCursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> SliceCursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos >= self.buf.len()
-    }
-
-    fn read_u8(&mut self) -> Result<u8> {
-        let b = *self
-            .buf
-            .get(self.pos)
-            .ok_or_else(|| IvaError::Corrupt("short vector list".into()))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn read_u32(&mut self) -> Result<u32> {
-        let v = le_u32(self.buf, self.pos)
-            .ok_or_else(|| IvaError::Corrupt("short vector list".into()))?;
-        self.pos += 4;
-        Ok(v)
-    }
-
-    fn read_u64(&mut self) -> Result<u64> {
-        let v = le_u64(self.buf, self.pos)
-            .ok_or_else(|| IvaError::Corrupt("short vector list".into()))?;
-        self.pos += 8;
-        Ok(v)
-    }
-
-    fn read_bytes(&mut self, n: usize) -> Result<&'a [u8]> {
-        let out = self
-            .buf
-            .get(self.pos..self.pos + n)
-            .ok_or_else(|| IvaError::Corrupt("short vector list".into()))?;
-        self.pos += n;
-        Ok(out)
-    }
-}
-
-/// Parse the extracted tuple list into a [`TupleColumn`].
-pub(crate) fn parse_tuple_column(raw: &[u8]) -> Result<TupleColumn> {
-    let n = raw.len() / TUPLE_ENTRY_LEN;
-    let mut tids = Vec::with_capacity(n);
-    let mut ptrs = Vec::with_capacity(n);
-    let mut cur = SliceCursor::new(raw);
-    for _ in 0..n {
-        tids.push(cur.read_u32()?);
-        ptrs.push(cur.read_u64()?);
-    }
-    Ok(TupleColumn { tids, ptrs })
-}
-
-/// Append one signature as a stride-padded cell.
-fn append_cell(
-    cur: &mut SliceCursor<'_>,
-    codec: &SigCodec,
+/// The column build's visitor: each signature as a stride-padded cell.
+struct CellSink {
+    sigs: Vec<u8>,
     stride: usize,
-    sigs: &mut Vec<u8>,
-) -> Result<()> {
-    let len_byte = cur.read_u8()?;
-    let ch = cur.read_bytes(codec.ch_bytes(len_byte))?;
-    let cell_start = sigs.len();
-    sigs.push(len_byte);
-    sigs.extend_from_slice(ch);
-    sigs.resize(cell_start + stride, 0);
-    Ok(())
 }
 
-/// Consume one signature without materializing it (elements keyed to tids
-/// absent from the tuple list are invisible to the scan and are dropped).
-fn skip_cell(cur: &mut SliceCursor<'_>, codec: &SigCodec) -> Result<()> {
-    let len_byte = cur.read_u8()?;
-    cur.read_bytes(codec.ch_bytes(len_byte))?;
-    Ok(())
+impl SigVisitor for CellSink {
+    fn sig(&mut self, len_byte: u8, ch: &[u8]) -> Result<()> {
+        let cell_start = self.sigs.len();
+        self.sigs.push(len_byte);
+        self.sigs.extend_from_slice(ch);
+        self.sigs.resize(cell_start + self.stride, 0);
+        Ok(())
+    }
 }
 
 fn cell_count(sigs_len: usize, stride: usize) -> Result<u32> {
@@ -278,148 +201,49 @@ fn cell_count(sigs_len: usize, stride: usize) -> Result<u32> {
         .map_err(|_| IvaError::Corrupt("hot-tier column exceeds u32 cells".into()))
 }
 
-/// Positionalize a text vector list (any of Types I–III) against the
-/// tuple-list tids. Keyed organizations merge-join on tid; the positional
-/// Type III is copied in order, with its lazy tail padded out as *ndf*.
+/// Positionalize a text vector list against the tuple-list tids by
+/// walking a fresh cursor over it exactly as a scan would — one move per
+/// tuple-list element, tombstoned or not — so the column holds what the
+/// scan sees by construction, for every organization and encoding.
 pub(crate) fn build_text_column(
-    raw: &[u8],
-    ty: ListType,
+    mut cur: TextListCursor,
     codec: &SigCodec,
     tids: &[u32],
 ) -> Result<TextColumn> {
-    let stride = codec.max_encoded_len();
-    let mut sigs: Vec<u8> = Vec::new();
+    let ty = cur.list_type();
+    let mut cells = CellSink {
+        sigs: Vec::new(),
+        stride: codec.max_encoded_len(),
+    };
     let mut starts: Vec<u32> = Vec::with_capacity(tids.len() + 1);
     starts.push(0);
-    let mut cur = SliceCursor::new(raw);
-    match ty {
-        ListType::I => {
-            let mut j = 0usize;
-            while !cur.at_end() {
-                let t = cur.read_u32()?;
-                while let Some(&pt) = tids.get(j) {
-                    if pt >= t {
-                        break;
-                    }
-                    starts.push(cell_count(sigs.len(), stride)?);
-                    j += 1;
-                }
-                if tids.get(j).is_some_and(|&pt| pt == t) {
-                    append_cell(&mut cur, codec, stride, &mut sigs)?;
-                } else {
-                    skip_cell(&mut cur, codec)?;
-                }
-            }
-            while j < tids.len() {
-                starts.push(cell_count(sigs.len(), stride)?);
-                j += 1;
-            }
-        }
-        ListType::II => {
-            let mut j = 0usize;
-            while !cur.at_end() {
-                let t = cur.read_u32()?;
-                let num = cur.read_u8()?;
-                while let Some(&pt) = tids.get(j) {
-                    if pt >= t {
-                        break;
-                    }
-                    starts.push(cell_count(sigs.len(), stride)?);
-                    j += 1;
-                }
-                let matched = tids.get(j).is_some_and(|&pt| pt == t);
-                for _ in 0..num {
-                    if matched {
-                        append_cell(&mut cur, codec, stride, &mut sigs)?;
-                    } else {
-                        skip_cell(&mut cur, codec)?;
-                    }
-                }
-                if matched {
-                    starts.push(cell_count(sigs.len(), stride)?);
-                    j += 1;
-                }
-            }
-            while j < tids.len() {
-                starts.push(cell_count(sigs.len(), stride)?);
-                j += 1;
-            }
-        }
-        ListType::III => {
-            for _ in 0..tids.len() {
-                if !cur.at_end() {
-                    let num = cur.read_u8()?;
-                    for _ in 0..num {
-                        append_cell(&mut cur, codec, stride, &mut sigs)?;
-                    }
-                }
-                starts.push(cell_count(sigs.len(), stride)?);
-            }
-        }
-        ListType::IV => {
-            return Err(IvaError::Corrupt(
-                "numeric-only Type IV on a text column".into(),
-            ))
-        }
+    for &tid in tids {
+        cur.walk(tid, codec, Some(&mut cells))?;
+        starts.push(cell_count(cells.sigs.len(), cells.stride)?);
     }
+    cur.finish(codec)?;
     Ok(TextColumn {
-        sigs,
-        stride,
+        sigs: cells.sigs,
+        stride: cells.stride,
         starts,
         ty,
     })
 }
 
-/// Positionalize a numeric vector list (Type I or IV) against the
-/// tuple-list tids, filling gaps and the lazy tail with the *ndf* code.
+/// Positionalize a numeric vector list against the tuple-list tids (see
+/// [`build_text_column`]), the *ndf* code standing for every tuple the
+/// cursor reports undefined.
 pub(crate) fn build_num_column(
-    raw: &[u8],
-    ty: ListType,
+    mut cur: NumListCursor,
     codec: &NumericCodec,
     tids: &[u32],
 ) -> Result<NumColumn> {
-    let cb = codec.code_bytes();
     let ndf = codec.ndf_code();
     let mut codes: Vec<u64> = Vec::with_capacity(tids.len());
-    let mut cur = SliceCursor::new(raw);
-    match ty {
-        ListType::I => {
-            let mut j = 0usize;
-            while !cur.at_end() {
-                let t = cur.read_u32()?;
-                let code = codec.read_code(cur.read_bytes(cb)?)?;
-                while let Some(&pt) = tids.get(j) {
-                    if pt >= t {
-                        break;
-                    }
-                    codes.push(ndf);
-                    j += 1;
-                }
-                if tids.get(j).is_some_and(|&pt| pt == t) {
-                    codes.push(code);
-                    j += 1;
-                }
-            }
-            while j < tids.len() {
-                codes.push(ndf);
-                j += 1;
-            }
-        }
-        ListType::IV => {
-            for _ in 0..tids.len() {
-                if cur.at_end() {
-                    codes.push(ndf);
-                } else {
-                    codes.push(codec.read_code(cur.read_bytes(cb)?)?);
-                }
-            }
-        }
-        _ => {
-            return Err(IvaError::Corrupt(
-                "text-only list type on a numeric column".into(),
-            ))
-        }
+    for &tid in tids {
+        codes.push(cur.advance(tid, codec)?.unwrap_or(ndf));
     }
+    cur.finish(codec)?;
     Ok(NumColumn { codes, ndf })
 }
 
@@ -449,7 +273,7 @@ impl ColumnData {
 pub(crate) enum TierLookup {
     /// A valid column is resident — serve the scan from RAM.
     Hit(ColumnData),
-    /// Hot enough and it fits: the caller should extract the list, build
+    /// Hot enough and it fits: the caller should walk the list, build
     /// the column, and offer it back via [`HotTier::insert`] with this
     /// epoch.
     Promote {
@@ -678,8 +502,32 @@ impl HotTier {
 mod tests {
     use super::*;
     use crate::veclist::{encode_num_list, encode_text_list};
-    use iva_storage::PageId;
+    use iva_storage::{write_contiguous_list, IoStats, ListReader, PageId, Pager, PagerOptions};
     use iva_text::PreparedMatcher;
+
+    /// A reader over `data` stored as a list in a fresh in-memory pager.
+    fn reader_for(data: &[u8]) -> ListReader {
+        let opts = PagerOptions {
+            page_size: 128,
+            cache_bytes: 4096,
+        };
+        let p = Pager::create_mem(&opts, IoStats::new());
+        let h = write_contiguous_list(&p, data).unwrap();
+        ListReader::open(p, h).unwrap()
+    }
+
+    fn text_column(raw: &[u8], ty: ListType, codec: &SigCodec, tids: &[u32]) -> Result<TextColumn> {
+        build_text_column(TextListCursor::new(reader_for(raw), ty), codec, tids)
+    }
+
+    fn num_column(
+        raw: &[u8],
+        ty: ListType,
+        codec: &NumericCodec,
+        tids: &[u32],
+    ) -> Result<NumColumn> {
+        build_num_column(NumListCursor::new(reader_for(raw), ty), codec, tids)
+    }
 
     fn handle(len: u64) -> ListHandle {
         ListHandle {
@@ -690,14 +538,11 @@ mod tests {
     }
 
     #[test]
-    fn tuple_column_roundtrip() {
-        let mut raw = Vec::new();
-        for i in 0..5u32 {
-            raw.extend_from_slice(&i.to_le_bytes());
-            raw.extend_from_slice(&u64::from(i * 10).to_le_bytes());
-        }
-        let col = parse_tuple_column(&raw).unwrap();
-        assert_eq!(col.tids, vec![0, 1, 2, 3, 4]);
+    fn tuple_column_entries_and_bytes() {
+        let col = TupleColumn {
+            tids: (0..5).collect(),
+            ptrs: (0..5).map(|i| i * 10).collect(),
+        };
         assert_eq!(col.entry(3), Some((3, 30)));
         assert_eq!(col.entry(5), None);
         assert_eq!(col.bytes(), 5 * TUPLE_ENTRY_LEN);
@@ -733,7 +578,7 @@ mod tests {
         };
         for ty in [ListType::I, ListType::II, ListType::III] {
             let raw = encode_text_list(ty, &items, &tids).unwrap();
-            let col = build_text_column(&raw, ty, &codec, &tids).unwrap();
+            let col = text_column(&raw, ty, &codec, &tids).unwrap();
             assert_eq!(col.starts.len(), tids.len() + 1);
             assert_eq!(col.n_strings(), 3);
             let mut ests = vec![0.0f64; col.n_strings()];
@@ -754,20 +599,66 @@ mod tests {
         }
     }
 
+    /// One verdict per malformed list, whoever walks it (the `veclist`
+    /// module doc): keyed elements whose tid the tuple list does not name
+    /// are invisible — between two tuples or past the last one — to the
+    /// scan, the column build and the export's postings alike.
     #[test]
-    fn text_column_drops_unmatched_keyed_elements() {
-        // Elements keyed to tids absent from the tuple list are invisible
-        // to a synchronized scan; the column must drop them too.
+    fn unmatched_keyed_elements_are_invisible_to_every_walker() {
         let codec = SigCodec::new(0.3, 2);
-        let items: Vec<(u32, Vec<Vec<u8>>)> = vec![
-            (5, vec![codec.encode_to_vec(b"kept")]),
-            (7, vec![codec.encode_to_vec(b"dropped")]),
-        ];
+        let sig = |s: &str| vec![codec.encode_to_vec(s.as_bytes())];
+        let items = vec![(5, sig("kept")), (7, sig("between")), (11, sig("past"))];
         let tids = vec![5u32, 9];
+        let matcher = PreparedMatcher::new(&codec, b"kept");
         for ty in [ListType::I, ListType::II] {
-            let raw = encode_text_list(ty, &items, &tids).unwrap();
-            let col = build_text_column(&raw, ty, &codec, &tids).unwrap();
+            let raw = encode_text_list(ty, &items, &[]).unwrap();
+            let col = text_column(&raw, ty, &codec, &tids).unwrap();
             assert_eq!(col.n_strings(), 1, "type {ty:?}");
+            let mut scan = TextListCursor::new(reader_for(&raw), ty);
+            assert_eq!(scan.advance(5, &codec, &matcher).unwrap(), Some(0.0));
+            assert_eq!(scan.advance(9, &codec, &matcher).unwrap(), None);
+            let export = TextListCursor::new(reader_for(&raw), ty);
+            assert_eq!(export.postings(&codec, &tids).unwrap(), items[..1]);
+        }
+        let ncodec = NumericCodec::new(0.0, 100.0, 2);
+        let nitems: Vec<(u32, u64)> = vec![(5, 1), (7, 2), (11, 3)];
+        let raw = encode_num_list(ListType::I, &nitems, &[], &ncodec).unwrap();
+        let col = num_column(&raw, ListType::I, &ncodec, &tids).unwrap();
+        assert_eq!((col.code_at(0), col.code_at(1)), (Some(1), None));
+        let export = NumListCursor::new(reader_for(&raw), ListType::I);
+        assert_eq!(export.postings(&ncodec, &tids).unwrap(), nitems[..1]);
+    }
+
+    /// The other verdict: a positional list with more elements than the
+    /// tuple list is `Corrupt` to the column build and the export alike
+    /// (the scan, which stops with the tuple list, never reaches them);
+    /// a shorter one is the legal lazy tail.
+    #[test]
+    fn positional_list_longer_than_tuple_list_is_corrupt_to_every_walker() {
+        let corrupt = |e: IvaError| matches!(e, IvaError::Corrupt(_));
+        let codec = SigCodec::new(0.3, 2);
+        let items = vec![(0, vec![codec.encode_to_vec(b"a")])];
+        let raw = encode_text_list(ListType::III, &items, &[0, 1, 2]).unwrap();
+        let ncodec = NumericCodec::new(0.0, 100.0, 2);
+        let nitems: Vec<(u32, u64)> = vec![(0, 4)];
+        let nraw = encode_num_list(ListType::IV, &nitems, &[0, 1, 2], &ncodec).unwrap();
+        for (tids, ok) in [
+            (&[0u32, 1][..], false),
+            (&[0, 1, 2], true),
+            (&[0, 1, 2, 3], true),
+        ] {
+            let text = || TextListCursor::new(reader_for(&raw), ListType::III);
+            let built = build_text_column(text(), &codec, tids);
+            let exported = text().postings(&codec, tids);
+            assert_eq!((built.is_ok(), exported.is_ok()), (ok, ok), "{tids:?}");
+            let num = || NumListCursor::new(reader_for(&nraw), ListType::IV);
+            let nbuilt = build_num_column(num(), &ncodec, tids);
+            let nexported = num().postings(&ncodec, tids);
+            assert_eq!((nbuilt.is_ok(), nexported.is_ok()), (ok, ok), "{tids:?}");
+            if !ok {
+                assert!(built.err().is_some_and(corrupt) && exported.err().is_some_and(corrupt));
+                assert!(nbuilt.err().is_some_and(corrupt) && nexported.err().is_some_and(corrupt));
+            }
         }
     }
 
@@ -778,7 +669,7 @@ mod tests {
         let tids: Vec<u32> = (0..6).collect();
         for ty in [ListType::I, ListType::IV] {
             let raw = encode_num_list(ty, &items, &tids, &codec).unwrap();
-            let col = build_num_column(&raw, ty, &codec, &tids).unwrap();
+            let col = num_column(&raw, ty, &codec, &tids).unwrap();
             assert_eq!(col.codes.len(), 6);
             for pos in 0..6 {
                 let expect = items
@@ -797,7 +688,7 @@ mod tests {
         let items: Vec<(u32, u64)> = vec![(0, codec.encode(1.0))];
         let raw = encode_num_list(ListType::IV, &items, &[0u32], &codec).unwrap();
         let tids: Vec<u32> = (0..4).collect();
-        let col = build_num_column(&raw, ListType::IV, &codec, &tids).unwrap();
+        let col = num_column(&raw, ListType::IV, &codec, &tids).unwrap();
         assert!(col.code_at(0).is_some());
         for pos in 1..4 {
             assert_eq!(col.code_at(pos), None, "pos {pos}");

@@ -18,6 +18,28 @@
 //! Types III/IV are *positional*: the tuple owning an element is inferred
 //! by counting, so they store elements for every tuple. Types I/II are
 //! *keyed* by tid and skip ndf tuples entirely.
+//!
+//! This module is the one owner of that element layout. Bytes are written
+//! by [`push_text_elem`] / [`push_num_elem`] (bulk encodes and
+//! [`crate::IvaIndex::insert`] alike) and read by the two cursors' walk
+//! (the scan, hot-tier column builds and [`crate::export_index`] alike);
+//! [`crate::packed`] owns only the frame codec that carries the same
+//! element stream compressed.
+//!
+//! **What a list contains is what the walk sees.** A walk visits the
+//! tuple-list tids in order, so two kinds of malformed list get one
+//! verdict each, whoever is walking:
+//!
+//! * a *keyed* element whose tid is not in the tuple list (or is out of
+//!   order) is invisible — the scan steps over it, a column build drops it
+//!   and an export does not carry it, wherever in the list it sits;
+//! * a walk over the whole tuple list that ends with list bytes left over
+//!   — a *positional* list with more elements than the tuple list, or a
+//!   packed list whose prologue promises more than its frames hold — is
+//!   [`IvaError::Corrupt`] to [`TextListCursor::finish`] /
+//!   [`NumListCursor::finish`], which column builds and exports call. A
+//!   positional list *shorter* than the tuple list is legal: the lazy tail
+//!   reads as *ndf*.
 
 use iva_storage::{ListReader, PageRef};
 use iva_text::{PreparedMatcher, SigCodec};
@@ -46,6 +68,12 @@ pub enum ListType {
 }
 
 impl ListType {
+    /// True for the organizations that store one element per tuple-list
+    /// position (III/IV) instead of keying elements by tid (I/II).
+    pub(crate) fn is_positional(self) -> bool {
+        matches!(self, ListType::III | ListType::IV)
+    }
+
     /// Stable on-disk code.
     pub fn code(self) -> u8 {
         match self {
@@ -121,6 +149,56 @@ pub fn choose_num_type(code_bytes: usize, df: u64, tuples: u64) -> ListType {
     }
 }
 
+/// The one encoder of a text element: the value `sigs` of tuple `tid` (one
+/// `[cL][cH…]` blob per string) in organization `ty`, appended to `out`.
+/// Empty `sigs` on the positional Type III is its *ndf* element. Returns
+/// the number of list elements written — Type I stores one per string.
+pub(crate) fn push_text_elem(
+    ty: ListType,
+    tid: u32,
+    sigs: &[Vec<u8>],
+    out: &mut Vec<u8>,
+) -> Result<u64> {
+    match ty {
+        ListType::I => {
+            for sig in sigs {
+                out.extend_from_slice(&tid.to_le_bytes());
+                out.extend_from_slice(sig);
+            }
+            Ok(sigs.len() as u64)
+        }
+        ListType::II | ListType::III => {
+            if ty == ListType::II {
+                out.extend_from_slice(&tid.to_le_bytes());
+            }
+            out.push(sigs.len() as u8);
+            for sig in sigs {
+                out.extend_from_slice(sig);
+            }
+            Ok(1)
+        }
+        ListType::IV => Err(text_on_iv()),
+    }
+}
+
+/// The one encoder of a numeric element: `code` of tuple `tid` in
+/// organization `ty`. The codec's *ndf* code is Type IV's *ndf* element.
+pub(crate) fn push_num_elem(
+    ty: ListType,
+    tid: u32,
+    code: u64,
+    codec: &NumericCodec,
+    out: &mut Vec<u8>,
+) -> Result<()> {
+    match ty {
+        ListType::I => out.extend_from_slice(&tid.to_le_bytes()),
+        ListType::IV => {}
+        ListType::II | ListType::III => return Err(num_on_text_type()),
+    }
+    codec.write_code(code, out);
+    Ok(())
+}
+
 /// Encode a text attribute's vector list. `items` are `(tid, signatures)`
 /// in strictly increasing tid order; `all_tids` is the full tuple-list tid
 /// sequence (needed by the positional Type III).
@@ -130,44 +208,17 @@ pub fn encode_text_list(
     all_tids: &[u32],
 ) -> Result<Vec<u8>> {
     let mut out = Vec::new();
-    match ty {
-        ListType::I => {
-            for (tid, sigs) in items {
-                for sig in sigs {
-                    out.extend_from_slice(&tid.to_le_bytes());
-                    out.extend_from_slice(sig);
-                }
-            }
+    if ty.is_positional() {
+        let mut it = items.iter().peekable();
+        for &tid in all_tids {
+            let hit = it.next_if(|(t, _)| *t == tid);
+            let sigs = hit.map(|(_, s)| s.as_slice()).unwrap_or_default();
+            push_text_elem(ty, tid, sigs, &mut out)?;
         }
-        ListType::II => {
-            for (tid, sigs) in items {
-                out.extend_from_slice(&tid.to_le_bytes());
-                out.push(sigs.len() as u8);
-                for sig in sigs {
-                    out.extend_from_slice(sig);
-                }
-            }
-        }
-        ListType::III => {
-            let mut it = items.iter().peekable();
-            for &tid in all_tids {
-                match it.peek() {
-                    Some((t, sigs)) if *t == tid => {
-                        out.push(sigs.len() as u8);
-                        for sig in sigs {
-                            out.extend_from_slice(sig);
-                        }
-                        it.next();
-                    }
-                    _ => out.push(0),
-                }
-            }
-            debug_assert!(it.peek().is_none(), "items not aligned with tuple list");
-        }
-        ListType::IV => {
-            return Err(IvaError::InvalidArgument(
-                "Type IV vector list is numeric-only".into(),
-            ))
+        debug_assert!(it.peek().is_none(), "items not aligned with tuple list");
+    } else {
+        for (tid, sigs) in items {
+            push_text_elem(ty, *tid, sigs, &mut out)?;
         }
     }
     Ok(out)
@@ -182,30 +233,18 @@ pub fn encode_num_list(
     codec: &NumericCodec,
 ) -> Result<Vec<u8>> {
     let mut out = Vec::new();
-    match ty {
-        ListType::I => {
-            for (tid, code) in items {
-                out.extend_from_slice(&tid.to_le_bytes());
-                codec.write_code(*code, &mut out);
-            }
+    if ty.is_positional() {
+        let mut it = items.iter().peekable();
+        for &tid in all_tids {
+            let code = it
+                .next_if(|(t, _)| *t == tid)
+                .map_or(codec.ndf_code(), |(_, c)| *c);
+            push_num_elem(ty, tid, code, codec, &mut out)?;
         }
-        ListType::IV => {
-            let mut it = items.iter().peekable();
-            for &tid in all_tids {
-                match it.peek() {
-                    Some((t, code)) if *t == tid => {
-                        codec.write_code(*code, &mut out);
-                        it.next();
-                    }
-                    _ => codec.write_code(codec.ndf_code(), &mut out),
-                }
-            }
-            debug_assert!(it.peek().is_none(), "items not aligned with tuple list");
-        }
-        _ => {
-            return Err(IvaError::InvalidArgument(format!(
-                "text-only list type {ty:?} for a numeric attribute"
-            )))
+        debug_assert!(it.peek().is_none(), "items not aligned with tuple list");
+    } else {
+        for (tid, code) in items {
+            push_num_elem(ty, *tid, *code, codec, &mut out)?;
         }
     }
     Ok(out)
@@ -266,6 +305,78 @@ impl ElemReader {
             ElemReader::Packed(r) => r.skip(n),
         }
     }
+
+    /// The header of the next keyed element, read once and held in `peek`
+    /// until the element is consumed (the "frozen" pointer of Sec. IV-A);
+    /// `None` at the end of the list.
+    fn peek_tid(&mut self, peek: &mut Option<u32>) -> Result<Option<u32>> {
+        if peek.is_none() && !self.at_end() {
+            *peek = Some(self.read_u32()?);
+        }
+        Ok(*peek)
+    }
+
+    /// The end of a walk over the whole tuple list: every element byte
+    /// must have been consumed (see the module doc).
+    fn finish(&self) -> Result<()> {
+        if self.at_end() && self.remaining() == 0 {
+            Ok(())
+        } else {
+            Err(leftover())
+        }
+    }
+}
+
+/// What a walk does with the value it stops on: called once per string
+/// with the signature's length byte `cL` and its `cH` bytes, borrowed from
+/// the buffer-pool page or the decoded frame. A trait, not a closure, so
+/// every consumer is a monomorphized, statically resolved call.
+pub(crate) trait SigVisitor {
+    /// One signature of the visited value.
+    fn sig(&mut self, len_byte: u8, ch: &[u8]) -> Result<()>;
+}
+
+/// Visits nothing: the visitor type of a walk that only moves.
+impl SigVisitor for () {
+    fn sig(&mut self, _: u8, _: &[u8]) -> Result<()> {
+        Ok(())
+    }
+}
+
+/// The scan's visitor: the minimum estimated difference over the strings.
+struct MinEstimate<'a> {
+    matcher: &'a PreparedMatcher,
+    best: f64,
+}
+
+impl SigVisitor for MinEstimate<'_> {
+    #[inline]
+    fn sig(&mut self, len_byte: u8, ch: &[u8]) -> Result<()> {
+        let est = self.matcher.estimate_parts(len_byte, ch)?;
+        self.best = self.best.min(est);
+        Ok(())
+    }
+}
+
+/// The export's visitor: each signature as its stored `[cL][cH…]` blob.
+struct CollectSigs(Vec<Vec<u8>>);
+
+impl SigVisitor for CollectSigs {
+    fn sig(&mut self, len_byte: u8, ch: &[u8]) -> Result<()> {
+        let mut sig = Vec::with_capacity(1 + ch.len());
+        sig.push(len_byte);
+        sig.extend_from_slice(ch);
+        self.0.push(sig);
+        Ok(())
+    }
+}
+
+/// The lower bound a text value contributes, from the min-fold `best` over
+/// its `n_sigs` visited strings: *ndf* when there were none, and — Type II
+/// only — when no string gave a finite estimate.
+pub(crate) fn text_lower_bound(ty: ListType, n_sigs: usize, best: f64) -> Option<f64> {
+    let ndf = n_sigs == 0 || (ty == ListType::II && !best.is_finite());
+    (!ndf).then_some(best)
 }
 
 /// Scanning cursor over a text vector list, implementing the synchronized
@@ -286,220 +397,185 @@ pub struct TextListCursor {
 impl TextListCursor {
     /// Open a cursor at the head of a raw-encoded list.
     pub fn new(reader: ListReader, ty: ListType) -> Self {
-        debug_assert!(matches!(ty, ListType::I | ListType::II | ListType::III));
-        Self {
-            reader: ElemReader::Raw(reader),
-            ty,
-            peek_tid: None,
-        }
+        Self::over(ElemReader::Raw(reader), ty)
     }
 
     /// Open a cursor at the head of a packed-encoded list.
     pub fn new_packed(reader: PackedReader, ty: ListType) -> Self {
+        Self::over(ElemReader::Packed(reader), ty)
+    }
+
+    fn over(reader: ElemReader, ty: ListType) -> Self {
         debug_assert!(matches!(ty, ListType::I | ListType::II | ListType::III));
         Self {
-            reader: ElemReader::Packed(reader),
+            reader,
             ty,
             peek_tid: None,
         }
     }
 
-    /// Read the next signature as a zero-copy view and estimate it.
-    fn estimate_sig(&mut self, codec: &SigCodec, matcher: &PreparedMatcher) -> Result<f64> {
-        let len_byte = self.reader.read_u8()?;
-        let ch = self.reader.read_bytes(codec.ch_bytes(len_byte))?;
-        matcher.estimate_parts(len_byte, ch).map_err(IvaError::from)
+    /// The organization this cursor decodes.
+    pub(crate) fn list_type(&self) -> ListType {
+        self.ty
     }
 
-    fn skip_sig(&mut self, codec: &SigCodec) -> Result<()> {
-        let len_byte = self.reader.read_u8()?;
-        self.reader.skip(codec.ch_bytes(len_byte) as u64)?;
+    /// Consume `num` signatures, handing each to `v` as a zero-copy view
+    /// or stepping over it unread.
+    #[inline]
+    fn strings<V: SigVisitor>(
+        &mut self,
+        num: u8,
+        codec: &SigCodec,
+        v: &mut Option<&mut V>,
+    ) -> Result<()> {
+        for _ in 0..num {
+            let len_byte = self.reader.read_u8()?;
+            let ch = codec.ch_bytes(len_byte);
+            match v {
+                Some(v) => v.sig(len_byte, self.reader.read_bytes(ch)?)?,
+                None => self.reader.skip(ch as u64)?,
+            }
+        }
         Ok(())
+    }
+
+    /// The one walk: move to `tid` — past every keyed element below it,
+    /// or one positional element on — and hand the strings of `tid`'s own
+    /// value to `v`, or step over them unread when `v` is `None`. Returns
+    /// the number of strings the value has (0 = *ndf*: no element, a
+    /// zero-string element, or the lazy positional tail).
+    ///
+    /// Must be called exactly once per tuple-list element, in tid order.
+    #[inline]
+    pub(crate) fn walk<V: SigVisitor>(
+        &mut self,
+        tid: u32,
+        codec: &SigCodec,
+        mut v: Option<&mut V>,
+    ) -> Result<usize> {
+        let mut n_sigs = 0usize;
+        match self.ty {
+            ListType::I | ListType::II => {
+                while let Some(t) = self.reader.peek_tid(&mut self.peek_tid)? {
+                    if t > tid {
+                        break; // freeze
+                    }
+                    let num = match self.ty {
+                        ListType::II => self.reader.read_u8()?,
+                        _ => 1,
+                    };
+                    if t == tid {
+                        self.strings(num, codec, &mut v)?;
+                        n_sigs += usize::from(num);
+                    } else {
+                        self.strings::<V>(num, codec, &mut None)?;
+                    }
+                    self.peek_tid = None;
+                    if t == tid && self.ty == ListType::II {
+                        break; // a Type II element is the tuple's whole value
+                    }
+                }
+            }
+            ListType::III => {
+                // Past the last element: tuples appended since the last
+                // value on this attribute (lazy positional padding).
+                if !self.reader.at_end() {
+                    let num = self.reader.read_u8()?;
+                    self.strings(num, codec, &mut v)?;
+                    n_sigs = usize::from(num);
+                }
+            }
+            ListType::IV => return Err(text_on_iv()),
+        }
+        Ok(n_sigs)
     }
 
     /// Move to `tid` and return the estimated difference lower bound
     /// (minimum `est` over the value's strings), or `None` for *ndf*.
     ///
     /// Must be called exactly once per tuple-list element, in tid order.
+    #[inline]
     pub fn advance(
         &mut self,
         tid: u32,
         codec: &SigCodec,
         matcher: &PreparedMatcher,
     ) -> Result<Option<f64>> {
-        match self.ty {
-            ListType::I => {
-                let mut best: Option<f64> = None;
-                loop {
-                    let t = match self.peek_tid {
-                        Some(t) => t,
-                        None => {
-                            if self.reader.at_end() {
-                                break;
-                            }
-                            let t = self.reader.read_u32()?;
-                            self.peek_tid = Some(t);
-                            t
-                        }
-                    };
-                    if t < tid {
-                        self.skip_sig(codec)?;
-                        self.peek_tid = None;
-                    } else if t == tid {
-                        let est = self.estimate_sig(codec, matcher)?;
-                        best = Some(best.map_or(est, |b: f64| b.min(est)));
-                        self.peek_tid = None;
-                    } else {
-                        break; // freeze
-                    }
-                }
-                Ok(best)
-            }
-            ListType::II => {
-                loop {
-                    let t = match self.peek_tid {
-                        Some(t) => t,
-                        None => {
-                            if self.reader.at_end() {
-                                return Ok(None);
-                            }
-                            let t = self.reader.read_u32()?;
-                            self.peek_tid = Some(t);
-                            t
-                        }
-                    };
-                    if t < tid {
-                        let num = self.reader.read_u8()?;
-                        for _ in 0..num {
-                            self.skip_sig(codec)?;
-                        }
-                        self.peek_tid = None;
-                    } else if t == tid {
-                        let num = self.reader.read_u8()?;
-                        let mut best = f64::INFINITY;
-                        for _ in 0..num {
-                            best = best.min(self.estimate_sig(codec, matcher)?);
-                        }
-                        self.peek_tid = None;
-                        return Ok(if best.is_finite() { Some(best) } else { None });
-                    } else {
-                        return Ok(None); // freeze
-                    }
-                }
-            }
-            ListType::III => {
-                if self.reader.at_end() {
-                    // Tuples appended after the last element on this
-                    // attribute: ndf (lazy positional padding).
-                    return Ok(None);
-                }
-                let num = self.reader.read_u8()?;
-                if num == 0 {
-                    return Ok(None);
-                }
-                let mut best = f64::INFINITY;
-                for _ in 0..num {
-                    best = best.min(self.estimate_sig(codec, matcher)?);
-                }
-                Ok(Some(best))
-            }
-            ListType::IV => Err(text_on_iv()),
-        }
-    }
-
-    /// Position a fresh cursor past the first `n` positional elements, so
-    /// a scan can start mid-list (segmented parallel filtering). Keyed
-    /// types (I/II) need no seek — their `advance` skips lower tids lazily
-    /// without estimating — so this is a no-op for them. Must be called
-    /// before the first `advance`/`skip`.
-    pub fn seek_elements(&mut self, n: u64, codec: &SigCodec) -> Result<()> {
-        match self.ty {
-            ListType::I | ListType::II => Ok(()),
-            ListType::III => {
-                for _ in 0..n {
-                    if self.reader.at_end() {
-                        break; // lazy positional tail: the rest reads as ndf
-                    }
-                    let num = self.reader.read_u8()?;
-                    for _ in 0..num {
-                        self.skip_sig(codec)?;
-                    }
-                }
-                Ok(())
-            }
-            ListType::IV => Err(text_on_iv()),
-        }
+        let mut fold = MinEstimate {
+            matcher,
+            best: f64::INFINITY,
+        };
+        let n_sigs = self.walk(tid, codec, Some(&mut fold))?;
+        Ok(text_lower_bound(self.ty, n_sigs, fold.best))
     }
 
     /// Move past `tid` without evaluating (tombstoned tuples).
     pub fn skip(&mut self, tid: u32, codec: &SigCodec) -> Result<()> {
-        match self.ty {
-            ListType::I => loop {
-                let t = match self.peek_tid {
-                    Some(t) => t,
-                    None => {
-                        if self.reader.at_end() {
-                            return Ok(());
-                        }
-                        let t = self.reader.read_u32()?;
-                        self.peek_tid = Some(t);
-                        t
-                    }
-                };
-                if t <= tid {
-                    self.skip_sig(codec)?;
-                    self.peek_tid = None;
-                } else {
-                    return Ok(());
-                }
-            },
-            ListType::II => loop {
-                let t = match self.peek_tid {
-                    Some(t) => t,
-                    None => {
-                        if self.reader.at_end() {
-                            return Ok(());
-                        }
-                        let t = self.reader.read_u32()?;
-                        self.peek_tid = Some(t);
-                        t
-                    }
-                };
-                if t <= tid {
-                    let num = self.reader.read_u8()?;
-                    for _ in 0..num {
-                        self.skip_sig(codec)?;
-                    }
-                    self.peek_tid = None;
-                } else {
-                    return Ok(());
-                }
-            },
-            ListType::III => {
+        self.walk::<()>(tid, codec, None).map(drop)
+    }
+
+    /// Position a fresh cursor past the first `n` positional elements, so
+    /// a scan can start mid-list (segmented parallel filtering). Keyed
+    /// types (I/II) need no seek — their walk steps over lower tids
+    /// lazily — so this is a no-op for them. Must be called before the
+    /// first `advance`/`skip`.
+    pub fn seek_elements(&mut self, n: u64, codec: &SigCodec) -> Result<()> {
+        if self.ty.is_positional() {
+            for _ in 0..n {
                 if self.reader.at_end() {
-                    return Ok(());
+                    break; // lazy positional tail: the rest reads as ndf
                 }
-                let num = self.reader.read_u8()?;
-                for _ in 0..num {
-                    self.skip_sig(codec)?;
-                }
-                Ok(())
+                self.walk::<()>(0, codec, None)?;
             }
-            ListType::IV => Err(text_on_iv()),
         }
+        Ok(())
+    }
+
+    /// End a walk that visited every tuple-list tid. Keyed elements past
+    /// the last tuple are stepped over like any other the tuple list does
+    /// not name; bytes still left after that are [`IvaError::Corrupt`]
+    /// (see the module doc).
+    pub(crate) fn finish(mut self, codec: &SigCodec) -> Result<()> {
+        if !self.ty.is_positional() {
+            self.walk::<()>(u32::MAX, codec, None)?;
+        }
+        self.reader.finish()
+    }
+
+    /// The list's logical content: `(tid, signatures)` for every tuple of
+    /// `tids` (the whole tuple list, in order) with a value here.
+    pub(crate) fn postings(
+        mut self,
+        codec: &SigCodec,
+        tids: &[u32],
+    ) -> Result<Vec<(u32, Vec<Vec<u8>>)>> {
+        let mut out = Vec::new();
+        for &tid in tids {
+            let mut sigs = CollectSigs(Vec::new());
+            if self.walk(tid, codec, Some(&mut sigs))? > 0 {
+                out.push((tid, sigs.0));
+            }
+        }
+        self.finish(codec)?;
+        Ok(out)
     }
 }
 
-/// A [`TextListCursor`] can never sit on the numeric-only Type IV — the
-/// constructor debug-asserts the type domain; a release-mode violation is
+/// A text operation can never meet the numeric-only Type IV — cursor
+/// constructors debug-assert the type domain; a release-mode violation is
 /// an argument error, not a panic.
 fn text_on_iv() -> IvaError {
-    IvaError::InvalidArgument("text cursor on numeric-only Type IV list".into())
+    IvaError::InvalidArgument("text vector list of numeric-only Type IV".into())
 }
 
-/// A [`NumListCursor`] domain violation, mirroring [`text_on_iv`].
+/// List bytes left over when a walk has visited the whole tuple list.
+fn leftover() -> IvaError {
+    IvaError::Corrupt("vector list holds more than the tuple list accounts for".into())
+}
+
+/// A numeric-list domain violation, mirroring [`text_on_iv`].
 fn num_on_text_type() -> IvaError {
-    IvaError::InvalidArgument("numeric cursor on text-only list type".into())
+    IvaError::InvalidArgument("numeric vector list of a text-only list type".into())
 }
 
 /// Scanning cursor over a numeric vector list.
@@ -525,22 +601,18 @@ pub struct NumListCursor {
 impl NumListCursor {
     /// Open a cursor at the head of a raw-encoded list.
     pub fn new(reader: ListReader, ty: ListType) -> Self {
-        debug_assert!(matches!(ty, ListType::I | ListType::IV));
-        Self {
-            reader: ElemReader::Raw(reader),
-            ty,
-            peek_tid: None,
-            run_page: None,
-            run_pos: 0,
-            run_end: 0,
-        }
+        Self::over(ElemReader::Raw(reader), ty)
     }
 
     /// Open a cursor at the head of a packed-encoded list.
     pub fn new_packed(reader: PackedReader, ty: ListType) -> Self {
+        Self::over(ElemReader::Packed(reader), ty)
+    }
+
+    fn over(reader: ElemReader, ty: ListType) -> Self {
         debug_assert!(matches!(ty, ListType::I | ListType::IV));
         Self {
-            reader: ElemReader::Packed(reader),
+            reader,
             ty,
             peek_tid: None,
             run_page: None,
@@ -597,41 +669,44 @@ impl NumListCursor {
         Ok(Some(code))
     }
 
-    /// Move to `tid` and return the stored code, or `None` for *ndf*.
-    pub fn advance(&mut self, tid: u32, codec: &NumericCodec) -> Result<Option<u64>> {
+    /// The one walk: move to `tid` — past every keyed element below it,
+    /// or one positional element on — and return `tid`'s own code when
+    /// `want`ed (`None` for *ndf*), stepping over it unread otherwise.
+    #[inline]
+    fn walk(&mut self, tid: u32, codec: &NumericCodec, want: bool) -> Result<Option<u64>> {
         match self.ty {
-            ListType::I => loop {
-                let t = match self.peek_tid {
-                    Some(t) => t,
-                    None => {
-                        if self.reader.at_end() {
-                            return Ok(None);
-                        }
-                        let t = self.reader.read_u32()?;
-                        self.peek_tid = Some(t);
-                        t
+            ListType::I => {
+                while let Some(t) = self.reader.peek_tid(&mut self.peek_tid)? {
+                    if t > tid {
+                        break; // freeze
                     }
-                };
-                if t < tid {
+                    self.peek_tid = None;
+                    if t == tid && want {
+                        return self.read_code(codec).map(Some);
+                    }
                     self.reader.skip(codec.code_bytes() as u64)?;
-                    self.peek_tid = None;
-                } else if t == tid {
-                    let code = self.read_code(codec)?;
-                    self.peek_tid = None;
-                    return Ok(Some(code));
-                } else {
-                    return Ok(None); // freeze
+                    if t == tid {
+                        break;
+                    }
                 }
-            },
-            ListType::IV => Ok(self.iv_next_code(codec)?.and_then(|code| {
-                if code == codec.ndf_code() {
-                    None
-                } else {
-                    Some(code)
-                }
-            })),
-            _ => Err(num_on_text_type()),
+                Ok(None)
+            }
+            ListType::IV => Ok(self
+                .iv_next_code(codec)?
+                .filter(|&code| want && code != codec.ndf_code())),
+            ListType::II | ListType::III => Err(num_on_text_type()),
         }
+    }
+
+    /// Move to `tid` and return the stored code, or `None` for *ndf*.
+    #[inline]
+    pub fn advance(&mut self, tid: u32, codec: &NumericCodec) -> Result<Option<u64>> {
+        self.walk(tid, codec, true)
+    }
+
+    /// Move past `tid` without evaluating.
+    pub fn skip(&mut self, tid: u32, codec: &NumericCodec) -> Result<()> {
+        self.walk(tid, codec, false).map(drop)
     }
 
     /// Position a fresh cursor past the first `n` positional elements (see
@@ -649,39 +724,33 @@ impl NumListCursor {
         }
     }
 
-    /// Move past `tid` without evaluating.
-    pub fn skip(&mut self, tid: u32, codec: &NumericCodec) -> Result<()> {
-        match self.ty {
-            ListType::I => loop {
-                let t = match self.peek_tid {
-                    Some(t) => t,
-                    None => {
-                        if self.reader.at_end() {
-                            return Ok(());
-                        }
-                        let t = self.reader.read_u32()?;
-                        self.peek_tid = Some(t);
-                        t
-                    }
-                };
-                if t <= tid {
-                    self.reader.skip(codec.code_bytes() as u64)?;
-                    self.peek_tid = None;
-                } else {
-                    return Ok(());
-                }
-            },
-            ListType::IV => {
-                if self.run_pos < self.run_end {
-                    // Consume one buffered code without decoding it.
-                    self.run_pos += codec.code_bytes();
-                } else if !self.reader.at_end() {
-                    self.reader.skip(codec.code_bytes() as u64)?;
-                }
-                Ok(())
-            }
-            _ => Err(num_on_text_type()),
+    /// End a walk that visited every tuple-list tid (see
+    /// [`TextListCursor::finish`]).
+    pub(crate) fn finish(mut self, codec: &NumericCodec) -> Result<()> {
+        if !self.ty.is_positional() {
+            self.walk(u32::MAX, codec, false)?;
         }
+        if self.run_pos < self.run_end {
+            return Err(leftover());
+        }
+        self.reader.finish()
+    }
+
+    /// The list's logical content: `(tid, code)` for every tuple of `tids`
+    /// (the whole tuple list, in order) with a value here.
+    pub(crate) fn postings(
+        mut self,
+        codec: &NumericCodec,
+        tids: &[u32],
+    ) -> Result<Vec<(u32, u64)>> {
+        let mut out = Vec::new();
+        for &tid in tids {
+            if let Some(code) = self.advance(tid, codec)? {
+                out.push((tid, code));
+            }
+        }
+        self.finish(codec)?;
+        Ok(out)
     }
 }
 

@@ -8,8 +8,9 @@ mod common;
 
 use common::{all_list_types_table, assert_bit_identical, assert_same_plan, small_pages as opts};
 use iva_core::{
-    bounded_distance, build_index, exact_distance, BatchItem, IndexTarget, IvaConfig, IvaIndex,
-    ListType, Metric, MetricKind, Query, QueryOptions, QueryOutcome, ResultPool, WeightScheme,
+    bounded_distance, build_index, exact_distance, export_index, import_index, BatchItem,
+    IndexTarget, IvaConfig, IvaIndex, ListEncoding, ListType, Metric, MetricKind, NumericCodec,
+    Query, QueryOptions, QueryOutcome, ResultPool, WeightScheme, TOMBSTONE_PTR,
 };
 use iva_storage::IoStats;
 use iva_swt::{encode_record, AttrId, RecordView, SwtTable, Tuple, Value};
@@ -528,6 +529,236 @@ proptest! {
                 // nothing else), or this sweep silently weakens.
                 prop_assert_eq!(hot_attrs > 0, warm, "packed={} warm={}", packed, warm);
             }
+        }
+    }
+}
+
+/// One walker, one writer, every reader: each list organization × {raw,
+/// packed} over lists with tid gaps, tombstones, a lazy positional tail
+/// that a later insert pads out, multi-string values and no values at
+/// all. Every index is written by the builder's one writer (through
+/// `import_index`, which lets the table force an organization the size
+/// formulas would not pick) plus `IvaIndex::insert`'s appends, and read
+/// three ways by the one walk: exported (the postings must be exactly the
+/// values encoded), scanned cold, and scanned from hot-tier columns (both
+/// must match the reference index's plan and brute force).
+#[test]
+fn one_walk_serves_scan_promotion_and_export() {
+    const TEXT: [u32; 3] = [0, 1, 2]; // dense multi-string, sparse, never defined
+    const NUM: [u32; 3] = [3, 4, 5]; // dense, sparse, never defined
+    let row = |i: u32| {
+        let mut t = Tuple::new();
+        if i % 5 != 0 {
+            let strings = (0..1 + i % 3).map(|j| format!("listing {i:04} part {j}"));
+            t.set(AttrId(0), Value::texts(strings));
+        }
+        if i % 9 == 0 {
+            t.set(AttrId(1), Value::text(format!("note {i}")));
+        }
+        // Undefined in runs of 30: long enough for NDF_RUN frames, which
+        // are what makes a packed Type IV list smaller than its raw image.
+        if i % 80 < 50 {
+            t.set(AttrId(3), Value::num(f64::from(i % 89)));
+        }
+        if i % 13 == 0 {
+            t.set(AttrId(4), Value::num(f64::from(i)));
+        }
+        t
+    };
+    let mut table = SwtTable::create_mem(&opts(), IoStats::new()).unwrap();
+    for a in TEXT {
+        table.define_text(&format!("t{a}")).unwrap();
+    }
+    for a in NUM {
+        table.define_numeric(&format!("n{a}")).unwrap();
+    }
+    // Tid gaps: tuples deleted before the build never reach the tuple list.
+    let mut rows: Vec<(u64, Tuple)> = Vec::new();
+    for i in 0..300u32 {
+        let (tid, ptr) = table.insert(&row(i)).unwrap();
+        if i % 17 == 3 {
+            table.delete(ptr).unwrap();
+        } else {
+            rows.push((tid, row(i)));
+        }
+    }
+    let cfg = IvaConfig::default();
+    let base = build_index(&table, IndexTarget::Mem, &opts(), IoStats::new(), cfg).unwrap();
+    let built = export_index(&base).unwrap();
+
+    // After the build: tombstones, then a tail of tuples that leave the
+    // dense attributes undefined (the lazy positional tail), one that
+    // defines them again (the gap is padded with ndf elements), and a
+    // last undefined one so every positional list still ends early.
+    let deleted: Vec<u64> = rows
+        .iter()
+        .map(|(tid, _)| *tid)
+        .filter(|t| t % 7 == 1)
+        .collect();
+    for &tid in &deleted {
+        table
+            .delete(base.lookup_ptr(tid).unwrap().unwrap())
+            .unwrap();
+    }
+    let sparse_only = |i: u32| Tuple::new().with(AttrId(1), Value::text(format!("late {i}")));
+    let mut inserted = Vec::new();
+    for i in 0..8u32 {
+        let tup = if i == 6 { row(301) } else { sparse_only(i) };
+        let (tid, ptr) = table.insert(&tup).unwrap();
+        rows.push((tid, tup.clone()));
+        inserted.push((tid, ptr, tup));
+    }
+    let mutate = |index: &mut IvaIndex| {
+        for &tid in &deleted {
+            assert!(index.delete(tid).unwrap());
+        }
+        for (tid, ptr, tup) in &inserted {
+            index.insert(*tid, *ptr, tup, table.catalog()).unwrap();
+        }
+    };
+
+    let queries = [
+        Query::new().text(AttrId(0), "listing 0042 part 1"),
+        Query::new()
+            .text(AttrId(1), "note 99")
+            .num(AttrId(4), 130.0),
+        Query::new().text(AttrId(2), "nothing").num(AttrId(3), 42.0),
+        Query::new()
+            .num(AttrId(5), 1.0)
+            .text(AttrId(0), "listing 0301 part 0"),
+    ];
+    let run = |index: &IvaIndex, q: &Query| {
+        let o = QueryOptions {
+            threads: Some(1),
+            measured: false,
+        };
+        index
+            .query_opts(&table, q, 7, &MetricKind::L2, WeightScheme::Equal, &o)
+            .unwrap()
+    };
+    // The reference: the organizations the size formulas chose, never
+    // tiered, same mutations.
+    let mut reference = base;
+    mutate(&mut reference);
+    let want: Vec<QueryOutcome> = queries.iter().map(|q| run(&reference, q)).collect();
+    for q in &queries {
+        check_equivalence(
+            &table,
+            &reference,
+            q,
+            7,
+            &MetricKind::L2,
+            WeightScheme::Equal,
+        )
+        .unwrap();
+    }
+
+    // What every export must hold: the values as the writers encoded them.
+    let sig_codec = cfg.sig_codec();
+    let text_items = |a: u32| -> Vec<(u32, Vec<Vec<u8>>)> {
+        let sigs = |v: &Value| match v {
+            Value::Text(ss) => ss
+                .iter()
+                .map(|s| sig_codec.encode_to_vec(s.as_bytes()))
+                .collect(),
+            Value::Num(_) => unreachable!("numeric value on a text attribute"),
+        };
+        rows.iter()
+            .filter_map(|(tid, t)| Some((*tid as u32, sigs(t.get(AttrId(a))?))))
+            .collect()
+    };
+    let num_items = |a: u32| -> Vec<(u32, u64)> {
+        let part = &built.attrs[a as usize];
+        let codec = NumericCodec::new(part.min, part.max, cfg.numeric_code_bytes());
+        let code = |v: &Value| match v {
+            Value::Num(x) => codec.encode(*x),
+            Value::Text(_) => unreachable!("text value on a numeric attribute"),
+        };
+        rows.iter()
+            .filter_map(|(tid, t)| Some((*tid as u32, code(t.get(AttrId(a))?))))
+            .collect()
+    };
+    let tuple_entries: Vec<(u32, bool)> = rows
+        .iter()
+        .map(|(tid, _)| (*tid as u32, deleted.contains(tid)))
+        .collect();
+
+    let organizations = [
+        (ListType::I, ListType::I),
+        (ListType::II, ListType::IV),
+        (ListType::III, ListType::IV),
+    ];
+    for (text_ty, num_ty) in organizations {
+        for compress_lists in [false, true] {
+            let label = format!("text {text_ty} / num {num_ty} / packed={compress_lists}");
+            let mut parts = built.clone();
+            parts.config.compress_lists = compress_lists;
+            for attr in &mut parts.attrs {
+                attr.list_type = if attr.is_text { text_ty } else { num_ty };
+            }
+            let mut index =
+                import_index(IndexTarget::Mem, &opts(), IoStats::new(), &parts).unwrap();
+            let entry = |a: u32| index.attr_entry(AttrId(a)).unwrap().clone();
+            for a in TEXT.iter().chain(&NUM) {
+                let want_ty = if TEXT.contains(a) { text_ty } else { num_ty };
+                assert_eq!(entry(*a).list_type, want_ty, "{label}");
+            }
+            // The dense lists must actually be stored packed; a list with
+            // no values is, too, when positional (one ndf-run frame against
+            // an ndf element per tuple) and never when keyed (no bytes).
+            let packed = |a: u32| entry(a).encoding == ListEncoding::Packed;
+            assert_eq!(packed(0) && packed(3), compress_lists, "{label}");
+            assert_eq!(
+                packed(2),
+                compress_lists && text_ty == ListType::III,
+                "{label}"
+            );
+            assert_eq!(
+                packed(5),
+                compress_lists && num_ty == ListType::IV,
+                "{label}"
+            );
+            mutate(&mut index);
+
+            // Export: the walk's postings are the items encoded.
+            let got = export_index(&index).unwrap();
+            let entries: Vec<(u32, bool)> = got
+                .tuple_entries
+                .iter()
+                .map(|&(tid, ptr)| (tid, ptr == TOMBSTONE_PTR))
+                .collect();
+            assert_eq!(entries, tuple_entries, "{label}");
+            for a in TEXT {
+                assert_eq!(
+                    got.attrs[a as usize].text_postings,
+                    text_items(a),
+                    "{label} attr {a}"
+                );
+            }
+            for a in NUM {
+                assert_eq!(
+                    got.attrs[a as usize].num_postings,
+                    num_items(a),
+                    "{label} attr {a}"
+                );
+            }
+            assert!(text_items(0).iter().any(|(_, sigs)| sigs.len() == 3));
+            assert!(text_items(2).is_empty() && num_items(5).is_empty());
+
+            // Scan, cold then from promoted columns: the reference's plan.
+            for (q, w) in queries.iter().zip(&want) {
+                assert_same_plan(w, &run(&index, q), &format!("{label} cold"));
+            }
+            index.set_runtime_knobs(1, 1 << 20);
+            let mut hot_attrs = 0;
+            for round in 0..8 {
+                for (q, w) in queries.iter().zip(&want) {
+                    let got = run(&index, q);
+                    assert_same_plan(w, &got, &format!("{label} warming round {round}"));
+                    hot_attrs += got.stats.hot_tier_attrs;
+                }
+            }
+            assert!(hot_attrs > 0, "{label}: tier never engaged");
         }
     }
 }

@@ -5,9 +5,10 @@ use iva_storage::{read_to_vec, write_vec, RealVfs, Vfs};
 use std::sync::Arc;
 
 use iva_core::{
-    build_index, IndexTarget, IvaConfig, IvaIndex, ListType, MetricKind, Query, WeightScheme,
+    build_index, AttrEntry, IndexHeader, IndexTarget, IvaConfig, IvaError, IvaIndex, ListType,
+    MetricKind, Query, WeightScheme,
 };
-use iva_storage::{IoStats, PagerOptions};
+use iva_storage::{overwrite_in_list, IoStats, PageId, Pager, PagerOptions};
 use iva_swt::{AttrId, SwtTable, Tuple, Value};
 
 fn opts() -> PagerOptions {
@@ -158,6 +159,100 @@ fn corrupted_index_file_fails_cleanly() {
     RealVfs.remove_dir_all(&dir).unwrap();
 }
 
+/// A dense table (positional Type III text and Type IV numeric lists)
+/// indexed on disk at `path`, flushed and closed.
+fn dense_index_on_disk(path: &std::path::Path) -> SwtTable {
+    let mut t = SwtTable::create_mem(&opts(), IoStats::new()).unwrap();
+    let name = t.define_text("name").unwrap();
+    let price = t.define_numeric("price").unwrap();
+    for i in 0..40u32 {
+        let tup = Tuple::new()
+            .with(name, Value::text(format!("listing {i:03}")))
+            .with(price, Value::num(f64::from(i)));
+        t.insert(&tup).unwrap();
+    }
+    let cfg = IvaConfig::default();
+    let mut idx = build_index(&t, IndexTarget::Disk(path), &opts(), IoStats::new(), cfg).unwrap();
+    assert_eq!(idx.attr_entry(name).unwrap().list_type, ListType::III);
+    assert_eq!(idx.attr_entry(price).unwrap().list_type, ListType::IV);
+    idx.flush().unwrap();
+    t
+}
+
+/// Rewrite the page-0 header of the index at `path` through the pager, so
+/// the page is re-framed under a valid checksum.
+fn rewrite_header(path: &std::path::Path, edit: impl FnOnce(&mut IndexHeader)) {
+    let pager = Pager::open(path, &opts(), IoStats::new()).unwrap();
+    let mut header = IndexHeader::decode(&pager.read_page(PageId(0)).unwrap()).unwrap();
+    edit(&mut header);
+    let bytes = header.encode();
+    pager
+        .update_page(PageId(0), |p| p[..bytes.len()].copy_from_slice(&bytes))
+        .unwrap();
+    pager.sync().unwrap();
+}
+
+/// A header count is a number off disk under a checksum, not a fact: one
+/// that its own lists cannot hold must be `Corrupt` at open — it used to
+/// size a `Vec::with_capacity` (an allocator abort, not an error).
+#[test]
+fn lying_header_counts_are_corrupt_at_open() {
+    let dir = std::env::temp_dir().join(format!("iva-counts-{}", std::process::id()));
+    RealVfs.create_dir_all(&dir).unwrap();
+    let path = dir.join("x.iva");
+    let edits: [(&str, fn(&mut IndexHeader)); 6] = [
+        ("n_attrs", |h| h.n_attrs = u32::MAX),
+        ("n_attrs + 1", |h| h.n_attrs += 1),
+        ("n_tuples", |h| h.n_tuples = u64::MAX),
+        ("n_tuples beyond the list", |h| {
+            h.n_tuples = 8 * h.tuple_list.len + 8
+        }),
+        ("n_deleted", |h| h.n_deleted = h.n_tuples + 1),
+        ("tuple_list.len", |h| h.tuple_list.len = u64::MAX / 2),
+    ];
+    for (what, edit) in edits {
+        dense_index_on_disk(&path);
+        assert!(IvaIndex::open(&path, &opts(), IoStats::new()).is_ok());
+        rewrite_header(&path, edit);
+        match IvaIndex::open(&path, &opts(), IoStats::new()) {
+            Err(e) => assert!(e.is_corruption(), "{what}: {e}"),
+            Ok(_) => panic!("{what}: a lying header opened"),
+        }
+    }
+    RealVfs.remove_dir_all(&dir).unwrap();
+}
+
+/// `insert` pads a positional list with `tuple_index - elem_count` ndf
+/// elements, both numbers off disk: an entry claiming more elements than
+/// the tuple list has must be `Corrupt`, not a debug-build panic or a
+/// release-build loop that fills the disk.
+#[test]
+fn insert_rejects_positional_entry_longer_than_tuple_list() {
+    let dir = std::env::temp_dir().join(format!("iva-gap-{}", std::process::id()));
+    RealVfs.create_dir_all(&dir).unwrap();
+    let path = dir.join("x.iva");
+    for attr in 0..2usize {
+        let mut table = dense_index_on_disk(&path);
+        {
+            let pager = Pager::open(&path, &opts(), IoStats::new()).unwrap();
+            let header = IndexHeader::decode(&pager.read_page(PageId(0)).unwrap()).unwrap();
+            // `elem_count` sits 40 bytes into the attribute's entry.
+            let at = (attr * AttrEntry::encoded_len(header.version) + 40) as u64;
+            let claimed = header.n_tuples + 5;
+            overwrite_in_list(&pager, header.attr_list, at, &claimed.to_le_bytes()).unwrap();
+            pager.sync().unwrap();
+        }
+        let mut idx = IvaIndex::open(&path, &opts(), IoStats::new()).unwrap();
+        let tup = Tuple::new()
+            .with(AttrId(0), Value::text("one more"))
+            .with(AttrId(1), Value::num(7.0));
+        let (tid, ptr) = table.insert(&tup).unwrap();
+        let err = idx.insert(tid, ptr, &tup, table.catalog()).unwrap_err();
+        assert!(matches!(err, IvaError::Corrupt(_)), "attr {attr}: {err}");
+    }
+    RealVfs.remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn zero_length_query_is_benign() {
     let (t, idx) = sample();
@@ -269,15 +364,18 @@ mod fuzz_packed {
     //! packed list whose bytes are flipped, truncated, or replaced
     //! wholesale must decode to `IvaError::Corrupt` (or, rarely, a
     //! still-valid image) — never panic, never allocate unboundedly.
+    //! Every image goes through the list cursors' walk as well as the
+    //! whole-image decode: the walk is the one reader the scan, hot-tier
+    //! promotion and export share, so all three are fuzzed at once.
 
-    use std::sync::Arc;
+    use std::sync::{Arc, OnceLock};
 
     use iva_core::{
         encode_num_list, encode_packed_num_list, encode_packed_text_list, encode_text_list,
-        ListType, NumericCodec, PackedReader,
+        ListType, NumListCursor, NumericCodec, PackedReader, TextListCursor,
     };
     use iva_storage::{write_contiguous_list, IoStats, ListReader, Pager, PagerOptions};
-    use iva_text::SigCodec;
+    use iva_text::{PreparedMatcher, SigCodec};
     use proptest::prelude::*;
 
     fn opts() -> PagerOptions {
@@ -298,10 +396,10 @@ mod fuzz_packed {
     /// A small but structurally rich corpus: every organization, with
     /// multi-string tuples, ndf gaps, and enough elements for several
     /// packed sections.
-    fn corpus() -> Vec<(Vec<u8>, Vec<u8>, bool, ListType)> {
+    fn corpus(n: u32) -> Vec<(Vec<u8>, Vec<u8>, bool, ListType)> {
         let sc = sig_codec();
         let nc = num_codec();
-        let all_tids: Vec<u32> = (0..120).map(|i| i * 3).collect();
+        let all_tids = tids(n);
         let text_items: Vec<(u32, Vec<Vec<u8>>)> = all_tids
             .iter()
             .filter(|t| *t % 15 != 0)
@@ -337,28 +435,103 @@ mod fuzz_packed {
         out
     }
 
-    /// Store `stored` (prologue + frames) in a fresh in-memory list file
-    /// and decode it as a packed list. Must return, not panic; the caller
-    /// decides whether success is acceptable.
-    fn drive(stored: &[u8], is_text: bool, ty: ListType) -> Option<Vec<u8>> {
+    /// Tuple-list tids of a corpus of `n` tuples.
+    fn tids(n: u32) -> Vec<u32> {
+        (0..n).map(|i| i * 3).collect()
+    }
+
+    /// Tuples in the sampled corpus, and in the small one swept whole.
+    const N: u32 = 120;
+    const N_SMALL: u32 = 20;
+
+    fn open_packed(stored: &[u8], is_text: bool, ty: ListType) -> Option<PackedReader> {
         let pager = Pager::create_mem(&opts(), IoStats::new());
         let _header = pager.allocate_page().unwrap();
         let handle = write_contiguous_list(&pager, stored).unwrap();
         let reader = ListReader::open(Arc::clone(&pager), handle).unwrap();
-        let packed = if is_text {
-            PackedReader::new_text(reader, ty, &sig_codec())
+        if is_text {
+            PackedReader::new_text(reader, ty, &sig_codec()).ok()
         } else {
-            PackedReader::new_num(reader, ty, &num_codec())
-        };
-        packed.ok().and_then(|p| p.decode_to_vec().ok())
+            PackedReader::new_num(reader, ty, &num_codec()).ok()
+        }
+    }
+
+    /// Walk `stored` the way a scan, a hot-tier promotion and an export
+    /// all do — the one cursor, one move per tuple-list tid, every fifth a
+    /// tombstone-style skip — and return the tids it found defined, or
+    /// `None` at the first error. Must return, not panic.
+    fn walk(stored: &[u8], is_text: bool, ty: ListType, n: u32) -> Option<Vec<u32>> {
+        let packed = open_packed(stored, is_text, ty)?;
+        let mut defined = Vec::new();
+        if is_text {
+            // Built once: preparing a matcher costs more than a walk.
+            static MATCHER: OnceLock<PreparedMatcher> = OnceLock::new();
+            let (codec, mut cur) = (sig_codec(), TextListCursor::new_packed(packed, ty));
+            let matcher = MATCHER.get_or_init(|| PreparedMatcher::new(&codec, b"value 33 1"));
+            for (i, tid) in tids(n).into_iter().enumerate() {
+                if i % 5 == 4 {
+                    cur.skip(tid, &codec).ok()?;
+                } else if cur.advance(tid, &codec, matcher).ok()?.is_some() {
+                    defined.push(tid);
+                }
+            }
+        } else {
+            let (codec, mut cur) = (num_codec(), NumListCursor::new_packed(packed, ty));
+            for (i, tid) in tids(n).into_iter().enumerate() {
+                if i % 5 == 4 {
+                    cur.skip(tid, &codec).ok()?;
+                } else if cur.advance(tid, &codec).ok()?.is_some() {
+                    defined.push(tid);
+                }
+            }
+        }
+        Some(defined)
+    }
+
+    /// Store `stored` (prologue + frames) in a fresh in-memory list file
+    /// and read it both ways: walked by the cursor, then decoded whole as
+    /// a packed list. Must return, not panic; the caller decides whether
+    /// success is acceptable.
+    fn drive(stored: &[u8], is_text: bool, ty: ListType) -> Option<Vec<u8>> {
+        let _ = walk(stored, is_text, ty, N);
+        open_packed(stored, is_text, ty).and_then(|p| p.decode_to_vec().ok())
     }
 
     #[test]
     fn intact_corpus_decodes_exactly() {
-        for (stored, raw, is_text, ty) in corpus() {
+        for (stored, raw, is_text, ty) in corpus(N) {
             let got = drive(&stored, is_text, ty)
                 .unwrap_or_else(|| panic!("intact {ty:?} failed to decode"));
             assert_eq!(got, raw, "{ty:?} round-trip mismatch");
+            // The walk finds exactly the tuples the corpus defined (minus
+            // the positions it skipped as tombstones).
+            let undefined = if is_text { 15 } else { 9 };
+            let want: Vec<u32> = tids(N)
+                .into_iter()
+                .enumerate()
+                .filter(|&(i, t)| i % 5 != 4 && t % undefined != 0)
+                .map(|(_, t)| t)
+                .collect();
+            assert_eq!(walk(&stored, is_text, ty, N), Some(want), "{ty:?} walk");
+        }
+    }
+
+    /// Exhaustive where the property below samples: every truncation and
+    /// every single-bit flip of every corpus image, through the walk.
+    #[test]
+    fn every_truncation_and_bit_flip_walks_without_panic() {
+        for (stored, _, is_text, ty) in corpus(N_SMALL) {
+            for cut in 0..stored.len() {
+                let _ = walk(&stored[..cut], is_text, ty, N_SMALL);
+            }
+            let mut mutated = stored.clone();
+            for at in 0..stored.len() {
+                for bit in 0..8 {
+                    mutated[at] ^= 1 << bit;
+                    let _ = walk(&mutated, is_text, ty, N_SMALL);
+                    mutated[at] ^= 1 << bit;
+                }
+            }
         }
     }
 
@@ -372,7 +545,7 @@ mod fuzz_packed {
             xor in 1u8..255,
             cut in any::<prop::sample::Index>(),
         ) {
-            let corpus = corpus();
+            let corpus = corpus(N);
             let (stored, raw, is_text, ty) = &corpus[pick.index(corpus.len())];
             let logical = raw.len() as u64;
 
