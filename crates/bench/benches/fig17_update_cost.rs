@@ -16,6 +16,7 @@ use iva_baselines::SiiIndex;
 use iva_bench::{bench_pager_options, report, scale_config};
 use iva_core::{build_index, IndexTarget, IvaConfig};
 use iva_storage::IoStats;
+use iva_swt::SwtTable;
 use iva_workload::Dataset;
 
 fn main() {
@@ -77,9 +78,10 @@ fn main() {
 
     // --- tr: rebuild time per system (compact table + rebuild index). ---
     let t0 = Instant::now();
-    let (fresh, _) = table
-        .compact_into(None, &opts, IoStats::new())
-        .expect("compact");
+    let mut fresh = SwtTable::create_mem(&opts, IoStats::new()).expect("fresh table");
+    fresh.adopt_catalog(table.catalog().clone());
+    fresh.copy_live_from(&[&table]).expect("compact");
+    fresh.flush().expect("flush");
     let tr_table = t0.elapsed().as_secs_f64() * 1e3;
 
     let t0 = Instant::now();

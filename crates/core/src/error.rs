@@ -19,6 +19,9 @@ pub enum IvaError {
     InvalidArgument(String),
     /// A tuple id outside the index's 32-bit tid space.
     TidOverflow(u64),
+    /// An index update failed part-way and may be half-applied. The table
+    /// file is intact; reopening the store rebuilds the index from it.
+    IndexTorn,
 }
 
 impl IvaError {
@@ -43,6 +46,12 @@ impl fmt::Display for IvaError {
             IvaError::Corrupt(m) => write!(f, "corrupt index: {m}"),
             IvaError::InvalidArgument(m) => write!(f, "invalid argument: {m}"),
             IvaError::TidOverflow(t) => write!(f, "tuple id {t} exceeds index tid space"),
+            IvaError::IndexTorn => {
+                write!(
+                    f,
+                    "an index update failed part-way: reopen to rebuild the index"
+                )
+            }
         }
     }
 }

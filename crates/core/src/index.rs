@@ -327,15 +327,16 @@ impl IvaIndex {
     /// in-place mutation: a crash mid-update then leaves a dirty flag on
     /// disk, and open-time recovery knows the index may hold partially
     /// applied updates and must be rebuilt from the table. One sync per
-    /// epoch — subsequent mutations see the flag already set.
-    fn ensure_dirty(&mut self) -> Result<()> {
+    /// epoch — subsequent mutations see the flag already set, which it is
+    /// only once it is on disk.
+    pub(crate) fn ensure_dirty(&mut self) -> Result<()> {
         if self.header.dirty {
             return Ok(());
         }
         self.header.dirty = true;
-        self.write_header()?;
-        self.pager.sync()?;
-        Ok(())
+        let marked = self.flush();
+        self.header.dirty = marked.is_ok();
+        marked
     }
 
     /// Close the update epoch: record the table length this index now
@@ -345,9 +346,7 @@ impl IvaIndex {
     pub fn commit(&mut self, table_watermark: u64) -> Result<()> {
         self.header.table_watermark = table_watermark;
         self.header.dirty = false;
-        self.write_header()?;
-        self.pager.sync()?;
-        Ok(())
+        self.flush()
     }
 
     fn write_entry(&mut self, idx: usize) -> Result<()> {

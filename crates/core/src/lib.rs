@@ -29,14 +29,13 @@
 #![warn(missing_docs)]
 
 mod build;
-mod compact;
 mod config;
 mod dirlist;
 mod error;
 mod index;
+mod indexed_table;
 mod interchange;
 mod layout;
-mod memtable;
 mod metric;
 mod multi;
 mod numeric;
@@ -52,16 +51,15 @@ mod timing;
 mod veclist;
 
 pub use build::{build_index, build_index_with_domains, IndexTarget};
-pub use compact::{collect_orphans, prepare_merge, CompactionPlan};
 pub use config::IvaConfig;
 pub use error::{IvaError, Result};
 pub use index::{ExplainAttr, IvaIndex, QueryExplain, QueryOutcome, ScanCarry};
+pub use indexed_table::IndexedTable;
 pub use interchange::{export_index, import_index, ExportedAttr, ExportedIndex};
 pub use layout::{
     AttrEntry, IndexHeader, ListEncoding, INDEX_VERSION, INDEX_VERSION_V2, INDEX_VERSION_V3,
     TOMBSTONE_PTR, TUPLE_ENTRY_LEN,
 };
-pub use memtable::Memtable;
 pub use metric::{Metric, MetricKind, WeightScheme};
 pub use multi::BatchItem;
 pub use numeric::NumericCodec;
@@ -70,8 +68,8 @@ pub use parallel::QueryOptions;
 pub use pool::{PoolEntry, ResultPool};
 pub use query::{attr_difference, bounded_distance, exact_distance, Query, QueryStats, QueryValue};
 pub use segment::{
-    remove_segment_files, segment_base, segment_file_candidates, segment_files_exist,
-    segment_index_path, write_segment, Segment,
+    collect_orphans, remove_segment_files, segment_base, segment_file_candidates,
+    segment_index_path, Segment,
 };
 pub use timing::monotonic_nanos;
 pub use veclist::{

@@ -418,7 +418,9 @@ fn rebuild_after_deletes_matches() {
         index.delete(tid).unwrap();
     }
     // Periodic cleanup: compact the table, rebuild the index.
-    let (fresh_table, _) = table.compact_into(None, &opts(), IoStats::new()).unwrap();
+    let mut fresh_table = SwtTable::create_mem(&opts(), IoStats::new()).unwrap();
+    fresh_table.adopt_catalog(table.catalog().clone());
+    fresh_table.copy_live_from(&[&table]).unwrap();
     let fresh_index = build(&fresh_table, IvaConfig::default());
     assert_eq!(fresh_index.n_tuples(), 5);
     assert_eq!(fresh_index.n_deleted(), 0);

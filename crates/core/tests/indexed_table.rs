@@ -1,0 +1,326 @@
+//! The table + iVA-file pair's one protocol: the open-or-rebuild verdict
+//! under every file naming and domain policy that reaches it, and the
+//! insert that must not leave the two halves disagreeing.
+
+mod common;
+
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+use common::{all_list_types_table, small_pages};
+use iva_core::{
+    build_index, segment_base, segment_index_path, IndexTarget, IndexedTable, IvaConfig, IvaError,
+    MetricKind, Query, WeightScheme,
+};
+use iva_storage::{DomainPin, IoStats, MemVfs, Vfs, FRAME_TRAILER, SUPERBLOCK_LEN};
+use iva_swt::{AttrId, Catalog, SwtTable, Tuple, Value};
+
+const ROWS: u32 = 120;
+
+/// What a crash, a cut or a damaged disk can leave the pair's files in.
+#[derive(Debug, Clone, Copy)]
+enum State {
+    /// Both files flushed in step.
+    Clean,
+    /// An update epoch was open: the index header carries the dirty flag.
+    DirtyFlag,
+    /// The table committed a record the index never saw.
+    WatermarkBehind,
+    /// No index file at all.
+    IndexMissing,
+    /// One bit of the index's header page flipped.
+    HeaderBitFlipped,
+    /// A cut mid-rebuild: no index yet, and a half-written temporary.
+    CutMidRebuild,
+    /// A temporary nobody cleaned up, beside a perfectly good index.
+    StaleTemporary,
+}
+
+impl State {
+    fn wants_rebuild(self) -> bool {
+        !matches!(self, State::Clean | State::StaleTemporary)
+    }
+}
+
+/// The three paths of one pair, in the monolith's naming or a segment's.
+struct Names {
+    base: PathBuf,
+    index: PathBuf,
+    rebuild_tmp: PathBuf,
+}
+
+fn names(segment: bool) -> Names {
+    let dir = Path::new("store");
+    if segment {
+        Names {
+            base: segment_base(dir, 7),
+            index: segment_index_path(dir, 7),
+            rebuild_tmp: dir.join("seg-00000007.rebuild.iva"),
+        }
+    } else {
+        Names {
+            base: dir.join("data"),
+            index: dir.join("index.iva"),
+            rebuild_tmp: dir.join("index.rebuild.iva"),
+        }
+    }
+}
+
+/// Pins on the two numeric attributes of [`all_list_types_table`], wider
+/// than the values: a pinned build quantises on a different domain from a
+/// derived one, so a rebuild that dropped the pins shows in the index's
+/// attribute entries (the hits are exact whatever the codes are).
+fn pins() -> Vec<DomainPin> {
+    let wide = DomainPin {
+        min: -50.0,
+        max: 500.0,
+    };
+    vec![DomainPin::unpinned(), DomainPin::unpinned(), wide, wide]
+}
+
+fn extra_row() -> Tuple {
+    Tuple::new()
+        .with(AttrId(0), Value::text("product listing late"))
+        .with(AttrId(2), Value::num(41.5))
+}
+
+fn queries() -> Vec<Query> {
+    vec![
+        Query::new()
+            .text(AttrId(0), "product listing 0042")
+            .num(AttrId(2), 42.0),
+        Query::new()
+            .text(AttrId(0), "product listing late")
+            .num(AttrId(2), 41.0),
+        Query::new().text(AttrId(1), "note 33").num(AttrId(3), 26.0),
+    ]
+}
+
+/// Per query: the ranked `(tid, distance bits)` and the number of records
+/// fetched to find them.
+fn answers(pair: &IndexedTable) -> Vec<(Vec<(u64, u64)>, u64)> {
+    let (index, table) = pair.searchable().unwrap();
+    queries()
+        .iter()
+        .map(|q| {
+            let out = index
+                .query(table, q, 10, &MetricKind::L2, WeightScheme::Equal)
+                .unwrap();
+            let hits = out
+                .results
+                .iter()
+                .map(|e| (e.tid, e.dist.to_bits()))
+                .collect();
+            (hits, out.stats.table_accesses)
+        })
+        .collect()
+}
+
+/// The quantisation domain of every attribute.
+fn domains_of(pair: &IndexedTable) -> Vec<(f64, f64)> {
+    (0..4)
+        .map(|a| {
+            let e = pair.index().attr_entry(AttrId(a)).unwrap();
+            (e.min, e.max)
+        })
+        .collect()
+}
+
+fn open(vfs: &Arc<dyn Vfs>, n: &Names, domains: Option<&[DomainPin]>) -> IndexedTable {
+    IndexedTable::open(
+        (vfs, &n.base, &n.index),
+        &n.rebuild_tmp,
+        &small_pages(),
+        IvaConfig::default(),
+        domains,
+        IoStats::new(),
+        IoStats::new(),
+    )
+    .unwrap()
+}
+
+/// Stage a clean pair at `n`, then bring its files into `state`.
+fn arrange(mem: &MemVfs, n: &Names, domains: Option<&[DomainPin]>, state: State) {
+    let vfs: Arc<dyn Vfs> = Arc::new(mem.clone());
+    let source = all_list_types_table(ROWS);
+    IndexedTable::stage(
+        &[&source],
+        Some((&vfs, &n.base, &n.index)),
+        source.catalog(),
+        &small_pages(),
+        IvaConfig::default(),
+        domains,
+        IoStats::new(),
+        IoStats::new(),
+    )
+    .unwrap();
+    let garbage = vec![0xA5u8; 700];
+    match state {
+        State::Clean => {}
+        State::DirtyFlag => {
+            // The dirty flag is synced before the first in-place patch;
+            // the table's unflushed tail rolls back at the next open.
+            let mut pair = open(&vfs, n, domains);
+            pair.insert(&extra_row()).unwrap();
+            assert!(pair.is_dirty());
+        }
+        State::WatermarkBehind => {
+            let mut table =
+                SwtTable::open_with_vfs(Arc::clone(&vfs), &n.base, &small_pages(), IoStats::new())
+                    .unwrap();
+            table.insert(&extra_row()).unwrap();
+            table.flush().unwrap();
+        }
+        State::IndexMissing => vfs.remove(&n.index).unwrap(),
+        State::HeaderBitFlipped => {
+            let mut bytes = mem.contents(&n.index).unwrap();
+            assert!(bytes.len() > SUPERBLOCK_LEN as usize + 256 + FRAME_TRAILER);
+            bytes[SUPERBLOCK_LEN as usize + 256 / 3] ^= 0x04;
+            mem.set_contents(&n.index, bytes);
+        }
+        State::CutMidRebuild => {
+            vfs.remove(&n.index).unwrap();
+            mem.set_contents(&n.rebuild_tmp, garbage);
+        }
+        State::StaleTemporary => mem.set_contents(&n.rebuild_tmp, garbage),
+    }
+}
+
+#[test]
+fn open_reuses_a_matching_index_and_rebuilds_any_other() {
+    let states = [
+        State::Clean,
+        State::DirtyFlag,
+        State::WatermarkBehind,
+        State::IndexMissing,
+        State::HeaderBitFlipped,
+        State::CutMidRebuild,
+        State::StaleTemporary,
+    ];
+    for state in states {
+        for segment in [false, true] {
+            for pinned in [false, true] {
+                let ctx = format!("{state:?}, segment names: {segment}, pinned: {pinned}");
+                let pins = pins();
+                let domains = pinned.then_some(pins.as_slice());
+                let mem = MemVfs::new();
+                let vfs: Arc<dyn Vfs> = Arc::new(mem.clone());
+                let n = names(segment);
+                arrange(&mem, &n, domains, state);
+
+                let pair = open(&vfs, &n, domains);
+                let rebuilt = pair.index_io().snapshot().bytes_written > 0;
+                assert_eq!(rebuilt, state.wants_rebuild(), "{ctx}");
+                assert!(!pair.is_dirty(), "{ctx}");
+                assert_eq!(
+                    pair.index().table_watermark(),
+                    pair.table().file().data_len(),
+                    "{ctx}"
+                );
+                let rows = u64::from(ROWS) + u64::from(matches!(state, State::WatermarkBehind));
+                assert_eq!(pair.live_records(), rows, "{ctx}");
+                if state.wants_rebuild() {
+                    assert!(!vfs.exists(&n.rebuild_tmp), "{ctx}: temporary not renamed");
+                }
+
+                // Whatever the verdict, the answers are a fresh build's.
+                let (fresh, _) = IndexedTable::stage(
+                    &[pair.table()],
+                    None,
+                    pair.table().catalog(),
+                    &small_pages(),
+                    IvaConfig::default(),
+                    domains,
+                    IoStats::new(),
+                    IoStats::new(),
+                )
+                .unwrap();
+                assert_eq!(answers(&pair), answers(&fresh), "{ctx}");
+                assert_eq!(domains_of(&pair), domains_of(&fresh), "{ctx}");
+
+                // A repaired pair is a clean pair: the next open reuses it.
+                drop(pair);
+                let again = open(&vfs, &n, domains);
+                assert_eq!(again.index_io().snapshot().bytes_written, 0, "{ctx}");
+                assert_eq!(answers(&again), answers(&fresh), "{ctx}");
+            }
+        }
+    }
+}
+
+/// The pins are not decoration: the same table under derived domains
+/// quantises on the values' own range, which is what makes the pinned
+/// arms above mean something.
+#[test]
+fn pinned_and_derived_builds_differ_in_domains() {
+    let source = all_list_types_table(ROWS);
+    let build = |domains: Option<&[DomainPin]>| {
+        IndexedTable::stage(
+            &[&source],
+            None,
+            source.catalog(),
+            &small_pages(),
+            IvaConfig::default(),
+            domains,
+            IoStats::new(),
+            IoStats::new(),
+        )
+        .unwrap()
+        .0
+    };
+    let (pinned, derived) = (build(Some(&pins())), build(None));
+    assert_eq!(domains_of(&pinned)[2], (-50.0, 500.0));
+    assert_eq!(domains_of(&derived)[2], (0.0, 88.0));
+}
+
+/// The index's tid space ends below `u32::MAX`. The bound is checked
+/// before the table append, so a refused insert leaves no record behind —
+/// and the table stays one an index can be built over.
+#[test]
+fn insert_past_the_tid_space_is_refused_before_the_table_append() {
+    let mut pair = IndexedTable::create(
+        None,
+        &Catalog::new(),
+        u64::from(u32::MAX),
+        &small_pages(),
+        IvaConfig::default(),
+        None,
+    )
+    .unwrap();
+    let name = pair.define_text("name").unwrap();
+    let tuple = Tuple::new().with(name, Value::text("one too many"));
+    for _ in 0..2 {
+        assert!(matches!(
+            pair.insert(&tuple),
+            Err(IvaError::TidOverflow(t)) if t == u64::from(u32::MAX)
+        ));
+        assert_eq!(pair.live_records(), 0);
+        assert_eq!(pair.total_records(), 0);
+    }
+    build_index(
+        pair.table(),
+        IndexTarget::Mem,
+        &small_pages(),
+        IoStats::new(),
+        IvaConfig::default(),
+    )
+    .unwrap();
+
+    // One below the bound is the last tid there is.
+    let mut pair = IndexedTable::create(
+        None,
+        &Catalog::new(),
+        u64::from(u32::MAX) - 1,
+        &small_pages(),
+        IvaConfig::default(),
+        None,
+    )
+    .unwrap();
+    let name = pair.define_text("name").unwrap();
+    let tuple = Tuple::new().with(name, Value::text("the last one"));
+    let tid = pair.insert(&tuple).unwrap();
+    assert_eq!(tid, u64::from(u32::MAX) - 1);
+    assert_eq!(pair.get(tid).unwrap(), Some(tuple.clone()));
+    assert!(matches!(pair.insert(&tuple), Err(IvaError::TidOverflow(_))));
+    assert_eq!(pair.live_records(), 1);
+}

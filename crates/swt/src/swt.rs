@@ -152,19 +152,14 @@ impl SwtTable {
 
     /// Insert a tuple (validated against the catalog).
     pub fn insert(&mut self, tuple: &Tuple) -> Result<(Tid, RecordPtr)> {
-        tuple.validate()?;
-        self.check_types(tuple)?;
-        let out = self.file.append(tuple)?;
-        self.stats.ensure_attrs(self.catalog.len());
-        self.stats.observe_insert(tuple);
-        Ok(out)
+        let tid = self.file.next_tid();
+        Ok((tid, self.insert_with_tid(tid, tuple)?))
     }
 
     /// Insert a tuple under a caller-chosen tid (validated against the
-    /// catalog). Used by the segmented write path when sealing a memtable
-    /// or merging segments: the copy must preserve the tids the original
-    /// records were acknowledged under.
-    pub fn insert_with_tid(&mut self, tid: Tid, tuple: &Tuple) -> Result<RecordPtr> {
+    /// catalog): a copy must preserve the tids the original records were
+    /// acknowledged under.
+    fn insert_with_tid(&mut self, tid: Tid, tuple: &Tuple) -> Result<RecordPtr> {
         tuple.validate()?;
         self.check_types(tuple)?;
         let ptr = self.file.append_with_tid(tid, tuple)?;
@@ -214,37 +209,27 @@ impl SwtTable {
         self.file.scan()
     }
 
-    /// Copy all live records into a fresh table (same catalog), preserving
-    /// tuple ids, recomputing statistics, and reclaiming tombstoned space —
-    /// the table-file half of the paper's periodic cleanup (Sec. IV-B).
-    /// Returns the new table and the `(tid, new ptr)` pairs in tid order.
-    pub fn compact_into(
-        &self,
-        base: Option<&Path>,
-        opts: &PagerOptions,
-        io: IoStats,
-    ) -> Result<(SwtTable, Vec<(Tid, RecordPtr)>)> {
-        let mut fresh = match base {
-            Some(b) => SwtTable::create_with_vfs(Arc::clone(&self.vfs), b, opts, io)?,
-            None => SwtTable::create_mem(opts, io)?,
-        };
-        fresh.catalog = self.catalog.clone();
-        // Never reassign a tid that existed before the rebuild, even if its
-        // tuple was deleted.
-        fresh.file.reserve_tids_below(self.file.next_tid());
-        let mut mapping = Vec::new();
-        for item in self.scan() {
-            let (_, rec) = item?;
-            if rec.deleted {
-                continue;
+    /// Copy every live record of `sources` (given oldest first) into this
+    /// table under the tid it already carries, first reserving every tid
+    /// any source ever assigned so that none is handed out again — the
+    /// table-file half of the paper's periodic cleanup (Sec. IV-B), of a
+    /// seal and of a merge. Statistics are recomputed. Returns the
+    /// inclusive tid range copied, `None` when no live record survived.
+    pub fn copy_live_from(&mut self, sources: &[&SwtTable]) -> Result<Option<(Tid, Tid)>> {
+        let watermark = sources.iter().map(|s| s.file.next_tid()).max();
+        self.file.reserve_tids_below(watermark.unwrap_or(0));
+        let mut range: Option<(Tid, Tid)> = None;
+        for src in sources {
+            for item in src.scan() {
+                let (_, rec) = item?;
+                if rec.deleted {
+                    continue;
+                }
+                self.insert_with_tid(rec.tid, &rec.tuple)?;
+                range = Some((range.map_or(rec.tid, |(lo, _)| lo), rec.tid));
             }
-            let ptr = fresh.file.append_with_tid(rec.tid, &rec.tuple)?;
-            fresh.stats.ensure_attrs(fresh.catalog.len());
-            fresh.stats.observe_insert(&rec.tuple);
-            mapping.push((rec.tid, ptr));
         }
-        fresh.flush()?;
-        Ok((fresh, mapping))
+        Ok(range)
     }
 
     /// Persist data file and catalog/statistics sidecar. The sidecar is
@@ -375,7 +360,7 @@ mod tests {
     }
 
     #[test]
-    fn compact_drops_tombstones_and_keeps_tids() {
+    fn copy_drops_tombstones_and_keeps_tids() {
         let (mut t, ty, price, _) = camera_table();
         let mut ptrs = Vec::new();
         for i in 0..10 {
@@ -384,22 +369,30 @@ mod tests {
                 .with(price, Value::num(i as f64));
             ptrs.push(t.insert(&tuple).unwrap().1);
         }
+        t.delete(ptrs[0]).unwrap();
         t.delete(ptrs[3]).unwrap();
-        t.delete(ptrs[7]).unwrap();
+        t.delete(ptrs[9]).unwrap();
 
-        let (fresh, mapping) = t.compact_into(None, &opts(), IoStats::new()).unwrap();
-        assert_eq!(mapping.len(), 8);
-        assert!(mapping.iter().all(|(tid, _)| *tid != 3 && *tid != 7));
-        assert_eq!(fresh.file().total_records(), 8);
+        let mut fresh = SwtTable::create_mem(&opts(), IoStats::new()).unwrap();
+        fresh.adopt_catalog(t.catalog().clone());
+        assert_eq!(fresh.copy_live_from(&[&t]).unwrap(), Some((1, 8)));
+        assert_eq!(fresh.file().total_records(), 7);
         assert_eq!(fresh.file().deleted_records(), 0);
-        assert_eq!(fresh.stats().tuple_count, 8);
+        assert_eq!(fresh.stats().tuple_count, 7);
         // Tid preserved; content matches.
-        for (tid, ptr) in &mapping {
-            let rec = fresh.get(*ptr).unwrap();
-            assert_eq!(rec.tid, *tid);
-        }
-        // next_tid not reset below old ids.
-        assert!(fresh.file().next_tid() >= 10);
+        let copied: Vec<_> = fresh.scan().collect::<Result<Vec<_>>>().unwrap();
+        let live: Vec<_> = t
+            .scan()
+            .map(|r| r.unwrap().1)
+            .filter(|r| !r.deleted)
+            .collect();
+        assert_eq!(copied.into_iter().map(|(_, r)| r).collect::<Vec<_>>(), live);
+        // Tid 9 was assigned once, so it is never assigned again.
+        assert_eq!(fresh.file().next_tid(), 10);
+
+        let mut empty = SwtTable::create_mem(&opts(), IoStats::new()).unwrap();
+        assert_eq!(empty.copy_live_from(&[]).unwrap(), None);
+        assert_eq!(empty.file().next_tid(), 0);
     }
 
     #[test]

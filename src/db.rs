@@ -5,12 +5,12 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use iva_core::{
-    build_index, IndexTarget, IvaConfig, IvaError, IvaIndex, Metric, MetricKind, Query,
+    IndexedTable, IvaConfig, IvaError, IvaIndex, Metric, MetricKind, PoolEntry, Query,
     QueryOutcome, QueryStats, Result, WeightScheme,
 };
 use iva_storage::vfs::{RealVfs, Vfs};
-use iva_storage::{sidecar_path, IoStats, PagerOptions, StorageError};
-use iva_swt::{AttrId, SwtTable, Tid, Tuple};
+use iva_storage::{sidecar_path, IoStats, PagerOptions};
+use iva_swt::{AttrId, Catalog, SwtTable, Tid, Tuple};
 
 use crate::search::{QueryBuilder, SearchRequest};
 
@@ -78,6 +78,17 @@ pub struct SearchHit {
     pub tuple: Tuple,
 }
 
+impl SearchHit {
+    /// Materialize one pool entry from `table`, the file it points into.
+    pub(crate) fn materialize(entry: PoolEntry, table: &SwtTable) -> Result<Self> {
+        Ok(Self {
+            tid: entry.tid,
+            dist: entry.dist,
+            tuple: table.get(entry.ptr)?.tuple,
+        })
+    }
+}
+
 /// Everything one search run produces: the ranked hits and the
 /// measurement counters.
 #[derive(Debug, Clone)]
@@ -88,38 +99,22 @@ pub struct SearchOutcome {
     pub stats: QueryStats,
 }
 
-/// A complete community-data store: table + iVA-file + cleanup policy.
+/// A complete community-data store: one [`IndexedTable`] + cleanup policy.
 pub struct IvaDb {
-    table: SwtTable,
-    index: IvaIndex,
-    vfs: Arc<dyn Vfs>,
-    dir: Option<PathBuf>,
+    pair: IndexedTable,
+    /// Where a disk-backed database lives; `None` in memory.
+    home: Option<(Arc<dyn Vfs>, PathBuf)>,
     opts: IvaDbOptions,
-    table_io: IoStats,
-    index_io: IoStats,
 }
 
 impl IvaDb {
     /// Create an in-memory database (tests, examples, experiments).
     pub fn create_mem(opts: IvaDbOptions) -> Result<Self> {
-        let table_io = IoStats::new();
-        let index_io = IoStats::new();
-        let table = SwtTable::create_mem(&opts.pager, table_io.clone())?;
-        let index = build_index(
-            &table,
-            IndexTarget::Mem,
-            &opts.pager,
-            index_io.clone(),
-            opts.config,
-        )?;
+        let pair = IndexedTable::create(None, &Catalog::new(), 0, &opts.pager, opts.config, None)?;
         Ok(Self {
-            table,
-            index,
-            vfs: Arc::new(RealVfs),
-            dir: None,
+            pair,
+            home: None,
             opts,
-            table_io,
-            index_io,
         })
     }
 
@@ -134,32 +129,20 @@ impl IvaDb {
     pub fn create_with_vfs(vfs: Arc<dyn Vfs>, dir: &Path, opts: IvaDbOptions) -> Result<Self> {
         vfs.create_dir_all(dir)
             .map_err(|e| IvaError::Storage(e.into()))?;
-        let table_io = IoStats::new();
-        let index_io = IoStats::new();
-        let table = SwtTable::create_with_vfs(
-            Arc::clone(&vfs),
-            &dir.join("data"),
+        let mut pair = IndexedTable::create(
+            Some((&vfs, &dir.join("data"), &dir.join("index.iva"))),
+            &Catalog::new(),
+            0,
             &opts.pager,
-            table_io.clone(),
-        )?;
-        let index = build_index(
-            &table,
-            IndexTarget::Vfs(Arc::clone(&vfs), &dir.join("index.iva")),
-            &opts.pager,
-            index_io.clone(),
             opts.config,
+            None,
         )?;
-        let mut db = Self {
-            table,
-            index,
-            vfs,
-            dir: Some(dir.to_path_buf()),
+        pair.flush()?; // make the directory openable immediately
+        Ok(Self {
+            pair,
+            home: Some((vfs, dir.to_path_buf())),
             opts,
-            table_io,
-            index_io,
-        };
-        db.flush()?; // make the directory openable immediately
-        Ok(db)
+        })
     }
 
     /// Open an existing disk-backed database.
@@ -167,119 +150,63 @@ impl IvaDb {
         Self::open_with_vfs(Arc::new(RealVfs), dir, opts)
     }
 
-    /// [`IvaDb::open`] on an explicit [`Vfs`], with crash recovery.
-    ///
-    /// The table file recovers itself (its commit record rolls back any
-    /// unflushed tail). The index is then validated against it: a dirty
-    /// epoch flag (crash mid-update), a watermark that disagrees with the
-    /// table's committed length (index and table flushed out of step), a
-    /// corrupt page or a missing file all trigger a rebuild of the index
-    /// from the recovered table — the iVA-file is derived data and can
-    /// always be regenerated (Sec. IV-B's rebuild path).
+    /// [`IvaDb::open`] on an explicit [`Vfs`], with crash recovery
+    /// ([`IndexedTable::open`]): the table file recovers itself, and the
+    /// index is reused only if it is clean and matches it, else rebuilt.
+    /// `opts.config`'s execution knobs are re-applied ([`IvaDbOptions`]).
     pub fn open_with_vfs(vfs: Arc<dyn Vfs>, dir: &Path, opts: IvaDbOptions) -> Result<Self> {
-        let table_io = IoStats::new();
-        let index_io = IoStats::new();
-        let table = SwtTable::open_with_vfs(
-            Arc::clone(&vfs),
-            &dir.join("data"),
-            &opts.pager,
-            table_io.clone(),
-        )?;
-        let index = Self::open_or_rebuild_index(&vfs, dir, &table, &opts, index_io.clone())?;
+        let pair = Self::open_pair(&vfs, dir, &opts, IoStats::new(), IoStats::new())?;
         Ok(Self {
-            table,
-            index,
-            vfs,
-            dir: Some(dir.to_path_buf()),
+            pair,
+            home: Some((vfs, dir.to_path_buf())),
             opts,
-            table_io,
-            index_io,
         })
     }
 
-    fn open_or_rebuild_index(
+    fn open_pair(
         vfs: &Arc<dyn Vfs>,
         dir: &Path,
-        table: &SwtTable,
         opts: &IvaDbOptions,
-        io: IoStats,
-    ) -> Result<IvaIndex> {
-        let path = dir.join("index.iva");
-        let reusable =
-            match IvaIndex::open_with_vfs(Arc::clone(vfs), &path, &opts.pager, io.clone()) {
-                Ok(index)
-                    if !index.is_dirty() && index.table_watermark() == table.file().data_len() =>
-                {
-                    Some(index)
-                }
-                Ok(_) => None, // dirty or stale: fall through to the rebuild
-                Err(e) if e.is_corruption() => None,
-                Err(IvaError::Storage(StorageError::Io(e)))
-                    if e.kind() == std::io::ErrorKind::NotFound =>
-                {
-                    None
-                }
-                Err(e) => return Err(e),
-            };
-        let mut index = match reusable {
-            Some(index) => index,
-            None => {
-                // Rebuild to a temporary file, then swap it in atomically
-                // so a crash mid-rebuild leaves the (still rebuildable)
-                // old state.
-                let tmp = dir.join("index.rebuild.iva");
-                let mut index = build_index(
-                    table,
-                    IndexTarget::Vfs(Arc::clone(vfs), &tmp),
-                    &opts.pager,
-                    io.clone(),
-                    opts.config,
-                )?;
-                index.flush()?;
-                drop(index);
-                vfs.rename(&tmp, &path)
-                    .map_err(|e| IvaError::Storage(e.into()))?;
-                IvaIndex::open_with_vfs(Arc::clone(vfs), &path, &opts.pager, io)?
-            }
-        };
-        // The header persists only structural parameters; re-apply the
-        // caller's execution knobs so a reopened database behaves like
-        // the one that was closed (see "Persisted vs. per-request
-        // configuration" on [`IvaDbOptions`]).
-        index.set_runtime_knobs(opts.config.search_threads, opts.config.hot_tier_bytes);
-        Ok(index)
+        table_io: IoStats,
+        index_io: IoStats,
+    ) -> Result<IndexedTable> {
+        IndexedTable::open(
+            (vfs, &dir.join("data"), &dir.join("index.iva")),
+            &dir.join("index.rebuild.iva"),
+            &opts.pager,
+            opts.config,
+            None,
+            table_io,
+            index_io,
+        )
     }
 
     /// Define (or look up) a text attribute.
     pub fn define_text(&mut self, name: &str) -> Result<AttrId> {
-        Ok(self.table.define_text(name)?)
+        self.pair.define_text(name)
     }
 
     /// Define (or look up) a numerical attribute.
     pub fn define_numeric(&mut self, name: &str) -> Result<AttrId> {
-        Ok(self.table.define_numeric(name)?)
+        self.pair.define_numeric(name)
     }
 
     /// Attribute id by name.
     pub fn attr(&self, name: &str) -> Option<AttrId> {
-        self.table.catalog().id_of(name)
+        self.pair.table().catalog().id_of(name)
     }
 
     /// Insert a tuple; returns its tuple id.
     pub fn insert(&mut self, tuple: &Tuple) -> Result<Tid> {
-        let (tid, ptr) = self.table.insert(tuple)?;
-        self.index.insert(tid, ptr, tuple, self.table.catalog())?;
-        Ok(tid)
+        self.pair.insert(tuple)
     }
 
     /// Delete a tuple by id. Returns false if absent/already deleted.
     /// Triggers a rebuild when the deleted fraction reaches β.
     pub fn delete(&mut self, tid: Tid) -> Result<bool> {
-        let Some(ptr) = self.index.lookup_ptr(tid)? else {
+        if !self.pair.delete(tid)? {
             return Ok(false);
-        };
-        self.table.delete(ptr)?;
-        self.index.delete(tid)?;
+        }
         self.maybe_clean()?;
         Ok(true)
     }
@@ -291,32 +218,12 @@ impl IvaDb {
     /// attribute), the old tuple is reinserted — under a fresh id, like
     /// any update — so the data survives the failed attempt.
     pub fn update(&mut self, tid: Tid, new_tuple: &Tuple) -> Result<Tid> {
-        let Some(ptr) = self.index.lookup_ptr(tid)? else {
-            return Err(IvaError::InvalidArgument(format!(
-                "update of unknown tuple {tid}"
-            )));
-        };
-        let old = self.table.get(ptr)?.tuple;
-        if !self.delete(tid)? {
-            return Err(IvaError::InvalidArgument(format!(
-                "update of unknown tuple {tid}"
-            )));
-        }
-        match self.insert(new_tuple) {
-            Ok(new_tid) => Ok(new_tid),
-            Err(e) => {
-                self.insert(&old)?;
-                Err(e)
-            }
-        }
+        crate::engine::update(self, tid, new_tuple)
     }
 
     /// Fetch a live tuple by id.
     pub fn get(&self, tid: Tid) -> Result<Option<Tuple>> {
-        match self.index.lookup_ptr(tid)? {
-            Some(ptr) => Ok(Some(self.table.get(ptr)?.tuple)),
-            None => Ok(None),
-        }
+        self.pair.get(tid)
     }
 
     /// Build a [`Query`] from attribute names resolved through this
@@ -335,7 +242,7 @@ impl IvaDb {
     /// Unknown or mistyped names surface as
     /// [`IvaError::InvalidArgument`] from `build()`.
     pub fn query_builder(&self) -> QueryBuilder<'_> {
-        QueryBuilder::new(self.table.catalog())
+        QueryBuilder::new(self.pair.table().catalog())
     }
 
     /// Run one top-k search as described by `request` — the single entry
@@ -355,9 +262,8 @@ impl IvaDb {
     ) -> Result<SearchOutcome> {
         let weights = request.weights_override().unwrap_or(self.opts.weights);
         let qopts = SearchRequest::query_options([request]);
-        let out =
-            self.index
-                .query_opts(&self.table, query, request.k(), metric, weights, &qopts)?;
+        let (index, table) = self.pair.searchable()?;
+        let out = index.query_opts(table, query, request.k(), metric, weights, &qopts)?;
         self.materialize(out)
     }
 
@@ -367,13 +273,7 @@ impl IvaDb {
         let hits = out
             .results
             .into_iter()
-            .map(|e| {
-                Ok(SearchHit {
-                    tid: e.tid,
-                    dist: e.dist,
-                    tuple: self.table.get(e.ptr)?.tuple,
-                })
-            })
+            .map(|e| SearchHit::materialize(e, self.pair.table()))
             .collect::<Result<Vec<_>>>()?;
         Ok(SearchOutcome {
             hits,
@@ -395,11 +295,10 @@ impl IvaDb {
     /// singleton group, since batching replaces segment parallelism) and
     /// any entry's `measured`.
     pub fn execute_batch(&self, batch: &[(Query, SearchRequest)]) -> Result<Vec<SearchOutcome>> {
+        let (index, table) = self.pair.searchable()?;
         let mut answered = Vec::with_capacity(batch.len());
         for g in SearchRequest::metric_groups(batch, self.opts.metric, self.opts.weights) {
-            let outs = self
-                .index
-                .query_batch(&self.table, &g.items, &g.metric, &g.opts)?;
+            let outs = index.query_batch(table, &g.items, &g.metric, &g.opts)?;
             for (slot, o) in g.slots.into_iter().zip(outs) {
                 answered.push((slot, self.materialize(o)?));
             }
@@ -414,97 +313,63 @@ impl IvaDb {
 
     /// Rebuild if the deleted fraction reached β.
     pub fn maybe_clean(&mut self) -> Result<bool> {
-        if self.index.deleted_fraction() >= self.opts.cleaning_threshold
-            && self.index.n_deleted() > 0
-        {
+        let index = self.pair.index();
+        if index.deleted_fraction() >= self.opts.cleaning_threshold && index.n_deleted() > 0 {
             self.rebuild()?;
             return Ok(true);
         }
         Ok(false)
     }
 
-    /// The periodic cleanup (Sec. IV-B): compact the table file (dropping
-    /// tombstones, preserving tuple ids) and rebuild the iVA-file over it.
+    /// The periodic cleanup (Sec. IV-B): copy the live tuples into a fresh
+    /// table file (dropping tombstones, preserving tuple ids) and rebuild
+    /// the iVA-file over it — one [`IndexedTable::stage`], on disk beside
+    /// the live files, then renamed over them and reopened. The I/O
+    /// counters start afresh and hold the rebuild's own cost.
     pub fn rebuild(&mut self) -> Result<()> {
-        let table_io = IoStats::new();
-        let index_io = IoStats::new();
-        match &self.dir {
-            None => {
-                let (fresh, _) =
-                    self.table
-                        .compact_into(None, &self.opts.pager, table_io.clone())?;
-                let index = build_index(
-                    &fresh,
-                    IndexTarget::Mem,
-                    &self.opts.pager,
-                    index_io.clone(),
-                    self.opts.config,
-                )?;
-                self.table = fresh;
-                self.index = index;
-            }
-            Some(dir) => {
-                let tmp_base = dir.join("data.rebuild");
-                let tmp_index = dir.join("index.rebuild.iva");
-                {
-                    let (mut fresh, _) = self.table.compact_into(
-                        Some(&tmp_base),
-                        &self.opts.pager,
-                        table_io.clone(),
-                    )?;
-                    fresh.flush()?;
-                    let mut index = build_index(
-                        &fresh,
-                        IndexTarget::Vfs(Arc::clone(&self.vfs), &tmp_index),
-                        &self.opts.pager,
-                        index_io.clone(),
-                        self.opts.config,
-                    )?;
-                    index.flush()?;
-                }
-                // Swap files into place, then reopen. The byte log's
-                // commit-record sidecar (`data.tbl.meta`) must move with
-                // its data file, or the old sidecar would describe the new
-                // file.
-                let rn = |a: PathBuf, b: PathBuf| {
-                    self.vfs
-                        .rename(&a, &b)
-                        .map_err(|e| IvaError::Storage(e.into()))
-                };
-                let tmp_tbl = tmp_base.with_extension("tbl");
-                let dst_tbl = dir.join("data.tbl");
-                rn(sidecar_path(&tmp_tbl), sidecar_path(&dst_tbl))?;
-                rn(tmp_tbl, dst_tbl)?;
-                rn(tmp_base.with_extension("meta"), dir.join("data.meta"))?;
-                rn(tmp_index, dir.join("index.iva"))?;
-                self.table = SwtTable::open_with_vfs(
-                    Arc::clone(&self.vfs),
-                    &dir.join("data"),
-                    &self.opts.pager,
-                    table_io.clone(),
-                )?;
-                self.index = IvaIndex::open_with_vfs(
-                    Arc::clone(&self.vfs),
-                    &dir.join("index.iva"),
-                    &self.opts.pager,
-                    index_io.clone(),
-                )?;
-                // Reopening dropped the runtime knobs with the header
-                // round-trip; restore this database's execution defaults.
-                self.index.set_runtime_knobs(
-                    self.opts.config.search_threads,
-                    self.opts.config.hot_tier_bytes,
-                );
-            }
-        }
-        self.table_io = table_io;
-        self.index_io = index_io;
+        let (table_io, index_io) = (IoStats::new(), IoStats::new());
+        let tmp = self.home.as_ref().map(|(vfs, dir)| {
+            (
+                vfs,
+                dir,
+                dir.join("data.rebuild"),
+                dir.join("index.rebuild.iva"),
+            )
+        });
+        let (staged, _) = IndexedTable::stage(
+            &[self.pair.table()],
+            tmp.as_ref()
+                .map(|(vfs, _, base, index)| (*vfs, &**base, &**index)),
+            self.pair.table().catalog(),
+            &self.opts.pager,
+            self.opts.config,
+            None,
+            table_io.clone(),
+            index_io.clone(),
+        )?;
+        let Some((vfs, dir, tmp_base, tmp_index)) = tmp else {
+            self.pair = staged;
+            return Ok(());
+        };
+        drop(staged);
+        // Swap files into place, then reopen. The byte log's commit-record
+        // sidecar (`data.tbl.meta`) must move with its data file, or the
+        // old sidecar would describe the new file.
+        let rn =
+            |a: PathBuf, b: PathBuf| vfs.rename(&a, &b).map_err(|e| IvaError::Storage(e.into()));
+        let tmp_tbl = tmp_base.with_extension("tbl");
+        let dst_tbl = dir.join("data.tbl");
+        rn(sidecar_path(&tmp_tbl), sidecar_path(&dst_tbl))?;
+        rn(tmp_tbl, dst_tbl)?;
+        rn(tmp_base.with_extension("meta"), dir.join("data.meta"))?;
+        rn(tmp_index, dir.join("index.iva"))?;
+        self.pair = Self::open_pair(vfs, dir, &self.opts, table_io, index_io)?;
         Ok(())
     }
 
     /// Live tuple count.
     pub fn len(&self) -> u64 {
-        self.table.file().live_records()
+        self.pair.live_records()
     }
 
     /// True if no live tuples exist.
@@ -514,31 +379,31 @@ impl IvaDb {
 
     /// The underlying table.
     pub fn table(&self) -> &SwtTable {
-        &self.table
+        self.pair.table()
     }
 
     /// The underlying index.
     pub fn index(&self) -> &IvaIndex {
-        &self.index
+        self.pair.index()
+    }
+
+    /// The pair itself (what a shard's search runs against).
+    pub(crate) fn pair(&self) -> &IndexedTable {
+        &self.pair
     }
 
     /// Table-file I/O counters.
     pub fn table_io(&self) -> &IoStats {
-        &self.table_io
+        self.pair.table_io()
     }
 
     /// Index-file I/O counters.
     pub fn index_io(&self) -> &IoStats {
-        &self.index_io
+        self.pair.index_io()
     }
 
-    /// Persist both files: the table commits first, then the index commits
-    /// stamped with the table's data length. A crash between the two
-    /// leaves the index watermark behind the table, which open-time
-    /// recovery detects and repairs by rebuilding the index.
+    /// Persist both files, table first ([`IndexedTable::flush`]).
     pub fn flush(&mut self) -> Result<()> {
-        self.table.flush()?;
-        self.index.commit(self.table.file().data_len())?;
-        Ok(())
+        self.pair.flush()
     }
 }

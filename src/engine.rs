@@ -1,9 +1,9 @@
-//! The common engine surface: one trait pair implemented by both
-//! [`IvaDb`] and [`ShardedIvaDb`] so callers — the serving layer above
-//! all — are generic over sharding.
+//! The common engine surface: one trait pair implemented by [`IvaDb`],
+//! [`ShardedIvaDb`] and [`LsmDb`] so callers — the serving layer above
+//! all — are generic over sharding and over the write path.
 //!
 //! [`Engine`] is the read side: everything that runs with `&self` and is
-//! safe to call from any number of threads at once (both engines hold
+//! safe to call from any number of threads at once (every engine holds
 //! only `Sync` state on the query path). [`EngineWriter`] is the write
 //! side: the `&mut self` mutators, which the serving layer funnels
 //! through a single [`crate::serve::Writer`] handle.
@@ -12,7 +12,7 @@
 //! thread owns the mutations and publishes epoch snapshots; reader
 //! threads execute searches against whichever snapshot they pinned.
 
-use iva_core::{MetricKind, Query, QueryStats, Result};
+use iva_core::{IvaError, MetricKind, Query, QueryStats, Result};
 use iva_swt::{AttrId, Tid, Tuple};
 
 use crate::db::{IvaDb, SearchOutcome};
@@ -59,10 +59,10 @@ impl EngineOutcome for ShardedSearchOutcome {
 
 /// The read side of an engine: concurrent top-k search with `&self`.
 ///
-/// Implemented by [`IvaDb`] and [`ShardedIvaDb`]; the serving layer
-/// ([`crate::serve`]) is generic over this trait, so a deployment can
-/// switch between one database and a partitioned one without touching
-/// its serving code.
+/// Implemented by [`IvaDb`], [`ShardedIvaDb`] and [`LsmDb`]; the serving
+/// layer ([`crate::serve`]) is generic over this trait, so a deployment
+/// can switch between one database, a partitioned one and a segmented
+/// one without touching its serving code.
 pub trait Engine: Send + Sync {
     /// What one search run produces.
     type Outcome: EngineOutcome + Send;
@@ -75,7 +75,7 @@ pub trait Engine: Send + Sync {
     fn execute(&self, query: &Query, request: &SearchRequest) -> Result<Self::Outcome>;
 
     /// Run several searches as one admission batch, sharing the filter
-    /// scan and the refinement fetch rounds where the engine supports it.
+    /// scan where the engine supports it.
     /// Results are bit-identical to calling [`Engine::execute`] once per
     /// entry — batching is an execution strategy, never a semantic.
     ///
@@ -122,6 +122,24 @@ pub trait EngineWriter: Engine {
 
     /// Persist all files durably.
     fn flush(&mut self) -> Result<()>;
+}
+
+/// The delete, insert, and reinsert-the-old-tuple-on-failure behind
+/// [`IvaDb::update`] and [`LsmDb::update`].
+pub(crate) fn update<E: EngineWriter>(
+    engine: &mut E,
+    id: E::Id,
+    new_tuple: &Tuple,
+) -> Result<E::Id> {
+    let unknown = || IvaError::InvalidArgument(format!("update of unknown tuple {id:?}"));
+    let old = engine.get(id)?.ok_or_else(unknown)?;
+    if !engine.delete(id)? {
+        return Err(unknown());
+    }
+    engine.insert(new_tuple).or_else(|e| {
+        engine.insert(&old)?;
+        Err(e)
+    })
 }
 
 /// Engines whose maintenance (sealing, compaction, rebuilds) splits into

@@ -41,7 +41,7 @@
 //!
 //! // Queries address attributes by name, resolved through the catalog;
 //! // a SearchRequest carries the execution knobs (k, metric, weights,
-//! // measurement, filter-scan threads, refinement batching).
+//! // measurement, filter-scan threads).
 //! let query = snap
 //!     .query_builder()
 //!     .text("Type", "Digital Camera")
@@ -81,7 +81,7 @@ mod sharded;
 
 pub use db::{IvaDb, IvaDbOptions, SearchHit, SearchOutcome};
 pub use engine::{Engine, EngineOutcome, EngineWriter, MaintainEngine};
-pub use lsm::{LsmDb, LsmOptions, MaintenancePlan, MergePlan, SealPlan};
+pub use lsm::{LsmDb, LsmOptions, MaintenancePlan};
 pub use search::{QueryBuilder, SearchRequest};
 pub use serve::{Client, Reader, ServeOptions, Server, ServingStats, Snapshot, Writer};
 pub use sharded::{ShardedHit, ShardedIvaDb, ShardedSearchOutcome, ShardedTid};

@@ -1,31 +1,32 @@
-//! `LsmDb`: the segmented (LSM-style) write path — an in-memory
-//! [`Memtable`] in front of immutable sealed [`Segment`]s, merged by a
-//! background compactor, all tracked by an atomically-committed manifest.
+//! `LsmDb`: the segmented (LSM-style) write path — an in-memory mutable
+//! tier (the memtable) in front of immutable sealed [`Segment`]s, merged
+//! by a background compactor, all tracked by an atomically-committed
+//! manifest.
 //!
 //! ## Tiers
 //!
-//! Inserts land in the memtable: a fully in-memory table + iVA-file pair
-//! indexing exactly like the monolithic engine (same quantisation — the
-//! numeric codec domains are pinned store-wide, see [`DomainPin`]).
-//! Sealing freezes the memtable's live records into an on-disk segment
-//! with its own table file, catalog sidecar, index, and [`IoStats`];
-//! compaction merges several segments into one. Deletes tombstone in
-//! whichever tier holds the record — in place, through the same
-//! Sec. IV-B protocol the monolithic file uses.
+//! Every tier is an [`IndexedTable`] — the monolithic engine's table +
+//! iVA-file pair and its one Sec. IV-B protocol. Inserts land in the
+//! memtable: a pair created in memory at the store's tid watermark,
+//! quantising exactly like the monolithic engine (the numeric codec
+//! domains are pinned store-wide, see [`DomainPin`]). Sealing stages its
+//! live records as an on-disk segment with its own files and
+//! [`IoStats`]; compaction stages several segments' live records as one.
+//! Deletes tombstone in whichever tier holds the record, in place.
 //!
 //! ## Commit protocol
 //!
-//! Both seal and compaction run in two phases:
+//! A seal is a merge whose one source is the memtable, so both are one
+//! [`MaintenancePlan`] run in two phases:
 //!
-//! 1. **Prepare** (`&self`) — stage the new segment's files under the
-//!    next unallocated id. Nothing references them; readers are
-//!    unaffected.
+//! 1. **Prepare** (`&self`) — [`IndexedTable::stage`] the sources' live
+//!    records under the next unallocated segment id. Nothing references
+//!    the staged files; readers are unaffected.
 //! 2. **Publish** (`&mut self`) — swap the in-memory tier list and
 //!    commit the manifest through the storage layer's atomic commit
 //!    record. The manifest rename is the *only* commit point: a crash on
 //!    either side of it leaves every segment fully merged or fully
-//!    intact, with any half-staged files collected as orphans at the
-//!    next open.
+//!    intact, any half-staged files collected as orphans at the next open.
 //!
 //! A mutation is acknowledged by [`LsmDb::flush`] (which seals); a crash
 //! loses at most unacknowledged operations — the acked-or-pending
@@ -47,8 +48,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use iva_core::{
-    collect_orphans, prepare_merge, remove_segment_files, write_segment, CompactionPlan, IvaConfig,
-    IvaError, Memtable, Metric, MetricKind, Query, QueryOutcome, Result, ScanCarry, Segment,
+    collect_orphans, remove_segment_files, segment_base, segment_index_path, IndexedTable,
+    IvaConfig, IvaError, Metric, MetricKind, Query, QueryOutcome, Result, ScanCarry, Segment,
     WeightScheme,
 };
 use iva_storage::vfs::{MemVfs, RealVfs, Vfs};
@@ -80,7 +81,7 @@ pub struct LsmOptions {
     pub metric: MetricKind,
     /// Default weight scheme for [`LsmDb::execute`].
     pub weights: WeightScheme,
-    /// Memtable record count (tombstones included) at which
+    /// Record count of the memtable (tombstones included) at which
     /// [`LsmDb::plan_maintenance`] proposes a seal. `0` disables the
     /// automatic trigger; [`LsmDb::seal`] always works.
     pub memtable_limit: u64,
@@ -103,31 +104,22 @@ impl Default for LsmOptions {
     }
 }
 
-/// A staged (prepared but unpublished) seal of the memtable.
+/// One staged (prepared but unpublished) unit of maintenance — a merge
+/// of sealed segments, or a seal: the same with the memtable as its one
+/// source. [`LsmDb::plan_maintenance`] proposes it,
+/// [`LsmDb::publish_maintenance`] commits it.
 #[derive(Debug, Clone)]
-pub struct SealPlan {
-    id: u64,
+pub struct MaintenancePlan {
+    /// Id the new segment's files are staged under.
+    new_id: u64,
+    /// Its tid range; `None`: no live record, only sources to drop.
     range: Option<(Tid, Tid)>,
-    next_tid: Tid,
+    /// Ids of the segments the new one replaces, oldest first.
+    source_ids: Vec<u64>,
+    /// A seal: the tid the memtable restarts at, past the sealed ones.
+    restart_memtable_at: Option<Tid>,
+    /// The mutation count the plan was prepared at.
     ops: u64,
-}
-
-/// A staged (prepared but unpublished) merge of sealed segments.
-#[derive(Debug, Clone)]
-pub struct MergePlan {
-    inner: CompactionPlan,
-    ops: u64,
-}
-
-/// One unit of staged maintenance work: what
-/// [`LsmDb::plan_maintenance`] proposes and
-/// [`LsmDb::publish_maintenance`] commits.
-#[derive(Debug, Clone)]
-pub enum MaintenancePlan {
-    /// Seal the memtable into a fresh segment.
-    Seal(SealPlan),
-    /// Merge every sealed segment into one.
-    Merge(MergePlan),
 }
 
 /// The segmented store: memtable + sealed segments + manifest.
@@ -142,7 +134,10 @@ pub struct LsmDb {
     domains: Vec<DomainPin>,
     /// Sealed segments in ascending tid order (oldest first — scan order).
     segments: Vec<Segment>,
-    memtable: Memtable,
+    /// The mutable tier: every tuple inserted since the last seal, in
+    /// memory, under tids from `memtable_base` up.
+    memtable: IndexedTable,
+    memtable_base: Tid,
     next_segment_id: u64,
     /// Mutation counter fencing prepare/publish pairs: a plan prepared
     /// at one count publishes only at the same count.
@@ -177,20 +172,8 @@ impl LsmDb {
     pub fn create_with_vfs(vfs: Arc<dyn Vfs>, dir: &Path, opts: LsmOptions) -> Result<Self> {
         vfs.create_dir_all(dir)
             .map_err(|e| IvaError::Storage(e.into()))?;
-        let memtable = Memtable::new(&Catalog::new(), &opts.pager, opts.config, 0, &[])?;
-        let mut db = Self {
-            vfs,
-            dir: dir.to_path_buf(),
-            opts,
-            domains: Vec::new(),
-            segments: Vec::new(),
-            memtable,
-            next_segment_id: 0,
-            ops: 0,
-            manifest_io: IoStats::new(),
-            maintenance_io: IoStats::new(),
-            meta_dirty: false,
-        };
+        let empty = Manifest::default();
+        let mut db = Self::assemble(vfs, dir, opts, empty, &Catalog::new(), IoStats::new())?;
         db.write_manifest()?; // make the directory openable immediately
         Ok(db)
     }
@@ -206,34 +189,44 @@ impl LsmDb {
     /// any segment files it does not reference (a seal or compaction
     /// that crashed around its commit point) are collected as orphans.
     /// Each referenced segment then recovers exactly like the monolithic
-    /// engine: reuse a clean index whose watermark matches its table,
-    /// rebuild (on the store's pinned domains) otherwise. The memtable
-    /// is volatile — recovery restarts it empty at the manifest's tid
-    /// watermark.
+    /// engine ([`IndexedTable::open`], on the store's pinned domains).
+    /// The memtable is volatile — recovery restarts it empty at the
+    /// manifest's tid watermark.
     pub fn open_with_vfs(vfs: Arc<dyn Vfs>, dir: &Path, opts: LsmOptions) -> Result<Self> {
         let manifest_io = IoStats::new();
         let manifest = read_manifest(vfs.as_ref(), &manifest_path(dir), &manifest_io)?;
         let catalog = Catalog::decode(&manifest.catalog)?;
         collect_orphans(vfs.as_ref(), dir, &manifest)?;
+        Self::assemble(vfs, dir, opts, manifest, &catalog, manifest_io)
+    }
+
+    /// The store `manifest` describes, with an empty memtable.
+    fn assemble(
+        vfs: Arc<dyn Vfs>,
+        dir: &Path,
+        opts: LsmOptions,
+        manifest: Manifest,
+        catalog: &Catalog,
+        manifest_io: IoStats,
+    ) -> Result<Self> {
         let mut segments = Vec::with_capacity(manifest.segments.len());
-        for meta in &manifest.segments {
+        for &meta in &manifest.segments {
             segments.push(Segment::open(
                 &vfs,
                 dir,
-                meta.id,
-                meta.lo_tid,
-                meta.hi_tid,
+                meta,
                 &opts.pager,
                 opts.config,
                 &manifest.domains,
             )?);
         }
-        let memtable = Memtable::new(
-            &catalog,
+        let memtable = IndexedTable::create(
+            None,
+            catalog,
+            manifest.next_tid,
             &opts.pager,
             opts.config,
-            manifest.next_tid,
-            &manifest.domains,
+            Some(&manifest.domains),
         )?;
         Ok(Self {
             vfs,
@@ -242,6 +235,7 @@ impl LsmDb {
             domains: manifest.domains,
             segments,
             memtable,
+            memtable_base: manifest.next_tid,
             next_segment_id: manifest.next_segment_id,
             ops: 0,
             manifest_io,
@@ -257,16 +251,8 @@ impl LsmDb {
     fn write_manifest(&mut self) -> Result<()> {
         let m = Manifest {
             next_segment_id: self.next_segment_id,
-            next_tid: self.memtable.base_tid(),
-            segments: self
-                .segments
-                .iter()
-                .map(|s| SegmentMeta {
-                    id: s.id(),
-                    lo_tid: s.lo_tid(),
-                    hi_tid: s.hi_tid(),
-                })
-                .collect(),
+            next_tid: self.memtable_base,
+            segments: self.segments.iter().map(Segment::meta).collect(),
             domains: self.domains.clone(),
             catalog: self.catalog().encode(),
         };
@@ -336,7 +322,7 @@ impl LsmDb {
     /// Insert a tuple; returns its tuple id (globally unique across
     /// tiers). Volatile until the next [`LsmDb::flush`].
     pub fn insert(&mut self, tuple: &Tuple) -> Result<Tid> {
-        let (tid, _ptr) = self.memtable.insert(tuple)?;
+        let tid = self.memtable.insert(tuple)?;
         self.observe_domains(tuple);
         self.ops += 1;
         Ok(tid)
@@ -346,15 +332,13 @@ impl LsmDb {
     /// Returns false if absent/already deleted.
     pub fn delete(&mut self, tid: Tid) -> Result<bool> {
         self.ops += 1;
-        if self.memtable.delete(tid)? {
-            return Ok(true);
+        if tid >= self.memtable_base {
+            return self.memtable.delete(tid);
         }
-        for seg in &mut self.segments {
-            if seg.covers(tid) {
-                return seg.delete(tid);
-            }
+        match self.segments.iter_mut().find(|s| s.covers(tid)) {
+            Some(seg) => seg.delete(tid),
+            None => Ok(false),
         }
-        Ok(false)
     }
 
     /// Update = delete + insert under a fresh tuple id (Sec. IV-B).
@@ -364,37 +348,17 @@ impl LsmDb {
     /// under a fresh id, like any update — so the data survives the
     /// failed attempt.
     pub fn update(&mut self, tid: Tid, new_tuple: &Tuple) -> Result<Tid> {
-        let Some(old) = self.get(tid)? else {
-            return Err(IvaError::InvalidArgument(format!(
-                "update of unknown tuple {tid}"
-            )));
-        };
-        self.delete(tid)?;
-        match self.insert(new_tuple) {
-            Ok(new_tid) => Ok(new_tid),
-            Err(e) => {
-                self.insert(&old)?;
-                Err(e)
-            }
-        }
+        crate::engine::update(self, tid, new_tuple)
     }
 
     /// Fetch a live tuple by id from whichever tier holds it.
     pub fn get(&self, tid: Tid) -> Result<Option<Tuple>> {
-        if let Some(ptr) = self.memtable.lookup_ptr(tid)? {
-            return Ok(Some(self.memtable.table().get(ptr)?.tuple));
-        }
-        for seg in &self.segments {
-            if seg.covers(tid) {
-                return seg.get(tid);
-            }
-        }
-        Ok(None)
+        self.tier_of(tid).get(tid)
     }
 
     /// Live tuple count across every tier.
     pub fn len(&self) -> u64 {
-        self.memtable.live_records() + self.segments.iter().map(Segment::live_records).sum::<u64>()
+        self.tiers().map(IndexedTable::live_records).sum()
     }
 
     /// True if no live tuples exist.
@@ -408,7 +372,7 @@ impl LsmDb {
     }
 
     /// The mutable tier (advanced/testing surface).
-    pub fn memtable(&self) -> &Memtable {
+    pub fn memtable(&self) -> &IndexedTable {
         &self.memtable
     }
 
@@ -422,147 +386,93 @@ impl LsmDb {
         &self.maintenance_io
     }
 
-    /// Stage a seal of the current memtable (`&self` — readers keep
-    /// going). Returns `None` when the memtable holds nothing to seal.
-    pub fn prepare_seal(&self) -> Result<Option<SealPlan>> {
-        if self.memtable.is_unused() {
-            return Ok(None);
+    /// Every tier in scan order: segments by tid, then the memtable.
+    fn tiers(&self) -> impl Iterator<Item = &IndexedTable> {
+        let segments = self.segments.iter().map(|s| &**s);
+        segments.chain([&self.memtable])
+    }
+
+    /// The tier that holds `tid` if any does: tiers cover disjoint tid
+    /// ranges, and what no segment covers can only be in the memtable.
+    fn tier_of(&self, tid: Tid) -> &IndexedTable {
+        match self.segments.iter().find(|s| s.covers(tid)) {
+            Some(seg) => seg,
+            None => &self.memtable,
         }
-        let id = self.next_segment_id;
-        let range = write_segment(
-            &self.vfs,
-            &self.dir,
-            id,
-            &[self.memtable.table()],
+    }
+
+    /// The staging half of maintenance (`&self` — readers keep scanning
+    /// the sources): stage the live records of `sources` (oldest first)
+    /// as the next segment, on the store's pinned domains, charged to
+    /// [`LsmDb::maintenance_io`]; if none survived, remove the files again.
+    fn prepare(
+        &self,
+        sources: &[&SwtTable],
+        source_ids: Vec<u64>,
+        restart_memtable_at: Option<Tid>,
+    ) -> Result<MaintenancePlan> {
+        let new_id = self.next_segment_id;
+        let (staged, range) = IndexedTable::stage(
+            sources,
+            Some((
+                &self.vfs,
+                &segment_base(&self.dir, new_id),
+                &segment_index_path(&self.dir, new_id),
+            )),
             self.catalog(),
             &self.opts.pager,
             self.opts.config,
-            &self.domains,
+            Some(&self.domains),
             self.maintenance_io.clone(),
             self.maintenance_io.clone(),
         )?;
-        Ok(Some(SealPlan {
-            id,
+        drop(staged);
+        if range.is_none() {
+            remove_segment_files(self.vfs.as_ref(), &self.dir, new_id)?;
+        }
+        Ok(MaintenancePlan {
+            new_id,
             range,
-            next_tid: self.memtable.next_tid(),
+            source_ids,
+            restart_memtable_at,
             ops: self.ops,
-        }))
+        })
     }
 
-    /// Publish a staged seal: swap in the new segment (if any record
-    /// survived), restart the memtable past the sealed tids, and commit
-    /// the manifest — the seal's single atomic point.
-    pub fn publish_seal(&mut self, plan: SealPlan) -> Result<()> {
-        if plan.id != self.next_segment_id || plan.ops != self.ops {
-            return Err(IvaError::InvalidArgument(
-                "stale seal plan: mutations interleaved with the prepare phase".into(),
-            ));
+    /// Stage a seal of the memtable, or `None` when it was never used.
+    fn plan_seal(&self) -> Result<Option<MaintenancePlan>> {
+        let table = self.memtable.table();
+        let next_tid = table.file().next_tid();
+        if next_tid == self.memtable_base {
+            return Ok(None);
         }
-        if let Some((lo, hi)) = plan.range {
-            self.segments.push(Segment::open(
-                &self.vfs,
-                &self.dir,
-                plan.id,
-                lo,
-                hi,
-                &self.opts.pager,
-                self.opts.config,
-                &self.domains,
-            )?);
+        self.prepare(&[table], Vec::new(), Some(next_tid)).map(Some)
+    }
+
+    /// Stage a merge of all segments into one, or `None` with fewer than two.
+    fn plan_merge(&self) -> Result<Option<MaintenancePlan>> {
+        if self.segments.len() < 2 {
+            return Ok(None);
         }
-        self.next_segment_id = plan.id + 1;
-        let catalog = self.catalog().clone();
-        self.memtable = Memtable::new(
-            &catalog,
-            &self.opts.pager,
-            self.opts.config,
-            plan.next_tid,
-            &self.domains,
-        )?;
-        self.write_manifest()
+        let sources: Vec<&SwtTable> = self.segments.iter().map(|s| s.table()).collect();
+        let ids = self.segments.iter().map(Segment::id).collect();
+        self.prepare(&sources, ids, None).map(Some)
     }
 
     /// Seal the memtable into a fresh segment (prepare + publish in
     /// one). Returns whether anything was sealed.
     pub fn seal(&mut self) -> Result<bool> {
-        match self.prepare_seal()? {
-            Some(plan) => {
-                self.publish_seal(plan)?;
-                Ok(true)
-            }
+        match self.plan_seal()? {
+            Some(plan) => self.publish_maintenance(plan),
             None => Ok(false),
         }
-    }
-
-    /// Stage a merge of every sealed segment into one (`&self` —
-    /// readers keep scanning the sources). Returns `None` with fewer
-    /// than two segments.
-    pub fn prepare_compact(&self) -> Result<Option<MergePlan>> {
-        if self.segments.len() < 2 {
-            return Ok(None);
-        }
-        let sources: Vec<&Segment> = self.segments.iter().collect();
-        let inner = prepare_merge(
-            &self.vfs,
-            &self.dir,
-            self.next_segment_id,
-            &sources,
-            self.catalog(),
-            &self.opts.pager,
-            self.opts.config,
-            &self.domains,
-            &self.maintenance_io,
-        )?;
-        Ok(Some(MergePlan {
-            inner,
-            ops: self.ops,
-        }))
-    }
-
-    /// Publish a staged merge: swap the merged segment in for its
-    /// sources, commit the manifest (the merge's single atomic point),
-    /// then garbage-collect the source files.
-    pub fn publish_compact(&mut self, plan: MergePlan) -> Result<()> {
-        if plan.inner.new_id != self.next_segment_id || plan.ops != self.ops {
-            return Err(IvaError::InvalidArgument(
-                "stale merge plan: mutations interleaved with the prepare phase".into(),
-            ));
-        }
-        let merged = match plan.inner.range {
-            Some((lo, hi)) => Some(Segment::open(
-                &self.vfs,
-                &self.dir,
-                plan.inner.new_id,
-                lo,
-                hi,
-                &self.opts.pager,
-                self.opts.config,
-                &self.domains,
-            )?),
-            None => None,
-        };
-        self.segments
-            .retain(|s| !plan.inner.source_ids.contains(&s.id()));
-        if let Some(seg) = merged {
-            self.segments.push(seg);
-            self.segments.sort_by_key(Segment::lo_tid);
-        }
-        self.next_segment_id = plan.inner.new_id + 1;
-        self.write_manifest()?;
-        for &sid in &plan.inner.source_ids {
-            remove_segment_files(self.vfs.as_ref(), &self.dir, sid)?;
-        }
-        Ok(())
     }
 
     /// Merge every sealed segment into one (prepare + publish in one).
     /// Returns whether a merge ran.
     pub fn compact(&mut self) -> Result<bool> {
-        match self.prepare_compact()? {
-            Some(plan) => {
-                self.publish_compact(plan)?;
-                Ok(true)
-            }
+        match self.plan_merge()? {
+            Some(plan) => self.publish_maintenance(plan),
             None => Ok(false),
         }
     }
@@ -575,25 +485,60 @@ impl LsmDb {
     pub fn plan_maintenance(&self) -> Result<Option<MaintenancePlan>> {
         if self.opts.memtable_limit > 0 && self.memtable.total_records() >= self.opts.memtable_limit
         {
-            if let Some(plan) = self.prepare_seal()? {
-                return Ok(Some(MaintenancePlan::Seal(plan)));
+            if let Some(plan) = self.plan_seal()? {
+                return Ok(Some(plan));
             }
         }
         if self.opts.compact_fanout > 0 && self.segments.len() >= self.opts.compact_fanout {
-            if let Some(plan) = self.prepare_compact()? {
-                return Ok(Some(MaintenancePlan::Merge(plan)));
-            }
+            return self.plan_merge();
         }
         Ok(None)
     }
 
-    /// Commit a staged maintenance plan (`&mut self` — the cheap swap).
-    /// Returns whether the plan published (an interleaved mutation makes
-    /// it stale, which surfaces as an error).
+    /// Commit a staged maintenance plan (`&mut self` — the cheap swap):
+    /// the new segment (if any record survived) replaces its sources, a
+    /// seal restarts the memtable past the sealed tids, the manifest
+    /// commit is the single atomic point, and only then are the source
+    /// files removed. A plan made stale by an interleaved mutation errors.
     pub fn publish_maintenance(&mut self, plan: MaintenancePlan) -> Result<bool> {
-        match plan {
-            MaintenancePlan::Seal(p) => self.publish_seal(p)?,
-            MaintenancePlan::Merge(p) => self.publish_compact(p)?,
+        if plan.new_id != self.next_segment_id || plan.ops != self.ops {
+            return Err(IvaError::InvalidArgument(
+                "stale maintenance plan: mutations interleaved with the prepare phase".into(),
+            ));
+        }
+        let staged = match plan.range {
+            Some((lo_tid, hi_tid)) => Some(Segment::open(
+                &self.vfs,
+                &self.dir,
+                SegmentMeta {
+                    id: plan.new_id,
+                    lo_tid,
+                    hi_tid,
+                },
+                &self.opts.pager,
+                self.opts.config,
+                &self.domains,
+            )?),
+            None => None,
+        };
+        self.segments.retain(|s| !plan.source_ids.contains(&s.id()));
+        self.segments.extend(staged);
+        self.segments.sort_by_key(Segment::lo_tid);
+        self.next_segment_id = plan.new_id + 1;
+        if let Some(base) = plan.restart_memtable_at {
+            self.memtable = IndexedTable::create(
+                None,
+                self.catalog(),
+                base,
+                &self.opts.pager,
+                self.opts.config,
+                Some(&self.domains),
+            )?;
+            self.memtable_base = base;
+        }
+        self.write_manifest()?;
+        for &sid in &plan.source_ids {
+            remove_segment_files(self.vfs.as_ref(), &self.dir, sid)?;
         }
         Ok(true)
     }
@@ -636,17 +581,17 @@ impl LsmDb {
     /// bounds the same weighted metric (a per-tier λ would break the
     /// carried pool's admission bound).
     pub fn resolve_weights(&self, query: &Query, scheme: WeightScheme) -> Vec<f64> {
-        let mut total = self.memtable.index().n_tuples() - self.memtable.index().n_deleted();
-        for seg in &self.segments {
-            total += seg.index().n_tuples() - seg.index().n_deleted();
-        }
+        let total = self
+            .tiers()
+            .map(|t| t.index().n_tuples() - t.index().n_deleted())
+            .sum();
         query
             .iter()
             .map(|(attr, _)| {
-                let mut df = self.memtable.index().attr_entry(attr).map_or(0, |e| e.df);
-                for seg in &self.segments {
-                    df += seg.index().attr_entry(attr).map_or(0, |e| e.df);
-                }
+                let df = self
+                    .tiers()
+                    .map(|t| t.index().attr_entry(attr).map_or(0, |e| e.df))
+                    .sum();
                 scheme.weight(total, df)
             })
             .collect()
@@ -671,36 +616,11 @@ impl LsmDb {
         let lambda = self.resolve_weights(query, scheme);
         let qopts = SearchRequest::query_options([request]);
         let mut carry = ScanCarry::new(request.k());
-        for seg in &self.segments {
-            seg.index().query_carry_opts(
-                seg.table(),
-                query,
-                metric,
-                &lambda,
-                &qopts,
-                &mut carry,
-            )?;
+        for tier in self.tiers() {
+            let (index, table) = tier.searchable()?;
+            index.query_carry_opts(table, query, metric, &lambda, &qopts, &mut carry)?;
         }
-        self.memtable.index().query_carry_opts(
-            self.memtable.table(),
-            query,
-            metric,
-            &lambda,
-            &qopts,
-            &mut carry,
-        )?;
         self.materialize(carry.finish())
-    }
-
-    /// The table holding live tuple `tid` (tiers cover disjoint tid
-    /// ranges, so the covering tier is the holding tier).
-    fn tier_table(&self, tid: Tid) -> &SwtTable {
-        for seg in &self.segments {
-            if seg.covers(tid) {
-                return seg.table();
-            }
-        }
-        self.memtable.table()
     }
 
     /// Turn a raw carried outcome into a [`SearchOutcome`] by fetching
@@ -709,13 +629,7 @@ impl LsmDb {
         let hits = out
             .results
             .into_iter()
-            .map(|e| {
-                Ok(SearchHit {
-                    tid: e.tid,
-                    dist: e.dist,
-                    tuple: self.tier_table(e.tid).get(e.ptr)?.tuple,
-                })
-            })
+            .map(|e| SearchHit::materialize(e, self.tier_of(e.tid).table()))
             .collect::<Result<Vec<_>>>()?;
         Ok(SearchOutcome {
             hits,

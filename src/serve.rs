@@ -1,8 +1,9 @@
 //! lint:scope(no-panic-decode)
 //! The single-writer / multi-reader serving layer.
 //!
-//! An engine ([`crate::IvaDb`] or [`crate::ShardedIvaDb`]) enters serving
-//! through [`Writer::new`], which wraps it in a shared cell. From there:
+//! An engine ([`crate::IvaDb`], [`crate::ShardedIvaDb`] or
+//! [`crate::LsmDb`]) enters serving through [`Writer::new`], which wraps
+//! it in a shared cell. From there:
 //!
 //! * **One [`Writer`]** owns every mutation. Each mutator (or a
 //!   multi-operation [`Writer::apply`]) takes the exclusive side of the
@@ -16,10 +17,10 @@
 //! * **A [`Server`]** (optional) adds admission batching on top: worker
 //!   threads drain a queue of submitted requests and execute each drained
 //!   group as one [`crate::Engine::execute_batch`] call against a single
-//!   snapshot, so concurrent queries share the filter scan and the
-//!   refinement fetch rounds. Batching never changes results — every
-//!   response is bit-identical to executing that request alone against
-//!   the same snapshot (see `iva_core::multi`).
+//!   snapshot, so concurrent queries share the filter scan. Batching
+//!   never changes results — every response is bit-identical to
+//!   executing that request alone against the same snapshot (see
+//!   `iva_core::multi`).
 //!
 //! ## What the epoch contract guarantees (and doesn't)
 //!

@@ -13,12 +13,12 @@
 //! and the global top-k is contained in the union of local top-ks.
 
 use iva_core::{
-    IvaConfig, IvaError, Metric, MetricKind, PoolEntry, Query, QueryOptions, QueryOutcome,
-    QueryStats, Result,
+    BatchItem, IvaConfig, IvaError, Metric, MetricKind, PoolEntry, Query, QueryOptions,
+    QueryOutcome, QueryStats, Result, WeightScheme,
 };
-use iva_swt::{Tid, Tuple};
+use iva_swt::{AttrId, AttrType, Tid, Tuple};
 
-use crate::db::{IvaDb, IvaDbOptions};
+use crate::db::{IvaDb, IvaDbOptions, SearchHit};
 use crate::search::{QueryBuilder, SearchRequest};
 
 /// A horizontally partitioned collection of [`IvaDb`] shards.
@@ -60,6 +60,15 @@ pub struct ShardedSearchOutcome {
     pub stats: QueryStats,
 }
 
+/// What [`ShardedIvaDb::fan_out`] asks of every shard — data, because
+/// `panic-reachability` cannot follow a callable parameter.
+enum ShardWork<'a> {
+    /// One top-k search ([`iva_core::IvaIndex::query_opts`]).
+    Query(&'a Query, usize, WeightScheme),
+    /// One admission batch ([`iva_core::IvaIndex::query_batch`]).
+    Batch(&'a [BatchItem<'a>]),
+}
+
 impl ShardedIvaDb {
     /// Create `n_shards` in-memory shards.
     pub fn create_mem(n_shards: usize, opts: IvaDbOptions) -> Result<Self> {
@@ -91,12 +100,15 @@ impl ShardedIvaDb {
         self.len() == 0
     }
 
-    /// Define a text attribute on every shard (same id everywhere as long
-    /// as definitions happen through this method, in order).
-    pub fn define_text(&mut self, name: &str) -> Result<iva_swt::AttrId> {
+    /// Define an attribute on every shard, which must all hand out the
+    /// same id.
+    fn define(&mut self, name: &str, ty: AttrType) -> Result<AttrId> {
         let mut id = None;
         for s in &mut self.shards {
-            let got = s.define_text(name)?;
+            let got = match ty {
+                AttrType::Text => s.define_text(name)?,
+                AttrType::Numeric => s.define_numeric(name)?,
+            };
             if *id.get_or_insert(got) != got {
                 return Err(IvaError::Corrupt("shards disagree on attribute ids".into()));
             }
@@ -104,16 +116,15 @@ impl ShardedIvaDb {
         id.ok_or_else(|| IvaError::Corrupt("sharded table has no shards".into()))
     }
 
+    /// Define a text attribute on every shard (same id everywhere as long
+    /// as definitions happen through this method, in order).
+    pub fn define_text(&mut self, name: &str) -> Result<AttrId> {
+        self.define(name, AttrType::Text)
+    }
+
     /// Define a numerical attribute on every shard.
-    pub fn define_numeric(&mut self, name: &str) -> Result<iva_swt::AttrId> {
-        let mut id = None;
-        for s in &mut self.shards {
-            let got = s.define_numeric(name)?;
-            if *id.get_or_insert(got) != got {
-                return Err(IvaError::Corrupt("shards disagree on attribute ids".into()));
-            }
-        }
-        id.ok_or_else(|| IvaError::Corrupt("sharded table has no shards".into()))
+    pub fn define_numeric(&mut self, name: &str) -> Result<AttrId> {
+        self.define(name, AttrType::Numeric)
     }
 
     /// Insert a tuple (round-robin placement), returning its global handle.
@@ -170,39 +181,51 @@ impl ShardedIvaDb {
         let weights = request.weights_override().unwrap_or(self.opts.weights);
         let qopts = self.shard_options(SearchRequest::query_options([request]));
 
-        let locals: Vec<Result<QueryOutcome>> = if let [only] = self.shards.as_slice() {
-            vec![only
-                .index()
-                .query_opts(only.table(), query, k, metric, weights, &qopts)]
-        } else {
-            let mut slots: Vec<Option<Result<QueryOutcome>>> = Vec::new();
-            slots.resize_with(self.shards.len(), || None);
-            crossbeam::thread::scope(|scope| {
-                for (shard, slot) in self.shards.iter().zip(slots.iter_mut()) {
-                    let qopts = &qopts;
-                    scope.spawn(move |_| {
-                        *slot = Some(shard.index().query_opts(
-                            shard.table(),
-                            query,
-                            k,
-                            metric,
-                            weights,
-                            qopts,
-                        ));
-                    });
-                }
-            })
-            .map_err(|_| IvaError::Corrupt("shard query thread panicked".into()))?;
-            slots
-                .into_iter()
-                .map(|s| {
-                    s.unwrap_or_else(|| Err(IvaError::Corrupt("shard query slot unfilled".into())))
-                })
-                .collect()
-        };
+        let work = ShardWork::Query(query, k, weights);
+        let locals = self.fan_out(&work, metric, &qopts)?;
+        self.merge_locals(k, locals.into_iter().flatten().collect())
+    }
 
-        let locals = locals.into_iter().collect::<Result<Vec<_>>>()?;
-        self.merge_locals(k, locals)
+    /// Run `work` on every shard — inline on a single shard, else one
+    /// scoped thread each — and collect the shards' outcomes (one per
+    /// batch item; one for a single search) in shard order.
+    fn fan_out<M: Metric + Sync>(
+        &self,
+        work: &ShardWork<'_>,
+        metric: &M,
+        qopts: &QueryOptions,
+    ) -> Result<Vec<Vec<QueryOutcome>>> {
+        let run = |shard: &IvaDb| {
+            let (index, table) = shard.pair().searchable()?;
+            match *work {
+                ShardWork::Query(query, k, weights) => Ok(vec![
+                    index.query_opts(table, query, k, metric, weights, qopts)?
+                ]),
+                ShardWork::Batch(items) => index.query_batch(table, items, metric, qopts),
+            }
+        };
+        if let [only] = self.shards.as_slice() {
+            return Ok(vec![run(only)?]);
+        }
+        let what = match work {
+            ShardWork::Query(..) => "query",
+            ShardWork::Batch(_) => "batch",
+        };
+        let mut slots: Vec<Option<Result<Vec<QueryOutcome>>>> = Vec::new();
+        slots.resize_with(self.shards.len(), || None);
+        crossbeam::thread::scope(|scope| {
+            for (shard, slot) in self.shards.iter().zip(slots.iter_mut()) {
+                let run = &run;
+                scope.spawn(move |_| *slot = Some(run(shard)));
+            }
+        })
+        .map_err(|_| IvaError::Corrupt(format!("shard {what} thread panicked")))?;
+        slots
+            .into_iter()
+            .map(|s| {
+                s.unwrap_or_else(|| Err(IvaError::Corrupt(format!("shard {what} slot unfilled"))))
+            })
+            .collect()
     }
 
     /// Split the request's thread budget (or the configured
@@ -247,15 +270,14 @@ impl ShardedIvaDb {
         let hits = merged
             .into_iter()
             .map(|(shard, e)| {
-                let id = ShardedTid { shard, tid: e.tid };
                 let owner = self
                     .shards
                     .get(shard as usize)
                     .ok_or_else(|| IvaError::Corrupt("merged hit names an unknown shard".into()))?;
-                let tuple = owner.table().get(e.ptr)?.tuple;
+                let SearchHit { tid, dist, tuple } = SearchHit::materialize(e, owner.table())?;
                 Ok(ShardedHit {
-                    id,
-                    dist: e.dist,
+                    id: ShardedTid { shard, tid },
+                    dist,
                     tuple,
                 })
             })
@@ -281,37 +303,7 @@ impl ShardedIvaDb {
             let (metric, items) = (g.metric, &g.items);
             let qopts = self.shard_options(g.opts);
 
-            let per_shard: Vec<Result<Vec<QueryOutcome>>> = if let [only] = self.shards.as_slice() {
-                vec![only
-                    .index()
-                    .query_batch(only.table(), items, &metric, &qopts)]
-            } else {
-                let mut slots: Vec<Option<Result<Vec<QueryOutcome>>>> = Vec::new();
-                slots.resize_with(self.shards.len(), || None);
-                crossbeam::thread::scope(|scope| {
-                    for (shard, slot) in self.shards.iter().zip(slots.iter_mut()) {
-                        let qopts = &qopts;
-                        scope.spawn(move |_| {
-                            *slot = Some(shard.index().query_batch(
-                                shard.table(),
-                                items,
-                                &metric,
-                                qopts,
-                            ));
-                        });
-                    }
-                })
-                .map_err(|_| IvaError::Corrupt("shard batch thread panicked".into()))?;
-                slots
-                    .into_iter()
-                    .map(|s| {
-                        s.unwrap_or_else(|| {
-                            Err(IvaError::Corrupt("shard batch slot unfilled".into()))
-                        })
-                    })
-                    .collect()
-            };
-            let per_shard = per_shard.into_iter().collect::<Result<Vec<_>>>()?;
+            let per_shard = self.fan_out(&ShardWork::Batch(items), &metric, &qopts)?;
             for (j, (&slot, item)) in g.slots.iter().zip(items).enumerate() {
                 let locals: Vec<QueryOutcome> = per_shard
                     .iter()

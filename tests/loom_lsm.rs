@@ -58,11 +58,11 @@ fn seal_handoff_conserves_every_record() {
             let sealed = Arc::clone(&sealed);
             let mem = Arc::clone(&mem);
             loom::thread::spawn(move || {
-                // Prepare (LsmDb::prepare_seal under a read snapshot):
+                // Prepare (LsmDb::plan_maintenance under a read snapshot):
                 // stage the segment from the memtable's records. Reads
                 // only — concurrent readers are unaffected.
                 let staged = mem.load(Ordering::Acquire);
-                // Publish (Writer::apply(publish_seal)): enter the
+                // Publish (Writer::apply(publish_maintenance)): enter the
                 // critical section, swap both tier words, leave. The two
                 // stores sit inside one lock hold, which is exactly what
                 // keeps the conservation invariant readable.

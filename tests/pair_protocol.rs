@@ -1,0 +1,322 @@
+//! The engines hold one table + iVA-file pair protocol between them
+//! (`iva_core::IndexedTable`); these tests pin the two places where three
+//! copies of it used to be able to drift apart.
+//!
+//! * A seal, a merge and the monolith's periodic cleanup are one staging
+//!   operation: the same live records through each give the same bytes.
+//! * An insert whose index half fails after its table half succeeded must
+//!   not leave a tuple the live count includes and nothing can find — not
+//!   now, not after the next flush, not after the next open.
+
+use std::path::Path;
+use std::sync::Arc;
+
+use iva_file::vfs::{FaultKind, FaultVfs, MemVfs, PlannedFault, Vfs};
+use iva_file::{
+    AttrId, EngineWriter, IvaDb, IvaDbOptions, IvaError, LsmDb, LsmOptions, PagerOptions, Query,
+    SearchRequest, Tid, Tuple, Value,
+};
+use iva_storage::sidecar_path;
+
+fn pager() -> PagerOptions {
+    PagerOptions {
+        page_size: 4096,
+        cache_bytes: 4096 * 64,
+    }
+}
+
+fn mono_opts() -> IvaDbOptions {
+    IvaDbOptions {
+        pager: pager(),
+        // Cleanup runs only where a test asks for it.
+        cleaning_threshold: 2.0,
+        ..Default::default()
+    }
+}
+
+fn lsm_opts() -> LsmOptions {
+    LsmOptions {
+        pager: pager(),
+        // Maintenance is driven explicitly.
+        memtable_limit: 0,
+        compact_fanout: 0,
+        ..Default::default()
+    }
+}
+
+/// Row `i`: a unique dense text, a fairly dense number, a sparse text.
+fn row(i: u32) -> Tuple {
+    let mut tup = Tuple::new().with(AttrId(0), Value::text(format!("item number {i:03}")));
+    if i % 5 != 4 {
+        tup.set(AttrId(1), Value::num(f64::from(i % 13)));
+    }
+    if i.is_multiple_of(6) {
+        tup.set(
+            AttrId(2),
+            Value::texts([format!("note {i}"), "extra".into()]),
+        );
+    }
+    tup
+}
+
+/// Define the three attributes of [`row`].
+fn define_schema<E: EngineWriter>(db: &mut E) {
+    db.define_text("name").unwrap();
+    db.define_numeric("grade").unwrap();
+    db.define_text("notes").unwrap();
+}
+
+// ---------------------------------------------------------------------
+// One stage, three callers.
+// ---------------------------------------------------------------------
+
+const ROWS: u32 = 90;
+/// Rows deleted before the records are staged, wherever they live then.
+const DELETED: [u32; 5] = [3, 17, 40, 41, 77];
+
+/// The four files of the pair at `base` (no extension) + `index`.
+fn pair_files(mem: &MemVfs, base: &Path, index: &Path) -> [Vec<u8>; 4] {
+    let tbl = base.with_extension("tbl");
+    [
+        mem.contents(&sidecar_path(&tbl)).unwrap(),
+        mem.contents(&tbl).unwrap(),
+        mem.contents(&base.with_extension("meta")).unwrap(),
+        mem.contents(index).unwrap(),
+    ]
+}
+
+#[test]
+fn seal_merge_and_rebuild_stage_the_same_bytes() {
+    // Sealed in one go from a memtable that held everything.
+    let mem_a = MemVfs::new();
+    let dir = Path::new("store");
+    let mut a = LsmDb::create_with_vfs(Arc::new(mem_a.clone()), dir, lsm_opts()).unwrap();
+    define_schema(&mut a);
+    for i in 0..ROWS {
+        assert_eq!(a.insert(&row(i)).unwrap(), Tid::from(i));
+    }
+    for i in DELETED {
+        assert!(a.delete(Tid::from(i)).unwrap());
+    }
+    assert!(a.seal().unwrap());
+    let sealed = pair_files(
+        &mem_a,
+        &dir.join("seg-00000000"),
+        &dir.join("seg-00000000.iva"),
+    );
+
+    // Merged from two segments that split the same records — with the
+    // deletes spread over a memtable, a sealed segment and a second
+    // memtable.
+    let mem_b = MemVfs::new();
+    let mut b = LsmDb::create_with_vfs(Arc::new(mem_b.clone()), dir, lsm_opts()).unwrap();
+    define_schema(&mut b);
+    for i in 0..ROWS / 2 {
+        b.insert(&row(i)).unwrap();
+    }
+    assert!(b.delete(3).unwrap() && b.delete(17).unwrap());
+    assert!(b.seal().unwrap());
+    for i in ROWS / 2..ROWS {
+        b.insert(&row(i)).unwrap();
+    }
+    assert!(b.delete(40).unwrap() && b.delete(41).unwrap() && b.delete(77).unwrap());
+    assert!(b.seal().unwrap());
+    assert!(b.compact().unwrap());
+    let merged = pair_files(
+        &mem_b,
+        &dir.join("seg-00000002"),
+        &dir.join("seg-00000002.iva"),
+    );
+    for (what, (s, m)) in ["table sidecar", "table", "catalog", "index"]
+        .iter()
+        .zip(sealed.iter().zip(&merged))
+    {
+        assert!(s == m, "sealed and merged {what} files differ");
+    }
+    assert_eq!(a.len(), b.len());
+
+    // Rebuilt by the monolith's cleanup. Its index re-derives the numeric
+    // domains where the segmented store pins them, so only the table
+    // side is comparable — all three files of it.
+    let mem_c = MemVfs::new();
+    let mut c = IvaDb::create_with_vfs(Arc::new(mem_c.clone()), dir, mono_opts()).unwrap();
+    define_schema(&mut c);
+    for i in 0..ROWS {
+        c.insert(&row(i)).unwrap();
+    }
+    for i in DELETED {
+        assert!(c.delete(Tid::from(i)).unwrap());
+    }
+    c.rebuild().unwrap();
+    let rebuilt = pair_files(&mem_c, &dir.join("data"), &dir.join("index.iva"));
+    for (what, (s, r)) in ["table sidecar", "table", "catalog"]
+        .iter()
+        .zip(sealed.iter().zip(&rebuilt))
+    {
+        assert!(s == r, "sealed and rebuilt {what} files differ");
+    }
+    assert_ne!(sealed[3], rebuilt[3], "pinned and derived domains coincide");
+    assert!(!mem_c.exists(&dir.join("data.rebuild.tbl")));
+    assert!(!mem_c.exists(&dir.join("index.rebuild.iva")));
+}
+
+// ---------------------------------------------------------------------
+// An insert that fails half-way.
+// ---------------------------------------------------------------------
+
+const DIR: &str = "faulted-db";
+/// Row 42 defines all three attributes, so the swept insert appends to
+/// three vector lists.
+const BASE_ROWS: u32 = 42;
+
+/// A flushed database of [`BASE_ROWS`] rows, and what it holds.
+fn base_db(vfs: Arc<dyn Vfs>) -> (IvaDb, Vec<(Tid, Tuple)>) {
+    let mut db = IvaDb::create_with_vfs(vfs, Path::new(DIR), mono_opts()).unwrap();
+    define_schema(&mut db);
+    let mut model = Vec::new();
+    for i in 0..BASE_ROWS {
+        let tuple = row(i);
+        model.push((db.insert(&tuple).unwrap(), tuple));
+    }
+    db.flush().unwrap();
+    (db, model)
+}
+
+/// Every tuple the live count includes is returned by `get` and is the
+/// exact match of a query for it. With `may_be_torn`, the one accepted
+/// alternative to an answer is the typed refusal.
+fn check(db: &IvaDb, model: &[(Tid, Tuple)], may_be_torn: bool, ctx: &str) {
+    assert_eq!(db.len(), model.len() as u64, "{ctx}: live count");
+    for (tid, tuple) in model {
+        match db.get(*tid) {
+            Ok(got) => assert_eq!(got.as_ref(), Some(tuple), "{ctx}: get({tid})"),
+            Err(IvaError::IndexTorn) if may_be_torn => {}
+            Err(e) => panic!("{ctx}: get({tid}): {e}"),
+        }
+        let Some(Value::Text(name)) = tuple.get(AttrId(0)) else {
+            panic!("every row has a name");
+        };
+        let query = Query::new().text(AttrId(0), &name[0]);
+        match db.execute(&query, &SearchRequest::new(1)) {
+            Ok(out) => {
+                assert_eq!(out.hits[0].tid, *tid, "{ctx}: search for {tid}");
+                assert_eq!(out.hits[0].dist, 0.0, "{ctx}: search for {tid}");
+            }
+            Err(IvaError::IndexTorn) if may_be_torn => {}
+            Err(e) => panic!("{ctx}: search for {tid}: {e}"),
+        }
+    }
+}
+
+#[test]
+fn insert_failing_at_any_op_never_leaves_a_counted_but_invisible_tuple() {
+    let seed = 0x7E_A2_00_01u64;
+
+    // Dry run: which filesystem ops does the one insert perform? (The
+    // record fits the table's tail page, so they all belong to the index
+    // half: the dirty-flag write and sync, then the list appends.)
+    let dry = FaultVfs::passthrough(seed);
+    let (mut db, _) = base_db(Arc::new(dry.clone()));
+    let first = dry.op_count();
+    db.insert(&row(BASE_ROWS)).unwrap();
+    let last = dry.op_count();
+    assert!(last - first >= 4, "insert did {} ops", last - first);
+    drop(db);
+
+    let mut torn_points = 0;
+    for at in first..last {
+        let ctx = format!("seed={seed:#x} eio_at={at}");
+        let fault = PlannedFault {
+            at,
+            kind: FaultKind::Eio,
+        };
+        let fv = FaultVfs::with_faults(seed, vec![fault]);
+        let (mut db, mut model) = base_db(Arc::new(fv.clone()));
+        assert_eq!(fv.op_count(), first, "{ctx}: setup is not deterministic");
+
+        // The faulted insert, then — without reopening — more of them.
+        let mut torn = false;
+        for i in BASE_ROWS..BASE_ROWS + 6 {
+            let tuple = row(i);
+            match db.insert(&tuple) {
+                Ok(tid) => {
+                    assert!(!torn, "{ctx}: insert {i} went into a torn index");
+                    model.push((tid, tuple));
+                }
+                Err(IvaError::IndexTorn) if torn => {}
+                Err(_) if i == BASE_ROWS => torn = true,
+                Err(e) => panic!("{ctx}: insert {i}: {e}"),
+            }
+        }
+        assert!(fv.op_count() > at, "{ctx}: fault never fired");
+        torn_points += u32::from(torn);
+        check(&db, &model, torn, &ctx);
+
+        // A flush commits the table — the failed insert's record went in
+        // as a tombstone — and never a clean index over a torn one.
+        db.flush().unwrap_or_else(|e| panic!("{ctx}: flush: {e}"));
+        check(&db, &model, torn, &ctx);
+        drop(db);
+
+        // The next open finds the index dirty or stale and rebuilds it.
+        let mut db = IvaDb::open_with_vfs(Arc::new(fv.clone()), Path::new(DIR), mono_opts())
+            .unwrap_or_else(|e| panic!("{ctx}: reopen: {e}"));
+        check(&db, &model, false, &ctx);
+        let tuple = row(BASE_ROWS + 6);
+        model.push((db.insert(&tuple).unwrap(), tuple));
+        db.flush().unwrap();
+        check(&db, &model, false, &ctx);
+    }
+    assert!(torn_points > 0, "no swept op made the insert fail");
+}
+
+/// The same sweep over one delete: whichever half the fault hits, the
+/// live count, `get` and search keep telling one story about the victim.
+#[test]
+fn delete_failing_at_any_op_leaves_table_and_index_agreeing() {
+    let seed = 0x7E_A2_00_02u64;
+    let victim = Tid::from(BASE_ROWS / 2);
+
+    let dry = FaultVfs::passthrough(seed);
+    let (mut db, _) = base_db(Arc::new(dry.clone()));
+    let first = dry.op_count();
+    assert!(db.delete(victim).unwrap());
+    let last = dry.op_count();
+    assert!(last > first, "delete did no I/O to fault");
+    drop(db);
+
+    for at in first..last {
+        let ctx = format!("seed={seed:#x} eio_at={at}");
+        let fault = PlannedFault {
+            at,
+            kind: FaultKind::Eio,
+        };
+        let fv = FaultVfs::with_faults(seed, vec![fault]);
+        let (mut db, mut model) = base_db(Arc::new(fv.clone()));
+        let torn = match db.delete(victim) {
+            Ok(deleted) => {
+                assert!(deleted, "{ctx}");
+                false
+            }
+            Err(_) => true,
+        };
+        // A failed delete is pending: it may or may not have happened,
+        // and the table's live count says which.
+        let gone = db.len() < model.len() as u64;
+        if gone {
+            model.retain(|(tid, _)| *tid != victim);
+        }
+        check(&db, &model, torn, &ctx);
+        match db.get(victim) {
+            Ok(got) => assert_eq!(got.is_none(), gone, "{ctx}: get(victim)"),
+            Err(IvaError::IndexTorn) if torn => {}
+            Err(e) => panic!("{ctx}: get(victim): {e}"),
+        }
+        db.flush().unwrap_or_else(|e| panic!("{ctx}: flush: {e}"));
+        drop(db);
+        let db = IvaDb::open_with_vfs(Arc::new(fv.clone()), Path::new(DIR), mono_opts())
+            .unwrap_or_else(|e| panic!("{ctx}: reopen: {e}"));
+        check(&db, &model, false, &ctx);
+        assert_eq!(db.get(victim).unwrap().is_none(), gone, "{ctx}: reopened");
+    }
+}

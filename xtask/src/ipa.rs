@@ -8,9 +8,9 @@
 //! - **lock-discipline** — in `src/serve.rs`, `src/lsm.rs`, and
 //!   `crates/core/src/parallel.rs`: no second lock acquisition and no raw
 //!   VFS I/O reachable inside a lock critical section; no staging-class
-//!   maintenance (`prepare_*`, `write_segment`, `prepare_merge`) reachable
-//!   from a `Writer::apply` publication closure; every `publish_*` in the
-//!   LSM carries the ops-counter fence (or delegates only to fenced
+//!   maintenance (`prepare`/`prepare_*`, `stage`) reachable from a
+//!   `Writer::apply` publication closure; every `publish_*` in the LSM
+//!   carries the ops-counter fence (or delegates only to fenced
 //!   publishers); a write-lock critical section in the serving layer must
 //!   publish the epoch before it ends.
 //! - **accounting-dataflow** — every raw `VfsFile` I/O call site must
@@ -33,10 +33,12 @@ pub const LOCK_DISCIPLINE_TARGETS: [&str; 3] =
     ["src/serve.rs", "src/lsm.rs", "crates/core/src/parallel.rs"];
 
 /// Staging-class maintenance functions — the expensive half of the
-/// prepare/publish split. Reaching one from a publication critical section
-/// reintroduces the hold-the-lock-during-merge stall the split removed.
+/// prepare/publish split: the LSM's `prepare` and the one stage under it
+/// (`IndexedTable::stage`, which is also the monolith's rebuild). Reaching
+/// one from a publication critical section reintroduces the
+/// hold-the-lock-during-merge stall the split removed.
 fn is_staging(name: &str) -> bool {
-    name.starts_with("prepare_") || name == "write_segment" || name == "prepare_merge"
+    name == "prepare" || name.starts_with("prepare_") || name == "stage"
 }
 
 fn violation(file: &str, line: u32, lint: &'static str, message: String) -> Violation {

@@ -560,9 +560,11 @@ fn lock_discipline_flags_raw_io_under_a_guard() {
 #[test]
 fn lock_discipline_flags_staging_reachable_from_publication_closure() {
     // The serving layer's `apply` closure runs under the writer lock;
-    // reaching staging-class maintenance (`prepare_*`/`write_segment`)
+    // reaching staging-class maintenance (`prepare`/`prepare_*`, `stage`)
     // from it — even transitively through another file — is the
     // hold-the-lock-during-merge stall the prepare/publish split removed.
+    // The shape below is the real one: `seal` → `prepare` → the pair's
+    // `stage`, two files away from the closure.
     let a = analyze_sources(
         Some("lock-discipline"),
         &[
@@ -572,7 +574,11 @@ fn lock_discipline_flags_staging_reachable_from_publication_closure() {
             ),
             (
                 "src/lsm.rs",
-                "pub struct Db;\nimpl Db {\n    pub fn seal_now(&self) { self.prepare_seal() }\n    fn prepare_seal(&self) {}\n}\n",
+                "pub struct Db;\nimpl Db {\n    pub fn seal_now(&self) { self.prepare() }\n    fn prepare(&self) { IndexedTable::stage() }\n}\n",
+            ),
+            (
+                "crates/core/src/indexed_table.rs",
+                "pub struct IndexedTable;\nimpl IndexedTable {\n    pub fn stage() {}\n}\n",
             ),
         ],
     );
@@ -580,15 +586,42 @@ fn lock_discipline_flags_staging_reachable_from_publication_closure() {
     let v = &a.violations[0];
     assert_eq!(v.file, "src/serve.rs");
     assert!(
-        v.message.contains("staging-class `lsm::Db::prepare_seal`"),
+        v.message.contains("staging-class `lsm::Db::prepare`"),
         "{}",
         v.message
     );
     assert!(
-        v.message
-            .contains("lsm::Db::seal_now → lsm::Db::prepare_seal"),
+        v.message.contains("lsm::Db::seal_now → lsm::Db::prepare"),
         "chain missing from: {}",
         v.message
+    );
+
+    // The stage alone is staging-class too — the monolith's `rebuild`
+    // reaches it with no `prepare` in between.
+    let b = analyze_sources(
+        Some("lock-discipline"),
+        &[
+            (
+                "src/serve.rs",
+                "pub struct Writer;\nimpl Writer {\n    pub fn delete(&self) {\n        self.apply(|eng| eng.rebuild_now())\n    }\n}\n",
+            ),
+            (
+                "src/db.rs",
+                "pub struct Db;\nimpl Db {\n    pub fn rebuild_now(&self) { IndexedTable::stage() }\n}\n",
+            ),
+            (
+                "crates/core/src/indexed_table.rs",
+                "pub struct IndexedTable;\nimpl IndexedTable {\n    pub fn stage() {}\n}\n",
+            ),
+        ],
+    );
+    assert_eq!(b.violations.len(), 1, "{:?}", b.violations);
+    assert!(
+        b.violations[0]
+            .message
+            .contains("staging-class `indexed_table::IndexedTable::stage`"),
+        "{}",
+        b.violations[0].message
     );
 }
 
