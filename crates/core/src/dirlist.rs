@@ -33,7 +33,7 @@
 use std::sync::Arc;
 
 use iva_storage::codec::SliceReader;
-use iva_storage::compress::{bit_width, pack_bits, packed_len, BitUnpacker};
+use iva_storage::compress::{bit_width, pack_bits, packed_len, unpack_bits};
 use iva_storage::{ListHandle, ListReader, Pager};
 
 use crate::error::{IvaError, Result};
@@ -180,24 +180,18 @@ fn decode_packed_dir_frame(
     let first_tid = c.u32()?;
     let tbw = u32::from(c.u8()?);
     let tbytes = c.take(packed_len(elems - 1, tbw))?;
-    let mut tup =
-        BitUnpacker::new(tbytes, tbw).ok_or_else(|| corrupt("bad directory tid delta width"))?;
     let first_ptr = c.u64()?;
     let pbw = u32::from(c.u8()?);
     let pbytes = c.take(packed_len(elems - 1, pbw))?;
-    let mut pup =
-        BitUnpacker::new(pbytes, pbw).ok_or_else(|| corrupt("bad directory ptr delta width"))?;
     let bitmap = c.take(elems.div_ceil(8))?;
     c.finish()?;
-    let live = |j: usize| bitmap.get(j / 8).is_some_and(|b| b & (1u8 << (j % 8)) != 0);
+    // Each delta section inflates in one bulk call, into one scratch.
+    let mut deltas: Vec<u64> = Vec::new();
+    unpack_bits(tbytes, tbw, elems - 1, &mut deltas)
+        .ok_or_else(|| corrupt("bad directory tid delta run"))?;
     let mut tid = first_tid;
-    let mut sp = first_ptr;
     tids.push(tid);
-    ptrs.push(if live(0) { sp } else { TOMBSTONE_PTR });
-    for j in 1..elems {
-        let d = tup
-            .next()
-            .ok_or_else(|| corrupt("truncated directory tid deltas"))?;
+    for &d in &deltas {
         let step = d
             .checked_add(1)
             .ok_or_else(|| corrupt("directory tid delta overflow"))?;
@@ -205,12 +199,17 @@ fn decode_packed_dir_frame(
             .checked_add(step)
             .and_then(|v| u32::try_from(v).ok())
             .ok_or_else(|| corrupt("directory tid overflow"))?;
-        let z = pup
-            .next()
-            .ok_or_else(|| corrupt("truncated directory ptr deltas"))?;
-        sp = sp.wrapping_add(unzigzag(z) as u64);
         tids.push(tid);
-        ptrs.push(if live(j) { sp } else { TOMBSTONE_PTR });
+    }
+    deltas.clear();
+    unpack_bits(pbytes, pbw, elems - 1, &mut deltas)
+        .ok_or_else(|| corrupt("bad directory ptr delta run"))?;
+    let live = |j: usize| bitmap.get(j / 8).is_some_and(|b| b & (1u8 << (j % 8)) != 0);
+    let mut sp = first_ptr;
+    ptrs.push(if live(0) { sp } else { TOMBSTONE_PTR });
+    for (j, &z) in deltas.iter().enumerate() {
+        sp = sp.wrapping_add(unzigzag(z) as u64);
+        ptrs.push(if live(j + 1) { sp } else { TOMBSTONE_PTR });
     }
     Ok(())
 }

@@ -100,8 +100,9 @@ pub(crate) enum SharedAttr<'a> {
     },
     /// Hot-tier fast path: the attribute's signatures are resident as one
     /// contiguous column; `pos_lb` holds the per-tuple-position lower
-    /// bounds, prefolded from a single `estimate_block` sweep at prepare
-    /// time (`NaN` = *ndf*). The scan then reads one `f64` per position —
+    /// bounds, folded from block sweeps of it at prepare time
+    /// ([`TextColumn::position_bounds`]; `NaN` = *ndf*). The scan then
+    /// reads one `f64` per position —
     /// zero pager traffic for this attribute.
     TextHot {
         col: Arc<TextColumn>,
@@ -459,16 +460,7 @@ impl IvaIndex {
                     }
                     let matcher = PreparedMatcher::new(&self.sig_codec, s.as_bytes());
                     if let Some(col) = self.tier_text_column(attr.index(), entry)? {
-                        // The hot filter phase: one contiguous block sweep
-                        // over every signature of the attribute, done here
-                        // so the per-tuple scan is a pure min-fold.
-                        let mut ests = vec![0.0f64; col.n_strings()];
-                        if !ests.is_empty() {
-                            matcher
-                                .estimate_block(&col.sigs, col.stride, &mut ests)
-                                .map_err(IvaError::from)?;
-                        }
-                        let pos_lb = col.fold_positions(&ests);
+                        let pos_lb = col.position_bounds(&matcher)?;
                         shared.push(SharedAttr::TextHot { col, pos_lb, entry });
                     } else {
                         shared.push(SharedAttr::Text { matcher, entry });

@@ -44,23 +44,32 @@
 //! insert-appended tails, so one list can mix encodings and still decode
 //! with a single cursor.
 //!
-//! Decoding is strictly block-wise: [`PackedReader`] inflates one frame at
-//! a time into a reusable buffer (≤ [`FRAME_ELEMS`] elements) and serves
-//! the raw element byte-stream from it, so the scan spines and the
-//! [`PreparedMatcher`](iva_text::PreparedMatcher) estimation kernel
-//! consume borrowed views of decoded blocks without the whole list ever
-//! being materialized. Every field parsed here came off disk: short
-//! frames, bad tags, and overflowing deltas surface as
-//! [`IvaError::Corrupt`], never a panic.
+//! **A PACKED frame is read in place.** [`PackedReader`] holds one frame
+//! at a time: the bit-packed sections are inflated once, each with one
+//! bulk `unpack_bits`, into reused arrays ([`Sections`]), and the grouped
+//! `cH` bytes are never moved — the walk in [`crate::veclist`] borrows
+//! each signature straight from the frame payload, which is padded by
+//! [`SIG_PAD`] bytes so the estimation kernel can load a whole word from
+//! any signature. No raw-layout image of a frame exists on the scan path;
+//! [`PackedReader::decode_to_vec`] is a tool that builds one by running
+//! that same walk through the raw encoders. RAW tail frames hand the walk
+//! their payload as raw-layout bytes ([`RawTail`]); NDF_RUN frames are
+//! served arithmetically — a run of a million ndf positions costs nine
+//! bytes on disk and no buffer at all here.
+//!
+//! Every field parsed here came off disk: short frames, bad tags,
+//! overflowing deltas and sections that claim more than their payload
+//! holds surface as [`IvaError::Corrupt`], never a panic — and before
+//! the claim has sized anything.
 
-use iva_storage::codec::{le_u32, SliceReader};
-use iva_storage::compress::{bit_width, pack_bits, packed_len, BitUnpacker};
+use iva_storage::codec::SliceReader;
+use iva_storage::compress::{bit_width, pack_bits, packed_len, unpack_bits};
 use iva_storage::ListReader;
 use iva_text::SigCodec;
 
 use crate::error::{IvaError, Result};
 use crate::numeric::NumericCodec;
-use crate::veclist::ListType;
+use crate::veclist::{ListType, RawBytes, SigView};
 
 /// Frame holding raw-layout element bytes (insert-appended tails).
 pub(crate) const FRAME_RAW: u8 = 0;
@@ -72,9 +81,13 @@ pub(crate) const FRAME_NDF_RUN: u8 = 2;
 /// `[kind u8][elems u32][payload_len u32]`.
 pub(crate) const FRAME_HEADER_LEN: usize = 9;
 
-/// Elements per packed frame: the decode "block". One frame's raw image
-/// is the largest buffer the decoder ever materializes.
+/// Elements per packed frame: the decode "block". One frame's sections
+/// are the largest buffers the reader ever holds.
 pub(crate) const FRAME_ELEMS: usize = 1024;
+
+/// Zero bytes kept after a frame payload, so that an 8-byte load from the
+/// first byte of any signature in its `cH` section stays in bounds.
+const SIG_PAD: usize = 7;
 
 /// Ceiling on `elems` of a PACKED frame at decode time (a corrupt header
 /// must not drive a giant allocation before payload validation).
@@ -141,46 +154,47 @@ fn pack_byte_section(vals: &[u8], out: &mut Vec<u8>) {
     pack_bits(&wide, bw, out);
 }
 
-/// Inverse of [`pack_byte_section`]: `n` byte-sized values.
-fn unpack_byte_section(s: &mut SliceReader<'_>, n: usize) -> Result<Vec<u8>> {
+/// Inverse of [`pack_byte_section`]: `n` byte-sized values into `out`
+/// (`wide` is scratch).
+fn unpack_byte_section(
+    s: &mut SliceReader<'_>,
+    n: usize,
+    wide: &mut Vec<u64>,
+    out: &mut Vec<u8>,
+) -> Result<()> {
     let bw = u32::from(s.u8()?);
     if bw > 8 {
         return Err(corrupt("bad packed byte-section width"));
     }
     let bytes = s.take(packed_len(n, bw))?;
-    let mut up =
-        BitUnpacker::new(bytes, bw).ok_or_else(|| corrupt("bad packed byte-section width"))?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let v = up
-            .next()
-            .ok_or_else(|| corrupt("truncated packed byte section"))?;
-        out.push(v as u8);
-    }
-    Ok(out)
+    wide.clear();
+    unpack_bits(bytes, bw, n, wide).ok_or_else(|| corrupt("truncated packed byte section"))?;
+    out.extend(wide.iter().map(|&v| v as u8));
+    Ok(())
 }
 
-/// Rebuild the tuple-id run of a frame. Deltas accumulate in u64 with an
+/// Rebuild a keyed frame's `n` tuple ids from its `first` id and the
+/// `bw`-bit `deltas` (`wide` is scratch). They accumulate in u64 with an
 /// explicit tuple-id domain check: a corrupt frame must not wrap.
-fn decode_tids(s: &mut SliceReader<'_>, n: usize) -> Result<Vec<u32>> {
-    let first = s.u32()?;
-    let bw = u32::from(s.u8()?);
-    let dbytes = s.take(packed_len(n.saturating_sub(1), bw))?;
-    let mut up = BitUnpacker::new(dbytes, bw).ok_or_else(|| corrupt("bad tuple-id delta width"))?;
-    let mut tids = Vec::with_capacity(n);
+fn inflate_tids(
+    (first, bw, deltas): (u32, u32, &[u8]),
+    n: usize,
+    wide: &mut Vec<u64>,
+    tids: &mut Vec<u32>,
+) -> Result<()> {
+    wide.clear();
+    unpack_bits(deltas, bw, n.saturating_sub(1), wide)
+        .ok_or_else(|| corrupt("bad tuple-id delta run"))?;
     let mut cur = u64::from(first);
     tids.push(first);
-    for _ in 1..n {
-        let d = up
-            .next()
-            .ok_or_else(|| corrupt("truncated tuple-id delta run"))?;
+    for &d in wide.iter() {
         cur = cur
             .checked_add(d)
             .filter(|&t| t <= u64::from(u32::MAX))
             .ok_or_else(|| corrupt("overflowing tuple-id delta"))?;
         tids.push(cur as u32);
     }
-    Ok(tids)
+    Ok(())
 }
 
 /// Largest code representable in `cb` bytes.
@@ -423,114 +437,302 @@ impl PositionalElem for Option<u64> {
     }
 }
 
-/// Which organization a packed list decodes as (with the codec state the
-/// raw layout leaves implicit).
-enum Org {
-    TextI(SigCodec),
-    TextII(SigCodec),
-    TextIII(SigCodec),
-    NumI(NumericCodec),
-    NumIV(NumericCodec),
+/// Which organization a packed list holds, with the codec state the raw
+/// layout leaves implicit.
+#[derive(Clone)]
+pub(crate) enum Org {
+    Text(ListType, SigCodec),
+    Num(ListType, NumericCodec),
 }
 
-/// Block-wise decoder over a packed list: presents the byte-identical raw
-/// element stream of the underlying list, inflating one frame at a time
-/// into a reusable buffer. NDF_RUN frames are served arithmetically — a
-/// run of a million ndf positions costs nine bytes on disk and no buffer
-/// at all here.
+impl Org {
+    pub(crate) fn list_type(&self) -> ListType {
+        match self {
+            Org::Text(ty, _) | Org::Num(ty, _) => *ty,
+        }
+    }
+
+    /// Raw-layout bytes of one positional *ndf* element.
+    fn ndf_elem_len(&self) -> u64 {
+        match self {
+            Org::Text(..) => 1,
+            Org::Num(_, codec) => codec.code_bytes() as u64,
+        }
+    }
+}
+
+/// The payload of a RAW tail frame: raw-layout element bytes, which the
+/// walk parses exactly as it parses a raw list's pages.
+#[derive(Default)]
+pub(crate) struct RawTail {
+    buf: Vec<u8>,
+    pos: usize,
+}
+
+impl RawBytes for RawTail {
+    fn take(&mut self, n: usize) -> Result<&[u8]> {
+        let start = self.pos;
+        let bytes = start
+            .checked_add(n)
+            .and_then(|end| self.buf.get(start..end))
+            .ok_or_else(|| corrupt("packed frame underrun"))?;
+        self.pos = start + n;
+        Ok(bytes)
+    }
+}
+
+/// One PACKED frame, read in place: its small sections unpacked into
+/// arrays, its grouped `cH` bytes left where the payload has them, and one
+/// cursor per section. A frame is validated whole when it is loaded (the
+/// string counts add up to the `cL` section, the `cL`s' geometries to the
+/// `cH` section, nothing is left over), so the cursors stay in step.
+#[derive(Default)]
+pub(crate) struct Sections {
+    /// The frame payload followed by [`SIG_PAD`] zero bytes.
+    payload: Vec<u8>,
+    tids: Vec<u32>,
+    nums: Vec<u8>,
+    lens: Vec<u8>,
+    codes: Vec<u64>,
+    /// Scratch the bit-packed sections inflate through.
+    wide: Vec<u64>,
+    tid_i: usize,
+    num_i: usize,
+    sig_i: usize,
+    code_i: usize,
+    /// Offset in `payload` of the next signature's `cH` bytes.
+    ch_pos: usize,
+    /// Fields (of any section) not yet handed out.
+    left: usize,
+}
+
+fn misaligned() -> IvaError {
+    corrupt("packed frame read out of step with its sections")
+}
+
+/// The next value of one section, stepping its cursor.
+fn next_of<T: Copy>(section: &[T], at: &mut usize, left: &mut usize) -> Result<T> {
+    let v = section.get(*at).copied().ok_or_else(misaligned)?;
+    *at += 1;
+    *left -= 1;
+    Ok(v)
+}
+
+impl Sections {
+    /// The next keyed element's tuple id.
+    pub(crate) fn tid(&mut self) -> Result<u32> {
+        next_of(&self.tids, &mut self.tid_i, &mut self.left)
+    }
+
+    /// The next element's string count.
+    pub(crate) fn string_count(&mut self) -> Result<u8> {
+        next_of(&self.nums, &mut self.num_i, &mut self.left)
+    }
+
+    /// The next numeric code.
+    pub(crate) fn code(&mut self) -> Result<u64> {
+        next_of(&self.codes, &mut self.code_i, &mut self.left)
+    }
+
+    /// The next signature, borrowed from the payload's `cH` section.
+    #[inline]
+    pub(crate) fn sig(&mut self, codec: &SigCodec) -> Result<SigView<'_>> {
+        let len_byte = next_of(&self.lens, &mut self.sig_i, &mut self.left)?;
+        let window = self.payload.get(self.ch_pos..).ok_or_else(misaligned)?;
+        let ch = window
+            .get(..codec.ch_bytes(len_byte))
+            .ok_or_else(misaligned)?;
+        self.ch_pos += ch.len();
+        Ok(SigView {
+            len_byte,
+            ch,
+            window,
+        })
+    }
+
+    /// Parse the `elems`-element payload in `self.payload` under `org`.
+    /// Returns the raw-layout size of the frame's elements.
+    fn load(&mut self, org: &Org, elems: usize) -> Result<u64> {
+        let Self {
+            payload,
+            tids,
+            nums,
+            lens,
+            codes,
+            wide,
+            ..
+        } = self;
+        tids.clear();
+        nums.clear();
+        lens.clear();
+        codes.clear();
+        self.left = 0;
+        let body = payload.len().saturating_sub(SIG_PAD);
+        let mut s = SliceReader::new(payload.get(..body).unwrap_or(&[]), "packed frame");
+        // Every section is located (and found to fit the payload) before
+        // any of them sizes a buffer: the tid run inflates last.
+        let tid_run = match org.list_type().is_positional() {
+            false => {
+                let (first, bw) = (s.u32()?, u32::from(s.u8()?));
+                Some((first, bw, s.take(packed_len(elems - 1, bw))?))
+            }
+            true => None,
+        };
+        let mut raw_len = 0u64;
+        self.ch_pos = body;
+        match org {
+            Org::Text(ty, codec) => {
+                let strings = if *ty == ListType::I {
+                    elems
+                } else {
+                    unpack_byte_section(&mut s, elems, wide, nums)?;
+                    nums.iter().map(|&n| usize::from(n)).sum()
+                };
+                // Bit-packed counts cost far less than a payload byte per
+                // string they claim, but every string has at least one
+                // `cH` byte: more strings than the payload has bytes left
+                // is a lie, caught before it sizes anything.
+                if strings > s.remaining() {
+                    return Err(corrupt("packed frame claims more strings than bytes"));
+                }
+                unpack_byte_section(&mut s, strings, wide, lens)?;
+                let total_ch: usize = lens.iter().map(|&l| codec.ch_bytes(l)).sum();
+                self.ch_pos = body - s.remaining();
+                s.take(total_ch)?;
+                raw_len += (nums.len() + lens.len() + total_ch) as u64;
+            }
+            Org::Num(ty, codec) => {
+                let cbw = u32::from(s.u8()?);
+                let cbytes = s.take(packed_len(elems, cbw))?;
+                s.finish()?;
+                unpack_bits(cbytes, cbw, elems, codes).ok_or_else(|| corrupt("bad code width"))?;
+                let ndf = codec.ndf_code();
+                let cap = match ty {
+                    ListType::IV => ndf,
+                    _ => max_code(codec.code_bytes()),
+                };
+                if codes.iter().any(|&c| c > cap) {
+                    return Err(corrupt("numeric code out of domain"));
+                }
+                if *ty == ListType::IV {
+                    // Stored 0 is ndf, anything else the code plus one.
+                    for c in codes.iter_mut() {
+                        *c = c.checked_sub(1).unwrap_or(ndf);
+                    }
+                }
+                raw_len += (codes.len() * codec.code_bytes()) as u64;
+            }
+        }
+        s.finish()?;
+        if let Some(run) = tid_run {
+            inflate_tids(run, elems, wide, tids)?;
+            raw_len += 4 * elems as u64;
+        }
+        (self.tid_i, self.num_i, self.sig_i, self.code_i) = (0, 0, 0, 0);
+        self.left = self.tids.len() + self.nums.len() + self.lens.len() + self.codes.len();
+        Ok(raw_len)
+    }
+}
+
+/// What the walk reads its next element field from: the current frame.
+pub(crate) enum Frame<'a> {
+    /// A RAW tail frame's raw-layout bytes.
+    Raw(&'a mut RawTail),
+    /// An NDF_RUN frame: positional *ndf* elements not yet served.
+    NdfRun(&'a mut u64),
+    /// A PACKED frame's sections.
+    Packed(&'a mut Sections),
+}
+
+/// Frame-wise reader over a packed list: holds one frame at a time and
+/// hands the walk in `veclist.rs` its element fields (see the module doc).
 pub struct PackedReader {
     inner: ListReader,
     org: Org,
-    /// Raw image of the current frame.
-    buf: Vec<u8>,
-    buf_pos: usize,
-    /// Ndf elements of the current NDF_RUN frame not yet served.
+    kind: u8,
+    raw: RawTail,
     ndf_left: u64,
-    /// Raw bytes of one positional ndf element (empty for keyed orgs).
-    ndf_elem: Vec<u8>,
-    /// Frame payload scratch.
-    scratch: Vec<u8>,
-    /// Raw-layout bytes not yet delivered (from the list's prologue;
-    /// drives `remaining`-capped seeks, not termination).
+    sections: Sections,
+    /// Raw-layout bytes of the frames not yet loaded (from the list's
+    /// prologue; what a finished walk must have brought to zero).
     remaining: u64,
 }
 
 impl PackedReader {
-    /// Decoder over a packed text list. Consumes the list's
-    /// logical-length prologue.
-    pub fn new_text(mut reader: ListReader, ty: ListType, codec: &SigCodec) -> Result<Self> {
-        let (org, ndf_elem) = match ty {
-            ListType::I => (Org::TextI(codec.clone()), Vec::new()),
-            ListType::II => (Org::TextII(codec.clone()), Vec::new()),
-            ListType::III => (Org::TextIII(codec.clone()), vec![0u8]),
-            ListType::IV => {
-                return Err(IvaError::InvalidArgument(
-                    "text decoder on numeric-only Type IV list".into(),
-                ))
-            }
-        };
-        let logical_len = read_logical_len(&mut reader)?;
-        Ok(Self::new(reader, org, ndf_elem, logical_len))
+    /// Reader over a packed text list. Consumes the list's logical-length
+    /// prologue.
+    pub fn new_text(reader: ListReader, ty: ListType, codec: &SigCodec) -> Result<Self> {
+        if ty == ListType::IV {
+            return Err(IvaError::InvalidArgument(
+                "text decoder on numeric-only Type IV list".into(),
+            ));
+        }
+        Self::new(reader, Org::Text(ty, codec.clone()))
     }
 
-    /// Decoder over a packed numeric list. Consumes the list's
+    /// Reader over a packed numeric list. Consumes the list's
     /// logical-length prologue.
-    pub fn new_num(mut reader: ListReader, ty: ListType, codec: &NumericCodec) -> Result<Self> {
-        let (org, ndf_elem) = match ty {
-            ListType::I => (Org::NumI(*codec), Vec::new()),
-            ListType::IV => {
-                let mut elem = Vec::with_capacity(codec.code_bytes());
-                codec.write_code(codec.ndf_code(), &mut elem);
-                (Org::NumIV(*codec), elem)
-            }
-            _ => {
-                return Err(IvaError::InvalidArgument(
-                    "numeric decoder on text-only list type".into(),
-                ))
-            }
-        };
-        let logical_len = read_logical_len(&mut reader)?;
-        Ok(Self::new(reader, org, ndf_elem, logical_len))
+    pub fn new_num(reader: ListReader, ty: ListType, codec: &NumericCodec) -> Result<Self> {
+        if !matches!(ty, ListType::I | ListType::IV) {
+            return Err(IvaError::InvalidArgument(
+                "numeric decoder on text-only list type".into(),
+            ));
+        }
+        Self::new(reader, Org::Num(ty, *codec))
     }
 
-    fn new(inner: ListReader, org: Org, ndf_elem: Vec<u8>, logical_len: u64) -> Self {
-        Self {
+    fn new(mut inner: ListReader, org: Org) -> Result<Self> {
+        let remaining = read_logical_len(&mut inner)?;
+        Ok(Self {
             inner,
             org,
-            buf: Vec::new(),
-            buf_pos: 0,
+            kind: FRAME_RAW,
+            raw: RawTail::default(),
             ndf_left: 0,
-            ndf_elem,
-            scratch: Vec::new(),
-            remaining: logical_len,
-        }
+            sections: Sections::default(),
+            remaining,
+        })
     }
 
-    /// Raw-layout bytes left to deliver.
+    /// The organization this reader decodes.
+    pub(crate) fn org(&self) -> &Org {
+        &self.org
+    }
+
+    /// Raw-layout bytes of the frames not yet loaded.
     pub fn remaining(&self) -> u64 {
         self.remaining
     }
 
-    /// True once the compressed stream and all buffered elements drain.
+    /// True while the current frame has nothing left to hand out.
+    fn drained(&self) -> bool {
+        match self.kind {
+            FRAME_RAW => self.raw.pos >= self.raw.buf.len(),
+            FRAME_NDF_RUN => self.ndf_left == 0,
+            _ => self.sections.left == 0,
+        }
+    }
+
+    /// True once the compressed stream and the current frame drain.
     pub fn at_end(&self) -> bool {
-        self.buf_pos >= self.buf.len() && self.ndf_left == 0 && self.inner.at_end()
+        self.drained() && self.inner.at_end()
     }
 
-    fn note(&mut self, delivered: u64) {
-        self.remaining = self.remaining.saturating_sub(delivered);
-    }
-
-    /// Ensure an element byte is buffered; false at clean end of stream.
-    fn ensure(&mut self) -> Result<bool> {
-        loop {
-            if self.buf_pos < self.buf.len() || self.ndf_left > 0 {
-                return Ok(true);
-            }
+    /// The frame holding the next element field, loading frames as the
+    /// current one drains. Reading past the last frame is corruption.
+    #[inline]
+    pub(crate) fn frame(&mut self) -> Result<Frame<'_>> {
+        while self.drained() {
             if self.inner.at_end() {
-                return Ok(false);
+                return Err(corrupt("packed list read past end"));
             }
             self.read_frame()?;
         }
+        Ok(match self.kind {
+            FRAME_RAW => Frame::Raw(&mut self.raw),
+            FRAME_NDF_RUN => Frame::NdfRun(&mut self.ndf_left),
+            _ => Frame::Packed(&mut self.sections),
+        })
     }
 
     fn read_frame(&mut self) -> Result<()> {
@@ -540,35 +742,30 @@ impl PackedReader {
         if payload_len as u64 > self.inner.remaining() {
             return Err(corrupt("truncated list frame"));
         }
-        match kind {
+        let raw_len = match kind {
             FRAME_RAW => {
-                self.buf.clear();
-                self.buf.resize(payload_len, 0);
-                self.inner.read_exact(&mut self.buf)?;
-                self.buf_pos = 0;
+                self.raw.buf.clear();
+                self.raw.buf.resize(payload_len, 0);
+                self.inner.read_exact(&mut self.raw.buf)?;
+                self.raw.pos = 0;
+                payload_len as u64
             }
             FRAME_PACKED => {
                 if elems == 0 || elems > MAX_FRAME_ELEMS {
                     return Err(corrupt("bad packed frame element count"));
                 }
-                self.scratch.clear();
-                self.scratch.resize(payload_len, 0);
-                self.inner.read_exact(&mut self.scratch)?;
-                self.buf.clear();
-                decode_packed_payload(
-                    &self.org,
-                    &self.scratch,
-                    elems,
-                    self.remaining,
-                    &mut self.buf,
-                )?;
-                self.buf_pos = 0;
+                let payload = &mut self.sections.payload;
+                payload.clear();
+                payload.resize(payload_len + SIG_PAD, 0);
+                self.inner
+                    .read_exact(payload.get_mut(..payload_len).unwrap_or(&mut []))?;
+                self.sections.load(&self.org, elems)?
             }
             FRAME_NDF_RUN => {
                 if payload_len != 0 {
                     return Err(corrupt("ndf run frame with payload"));
                 }
-                if self.ndf_elem.is_empty() {
+                if !self.org.list_type().is_positional() {
                     return Err(corrupt("ndf run frame in a keyed list"));
                 }
                 if elems == 0 {
@@ -577,288 +774,29 @@ impl PackedReader {
                 // The prologue came off disk too: a run claiming more raw
                 // bytes than the list has left is corruption, and checking
                 // here keeps a lying header from driving giant expansions.
-                let span = (elems as u64).saturating_mul(self.ndf_elem.len() as u64);
+                let span = (elems as u64).saturating_mul(self.org.ndf_elem_len());
                 if span > self.remaining {
                     return Err(corrupt("ndf run beyond logical length"));
                 }
                 self.ndf_left = elems as u64;
+                span
             }
             other => return Err(IvaError::Corrupt(format!("bad list frame kind {other}"))),
-        }
-        Ok(())
-    }
-
-    pub(crate) fn read_u8(&mut self) -> Result<u8> {
-        if !self.ensure()? {
-            return Err(corrupt("packed list read past end"));
-        }
-        if self.ndf_left > 0 {
-            // A one-byte read inside an ndf run is the positional Type III
-            // string count (always zero for ndf).
-            if self.ndf_elem.len() != 1 {
-                return Err(corrupt("misaligned read in ndf run"));
-            }
-            self.ndf_left -= 1;
-            self.note(1);
-            return Ok(self.ndf_elem.first().copied().unwrap_or(0));
-        }
-        let b = *self
-            .buf
-            .get(self.buf_pos)
-            .ok_or_else(|| corrupt("packed frame underrun"))?;
-        self.buf_pos += 1;
-        self.note(1);
-        Ok(b)
-    }
-
-    pub(crate) fn read_u32(&mut self) -> Result<u32> {
-        // Only keyed tuple-id headers are read this wide; keyed lists have
-        // no ndf runs and their elements never straddle frames.
-        let v = le_u32(self.read_bytes(4)?, 0).ok_or_else(|| corrupt("packed frame underrun"))?;
-        Ok(v)
-    }
-
-    pub(crate) fn read_bytes(&mut self, n: usize) -> Result<&[u8]> {
-        if n == 0 {
-            return Ok(&[]);
-        }
-        if !self.ensure()? {
-            return Err(corrupt("packed list read past end"));
-        }
-        if self.ndf_left > 0 {
-            if n != self.ndf_elem.len() {
-                return Err(corrupt("misaligned read in ndf run"));
-            }
-            self.ndf_left -= 1;
-            self.note(n as u64);
-            return Ok(&self.ndf_elem);
-        }
-        let start = self.buf_pos;
-        let end = start
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| corrupt("packed frame underrun"))?;
-        self.buf_pos = end;
-        self.note(n as u64);
-        self.buf
-            .get(start..end)
-            .ok_or_else(|| corrupt("packed frame underrun"))
-    }
-
-    pub(crate) fn skip(&mut self, mut n: u64) -> Result<()> {
-        while n > 0 {
-            if !self.ensure()? {
-                return Err(corrupt("packed list skip past end"));
-            }
-            if self.buf_pos < self.buf.len() {
-                let avail = (self.buf.len() - self.buf_pos) as u64;
-                let step = n.min(avail);
-                self.buf_pos += step as usize;
-                self.note(step);
-                n -= step;
-            } else {
-                let tlen = self.ndf_elem.len() as u64;
-                if tlen == 0 {
-                    return Err(corrupt("misaligned skip in ndf run"));
-                }
-                let whole = (n / tlen).min(self.ndf_left);
-                if whole == 0 {
-                    return Err(corrupt("misaligned skip in ndf run"));
-                }
-                self.ndf_left -= whole;
-                let step = whole * tlen;
-                self.note(step);
-                n -= step;
-            }
-        }
+        };
+        self.kind = kind;
+        self.remaining = self.remaining.saturating_sub(raw_len);
         Ok(())
     }
 
     /// Inflate the rest of the list into one raw-layout buffer — the whole
     /// image at once, for tools and tests that compare it with the raw
-    /// encoder's output (scans, promotions and exports read frame by
-    /// frame through the cursors). Strict: the decoded size must equal the
-    /// declared logical length.
-    pub fn decode_to_vec(mut self) -> Result<Vec<u8>> {
-        let expected = self.remaining;
-        // Pre-size from the prologue, but cap the up-front trust placed in
-        // a disk-sourced field; a lying length still fails the strict
-        // checks below, after only incremental growth.
-        let mut out = Vec::with_capacity(expected.min(1 << 22) as usize);
-        loop {
-            if self.buf_pos < self.buf.len() {
-                out.extend_from_slice(self.buf.get(self.buf_pos..).unwrap_or(&[]));
-                let n = (self.buf.len() - self.buf_pos) as u64;
-                self.buf_pos = self.buf.len();
-                self.note(n);
-            } else if self.ndf_left > 0 {
-                let total = (self.ndf_left).saturating_mul(self.ndf_elem.len() as u64);
-                if out.len() as u64 + total > expected {
-                    return Err(corrupt("packed list longer than its logical length"));
-                }
-                for _ in 0..self.ndf_left {
-                    out.extend_from_slice(&self.ndf_elem);
-                }
-                self.note(total);
-                self.ndf_left = 0;
-            } else if self.inner.at_end() {
-                break;
-            } else {
-                self.read_frame()?;
-            }
-            if out.len() as u64 > expected {
-                return Err(corrupt("packed list longer than its logical length"));
-            }
-        }
-        if out.len() as u64 != expected {
-            return Err(corrupt("packed list shorter than its logical length"));
-        }
-        Ok(out)
+    /// encoder's output (scans, promotions and exports read the frames in
+    /// place through the cursors). It is the cursors' walk, written back
+    /// out through the raw element encoders. Strict: the decoded size must
+    /// equal the declared logical length.
+    pub fn decode_to_vec(self) -> Result<Vec<u8>> {
+        crate::veclist::raw_image(self)
     }
-}
-
-fn decode_packed_payload(
-    org: &Org,
-    payload: &[u8],
-    elems: usize,
-    max_out: u64,
-    out: &mut Vec<u8>,
-) -> Result<()> {
-    // Claimed string counts in a bit-packed section cost well under a
-    // payload byte per string, so bound the expansion they can drive by
-    // the raw bytes the list has left (each string is ≥ 1 raw byte).
-    let check_strings = |total: usize| {
-        if total as u64 > max_out {
-            Err(corrupt("packed frame strings beyond logical length"))
-        } else {
-            Ok(())
-        }
-    };
-    let mut s = SliceReader::new(payload, "packed frame");
-    match org {
-        Org::TextI(codec) => {
-            let tids = decode_tids(&mut s, elems)?;
-            let lens = unpack_byte_section(&mut s, elems)?;
-            let ch_lens: Vec<usize> = lens.iter().map(|&l| codec.ch_bytes(l)).collect();
-            let total: usize = ch_lens.iter().sum();
-            let chs = s.take(total)?;
-            s.finish()?;
-            out.reserve(elems * 5 + total);
-            let mut off = 0usize;
-            for ((tid, len), cl) in tids.iter().zip(lens.iter()).zip(ch_lens.iter()) {
-                out.extend_from_slice(&tid.to_le_bytes());
-                out.push(*len);
-                out.extend_from_slice(
-                    chs.get(off..off + cl)
-                        .ok_or_else(|| corrupt("truncated packed frame"))?,
-                );
-                off += cl;
-            }
-        }
-        Org::TextII(codec) => {
-            let tids = decode_tids(&mut s, elems)?;
-            let nums = unpack_byte_section(&mut s, elems)?;
-            let total_strings: usize = nums.iter().map(|&n| usize::from(n)).sum();
-            check_strings(total_strings)?;
-            let lens = unpack_byte_section(&mut s, total_strings)?;
-            let ch_lens: Vec<usize> = lens.iter().map(|&l| codec.ch_bytes(l)).collect();
-            let total_ch: usize = ch_lens.iter().sum();
-            let chs = s.take(total_ch)?;
-            s.finish()?;
-            out.reserve(elems * 5 + total_strings + total_ch);
-            let mut si = 0usize;
-            let mut off = 0usize;
-            for (tid, num) in tids.iter().zip(nums.iter()) {
-                out.extend_from_slice(&tid.to_le_bytes());
-                out.push(*num);
-                for _ in 0..*num {
-                    let len = *lens
-                        .get(si)
-                        .ok_or_else(|| corrupt("truncated packed frame"))?;
-                    let cl = *ch_lens
-                        .get(si)
-                        .ok_or_else(|| corrupt("truncated packed frame"))?;
-                    out.push(len);
-                    out.extend_from_slice(
-                        chs.get(off..off + cl)
-                            .ok_or_else(|| corrupt("truncated packed frame"))?,
-                    );
-                    si += 1;
-                    off += cl;
-                }
-            }
-        }
-        Org::TextIII(codec) => {
-            let nums = unpack_byte_section(&mut s, elems)?;
-            let total_strings: usize = nums.iter().map(|&n| usize::from(n)).sum();
-            check_strings(total_strings)?;
-            let lens = unpack_byte_section(&mut s, total_strings)?;
-            let ch_lens: Vec<usize> = lens.iter().map(|&l| codec.ch_bytes(l)).collect();
-            let total_ch: usize = ch_lens.iter().sum();
-            let chs = s.take(total_ch)?;
-            s.finish()?;
-            out.reserve(elems + total_strings + total_ch);
-            let mut si = 0usize;
-            let mut off = 0usize;
-            for num in &nums {
-                out.push(*num);
-                for _ in 0..*num {
-                    let len = *lens
-                        .get(si)
-                        .ok_or_else(|| corrupt("truncated packed frame"))?;
-                    let cl = *ch_lens
-                        .get(si)
-                        .ok_or_else(|| corrupt("truncated packed frame"))?;
-                    out.push(len);
-                    out.extend_from_slice(
-                        chs.get(off..off + cl)
-                            .ok_or_else(|| corrupt("truncated packed frame"))?,
-                    );
-                    si += 1;
-                    off += cl;
-                }
-            }
-        }
-        Org::NumI(codec) => {
-            let tids = decode_tids(&mut s, elems)?;
-            let cbw = u32::from(s.u8()?);
-            let cbytes = s.take(packed_len(elems, cbw))?;
-            s.finish()?;
-            let mut up = BitUnpacker::new(cbytes, cbw).ok_or_else(|| corrupt("bad code width"))?;
-            let cb = codec.code_bytes();
-            let cap = max_code(cb);
-            out.reserve(elems * (4 + cb));
-            for tid in &tids {
-                let code = up
-                    .next()
-                    .ok_or_else(|| corrupt("truncated packed code run"))?;
-                if code > cap {
-                    return Err(corrupt("numeric code out of domain"));
-                }
-                out.extend_from_slice(&tid.to_le_bytes());
-                codec.write_code(code, out);
-            }
-        }
-        Org::NumIV(codec) => {
-            let cbw = u32::from(s.u8()?);
-            let sbytes = s.take(packed_len(elems, cbw))?;
-            s.finish()?;
-            let mut up = BitUnpacker::new(sbytes, cbw).ok_or_else(|| corrupt("bad code width"))?;
-            let ndf = codec.ndf_code();
-            out.reserve(elems * codec.code_bytes());
-            for _ in 0..elems {
-                let stored = up
-                    .next()
-                    .ok_or_else(|| corrupt("truncated packed code run"))?;
-                if stored > ndf {
-                    return Err(corrupt("numeric code out of domain"));
-                }
-                let code = if stored == 0 { ndf } else { stored - 1 };
-                codec.write_code(code, out);
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1042,6 +980,59 @@ mod tests {
         push_frame_header(&mut keyed, FRAME_NDF_RUN, 5, 0);
         let pr = PackedReader::new_text(reader_for(&p, &keyed), ListType::I, &scodec).unwrap();
         assert!(matches!(pr.decode_to_vec(), Err(IvaError::Corrupt(_))));
+    }
+
+    /// The allocation half of `robustness.rs`'s
+    /// `frames_claiming_more_than_their_payload_are_corrupt`: after a
+    /// lying frame is refused, the reader's section arrays hold no more
+    /// than the payload could back — nothing was sized by the claim.
+    #[test]
+    fn lying_frames_size_nothing_by_their_claims() {
+        let scodec = SigCodec::new(0.2, 2);
+        let ncodec = NumericCodec::new(0.0, 100.0, 2);
+        let p = Pager::create_mem(
+            &PagerOptions {
+                page_size: 4096,
+                cache_bytes: 1 << 20,
+            },
+            IoStats::new(),
+        );
+        let list = |elems: usize, payload: &[u8]| {
+            let mut l = (1u64 << 40).to_le_bytes().to_vec();
+            append_frame(&mut l, FRAME_PACKED, elems, payload);
+            reader_for(&p, &l)
+        };
+        // 65,536 string counts of 255 over a zero-width cL section.
+        let mut counts = vec![8u8];
+        counts.extend_from_slice(&[0xFF; 65_536]);
+        counts.push(0);
+        let mut keyed_counts = vec![0u8; 5];
+        keyed_counts.extend_from_slice(&counts);
+        let readers = [
+            PackedReader::new_text(list(65_536, &counts), ListType::III, &scodec),
+            PackedReader::new_text(list(65_536, &keyed_counts), ListType::II, &scodec),
+            PackedReader::new_text(list(MAX_FRAME_ELEMS, &[0; 6]), ListType::I, &scodec),
+            PackedReader::new_num(
+                list(MAX_FRAME_ELEMS, &[0, 0, 0, 0, 0, 64]),
+                ListType::I,
+                &ncodec,
+            ),
+            PackedReader::new_num(list(MAX_FRAME_ELEMS, &[64]), ListType::IV, &ncodec),
+        ];
+        for (i, reader) in readers.into_iter().enumerate() {
+            let mut reader = reader.unwrap();
+            assert!(reader.frame().is_err_and(|e| e.is_corruption()), "list {i}");
+            let s = &reader.sections;
+            let held = s.tids.capacity() * 4
+                + s.nums.capacity()
+                + s.lens.capacity()
+                + (s.codes.capacity() + s.wide.capacity()) * 8;
+            // At most the payload's own values, inflated to a word each.
+            assert!(
+                held <= 9 * s.payload.len(),
+                "list {i}: {held} bytes of arrays"
+            );
+        }
     }
 
     #[test]

@@ -5,8 +5,11 @@
 //! under a global memory budget ([`crate::IvaConfig::hot_tier_bytes`]).
 //!
 //! A hot text attribute's signatures are re-packed into one contiguous
-//! stride-padded column so the whole filter phase collapses into a single
-//! [`iva_text::PreparedMatcher::estimate_block`] sweep; a hot numeric
+//! stride-padded column so the whole filter phase collapses into
+//! [`iva_text::PreparedMatcher::estimate_block`] sweeps of it, folded
+//! into one lower bound per tuple position as they come
+//! ([`TextColumn::position_bounds`] — the one vector a hot query
+//! allocates); a hot numeric
 //! attribute becomes a dense `u64` code array (positionalized, with the
 //! codec's *ndf* sentinel filling gaps); the tuple list becomes parallel
 //! `tids`/`ptrs` arrays. Columns are **positional**: entry `i` describes
@@ -46,12 +49,14 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use iva_storage::ListHandle;
-use iva_text::SigCodec;
+use iva_text::{PreparedMatcher, SigCodec};
 
 use crate::error::{IvaError, Result};
 use crate::layout::TUPLE_ENTRY_LEN;
 use crate::numeric::NumericCodec;
-use crate::veclist::{text_lower_bound, ListType, NumListCursor, SigVisitor, TextListCursor};
+use crate::veclist::{
+    text_lower_bound, ListType, NumListCursor, SigView, SigVisitor, TextListCursor,
+};
 
 /// Tier key of the tuple column (attribute columns use the attribute
 /// index, which can never reach this value — tids are capped at `u32`).
@@ -75,6 +80,10 @@ fn decayed(score: f64, dt: u64) -> f64 {
         score * DECAY.powi(dt.min(MAX_DECAY_TICKS) as i32)
     }
 }
+
+/// Cells per [`TextColumn::position_bounds`] estimate block: 2 KiB of
+/// estimates on the stack.
+const EST_BLOCK: usize = 256;
 
 /// A hot text attribute: every signature of the vector list, re-packed
 /// into fixed-stride cells (`[len_byte][ch…][zero pad]`) in tuple-position
@@ -103,34 +112,46 @@ impl TextColumn {
         self.sigs.len() + 4 * self.starts.len()
     }
 
-    /// Per-tuple lower bound from the precomputed per-string estimates:
-    /// the min-fold over this position's cells through the pager cursors'
-    /// own gate ([`text_lower_bound`]). Positions past the column end —
-    /// the lazy positional tail — read as *ndf*.
-    pub fn min_estimate(&self, ests: &[f64], pos: usize) -> Option<f64> {
-        let s = *self.starts.get(pos)? as usize;
-        let e = *self.starts.get(pos + 1)? as usize;
-        let cell_ests = ests.get(s..e)?;
-        let mut best = f64::INFINITY;
-        for &v in cell_ests {
-            best = best.min(v);
-        }
-        text_lower_bound(self.ty, cell_ests.len(), best)
-    }
-
-    /// Prefold the per-string estimates into one lower bound per tuple
-    /// position (`NaN` = *ndf* — estimates themselves are never `NaN`).
-    /// One sequential pass here turns every scan-loop consult into a
-    /// single array read, shared by all workers of a query.
-    pub fn fold_positions(&self, ests: &[f64]) -> Vec<f64> {
-        let n = self.starts.len().saturating_sub(1);
-        let mut out = vec![f64::NAN; n];
-        for (pos, slot) in out.iter_mut().enumerate() {
-            if let Some(lb) = self.min_estimate(ests, pos) {
+    /// The hot filter phase: one lower bound per tuple position (`NaN` =
+    /// *ndf* — estimates themselves are never `NaN`), so that every
+    /// scan-loop consult is a single array read, shared by all workers of
+    /// a query. Cells are estimated a block at a time into a stack buffer
+    /// ([`iva_text::PreparedMatcher::estimate_block`]) and min-folded into
+    /// their position as they come, through the pager cursors' own gate
+    /// ([`text_lower_bound`]): the bounds are the only vector a hot query
+    /// allocates. Positions past the column end — the lazy positional
+    /// tail — are not in it and read as *ndf*.
+    pub fn position_bounds(&self, matcher: &PreparedMatcher) -> Result<Vec<f64>> {
+        let mut out = vec![f64::NAN; self.starts.len().saturating_sub(1)];
+        let n_cells = self.n_strings();
+        let mut ests = [0.0f64; EST_BLOCK];
+        // Cells `lo..hi` are the ones `ests` holds.
+        let (mut lo, mut hi) = (0usize, 0usize);
+        for (slot, cells) in out.iter_mut().zip(self.starts.windows(2)) {
+            let (Some(&first), Some(&end)) = (cells.first(), cells.get(1)) else {
+                continue;
+            };
+            let (first, end) = (first as usize, (end as usize).min(n_cells));
+            let mut best = f64::INFINITY;
+            let mut cell = first;
+            while cell < end {
+                if cell >= hi {
+                    (lo, hi) = (cell, n_cells.min(cell + EST_BLOCK));
+                    let block = self.sigs.get(lo * self.stride..).unwrap_or(&[]);
+                    let into = ests.get_mut(..hi - lo).unwrap_or(&mut []);
+                    matcher.estimate_block(block, self.stride, into)?;
+                }
+                let upto = end.min(hi);
+                for &est in ests.get(cell - lo..upto - lo).unwrap_or(&[]) {
+                    best = best.min(est);
+                }
+                cell = upto;
+            }
+            if let Some(lb) = text_lower_bound(self.ty, end.saturating_sub(first), best) {
                 *slot = lb;
             }
         }
-        out
+        Ok(out)
     }
 }
 
@@ -184,10 +205,10 @@ struct CellSink {
 }
 
 impl SigVisitor for CellSink {
-    fn sig(&mut self, len_byte: u8, ch: &[u8]) -> Result<()> {
+    fn sig(&mut self, sig: SigView<'_>) -> Result<()> {
         let cell_start = self.sigs.len();
-        self.sigs.push(len_byte);
-        self.sigs.extend_from_slice(ch);
+        self.sigs.push(sig.len_byte);
+        self.sigs.extend_from_slice(sig.ch);
         self.sigs.resize(cell_start + self.stride, 0);
         Ok(())
     }
@@ -503,7 +524,6 @@ mod tests {
     use super::*;
     use crate::veclist::{encode_num_list, encode_text_list};
     use iva_storage::{write_contiguous_list, IoStats, ListReader, PageId, Pager, PagerOptions};
-    use iva_text::PreparedMatcher;
 
     /// A reader over `data` stored as a list in a fresh in-memory pager.
     fn reader_for(data: &[u8]) -> ListReader {
@@ -581,22 +601,60 @@ mod tests {
             let col = text_column(&raw, ty, &codec, &tids).unwrap();
             assert_eq!(col.starts.len(), tids.len() + 1);
             assert_eq!(col.n_strings(), 3);
-            let mut ests = vec![0.0f64; col.n_strings()];
-            matcher
-                .estimate_block(&col.sigs, col.stride, &mut ests)
-                .unwrap();
+            let bounds = col.position_bounds(&matcher).unwrap();
             for pos in 0..6u32 {
-                let got = col.min_estimate(&ests, pos as usize);
+                let got = bounds[pos as usize];
                 let expect = expect_at(pos);
                 assert_eq!(
-                    got.map(f64::to_bits),
+                    (!got.is_nan()).then(|| got.to_bits()),
                     expect.map(f64::to_bits),
                     "type {ty:?} pos {pos}"
                 );
             }
             // Past the column: lazy-tail ndf, not a panic.
-            assert!(col.min_estimate(&ests, 6).is_none());
+            assert_eq!(bounds.len(), 6);
         }
+    }
+
+    /// Positions whose cells straddle an estimate block, and one with more
+    /// cells than a block holds, fold to the same bounds as one sweep over
+    /// the whole column.
+    #[test]
+    fn position_bounds_fold_across_estimate_blocks() {
+        let codec = SigCodec::new(0.2, 2);
+        let matcher = PreparedMatcher::new(&codec, b"string 41 of tuple 3");
+        let strings_of = |t: u32| match t {
+            2 => 0,
+            3 => 2 * EST_BLOCK + 5,
+            _ => 1 + (t as usize * 37) % 200,
+        };
+        let items: Vec<(u32, Vec<Vec<u8>>)> = (0..9u32)
+            .filter(|&t| strings_of(t) > 0)
+            .map(|t| {
+                let strings = (0..strings_of(t)).map(|j| format!("string {j} of tuple {t}"));
+                (
+                    t,
+                    strings.map(|s| codec.encode_to_vec(s.as_bytes())).collect(),
+                )
+            })
+            .collect();
+        let tids: Vec<u32> = (0..9).collect();
+        let raw = encode_text_list(ListType::I, &items, &tids).unwrap();
+        let col = text_column(&raw, ListType::I, &codec, &tids).unwrap();
+        let mut ests = vec![0.0f64; col.n_strings()];
+        matcher
+            .estimate_block(&col.sigs, col.stride, &mut ests)
+            .unwrap();
+        let bounds = col.position_bounds(&matcher).unwrap();
+        for (pos, cells) in col.starts.windows(2).enumerate() {
+            let own = &ests[cells[0] as usize..cells[1] as usize];
+            let want = own.iter().copied().fold(f64::INFINITY, f64::min);
+            match own.is_empty() {
+                true => assert!(bounds[pos].is_nan(), "pos {pos}"),
+                false => assert_eq!(bounds[pos].to_bits(), want.to_bits(), "pos {pos}"),
+            }
+        }
+        assert_eq!(bounds[3], 0.0, "tuple 3 holds the query string itself");
     }
 
     /// One verdict per malformed list, whoever walks it (the `veclist`

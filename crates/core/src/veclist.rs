@@ -24,7 +24,8 @@
 //! [`crate::IvaIndex::insert`] alike) and read by the two cursors' walk
 //! (the scan, hot-tier column builds and [`crate::export_index`] alike);
 //! [`crate::packed`] owns only the frame codec that carries the same
-//! element stream compressed.
+//! element stream compressed — and answers the walk's field reads from a
+//! frame's sections in place, never by rebuilding the raw bytes.
 //!
 //! **What a list contains is what the walk sees.** A walk visits the
 //! tuple-list tids in order, so two kinds of malformed list get one
@@ -41,12 +42,13 @@
 //!   positional list *shorter* than the tuple list is legal: the lazy tail
 //!   reads as *ndf*.
 
+use iva_storage::codec::le_u32;
 use iva_storage::{ListReader, PageRef};
 use iva_text::{PreparedMatcher, SigCodec};
 
 use crate::error::{IvaError, Result};
 use crate::numeric::NumericCodec;
-use crate::packed::PackedReader;
+use crate::packed::{Frame, Org, PackedReader};
 
 /// Width of a tuple id in list elements (the paper's `ltid`).
 pub const LTID: usize = 4;
@@ -250,17 +252,90 @@ pub fn encode_num_list(
     Ok(out)
 }
 
-/// Element-stream source for a cursor: the raw list layout served straight
-/// off buffer-pool pages, or the packed codec's frame-wise decoder
-/// ([`crate::packed`]). Both present the identical raw element byte
-/// stream, so the cursor state machines below are encoding-oblivious and
-/// compressed lists are bit-identical to uncompressed ones by
-/// construction.
+/// Where raw-layout element bytes come from: a raw list's buffer-pool
+/// pages, or the payload of a packed list's RAW tail frame.
+pub(crate) trait RawBytes {
+    /// The next `n` bytes, as a borrowed view.
+    fn take(&mut self, n: usize) -> Result<&[u8]>;
+    /// Step over the next `n` bytes unread.
+    fn skip(&mut self, n: usize) -> Result<()> {
+        self.take(n).map(drop)
+    }
+}
+
+impl RawBytes for ListReader {
+    fn take(&mut self, n: usize) -> Result<&[u8]> {
+        Ok(self.read_bytes(n)?)
+    }
+
+    fn skip(&mut self, n: usize) -> Result<()> {
+        Ok(ListReader::skip(self, n as u64)?)
+    }
+}
+
+fn short_elem() -> IvaError {
+    IvaError::Corrupt("vector list element cut short".into())
+}
+
+/// Raw layout: a keyed element's `[tid u32]` header.
+fn raw_tid<B: RawBytes>(src: &mut B) -> Result<u32> {
+    le_u32(src.take(LTID)?, 0).ok_or_else(short_elem)
+}
+
+/// Raw layout: a Type II/III element's `[num u8]` string count, or a
+/// signature's `[cL u8]`.
+fn raw_byte<B: RawBytes>(src: &mut B) -> Result<u8> {
+    src.take(LNUM)?.first().copied().ok_or_else(short_elem)
+}
+
+/// Raw layout: one `[cL][cH…]` signature, visited or stepped over.
+#[inline]
+fn raw_sig<B: RawBytes, V: SigVisitor>(
+    src: &mut B,
+    codec: &SigCodec,
+    v: &mut Option<&mut V>,
+) -> Result<()> {
+    let len_byte = raw_byte(src)?;
+    let ch_len = codec.ch_bytes(len_byte);
+    match v {
+        Some(v) => {
+            let ch = src.take(ch_len)?;
+            v.sig(SigView {
+                len_byte,
+                ch,
+                window: ch,
+            })
+        }
+        None => src.skip(ch_len),
+    }
+}
+
+/// Raw layout: one numeric code, read when `want`ed.
+fn raw_code<B: RawBytes>(src: &mut B, codec: &NumericCodec, want: bool) -> Result<Option<u64>> {
+    if want {
+        codec.read_code(src.take(codec.code_bytes())?).map(Some)
+    } else {
+        src.skip(codec.code_bytes()).map(|()| None)
+    }
+}
+
+/// Element-stream source for a cursor. The walk asks it for an element
+/// *header* field (a keyed tid, a string count) or a *value* field (one
+/// signature, one numeric code); the raw layout parses them out of
+/// buffer-pool pages, a packed list ([`crate::packed`]) answers from its
+/// current frame — a PACKED frame's sections, an NDF_RUN frame's count, or
+/// a RAW tail frame's bytes, parsed like a raw list's. Same fields in the
+/// same order either way, so the cursors below are encoding-oblivious.
 pub(crate) enum ElemReader {
     /// Raw (v2) layout: reads borrow buffer-pool pages directly.
     Raw(ListReader),
-    /// Packed (v3) layout: reads borrow the current decoded frame.
-    Packed(PackedReader),
+    /// Packed (v3) layout: reads borrow the current frame.
+    Packed(Box<PackedReader>),
+}
+
+/// An NDF_RUN frame holds no keyed header and no signature.
+fn in_ndf_run() -> IvaError {
+    IvaError::Corrupt("misaligned read in ndf run".into())
 }
 
 impl ElemReader {
@@ -278,31 +353,64 @@ impl ElemReader {
         }
     }
 
-    fn read_u8(&mut self) -> Result<u8> {
+    /// Header: the next keyed element's tid.
+    fn tid(&mut self) -> Result<u32> {
         match self {
-            ElemReader::Raw(r) => Ok(r.read_u8()?),
-            ElemReader::Packed(r) => r.read_u8(),
+            ElemReader::Raw(r) => raw_tid(r),
+            ElemReader::Packed(p) => match p.frame()? {
+                Frame::Raw(tail) => raw_tid(tail),
+                Frame::Packed(sections) => sections.tid(),
+                Frame::NdfRun(_) => Err(in_ndf_run()),
+            },
         }
     }
 
-    fn read_u32(&mut self) -> Result<u32> {
+    /// Header: the next Type II/III element's string count.
+    #[inline]
+    fn string_count(&mut self) -> Result<u8> {
         match self {
-            ElemReader::Raw(r) => Ok(r.read_u32()?),
-            ElemReader::Packed(r) => r.read_u32(),
+            ElemReader::Raw(r) => raw_byte(r),
+            ElemReader::Packed(p) => match p.frame()? {
+                Frame::Raw(tail) => raw_byte(tail),
+                Frame::Packed(sections) => sections.string_count(),
+                Frame::NdfRun(left) => {
+                    *left -= 1;
+                    Ok(0)
+                }
+            },
         }
     }
 
-    fn read_bytes(&mut self, n: usize) -> Result<&[u8]> {
+    /// Value: the next signature, handed to `v` as a zero-copy view or
+    /// stepped over unread.
+    #[inline]
+    fn sig<V: SigVisitor>(&mut self, codec: &SigCodec, v: &mut Option<&mut V>) -> Result<()> {
         match self {
-            ElemReader::Raw(r) => Ok(r.read_bytes(n)?),
-            ElemReader::Packed(r) => r.read_bytes(n),
+            ElemReader::Raw(r) => raw_sig(r, codec, v),
+            ElemReader::Packed(p) => match p.frame()? {
+                Frame::Raw(tail) => raw_sig(tail, codec, v),
+                Frame::Packed(sections) => {
+                    let view = sections.sig(codec)?;
+                    v.as_mut().map_or(Ok(()), |v| v.sig(view))
+                }
+                Frame::NdfRun(_) => Err(in_ndf_run()),
+            },
         }
     }
 
-    fn skip(&mut self, n: u64) -> Result<()> {
+    /// Value: the next numeric code (`None` when not `want`ed).
+    #[inline]
+    fn code(&mut self, codec: &NumericCodec, want: bool) -> Result<Option<u64>> {
         match self {
-            ElemReader::Raw(r) => Ok(r.skip(n)?),
-            ElemReader::Packed(r) => r.skip(n),
+            ElemReader::Raw(r) => raw_code(r, codec, want),
+            ElemReader::Packed(p) => match p.frame()? {
+                Frame::Raw(tail) => raw_code(tail, codec, want),
+                Frame::Packed(sections) => sections.code().map(|c| want.then_some(c)),
+                Frame::NdfRun(left) => {
+                    *left -= 1;
+                    Ok(want.then_some(codec.ndf_code()))
+                }
+            },
         }
     }
 
@@ -311,7 +419,7 @@ impl ElemReader {
     /// `None` at the end of the list.
     fn peek_tid(&mut self, peek: &mut Option<u32>) -> Result<Option<u32>> {
         if peek.is_none() && !self.at_end() {
-            *peek = Some(self.read_u32()?);
+            *peek = Some(self.tid()?);
         }
         Ok(*peek)
     }
@@ -327,18 +435,32 @@ impl ElemReader {
     }
 }
 
+/// One stored signature as a walk hands it out. `window` starts at the
+/// `cH` bytes like `ch` and runs on as far as the source has bytes at
+/// hand: through the rest of a packed frame's padded `cH` section, so the
+/// estimation kernel can load a whole word from it.
+#[derive(Clone, Copy)]
+pub(crate) struct SigView<'a> {
+    /// The signature's `cL`.
+    pub(crate) len_byte: u8,
+    /// Exactly its `cH` bytes.
+    pub(crate) ch: &'a [u8],
+    /// The `cH` bytes and whatever readable bytes follow them.
+    pub(crate) window: &'a [u8],
+}
+
 /// What a walk does with the value it stops on: called once per string
-/// with the signature's length byte `cL` and its `cH` bytes, borrowed from
-/// the buffer-pool page or the decoded frame. A trait, not a closure, so
-/// every consumer is a monomorphized, statically resolved call.
+/// with the signature, borrowed from the buffer-pool page or the frame
+/// payload. A trait, not a closure, so every consumer is a monomorphized,
+/// statically resolved call.
 pub(crate) trait SigVisitor {
     /// One signature of the visited value.
-    fn sig(&mut self, len_byte: u8, ch: &[u8]) -> Result<()>;
+    fn sig(&mut self, sig: SigView<'_>) -> Result<()>;
 }
 
 /// Visits nothing: the visitor type of a walk that only moves.
 impl SigVisitor for () {
-    fn sig(&mut self, _: u8, _: &[u8]) -> Result<()> {
+    fn sig(&mut self, _: SigView<'_>) -> Result<()> {
         Ok(())
     }
 }
@@ -351,24 +473,66 @@ struct MinEstimate<'a> {
 
 impl SigVisitor for MinEstimate<'_> {
     #[inline]
-    fn sig(&mut self, len_byte: u8, ch: &[u8]) -> Result<()> {
-        let est = self.matcher.estimate_parts(len_byte, ch)?;
+    fn sig(&mut self, sig: SigView<'_>) -> Result<()> {
+        let est = self.matcher.estimate_parts(sig.len_byte, sig.window)?;
         self.best = self.best.min(est);
         Ok(())
     }
 }
 
 /// The export's visitor: each signature as its stored `[cL][cH…]` blob.
+#[derive(Default)]
 struct CollectSigs(Vec<Vec<u8>>);
 
 impl SigVisitor for CollectSigs {
-    fn sig(&mut self, len_byte: u8, ch: &[u8]) -> Result<()> {
-        let mut sig = Vec::with_capacity(1 + ch.len());
-        sig.push(len_byte);
-        sig.extend_from_slice(ch);
-        self.0.push(sig);
+    fn sig(&mut self, sig: SigView<'_>) -> Result<()> {
+        let mut blob = Vec::with_capacity(1 + sig.ch.len());
+        blob.push(sig.len_byte);
+        blob.extend_from_slice(sig.ch);
+        self.0.push(blob);
         Ok(())
     }
+}
+
+/// The whole raw-layout image of a packed list
+/// ([`PackedReader::decode_to_vec`]): every element the frames hold, read
+/// field by field as the cursors read them and written back out by the
+/// raw element encoders. Strict about the prologue's logical length.
+pub(crate) fn raw_image(reader: PackedReader) -> Result<Vec<u8>> {
+    let (expected, org) = (reader.remaining(), reader.org().clone());
+    let mut r = ElemReader::Packed(Box::new(reader));
+    // Pre-size from the prologue, but cap the up-front trust placed in a
+    // disk-sourced field; a lying length still fails the strict check,
+    // after only incremental growth.
+    let mut out = Vec::with_capacity(expected.min(1 << 22) as usize);
+    let mut sigs = CollectSigs::default();
+    while !r.at_end() && out.len() as u64 <= expected {
+        let keyed = !org.list_type().is_positional();
+        let tid = if keyed { r.tid()? } else { 0 };
+        match &org {
+            Org::Text(ty, codec) => {
+                let num = if *ty == ListType::I {
+                    1
+                } else {
+                    r.string_count()?
+                };
+                sigs.0.clear();
+                for _ in 0..num {
+                    r.sig(codec, &mut Some(&mut sigs))?;
+                }
+                push_text_elem(*ty, tid, &sigs.0, &mut out)?;
+            }
+            Org::Num(ty, codec) => {
+                let code = r.code(codec, true)?.unwrap_or(codec.ndf_code());
+                push_num_elem(*ty, tid, code, codec, &mut out)?;
+            }
+        }
+    }
+    if out.len() as u64 != expected || !r.at_end() {
+        let msg = "packed list does not decode to its logical length";
+        return Err(IvaError::Corrupt(msg.into()));
+    }
+    Ok(out)
 }
 
 /// The lower bound a text value contributes, from the min-fold `best` over
@@ -383,9 +547,10 @@ pub(crate) fn text_lower_bound(ty: ListType, n_sigs: usize, best: f64) -> Option
 /// `MoveTo(currentTuple)` / freeze semantics of Sec. IV-A.
 ///
 /// Signature payloads are consumed as borrowed views straight from the
-/// buffer-pool page ([`ListReader::read_bytes`]), so the hot estimation
-/// path copies no element bytes; the shared immutable [`PreparedMatcher`]
-/// kernel evaluates each view in place.
+/// buffer-pool page ([`ListReader::read_bytes`]) or the packed frame's
+/// payload, so the hot estimation path copies no element bytes; the
+/// shared immutable [`PreparedMatcher`] kernel evaluates each view in
+/// place.
 pub struct TextListCursor {
     reader: ElemReader,
     ty: ListType,
@@ -402,7 +567,7 @@ impl TextListCursor {
 
     /// Open a cursor at the head of a packed-encoded list.
     pub fn new_packed(reader: PackedReader, ty: ListType) -> Self {
-        Self::over(ElemReader::Packed(reader), ty)
+        Self::over(ElemReader::Packed(Box::new(reader)), ty)
     }
 
     fn over(reader: ElemReader, ty: ListType) -> Self {
@@ -429,12 +594,7 @@ impl TextListCursor {
         v: &mut Option<&mut V>,
     ) -> Result<()> {
         for _ in 0..num {
-            let len_byte = self.reader.read_u8()?;
-            let ch = codec.ch_bytes(len_byte);
-            match v {
-                Some(v) => v.sig(len_byte, self.reader.read_bytes(ch)?)?,
-                None => self.reader.skip(ch as u64)?,
-            }
+            self.reader.sig(codec, v)?;
         }
         Ok(())
     }
@@ -461,7 +621,7 @@ impl TextListCursor {
                         break; // freeze
                     }
                     let num = match self.ty {
-                        ListType::II => self.reader.read_u8()?,
+                        ListType::II => self.reader.string_count()?,
                         _ => 1,
                     };
                     if t == tid {
@@ -480,7 +640,7 @@ impl TextListCursor {
                 // Past the last element: tuples appended since the last
                 // value on this attribute (lazy positional padding).
                 if !self.reader.at_end() {
-                    let num = self.reader.read_u8()?;
+                    let num = self.reader.string_count()?;
                     self.strings(num, codec, &mut v)?;
                     n_sigs = usize::from(num);
                 }
@@ -543,12 +703,9 @@ impl TextListCursor {
     }
 
     /// The list's logical content: `(tid, signatures)` for every tuple of
-    /// `tids` (the whole tuple list, in order) with a value here.
-    pub(crate) fn postings(
-        mut self,
-        codec: &SigCodec,
-        tids: &[u32],
-    ) -> Result<Vec<(u32, Vec<Vec<u8>>)>> {
+    /// `tids` (the whole tuple list, in order) with a value here. Ends the
+    /// walk: list bytes left over are [`IvaError::Corrupt`].
+    pub fn postings(mut self, codec: &SigCodec, tids: &[u32]) -> Result<Vec<(u32, Vec<Vec<u8>>)>> {
         let mut out = Vec::new();
         for &tid in tids {
             let mut sigs = CollectSigs(Vec::new());
@@ -606,7 +763,7 @@ impl NumListCursor {
 
     /// Open a cursor at the head of a packed-encoded list.
     pub fn new_packed(reader: PackedReader, ty: ListType) -> Self {
-        Self::over(ElemReader::Packed(reader), ty)
+        Self::over(ElemReader::Packed(Box::new(reader)), ty)
     }
 
     fn over(reader: ElemReader, ty: ListType) -> Self {
@@ -619,11 +776,6 @@ impl NumListCursor {
             run_pos: 0,
             run_end: 0,
         }
-    }
-
-    fn read_code(&mut self, codec: &NumericCodec) -> Result<u64> {
-        let buf = self.reader.read_bytes(codec.code_bytes())?;
-        codec.read_code(buf)
     }
 
     /// Next Type IV code, refilling the page run when it drains. Codes that
@@ -645,9 +797,8 @@ impl NumListCursor {
                         None // next code crosses the page boundary
                     }
                 }
-                // Packed lists decode frame-wise into a private buffer; the
-                // pinned whole-page run is a raw-layout fast path, so codes
-                // go through the (frame-buffered) copy reads instead.
+                // The pinned whole-page run is a raw-layout fast path; a
+                // packed list's codes are already an array in its frame.
                 ElemReader::Packed(_) => None,
             };
             match pinned {
@@ -656,7 +807,7 @@ impl NumListCursor {
                     self.run_end = range.end;
                     self.run_page = Some(page);
                 }
-                None => return self.read_code(codec).map(Some),
+                None => return self.reader.code(codec, true),
             }
         }
         let bytes = self
@@ -681,12 +832,9 @@ impl NumListCursor {
                         break; // freeze
                     }
                     self.peek_tid = None;
-                    if t == tid && want {
-                        return self.read_code(codec).map(Some);
-                    }
-                    self.reader.skip(codec.code_bytes() as u64)?;
+                    let code = self.reader.code(codec, t == tid && want)?;
                     if t == tid {
-                        break;
+                        return Ok(code);
                     }
                 }
                 Ok(None)
@@ -715,11 +863,22 @@ impl NumListCursor {
         debug_assert!(self.run_page.is_none(), "seek on a started cursor");
         match self.ty {
             ListType::I => Ok(()),
-            ListType::IV => {
+            ListType::IV => match &mut self.reader {
                 // Fixed-width codes: a byte skip, capped at the lazy tail.
-                let bytes = (n * codec.code_bytes() as u64).min(self.reader.remaining());
-                Ok(self.reader.skip(bytes)?)
-            }
+                ElemReader::Raw(r) => {
+                    let bytes = n.saturating_mul(codec.code_bytes() as u64);
+                    Ok(r.skip(bytes.min(r.remaining()))?)
+                }
+                ElemReader::Packed(_) => {
+                    for _ in 0..n {
+                        if self.reader.at_end() {
+                            break; // lazy positional tail
+                        }
+                        self.reader.code(codec, false)?;
+                    }
+                    Ok(())
+                }
+            },
             _ => Err(num_on_text_type()),
         }
     }
@@ -737,12 +896,9 @@ impl NumListCursor {
     }
 
     /// The list's logical content: `(tid, code)` for every tuple of `tids`
-    /// (the whole tuple list, in order) with a value here.
-    pub(crate) fn postings(
-        mut self,
-        codec: &NumericCodec,
-        tids: &[u32],
-    ) -> Result<Vec<(u32, u64)>> {
+    /// (the whole tuple list, in order) with a value here. Ends the walk
+    /// like [`TextListCursor::postings`].
+    pub fn postings(mut self, codec: &NumericCodec, tids: &[u32]) -> Result<Vec<(u32, u64)>> {
         let mut out = Vec::new();
         for &tid in tids {
             if let Some(code) = self.advance(tid, codec)? {

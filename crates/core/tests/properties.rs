@@ -8,12 +8,15 @@ mod common;
 
 use common::{all_list_types_table, assert_bit_identical, assert_same_plan, small_pages as opts};
 use iva_core::{
-    bounded_distance, build_index, exact_distance, export_index, import_index, BatchItem,
-    IndexTarget, IvaConfig, IvaIndex, ListEncoding, ListType, Metric, MetricKind, NumericCodec,
-    Query, QueryOptions, QueryOutcome, ResultPool, WeightScheme, TOMBSTONE_PTR,
+    bounded_distance, build_index, encode_num_list, encode_packed_num_list,
+    encode_packed_text_list, encode_text_list, exact_distance, export_index, import_index,
+    BatchItem, IndexTarget, IvaConfig, IvaIndex, ListEncoding, ListType, Metric, MetricKind,
+    NumListCursor, NumericCodec, PackedReader, Query, QueryOptions, QueryOutcome, ResultPool,
+    TextListCursor, WeightScheme, TOMBSTONE_PTR,
 };
-use iva_storage::IoStats;
+use iva_storage::{write_contiguous_list, IoStats, ListReader, Pager};
 use iva_swt::{encode_record, AttrId, RecordView, SwtTable, Tuple, Value};
+use iva_text::PreparedMatcher;
 
 const N_TEXT_ATTRS: u32 = 4;
 const N_NUM_ATTRS: u32 = 3;
@@ -759,6 +762,232 @@ fn one_walk_serves_scan_promotion_and_export() {
                 }
             }
             assert!(hot_attrs > 0, "{label}: tier never engaged");
+        }
+    }
+}
+
+/// A list as three readers see it: `(value of tid)` per tuple-list tid.
+type Walked<T> = Vec<Option<T>>;
+
+/// One frame as [`IvaIndex::insert`] appends it: `[kind][elems][len]`
+/// and the payload (kind 0 = RAW raw-layout elements, 2 = NDF_RUN).
+fn frame(kind: u8, elems: usize, payload: &[u8]) -> Vec<u8> {
+    let mut f = vec![kind];
+    f.extend_from_slice(&(elems as u32).to_le_bytes());
+    f.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    f.extend_from_slice(payload);
+    f
+}
+
+fn list_reader(bytes: &[u8]) -> ListReader {
+    let pager = Pager::create_mem(&opts(), IoStats::new());
+    let handle = write_contiguous_list(&pager, bytes).unwrap();
+    ListReader::open(pager, handle).unwrap()
+}
+
+/// A packed list the way an index comes to hold one: the first `head`
+/// tuple-list positions bulk-encoded (PACKED frames, NDF_RUN frames for
+/// the long undefined stretches), every later value appended as a
+/// one-element RAW frame with — on a positional list — an NDF_RUN frame
+/// for the undefined stretch before it, and nothing stored after the last
+/// value (the lazy positional tail). `encode(items, tids)` is
+/// `(packed, raw)` for one run of the list. Returns the stored bytes and
+/// the raw-layout image they stand for.
+fn compose<T: Clone>(
+    positional: bool,
+    items: &[(u32, T)],
+    tids: &[u32],
+    head: usize,
+    encode: impl Fn(&[(u32, T)], &[u32]) -> (Vec<u8>, Vec<u8>),
+) -> (Vec<u8>, Vec<u8>) {
+    let head_tid = tids.get(head).copied().unwrap_or(u32::MAX);
+    let split = items.partition_point(|(t, _)| *t < head_tid);
+    let (mut stored, mut raw) = encode(&items[..split], &tids[..head]);
+    let mut gap = 0usize;
+    let mut tail_items = items[split..].iter().peekable();
+    for &tid in &tids[head..] {
+        match tail_items.next_if(|(t, _)| *t == tid) {
+            Some(item) => {
+                if positional && gap > 0 {
+                    // No item on one position is that list's ndf element.
+                    let (_, ndf) = encode(&[], &[tid]);
+                    stored.extend(frame(2, gap, &[]));
+                    raw.extend(ndf.iter().cycle().take(gap * ndf.len()));
+                    gap = 0;
+                }
+                let (_, elem) = encode(std::slice::from_ref(item), &[tid]);
+                stored.extend(frame(0, 1, &elem));
+                raw.extend_from_slice(&elem);
+            }
+            None => gap += 1,
+        }
+    }
+    stored[..8].copy_from_slice(&(raw.len() as u64).to_le_bytes());
+    (stored, raw)
+}
+
+/// The frame-direct walk against its two references, on every list
+/// organization and every frame mixture a list can hold: the cursor over
+/// the packed list (PACKED frames served from their sections, RAW tail
+/// frames and NDF_RUN runs as they come), the raw-layout cursor over the
+/// image `decode_to_vec` builds, and the values that were encoded. They
+/// must agree element for element under `advance`, under `skip` (a
+/// tombstone every fifth tuple), after `seek_elements(n)` for `n` on and
+/// off every frame boundary, and at the end of the list (`postings` ends
+/// with `finish`, which refuses leftovers) — with the tuple list running
+/// on past the list's last element (the lazy positional tail) throughout.
+#[test]
+fn frame_direct_walk_matches_raw_walk_and_postings() {
+    let cfg = IvaConfig::default();
+    let sc = cfg.sig_codec();
+    let nc = NumericCodec::new(0.0, 5000.0, cfg.numeric_code_bytes());
+    let matcher = PreparedMatcher::new(&sc, b"value 33 1");
+    // (name, tuples, bulk-encoded head, is tuple i defined?)
+    type Defined = fn(u32) -> bool;
+    let shapes: [(&str, u32, usize, Defined); 5] = [
+        ("packed frames", 2300, 2300, |i| i % 7 != 0),
+        ("ndf runs", 2300, 2300, |i| (i / 40) % 2 == 0),
+        ("raw tail frames", 260, 0, |i| {
+            i % 3 != 0 && (i / 25) % 3 != 1
+        }),
+        ("all three", 2300, 2100, |i| i % 7 != 0 && (i / 40) % 3 != 1),
+        ("ends undefined", 2300, 2250, |i| i % 7 != 0 && i < 2270),
+    ];
+    for (shape, n, head, defined) in shapes {
+        // Tid gaps, and 40 tuples past the last one any list stores.
+        let tids: Vec<u32> = (0..n + 40).map(|i| i * 3 + 1).collect();
+        let listed = &tids[..n as usize];
+        let text_items: Vec<(u32, Vec<Vec<u8>>)> = (0..n)
+            .filter(|&i| defined(i))
+            .map(|i| {
+                let strings = (0..1 + i % 3).map(|j| format!("value {i} {j}"));
+                (
+                    i * 3 + 1,
+                    strings.map(|s| sc.encode_to_vec(s.as_bytes())).collect(),
+                )
+            })
+            .collect();
+        let num_items: Vec<(u32, u64)> = (0..n)
+            .filter(|&i| defined(i))
+            .map(|i| (i * 3 + 1, nc.encode(f64::from(i))))
+            .collect();
+        let seeks = [
+            0u64,
+            1,
+            500,
+            1023,
+            1024,
+            1025,
+            2047,
+            head as u64 + 3,
+            u64::from(n) + 7,
+        ];
+
+        for ty in [ListType::I, ListType::II, ListType::III] {
+            let label = format!("text {ty}, {shape}");
+            let (stored, raw) = compose(ty == ListType::III, &text_items, listed, head, |i, t| {
+                (
+                    encode_packed_text_list(ty, i, t),
+                    encode_text_list(ty, i, t).unwrap(),
+                )
+            });
+            let packed = || PackedReader::new_text(list_reader(&stored), ty, &sc).unwrap();
+            assert_eq!(packed().decode_to_vec().unwrap(), raw, "{label}: image");
+            let cursors = || {
+                (
+                    TextListCursor::new_packed(packed(), ty),
+                    TextListCursor::new(list_reader(&raw), ty),
+                )
+            };
+            let (p, r) = cursors();
+            let want: Vec<_> = text_items.clone();
+            assert_eq!(p.postings(&sc, &tids).unwrap(), want, "{label}: postings");
+            assert_eq!(
+                r.postings(&sc, &tids).unwrap(),
+                want,
+                "{label}: raw postings"
+            );
+            for seek in seeks {
+                let (mut p, mut r) = cursors();
+                p.seek_elements(seek, &sc).unwrap();
+                r.seek_elements(seek, &sc).unwrap();
+                let from = (seek as usize).min(tids.len());
+                let mut walked: [Walked<u64>; 2] = [Vec::new(), Vec::new()];
+                for (i, &tid) in tids.iter().enumerate().skip(from) {
+                    for (cur, out) in [&mut p, &mut r].into_iter().zip(&mut walked) {
+                        if i % 5 == 4 {
+                            cur.skip(tid, &sc).unwrap();
+                            out.push(None);
+                        } else {
+                            let lb = cur.advance(tid, &sc, &matcher).unwrap();
+                            out.push(lb.map(f64::to_bits));
+                        }
+                    }
+                }
+                assert_eq!(walked[0], walked[1], "{label}: walk after seek {seek}");
+                let seen = walked[0].iter().flatten().count();
+                let expect = tids.iter().enumerate().skip(from).filter(|&(i, t)| {
+                    i % 5 != 4 && text_items.binary_search_by_key(t, |(tid, _)| *tid).is_ok()
+                });
+                assert_eq!(seen, expect.count(), "{label}: defined after seek {seek}");
+            }
+        }
+
+        for ty in [ListType::I, ListType::IV] {
+            let label = format!("num {ty}, {shape}");
+            let (stored, raw) = compose(ty == ListType::IV, &num_items, listed, head, |i, t| {
+                (
+                    encode_packed_num_list(ty, i, t, &nc),
+                    encode_num_list(ty, i, t, &nc).unwrap(),
+                )
+            });
+            let packed = || PackedReader::new_num(list_reader(&stored), ty, &nc).unwrap();
+            assert_eq!(packed().decode_to_vec().unwrap(), raw, "{label}: image");
+            let cursors = || {
+                (
+                    NumListCursor::new_packed(packed(), ty),
+                    NumListCursor::new(list_reader(&raw), ty),
+                )
+            };
+            let (p, r) = cursors();
+            assert_eq!(
+                p.postings(&nc, &tids).unwrap(),
+                num_items,
+                "{label}: postings"
+            );
+            assert_eq!(
+                r.postings(&nc, &tids).unwrap(),
+                num_items,
+                "{label}: raw postings"
+            );
+            for seek in seeks {
+                let (mut p, mut r) = cursors();
+                p.seek_elements(seek, &nc).unwrap();
+                r.seek_elements(seek, &nc).unwrap();
+                let from = (seek as usize).min(tids.len());
+                let mut walked: [Walked<u64>; 2] = [Vec::new(), Vec::new()];
+                for (i, &tid) in tids.iter().enumerate().skip(from) {
+                    for (cur, out) in [&mut p, &mut r].into_iter().zip(&mut walked) {
+                        if i % 5 == 4 {
+                            cur.skip(tid, &nc).unwrap();
+                            out.push(None);
+                        } else {
+                            out.push(cur.advance(tid, &nc).unwrap());
+                        }
+                    }
+                }
+                assert_eq!(walked[0], walked[1], "{label}: walk after seek {seek}");
+                let expect: Walked<u64> = tids
+                    .iter()
+                    .enumerate()
+                    .skip(from)
+                    .map(|(i, t)| {
+                        let at = num_items.binary_search_by_key(t, |(tid, _)| *tid).ok()?;
+                        (i % 5 != 4).then(|| num_items[at].1)
+                    })
+                    .collect();
+                assert_eq!(walked[0], expect, "{label}: codes after seek {seek}");
+            }
         }
     }
 }

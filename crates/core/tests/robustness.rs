@@ -535,6 +535,109 @@ mod fuzz_packed {
         }
     }
 
+    /// A packed list of one PACKED frame with the given header count
+    /// and payload, under a prologue that promises 2^40 raw bytes (the
+    /// prologue is a disk field too: it must not be what bounds a frame).
+    fn one_frame_list(elems: u32, payload: &[u8]) -> Vec<u8> {
+        let mut list = (1u64 << 40).to_le_bytes().to_vec();
+        list.push(1); // FRAME_PACKED
+        list.extend_from_slice(&elems.to_le_bytes());
+        list.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        list.extend_from_slice(payload);
+        list
+    }
+
+    /// Decode amplification: a bit-packed section costs far less than a
+    /// payload byte per value it claims, so a frame's claims must be
+    /// bounded by its own payload before they size anything. A 64 KiB
+    /// Text III frame of 65,536 string counts of 255 and a zero-width `cL`
+    /// section claims 16.7 M strings (the parent built 150 MB of arrays
+    /// and spun 16.7 M unpack steps before noticing the `cH` section was
+    /// missing); its Text II twin; and header counts / code widths on the
+    /// other organizations that the payload cannot back. Each is
+    /// `Corrupt`, to the walk and to the whole-image decode alike — what
+    /// was *not* allocated on the way is pinned by
+    /// `packed::tests::lying_frames_size_nothing_by_their_claims`.
+    #[test]
+    fn frames_claiming_more_than_their_payload_are_corrupt() {
+        use iva_core::IvaError;
+        let counts = |keyed: bool| {
+            let mut p = Vec::new();
+            if keyed {
+                p.extend_from_slice(&[0, 0, 0, 0, 0]); // first tid 0, Δtid width 0
+            }
+            p.push(8); // num width
+            p.extend_from_slice(&[0xFF; 65_536]);
+            p.push(0); // cL width 0: no cL bytes, no cH bytes
+            p
+        };
+        let max_elems = 1u32 << 20;
+        let mut narrow_codes = vec![60u8]; // claims 60-bit codes...
+        narrow_codes.extend_from_slice(&[0xAB; 750]); // ...backs 6-bit ones
+        let lies: Vec<(&str, bool, ListType, Vec<u8>)> = vec![
+            (
+                "text III counts",
+                true,
+                ListType::III,
+                one_frame_list(65_536, &counts(false)),
+            ),
+            (
+                "text II counts",
+                true,
+                ListType::II,
+                one_frame_list(65_536, &counts(true)),
+            ),
+            (
+                "text I elems",
+                true,
+                ListType::I,
+                one_frame_list(max_elems, &[0, 0, 0, 0, 0, 0]),
+            ),
+            (
+                "num I elems",
+                false,
+                ListType::I,
+                one_frame_list(max_elems, &[0, 0, 0, 0, 0, 64]),
+            ),
+            (
+                "num IV elems",
+                false,
+                ListType::IV,
+                one_frame_list(max_elems, &[64]),
+            ),
+            (
+                "num IV code width",
+                false,
+                ListType::IV,
+                one_frame_list(1000, &narrow_codes),
+            ),
+        ];
+        let corrupt = IvaError::is_corruption;
+        for (what, is_text, ty, stored) in lies {
+            let whole = open_packed(&stored, is_text, ty).unwrap().decode_to_vec();
+            assert!(
+                whole.as_ref().is_err_and(corrupt),
+                "{what}: decode {whole:?}"
+            );
+            let packed = open_packed(&stored, is_text, ty).unwrap();
+            let walked = if is_text {
+                let codec = sig_codec();
+                let matcher = PreparedMatcher::new(&codec, b"value");
+                TextListCursor::new_packed(packed, ty)
+                    .advance(0, &codec, &matcher)
+                    .map(drop)
+            } else {
+                NumListCursor::new_packed(packed, ty)
+                    .advance(0, &num_codec())
+                    .map(drop)
+            };
+            assert!(
+                walked.as_ref().is_err_and(corrupt),
+                "{what}: walk {walked:?}"
+            );
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 

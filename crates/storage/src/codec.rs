@@ -86,6 +86,12 @@ impl<'a> SliceReader<'a> {
         le_u64(self.take(8)?, 0).ok_or_else(|| self.truncated())
     }
 
+    /// Bytes not yet consumed: the bound on anything the rest of the
+    /// structure can claim to hold.
+    pub fn remaining(&self) -> usize {
+        self.rest.len()
+    }
+
     /// True once every byte has been consumed.
     pub fn at_end(&self) -> bool {
         self.rest.is_empty()
@@ -133,6 +139,7 @@ mod tests {
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), 0x0123_4567_89AB_CDEF);
         assert!(!r.at_end());
+        assert_eq!(r.remaining(), 3);
         // Trailing bytes: `finish` refuses, and says what it was reading.
         let err = r.finish().unwrap_err();
         assert!(matches!(&err, StorageError::Corrupt(m) if m.contains("test frame")));

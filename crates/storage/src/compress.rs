@@ -4,12 +4,18 @@
 //! The compressed vector-list format (iva-core's `packed` module) stores
 //! monotone tuple-id deltas and small numeric codes as fixed-width
 //! bit-packed runs, the classic inverted-list compression of
-//! compression-based index structures. This module provides the two
+//! compression-based index structures. This module provides the
 //! primitives: a packer that appends `n` values at `width` bits each
-//! (LSB-first within and across bytes), and a checked unpacker that reads
-//! them back without ever indexing past the buffer — truncated input
-//! surfaces as `None`, never a panic, because these bytes come straight
-//! off disk.
+//! (LSB-first within and across bytes), a checked one-value-at-a-time
+//! [`BitUnpacker`], and a bulk [`unpack_bits`] that inflates a whole
+//! section with it in one call. Reading is word-at-a-time: a value of up
+//! to 56 bits is one unaligned 8-byte little-endian load, a shift and a
+//! mask; only the last few values of a buffer (whose 8-byte window would
+//! run past its end) and widths above 56 take the checked byte loop.
+//! Nothing ever indexes past the buffer — truncated input surfaces as
+//! `None`, never a panic, because these bytes come straight off disk.
+
+use crate::codec::le_u64;
 
 /// Minimal number of bits needed to represent `v` (`0` for `v == 0`).
 pub fn bit_width(v: u64) -> u32 {
@@ -28,11 +34,7 @@ pub fn pack_bits(values: &[u64], width: u32, out: &mut Vec<u8>) {
     if width == 0 {
         return;
     }
-    let mask = if width >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    };
+    let mask = low_bits(width);
     let mut acc: u128 = 0;
     let mut nbits: u32 = 0;
     for &v in values {
@@ -49,7 +51,34 @@ pub fn pack_bits(values: &[u64], width: u32, out: &mut Vec<u8>) {
     }
 }
 
-/// Checked LSB-first reader over a bit-packed byte slice.
+/// Widest value one 8-byte window always holds whole: up to 7 bits of
+/// in-byte shift plus the value must fit 64.
+const WINDOW_WIDTH: u32 = 56;
+
+fn low_bits(width: u32) -> u64 {
+    if width >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << width) - 1
+    }
+}
+
+/// Bulk inverse of [`pack_bits`]: append the `n` values packed at `width`
+/// bits in `buf` to `out`. `None` — with nothing appended — when the
+/// width is not representable (`> 64`) or `buf` holds fewer than `n`
+/// values. At width 0 the values are `n` zeros and `buf` is not
+/// consulted, so the caller bounds `n`.
+pub fn unpack_bits(buf: &[u8], width: u32, n: usize, out: &mut Vec<u64>) -> Option<()> {
+    if n.checked_mul(width as usize)? > buf.len().checked_mul(8)? {
+        return None;
+    }
+    out.reserve(n);
+    out.extend(BitUnpacker::new(buf, width)?.take(n));
+    Some(())
+}
+
+/// Checked LSB-first reader over a bit-packed byte slice, one value at a
+/// time (sections are inflated whole by [`unpack_bits`]).
 ///
 /// Every accessor is bounds-checked against the borrowed buffer; a
 /// truncated or short buffer ends the [`Iterator`] with `None` instead
@@ -81,9 +110,19 @@ impl Iterator for BitUnpacker<'_> {
 
     /// Next value, or `None` once fewer than `width` bits remain. At width
     /// 0 this returns `Some(0)` forever; the caller bounds the count.
+    #[inline]
     fn next(&mut self) -> Option<u64> {
         if self.width == 0 {
             return Some(0);
+        }
+        if self.width <= WINDOW_WIDTH {
+            // An in-bounds window holds the whole value: it starts at most
+            // 7 bits in and is at most 56 wide.
+            if let Some(word) = le_u64(self.buf, self.bit_pos >> 3) {
+                let v = (word >> (self.bit_pos & 7)) & low_bits(self.width);
+                self.bit_pos += self.width as usize;
+                return Some(v);
+            }
         }
         let end = self.bit_pos.checked_add(self.width as usize)?;
         if end > self.buf.len().checked_mul(8)? {
@@ -97,13 +136,8 @@ impl Iterator for BitUnpacker<'_> {
             acc |= u128::from(b) << (8 * i);
         }
         acc >>= shift;
-        let mask = if self.width == 64 {
-            u128::from(u64::MAX)
-        } else {
-            (1u128 << self.width) - 1
-        };
         self.bit_pos = end;
-        Some((acc & mask) as u64)
+        Some((acc & u128::from(low_bits(self.width))) as u64)
     }
 }
 
@@ -127,11 +161,7 @@ mod tests {
     #[test]
     fn roundtrip_all_widths() {
         for width in 0..=64u32 {
-            let max = if width >= 64 {
-                u64::MAX
-            } else {
-                (1u64 << width) - 1
-            };
+            let max = low_bits(width);
             let values: Vec<u64> = (0..97u64)
                 .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15)) & max)
                 .collect();
@@ -151,6 +181,55 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The bulk unpacker against the packer and the one-at-a-time reader:
+    /// every width, every length from empty through two 64-value blocks,
+    /// and the run laid down at every tail alignment — so the last
+    /// windowed value, the checked tail and the end of the buffer meet in
+    /// every combination. One spare byte must not change the values; one
+    /// missing byte must be `None` with nothing appended. (Miri runs every
+    /// width on the lengths around each boundary.)
+    #[test]
+    fn bulk_unpack_roundtrips_every_width_length_and_tail() {
+        let lens: Vec<usize> = if cfg!(miri) {
+            vec![0, 1, 7, 8, 9, 64, 65, 130]
+        } else {
+            (0..=130).collect()
+        };
+        for width in 0..=64u32 {
+            let max = low_bits(width);
+            for &len in &lens {
+                let values: Vec<u64> = (0..len as u64)
+                    .map(|i| (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) & max)
+                    .collect();
+                let mut buf = Vec::new();
+                pack_bits(&values, width, &mut buf);
+                for spare in (0..=8usize).step_by(if cfg!(miri) { 4 } else { 1 }) {
+                    let mut padded = buf.clone();
+                    padded.resize(buf.len() + spare, 0xFF);
+                    let mut wide: Vec<u64> = vec![7];
+                    unpack_bits(&padded, width, len, &mut wide).unwrap();
+                    assert_eq!(wide[0], 7, "appends, never overwrites");
+                    assert_eq!(&wide[1..], &values[..], "w={width} n={len} +{spare}");
+                    let one_by_one: Vec<u64> = BitUnpacker::new(&padded, width)
+                        .unwrap()
+                        .take(len)
+                        .collect();
+                    assert_eq!(one_by_one, values, "w={width} n={len} +{spare}");
+                }
+                if !buf.is_empty() {
+                    let mut out: Vec<u64> = vec![7];
+                    let short = &buf[..buf.len() - 1];
+                    assert_eq!(unpack_bits(short, width, len, &mut out), None);
+                    assert_eq!(out, [7], "w={width} n={len}");
+                }
+            }
+        }
+        let mut out: Vec<u64> = Vec::new();
+        assert_eq!(unpack_bits(&[0; 16], 65, 1, &mut out), None);
+        assert_eq!(unpack_bits(&[], 3, usize::MAX, &mut out), None);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -20,10 +20,12 @@
 //!
 //! * [`PreparedMatcher`] — the production kernel. All query-gram hashes are
 //!   packed at build time into `u64`-word bitmasks, one mask per distinct
-//!   gram per signature geometry, so the per-signature hit test is
-//!   branch-free word arithmetic (`mask & !sig == 0`). The matcher is
-//!   immutable after construction and can be shared by reference across
-//!   scan worker threads.
+//!   gram per signature geometry, so the per-signature hit test is word
+//!   arithmetic (`mask & !sig == 0`) — and, on the one-word geometries a
+//!   scan lives in, a loop of fixed shape: same trip count, same loads and
+//!   no jump whatever the signature holds. The matcher is immutable after
+//!   construction and can be shared by reference across scan worker
+//!   threads.
 //! * [`QueryStringMatcher::estimate_scalar`] — the retained scalar
 //!   reference implementation, which recomputes gram bit positions per call
 //!   and tests them byte by byte. Property tests pin the kernel to this
@@ -247,8 +249,9 @@ fn eq3(q_len: usize, len_byte: u8, hg: u64, n: usize) -> f64 {
     ((m - hg as f64 - 1.0) / n as f64 + 1.0).max(0.0)
 }
 
-/// The estimate every scan path reports, shared verbatim by the scalar
-/// reference and the word-level kernel so their results are bit-identical:
+/// The estimate every scan path reports, as the scalar reference computes
+/// it (the kernel's [`PreparedMatcher::finish`] reaches the same value by
+/// table, and the property suite holds the two bit-identical):
 /// `max(⌈Eq. 3⌉, ||sq| − |sd||)`. Both tightenings are free — an edit
 /// distance is a whole number, so a lower bound on it may be rounded *up*,
 /// and no edit script is shorter than the length difference, which `cL`
@@ -261,20 +264,37 @@ fn finish_estimate(q_len: usize, len_byte: u8, hg: u64, n: usize) -> f64 {
     // never exceeds the query's gram count `|sq| + n − 1 ≤ m + n − 1`.
     let short = (q_len.max(d_len) + n - 1).saturating_sub(hg as usize);
     let by_grams = short.div_ceil(n.max(1));
-    let by_length = if d_len == 255 && q_len >= 255 {
+    by_grams.max(length_floor(q_len, d_len)) as f64
+}
+
+/// The first 8 bytes of `b` as a little-endian word, if it has them.
+#[inline]
+fn le_word(b: &[u8]) -> Option<u64> {
+    Some(u64::from_le_bytes(b.get(..8)?.try_into().ok()?))
+}
+
+/// Fewer than 8 bytes as the low bytes of a little-endian word.
+#[inline]
+fn short_word(b: &[u8]) -> u64 {
+    b.iter().rev().fold(0, |word, &x| word << 8 | u64::from(x))
+}
+
+/// `||sq| − |sd||` as far as `cL = d_len` tells it.
+fn length_floor(q_len: usize, d_len: usize) -> usize {
+    if d_len == 255 && q_len >= 255 {
         0
     } else {
         q_len.abs_diff(d_len)
-    };
-    by_grams.max(by_length) as f64
+    }
 }
 
-/// Signature-word scratch that lives on the stack for every realistic
-/// geometry (64 words = 512 `cH` bytes; α ≤ 1 and |s| ≤ 255 keep `cH` under
-/// this for all n ≤ 258). Larger geometries fall back to a heap buffer.
-const STACK_WORDS: usize = 64;
+/// Entries per step of the one-word hit loop. Every geometry's pack is
+/// padded to a multiple of this, so the loop has no remainder and its trip
+/// count takes one or two values per query instead of one per `cL`.
+const LANES: usize = 8;
 
-/// Per-length-byte kernel geometry: where this length's gram masks live.
+/// Per-length-byte kernel geometry: where this length's gram masks live
+/// and the parts of the estimate that depend on `cL` alone.
 #[derive(Debug, Clone, Copy)]
 struct LenPlan {
     /// `cH` bytes of this geometry.
@@ -283,26 +303,47 @@ struct LenPlan {
     words: u32,
     /// Offset of this length's first gram mask in [`PreparedMatcher::masks`].
     mask_off: u32,
-    /// One-word fast path (`words == 1` only): offset/length of this
-    /// geometry's deduped `(mask, count)` pairs in [`PreparedMatcher::packs`].
+    /// One-word path (`words == 1` only): offset/length of this geometry's
+    /// padded pack in [`PreparedMatcher::pack_masks`] / `pack_counts`.
     pack_off: u32,
     pack_len: u32,
     /// Hit-gram count contributed unconditionally by grams whose mask is
     /// empty under this geometry (they hit every signature).
     pack_base: u64,
+    /// `max(|sq|, cL) + n − 1`: `top − |hg|` is Eq. 3's numerator.
+    top: usize,
+    /// The length floor `||sq| − cL|` (0 when both are clamped), as the
+    /// estimate's own type: a float `max` compiles without a branch.
+    by_length: f64,
 }
 
-/// Immutable branch-free estimation kernel for one query string.
+/// Immutable fixed-shape estimation kernel for one query string.
 ///
 /// Construction hashes every distinct query gram once per distinct
 /// signature geometry `(l, t)` and packs the `t` bit positions into
-/// little-endian `u64` words. [`PreparedMatcher::estimate`] then reduces
-/// the paper's hit test `h[l,t](ω) AND cH = h[l,t](ω)` to
-/// `mask & !sig == 0` over `⌈l/64⌉` words per gram — no per-signature
-/// allocation, no data-dependent branches in the gram loop.
+/// little-endian `u64` words; the paper's hit test `h[l,t](ω) AND cH =
+/// h[l,t](ω)` becomes `mask & !sig == 0` over `⌈l/64⌉` words per gram,
+/// with no per-signature allocation.
 ///
-/// The matcher is `Sync`: one instance is shared by reference across all
-/// segmented-scan workers of a query.
+/// The one-word path (`cH ≤ 8` bytes: every string under 40 bytes at the
+/// paper's α = 0.2) is the one a scan lives in, and nothing in it depends
+/// on the signature it reads (DESIGN.md §8):
+///
+/// * *Fixed trip count.* Each geometry's distinct masks and their summed
+///   counts are two parallel arrays padded to a multiple of 8 (`LANES`) with
+///   `(mask = !0, count = 0)` entries — an all-ones signature word "hits"
+///   a pad and adds 0 — so the hit loop runs whole 8-wide steps,
+///   vectorises without a scalar tail, and does not branch per `cL`.
+/// * *One load.* A mask has bits only below `l = 8·ch_bytes`, so whatever
+///   follows the signature in the loaded word cannot change a hit test:
+///   given 8 readable bytes the word is one unaligned load, with no
+///   length-dependent copy and no masking.
+/// * *No division, no jump.* `⌈(top − |hg|)/n⌉` is a table lookup and the
+///   length floor is baked per `cL`, both as floats.
+///
+/// [`QueryStringMatcher::estimate_scalar`] stays the oracle; every value is
+/// bit-identical to it. The matcher is `Sync`: one instance is shared by
+/// reference across all segmented-scan workers of a query.
 #[derive(Debug, Clone)]
 pub struct PreparedMatcher {
     q_len: usize,
@@ -315,13 +356,14 @@ pub struct PreparedMatcher {
     /// word of the first gram's mask for that length's geometry. Lengths
     /// sharing a geometry share one table.
     masks: Vec<u64>,
-    /// Deduped `(mask, summed count)` pairs for one-word geometries.
-    /// Distinct grams frequently collide into the same single-word mask,
-    /// so the block kernel tests each distinct mask once instead of once
-    /// per gram.
-    packs: Vec<(u64, u64)>,
-    /// Largest `words` over all plans (sizes the block-scan scratch).
-    max_words: usize,
+    /// One-word geometries: the distinct masks (grams that collide into
+    /// the same word are indistinguishable to the hit test) and, parallel
+    /// to them, their summed counts; each geometry's run is padded to a
+    /// multiple of [`LANES`].
+    pack_masks: Vec<u64>,
+    pack_counts: Vec<u64>,
+    /// `ceil_div[x] = ⌈x/n⌉` for every `x` up to the largest `top`.
+    ceil_div: Vec<f64>,
 }
 
 /// Baked per-geometry offsets: `(mask_off, pack_off, pack_len, pack_base)`.
@@ -335,20 +377,20 @@ impl PreparedMatcher {
     }
 
     fn build(codec: &SigCodec, query: &QueryStringMatcher) -> Self {
+        let (q_len, n) = (query.q_len, query.n);
         let mut plans = Vec::with_capacity(256);
         let mut masks: Vec<u64> = Vec::new();
-        let mut packs: Vec<(u64, u64)> = Vec::new();
+        let mut pack_masks: Vec<u64> = Vec::new();
+        let mut pack_counts: Vec<u64> = Vec::new();
         // Consecutive length bytes frequently share (l, t); dedupe so each
         // distinct geometry hashes the query grams exactly once.
         let mut seen: Vec<((u32, u32), Baked)> = Vec::new();
         let mut pos = Vec::new();
-        let mut max_words = 0usize;
         for len in 0u16..=255 {
             let len_byte = len as u8;
             let (l, t) = codec.geometry(len_byte);
             let ch_bytes = codec.ch_bytes(len_byte);
             let words = ch_bytes.div_ceil(8);
-            max_words = max_words.max(words);
             let (mask_off, pack_off, pack_len, pack_base) =
                 match seen.iter().find(|(k, _)| *k == (l, t)) {
                     Some(&(_, baked)) => baked,
@@ -364,32 +406,37 @@ impl PreparedMatcher {
                                 }
                             }
                         }
-                        // One-word geometries additionally get a deduped
-                        // (mask, count) table: grams that collide into the
-                        // same mask are indistinguishable to the hit test,
-                        // so their counts merge, and empty masks hit every
-                        // signature and fold into a constant.
-                        let p_off = packs.len() as u32;
+                        // One-word geometries additionally get the deduped
+                        // pack: counts of colliding grams merge, and empty
+                        // masks hit every signature and fold into a constant.
+                        let p_off = pack_masks.len();
                         let mut p_base = 0u64;
                         if words == 1 {
                             for (i, &c) in query.counts.iter().enumerate() {
                                 let m = masks.get(off as usize + i).copied().unwrap_or(0);
+                                let seen_at = pack_masks.iter().skip(p_off).position(|&pm| pm == m);
                                 if m == 0 {
                                     p_base += u64::from(c);
-                                } else if let Some(pair) =
-                                    packs.iter_mut().skip(p_off as usize).find(|p| p.0 == m)
+                                } else if let Some(slot) =
+                                    seen_at.and_then(|j| pack_counts.get_mut(p_off + j))
                                 {
-                                    pair.1 += u64::from(c);
+                                    *slot += u64::from(c);
                                 } else {
-                                    packs.push((m, u64::from(c)));
+                                    pack_masks.push(m);
+                                    pack_counts.push(u64::from(c));
                                 }
                             }
+                            let padded = p_off + (pack_masks.len() - p_off).next_multiple_of(LANES);
+                            pack_masks.resize(padded, !0);
+                            pack_counts.resize(padded, 0);
                         }
-                        let baked = (off, p_off, packs.len() as u32 - p_off, p_base);
+                        let p_len = (pack_masks.len() - p_off) as u32;
+                        let baked = (off, p_off as u32, p_len, p_base);
                         seen.push(((l, t), baked));
                         baked
                     }
                 };
+            let d_len = usize::from(len_byte);
             plans.push(LenPlan {
                 ch_bytes: ch_bytes as u32,
                 words: words as u32,
@@ -397,16 +444,20 @@ impl PreparedMatcher {
                 pack_off,
                 pack_len,
                 pack_base,
+                top: q_len.max(d_len) + n - 1,
+                by_length: length_floor(q_len, d_len) as f64,
             });
         }
+        let max_top = q_len.max(255) + n - 1;
         Self {
-            q_len: query.q_len,
-            n: query.n,
+            q_len,
+            n,
             counts: query.counts.iter().map(|&c| u64::from(c)).collect(),
             plans,
             masks,
-            packs,
-            max_words,
+            pack_masks,
+            pack_counts,
+            ceil_div: (0..=max_top).map(|x| x.div_ceil(n.max(1)) as f64).collect(),
         }
     }
 
@@ -415,21 +466,11 @@ impl PreparedMatcher {
         self.q_len
     }
 
-    /// The baked plan for a length byte. `plans` is built for every `u8`
-    /// value, so the lookup is total.
+    /// The baked plan for a length byte. `plans` has a row per `u8` value,
+    /// so the lookup never fails.
     #[inline]
-    fn plan_of(&self, len_byte: u8) -> LenPlan {
-        self.plans
-            .get(usize::from(len_byte))
-            .copied()
-            .unwrap_or(LenPlan {
-                ch_bytes: 0,
-                words: 0,
-                mask_off: 0,
-                pack_off: 0,
-                pack_len: 0,
-                pack_base: 0,
-            })
+    fn plan_of(&self, len_byte: u8) -> Result<&LenPlan, SigError> {
+        self.plans.get(usize::from(len_byte)).ok_or(SigError::Empty)
     }
 
     /// Lower-bound `ed(sq, sd)` from an encoded signature (`[cL][cH...]`,
@@ -449,10 +490,14 @@ impl PreparedMatcher {
 
     /// [`PreparedMatcher::estimate`] for callers that already consumed the
     /// length byte from the element stream (the vector-list cursors, which
-    /// must read `cL` first to learn how many `cH` bytes to view).
+    /// must read `cL` first to learn how many `cH` bytes to view). `ch` may
+    /// run past the signature's own bytes; a caller that can hand in 8 or
+    /// more readable bytes gets the one-load path on one-word geometries.
+    #[inline]
     pub fn estimate_parts(&self, len_byte: u8, ch: &[u8]) -> Result<f64, SigError> {
-        let hg = self.hit_grams_of(len_byte, ch)?;
-        Ok(finish_estimate(self.q_len, len_byte, hg, self.n))
+        let plan = self.plan_of(len_byte)?;
+        let hg = self.hit_grams_of(plan, ch)?;
+        Ok(self.finish(plan, hg))
     }
 
     /// `est(sq, c(sd))` exactly as Eq. 3 writes it — the same hit count as
@@ -463,35 +508,66 @@ impl PreparedMatcher {
         let Some((&len_byte, rest)) = sig.split_first() else {
             return Err(SigError::Empty);
         };
-        let hg = self.hit_grams_of(len_byte, rest)?;
+        let hg = self.hit_grams_of(self.plan_of(len_byte)?, rest)?;
         Ok(eq3(self.q_len, len_byte, hg, self.n))
     }
 
-    /// `|hg|`: the query grams (with multiplicity) whose every hashed bit
-    /// is set in the `cH` of a signature with length byte `len_byte`.
+    /// [`finish_estimate`] without its division or its branch: the
+    /// quotient from the table, the length floor from the plan. `|hg| ≤
+    /// top`, so the lookup is in range; the fallback is the same arithmetic.
     #[inline]
-    fn hit_grams_of(&self, len_byte: u8, ch: &[u8]) -> Result<u64, SigError> {
-        let plan = self.plan_of(len_byte);
+    fn finish(&self, plan: &LenPlan, hg: u64) -> f64 {
+        let short = plan.top.saturating_sub(hg as usize);
+        let by_grams = match self.ceil_div.get(short) {
+            Some(&q) => q,
+            None => short.div_ceil(self.n.max(1)) as f64,
+        };
+        by_grams.max(plan.by_length)
+    }
+
+    /// `|hg|` on a one-word geometry, from the signature word `s` (bits at
+    /// and above `8·ch_bytes` may hold anything — no mask has them set).
+    /// Whole [`LANES`]-wide steps over the padded pack.
+    #[inline]
+    fn one_word_hits(&self, plan: &LenPlan, s: u64) -> u64 {
+        let (off, len) = (plan.pack_off as usize, plan.pack_len as usize);
+        let masks = self.pack_masks.get(off..off + len).unwrap_or(&[]);
+        let counts = self.pack_counts.get(off..off + len).unwrap_or(&[]);
+        let mut lanes = [0u64; LANES];
+        for (ms, cs) in masks.chunks_exact(LANES).zip(counts.chunks_exact(LANES)) {
+            for ((lane, &m), &c) in lanes.iter_mut().zip(ms).zip(cs) {
+                *lane += if s & m == m { c } else { 0 };
+            }
+        }
+        plan.pack_base + lanes.iter().sum::<u64>()
+    }
+
+    /// `|hg|`: the query grams (with multiplicity) whose every hashed bit
+    /// is set in the signature under `plan` that `ch` starts with. `ch` may
+    /// run on past it.
+    #[inline]
+    fn hit_grams_of(&self, plan: &LenPlan, ch: &[u8]) -> Result<u64, SigError> {
         let ch_bytes = plan.ch_bytes as usize;
-        let ch = ch.get(..ch_bytes).ok_or(SigError::Truncated {
-            need: 1 + ch_bytes,
-            got: 1 + ch.len(),
-        })?;
-        let words = plan.words as usize;
-        Ok(if words <= STACK_WORDS {
-            let mut scratch = [0u64; STACK_WORDS];
-            self.hit_grams(plan, ch, scratch.get_mut(..words).unwrap_or(&mut []))
-        } else {
-            // Geometry too wide for the stack (needs n > 258): cold path.
-            let mut scratch = vec![0u64; words];
-            self.hit_grams(plan, ch, &mut scratch)
+        let Some(own) = ch.get(..ch_bytes) else {
+            return Err(SigError::Truncated {
+                need: 1 + ch_bytes,
+                got: 1 + ch.len(),
+            });
+        };
+        Ok(match (plan.words, le_word(ch)) {
+            (1, Some(word)) => self.one_word_hits(plan, word),
+            (1, None) => self.one_word_hits(plan, short_word(own)),
+            _ => self.hit_grams(plan, own),
         })
     }
 
     /// Estimate a contiguous block of `out.len()` encoded signatures, each
     /// occupying `stride` bytes starting at `sigs[i * stride]` (trailing
-    /// padding within a cell is ignored). One scratch buffer serves the
-    /// whole block; no per-element allocation.
+    /// padding within a cell is ignored); no per-element allocation. On a
+    /// one-word geometry the
+    /// signature word is one load that may run into the next cell (never
+    /// past `sigs`) — the kernel the hot tier's stride-packed columns are
+    /// shaped for.
     pub fn estimate_block(
         &self,
         sigs: &[u8],
@@ -511,96 +587,54 @@ impl PreparedMatcher {
                 got: sigs.len(),
             });
         }
-        let mut heap;
-        let mut stack = [0u64; STACK_WORDS];
-        let scratch: &mut [u64] = if self.max_words <= STACK_WORDS {
-            &mut stack
-        } else {
-            heap = vec![0u64; self.max_words];
-            &mut heap
-        };
         for (i, slot) in out.iter_mut().enumerate() {
-            let base = i * stride;
-            // One-word fast path: the whole signature word in a single
-            // load (padding beyond `ch_bytes` masked off, so garbage
-            // trailing bytes stay ignored), then one test per *distinct*
-            // mask from the baked pack — no scratch staging, no per-gram
-            // slice arithmetic. This is the kernel the hot tier's
-            // stride-packed columns are shaped for.
-            if let Some(&len_byte) = sigs.get(base) {
-                let plan = self.plan_of(len_byte);
-                if plan.words == 1 && stride > plan.ch_bytes as usize {
-                    if let Some(win) = sigs.get(base + 1..base + 9) {
-                        let keep = match plan.ch_bytes {
-                            8.. => !0u64,
-                            cb => (1u64 << (8 * cb)) - 1,
-                        };
-                        let s = u64::from_le_bytes(win.try_into().unwrap_or([0u8; 8])) & keep;
-                        let mut hg = plan.pack_base;
-                        let p0 = plan.pack_off as usize;
-                        for &(m, c) in self
-                            .packs
-                            .get(p0..p0 + plan.pack_len as usize)
-                            .unwrap_or(&[])
-                        {
-                            hg += u64::from(s & m == m) * c;
-                        }
-                        *slot = finish_estimate(self.q_len, len_byte, hg, self.n);
-                        continue;
-                    }
-                    // A final cell narrower than 9 bytes falls through to
-                    // the exact-width path below.
-                }
-            }
-            let cell = sigs.get(base..sigs.len().min(base + stride)).unwrap_or(&[]);
-            let Some((&len_byte, rest)) = cell.split_first() else {
+            let Some((&len_byte, rest)) = sigs.get(i * stride..).and_then(|c| c.split_first())
+            else {
                 return Err(SigError::Empty);
             };
-            let plan = self.plan_of(len_byte);
-            let ch_bytes = plan.ch_bytes as usize;
-            let ch = rest.get(..ch_bytes).ok_or(SigError::Truncated {
-                need: 1 + ch_bytes,
-                got: 1 + rest.len(),
-            })?;
-            let words = plan.words as usize;
-            let hg = self.hit_grams(plan, ch, scratch.get_mut(..words).unwrap_or(&mut []));
-            *slot = finish_estimate(self.q_len, len_byte, hg, self.n);
+            let plan = self.plan_of(len_byte)?;
+            // A signature wider than its cell is truncated, whatever the
+            // next cell holds.
+            let ch = match plan.ch_bytes as usize >= stride {
+                true => rest.get(..stride - 1).unwrap_or(rest),
+                false => rest,
+            };
+            *slot = self.finish(plan, self.hit_grams_of(plan, ch)?);
         }
         Ok(())
     }
 
-    /// Load `ch` into `scratch` words and count hit grams branch-free.
-    /// `scratch.len()` must equal `plan.words`.
-    #[inline]
-    fn hit_grams(&self, plan: LenPlan, ch: &[u8], scratch: &mut [u64]) -> u64 {
-        debug_assert_eq!(ch.len(), plan.ch_bytes as usize);
-        debug_assert_eq!(scratch.len(), plan.words as usize);
-        let mut chunks = ch.chunks_exact(8);
-        let mut slots = scratch.iter_mut();
-        for (chunk, slot) in chunks.by_ref().zip(slots.by_ref()) {
-            *slot = u64::from_le_bytes(chunk.try_into().unwrap_or([0u8; 8]));
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut last = [0u8; 8];
-            for (d, &b) in last.iter_mut().zip(rem) {
-                *d = b;
+    /// Count hit grams with one pass over every gram's mask — the general
+    /// path of multi-word geometries, over exactly the signature's `cH`
+    /// bytes, staged as words on the stack. Out of line, so that the
+    /// one-word path around it stays small enough to inline into a scan.
+    #[inline(never)]
+    fn hit_grams(&self, plan: &LenPlan, own: &[u8]) -> u64 {
+        // 64 words = 512 `cH` bytes: α ≤ 1 and |s| ≤ 255 stay under this
+        // for all n ≤ 258; wider geometries stage on the heap.
+        let (mut stack, mut heap) = ([0u64; 64], Vec::new());
+        let words = plan.words as usize;
+        let sig = match stack.get_mut(..words) {
+            Some(sig) => sig,
+            None => {
+                heap.resize(words, 0);
+                &mut heap
             }
-            if let Some(slot) = slots.next() {
-                *slot = u64::from_le_bytes(last);
-            }
+        };
+        let whole = own.chunks_exact(8);
+        let last = short_word(whole.remainder());
+        for (slot, word) in sig.iter_mut().zip(whole.filter_map(le_word).chain([last])) {
+            *slot = word;
         }
-        let words = scratch.len();
+        // One mask of `words` words per distinct gram, from `mask_off` on.
+        let masks = self.masks.get(plan.mask_off as usize..).unwrap_or(&[]);
         let mut hg = 0u64;
-        let mut off = plan.mask_off as usize;
-        for &c in &self.counts {
-            let mask = self.masks.get(off..off + words).unwrap_or(&[]);
+        for (mask, &c) in masks.chunks_exact(words.max(1)).zip(&self.counts) {
             let mut miss = 0u64;
-            for (&m, &s) in mask.iter().zip(scratch.iter()) {
+            for (&m, &s) in mask.iter().zip(sig.iter()) {
                 miss |= m & !s;
             }
             hg += u64::from(miss == 0) * c;
-            off += words;
         }
         hg
     }
@@ -837,6 +871,102 @@ mod tests {
             for (i, (a, b)) in out.iter().zip(&singles).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "alpha={alpha} n={n} cell {i}");
             }
+        }
+    }
+
+    /// Every entry point against the scalar oracle on one signature.
+    fn assert_all_paths_match(
+        c: &SigCodec,
+        q: &QueryStringMatcher,
+        m: &PreparedMatcher,
+        sig: &[u8],
+    ) {
+        let want = q.estimate_scalar(c, sig).unwrap().to_bits();
+        let what = format!("|sq|={} n={} cL={}", q.q_len, q.n, sig[0]);
+        assert_eq!(m.estimate(sig).unwrap().to_bits(), want, "{what}");
+        assert_eq!(
+            m.estimate_parts(sig[0], &sig[1..]).unwrap().to_bits(),
+            want,
+            "{what}"
+        );
+        let mut running_on = sig[1..].to_vec();
+        running_on.extend_from_slice(&[0x5A; 9]);
+        assert_eq!(
+            m.estimate_parts(sig[0], &running_on).unwrap().to_bits(),
+            want,
+            "{what}"
+        );
+        // Two cells, so the first one's word load runs into the second.
+        let stride = c.max_encoded_len();
+        let mut block = vec![0x5Au8; 2 * stride];
+        block[..sig.len()].copy_from_slice(sig);
+        block[stride..stride + sig.len()].copy_from_slice(sig);
+        let mut out = [0.0f64; 2];
+        m.estimate_block(&block, stride, &mut out).unwrap();
+        assert_eq!([out[0].to_bits(), out[1].to_bits()], [want, want], "{what}");
+    }
+
+    /// The edges of the fixed-shape path. An all-ones `cH` makes every
+    /// mask hit — the pad entries too, which must add 0 — and an all-zero
+    /// one makes only the empty masks hit. Queries of 0, 1, 254, 255, 256
+    /// and 400 bytes put the pack's pad arithmetic, the `⌈·/n⌉` table's
+    /// last rows and the `cL = 255` clamp of the length floor on both
+    /// sides of every boundary.
+    #[test]
+    fn pads_table_bounds_and_clamp_match_scalar() {
+        for (alpha, n) in [(0.2, 2usize), (0.2, 3), (0.1, 4), (0.03, 2)] {
+            let c = SigCodec::new(alpha, n);
+            for q_len in [0usize, 1, 254, 255, 256, 400] {
+                let sq: Vec<u8> = (0..q_len).map(|i| b'a' + (i % 7) as u8).collect();
+                let q = QueryStringMatcher::new(&c, &sq);
+                let m = q.prepare(&c);
+                assert_eq!(m.pack_masks.len() % LANES, 0);
+                assert_eq!(m.pack_masks.len(), m.pack_counts.len());
+                // Miri visits every seventeenth length byte.
+                for len_byte in (0..=255u8).step_by(if cfg!(miri) { 17 } else { 1 }) {
+                    let plan = m.plan_of(len_byte).unwrap();
+                    assert_eq!(plan.pack_len as usize % LANES, 0);
+                    for fill in [0xFFu8, 0x00] {
+                        let mut sig = vec![len_byte];
+                        sig.resize(c.encoded_len(len_byte), fill);
+                        assert_all_paths_match(&c, &q, &m, &sig);
+                    }
+                    // The all-ones word hits everything: every gram counts.
+                    if plan.words == 1 {
+                        let grams: u64 = m.counts.iter().sum();
+                        assert_eq!(m.one_word_hits(plan, !0), grams, "pads must add 0");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Multi-word geometries (`cH` over 8 bytes: α = 1, or long strings at
+    /// any α) have no pack and take the general path — and match the
+    /// oracle like the one-word ones.
+    #[test]
+    fn multi_word_geometries_take_the_general_path() {
+        for (alpha, n) in [(1.0, 2usize), (0.2, 2), (0.5, 3)] {
+            let c = SigCodec::new(alpha, n);
+            let q = QueryStringMatcher::new(&c, b"a fairly long query string, for many grams");
+            let m = q.prepare(&c);
+            let mut multi = 0;
+            for len in (0usize..=255).chain([300]) {
+                let d: Vec<u8> = (0..len).map(|i| b'a' + (i * 7 % 26) as u8).collect();
+                let sig = c.encode_to_vec(&d);
+                let plan = m.plan_of(sig[0]).unwrap();
+                assert_eq!(plan.words as usize, c.ch_bytes(sig[0]).div_ceil(8));
+                if plan.words > 1 {
+                    assert_eq!(plan.pack_len, 0, "no pack beyond one word");
+                    multi += 1;
+                }
+                assert_all_paths_match(&c, &q, &m, &sig);
+            }
+            assert!(
+                multi > 200 || alpha < 1.0,
+                "alpha=1 is multi-word from 8 bytes up"
+            );
+            assert!(multi > 0);
         }
     }
 

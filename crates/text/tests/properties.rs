@@ -257,6 +257,68 @@ proptest! {
         }
     }
 
+    /// A real column interleaves lengths; a sweep that visits them one
+    /// at a time is the shape a branch predictor memorises, and would hide
+    /// a kernel whose work depends on the signature it reads. Every `cL`
+    /// 0..=255 (and one clamped string) in random order, through every
+    /// entry point, against the scalar oracle bit for bit: `estimate`,
+    /// `estimate_parts` on the exact `cH` view and on a view that runs on
+    /// into the next signatures (as a packed frame's section does), and
+    /// `estimate_block` over cells whose padding is poison.
+    #[test]
+    fn kernel_matches_scalar_on_interleaved_length_columns(
+        q in prop_oneof![short_string(), long_string()],
+        alpha in 0.05f64..1.0,
+        n in 2usize..5,
+        seed in any::<u64>(),
+    ) {
+        let codec = SigCodec::new(alpha, n);
+        let builder = QueryStringMatcher::new(&codec, &q);
+        let m = builder.prepare(&codec);
+        // Lengths 0..=256 (256 clamps to cL = 255), Fisher-Yates by an LCG.
+        let mut lens: Vec<usize> = (0..=256).collect();
+        let mut state = seed | 1;
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        for i in (1..lens.len()).rev() {
+            lens.swap(i, next() % (i + 1));
+        }
+        let sigs: Vec<Vec<u8>> = lens
+            .iter()
+            .map(|&len| {
+                let d: Vec<u8> = (0..len).map(|_| 0x20 + (next() % 0x5f) as u8).collect();
+                codec.encode_to_vec(&d)
+            })
+            .collect();
+        let want: Vec<u64> = sigs
+            .iter()
+            .map(|sig| builder.estimate_scalar(&codec, sig).unwrap().to_bits())
+            .collect();
+
+        // The grouped section of a packed frame: every cH back to back.
+        let mut section: Vec<u8> = sigs.iter().flat_map(|sig| sig[1..].iter().copied()).collect();
+        section.extend_from_slice(&[0xA5; 7]);
+        let stride = codec.max_encoded_len();
+        let mut block = vec![0xA5u8; sigs.len() * stride];
+        let mut off = 0;
+        for (i, (sig, &want)) in sigs.iter().zip(&want).enumerate() {
+            prop_assert_eq!(m.estimate(sig).unwrap().to_bits(), want, "estimate, cL={}", sig[0]);
+            let exact = m.estimate_parts(sig[0], &sig[1..]).unwrap();
+            prop_assert_eq!(exact.to_bits(), want, "exact view, cL={}", sig[0]);
+            let running_on = m.estimate_parts(sig[0], &section[off..]).unwrap();
+            prop_assert_eq!(running_on.to_bits(), want, "section view, cL={}", sig[0]);
+            off += sig.len() - 1;
+            block[i * stride..i * stride + sig.len()].copy_from_slice(sig);
+        }
+        let mut out = vec![0.0f64; sigs.len()];
+        m.estimate_block(&block, stride, &mut out).unwrap();
+        for ((got, &want), sig) in out.iter().zip(&want).zip(&sigs) {
+            prop_assert_eq!(got.to_bits(), want, "block, cL={}", sig[0]);
+        }
+    }
+
     #[test]
     fn block_estimates_match_single_calls(
         q in short_string(),
