@@ -172,6 +172,7 @@ fn decode_packed_dir_frame(
     elems: usize,
     tids: &mut Vec<u32>,
     ptrs: &mut Vec<u64>,
+    deltas: &mut Vec<u64>,
 ) -> Result<()> {
     if elems == 0 || elems > MAX_DIR_FRAME_ELEMS {
         return Err(corrupt("bad directory frame element count"));
@@ -186,30 +187,41 @@ fn decode_packed_dir_frame(
     let bitmap = c.take(elems.div_ceil(8))?;
     c.finish()?;
     // Each delta section inflates in one bulk call, into one scratch.
-    let mut deltas: Vec<u64> = Vec::new();
-    unpack_bits(tbytes, tbw, elems - 1, &mut deltas)
+    deltas.clear();
+    unpack_bits(tbytes, tbw, elems - 1, deltas)
         .ok_or_else(|| corrupt("bad directory tid delta run"))?;
-    let mut tid = first_tid;
-    tids.push(tid);
-    for &d in &deltas {
-        let step = d
-            .checked_add(1)
-            .ok_or_else(|| corrupt("directory tid delta overflow"))?;
-        tid = u64::from(tid)
-            .checked_add(step)
-            .and_then(|v| u32::try_from(v).ok())
-            .ok_or_else(|| corrupt("directory tid overflow"))?;
-        tids.push(tid);
+    // Tids step by Δ+1. Steps above `u32::MAX` are corrupt, and below it
+    // the u64 sum of at most 2^20 of them cannot wrap: the loop checks
+    // nothing and the last tid is checked once.
+    let (mut tid, mut wide) = (u64::from(first_tid), false);
+    tids.reserve(elems);
+    tids.push(first_tid);
+    for &d in deltas.iter() {
+        wide |= d > u64::from(u32::MAX);
+        tid = tid.wrapping_add(d).wrapping_add(1);
+        tids.push(tid as u32);
+    }
+    if wide || tid > u64::from(u32::MAX) {
+        return Err(corrupt("directory tid overflow"));
     }
     deltas.clear();
-    unpack_bits(pbytes, pbw, elems - 1, &mut deltas)
+    unpack_bits(pbytes, pbw, elems - 1, deltas)
         .ok_or_else(|| corrupt("bad directory ptr delta run"))?;
-    let live = |j: usize| bitmap.get(j / 8).is_some_and(|b| b & (1u8 << (j % 8)) != 0);
-    let mut sp = first_ptr;
-    ptrs.push(if live(0) { sp } else { TOMBSTONE_PTR });
-    for (j, &z) in deltas.iter().enumerate() {
-        sp = sp.wrapping_add(unzigzag(z) as u64);
-        ptrs.push(if live(j + 1) { sp } else { TOMBSTONE_PTR });
+    // The stored pointers are a running sum; eight elements per bitmap
+    // byte, the dead ones read as `TOMBSTONE_PTR`.
+    let mut stored = std::iter::once(first_ptr).chain(deltas.iter().scan(first_ptr, |sp, &z| {
+        *sp = sp.wrapping_add(unzigzag(z) as u64);
+        Some(*sp)
+    }));
+    ptrs.reserve(elems);
+    for &bits in bitmap {
+        for (bit, sp) in (0..8).zip(stored.by_ref()) {
+            ptrs.push(if (bits >> bit) & 1 == 1 {
+                sp
+            } else {
+                TOMBSTONE_PTR
+            });
+        }
     }
     Ok(())
 }
@@ -225,6 +237,8 @@ pub(crate) struct DirCursor {
     ptrs: Vec<u64>,
     pos: usize,
     scratch: Vec<u8>,
+    /// A packed frame's delta sections, inflated.
+    deltas: Vec<u64>,
 }
 
 impl DirCursor {
@@ -241,6 +255,7 @@ impl DirCursor {
             ptrs: Vec::new(),
             pos: 0,
             scratch: Vec::new(),
+            deltas: Vec::new(),
         })
     }
 
@@ -266,17 +281,41 @@ impl DirCursor {
         self.pos = 0;
         match kind {
             DIR_RAW => decode_raw_dir_frame(&self.scratch, elems, &mut self.tids, &mut self.ptrs),
-            DIR_PACKED => {
-                decode_packed_dir_frame(&self.scratch, elems, &mut self.tids, &mut self.ptrs)
-            }
+            DIR_PACKED => decode_packed_dir_frame(
+                &self.scratch,
+                elems,
+                &mut self.tids,
+                &mut self.ptrs,
+                &mut self.deltas,
+            ),
             _ => Err(corrupt("bad directory frame kind")),
         }
     }
 
-    /// The next `(tid, ptr)` element (tombstones as [`TOMBSTONE_PTR`]).
-    pub(crate) fn next_entry(&mut self) -> Result<(u32, u64)> {
+    /// Append the next elements to `tids`/`ptrs` (tombstones as
+    /// [`TOMBSTONE_PTR`]): at least one and at most `max` (≥ 1) of them,
+    /// never past the end of the current frame — a slice copy of a decoded
+    /// frame. A raw directory's block is the whole elements left in its
+    /// current page, read in one go (one that straddles two pages is a
+    /// block of its own): its page reads fall where an element-by-element
+    /// walk made them.
+    pub(crate) fn next_block(
+        &mut self,
+        max: usize,
+        tids: &mut Vec<u32>,
+        ptrs: &mut Vec<u64>,
+    ) -> Result<()> {
         if !self.packed {
-            return Ok((self.r.read_u32()?, self.r.read_u64()?));
+            let in_page = self.r.in_page_remaining()? / TUPLE_ENTRY_LEN;
+            self.scratch
+                .resize(max.min(in_page).max(1) * TUPLE_ENTRY_LEN, 0);
+            self.r.read_exact(&mut self.scratch)?;
+            for elem in self.scratch.chunks_exact(TUPLE_ENTRY_LEN) {
+                let mut c = SliceReader::new(elem, "directory element");
+                tids.push(c.u32()?);
+                ptrs.push(c.u64()?);
+            }
+            return Ok(());
         }
         if self.pos >= self.tids.len() {
             if self.r.at_end() {
@@ -285,18 +324,12 @@ impl DirCursor {
             let (kind, elems, plen) = self.read_frame_header()?;
             self.load_frame(kind, elems, plen)?;
         }
-        let t = self
-            .tids
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| corrupt("directory scan past end"))?;
-        let p = self
-            .ptrs
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| corrupt("directory scan past end"))?;
-        self.pos += 1;
-        Ok((t, p))
+        let end = self.tids.len().min(self.pos.saturating_add(max));
+        let past_end = || corrupt("directory scan past end");
+        tids.extend_from_slice(self.tids.get(self.pos..end).ok_or_else(past_end)?);
+        ptrs.extend_from_slice(self.ptrs.get(self.pos..end).ok_or_else(past_end)?);
+        self.pos = end;
+        Ok(())
     }
 
     /// Skip the next `n` elements (segmented scans start mid-list).
@@ -353,11 +386,10 @@ pub(crate) fn locate_tombstone(
     n_entries: u64,
     tid: u32,
 ) -> Result<Option<DirPatch>> {
-    let mut r = ListReader::open(Arc::clone(pager), handle)?;
+    let mut cur = DirCursor::open(pager, handle, encoding)?;
     if encoding == ListEncoding::Raw {
         for i in 0..n_entries {
-            let t = r.read_u32()?;
-            let p = r.read_u64()?;
+            let (t, p) = (cur.r.read_u32()?, cur.r.read_u64()?);
             if t == tid {
                 return Ok(Some(DirPatch {
                     offset: i * TUPLE_ENTRY_LEN as u64 + 4,
@@ -371,27 +403,11 @@ pub(crate) fn locate_tombstone(
         }
         return Ok(None);
     }
-    let mut scratch = Vec::new();
-    let mut tids = Vec::new();
-    let mut ptrs = Vec::new();
-    while !r.at_end() {
-        let kind = r.read_u8()?;
-        let elems = r.read_u32()? as usize;
-        let plen = r.read_u32()? as usize;
-        if plen as u64 > r.remaining() {
-            return Err(corrupt("truncated directory frame"));
-        }
-        let payload_start = r.tell();
-        scratch.clear();
-        scratch.resize(plen, 0);
-        r.read_exact(&mut scratch)?;
-        tids.clear();
-        ptrs.clear();
-        match kind {
-            DIR_RAW => decode_raw_dir_frame(&scratch, elems, &mut tids, &mut ptrs)?,
-            DIR_PACKED => decode_packed_dir_frame(&scratch, elems, &mut tids, &mut ptrs)?,
-            _ => return Err(corrupt("bad directory frame kind")),
-        }
+    while !cur.r.at_end() {
+        let (kind, elems, plen) = cur.read_frame_header()?;
+        let payload_start = cur.r.tell();
+        cur.load_frame(kind, elems, plen)?;
+        let (tids, ptrs, scratch) = (&cur.tids, &cur.ptrs, &cur.scratch);
         if tids.first().is_some_and(|&f| f > tid) {
             return Ok(None); // frames are globally tid-sorted
         }
@@ -472,11 +488,54 @@ mod tests {
         encoding: ListEncoding,
     ) -> Result<Vec<(u32, u64)>> {
         let mut cur = DirCursor::open(p, h, encoding)?;
-        let mut out = Vec::new();
+        let (mut tids, mut ptrs) = (Vec::new(), Vec::new());
         while cur.pos < cur.tids.len() || !cur.r.at_end() {
-            out.push(cur.next_entry()?);
+            cur.next_block(1, &mut tids, &mut ptrs)?;
         }
-        Ok(out)
+        Ok(tids.into_iter().zip(ptrs).collect())
+    }
+
+    /// The cursor's next element, as a block of one.
+    fn next(cur: &mut DirCursor) -> (u32, u64) {
+        let (mut tids, mut ptrs) = (Vec::new(), Vec::new());
+        cur.next_block(1, &mut tids, &mut ptrs).unwrap();
+        (tids[0], ptrs[0])
+    }
+
+    /// Blocks never cross a frame of a packed directory, nor a page of a
+    /// raw one.
+    #[test]
+    fn next_block_stops_at_frame_ends() {
+        let p = pager();
+        let entries = sample(2500);
+        let h = write_contiguous_list(&p, &encode_dir(&entries)).unwrap();
+        let mut cur = DirCursor::open(&p, h, ListEncoding::Packed).unwrap();
+        let (mut tids, mut ptrs) = (Vec::new(), Vec::new());
+        let mut sizes = Vec::new();
+        while tids.len() < entries.len() {
+            let before = tids.len();
+            cur.next_block(300, &mut tids, &mut ptrs).unwrap();
+            sizes.push(tids.len() - before);
+        }
+        assert_eq!(sizes, [300, 300, 300, 124, 300, 300, 300, 124, 300, 152]);
+        assert_eq!(tids.into_iter().zip(ptrs).collect::<Vec<_>>(), entries);
+        let mut raw = Vec::new();
+        for &(t, ptr) in &entries {
+            raw.extend_from_slice(&t.to_le_bytes());
+            raw.extend_from_slice(&ptr.to_le_bytes());
+        }
+        let h = write_contiguous_list(&p, &raw).unwrap();
+        let mut cur = DirCursor::open(&p, h, ListEncoding::Raw).unwrap();
+        let (mut tids, mut ptrs, mut sizes) = (Vec::new(), Vec::new(), Vec::new());
+        while tids.len() < entries.len() {
+            let before = tids.len();
+            cur.next_block(300, &mut tids, &mut ptrs).unwrap();
+            sizes.push(tids.len() - before);
+        }
+        // Pages hold 9 whole 12-byte elements and then part of one, which
+        // is a block of its own.
+        assert_eq!(sizes[..6], [9, 1, 9, 1, 9, 1]);
+        assert_eq!(tids.into_iter().zip(ptrs).collect::<Vec<_>>(), entries);
     }
 
     #[test]
@@ -531,13 +590,13 @@ mod tests {
         for skip in [0usize, 1, 7, 1023, 1024, 1025, 2048, 2499] {
             let mut cur = DirCursor::open(&p, h, ListEncoding::Packed).unwrap();
             cur.skip_entries(skip as u64).unwrap();
-            assert_eq!(cur.next_entry().unwrap(), entries[skip], "skip {skip}");
+            assert_eq!(next(&mut cur), entries[skip], "skip {skip}");
         }
         // Skipping in two installments must land at the sum.
         let mut cur = DirCursor::open(&p, h, ListEncoding::Packed).unwrap();
         cur.skip_entries(100).unwrap();
         cur.skip_entries(1500).unwrap();
-        assert_eq!(cur.next_entry().unwrap(), entries[1600]);
+        assert_eq!(next(&mut cur), entries[1600]);
     }
 
     #[test]

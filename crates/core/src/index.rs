@@ -22,7 +22,7 @@ use crate::numeric::NumericCodec;
 use crate::packed::{self, PackedReader};
 use crate::pool::{PoolEntry, ResultPool};
 use crate::query::{Query, QueryStats, QueryValue};
-use crate::scan::DRAIN_AT;
+use crate::scan::{block_len, DRAIN_AT};
 use crate::tier::{
     build_num_column, build_text_column, ColumnData, HotTier, NumColumn, TextColumn, TierLookup,
     TupleColumn, TUPLE_KEY,
@@ -553,21 +553,25 @@ impl IvaIndex {
         if let Some(ColumnData::Tuple(col)) = self.tier.peek(TUPLE_KEY, self.header.tuple_list) {
             return Ok(col);
         }
-        self.read_tuple_column()
+        self.read_tuple_column().map(Arc::new)
     }
 
-    /// The durable tuple list as a column: the directory cursor's first
-    /// `n_tuples` elements, exactly what a scan walks.
-    fn read_tuple_column(&self) -> Result<Arc<TupleColumn>> {
-        let mut cur = self.open_dir_cursor()?;
+    /// The durable tuple list as a column: the directory's first
+    /// `n_tuples` elements, exactly what a scan walks (and checked as it
+    /// checks them).
+    pub(crate) fn read_tuple_column(&self) -> Result<TupleColumn> {
+        let mut src = TupleSource::new(TupleFrom::Pager(self.open_dir_cursor()?));
         let n = self.tuple_capacity();
         let (mut tids, mut ptrs) = (Vec::with_capacity(n), Vec::with_capacity(n));
-        for _ in 0..self.header.n_tuples {
-            let (tid, ptr) = cur.next_entry()?;
-            tids.push(tid);
-            ptrs.push(ptr);
+        while (tids.len() as u64) < self.header.n_tuples {
+            let left = self.header.n_tuples - tids.len() as u64;
+            src.next_block(
+                usize::try_from(left).unwrap_or(usize::MAX),
+                &mut tids,
+                &mut ptrs,
+            )?;
         }
-        Ok(Arc::new(TupleColumn { tids, ptrs }))
+        Ok(TupleColumn { tids, ptrs })
     }
 
     /// How many tuple-list elements to reserve room for up front: the
@@ -584,7 +588,7 @@ impl IvaIndex {
         let handle = self.header.tuple_list;
         let est = TUPLE_ENTRY_LEN * self.header.n_tuples as usize;
         if let TierLookup::Promote { epoch } = self.tier.lookup(TUPLE_KEY, handle, est) {
-            let col = self.read_tuple_column()?;
+            let col = Arc::new(self.read_tuple_column()?);
             self.tier
                 .insert(TUPLE_KEY, handle, ColumnData::Tuple(col), epoch);
         }
@@ -604,10 +608,12 @@ impl IvaIndex {
     /// — this is a non-scoring probe, so each worker of a segmented scan
     /// can open its own source without inflating the EWMA).
     pub(crate) fn open_tuple_source(&self) -> Result<TupleSource> {
-        if let Some(ColumnData::Tuple(col)) = self.tier.peek(TUPLE_KEY, self.header.tuple_list) {
-            return Ok(TupleSource::Col { col, pos: 0 });
-        }
-        Ok(TupleSource::Pager(self.open_dir_cursor()?))
+        Ok(TupleSource::new(
+            match self.tier.peek(TUPLE_KEY, self.header.tuple_list) {
+                Some(ColumnData::Tuple(col)) => TupleFrom::Col { col, pos: 0 },
+                _ => TupleFrom::Pager(self.open_dir_cursor()?),
+            },
+        ))
     }
 
     /// Fold the per-attribute tier breakdown of a prepared query into
@@ -916,15 +922,18 @@ impl IvaIndex {
         if tid >= u64::from(u32::MAX) {
             return Err(IvaError::TidOverflow(tid));
         }
-        let tid32 = tid as u32;
-        let mut reader = self.open_dir_cursor()?;
-        for _ in 0..self.header.n_tuples {
-            let (t, ptr) = reader.next_entry()?;
-            if t == tid32 {
-                return Ok((ptr != TOMBSTONE_PTR).then_some(RecordPtr(ptr)));
-            }
-            if t > tid32 {
-                break;
+        let (mut src, mut left) = (self.open_tuple_source()?, self.header.n_tuples);
+        let (mut tids, mut ptrs) = (Vec::new(), Vec::new());
+        while left > 0 {
+            tids.clear();
+            ptrs.clear();
+            src.next_block(block_len(left), &mut tids, &mut ptrs)?;
+            left = left.saturating_sub(tids.len() as u64);
+            // Tids ascend: the first one not below `tid` settles it.
+            if let Some(at) = tids.iter().position(|&t| u64::from(t) >= tid) {
+                let hit = tids.get(at).is_some_and(|&t| u64::from(t) == tid);
+                let ptr = ptrs.get(at).copied().filter(|&p| hit && p != TOMBSTONE_PTR);
+                return Ok(ptr.map(RecordPtr));
             }
         }
         Ok(None)
@@ -973,39 +982,80 @@ impl IvaIndex {
     }
 }
 
-/// One scan pass over the tuple list: either a pager cursor over the
-/// durable list or a position over the resident hot-tier column. Both
-/// yield the identical `(tid, ptr)` sequence — mixed sources across the
-/// workers of one plan are therefore harmless.
-pub(crate) enum TupleSource {
+/// One scan pass over the tuple list, a block at a time: either a pager
+/// cursor over the durable list or a position over the resident hot-tier
+/// column. Both yield the identical `(tid, ptr)` sequence — mixed sources
+/// across the workers of one plan are therefore harmless.
+pub(crate) struct TupleSource {
+    from: TupleFrom,
+    /// The last tid handed out.
+    last: Option<u32>,
+}
+
+enum TupleFrom {
     Pager(DirCursor),
     Col { col: Arc<TupleColumn>, pos: usize },
 }
 
 impl TupleSource {
-    /// The next `(tid, ptr)` element.
-    pub(crate) fn next_entry(&mut self) -> Result<(u32, u64)> {
-        match self {
-            TupleSource::Pager(c) => c.next_entry(),
-            TupleSource::Col { col, pos } => {
-                let e = col
-                    .entry(*pos)
-                    .ok_or_else(|| IvaError::Corrupt("tuple column scan past end".into()))?;
-                *pos += 1;
-                Ok(e)
+    fn new(from: TupleFrom) -> Self {
+        Self { from, last: None }
+    }
+
+    /// Append the next elements to `tids`/`ptrs`: at least one and at most
+    /// `max` (≥ 1), never more than one directory frame holds. The pool's
+    /// tie rule (lowest tid wins) is Algorithm 1's "first arrival wins"
+    /// only because the tuple list is tid-ascending, and the keyed lists'
+    /// frozen pointer relies on it too: tids that do not strictly ascend,
+    /// within the block or from the block before, are
+    /// [`IvaError::Corrupt`].
+    pub(crate) fn next_block(
+        &mut self,
+        max: usize,
+        tids: &mut Vec<u32>,
+        ptrs: &mut Vec<u64>,
+    ) -> Result<()> {
+        let start = tids.len();
+        match &mut self.from {
+            TupleFrom::Pager(c) => c.next_block(max, tids, ptrs)?,
+            TupleFrom::Col { col, pos } => {
+                let end = col.tids.len().min(pos.saturating_add(max));
+                match (col.tids.get(*pos..end), col.ptrs.get(*pos..end)) {
+                    (Some(t), Some(p)) if !t.is_empty() => {
+                        tids.extend_from_slice(t);
+                        ptrs.extend_from_slice(p);
+                        *pos = end;
+                    }
+                    _ => return Err(IvaError::Corrupt("tuple column scan past end".into())),
+                }
             }
+        }
+        // Each tid against the one before it, the block's first against the
+        // last block's last; no early exit, so the loop has no branch.
+        let (mut ascending, mut last) = (true, self.last);
+        for &tid in tids.get(start..).unwrap_or(&[]) {
+            ascending &= last < Some(tid);
+            last = Some(tid);
+        }
+        self.last = last;
+        match ascending {
+            true => Ok(()),
+            false => Err(IvaError::Corrupt("tuple list not tid-ascending".into())),
         }
     }
 
-    /// Skip the first `n` elements (segmented scans start mid-list).
+    /// Skip the first `n` elements (segmented scans start mid-list). The
+    /// last one skipped is read, so that the first block is checked
+    /// against the tid before it.
     pub(crate) fn skip_entries(&mut self, n: u64) -> Result<()> {
-        match self {
-            TupleSource::Pager(c) => c.skip_entries(n),
-            TupleSource::Col { pos, .. } => {
-                *pos = n as usize;
-                Ok(())
-            }
+        let Some(before) = n.checked_sub(1) else {
+            return Ok(());
+        };
+        match &mut self.from {
+            TupleFrom::Pager(c) => c.skip_entries(before)?,
+            TupleFrom::Col { pos, .. } => *pos = before as usize,
         }
+        self.next_block(1, &mut Vec::with_capacity(1), &mut Vec::with_capacity(1))
     }
 }
 

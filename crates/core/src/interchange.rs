@@ -33,6 +33,7 @@ use crate::config::IvaConfig;
 use crate::error::{IvaError, Result};
 use crate::index::IvaIndex;
 use crate::numeric::NumericCodec;
+use crate::tier::TupleColumn;
 use crate::veclist::ListType;
 
 /// One attribute's logical content: a postings list in the CIFF sense,
@@ -77,18 +78,13 @@ fn corrupt(what: &str) -> IvaError {
 /// Decode `index` into its logical interchange content.
 pub fn export_index(index: &IvaIndex) -> Result<ExportedIndex> {
     // The tuple list, tombstones included: positional lists align
-    // against every element, live or not. The cursor surfaces packed
-    // directories as the same `(tid, ptr)` stream.
-    let mut reader = index.open_dir_cursor()?;
-    let mut tuple_entries = Vec::with_capacity(index.tuple_capacity());
-    for _ in 0..index.n_tuples() {
-        let (tid, ptr) = reader.next_entry()?;
-        if tuple_entries.last().is_some_and(|(t, _)| *t >= tid) {
-            return Err(corrupt("tuple list tids out of order"));
-        }
-        tuple_entries.push((tid, ptr));
-    }
-    let all_tids: Vec<u32> = tuple_entries.iter().map(|(t, _)| *t).collect();
+    // against every element, live or not. The read surfaces packed
+    // directories as the same `(tid, ptr)` stream, checked tid-ascending.
+    let TupleColumn {
+        tids: all_tids,
+        ptrs,
+    } = index.read_tuple_column()?;
+    let tuple_entries = all_tids.iter().copied().zip(ptrs).collect();
 
     // Each vector list through the scan's own cursor: what a query can
     // see of a list is its content (see the `veclist` module doc).

@@ -46,8 +46,11 @@
 //!
 //! **A PACKED frame is read in place.** [`PackedReader`] holds one frame
 //! at a time: the bit-packed sections are inflated once, each with one
-//! bulk `unpack_bits`, into reused arrays ([`Sections`]), and the grouped
-//! `cH` bytes are never moved — the walk in [`crate::veclist`] borrows
+//! bulk unpack, into reused arrays ([`Sections`]), and the grouped `cH`
+//! bytes are never moved. A scan's block fill is served by runs
+//! ([`PackedReader::fill_run`]: positional runs by index, keyed runs by a
+//! merge of the tid section against the block's tids); the walk in
+//! [`crate::veclist`] borrows
 //! each signature straight from the frame payload, which is padded by
 //! [`SIG_PAD`] bytes so the estimation kernel can load a whole word from
 //! any signature. No raw-layout image of a frame exists on the scan path;
@@ -63,13 +66,13 @@
 //! the claim has sized anything.
 
 use iva_storage::codec::SliceReader;
-use iva_storage::compress::{bit_width, pack_bits, packed_len, unpack_bits};
+use iva_storage::compress::{bit_width, pack_bits, packed_len, unpack_bits, unpack_bytes};
 use iva_storage::ListReader;
-use iva_text::SigCodec;
+use iva_text::{PreparedMatcher, SigCodec};
 
 use crate::error::{IvaError, Result};
 use crate::numeric::NumericCodec;
-use crate::veclist::{ListType, RawBytes, SigView};
+use crate::veclist::{text_lower_bound, ListType, RawBytes, SigView};
 
 /// Frame holding raw-layout element bytes (insert-appended tails).
 pub(crate) const FRAME_RAW: u8 = 0;
@@ -154,23 +157,14 @@ fn pack_byte_section(vals: &[u8], out: &mut Vec<u8>) {
     pack_bits(&wide, bw, out);
 }
 
-/// Inverse of [`pack_byte_section`]: `n` byte-sized values into `out`
-/// (`wide` is scratch).
-fn unpack_byte_section(
-    s: &mut SliceReader<'_>,
-    n: usize,
-    wide: &mut Vec<u64>,
-    out: &mut Vec<u8>,
-) -> Result<()> {
+/// Inverse of [`pack_byte_section`]: `n` byte-sized values into `out`.
+fn unpack_byte_section(s: &mut SliceReader<'_>, n: usize, out: &mut Vec<u8>) -> Result<()> {
     let bw = u32::from(s.u8()?);
     if bw > 8 {
         return Err(corrupt("bad packed byte-section width"));
     }
     let bytes = s.take(packed_len(n, bw))?;
-    wide.clear();
-    unpack_bits(bytes, bw, n, wide).ok_or_else(|| corrupt("truncated packed byte section"))?;
-    out.extend(wide.iter().map(|&v| v as u8));
-    Ok(())
+    unpack_bytes(bytes, bw, n, out).ok_or_else(|| corrupt("truncated packed byte section"))
 }
 
 /// Rebuild a keyed frame's `n` tuple ids from its `first` id and the
@@ -518,6 +512,28 @@ fn next_of<T: Copy>(section: &[T], at: &mut usize, left: &mut usize) -> Result<T
     Ok(v)
 }
 
+/// Min-fold the estimates of the signatures whose `cL`s are `lens` and
+/// whose `cH` bytes start at `payload[*ch_pos]`, stepping `*ch_pos` past
+/// them — only stepping, and `INFINITY`, when there is no `matcher`.
+#[inline(always)]
+fn fold_sigs(
+    payload: &[u8],
+    lens: &[u8],
+    ch_pos: &mut usize,
+    codec: &SigCodec,
+    matcher: Option<&PreparedMatcher>,
+) -> Result<f64> {
+    let mut best = f64::INFINITY;
+    for &len_byte in lens {
+        if let Some(m) = matcher {
+            let window = payload.get(*ch_pos..).ok_or_else(misaligned)?;
+            best = best.min(m.estimate_parts(len_byte, window)?);
+        }
+        *ch_pos += codec.ch_bytes(len_byte);
+    }
+    Ok(best)
+}
+
 impl Sections {
     /// The next keyed element's tuple id.
     pub(crate) fn tid(&mut self) -> Result<u32> {
@@ -548,6 +564,99 @@ impl Sections {
             ch,
             window,
         })
+    }
+
+    /// Put back `tid`, the keyed header the walk read last and holds as
+    /// its frozen pointer, so that a run starts at the element it heads.
+    pub(crate) fn unread_tid(&mut self, tid: u32) -> Result<()> {
+        let at = self.tid_i.checked_sub(1);
+        self.tid_i = at
+            .filter(|&i| self.tids.get(i) == Some(&tid))
+            .ok_or_else(misaligned)?;
+        self.left += 1;
+        Ok(())
+    }
+
+    /// Serve block positions from this frame of a list of type `ty` (see
+    /// [`PackedReader::fill_run`]): on a positional list each element is
+    /// the next position's; a keyed list's tid section is merged against
+    /// `tids`. A merge stops where the frame runs out, and before a Type I
+    /// text value whose strings reach the frame's end — the value may go on
+    /// in the next frame, so the walk serves it. Returns the positions
+    /// served.
+    fn fill(
+        &mut self,
+        ty: ListType,
+        bound: Bound<'_>,
+        tids: &[u32],
+        out: &mut [f64],
+    ) -> Result<usize> {
+        let (mut tid_i, mut num_i, mut sig_i) = (self.tid_i, self.num_i, self.sig_i);
+        let (mut code_i, mut ch_pos, mut j) = (self.code_i, self.ch_pos, 0);
+        while let (Some(&t), Some(slot)) = (tids.get(j), out.get_mut(j)) {
+            let next = match (ty.is_positional(), self.tids.get(tid_i)) {
+                // Of a text and a numeric frame's value sections, one is empty.
+                (true, _) if num_i < self.nums.len() || code_i < self.codes.len() => t,
+                (false, Some(&next)) => next,
+                _ => break,
+            };
+            if next > t {
+                // The list holds nothing for `t`.
+                (*slot, j) = (f64::NAN, j + 1);
+                continue;
+            }
+            let (elems, lb) = match bound {
+                Bound::Num(codec, q) => {
+                    let code = *self.codes.get(code_i).ok_or_else(misaligned)?;
+                    code_i += 1;
+                    match ty == ListType::IV && code == codec.ndf_code() {
+                        true => (0, f64::NAN),
+                        false => (
+                            usize::from(ty == ListType::I),
+                            codec.lower_bound_dist(code, q),
+                        ),
+                    }
+                }
+                // `next`'s value: one Type II/III element, or Type I's run
+                // of one-string elements.
+                Bound::Text(codec, matcher) => {
+                    let num = match ty {
+                        ListType::I => {
+                            let run = self.tids.get(tid_i..).unwrap_or(&[]);
+                            let run = run.iter().take_while(|&&x| x == next).count();
+                            if next == t && tid_i + run == self.tids.len() {
+                                break;
+                            }
+                            run
+                        }
+                        _ => usize::from(*self.nums.get(num_i).ok_or_else(misaligned)?),
+                    };
+                    num_i += usize::from(ty != ListType::I);
+                    let lens = self.lens.get(sig_i..sig_i + num).ok_or_else(misaligned)?;
+                    let own = (next == t).then_some(matcher);
+                    let best = fold_sigs(&self.payload, lens, &mut ch_pos, codec, own)?;
+                    sig_i += num;
+                    let elems = match ty {
+                        ListType::I => num,
+                        ListType::II => 1,
+                        _ => 0,
+                    };
+                    (elems, text_lower_bound(ty, num, best).unwrap_or(f64::NAN))
+                }
+            };
+            tid_i += elems;
+            if next == t {
+                (*slot, j) = (lb, j + 1);
+            }
+        }
+        // Every field passed counts as handed out.
+        let passed = (tid_i - self.tid_i) + (num_i - self.num_i);
+        self.left = self
+            .left
+            .saturating_sub(passed + (sig_i - self.sig_i) + (code_i - self.code_i));
+        (self.tid_i, self.num_i, self.sig_i) = (tid_i, num_i, sig_i);
+        (self.code_i, self.ch_pos) = (code_i, ch_pos);
+        Ok(j)
     }
 
     /// Parse the `elems`-element payload in `self.payload` under `org`.
@@ -585,7 +694,7 @@ impl Sections {
                 let strings = if *ty == ListType::I {
                     elems
                 } else {
-                    unpack_byte_section(&mut s, elems, wide, nums)?;
+                    unpack_byte_section(&mut s, elems, nums)?;
                     nums.iter().map(|&n| usize::from(n)).sum()
                 };
                 // Bit-packed counts cost far less than a payload byte per
@@ -595,7 +704,7 @@ impl Sections {
                 if strings > s.remaining() {
                     return Err(corrupt("packed frame claims more strings than bytes"));
                 }
-                unpack_byte_section(&mut s, strings, wide, lens)?;
+                unpack_byte_section(&mut s, strings, lens)?;
                 let total_ch: usize = lens.iter().map(|&l| codec.ch_bytes(l)).sum();
                 self.ch_pos = body - s.remaining();
                 s.take(total_ch)?;
@@ -632,6 +741,15 @@ impl Sections {
         self.left = self.tids.len() + self.nums.len() + self.lens.len() + self.codes.len();
         Ok(raw_len)
     }
+}
+
+/// How a value's lower bound is computed: the query string's matcher over
+/// a text list's signatures, the query number against a numeric list's
+/// codes.
+#[derive(Clone, Copy)]
+pub(crate) enum Bound<'a> {
+    Text(&'a SigCodec, &'a PreparedMatcher),
+    Num(&'a NumericCodec, f64),
 }
 
 /// What the walk reads its next element field from: the current frame.
@@ -732,6 +850,44 @@ impl PackedReader {
             FRAME_RAW => Frame::Raw(&mut self.raw),
             FRAME_NDF_RUN => Frame::NdfRun(&mut self.ndf_left),
             _ => Frame::Packed(&mut self.sections),
+        })
+    }
+
+    /// Serve lower bounds for a block of consecutive tuple-list positions
+    /// (`out[i]` for `tids[i]`, `NaN` = *ndf*) from the front, as far as
+    /// the current frame reaches: a PACKED frame from its sections
+    /// ([`Sections::fill`]), an NDF_RUN
+    /// frame and the end of the list (a positional list's lazy tail, a
+    /// keyed list's last element passed) by arithmetic. `peek` is the
+    /// walk's frozen keyed header, which a PACKED frame takes back. Returns
+    /// the positions served; 0 — a RAW tail frame, or a keyed value that
+    /// may run on into the next frame — leaves the next one to the walk.
+    pub(crate) fn fill_run(
+        &mut self,
+        peek: &mut Option<u32>,
+        bound: Bound<'_>,
+        tids: &[u32],
+        out: &mut [f64],
+    ) -> Result<usize> {
+        if self.at_end() {
+            out.fill(f64::NAN);
+            return Ok(out.len());
+        }
+        let ty = self.org.list_type();
+        Ok(match self.frame()? {
+            Frame::Packed(s) => {
+                if let Some(tid) = peek.take() {
+                    s.unread_tid(tid)?;
+                }
+                s.fill(ty, bound, tids, out)?
+            }
+            Frame::NdfRun(left) => {
+                let n = out.len().min(usize::try_from(*left).unwrap_or(usize::MAX));
+                out.iter_mut().take(n).for_each(|slot| *slot = f64::NAN);
+                *left -= n as u64;
+                n
+            }
+            Frame::Raw(_) => 0,
         })
     }
 

@@ -2,11 +2,15 @@
 //! The scan spine: the one walk of Algorithm 1 (Sec. IV-A) and the one
 //! refine step every execution shape runs.
 //!
-//! [`IvaIndex::scan`] walks tuple-list positions `[lo, hi)` once, in step
-//! with the vector lists of every [`Lane`] riding it. A lane is one query:
-//! its per-attribute [`AttrScan`] positions, its top-k pool and counters
-//! (a [`ScanCarry`]), and `pending` — every candidate `(est, tid, ptr)`
-//! the live pool admitted during the walk. The walk refines nothing. When
+//! [`IvaIndex::scan`] walks tuple-list positions `[lo, hi)` once, a block
+//! of at most [`BLOCK`] elements at a time, in step with the vector lists
+//! of every [`Lane`] riding it. A lane is one query: its per-attribute
+//! [`AttrScan`] positions and the block of lower bounds they fill
+//! ([`Bounds`]), its top-k pool and counters (a [`ScanCarry`]), and
+//! `pending` — every candidate `(est, tid, ptr)` the live pool admitted
+//! during the walk. Per block, each attribute fills its column of bounds
+//! once; admission then runs per element, in scan order, so a drain inside
+//! a block tightens the pool for the rest of it. The walk refines nothing. When
 //! a lane's range ends (or it holds a window of `drain_at` candidates) the
 //! lane **drains**, fetching by need rather than by scan position:
 //!
@@ -138,80 +142,117 @@ impl<'a> AttrScan<'a> {
         }
     }
 
-    /// Move past a tombstoned tuple without estimating.
-    fn skip(&mut self, tid: u32) -> Result<()> {
+    /// Whether the scan walks a raw list element by element.
+    fn walks(&self) -> bool {
         match self {
-            AttrScan::Text { cur, codec, .. } => cur.skip(tid, codec),
-            AttrScan::Num { cur, codec, .. } => cur.skip(tid, codec),
-            AttrScan::TextHot { pos, .. } | AttrScan::NumHot { pos, .. } => {
-                *pos += 1;
-                Ok(())
-            }
-            AttrScan::AlwaysNdf => Ok(()),
+            AttrScan::Text { cur, .. } => cur.walks(),
+            AttrScan::Num { cur, .. } => cur.walks(),
+            _ => false,
         }
     }
 
-    /// Move to `tid` and lower-bound its difference to the query value
-    /// (`None` = *ndf*). Once per live tuple-list element, in tid order.
-    #[inline]
-    fn lower_bound(&mut self, tid: u32) -> Result<Option<f64>> {
-        match self {
+    /// The fill contract: move over `tids`, the block of tuple-list
+    /// elements after the last one, writing each one's lower bound on its
+    /// difference to the query value into `out` — `NaN` for *ndf*; bounds
+    /// themselves are never `NaN`. Tombstoned elements are filled like any
+    /// other (the spine never admits them).
+    fn fill(&mut self, tids: &[u32], out: &mut [f64]) -> Result<()> {
+        let pos = match self {
             AttrScan::Text {
                 cur,
                 codec,
                 matcher,
-            } => cur.advance(tid, codec, matcher),
-            AttrScan::Num { cur, codec, q } => Ok(cur
-                .advance(tid, codec)?
-                .map(|code| codec.lower_bound_dist(code, *q))),
+            } => return cur.fill_block(tids, codec, matcher, out),
+            AttrScan::Num { cur, codec, q } => return cur.fill_block(tids, codec, *q, out),
+            AttrScan::AlwaysNdf => {
+                out.fill(f64::NAN);
+                return Ok(());
+            }
             AttrScan::TextHot { pos_lb, pos } => {
-                let lb = pos_lb.get(*pos).copied().filter(|v| !v.is_nan());
-                *pos += 1;
-                Ok(lb)
+                // Past the column end: the lazy positional tail.
+                let have = pos_lb.get(*pos..).unwrap_or(&[]).iter();
+                for (slot, &lb) in out.iter_mut().zip(have.chain(std::iter::repeat(&f64::NAN))) {
+                    *slot = lb;
+                }
+                pos
             }
             AttrScan::NumHot { col, codec, q, pos } => {
-                let lb = col
-                    .code_at(*pos)
-                    .map(|code| codec.lower_bound_dist(code, *q));
-                *pos += 1;
-                Ok(lb)
+                for (i, slot) in out.iter_mut().enumerate() {
+                    let code = col.code_at(*pos + i);
+                    *slot = code.map_or(f64::NAN, |c| codec.lower_bound_dist(c, *q));
+                }
+                pos
             }
-            AttrScan::AlwaysNdf => Ok(None),
+        };
+        *pos += out.len();
+        Ok(())
+    }
+}
+
+/// Tuple-list elements per step of the walk: one `fill` per attribute, then
+/// one admission loop. A block never spans two directory frames (1,024
+/// elements). Blocks of 128 to 1,024 measured alike and 64 slower
+/// (EXPERIMENTS.md); 256 keeps the bounds at 2 KiB per attribute.
+pub(crate) const BLOCK: usize = 256;
+
+/// How many elements the next block of a walk with `left` to go takes.
+pub(crate) fn block_len(left: u64) -> usize {
+    usize::try_from(left).map_or(BLOCK, |l| l.min(BLOCK))
+}
+
+/// One walk's per-attribute scan positions and the block of lower bounds
+/// they fill: a column of [`BLOCK`] slots per query attribute.
+pub(crate) struct Bounds<'a> {
+    attrs: Vec<AttrScan<'a>>,
+    lbs: Vec<f64>,
+}
+
+impl<'a> Bounds<'a> {
+    /// One scan per query attribute, each at the head of its list.
+    pub(crate) fn open(index: &'a IvaIndex, shared: &'a [SharedAttr<'a>]) -> Result<Self> {
+        let attrs = shared.iter().map(|sa| AttrScan::open(index, sa));
+        let attrs = attrs.collect::<Result<Vec<_>>>()?;
+        let lbs = vec![f64::NAN; attrs.len() * BLOCK];
+        Ok(Self { attrs, lbs })
+    }
+
+    /// Fill every attribute's column for the next block (≤ [`BLOCK`]), a
+    /// column at a time — except that the raw lists of a query, which are
+    /// walked element by element, go position by position together: their
+    /// page reads (and so a cold query's seeks) keep the order an
+    /// element-by-element scan gave them.
+    pub(crate) fn fill(&mut self, tids: &[u32]) -> Result<()> {
+        let too_long = || IvaError::InvalidArgument("block too long".into());
+        for (a, col) in self.attrs.iter_mut().zip(self.lbs.chunks_exact_mut(BLOCK)) {
+            if !a.walks() {
+                a.fill(tids, col.get_mut(..tids.len()).ok_or_else(too_long)?)?;
+            }
         }
+        if self.attrs.iter().any(AttrScan::walks) {
+            for (i, tid) in tids.chunks(1).enumerate() {
+                for (a, col) in self.attrs.iter_mut().zip(self.lbs.chunks_exact_mut(BLOCK)) {
+                    if a.walks() {
+                        a.fill(tid, col.get_mut(i..=i).ok_or_else(too_long)?)?;
+                    }
+                }
+            }
+        }
+        Ok(())
     }
-}
 
-/// Open one scan per query attribute, each at the head of its list.
-pub(crate) fn open_attr_scans<'a>(
-    index: &'a IvaIndex,
-    shared: &'a [SharedAttr<'a>],
-) -> Result<Vec<AttrScan<'a>>> {
-    shared.iter().map(|sa| AttrScan::open(index, sa)).collect()
-}
-
-/// Advance every scan past a tombstoned tuple.
-pub(crate) fn skip_all(attrs: &mut [AttrScan<'_>], tid: u32) -> Result<()> {
-    attrs.iter_mut().try_for_each(|a| a.skip(tid))
-}
-
-/// Fill `diffs` with the weighted per-attribute lower bounds for `tid`;
-/// returns true if any query attribute is defined on the tuple. Callers
-/// guarantee `lambda`, `diffs` and `attrs` have the query's length.
-#[inline]
-pub(crate) fn weighted_bounds(
-    attrs: &mut [AttrScan<'_>],
-    tid: u32,
-    lambda: &[f64],
-    ndf_penalty: f64,
-    diffs: &mut [f64],
-) -> Result<bool> {
-    let mut any_defined = false;
-    for (a, (d, &lam)) in attrs.iter_mut().zip(diffs.iter_mut().zip(lambda)) {
-        let lb = a.lower_bound(tid)?;
-        any_defined |= lb.is_some();
-        *d = lam * lb.unwrap_or(ndf_penalty);
+    /// `diffs[a] = λₐ · (block position i's bound on attribute a, or the
+    /// ndf penalty)`; whether any query attribute is defined there.
+    #[inline]
+    pub(crate) fn weigh(&self, i: usize, lambda: &[f64], ndf: f64, diffs: &mut [f64]) -> bool {
+        let mut any_defined = false;
+        let cols = self.lbs.chunks_exact(BLOCK);
+        for ((d, &lam), col) in diffs.iter_mut().zip(lambda).zip(cols) {
+            let lb = col.get(i).copied().unwrap_or(f64::NAN);
+            any_defined |= !lb.is_nan();
+            *d = lam * if lb.is_nan() { ndf } else { lb };
+        }
+        any_defined
     }
-    Ok(any_defined)
 }
 
 /// Pending candidates at which a lane drains mid-range (1.5 MiB of
@@ -224,7 +265,7 @@ pub(crate) const DRAIN_AT: usize = 65_536;
 pub(crate) struct Lane<'a> {
     query: &'a Query,
     lambda: &'a [f64],
-    attrs: Vec<AttrScan<'a>>,
+    bounds: Bounds<'a>,
     carry: &'a mut ScanCarry,
     /// One slot per query value: the filter's weighted lower bounds
     /// during the walk, the refine step's weighted differences in a drain.
@@ -263,7 +304,7 @@ impl<'a> Lane<'a> {
         Ok(Self {
             query,
             lambda,
-            attrs: open_attr_scans(index, shared)?,
+            bounds: Bounds::open(index, shared)?,
             carry,
             diffs: vec![0.0; query.len()],
             locs: Vec::with_capacity(query.len()),
@@ -318,7 +359,7 @@ impl IvaIndex {
         let window = usize::try_from(range.end.saturating_sub(range.start))
             .map_or(drain_at, |n| n.min(drain_at));
         for lane in lanes.iter_mut() {
-            for a in &mut lane.attrs {
+            for a in &mut lane.bounds.attrs {
                 a.seek(range.start)?;
             }
             lane.pending.reserve_exact(window);
@@ -336,29 +377,30 @@ impl IvaIndex {
         // took.
         let mut refine_wall = 0u64;
         let start = measured.then(|| (thread_cpu_time(), monotonic_nanos()));
-        let mut prev_tid = None;
-        for _ in range {
-            let (tid, ptr) = tsrc.next_entry()?;
-            // The tie rule (lowest tid wins) equals Algorithm 1's "first
-            // arrival wins" only because tuple lists are tid-ascending.
-            debug_assert!(
-                prev_tid < Some(tid),
-                "tuple list not tid-ascending at {tid}"
-            );
-            prev_tid = Some(tid);
+        let (mut tids, mut ptrs) = (Vec::with_capacity(BLOCK), Vec::with_capacity(BLOCK));
+        let mut left = range.end.saturating_sub(range.start);
+        while left > 0 {
+            tids.clear();
+            ptrs.clear();
+            tsrc.next_block(block_len(left), &mut tids, &mut ptrs)?;
+            left = left.saturating_sub(tids.len() as u64);
             for lane in lanes.iter_mut() {
-                lane.carry.stats.tuples_scanned += 1;
-                if ptr == TOMBSTONE_PTR {
-                    skip_all(&mut lane.attrs, tid)?;
-                    continue;
-                }
-                weighted_bounds(&mut lane.attrs, tid, lane.lambda, ndf, &mut lane.diffs)?;
-                let est = metric.combine(&lane.diffs);
-                let (tid, dist, ptr) = (u64::from(tid), est, RecordPtr(ptr));
-                if lane.carry.pool.admits_at(est, tid) {
-                    lane.pending.push(PoolEntry { tid, dist, ptr });
-                    if lane.pending.len() >= drain_at {
-                        refine_wall += refiner.drain(lane)?;
+                lane.carry.stats.tuples_scanned += tids.len() as u64;
+                lane.bounds.fill(&tids)?;
+                // Admission stays per element, in scan order: a drain
+                // inside the block tightens the pool for the rest of it.
+                for (i, (&tid, &ptr)) in tids.iter().zip(&ptrs).enumerate() {
+                    if ptr == TOMBSTONE_PTR {
+                        continue;
+                    }
+                    lane.bounds.weigh(i, lane.lambda, ndf, &mut lane.diffs);
+                    let est = metric.combine(&lane.diffs);
+                    let (tid, dist, ptr) = (u64::from(tid), est, RecordPtr(ptr));
+                    if lane.carry.pool.admits_at(est, tid) {
+                        lane.pending.push(PoolEntry { tid, dist, ptr });
+                        if lane.pending.len() >= drain_at {
+                            refine_wall += refiner.drain(lane)?;
+                        }
                     }
                 }
             }

@@ -23,7 +23,7 @@ use iva_storage::vfs::Vfs;
 use iva_storage::{
     sidecar_path, DomainPin, IoStats, Manifest, PagerOptions, SegmentMeta, StorageError,
 };
-use iva_swt::Tid;
+use iva_swt::{catalog_path, table_file_path, Tid};
 
 use crate::config::IvaConfig;
 use crate::error::{IvaError, Result};
@@ -49,8 +49,8 @@ fn segment_rebuild_path(dir: &Path, id: u64) -> PathBuf {
 /// rebuild temporaries. Orphan collection removes them all.
 pub fn segment_file_candidates(dir: &Path, id: u64) -> Vec<PathBuf> {
     let base = segment_base(dir, id);
-    let tbl = base.with_extension("tbl");
-    let meta = base.with_extension("meta");
+    let tbl = table_file_path(&base);
+    let meta = catalog_path(&base);
     let iva = segment_index_path(dir, id);
     let rebuild = segment_rebuild_path(dir, id);
     let staged = |p: &Path| {

@@ -26,7 +26,7 @@ use crate::layout::TOMBSTONE_PTR;
 use crate::metric::{Metric, WeightScheme};
 use crate::pool::ResultPool;
 use crate::query::{bounded_distance, Query, QueryStats};
-use crate::scan::{open_attr_scans, skip_all, weighted_bounds};
+use crate::scan::{block_len, Bounds};
 use crate::timing::thread_cpu_time;
 
 /// One live tuple as phase 1 saw it: `(tid, ptr, lower bound, any query
@@ -44,18 +44,23 @@ impl IvaIndex {
         metric: &M,
     ) -> Result<Vec<Scanned>> {
         let ndf = self.config().ndf_penalty;
-        let mut attrs = open_attr_scans(self, shared)?;
+        let mut bounds = Bounds::open(self, shared)?;
         let mut tsrc = self.open_tuple_source()?;
         let mut diffs = vec![0.0f64; shared.len()];
-        let mut scanned = Vec::new();
-        for _ in 0..self.n_tuples() {
-            let (tid, ptr) = tsrc.next_entry()?;
-            if ptr == TOMBSTONE_PTR {
-                skip_all(&mut attrs, tid)?;
-                continue;
+        let (mut tids, mut ptrs, mut scanned) = (Vec::new(), Vec::new(), Vec::new());
+        let mut left = self.n_tuples();
+        while left > 0 {
+            tids.clear();
+            ptrs.clear();
+            tsrc.next_block(block_len(left), &mut tids, &mut ptrs)?;
+            left = left.saturating_sub(tids.len() as u64);
+            bounds.fill(&tids)?;
+            for (i, (&tid, &ptr)) in tids.iter().zip(&ptrs).enumerate() {
+                if ptr != TOMBSTONE_PTR {
+                    let any_defined = bounds.weigh(i, lambda, ndf, &mut diffs);
+                    scanned.push((u64::from(tid), ptr, metric.combine(&diffs), any_defined));
+                }
             }
-            let any_defined = weighted_bounds(&mut attrs, tid, lambda, ndf, &mut diffs)?;
-            scanned.push((u64::from(tid), ptr, metric.combine(&diffs), any_defined));
         }
         Ok(scanned)
     }

@@ -191,11 +191,6 @@ impl TupleColumn {
     pub fn bytes(&self) -> usize {
         self.tids.len() * TUPLE_ENTRY_LEN
     }
-
-    /// Element at `pos`.
-    pub fn entry(&self, pos: usize) -> Option<(u32, u64)> {
-        Some((*self.tids.get(pos)?, *self.ptrs.get(pos)?))
-    }
 }
 
 /// The column build's visitor: each signature as a stride-padded cell.
@@ -558,13 +553,11 @@ mod tests {
     }
 
     #[test]
-    fn tuple_column_entries_and_bytes() {
+    fn tuple_column_bytes() {
         let col = TupleColumn {
             tids: (0..5).collect(),
             ptrs: (0..5).map(|i| i * 10).collect(),
         };
-        assert_eq!(col.entry(3), Some((3, 30)));
-        assert_eq!(col.entry(5), None);
         assert_eq!(col.bytes(), 5 * TUPLE_ENTRY_LEN);
     }
 

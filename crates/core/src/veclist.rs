@@ -22,10 +22,12 @@
 //! This module is the one owner of that element layout. Bytes are written
 //! by [`push_text_elem`] / [`push_num_elem`] (bulk encodes and
 //! [`crate::IvaIndex::insert`] alike) and read by the two cursors' walk
-//! (the scan, hot-tier column builds and [`crate::export_index`] alike);
-//! [`crate::packed`] owns only the frame codec that carries the same
-//! element stream compressed — and answers the walk's field reads from a
-//! frame's sections in place, never by rebuilding the raw bytes.
+//! (hot-tier column builds and [`crate::export_index`], and the scan
+//! wherever a frame cannot serve it a run); [`crate::packed`] owns only
+//! the frame codec that carries the same element stream compressed — and
+//! answers the walk's field reads, and the scan's block fills
+//! ([`TextListCursor::fill_block`]), from a frame's sections in place,
+//! never by rebuilding the raw bytes.
 //!
 //! **What a list contains is what the walk sees.** A walk visits the
 //! tuple-list tids in order, so two kinds of malformed list get one
@@ -48,7 +50,7 @@ use iva_text::{PreparedMatcher, SigCodec};
 
 use crate::error::{IvaError, Result};
 use crate::numeric::NumericCodec;
-use crate::packed::{Frame, Org, PackedReader};
+use crate::packed::{Bound, Frame, Org, PackedReader};
 
 /// Width of a tuple id in list elements (the paper's `ltid`).
 pub const LTID: usize = 4;
@@ -584,6 +586,12 @@ impl TextListCursor {
         self.ty
     }
 
+    /// Whether a block fill walks the list element by element (a raw
+    /// list) rather than serving it by runs.
+    pub(crate) fn walks(&self) -> bool {
+        matches!(self.reader, ElemReader::Raw(_))
+    }
+
     /// Consume `num` signatures, handing each to `v` as a zero-copy view
     /// or stepping over it unread.
     #[inline]
@@ -669,9 +677,39 @@ impl TextListCursor {
         Ok(text_lower_bound(self.ty, n_sigs, fold.best))
     }
 
-    /// Move past `tid` without evaluating (tombstoned tuples).
-    pub fn skip(&mut self, tid: u32, codec: &SigCodec) -> Result<()> {
-        self.walk::<()>(tid, codec, None).map(drop)
+    /// Fill `out[i]` with the lower bound of `tids[i]`'s value (`NaN` for
+    /// *ndf*) for a block of consecutive tuple-list elements — as many as
+    /// the shorter of the two holds: bit for bit what
+    /// [`TextListCursor::advance`] returns one element at a time, in runs
+    /// where a packed list's frames can serve them and through the walk
+    /// where they cannot — a RAW tail frame, a raw list.
+    pub fn fill_block(
+        &mut self,
+        tids: &[u32],
+        codec: &SigCodec,
+        matcher: &PreparedMatcher,
+        out: &mut [f64],
+    ) -> Result<()> {
+        let (mut done, bound) = (0, Bound::Text(codec, matcher));
+        let tids = tids.get(..out.len()).unwrap_or(tids);
+        while let (Some(rest), Some(slots)) = (tids.get(done..), out.get_mut(done..)) {
+            let Some(&tid) = rest.first() else { break };
+            let served = match &mut self.reader {
+                ElemReader::Packed(p) => p.fill_run(&mut self.peek_tid, bound, rest, slots)?,
+                ElemReader::Raw(_) => 0,
+            };
+            done += match served {
+                0 => {
+                    let lb = self.advance(tid, codec, matcher)?;
+                    if let Some(slot) = out.get_mut(done) {
+                        *slot = lb.unwrap_or(f64::NAN);
+                    }
+                    1
+                }
+                n => n,
+            };
+        }
+        Ok(())
     }
 
     /// Position a fresh cursor past the first `n` positional elements, so
@@ -778,6 +816,11 @@ impl NumListCursor {
         }
     }
 
+    /// [`TextListCursor::walks`].
+    pub(crate) fn walks(&self) -> bool {
+        matches!(self.reader, ElemReader::Raw(_))
+    }
+
     /// Next Type IV code, refilling the page run when it drains. Codes that
     /// straddle a page boundary fall back to the reader's copy path.
     fn iv_next_code(&mut self, codec: &NumericCodec) -> Result<Option<u64>> {
@@ -852,9 +895,37 @@ impl NumListCursor {
         self.walk(tid, codec, true)
     }
 
-    /// Move past `tid` without evaluating.
-    pub fn skip(&mut self, tid: u32, codec: &NumericCodec) -> Result<()> {
-        self.walk(tid, codec, false).map(drop)
+    /// [`TextListCursor::fill_block`] for a numeric list: `out[i]` is the
+    /// lower bound on `|q − v|` for `tids[i]`'s value `v`
+    /// ([`NumericCodec::lower_bound_dist`] of what
+    /// [`NumListCursor::advance`] returns), `NaN` for *ndf*.
+    pub fn fill_block(
+        &mut self,
+        tids: &[u32],
+        codec: &NumericCodec,
+        q: f64,
+        out: &mut [f64],
+    ) -> Result<()> {
+        let (mut done, bound) = (0, Bound::Num(codec, q));
+        let tids = tids.get(..out.len()).unwrap_or(tids);
+        while let (Some(rest), Some(slots)) = (tids.get(done..), out.get_mut(done..)) {
+            let Some(&tid) = rest.first() else { break };
+            let served = match &mut self.reader {
+                ElemReader::Packed(p) => p.fill_run(&mut self.peek_tid, bound, rest, slots)?,
+                ElemReader::Raw(_) => 0,
+            };
+            done += match served {
+                0 => {
+                    let code = self.advance(tid, codec)?;
+                    if let Some(slot) = out.get_mut(done) {
+                        *slot = code.map_or(f64::NAN, |c| codec.lower_bound_dist(c, q));
+                    }
+                    1
+                }
+                n => n,
+            };
+        }
+        Ok(())
     }
 
     /// Position a fresh cursor past the first `n` positional elements (see
@@ -1116,8 +1187,10 @@ mod tests {
         num_roundtrip(ListType::IV);
     }
 
+    /// A block filled after single-element moves lands on the same
+    /// elements: the fill and the walk share one position.
     #[test]
-    fn skip_keeps_alignment() {
+    fn fill_block_continues_the_walk() {
         let codec = SigCodec::new(0.3, 2);
         let p = pager();
         let items: Vec<(u32, Vec<Vec<u8>>)> = (0..5u32)
@@ -1128,12 +1201,16 @@ mod tests {
             let data = encode_text_list(ty, &items, &all_tids).unwrap();
             let mut cur = TextListCursor::new(reader_for(&p, &data), ty);
             let matcher = PreparedMatcher::new(&codec, b"val3");
-            // Skip tuples 0-2 (as if tombstoned), then evaluate 3.
-            for tid in 0..3u32 {
-                cur.skip(tid, &codec).unwrap();
-            }
-            let got = cur.advance(3, &codec, &matcher).unwrap();
-            assert_eq!(got, Some(0.0), "type {ty}");
+            cur.advance(0, &codec, &matcher).unwrap();
+            let mut lbs = [f64::NAN; 3];
+            cur.fill_block(&[1, 2, 3], &codec, &matcher, &mut lbs)
+                .unwrap();
+            assert_eq!(lbs[2], 0.0, "type {ty}");
+            // A block is as long as the shorter of `tids` and `out`.
+            lbs = [f64::NAN; 3];
+            cur.fill_block(&[4, 5], &codec, &matcher, &mut lbs[..1])
+                .unwrap();
+            assert!(!lbs[0].is_nan() && lbs[1].is_nan(), "type {ty}");
         }
     }
 
@@ -1231,13 +1308,16 @@ mod tests {
             let pr = PackedReader::new_text(reader_for(&p, &packed), ty, &codec).unwrap();
             let mut pc = TextListCursor::new_packed(pr, ty);
             for tid in 0..64u32 {
-                if tid % 5 == 4 {
-                    rc.skip(tid, &codec).unwrap();
-                    pc.skip(tid, &codec).unwrap();
-                    continue;
-                }
                 let a = rc.advance(tid, &codec, &matcher).unwrap();
-                let b = pc.advance(tid, &codec, &matcher).unwrap();
+                // Every fifth move of the packed cursor is a one-element fill.
+                let b = match tid % 5 {
+                    4 => {
+                        let mut lb = [0.0];
+                        pc.fill_block(&[tid], &codec, &matcher, &mut lb).unwrap();
+                        Some(lb[0]).filter(|v| !v.is_nan())
+                    }
+                    _ => pc.advance(tid, &codec, &matcher).unwrap(),
+                };
                 assert_eq!(
                     a.map(f64::to_bits),
                     b.map(f64::to_bits),
@@ -1258,16 +1338,15 @@ mod tests {
             let pr = PackedReader::new_num(reader_for(&p, &packed), ty, &ncodec).unwrap();
             let mut pc = NumListCursor::new_packed(pr, ty);
             for tid in 0..64u32 {
+                let a = rc.advance(tid, &ncodec).unwrap();
                 if tid % 5 == 4 {
-                    rc.skip(tid, &ncodec).unwrap();
-                    pc.skip(tid, &ncodec).unwrap();
+                    let mut lb = [0.0];
+                    pc.fill_block(&[tid], &ncodec, 100.0, &mut lb).unwrap();
+                    let want = a.map_or(f64::NAN, |c| ncodec.lower_bound_dist(c, 100.0));
+                    assert_eq!(lb[0].to_bits(), want.to_bits(), "type {ty} tid {tid}");
                     continue;
                 }
-                assert_eq!(
-                    rc.advance(tid, &ncodec).unwrap(),
-                    pc.advance(tid, &ncodec).unwrap(),
-                    "type {ty} tid {tid}"
-                );
+                assert_eq!(a, pc.advance(tid, &ncodec).unwrap(), "type {ty} tid {tid}");
             }
         }
     }

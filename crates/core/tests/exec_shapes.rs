@@ -446,6 +446,40 @@ fn every_window_returns_the_k_smallest_dist_tid() {
     }
 }
 
+/// The walk steps a block at a time (256 elements, never past the end of a
+/// 1,024-element directory frame) and admits per element, so a block edge
+/// may fall anywhere: inside a drain window (drains at 100, 300 and 1,000
+/// pending), at or inside a parallel worker's first block (3 and 7 workers
+/// start mid-block and mid-frame), and at the end of a table of 2,600
+/// tuples, no multiple of either. Tombstones sit on block and frame edges.
+/// Every shape returns the serial answer, over raw and packed lists.
+#[test]
+fn block_edges_inside_windows_workers_and_the_table_end() {
+    let table = table(2_600);
+    for compress_lists in [true, false] {
+        let cfg = IvaConfig {
+            compress_lists,
+            ..IvaConfig::default()
+        };
+        let mut index =
+            build_index(&table, IndexTarget::Mem, &opts(), IoStats::new(), cfg).unwrap();
+        for tid in [0u64, 255, 256, 1023, 1024, 1733, 2599] {
+            assert!(index.delete(tid).unwrap());
+        }
+        let q = probe();
+        let serial = index
+            .query(&table, &q, 10, &MetricKind::L2, WeightScheme::Equal)
+            .unwrap();
+        for window in [100usize, 300, 1_000] {
+            for threads in [1usize, 3, 7] {
+                let got = windowed(&index, &table, &q, 10, threads, window);
+                let label = format!("packed {compress_lists} window {window} threads {threads}");
+                assert_bit_identical(&serial, &got, &label);
+            }
+        }
+    }
+}
+
 /// With the whole scan in one window the drain fetches by need: at most
 /// the k probes plus every tuple whose estimate reaches the threshold T₁
 /// the probe left, and at least every tuple whose estimate is below the

@@ -826,23 +826,59 @@ fn compose<T: Clone>(
     (stored, raw)
 }
 
-/// The frame-direct walk against its two references, on every list
-/// organization and every frame mixture a list can hold: the cursor over
-/// the packed list (PACKED frames served from their sections, RAW tail
-/// frames and NDF_RUN runs as they come), the raw-layout cursor over the
-/// image `decode_to_vec` builds, and the values that were encoded. They
-/// must agree element for element under `advance`, under `skip` (a
-/// tombstone every fifth tuple), after `seek_elements(n)` for `n` on and
-/// off every frame boundary, and at the end of the list (`postings` ends
-/// with `finish`, which refuses leftovers) — with the tuple list running
-/// on past the list's last element (the lazy positional tail) throughout.
-#[test]
-fn frame_direct_walk_matches_raw_walk_and_postings() {
-    let cfg = IvaConfig::default();
-    let sc = cfg.sig_codec();
-    let nc = NumericCodec::new(0.0, 5000.0, cfg.numeric_code_bytes());
-    let matcher = PreparedMatcher::new(&sc, b"value 33 1");
-    // (name, tuples, bulk-encoded head, is tuple i defined?)
+/// One tuple list and the values of the tuples a frame mixture defines:
+/// the first `n` tuples (tids with gaps) may hold values, the first `head`
+/// of them bulk-encoded, the rest appended one insert at a time
+/// ([`compose`]); 40 more tuples follow past the last one any list stores.
+struct Mixture {
+    name: &'static str,
+    n: usize,
+    head: usize,
+    tids: Vec<u32>,
+    text_items: Vec<(u32, Vec<Vec<u8>>)>,
+    num_items: Vec<(u32, u64)>,
+}
+
+impl Mixture {
+    /// The stored packed list and its raw-layout image for text type `ty`.
+    fn text_lists(&self, ty: ListType) -> (Vec<u8>, Vec<u8>) {
+        let listed = &self.tids[..self.n];
+        compose(
+            ty == ListType::III,
+            &self.text_items,
+            listed,
+            self.head,
+            |i, t| {
+                (
+                    encode_packed_text_list(ty, i, t),
+                    encode_text_list(ty, i, t).unwrap(),
+                )
+            },
+        )
+    }
+
+    /// [`Mixture::text_lists`] for numeric type `ty`.
+    fn num_lists(&self, ty: ListType, nc: &NumericCodec) -> (Vec<u8>, Vec<u8>) {
+        let listed = &self.tids[..self.n];
+        compose(
+            ty == ListType::IV,
+            &self.num_items,
+            listed,
+            self.head,
+            |i, t| {
+                (
+                    encode_packed_num_list(ty, i, t, nc),
+                    encode_num_list(ty, i, t, nc).unwrap(),
+                )
+            },
+        )
+    }
+}
+
+/// Every frame mixture a list can hold: PACKED frames alone, NDF_RUN runs
+/// between them, RAW tail frames alone, all three, and a list that ends
+/// undefined before its tuple list does (the lazy positional tail).
+fn frame_mixtures(sc: &iva_text::SigCodec, nc: &NumericCodec) -> Vec<Mixture> {
     type Defined = fn(u32) -> bool;
     let shapes: [(&str, u32, usize, Defined); 5] = [
         ("packed frames", 2300, 2300, |i| i % 7 != 0),
@@ -853,24 +889,45 @@ fn frame_direct_walk_matches_raw_walk_and_postings() {
         ("all three", 2300, 2100, |i| i % 7 != 0 && (i / 40) % 3 != 1),
         ("ends undefined", 2300, 2250, |i| i % 7 != 0 && i < 2270),
     ];
-    for (shape, n, head, defined) in shapes {
-        // Tid gaps, and 40 tuples past the last one any list stores.
-        let tids: Vec<u32> = (0..n + 40).map(|i| i * 3 + 1).collect();
-        let listed = &tids[..n as usize];
-        let text_items: Vec<(u32, Vec<Vec<u8>>)> = (0..n)
+    let shapes = shapes.into_iter().map(|(name, n, head, defined)| Mixture {
+        name,
+        n: n as usize,
+        head,
+        tids: (0..n + 40).map(|i| i * 3 + 1).collect(),
+        text_items: (0..n)
             .filter(|&i| defined(i))
             .map(|i| {
                 let strings = (0..1 + i % 3).map(|j| format!("value {i} {j}"));
-                (
-                    i * 3 + 1,
-                    strings.map(|s| sc.encode_to_vec(s.as_bytes())).collect(),
-                )
+                let sigs = strings.map(|s| sc.encode_to_vec(s.as_bytes())).collect();
+                (i * 3 + 1, sigs)
             })
-            .collect();
-        let num_items: Vec<(u32, u64)> = (0..n)
+            .collect(),
+        num_items: (0..n)
             .filter(|&i| defined(i))
             .map(|i| (i * 3 + 1, nc.encode(f64::from(i))))
-            .collect();
+            .collect(),
+    });
+    shapes.collect()
+}
+
+/// The frame-direct walk against its two references, on every list
+/// organization and every frame mixture a list can hold: the cursor over
+/// the packed list (PACKED frames served from their sections, RAW tail
+/// frames and NDF_RUN runs as they come), the raw-layout cursor over the
+/// image `decode_to_vec` builds, and the values that were encoded. They
+/// must agree element for element under `advance`, after
+/// `seek_elements(n)` for `n` on and off every frame boundary, and at the
+/// end of the list (`postings` ends with `finish`, which refuses
+/// leftovers) — with the tuple list running on past the list's last
+/// element (the lazy positional tail) throughout.
+#[test]
+fn frame_direct_walk_matches_raw_walk_and_postings() {
+    let cfg = IvaConfig::default();
+    let sc = cfg.sig_codec();
+    let nc = NumericCodec::new(0.0, 5000.0, cfg.numeric_code_bytes());
+    let matcher = PreparedMatcher::new(&sc, b"value 33 1");
+    for m in frame_mixtures(&sc, &nc) {
+        let (shape, tids, text_items, num_items) = (m.name, &m.tids, &m.text_items, &m.num_items);
         let seeks = [
             0u64,
             1,
@@ -879,18 +936,13 @@ fn frame_direct_walk_matches_raw_walk_and_postings() {
             1024,
             1025,
             2047,
-            head as u64 + 3,
-            u64::from(n) + 7,
+            m.head as u64 + 3,
+            m.n as u64 + 7,
         ];
 
         for ty in [ListType::I, ListType::II, ListType::III] {
             let label = format!("text {ty}, {shape}");
-            let (stored, raw) = compose(ty == ListType::III, &text_items, listed, head, |i, t| {
-                (
-                    encode_packed_text_list(ty, i, t),
-                    encode_text_list(ty, i, t).unwrap(),
-                )
-            });
+            let (stored, raw) = m.text_lists(ty);
             let packed = || PackedReader::new_text(list_reader(&stored), ty, &sc).unwrap();
             assert_eq!(packed().decode_to_vec().unwrap(), raw, "{label}: image");
             let cursors = || {
@@ -900,11 +952,14 @@ fn frame_direct_walk_matches_raw_walk_and_postings() {
                 )
             };
             let (p, r) = cursors();
-            let want: Vec<_> = text_items.clone();
-            assert_eq!(p.postings(&sc, &tids).unwrap(), want, "{label}: postings");
             assert_eq!(
-                r.postings(&sc, &tids).unwrap(),
-                want,
+                p.postings(&sc, tids).unwrap(),
+                *text_items,
+                "{label}: postings"
+            );
+            assert_eq!(
+                r.postings(&sc, tids).unwrap(),
+                *text_items,
                 "{label}: raw postings"
             );
             for seek in seeks {
@@ -913,34 +968,25 @@ fn frame_direct_walk_matches_raw_walk_and_postings() {
                 r.seek_elements(seek, &sc).unwrap();
                 let from = (seek as usize).min(tids.len());
                 let mut walked: [Walked<u64>; 2] = [Vec::new(), Vec::new()];
-                for (i, &tid) in tids.iter().enumerate().skip(from) {
+                for &tid in tids.iter().skip(from) {
                     for (cur, out) in [&mut p, &mut r].into_iter().zip(&mut walked) {
-                        if i % 5 == 4 {
-                            cur.skip(tid, &sc).unwrap();
-                            out.push(None);
-                        } else {
-                            let lb = cur.advance(tid, &sc, &matcher).unwrap();
-                            out.push(lb.map(f64::to_bits));
-                        }
+                        let lb = cur.advance(tid, &sc, &matcher).unwrap();
+                        out.push(lb.map(f64::to_bits));
                     }
                 }
                 assert_eq!(walked[0], walked[1], "{label}: walk after seek {seek}");
                 let seen = walked[0].iter().flatten().count();
-                let expect = tids.iter().enumerate().skip(from).filter(|&(i, t)| {
-                    i % 5 != 4 && text_items.binary_search_by_key(t, |(tid, _)| *tid).is_ok()
-                });
+                let expect = tids
+                    .iter()
+                    .skip(from)
+                    .filter(|t| text_items.binary_search_by_key(t, |(tid, _)| tid).is_ok());
                 assert_eq!(seen, expect.count(), "{label}: defined after seek {seek}");
             }
         }
 
         for ty in [ListType::I, ListType::IV] {
             let label = format!("num {ty}, {shape}");
-            let (stored, raw) = compose(ty == ListType::IV, &num_items, listed, head, |i, t| {
-                (
-                    encode_packed_num_list(ty, i, t, &nc),
-                    encode_num_list(ty, i, t, &nc).unwrap(),
-                )
-            });
+            let (stored, raw) = m.num_lists(ty, &nc);
             let packed = || PackedReader::new_num(list_reader(&stored), ty, &nc).unwrap();
             assert_eq!(packed().decode_to_vec().unwrap(), raw, "{label}: image");
             let cursors = || {
@@ -951,13 +997,13 @@ fn frame_direct_walk_matches_raw_walk_and_postings() {
             };
             let (p, r) = cursors();
             assert_eq!(
-                p.postings(&nc, &tids).unwrap(),
-                num_items,
+                p.postings(&nc, tids).unwrap(),
+                *num_items,
                 "{label}: postings"
             );
             assert_eq!(
-                r.postings(&nc, &tids).unwrap(),
-                num_items,
+                r.postings(&nc, tids).unwrap(),
+                *num_items,
                 "{label}: raw postings"
             );
             for seek in seeks {
@@ -966,27 +1012,131 @@ fn frame_direct_walk_matches_raw_walk_and_postings() {
                 r.seek_elements(seek, &nc).unwrap();
                 let from = (seek as usize).min(tids.len());
                 let mut walked: [Walked<u64>; 2] = [Vec::new(), Vec::new()];
-                for (i, &tid) in tids.iter().enumerate().skip(from) {
+                for &tid in tids.iter().skip(from) {
                     for (cur, out) in [&mut p, &mut r].into_iter().zip(&mut walked) {
-                        if i % 5 == 4 {
-                            cur.skip(tid, &nc).unwrap();
-                            out.push(None);
-                        } else {
-                            out.push(cur.advance(tid, &nc).unwrap());
-                        }
+                        out.push(cur.advance(tid, &nc).unwrap());
                     }
                 }
                 assert_eq!(walked[0], walked[1], "{label}: walk after seek {seek}");
                 let expect: Walked<u64> = tids
                     .iter()
-                    .enumerate()
                     .skip(from)
-                    .map(|(i, t)| {
+                    .map(|t| {
                         let at = num_items.binary_search_by_key(t, |(tid, _)| *tid).ok()?;
-                        (i % 5 != 4).then(|| num_items[at].1)
+                        Some(num_items[at].1)
                     })
                     .collect();
                 assert_eq!(walked[0], expect, "{label}: codes after seek {seek}");
+            }
+        }
+    }
+}
+
+/// `(start, len)` of consecutive blocks covering `tids[from..]`, their
+/// sizes taken from `sizes` in turn.
+fn blocks(from: usize, end: usize, sizes: &[usize]) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    let mut at = from;
+    for &size in sizes.iter().cycle() {
+        if at >= end {
+            break;
+        }
+        out.push((at, size.min(end - at)));
+        at += size;
+    }
+    out
+}
+
+/// A walk's value as the block fill writes it: `NaN` for *ndf*.
+fn slot_bits(lb: Option<f64>) -> u64 {
+    lb.unwrap_or(f64::NAN).to_bits()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The block fill against its oracle, the per-element walk: on every
+    /// organization (Text I/II/III, Num I/IV), raw and packed, over every
+    /// frame mixture (PACKED frames, RAW tail frames appended by inserts,
+    /// NDF_RUN runs, the lazy positional tail), from any `seek_elements`
+    /// start, in blocks of 1 to 300 elements — so block edges fall inside
+    /// list frames, on them, and inside a Type I value split across two
+    /// frames — `fill_block` writes, bit for bit, what `advance` returns
+    /// element by element (`NaN` for *ndf*). Tombstones are no list's
+    /// business — a delete rewrites the directory alone, and a tombstoned
+    /// position is filled like any other — so what they demand of the
+    /// spine (filled, never admitted) is pinned by `exec_shapes` and the
+    /// brute-force properties above.
+    #[test]
+    fn fill_blocks_match_the_element_walk(
+        pick in any::<prop::sample::Index>(),
+        seek in any::<prop::sample::Index>(),
+        sizes in proptest::collection::vec(1usize..301, 1..10),
+        q in 0.0f64..3000.0,
+    ) {
+        let cfg = IvaConfig::default();
+        let sc = cfg.sig_codec();
+        let nc = NumericCodec::new(0.0, 5000.0, cfg.numeric_code_bytes());
+        let matcher = PreparedMatcher::new(&sc, b"value 33 1");
+        let mixtures = frame_mixtures(&sc, &nc);
+        let m = &mixtures[pick.index(mixtures.len())];
+        let tids = &m.tids;
+        let from = seek.index(tids.len() + 1);
+        let plan = blocks(from, tids.len(), &sizes);
+        let mut out = vec![0.0f64; 300];
+        for ty in [ListType::I, ListType::II, ListType::III] {
+            let (stored, raw) = m.text_lists(ty);
+            for packed in [true, false] {
+                let open = || match packed {
+                    true => {
+                        let r = PackedReader::new_text(list_reader(&stored), ty, &sc).unwrap();
+                        TextListCursor::new_packed(r, ty)
+                    }
+                    false => TextListCursor::new(list_reader(&raw), ty),
+                };
+                let (mut oracle, mut filled) = (open(), open());
+                oracle.seek_elements(from as u64, &sc).unwrap();
+                filled.seek_elements(from as u64, &sc).unwrap();
+                let want: Vec<u64> = tids[from..]
+                    .iter()
+                    .map(|&t| slot_bits(oracle.advance(t, &sc, &matcher).unwrap()))
+                    .collect();
+                let mut got = Vec::new();
+                for &(at, len) in &plan {
+                    let slots = &mut out[..len];
+                    filled.fill_block(&tids[at..at + len], &sc, &matcher, slots).unwrap();
+                    got.extend(slots.iter().map(|v| v.to_bits()));
+                }
+                prop_assert_eq!(got, want, "text {} packed {} {}", ty, packed, m.name);
+            }
+        }
+        for ty in [ListType::I, ListType::IV] {
+            let (stored, raw) = m.num_lists(ty, &nc);
+            for packed in [true, false] {
+                let open = || match packed {
+                    true => {
+                        let r = PackedReader::new_num(list_reader(&stored), ty, &nc).unwrap();
+                        NumListCursor::new_packed(r, ty)
+                    }
+                    false => NumListCursor::new(list_reader(&raw), ty),
+                };
+                let (mut oracle, mut filled) = (open(), open());
+                oracle.seek_elements(from as u64, &nc).unwrap();
+                filled.seek_elements(from as u64, &nc).unwrap();
+                let want: Vec<u64> = tids[from..]
+                    .iter()
+                    .map(|&t| {
+                        let code = oracle.advance(t, &nc).unwrap();
+                        slot_bits(code.map(|c| nc.lower_bound_dist(c, q)))
+                    })
+                    .collect();
+                let mut got = Vec::new();
+                for &(at, len) in &plan {
+                    let slots = &mut out[..len];
+                    filled.fill_block(&tids[at..at + len], &nc, q, slots).unwrap();
+                    got.extend(slots.iter().map(|v| v.to_bits()));
+                }
+                prop_assert_eq!(got, want, "num {} packed {} {}", ty, packed, m.name);
             }
         }
     }

@@ -253,6 +253,71 @@ fn insert_rejects_positional_entry_longer_than_tuple_list() {
     RealVfs.remove_dir_all(&dir).unwrap();
 }
 
+/// The tuple list is tid-ascending by construction, and both the pool's
+/// tie rule (lowest tid wins) and the keyed lists' frozen pointer rest on
+/// it. A directory whose RAW tail frame repeats a tid — here one appended
+/// by an insert under a tid already listed, with more tuples after it —
+/// is `Corrupt` to every execution shape, never an answer: serial;
+/// segmented-parallel, whether the repeat falls inside a worker's range or
+/// opens one (2 workers: the second starts on it); batch; the sequential
+/// plan; and the hot tier's resident tuple column. Raw and packed
+/// directories alike.
+#[test]
+fn repeated_tid_in_the_directory_is_corrupt_to_every_shape() {
+    use iva_core::{BatchItem, QueryOptions};
+    for compress_lists in [true, false] {
+        let mut t = SwtTable::create_mem(&opts(), IoStats::new()).unwrap();
+        let name = t.define_text("name").unwrap();
+        let row = |i: u32| Tuple::new().with(name, Value::text(format!("listing {i:04}")));
+        for i in 0..600 {
+            t.insert(&row(i)).unwrap();
+        }
+        let cfg = IvaConfig {
+            compress_lists,
+            ..IvaConfig::default()
+        };
+        let mut idx = build_index(&t, IndexTarget::Mem, &opts(), IoStats::new(), cfg).unwrap();
+        for i in 600..1201 {
+            let (tid, ptr) = t.insert(&row(i)).unwrap();
+            // Position 600 of the directory lists tid 599 a second time.
+            let listed = if i == 600 { 599 } else { tid };
+            idx.insert(listed, ptr, &row(i), t.catalog()).unwrap();
+        }
+        let q = Query::new().text(name, "listing 0599");
+        let (l2, equ) = (MetricKind::L2, WeightScheme::Equal);
+        let corrupt = |what: &str, r: Result<Vec<_>, IvaError>| match r {
+            Err(e) => assert!(e.is_corruption(), "{what}: {e}"),
+            Ok(hits) => panic!("{what}: answered {hits:?}"),
+        };
+        let results = |o: iva_core::QueryOutcome| o.results;
+        for hot in [0, 1 << 30] {
+            idx.set_runtime_knobs(1, hot);
+            for round in 0..3 {
+                let what = format!("compress {compress_lists} hot {hot} round {round}");
+                corrupt(&what, idx.query(&t, &q, 5, &l2, equ).map(results));
+                for threads in [2usize, 3] {
+                    let o = QueryOptions {
+                        threads: Some(threads),
+                        measured: false,
+                    };
+                    let r = idx.query_opts(&t, &q, 5, &l2, equ, &o).map(results);
+                    corrupt(&format!("{what} threads {threads}"), r);
+                }
+                let item = BatchItem {
+                    query: &q,
+                    k: 5,
+                    weights: equ,
+                };
+                let batch = idx.query_batch(&t, &[item, item], &l2, &QueryOptions::default());
+                let batch = batch.map(|outs| outs.into_iter().flat_map(results).collect());
+                corrupt(&format!("{what} batch"), batch);
+                let seq = idx.query_sequential_plan(&t, &q, 5, &l2, equ).map(results);
+                corrupt(&format!("{what} sequential"), seq);
+            }
+        }
+    }
+}
+
 #[test]
 fn zero_length_query_is_benign() {
     let (t, idx) = sample();
@@ -457,35 +522,46 @@ mod fuzz_packed {
     }
 
     /// Walk `stored` the way a scan, a hot-tier promotion and an export
-    /// all do — the one cursor, one move per tuple-list tid, every fifth a
-    /// tombstone-style skip — and return the tids it found defined, or
-    /// `None` at the first error. Must return, not panic.
+    /// all do — the one cursor, one move per tuple-list tid, in blocks of
+    /// 1, 2, …, 7 tids: a block of one by `advance` (the build's and the
+    /// export's move), the others by `fill_block` (the scan's) — and
+    /// return the tids it found defined, or `None` at the first error.
+    /// Must return, not panic.
     fn walk(stored: &[u8], is_text: bool, ty: ListType, n: u32) -> Option<Vec<u32>> {
         let packed = open_packed(stored, is_text, ty)?;
-        let mut defined = Vec::new();
-        if is_text {
-            // Built once: preparing a matcher costs more than a walk.
-            static MATCHER: OnceLock<PreparedMatcher> = OnceLock::new();
-            let (codec, mut cur) = (sig_codec(), TextListCursor::new_packed(packed, ty));
-            let matcher = MATCHER.get_or_init(|| PreparedMatcher::new(&codec, b"value 33 1"));
-            for (i, tid) in tids(n).into_iter().enumerate() {
-                if i % 5 == 4 {
-                    cur.skip(tid, &codec).ok()?;
-                } else if cur.advance(tid, &codec, matcher).ok()?.is_some() {
-                    defined.push(tid);
+        let all = tids(n);
+        let (mut at, mut lbs, mut defined) = (0, [0.0f64; 7], Vec::new());
+        // Built once: preparing a matcher costs more than a walk.
+        static MATCHER: OnceLock<PreparedMatcher> = OnceLock::new();
+        let (sc, nc) = (sig_codec(), num_codec());
+        let matcher = MATCHER.get_or_init(|| PreparedMatcher::new(&sc, b"value 33 1"));
+        let (mut text, mut num) = match is_text {
+            true => (Some(TextListCursor::new_packed(packed, ty)), None),
+            false => (None, Some(NumListCursor::new_packed(packed, ty))),
+        };
+        for len in (1..=7usize).cycle() {
+            let block = &all[at..(at + len).min(all.len())];
+            let out = &mut lbs[..block.len()];
+            match (&mut text, &mut num, block) {
+                (_, _, []) => break,
+                (Some(cur), _, &[tid]) => out[0] = lb(cur.advance(tid, &sc, matcher).ok()?),
+                (Some(cur), ..) => cur.fill_block(block, &sc, matcher, out).ok()?,
+                (_, Some(cur), &[tid]) => {
+                    out[0] = lb(cur.advance(tid, &nc).ok()?.map(|c| c as f64))
                 }
+                (_, Some(cur), _) => cur.fill_block(block, &nc, 0.0, out).ok()?,
+                (None, None, _) => unreachable!(),
             }
-        } else {
-            let (codec, mut cur) = (num_codec(), NumListCursor::new_packed(packed, ty));
-            for (i, tid) in tids(n).into_iter().enumerate() {
-                if i % 5 == 4 {
-                    cur.skip(tid, &codec).ok()?;
-                } else if cur.advance(tid, &codec).ok()?.is_some() {
-                    defined.push(tid);
-                }
-            }
+            let found = block.iter().zip(out.iter()).filter(|(_, lb)| !lb.is_nan());
+            defined.extend(found.map(|(tid, _)| *tid));
+            at += block.len();
         }
         Some(defined)
+    }
+
+    /// A walked value as a block slot: `NaN` for *ndf*.
+    fn lb(v: Option<f64>) -> f64 {
+        v.unwrap_or(f64::NAN)
     }
 
     /// Store `stored` (prologue + frames) in a fresh in-memory list file
@@ -503,15 +579,9 @@ mod fuzz_packed {
             let got = drive(&stored, is_text, ty)
                 .unwrap_or_else(|| panic!("intact {ty:?} failed to decode"));
             assert_eq!(got, raw, "{ty:?} round-trip mismatch");
-            // The walk finds exactly the tuples the corpus defined (minus
-            // the positions it skipped as tombstones).
+            // The walk finds exactly the tuples the corpus defined.
             let undefined = if is_text { 15 } else { 9 };
-            let want: Vec<u32> = tids(N)
-                .into_iter()
-                .enumerate()
-                .filter(|&(i, t)| i % 5 != 4 && t % undefined != 0)
-                .map(|(_, t)| t)
-                .collect();
+            let want: Vec<u32> = tids(N).into_iter().filter(|t| t % undefined != 0).collect();
             assert_eq!(walk(&stored, is_text, ty, N), Some(want), "{ty:?} walk");
         }
     }

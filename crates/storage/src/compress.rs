@@ -72,8 +72,38 @@ pub fn unpack_bits(buf: &[u8], width: u32, n: usize, out: &mut Vec<u64>) -> Opti
     if n.checked_mul(width as usize)? > buf.len().checked_mul(8)? {
         return None;
     }
-    out.reserve(n);
-    out.extend(BitUnpacker::new(buf, width)?.take(n));
+    let values = BitUnpacker::new(buf, width)?;
+    if width == 0 {
+        out.resize(out.len() + n, 0);
+    } else {
+        out.reserve(n);
+        out.extend(values.take(n));
+    }
+    Some(())
+}
+
+/// [`unpack_bits`] for byte-sized fields (widths up to 8), into bytes:
+/// eight values are exactly `width` bytes, so each group of eight is one
+/// little-endian word and eight shifts. `None` — with nothing appended —
+/// when the width exceeds 8 or `buf` holds fewer than `n` values.
+pub fn unpack_bytes(buf: &[u8], width: u32, n: usize, out: &mut Vec<u8>) -> Option<()> {
+    if width > 8 || n.checked_mul(width as usize)? > buf.len().checked_mul(8)? {
+        return None;
+    }
+    let (start, w, mask) = (out.len(), width as usize, low_bits(width));
+    if w == 0 {
+        out.resize(start + n, 0);
+        return Some(());
+    }
+    out.reserve(n.next_multiple_of(8));
+    for group in buf.chunks(w).take(n.div_ceil(8)) {
+        let word = group
+            .iter()
+            .rev()
+            .fold(0, |acc, &b| (acc << 8) | u64::from(b));
+        out.extend((0..8).map(|k| ((word >> (k * w)) & mask) as u8));
+    }
+    out.truncate(start + n);
     Some(())
 }
 
@@ -230,6 +260,41 @@ mod tests {
         assert_eq!(unpack_bits(&[0; 16], 65, 1, &mut out), None);
         assert_eq!(unpack_bits(&[], 3, usize::MAX, &mut out), None);
         assert!(out.is_empty());
+    }
+
+    /// The byte unpacker against the packer: every width it takes, every
+    /// length through two 64-value blocks, spare and missing bytes.
+    #[test]
+    fn byte_unpack_roundtrips_every_width_and_length() {
+        for width in 0..=8u32 {
+            for len in (0..=130usize).step_by(if cfg!(miri) { 13 } else { 1 }) {
+                let values: Vec<u8> = (0..len)
+                    .map(|i| ((i * 37 + 11) as u64 & low_bits(width)) as u8)
+                    .collect();
+                let mut buf = Vec::new();
+                pack_bits(
+                    &values.iter().map(|&v| u64::from(v)).collect::<Vec<_>>(),
+                    width,
+                    &mut buf,
+                );
+                for spare in [0usize, 1, 8] {
+                    let mut padded = buf.clone();
+                    padded.resize(buf.len() + spare, 0xFF);
+                    let mut out = vec![7u8];
+                    unpack_bytes(&padded, width, len, &mut out).unwrap();
+                    assert_eq!((out[0], &out[1..]), (7, &values[..]), "w={width} n={len}");
+                }
+                if !buf.is_empty() {
+                    let mut out = vec![7u8];
+                    assert_eq!(
+                        unpack_bytes(&buf[..buf.len() - 1], width, len, &mut out),
+                        None
+                    );
+                    assert_eq!(out, [7], "w={width} n={len}");
+                }
+            }
+        }
+        assert_eq!(unpack_bytes(&[0; 16], 9, 1, &mut Vec::new()), None);
     }
 
     #[test]

@@ -25,6 +25,6 @@ pub use record::{
 };
 pub use schema::{AttrDef, AttrId, AttrType, Catalog};
 pub use stats::{AttrStats, TableStats};
-pub use swt::SwtTable;
+pub use swt::{catalog_path, table_file_path, SwtTable};
 pub use table::{RecordBuf, RecordPtr, RecordRef, StoredRecord, TableFile, TableScan, Tid};
 pub use value::{Tuple, Value};

@@ -27,9 +27,29 @@ pub struct SwtTable {
     meta_path: Option<PathBuf>,
 }
 
+/// `<base><suffix>`: the suffix is appended, never substituted for an
+/// extension `base` already has — a staging base such as `data.rebuild`
+/// must not name the live `data.tbl`.
+fn suffixed(base: &Path, suffix: &str) -> PathBuf {
+    let mut name = base.as_os_str().to_os_string();
+    name.push(suffix);
+    PathBuf::from(name)
+}
+
+/// The table file of the table at `base`: `<base>.tbl`.
+pub fn table_file_path(base: &Path) -> PathBuf {
+    suffixed(base, ".tbl")
+}
+
+/// The catalog/statistics sidecar of the table at `base`: `<base>.meta`.
+pub fn catalog_path(base: &Path) -> PathBuf {
+    suffixed(base, ".meta")
+}
+
 impl SwtTable {
     /// Create a fresh disk-backed table. `base` is a path prefix: the table
-    /// file lands at `<base>.tbl` and catalog/statistics at `<base>.meta`.
+    /// file lands at [`table_file_path`] and catalog/statistics at
+    /// [`catalog_path`].
     pub fn create(base: &Path, opts: &PagerOptions, stats: IoStats) -> Result<Self> {
         Self::create_with_vfs(Arc::new(RealVfs), base, opts, stats)
     }
@@ -42,13 +62,13 @@ impl SwtTable {
         stats: IoStats,
     ) -> Result<Self> {
         let file =
-            TableFile::create_with_vfs(Arc::clone(&vfs), &base.with_extension("tbl"), opts, stats)?;
+            TableFile::create_with_vfs(Arc::clone(&vfs), &table_file_path(base), opts, stats)?;
         Ok(Self {
             catalog: Catalog::new(),
             stats: TableStats::new(),
             file,
             vfs,
-            meta_path: Some(base.with_extension("meta")),
+            meta_path: Some(catalog_path(base)),
         })
     }
 
@@ -81,9 +101,8 @@ impl SwtTable {
         opts: &PagerOptions,
         stats: IoStats,
     ) -> Result<Self> {
-        let file =
-            TableFile::open_with_vfs(Arc::clone(&vfs), &base.with_extension("tbl"), opts, stats)?;
-        let meta_path = base.with_extension("meta");
+        let file = TableFile::open_with_vfs(Arc::clone(&vfs), &table_file_path(base), opts, stats)?;
+        let meta_path = catalog_path(base);
         let bytes = commit::read_commit_record(vfs.as_ref(), &meta_path)?;
         let (catalog, table_stats) = decode_meta(&bytes)?;
         Ok(Self {

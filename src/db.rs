@@ -10,7 +10,7 @@ use iva_core::{
 };
 use iva_storage::vfs::{RealVfs, Vfs};
 use iva_storage::{sidecar_path, IoStats, PagerOptions};
-use iva_swt::{AttrId, Catalog, SwtTable, Tid, Tuple};
+use iva_swt::{catalog_path, table_file_path, AttrId, Catalog, SwtTable, Tid, Tuple};
 
 use crate::search::{QueryBuilder, SearchRequest};
 
@@ -357,11 +357,11 @@ impl IvaDb {
         // old sidecar would describe the new file.
         let rn =
             |a: PathBuf, b: PathBuf| vfs.rename(&a, &b).map_err(|e| IvaError::Storage(e.into()));
-        let tmp_tbl = tmp_base.with_extension("tbl");
-        let dst_tbl = dir.join("data.tbl");
+        let (tmp_tbl, dst_base) = (table_file_path(&tmp_base), dir.join("data"));
+        let dst_tbl = table_file_path(&dst_base);
         rn(sidecar_path(&tmp_tbl), sidecar_path(&dst_tbl))?;
         rn(tmp_tbl, dst_tbl)?;
-        rn(tmp_base.with_extension("meta"), dir.join("data.meta"))?;
+        rn(catalog_path(&tmp_base), catalog_path(&dst_base))?;
         rn(tmp_index, dir.join("index.iva"))?;
         self.pair = Self::open_pair(vfs, dir, &self.opts, table_io, index_io)?;
         Ok(())

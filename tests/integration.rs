@@ -159,6 +159,53 @@ fn disk_persistence_full_cycle() {
     RealVfs.remove_dir_all(&dir).unwrap();
 }
 
+/// A store written over many sessions — open, insert one tuple, flush,
+/// drop, a hundred times, as `ivactl insert` does — so that its table
+/// spills onto a second page between two sessions, then rebuilt and
+/// reopened: every tuple survives and reads back.
+#[test]
+fn rebuild_keeps_a_table_written_across_sessions() {
+    let dir = std::env::temp_dir().join(format!("iva-db-sessions-{}", std::process::id()));
+    let _ = RealVfs.remove_dir_all(&dir);
+    let title = {
+        let mut db = IvaDb::create(&dir, IvaDbOptions::default()).unwrap();
+        let title = db.define_text("title").unwrap();
+        db.flush().unwrap();
+        title
+    };
+    let text = |i: u64| format!("product listing number {i}");
+    let mut tids = Vec::new();
+    for i in 1..=100 {
+        let mut db = IvaDb::open(&dir, IvaDbOptions::default()).unwrap();
+        tids.push(
+            db.insert(&Tuple::new().with(title, Value::text(text(i))))
+                .unwrap(),
+        );
+        db.flush().unwrap();
+    }
+    {
+        let mut db = IvaDb::open(&dir, IvaDbOptions::default()).unwrap();
+        assert_eq!(db.len(), 100);
+        db.rebuild().unwrap();
+        assert_eq!(db.len(), 100);
+    }
+    let db = IvaDb::open(&dir, IvaDbOptions::default()).unwrap();
+    assert_eq!(db.len(), 100);
+    for (i, &tid) in (1..=100).zip(&tids) {
+        let got = db.get(tid).unwrap().expect("live tuple");
+        assert_eq!(got.get(title), Some(&Value::text(text(i))), "tid {tid}");
+    }
+    let hits = db
+        .execute(
+            &Query::new().text(title, "product listing number 100"),
+            &SearchRequest::new(1),
+        )
+        .unwrap()
+        .hits;
+    assert_eq!((hits[0].tid, hits[0].dist), (tids[99], 0.0));
+    RealVfs.remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn generated_workload_agreement_with_baselines() {
     let cfg = WorkloadConfig::scaled(3_000);

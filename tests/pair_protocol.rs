@@ -156,8 +156,14 @@ fn seal_merge_and_rebuild_stage_the_same_bytes() {
         assert!(s == r, "sealed and rebuilt {what} files differ");
     }
     assert_ne!(sealed[3], rebuilt[3], "pinned and derived domains coincide");
-    assert!(!mem_c.exists(&dir.join("data.rebuild.tbl")));
-    assert!(!mem_c.exists(&dir.join("index.rebuild.iva")));
+    for staged in [
+        "data.rebuild.tbl",
+        "data.rebuild.tbl.meta",
+        "data.rebuild.meta",
+        "index.rebuild.iva",
+    ] {
+        assert!(!mem_c.exists(&dir.join(staged)), "{staged} left behind");
+    }
 }
 
 // ---------------------------------------------------------------------
