@@ -58,6 +58,48 @@ fn probe() -> Query {
         .num(AttrId(3), 33.0)
 }
 
+/// L1, except that an exact match has no distance at all: a caller's
+/// metric, not the engine, makes the NaN.
+struct NanAtZero;
+
+impl Metric for NanAtZero {
+    fn combine(&self, weighted_diffs: &[f64]) -> f64 {
+        let sum: f64 = weighted_diffs.iter().sum();
+        if sum == 0.0 {
+            f64::NAN
+        } else {
+            sum
+        }
+    }
+}
+
+/// The serial answer against `threads` contiguous partitions with private
+/// pools, bit for bit; returns the serial answer.
+fn assert_parallel_matches_serial<M: Metric + Sync>(
+    index: &IvaIndex,
+    table: &SwtTable,
+    q: &Query,
+    k: usize,
+    metric: &M,
+    threads: &[usize],
+) -> QueryOutcome {
+    let serial = index
+        .query(table, q, k, metric, WeightScheme::Equal)
+        .unwrap();
+    for &threads in threads {
+        let o = QueryOptions {
+            threads: Some(threads),
+            measured: true,
+        };
+        let par = index
+            .query_opts(table, q, k, metric, WeightScheme::Equal, &o)
+            .unwrap();
+        let label = format!("{} k={k} threads={threads}", metric.name());
+        assert_bit_identical(&serial, &par, &label);
+    }
+    serial
+}
+
 #[test]
 fn parallel_matches_serial_bit_for_bit() {
     let table = table(600);
@@ -71,19 +113,44 @@ fn parallel_matches_serial_bit_for_bit() {
     .unwrap();
     let q = probe();
     for k in [1usize, 5, 20] {
-        let serial = index
-            .query(&table, &q, k, &MetricKind::L2, WeightScheme::Equal)
-            .unwrap();
-        for threads in [2usize, 4, 8] {
-            let o = QueryOptions {
-                threads: Some(threads),
-                measured: true,
-            };
-            let par = index
-                .query_opts(&table, &q, k, &MetricKind::L2, WeightScheme::Equal, &o)
-                .unwrap();
-            assert_bit_identical(&serial, &par, &format!("k={k} threads={threads}"));
-        }
+        assert_parallel_matches_serial(&index, &table, &q, k, &MetricKind::L2, &[2, 4, 8]);
+    }
+    // Under a metric that answers NaN, those hits rank last, by tid, in
+    // every partition's pool, in their union and in a batch lane. Tuples
+    // 42, 236 and 430 hold exactly 42.
+    let exact = Query::new().num(AttrId(2), 42.0);
+    for k in [5usize, 20, 600] {
+        let serial =
+            assert_parallel_matches_serial(&index, &table, &exact, k, &NanAtZero, &[1, 2, 3]);
+        let nan_tail: Vec<u64> = serial
+            .results
+            .iter()
+            .skip_while(|e| !e.dist.is_nan())
+            .map(|e| e.tid)
+            .collect();
+        let want: &[u64] = if k == 600 { &[42, 236, 430] } else { &[] };
+        assert_eq!(nan_tail, want, "k={k}");
+        let nans = serial.results.iter().filter(|e| e.dist.is_nan()).count();
+        assert_eq!(nans, want.len(), "k={k}: a NaN ranked before a distance");
+
+        let items = [
+            BatchItem {
+                query: &exact,
+                k,
+                weights: WeightScheme::Equal,
+            },
+            BatchItem {
+                query: &q,
+                k: 10,
+                weights: WeightScheme::Equal,
+            },
+        ];
+        let o = QueryOptions {
+            threads: Some(1),
+            measured: true,
+        };
+        let batch = index.query_batch(&table, &items, &NanAtZero, &o).unwrap();
+        assert_same_plan(&serial, &batch[0], &format!("batch lane k={k}"));
     }
 }
 

@@ -1,20 +1,49 @@
-//! Partitioned parallel search — the deployment sketched in the paper's
+//! Partitioned search — the deployment sketched in the paper's
 //! conclusion: "being a non-hierarchical index, the iVA-file is suitable
 //! for indexing horizontally or vertically partitioned datasets in a
 //! distributed and parallel system architecture".
 //!
-//! Splits a community dataset across four shards, runs every query on all
-//! shards in parallel, and verifies the merged answers equal a
-//! single-node database's — then compares latency.
+//! The horizontal partition two ways, each checked against one serial
+//! scan by `(tid, distance bits)`:
+//! - `IvaDb` at `SearchRequest::threads(4)`: the tuple list split into
+//!   four contiguous partitions, each scanned into a private top-k pool,
+//!   the pools unioned;
+//! - an `LsmDb` sealed into four segments: four independent table +
+//!   iVA-file pairs, scanned one after another under one carried pool.
 //!
 //! Run with: `cargo run --release --example partitioned_search`
 
 use std::time::Instant;
 
 use iva_file::workload::{generate_query_set, Dataset, WorkloadConfig};
-use iva_file::{IvaDb, IvaDbOptions, SearchRequest, ShardedIvaDb};
+use iva_file::{
+    AttrType, EngineWriter, IvaDb, IvaDbOptions, LsmDb, LsmOptions, Result, SearchOutcome,
+    SearchRequest,
+};
 
-fn main() -> iva_file::Result<()> {
+const PARTS: usize = 4;
+
+fn define<E: EngineWriter>(db: &mut E, dataset: &Dataset) -> Result<()> {
+    for (i, ty) in dataset.attr_types.iter().enumerate() {
+        let name = format!("attr_{i}");
+        match ty {
+            AttrType::Text => db.define_text(&name)?,
+            AttrType::Numeric => db.define_numeric(&name)?,
+        };
+    }
+    Ok(())
+}
+
+/// Run one search, add its wall time to `secs`, and return its
+/// `(tid, distance bits)` per hit.
+fn timed(secs: &mut f64, run: impl FnOnce() -> Result<SearchOutcome>) -> Result<Vec<(u64, u64)>> {
+    let start = Instant::now();
+    let out = run()?;
+    *secs += start.elapsed().as_secs_f64();
+    Ok(out.hits.iter().map(|h| (h.tid, h.dist.to_bits())).collect())
+}
+
+fn main() -> Result<()> {
     let cfg = WorkloadConfig::scaled(48_000);
     let dataset = Dataset::generate(&cfg);
     println!(
@@ -23,65 +52,51 @@ fn main() -> iva_file::Result<()> {
     );
 
     let mut single = IvaDb::create_mem(IvaDbOptions::default())?;
-    let mut sharded = ShardedIvaDb::create_mem(4, IvaDbOptions::default())?;
-    for (i, ty) in dataset.attr_types.iter().enumerate() {
-        let name = format!("attr_{i}");
-        match ty {
-            iva_file::AttrType::Text => {
-                single.define_text(&name)?;
-                sharded.define_text(&name)?;
-            }
-            iva_file::AttrType::Numeric => {
-                single.define_numeric(&name)?;
-                sharded.define_numeric(&name)?;
-            }
+    let mut segmented = LsmDb::create_mem(LsmOptions::default())?;
+    define(&mut single, &dataset)?;
+    define(&mut segmented, &dataset)?;
+    for chunk in dataset.tuples.chunks(dataset.tuples.len().div_ceil(PARTS)) {
+        for t in chunk {
+            single.insert(t)?;
+            segmented.insert(t)?;
         }
+        segmented.flush()?; // seals the chunk into a segment of its own
     }
-    for t in &dataset.tuples {
-        single.insert(t)?;
-        sharded.insert(t)?;
-    }
-    println!(
-        "loaded into 1 node and into {} shards\n",
-        sharded.n_shards()
-    );
+    assert_eq!(segmented.segments().len(), PARTS);
+    println!("loaded into one table + iVA-file pair and into {PARTS} sealed segments\n");
 
     let qs = generate_query_set(&dataset, 3, 25, 5, 4242);
-    let (mut t_single, mut t_sharded) = (0.0f64, 0.0f64);
-    let mut agree = 0;
+    let serial = SearchRequest::new(10).threads(1);
+    let (mut t_serial, mut t_parts, mut t_segments) = (0.0f64, 0.0f64, 0.0f64);
     for q in qs.measured() {
-        let s0 = Instant::now();
-        let a = single.execute(q, &SearchRequest::new(10))?.hits;
-        t_single += s0.elapsed().as_secs_f64();
-
-        let s1 = Instant::now();
-        let b = sharded.execute(q, &SearchRequest::new(10))?.hits;
-        t_sharded += s1.elapsed().as_secs_f64();
-
-        let same = a.len() == b.len()
-            && a.iter()
-                .zip(&b)
-                .all(|(x, y)| (x.dist - y.dist).abs() < 1e-9);
-        agree += usize::from(same);
+        let want = timed(&mut t_serial, || single.execute(q, &serial))?;
+        let parts = timed(&mut t_parts, || {
+            single.execute(q, &serial.clone().threads(PARTS))
+        })?;
+        let segments = timed(&mut t_segments, || segmented.execute(q, &serial))?;
+        assert_eq!(
+            parts, want,
+            "{PARTS} partitions differ from the serial scan"
+        );
+        assert_eq!(
+            segments, want,
+            "{PARTS} segments differ from the serial scan"
+        );
     }
     let n = qs.measured().len();
-    println!("answers identical on {agree}/{n} queries");
-    let cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
+    println!("answers bit-identical to the serial scan on {n}/{n} queries, both shapes");
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let ms = |secs: f64| secs / n as f64 * 1e3;
     println!(
-        "mean latency: single node {:.1} ms, {} shards {:.1} ms (this host has {cores} core(s))",
-        t_single / n as f64 * 1e3,
-        sharded.n_shards(),
-        t_sharded / n as f64 * 1e3,
+        "mean latency: serial {:.1} ms, {PARTS} partitions {:.1} ms, {PARTS} segments {:.1} ms \
+         (this host has {cores} core(s))",
+        ms(t_serial),
+        ms(t_parts),
+        ms(t_segments),
     );
-    if cores < sharded.n_shards() {
-        println!(
-            "note: shard fan-out only wins with >= {} cores (or one machine per shard);",
-            sharded.n_shards()
-        );
+    if cores < PARTS {
+        println!("note: {PARTS} partitions only run at once on >= {PARTS} cores;");
         println!("      the point demonstrated here is exactness under partitioning.");
     }
-    assert_eq!(agree, n, "sharded results must be exact");
     Ok(())
 }

@@ -387,11 +387,6 @@ impl IvaDb {
         self.pair.index()
     }
 
-    /// The pair itself (what a shard's search runs against).
-    pub(crate) fn pair(&self) -> &IndexedTable {
-        &self.pair
-    }
-
     /// Table-file I/O counters.
     pub fn table_io(&self) -> &IoStats {
         self.pair.table_io()

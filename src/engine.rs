@@ -1,6 +1,6 @@
-//! The common engine surface: one trait pair implemented by [`IvaDb`],
-//! [`ShardedIvaDb`] and [`LsmDb`] so callers — the serving layer above
-//! all — are generic over sharding and over the write path.
+//! The common engine surface: one trait pair implemented by [`IvaDb`]
+//! and [`LsmDb`] so callers — the serving layer above all — are generic
+//! over the write path.
 //!
 //! [`Engine`] is the read side: everything that runs with `&self` and is
 //! safe to call from any number of threads at once (every engine holds
@@ -18,18 +18,18 @@ use iva_swt::{AttrId, Tid, Tuple};
 use crate::db::{IvaDb, SearchOutcome};
 use crate::lsm::LsmDb;
 use crate::search::{QueryBuilder, SearchRequest};
-use crate::sharded::{ShardedIvaDb, ShardedSearchOutcome, ShardedTid};
 
-/// What any engine's search outcome can report, independent of its hit
-/// type. `hit_keys` gives a shape-independent digest — `(distance bits,
-/// tid, shard)` per hit, in rank order — so generic callers (the
-/// concurrent-reader tests, the load harness) can compare results across
-/// engines bit-for-bit without knowing the concrete hit type.
+/// What any engine's search outcome can report. `hit_keys` gives a
+/// shape-independent digest — `(distance bits, tid, 0)` per hit, in rank
+/// order — so generic callers (the concurrent-reader tests, the load
+/// harness) can compare results across engines and execution shapes
+/// bit-for-bit.
 pub trait EngineOutcome {
     /// Measurement counters of the run.
     fn stats(&self) -> &QueryStats;
-    /// `(dist.to_bits(), tid, shard)` per hit in rank order (`shard` is 0
-    /// for unsharded engines).
+    /// `(dist.to_bits(), tid, 0)` per hit in rank order. The third column
+    /// is always 0: it is kept only because the load harness names the
+    /// triple.
     fn hit_keys(&self) -> Vec<(u64, u64, u32)>;
 }
 
@@ -45,24 +45,13 @@ impl EngineOutcome for SearchOutcome {
     }
 }
 
-impl EngineOutcome for ShardedSearchOutcome {
-    fn stats(&self) -> &QueryStats {
-        &self.stats
-    }
-    fn hit_keys(&self) -> Vec<(u64, u64, u32)> {
-        self.hits
-            .iter()
-            .map(|h| (h.dist.to_bits(), h.id.tid, h.id.shard))
-            .collect()
-    }
-}
-
 /// The read side of an engine: concurrent top-k search with `&self`.
 ///
-/// Implemented by [`IvaDb`], [`ShardedIvaDb`] and [`LsmDb`]; the serving
-/// layer ([`crate::serve`]) is generic over this trait, so a deployment
-/// can switch between one database, a partitioned one and a segmented
-/// one without touching its serving code.
+/// Implemented by [`IvaDb`] and [`LsmDb`]; the serving layer
+/// ([`crate::serve`]) is generic over this trait, so a deployment can
+/// switch between one database and a segmented one without touching its
+/// serving code. Both serve the paper's horizontal partition (see the
+/// crate docs).
 pub trait Engine: Send + Sync {
     /// What one search run produces.
     type Outcome: EngineOutcome + Send;
@@ -102,7 +91,8 @@ pub trait Engine: Send + Sync {
 /// specific operations not listed here (`update`, `rebuild`, …) remain
 /// reachable through [`crate::serve::Writer::apply`].
 pub trait EngineWriter: Engine {
-    /// The engine's tuple handle ([`Tid`] or [`ShardedTid`]).
+    /// The engine's tuple handle: [`Tid`] for both engines, kept as an
+    /// associated type only because the load harness names it.
     type Id: Copy + Send + Sync + std::fmt::Debug;
 
     /// Define (or look up) a text attribute.
@@ -263,48 +253,5 @@ impl MaintainEngine for LsmDb {
     }
     fn publish_maintenance(&mut self, plan: Self::Plan) -> Result<bool> {
         LsmDb::publish_maintenance(self, plan)
-    }
-}
-
-impl Engine for ShardedIvaDb {
-    type Outcome = ShardedSearchOutcome;
-
-    fn query_builder(&self) -> QueryBuilder<'_> {
-        ShardedIvaDb::query_builder(self)
-    }
-    fn execute(&self, query: &Query, request: &SearchRequest) -> Result<ShardedSearchOutcome> {
-        ShardedIvaDb::execute(self, query, request)
-    }
-    fn execute_batch(&self, batch: &[(Query, SearchRequest)]) -> Result<Vec<ShardedSearchOutcome>> {
-        ShardedIvaDb::execute_batch(self, batch)
-    }
-    fn default_metric(&self) -> MetricKind {
-        ShardedIvaDb::default_metric(self)
-    }
-    fn len(&self) -> u64 {
-        ShardedIvaDb::len(self)
-    }
-}
-
-impl EngineWriter for ShardedIvaDb {
-    type Id = ShardedTid;
-
-    fn define_text(&mut self, name: &str) -> Result<AttrId> {
-        ShardedIvaDb::define_text(self, name)
-    }
-    fn define_numeric(&mut self, name: &str) -> Result<AttrId> {
-        ShardedIvaDb::define_numeric(self, name)
-    }
-    fn insert(&mut self, tuple: &Tuple) -> Result<ShardedTid> {
-        ShardedIvaDb::insert(self, tuple)
-    }
-    fn delete(&mut self, id: ShardedTid) -> Result<bool> {
-        ShardedIvaDb::delete(self, id)
-    }
-    fn get(&self, id: ShardedTid) -> Result<Option<Tuple>> {
-        ShardedIvaDb::get(self, id)
-    }
-    fn flush(&mut self) -> Result<()> {
-        ShardedIvaDb::flush(self)
     }
 }

@@ -58,6 +58,13 @@
 //! [`serve::Server`] adds an admission queue that coalesces concurrent
 //! requests into shared scans (see the [`serve`] module docs).
 //!
+//! Two engines implement [`Engine`]: [`IvaDb`] (one table file + iVA-file
+//! pair) and [`LsmDb`] (a memtable in front of sealed segments). Both
+//! serve the horizontal partitioning of the paper's Sec. VI, bit-identical
+//! to the serial scan: [`SearchRequest::threads`] scans contiguous
+//! partitions of the tuple list with private pools, and every `LsmDb`
+//! segment is an independent pair.
+//!
 //! ## Crate map
 //!
 //! | crate | contents |
@@ -77,14 +84,12 @@ mod engine;
 mod lsm;
 mod search;
 pub mod serve;
-mod sharded;
 
 pub use db::{IvaDb, IvaDbOptions, SearchHit, SearchOutcome};
 pub use engine::{Engine, EngineOutcome, EngineWriter, MaintainEngine};
 pub use lsm::{LsmDb, LsmOptions, MaintenancePlan};
 pub use search::{QueryBuilder, SearchRequest};
 pub use serve::{Client, Reader, ServeOptions, Server, ServingStats, Snapshot, Writer};
-pub use sharded::{ShardedHit, ShardedIvaDb, ShardedSearchOutcome, ShardedTid};
 
 // Re-export the pieces users compose.
 pub use iva_core::{

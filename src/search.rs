@@ -1,7 +1,7 @@
 //! The unified search surface: [`SearchRequest`] describes *how* to run a
 //! top-k search (k, metric, weights, measurement, parallelism) while
 //! [`crate::Query`] describes *what* to search for. Every search entry
-//! point on [`crate::IvaDb`] and [`crate::ShardedIvaDb`] funnels into one
+//! point on [`crate::IvaDb`] and [`crate::LsmDb`] funnels into one
 //! `execute` implementation taking a request.
 //!
 //! [`QueryBuilder`] complements it on the *what* side: it builds a
@@ -178,7 +178,7 @@ pub(crate) struct MetricGroup<'b> {
 /// Builds a [`Query`] from attribute *names*, resolved through a catalog.
 ///
 /// Created by [`crate::IvaDb::query_builder`] /
-/// [`crate::ShardedIvaDb::query_builder`]. Name resolution errors (unknown
+/// [`crate::LsmDb::query_builder`]. Name resolution errors (unknown
 /// attribute, string value on a numerical attribute, number on a text
 /// attribute) are reported by [`QueryBuilder::build`]; the first error
 /// wins.

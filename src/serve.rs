@@ -1,9 +1,8 @@
 //! lint:scope(no-panic-decode)
 //! The single-writer / multi-reader serving layer.
 //!
-//! An engine ([`crate::IvaDb`], [`crate::ShardedIvaDb`] or
-//! [`crate::LsmDb`]) enters serving through [`Writer::new`], which wraps
-//! it in a shared cell. From there:
+//! An engine ([`crate::IvaDb`] or [`crate::LsmDb`]) enters serving
+//! through [`Writer::new`], which wraps it in a shared cell. From there:
 //!
 //! * **One [`Writer`]** owns every mutation. Each mutator (or a
 //!   multi-operation [`Writer::apply`]) takes the exclusive side of the
@@ -468,11 +467,6 @@ impl<E: Engine> Client<E> {
     /// is bit-identical to `reader.execute(&query, &request)` against the
     /// snapshot the serving batch pinned.
     pub fn search(&self, query: Query, request: SearchRequest) -> Result<E::Outcome> {
-        if self.state.shutdown.load(Ordering::Acquire) {
-            return Err(IvaError::InvalidArgument(
-                "serving: request submitted to a stopped server".into(),
-            ));
-        }
         let (reply, rx) = mpsc::channel();
         {
             let mut q = self
@@ -480,6 +474,16 @@ impl<E: Engine> Client<E> {
                 .queue
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
+            // Checked under the queue lock: a worker exits only under it,
+            // on an empty queue after shutdown, so a job pushed here is
+            // either pushed before that exit (and answered) or refused.
+            // Read before the lock, the flag could be stale by the push,
+            // and the job would wait on workers already gone.
+            if self.state.shutdown.load(Ordering::Acquire) {
+                return Err(IvaError::InvalidArgument(
+                    "serving: request submitted to a stopped server".into(),
+                ));
+            }
             q.push_back(Job {
                 query,
                 request,

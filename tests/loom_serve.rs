@@ -1,9 +1,11 @@
-//! Loom model of the serving layer's epoch publication protocol
-//! (`src/serve.rs`): the writer bumps the epoch counter *inside* the
-//! write critical section, so no reader can pair new engine state with an
-//! old epoch or old state with a new one.
+//! Loom models of the serving layer (`src/serve.rs`): the epoch
+//! publication protocol, and the admission queue's shutdown handshake.
 //!
-//! The vendored checker has atomics only (no `Mutex`/`RwLock`), so the
+//! **Epochs.** The writer bumps the epoch counter *inside* the write
+//! critical section, so no reader can pair new engine state with an old
+//! epoch or old state with a new one.
+//!
+//! The vendored checker has no `RwLock`, so the
 //! lock-exclusion + epoch-bump protocol is restated as its equivalent
 //! seqlock: an odd epoch value plays the role of "write lock held"
 //! (production readers block here; the model's readers instead discard
@@ -18,6 +20,12 @@
 //! before bumping (the bump-after-release bug), which the checker must
 //! catch — proving the model is strong enough to see the difference.
 //!
+//! **Shutdown.** A job pushed onto the admission queue after the last
+//! worker exited is never answered: its caller blocks forever. The queue
+//! is a model `Mutex`, the shutdown flag an atomic; the shipped
+//! `Client::search` reads the flag under the queue lock, and a variant
+//! that reads it before taking the lock must be caught.
+//!
 //! Run with the vendored bounded checker (see TESTING.md):
 //!
 //! ```text
@@ -25,8 +33,8 @@
 //! ```
 #![cfg(loom)]
 
-use loom::sync::atomic::{AtomicU64, Ordering};
-use loom::sync::Arc;
+use loom::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use loom::sync::{Arc, Mutex};
 
 const PUBLICATIONS: u64 = 2;
 
@@ -131,5 +139,87 @@ fn late_epoch_bump_is_caught_by_the_model() {
     assert!(
         caught.is_err(),
         "the model failed to catch the bump-after-release bug"
+    );
+}
+
+/// One job submitted while the server shuts down under one worker — the
+/// model analogue of `Client::search`, `Server::begin_shutdown` and
+/// `worker_loop`. The queue holds a job count.
+///
+/// The worker runs one pass: take the lock, pop a job if there is one,
+/// else exit if the flag is set. That pass stands for the worker's last:
+/// an earlier pass either pops the one job (nothing is left to strand) or
+/// finds the queue empty and the flag clear and waits, changing nothing.
+/// Shutdown is the flag store alone: its notify only wakes a waiting
+/// worker, and the one pass may already run at any point.
+///
+/// Under every schedule in which the worker exited, no job may be left
+/// queued: it would be a job no worker will ever answer. Returns the
+/// number of schedules explored.
+fn shutdown_handshake(flag_read_under_lock: bool) -> usize {
+    let schedules = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let counter = Arc::clone(&schedules);
+    loom::model(move || {
+        counter.fetch_add(1, Ordering::Relaxed);
+        let queue = Arc::new(Mutex::new(0u32));
+        let shutdown = Arc::new(AtomicBool::new(false));
+
+        let worker = {
+            let queue = Arc::clone(&queue);
+            let shutdown = Arc::clone(&shutdown);
+            loom::thread::spawn(move || {
+                let mut q = queue.lock().unwrap();
+                if *q > 0 {
+                    *q -= 1;
+                    return false;
+                }
+                shutdown.load(Ordering::Acquire)
+            })
+        };
+        let client = {
+            let queue = Arc::clone(&queue);
+            let shutdown = Arc::clone(&shutdown);
+            loom::thread::spawn(move || {
+                if flag_read_under_lock {
+                    let mut q = queue.lock().unwrap();
+                    if !shutdown.load(Ordering::Acquire) {
+                        *q += 1;
+                    }
+                } else if !shutdown.load(Ordering::Acquire) {
+                    *queue.lock().unwrap() += 1;
+                }
+            })
+        };
+        shutdown.store(true, Ordering::Release);
+
+        client.join().unwrap();
+        let exited = worker.join().unwrap();
+        if exited {
+            assert_eq!(
+                *queue.lock().unwrap(),
+                0,
+                "a job was queued after the last worker exited"
+            );
+        }
+    });
+    schedules.load(Ordering::Relaxed)
+}
+
+#[test]
+fn no_job_is_stranded_by_shutdown() {
+    let explored = shutdown_handshake(true);
+    // Below the checker's cap, so the exploration was exhaustive.
+    assert!(explored < loom::MAX_ITERATIONS, "{explored} schedules");
+}
+
+/// The shutdown flag read before the queue lock: the client sees the
+/// server open, shutdown runs, the worker finds the queue empty and
+/// exits, and only then is the job pushed. The checker must find it.
+#[test]
+fn flag_read_outside_the_lock_is_caught_by_the_model() {
+    let caught = std::panic::catch_unwind(|| shutdown_handshake(false));
+    assert!(
+        caught.is_err(),
+        "the model failed to catch the job stranded by a stale shutdown flag"
     );
 }

@@ -14,7 +14,7 @@ use iva_file::serve::{ServeOptions, Server, Writer};
 use iva_file::workload::{generate_query_set, Dataset, WorkloadConfig};
 use iva_file::{
     EngineOutcome, IvaDb, IvaDbOptions, IvaError, LsmDb, LsmOptions, Query, Result, SearchRequest,
-    ShardedIvaDb, Tuple, Value,
+    Tuple, Value,
 };
 
 fn text_db(rows: usize) -> (Writer<IvaDb>, iva_file::AttrId) {
@@ -206,24 +206,63 @@ fn served_answers_match_direct_execution() {
     server.shutdown();
 }
 
-/// The serving layer works over the sharded engine unchanged.
+/// The serving layer works over the segmented engine unchanged — whose
+/// segments are the paper's horizontal partition (Sec. VI): an `LsmDb` of
+/// one sealed segment and a memtable, coalesced requests answered by the
+/// default `Engine::execute_batch` loop exactly as direct execution.
 #[test]
 fn sharded_engine_serves_through_the_same_api() {
-    let mut writer = Writer::new(ShardedIvaDb::create_mem(3, IvaDbOptions::default()).unwrap());
+    let mut writer = Writer::new(LsmDb::create_mem(LsmOptions::default()).unwrap());
     let name = writer.define_text("name").unwrap();
-    for i in 0..30 {
+    for i in 0..40 {
         writer
             .insert(&Tuple::new().with(name, Value::text(format!("gadget {i}"))))
             .unwrap();
+        if i == 24 {
+            writer.flush().unwrap(); // seals 0..=24; the rest stays in the memtable
+        }
     }
     let reader = writer.reader();
-    let server = Server::start(reader.clone(), ServeOptions::default());
-    let client = server.client();
-    let query = Query::new().text(name, "gadget 7");
-    let served = client.search(query.clone(), SearchRequest::new(3)).unwrap();
-    let direct = reader.execute(&query, &SearchRequest::new(3)).unwrap();
-    assert_eq!(served.hit_keys(), direct.hit_keys());
-    assert_eq!(served.hits[0].dist, 0.0);
+    {
+        let snap = reader.snapshot();
+        assert_eq!(snap.segments().len(), 1);
+        assert_eq!(snap.memtable().live_records(), 15);
+    }
+    let server = Server::start(
+        reader.clone(),
+        ServeOptions {
+            workers: 1,
+            max_batch: 8,
+        },
+    );
+    let queries: Vec<Query> = [7, 24, 25, 33, 39]
+        .map(|i| Query::new().text(name, format!("gadget {i}")))
+        .to_vec();
+    // Hold the write lock until every request is queued: the one worker
+    // blocks on its snapshot after its first drain, so the requests it
+    // did not take are answered as one coalesced batch.
+    let clients = writer
+        .apply(|_| {
+            let clients: Vec<_> = queries
+                .iter()
+                .map(|q| {
+                    let (client, q) = (server.client(), q.clone());
+                    std::thread::spawn(move || client.search(q, SearchRequest::new(3)).unwrap())
+                })
+                .collect();
+            while server.stats().submitted < queries.len() as u64 {
+                std::thread::yield_now();
+            }
+            Ok(clients)
+        })
+        .unwrap();
+    for (query, client) in queries.iter().zip(clients) {
+        let served = client.join().unwrap();
+        let direct = reader.execute(query, &SearchRequest::new(3)).unwrap();
+        assert_eq!(served.hit_keys(), direct.hit_keys());
+        assert_eq!(served.hits[0].dist, 0.0);
+    }
+    assert!(server.stats().coalesced >= 2, "{:?}", server.stats());
     server.shutdown();
 }
 
