@@ -1,4 +1,4 @@
-//! lint:scope(no-panic-decode)
+//! lint:scope(panic-reachability)
 //!
 //! CIFF-style interchange format for the iVA-file and the SII baseline.
 //!

@@ -20,13 +20,18 @@
 //! ```text
 //! cargo bench -p iva-bench --bench serving_envelope
 //! cargo bench -p iva-bench --bench serving_envelope -- --qps 100 --secs 2   # CI smoke
+//! cargo bench -p iva-bench --bench serving_envelope -- --threads 4,8 --max-batch 1   # no batch lane
 //! ```
 //!
 //! Flags (after `--`): `--qps <f64>` target per-point arrival rate
 //! (default 500), `--secs <f64>` per-phase duration (default 3),
 //! `--threads <a,b,c>` client-thread counts (default 1,2,4,8),
-//! `--workers <n>` server workers (default 2), `--tuples <n>` dataset
-//! size (default 20000). Results land in `BENCH_serving.json`.
+//! `--workers <n>` server workers (default 2), `--max-batch <n>` the
+//! server's coalescing limit (default 16; 1 turns the batch lane off),
+//! `--tuples <n>` dataset size (default 20000). Every query scans on one
+//! thread (`search_threads = 1`, as in `perf/`), so the server's workers
+//! are the only parallelism and the batch lane is the only difference
+//! between `--max-batch` values. Results land in `BENCH_serving.json`.
 
 use std::time::Duration;
 
@@ -44,6 +49,7 @@ struct Args {
     secs: f64,
     threads: Vec<usize>,
     workers: usize,
+    max_batch: usize,
     tuples: usize,
 }
 
@@ -53,6 +59,7 @@ fn parse_args() -> Args {
         secs: 3.0,
         threads: vec![1, 2, 4, 8],
         workers: 2,
+        max_batch: 16,
         tuples: 20_000,
     };
     let argv: Vec<String> = std::env::args().collect();
@@ -78,6 +85,10 @@ fn parse_args() -> Args {
             }
             ("--workers", Some(v)) => {
                 args.workers = v.parse().expect("--workers takes a number");
+                i += 2;
+            }
+            ("--max-batch", Some(v)) => {
+                args.max_batch = v.parse().expect("--max-batch takes a number");
                 i += 2;
             }
             ("--tuples", Some(v)) => {
@@ -182,7 +193,10 @@ struct Point {
 fn main() {
     let args = parse_args();
     let workload = WorkloadConfig::scaled(args.tuples);
-    let config = IvaConfig::default();
+    let config = IvaConfig {
+        search_threads: 1,
+        ..IvaConfig::default()
+    };
     report::banner(
         "serving_envelope",
         "closed-loop latency envelope of the admission-batching server",
@@ -230,7 +244,7 @@ fn main() {
             reader.clone(),
             ServeOptions {
                 workers: args.workers,
-                max_batch: 16,
+                max_batch: args.max_batch,
             },
         );
         let client = server.client();
@@ -301,15 +315,22 @@ fn main() {
             )
         })
         .collect();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"bench\": \"serving_envelope\",\n  \"n_tuples\": {},\n  \"n_attrs\": {},\n  \
-         \"k\": {},\n  \"server_workers\": {},\n  \"max_batch\": 16,\n  \"phase_secs\": {},\n  \
+        "{{\n  \"bench\": \"serving_envelope\",\n  \
+         \"host\": {{\"cores\": {cores}, \"arch\": \"{}\", \"os\": \"{}\"}},\n  \
+         \"n_tuples\": {},\n  \"n_attrs\": {},\n  \
+         \"k\": {},\n  \"server_workers\": {},\n  \"max_batch\": {},\n  \
+         \"search_threads\": 1,\n  \"phase_secs\": {},\n  \
          \"latency_source\": \"iva_core::monotonic_nanos around Client::search\",\n  \
          \"peak_saturation_qps\": {:.1},\n  \"points\": [\n{}\n  ]\n}}\n",
+        std::env::consts::ARCH,
+        std::env::consts::OS,
         workload.n_tuples,
         workload.n_attrs,
         K,
         args.workers,
+        args.max_batch,
         args.secs,
         best_saturation,
         rows.join(",\n")

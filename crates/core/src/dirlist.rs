@@ -1,4 +1,4 @@
-//! lint:scope(no-panic-decode)
+//! lint:scope(panic-reachability)
 //! Framed delta/bit-packed tuple directory.
 //!
 //! The tuple list is the one list *every* plan scans in full, once per

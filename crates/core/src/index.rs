@@ -1,4 +1,4 @@
-//! lint:scope(no-panic-decode)
+//! lint:scope(panic-reachability)
 //! The iVA-file index: query processing (Algorithm 1) and updates
 //! (Sec. IV-B).
 

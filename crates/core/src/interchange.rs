@@ -1,4 +1,4 @@
-//! lint:scope(no-panic-decode)
+//! lint:scope(panic-reachability)
 //!
 //! Logical import/export of an iVA-file — the index-side half of the
 //! CIFF-style interchange (`iva-baselines::ciff` owns the byte format).

@@ -1,4 +1,4 @@
-//! lint:scope(no-panic-decode)
+//! lint:scope(panic-reachability)
 //! On-disk layout of the iVA-file.
 //!
 //! One paged file holds everything (Fig. 5): page 0 is the header; the

@@ -1,4 +1,4 @@
-//! lint:scope(no-panic-decode)
+//! lint:scope(panic-reachability)
 //! Multi-query batch execution: N lanes on one scan (the admission-
 //! batching substrate of the serving layer).
 //!

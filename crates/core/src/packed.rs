@@ -1,4 +1,4 @@
-//! lint:scope(no-panic-decode)
+//! lint:scope(panic-reachability)
 //! The packed vector-list codec: compressed on-disk encodings for the four
 //! list organizations of Sec. III-D.
 //!

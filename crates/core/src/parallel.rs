@@ -1,4 +1,4 @@
-//! lint:scope(no-panic-decode)
+//! lint:scope(panic-reachability)
 //! Intra-query parallel filtering: the scan spine fanned out over
 //! tuple-list segments.
 //!

@@ -1,4 +1,4 @@
-//! lint:scope(no-panic-decode)
+//! lint:scope(panic-reachability)
 //! The temporary result pool (Sec. IV-A).
 //!
 //! Holds the `k` smallest `(dist, tid)` pairs inserted so far, with their

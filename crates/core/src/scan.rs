@@ -1,4 +1,4 @@
-//! lint:scope(no-panic-decode)
+//! lint:scope(panic-reachability)
 //! The scan spine: the one walk of Algorithm 1 (Sec. IV-A) and the one
 //! refine step every execution shape runs.
 //!

@@ -1,4 +1,4 @@
-//! lint:scope(no-panic-decode)
+//! lint:scope(panic-reachability)
 //! The *sequential* filter-and-refine plan — the VA-file's strategy that
 //! Sec. IV-A argues cannot work for sparse wide tables.
 //!

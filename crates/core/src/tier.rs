@@ -1,4 +1,4 @@
-//! lint:scope(no-panic-decode)
+//! lint:scope(panic-reachability)
 //!
 //! The in-RAM **hot tier**: columnar mirrors of the durable iVA-file's
 //! lists, rebuilt lazily from the pager and admitted by access frequency

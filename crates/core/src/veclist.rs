@@ -1,4 +1,4 @@
-//! lint:scope(no-panic-decode)
+//! lint:scope(panic-reachability)
 //! Vector lists: the four element organizations of Sec. III-D.
 //!
 //! Every attribute gets one vector list holding the approximation vectors

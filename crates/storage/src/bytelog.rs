@@ -233,11 +233,45 @@ impl ByteLog {
 
     /// Append bytes, returning the logical start offset. The bytes are
     /// durable (and survive a crash) only once [`ByteLog::flush`] returns.
-    pub fn append(&mut self, mut data: &[u8]) -> Result<u64> {
+    /// On `Err` the log is as it was before the call: the same length and
+    /// bytes, and the next append lands at the same offset.
+    pub fn append(&mut self, data: &[u8]) -> Result<u64> {
         let start = self.len;
+        let page_size = self.pager.page_size() as u64;
+        // An append that fills the tail page writes it out and moves on,
+        // and either step can fail part-way: keep what a rollback needs.
+        // One that stays inside the tail page cannot fail after its copy,
+        // so it keeps (and copies) nothing.
+        let fills_tail = start % page_size + data.len() as u64 >= page_size;
+        let saved = fills_tail.then(|| (self.tail_page, self.tail_buf.clone(), self.tail_dirty));
+        match self.append_pages(data) {
+            Ok(()) => {
+                self.len = start + data.len() as u64;
+                self.header_dirty = true;
+                Ok(start)
+            }
+            Err(e) => {
+                // Pages allocated before the failure stay in the file past
+                // the log's end: the next append that fills the tail
+                // reuses them, and recovery truncates them otherwise.
+                if let Some((page, buf, dirty)) = saved {
+                    self.tail_page = page;
+                    self.tail_buf = buf;
+                    self.tail_dirty = dirty;
+                }
+                Err(e)
+            }
+        }
+    }
+
+    /// The page work of [`ByteLog::append`]: copy `data` in at the log's
+    /// end, writing out each tail page it fills. Leaves `len` to the
+    /// caller.
+    fn append_pages(&mut self, mut data: &[u8]) -> Result<()> {
         let page_size = self.pager.page_size();
+        let mut len = self.len;
         while !data.is_empty() {
-            let in_page = (self.len % page_size as u64) as usize;
+            let in_page = (len % page_size as u64) as usize;
             let n = data.len().min(page_size - in_page);
             let (chunk, rest) = data
                 .split_at_checked(n)
@@ -247,10 +281,10 @@ impl ByteLog {
                 .ok_or_else(|| geometry("append range beyond the tail page"))?
                 .copy_from_slice(chunk);
             self.tail_dirty = true;
-            self.len += n as u64;
+            len += n as u64;
             data = rest;
-            if self.len.is_multiple_of(page_size as u64) {
-                // Page filled: write it out and move to a fresh page. If
+            if len.is_multiple_of(page_size as u64) {
+                // Page filled: write it out and move to the next page. If
                 // this page holds committed bytes, a torn write here is
                 // repaired at recovery from the commit record's tail
                 // shadow.
@@ -259,11 +293,18 @@ impl ByteLog {
                     std::mem::replace(&mut self.tail_buf, vec![0u8; page_size]),
                 )?;
                 self.tail_dirty = false;
-                self.tail_page = self.pager.allocate_page()?;
+                // Page `i` holds bytes `i * page_size..`: the next page is
+                // the tail's successor, already in the file if a failed
+                // append allocated it.
+                let next = PageId(self.tail_page.0 + 1);
+                self.tail_page = if next.0 < self.pager.num_pages() {
+                    next
+                } else {
+                    self.pager.allocate_page()?
+                };
             }
         }
-        self.header_dirty = true;
-        Ok(start)
+        Ok(())
     }
 
     /// Random read of `buf.len()` bytes at logical offset `pos`: the tail
@@ -444,7 +485,7 @@ impl ByteLog {
 /// Internal page-geometry invariant surfaced as an error instead of a
 /// panic. The offset arithmetic in the read/write loops keeps every
 /// range in bounds, so these paths are unreachable in practice — but
-/// the byte log sits under `no-panic-decode` scopes, so even the
+/// the byte log sits under `panic-reachability` scopes, so even the
 /// "impossible" branches must stay total.
 fn geometry(what: &str) -> StorageError {
     StorageError::Corrupt(format!("byte-log internal geometry error: {what}"))
@@ -729,6 +770,59 @@ mod tests {
             Err(StorageError::Format { .. })
         ));
         RealVfs.remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_append_leaves_the_log_as_it_was() {
+        use crate::fault::{FaultKind, FaultVfs, PlannedFault};
+        let opts = PagerOptions {
+            page_size: 128,
+            cache_bytes: 1024,
+        };
+        let path = Path::new("eio.log");
+        let head: Vec<u8> = (0..100u8).collect();
+        // Fills the rest of page 0 and all of page 1, ends inside page 2:
+        // two page writes, each followed by an allocation.
+        let body: Vec<u8> = (0..300u32).map(|i| (i % 251) as u8).collect();
+        let setup = |vfs: &FaultVfs| {
+            let mut log =
+                ByteLog::create_with_vfs(Arc::new(vfs.clone()), path, &opts, IoStats::new())
+                    .unwrap();
+            log.append(&head).unwrap();
+            log
+        };
+
+        let dry = FaultVfs::passthrough(1);
+        let mut log = setup(&dry);
+        let first = dry.op_count();
+        log.append(&body).unwrap();
+        let last = dry.op_count();
+        assert!(last - first >= 4, "two page writes, two allocations");
+
+        for at in first..last {
+            let fault = PlannedFault {
+                at,
+                kind: FaultKind::Eio,
+            };
+            let vfs = FaultVfs::with_faults(1, vec![fault]);
+            let mut log = setup(&vfs);
+            assert!(log.append(&body).is_err(), "eio_at={at}: fault never fired");
+            assert_eq!(log.len(), 100, "eio_at={at}: length moved");
+            let mut buf = vec![0u8; 100];
+            log.read_at(0, &mut buf).unwrap();
+            assert_eq!(buf, head, "eio_at={at}: bytes moved");
+
+            assert_eq!(log.append(&body).unwrap(), 100, "eio_at={at}: next offset");
+            log.flush().unwrap();
+            drop(log);
+            let log =
+                ByteLog::open_with_vfs(Arc::new(vfs.clone()), path, &opts, IoStats::new()).unwrap();
+            assert_eq!(log.len(), 400, "eio_at={at}: reopened length");
+            let mut buf = vec![0u8; 400];
+            log.read_at(0, &mut buf).unwrap();
+            assert_eq!(buf[..100], head[..], "eio_at={at}: reopened head");
+            assert_eq!(buf[100..], body[..], "eio_at={at}: reopened append");
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! lint:scope(no-panic-decode)
+//! lint:scope(panic-reachability)
 //! Checked little-endian field readers for decode paths.
 //!
 //! Decode code must never panic on malformed bytes — a corrupt file is an
 //! [`StorageError::Corrupt`](crate::StorageError)-class error, not a crash
-//! (the `no-panic-decode` lint in `cargo xtask analyze` enforces this).
+//! (the `panic-reachability` lint in `cargo xtask analyze` enforces this).
 //! These helpers replace the `buf[o..o + 8].try_into().unwrap()` idiom:
 //! they return `None` past the end of the buffer and cannot panic, so a
 //! decode function is total by construction instead of by a length check

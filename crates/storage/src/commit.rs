@@ -1,4 +1,4 @@
-//! lint:scope(no-panic-decode)
+//! lint:scope(panic-reachability)
 //! Atomic shadow-commit for file metadata.
 //!
 //! A commit record is a small sidecar file updated with the classic

@@ -1,4 +1,4 @@
-//! lint:scope(no-panic-decode)
+//! lint:scope(panic-reachability)
 //! Bit-packing primitives for the compressed list encodings.
 //!
 //! The compressed vector-list format (iva-core's `packed` module) stores

@@ -423,7 +423,7 @@ impl BlockFile {
 /// Internal invariant surfaced as an error instead of a panic: the
 /// scratch buffer is kept at exactly one frame between calls, so these
 /// paths are unreachable in practice — but the block file serves
-/// `no-panic-decode` scopes and must stay total.
+/// `panic-reachability` scopes and must stay total.
 fn scratch_short() -> StorageError {
     StorageError::Corrupt("block-file scratch buffer smaller than a frame".into())
 }

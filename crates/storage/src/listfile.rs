@@ -1,4 +1,4 @@
-//! lint:scope(no-panic-decode)
+//! lint:scope(panic-reachability)
 //! Chained page lists ("list files").
 //!
 //! The iVA-file is "a sequence of list elements" per list (tuple list,

@@ -1,4 +1,4 @@
-//! lint:scope(no-panic-decode)
+//! lint:scope(panic-reachability)
 //! LSM segment manifest: the single authoritative record naming the live
 //! sealed segments of a segmented store.
 //!

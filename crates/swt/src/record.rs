@@ -1,4 +1,4 @@
-//! lint:scope(no-panic-decode)
+//! lint:scope(panic-reachability)
 //! The interpreted record format.
 //!
 //! Beckmann et al. concluded "the best option is to store the data

@@ -1,4 +1,4 @@
-//! lint:scope(no-panic-decode)
+//! lint:scope(panic-reachability)
 //! Attribute catalog.
 //!
 //! A sparse wide table has a single, ever-growing set of attributes `A`

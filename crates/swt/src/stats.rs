@@ -1,4 +1,4 @@
-//! lint:scope(no-panic-decode)
+//! lint:scope(panic-reachability)
 //! Per-attribute table statistics.
 //!
 //! The iVA-file's attribute list carries `df` (tuples defining the

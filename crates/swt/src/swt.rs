@@ -1,4 +1,4 @@
-//! lint:scope(no-panic-decode)
+//! lint:scope(panic-reachability)
 //! The sparse wide table: catalog + statistics + table file, with typed
 //! inserts and compaction.
 

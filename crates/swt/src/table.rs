@@ -1,4 +1,4 @@
-//! lint:scope(no-panic-decode)
+//! lint:scope(panic-reachability)
 //! The table file: row-wise interpreted records in an append-only log.
 //!
 //! Matches Sec. IV-B of the paper: "the new tuple is appended to the end of
@@ -188,19 +188,19 @@ impl TableFile {
     }
 
     /// Append a tuple under a caller-chosen tuple id (used by rebuilds to
-    /// preserve ids). Advances `next_tid` past `tid` if needed.
+    /// preserve ids). Advances `next_tid` past `tid` if needed — only once
+    /// the record is in: a failed append leaves no record counted.
     pub fn append_with_tid(&mut self, tid: Tid, tuple: &Tuple) -> Result<RecordPtr> {
         let mut payload = Vec::new();
         encode_record(tuple, &mut payload)?;
-        self.next_tid = self.next_tid.max(tid + 1);
-        self.total_records += 1;
-
         let mut rec = Vec::with_capacity(RECORD_HEADER + payload.len());
         rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         rec.extend_from_slice(&tid.to_le_bytes());
         rec.push(0); // flags
         rec.extend_from_slice(&payload);
         let pos = self.log.append(&rec)?;
+        self.next_tid = self.next_tid.max(tid + 1);
+        self.total_records += 1;
         Ok(RecordPtr(pos))
     }
 

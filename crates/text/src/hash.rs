@@ -1,4 +1,4 @@
-//! lint:scope(no-panic-decode)
+//! lint:scope(panic-reachability)
 //! The signature hash `h[l,t](ω)` (Definition in Sec. III-B.1).
 //!
 //! `h[l,t]` maps an n-gram to an `l`-bit vector containing exactly `t` one

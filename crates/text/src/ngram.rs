@@ -1,4 +1,4 @@
-//! lint:scope(no-panic-decode)
+//! lint:scope(panic-reachability)
 //! Padded n-grams and n-gram multisets (Sec. III-B.1/III-B.2 of the paper).
 //!
 //! To obtain the n-grams of a string `s`, extend it with `n−1` start pads

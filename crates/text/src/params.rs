@@ -1,4 +1,4 @@
-//! lint:scope(no-panic-decode)
+//! lint:scope(panic-reachability)
 //! nG-signature parameter analysis (Sec. III-B.3 and Appendix A).
 //!
 //! The probability that a gram which is *not* in the data string is a false

@@ -1,4 +1,4 @@
-//! lint:scope(no-panic-decode)
+//! lint:scope(panic-reachability)
 //! The nG-signature (Sec. III-B): encoding, hit testing and the lower-bound
 //! edit-distance estimator built on `est(sq, c(sd))` of Eq. 3 — reported
 //! rounded up to a whole edit and floored by the length difference (see

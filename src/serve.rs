@@ -1,4 +1,4 @@
-//! lint:scope(no-panic-decode)
+//! lint:scope(panic-reachability)
 //! The single-writer / multi-reader serving layer.
 //!
 //! An engine ([`crate::IvaDb`] or [`crate::LsmDb`]) enters serving

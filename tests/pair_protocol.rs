@@ -216,20 +216,44 @@ fn check(db: &IvaDb, model: &[(Tid, Tuple)], may_be_torn: bool, ctx: &str) {
 
 #[test]
 fn insert_failing_at_any_op_never_leaves_a_counted_but_invisible_tuple() {
-    let seed = 0x7E_A2_00_01u64;
+    // The record fits the table's tail page, so every op of the insert
+    // belongs to the index half: the dirty-flag write and sync, then the
+    // list appends — and every failure tears the index.
+    assert_eq!(
+        sweep_one_insert(0x7E_A2_00_01, row(BASE_ROWS)),
+        0,
+        "a small insert failed in the table half"
+    );
+}
 
-    // Dry run: which filesystem ops does the one insert perform? (The
-    // record fits the table's tail page, so they all belong to the index
-    // half: the dirty-flag write and sync, then the list appends.)
+#[test]
+fn insert_whose_record_fills_the_tail_page_fails_cleanly_at_any_op() {
+    // A record longer than a page fills the table's tail page and the
+    // next, so the sweep reaches the table half too: its page writes and
+    // allocations. A failure there must count no record and leave the
+    // log's tail where it was.
+    let mut tuple = row(BASE_ROWS);
+    tuple.set(AttrId(2), Value::text("long note ".repeat(500)));
+    let table_failures = sweep_one_insert(0x7E_A2_00_03, tuple);
+    assert!(table_failures > 0, "no swept op failed the table half");
+}
+
+/// Fail `tuple`'s insert into [`base_db`] with an `EIO` at each of its
+/// filesystem ops in turn, and check after each that the live count, `get`
+/// and search agree — now, after more inserts, after a flush and after a
+/// reopen. Returns how many ops failed the insert in its table half (the
+/// index stayed intact, so later inserts go in).
+fn sweep_one_insert(seed: u64, tuple: Tuple) -> u32 {
+    // Dry run: which filesystem ops does the one insert perform?
     let dry = FaultVfs::passthrough(seed);
     let (mut db, _) = base_db(Arc::new(dry.clone()));
     let first = dry.op_count();
-    db.insert(&row(BASE_ROWS)).unwrap();
+    db.insert(&tuple).unwrap();
     let last = dry.op_count();
     assert!(last - first >= 4, "insert did {} ops", last - first);
     drop(db);
 
-    let mut torn_points = 0;
+    let (mut torn_points, mut table_failures) = (0, 0);
     for at in first..last {
         let ctx = format!("seed={seed:#x} eio_at={at}");
         let fault = PlannedFault {
@@ -241,25 +265,33 @@ fn insert_failing_at_any_op_never_leaves_a_counted_but_invisible_tuple() {
         assert_eq!(fv.op_count(), first, "{ctx}: setup is not deterministic");
 
         // The faulted insert, then — without reopening — more of them.
-        let mut torn = false;
+        // After a failure, the next insert tells which half failed: a torn
+        // index refuses it, an intact one takes it.
+        let (mut failed, mut torn) = (false, false);
         for i in BASE_ROWS..BASE_ROWS + 6 {
-            let tuple = row(i);
-            match db.insert(&tuple) {
+            let next = if i == BASE_ROWS {
+                tuple.clone()
+            } else {
+                row(i)
+            };
+            match db.insert(&next) {
                 Ok(tid) => {
                     assert!(!torn, "{ctx}: insert {i} went into a torn index");
-                    model.push((tid, tuple));
+                    model.push((tid, next));
                 }
-                Err(IvaError::IndexTorn) if torn => {}
-                Err(_) if i == BASE_ROWS => torn = true,
+                Err(IvaError::IndexTorn) if failed => torn = true,
+                Err(_) if i == BASE_ROWS => failed = true,
                 Err(e) => panic!("{ctx}: insert {i}: {e}"),
             }
         }
         assert!(fv.op_count() > at, "{ctx}: fault never fired");
         torn_points += u32::from(torn);
+        table_failures += u32::from(failed && !torn);
         check(&db, &model, torn, &ctx);
 
-        // A flush commits the table — the failed insert's record went in
-        // as a tombstone — and never a clean index over a torn one.
+        // A flush commits the table — a record whose index half failed
+        // went in as a tombstone — and never a clean index over a torn
+        // one.
         db.flush().unwrap_or_else(|e| panic!("{ctx}: flush: {e}"));
         check(&db, &model, torn, &ctx);
         drop(db);
@@ -273,7 +305,8 @@ fn insert_failing_at_any_op_never_leaves_a_counted_but_invisible_tuple() {
         db.flush().unwrap();
         check(&db, &model, false, &ctx);
     }
-    assert!(torn_points > 0, "no swept op made the insert fail");
+    assert!(torn_points > 0, "no swept op made the index half fail");
+    table_failures
 }
 
 /// The same sweep over one delete: whichever half the fault hits, the

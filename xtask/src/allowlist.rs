@@ -16,7 +16,7 @@
 //!
 //! Plus one opt-in mechanism: a **scope attribute** — a module-doc line
 //! `//! lint:scope(<lint>)` — declares the module subject to a lint whose
-//! scope is attribute-driven (today: `no-panic-decode`). The attribute
+//! scope is attribute-driven (today: `panic-reachability`). The attribute
 //! lives in the file it scopes, so a new decode module carries its lint
 //! obligations from birth instead of waiting for someone to grow a list
 //! inside the lint tool.
@@ -176,11 +176,11 @@ mod tests {
 
     #[test]
     fn scopes_parse_and_reject() {
-        let (s, e) = parse_scopes("f.rs", "//! lint:scope(no-panic-decode)\nfn f() {}\n");
-        assert_eq!(s, vec!["no-panic-decode".to_string()]);
+        let (s, e) = parse_scopes("f.rs", "//! lint:scope(panic-reachability)\nfn f() {}\n");
+        assert_eq!(s, vec!["panic-reachability".to_string()]);
         assert!(e.is_empty());
 
-        let (s, e) = parse_scopes("f.rs", "//! lint:scope(no-panic-decode\n");
+        let (s, e) = parse_scopes("f.rs", "//! lint:scope(panic-reachability\n");
         assert!(s.is_empty());
         assert_eq!(e.len(), 1);
 

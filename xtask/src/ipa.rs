@@ -1,10 +1,11 @@
 //! The three interprocedural lints, built on [`crate::resolver`].
 //!
-//! - **panic-reachability** — transitive closure of the
-//!   `lint:scope(no-panic-decode)` entry points: any path from a scoped
-//!   decoder to `unwrap`/`expect`/`panic!`-family/slice-index in *any*
-//!   crate fails, with the full call chain printed. Unresolvable dynamic
-//!   calls (through callable params) are conservatively panic-capable.
+//! - **panic-reachability** — a `lint:scope(panic-reachability)` file
+//!   may not hold an `unwrap`/`expect`/`panic!`-family/slice-index site
+//!   anywhere, and no path from one of its functions may reach such a
+//!   site in *any* crate (reported with the full call chain).
+//!   Unresolvable dynamic calls (through callable params) are
+//!   conservatively panic-capable.
 //! - **lock-discipline** — in `src/serve.rs`, `src/lsm.rs`, and
 //!   `crates/core/src/parallel.rs`: no second lock acquisition and no raw
 //!   VFS I/O reachable inside a lock critical section; no staging-class
@@ -24,7 +25,7 @@
 use std::collections::{HashSet, VecDeque};
 
 use crate::lexer::Tok;
-use crate::lints::{self, Violation};
+use crate::lints::Violation;
 use crate::resolver::{FnId, Workspace};
 
 /// Files subject to the lock-discipline pass — the serving layer, the LSM
@@ -85,19 +86,55 @@ fn strip_debug_asserts(body: &[Tok]) -> Vec<Tok> {
     out
 }
 
-/// Panic-capable tokens inside one body slice, reusing the token lint's
-/// matcher (minus release-erased `debug_assert*!` arguments). Returns
-/// `(line, description)` pairs.
-fn panic_sites(path: &str, body: &[Tok]) -> Vec<(u32, String)> {
-    let body = strip_debug_asserts(body);
-    lints::no_panic_decode(path, &body)
-        .into_iter()
-        .map(|v| (v.line, v.message.replace(" in a decode path", "")))
-        .collect()
+/// Keywords that can legitimately precede a `[` that is *not* an index
+/// expression (`for [a, b] in …`, `impl Trait for [T]`, `return [x]`, …).
+const NON_INDEX_KEYWORDS: [&str; 16] = [
+    "for", "in", "as", "return", "break", "if", "else", "match", "move", "mut", "ref", "where",
+    "impl", "dyn", "let", "box",
+];
+
+/// Panic-capable tokens in a token slice — `.unwrap()`, `.expect(`,
+/// `panic!`, `unreachable!`, `todo!`, `unimplemented!`, and slice-index
+/// expressions (`buf[i]`, `buf[a..b]`) — minus release-erased
+/// `debug_assert*!` arguments. Lookalikes (`unwrap_or`, `vec![…]`,
+/// `#[attr]`, array types) are not sites. Returns `(line, description)`
+/// pairs.
+fn panic_sites(toks: &[Tok]) -> Vec<(u32, String)> {
+    let toks = strip_debug_asserts(toks);
+    let mut out = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        let nx = |k: usize| toks.get(i + k).map(|t| t.s.as_str());
+        let prev = i
+            .checked_sub(1)
+            .and_then(|p| toks.get(p))
+            .map(|t| t.s.as_str());
+        match t.s.as_str() {
+            "unwrap" | "expect" if prev == Some(".") && nx(1) == Some("(") => {
+                out.push((t.line, format!("`.{}()`", t.s)));
+            }
+            "panic" | "unreachable" | "todo" | "unimplemented" if nx(1) == Some("!") => {
+                out.push((t.line, format!("`{}!`", t.s)));
+            }
+            "[" => {
+                let Some(p) = prev else { continue };
+                let is_index_base = p == ")"
+                    || p == "]"
+                    || (p
+                        .chars()
+                        .next()
+                        .is_some_and(|c| c.is_alphanumeric() || c == '_')
+                        && !NON_INDEX_KEYWORDS.contains(&p));
+                if is_index_base {
+                    out.push((t.line, format!("slice-index `{p}[…]` (use `.get(…)`)")));
+                }
+            }
+            _ => {}
+        }
+    }
+    out
 }
 
-/// Raw `VfsFile` I/O call tokens inside one body slice — the same token
-/// set as the module-level `accounting` lint.
+/// Raw `VfsFile` I/O call tokens inside one body slice.
 fn raw_io_sites(body: &[Tok]) -> Vec<(u32, String)> {
     let mut out = Vec::new();
     for (i, t) in body.iter().enumerate() {
@@ -145,33 +182,48 @@ fn body_slice(ws: &Workspace, id: FnId) -> &[Tok] {
     &toks[a.min(toks.len())..b.min(toks.len())]
 }
 
-/// `panic-reachability`: BFS from every function defined in a
-/// `lint:scope(no-panic-decode)` file; report each panic-capable token in
-/// a reached *unscoped* function (the scoped files themselves are the
-/// token lint's jurisdiction), and each unresolvable dynamic call anywhere
-/// in the closure.
-pub fn panic_reachability(ws: &Workspace, scoped_files: &HashSet<usize>) -> Vec<Violation> {
+/// `panic-reachability`: report each panic-capable token in a file whose
+/// path is in `scoped_paths` — function bodies and module-level items
+/// alike — then BFS from every function defined there and report each
+/// panic-capable token in a reached *unscoped* function, and each
+/// unresolvable dynamic call anywhere in the closure.
+pub fn panic_reachability(ws: &Workspace, scoped_paths: &HashSet<String>) -> Vec<Violation> {
     const LINT: &str = "panic-reachability";
+    let scoped: Vec<bool> = ws
+        .files
+        .iter()
+        .map(|f| scoped_paths.contains(&f.path))
+        .collect();
+    let mut out = Vec::new();
+    for file in ws.files.iter().filter(|f| scoped_paths.contains(&f.path)) {
+        for (line, desc) in panic_sites(&file.toks) {
+            out.push(violation(
+                &file.path,
+                line,
+                LINT,
+                format!("{desc} in a `lint:scope(panic-reachability)` module"),
+            ));
+        }
+    }
+
     let entries: Vec<FnId> = (0..ws.fns.len())
-        .filter(|&id| scoped_files.contains(&ws.fns[id].file))
+        .filter(|&id| scoped[ws.fns[id].file])
         .collect();
     let preds = ws.forward_reach(&entries);
     let mut reached: Vec<FnId> = preds.keys().copied().collect();
     reached.sort();
-
-    let mut out = Vec::new();
     for id in reached {
         let f = &ws.fns[id];
         let path = ws.files[f.file].path.clone();
         let chain = ws.chain(&preds, id);
-        if !scoped_files.contains(&f.file) {
-            for (line, desc) in panic_sites(&path, body_slice(ws, id)) {
+        if !scoped[f.file] {
+            for (line, desc) in panic_sites(body_slice(ws, id)) {
                 out.push(violation(
                     &path,
                     line,
                     LINT,
                     format!(
-                        "{desc} in `{}` is reachable from a no-panic-decode scope: {chain}",
+                        "{desc} in `{}` is reachable from a panic-reachability scope: {chain}",
                         ws.fn_display(id)
                     ),
                 ));
@@ -390,7 +442,7 @@ pub fn lock_discipline(ws: &Workspace) -> Vec<Violation> {
             }
         }
     }
-    out
+    dedup(out)
 }
 
 /// End of the lexical region opened by the acquisition at `acq`: the `}`
@@ -531,19 +583,9 @@ pub fn accounting_dataflow(ws: &Workspace, in_scope: &dyn Fn(&str) -> bool) -> V
     out
 }
 
-/// Map scoped-file paths to indices for [`panic_reachability`].
-pub fn scoped_file_set(ws: &Workspace, scoped_paths: &HashSet<String>) -> HashSet<usize> {
-    ws.files
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| scoped_paths.contains(&f.path))
-        .map(|(i, _)| i)
-        .collect()
-}
-
-/// Sort + dedup violations (several sub-rules can hit the same line with
-/// the same message when regions nest).
-pub fn dedup(mut v: Vec<Violation>) -> Vec<Violation> {
+/// Sort + dedup violations (several lock-discipline sub-rules can hit the
+/// same line with the same message when regions nest).
+fn dedup(mut v: Vec<Violation>) -> Vec<Violation> {
     v.sort_by(|a, b| (&a.file, a.line, &a.message).cmp(&(&b.file, b.line, &b.message)));
     v.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.message == b.message);
     v

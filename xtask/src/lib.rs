@@ -42,48 +42,29 @@ impl Analysis {
     }
 }
 
-/// Which files a lint looks at, and whether `#[cfg(test)]` items are
-/// exempt. Paths are repo-relative with forward slashes; `scopes` holds
-/// the file's parsed `lint:scope(…)` attributes.
-fn in_scope(lint: &str, path: &str, scopes: &[String]) -> bool {
-    // Vendored stand-ins for external crates and the xtask tool itself are
-    // not part of the database being linted.
-    if path.starts_with("vendor/") || path.starts_with("xtask/") || path.starts_with("target/") {
-        return false;
-    }
-    match lint {
-        // The interprocedural lints run over the whole workspace at once,
-        // after the per-file phase — never per file.
-        "panic-reachability" | "lock-discipline" | "accounting-dataflow" => false,
-        // Everything in the workspace — production, tests, and benches —
-        // except the seam module itself.
-        "vfs-seam" => path != "crates/storage/src/vfs.rs",
-        // Byte-decoding, estimation, and query-plan modules opt in with a
-        // `//! lint:scope(no-panic-decode)` module attribute — the scope
-        // lives in the module, not in a list here, so a new decode module
-        // carries the lint from birth (see `undeclared_decoder`).
-        "no-panic-decode" => scopes.iter().any(|s| s == lint),
-        // Production modules of the replayable stack. Bench/workload/
-        // baseline crates measure wall-clock by design and are exempt.
-        "determinism" => {
-            let core = path.starts_with("crates/core/src/")
-                || path.starts_with("crates/storage/src/")
-                || path.starts_with("crates/swt/src/")
-                || path.starts_with("crates/text/src/");
-            let root_lib = path.starts_with("src/") && !path.starts_with("src/bin/");
-            core || root_lib
+/// Vendored stand-ins for external crates, the xtask tool itself, and
+/// build output are not part of the database being linted.
+fn excluded(path: &str) -> bool {
+    path.starts_with("vendor/") || path.starts_with("xtask/") || path.starts_with("target/")
+}
+
+/// The root crate's library: `src/` minus its binaries.
+fn root_lib(path: &str) -> bool {
+    path.starts_with("src/") && !path.starts_with("src/bin/")
+}
+
+/// Which files a per-file token lint looks at. Paths are repo-relative
+/// with forward slashes. The interprocedural lints run over the whole
+/// workspace at once, after the per-file phase — never per file.
+fn in_scope(lint: &str, path: &str) -> bool {
+    !excluded(path)
+        && match lint {
+            // Everything in the workspace — production, tests, and
+            // benches — except the seam module itself.
+            "vfs-seam" => path != "crates/storage/src/vfs.rs",
+            "determinism" => production_module(path),
+            _ => false,
         }
-        // Any production module doing raw VfsFile I/O must account for it
-        // — including the root facade and its serving layer.
-        "accounting" => {
-            let crates = path.starts_with("crates/")
-                && path.contains("/src/")
-                && !path.contains("/benches/");
-            let root_lib = path.starts_with("src/") && !path.starts_with("src/bin/");
-            crates || root_lib
-        }
-        _ => false,
-    }
 }
 
 /// Whether `#[cfg(test)]` items are stripped before a lint runs. The seam
@@ -92,23 +73,32 @@ fn strips_tests(lint: &str) -> bool {
     lint != "vfs-seam"
 }
 
-/// Production module paths — the set where an undeclared decode function
-/// is a policy error (see [`undeclared_decoder`]). Matches the
-/// `determinism` lint's notion of production code.
+/// Production modules of the replayable stack — `determinism`'s scope,
+/// and the set where an undeclared decode function is a policy error (see
+/// [`undeclared_decoder`]). Bench/workload/baseline crates measure
+/// wall-clock by design and are exempt.
 fn production_module(path: &str) -> bool {
     let core = path.starts_with("crates/core/src/")
         || path.starts_with("crates/storage/src/")
         || path.starts_with("crates/swt/src/")
         || path.starts_with("crates/text/src/");
-    let root_lib = path.starts_with("src/") && !path.starts_with("src/bin/");
-    core || root_lib
+    core || root_lib(path)
+}
+
+/// `accounting-dataflow`'s scope: any production module doing raw
+/// VfsFile I/O must account for it — every crate's sources bar its
+/// benches, and the root facade with its serving layer.
+fn accounting_scope(path: &str) -> bool {
+    let crates =
+        path.starts_with("crates/") && path.contains("/src/") && !path.contains("/benches/");
+    crates || root_lib(path)
 }
 
 /// A production module that defines a `fn decode…` is parsing bytes that
 /// may have come from disk — it must carry the
-/// `//! lint:scope(no-panic-decode)` attribute so the lint covers it from
-/// birth. Returns the first offending definition `(line, name)` in the
-/// test-stripped token stream (test-only decoders are exempt).
+/// `//! lint:scope(panic-reachability)` attribute so the lint covers it
+/// from birth. Returns the first offending definition `(line, name)` in
+/// the test-stripped token stream (test-only decoders are exempt).
 fn undeclared_decoder(toks: &[lexer::Tok]) -> Option<(u32, String)> {
     toks.windows(2).find_map(|w| {
         (w[0].s == "fn" && w[1].s.starts_with("decode")).then(|| (w[1].line, w[1].s.clone()))
@@ -118,9 +108,7 @@ fn undeclared_decoder(toks: &[lexer::Tok]) -> Option<(u32, String)> {
 fn run_lint(lint: &str, path: &str, toks: &[lexer::Tok]) -> Vec<Violation> {
     match lint {
         "vfs-seam" => lints::vfs_seam(path, toks),
-        "no-panic-decode" => lints::no_panic_decode(path, toks),
         "determinism" => lints::determinism(path, toks),
-        "accounting" => lints::accounting(path, toks),
         _ => Vec::new(),
     }
 }
@@ -193,7 +181,8 @@ fn rust_files(root: &Path) -> Vec<PathBuf> {
 struct FileData {
     rel: String,
     source: String,
-    scopes: Vec<String>,
+    /// Carries `//! lint:scope(panic-reachability)`.
+    scoped: bool,
     markers: Vec<Marker>,
     toks_full: Vec<lexer::Tok>,
     toks_stripped: Vec<lexer::Tok>,
@@ -202,12 +191,11 @@ struct FileData {
 /// Production files that feed the call graph: crate sources and the root
 /// library, excluding binaries, integration tests, and benches.
 fn graph_file(path: &str) -> bool {
-    let root_lib = path.starts_with("src/") && !path.starts_with("src/bin/");
     let crate_lib = path.contains("/src/") && !path.contains("/bin/");
-    root_lib || crate_lib
+    root_lib(path) || crate_lib
 }
 
-/// Run the requested lints (all seven when `only` is `None`) over the
+/// Run the requested lints (all five when `only` is `None`) over the
 /// repo at `root`, applying allowlist files from `xtask/allowlists/` and
 /// in-code markers, and reporting stale suppressions as errors.
 pub fn analyze_repo(root: &Path, only: Option<&str>) -> Analysis {
@@ -217,7 +205,7 @@ pub fn analyze_repo(root: &Path, only: Option<&str>) -> Analysis {
             continue;
         };
         let rel = rel_os.to_string_lossy().replace('\\', "/");
-        if rel.starts_with("vendor/") || rel.starts_with("xtask/") || rel.starts_with("target/") {
+        if excluded(&rel) {
             continue;
         }
         let Ok(source) = std::fs::read_to_string(&abs) else {
@@ -252,26 +240,40 @@ fn analyze_impl(
     };
 
     // Load allowlists (repo runs only; the in-memory entry point tests
-    // marker behavior without allowlist files).
-    let mut allows: Vec<(String, Vec<AllowEntry>)> = Vec::new();
-    for &lint in &lint_filter {
-        let entries = match root {
-            Some(root) => {
-                let path = root
-                    .join("xtask/allowlists")
-                    .join(format!("{}.allow", lint.replace('-', "_")));
-                let content = std::fs::read_to_string(&path).unwrap_or_default();
-                match parse_allowlist(lint, &content) {
-                    Ok(entries) => entries,
-                    Err(errs) => {
-                        analysis.errors.extend(errs);
-                        Vec::new()
-                    }
+    // marker behavior without allowlist files). A file for a lint that
+    // does not exist would never be read, so it is an error of its own.
+    let allow_dir = root.map(|r| r.join("xtask/allowlists"));
+    if let Some(dir) = &allow_dir {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .into_iter()
+            .flatten()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        for name in names {
+            if let Some(stem) = name.strip_suffix(".allow") {
+                if !LINT_NAMES.contains(&stem.replace('_', "-").as_str()) {
+                    analysis.errors.push(format!(
+                        "xtask/allowlists/{name}: allowlist for `{stem}`, which is not a lint"
+                    ));
                 }
             }
-            None => Vec::new(),
-        };
-        allows.push((lint.to_string(), entries));
+        }
+    }
+    let mut allows: Vec<(&str, Vec<AllowEntry>)> = Vec::new();
+    for &lint in &lint_filter {
+        let content = allow_dir
+            .as_ref()
+            .and_then(|d| {
+                std::fs::read_to_string(d.join(format!("{}.allow", lint.replace('-', "_")))).ok()
+            })
+            .unwrap_or_default();
+        let entries = parse_allowlist(lint, &content).unwrap_or_else(|errs| {
+            analysis.errors.extend(errs);
+            Vec::new()
+        });
+        allows.push((lint, entries));
     }
 
     // Phase 0: parse every file once.
@@ -280,12 +282,17 @@ fn analyze_impl(
     for (rel, source) in inputs {
         let (scopes, scope_errors) = parse_scopes(&rel, &source);
         analysis.errors.extend(scope_errors);
-        for s in &scopes {
-            if s != "no-panic-decode" {
-                analysis.errors.push(format!(
-                    "{rel}: lint:scope({s}) names a lint whose scope is not attribute-driven"
-                ));
-            }
+        for s in scopes.iter().filter(|s| *s != "panic-reachability") {
+            analysis.errors.push(format!(
+                "{rel}: lint:scope({s}) names a lint whose scope is not attribute-driven"
+            ));
+        }
+        let scoped = scopes.iter().any(|s| s == "panic-reachability");
+        if scoped && !graph_file(&rel) {
+            analysis.errors.push(format!(
+                "{rel}: lint:scope(panic-reachability) on a file outside the call graph \
+                 (crate and root library sources) — the lint would never read it"
+            ));
         }
         let (markers, marker_errors) = parse_markers(&rel, &source);
         analysis.errors.extend(marker_errors);
@@ -294,40 +301,23 @@ fn analyze_impl(
         files.push(FileData {
             rel,
             source,
-            scopes,
+            scoped,
             markers,
             toks_full,
             toks_stripped,
         });
     }
 
-    // Phase 1: per-file token lints (plus the undeclared-decoder policy).
+    // Phase 1: per-file token lints.
     for fd in &mut files {
-        let wanted: Vec<&str> = lint_filter
-            .iter()
-            .copied()
-            .filter(|l| in_scope(l, &fd.rel, &fd.scopes))
-            .collect();
-        let check_decoders = lint_filter.contains(&"no-panic-decode")
-            && production_module(&fd.rel)
-            && !fd.scopes.iter().any(|s| s == "no-panic-decode");
-        if check_decoders {
-            if let Some((line, name)) = undeclared_decoder(&fd.toks_stripped) {
-                analysis.errors.push(format!(
-                    "{}:{line}: `fn {name}` in a production module without \
-                     `//! lint:scope(no-panic-decode)` — decode modules carry the lint from birth",
-                    fd.rel
-                ));
-            }
-        }
         let lines: Vec<&str> = fd.source.lines().collect();
-        for lint in wanted {
+        for &lint in lint_filter.iter().filter(|l| in_scope(l, &fd.rel)) {
             let toks = if strips_tests(lint) {
                 &fd.toks_stripped
             } else {
                 &fd.toks_full
             };
-            let entries = allows.iter_mut().find(|(l, _)| l == lint).map(|(_, e)| e);
+            let entries = allows.iter_mut().find(|(l, _)| *l == lint).map(|(_, e)| e);
             let Some(entries) = entries else { continue };
             for v in run_lint(lint, &fd.rel, toks) {
                 if marker_covers(&mut fd.markers, lint, v.line) {
@@ -354,6 +344,8 @@ fn analyze_impl(
         })
         .collect();
     if !interprocedural.is_empty() {
+        // A scoped file's own panic sites are checked from the workspace's
+        // copy of its tokens; phase 0 rejects a scoped file outside it.
         let ws = Workspace::build(
             files
                 .iter()
@@ -361,11 +353,6 @@ fn analyze_impl(
                 .map(|fd| (fd.rel.clone(), fd.toks_stripped.clone()))
                 .collect(),
         );
-        let scoped_paths: HashSet<String> = files
-            .iter()
-            .filter(|fd| fd.scopes.iter().any(|s| s == "no-panic-decode"))
-            .map(|fd| fd.rel.clone())
-            .collect();
         let by_rel: HashMap<String, usize> = files
             .iter()
             .enumerate()
@@ -375,19 +362,37 @@ fn analyze_impl(
         for &lint in &interprocedural {
             match lint {
                 "panic-reachability" => {
-                    let scoped = ipa::scoped_file_set(&ws, &scoped_paths);
-                    raw.extend(ipa::panic_reachability(&ws, &scoped));
+                    // A decode module carries the lint from birth: one
+                    // without the scope attribute is a policy error.
+                    for fd in files
+                        .iter()
+                        .filter(|fd| !fd.scoped && production_module(&fd.rel))
+                    {
+                        if let Some((line, name)) = undeclared_decoder(&fd.toks_stripped) {
+                            analysis.errors.push(format!(
+                                "{}:{line}: `fn {name}` in a production module without \
+                                 `//! lint:scope(panic-reachability)` — decode modules carry \
+                                 the lint from birth",
+                                fd.rel
+                            ));
+                        }
+                    }
+                    let scoped_paths: HashSet<String> = files
+                        .iter()
+                        .filter(|fd| fd.scoped)
+                        .map(|fd| fd.rel.clone())
+                        .collect();
+                    raw.extend(ipa::panic_reachability(&ws, &scoped_paths));
                 }
                 "lock-discipline" => raw.extend(ipa::lock_discipline(&ws)),
                 "accounting-dataflow" => {
-                    raw.extend(ipa::accounting_dataflow(&ws, &|p| {
-                        in_scope("accounting", p, &[])
-                    }));
+                    raw.extend(ipa::accounting_dataflow(&ws, &accounting_scope));
                 }
                 _ => {}
             }
         }
-        for v in ipa::dedup(raw) {
+        raw.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
+        for v in raw {
             let Some(&fi) = by_rel.get(&v.file) else {
                 analysis.violations.push(v);
                 continue;
@@ -401,7 +406,10 @@ fn analyze_impl(
                 .lines()
                 .nth(v.line as usize - 1)
                 .unwrap_or_default();
-            let entries = allows.iter_mut().find(|(l, _)| l == v.lint).map(|(_, e)| e);
+            let entries = allows
+                .iter_mut()
+                .find(|(l, _)| *l == v.lint)
+                .map(|(_, e)| e);
             if let Some(entries) = entries {
                 if allowlist_covers(entries, &v.file, line_text) {
                     continue;
@@ -411,11 +419,20 @@ fn analyze_impl(
         }
     }
 
-    // Phase 3: stale suppressions fail the run — the code a marker or
-    // allowlist entry excused has moved or been fixed; remove it.
+    // Phase 3: a marker naming no lint could never suppress anything, and
+    // stale suppressions fail the run — the code a marker or allowlist
+    // entry excused has moved or been fixed; remove it.
     for fd in &files {
         for m in &fd.markers {
-            if m.hits == 0 && lint_filter.contains(&m.lint.as_str()) {
+            if !LINT_NAMES.contains(&m.lint.as_str()) {
+                analysis.errors.push(format!(
+                    "{}:{}: lint:allow({}) names no lint — the lints are {}",
+                    fd.rel,
+                    m.line,
+                    m.lint,
+                    LINT_NAMES.join(", ")
+                ));
+            } else if m.hits == 0 && lint_filter.contains(&m.lint.as_str()) {
                 analysis.errors.push(format!(
                     "{}:{}: stale lint:allow({}) marker — it no longer suppresses anything",
                     fd.rel, m.line, m.lint

@@ -1,4 +1,4 @@
-//! The four architectural-invariant lints.
+//! The two per-file token lints, and the [`Violation`] every lint reports.
 //!
 //! Each lint takes a repo-relative path plus the file's token stream and
 //! returns raw violations; allowlist filtering happens in
@@ -19,13 +19,11 @@ pub struct Violation {
     pub message: String,
 }
 
-/// All lint names, in the order they run. The first four are per-file
+/// All lint names, in the order they run. The first two are per-file
 /// token lints; the last three are interprocedural (see [`crate::ipa`]).
-pub const LINT_NAMES: [&str; 7] = [
+pub const LINT_NAMES: [&str; 5] = [
     "vfs-seam",
-    "no-panic-decode",
     "determinism",
-    "accounting",
     "panic-reachability",
     "lock-discipline",
     "accounting-dataflow",
@@ -99,69 +97,6 @@ pub fn vfs_seam(file: &str, toks: &[Tok]) -> Vec<Violation> {
     out
 }
 
-/// Keywords that can legitimately precede a `[` that is *not* an index
-/// expression (`for [a, b] in …`, `impl Trait for [T]`, `return [x]`, …).
-const NON_INDEX_KEYWORDS: [&str; 16] = [
-    "for", "in", "as", "return", "break", "if", "else", "match", "move", "mut", "ref", "where",
-    "impl", "dyn", "let", "box",
-];
-
-/// `no-panic-decode`: decode, estimator, and query-plan modules parse
-/// bytes that came from disk — possibly corrupt disk. Panicking there
-/// turns recoverable corruption into an abort, so `unwrap()`, `expect()`,
-/// `panic!`, `unreachable!`, `todo!`, `unimplemented!`, and slice-index
-/// expressions (`buf[i]`, `buf[a..b]`) are banned; use `get`/`get_mut`,
-/// the checked readers in `iva_storage::codec`, or propagate an error.
-pub fn no_panic_decode(file: &str, toks: &[Tok]) -> Vec<Violation> {
-    const LINT: &str = "no-panic-decode";
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        let nx = |k: usize| toks.get(i + k).map(|t| t.s.as_str());
-        let prev = i
-            .checked_sub(1)
-            .and_then(|p| toks.get(p))
-            .map(|t| t.s.as_str());
-        match t.s.as_str() {
-            "unwrap" | "expect" if prev == Some(".") && nx(1) == Some("(") => {
-                out.push(violation(
-                    file,
-                    t.line,
-                    LINT,
-                    format!("`.{}()` in a decode path", t.s),
-                ));
-            }
-            "panic" | "unreachable" | "todo" | "unimplemented" if nx(1) == Some("!") => {
-                out.push(violation(
-                    file,
-                    t.line,
-                    LINT,
-                    format!("`{}!` in a decode path", t.s),
-                ));
-            }
-            "[" => {
-                let Some(p) = prev else { continue };
-                let is_index_base = p == ")"
-                    || p == "]"
-                    || (p
-                        .chars()
-                        .next()
-                        .is_some_and(|c| c.is_alphanumeric() || c == '_')
-                        && !NON_INDEX_KEYWORDS.contains(&p));
-                if is_index_base {
-                    out.push(violation(
-                        file,
-                        t.line,
-                        LINT,
-                        format!("slice-index `{p}[…]` in a decode path (use `.get(…)`)"),
-                    ));
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
 /// `determinism`: the index/storage/query stack must be replayable — the
 /// crash-recovery torture tests replay an operation log and expect
 /// bit-identical files, and query results must not depend on the clock.
@@ -211,51 +146,4 @@ pub fn determinism(file: &str, toks: &[Tok]) -> Vec<Violation> {
         }
     }
     out
-}
-
-/// `accounting`: the paper's evaluation is I/O-centric, so every raw
-/// [`VfsFile`] read or write must be visible to [`IoStats`]. A module that
-/// calls `.read_at(…)` / `.write_at(…)` / `read_full_at(…)` without ever
-/// touching `IoStats` is doing unaccounted I/O — the benchmarks would
-/// under-report it. The whole-file helpers (`read_to_vec(…)`,
-/// `write_vec(…)`, `write_full_at(…)`) count as raw I/O too: the
-/// segmented write path moves bytes through them (manifest and commit
-/// records), and every tier — memtable, sealed segment, manifest — is
-/// required to carry its own `IoStats`, so a tier module that streams
-/// whole files without stats is exactly the under-reporting this lint
-/// exists to catch. Fires once per offending file, at the first raw call.
-pub fn accounting(file: &str, toks: &[Tok]) -> Vec<Violation> {
-    const LINT: &str = "accounting";
-    let mut first_raw: Option<(u32, String)> = None;
-    let mut mentions_stats = false;
-    for (i, t) in toks.iter().enumerate() {
-        let prev = i
-            .checked_sub(1)
-            .and_then(|p| toks.get(p))
-            .map(|t| t.s.as_str());
-        let nx = |k: usize| toks.get(i + k).map(|t| t.s.as_str());
-        match t.s.as_str() {
-            "IoStats" => mentions_stats = true,
-            "read_at" | "write_at"
-                if prev == Some(".") && nx(1) == Some("(") && first_raw.is_none() =>
-            {
-                first_raw = Some((t.line, t.s.clone()));
-            }
-            "read_full_at" | "write_full_at" | "read_to_vec" | "write_vec"
-                if prev != Some("fn") && nx(1) == Some("(") && first_raw.is_none() =>
-            {
-                first_raw = Some((t.line, t.s.clone()));
-            }
-            _ => {}
-        }
-    }
-    match first_raw {
-        Some((line, call)) if !mentions_stats => vec![violation(
-            file,
-            line,
-            LINT,
-            format!("raw `{call}` in a module that never updates `IoStats`"),
-        )],
-        _ => Vec::new(),
-    }
 }

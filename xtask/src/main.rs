@@ -31,7 +31,14 @@ fn main() -> ExitCode {
             while i < args.len() {
                 match args[i].as_str() {
                     "--lint" => {
-                        only = args.get(i + 1).cloned();
+                        let Some(name) = args.get(i + 1) else {
+                            eprintln!(
+                                "`--lint` needs a lint name — available: {}",
+                                xtask::lints::LINT_NAMES.join(", ")
+                            );
+                            return ExitCode::FAILURE;
+                        };
+                        only = Some(name.clone());
                         i += 2;
                     }
                     "--json" => {
