@@ -102,10 +102,7 @@ fn run_sweep(
     k: usize,
     expect: Option<&[Vec<(u64, u64)>]>,
 ) -> (SweepStats, Vec<Vec<(u64, u64)>>) {
-    let opts = QueryOptions {
-        threads: Some(1),
-        measured: true,
-    };
+    let opts = QueryOptions { threads: Some(1) };
     let mut out = SweepStats::default();
     let mut answers = Vec::with_capacity(queries.len());
     for (qi, q) in queries.iter().enumerate() {

@@ -74,7 +74,6 @@ fn main() {
     let run = |threads: usize, q: &iva_core::Query| {
         let opts = QueryOptions {
             threads: Some(threads),
-            measured: true,
         };
         let start = Instant::now();
         let out = iva

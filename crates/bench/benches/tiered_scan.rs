@@ -125,10 +125,7 @@ fn run_phase(
     k: usize,
     check_zero_pager: bool,
 ) -> PhaseStats {
-    let opts = QueryOptions {
-        threads: Some(1),
-        measured: true,
-    };
+    let opts = QueryOptions { threads: Some(1) };
     let mut out = PhaseStats::default();
     for (attr, q) in seq {
         let io_before = iva_io.snapshot();

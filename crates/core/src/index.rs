@@ -669,7 +669,7 @@ impl IvaIndex {
     /// scanned in a synchronized pass; each tuple's estimated distance is a
     /// lower bound (by the monotonous property of `metric`), and only
     /// candidates the pool admits are fetched from the table file. This
-    /// is the serial shape of the one scan spine (DESIGN.md §15), measured.
+    /// is the serial shape of the one scan spine (DESIGN.md §15).
     pub fn query<M: Metric>(
         &self,
         table: &SwtTable,
@@ -680,7 +680,7 @@ impl IvaIndex {
     ) -> Result<QueryOutcome> {
         let lambda = self.resolve_weights(query, weights);
         let mut carry = ScanCarry::new(k);
-        self.scan_serial(table, query, metric, &lambda, true, DRAIN_AT, &mut carry)?;
+        self.scan_serial(table, query, metric, &lambda, DRAIN_AT, &mut carry)?;
         Ok(carry.finish())
     }
 

@@ -76,11 +76,17 @@ pub enum WeightScheme {
 }
 
 impl WeightScheme {
-    /// Weight of an attribute defined in `df` of `total` tuples.
+    /// Weight of an attribute defined in `df` of `total` live tuples.
+    ///
+    /// An index counts `df` over its tuple list, tombstones included, until
+    /// a rebuild, seal or merge drops them, so `df` may exceed `total`.
+    /// `df` is counted as at most `total`: the weight is never negative (a
+    /// negative λ voids the filter's lower bound), and 0 is the exact ITF
+    /// weight of an attribute every live tuple defines.
     pub fn weight(&self, total: u64, df: u64) -> f64 {
         match self {
             WeightScheme::Equal => 1.0,
-            WeightScheme::Itf => ((1 + total) as f64 / (1 + df) as f64).ln(),
+            WeightScheme::Itf => ((1 + total) as f64 / (1 + df.min(total)) as f64).ln(),
         }
     }
 
@@ -151,5 +157,12 @@ mod tests {
         // ln((1+|T|)/(1+|T|_A))
         let w = WeightScheme::Itf.weight(999, 99);
         assert!((w - (1000.0f64 / 100.0).ln()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn itf_weight_is_never_negative() {
+        // 100 tuples define the attribute, one of them is deleted.
+        assert_eq!(WeightScheme::Itf.weight(99, 100), 0.0);
+        assert_eq!(WeightScheme::Itf.weight(0, 7), 0.0);
     }
 }

@@ -73,7 +73,7 @@ impl IvaIndex {
         let shared = batch
             .iter()
             .map(|it| {
-                let (shared, nanos) = self.prepare_query_timed(it.query, opts.measured)?;
+                let (shared, nanos) = self.prepare_query_timed(it.query)?;
                 prepare_nanos += nanos;
                 Ok(shared)
             })
@@ -87,14 +87,7 @@ impl IvaIndex {
         {
             lanes.push(Lane::open(self, it.query, lambda, shared, carry)?);
         }
-        let nanos = self.scan(
-            table,
-            &mut lanes,
-            0..self.n_tuples(),
-            DRAIN_AT,
-            metric,
-            opts.measured,
-        )?;
+        let nanos = self.scan(table, &mut lanes, 0..self.n_tuples(), DRAIN_AT, metric)?;
         drop(lanes);
         Ok(carries
             .into_iter()

@@ -35,7 +35,7 @@ use crate::timing::thread_cpu_time;
 const MIN_SEGMENT: u64 = 64;
 
 /// Execution knobs for [`IvaIndex::query_opts`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct QueryOptions {
     /// Worker threads for the filter scan. `None` defers to
     /// [`crate::IvaConfig::search_threads`], and `Some(0)` means what `0`
@@ -43,18 +43,6 @@ pub struct QueryOptions {
     /// the scan on the calling thread; any count returns bit-identical
     /// results.
     pub threads: Option<usize>,
-    /// Collect wall-clock phase timings. When false no clock is read on
-    /// the hot path and the phase nanos stay 0.
-    pub measured: bool,
-}
-
-impl Default for QueryOptions {
-    fn default() -> Self {
-        Self {
-            threads: None,
-            measured: true,
-        }
-    }
 }
 
 /// What one worker brings to the merge barrier.
@@ -131,16 +119,15 @@ impl IvaIndex {
         .resolved_search_threads();
         let max_useful = usize::try_from(n.div_ceil(MIN_SEGMENT)).unwrap_or(usize::MAX);
         let threads = requested.min(max_useful).max(1);
-        let measured = opts.measured;
         if threads == 1 {
-            return self.scan_serial(table, query, metric, lambda, measured, drain_at, carry);
+            return self.scan_serial(table, query, metric, lambda, drain_at, carry);
         }
 
         let k = carry.pool.capacity();
         // One prepared table per query — the packed-mask kernels and
         // numeric codecs are immutable and shared by every worker below;
         // workers only open private scan positions.
-        let (shared, prepare_nanos) = self.prepare_query_timed(query, measured)?;
+        let (shared, prepare_nanos) = self.prepare_query_timed(query)?;
         let t = threads as u64;
         let bounds: Vec<(u64, u64)> = (0..t).map(|i| (i * n / t, (i + 1) * n / t)).collect();
 
@@ -155,7 +142,7 @@ impl IvaIndex {
                     let run =
                         Lane::open(self, query, lambda, shared, &mut worker).and_then(|lane| {
                             let lanes = &mut [lane];
-                            self.scan(table, lanes, lo..hi, drain_at, metric, measured)
+                            self.scan(table, lanes, lo..hi, drain_at, metric)
                         });
                     *slot = Some(run.map(|nanos| SegmentScan {
                         carry: worker,
@@ -168,7 +155,7 @@ impl IvaIndex {
 
         // Merge barrier: union the workers' pools into the carried pool
         // (see the module doc for why this is the serial answer).
-        let merge_start = measured.then(thread_cpu_time);
+        let merge_start = thread_cpu_time();
         let ScanCarry { pool, stats } = carry;
         // The coordinator prepares before the workers start and merges
         // after they finish: both sit on the filter critical path.
@@ -182,9 +169,7 @@ impl IvaIndex {
             max_refine = max_refine.max(seg.nanos.refine);
             pool.absorb(seg.carry.pool);
         }
-        if let Some(m) = merge_start {
-            max_filter += thread_cpu_time().saturating_sub(m);
-        }
+        max_filter += thread_cpu_time().saturating_sub(merge_start);
         stats.filter_nanos += prepare_nanos + max_filter;
         stats.refine_nanos += max_refine;
         // Tier accounting once for the merged plan — the workers scanned

@@ -296,9 +296,11 @@ impl<'a> Lane<'a> {
                 query.len()
             )));
         }
-        if let Some(bad) = lambda.iter().find(|l| !l.is_finite()) {
+        // A negative weight turns the filter's lower bound into an upper
+        // one; a non-finite one poisons every distance.
+        if let Some(bad) = lambda.iter().find(|l| !(l.is_finite() && **l >= 0.0)) {
             return Err(IvaError::InvalidArgument(format!(
-                "attribute weight {bad} is not a finite number"
+                "attribute weight {bad} is not a finite number ≥ 0"
             )));
         }
         Ok(Self {
@@ -313,36 +315,27 @@ impl<'a> Lane<'a> {
     }
 }
 
-/// Per-thread CPU time one [`IvaIndex::scan`] call spent in each phase;
-/// zero when unmeasured.
-#[derive(Debug, Default, Clone, Copy)]
+/// Per-thread CPU time one [`IvaIndex::scan`] call spent in each phase.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct PhaseNanos {
     pub(crate) filter: u64,
     pub(crate) refine: u64,
 }
 
 impl IvaIndex {
-    /// [`IvaIndex::prepare_query`] with the CPU nanos it took (0 if
-    /// unmeasured). Preparation is filter work — the matcher build and, on
-    /// the hot tier, the whole block-estimate prefold — so every
-    /// execution shape's entry charges it to `filter_nanos`.
-    pub(crate) fn prepare_query_timed(
-        &self,
-        query: &Query,
-        measured: bool,
-    ) -> Result<(Vec<SharedAttr<'_>>, u64)> {
-        let start = measured.then(thread_cpu_time);
+    /// [`IvaIndex::prepare_query`] with the CPU nanos it took.
+    /// Preparation is filter work — the matcher build and, on the hot
+    /// tier, the whole block-estimate prefold — so every execution shape's
+    /// entry charges it to `filter_nanos`.
+    pub(crate) fn prepare_query_timed(&self, query: &Query) -> Result<(Vec<SharedAttr<'_>>, u64)> {
+        let start = thread_cpu_time();
         let shared = self.prepare_query(query)?;
-        Ok((
-            shared,
-            start.map_or(0, |t| thread_cpu_time().saturating_sub(t)),
-        ))
+        Ok((shared, thread_cpu_time().saturating_sub(start)))
     }
 
     /// Walk tuple-list positions `range` once for every lane, draining
     /// each lane at `drain_at` pending candidates and at the end of the
-    /// range (see the module doc). Lanes must be freshly opened. With
-    /// `measured` false no clock is read.
+    /// range (see the module doc). Lanes must be freshly opened.
     pub(crate) fn scan<M: Metric>(
         &self,
         table: &SwtTable,
@@ -350,7 +343,6 @@ impl IvaIndex {
         range: Range<u64>,
         drain_at: usize,
         metric: &M,
-        measured: bool,
     ) -> Result<PhaseNanos> {
         let ndf = self.config().ndf_penalty;
         let mut tsrc = self.open_tuple_source()?;
@@ -368,7 +360,6 @@ impl IvaIndex {
             table,
             metric,
             ndf,
-            measured,
             buf: RecordBuf::default(),
         };
         // The thread-CPU clock is a real syscall (~0.2 µs), so it is read
@@ -376,7 +367,7 @@ impl IvaIndex {
         // by the share of the (vDSO, ~25 ns) monotonic clock the drains
         // took.
         let mut refine_wall = 0u64;
-        let start = measured.then(|| (thread_cpu_time(), monotonic_nanos()));
+        let (cpu_start, wall_start) = (thread_cpu_time(), monotonic_nanos());
         let (mut tids, mut ptrs) = (Vec::with_capacity(BLOCK), Vec::with_capacity(BLOCK));
         let mut left = range.end.saturating_sub(range.start);
         while left > 0 {
@@ -408,46 +399,32 @@ impl IvaIndex {
         for lane in lanes.iter_mut() {
             refine_wall += refiner.drain(lane)?;
         }
-        Ok(match start {
-            Some((cpu_start, wall_start)) => {
-                let cpu = thread_cpu_time().saturating_sub(cpu_start);
-                let wall = monotonic_nanos().saturating_sub(wall_start).max(1);
-                let refine = (u128::from(cpu) * u128::from(refine_wall) / u128::from(wall)) as u64;
-                let refine = refine.min(cpu);
-                PhaseNanos {
-                    filter: cpu - refine,
-                    refine,
-                }
-            }
-            None => PhaseNanos::default(),
+        let cpu = thread_cpu_time().saturating_sub(cpu_start);
+        let wall = monotonic_nanos().saturating_sub(wall_start).max(1);
+        let refine = (u128::from(cpu) * u128::from(refine_wall) / u128::from(wall)) as u64;
+        let refine = refine.min(cpu);
+        Ok(PhaseNanos {
+            filter: cpu - refine,
+            refine,
         })
     }
 
     /// The serial shape: one lane over the whole tuple list on the carried
     /// pool. `lambda` is the resolved per-query-attribute weight vector; a
     /// segmented store resolves it once, globally, so every tier admits
-    /// with the weights a monolithic index would use.
-    #[allow(clippy::too_many_arguments)]
+    /// under the one λ its distances are computed with.
     pub(crate) fn scan_serial<M: Metric>(
         &self,
         table: &SwtTable,
         query: &Query,
         metric: &M,
         lambda: &[f64],
-        measured: bool,
         drain_at: usize,
         carry: &mut ScanCarry,
     ) -> Result<()> {
-        let (shared, prepare_nanos) = self.prepare_query_timed(query, measured)?;
+        let (shared, prepare_nanos) = self.prepare_query_timed(query)?;
         let mut lanes = [Lane::open(self, query, lambda, &shared, carry)?];
-        let nanos = self.scan(
-            table,
-            &mut lanes,
-            0..self.n_tuples(),
-            drain_at,
-            metric,
-            measured,
-        )?;
+        let nanos = self.scan(table, &mut lanes, 0..self.n_tuples(), drain_at, metric)?;
         carry.stats.filter_nanos += prepare_nanos + nanos.filter;
         carry.stats.refine_nanos += nanos.refine;
         self.tier_stats_into(&shared, &mut carry.stats);
@@ -461,19 +438,18 @@ struct Refiner<'a, M> {
     table: &'a SwtTable,
     metric: &'a M,
     ndf: f64,
-    measured: bool,
     buf: RecordBuf,
 }
 
 impl<M: Metric> Refiner<'_, M> {
     /// Drain `lane.pending`: probe the k smallest `(est, tid)`, then sweep
     /// the rest, both in scan order (see the module doc). Returns the
-    /// monotonic-clock nanos it took (0 if unmeasured).
+    /// monotonic-clock nanos it took.
     fn drain(&mut self, lane: &mut Lane<'_>) -> Result<u64> {
         if lane.pending.is_empty() {
             return Ok(0);
         }
-        let start = self.measured.then(monotonic_nanos);
+        let start = monotonic_nanos();
         let pending = std::mem::take(&mut lane.pending);
         // Bounded-heap selection: a pool keyed by estimate keeps exactly
         // the probe set, and its worst entry is the cut between probe and
@@ -491,7 +467,7 @@ impl<M: Metric> Refiner<'_, M> {
         }
         lane.pending = pending;
         lane.pending.clear();
-        Ok(start.map_or(0, |t| monotonic_nanos().saturating_sub(t)))
+        Ok(monotonic_nanos().saturating_sub(start))
     }
 
     /// Algorithm 1's refine step over `cands` (`dist` holds the estimate):
@@ -539,8 +515,7 @@ mod tests {
 
     /// The scan reads the CPU clock twice and apportions it by the
     /// drains' monotonic share: both phases are charged, and together they
-    /// are the scan's CPU time — and an unmeasured scan reads no clock at
-    /// all.
+    /// are the scan's CPU time.
     #[test]
     fn phase_nanos_split_one_cpu_reading() {
         let opts = PagerOptions {
@@ -557,28 +532,21 @@ mod tests {
         let index = build_index(&table, IndexTarget::Mem, &opts, IoStats::new(), cfg).unwrap();
         let q = Query::new().text(AttrId(0), "item number 77");
         let shared = index.prepare_query(&q).unwrap();
-        for measured in [true, false] {
-            let mut carry = ScanCarry::new(10);
-            let mut lanes = [Lane::open(&index, &q, &[1.0], &shared, &mut carry).unwrap()];
-            let before = crate::timing::thread_cpu_time();
-            let nanos = index
-                .scan(
-                    &table,
-                    &mut lanes,
-                    0..index.n_tuples(),
-                    DRAIN_AT,
-                    &MetricKind::L2,
-                    measured,
-                )
-                .unwrap();
-            let spent = crate::timing::thread_cpu_time() - before;
-            if measured {
-                assert!(nanos.filter > 0 && nanos.refine > 0, "{nanos:?}");
-                assert!(nanos.filter + nanos.refine <= spent, "{nanos:?} > {spent}");
-            } else {
-                assert_eq!((nanos.filter, nanos.refine), (0, 0));
-            }
-        }
+        let mut carry = ScanCarry::new(10);
+        let mut lanes = [Lane::open(&index, &q, &[1.0], &shared, &mut carry).unwrap()];
+        let before = crate::timing::thread_cpu_time();
+        let nanos = index
+            .scan(
+                &table,
+                &mut lanes,
+                0..index.n_tuples(),
+                DRAIN_AT,
+                &MetricKind::L2,
+            )
+            .unwrap();
+        let spent = crate::timing::thread_cpu_time() - before;
+        assert!(nanos.filter > 0 && nanos.refine > 0, "{nanos:?}");
+        assert!(nanos.filter + nanos.refine <= spent, "{nanos:?} > {spent}");
     }
 
     /// A weight vector shorter than the query used to be zipped away
@@ -608,7 +576,6 @@ mod tests {
         for threads in [1usize, 2] {
             let o = QueryOptions {
                 threads: Some(threads),
-                ..Default::default()
             };
             let mut carry = ScanCarry::new(3);
             let r = index.query_carry_opts(&table, &q, &MetricKind::L2, &short, &o, &mut carry);
@@ -623,9 +590,9 @@ mod tests {
         assert!(Lane::open(&index, &q, &good, &shared, &mut a).is_ok());
         let second = Lane::open(&index, &q, &short, &shared, &mut b);
         assert!(rejected(second.map(|_| ())));
-        // A weight that is not a number poisons every distance: rejected
-        // at the same door.
-        for bad in [f64::NAN, f64::INFINITY] {
+        // A weight that is not a number poisons every distance, and a
+        // negative one voids the lower bound: rejected at the same door.
+        for bad in [f64::NAN, f64::INFINITY, -0.5] {
             let weights = [1.0, bad];
             let third = Lane::open(&index, &q, &weights, &shared, &mut b);
             assert!(rejected(third.map(|_| ())), "{bad}");

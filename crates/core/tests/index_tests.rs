@@ -1,18 +1,19 @@
 //! End-to-end tests of the iVA-file: build, query, update, reopen.
 //!
-//! The key oracle is brute force: for any dataset, query, metric and weight
-//! scheme, the index's top-k distances must equal the exact in-memory
-//! top-k distances (the index may return a different tuple among exact
-//! ties, so distances — not tids — are compared, plus set-inclusion checks
-//! on untied prefixes).
+//! The reference is the model of `tests/oracle.rs`: the index's top-k is
+//! the brute-force one, `(tid, distance bits)` for `(tid, distance bits)`.
+
+#[path = "../../../tests/common/model.rs"]
+mod model;
 
 use iva_core::{
-    build_index, exact_distance, IndexTarget, IvaConfig, IvaIndex, Metric, MetricKind, Query,
-    QueryValue, WeightScheme,
+    build_index, IndexTarget, IvaConfig, IvaIndex, Metric, MetricKind, Query, QueryValue,
+    WeightScheme,
 };
 use iva_storage::{IoStats, PagerOptions};
 use iva_storage::{RealVfs, Vfs};
-use iva_swt::{AttrId, SwtTable, Tid, Tuple, Value};
+use iva_swt::{AttrId, SwtTable, Tuple, Value};
+use model::Model;
 
 fn opts() -> PagerOptions {
     PagerOptions {
@@ -66,32 +67,7 @@ fn sample_table() -> SwtTable {
     t
 }
 
-fn brute_force_topk<M: Metric>(
-    table: &SwtTable,
-    index: &IvaIndex,
-    query: &Query,
-    k: usize,
-    metric: &M,
-    weights: WeightScheme,
-) -> Vec<(Tid, f64)> {
-    let lambda = index.resolve_weights(query, weights);
-    let ndf = index.config().ndf_penalty;
-    let mut all: Vec<(Tid, f64)> = table
-        .scan()
-        .map(|r| r.unwrap().1)
-        .filter(|rec| !rec.deleted)
-        .map(|rec| {
-            (
-                rec.tid,
-                exact_distance(&rec.tuple, query, &lambda, metric, ndf),
-            )
-        })
-        .collect();
-    all.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
-    all.truncate(k);
-    all
-}
-
+/// The index's top-k against the model of `table`'s live records.
 fn assert_matches_brute_force<M: Metric>(
     table: &SwtTable,
     index: &IvaIndex,
@@ -100,17 +76,19 @@ fn assert_matches_brute_force<M: Metric>(
     metric: &M,
     weights: WeightScheme,
 ) {
+    let records = table.scan().map(|r| r.unwrap().1).filter(|r| !r.deleted);
+    let model = Model {
+        live: records.map(|r| (r.tid, r.tuple)).collect(),
+    };
+    let lambda = index.resolve_weights(query, weights);
+    let want = model.topk(query, &lambda, metric, k);
     let got = index.query(table, query, k, metric, weights).unwrap();
-    let expect = brute_force_topk(table, index, query, k, metric, weights);
-    let got_dists: Vec<f64> = got.results.iter().map(|e| e.dist).collect();
-    let expect_dists: Vec<f64> = expect.iter().map(|(_, d)| *d).collect();
-    assert_eq!(got_dists.len(), expect_dists.len(), "result count");
-    for (g, e) in got_dists.iter().zip(&expect_dists) {
-        assert!(
-            (g - e).abs() < 1e-9,
-            "distances diverge: {got_dists:?} vs {expect_dists:?}"
-        );
-    }
+    let got: Vec<_> = got
+        .results
+        .iter()
+        .map(|e| (e.tid, e.dist.to_bits()))
+        .collect();
+    assert_eq!(got, want);
 }
 
 fn build(table: &SwtTable, config: IvaConfig) -> IvaIndex {

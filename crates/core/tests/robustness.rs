@@ -298,7 +298,6 @@ fn repeated_tid_in_the_directory_is_corrupt_to_every_shape() {
                 for threads in [2usize, 3] {
                     let o = QueryOptions {
                         threads: Some(threads),
-                        measured: false,
                     };
                     let r = idx.query_opts(&t, &q, 5, &l2, equ, &o).map(results);
                     corrupt(&format!("{what} threads {threads}"), r);

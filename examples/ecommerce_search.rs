@@ -78,8 +78,7 @@ fn main() -> iva_file::Result<()> {
     ] {
         let req = SearchRequest::new(5)
             .metric(MetricKind::L2)
-            .weights(weights)
-            .measured(true);
+            .weights(weights);
         let out = db.execute(&query, &req)?;
         let (hits, stats) = (out.hits, out.stats);
         println!("top-5 under {metric_name}:");

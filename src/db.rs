@@ -95,7 +95,7 @@ impl SearchHit {
 pub struct SearchOutcome {
     /// The top-k answers in ascending distance order.
     pub hits: Vec<SearchHit>,
-    /// Measurement counters (timings zeroed for unmeasured requests).
+    /// Measurement counters.
     pub stats: QueryStats,
 }
 
@@ -292,8 +292,7 @@ impl IvaDb {
     /// resolved metric (one shared scan per distinct metric), weights and
     /// `k` are honored per entry, and the scan-level knobs take the first
     /// explicit `threads` override in the group (which only reaches a
-    /// singleton group, since batching replaces segment parallelism) and
-    /// any entry's `measured`.
+    /// singleton group, since batching replaces segment parallelism).
     pub fn execute_batch(&self, batch: &[(Query, SearchRequest)]) -> Result<Vec<SearchOutcome>> {
         let (index, table) = self.pair.searchable()?;
         let mut answered = Vec::with_capacity(batch.len());

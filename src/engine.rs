@@ -132,36 +132,6 @@ pub(crate) fn update<E: EngineWriter>(
     })
 }
 
-/// Engines whose maintenance (sealing, compaction, rebuilds) splits into
-/// an expensive read-side **prepare** and a cheap exclusive **publish**.
-///
-/// The split exists for the serving layer: [`crate::serve::Writer::maintain`]
-/// runs [`MaintainEngine::plan_maintenance`] under a *read* snapshot — so
-/// concurrent readers keep answering while the new segment is staged — and
-/// takes the write lock only for [`MaintainEngine::publish_maintenance`],
-/// whose critical section is a pointer swap plus one manifest commit.
-/// Holding the write lock across the whole operation (the
-/// [`crate::serve::Writer::apply`] route) is correct but stalls every
-/// reader for the duration of an index build.
-///
-/// A plan is only valid against the exact engine state it was prepared
-/// from. The serving layer's single-writer discipline guarantees no
-/// mutation interleaves between the two phases; engines must still
-/// *detect* a stale plan (mutations did interleave) and reject it with an
-/// error rather than publish a torn state.
-pub trait MaintainEngine: EngineWriter {
-    /// A staged unit of maintenance work.
-    type Plan: Send;
-
-    /// Stage the next unit of maintenance with `&self`, or `None` when
-    /// nothing needs doing. Expensive; safe under concurrent reads.
-    fn plan_maintenance(&self) -> Result<Option<Self::Plan>>;
-
-    /// Commit a staged plan with `&mut self`. Cheap. Errors on a stale
-    /// plan instead of publishing torn state.
-    fn publish_maintenance(&mut self, plan: Self::Plan) -> Result<bool>;
-}
-
 impl Engine for IvaDb {
     type Outcome = SearchOutcome;
 
@@ -242,16 +212,5 @@ impl EngineWriter for LsmDb {
     }
     fn flush(&mut self) -> Result<()> {
         LsmDb::flush(self)
-    }
-}
-
-impl MaintainEngine for LsmDb {
-    type Plan = crate::lsm::MaintenancePlan;
-
-    fn plan_maintenance(&self) -> Result<Option<Self::Plan>> {
-        LsmDb::plan_maintenance(self)
-    }
-    fn publish_maintenance(&mut self, plan: Self::Plan) -> Result<bool> {
-        LsmDb::publish_maintenance(self, plan)
     }
 }

@@ -41,7 +41,7 @@
 //!
 //! // Queries address attributes by name, resolved through the catalog;
 //! // a SearchRequest carries the execution knobs (k, metric, weights,
-//! // measurement, filter-scan threads).
+//! // filter-scan threads).
 //! let query = snap
 //!     .query_builder()
 //!     .text("Type", "Digital Camera")
@@ -86,7 +86,7 @@ mod search;
 pub mod serve;
 
 pub use db::{IvaDb, IvaDbOptions, SearchHit, SearchOutcome};
-pub use engine::{Engine, EngineOutcome, EngineWriter, MaintainEngine};
+pub use engine::{Engine, EngineOutcome, EngineWriter};
 pub use lsm::{LsmDb, LsmOptions, MaintenancePlan};
 pub use search::{QueryBuilder, SearchRequest};
 pub use serve::{Client, Reader, ServeOptions, Server, ServingStats, Snapshot, Writer};

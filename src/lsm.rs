@@ -36,12 +36,13 @@
 //!
 //! A query scans the tiers oldest-first (segments in tid order, then the
 //! memtable), threading one [`ScanCarry`] — the shared candidate pool
-//! and counters — through every per-tier scan. The pool keeps the k
-//! smallest `(dist, tid)` of whatever it is offered, in any order, and the
-//! tiers together offer it the monolithic engine's live tuples under the
-//! same vector encodings, so hits and distance bits are bit-identical to
-//! the single-file engine (see DESIGN.md §14 for the argument and the one
-//! documented exception). `table_accesses` is not: each tier drains its
+//! and counters — through every per-tier scan under one λ, resolved across
+//! all tiers. The pool keeps the k smallest `(dist, tid)` of whatever it
+//! is offered, in any order, so the answer is the exact top-k of the live
+//! tuples under that λ (DESIGN.md §14). Under EQU that is the single-file
+//! engine's answer, bit for bit. Under ITF it need not be: `df` counts
+//! tombstones until a seal or merge drops them, so each engine's λ follows
+//! its own tombstones. `table_accesses` differs too: each tier drains its
 //! own candidates, against a pool the earlier tiers already tightened.
 
 use std::path::{Path, PathBuf};
@@ -68,8 +69,9 @@ use crate::search::{QueryBuilder, SearchRequest};
 /// are persisted per segment; runtime knobs (`metric`, `weights`,
 /// threads and the hot-tier budget inside `config`) are never persisted;
 /// per-request overrides win for one call. The two thresholds below only
-/// steer *when* maintenance runs — any schedule yields bit-identical
-/// answers.
+/// steer *when* maintenance runs — under EQU any schedule yields
+/// bit-identical answers; under ITF λ follows the tombstones a schedule
+/// has not yet dropped.
 #[derive(Debug, Clone)]
 pub struct LsmOptions {
     /// Pager/page-cache options (shared shape for every tier's files).
@@ -577,9 +579,10 @@ impl LsmDb {
     /// Resolve the weight `λ` of each query attribute under `scheme`,
     /// aggregated across every tier: `|T|` is the store's live tuple
     /// count and `|T|_A` sums the attribute's document frequency over
-    /// all tiers, so λ is one global vector — every tier scan lower-
-    /// bounds the same weighted metric (a per-tier λ would break the
-    /// carried pool's admission bound).
+    /// all tiers (tombstones a tier still holds included), so λ is one
+    /// global vector — every tier scan lower-bounds the same weighted
+    /// metric (a per-tier λ would break the carried pool's admission
+    /// bound).
     pub fn resolve_weights(&self, query: &Query, scheme: WeightScheme) -> Vec<f64> {
         let total = self
             .tiers()

@@ -1,5 +1,5 @@
 //! The unified search surface: [`SearchRequest`] describes *how* to run a
-//! top-k search (k, metric, weights, measurement, parallelism) while
+//! top-k search (k, metric, weights, parallelism) while
 //! [`crate::Query`] describes *what* to search for. Every search entry
 //! point on [`crate::IvaDb`] and [`crate::LsmDb`] funnels into one
 //! `execute` implementation taking a request.
@@ -20,8 +20,7 @@ use iva_swt::{AttrType, Catalog};
 /// let req = SearchRequest::new(10)
 ///     .metric(MetricKind::L1)
 ///     .weights(WeightScheme::Itf)
-///     .threads(4)
-///     .measured(true);
+///     .threads(4);
 /// assert_eq!(req.k(), 10);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -30,19 +29,17 @@ pub struct SearchRequest {
     metric: Option<MetricKind>,
     weights: Option<WeightScheme>,
     threads: Option<usize>,
-    measured: bool,
 }
 
 impl SearchRequest {
     /// A request for the `k` nearest tuples under the database's default
-    /// metric and weight scheme, measured, with the configured parallelism.
+    /// metric and weight scheme, with the configured parallelism.
     pub fn new(k: usize) -> Self {
         Self {
             k,
             metric: None,
             weights: None,
             threads: None,
-            measured: true,
         }
     }
 
@@ -67,14 +64,6 @@ impl SearchRequest {
         self
     }
 
-    /// Collect wall-clock phase timings (on by default). When off, no
-    /// clock is read on the hot path and the timing stats stay 0; the
-    /// counter stats are always collected.
-    pub fn measured(mut self, measured: bool) -> Self {
-        self.measured = measured;
-        self
-    }
-
     /// Requested result count.
     pub fn k(&self) -> usize {
         self.k
@@ -95,26 +84,15 @@ impl SearchRequest {
         self.threads
     }
 
-    /// Whether phase timings are collected.
-    pub fn is_measured(&self) -> bool {
-        self.measured
-    }
-
     /// The scan-level knobs of a group of requests served by one scan (a
     /// single request is a group of one): the first explicit `threads`
-    /// override in the group, measured if any member is.
+    /// override in the group.
     pub(crate) fn query_options<'a>(
         group: impl IntoIterator<Item = &'a SearchRequest>,
     ) -> QueryOptions {
-        let mut opts = QueryOptions {
-            threads: None,
-            measured: false,
-        };
-        for r in group {
-            opts.threads = opts.threads.or(r.threads);
-            opts.measured |= r.measured;
+        QueryOptions {
+            threads: group.into_iter().find_map(|r| r.threads),
         }
-        opts
     }
 
     /// Split an admission batch into one group per resolved metric

@@ -44,6 +44,7 @@ use iva_core::{IvaError, Query, Result};
 use iva_swt::{AttrId, Tuple};
 
 use crate::engine::{Engine, EngineOutcome, EngineWriter};
+use crate::lsm::LsmDb;
 use crate::search::SearchRequest;
 
 /// The shared cell behind one writer and its readers.
@@ -149,6 +150,21 @@ impl<E: EngineWriter> Writer<E> {
         self.apply(|e| e.flush())
     }
 
+    /// Tear down serving and take the engine back. Fails (returning the
+    /// intact writer) while any [`Reader`], [`Snapshot`] or [`Server`] is
+    /// still alive.
+    pub fn into_inner(self) -> std::result::Result<E, Self> {
+        match Arc::try_unwrap(self.shared) {
+            Ok(shared) => Ok(shared
+                .engine
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner)),
+            Err(shared) => Err(Self { shared }),
+        }
+    }
+}
+
+impl Writer<LsmDb> {
     /// Run one round of background maintenance (a seal or a compaction)
     /// without stalling readers: the expensive staging half runs under a
     /// *read* snapshot — concurrent searches proceed throughout — and
@@ -161,10 +177,7 @@ impl<E: EngineWriter> Writer<E> {
     /// lock across an entire segment build. The single-writer discipline
     /// (`&mut self` here) guarantees no mutation interleaves between the
     /// two halves, so the staged plan can never go stale.
-    pub fn maintain(&mut self) -> Result<bool>
-    where
-        E: crate::engine::MaintainEngine,
-    {
+    pub fn maintain(&mut self) -> Result<bool> {
         let plan = {
             let snap = self.snapshot();
             snap.plan_maintenance()?
@@ -172,19 +185,6 @@ impl<E: EngineWriter> Writer<E> {
         match plan {
             Some(plan) => self.apply(|e| e.publish_maintenance(plan)),
             None => Ok(false),
-        }
-    }
-
-    /// Tear down serving and take the engine back. Fails (returning the
-    /// intact writer) while any [`Reader`], [`Snapshot`] or [`Server`] is
-    /// still alive.
-    pub fn into_inner(self) -> std::result::Result<E, Self> {
-        match Arc::try_unwrap(self.shared) {
-            Ok(shared) => Ok(shared
-                .engine
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner)),
-            Err(shared) => Err(Self { shared }),
         }
     }
 }

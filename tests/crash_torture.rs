@@ -7,11 +7,15 @@
 //! op. After every crash the durable image is reopened and must present a
 //! *committed* database state: the last acked flush, or the one in flight
 //! when the cut landed. Every tuple of the matched state must read back
-//! exactly, top-k answers must agree with a shadow database rebuilt from
-//! that state, and the recovered database must accept new commits.
+//! exactly, top-k answers must be the model's over that state
+//! (`common/model.rs`), and the recovered database must accept new
+//! commits.
 //!
 //! Failures print `(seed, crash_at)`; see TESTING.md for how to replay
 //! one crash point under a debugger.
+
+#[path = "common/model.rs"]
+mod model;
 
 use std::path::Path;
 use std::sync::Arc;
@@ -19,9 +23,10 @@ use std::sync::Arc;
 use iva_core::ListType;
 use iva_file::vfs::{FaultVfs, MemVfs, Vfs};
 use iva_file::{
-    AttrId, IvaDb, IvaDbOptions, LsmDb, LsmOptions, PagerOptions, Query, SearchRequest, Tid, Tuple,
-    Value,
+    AttrId, IvaDb, IvaDbOptions, LsmDb, LsmOptions, MetricKind, PagerOptions, Query, Result,
+    SearchOutcome, SearchRequest, Tid, Tuple, Value, WeightScheme,
 };
+use model::Model;
 
 const DIR: &str = "torture-db";
 const ROWS: u32 = 150;
@@ -184,23 +189,17 @@ fn probe_query() -> Query {
         .num(AttrId(3), 26.0)
 }
 
-/// Top-k distances from a fresh in-memory database over `shadow` — the
-/// oracle the recovered database must agree with.
-fn shadow_topk(shadow: &Shadow, k: usize) -> Vec<f64> {
-    let mut db = IvaDb::create_mem(opts()).unwrap();
-    db.define_text("dense_txt").unwrap();
-    db.define_text("sparse_txt").unwrap();
-    db.define_numeric("dense_num").unwrap();
-    db.define_numeric("sparse_num").unwrap();
-    for (_, tup) in shadow {
-        db.insert(tup).unwrap();
-    }
-    db.execute(&probe_query(), &SearchRequest::new(k))
-        .unwrap()
-        .hits
-        .iter()
-        .map(|h| h.dist)
-        .collect()
+/// The recovered store's top 10 for the probe query (L2, EQU: the
+/// defaults) against the model of `shadow` under the store's `lambda`, by
+/// `(tid, distance bits)`.
+fn assert_topk(out: Result<SearchOutcome>, lambda: &[f64], shadow: &Shadow, ctx: &str) {
+    let out = out.unwrap_or_else(|e| panic!("{ctx}: search after recovery failed: {e}"));
+    let got: Vec<_> = out.hits.iter().map(|h| (h.tid, h.dist.to_bits())).collect();
+    let model = Model {
+        live: shadow.iter().cloned().collect(),
+    };
+    let want = model.topk(&probe_query(), lambda, &MetricKind::L2, 10);
+    assert_eq!(got, want, "{ctx}: top-k after recovery");
 }
 
 fn verify_recovery(disk: Arc<dyn Vfs>, outcome: &Outcome, ctx: &str) {
@@ -229,23 +228,9 @@ fn verify_recovery(disk: Arc<dyn Vfs>, outcome: &Outcome, ctx: &str) {
         );
     };
 
-    // Top-k agreement with a shadow database holding the matched state.
-    let k = 10;
-    let got: Vec<f64> = db
-        .execute(&probe_query(), &SearchRequest::new(k))
-        .unwrap_or_else(|e| panic!("{ctx}: search after recovery failed: {e}"))
-        .hits
-        .iter()
-        .map(|h| h.dist)
-        .collect();
-    let want = shadow_topk(matched, k);
-    assert_eq!(got.len(), want.len(), "{ctx}: top-k size mismatch");
-    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-        assert!(
-            (g - w).abs() < 1e-9,
-            "{ctx}: top-k rank {i}: recovered dist {g}, shadow dist {w}"
-        );
-    }
+    let (q, equ) = (probe_query(), WeightScheme::Equal);
+    let out = db.execute(&q, &SearchRequest::new(10));
+    assert_topk(out, &db.index().resolve_weights(&q, equ), matched, ctx);
 
     // The recovered database must accept and commit new work.
     let tid = db
@@ -425,7 +410,7 @@ fn run_lsm_workload(vfs: Arc<dyn Vfs>) -> Outcome {
 /// flushed segment tombstone) without the others — each tuple must
 /// individually read back as its acked or its pending version, tuples
 /// the two states agree on must match exactly, and nothing else may be
-/// live. Returns the recovered live map for the oracle check.
+/// live. Returns the recovered live map for the model check.
 fn lsm_recovered_state(db: &LsmDb, acked: &Shadow, pending: Option<&Shadow>, ctx: &str) -> Shadow {
     let pending = pending.unwrap_or(acked);
     let mut union: Vec<(Tid, (Option<&Tuple>, Option<&Tuple>))> = Vec::new();
@@ -502,25 +487,9 @@ fn verify_lsm_recovery(disk: Arc<dyn Vfs>, outcome: &Outcome, ctx: &str) {
 
     let recovered = lsm_recovered_state(&db, acked, outcome.pending.as_ref(), ctx);
 
-    // Top-k agreement with a monolithic oracle over the recovered state —
-    // refinement distances are exact, so the engines must agree digit for
-    // digit whatever the tier layout looks like.
-    let k = 10;
-    let got: Vec<f64> = db
-        .execute(&probe_query(), &SearchRequest::new(k))
-        .unwrap_or_else(|e| panic!("{ctx}: search after recovery failed: {e}"))
-        .hits
-        .iter()
-        .map(|h| h.dist)
-        .collect();
-    let want = shadow_topk(&recovered, k);
-    assert_eq!(got.len(), want.len(), "{ctx}: top-k size mismatch");
-    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-        assert!(
-            (g - w).abs() < 1e-9,
-            "{ctx}: top-k rank {i}: recovered dist {g}, oracle dist {w}"
-        );
-    }
+    let (q, equ) = (probe_query(), WeightScheme::Equal);
+    let out = db.execute(&q, &SearchRequest::new(10));
+    assert_topk(out, &db.resolve_weights(&q, equ), &recovered, ctx);
 
     // The recovered store must accept and commit new work.
     let tid = db
@@ -575,7 +544,7 @@ struct CompactRun {
 /// Build three sealed segments, then compact, measuring the compaction's
 /// op window on the fault layer itself (so every replay shares one op
 /// numbering). Used by the commit-point sweep.
-fn build_and_compact(fv: &FaultVfs) -> Result<CompactRun, iva_file::IvaError> {
+fn build_and_compact(fv: &FaultVfs) -> Result<CompactRun> {
     let vfs: Arc<dyn Vfs> = Arc::new(fv.clone());
     let mut db = LsmDb::create_with_vfs(vfs, Path::new(LSM_DIR), lsm_opts())?;
     for name in ["dense_txt", "sparse_txt"] {

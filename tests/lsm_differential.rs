@@ -140,8 +140,8 @@ fn keys(hits: &[iva_file::SearchHit]) -> Vec<(u64, u64)> {
 
 /// Compare every plan's answer on one query. `k` varies per call site.
 fn check_query(mono: &IvaDb, lsm: &LsmDb, query: &Query, k: usize, ctx: &str) {
-    // Serial plan, measured counters.
-    let req = SearchRequest::new(k).measured(true).threads(1);
+    // Serial plan.
+    let req = SearchRequest::new(k).threads(1);
     let want = mono.execute(query, &req).unwrap();
     let got = lsm.execute(query, &req).unwrap();
     assert_eq!(

@@ -1,0 +1,881 @@
+//! One oracle for the engine's one contract: every configuration returns
+//! exactly the brute-force top-k of its live tuples, under any monotone
+//! metric and weights λ ≥ 0 (Algorithm 1, Property 3.1).
+//!
+//! An **instance** is a seed: a signature geometry `(α, n)`, an `LsmDb`
+//! maintenance policy, and six engines fed one op stream — two `IvaDb`s at
+//! β = 0.25 (deletes trigger rebuilds), two `LsmDb`s behind a serving
+//! `Writer` (`Writer::maintain` after every write), and two bare
+//! `SwtTable` + `IvaIndex` pairs, the only place to set the drain window or
+//! change the hot-tier budget mid-stream. Of each kind one twin stores raw
+//! lists, the other packed; one `IvaDb` and one `LsmDb` twin runs the hot
+//! tier warm, the other off; the pairs' tier follows the stream: off, warm,
+//! squeezed to 64 B, re-enabled.
+//!
+//! Rows follow the density split that forces vector-list Types I–IV over a
+//! small shared vocabulary, so distances tie at D_k. Two instances start
+//! with 1,100 rows, so blocks, workers and windows start inside directory
+//! frames, and delete tids on block and frame edges.
+//!
+//! At a **probe** every engine answers four queries (the fourth a copy of
+//! the first) in every shape — threads 1, 2 and 3; batches with 0, 1 and 3
+//! companions, and an empty one; drain windows 1, 7, 64 and the default —
+//! and each answer must be the [`Model`]'s `(tid, distance bits)` under the
+//! engine's own λ. Every shape must scan the serial run's tuple-list
+//! entries and, where its lanes are serial (batch members; twins), fetch
+//! its records; an `LsmDb` scans no more entries than the pair; tuple
+//! lists are tid-ascending (an `LsmDb`'s across tiers); every live tuple
+//! reads back; a served write publishes its epochs. All instances together
+//! must probe every storage state, serve from every warm tier, draw every
+//! metric, scheme, list organization and encoding, and give the query every
+//! shape runs a tie at D_k and an attribute fewer than k live tuples
+//! define (then the all-*ndf* level decides by tid alone). A failing
+//! instance is shrunk by dropping ops greedily while it still fails; its
+//! seed, stream and failure are printed.
+
+#[path = "common/model.rs"]
+mod model;
+
+use std::collections::BTreeSet;
+use std::fmt::Debug;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::thread;
+
+use iva_core::{
+    build_index, export_index, AttrEntry, BatchItem, IndexTarget, QueryOutcome, ScanCarry,
+};
+use iva_file::serve::Writer;
+use iva_file::{
+    AttrId, Engine, IoStats, IvaConfig, IvaDb, IvaDbOptions, IvaError, IvaIndex, LsmDb, LsmOptions,
+    Metric, MetricKind, PagerOptions, Query, QueryOptions, QueryStats, Result, SearchOutcome,
+    SearchRequest, SwtTable, Tid, Tuple, Value, WeightScheme,
+};
+use model::Model;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+const INSTANCES: u64 = 40;
+
+/// One step of a stream.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    /// Define the next attribute of [`TEXT`].
+    Define,
+    Insert(u32),
+    /// Delete tid `pick % (next tid + 1)`: live, dead or never assigned.
+    Delete(u64),
+    /// Update the `pick`-th live tuple (mod the live count) in tid order.
+    Update(u64),
+    Seal,
+    Compact,
+    Flush,
+    /// `IvaDb::rebuild`; an `LsmDb` seals and compacts. A pair keeps its
+    /// tombstones, so an `LsmDb` never scans more entries than it does.
+    Rebuild,
+    /// The pairs' hot-tier budget in bytes.
+    Budget(usize),
+    /// Check every engine; the seed draws the [`Probe`].
+    Probe(u64),
+}
+
+/// Whether each attribute is text. The first four have the densities that
+/// force Types III, I or II, IV and I; queries name the last two before
+/// any row defines them.
+const TEXT: [bool; 6] = [true, true, false, false, true, false];
+
+const VOCAB: [&str; 8] = [
+    "canon", "cannon", "camera", "sony", "nikon", "wide", "tele", "album",
+];
+
+fn word(i: u64) -> &'static str {
+    VOCAB[i as usize % VOCAB.len()]
+}
+
+fn pick<T: Copy>(rng: &mut StdRng, from: &[T]) -> T {
+    from[rng.random_range(0..from.len())]
+}
+
+/// Row `i`, over the first `defined` attributes.
+fn row(i: u64, defined: usize) -> Tuple {
+    let values = [
+        (!i.is_multiple_of(7)).then(|| Value::text(format!("{} {}", word(i), i % 5))),
+        i.is_multiple_of(11)
+            .then(|| Value::texts([word(i / 11).into(), format!("note {}", i % 37)])),
+        (i % 10 != 9).then(|| Value::num((i % 89) as f64)),
+        i.is_multiple_of(13).then(|| Value::num(i as f64)),
+        (i % 4 == 1).then(|| Value::text(word(i / 4))),
+        (i % 6 == 2).then(|| Value::num((i % 7) as f64 / 2.0)),
+    ];
+    let mut tuple = Tuple::new();
+    for (a, value) in values.into_iter().enumerate().take(defined) {
+        if let Some(value) = value {
+            tuple.set(AttrId(a as u32), value);
+        }
+    }
+    tuple
+}
+
+/// A query on one to three of the first `defined` attributes.
+fn query(rng: &mut StdRng, defined: usize) -> Query {
+    let mut q = Query::new();
+    for _ in 0..rng.random_range(1..4) {
+        let a = rng.random_range(0..defined.max(1));
+        let (r, attr) = (rng.random::<u64>(), AttrId(a as u32));
+        q = match (TEXT[a], r % 3) {
+            (true, 0) => q.text(attr, format!("{} {}", word(r / 3), r / 24 % 5)),
+            (true, 1) => q.text(attr, word(r / 3)),
+            (true, _) => q.text(attr, format!("note {}", r / 3 % 37)),
+            (false, _) => q.num(attr, (r / 3 % 200) as f64 / 2.0),
+        };
+    }
+    q
+}
+
+/// The stream of instance `seed`.
+fn stream(seed: u64) -> Vec<Op> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let large = seed % 19 == 18;
+    let mut ops = vec![Op::Define; 4];
+    ops.extend(large.then_some(Op::Insert(1_100)));
+    for _ in 0..if large { 8 } else { 44 } {
+        let r: u64 = rng.random();
+        ops.push(match r % 100 {
+            0..=29 => Op::Insert(1 + (r >> 8) as u32 % 10),
+            30..=44 => Op::Delete(r >> 8),
+            45..=54 => Op::Update(r >> 8),
+            55..=61 => Op::Seal,
+            62..=66 => Op::Compact,
+            67..=71 => Op::Flush,
+            72..=74 => Op::Rebuild,
+            75..=76 => Op::Define,
+            77..=82 => Op::Budget(pick(&mut rng, &[0, 64, 1 << 20])),
+            _ => Op::Probe(r >> 8),
+        });
+    }
+    if large {
+        ops.extend([255, 256, 1_023, 1_024].map(Op::Delete));
+    }
+    ops.push(Op::Probe(rng.random()));
+    ops
+}
+
+/// A probe's metric: a built-in one, or `NanAtZero` — L1, except that an
+/// exact match has no distance at all (a caller's metric, not the engine,
+/// makes the NaN). NaN ranks above every distance and a bound of 0 is NaN
+/// too, so `NanAtZero` is not monotone under the pool's order. Its probes
+/// therefore ask for every live tuple: the pool never fills, every
+/// candidate is refined, and what is checked is where NaN ranks — last, by
+/// tid — in every shape.
+#[derive(Clone, Copy, Debug)]
+enum Dist {
+    Kind(MetricKind),
+    NanAtZero,
+}
+
+impl Metric for Dist {
+    fn combine(&self, diffs: &[f64]) -> f64 {
+        let sum: f64 = diffs.iter().sum();
+        match self {
+            Dist::Kind(kind) => kind.combine(diffs),
+            Dist::NanAtZero if sum == 0.0 => f64::NAN,
+            Dist::NanAtZero => sum,
+        }
+    }
+}
+
+/// One probe's queries and knobs.
+#[derive(Debug)]
+struct Probe {
+    queries: Vec<Query>,
+    metric: Dist,
+    weights: WeightScheme,
+    k: usize,
+    /// Threads of the singleton batch and of the windows.
+    threads: usize,
+}
+
+impl Probe {
+    /// A probe over the first `defined` attributes of `live` tuples. It
+    /// asks for every live tuple (as `NanAtZero` always does) only while
+    /// they number at most 300.
+    fn draw(seed: u64, defined: usize, live: usize) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut queries: Vec<_> = (0..3).map(|_| query(&mut rng, defined)).collect();
+        queries.push(queries[0].clone());
+        let choices = if live < 300 { 4 } else { 3 };
+        let [l1, l2, linf] = [MetricKind::L1, MetricKind::L2, MetricKind::LInf].map(Dist::Kind);
+        let metric = pick(&mut rng, &[l1, l2, linf, Dist::NanAtZero][..choices]);
+        let k = match metric {
+            Dist::NanAtZero => live + 1,
+            Dist::Kind(_) => pick(&mut rng, &[1, 3, 10, live + 1][..choices]),
+        };
+        let weights = pick(&mut rng, &[WeightScheme::Equal, WeightScheme::Itf]);
+        let threads = rng.random_range(1..4);
+        Self {
+            queries,
+            metric,
+            weights,
+            k,
+            threads,
+        }
+    }
+
+    /// A request for the probe's k, weights and metric — `NanAtZero` is no
+    /// `MetricKind`, so it goes beside the request.
+    fn request(&self, threads: usize) -> SearchRequest {
+        let req = SearchRequest::new(self.k).weights(self.weights);
+        match self.metric {
+            Dist::Kind(kind) => req.threads(threads).metric(kind),
+            Dist::NanAtZero => req.threads(threads),
+        }
+    }
+}
+
+fn threaded(threads: usize) -> QueryOptions {
+    let threads = Some(threads);
+    QueryOptions { threads }
+}
+
+/// One execution: `(tid, distance bits)` in rank order, the rows it
+/// materialized (engines only), and `[table_accesses, tuples_scanned,
+/// list_bytes_logical, hot_tier_attrs]`.
+struct Answer {
+    hits: Vec<(Tid, u64)>,
+    rows: Vec<Tuple>,
+    counts: [u64; 4],
+}
+
+type Batch = Result<Vec<Answer>>;
+
+impl Answer {
+    fn new(hits: impl Iterator<Item = (Tid, f64)>, rows: Vec<Tuple>, s: &QueryStats) -> Self {
+        let hits = hits.map(|(tid, dist)| (tid, dist.to_bits())).collect();
+        let counts = [
+            s.table_accesses,
+            s.tuples_scanned,
+            s.list_bytes_logical,
+            s.hot_tier_attrs,
+        ];
+        Self { hits, rows, counts }
+    }
+}
+
+impl From<SearchOutcome> for Answer {
+    fn from(out: SearchOutcome) -> Self {
+        let rows = out.hits.iter().map(|h| h.tuple.clone()).collect();
+        Self::new(out.hits.iter().map(|h| (h.tid, h.dist)), rows, &out.stats)
+    }
+}
+
+impl From<QueryOutcome> for Answer {
+    fn from(out: QueryOutcome) -> Self {
+        let hits = out.results.iter().map(|e| (e.tid, e.dist));
+        Self::new(hits, Vec::new(), &out.stats)
+    }
+}
+
+/// What the oracle does to, and asks of, one engine.
+trait Db {
+    fn define(&mut self, name: &str, text: bool) -> Result<AttrId>;
+    fn insert(&mut self, tuple: &Tuple) -> Result<Tid>;
+    fn delete(&mut self, tid: Tid) -> Result<bool>;
+    fn update(&mut self, tid: Tid, tuple: &Tuple) -> Result<Tid>;
+    /// Seal, compact, flush, rebuild or budget: what the engine has of it.
+    fn maintain(&mut self, op: Op) -> Result<()>;
+    fn get(&self, tid: Tid) -> Result<Option<Tuple>>;
+    /// The λ the engine resolves for `q`.
+    fn lambda(&self, q: &Query, w: WeightScheme) -> Vec<f64>;
+    /// Its table + index pairs, in scan order.
+    fn tiers(&self) -> Result<Vec<(&IvaIndex, &SwtTable)>>;
+    /// Query `i` of `p` through the engine's own entry point.
+    fn solo(&self, p: &Probe, i: usize, threads: usize) -> Result<Answer>;
+    /// The first `n` queries of `p` as one batch.
+    fn batch(&self, p: &Probe, n: usize, threads: usize) -> Batch;
+}
+
+/// The [`Db`] methods both engines spell alike: their public API.
+macro_rules! engine_api {
+    ($engine:ident) => {
+        fn define(&mut self, name: &str, text: bool) -> Result<AttrId> {
+            match text {
+                true => self.define_text(name),
+                false => self.define_numeric(name),
+            }
+        }
+        fn insert(&mut self, tuple: &Tuple) -> Result<Tid> {
+            $engine::insert(self, tuple)
+        }
+        fn delete(&mut self, tid: Tid) -> Result<bool> {
+            $engine::delete(self, tid)
+        }
+        fn update(&mut self, tid: Tid, tuple: &Tuple) -> Result<Tid> {
+            $engine::update(self, tid, tuple)
+        }
+        fn get(&self, tid: Tid) -> Result<Option<Tuple>> {
+            $engine::get(self, tid)
+        }
+        fn solo(&self, p: &Probe, i: usize, threads: usize) -> Result<Answer> {
+            let req = p.request(threads);
+            Ok(self.execute_metric(&p.queries[i], &p.metric, &req)?.into())
+        }
+        /// Under `NanAtZero`, which no request carries, a loop.
+        fn batch(&self, p: &Probe, n: usize, threads: usize) -> Batch {
+            if let Dist::NanAtZero = p.metric {
+                return (0..n).map(|i| self.solo(p, i, threads)).collect();
+            }
+            let item = |q: &Query| (q.clone(), p.request(threads));
+            let batch: Vec<_> = p.queries[..n].iter().map(item).collect();
+            let outs = Engine::execute_batch(self, &batch)?;
+            Ok(outs.into_iter().map(Answer::from).collect())
+        }
+    };
+}
+
+impl Db for IvaDb {
+    engine_api!(IvaDb);
+    fn maintain(&mut self, op: Op) -> Result<()> {
+        match op {
+            Op::Flush => self.flush(),
+            Op::Rebuild => self.rebuild(),
+            _ => Ok(()),
+        }
+    }
+    fn lambda(&self, q: &Query, w: WeightScheme) -> Vec<f64> {
+        self.index().resolve_weights(q, w)
+    }
+    fn tiers(&self) -> Result<Vec<(&IvaIndex, &SwtTable)>> {
+        Ok(vec![(self.index(), self.table())])
+    }
+}
+
+impl Db for LsmDb {
+    engine_api!(LsmDb);
+    fn maintain(&mut self, op: Op) -> Result<()> {
+        match op {
+            Op::Seal => self.seal().map(drop),
+            Op::Compact => self.compact().map(drop),
+            Op::Flush => self.flush(),
+            Op::Rebuild => self.seal().and(self.compact()).map(drop),
+            _ => Ok(()),
+        }
+    }
+    fn lambda(&self, q: &Query, w: WeightScheme) -> Vec<f64> {
+        self.resolve_weights(q, w)
+    }
+    fn tiers(&self) -> Result<Vec<(&IvaIndex, &SwtTable)>> {
+        let segments = self.segments().iter().map(|s| s.searchable());
+        segments.chain([self.memtable().searchable()]).collect()
+    }
+}
+
+/// A bare table and its index, kept in step by hand (Sec. IV-B).
+struct Pair {
+    table: SwtTable,
+    index: IvaIndex,
+}
+
+impl Db for Pair {
+    fn define(&mut self, name: &str, text: bool) -> Result<AttrId> {
+        Ok(match text {
+            true => self.table.define_text(name)?,
+            false => self.table.define_numeric(name)?,
+        })
+    }
+    fn insert(&mut self, tuple: &Tuple) -> Result<Tid> {
+        let (tid, ptr) = self.table.insert(tuple)?;
+        self.index.insert(tid, ptr, tuple, self.table.catalog())?;
+        Ok(tid)
+    }
+    fn delete(&mut self, tid: Tid) -> Result<bool> {
+        let Some(ptr) = self.index.lookup_ptr(tid)? else {
+            return Ok(false);
+        };
+        self.table.delete(ptr)?;
+        self.index.delete(tid)
+    }
+    fn update(&mut self, tid: Tid, tuple: &Tuple) -> Result<Tid> {
+        self.delete(tid)?;
+        self.insert(tuple)
+    }
+    fn maintain(&mut self, op: Op) -> Result<()> {
+        if let Op::Budget(bytes) = op {
+            self.index.set_runtime_knobs(1, bytes);
+        }
+        if let Op::Flush = op {
+            self.table.flush()?;
+            self.index.commit(self.table.file().data_len())?;
+        }
+        Ok(())
+    }
+    fn get(&self, tid: Tid) -> Result<Option<Tuple>> {
+        let ptr = self.index.lookup_ptr(tid)?;
+        ptr.map(|ptr| Ok(self.table.get(ptr)?.tuple)).transpose()
+    }
+    fn lambda(&self, q: &Query, w: WeightScheme) -> Vec<f64> {
+        self.index.resolve_weights(q, w)
+    }
+    fn tiers(&self) -> Result<Vec<(&IvaIndex, &SwtTable)>> {
+        Ok(vec![(&self.index, &self.table)])
+    }
+    fn solo(&self, p: &Probe, i: usize, threads: usize) -> Result<Answer> {
+        let (q, opts) = (&p.queries[i], threaded(threads));
+        let (table, index) = (&self.table, &self.index);
+        let out = index.query_opts(table, q, p.k, &p.metric, p.weights, &opts)?;
+        Ok(out.into())
+    }
+    fn batch(&self, p: &Probe, n: usize, threads: usize) -> Batch {
+        let (k, weights) = (p.k, p.weights);
+        let item = |query| BatchItem { query, k, weights };
+        let items: Vec<_> = p.queries[..n].iter().map(item).collect();
+        let opts = threaded(threads);
+        let outs = self
+            .index
+            .query_batch(&self.table, &items, &p.metric, &opts)?;
+        Ok(outs.into_iter().map(Answer::from).collect())
+    }
+}
+
+/// The drain-window shape: one pool carried through the tiers in scan
+/// order, each drained every `window` pending candidates.
+fn windowed(db: &dyn Db, p: &Probe, window: usize) -> Result<Answer> {
+    let (q, m, opts) = (&p.queries[0], &p.metric, threaded(p.threads));
+    let lambda = db.lambda(q, p.weights);
+    let mut carry = ScanCarry::new(p.k);
+    for (index, table) in db.tiers()? {
+        index.query_carry_windowed(table, q, m, &lambda, &opts, window, &mut carry)?;
+    }
+    Ok(carry.finish().into())
+}
+
+enum Store {
+    Direct(Box<dyn Db>),
+    Served(Writer<LsmDb>),
+}
+
+/// One engine under test.
+struct Subject {
+    store: Store,
+    name: String,
+    /// The hot tier: off, warm, squeezed (a 64-byte budget evicts every
+    /// column of more than a few tuples) or re-enabled (warm again after a
+    /// squeeze).
+    tier: &'static str,
+}
+
+impl Subject {
+    /// Run `f` on the engine. A served one is maintained after, and must
+    /// publish an epoch for the write and one for maintenance that ran.
+    fn write<R>(&mut self, f: impl FnOnce(&mut dyn Db) -> Result<R>) -> Verdict<R> {
+        let e = |e: IvaError| format!("{}: {e}", self.name);
+        let w = match &mut self.store {
+            Store::Direct(db) => return f(db.as_mut()).map_err(e),
+            Store::Served(w) => w,
+        };
+        let epoch = w.epoch();
+        let out = w.apply(|db| f(db)).map_err(e)?;
+        let maintained = w.maintain().map_err(e)?;
+        let published = w.epoch() - epoch;
+        if published != 1 + u64::from(maintained) {
+            return Err(format!("{}: {published} epochs for one write", self.name));
+        }
+        Ok(out)
+    }
+
+    /// The engine as a probe sees it: a served one through a reader's
+    /// snapshot.
+    fn read<R>(&self, f: impl FnOnce(&dyn Db) -> R) -> R {
+        match &self.store {
+            Store::Direct(db) => f(db.as_ref()),
+            Store::Served(w) => f(&*w.reader().snapshot()),
+        }
+    }
+}
+
+/// What a check concludes: the failure, described.
+type Verdict<T = ()> = std::result::Result<T, String>;
+
+/// `[table_accesses, tuples_scanned, list_bytes_logical]` of each distinct
+/// query run serially.
+type Serial = Vec<[u64; 3]>;
+
+/// What the probes reached, by name (see [`required`]).
+type Coverage = BTreeSet<String>;
+
+/// One instance's engines and the model they are checked against.
+#[derive(Default)]
+struct Instance {
+    subjects: Vec<Subject>,
+    model: Model,
+    next_tid: Tid,
+    next_row: u64,
+    defined: usize,
+}
+
+impl Instance {
+    /// The engines of instance `seed`, twins at `i` and `i + 3`.
+    fn new(seed: u64) -> Result<Self> {
+        let mut rng = StdRng::seed_from_u64(!seed);
+        let base = IvaConfig {
+            alpha: pick(&mut rng, &[0.1, 0.2, 0.35, 0.5]),
+            n: rng.random_range(2..6),
+            ..IvaConfig::default()
+        };
+        let (limit, fanout) = pick(&mut rng, &[(0, 0), (16, 3)]);
+        let warm_packed: bool = rng.random();
+        let pager = PagerOptions {
+            page_size: 256,
+            cache_bytes: 8 << 10,
+        };
+        let mut inst = Self::default();
+        for packed in [false, true] {
+            let warm = packed == warm_packed;
+            let mut config = base;
+            config.compress_lists = packed;
+            config.hot_tier_bytes = if warm { 1 << 20 } else { 0 };
+            let mut mono = IvaDbOptions::default();
+            (mono.pager, mono.config, mono.cleaning_threshold) = (pager.clone(), config, 0.25);
+            let mut lsm = LsmOptions::default();
+            (lsm.pager, lsm.config) = (pager.clone(), config);
+            (lsm.memtable_limit, lsm.compact_fanout) = (limit, fanout);
+            config.hot_tier_bytes = 0;
+            let table = SwtTable::create_mem(&pager, IoStats::new())?;
+            let index = build_index(&table, IndexTarget::Mem, &pager, IoStats::new(), config)?;
+            let tier = if warm { "warm" } else { "off" };
+            let mono = Store::Direct(Box::new(IvaDb::create_mem(mono)?));
+            let lsm = Store::Served(Writer::new(LsmDb::create_mem(lsm)?));
+            let pair = Store::Direct(Box::new(Pair { table, index }));
+            let subjects = [
+                (mono, "IvaDb", tier),
+                (lsm, "LsmDb", tier),
+                (pair, "pair", "off"),
+            ];
+            let encoding = if packed { "packed" } else { "raw" };
+            for (store, kind, tier) in subjects {
+                let name = format!("{kind} {encoding}");
+                inst.subjects.push(Subject { store, name, tier });
+            }
+        }
+        Ok(inst)
+    }
+
+    /// Run `f` on every engine; each must give `want`.
+    fn each<R>(&mut self, want: R, f: impl Fn(&mut dyn Db) -> Result<R>) -> Verdict
+    where
+        R: PartialEq + Debug,
+    {
+        for s in &mut self.subjects {
+            let got = s.write(&f)?;
+            if got != want {
+                return Err(format!("{}: {got:?}, the model {want:?}", s.name));
+            }
+        }
+        Ok(())
+    }
+
+    /// Apply `op` to every engine and the model.
+    fn apply(&mut self, op: Op, cov: &mut Coverage) -> Verdict {
+        match op {
+            Op::Define if self.defined < TEXT.len() => {
+                let (a, name) = (self.defined, format!("attr{}", self.defined));
+                self.each(AttrId(a as u32), |db| db.define(&name, TEXT[a]))?;
+                self.defined += 1;
+            }
+            Op::Insert(n) => {
+                for _ in 0..n {
+                    self.insert(|db, tuple| db.insert(tuple))?;
+                }
+            }
+            Op::Delete(pick) => {
+                let tid = pick % (self.next_tid + 1);
+                let live = self.model.live.remove(&tid).is_some();
+                self.each(live, |db| db.delete(tid))?;
+            }
+            Op::Update(pick) => {
+                let live = self.model.live.len().max(1);
+                if let Some(&old) = self.model.live.keys().nth(pick as usize % live) {
+                    self.model.live.remove(&old);
+                    self.insert(|db, tuple| db.update(old, tuple))?;
+                }
+            }
+            Op::Probe(seed) => self.probe(seed, cov)?,
+            _ => self.each((), |db| db.maintain(op))?,
+        }
+        if let Op::Rebuild = op {
+            // Every index but the pairs' is a fresh build now, and a build
+            // stores a list packed only where that is smaller.
+            let bytes = |i: usize| {
+                self.subjects[i].read(|db| -> Verdict<u64> {
+                    let tiers = db.tiers().map_err(|e| e.to_string())?;
+                    Ok(tiers.iter().map(|(index, _)| index.size_bytes()).sum())
+                })
+            };
+            for i in 0..2 {
+                if bytes(i + 3)? > bytes(i)? {
+                    return Err(format!("{} larger than raw", self.subjects[i + 3].name));
+                }
+            }
+        }
+        let Op::Budget(bytes) = op else { return Ok(()) };
+        for pair in self.subjects[2..].iter_mut().step_by(3) {
+            pair.tier = match (bytes, pair.tier) {
+                (0, _) => "off",
+                (64, _) => "squeezed",
+                (_, "off") => "warm",
+                (_, "squeezed") => "re-enabled",
+                (_, warm) => warm,
+            };
+        }
+        Ok(())
+    }
+
+    /// The next row, through `f` on every engine: each must give it the
+    /// next tid.
+    fn insert(&mut self, f: impl Fn(&mut dyn Db, &Tuple) -> Result<Tid>) -> Verdict {
+        let tuple = row(self.next_row, self.defined);
+        self.next_row += 1;
+        self.each(self.next_tid, |db| f(db, &tuple))?;
+        self.model.live.insert(self.next_tid, tuple);
+        self.next_tid += 1;
+        Ok(())
+    }
+
+    /// Check every engine against the model (see the module doc).
+    fn probe(&self, seed: u64, cov: &mut Coverage) -> Verdict {
+        let p = Probe::draw(seed, self.defined, self.model.live.len());
+        cov.extend([format!("{:?}", p.metric), format!("{:?}", p.weights)]);
+        let mut serial = Vec::new();
+        for s in &self.subjects {
+            let ctx = |e| format!("{} ({} tier), {p:?}: {e}", s.name, s.tier);
+            serial.push(s.read(|db| self.check(db, s, &p, cov)).map_err(ctx)?);
+        }
+        let names = |i: usize| (&self.subjects[i].name, &self.subjects[i + 3].name);
+        if let Some(i) = (0..3).find(|&i| serial[i] != serial[i + 3]) {
+            let counts = (&serial[i], &serial[i + 3]);
+            return Err(format!("serial counts of {:?}: {counts:?}", names(i)));
+        }
+        for (lsm, pair) in serial[1].iter().zip(&serial[2]) {
+            if lsm[1] > pair[1] {
+                return Err(format!("LsmDb scanned {lsm:?}, the pair {pair:?}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Every shape of `p` on one engine against the model.
+    fn check(&self, db: &dyn Db, s: &Subject, p: &Probe, cov: &mut Coverage) -> Verdict<Serial> {
+        let (live, e) = (&self.model.live, |e: IvaError| e.to_string());
+        for (&tid, tuple) in live {
+            match db.get(tid).map_err(e)? {
+                Some(got) if got == *tuple => {}
+                got => return Err(format!("tuple {tid} reads back as {got:?}")),
+            }
+        }
+        if self.defined == 0 {
+            return Ok(vec![[0; 3]; 3]);
+        }
+        let topk = |q: &Query| self.model.topk(q, &db.lambda(q, p.weights), &p.metric, p.k);
+        let want: Vec<_> = p.queries.iter().map(topk).collect();
+        // Query 0 runs in every shape; its hard cases must really occur.
+        let q = &p.queries[0];
+        let lambda = db.lambda(q, p.weights);
+        let deeper = self.model.topk(q, &lambda, &p.metric, p.k + 1);
+        if deeper.len() > p.k && deeper[p.k - 1].1 == deeper[p.k].1 {
+            cov.insert("tie at D_k".into());
+        }
+        let defining = |a| live.values().filter(|t| t.get(a).is_some()).count();
+        if p.k <= live.len() && q.iter().any(|(a, _)| defining(a) < p.k) {
+            cov.insert("attr defined by < k".into());
+        }
+        let serial = (0..3).map(|i| db.solo(p, i, 1));
+        let serial: Vec<Answer> = serial.collect::<Result<_>>().map_err(e)?;
+        let mut served = 0;
+        // Every shape scans what the serial run scans; one whose lanes are
+        // serial fetches what it fetches, too.
+        let mut check = |a: &Answer, i: usize, shape: &str, serial_lanes: bool| -> Verdict {
+            let (hits, want, solo) = (&a.hits, &want[i], serial[i % 3].counts);
+            if hits != want {
+                return Err(format!("{shape}, query {i}: {hits:?}, the model {want:?}"));
+            }
+            let counts = a.counts;
+            if counts[1] != solo[1] || (serial_lanes && counts[0] != solo[0]) {
+                return Err(format!("{shape}, query {i}: {counts:?}, serially {solo:?}"));
+            }
+            for ((tid, _), tuple) in hits.iter().zip(&a.rows) {
+                if live.get(tid) != Some(tuple) {
+                    return Err(format!("{shape}: hit {tid} materialized wrong"));
+                }
+            }
+            // A 64-byte budget holds no column of more than 64 positions.
+            let cold = s.tier == "off" || (s.tier == "squeezed" && live.len() > 64);
+            if a.counts[3] > 0 && cold {
+                return Err(format!("{shape}: the tier served {:?}", a.counts));
+            }
+            served += a.counts[3];
+            Ok(())
+        };
+        for (i, a) in serial.iter().enumerate() {
+            check(a, i, "serial", true)?;
+        }
+        for threads in [2, 3] {
+            let a = db.solo(p, 0, threads).map_err(e)?;
+            check(&a, 0, &format!("{threads} threads"), false)?;
+        }
+        for n in [0, 1, 2, 4] {
+            // A real batch runs serial lanes; a singleton is the solo plan.
+            let threads = if n == 1 { p.threads } else { 1 };
+            let shape = format!("batch of {n} at {threads} threads");
+            let got = db.batch(p, n, threads).map_err(e)?;
+            if got.len() != n {
+                return Err(format!("{shape}: {} answers", got.len()));
+            }
+            for (i, a) in got.iter().enumerate() {
+                check(a, i, &shape, threads == 1)?;
+            }
+        }
+        for window in [1, 7, 64] {
+            let shape = format!("window {window} at {} threads", p.threads);
+            check(&windowed(db, p, window).map_err(e)?, 0, &shape, false)?;
+        }
+        let mut last = None;
+        for (index, _) in db.tiers().map_err(e)? {
+            for &(tid, _) in &export_index(index).map_err(e)?.tuple_entries {
+                if last >= Some(tid) {
+                    return Err(format!("tuple lists: {tid} after {last:?}"));
+                }
+                last = Some(tid);
+            }
+            let entries = (0..index.n_attrs()).filter_map(|a| index.attr_entry(AttrId(a as u32)));
+            let seen =
+                |e: &AttrEntry| [format!("Type {}", e.list_type), format!("{:?}", e.encoding)];
+            cov.extend(entries.flat_map(seen));
+        }
+        cov.insert(format!("{} {}", s.name, s.tier));
+        if served > 0 {
+            cov.insert(format!("{} {} served", s.name, s.tier));
+        }
+        let head = |a: &Answer| [a.counts[0], a.counts[1], a.counts[2]];
+        Ok(serial.iter().map(head).collect())
+    }
+}
+
+/// What the probes of all instances must reach together.
+fn required() -> Coverage {
+    let tiers = ["off", "warm", "warm served"];
+    let pair_tiers = ["squeezed", "re-enabled", "re-enabled served"];
+    let mut cov = Coverage::new();
+    for kind in ["IvaDb", "LsmDb", "pair"] {
+        for name in [format!("{kind} raw"), format!("{kind} packed")] {
+            cov.extend(tiers.map(|t| format!("{name} {t}")));
+            if kind == "pair" {
+                cov.extend(pair_tiers.map(|t| format!("{name} {t}")));
+            }
+        }
+    }
+    cov.extend(["Kind(L1)", "Kind(L2)", "Kind(LInf)"].map(String::from));
+    cov.extend(["NanAtZero", "Equal", "Itf"].map(String::from));
+    cov.extend(["I", "II", "III", "IV"].map(|ty| format!("Type {ty}")));
+    cov.extend(["Raw", "Packed"].map(String::from));
+    cov.extend(["tie at D_k", "attr defined by < k"].map(String::from));
+    cov
+}
+
+/// Instance `seed` over `ops`; a panic is a failure too.
+fn run(seed: u64, ops: &[Op], cov: &mut Coverage) -> Verdict {
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+        let mut inst = Instance::new(seed).map_err(|e| e.to_string())?;
+        for (at, &op) in ops.iter().enumerate() {
+            let ctx = |e| format!("op {at} ({op:?}): {e}");
+            inst.apply(op, cov).map_err(ctx)?;
+        }
+        Ok(())
+    }));
+    outcome.unwrap_or_else(|payload| {
+        let msg = payload.downcast_ref::<String>().cloned();
+        let msg = msg.or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()));
+        Err(format!("panicked: {}", msg.unwrap_or_default()))
+    })
+}
+
+/// Drop ops greedily — halves, quarters, …, single ops — while instance
+/// `seed` still fails: the minimal stream and its failure.
+fn shrink(seed: u64, mut ops: Vec<Op>, mut failure: String) -> (Vec<Op>, String) {
+    let report = panic::take_hook();
+    panic::set_hook(Box::new(|_| {}));
+    let mut chunk = ops.len();
+    while chunk > 1 {
+        chunk = chunk.div_ceil(2);
+        let mut at = 0;
+        while at < ops.len() {
+            let mut trial = ops.clone();
+            trial.drain(at..(at + chunk).min(ops.len()));
+            match run(seed, &trial, &mut Coverage::new()) {
+                Err(f) => (ops, failure) = (trial, f),
+                Ok(()) => at += chunk,
+            }
+        }
+    }
+    panic::set_hook(report);
+    (ops, failure)
+}
+
+#[test]
+fn every_configuration_matches_the_model() {
+    let failed = AtomicBool::new(false);
+    let work = |first: u64| {
+        let mut cov = Coverage::new();
+        for seed in (first..INSTANCES).step_by(2) {
+            let ops = stream(seed);
+            if failed.load(Relaxed) {
+                break;
+            }
+            if let Err(failure) = run(seed, &ops, &mut cov) {
+                failed.store(true, Relaxed);
+                return (cov, Some((seed, ops, failure)));
+            }
+        }
+        (cov, None)
+    };
+    let halves = thread::scope(|scope| {
+        let odd = scope.spawn(|| work(1));
+        [work(0), odd.join().unwrap()]
+    });
+    let mut cov = Coverage::new();
+    for (reached, failure) in halves {
+        if let Some((seed, ops, failure)) = failure {
+            let (ops, failure) = shrink(seed, ops, failure);
+            let n = ops.len();
+            panic!("instance {seed} fails; shrunk to {n} ops:\n{ops:?}\n{failure}");
+        }
+        cov.extend(reached);
+    }
+    let missing: Vec<_> = required().difference(&cov).cloned().collect();
+    assert!(missing.is_empty(), "never reached: {missing:?}");
+}
+
+/// Tombstones count in `df` until a rebuild, so one delete below β used to
+/// give an attribute all 100 tuples define the ITF weight ln(100/101) < 0,
+/// under which the filter's bound runs the wrong way. The weight is 0 —
+/// ITF over the 99 live tuples — and the answers are exact.
+#[test]
+fn itf_after_a_delete_matches_brute_force() {
+    let mut db = IvaDb::create_mem(IvaDbOptions::default()).unwrap();
+    let name = db.define_text("name").unwrap();
+    let mut model = Model::default();
+    for i in 0..100u64 {
+        let tuple = Tuple::new().with(name, Value::text(format!("{} {}", word(i), i % 13)));
+        model.live.insert(db.insert(&tuple).unwrap(), tuple);
+    }
+    assert!(db.delete(5).unwrap());
+    model.live.remove(&5);
+    let itf = WeightScheme::Itf;
+    let req = SearchRequest::new(5).metric(MetricKind::L1).weights(itf);
+    for i in 0..150u64 {
+        let q = Query::new().text(name, format!("{} {}", word(i / 3), i % 17));
+        let hits = db.execute(&q, &req).unwrap().hits;
+        let got: Vec<_> = hits.iter().map(|h| (h.tid, h.dist.to_bits())).collect();
+        let lambda = db.index().resolve_weights(&q, itf);
+        let want = model.topk(&q, &lambda, &MetricKind::L1, 5);
+        assert_eq!(got, want, "{q:?}");
+    }
+}

@@ -58,13 +58,11 @@ fn concurrent_readers_observe_consistent_epochs() {
                     assert!(epoch >= last_epoch, "epoch went backwards on one reader");
                     last_epoch = epoch;
 
-                    let fast = snap
-                        .execute(&query, &SearchRequest::new(8).measured(true))
-                        .unwrap();
+                    let fast = snap.execute(&query, &SearchRequest::new(8)).unwrap();
                     // Serial replay of the *same snapshot*. The plan knobs
                     // must not change the answer.
                     let serial = snap
-                        .execute(&query, &SearchRequest::new(8).measured(true).threads(1))
+                        .execute(&query, &SearchRequest::new(8).threads(1))
                         .unwrap();
                     assert_eq!(
                         fast.hit_keys(),
@@ -150,7 +148,7 @@ fn served_answers_match_direct_execution() {
         },
     );
     let client = server.client();
-    let request = SearchRequest::new(10).measured(true);
+    let request = SearchRequest::new(10);
 
     // (query index, hit keys, tuples scanned) for one served answer.
     type ServedAnswer = (usize, Vec<(u64, u64, u32)>, u64);
