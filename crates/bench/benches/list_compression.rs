@@ -3,19 +3,20 @@
 //!
 //! Builds the same dataset twice — `compress_lists` off (the raw v2
 //! layout) and on (packed vector-list frames: delta/bit-packed tid
-//! runs, grouped signature payloads, ndf run-length frames; plus the
+//! runs, dictionary-coded signatures, ndf run-length frames; plus the
 //! delta/bit-packed tuple directory) — and runs one query sweep against
 //! each, asserting bit-identical answers along the way. Records, per
 //! system:
 //!
+//! * **end-to-end query time** — wall clock on one thread, the headline
+//!   (`e2e_packed_over_raw`, with the host it ran on),
 //! * **bytes on disk** — the whole index file,
 //! * **filter-phase list bytes** — logical (raw-equivalent) vs physical
 //!   (page-padded stored) bytes swept per query, the scan-phase
 //!   currency of the paper's cost model, split into the per-query
 //!   directory sweep and the vector lists it points at,
-//! * **end-to-end query time**,
 //! * **codec throughput** — MB/s of raw list bytes through the packed
-//!   encoder and the frame-wise decoder, measured standalone.
+//!   encoder and the whole-image decoder, measured standalone.
 //!
 //! Run with:
 //!
@@ -367,47 +368,48 @@ fn main() {
     let physical_reduction =
         raw_sweep.list_bytes_physical as f64 / packed_sweep.list_bytes_physical.max(1) as f64;
     let e2e_ratio = packed_sweep.e2e_ms / raw_sweep.e2e_ms.max(1e-9);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let enc_mbps = codec.raw_bytes as f64 / 1e6 / codec.encode_secs.max(1e-9);
     let dec_mbps = codec.raw_bytes as f64 / 1e6 / codec.decode_secs.max(1e-9);
 
     report::header(&[
         "system",
+        "e2e ms/query",
+        "filter ms/query",
         "index MB",
         "filter MB/query (physical)",
         "dir MB/query",
         "vlist MB/query",
-        "e2e ms/query",
-        "filter ms/query",
     ]);
     report::row(&[
         "raw".to_string(),
+        report::f(raw_sweep.e2e_ms / n),
+        report::f(raw_sweep.filter_ms / n),
         report::mb(raw_index.size_bytes()),
         report::mb((raw_sweep.list_bytes_physical as f64 / n) as u64),
         report::mb(raw_dir_phys),
         report::mb((vec_phys(&raw_sweep, raw_dir_phys) as f64 / n) as u64),
-        report::f(raw_sweep.e2e_ms / n),
-        report::f(raw_sweep.filter_ms / n),
     ]);
     report::row(&[
         "packed".to_string(),
+        report::f(packed_sweep.e2e_ms / n),
+        report::f(packed_sweep.filter_ms / n),
         report::mb(packed_index.size_bytes()),
         report::mb((packed_sweep.list_bytes_physical as f64 / n) as u64),
         report::mb(packed_dir_phys),
         report::mb((vec_phys(&packed_sweep, packed_dir_phys) as f64 / n) as u64),
-        report::f(packed_sweep.e2e_ms / n),
-        report::f(packed_sweep.filter_ms / n),
     ]);
     println!(
         "\nper-query logical filter bytes (identical in both): {}",
         report::mb((raw_sweep.list_bytes_logical as f64 / n) as u64)
     );
     println!(
-        "index size ratio {size_ratio:.2}x, filter-phase bytes reduction \
-         {physical_reduction:.2}x (directory {dir_reduction:.2}x, vector lists \
-         {vlist_reduction:.2}x), e2e packed/raw {e2e_ratio:.2}x"
+        "e2e packed/raw {e2e_ratio:.2}x (wall clock, {cores} cores); index size ratio \
+         {size_ratio:.2}x, filter-phase bytes reduction {physical_reduction:.2}x \
+         (directory {dir_reduction:.2}x, vector lists {vlist_reduction:.2}x)"
     );
     println!(
-        "codec: encode {enc_mbps:.0} MB/s, frame-wise decode {dec_mbps:.0} MB/s \
+        "codec: encode {enc_mbps:.0} MB/s, whole-image decode {dec_mbps:.0} MB/s \
          ({} raw -> {} packed bytes)",
         codec.raw_bytes, codec.packed_bytes
     );
@@ -426,32 +428,39 @@ fn main() {
 
     let system_json = |name: &str, index: &IvaIndex, s: &SweepStats, dir_phys: u64| {
         format!(
-            "    {{\"system\": \"{name}\", \"index_bytes\": {}, \
+            "    {{\"system\": \"{name}\", \"e2e_ms_mean\": {:.6}, \"filter_ms_mean\": {:.6}, \
+             \"index_bytes\": {}, \
              \"list_bytes_logical\": {}, \"list_bytes_physical\": {}, \
              \"dir_bytes_physical\": {dir_phys}, \
              \"vlist_bytes_logical\": {}, \"vlist_bytes_physical\": {}, \
-             \"e2e_ms_mean\": {:.6}, \"filter_ms_mean\": {:.6}, \"table_accesses\": {}}}",
+             \"table_accesses\": {}}}",
+            s.e2e_ms / n,
+            s.filter_ms / n,
             index.size_bytes(),
             s.list_bytes_logical,
             s.list_bytes_physical,
             vec_logical(s),
             vec_phys(s, dir_phys),
-            s.e2e_ms / n,
-            s.filter_ms / n,
             s.table_accesses,
         )
     };
     let json = format!(
-        "{{\n  \"bench\": \"list_compression\",\n  \"n_tuples\": {},\n  \"n_attrs\": {},\n  \
+        "{{\n  \"bench\": \"list_compression\",\n  \
+         \"host\": {{\"cores\": {cores}, \"arch\": \"{}\", \"os\": \"{}\"}},\n  \
+         \"headline\": \"e2e_packed_over_raw: wall-clock ms per query, packed over raw \
+         (one thread, best of 3 interleaved sweeps)\",\n  \
+         \"e2e_packed_over_raw\": {e2e_ratio:.4},\n  \
+         \"n_tuples\": {},\n  \"n_attrs\": {},\n  \
          \"k\": {},\n  \"queries\": {},\n  \"values_per_query\": {},\n  \
          \"index_cache_bytes\": {index_cache_bytes},\n  \
          \"size_ratio\": {size_ratio:.4},\n  \"filter_physical_reduction\": {physical_reduction:.4},\n  \
          \"directory_physical_reduction\": {dir_reduction:.4},\n  \
          \"vlist_physical_reduction\": {vlist_reduction:.4},\n  \
-         \"e2e_packed_over_raw\": {e2e_ratio:.4},\n  \
          \"codec\": {{\"raw_bytes\": {}, \"packed_bytes\": {}, \
          \"encode_mb_per_s\": {enc_mbps:.1}, \"decode_mb_per_s\": {dec_mbps:.1}}},\n  \
          \"systems\": [\n{}\n  ]\n}}\n",
+        std::env::consts::ARCH,
+        std::env::consts::OS,
         workload.n_tuples,
         workload.n_attrs,
         args.k,

@@ -24,7 +24,7 @@ pub struct IvaConfig {
     /// `IvaDb` open path does this automatically).
     pub search_threads: usize,
     /// Build-time switch for the compressed vector-list encodings
-    /// (delta/bit-packed tuple-id runs, grouped signature payloads, ndf
+    /// (delta/bit-packed tuple-id runs, dictionary-coded signatures, ndf
     /// run-length frames). When set, `build_index` stores each vector
     /// list in the packed encoding whenever that is strictly smaller than
     /// the raw layout; when clear, every list uses the raw (v2) layout.

@@ -2,6 +2,7 @@
 //! The iVA-file index: query processing (Algorithm 1) and updates
 //! (Sec. IV-B).
 
+use std::borrow::Cow;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -16,7 +17,9 @@ use iva_text::{PreparedMatcher, SigCodec};
 use crate::config::IvaConfig;
 use crate::dirlist::{append_raw_entry, locate_tombstone, DirCursor};
 use crate::error::{IvaError, Result};
-use crate::layout::{AttrEntry, IndexHeader, ListEncoding, TOMBSTONE_PTR, TUPLE_ENTRY_LEN};
+use crate::layout::{
+    AttrEntry, IndexHeader, ListEncoding, INDEX_VERSION, TOMBSTONE_PTR, TUPLE_ENTRY_LEN,
+};
 use crate::metric::{Metric, WeightScheme};
 use crate::numeric::NumericCodec;
 use crate::packed::{self, PackedReader};
@@ -27,6 +30,7 @@ use crate::tier::{
     build_num_column, build_text_column, ColumnData, HotTier, NumColumn, TextColumn, TierLookup,
     TupleColumn, TUPLE_KEY,
 };
+use crate::timing::thread_cpu_time;
 use crate::veclist::{push_num_elem, push_text_elem, ListType, NumListCursor, TextListCursor};
 
 /// Result of one top-k query.
@@ -84,13 +88,38 @@ pub struct IvaIndex {
     tier: HotTier,
 }
 
+/// A [`PreparedMatcher`] per text value of one query, built once under one
+/// signature codec and lent to every index of the same α and n (an LSM
+/// store's tiers); an index under another codec builds its own.
+pub struct QueryMatchers {
+    /// The codec's `(α bits, n)`.
+    codec: (u64, usize),
+    /// One slot per query value, in query order; `None` for a number.
+    kernels: Vec<Option<PreparedMatcher>>,
+    nanos: u64,
+}
+
+impl QueryMatchers {
+    /// Per-thread CPU nanos the build took: filter work, which whoever
+    /// built the kernels charges to the query, once.
+    pub fn build_nanos(&self) -> u64 {
+        self.nanos
+    }
+
+    /// Query value `i`'s kernel, if it was built under `codec`'s α and n.
+    fn kernel(&self, i: usize, codec: &SigCodec) -> Option<&PreparedMatcher> {
+        let same = self.codec == (codec.alpha().to_bits(), codec.n());
+        self.kernels.get(i)?.as_ref().filter(|_| same)
+    }
+}
+
 /// Immutable per-query attribute state, built once per query and shared by
 /// every scan worker by reference: the packed-mask estimation kernel for
 /// text attributes, the quantization codec for numeric ones. Only the list
 /// positions ([`crate::scan::AttrScan`]) are per-worker.
 pub(crate) enum SharedAttr<'a> {
     Text {
-        matcher: PreparedMatcher,
+        matcher: Cow<'a, PreparedMatcher>,
         entry: &'a AttrEntry,
     },
     Num {
@@ -198,6 +227,12 @@ impl IvaIndex {
                 entry.logical_len = packed::read_logical_len(&mut r)?;
             }
             entries.push(entry);
+        }
+        // A v2–v4 packed text list stores its signatures inline, which this
+        // build no longer reads: stale, and a rebuild from the table repairs it.
+        let inline_sigs = |e: &AttrEntry| e.is_text && e.encoding == ListEncoding::Packed;
+        if header.version < INDEX_VERSION && entries.iter().any(inline_sigs) {
+            return Err(IvaError::Corrupt("pre-v5 packed text lists".into()));
         }
         let sig_codec = header.config.sig_codec();
         // `IndexHeader::decode` resets `hot_tier_bytes` (runtime knob):
@@ -389,6 +424,21 @@ impl IvaIndex {
         &self.sig_codec
     }
 
+    /// The kernel of every text value of `query`, under this index's
+    /// signature codec.
+    pub fn query_matchers(&self, query: &Query) -> QueryMatchers {
+        let (start, codec) = (thread_cpu_time(), &self.sig_codec);
+        let kernels = query.iter().map(|(_, qv)| match qv {
+            QueryValue::Text(s) => Some(PreparedMatcher::new(codec, s.as_bytes())),
+            QueryValue::Num(_) => None,
+        });
+        QueryMatchers {
+            kernels: kernels.collect(),
+            codec: (codec.alpha().to_bits(), codec.n()),
+            nanos: thread_cpu_time().saturating_sub(start),
+        }
+    }
+
     /// A cursor at the head of the durable tuple list.
     pub(crate) fn open_dir_cursor(&self) -> Result<DirCursor> {
         DirCursor::open(
@@ -429,14 +479,20 @@ impl IvaIndex {
         })
     }
 
-    /// Build the shared immutable per-query state: prepare the packed-mask
-    /// estimation kernel for each text attribute (hashing the query's
-    /// grams once per distinct signature geometry) and the quantization
-    /// codec for each numeric one. Workers then open cheap per-worker
-    /// [`crate::scan::AttrScan`]s over it and share this by reference.
-    pub(crate) fn prepare_query(&self, query: &Query) -> Result<Vec<SharedAttr<'_>>> {
+    /// Build the shared immutable per-query state: the packed-mask
+    /// estimation kernel for each text attribute — `matchers`' own where
+    /// it was built under this index's codec, else prepared here (hashing
+    /// the query's grams once per distinct signature geometry) — and the
+    /// quantization codec for each numeric one. Workers then open cheap
+    /// per-worker [`crate::scan::AttrScan`]s over it and share this by
+    /// reference.
+    pub(crate) fn prepare_query<'a>(
+        &'a self,
+        query: &Query,
+        matchers: &'a QueryMatchers,
+    ) -> Result<Vec<SharedAttr<'a>>> {
         let mut shared = Vec::with_capacity(query.len());
-        for (attr, qv) in query.iter() {
+        for (i, (attr, qv)) in query.iter().enumerate() {
             // Checked before the catalog lookup so every tier of a
             // segmented store gives the same verdict: NaN or ±∞ would turn
             // every distance into NaN.
@@ -458,7 +514,10 @@ impl IvaIndex {
                             "query gives a string on numerical attribute {attr}"
                         )));
                     }
-                    let matcher = PreparedMatcher::new(&self.sig_codec, s.as_bytes());
+                    let matcher = match matchers.kernel(i, &self.sig_codec) {
+                        Some(m) => Cow::Borrowed(m),
+                        None => Cow::Owned(PreparedMatcher::new(&self.sig_codec, s.as_bytes())),
+                    };
                     if let Some(col) = self.tier_text_column(attr.index(), entry)? {
                         let pos_lb = col.position_bounds(&matcher)?;
                         shared.push(SharedAttr::TextHot { col, pos_lb, entry });
@@ -679,8 +738,12 @@ impl IvaIndex {
         weights: WeightScheme,
     ) -> Result<QueryOutcome> {
         let lambda = self.resolve_weights(query, weights);
+        let matchers = self.query_matchers(query);
         let mut carry = ScanCarry::new(k);
-        self.scan_serial(table, query, metric, &lambda, DRAIN_AT, &mut carry)?;
+        carry.stats.filter_nanos += matchers.build_nanos();
+        self.scan_serial(
+            table, query, &matchers, metric, &lambda, DRAIN_AT, &mut carry,
+        )?;
         Ok(carry.finish())
     }
 

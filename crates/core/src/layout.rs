@@ -38,7 +38,7 @@ pub enum ListEncoding {
     /// The legacy element layout of Types I–IV, byte-for-byte.
     Raw,
     /// The framed compressed layout: delta/bit-packed tuple-id runs,
-    /// grouped signature payloads, and ndf run-length frames (see the
+    /// dictionary-coded signatures, and ndf run-length frames (see the
     /// `packed` module).
     Packed,
 }
@@ -204,11 +204,15 @@ pub const INDEX_VERSION_V2: u32 = 2;
 /// vector lists carry a logical-length prologue. The tuple directory is
 /// still the raw element stream.
 pub const INDEX_VERSION_V3: u32 = 3;
-/// Current format version: v3 plus a header tag for the tuple
-/// directory's encoding — a packed directory stores framed delta/
-/// bit-packed elements with per-frame liveness bitmaps (see the
-/// `dirlist` module). v2/v3 indexes decode as a Raw directory.
-pub const INDEX_VERSION: u32 = 4;
+/// v3 plus a header tag for the tuple directory's encoding — a packed
+/// directory stores framed delta/bit-packed elements with per-frame
+/// liveness bitmaps (see the `dirlist` module). v2/v3 indexes decode as a
+/// Raw directory.
+pub const INDEX_VERSION_V4: u32 = 4;
+/// Current format version: v4 with dictionary-coded packed text lists (see
+/// the `packed` module). A v2–v4 index holding a packed text list is stale:
+/// it does not load, and [`crate::IndexedTable`] rebuilds it from the table.
+pub const INDEX_VERSION: u32 = 5;
 
 /// The index header stored in page 0.
 #[derive(Debug, Clone, PartialEq)]

@@ -53,12 +53,12 @@ mod veclist;
 pub use build::{build_index, build_index_with_domains, IndexTarget};
 pub use config::IvaConfig;
 pub use error::{IvaError, Result};
-pub use index::{ExplainAttr, IvaIndex, QueryExplain, QueryOutcome, ScanCarry};
+pub use index::{ExplainAttr, IvaIndex, QueryExplain, QueryMatchers, QueryOutcome, ScanCarry};
 pub use indexed_table::IndexedTable;
 pub use interchange::{export_index, import_index, ExportedAttr, ExportedIndex};
 pub use layout::{
     AttrEntry, IndexHeader, ListEncoding, INDEX_VERSION, INDEX_VERSION_V2, INDEX_VERSION_V3,
-    TOMBSTONE_PTR, TUPLE_ENTRY_LEN,
+    INDEX_VERSION_V4, TOMBSTONE_PTR, TUPLE_ENTRY_LEN,
 };
 pub use metric::{Metric, MetricKind, WeightScheme};
 pub use multi::BatchItem;

@@ -69,11 +69,16 @@ impl IvaIndex {
             .iter()
             .map(|it| self.resolve_weights(it.query, it.weights))
             .collect();
-        let mut prepare_nanos = 0u64;
+        let matchers: Vec<_> = batch
+            .iter()
+            .map(|it| self.query_matchers(it.query))
+            .collect();
+        let mut prepare_nanos: u64 = matchers.iter().map(|m| m.build_nanos()).sum();
         let shared = batch
             .iter()
-            .map(|it| {
-                let (shared, nanos) = self.prepare_query_timed(it.query)?;
+            .zip(&matchers)
+            .map(|(it, matchers)| {
+                let (shared, nanos) = self.prepare_query_timed(it.query, matchers)?;
                 prepare_nanos += nanos;
                 Ok(shared)
             })

@@ -14,56 +14,56 @@
 //! kind 0 (RAW)     payload is `elems` elements in the legacy raw layout
 //! kind 1 (PACKED)  org-specific packed payload (below)
 //! kind 2 (NDF_RUN) `elems` positional ndf elements, no payload
+//! kind 3 (DICT)    a text list's `elems` distinct signatures (below); the
+//!                  first frame or absent, never on a numeric list
 //! ```
 //!
 //! PACKED payloads group the per-element fields so each compresses with
 //! the transform that fits it — the delta/bit-packing of compression-based
 //! inverted indexes for the monotone tuple ids, fixed-width bit-packing
-//! for the small relative-domain codes, and plain grouping for the
-//! high-entropy signature `cH` bytes (which carry no exploitable
-//! redundancy; the win there is eliding per-string framing):
+//! for the small relative-domain codes and string counts, and dictionary
+//! coding for the signatures:
 //!
 //! ```text
-//! Text I   [first_tid u32][bw u8][Δtid × (elems−1)][lbw u8][cL × elems][cH ...]
-//! Text II  [first_tid u32][bw u8][Δtid × (elems−1)][nbw u8][num × elems][lbw u8][cL ...][cH ...]
-//! Text III [nbw u8][num × elems][lbw u8][cL ...][cH ...]
+//! Dict     [lbw u8][cL × D][cH ...]     each distinct signature once
+//! Text I   [first_tid u32][bw u8][Δtid × (elems−1)][cbw u8][code × elems]
+//! Text II  [first_tid u32][bw u8][Δtid × (elems−1)][nbw u8][num × elems][cbw u8][code × strings]
+//! Text III [nbw u8][num × elems][cbw u8][code × strings]
 //! Num I    [first_tid u32][bw u8][Δtid × (elems−1)][cbw u8][code × elems]
 //! Num IV   [cbw u8][stored × elems]   stored = 0 for ndf, code+1 otherwise
 //! ```
 //!
-//! The `num` (string count) and `cL` (signature length byte) sections are
-//! bit-packed at their own declared widths: both are byte-sized fields
-//! whose values cluster near zero — a dense Type III list spends one
-//! whole raw byte per position on a count that is almost always 0 or 1,
-//! and interleaved ndf positions too short for an NDF_RUN frame shrink
-//! from a byte to a couple of bits.
+//! Signatures repeat *across* strings — community data repeats its values;
+//! a dense attribute's strings are a few percent distinct — so a text list
+//! stores each distinct `[cL][cH…]` once, in its DICT frame, and a string
+//! as its entry's index, at least one bit wide (so a frame's string count
+//! is bounded by its bytes). The `num` (string count) and `cL` (length
+//! byte) sections are bit-packed too: byte fields clustered near zero.
 //!
 //! The positional Types III/IV additionally collapse runs of ndf elements
 //! into header-only NDF_RUN frames — the run-length framing that replaces
 //! re-packing for the already-dense Type IV code pages. RAW frames carry
 //! insert-appended tails, so one list can mix encodings and still decode
-//! with a single cursor.
+//! with a single cursor; their signatures are inline, not coded.
 //!
-//! **A PACKED frame is read in place.** [`PackedReader`] holds one frame
-//! at a time: the bit-packed sections are inflated once, each with one
-//! bulk unpack, into reused arrays ([`Sections`]), and the grouped `cH`
-//! bytes are never moved. A scan's block fill is served by runs
-//! ([`PackedReader::fill_run`]: positional runs by index, keyed runs by a
-//! merge of the tid section against the block's tids); the walk in
-//! [`crate::veclist`] borrows
-//! each signature straight from the frame payload, which is padded by
-//! [`SIG_PAD`] bytes so the estimation kernel can load a whole word from
-//! any signature. No raw-layout image of a frame exists on the scan path;
-//! [`PackedReader::decode_to_vec`] is a tool that builds one by running
-//! that same walk through the raw encoders. RAW tail frames hand the walk
-//! their payload as raw-layout bytes ([`RawTail`]); NDF_RUN frames are
-//! served arithmetically — a run of a million ndf positions costs nine
-//! bytes on disk and no buffer at all here.
+//! **A PACKED frame is read in place.** [`PackedReader`] holds the list's
+//! dictionary, loaded with the first frame it reads, and one frame at a
+//! time, its sections inflated once into reused arrays ([`Sections`]). A
+//! scan's block fill is served by runs ([`PackedReader::fill_run`]): a
+//! query's first fill estimates each dictionary entry once, and a string
+//! is then a gather of its code's estimate. The walk in [`crate::veclist`]
+//! borrows each signature from the dictionary payload, padded by
+//! [`SIG_PAD`] bytes so the kernel can load a whole word from any of them;
+//! [`PackedReader::decode_to_vec`] is a tool that runs that walk through
+//! the raw encoders. RAW tail frames hand the walk raw-layout bytes
+//! ([`RawTail`]); NDF_RUN frames are served arithmetically.
 //!
 //! Every field parsed here came off disk: short frames, bad tags,
-//! overflowing deltas and sections that claim more than their payload
-//! holds surface as [`IvaError::Corrupt`], never a panic — and before
-//! the claim has sized anything.
+//! overflowing deltas, codes past the dictionary and sections that claim
+//! more than their payload holds surface as [`IvaError::Corrupt`], never a
+//! panic — and before the claim has sized anything.
+
+use std::collections::HashMap;
 
 use iva_storage::codec::SliceReader;
 use iva_storage::compress::{bit_width, pack_bits, packed_len, unpack_bits, unpack_bytes};
@@ -80,16 +80,18 @@ pub(crate) const FRAME_RAW: u8 = 0;
 pub(crate) const FRAME_PACKED: u8 = 1;
 /// Header-only frame standing for a run of positional ndf elements.
 pub(crate) const FRAME_NDF_RUN: u8 = 2;
+/// Frame holding a text list's dictionary of distinct signatures.
+pub(crate) const FRAME_DICT: u8 = 3;
 
 /// `[kind u8][elems u32][payload_len u32]`.
 pub(crate) const FRAME_HEADER_LEN: usize = 9;
 
 /// Elements per packed frame: the decode "block". One frame's sections
-/// are the largest buffers the reader ever holds.
+/// are the largest buffers the reader ever holds, after the dictionary.
 pub(crate) const FRAME_ELEMS: usize = 1024;
 
-/// Zero bytes kept after a frame payload, so that an 8-byte load from the
-/// first byte of any signature in its `cH` section stays in bounds.
+/// Zero bytes kept after a dictionary payload, so that an 8-byte load from
+/// the first byte of any signature in its `cH` section stays in bounds.
 const SIG_PAD: usize = 7;
 
 /// Ceiling on `elems` of a PACKED frame at decode time (a corrupt header
@@ -116,17 +118,13 @@ pub(crate) fn read_logical_len(reader: &mut ListReader) -> Result<u64> {
     Ok(u64::from_le_bytes(b))
 }
 
-fn push_frame_header(out: &mut Vec<u8>, kind: u8, elems: usize, payload_len: usize) {
-    out.push(kind);
-    out.extend_from_slice(&(elems as u32).to_le_bytes());
-    out.extend_from_slice(&(payload_len as u32).to_le_bytes());
-}
-
 /// Append one complete frame (header + payload) to `out`. The insert path
 /// uses this to frame raw-layout tails and positional gap runs onto
 /// packed lists.
 pub(crate) fn append_frame(out: &mut Vec<u8>, kind: u8, elems: usize, payload: &[u8]) {
-    push_frame_header(out, kind, elems, payload.len());
+    out.push(kind);
+    out.extend_from_slice(&(elems as u32).to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
 }
 
@@ -200,6 +198,50 @@ fn max_code(cb: usize) -> u64 {
     }
 }
 
+/// Dictionary-code a text list: its distinct `[cL][cH…]` signatures in
+/// order of first appearance, and each string's code (its entry's index),
+/// in item order.
+fn dictionary(items: &[(u32, Vec<Vec<u8>>)]) -> (Vec<&[u8]>, Vec<u64>) {
+    let (mut entries, mut index) = (Vec::new(), HashMap::new());
+    let sigs = items
+        .iter()
+        .flat_map(|(_, sigs)| sigs.iter().map(Vec::as_slice));
+    let codes = sigs
+        .map(|sig| {
+            *index.entry(sig).or_insert_with(|| {
+                entries.push(sig);
+                entries.len() as u64 - 1
+            })
+        })
+        .collect();
+    (entries, codes)
+}
+
+/// The DICT frame, `[lbw u8][cL × D][cH …]` — none for a list without
+/// strings.
+fn push_dict_frame(entries: &[&[u8]], out: &mut Vec<u8>) {
+    if entries.is_empty() {
+        return;
+    }
+    let lens: Vec<u8> = entries
+        .iter()
+        .map(|sig| sig.first().copied().unwrap_or(0))
+        .collect();
+    let mut payload = Vec::new();
+    pack_byte_section(&lens, &mut payload);
+    for sig in entries {
+        payload.extend_from_slice(sig.get(1..).unwrap_or(&[]));
+    }
+    append_frame(out, FRAME_DICT, entries.len(), &payload);
+}
+
+/// `[cbw u8][code × n]`, at least one bit wide.
+fn push_codes(codes: &[u64], out: &mut Vec<u8>) {
+    let cbw = codes.iter().map(|&c| bit_width(c)).max().unwrap_or(0);
+    out.push(cbw.max(1) as u8);
+    pack_bits(codes, cbw.max(1), out);
+}
+
 /// Encode a text attribute's vector list in the packed framing. Inputs
 /// mirror [`crate::veclist::encode_text_list`]; the output decodes to the
 /// byte-identical raw layout.
@@ -227,77 +269,55 @@ pub fn encode_packed_text_list(
     };
     let mut out = Vec::new();
     out.extend_from_slice(&logical.to_le_bytes());
+    let (entries, codes) = dictionary(items);
+    push_dict_frame(&entries, &mut out);
+    // Each item's `(tid, codes of its strings)`.
+    let mut rest = codes.as_slice();
+    let coded: Vec<(u32, &[u64])> = items
+        .iter()
+        .map(|(tid, sigs)| {
+            let own = rest.get(..sigs.len()).unwrap_or(rest);
+            rest = rest.get(own.len()..).unwrap_or(&[]);
+            (*tid, own)
+        })
+        .collect();
     match ty {
         ListType::I => {
-            let strings: Vec<(u32, &[u8])> = items
+            let strings: Vec<(u32, u64)> = coded
                 .iter()
-                .flat_map(|(t, sigs)| sigs.iter().map(move |s| (*t, s.as_slice())))
+                .flat_map(|&(t, codes)| codes.iter().map(move |&c| (t, c)))
                 .collect();
             for chunk in strings.chunks(FRAME_ELEMS) {
-                let tids: Vec<u32> = chunk.iter().map(|(t, _)| *t).collect();
+                let (tids, codes): (Vec<u32>, Vec<u64>) = chunk.iter().copied().unzip();
                 let mut payload = Vec::new();
                 delta_encode_tids(&tids, &mut payload);
-                let cls: Vec<u8> = chunk
-                    .iter()
-                    .map(|(_, sig)| sig.first().copied().unwrap_or(0))
-                    .collect();
-                pack_byte_section(&cls, &mut payload);
-                for (_, sig) in chunk {
-                    payload.extend_from_slice(sig.get(1..).unwrap_or(&[]));
-                }
-                push_frame_header(&mut out, FRAME_PACKED, chunk.len(), payload.len());
-                out.extend_from_slice(&payload);
+                push_codes(&codes, &mut payload);
+                append_frame(&mut out, FRAME_PACKED, chunk.len(), &payload);
             }
         }
         ListType::II => {
-            for chunk in items.chunks(FRAME_ELEMS) {
+            for chunk in coded.chunks(FRAME_ELEMS) {
                 let tids: Vec<u32> = chunk.iter().map(|(t, _)| *t).collect();
                 let mut payload = Vec::new();
                 delta_encode_tids(&tids, &mut payload);
-                let nums: Vec<u8> = chunk.iter().map(|(_, sigs)| sigs.len() as u8).collect();
+                let nums: Vec<u8> = chunk.iter().map(|(_, c)| c.len() as u8).collect();
                 pack_byte_section(&nums, &mut payload);
-                let cls: Vec<u8> = chunk
-                    .iter()
-                    .flat_map(|(_, sigs)| sigs.iter())
-                    .map(|sig| sig.first().copied().unwrap_or(0))
-                    .collect();
-                pack_byte_section(&cls, &mut payload);
-                for (_, sigs) in chunk {
-                    for sig in sigs {
-                        payload.extend_from_slice(sig.get(1..).unwrap_or(&[]));
-                    }
-                }
-                push_frame_header(&mut out, FRAME_PACKED, chunk.len(), payload.len());
-                out.extend_from_slice(&payload);
+                let codes: Vec<u64> = chunk.iter().flat_map(|(_, c)| c.iter()).copied().collect();
+                push_codes(&codes, &mut payload);
+                append_frame(&mut out, FRAME_PACKED, chunk.len(), &payload);
             }
         }
         ListType::III => {
-            let mut pos_sigs: Vec<&[Vec<u8>]> = Vec::with_capacity(all_tids.len());
-            let mut it = items.iter().peekable();
+            let mut pos_codes: Vec<&[u64]> = Vec::with_capacity(all_tids.len());
+            let mut it = coded.iter().peekable();
             for &tid in all_tids {
-                match it.peek() {
-                    Some((t, sigs)) if *t == tid => {
-                        pos_sigs.push(sigs.as_slice());
-                        it.next();
-                    }
-                    _ => pos_sigs.push(&[]),
-                }
+                pos_codes.push(it.next_if(|(t, _)| *t == tid).map_or(&[], |(_, c)| *c));
             }
             debug_assert!(it.peek().is_none(), "items not aligned with tuple list");
-            encode_positional(&pos_sigs, &mut out, |chunk, payload| {
-                let nums: Vec<u8> = chunk.iter().map(|sigs| sigs.len() as u8).collect();
+            encode_positional(&pos_codes, &mut out, |chunk, payload| {
+                let nums: Vec<u8> = chunk.iter().map(|c| c.len() as u8).collect();
                 pack_byte_section(&nums, payload);
-                let cls: Vec<u8> = chunk
-                    .iter()
-                    .flat_map(|sigs| sigs.iter())
-                    .map(|sig| sig.first().copied().unwrap_or(0))
-                    .collect();
-                pack_byte_section(&cls, payload);
-                for sigs in chunk {
-                    for sig in *sigs {
-                        payload.extend_from_slice(sig.get(1..).unwrap_or(&[]));
-                    }
-                }
+                push_codes(&chunk.concat(), payload);
             });
         }
         ListType::IV => debug_assert!(false, "Type IV is numeric-only"),
@@ -332,8 +352,7 @@ pub fn encode_packed_num_list(
                 let cbw = codes.iter().map(|&c| bit_width(c)).max().unwrap_or(0);
                 payload.push(cbw as u8);
                 pack_bits(&codes, cbw, &mut payload);
-                push_frame_header(&mut out, FRAME_PACKED, chunk.len(), payload.len());
-                out.extend_from_slice(&payload);
+                append_frame(&mut out, FRAME_PACKED, chunk.len(), &payload);
             }
         }
         ListType::IV => {
@@ -383,7 +402,7 @@ fn encode_positional<T: PositionalElem>(
                 j += 1;
             }
             if j - i >= NDF_RUN_MIN || j == positions.len() {
-                push_frame_header(out, FRAME_NDF_RUN, j - i, 0);
+                append_frame(out, FRAME_NDF_RUN, j - i, &[]);
                 i = j;
                 continue;
             }
@@ -408,8 +427,7 @@ fn encode_positional<T: PositionalElem>(
         let mut payload = Vec::new();
         // lint:allow(panic-reachability, "dynamic edge: `emit` is one of the two in-module frame encoders below, both total over arbitrary position slices")
         emit(chunk, &mut payload);
-        push_frame_header(out, FRAME_PACKED, chunk.len(), payload.len());
-        out.extend_from_slice(&payload);
+        append_frame(out, FRAME_PACKED, chunk.len(), &payload);
         i = end;
     }
 }
@@ -419,7 +437,7 @@ trait PositionalElem {
     fn is_ndf(&self) -> bool;
 }
 
-impl PositionalElem for &[Vec<u8>] {
+impl PositionalElem for &[u64] {
     fn is_ndf(&self) -> bool {
         self.is_empty()
     }
@@ -475,27 +493,112 @@ impl RawBytes for RawTail {
     }
 }
 
-/// One PACKED frame, read in place: its small sections unpacked into
-/// arrays, its grouped `cH` bytes left where the payload has them, and one
-/// cursor per section. A frame is validated whole when it is loaded (the
-/// string counts add up to the `cL` section, the `cL`s' geometries to the
-/// `cH` section, nothing is left over), so the cursors stay in step.
+/// A text list's dictionary as the reader holds it — its DICT frame's
+/// entries, loaded once — and, once a fill has asked, every entry's
+/// estimate under that fill's matcher.
+#[derive(Default)]
+struct Dict {
+    /// The DICT payload followed by [`SIG_PAD`] zero bytes.
+    payload: Vec<u8>,
+    lens: Vec<u8>,
+    /// Entry `i`'s `cH` bytes are `payload[starts[i]..starts[i + 1]]`.
+    starts: Vec<usize>,
+    est: Vec<f64>,
+    /// The [`PreparedMatcher::serial`] `est` holds estimates under.
+    est_for: Option<u64>,
+}
+
+fn past_dictionary() -> IvaError {
+    corrupt("signature code past the end of the dictionary")
+}
+
+impl Dict {
+    /// Parse the `d`-entry payload in `self.payload` under `codec`.
+    fn load(&mut self, d: usize, codec: &SigCodec) -> Result<()> {
+        self.lens.clear();
+        self.starts.clear();
+        let body = self.payload.len().saturating_sub(SIG_PAD);
+        let mut s = SliceReader::new(self.payload.get(..body).unwrap_or(&[]), "dictionary frame");
+        // Every entry has at least one `cH` byte: more entries than the
+        // payload has bytes is a lie, caught before it sizes anything.
+        if d > s.remaining() {
+            return Err(corrupt("dictionary claims more entries than bytes"));
+        }
+        unpack_byte_section(&mut s, d, &mut self.lens)?;
+        let ch_start = body - s.remaining();
+        let mut at = ch_start;
+        self.starts.push(at);
+        for &len_byte in &self.lens {
+            at += codec.ch_bytes(len_byte);
+            self.starts.push(at);
+        }
+        s.take(at - ch_start)?;
+        Ok(s.finish()?)
+    }
+
+    /// Entry `code`: its `cL` and where its `cH` bytes start and end.
+    fn entry(&self, code: u64) -> Option<(u8, usize, usize)> {
+        let i = usize::try_from(code).ok()?;
+        let span = self.starts.get(i..)?;
+        Some((*self.lens.get(i)?, *span.first()?, *span.get(1)?))
+    }
+
+    /// Entry `code` as the walk hands a signature out.
+    fn view(&self, code: u64) -> Result<SigView<'_>> {
+        let (len_byte, start, end) = self.entry(code).ok_or_else(past_dictionary)?;
+        let window = self.payload.get(start..).ok_or_else(past_dictionary)?;
+        let ch = window.get(..end - start).ok_or_else(past_dictionary)?;
+        Ok(SigView {
+            len_byte,
+            ch,
+            window,
+        })
+    }
+
+    /// Raw-layout bytes of the signatures `codes` name — which checks that
+    /// each names an entry.
+    fn raw_len(&self, codes: &[u64]) -> Result<u64> {
+        codes.iter().try_fold(0u64, |sum, &code| {
+            let (_, start, end) = self.entry(code).ok_or_else(past_dictionary)?;
+            Ok(sum + 1 + (end - start) as u64)
+        })
+    }
+
+    /// Every entry's estimate under `matcher`: computed by the one kernel
+    /// the walk runs, once per matcher.
+    fn estimates(&mut self, matcher: &PreparedMatcher) -> Result<&[f64]> {
+        if self.est_for != Some(matcher.serial()) {
+            self.est_for = None;
+            self.est.clear();
+            for (&len_byte, &start) in self.lens.iter().zip(&self.starts) {
+                let window = self.payload.get(start..).ok_or_else(past_dictionary)?;
+                self.est.push(matcher.estimate_parts(len_byte, window)?);
+            }
+            self.est_for = Some(matcher.serial());
+        }
+        Ok(&self.est)
+    }
+}
+
+/// One PACKED frame, read in place: its sections unpacked into arrays, and
+/// one cursor per section — beside the list's dictionary, which a text
+/// frame's codes index. A frame is validated whole when it is loaded (the
+/// string counts add up to the code section, every code names a
+/// dictionary entry, nothing is left over), so the cursors stay in step.
 #[derive(Default)]
 pub(crate) struct Sections {
-    /// The frame payload followed by [`SIG_PAD`] zero bytes.
     payload: Vec<u8>,
     tids: Vec<u32>,
     nums: Vec<u8>,
-    lens: Vec<u8>,
+    /// A numeric frame's codes, or a text frame's dictionary codes (one
+    /// per string).
     codes: Vec<u64>,
     /// Scratch the bit-packed sections inflate through.
     wide: Vec<u64>,
+    dict: Dict,
     tid_i: usize,
     num_i: usize,
-    sig_i: usize,
     code_i: usize,
-    /// Offset in `payload` of the next signature's `cH` bytes.
-    ch_pos: usize,
     /// Fields (of any section) not yet handed out.
     left: usize,
 }
@@ -504,34 +607,22 @@ fn misaligned() -> IvaError {
     corrupt("packed frame read out of step with its sections")
 }
 
+/// The min over `codes` of their dictionary entries' estimates `est`.
+#[inline(always)]
+fn min_estimate(est: &[f64], codes: &[u64]) -> Result<f64> {
+    let mut best = f64::INFINITY;
+    for &code in codes {
+        best = best.min(*est.get(code as usize).ok_or_else(misaligned)?);
+    }
+    Ok(best)
+}
+
 /// The next value of one section, stepping its cursor.
 fn next_of<T: Copy>(section: &[T], at: &mut usize, left: &mut usize) -> Result<T> {
     let v = section.get(*at).copied().ok_or_else(misaligned)?;
     *at += 1;
     *left -= 1;
     Ok(v)
-}
-
-/// Min-fold the estimates of the signatures whose `cL`s are `lens` and
-/// whose `cH` bytes start at `payload[*ch_pos]`, stepping `*ch_pos` past
-/// them — only stepping, and `INFINITY`, when there is no `matcher`.
-#[inline(always)]
-fn fold_sigs(
-    payload: &[u8],
-    lens: &[u8],
-    ch_pos: &mut usize,
-    codec: &SigCodec,
-    matcher: Option<&PreparedMatcher>,
-) -> Result<f64> {
-    let mut best = f64::INFINITY;
-    for &len_byte in lens {
-        if let Some(m) = matcher {
-            let window = payload.get(*ch_pos..).ok_or_else(misaligned)?;
-            best = best.min(m.estimate_parts(len_byte, window)?);
-        }
-        *ch_pos += codec.ch_bytes(len_byte);
-    }
-    Ok(best)
 }
 
 impl Sections {
@@ -550,20 +641,11 @@ impl Sections {
         next_of(&self.codes, &mut self.code_i, &mut self.left)
     }
 
-    /// The next signature, borrowed from the payload's `cH` section.
+    /// The next signature, borrowed from the dictionary.
     #[inline]
-    pub(crate) fn sig(&mut self, codec: &SigCodec) -> Result<SigView<'_>> {
-        let len_byte = next_of(&self.lens, &mut self.sig_i, &mut self.left)?;
-        let window = self.payload.get(self.ch_pos..).ok_or_else(misaligned)?;
-        let ch = window
-            .get(..codec.ch_bytes(len_byte))
-            .ok_or_else(misaligned)?;
-        self.ch_pos += ch.len();
-        Ok(SigView {
-            len_byte,
-            ch,
-            window,
-        })
+    pub(crate) fn sig(&mut self) -> Result<SigView<'_>> {
+        let code = next_of(&self.codes, &mut self.code_i, &mut self.left)?;
+        self.dict.view(code)
     }
 
     /// Put back `tid`, the keyed header the walk read last and holds as
@@ -580,10 +662,11 @@ impl Sections {
     /// Serve block positions from this frame of a list of type `ty` (see
     /// [`PackedReader::fill_run`]): on a positional list each element is
     /// the next position's; a keyed list's tid section is merged against
-    /// `tids`. A merge stops where the frame runs out, and before a Type I
-    /// text value whose strings reach the frame's end — the value may go on
-    /// in the next frame, so the walk serves it. Returns the positions
-    /// served.
+    /// `tids`. A text value's bound is the min over its strings' codes of
+    /// the dictionary estimates. A merge stops where the frame runs out,
+    /// and before a Type I text value whose strings reach the frame's end —
+    /// the value may go on in the next frame, so the walk serves it.
+    /// Returns the positions served.
     fn fill(
         &mut self,
         ty: ListType,
@@ -591,12 +674,30 @@ impl Sections {
         tids: &[u32],
         out: &mut [f64],
     ) -> Result<usize> {
-        let (mut tid_i, mut num_i, mut sig_i) = (self.tid_i, self.num_i, self.sig_i);
-        let (mut code_i, mut ch_pos, mut j) = (self.code_i, self.ch_pos, 0);
+        let est = match bound {
+            Bound::Text(matcher) => self.dict.estimates(matcher)?,
+            Bound::Num(..) => &[],
+        };
+        if ty == ListType::III {
+            // The dense lists' run, kept to its bones: a count, its codes.
+            let (mut code_i, mut j) = (self.code_i, 0);
+            let nums = self.nums.get(self.num_i..).unwrap_or(&[]);
+            for (slot, &num) in out.iter_mut().zip(nums).take(tids.len()) {
+                let codes = self.codes.get(code_i..code_i + usize::from(num));
+                let codes = codes.ok_or_else(misaligned)?;
+                (code_i, j) = (code_i + codes.len(), j + 1);
+                let best = min_estimate(est, codes)?;
+                *slot = text_lower_bound(ty, codes.len(), best).unwrap_or(f64::NAN);
+            }
+            self.left = self.left.saturating_sub(j + code_i - self.code_i);
+            (self.num_i, self.code_i) = (self.num_i + j, code_i);
+            return Ok(j);
+        }
+        let (mut tid_i, mut num_i, mut code_i, mut j) = (self.tid_i, self.num_i, self.code_i, 0);
         while let (Some(&t), Some(slot)) = (tids.get(j), out.get_mut(j)) {
             let next = match (ty.is_positional(), self.tids.get(tid_i)) {
-                // Of a text and a numeric frame's value sections, one is empty.
-                (true, _) if num_i < self.nums.len() || code_i < self.codes.len() => t,
+                // A Type IV frame runs while its codes do.
+                (true, _) if code_i < self.codes.len() => t,
                 (false, Some(&next)) => next,
                 _ => break,
             };
@@ -617,9 +718,9 @@ impl Sections {
                         ),
                     }
                 }
-                // `next`'s value: one Type II/III element, or Type I's run
-                // of one-string elements.
-                Bound::Text(codec, matcher) => {
+                // `next`'s value: one Type II element, or Type I's run of
+                // one-string elements.
+                Bound::Text(_) => {
                     let num = match ty {
                         ListType::I => {
                             let run = self.tids.get(tid_i..).unwrap_or(&[]);
@@ -632,15 +733,10 @@ impl Sections {
                         _ => usize::from(*self.nums.get(num_i).ok_or_else(misaligned)?),
                     };
                     num_i += usize::from(ty != ListType::I);
-                    let lens = self.lens.get(sig_i..sig_i + num).ok_or_else(misaligned)?;
-                    let own = (next == t).then_some(matcher);
-                    let best = fold_sigs(&self.payload, lens, &mut ch_pos, codec, own)?;
-                    sig_i += num;
-                    let elems = match ty {
-                        ListType::I => num,
-                        ListType::II => 1,
-                        _ => 0,
-                    };
+                    let codes = self.codes.get(code_i..code_i + num);
+                    let best = min_estimate(est, codes.ok_or_else(misaligned)?)?;
+                    code_i += num;
+                    let elems = if ty == ListType::I { num } else { 1 };
                     (elems, text_lower_bound(ty, num, best).unwrap_or(f64::NAN))
                 }
             };
@@ -650,12 +746,9 @@ impl Sections {
             }
         }
         // Every field passed counts as handed out.
-        let passed = (tid_i - self.tid_i) + (num_i - self.num_i);
-        self.left = self
-            .left
-            .saturating_sub(passed + (sig_i - self.sig_i) + (code_i - self.code_i));
-        (self.tid_i, self.num_i, self.sig_i) = (tid_i, num_i, sig_i);
-        (self.code_i, self.ch_pos) = (code_i, ch_pos);
+        let passed = (tid_i - self.tid_i) + (num_i - self.num_i) + (code_i - self.code_i);
+        self.left = self.left.saturating_sub(passed);
+        (self.tid_i, self.num_i, self.code_i) = (tid_i, num_i, code_i);
         Ok(j)
     }
 
@@ -666,18 +759,16 @@ impl Sections {
             payload,
             tids,
             nums,
-            lens,
             codes,
             wide,
+            dict,
             ..
         } = self;
         tids.clear();
         nums.clear();
-        lens.clear();
         codes.clear();
         self.left = 0;
-        let body = payload.len().saturating_sub(SIG_PAD);
-        let mut s = SliceReader::new(payload.get(..body).unwrap_or(&[]), "packed frame");
+        let mut s = SliceReader::new(payload.as_slice(), "packed frame");
         // Every section is located (and found to fit the payload) before
         // any of them sizes a buffer: the tid run inflates last.
         let tid_run = match org.list_type().is_positional() {
@@ -688,27 +779,25 @@ impl Sections {
             true => None,
         };
         let mut raw_len = 0u64;
-        self.ch_pos = body;
         match org {
-            Org::Text(ty, codec) => {
+            Org::Text(ty, _) => {
                 let strings = if *ty == ListType::I {
                     elems
                 } else {
                     unpack_byte_section(&mut s, elems, nums)?;
                     nums.iter().map(|&n| usize::from(n)).sum()
                 };
-                // Bit-packed counts cost far less than a payload byte per
-                // string they claim, but every string has at least one
-                // `cH` byte: more strings than the payload has bytes left
-                // is a lie, caught before it sizes anything.
-                if strings > s.remaining() {
-                    return Err(corrupt("packed frame claims more strings than bytes"));
+                // A code is at least one bit wide, so a frame cannot claim
+                // more strings than its code section has bits.
+                let cbw = u32::from(s.u8()?);
+                if cbw == 0 {
+                    return Err(corrupt("zero-width signature codes"));
                 }
-                unpack_byte_section(&mut s, strings, lens)?;
-                let total_ch: usize = lens.iter().map(|&l| codec.ch_bytes(l)).sum();
-                self.ch_pos = body - s.remaining();
-                s.take(total_ch)?;
-                raw_len += (nums.len() + lens.len() + total_ch) as u64;
+                let cbytes = s.take(packed_len(strings, cbw))?;
+                s.finish()?;
+                unpack_bits(cbytes, cbw, strings, codes)
+                    .ok_or_else(|| corrupt("bad signature code width"))?;
+                raw_len += nums.len() as u64 + dict.raw_len(codes)?;
             }
             Org::Num(ty, codec) => {
                 let cbw = u32::from(s.u8()?);
@@ -732,13 +821,12 @@ impl Sections {
                 raw_len += (codes.len() * codec.code_bytes()) as u64;
             }
         }
-        s.finish()?;
         if let Some(run) = tid_run {
             inflate_tids(run, elems, wide, tids)?;
             raw_len += 4 * elems as u64;
         }
-        (self.tid_i, self.num_i, self.sig_i, self.code_i) = (0, 0, 0, 0);
-        self.left = self.tids.len() + self.nums.len() + self.lens.len() + self.codes.len();
+        (self.tid_i, self.num_i, self.code_i) = (0, 0, 0);
+        self.left = self.tids.len() + self.nums.len() + self.codes.len();
         Ok(raw_len)
     }
 }
@@ -748,7 +836,7 @@ impl Sections {
 /// codes.
 #[derive(Clone, Copy)]
 pub(crate) enum Bound<'a> {
-    Text(&'a SigCodec, &'a PreparedMatcher),
+    Text(&'a PreparedMatcher),
     Num(&'a NumericCodec, f64),
 }
 
@@ -822,7 +910,8 @@ impl PackedReader {
         self.remaining
     }
 
-    /// True while the current frame has nothing left to hand out.
+    /// True while the current frame has nothing left to hand out (a DICT
+    /// frame never has: it comes before any PACKED frame).
     fn drained(&self) -> bool {
         match self.kind {
             FRAME_RAW => self.raw.pos >= self.raw.buf.len(),
@@ -912,10 +1001,25 @@ impl PackedReader {
                 }
                 let payload = &mut self.sections.payload;
                 payload.clear();
-                payload.resize(payload_len + SIG_PAD, 0);
-                self.inner
-                    .read_exact(payload.get_mut(..payload_len).unwrap_or(&mut []))?;
+                payload.resize(payload_len, 0);
+                self.inner.read_exact(payload)?;
                 self.sections.load(&self.org, elems)?
+            }
+            FRAME_DICT => {
+                let Org::Text(_, codec) = &self.org else {
+                    return Err(corrupt("dictionary frame in a numeric list"));
+                };
+                // The dictionary heads the list's frames, or there is none.
+                let header_end = PACKED_PROLOGUE_LEN + FRAME_HEADER_LEN;
+                if self.inner.tell() != header_end as u64 {
+                    return Err(corrupt("dictionary frame after the first frame"));
+                }
+                let dict = &mut self.sections.dict;
+                dict.payload.resize(payload_len + SIG_PAD, 0);
+                self.inner
+                    .read_exact(dict.payload.get_mut(..payload_len).unwrap_or(&mut []))?;
+                dict.load(elems, codec)?;
+                0
             }
             FRAME_NDF_RUN => {
                 if payload_len != 0 {
@@ -1081,8 +1185,7 @@ mod tests {
         let mut tail = Vec::new();
         tail.extend_from_slice(&777u32.to_le_bytes());
         codec.write_code(codec.encode(42.0), &mut tail);
-        push_frame_header(&mut packed, FRAME_RAW, 1, tail.len());
-        packed.extend_from_slice(&tail);
+        append_frame(&mut packed, FRAME_RAW, 1, &tail);
         let mut expect = raw.clone();
         expect.extend_from_slice(&tail);
         // The appended tail grows the logical length; rewrite the
@@ -1133,15 +1236,15 @@ mod tests {
 
         // NDF_RUN frame inside a keyed list.
         let mut keyed = 10u64.to_le_bytes().to_vec();
-        push_frame_header(&mut keyed, FRAME_NDF_RUN, 5, 0);
+        append_frame(&mut keyed, FRAME_NDF_RUN, 5, &[]);
         let pr = PackedReader::new_text(reader_for(&p, &keyed), ListType::I, &scodec).unwrap();
         assert!(matches!(pr.decode_to_vec(), Err(IvaError::Corrupt(_))));
     }
 
     /// The allocation half of `robustness.rs`'s
     /// `frames_claiming_more_than_their_payload_are_corrupt`: after a
-    /// lying frame is refused, the reader's section arrays hold no more
-    /// than the payload could back — nothing was sized by the claim.
+    /// lying frame is refused, the reader's arrays hold no more than the
+    /// payloads could back — nothing was sized by the claim.
     #[test]
     fn lying_frames_size_nothing_by_their_claims() {
         let scodec = SigCodec::new(0.2, 2);
@@ -1153,39 +1256,59 @@ mod tests {
             },
             IoStats::new(),
         );
-        let list = |elems: usize, payload: &[u8]| {
+        let list = |frames: &[(u8, usize, &[u8])]| {
             let mut l = (1u64 << 40).to_le_bytes().to_vec();
-            append_frame(&mut l, FRAME_PACKED, elems, payload);
+            for &(kind, elems, payload) in frames {
+                append_frame(&mut l, kind, elems, payload);
+            }
             reader_for(&p, &l)
         };
-        // 65,536 string counts of 255 over a zero-width cL section.
+        let one = |elems: usize, payload: &[u8]| list(&[(FRAME_PACKED, elems, payload)]);
+        // 65,536 string counts of 255 over a zero-width code section.
         let mut counts = vec![8u8];
         counts.extend_from_slice(&[0xFF; 65_536]);
         counts.push(0);
         let mut keyed_counts = vec![0u8; 5];
         keyed_counts.extend_from_slice(&counts);
+        // ... and over one-bit codes, under a one-entry dictionary.
+        let mut coded_counts = counts.clone();
+        coded_counts.pop();
+        coded_counts.extend_from_slice(&[1, 0, 0]);
+        let dict: &[u8] = &[0, 0xAB];
         let readers = [
-            PackedReader::new_text(list(65_536, &counts), ListType::III, &scodec),
-            PackedReader::new_text(list(65_536, &keyed_counts), ListType::II, &scodec),
-            PackedReader::new_text(list(MAX_FRAME_ELEMS, &[0; 6]), ListType::I, &scodec),
+            PackedReader::new_text(one(65_536, &counts), ListType::III, &scodec),
+            PackedReader::new_text(one(65_536, &keyed_counts), ListType::II, &scodec),
+            PackedReader::new_text(one(MAX_FRAME_ELEMS, &[0; 6]), ListType::I, &scodec),
+            PackedReader::new_text(
+                list(&[(FRAME_DICT, 1, dict), (FRAME_PACKED, 65_536, &coded_counts)]),
+                ListType::III,
+                &scodec,
+            ),
+            // A dictionary of 65,536 entries in three bytes.
+            PackedReader::new_text(
+                list(&[(FRAME_DICT, 65_536, &[0, 1, 2])]),
+                ListType::I,
+                &scodec,
+            ),
             PackedReader::new_num(
-                list(MAX_FRAME_ELEMS, &[0, 0, 0, 0, 0, 64]),
+                one(MAX_FRAME_ELEMS, &[0, 0, 0, 0, 0, 64]),
                 ListType::I,
                 &ncodec,
             ),
-            PackedReader::new_num(list(MAX_FRAME_ELEMS, &[64]), ListType::IV, &ncodec),
+            PackedReader::new_num(one(MAX_FRAME_ELEMS, &[64]), ListType::IV, &ncodec),
         ];
         for (i, reader) in readers.into_iter().enumerate() {
             let mut reader = reader.unwrap();
             assert!(reader.frame().is_err_and(|e| e.is_corruption()), "list {i}");
-            let s = &reader.sections;
+            let (s, d) = (&reader.sections, &reader.sections.dict);
             let held = s.tids.capacity() * 4
                 + s.nums.capacity()
-                + s.lens.capacity()
-                + (s.codes.capacity() + s.wide.capacity()) * 8;
-            // At most the payload's own values, inflated to a word each.
+                + d.lens.capacity()
+                + (s.codes.capacity() + s.wide.capacity() + d.starts.capacity()) * 8
+                + d.est.capacity() * 8;
+            // At most the payloads' own values, inflated to a word each.
             assert!(
-                held <= 9 * s.payload.len(),
+                held <= 9 * (s.payload.len() + d.payload.len()),
                 "list {i}: {held} bytes of arrays"
             );
         }

@@ -24,7 +24,7 @@ use iva_swt::SwtTable;
 
 use crate::config::IvaConfig;
 use crate::error::{IvaError, Result};
-use crate::index::{IvaIndex, QueryOutcome, ScanCarry};
+use crate::index::{IvaIndex, QueryMatchers, QueryOutcome, ScanCarry};
 use crate::metric::{Metric, WeightScheme};
 use crate::query::Query;
 use crate::scan::{Lane, PhaseNanos, DRAIN_AT};
@@ -71,8 +71,10 @@ impl IvaIndex {
         opts: &QueryOptions,
     ) -> Result<QueryOutcome> {
         let lambda = self.resolve_weights(query, weights);
+        let matchers = self.query_matchers(query);
         let mut carry = ScanCarry::new(k);
-        self.query_carry_opts(table, query, metric, &lambda, opts, &mut carry)?;
+        carry.stats.filter_nanos += matchers.build_nanos();
+        self.query_carry_opts(table, query, &matchers, metric, &lambda, opts, &mut carry)?;
         Ok(carry.finish())
     }
 
@@ -81,17 +83,22 @@ impl IvaIndex {
     /// per tier, in tid order). Workers scan with private (initially
     /// empty) pools and the merge unions them into the carried pool, so
     /// the concatenated multi-tier scan stays bit-identical to a serial
-    /// carried scan.
+    /// carried scan. Like `lambda`, the query's `matchers` are built once
+    /// for every tier, and their build is the caller's to charge.
+    #[allow(clippy::too_many_arguments)]
     pub fn query_carry_opts<M: Metric + Sync>(
         &self,
         table: &SwtTable,
         query: &Query,
+        matchers: &QueryMatchers,
         metric: &M,
         lambda: &[f64],
         opts: &QueryOptions,
         carry: &mut ScanCarry,
     ) -> Result<()> {
-        self.query_carry_windowed(table, query, metric, lambda, opts, DRAIN_AT, carry)
+        self.query_carry_windowed(
+            table, query, matchers, metric, lambda, opts, DRAIN_AT, carry,
+        )
     }
 
     /// [`IvaIndex::query_carry_opts`] with the spine's drain window as an
@@ -104,6 +111,7 @@ impl IvaIndex {
         &self,
         table: &SwtTable,
         query: &Query,
+        matchers: &QueryMatchers,
         metric: &M,
         lambda: &[f64],
         opts: &QueryOptions,
@@ -120,14 +128,14 @@ impl IvaIndex {
         let max_useful = usize::try_from(n.div_ceil(MIN_SEGMENT)).unwrap_or(usize::MAX);
         let threads = requested.min(max_useful).max(1);
         if threads == 1 {
-            return self.scan_serial(table, query, metric, lambda, drain_at, carry);
+            return self.scan_serial(table, query, matchers, metric, lambda, drain_at, carry);
         }
 
         let k = carry.pool.capacity();
         // One prepared table per query — the packed-mask kernels and
         // numeric codecs are immutable and shared by every worker below;
         // workers only open private scan positions.
-        let (shared, prepare_nanos) = self.prepare_query_timed(query)?;
+        let (shared, prepare_nanos) = self.prepare_query_timed(query, matchers)?;
         let t = threads as u64;
         let bounds: Vec<(u64, u64)> = (0..t).map(|i| (i * n / t, (i + 1) * n / t)).collect();
 

@@ -67,7 +67,7 @@ use iva_swt::{FieldLoc, RecordBuf, RecordPtr, SwtTable};
 use iva_text::{PreparedMatcher, SigCodec};
 
 use crate::error::{IvaError, Result};
-use crate::index::{IvaIndex, ScanCarry, SharedAttr};
+use crate::index::{IvaIndex, QueryMatchers, ScanCarry, SharedAttr};
 use crate::layout::TOMBSTONE_PTR;
 use crate::metric::Metric;
 use crate::numeric::NumericCodec;
@@ -324,12 +324,17 @@ pub(crate) struct PhaseNanos {
 
 impl IvaIndex {
     /// [`IvaIndex::prepare_query`] with the CPU nanos it took.
-    /// Preparation is filter work — the matcher build and, on the hot
-    /// tier, the whole block-estimate prefold — so every execution shape's
-    /// entry charges it to `filter_nanos`.
-    pub(crate) fn prepare_query_timed(&self, query: &Query) -> Result<(Vec<SharedAttr<'_>>, u64)> {
+    /// Preparation is filter work — any matcher `matchers` could not lend
+    /// and, on the hot tier, the whole block-estimate prefold — so every
+    /// execution shape's entry charges it to `filter_nanos` (and whoever
+    /// built `matchers` charges their build once).
+    pub(crate) fn prepare_query_timed<'a>(
+        &'a self,
+        query: &Query,
+        matchers: &'a QueryMatchers,
+    ) -> Result<(Vec<SharedAttr<'a>>, u64)> {
         let start = thread_cpu_time();
-        let shared = self.prepare_query(query)?;
+        let shared = self.prepare_query(query, matchers)?;
         Ok((shared, thread_cpu_time().saturating_sub(start)))
     }
 
@@ -412,17 +417,20 @@ impl IvaIndex {
     /// The serial shape: one lane over the whole tuple list on the carried
     /// pool. `lambda` is the resolved per-query-attribute weight vector; a
     /// segmented store resolves it once, globally, so every tier admits
-    /// under the one λ its distances are computed with.
+    /// under the one λ its distances are computed with — and builds the
+    /// query's `matchers` once, too.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn scan_serial<M: Metric>(
         &self,
         table: &SwtTable,
         query: &Query,
+        matchers: &QueryMatchers,
         metric: &M,
         lambda: &[f64],
         drain_at: usize,
         carry: &mut ScanCarry,
     ) -> Result<()> {
-        let (shared, prepare_nanos) = self.prepare_query_timed(query)?;
+        let (shared, prepare_nanos) = self.prepare_query_timed(query, matchers)?;
         let mut lanes = [Lane::open(self, query, lambda, &shared, carry)?];
         let nanos = self.scan(table, &mut lanes, 0..self.n_tuples(), drain_at, metric)?;
         carry.stats.filter_nanos += prepare_nanos + nanos.filter;
@@ -531,7 +539,8 @@ mod tests {
         let cfg = IvaConfig::default();
         let index = build_index(&table, IndexTarget::Mem, &opts, IoStats::new(), cfg).unwrap();
         let q = Query::new().text(AttrId(0), "item number 77");
-        let shared = index.prepare_query(&q).unwrap();
+        let matchers = index.query_matchers(&q);
+        let shared = index.prepare_query(&q, &matchers).unwrap();
         let mut carry = ScanCarry::new(10);
         let mut lanes = [Lane::open(&index, &q, &[1.0], &shared, &mut carry).unwrap()];
         let before = crate::timing::thread_cpu_time();
@@ -570,6 +579,7 @@ mod tests {
         let index = build_index(&table, IndexTarget::Mem, &opts, IoStats::new(), cfg).unwrap();
         let q = Query::new().text(AttrId(0), "item 7").num(AttrId(1), 7.0);
         let (good, short) = ([1.0, 1.0], [1.0]);
+        let matchers = index.query_matchers(&q);
         let rejected = |r: Result<()>| matches!(r, Err(IvaError::InvalidArgument(_)));
 
         // Serial and 2-thread segmented-parallel.
@@ -578,14 +588,15 @@ mod tests {
                 threads: Some(threads),
             };
             let mut carry = ScanCarry::new(3);
-            let r = index.query_carry_opts(&table, &q, &MetricKind::L2, &short, &o, &mut carry);
+            let m = &matchers;
+            let r = index.query_carry_opts(&table, &q, m, &MetricKind::L2, &short, &o, &mut carry);
             assert!(rejected(r), "threads={threads}");
             index
-                .query_carry_opts(&table, &q, &MetricKind::L2, &good, &o, &mut carry)
+                .query_carry_opts(&table, &q, m, &MetricKind::L2, &good, &o, &mut carry)
                 .unwrap();
         }
         // Batch of two: one well-formed lane does not excuse the other.
-        let shared = index.prepare_query(&q).unwrap();
+        let shared = index.prepare_query(&q, &matchers).unwrap();
         let (mut a, mut b) = (ScanCarry::new(3), ScanCarry::new(3));
         assert!(Lane::open(&index, &q, &good, &shared, &mut a).is_ok());
         let second = Lane::open(&index, &q, &short, &shared, &mut b);

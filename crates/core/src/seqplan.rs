@@ -102,7 +102,8 @@ impl IvaIndex {
             metric.combine(&v)
         };
 
-        let shared = self.prepare_query(query)?;
+        let matchers = self.query_matchers(query);
+        let shared = self.prepare_query(query, &matchers)?;
         let scanned = self.collect_lower_bounds(&shared, lambda, metric)?;
 
         // ---- Phase 2: refine the candidate set. ----
@@ -252,7 +253,8 @@ mod tests {
             let v: Vec<f64> = lambda.iter().map(|l| l * ndf).collect();
             metric.combine(&v)
         };
-        let shared = index.prepare_query(query).unwrap();
+        let matchers = index.query_matchers(query);
+        let shared = index.prepare_query(query, &matchers).unwrap();
         let scanned = index
             .collect_lower_bounds(&shared, &lambda, metric)
             .unwrap();

@@ -392,7 +392,7 @@ impl ElemReader {
             ElemReader::Packed(p) => match p.frame()? {
                 Frame::Raw(tail) => raw_sig(tail, codec, v),
                 Frame::Packed(sections) => {
-                    let view = sections.sig(codec)?;
+                    let view = sections.sig()?;
                     v.as_mut().map_or(Ok(()), |v| v.sig(view))
                 }
                 Frame::NdfRun(_) => Err(in_ndf_run()),
@@ -439,7 +439,7 @@ impl ElemReader {
 
 /// One stored signature as a walk hands it out. `window` starts at the
 /// `cH` bytes like `ch` and runs on as far as the source has bytes at
-/// hand: through the rest of a packed frame's padded `cH` section, so the
+/// hand: through the rest of a packed list's padded dictionary, so the
 /// estimation kernel can load a whole word from it.
 #[derive(Clone, Copy)]
 pub(crate) struct SigView<'a> {
@@ -452,8 +452,8 @@ pub(crate) struct SigView<'a> {
 }
 
 /// What a walk does with the value it stops on: called once per string
-/// with the signature, borrowed from the buffer-pool page or the frame
-/// payload. A trait, not a closure, so every consumer is a monomorphized,
+/// with the signature, borrowed from the buffer-pool page, a RAW frame or
+/// the list's dictionary. A trait, not a closure, so every consumer is a monomorphized,
 /// statically resolved call.
 pub(crate) trait SigVisitor {
     /// One signature of the visited value.
@@ -549,8 +549,8 @@ pub(crate) fn text_lower_bound(ty: ListType, n_sigs: usize, best: f64) -> Option
 /// `MoveTo(currentTuple)` / freeze semantics of Sec. IV-A.
 ///
 /// Signature payloads are consumed as borrowed views straight from the
-/// buffer-pool page ([`ListReader::read_bytes`]) or the packed frame's
-/// payload, so the hot estimation path copies no element bytes; the
+/// buffer-pool page ([`ListReader::read_bytes`]) or the packed list's
+/// dictionary, so the hot estimation path copies no element bytes; the
 /// shared immutable [`PreparedMatcher`] kernel evaluates each view in
 /// place.
 pub struct TextListCursor {
@@ -690,7 +690,7 @@ impl TextListCursor {
         matcher: &PreparedMatcher,
         out: &mut [f64],
     ) -> Result<()> {
-        let (mut done, bound) = (0, Bound::Text(codec, matcher));
+        let (mut done, bound) = (0, Bound::Text(matcher));
         let tids = tids.get(..out.len()).unwrap_or(tids);
         while let (Some(rest), Some(slots)) = (tids.get(done..), out.get_mut(done..)) {
             let Some(&tid) = rest.first() else { break };
@@ -1300,7 +1300,7 @@ mod tests {
                 )
             })
             .collect();
-        let matcher = PreparedMatcher::new(&codec, b"v7-0");
+        let matchers = [b"v7-0", b"v9-1"].map(|q| PreparedMatcher::new(&codec, q));
         for ty in [ListType::I, ListType::II, ListType::III] {
             let raw = encode_text_list(ty, &items, &all_tids).unwrap();
             let packed = encode_packed_text_list(ty, &items, &all_tids);
@@ -1308,15 +1308,18 @@ mod tests {
             let pr = PackedReader::new_text(reader_for(&p, &packed), ty, &codec).unwrap();
             let mut pc = TextListCursor::new_packed(pr, ty);
             for tid in 0..64u32 {
-                let a = rc.advance(tid, &codec, &matcher).unwrap();
-                // Every fifth move of the packed cursor is a one-element fill.
+                let matcher = &matchers[(tid / 5) as usize % 2];
+                let a = rc.advance(tid, &codec, matcher).unwrap();
+                // Every fifth move of the packed cursor is a one-element
+                // fill, under the two matchers in turn: the dictionary's
+                // estimates are its matcher's.
                 let b = match tid % 5 {
                     4 => {
                         let mut lb = [0.0];
-                        pc.fill_block(&[tid], &codec, &matcher, &mut lb).unwrap();
+                        pc.fill_block(&[tid], &codec, matcher, &mut lb).unwrap();
                         Some(lb[0]).filter(|v| !v.is_nan())
                     }
-                    _ => pc.advance(tid, &codec, &matcher).unwrap(),
+                    _ => pc.advance(tid, &codec, matcher).unwrap(),
                 };
                 assert_eq!(
                     a.map(f64::to_bits),

@@ -130,9 +130,9 @@ fn one_window_fetches_within_the_probe_bound() {
         let at_most = k + rows.iter().filter(|r| r.0 <= t1).count();
         let at_least = rows.iter().filter(|r| r.0 < d_k).count();
         let (o, mut got) = (QueryOptions { threads: Some(1) }, ScanCarry::new(k));
-        let window = n as usize;
+        let (window, matchers) = (n as usize, index.query_matchers(&q));
         index
-            .query_carry_windowed(&t, &q, &metric, &lambda, &o, window, &mut got)
+            .query_carry_windowed(&t, &q, &matchers, &metric, &lambda, &o, window, &mut got)
             .unwrap();
         let fetched = got.stats.table_accesses as usize;
         assert!(

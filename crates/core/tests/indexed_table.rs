@@ -10,9 +10,9 @@ use std::sync::Arc;
 use common::{all_list_types_table, small_pages};
 use iva_core::{
     build_index, segment_base, segment_index_path, IndexTarget, IndexedTable, IvaConfig, IvaError,
-    MetricKind, Query, WeightScheme,
+    MetricKind, Query, WeightScheme, INDEX_VERSION_V4,
 };
-use iva_storage::{DomainPin, IoStats, MemVfs, Vfs, FRAME_TRAILER, SUPERBLOCK_LEN};
+use iva_storage::{DomainPin, IoStats, MemVfs, PageId, Pager, Vfs, FRAME_TRAILER, SUPERBLOCK_LEN};
 use iva_swt::{AttrId, Catalog, SwtTable, Tuple, Value};
 
 const ROWS: u32 = 120;
@@ -34,11 +34,19 @@ enum State {
     CutMidRebuild,
     /// A temporary nobody cleaned up, beside a perfectly good index.
     StaleTemporary,
+    /// A v4 index holding packed text lists: a format from before their
+    /// dictionaries, which is stale.
+    PackedTextV4,
+    /// A v4 index whose lists are all raw: a format still current.
+    RawOnlyV4,
 }
 
 impl State {
     fn wants_rebuild(self) -> bool {
-        !matches!(self, State::Clean | State::StaleTemporary)
+        !matches!(
+            self,
+            State::Clean | State::StaleTemporary | State::RawOnlyV4
+        )
     }
 }
 
@@ -143,12 +151,16 @@ fn open(vfs: &Arc<dyn Vfs>, n: &Names, domains: Option<&[DomainPin]>) -> Indexed
 fn arrange(mem: &MemVfs, n: &Names, domains: Option<&[DomainPin]>, state: State) {
     let vfs: Arc<dyn Vfs> = Arc::new(mem.clone());
     let source = all_list_types_table(ROWS);
+    let config = IvaConfig {
+        compress_lists: !matches!(state, State::RawOnlyV4),
+        ..IvaConfig::default()
+    };
     IndexedTable::stage(
         &[&source],
         Some((&vfs, &n.base, &n.index)),
         source.catalog(),
         &small_pages(),
-        IvaConfig::default(),
+        config,
         domains,
         IoStats::new(),
         IoStats::new(),
@@ -183,6 +195,16 @@ fn arrange(mem: &MemVfs, n: &Names, domains: Option<&[DomainPin]>, state: State)
             mem.set_contents(&n.rebuild_tmp, garbage);
         }
         State::StaleTemporary => mem.set_contents(&n.rebuild_tmp, garbage),
+        State::PackedTextV4 | State::RawOnlyV4 => {
+            let opts = small_pages();
+            let pager = Pager::open_with_vfs(mem, &n.index, &opts, IoStats::new()).unwrap();
+            let v4 = INDEX_VERSION_V4.to_le_bytes();
+            // The header's version field follows its 4-byte magic.
+            pager
+                .update_page(PageId(0), |p| p[4..8].copy_from_slice(&v4))
+                .unwrap();
+            pager.sync().unwrap();
+        }
     }
 }
 
@@ -196,6 +218,8 @@ fn open_reuses_a_matching_index_and_rebuilds_any_other() {
         State::HeaderBitFlipped,
         State::CutMidRebuild,
         State::StaleTemporary,
+        State::PackedTextV4,
+        State::RawOnlyV4,
     ];
     for state in states {
         for segment in [false, true] {

@@ -534,43 +534,101 @@ impl Mixture {
 
 /// Every frame mixture a list can hold: PACKED frames alone, NDF_RUN runs
 /// between them, RAW tail frames alone, all three, and a list that ends
-/// undefined before its tuple list does (the lazy positional tail).
+/// undefined before its tuple list does (the lazy positional tail). The
+/// first five give every value its own strings, so a text list's
+/// dictionary holds every signature; the rest size the dictionary — one
+/// entry; 2^8 and 2^8 + 1 entries, whose codes are 8 and 9 bits wide — or
+/// repeat a string inside a value, so two strings of one value share a
+/// code. Each of those has RAW tail frames after its coded frames.
 fn frame_mixtures(sc: &iva_text::SigCodec, nc: &NumericCodec) -> Vec<Mixture> {
     type Defined = fn(u32) -> bool;
-    let shapes: [(&str, u32, usize, Defined); 5] = [
-        ("packed frames", 2300, 2300, |i| i % 7 != 0),
-        ("ndf runs", 2300, 2300, |i| (i / 40) % 2 == 0),
-        ("raw tail frames", 260, 0, |i| {
-            i % 3 != 0 && (i / 25) % 3 != 1
-        }),
-        ("all three", 2300, 2100, |i| i % 7 != 0 && (i / 40) % 3 != 1),
-        ("ends undefined", 2300, 2250, |i| i % 7 != 0 && i < 2270),
+    type Strings = fn(u32) -> Vec<String>;
+    let distinct: Strings = |i| (0..1 + i % 3).map(|j| format!("value {i} {j}")).collect();
+    let shapes: [(&str, u32, usize, Defined, Strings); 9] = [
+        ("packed frames", 2300, 2300, |i| i % 7 != 0, distinct),
+        ("ndf runs", 2300, 2300, |i| (i / 40) % 2 == 0, distinct),
+        (
+            "raw tail frames",
+            260,
+            0,
+            |i| i % 3 != 0 && (i / 25) % 3 != 1,
+            distinct,
+        ),
+        (
+            "all three",
+            2300,
+            2100,
+            |i| i % 7 != 0 && (i / 40) % 3 != 1,
+            distinct,
+        ),
+        (
+            "ends undefined",
+            2300,
+            2250,
+            |i| i % 7 != 0 && i < 2270,
+            distinct,
+        ),
+        (
+            "one signature",
+            2300,
+            2100,
+            |i| i % 7 != 0,
+            |_| vec!["the one value".into()],
+        ),
+        (
+            "2^8 signatures",
+            2300,
+            2100,
+            |i| i % 5 != 0,
+            |i| vec![format!("value {}", i % 256)],
+        ),
+        (
+            "2^8 + 1 signatures",
+            2300,
+            2100,
+            |i| i % 5 != 0,
+            |i| vec![format!("value {}", i % 257)],
+        ),
+        (
+            "shared codes",
+            2300,
+            2100,
+            |i| i % 7 != 0,
+            |i| {
+                let words = [i % 5, (i / 5) % 5, i % 5].map(|w| format!("word {w}"));
+                words[..1 + i as usize % 3].to_vec()
+            },
+        ),
     ];
-    let shapes = shapes.into_iter().map(|(name, n, head, defined)| Mixture {
-        name,
-        n: n as usize,
-        head,
-        tids: (0..n + 40).map(|i| i * 3 + 1).collect(),
-        text_items: (0..n)
-            .filter(|&i| defined(i))
-            .map(|i| {
-                let strings = (0..1 + i % 3).map(|j| format!("value {i} {j}"));
-                let sigs = strings.map(|s| sc.encode_to_vec(s.as_bytes())).collect();
-                (i * 3 + 1, sigs)
-            })
-            .collect(),
-        num_items: (0..n)
-            .filter(|&i| defined(i))
-            .map(|i| (i * 3 + 1, nc.encode(f64::from(i))))
-            .collect(),
-    });
+    let shapes = shapes
+        .into_iter()
+        .map(|(name, n, head, defined, strings)| Mixture {
+            name,
+            n: n as usize,
+            head,
+            tids: (0..n + 40).map(|i| i * 3 + 1).collect(),
+            text_items: (0..n)
+                .filter(|&i| defined(i))
+                .map(|i| {
+                    let sigs = strings(i)
+                        .into_iter()
+                        .map(|s| sc.encode_to_vec(s.as_bytes()));
+                    (i * 3 + 1, sigs.collect())
+                })
+                .collect(),
+            num_items: (0..n)
+                .filter(|&i| defined(i))
+                .map(|i| (i * 3 + 1, nc.encode(f64::from(i))))
+                .collect(),
+        });
     shapes.collect()
 }
 
 /// The frame-direct walk against its two references, on every list
 /// organization and every frame mixture a list can hold: the cursor over
-/// the packed list (PACKED frames served from their sections, RAW tail
-/// frames and NDF_RUN runs as they come), the raw-layout cursor over the
+/// the packed list (PACKED frames served from their sections and the
+/// list's dictionary, RAW tail frames and NDF_RUN runs as they come), the
+/// raw-layout cursor over the
 /// image `decode_to_vec` builds, and the values that were encoded. They
 /// must agree element for element under `advance`, after
 /// `seek_elements(n)` for `n` on and off every frame boundary, and at the
@@ -710,12 +768,13 @@ fn slot_bits(lb: Option<f64>) -> u64 {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(36))]
 
     /// The block fill against its oracle, the per-element walk: on every
     /// organization (Text I/II/III, Num I/IV), raw and packed, over every
     /// frame mixture (PACKED frames, RAW tail frames appended by inserts,
-    /// NDF_RUN runs, the lazy positional tail), from any `seek_elements`
+    /// NDF_RUN runs, the lazy positional tail, signature dictionaries of
+    /// every shape [`frame_mixtures`] names), from any `seek_elements`
     /// start, in blocks of 1 to 300 elements — so block edges fall inside
     /// list frames, on them, and inside a Type I value split across two
     /// frames — `fill_block` writes, bit for bit, what `advance` returns

@@ -604,17 +604,28 @@ mod fuzz_packed {
         }
     }
 
-    /// A packed list of one PACKED frame with the given header count
-    /// and payload, under a prologue that promises 2^40 raw bytes (the
-    /// prologue is a disk field too: it must not be what bounds a frame).
-    fn one_frame_list(elems: u32, payload: &[u8]) -> Vec<u8> {
+    /// A packed list of the given `(kind, header count, payload)` frames,
+    /// under a prologue that promises 2^40 raw bytes (the prologue is a
+    /// disk field too: it must not be what bounds a frame).
+    fn frames_list(frames: &[(u8, u32, &[u8])]) -> Vec<u8> {
         let mut list = (1u64 << 40).to_le_bytes().to_vec();
-        list.push(1); // FRAME_PACKED
-        list.extend_from_slice(&elems.to_le_bytes());
-        list.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        list.extend_from_slice(payload);
+        for &(kind, elems, payload) in frames {
+            list.push(kind);
+            list.extend_from_slice(&elems.to_le_bytes());
+            list.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            list.extend_from_slice(payload);
+        }
         list
     }
+
+    /// [`frames_list`] of one PACKED frame.
+    fn one_frame_list(elems: u32, payload: &[u8]) -> Vec<u8> {
+        frames_list(&[(PACKED, elems, payload)])
+    }
+
+    /// Frame kinds: PACKED, and DICT (a text list's dictionary).
+    const PACKED: u8 = 1;
+    const DICT: u8 = 3;
 
     /// Decode amplification: a bit-packed section costs far less than a
     /// payload byte per value it claims, so a frame's claims must be
@@ -623,9 +634,12 @@ mod fuzz_packed {
     /// section claims 16.7 M strings (the parent built 150 MB of arrays
     /// and spun 16.7 M unpack steps before noticing the `cH` section was
     /// missing); its Text II twin; and header counts / code widths on the
-    /// other organizations that the payload cannot back. Each is
-    /// `Corrupt`, to the walk and to the whole-image decode alike — what
-    /// was *not* allocated on the way is pinned by
+    /// other organizations that the payload cannot back. Then dictionaries
+    /// that lie: one claiming more entries than its payload has bytes, a
+    /// string coded past the dictionary's end, a coded frame with no
+    /// dictionary before it, a second dictionary, and a dictionary on a
+    /// numeric list. Each is `Corrupt`, to the walk and to the whole-image
+    /// decode alike — what was *not* allocated on the way is pinned by
     /// `packed::tests::lying_frames_size_nothing_by_their_claims`.
     #[test]
     fn frames_claiming_more_than_their_payload_are_corrupt() {
@@ -643,6 +657,12 @@ mod fuzz_packed {
         let max_elems = 1u32 << 20;
         let mut narrow_codes = vec![60u8]; // claims 60-bit codes...
         narrow_codes.extend_from_slice(&[0xAB; 750]); // ...backs 6-bit ones
+                                                      // Two entries of `cL` 0 (a zero-width `cL` section) and their `cH`s.
+        let mut two = vec![0u8];
+        two.resize(1 + 2 * sig_codec().ch_bytes(0), 0xA5);
+        // One Type I string of tid 0: no deltas, `cbw` 2, the code.
+        let coded = |code: u8| vec![0, 0, 0, 0, 0, 2, code];
+        let (past_end, first) = (coded(2), coded(1));
         let lies: Vec<(&str, bool, ListType, Vec<u8>)> = vec![
             (
                 "text III counts",
@@ -679,6 +699,36 @@ mod fuzz_packed {
                 false,
                 ListType::IV,
                 one_frame_list(1000, &narrow_codes),
+            ),
+            (
+                "dictionary entries",
+                true,
+                ListType::I,
+                frames_list(&[(DICT, 65_536, &[0, 0xA5, 0xA5])]),
+            ),
+            (
+                "code past the dictionary",
+                true,
+                ListType::I,
+                frames_list(&[(DICT, 2, &two), (PACKED, 1, &past_end)]),
+            ),
+            (
+                "code without a dictionary",
+                true,
+                ListType::I,
+                frames_list(&[(PACKED, 1, &first)]),
+            ),
+            (
+                "second dictionary",
+                true,
+                ListType::I,
+                frames_list(&[(DICT, 2, &two), (DICT, 2, &two), (PACKED, 1, &first)]),
+            ),
+            (
+                "dictionary on a numeric list",
+                false,
+                ListType::I,
+                frames_list(&[(DICT, 2, &two), (PACKED, 1, &[0, 0, 0, 0, 0, 1, 1])]),
             ),
         ];
         let corrupt = IvaError::is_corruption;

@@ -263,7 +263,7 @@ proptest! {
     /// 0..=255 (and one clamped string) in random order, through every
     /// entry point, against the scalar oracle bit for bit: `estimate`,
     /// `estimate_parts` on the exact `cH` view and on a view that runs on
-    /// into the next signatures (as a packed frame's section does), and
+    /// into the next signatures (as a packed list's dictionary does), and
     /// `estimate_block` over cells whose padding is poison.
     #[test]
     fn kernel_matches_scalar_on_interleaved_length_columns(

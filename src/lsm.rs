@@ -618,10 +618,14 @@ impl LsmDb {
         let scheme = request.weights_override().unwrap_or(self.opts.weights);
         let lambda = self.resolve_weights(query, scheme);
         let qopts = SearchRequest::query_options([request]);
+        // One kernel per text value for every tier, built under the
+        // store's codec (the memtable's) and charged once.
+        let matchers = self.memtable.index().query_matchers(query);
         let mut carry = ScanCarry::new(request.k());
+        carry.stats.filter_nanos += matchers.build_nanos();
         for tier in self.tiers() {
             let (index, table) = tier.searchable()?;
-            index.query_carry_opts(table, query, metric, &lambda, &qopts, &mut carry)?;
+            index.query_carry_opts(table, query, &matchers, metric, &lambda, &qopts, &mut carry)?;
         }
         self.materialize(carry.finish())
     }

@@ -4,7 +4,9 @@
 //! write through to either.
 
 use iva_file::vfs::{RealVfs, Vfs};
-use iva_file::{IvaConfig, IvaDb, IvaDbOptions, Query, SearchRequest, Tuple, Value};
+use iva_file::{
+    IvaConfig, IvaDb, IvaDbOptions, LsmDb, LsmOptions, Query, SearchRequest, Tuple, Value,
+};
 
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("iva-knobs-{tag}-{}", std::process::id()));
@@ -137,5 +139,54 @@ fn structural_params_from_disk_win_over_options() {
     assert_eq!(cfg.alpha, 0.30, "stored structural parameter must win");
     assert_eq!(cfg.search_threads, 2, "opener's runtime knob must apply");
     assert_eq!(cfg.hot_tier_bytes, 4096);
+    RealVfs.remove_dir_all(&dir).unwrap();
+}
+
+/// An `LsmDb` reopened under another α keeps its sealed segments' α (the
+/// memtable takes the opener's). A query's text kernels are built once,
+/// under the memtable's codec, and lent only to tiers of that codec; the
+/// segment builds its own. Answers stay those of an `IvaDb` over the same
+/// rows, by tid and distance bits.
+#[test]
+fn lsm_tiers_under_two_codecs_answer_exactly() {
+    let dir = scratch_dir("lsm-codecs");
+    let opts = |alpha| LsmOptions {
+        config: IvaConfig {
+            alpha,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let row = |i: u32| {
+        Value::text(format!(
+            "{} model {i}",
+            ["widget", "gadget"][i as usize % 2]
+        ))
+    };
+    let mut mono = IvaDb::create_mem(IvaDbOptions::default()).unwrap();
+    let name = mono.define_text("name").unwrap();
+    {
+        let mut lsm = LsmDb::create(&dir, opts(0.30)).unwrap();
+        lsm.define_text("name").unwrap();
+        for i in 0..40 {
+            let t = Tuple::new().with(name, row(i));
+            assert_eq!(lsm.insert(&t).unwrap(), mono.insert(&t).unwrap());
+        }
+        lsm.flush().unwrap(); // seals the memtable into a segment
+    }
+    let mut lsm = LsmDb::open(&dir, opts(0.10)).unwrap();
+    assert_eq!(lsm.segments().len(), 1);
+    for i in 40..60 {
+        let t = Tuple::new().with(name, row(i));
+        assert_eq!(lsm.insert(&t).unwrap(), mono.insert(&t).unwrap());
+    }
+    let keys = |hits: &[iva_file::SearchHit]| -> Vec<(u64, u64)> {
+        hits.iter().map(|h| (h.tid, h.dist.to_bits())).collect()
+    };
+    for q in ["widget model 7", "gadget model 45", "gidget modl 12"] {
+        let (query, req) = (Query::new().text(name, q), SearchRequest::new(5));
+        let want = keys(&mono.execute(&query, &req).unwrap().hits);
+        assert_eq!(keys(&lsm.execute(&query, &req).unwrap().hits), want, "{q}");
+    }
     RealVfs.remove_dir_all(&dir).unwrap();
 }

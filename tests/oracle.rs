@@ -442,8 +442,14 @@ fn windowed(db: &dyn Db, p: &Probe, window: usize) -> Result<Answer> {
     let (q, m, opts) = (&p.queries[0], &p.metric, threaded(p.threads));
     let lambda = db.lambda(q, p.weights);
     let mut carry = ScanCarry::new(p.k);
-    for (index, table) in db.tiers()? {
-        index.query_carry_windowed(table, q, m, &lambda, &opts, window, &mut carry)?;
+    let tiers = db.tiers()?;
+    // Built once, like `lambda`, and lent to every tier.
+    let Some((last, _)) = tiers.last() else {
+        return Ok(carry.finish().into());
+    };
+    let matchers = last.query_matchers(q);
+    for (index, table) in tiers {
+        index.query_carry_windowed(table, q, &matchers, m, &lambda, &opts, window, &mut carry)?;
     }
     Ok(carry.finish().into())
 }
