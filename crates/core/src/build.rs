@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use iva_storage::vfs::Vfs;
 use iva_storage::{write_contiguous_list, DomainPin, IoStats, Pager, PagerOptions};
-use iva_swt::{SwtTable, Value};
+use iva_swt::{AttrId, RecordBuf, RecordPtr, SwtTable, Value, ValueRef};
 
 use crate::config::IvaConfig;
 use crate::error::{IvaError, Result};
@@ -22,7 +22,7 @@ use crate::layout::{
     AttrEntry, IndexHeader, ListEncoding, INDEX_VERSION, TOMBSTONE_PTR, TUPLE_ENTRY_LEN,
 };
 use crate::numeric::NumericCodec;
-use crate::packed::{encode_packed_num_list, encode_packed_text_list};
+use crate::packed::{encode_packed_num_list, encode_packed_text, strings_may_pay, TextStrings};
 use crate::veclist::{
     choose_num_type, choose_text_type, encode_num_list, encode_text_list, ListType,
 };
@@ -157,6 +157,10 @@ pub fn build_index_with_domains(
             }
         });
     }
+    // The strings of the text lists whose dictionaries might hold them.
+    let wanted = |a: &ExportedAttr| config.compress_lists && strings_may_pay(&a.text_postings);
+    let wanted: Vec<bool> = attrs.iter().map(wanted).collect();
+    let strings = read_strings(table, &tuple_entries, &wanted)?;
     let parts = ExportedIndex {
         config,
         tuple_entries,
@@ -164,7 +168,40 @@ pub fn build_index_with_domains(
         table_watermark: table.file().data_len(),
         attrs,
     };
-    write_index(target, opts, io, &parts)
+    write_index(target, opts, io, &parts, &strings)
+}
+
+/// Each `wanted` text attribute's strings, interned — read in place from
+/// the records of `entries`, in one pass.
+fn read_strings(
+    table: &SwtTable,
+    entries: &[(u32, u64)],
+    wanted: &[bool],
+) -> Result<Vec<Option<TextStrings>>> {
+    let mut out: Vec<Option<TextStrings>> = wanted
+        .iter()
+        .map(|&w| w.then(TextStrings::default))
+        .collect();
+    let ids: Vec<AttrId> = (0..wanted.len() as u32)
+        .map(AttrId)
+        .filter(|a| wanted.get(a.index()) == Some(&true))
+        .collect();
+    if ids.is_empty() {
+        return Ok(out);
+    }
+    let (mut buf, mut locs) = (RecordBuf::default(), Vec::new());
+    for &(_, ptr) in entries {
+        let rec = table.read(RecordPtr(ptr), &mut buf)?;
+        rec.view.locate(ids.iter().copied(), &mut locs)?;
+        for (a, &loc) in ids.iter().zip(&locs) {
+            if let (Some(ValueRef::Text(t)), Some(Some(texts))) =
+                (rec.view.value_at(loc), out.get_mut(a.index()))
+            {
+                t.strings().for_each(|s| texts.push(s));
+            }
+        }
+    }
+    Ok(out)
 }
 
 /// Pick the stored image of a freshly encoded list: the packed encoding
@@ -186,11 +223,14 @@ fn choose_encoding(raw: Vec<u8>, packed: Option<Vec<u8>>) -> (Vec<u8>, ListEncod
 /// table scan, [`crate::import_index`] from validated interchange content;
 /// `parts` is trusted to hold strictly ascending tids, postings aligned to
 /// the tuple list, and list types that suit their attribute's kind.
+/// `strings[a]`, where given, holds attribute `a`'s text postings'
+/// strings, for its packed list's dictionary (see [`crate::packed`]).
 pub(crate) fn write_index(
     target: IndexTarget<'_>,
     opts: &PagerOptions,
     io: IoStats,
     parts: &ExportedIndex,
+    strings: &[Option<TextStrings>],
 ) -> Result<IvaIndex> {
     let config = parts.config;
     let all_tids: Vec<u32> = parts.tuple_entries.iter().map(|(t, _)| *t).collect();
@@ -210,14 +250,15 @@ pub(crate) fn write_index(
     }
 
     let mut entries: Vec<AttrEntry> = Vec::with_capacity(parts.attrs.len());
-    for attr in &parts.attrs {
+    for (a, attr) in parts.attrs.iter().enumerate() {
         let ty = attr.list_type;
         let (raw, packed, df, str_count) = if attr.is_text {
             let items = &attr.text_postings;
             let raw = encode_text_list(ty, items, &all_tids)?;
+            let texts = strings.get(a).and_then(Option::as_ref);
             let packed = config
                 .compress_lists
-                .then(|| encode_packed_text_list(ty, items, &all_tids));
+                .then(|| encode_packed_text(ty, items, texts, &all_tids));
             let str_count = items.iter().map(|(_, s)| s.len() as u64).sum();
             (raw, packed, items.len() as u64, str_count)
         } else {

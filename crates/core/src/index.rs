@@ -229,10 +229,11 @@ impl IvaIndex {
             entries.push(entry);
         }
         // A v2–v4 packed text list stores its signatures inline, which this
-        // build no longer reads: stale, and a rebuild from the table repairs it.
-        let inline_sigs = |e: &AttrEntry| e.is_text && e.encoding == ListEncoding::Packed;
-        if header.version < INDEX_VERSION && entries.iter().any(inline_sigs) {
-            return Err(IvaError::Corrupt("pre-v5 packed text lists".into()));
+        // build no longer reads, and a v5 one has no dictionary strings:
+        // stale, and a rebuild from the table repairs it.
+        let stale = |e: &AttrEntry| e.is_text && e.encoding == ListEncoding::Packed;
+        if header.version < INDEX_VERSION && entries.iter().any(stale) {
+            return Err(IvaError::Corrupt("pre-v6 packed text lists".into()));
         }
         let sig_codec = header.config.sig_codec();
         // `IndexHeader::decode` resets `hot_tier_bytes` (runtime knob):
@@ -452,14 +453,19 @@ impl IvaIndex {
     /// whichever its encoding — how the scan, a hot-tier promotion and an
     /// export all read it.
     pub(crate) fn open_text_cursor(&self, entry: &AttrEntry) -> Result<TextListCursor> {
-        let reader = ListReader::open(Arc::clone(&self.pager), entry.vlist)?;
         let ty = entry.list_type;
         Ok(match entry.encoding {
-            ListEncoding::Raw => TextListCursor::new(reader, ty),
-            ListEncoding::Packed => {
-                TextListCursor::new_packed(PackedReader::new_text(reader, ty, &self.sig_codec)?, ty)
+            ListEncoding::Raw => {
+                TextListCursor::new(ListReader::open(Arc::clone(&self.pager), entry.vlist)?, ty)
             }
+            ListEncoding::Packed => TextListCursor::new_packed(self.packed_text_reader(entry)?, ty),
         })
+    }
+
+    /// A reader at the head of a packed text list's frames.
+    pub(crate) fn packed_text_reader(&self, entry: &AttrEntry) -> Result<PackedReader> {
+        let reader = ListReader::open(Arc::clone(&self.pager), entry.vlist)?;
+        PackedReader::new_text(reader, entry.list_type, &self.sig_codec)
     }
 
     /// [`IvaIndex::open_text_cursor`] for a numeric attribute, under the

@@ -193,5 +193,5 @@ pub fn import_index(
             }
         }
     }
-    write_index(target, opts, io, parts)
+    write_index(target, opts, io, parts, &[])
 }

@@ -209,10 +209,13 @@ pub const INDEX_VERSION_V3: u32 = 3;
 /// liveness bitmaps (see the `dirlist` module). v2/v3 indexes decode as a
 /// Raw directory.
 pub const INDEX_VERSION_V4: u32 = 4;
-/// Current format version: v4 with dictionary-coded packed text lists (see
-/// the `packed` module). A v2–v4 index holding a packed text list is stale:
-/// it does not load, and [`crate::IndexedTable`] rebuilds it from the table.
-pub const INDEX_VERSION: u32 = 5;
+/// v4 with dictionary-coded packed text lists (see the `packed` module).
+pub const INDEX_VERSION_V5: u32 = 5;
+/// Current format version: v5 whose dense packed text lists' dictionaries
+/// also hold their strings and per-string value counts (see the `packed`
+/// module). A v2–v5 index holding a packed text list is stale: it does not
+/// load, and [`crate::IndexedTable`] rebuilds it from the table.
+pub const INDEX_VERSION: u32 = 6;
 
 /// The index header stored in page 0.
 #[derive(Debug, Clone, PartialEq)]

@@ -74,23 +74,34 @@ impl IvaIndex {
             .map(|it| self.query_matchers(it.query))
             .collect();
         let mut prepare_nanos: u64 = matchers.iter().map(|m| m.build_nanos()).sum();
-        let shared = batch
+        let mut carries: Vec<ScanCarry> = batch.iter().map(|it| ScanCarry::new(it.k)).collect();
+        let (shared, seeds): (Vec<_>, Vec<_>) = batch
             .iter()
             .zip(&matchers)
-            .map(|(it, matchers)| {
-                let (shared, nanos) = self.prepare_query_timed(it.query, matchers)?;
+            .zip(lambdas.iter().zip(carries.iter_mut()))
+            .map(|((it, matchers), (lambda, carry))| {
+                let (shared, seed, nanos) =
+                    self.prepare_query_timed(it.query, matchers, (lambda, metric), carry)?;
                 prepare_nanos += nanos;
-                Ok(shared)
+                Ok((shared, seed))
             })
-            .collect::<Result<Vec<_>>>()?;
-        let mut carries: Vec<ScanCarry> = batch.iter().map(|it| ScanCarry::new(it.k)).collect();
+            .collect::<Result<Vec<_>>>()?
+            .into_iter()
+            .unzip();
         let mut lanes = Vec::with_capacity(batch.len());
-        for ((it, carry), (lambda, shared)) in batch
+        for ((it, carry), ((lambda, shared), seed)) in batch
             .iter()
             .zip(carries.iter_mut())
-            .zip(lambdas.iter().zip(&shared))
+            .zip(lambdas.iter().zip(&shared).zip(&seeds))
         {
-            lanes.push(Lane::open(self, it.query, lambda, shared, carry)?);
+            lanes.push(Lane::open(
+                self,
+                it.query,
+                lambda,
+                shared,
+                seed.as_ref(),
+                carry,
+            )?);
         }
         let nanos = self.scan(table, &mut lanes, 0..self.n_tuples(), DRAIN_AT, metric)?;
         drop(lanes);

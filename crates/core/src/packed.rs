@@ -26,6 +26,7 @@
 //!
 //! ```text
 //! Dict     [lbw u8][cL × D][cH ...]     each distinct signature once
+//!          ([D u32][sbw u8][len × D][string bytes ...][D u32][nbw u8][count × D])?
 //! Text I   [first_tid u32][bw u8][Δtid × (elems−1)][cbw u8][code × elems]
 //! Text II  [first_tid u32][bw u8][Δtid × (elems−1)][nbw u8][num × elems][cbw u8][code × strings]
 //! Text III [nbw u8][num × elems][cbw u8][code × strings]
@@ -39,6 +40,15 @@
 //! as its entry's index, at least one bit wide (so a frame's string count
 //! is bounded by its bytes). The `num` (string count) and `cL` (length
 //! byte) sections are bit-packed too: byte fields clustered near zero.
+//!
+//! **Strings where they pay.** Where a list's distinct strings take no
+//! more bytes than its codes, the DICT frame also holds each entry's
+//! string and the count of values whose *first* string it is, and codes
+//! name strings (two can share a signature). A 1-value query probes them
+//! before its walk ([`PackedReader::probe`]): exact edit distances in
+//! ascending estimate order give a bound `B` with enough counted values at
+//! or below it, and a per-code table ([`Seed`]) the fill reads instead of
+//! the estimates, in which a distance `d ≤ B` is exact.
 //!
 //! The positional Types III/IV additionally collapse runs of ndf elements
 //! into header-only NDF_RUN frames — the run-length framing that replaces
@@ -63,15 +73,18 @@
 //! more than their payload holds surface as [`IvaError::Corrupt`], never a
 //! panic — and before the claim has sized anything.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
 use iva_storage::codec::SliceReader;
 use iva_storage::compress::{bit_width, pack_bits, packed_len, unpack_bits, unpack_bytes};
 use iva_storage::ListReader;
-use iva_text::{PreparedMatcher, SigCodec};
+use iva_text::{edit_distance_capped, PreparedMatcher, SigCodec};
 
 use crate::error::{IvaError, Result};
+use crate::metric::Metric;
 use crate::numeric::NumericCodec;
+use crate::query::edits_past;
 use crate::veclist::{text_lower_bound, ListType, RawBytes, SigView};
 
 /// Frame holding raw-layout element bytes (insert-appended tails).
@@ -104,6 +117,11 @@ const NDF_RUN_MIN: usize = 16;
 
 /// Bytes of the logical-length prologue heading every packed list.
 pub(crate) const PACKED_PROLOGUE_LEN: usize = 8;
+
+/// What a [`Seed`] table subtracts from an exact distance: the result is
+/// below every lower bound (those are ≥ 0) and keeps the distances' order,
+/// so a value's min over its codes is still one gather and one `min`.
+pub(crate) const EXACT_BIAS: f64 = 4_294_967_296.0;
 
 fn corrupt(msg: &str) -> IvaError {
     IvaError::Corrupt(msg.into())
@@ -198,18 +216,87 @@ fn max_code(cb: usize) -> u64 {
     }
 }
 
-/// Dictionary-code a text list: its distinct `[cL][cH…]` signatures in
-/// order of first appearance, and each string's code (its entry's index),
-/// in item order.
-fn dictionary(items: &[(u32, Vec<Vec<u8>>)]) -> (Vec<&[u8]>, Vec<u64>) {
-    let (mut entries, mut index) = (Vec::new(), HashMap::new());
+/// A text list's strings, interned: every string's index among the
+/// distinct ones, numbered in order of first appearance — so, in item
+/// order, the codes of a dictionary keyed by string.
+#[derive(Default)]
+pub(crate) struct TextStrings {
+    index: HashMap<Vec<u8>, u32>,
+    ids: Vec<u32>,
+}
+
+impl TextStrings {
+    /// Append the list's next string.
+    pub(crate) fn push(&mut self, s: &[u8]) {
+        let id = match self.index.get(s) {
+            Some(&id) => id,
+            None => {
+                let next = self.index.len() as u32;
+                self.index.insert(s.to_vec(), next);
+                next
+            }
+        };
+        self.ids.push(id);
+    }
+}
+
+/// A dictionary entry: a `[cL][cH…]` signature, and the string it stands
+/// for when the list is coded by strings.
+type Entry<'a> = (&'a [u8], Option<&'a [u8]>);
+
+/// Whether keying `items`' dictionary by string might pass the per-list
+/// rule (see [`encode_packed_text`]), from their signatures alone: each
+/// distinct signature stands for at least one distinct string of at least
+/// `cL` bytes, and there are at most as many distinct strings as strings.
+/// A build reads the strings only of the lists that pass; most fail
+/// early.
+pub(crate) fn strings_may_pay(items: &[(u32, Vec<Vec<u8>>)]) -> bool {
+    let n: u64 = items.iter().map(|(_, sigs)| sigs.len() as u64).sum();
+    let most = (n * u64::from(bit_width(n.saturating_sub(1)).max(1))).div_ceil(8);
+    let (mut distinct, mut least) = (HashSet::new(), 0u64);
+    for sig in items.iter().flat_map(|(_, sigs)| sigs) {
+        if distinct.insert(sig.as_slice()) {
+            least += u64::from(sig.first().copied().unwrap_or(0));
+            if least > most {
+                return false;
+            }
+        }
+    }
+    n > 0
+}
+
+/// Dictionary-code a text list: its distinct entries in order of first
+/// appearance, keyed by string when `strings` (aligned with `items`) are
+/// given and by signature otherwise, and each string's code (its entry's
+/// index), in item order.
+fn dictionary<'a>(
+    items: &'a [(u32, Vec<Vec<u8>>)],
+    strings: Option<&'a TextStrings>,
+) -> (Vec<Entry<'a>>, Vec<u64>) {
     let sigs = items
         .iter()
         .flat_map(|(_, sigs)| sigs.iter().map(Vec::as_slice));
+    if let Some(t) = strings {
+        let mut texts: Vec<Option<&[u8]>> = vec![None; t.index.len()];
+        for (s, &id) in &t.index {
+            if let Some(slot) = texts.get_mut(id as usize) {
+                *slot = Some(s);
+            }
+        }
+        // An entry's signature is its string's first one's.
+        let mut entries = Vec::with_capacity(texts.len());
+        for (sig, &id) in sigs.zip(&t.ids) {
+            if id as usize == entries.len() {
+                entries.push((sig, texts.get(id as usize).copied().flatten()));
+            }
+        }
+        return (entries, t.ids.iter().map(|&id| u64::from(id)).collect());
+    }
+    let (mut entries, mut index) = (Vec::new(), HashMap::new());
     let codes = sigs
         .map(|sig| {
             *index.entry(sig).or_insert_with(|| {
-                entries.push(sig);
+                entries.push((sig, None));
                 entries.len() as u64 - 1
             })
         })
@@ -217,20 +304,53 @@ fn dictionary(items: &[(u32, Vec<Vec<u8>>)]) -> (Vec<&[u8]>, Vec<u64>) {
     (entries, codes)
 }
 
-/// The DICT frame, `[lbw u8][cL × D][cH …]` — none for a list without
-/// strings.
-fn push_dict_frame(entries: &[&[u8]], out: &mut Vec<u8>) {
+/// `[n u32][bw u8][value × n]` for a string-length or count section.
+fn push_section(vals: &[u64], out: &mut Vec<u8>) {
+    out.extend_from_slice(&(vals.len() as u32).to_le_bytes());
+    let bw = vals.iter().map(|&v| bit_width(v)).max().unwrap_or(0);
+    out.push(bw as u8);
+    pack_bits(vals, bw, out);
+}
+
+/// Inverse of [`push_section`] for a section that must hold `d` values:
+/// any other count is a lie, refused before it sizes `out`.
+fn take_section(s: &mut SliceReader<'_>, d: usize, out: &mut Vec<u64>) -> Result<()> {
+    if s.u32()? as usize != d {
+        return Err(corrupt("dictionary section not one entry per string"));
+    }
+    let bw = u32::from(s.u8()?);
+    if bw > 64 {
+        return Err(corrupt("bad dictionary section width"));
+    }
+    out.clear();
+    let bytes = s.take(packed_len(d, bw))?;
+    unpack_bits(bytes, bw, d, out).ok_or_else(|| corrupt("truncated dictionary section"))
+}
+
+/// The DICT frame — none for a list without strings: `[lbw u8][cL × D][cH
+/// …]`, then, given `counts` (entries keyed by string), every entry's
+/// string and count.
+fn push_dict_frame(entries: &[Entry<'_>], counts: Option<&[u64]>, out: &mut Vec<u8>) {
     if entries.is_empty() {
         return;
     }
     let lens: Vec<u8> = entries
         .iter()
-        .map(|sig| sig.first().copied().unwrap_or(0))
+        .map(|(sig, _)| sig.first().copied().unwrap_or(0))
         .collect();
     let mut payload = Vec::new();
     pack_byte_section(&lens, &mut payload);
-    for sig in entries {
+    for (sig, _) in entries {
         payload.extend_from_slice(sig.get(1..).unwrap_or(&[]));
+    }
+    if let Some(counts) = counts {
+        let texts = entries.iter().map(|(_, text)| text.unwrap_or(&[]));
+        push_section(
+            &texts.clone().map(|t| t.len() as u64).collect::<Vec<_>>(),
+            &mut payload,
+        );
+        texts.for_each(|t| payload.extend_from_slice(t));
+        push_section(counts, &mut payload);
     }
     append_frame(out, FRAME_DICT, entries.len(), &payload);
 }
@@ -248,6 +368,19 @@ fn push_codes(codes: &[u64], out: &mut Vec<u8>) {
 pub fn encode_packed_text_list(
     ty: ListType,
     items: &[(u32, Vec<Vec<u8>>)],
+    all_tids: &[u32],
+) -> Vec<u8> {
+    encode_packed_text(ty, items, None, all_tids)
+}
+
+/// [`encode_packed_text_list`] given each item's strings too: its DICT
+/// frame then carries the string and count sections where the list's
+/// distinct strings take no more bytes than its codes (see the module
+/// doc), and is signature-only elsewhere.
+pub(crate) fn encode_packed_text(
+    ty: ListType,
+    items: &[(u32, Vec<Vec<u8>>)],
+    strings: Option<&TextStrings>,
     all_tids: &[u32],
 ) -> Vec<u8> {
     let sig_bytes: u64 = items
@@ -269,8 +402,16 @@ pub fn encode_packed_text_list(
     };
     let mut out = Vec::new();
     out.extend_from_slice(&logical.to_le_bytes());
-    let (entries, codes) = dictionary(items);
-    push_dict_frame(&entries, &mut out);
+    let (mut entries, mut codes) = dictionary(items, strings);
+    let text_bytes: usize = entries.iter().map(|(_, t)| t.map_or(0, <[u8]>::len)).sum();
+    let width = bit_width(entries.len().saturating_sub(1) as u64).max(1);
+    let n: usize = items.iter().map(|(_, sigs)| sigs.len()).sum();
+    // Every string interned, every distinct one an entry: the rule.
+    let pays = strings.is_some_and(|t| t.index.len() == entries.len() && t.ids.len() == n)
+        && text_bytes as u64 <= (n as u64 * u64::from(width)).div_ceil(8);
+    if !pays {
+        (entries, codes) = dictionary(items, None);
+    }
     // Each item's `(tid, codes of its strings)`.
     let mut rest = codes.as_slice();
     let coded: Vec<(u32, &[u64])> = items
@@ -281,6 +422,17 @@ pub fn encode_packed_text_list(
             (*tid, own)
         })
         .collect();
+    // A value is counted once, under its first string.
+    let counts = pays.then(|| {
+        let mut counts = vec![0u64; entries.len()];
+        for c in coded.iter().filter_map(|(_, c)| c.first()) {
+            if let Some(n) = counts.get_mut(*c as usize) {
+                *n += 1;
+            }
+        }
+        counts
+    });
+    push_dict_frame(&entries, counts.as_deref(), &mut out);
     match ty {
         ListType::I => {
             let strings: Vec<(u32, u64)> = coded
@@ -503,6 +655,12 @@ struct Dict {
     lens: Vec<u8>,
     /// Entry `i`'s `cH` bytes are `payload[starts[i]..starts[i + 1]]`.
     starts: Vec<usize>,
+    /// With a string section, entry `i`'s string is
+    /// `payload[texts[i]..texts[i + 1]]`; empty without one.
+    texts: Vec<usize>,
+    /// With a string section, how many values have entry `i` as their
+    /// first string; empty without one.
+    counts: Vec<u64>,
     est: Vec<f64>,
     /// The [`PreparedMatcher::serial`] `est` holds estimates under.
     est_for: Option<u64>,
@@ -512,11 +670,26 @@ fn past_dictionary() -> IvaError {
     corrupt("signature code past the end of the dictionary")
 }
 
+/// A 1-value text query's threshold before the walk over one list
+/// ([`PackedReader::probe`]).
+pub(crate) struct Seed {
+    /// Per code, what a fill reads in place of its estimate: an exact
+    /// distance `d ≤ B` as `d −` [`EXACT_BIAS`], otherwise a lower bound
+    /// above `B`.
+    pub(crate) table: Vec<f64>,
+    /// `combine(λ·B)`: at least the values asked for lie at or below it.
+    pub(crate) limit: f64,
+    /// Edit distances the probe computed.
+    pub(crate) distances: u64,
+}
+
 impl Dict {
     /// Parse the `d`-entry payload in `self.payload` under `codec`.
     fn load(&mut self, d: usize, codec: &SigCodec) -> Result<()> {
         self.lens.clear();
         self.starts.clear();
+        self.texts.clear();
+        self.counts.clear();
         let body = self.payload.len().saturating_sub(SIG_PAD);
         let mut s = SliceReader::new(self.payload.get(..body).unwrap_or(&[]), "dictionary frame");
         // Every entry has at least one `cH` byte: more entries than the
@@ -533,7 +706,31 @@ impl Dict {
             self.starts.push(at);
         }
         s.take(at - ch_start)?;
+        if s.remaining() > 0 {
+            // The string section — its lengths inflate through `counts` —
+            // then the count section.
+            take_section(&mut s, d, &mut self.counts)?;
+            let mut at = body - s.remaining();
+            self.texts.push(at);
+            for &len in &self.counts {
+                at = usize::try_from(len)
+                    .ok()
+                    .and_then(|len| at.checked_add(len))
+                    .filter(|&end| end <= body)
+                    .ok_or_else(|| corrupt("dictionary string past its payload"))?;
+                self.texts.push(at);
+            }
+            s.take(at - (body - s.remaining()))?;
+            take_section(&mut s, d, &mut self.counts)?;
+        }
         Ok(s.finish()?)
+    }
+
+    /// Entry `code`'s string.
+    fn text_of(&self, code: usize) -> Result<&[u8]> {
+        let span = self.texts.get(code..).ok_or_else(past_dictionary)?;
+        let (&start, &end) = span.first().zip(span.get(1)).ok_or_else(past_dictionary)?;
+        self.payload.get(start..end).ok_or_else(past_dictionary)
     }
 
     /// Entry `code`: its `cL` and where its `cH` bytes start and end.
@@ -675,7 +872,8 @@ impl Sections {
         out: &mut [f64],
     ) -> Result<usize> {
         let est = match bound {
-            Bound::Text(matcher) => self.dict.estimates(matcher)?,
+            Bound::Text(_, Some(seeded)) => seeded,
+            Bound::Text(matcher, None) => self.dict.estimates(matcher)?,
             Bound::Num(..) => &[],
         };
         if ty == ListType::III {
@@ -720,7 +918,7 @@ impl Sections {
                 }
                 // `next`'s value: one Type II element, or Type I's run of
                 // one-string elements.
-                Bound::Text(_) => {
+                Bound::Text(..) => {
                     let num = match ty {
                         ListType::I => {
                             let run = self.tids.get(tid_i..).unwrap_or(&[]);
@@ -832,11 +1030,11 @@ impl Sections {
 }
 
 /// How a value's lower bound is computed: the query string's matcher over
-/// a text list's signatures, the query number against a numeric list's
-/// codes.
+/// a text list's signatures — or, for a query a [`Seed`] covers, its
+/// per-code table — and the query number against a numeric list's codes.
 #[derive(Clone, Copy)]
 pub(crate) enum Bound<'a> {
-    Text(&'a PreparedMatcher),
+    Text(&'a PreparedMatcher, Option<&'a [f64]>),
     Num(&'a NumericCodec, f64),
 }
 
@@ -908,6 +1106,91 @@ impl PackedReader {
     /// Raw-layout bytes of the frames not yet loaded.
     pub fn remaining(&self) -> u64 {
         self.remaining
+    }
+
+    /// Values the dictionary's count section counts (0 without one).
+    pub(crate) fn counted(&self) -> u64 {
+        let counts = self.sections.dict.counts.iter();
+        counts.fold(0, |sum, &n| sum.saturating_add(n))
+    }
+
+    /// The probe of a fresh reader (see the module doc): load the list's
+    /// dictionary and visit its entries in ascending estimate order,
+    /// computing each string's edit distance to `q` — uncapped until a
+    /// bound `B` exists, then where weight `lambda` puts it past `B` under
+    /// `metric` ([`edits_past`]). `B` is the smallest distance at which the
+    /// values counted so far reach `k` + `deleted`; the visit ends at the
+    /// first estimate above the one at which they reach `k` — `B` itself
+    /// with no tombstones; with them, where `B` would have every code
+    /// within it visited for a pruning bound that has grown weak. A visited
+    /// distance `≤ B` is exact in the table if no unvisited estimate is
+    /// below it. `None` without a string section or enough counted values;
+    /// `Corrupt` for counts above the list's `values`.
+    pub(crate) fn probe<M: Metric>(
+        &mut self,
+        matcher: &PreparedMatcher,
+        q: &[u8],
+        (k, deleted, values): (u64, u64, u64),
+        (lambda, metric): (f64, &M),
+    ) -> Result<Option<Seed>> {
+        if self.inner.tell() == PACKED_PROLOGUE_LEN as u64 && !self.inner.at_end() {
+            self.read_frame()?;
+        }
+        let (counted, need) = (self.counted(), k.saturating_add(deleted));
+        if counted > values {
+            return Err(corrupt("dictionary counts more values than the list holds"));
+        }
+        let dict = &mut self.sections.dict;
+        if dict.counts.is_empty() || counted < need {
+            return Ok(None);
+        }
+        let mut table = dict.estimates(matcher)?.to_vec();
+        // Estimates are ≥ 0, and such floats order as their bits do.
+        let mut order: BinaryHeap<_> = (table.iter().enumerate())
+            .map(|(c, e)| Reverse((e.to_bits(), c)))
+            .collect();
+        // `(distance, code)` of the exact strings; `(B for k, B)`.
+        let (mut exact, mut b, mut distances) = (Vec::new(), None, 0u64);
+        let mut unvisited = f64::INFINITY;
+        while let Some(Reverse((_, c))) = order.pop() {
+            let est = table.get(c).copied().unwrap_or(0.0);
+            if b.is_some_and(|(bk, _)| est > bk as f64) {
+                unvisited = est;
+                break;
+            }
+            let text = dict.text_of(c)?;
+            let longest = q.len().max(text.len());
+            let cap = b.map_or(usize::MAX, |(_, b)| edits_past(b, lambda, longest, metric));
+            let d = edit_distance_capped(q, text, cap);
+            distances += 1;
+            if d >= cap {
+                if let Some(slot) = table.get_mut(c) {
+                    *slot = slot.max(cap as f64);
+                }
+                continue;
+            }
+            exact.push((d, c));
+            exact.sort_unstable();
+            let (mut reached, mut bk) = (0u64, None);
+            b = exact.iter().find_map(|&(d, c)| {
+                reached = reached.saturating_add(dict.counts.get(c).copied().unwrap_or(0));
+                bk = bk.or((reached >= k).then_some(d));
+                bk.zip((reached >= need).then_some(d))
+            });
+        }
+        let Some((_, b)) = b else { return Ok(None) };
+        for (d, c) in exact {
+            if let Some(slot) = table.get_mut(c) {
+                let known = d <= b && d as f64 <= unvisited;
+                *slot = d as f64 - if known { EXACT_BIAS } else { 0.0 };
+            }
+        }
+        let limit = metric.combine(&[lambda * b as f64]);
+        Ok(Some(Seed {
+            table,
+            limit,
+            distances,
+        }))
     }
 
     /// True while the current frame has nothing left to hand out (a DICT
@@ -1275,7 +1558,18 @@ mod tests {
         coded_counts.pop();
         coded_counts.extend_from_slice(&[1, 0, 0]);
         let dict: &[u8] = &[0, 0xAB];
+        // One entry, then a string section claiming 2^30 strings, and one
+        // whose single string claims 2^60 bytes (width 61).
+        let mut many = dict.to_vec();
+        many.extend_from_slice(&(1u32 << 30).to_le_bytes());
+        many.extend_from_slice(&[1, 0xFF]);
+        let mut long = dict.to_vec();
+        long.extend_from_slice(&1u32.to_le_bytes());
+        long.push(61);
+        long.extend_from_slice(&(1u64 << 60).to_le_bytes());
         let readers = [
+            PackedReader::new_text(list(&[(FRAME_DICT, 1, &many)]), ListType::I, &scodec),
+            PackedReader::new_text(list(&[(FRAME_DICT, 1, &long)]), ListType::I, &scodec),
             PackedReader::new_text(one(65_536, &counts), ListType::III, &scodec),
             PackedReader::new_text(one(65_536, &keyed_counts), ListType::II, &scodec),
             PackedReader::new_text(one(MAX_FRAME_ELEMS, &[0; 6]), ListType::I, &scodec),
@@ -1305,13 +1599,84 @@ mod tests {
                 + s.nums.capacity()
                 + d.lens.capacity()
                 + (s.codes.capacity() + s.wide.capacity() + d.starts.capacity()) * 8
-                + d.est.capacity() * 8;
+                + (d.est.capacity() + d.texts.capacity() + d.counts.capacity()) * 8;
             // At most the payloads' own values, inflated to a word each.
             assert!(
                 held <= 9 * (s.payload.len() + d.payload.len()),
                 "list {i}: {held} bytes of arrays"
             );
         }
+    }
+
+    /// The probe over a list coded by strings: `B` is the smallest
+    /// distance at which the values counted by their first string reach
+    /// `need`; the table holds an exact distance at or below `B` as `d −
+    /// EXACT_BIAS`, so a value whose *second* string is exact reads exact;
+    /// too few counted values seed nothing, and counts above the list's
+    /// values are `Corrupt`.
+    #[test]
+    fn probe_bounds_by_first_strings() {
+        use crate::metric::MetricKind;
+        use crate::veclist::TextListCursor;
+        let codec = SigCodec::new(0.3, 2);
+        let kinds: [&[&str]; 3] = [&["canon"], &["cannon"], &["nikon", "canon"]];
+        let values: Vec<&[&str]> = (0..200).map(|i| kinds[[0, 0, 1, 2][i % 4]]).collect();
+        let mut strings = TextStrings::default();
+        values
+            .iter()
+            .flat_map(|v| v.iter())
+            .for_each(|s| strings.push(s.as_bytes()));
+        let items: Vec<(u32, Vec<Vec<u8>>)> = (0..200u32)
+            .zip(&values)
+            .map(|(t, v)| {
+                (
+                    t,
+                    v.iter()
+                        .map(|s| codec.encode_to_vec(s.as_bytes()))
+                        .collect(),
+                )
+            })
+            .collect();
+        let all_tids: Vec<u32> = (0..200).collect();
+        let packed = encode_packed_text(ListType::III, &items, Some(&strings), &all_tids);
+        let p = pager();
+        let matcher = PreparedMatcher::new(&codec, b"canon");
+        let probe = |k: u64, deleted: u64, values: u64| {
+            let mut r = PackedReader::new_text(reader_for(&p, &packed), ListType::III, &codec)?;
+            r.probe(
+                &matcher,
+                b"canon",
+                (k, deleted, values),
+                (1.0, &MetricKind::L1),
+            )
+        };
+        // Codes in first-appearance order: canon, cannon, nikon.
+        let seed = probe(120, 0, 200).unwrap().unwrap();
+        assert_eq!(seed.limit, 1.0, "L1 at λ = 1: B edits");
+        assert_eq!(seed.table[..2], [-EXACT_BIAS, 1.0 - EXACT_BIAS]);
+        assert!(seed.table[2] >= 0.0, "nikon is 3 edits away");
+        assert_eq!(probe(100, 0, 200).unwrap().unwrap().limit, 0.0);
+        // Tombstones count against the bound, not against exactness.
+        let deleted = probe(100, 20, 200).unwrap().unwrap();
+        assert_eq!(
+            (deleted.limit, &deleted.table[..2]),
+            (1.0, &seed.table[..2])
+        );
+        assert!(probe(181, 20, 200).unwrap().is_none());
+        assert!(probe(10, 0, 199).is_err_and(|e| e.is_corruption()));
+        // The fill: canon, canon, cannon, nikon + canon.
+        let r = PackedReader::new_text(reader_for(&p, &packed), ListType::III, &codec).unwrap();
+        let mut out = [0.0; 4];
+        TextListCursor::new_packed(r, ListType::III)
+            .fill_seeded(
+                &all_tids[..4],
+                &codec,
+                &matcher,
+                Some(&seed.table),
+                &mut out,
+            )
+            .unwrap();
+        assert_eq!(out, [0.0, 0.0, 1.0, 0.0].map(|d| d - EXACT_BIAS));
     }
 
     #[test]

@@ -132,10 +132,12 @@ impl IvaIndex {
         }
 
         let k = carry.pool.capacity();
-        // One prepared table per query — the packed-mask kernels and
-        // numeric codecs are immutable and shared by every worker below;
-        // workers only open private scan positions.
-        let (shared, prepare_nanos) = self.prepare_query_timed(query, matchers)?;
+        // One prepared table per query — the packed-mask kernels, numeric
+        // codecs and the seed before the walk are immutable and shared
+        // by every worker below; workers only open private scan positions.
+        // The seed is the whole index's, so its limit bounds every segment.
+        let (shared, seed, prepare_nanos) =
+            self.prepare_query_timed(query, matchers, (lambda, metric), carry)?;
         let t = threads as u64;
         let bounds: Vec<(u64, u64)> = (0..t).map(|i| (i * n / t, (i + 1) * n / t)).collect();
 
@@ -143,15 +145,15 @@ impl IvaIndex {
         slots.resize_with(bounds.len(), || None);
         crossbeam::thread::scope(|s| {
             for (&(lo, hi), slot) in bounds.iter().zip(slots.iter_mut()) {
-                let shared = &shared;
+                let (shared, seed) = (&shared, seed.as_ref());
                 s.spawn(move |_| {
                     // One lane over `[lo, hi)` on a private pool.
                     let mut worker = ScanCarry::new(k);
-                    let run =
-                        Lane::open(self, query, lambda, shared, &mut worker).and_then(|lane| {
-                            let lanes = &mut [lane];
-                            self.scan(table, lanes, lo..hi, drain_at, metric)
-                        });
+                    let lane = Lane::open(self, query, lambda, shared, seed, &mut worker);
+                    let run = lane.and_then(|lane| {
+                        let lanes = &mut [lane];
+                        self.scan(table, lanes, lo..hi, drain_at, metric)
+                    });
                     *slot = Some(run.map(|nanos| SegmentScan {
                         carry: worker,
                         nanos,
@@ -173,6 +175,7 @@ impl IvaIndex {
             let seg = slot.ok_or_else(|| IvaError::Corrupt("worker slot unfilled".into()))??;
             stats.tuples_scanned += seg.carry.stats.tuples_scanned;
             stats.table_accesses += seg.carry.stats.table_accesses;
+            stats.walk_admits += seg.carry.stats.walk_admits;
             max_filter = max_filter.max(seg.nanos.filter);
             max_refine = max_refine.max(seg.nanos.refine);
             pool.absorb(seg.carry.pool);

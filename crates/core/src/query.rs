@@ -153,6 +153,15 @@ fn edit_cap<M: Metric>(
     Some(hi)
 }
 
+/// The smallest whole number of edits `e ≤ max_edits` at which a 1-value
+/// query's distance `combine([λ·e])` is past that of `b` edits, or
+/// `usize::MAX` if none is: an edit distance capped there is exact at
+/// every distance whose weighted value ties or beats `b`'s.
+pub(crate) fn edits_past<M: Metric>(b: usize, lambda: f64, max_edits: usize, metric: &M) -> usize {
+    let past = metric.combine(&[lambda * b as f64]).next_up();
+    edit_cap(&mut [0.0], 0, lambda, max_edits, metric, past).unwrap_or(usize::MAX)
+}
+
 /// Refine-time distance `D(T,Q)` of the stored record `view`, bounded by
 /// the result pool's admission `threshold`: the **exact** distance — bit
 /// for bit what [`exact_distance`] returns on the decoded tuple — whenever
@@ -224,6 +233,13 @@ pub struct QueryStats {
     /// property of the plan, not of the answer: it grows with the number
     /// of lanes the tuple list is split into.
     pub table_accesses: u64,
+    /// Entries the walk put into the pool at a distance it knew exactly —
+    /// a tuple *ndf* on every query attribute, or a dictionary string's
+    /// exact distance — with no fetch; summed like `table_accesses`.
+    pub walk_admits: u64,
+    /// Edit distances computed from dictionary strings to seed 1-value
+    /// text queries with a threshold before the walk; summed over tiers.
+    pub dict_distances: u64,
     /// Always 0 — every plan fetches one admitted candidate at a time;
     /// retained until the benchmark drops
     /// `core.speculative_accesses_per_query`.

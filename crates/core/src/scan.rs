@@ -10,7 +10,10 @@
 //! `pending` — every candidate `(est, tid, ptr)` the live pool admitted
 //! during the walk. Per block, each attribute fills its column of bounds
 //! once; admission then runs per element, in scan order, so a drain inside
-//! a block tightens the pool for the rest of it. The walk refines nothing. When
+//! a block tightens the pool for the rest of it. The walk fetches nothing:
+//! a tuple whose distance it already knows exactly — *ndf* on every query
+//! attribute, or a dictionary string's exact distance (below) — goes
+//! straight into the pool, and any other admitted one into `pending`. When
 //! a lane's range ends (or it holds a window of `drain_at` candidates) the
 //! lane **drains**, fetching by need rather than by scan position:
 //!
@@ -28,12 +31,24 @@
 //! ascending — strict best-first order would seek backwards for every
 //! record.
 //!
+//! **A threshold before the walk.** A 1-value text query on a packed list
+//! whose dictionary holds strings is seeded ([`Seed`]):
+//! the dictionary's exact edit distances, in ascending estimate order,
+//! give a bound `B` with at least `k` + the index's tombstones counted
+//! values at or below it — so at least k live tuples lie at or below
+//! `limit = combine(λ·B)`. The walk then skips every tuple with
+//! `est > limit`, and reads each string's bound from the probe's per-code
+//! table, where a distance `≤ B` that no unvisited estimate undercuts is
+//! exact.
+//!
 //! **Order-independence lemma.** The pool keeps the k smallest
 //! `(dist, tid)` of what was inserted, whatever the order (see
 //! [`crate::pool`]). A candidate is skipped — at walk time or before its
-//! fetch — only when `(est, tid)` is at or above the pool's worst entry;
-//! `est ≤ dist`, and the worst entry only falls, so a skipped candidate is
-//! not among the k smallest `(dist, tid)` of the tuples visited. Hence
+//! fetch — only when `(est, tid)` is at or above the pool's worst entry,
+//! or when `est > limit`, where at least k live tuples lie at or below
+//! `limit`; `est ≤ dist`, and the worst entry only falls, so a skipped
+//! candidate is not among the k smallest `(dist, tid)` of the tuples
+//! visited. Every entry inserted is at its exact distance. Hence
 //! *any* visiting order, window size or partition into lanes leaves the
 //! pool holding exactly those k, and because every tuple list is
 //! tid-ascending that is Algorithm 1's "strictly smaller distance, first
@@ -68,11 +83,12 @@ use iva_text::{PreparedMatcher, SigCodec};
 
 use crate::error::{IvaError, Result};
 use crate::index::{IvaIndex, QueryMatchers, ScanCarry, SharedAttr};
-use crate::layout::TOMBSTONE_PTR;
+use crate::layout::{ListEncoding, TOMBSTONE_PTR};
 use crate::metric::Metric;
 use crate::numeric::NumericCodec;
+use crate::packed::{Seed, EXACT_BIAS};
 use crate::pool::{PoolEntry, ResultPool};
-use crate::query::{bounded_distance, Query};
+use crate::query::{bounded_distance, Query, QueryValue};
 use crate::tier::NumColumn;
 use crate::timing::{monotonic_nanos, thread_cpu_time};
 use crate::veclist::{NumListCursor, TextListCursor};
@@ -84,6 +100,8 @@ pub(crate) enum AttrScan<'a> {
         cur: TextListCursor,
         codec: &'a SigCodec,
         matcher: &'a PreparedMatcher,
+        /// A [`Seed`]'s per-code table.
+        seeded: Option<&'a [f64]>,
     },
     Num {
         cur: NumListCursor,
@@ -105,12 +123,17 @@ pub(crate) enum AttrScan<'a> {
 
 impl<'a> AttrScan<'a> {
     /// Open at the head of the attribute's list (or column).
-    fn open(index: &'a IvaIndex, sa: &'a SharedAttr<'a>) -> Result<Self> {
+    fn open(
+        index: &'a IvaIndex,
+        sa: &'a SharedAttr<'a>,
+        seeded: Option<&'a [f64]>,
+    ) -> Result<Self> {
         Ok(match sa {
             SharedAttr::Text { matcher, entry } => AttrScan::Text {
                 cur: index.open_text_cursor(entry)?,
                 codec: index.sig_codec(),
                 matcher,
+                seeded,
             },
             SharedAttr::Num { q, codec, entry } => AttrScan::Num {
                 cur: index.open_num_cursor(entry, codec)?,
@@ -153,16 +176,18 @@ impl<'a> AttrScan<'a> {
 
     /// The fill contract: move over `tids`, the block of tuple-list
     /// elements after the last one, writing each one's lower bound on its
-    /// difference to the query value into `out` — `NaN` for *ndf*; bounds
-    /// themselves are never `NaN`. Tombstoned elements are filled like any
-    /// other (the spine never admits them).
+    /// difference to the query value into `out` — `NaN` for *ndf*, and an
+    /// exact difference `d` as `d −` [`EXACT_BIAS`] (below zero, where no
+    /// bound is); bounds themselves are never `NaN`. Tombstoned elements
+    /// are filled like any other (the spine never admits them).
     fn fill(&mut self, tids: &[u32], out: &mut [f64]) -> Result<()> {
         let pos = match self {
             AttrScan::Text {
                 cur,
                 codec,
                 matcher,
-            } => return cur.fill_block(tids, codec, matcher, out),
+                seeded,
+            } => return cur.fill_seeded(tids, codec, matcher, *seeded, out),
             AttrScan::Num { cur, codec, q } => return cur.fill_block(tids, codec, *q, out),
             AttrScan::AlwaysNdf => {
                 out.fill(f64::NAN);
@@ -208,9 +233,14 @@ pub(crate) struct Bounds<'a> {
 }
 
 impl<'a> Bounds<'a> {
-    /// One scan per query attribute, each at the head of its list.
-    pub(crate) fn open(index: &'a IvaIndex, shared: &'a [SharedAttr<'a>]) -> Result<Self> {
-        let attrs = shared.iter().map(|sa| AttrScan::open(index, sa));
+    /// One scan per query attribute, each at the head of its list, under
+    /// the 1-value query's [`Seed`] table `seeded` if it has one.
+    pub(crate) fn open(
+        index: &'a IvaIndex,
+        shared: &'a [SharedAttr<'a>],
+        seeded: Option<&'a [f64]>,
+    ) -> Result<Self> {
+        let attrs = shared.iter().map(|sa| AttrScan::open(index, sa, seeded));
         let attrs = attrs.collect::<Result<Vec<_>>>()?;
         let lbs = vec![f64::NAN; attrs.len() * BLOCK];
         Ok(Self { attrs, lbs })
@@ -240,18 +270,24 @@ impl<'a> Bounds<'a> {
         Ok(())
     }
 
-    /// `diffs[a] = λₐ · (block position i's bound on attribute a, or the
-    /// ndf penalty)`; whether any query attribute is defined there.
+    /// `diffs[a] = λₐ · (block position i's bound on attribute a, its
+    /// exact difference, or the ndf penalty)`; whether every entry is
+    /// exact — the ndf penalty is — so `combine(diffs)` is the distance.
     #[inline]
     pub(crate) fn weigh(&self, i: usize, lambda: &[f64], ndf: f64, diffs: &mut [f64]) -> bool {
-        let mut any_defined = false;
+        let mut exact = true;
         let cols = self.lbs.chunks_exact(BLOCK);
         for ((d, &lam), col) in diffs.iter_mut().zip(lambda).zip(cols) {
             let lb = col.get(i).copied().unwrap_or(f64::NAN);
-            any_defined |= !lb.is_nan();
-            *d = lam * if lb.is_nan() { ndf } else { lb };
+            let (diff, known) = match lb {
+                _ if lb.is_nan() => (ndf, true),
+                _ if lb < 0.0 => (lb + EXACT_BIAS, true),
+                _ => (lb, false),
+            };
+            exact &= known;
+            *d = lam * diff;
         }
-        any_defined
+        exact
     }
 }
 
@@ -273,20 +309,24 @@ pub(crate) struct Lane<'a> {
     /// Where a fetched record keeps the query's attributes (refine only).
     locs: Vec<FieldLoc>,
     /// Admitted by the live pool during the walk and not refined yet, in
-    /// scan order — entries whose `dist` is the *estimate*. Sized once,
-    /// when the scan starts, and reused across drains.
+    /// scan order — entries whose `dist` is the *estimate*. Grown on
+    /// demand and reused across drains.
     pending: Vec<PoolEntry>,
+    /// A tuple with `est > limit` is skipped: the [`Seed`]'s, `+∞` without
+    /// one.
+    limit: f64,
 }
 
 impl<'a> Lane<'a> {
     /// A lane for `query` under the resolved weights `lambda`, filling
-    /// `carry`. This is the spine's entry for every shape, so the weight
+    /// `carry` — under `seed`, the query's on this index if it has one. This is the spine's entry for every shape, so the weight
     /// vector is checked here, once.
     pub(crate) fn open(
         index: &'a IvaIndex,
         query: &'a Query,
         lambda: &'a [f64],
         shared: &'a [SharedAttr<'a>],
+        seed: Option<&'a Seed>,
         carry: &'a mut ScanCarry,
     ) -> Result<Self> {
         if lambda.len() != query.len() {
@@ -303,14 +343,16 @@ impl<'a> Lane<'a> {
                 "attribute weight {bad} is not a finite number ≥ 0"
             )));
         }
+        let seeded = seed.map(|s| s.table.as_slice());
         Ok(Self {
             query,
             lambda,
-            bounds: Bounds::open(index, shared)?,
+            bounds: Bounds::open(index, shared, seeded)?,
             carry,
             diffs: vec![0.0; query.len()],
             locs: Vec::with_capacity(query.len()),
             pending: Vec::new(),
+            limit: seed.map_or(f64::INFINITY, |s| s.limit),
         })
     }
 }
@@ -323,19 +365,36 @@ pub(crate) struct PhaseNanos {
 }
 
 impl IvaIndex {
-    /// [`IvaIndex::prepare_query`] with the CPU nanos it took.
-    /// Preparation is filter work — any matcher `matchers` could not lend
-    /// and, on the hot tier, the whole block-estimate prefold — so every
-    /// execution shape's entry charges it to `filter_nanos` (and whoever
-    /// built `matchers` charges their build once).
-    pub(crate) fn prepare_query_timed<'a>(
+    /// [`IvaIndex::prepare_query`], and a 1-value text query's [`Seed`]
+    /// for `carry`'s k where its packed list's dictionary holds strings
+    /// (see the module doc), with the CPU nanos both took. The probe needs
+    /// k + this index's tombstones counted values: a counted value may
+    /// since have been deleted, and RAW tail inserts only add values.
+    /// Preparation is filter work — any matcher `matchers` could not lend,
+    /// on the hot tier the whole block-estimate prefold, and the probe — so
+    /// every execution shape's entry charges it to `filter_nanos` (and
+    /// whoever built `matchers` charges their build once).
+    pub(crate) fn prepare_query_timed<'a, M: Metric>(
         &'a self,
         query: &Query,
         matchers: &'a QueryMatchers,
-    ) -> Result<(Vec<SharedAttr<'a>>, u64)> {
-        let start = thread_cpu_time();
+        (lambda, metric): (&[f64], &M),
+        carry: &mut ScanCarry,
+    ) -> Result<(Vec<SharedAttr<'a>>, Option<Seed>, u64)> {
+        let (start, k) = (thread_cpu_time(), carry.pool.capacity());
         let shared = self.prepare_query(query, matchers)?;
-        Ok((shared, thread_cpu_time().saturating_sub(start)))
+        let seed = match (query.iter().next(), shared.as_slice(), lambda) {
+            (Some((_, QueryValue::Text(q))), [SharedAttr::Text { matcher, entry }], &[lam])
+                if entry.encoding == ListEncoding::Packed && k > 0 =>
+            {
+                let counts = (k as u64, self.n_deleted(), entry.df);
+                let mut reader = self.packed_text_reader(entry)?;
+                reader.probe(matcher, q.as_bytes(), counts, (lam, metric))?
+            }
+            _ => None,
+        };
+        carry.stats.dict_distances += seed.as_ref().map_or(0, |s| s.distances);
+        Ok((shared, seed, thread_cpu_time().saturating_sub(start)))
     }
 
     /// Walk tuple-list positions `range` once for every lane, draining
@@ -352,14 +411,10 @@ impl IvaIndex {
         let ndf = self.config().ndf_penalty;
         let mut tsrc = self.open_tuple_source()?;
         tsrc.skip_entries(range.start)?;
-        // A lane never holds more than a window, nor more than its range.
-        let window = usize::try_from(range.end.saturating_sub(range.start))
-            .map_or(drain_at, |n| n.min(drain_at));
         for lane in lanes.iter_mut() {
             for a in &mut lane.bounds.attrs {
                 a.seek(range.start)?;
             }
-            lane.pending.reserve_exact(window);
         }
         let mut refiner = Refiner {
             table,
@@ -389,10 +444,16 @@ impl IvaIndex {
                     if ptr == TOMBSTONE_PTR {
                         continue;
                     }
-                    lane.bounds.weigh(i, lane.lambda, ndf, &mut lane.diffs);
+                    let exact = lane.bounds.weigh(i, lane.lambda, ndf, &mut lane.diffs);
                     let est = metric.combine(&lane.diffs);
+                    if est > lane.limit {
+                        continue;
+                    }
                     let (tid, dist, ptr) = (u64::from(tid), est, RecordPtr(ptr));
-                    if lane.carry.pool.admits_at(est, tid) {
+                    let ScanCarry { pool, stats } = &mut *lane.carry;
+                    if exact {
+                        stats.walk_admits += u64::from(pool.insert_at(tid, dist, ptr));
+                    } else if pool.admits_at(est, tid) {
                         lane.pending.push(PoolEntry { tid, dist, ptr });
                         if lane.pending.len() >= drain_at {
                             refine_wall += refiner.drain(lane)?;
@@ -430,8 +491,16 @@ impl IvaIndex {
         drain_at: usize,
         carry: &mut ScanCarry,
     ) -> Result<()> {
-        let (shared, prepare_nanos) = self.prepare_query_timed(query, matchers)?;
-        let mut lanes = [Lane::open(self, query, lambda, &shared, carry)?];
+        let (shared, seed, prepare_nanos) =
+            self.prepare_query_timed(query, matchers, (lambda, metric), carry)?;
+        let mut lanes = [Lane::open(
+            self,
+            query,
+            lambda,
+            &shared,
+            seed.as_ref(),
+            carry,
+        )?];
         let nanos = self.scan(table, &mut lanes, 0..self.n_tuples(), drain_at, metric)?;
         carry.stats.filter_nanos += prepare_nanos + nanos.filter;
         carry.stats.refine_nanos += nanos.refine;
@@ -542,7 +611,7 @@ mod tests {
         let matchers = index.query_matchers(&q);
         let shared = index.prepare_query(&q, &matchers).unwrap();
         let mut carry = ScanCarry::new(10);
-        let mut lanes = [Lane::open(&index, &q, &[1.0], &shared, &mut carry).unwrap()];
+        let mut lanes = [Lane::open(&index, &q, &[1.0], &shared, None, &mut carry).unwrap()];
         let before = crate::timing::thread_cpu_time();
         let nanos = index
             .scan(
@@ -598,14 +667,14 @@ mod tests {
         // Batch of two: one well-formed lane does not excuse the other.
         let shared = index.prepare_query(&q, &matchers).unwrap();
         let (mut a, mut b) = (ScanCarry::new(3), ScanCarry::new(3));
-        assert!(Lane::open(&index, &q, &good, &shared, &mut a).is_ok());
-        let second = Lane::open(&index, &q, &short, &shared, &mut b);
+        assert!(Lane::open(&index, &q, &good, &shared, None, &mut a).is_ok());
+        let second = Lane::open(&index, &q, &short, &shared, None, &mut b);
         assert!(rejected(second.map(|_| ())));
         // A weight that is not a number poisons every distance, and a
         // negative one voids the lower bound: rejected at the same door.
         for bad in [f64::NAN, f64::INFINITY, -0.5] {
             let weights = [1.0, bad];
-            let third = Lane::open(&index, &q, &weights, &shared, &mut b);
+            let third = Lane::open(&index, &q, &weights, &shared, None, &mut b);
             assert!(rejected(third.map(|_| ())), "{bad}");
         }
     }

@@ -29,8 +29,8 @@ use crate::query::{bounded_distance, Query, QueryStats};
 use crate::scan::{block_len, Bounds};
 use crate::timing::thread_cpu_time;
 
-/// One live tuple as phase 1 saw it: `(tid, ptr, lower bound, any query
-/// attribute defined)`.
+/// One live tuple as phase 1 saw it: `(tid, ptr, lower bound, whether the
+/// bound is its distance — every query attribute *ndf*)`.
 type Scanned = (u64, u64, f64, bool);
 
 impl IvaIndex {
@@ -44,7 +44,7 @@ impl IvaIndex {
         metric: &M,
     ) -> Result<Vec<Scanned>> {
         let ndf = self.config().ndf_penalty;
-        let mut bounds = Bounds::open(self, shared)?;
+        let mut bounds = Bounds::open(self, shared, None)?;
         let mut tsrc = self.open_tuple_source()?;
         let mut diffs = vec![0.0f64; shared.len()];
         let (mut tids, mut ptrs, mut scanned) = (Vec::new(), Vec::new(), Vec::new());
@@ -57,8 +57,8 @@ impl IvaIndex {
             bounds.fill(&tids)?;
             for (i, (&tid, &ptr)) in tids.iter().zip(&ptrs).enumerate() {
                 if ptr != TOMBSTONE_PTR {
-                    let any_defined = bounds.weigh(i, lambda, ndf, &mut diffs);
-                    scanned.push((u64::from(tid), ptr, metric.combine(&diffs), any_defined));
+                    let exact = bounds.weigh(i, lambda, ndf, &mut diffs);
+                    scanned.push((u64::from(tid), ptr, metric.combine(&diffs), exact));
                 }
             }
         }
@@ -128,8 +128,8 @@ impl IvaIndex {
             Ok(())
         };
         let mut leftovers: Vec<(u64, u64, f64)> = Vec::new();
-        for &(tid, ptr, lb, any_defined) in &scanned {
-            if !any_defined {
+        for &(tid, ptr, lb, all_ndf) in &scanned {
+            if all_ndf {
                 pool.insert_at(tid, all_ndf_dist, RecordPtr(ptr));
             } else if lb < all_ndf_dist {
                 refine(&mut pool, tid, ptr)?;
@@ -261,8 +261,8 @@ mod tests {
         let mut pool = ResultPool::new(k);
         let mut accesses = 0u64;
         let mut leftovers: Vec<(u64, u64, f64)> = Vec::new();
-        for &(tid, ptr, lb, any_defined) in &scanned {
-            if !any_defined {
+        for &(tid, ptr, lb, all_ndf) in &scanned {
+            if all_ndf {
                 pool.insert_at(tid, all_ndf_dist, RecordPtr(ptr));
             } else if lb < all_ndf_dist {
                 let rec = table.get(RecordPtr(ptr)).unwrap();

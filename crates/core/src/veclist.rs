@@ -508,6 +508,8 @@ pub(crate) fn raw_image(reader: PackedReader) -> Result<Vec<u8>> {
     // after only incremental growth.
     let mut out = Vec::with_capacity(expected.min(1 << 22) as usize);
     let mut sigs = CollectSigs::default();
+    // Text values, for the dictionary's count section to be held to.
+    let (mut values, mut last_tid) = (0u64, None);
     while !r.at_end() && out.len() as u64 <= expected {
         let keyed = !org.list_type().is_positional();
         let tid = if keyed { r.tid()? } else { 0 };
@@ -518,6 +520,9 @@ pub(crate) fn raw_image(reader: PackedReader) -> Result<Vec<u8>> {
                 } else {
                     r.string_count()?
                 };
+                // A Type I value is a run of elements under one tid.
+                let new_value = num > 0 && (*ty != ListType::I || last_tid != Some(tid));
+                (values, last_tid) = (values + u64::from(new_value), Some(tid));
                 sigs.0.clear();
                 for _ in 0..num {
                     r.sig(codec, &mut Some(&mut sigs))?;
@@ -533,6 +538,12 @@ pub(crate) fn raw_image(reader: PackedReader) -> Result<Vec<u8>> {
     if out.len() as u64 != expected || !r.at_end() {
         let msg = "packed list does not decode to its logical length";
         return Err(IvaError::Corrupt(msg.into()));
+    }
+    if let ElemReader::Packed(p) = &r {
+        if p.counted() > values {
+            let msg = "dictionary counts more values than the list holds";
+            return Err(IvaError::Corrupt(msg.into()));
+        }
     }
     Ok(out)
 }
@@ -690,7 +701,22 @@ impl TextListCursor {
         matcher: &PreparedMatcher,
         out: &mut [f64],
     ) -> Result<()> {
-        let (mut done, bound) = (0, Bound::Text(matcher));
+        self.fill_seeded(tids, codec, matcher, None, out)
+    }
+
+    /// [`TextListCursor::fill_block`] reading a dictionary-coded string's
+    /// bound from `seeded`, a [`crate::packed::Seed`]'s table, where one
+    /// is given: an exact distance there stands below zero (see
+    /// [`crate::packed::EXACT_BIAS`]). What the walk serves is estimated.
+    pub(crate) fn fill_seeded(
+        &mut self,
+        tids: &[u32],
+        codec: &SigCodec,
+        matcher: &PreparedMatcher,
+        seeded: Option<&[f64]>,
+        out: &mut [f64],
+    ) -> Result<()> {
+        let (mut done, bound) = (0, Bound::Text(matcher, seeded));
         let tids = tids.get(..out.len()).unwrap_or(tids);
         while let (Some(rest), Some(slots)) = (tids.get(done..), out.get_mut(done..)) {
             let Some(&tid) = rest.first() else { break };

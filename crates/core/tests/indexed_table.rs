@@ -10,7 +10,7 @@ use std::sync::Arc;
 use common::{all_list_types_table, small_pages};
 use iva_core::{
     build_index, segment_base, segment_index_path, IndexTarget, IndexedTable, IvaConfig, IvaError,
-    MetricKind, Query, WeightScheme, INDEX_VERSION_V4,
+    MetricKind, Query, WeightScheme, INDEX_VERSION_V4, INDEX_VERSION_V5,
 };
 use iva_storage::{DomainPin, IoStats, MemVfs, PageId, Pager, Vfs, FRAME_TRAILER, SUPERBLOCK_LEN};
 use iva_swt::{AttrId, Catalog, SwtTable, Tuple, Value};
@@ -37,6 +37,9 @@ enum State {
     /// A v4 index holding packed text lists: a format from before their
     /// dictionaries, which is stale.
     PackedTextV4,
+    /// A v5 index holding packed text lists: a format from before their
+    /// dictionaries' strings, which is stale.
+    PackedTextV5,
     /// A v4 index whose lists are all raw: a format still current.
     RawOnlyV4,
 }
@@ -195,13 +198,18 @@ fn arrange(mem: &MemVfs, n: &Names, domains: Option<&[DomainPin]>, state: State)
             mem.set_contents(&n.rebuild_tmp, garbage);
         }
         State::StaleTemporary => mem.set_contents(&n.rebuild_tmp, garbage),
-        State::PackedTextV4 | State::RawOnlyV4 => {
+        State::PackedTextV4 | State::PackedTextV5 | State::RawOnlyV4 => {
             let opts = small_pages();
             let pager = Pager::open_with_vfs(mem, &n.index, &opts, IoStats::new()).unwrap();
-            let v4 = INDEX_VERSION_V4.to_le_bytes();
+            let version = match state {
+                State::PackedTextV5 => INDEX_VERSION_V5,
+                _ => INDEX_VERSION_V4,
+            };
             // The header's version field follows its 4-byte magic.
             pager
-                .update_page(PageId(0), |p| p[4..8].copy_from_slice(&v4))
+                .update_page(PageId(0), |p| {
+                    p[4..8].copy_from_slice(&version.to_le_bytes())
+                })
                 .unwrap();
             pager.sync().unwrap();
         }
@@ -219,6 +227,7 @@ fn open_reuses_a_matching_index_and_rebuilds_any_other() {
         State::CutMidRebuild,
         State::StaleTemporary,
         State::PackedTextV4,
+        State::PackedTextV5,
         State::RawOnlyV4,
     ];
     for state in states {

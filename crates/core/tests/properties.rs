@@ -204,6 +204,85 @@ proptest! {
     }
 }
 
+/// A dictionary string's exact distance is `attr_difference`'s: over a
+/// text attribute whose values repeat enough that its packed list carries
+/// string sections, every 1-value query at k = 1, 10 and 25 is answered
+/// from the dictionary — no fetch — with the brute-force top-k by tid and
+/// distance bits. The vocabularies cover multi-string values (a value's
+/// distance is its nearest string's, whichever is first); two strings
+/// with one signature (a code names a string, not a signature); non-ASCII
+/// bytes, queried by the empty string among others (a value holds none);
+/// and dictionaries of 1, 2, 256 and 257
+/// strings, whose codes are 1, 1, 8 and 9 bits wide. Every seventh row
+/// leaves the attribute undefined.
+#[test]
+fn dictionary_distances_are_attr_difference() {
+    let config = IvaConfig::default();
+    let codec = config.sig_codec();
+    // The first two strings of the form `s<i>` that share a signature.
+    let mut seen = std::collections::HashMap::new();
+    let shared = (0..10_000)
+        .map(|i| format!("s{i}"))
+        .find_map(|s| {
+            let sig = codec.encode_to_vec(s.as_bytes());
+            seen.insert(sig, s.clone()).map(|other| (other, s))
+        })
+        .expect("two strings with one signature");
+    let shared = (shared.0.as_str(), shared.1.as_str());
+    let texts = |words: &[&str]| words.iter().map(|w| w.to_string()).collect::<Vec<_>>();
+    let numbered = |d: usize| (0..d).map(|i| vec![format!("w{i:03}")]).collect::<Vec<_>>();
+    let vocabularies: Vec<(&str, Vec<Vec<String>>)> = vec![
+        (
+            "multi-string",
+            vec![
+                texts(&["canon", "eos"]),
+                texts(&["nikon", "canon"]),
+                texts(&["sony"]),
+                texts(&["cannon", "nikkon", "sony"]),
+            ],
+        ),
+        (
+            "one signature",
+            vec![texts(&[shared.0]), texts(&[shared.1]), texts(&["abc"])],
+        ),
+        (
+            "non-ASCII",
+            vec![texts(&["é"]), texts(&["café"]), texts(&["日本語", "cafe"])],
+        ),
+        ("1 string", numbered(1)),
+        ("2 strings", numbered(2)),
+        ("256 strings", numbered(256)),
+        ("257 strings", numbered(257)),
+    ];
+    for (what, vocab) in vocabularies {
+        let mut table = SwtTable::create_mem(&opts(), IoStats::new()).unwrap();
+        let a = table.define_text("a").unwrap();
+        // Enough rows that the distinct strings take fewer bytes than the codes.
+        for i in 0..(8 * vocab.len()).max(200) {
+            let mut tuple = Tuple::new();
+            if i % 7 != 6 {
+                tuple.set(a, Value::texts(vocab[i % vocab.len()].clone()));
+            }
+            table.insert(&tuple).unwrap();
+        }
+        let index = build_index(&table, IndexTarget::Mem, &opts(), IoStats::new(), config).unwrap();
+        let mut probes: Vec<String> = vocab.iter().flatten().take(40).cloned().collect();
+        probes.extend(["", "canno", "w12", "cafè", shared.0, "zzz"].map(String::from));
+        for q in probes.iter().map(|s| Query::new().text(a, s.clone())) {
+            for k in [1, 10, 25] {
+                check_equivalence(&table, &index, &q, k);
+                let out = index.query(&table, &q, k, &MetricKind::L2, WeightScheme::Equal);
+                let stats = out.unwrap().stats;
+                let ctx = format!("{what}, k = {k}, {q:?}: {stats:?}");
+                assert!(
+                    stats.dict_distances > 0 && stats.table_accesses == 0,
+                    "{ctx}"
+                );
+            }
+        }
+    }
+}
+
 /// One walker, one writer, every reader: each list organization × {raw,
 /// packed} over lists with tid gaps, tombstones, a lazy positional tail
 /// that a later insert pads out, multi-string values and no values at

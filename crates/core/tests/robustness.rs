@@ -757,6 +757,120 @@ mod fuzz_packed {
         }
     }
 
+    /// A DICT frame's string and count sections, in each lie a disk can
+    /// tell: a string running past the payload, a section of other than
+    /// one entry per dictionary string, counts of more values than the
+    /// list holds, and strings on a numeric list. Each is `Corrupt` to
+    /// the whole-image decode, the one reader that sees every value; the
+    /// walk loads the dictionary, so it refuses all but the counts, which
+    /// only the probe reads (held there to the catalog's `df`). The honest
+    /// frame decodes. What the lies do not allocate is pinned by
+    /// `packed::tests::lying_frames_size_nothing_by_their_claims`.
+    #[test]
+    fn lying_dictionary_sections_are_corrupt() {
+        use iva_core::IvaError;
+        let ch = sig_codec().ch_bytes(0);
+        // Two entries of `cL` 0, then `sections`.
+        let dict = |sections: Vec<Vec<u8>>| {
+            let mut d = vec![0u8];
+            d.resize(1 + 2 * ch, 0xA5);
+            d.extend(sections.concat());
+            d
+        };
+        // `[n u32][width 8][a byte per value]`, and the bytes after it.
+        let section = |n: u32, vals: &[u8], then: &[u8]| {
+            let mut s = n.to_le_bytes().to_vec();
+            s.push(8);
+            s.extend_from_slice(vals);
+            s.extend_from_slice(then);
+            s
+        };
+        let strings = section(2, &[1, 1], b"ab");
+        // One Type I value at tid 0, coded 0: `[tid][Δ width 0][cbw 1][0]`.
+        let value: &[u8] = &[0, 0, 0, 0, 0, 1, 0];
+        // Its raw layout is `[tid u32][cL][cH]`.
+        let logical = (4 + 1 + ch) as u64;
+        let list = |dict: &[u8], payload: &[u8]| {
+            let mut l = frames_list(&[(DICT, 2, dict), (PACKED, 1, payload)]);
+            l[..8].copy_from_slice(&logical.to_le_bytes());
+            l
+        };
+        let honest = list(
+            &dict(vec![strings.clone(), section(2, &[1, 0], &[])]),
+            value,
+        );
+        let got = open_packed(&honest, true, ListType::I)
+            .unwrap()
+            .decode_to_vec();
+        assert!(got.is_ok(), "honest: {got:?}");
+        let lies = [
+            (
+                "string past the payload",
+                true,
+                dict(vec![section(2, &[1, 200], b"ab"), section(2, &[1, 0], &[])]),
+            ),
+            (
+                "string section of three",
+                true,
+                dict(vec![
+                    section(3, &[1, 1, 1], b"abc"),
+                    section(2, &[1, 0], &[]),
+                ]),
+            ),
+            (
+                "count section of one",
+                true,
+                dict(vec![strings.clone(), section(1, &[1], &[])]),
+            ),
+            (
+                "counts past the values",
+                false,
+                dict(vec![strings.clone(), section(2, &[1, 1], &[])]),
+            ),
+        ];
+        let corrupt = IvaError::is_corruption;
+        for (what, walk_refuses, dict) in lies {
+            let stored = list(&dict, value);
+            let whole = open_packed(&stored, true, ListType::I)
+                .unwrap()
+                .decode_to_vec();
+            assert!(
+                whole.as_ref().is_err_and(corrupt),
+                "{what}: decode {whole:?}"
+            );
+            let codec = sig_codec();
+            let matcher = PreparedMatcher::new(&codec, b"ab");
+            let walked = TextListCursor::new_packed(
+                open_packed(&stored, true, ListType::I).unwrap(),
+                ListType::I,
+            )
+            .advance(0, &codec, &matcher);
+            assert_eq!(
+                walked.as_ref().is_err_and(corrupt),
+                walk_refuses,
+                "{what}: walk {walked:?}"
+            );
+        }
+        // The honest dictionary on a numeric list.
+        let numeric = frames_list(&[(DICT, 2, &dict(vec![strings, section(2, &[1, 0], &[])]))]);
+        let whole = open_packed(&numeric, false, ListType::I)
+            .unwrap()
+            .decode_to_vec();
+        assert!(
+            whole.as_ref().is_err_and(corrupt),
+            "numeric: decode {whole:?}"
+        );
+        let walked = NumListCursor::new_packed(
+            open_packed(&numeric, false, ListType::I).unwrap(),
+            ListType::I,
+        )
+        .advance(0, &num_codec());
+        assert!(
+            walked.as_ref().is_err_and(corrupt),
+            "numeric: walk {walked:?}"
+        );
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 

@@ -96,10 +96,11 @@ fn pick<T: Copy>(rng: &mut StdRng, from: &[T]) -> T {
     from[rng.random_range(0..from.len())]
 }
 
-/// Row `i`, over the first `defined` attributes.
-fn row(i: u64, defined: usize) -> Tuple {
+/// Row `i`, over the first `defined` attributes; a `dense` row defines
+/// the first one whatever `i`.
+fn row(i: u64, defined: usize, dense: bool) -> Tuple {
     let values = [
-        (!i.is_multiple_of(7)).then(|| Value::text(format!("{} {}", word(i), i % 5))),
+        (dense || !i.is_multiple_of(7)).then(|| Value::text(format!("{} {}", word(i), i % 5))),
         i.is_multiple_of(11)
             .then(|| Value::texts([word(i / 11).into(), format!("note {}", i % 37)])),
         (i % 10 != 9).then(|| Value::num((i % 89) as f64)),
@@ -239,11 +240,11 @@ fn threaded(threads: usize) -> QueryOptions {
 
 /// One execution: `(tid, distance bits)` in rank order, the rows it
 /// materialized (engines only), and `[table_accesses, tuples_scanned,
-/// list_bytes_logical, hot_tier_attrs]`.
+/// list_bytes_logical, hot_tier_attrs, dict_distances]`.
 struct Answer {
     hits: Vec<(Tid, u64)>,
     rows: Vec<Tuple>,
-    counts: [u64; 4],
+    counts: [u64; 5],
 }
 
 type Batch = Result<Vec<Answer>>;
@@ -256,6 +257,7 @@ impl Answer {
             s.tuples_scanned,
             s.list_bytes_logical,
             s.hot_tier_attrs,
+            s.dict_distances,
         ];
         Self { hits, rows, counts }
     }
@@ -516,6 +518,8 @@ struct Instance {
     next_tid: Tid,
     next_row: u64,
     defined: usize,
+    /// Rows define the first attribute whatever their number.
+    dense: bool,
 }
 
 impl Instance {
@@ -638,7 +642,7 @@ impl Instance {
     /// The next row, through `f` on every engine: each must give it the
     /// next tid.
     fn insert(&mut self, f: impl Fn(&mut dyn Db, &Tuple) -> Result<Tid>) -> Verdict {
-        let tuple = row(self.next_row, self.defined);
+        let tuple = row(self.next_row, self.defined, self.dense);
         self.next_row += 1;
         self.each(self.next_tid, |db| f(db, &tuple))?;
         self.model.live.insert(self.next_tid, tuple);
@@ -648,15 +652,27 @@ impl Instance {
 
     /// Check every engine against the model (see the module doc).
     fn probe(&self, seed: u64, cov: &mut Coverage) -> Verdict {
-        let p = Probe::draw(seed, self.defined, self.model.live.len());
+        self.check_all(&Probe::draw(seed, self.defined, self.model.live.len()), cov)
+    }
+
+    /// [`Instance::probe`] with `p`. A packed twin scans what its raw
+    /// twin scans and fetches no more: where a dictionary seeds a query,
+    /// it fetches fewer.
+    fn check_all(&self, p: &Probe, cov: &mut Coverage) -> Verdict {
         cov.extend([format!("{:?}", p.metric), format!("{:?}", p.weights)]);
         let mut serial = Vec::new();
         for s in &self.subjects {
             let ctx = |e| format!("{} ({} tier), {p:?}: {e}", s.name, s.tier);
-            serial.push(s.read(|db| self.check(db, s, &p, cov)).map_err(ctx)?);
+            serial.push(s.read(|db| self.check(db, s, p, cov)).map_err(ctx)?);
         }
         let names = |i: usize| (&self.subjects[i].name, &self.subjects[i + 3].name);
-        if let Some(i) = (0..3).find(|&i| serial[i] != serial[i + 3]) {
+        let twins = |raw: &Serial, packed: &Serial| {
+            let pairs = raw.iter().zip(packed);
+            pairs
+                .into_iter()
+                .all(|(r, p)| p[0] <= r[0] && p[1..] == r[1..])
+        };
+        if let Some(i) = (0..3).find(|&i| !twins(&serial[i], &serial[i + 3])) {
             let counts = (&serial[i], &serial[i + 3]);
             return Err(format!("serial counts of {:?}: {counts:?}", names(i)));
         }
@@ -693,18 +709,38 @@ impl Instance {
         if p.k <= live.len() && q.iter().any(|(a, _)| defining(a) < p.k) {
             cov.insert("attr defined by < k".into());
         }
+        if q.len() == 1 && p.k > live.len() {
+            cov.insert("one value, k > live".into());
+        }
         let serial = (0..3).map(|i| db.solo(p, i, 1));
         let serial: Vec<Answer> = serial.collect::<Result<_>>().map_err(e)?;
+        if serial[0].counts[4] > 0 {
+            let kind = s.name.split(' ').next().unwrap_or_default();
+            cov.insert(format!("{kind} seeded"));
+            if lambda.iter().all(|&l| l == 0.0) {
+                cov.insert("seeded at λ = 0".into());
+            }
+            if db
+                .tiers()
+                .map_err(e)?
+                .iter()
+                .any(|(i, _)| i.n_deleted() > 0)
+            {
+                cov.insert("seeded over tombstones".into());
+            }
+        }
         let mut served = 0;
         // Every shape scans what the serial run scans; one whose lanes are
-        // serial fetches what it fetches, too.
+        // serial fetches what it fetches, too, where the hot tier served
+        // it alike (a hot attribute's walk is not seeded).
         let mut check = |a: &Answer, i: usize, shape: &str, serial_lanes: bool| -> Verdict {
             let (hits, want, solo) = (&a.hits, &want[i], serial[i % 3].counts);
             if hits != want {
                 return Err(format!("{shape}, query {i}: {hits:?}, the model {want:?}"));
             }
             let counts = a.counts;
-            if counts[1] != solo[1] || (serial_lanes && counts[0] != solo[0]) {
+            let same_plan = serial_lanes && counts[3] == solo[3];
+            if counts[1] != solo[1] || (same_plan && counts[0] != solo[0]) {
                 return Err(format!("{shape}, query {i}: {counts:?}, serially {solo:?}"));
             }
             for ((tid, _), tuple) in hits.iter().zip(&a.rows) {
@@ -856,6 +892,84 @@ fn every_configuration_matches_the_model() {
         cov.extend(reached);
     }
     let missing: Vec<_> = required().difference(&cov).cloned().collect();
+    assert!(missing.is_empty(), "never reached: {missing:?}");
+}
+
+/// One-value queries where a dictionary seeds the walk: 600 rows whose
+/// first attribute every row defines — 40 values over the vocabulary, so
+/// a build gives its packed list string sections, and an attribute every
+/// live tuple defines, whose ITF weight is 0 — and so does the fifth's, 8
+/// words on every fourth row. Every engine but the pairs then rebuilds
+/// (an `LsmDb` seals and compacts), and 10 of the 15 rows holding the value
+/// first queried are deleted: a seed that ignored the tombstones would
+/// leave 5 of them live at or below its bound where k = 10 need counting.
+/// Probes ask for k of 3, 10, 30 and every live tuple under each metric,
+/// and each runs every shape of [`Instance::check`], on the first two
+/// instances whose packed twins run the hot tier off. Required: a seed on
+/// `IvaDb` and on `LsmDb`, one over tombstones, one at λ = 0, and a
+/// one-value query with k above the live count.
+#[test]
+fn one_value_queries_on_string_sections_match_the_model() {
+    let mut cov = Coverage::new();
+    // A hot attribute's walk is not seeded: instances whose packed twins
+    // run the hot tier off.
+    let cold = |seed: &u64| Instance::new(*seed).is_ok_and(|i| i.subjects[3].tier == "off");
+    for seed in (0..).filter(cold).take(2) {
+        let mut run = || -> Verdict {
+            let mut inst = Instance::new(seed).map_err(|e| e.to_string())?;
+            inst.dense = true;
+            let ops = [Op::Define; 5]
+                .into_iter()
+                .chain([Op::Insert(600), Op::Rebuild]);
+            let deletes = (0..10).map(|j| Op::Delete(40 * j));
+            for op in ops.chain(deletes) {
+                inst.apply(op, &mut cov)?;
+            }
+            let live = inst.model.live.len();
+            let one = |a: u32, s: &str| Query::new().text(AttrId(a), s);
+            let queries = vec![
+                one(0, "canon 0"),
+                one(4, "sony"),
+                one(0, "cannon 1"),
+                one(0, "canon 0"),
+            ];
+            let [l1, l2, linf] = [MetricKind::L1, MetricKind::L2, MetricKind::LInf].map(Dist::Kind);
+            let (equal, itf) = (WeightScheme::Equal, WeightScheme::Itf);
+            let knobs = [
+                (3, l1, equal),
+                (10, l2, equal),
+                (10, linf, itf),
+                (30, l1, equal),
+                (live + 1, l2, itf),
+            ];
+            for (k, metric, weights) in knobs {
+                let (queries, threads) = (queries.clone(), 2);
+                let p = Probe {
+                    queries,
+                    metric,
+                    weights,
+                    k,
+                    threads,
+                };
+                inst.check_all(&p, &mut cov)?;
+            }
+            Ok(())
+        };
+        if let Err(failure) = run() {
+            panic!("instance {seed}: {failure}");
+        }
+    }
+    let want = [
+        "IvaDb seeded",
+        "LsmDb seeded",
+        "seeded over tombstones",
+        "seeded at λ = 0",
+    ];
+    let want = want
+        .into_iter()
+        .chain(["one value, k > live"])
+        .map(String::from);
+    let missing: Vec<_> = want.filter(|w| !cov.contains(w)).collect();
     assert!(missing.is_empty(), "never reached: {missing:?}");
 }
 
