@@ -20,8 +20,8 @@ pub struct IvaConfig {
     /// single-threaded code path; any count produces bit-identical
     /// results. Runtime-only: not persisted in the index header. A
     /// freshly opened index starts at the default until the caller
-    /// re-applies its knobs via `IvaIndex::set_runtime_knobs` (the
-    /// `IvaDb` open path does this automatically).
+    /// re-applies it via `IvaIndex::set_search_threads` (the `IvaDb` open
+    /// path does this automatically).
     pub search_threads: usize,
     /// Build-time switch for the compressed vector-list encodings
     /// (delta/bit-packed tuple-id runs, dictionary-coded signatures, ndf
@@ -33,15 +33,10 @@ pub struct IvaConfig {
     /// persisted: an opened index keeps the per-list tags it was built
     /// with, and this knob only steers future (re)builds.
     pub compress_lists: bool,
-    /// Memory budget in bytes for the in-RAM hot tier of per-attribute
-    /// signature columns (`0` ⇒ tier disabled, every scan goes through
-    /// the pager). Attributes are admitted by access frequency (EWMA)
-    /// until the budget is full; colder columns are evicted to make
-    /// room. The tier is a read-path cache: any budget produces
-    /// bit-identical query answers, differing only in which tier served
-    /// the filter scan (`QueryStats::hot_tier_attrs` /
-    /// `QueryStats::cold_tier_attrs`). Runtime-only, like
-    /// [`IvaConfig::search_threads`].
+    /// Inert: accepted and ignored. It was the budget of an in-RAM cache
+    /// of decoded lists, deleted because the packed lists it mirrored
+    /// scan faster; the field stays only until the benchmark stops
+    /// setting it.
     pub hot_tier_bytes: usize,
 }
 
@@ -104,12 +99,6 @@ impl IvaConfig {
             return Err(format!(
                 "search threads must be <= 1024, got {}",
                 self.search_threads
-            ));
-        }
-        if self.hot_tier_bytes > 1 << 40 {
-            return Err(format!(
-                "hot tier budget must be <= 2^40 bytes, got {}",
-                self.hot_tier_bytes
             ));
         }
         Ok(())

@@ -25,8 +25,8 @@
 //! clearing one bit (a one-byte [`overwrite_in_list`] patch, same crash
 //! granularity as the raw 8-byte `ptr` rewrite) marks the element dead
 //! while its stored pointer keeps the delta chain intact. Decoders
-//! surface dead elements as [`TOMBSTONE_PTR`], so scan plans, the hot
-//! tier, and the interchange exporter see the exact raw-directory
+//! surface dead elements as [`TOMBSTONE_PTR`], so scan plans and the
+//! interchange exporter see the exact raw-directory
 //! semantics. Elements already dead at encode time repeat the previous
 //! stored pointer (Δ = 0) and clear their bit.
 

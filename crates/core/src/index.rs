@@ -26,10 +26,6 @@ use crate::packed::{self, PackedReader};
 use crate::pool::{PoolEntry, ResultPool};
 use crate::query::{Query, QueryStats, QueryValue};
 use crate::scan::{block_len, DRAIN_AT};
-use crate::tier::{
-    build_num_column, build_text_column, ColumnData, HotTier, NumColumn, TextColumn, TierLookup,
-    TupleColumn, TUPLE_KEY,
-};
 use crate::timing::thread_cpu_time;
 use crate::veclist::{push_num_elem, push_text_elem, ListType, NumListCursor, TextListCursor};
 
@@ -84,8 +80,6 @@ pub struct IvaIndex {
     header: IndexHeader,
     entries: Vec<AttrEntry>,
     sig_codec: SigCodec,
-    /// In-RAM columnar fast path for hot attributes (see [`crate::tier`]).
-    tier: HotTier,
 }
 
 /// A [`PreparedMatcher`] per text value of one query, built once under one
@@ -127,25 +121,6 @@ pub(crate) enum SharedAttr<'a> {
         codec: NumericCodec,
         entry: &'a AttrEntry,
     },
-    /// Hot-tier fast path: the attribute's signatures are resident as one
-    /// contiguous column; `pos_lb` holds the per-tuple-position lower
-    /// bounds, folded from block sweeps of it at prepare time
-    /// ([`TextColumn::position_bounds`]; `NaN` = *ndf*). The scan then
-    /// reads one `f64` per position —
-    /// zero pager traffic for this attribute.
-    TextHot {
-        col: Arc<TextColumn>,
-        pos_lb: Vec<f64>,
-        entry: &'a AttrEntry,
-    },
-    /// Hot-tier fast path for a numeric attribute: positionalized codes
-    /// resident in RAM.
-    NumHot {
-        q: f64,
-        codec: NumericCodec,
-        col: Arc<NumColumn>,
-        entry: &'a AttrEntry,
-    },
     /// The attribute was added to the catalog after the last (re)build and
     /// no tuple defines it in the index: every tuple reads as *ndf*.
     AlwaysNdf,
@@ -159,13 +134,11 @@ impl IvaIndex {
         entries: Vec<AttrEntry>,
     ) -> Result<Self> {
         let sig_codec = header.config.sig_codec();
-        let tier = HotTier::new(header.config.hot_tier_bytes);
         let mut idx = Self {
             pager,
             header,
             entries,
             sig_codec,
-            tier,
         };
         idx.write_header()?;
         Ok(idx)
@@ -236,16 +209,11 @@ impl IvaIndex {
             return Err(IvaError::Corrupt("pre-v6 packed text lists".into()));
         }
         let sig_codec = header.config.sig_codec();
-        // `IndexHeader::decode` resets `hot_tier_bytes` (runtime knob):
-        // an opened index starts with the tier disabled until
-        // `set_runtime_knobs` re-applies the caller's budget.
-        let tier = HotTier::new(header.config.hot_tier_bytes);
         Ok(Self {
             pager,
             header,
             entries,
             sig_codec,
-            tier,
         })
     }
 
@@ -254,20 +222,17 @@ impl IvaIndex {
         &self.header.config
     }
 
-    /// Overlay the runtime-only execution knobs onto this index's
-    /// in-memory configuration.
+    /// Overlay the runtime-only worker count onto this index's in-memory
+    /// configuration.
     ///
     /// The persistent header stores only the structural parameters (α,
     /// `n`, ndf penalty, numeric width) — `IndexHeader::decode` resets
-    /// `search_threads`/`hot_tier_bytes` to their defaults
-    /// — so an opened index forgets the knobs its caller asked for.
-    /// Callers that carry execution knobs in their options re-apply them
-    /// here after open. This never touches the persistent format:
-    /// `IndexHeader::encode` does not serialize any of these fields.
-    pub fn set_runtime_knobs(&mut self, search_threads: usize, hot_tier_bytes: usize) {
+    /// `search_threads` to its default — so an opened index forgets the
+    /// count its caller asked for. Callers that carry it in their options
+    /// re-apply it here after open. This never touches the persistent
+    /// format: `IndexHeader::encode` does not serialize it.
+    pub fn set_search_threads(&mut self, search_threads: usize) {
         self.header.config.search_threads = search_threads;
-        self.header.config.hot_tier_bytes = hot_tier_bytes;
-        self.tier.set_budget(hot_tier_bytes);
     }
 
     /// Number of tuple-list elements (live + tombstoned).
@@ -450,8 +415,7 @@ impl IvaIndex {
     }
 
     /// A cursor at the head of a text attribute's durable vector list,
-    /// whichever its encoding — how the scan, a hot-tier promotion and an
-    /// export all read it.
+    /// whichever its encoding — how the scan and an export both read it.
     pub(crate) fn open_text_cursor(&self, entry: &AttrEntry) -> Result<TextListCursor> {
         let ty = entry.list_type;
         Ok(match entry.encoding {
@@ -524,12 +488,7 @@ impl IvaIndex {
                         Some(m) => Cow::Borrowed(m),
                         None => Cow::Owned(PreparedMatcher::new(&self.sig_codec, s.as_bytes())),
                     };
-                    if let Some(col) = self.tier_text_column(attr.index(), entry)? {
-                        let pos_lb = col.position_bounds(&matcher)?;
-                        shared.push(SharedAttr::TextHot { col, pos_lb, entry });
-                    } else {
-                        shared.push(SharedAttr::Text { matcher, entry });
-                    }
+                    shared.push(SharedAttr::Text { matcher, entry });
                 }
                 QueryValue::Num(v) => {
                     if entry.is_text {
@@ -537,95 +496,22 @@ impl IvaIndex {
                             "query gives a number on text attribute {attr}"
                         )));
                     }
-                    let codec = self.numeric_codec(entry);
-                    if let Some(col) = self.tier_num_column(attr.index(), entry, &codec)? {
-                        shared.push(SharedAttr::NumHot {
-                            q: *v,
-                            codec,
-                            col,
-                            entry,
-                        });
-                    } else {
-                        shared.push(SharedAttr::Num {
-                            q: *v,
-                            codec,
-                            entry,
-                        });
-                    }
+                    shared.push(SharedAttr::Num {
+                        q: *v,
+                        codec: self.numeric_codec(entry),
+                        entry,
+                    });
                 }
             }
         }
-        // Score (and possibly promote) the tuple list alongside the
-        // attributes: every query scans it, so it is the hottest list of
-        // all and the last pager dependency of the filter phase.
-        self.tier_touch_tuple()?;
         Ok(shared)
-    }
-
-    /// Consult the hot tier for a text attribute's column, building and
-    /// publishing it on promotion. The cost of the build's walk is paid
-    /// (and visible in the pager's `IoStats`) by the query that promotes.
-    fn tier_text_column(&self, key: usize, entry: &AttrEntry) -> Result<Option<Arc<TextColumn>>> {
-        let est = self.sig_codec.max_encoded_len() * entry.str_count as usize
-            + 4 * (self.header.n_tuples as usize + 1);
-        match self.tier.lookup(key, entry.vlist, est) {
-            TierLookup::Hit(ColumnData::Text(col)) => Ok(Some(col)),
-            TierLookup::Hit(_) => Ok(None),
-            TierLookup::Promote { epoch } => {
-                let tuples = self.tier_tuple_column_for_build()?;
-                let col = Arc::new(build_text_column(
-                    self.open_text_cursor(entry)?,
-                    &self.sig_codec,
-                    &tuples.tids,
-                )?);
-                self.tier
-                    .insert(key, entry.vlist, ColumnData::Text(Arc::clone(&col)), epoch);
-                Ok(Some(col))
-            }
-            TierLookup::Cold => Ok(None),
-        }
-    }
-
-    /// Consult the hot tier for a numeric attribute's column.
-    fn tier_num_column(
-        &self,
-        key: usize,
-        entry: &AttrEntry,
-        codec: &NumericCodec,
-    ) -> Result<Option<Arc<NumColumn>>> {
-        let est = 8 * self.header.n_tuples as usize;
-        match self.tier.lookup(key, entry.vlist, est) {
-            TierLookup::Hit(ColumnData::Num(col)) => Ok(Some(col)),
-            TierLookup::Hit(_) => Ok(None),
-            TierLookup::Promote { epoch } => {
-                let tuples = self.tier_tuple_column_for_build()?;
-                let col = Arc::new(build_num_column(
-                    self.open_num_cursor(entry, codec)?,
-                    codec,
-                    &tuples.tids,
-                )?);
-                self.tier
-                    .insert(key, entry.vlist, ColumnData::Num(Arc::clone(&col)), epoch);
-                Ok(Some(col))
-            }
-            TierLookup::Cold => Ok(None),
-        }
-    }
-
-    /// The tuple-list tids a column build positionalizes against: the
-    /// resident tuple column if valid, else a transient one.
-    fn tier_tuple_column_for_build(&self) -> Result<Arc<TupleColumn>> {
-        if let Some(ColumnData::Tuple(col)) = self.tier.peek(TUPLE_KEY, self.header.tuple_list) {
-            return Ok(col);
-        }
-        self.read_tuple_column().map(Arc::new)
     }
 
     /// The durable tuple list as a column: the directory's first
     /// `n_tuples` elements, exactly what a scan walks (and checked as it
     /// checks them).
     pub(crate) fn read_tuple_column(&self) -> Result<TupleColumn> {
-        let mut src = TupleSource::new(TupleFrom::Pager(self.open_dir_cursor()?));
+        let mut src = self.open_tuple_source()?;
         let n = self.tuple_capacity();
         let (mut tids, mut ptrs) = (Vec::with_capacity(n), Vec::with_capacity(n));
         while (tids.len() as u64) < self.header.n_tuples {
@@ -648,70 +534,25 @@ impl IvaIndex {
         usize::try_from(self.header.n_tuples.min(stored)).unwrap_or(0)
     }
 
-    /// Score the tuple list in the tier and promote it when hot.
-    fn tier_touch_tuple(&self) -> Result<()> {
-        let handle = self.header.tuple_list;
-        let est = TUPLE_ENTRY_LEN * self.header.n_tuples as usize;
-        if let TierLookup::Promote { epoch } = self.tier.lookup(TUPLE_KEY, handle, est) {
-            let col = Arc::new(self.read_tuple_column()?);
-            self.tier
-                .insert(TUPLE_KEY, handle, ColumnData::Tuple(col), epoch);
-        }
-        Ok(())
-    }
-
-    /// True if the tuple list is currently resident in the hot tier.
-    fn tuple_is_hot(&self) -> bool {
-        matches!(
-            self.tier.peek(TUPLE_KEY, self.header.tuple_list),
-            Some(ColumnData::Tuple(_))
-        )
-    }
-
-    /// Open the tuple-list scan source: the resident column when the tier
-    /// holds one (promotion/scoring happened in [`IvaIndex::prepare_query`]
-    /// — this is a non-scoring probe, so each worker of a segmented scan
-    /// can open its own source without inflating the EWMA).
+    /// Open a tuple-list scan source at the head of the durable directory.
     pub(crate) fn open_tuple_source(&self) -> Result<TupleSource> {
-        Ok(TupleSource::new(
-            match self.tier.peek(TUPLE_KEY, self.header.tuple_list) {
-                Some(ColumnData::Tuple(col)) => TupleFrom::Col { col, pos: 0 },
-                _ => TupleFrom::Pager(self.open_dir_cursor()?),
-            },
-        ))
+        Ok(TupleSource {
+            cur: self.open_dir_cursor()?,
+            last: None,
+        })
     }
 
-    /// Fold the per-attribute tier breakdown of a prepared query into
-    /// `stats`: which medium served each vector-list scan and how many
-    /// bytes it swept. Called once per plan (parallel plans account the
-    /// merged scan once, not per worker).
-    pub(crate) fn tier_stats_into(&self, shared: &[SharedAttr<'_>], stats: &mut QueryStats) {
+    /// Fold the bytes of the lists behind a prepared query into `stats`.
+    /// Called once per plan (parallel plans account the merged scan once,
+    /// not per worker).
+    pub(crate) fn list_bytes_into(&self, shared: &[SharedAttr<'_>], stats: &mut QueryStats) {
         for sa in shared {
-            // The entry behind the scan, and the resident column's bytes
-            // if the hot tier served it.
-            let (entry, hot_bytes) = match sa {
-                SharedAttr::Text { entry, .. } | SharedAttr::Num { entry, .. } => (entry, None),
-                SharedAttr::TextHot { col, entry, .. } => (entry, Some(col.bytes())),
-                SharedAttr::NumHot { col, entry, .. } => (entry, Some(col.bytes())),
+            let entry = match sa {
+                SharedAttr::Text { entry, .. } | SharedAttr::Num { entry, .. } => entry,
                 SharedAttr::AlwaysNdf => continue,
             };
-            match hot_bytes {
-                Some(bytes) => {
-                    stats.hot_tier_attrs += 1;
-                    stats.hot_tier_bytes_scanned += bytes as u64;
-                }
-                None => {
-                    stats.cold_tier_attrs += 1;
-                    stats.cold_tier_bytes_scanned += entry.vlist.len;
-                }
-            }
             stats.list_bytes_logical += entry.logical_len;
             stats.list_bytes_physical += self.padded_list_bytes(entry.vlist.len);
-        }
-        if self.tuple_is_hot() {
-            stats.hot_tier_bytes_scanned += self.header.n_tuples * TUPLE_ENTRY_LEN as u64;
-        } else {
-            stats.cold_tier_bytes_scanned += self.header.tuple_list.len;
         }
         // The directory's logical size is the raw element stream; a
         // packed directory stores (and therefore sweeps) fewer bytes.
@@ -904,18 +745,7 @@ impl IvaIndex {
         }
         self.header.tuple_list = tw.finish()?;
         self.header.n_tuples += 1;
-        self.write_header()?;
-
-        // Hot-tier invalidation: the tuple list grew, and the vector list
-        // of every attribute this tuple defines changed. Columns of
-        // attributes the tuple does *not* define stay valid — their
-        // positional tails read the new position as ndf, exactly like the
-        // lazily padded on-disk lists.
-        self.tier.invalidate(TUPLE_KEY);
-        for (attr, _) in tuple.iter() {
-            self.tier.invalidate(attr.index());
-        }
-        Ok(())
+        self.write_header()
     }
 
     /// Extend the attribute list for attributes defined in the catalog
@@ -976,12 +806,6 @@ impl IvaIndex {
         )?;
         self.header.n_deleted += 1;
         self.write_header()?;
-        // The tombstone rewrites bytes *in place*, so the tuple list's
-        // handle is unchanged and handle validation cannot catch this —
-        // explicit invalidation is mandatory. Vector lists are
-        // untouched; attribute columns stay valid (the scan skips
-        // tombstoned positions by ptr, same as disk).
-        self.tier.invalidate(TUPLE_KEY);
         Ok(true)
     }
 
@@ -1051,26 +875,25 @@ impl IvaIndex {
     }
 }
 
-/// One scan pass over the tuple list, a block at a time: either a pager
-/// cursor over the durable list or a position over the resident hot-tier
-/// column. Both yield the identical `(tid, ptr)` sequence — mixed sources
-/// across the workers of one plan are therefore harmless.
+/// The durable tuple list as parallel arrays: `(tids[i], ptrs[i])` is
+/// tuple-list element `i` (tombstones keep their `TOMBSTONE_PTR`) — what
+/// [`crate::export_index`] reads.
+pub(crate) struct TupleColumn {
+    /// Tuple ids in list order.
+    pub tids: Vec<u32>,
+    /// Record pointers (or `TOMBSTONE_PTR`) in list order.
+    pub ptrs: Vec<u64>,
+}
+
+/// One scan pass over the tuple list, a block at a time, checked
+/// tid-ascending as it goes.
 pub(crate) struct TupleSource {
-    from: TupleFrom,
+    cur: DirCursor,
     /// The last tid handed out.
     last: Option<u32>,
 }
 
-enum TupleFrom {
-    Pager(DirCursor),
-    Col { col: Arc<TupleColumn>, pos: usize },
-}
-
 impl TupleSource {
-    fn new(from: TupleFrom) -> Self {
-        Self { from, last: None }
-    }
-
     /// Append the next elements to `tids`/`ptrs`: at least one and at most
     /// `max` (≥ 1), never more than one directory frame holds. The pool's
     /// tie rule (lowest tid wins) is Algorithm 1's "first arrival wins"
@@ -1085,20 +908,7 @@ impl TupleSource {
         ptrs: &mut Vec<u64>,
     ) -> Result<()> {
         let start = tids.len();
-        match &mut self.from {
-            TupleFrom::Pager(c) => c.next_block(max, tids, ptrs)?,
-            TupleFrom::Col { col, pos } => {
-                let end = col.tids.len().min(pos.saturating_add(max));
-                match (col.tids.get(*pos..end), col.ptrs.get(*pos..end)) {
-                    (Some(t), Some(p)) if !t.is_empty() => {
-                        tids.extend_from_slice(t);
-                        ptrs.extend_from_slice(p);
-                        *pos = end;
-                    }
-                    _ => return Err(IvaError::Corrupt("tuple column scan past end".into())),
-                }
-            }
-        }
+        self.cur.next_block(max, tids, ptrs)?;
         // Each tid against the one before it, the block's first against the
         // last block's last; no early exit, so the loop has no branch.
         let (mut ascending, mut last) = (true, self.last);
@@ -1120,10 +930,7 @@ impl TupleSource {
         let Some(before) = n.checked_sub(1) else {
             return Ok(());
         };
-        match &mut self.from {
-            TupleFrom::Pager(c) => c.skip_entries(before)?,
-            TupleFrom::Col { pos, .. } => *pos = before as usize,
-        }
+        self.cur.skip_entries(before)?;
         self.next_block(1, &mut Vec::with_capacity(1), &mut Vec::with_capacity(1))
     }
 }
@@ -1162,8 +969,8 @@ pub struct QueryExplain {
 }
 
 impl QueryExplain {
-    /// Total index bytes one execution of the query scans.
-    pub fn index_bytes_scanned(&self) -> u64 {
+    /// Total index bytes one execution of the query reads.
+    pub fn index_bytes(&self) -> u64 {
         self.tuple_list_bytes + self.attrs.iter().map(|a| a.list_bytes).sum::<u64>()
     }
 }
@@ -1175,7 +982,7 @@ impl std::fmt::Display for QueryExplain {
             "scan {} tuples ({} tombstones), {} index bytes",
             self.tuples_to_scan,
             self.tombstones,
-            self.index_bytes_scanned()
+            self.index_bytes()
         )?;
         for a in &self.attrs {
             writeln!(

@@ -102,7 +102,9 @@ impl IndexedTable {
     /// [`crate::INDEX_VERSION`]) all mean it is rebuilt from the table — into
     /// `rebuild_tmp`, then renamed into place, so a crash mid-rebuild
     /// leaves the (still rebuildable) old state. The header persists only
-    /// structural parameters: `config`'s execution knobs are re-applied.
+    /// structural parameters: `config`'s worker count is re-applied.
+    /// `config` is validated first, whether the index is reused or
+    /// rebuilt.
     pub fn open(
         at: Files<'_>,
         rebuild_tmp: &Path,
@@ -112,6 +114,7 @@ impl IndexedTable {
         table_io: IoStats,
         index_io: IoStats,
     ) -> Result<Self> {
+        config.validate().map_err(IvaError::InvalidArgument)?;
         let (vfs, base, path) = at;
         let table = SwtTable::open_with_vfs(Arc::clone(vfs), base, pager, table_io)?;
         let reusable = match IvaIndex::open_with_vfs(Arc::clone(vfs), path, pager, index_io.clone())
@@ -148,7 +151,7 @@ impl IndexedTable {
                 IvaIndex::open_with_vfs(Arc::clone(vfs), path, pager, index_io)?
             }
         };
-        index.set_runtime_knobs(config.search_threads, config.hot_tier_bytes);
+        index.set_search_threads(config.search_threads);
         Ok(Self {
             table,
             index,

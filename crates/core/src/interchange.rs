@@ -31,9 +31,8 @@ use iva_swt::AttrId;
 use crate::build::{write_index, IndexTarget};
 use crate::config::IvaConfig;
 use crate::error::{IvaError, Result};
-use crate::index::IvaIndex;
+use crate::index::{IvaIndex, TupleColumn};
 use crate::numeric::NumericCodec;
-use crate::tier::TupleColumn;
 use crate::veclist::ListType;
 
 /// One attribute's logical content: a postings list in the CIFF sense,

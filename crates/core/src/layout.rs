@@ -91,7 +91,7 @@ pub struct AttrEntry {
     /// had the list been stored uncompressed. Equals `vlist.len` for Raw
     /// lists; the compression ratio of a Packed list is
     /// `logical_len / vlist.len`. Drives the per-query logical-bytes
-    /// accounting and the hot-tier size estimates.
+    /// accounting.
     ///
     /// In-memory only: a Raw entry's logical length *is* `vlist.len`, and
     /// a Packed list self-describes via its 8-byte prologue (see the

@@ -46,7 +46,6 @@ mod query;
 mod scan;
 mod segment;
 mod seqplan;
-mod tier;
 mod timing;
 mod veclist;
 

@@ -111,7 +111,7 @@ impl IvaIndex {
             .map(|(mut carry, shared)| {
                 carry.stats.filter_nanos = prepare_nanos + nanos.filter;
                 carry.stats.refine_nanos = nanos.refine;
-                self.tier_stats_into(shared, &mut carry.stats);
+                self.list_bytes_into(shared, &mut carry.stats);
                 carry.finish()
             })
             .collect())

@@ -183,10 +183,10 @@ impl IvaIndex {
         max_filter += thread_cpu_time().saturating_sub(merge_start);
         stats.filter_nanos += prepare_nanos + max_filter;
         stats.refine_nanos += max_refine;
-        // Tier accounting once for the merged plan — the workers scanned
-        // the same prepared attributes, so per-worker accounting would
-        // multiply the breakdown by the thread count.
-        self.tier_stats_into(&shared, stats);
+        // List bytes once for the merged plan — the workers scanned the
+        // same prepared attributes, so per-worker accounting would
+        // multiply them by the thread count.
+        self.list_bytes_into(&shared, stats);
         Ok(())
     }
 }

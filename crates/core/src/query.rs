@@ -248,23 +248,10 @@ pub struct QueryStats {
     pub filter_nanos: u64,
     /// Time spent on random table accesses + exact distances, in nanos.
     pub refine_nanos: u64,
-    /// Query attributes whose filter scan was served entirely from the
-    /// in-RAM hot tier (zero pager traffic for that attribute's vector
-    /// list). The tier is a cache: hits never change answers, only which
-    /// medium paid for the scan.
-    pub hot_tier_attrs: u64,
-    /// Query attributes whose filter scan went through the pager (the
-    /// durable iVA-file path). `hot_tier_attrs + cold_tier_attrs` counts
-    /// every query attribute that had a vector list to scan.
-    pub cold_tier_attrs: u64,
-    /// Bytes of signature/code columns swept in RAM for hot attributes.
-    pub hot_tier_bytes_scanned: u64,
-    /// Vector-list bytes scanned through the pager for cold attributes.
-    pub cold_tier_bytes_scanned: u64,
     /// *Logical* (raw-layout-equivalent) bytes of the lists behind this
     /// query's filter phase: the tuple list plus every query attribute's
-    /// vector list at its uncompressed size, whatever encoding or tier
-    /// actually served the scan. The denominator of the compression ratio.
+    /// vector list at its uncompressed size, whatever encoding actually
+    /// stores it. The denominator of the compression ratio.
     pub list_bytes_logical: u64,
     /// *Physical* page-padded bytes of the same lists as stored: each
     /// list's on-disk (possibly packed) size rounded up to whole pager

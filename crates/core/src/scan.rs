@@ -89,7 +89,6 @@ use crate::numeric::NumericCodec;
 use crate::packed::{Seed, EXACT_BIAS};
 use crate::pool::{PoolEntry, ResultPool};
 use crate::query::{bounded_distance, Query, QueryValue};
-use crate::tier::NumColumn;
 use crate::timing::{monotonic_nanos, thread_cpu_time};
 use crate::veclist::{NumListCursor, TextListCursor};
 
@@ -108,21 +107,12 @@ pub(crate) enum AttrScan<'a> {
         codec: &'a NumericCodec,
         q: f64,
     },
-    /// Hot tier: prefolded per-position lower bounds (`NaN` = *ndf*).
-    TextHot { pos_lb: &'a [f64], pos: usize },
-    /// Hot tier: positionalized codes.
-    NumHot {
-        col: &'a NumColumn,
-        codec: &'a NumericCodec,
-        q: f64,
-        pos: usize,
-    },
     /// No tuple in the index defines the attribute.
     AlwaysNdf,
 }
 
 impl<'a> AttrScan<'a> {
-    /// Open at the head of the attribute's list (or column).
+    /// Open at the head of the attribute's list.
     fn open(
         index: &'a IvaIndex,
         sa: &'a SharedAttr<'a>,
@@ -140,13 +130,6 @@ impl<'a> AttrScan<'a> {
                 codec,
                 q: *q,
             },
-            SharedAttr::TextHot { pos_lb, .. } => AttrScan::TextHot { pos_lb, pos: 0 },
-            SharedAttr::NumHot { q, codec, col, .. } => AttrScan::NumHot {
-                col,
-                codec,
-                q: *q,
-                pos: 0,
-            },
             SharedAttr::AlwaysNdf => AttrScan::AlwaysNdf,
         })
     }
@@ -157,10 +140,6 @@ impl<'a> AttrScan<'a> {
         match self {
             AttrScan::Text { cur, codec, .. } => cur.seek_elements(n, codec),
             AttrScan::Num { cur, codec, .. } => cur.seek_elements(n, codec),
-            AttrScan::TextHot { pos, .. } | AttrScan::NumHot { pos, .. } => {
-                *pos = n as usize;
-                Ok(())
-            }
             AttrScan::AlwaysNdf => Ok(()),
         }
     }
@@ -170,7 +149,7 @@ impl<'a> AttrScan<'a> {
         match self {
             AttrScan::Text { cur, .. } => cur.walks(),
             AttrScan::Num { cur, .. } => cur.walks(),
-            _ => false,
+            AttrScan::AlwaysNdf => false,
         }
     }
 
@@ -181,36 +160,19 @@ impl<'a> AttrScan<'a> {
     /// bound is); bounds themselves are never `NaN`. Tombstoned elements
     /// are filled like any other (the spine never admits them).
     fn fill(&mut self, tids: &[u32], out: &mut [f64]) -> Result<()> {
-        let pos = match self {
+        match self {
             AttrScan::Text {
                 cur,
                 codec,
                 matcher,
                 seeded,
-            } => return cur.fill_seeded(tids, codec, matcher, *seeded, out),
-            AttrScan::Num { cur, codec, q } => return cur.fill_block(tids, codec, *q, out),
+            } => cur.fill_seeded(tids, codec, matcher, *seeded, out),
+            AttrScan::Num { cur, codec, q } => cur.fill_block(tids, codec, *q, out),
             AttrScan::AlwaysNdf => {
                 out.fill(f64::NAN);
-                return Ok(());
+                Ok(())
             }
-            AttrScan::TextHot { pos_lb, pos } => {
-                // Past the column end: the lazy positional tail.
-                let have = pos_lb.get(*pos..).unwrap_or(&[]).iter();
-                for (slot, &lb) in out.iter_mut().zip(have.chain(std::iter::repeat(&f64::NAN))) {
-                    *slot = lb;
-                }
-                pos
-            }
-            AttrScan::NumHot { col, codec, q, pos } => {
-                for (i, slot) in out.iter_mut().enumerate() {
-                    let code = col.code_at(*pos + i);
-                    *slot = code.map_or(f64::NAN, |c| codec.lower_bound_dist(c, *q));
-                }
-                pos
-            }
-        };
-        *pos += out.len();
-        Ok(())
+        }
     }
 }
 
@@ -371,7 +333,7 @@ impl IvaIndex {
     /// k + this index's tombstones counted values: a counted value may
     /// since have been deleted, and RAW tail inserts only add values.
     /// Preparation is filter work — any matcher `matchers` could not lend,
-    /// on the hot tier the whole block-estimate prefold, and the probe — so
+    /// and the probe — so
     /// every execution shape's entry charges it to `filter_nanos` (and
     /// whoever built `matchers` charges their build once).
     pub(crate) fn prepare_query_timed<'a, M: Metric>(
@@ -504,7 +466,7 @@ impl IvaIndex {
         let nanos = self.scan(table, &mut lanes, 0..self.n_tuples(), drain_at, metric)?;
         carry.stats.filter_nanos += prepare_nanos + nanos.filter;
         carry.stats.refine_nanos += nanos.refine;
-        self.tier_stats_into(&shared, &mut carry.stats);
+        self.list_bytes_into(&shared, &mut carry.stats);
         Ok(())
     }
 }

@@ -155,7 +155,7 @@ impl IvaIndex {
         let total = thread_cpu_time().saturating_sub(start);
         stats.refine_nanos = refine_nanos;
         stats.filter_nanos = total.saturating_sub(refine_nanos);
-        self.tier_stats_into(&shared, &mut stats);
+        self.list_bytes_into(&shared, &mut stats);
         Ok(QueryOutcome {
             results: pool.into_sorted(),
             stats,

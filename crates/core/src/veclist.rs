@@ -22,8 +22,8 @@
 //! This module is the one owner of that element layout. Bytes are written
 //! by [`push_text_elem`] / [`push_num_elem`] (bulk encodes and
 //! [`crate::IvaIndex::insert`] alike) and read by the two cursors' walk
-//! (hot-tier column builds and [`crate::export_index`], and the scan
-//! wherever a frame cannot serve it a run); [`crate::packed`] owns only
+//! ([`crate::export_index`], and the scan wherever a frame cannot serve
+//! it a run); [`crate::packed`] owns only
 //! the frame codec that carries the same element stream compressed — and
 //! answers the walk's field reads, and the scan's block fills
 //! ([`TextListCursor::fill_block`]), from a frame's sections in place,
@@ -34,15 +34,15 @@
 //! verdict each, whoever is walking:
 //!
 //! * a *keyed* element whose tid is not in the tuple list (or is out of
-//!   order) is invisible — the scan steps over it, a column build drops it
-//!   and an export does not carry it, wherever in the list it sits;
+//!   order) is invisible — the scan steps over it and an export does not
+//!   carry it, wherever in the list it sits;
 //! * a walk over the whole tuple list that ends with list bytes left over
 //!   — a *positional* list with more elements than the tuple list, or a
 //!   packed list whose prologue promises more than its frames hold — is
-//!   [`IvaError::Corrupt`] to [`TextListCursor::finish`] /
-//!   [`NumListCursor::finish`], which column builds and exports call. A
-//!   positional list *shorter* than the tuple list is legal: the lazy tail
-//!   reads as *ndf*.
+//!   [`IvaError::Corrupt`] to the cursors' `finish`, which an export
+//!   ([`TextListCursor::postings`] / [`NumListCursor::postings`]) ends
+//!   with. A positional list *shorter* than the tuple list is legal: the
+//!   lazy tail reads as *ndf*.
 
 use iva_storage::codec::le_u32;
 use iva_storage::{ListReader, PageRef};
@@ -592,11 +592,6 @@ impl TextListCursor {
         }
     }
 
-    /// The organization this cursor decodes.
-    pub(crate) fn list_type(&self) -> ListType {
-        self.ty
-    }
-
     /// Whether a block fill walks the list element by element (a raw
     /// list) rather than serving it by runs.
     pub(crate) fn walks(&self) -> bool {
@@ -626,7 +621,7 @@ impl TextListCursor {
     ///
     /// Must be called exactly once per tuple-list element, in tid order.
     #[inline]
-    pub(crate) fn walk<V: SigVisitor>(
+    fn walk<V: SigVisitor>(
         &mut self,
         tid: u32,
         codec: &SigCodec,
@@ -759,7 +754,7 @@ impl TextListCursor {
     /// the last tuple are stepped over like any other the tuple list does
     /// not name; bytes still left after that are [`IvaError::Corrupt`]
     /// (see the module doc).
-    pub(crate) fn finish(mut self, codec: &SigCodec) -> Result<()> {
+    fn finish(mut self, codec: &SigCodec) -> Result<()> {
         if !self.ty.is_positional() {
             self.walk::<()>(u32::MAX, codec, None)?;
         }
@@ -980,9 +975,8 @@ impl NumListCursor {
         }
     }
 
-    /// End a walk that visited every tuple-list tid (see
-    /// [`TextListCursor::finish`]).
-    pub(crate) fn finish(mut self, codec: &NumericCodec) -> Result<()> {
+    /// End a walk that visited every tuple-list tid (see the module doc).
+    fn finish(mut self, codec: &NumericCodec) -> Result<()> {
         if !self.ty.is_positional() {
             self.walk(u32::MAX, codec, false)?;
         }
@@ -1391,6 +1385,66 @@ mod tests {
         for tid in [2u32, 5, 11, 20, 30] {
             let got = cur.advance(tid, &codec).unwrap();
             assert_eq!(got.is_some(), tid == 5 || tid == 20, "tid {tid}");
+        }
+    }
+
+    /// One verdict per malformed list, whoever walks it (the module doc):
+    /// keyed elements whose tid the tuple list does not name are
+    /// invisible — between two tuples or past the last one — to the scan
+    /// and the export's postings alike.
+    #[test]
+    fn unmatched_keyed_elements_are_invisible_to_every_walker() {
+        let p = pager();
+        let codec = SigCodec::new(0.3, 2);
+        let sig = |s: &str| vec![codec.encode_to_vec(s.as_bytes())];
+        let items = vec![(5, sig("kept")), (7, sig("between")), (11, sig("past"))];
+        let tids = vec![5u32, 9];
+        let matcher = PreparedMatcher::new(&codec, b"kept");
+        for ty in [ListType::I, ListType::II] {
+            let raw = encode_text_list(ty, &items, &[]).unwrap();
+            let mut scan = TextListCursor::new(reader_for(&p, &raw), ty);
+            assert_eq!(scan.advance(5, &codec, &matcher).unwrap(), Some(0.0));
+            assert_eq!(scan.advance(9, &codec, &matcher).unwrap(), None);
+            let export = TextListCursor::new(reader_for(&p, &raw), ty);
+            assert_eq!(export.postings(&codec, &tids).unwrap(), items[..1]);
+        }
+        let ncodec = NumericCodec::new(0.0, 100.0, 2);
+        let nitems: Vec<(u32, u64)> = vec![(5, 1), (7, 2), (11, 3)];
+        let raw = encode_num_list(ListType::I, &nitems, &[], &ncodec).unwrap();
+        let mut scan = NumListCursor::new(reader_for(&p, &raw), ListType::I);
+        assert_eq!(scan.advance(5, &ncodec).unwrap(), Some(1));
+        assert_eq!(scan.advance(9, &ncodec).unwrap(), None);
+        let export = NumListCursor::new(reader_for(&p, &raw), ListType::I);
+        assert_eq!(export.postings(&ncodec, &tids).unwrap(), nitems[..1]);
+    }
+
+    /// The other verdict: a positional list with more elements than the
+    /// tuple list is `Corrupt` to the export (the scan, which stops with
+    /// the tuple list, never reaches them); a shorter one is the legal
+    /// lazy tail.
+    #[test]
+    fn positional_list_longer_than_tuple_list_is_corrupt_to_every_walker() {
+        let p = pager();
+        let corrupt = |e: IvaError| matches!(e, IvaError::Corrupt(_));
+        let codec = SigCodec::new(0.3, 2);
+        let items = vec![(0, vec![codec.encode_to_vec(b"a")])];
+        let raw = encode_text_list(ListType::III, &items, &[0, 1, 2]).unwrap();
+        let ncodec = NumericCodec::new(0.0, 100.0, 2);
+        let nitems: Vec<(u32, u64)> = vec![(0, 4)];
+        let nraw = encode_num_list(ListType::IV, &nitems, &[0, 1, 2], &ncodec).unwrap();
+        for (tids, ok) in [
+            (&[0u32, 1][..], false),
+            (&[0, 1, 2], true),
+            (&[0, 1, 2, 3], true),
+        ] {
+            let text = TextListCursor::new(reader_for(&p, &raw), ListType::III);
+            let text = text.postings(&codec, tids);
+            let num = NumListCursor::new(reader_for(&p, &nraw), ListType::IV);
+            let num = num.postings(&ncodec, tids);
+            assert_eq!((text.is_ok(), num.is_ok()), (ok, ok), "{tids:?}");
+            if !ok {
+                assert!(text.err().is_some_and(corrupt) && num.err().is_some_and(corrupt));
+            }
         }
     }
 }

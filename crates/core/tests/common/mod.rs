@@ -8,7 +8,7 @@ use iva_swt::{SwtTable, Tuple, Value};
 
 /// The bit-identity contract between two executions of one query: same
 /// ranked tids, record pointers and distance *bits*, same `tuples_scanned`.
-/// Holds across every execution shape, list encoding and tier state.
+/// Holds across every execution shape and list encoding.
 /// How many records were fetched to get there is a property of the drain
 /// schedule, compared only by [`assert_same_plan`].
 pub fn assert_bit_identical(a: &QueryOutcome, b: &QueryOutcome, label: &str) {
@@ -22,8 +22,8 @@ pub fn assert_bit_identical(a: &QueryOutcome, b: &QueryOutcome, label: &str) {
 }
 
 /// [`assert_bit_identical`] plus equal `table_accesses`: for two runs whose
-/// drain schedule is the same by construction — raw vs packed lists, hot
-/// vs cold tier, a batch member vs its solo run.
+/// drain schedule is the same by construction — raw vs packed lists where
+/// no dictionary seeds the query, a batch member vs its solo run.
 pub fn assert_same_plan(a: &QueryOutcome, b: &QueryOutcome, label: &str) {
     assert_bit_identical(a, b, label);
     assert_eq!(a.stats.table_accesses, b.stats.table_accesses, "{label}");

@@ -289,11 +289,11 @@ fn dictionary_distances_are_attr_difference() {
 /// all. Every index is written by the builder's one writer (through
 /// `import_index`, which lets the table force an organization the size
 /// formulas would not pick) plus `IvaIndex::insert`'s appends, and read
-/// three ways by the one walk: exported (the postings must be exactly the
-/// values encoded), scanned cold, and scanned from hot-tier columns (both
-/// must match the reference index's plan and brute force).
+/// two ways by the one walk: exported (the postings must be exactly the
+/// values encoded) and scanned (which must match the reference index's
+/// plan and brute force).
 #[test]
-fn one_walk_serves_scan_promotion_and_export() {
+fn one_walk_serves_scan_and_export() {
     const TEXT: [u32; 3] = [0, 1, 2]; // dense multi-string, sparse, never defined
     const NUM: [u32; 3] = [3, 4, 5]; // dense, sparse, never defined
     let row = |i: u32| {
@@ -383,8 +383,8 @@ fn one_walk_serves_scan_promotion_and_export() {
             .query_opts(&table, q, 7, &MetricKind::L2, WeightScheme::Equal, &o)
             .unwrap()
     };
-    // The reference: the organizations the size formulas chose, never
-    // tiered, same mutations.
+    // The reference: the organizations the size formulas chose, same
+    // mutations.
     let mut reference = base;
     mutate(&mut reference);
     let want: Vec<QueryOutcome> = queries.iter().map(|q| run(&reference, q)).collect();
@@ -484,20 +484,10 @@ fn one_walk_serves_scan_promotion_and_export() {
             assert!(text_items(0).iter().any(|(_, sigs)| sigs.len() == 3));
             assert!(text_items(2).is_empty() && num_items(5).is_empty());
 
-            // Scan, cold then from promoted columns: the reference's plan.
+            // Scan: the reference's plan.
             for (q, w) in queries.iter().zip(&want) {
-                assert_same_plan(w, &run(&index, q), &format!("{label} cold"));
+                assert_same_plan(w, &run(&index, q), &label);
             }
-            index.set_runtime_knobs(1, 1 << 20);
-            let mut hot_attrs = 0;
-            for round in 0..8 {
-                for (q, w) in queries.iter().zip(&want) {
-                    let got = run(&index, q);
-                    assert_same_plan(w, &got, &format!("{label} warming round {round}"));
-                    hot_attrs += got.stats.hot_tier_attrs;
-                }
-            }
-            assert!(hot_attrs > 0, "{label}: tier never engaged");
         }
     }
 }

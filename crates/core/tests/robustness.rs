@@ -67,7 +67,7 @@ fn explain_reports_plan_shape() {
     // Dense text attribute gets a positional list; check consistency.
     assert_eq!(text_attr.list_type, Some(ListType::III));
 
-    assert!(ex.index_bytes_scanned() > ex.tuple_list_bytes);
+    assert!(ex.index_bytes() > ex.tuple_list_bytes);
     let rendered = ex.to_string();
     assert!(rendered.contains("scan 300 tuples"));
     assert!(rendered.contains("df 150"));
@@ -260,8 +260,7 @@ fn insert_rejects_positional_entry_longer_than_tuple_list() {
 /// is `Corrupt` to every execution shape, never an answer: serial;
 /// segmented-parallel, whether the repeat falls inside a worker's range or
 /// opens one (2 workers: the second starts on it); batch; the sequential
-/// plan; and the hot tier's resident tuple column. Raw and packed
-/// directories alike.
+/// plan. Raw and packed directories alike.
 #[test]
 fn repeated_tid_in_the_directory_is_corrupt_to_every_shape() {
     use iva_core::{BatchItem, QueryOptions};
@@ -290,30 +289,25 @@ fn repeated_tid_in_the_directory_is_corrupt_to_every_shape() {
             Ok(hits) => panic!("{what}: answered {hits:?}"),
         };
         let results = |o: iva_core::QueryOutcome| o.results;
-        for hot in [0, 1 << 30] {
-            idx.set_runtime_knobs(1, hot);
-            for round in 0..3 {
-                let what = format!("compress {compress_lists} hot {hot} round {round}");
-                corrupt(&what, idx.query(&t, &q, 5, &l2, equ).map(results));
-                for threads in [2usize, 3] {
-                    let o = QueryOptions {
-                        threads: Some(threads),
-                    };
-                    let r = idx.query_opts(&t, &q, 5, &l2, equ, &o).map(results);
-                    corrupt(&format!("{what} threads {threads}"), r);
-                }
-                let item = BatchItem {
-                    query: &q,
-                    k: 5,
-                    weights: equ,
-                };
-                let batch = idx.query_batch(&t, &[item, item], &l2, &QueryOptions::default());
-                let batch = batch.map(|outs| outs.into_iter().flat_map(results).collect());
-                corrupt(&format!("{what} batch"), batch);
-                let seq = idx.query_sequential_plan(&t, &q, 5, &l2, equ).map(results);
-                corrupt(&format!("{what} sequential"), seq);
-            }
+        let what = format!("compress {compress_lists}");
+        corrupt(&what, idx.query(&t, &q, 5, &l2, equ).map(results));
+        for threads in [2usize, 3] {
+            let o = QueryOptions {
+                threads: Some(threads),
+            };
+            let r = idx.query_opts(&t, &q, 5, &l2, equ, &o).map(results);
+            corrupt(&format!("{what} threads {threads}"), r);
         }
+        let item = BatchItem {
+            query: &q,
+            k: 5,
+            weights: equ,
+        };
+        let batch = idx.query_batch(&t, &[item, item], &l2, &QueryOptions::default());
+        let batch = batch.map(|outs| outs.into_iter().flat_map(results).collect());
+        corrupt(&format!("{what} batch"), batch);
+        let seq = idx.query_sequential_plan(&t, &q, 5, &l2, equ).map(results);
+        corrupt(&format!("{what} sequential"), seq);
     }
 }
 
@@ -429,8 +423,8 @@ mod fuzz_packed {
     //! wholesale must decode to `IvaError::Corrupt` (or, rarely, a
     //! still-valid image) — never panic, never allocate unboundedly.
     //! Every image goes through the list cursors' walk as well as the
-    //! whole-image decode: the walk is the one reader the scan, hot-tier
-    //! promotion and export share, so all three are fuzzed at once.
+    //! whole-image decode: the walk is the one reader the scan and the
+    //! export share, so both are fuzzed at once.
 
     use std::sync::{Arc, OnceLock};
 
@@ -520,10 +514,10 @@ mod fuzz_packed {
         }
     }
 
-    /// Walk `stored` the way a scan, a hot-tier promotion and an export
-    /// all do — the one cursor, one move per tuple-list tid, in blocks of
-    /// 1, 2, …, 7 tids: a block of one by `advance` (the build's and the
-    /// export's move), the others by `fill_block` (the scan's) — and
+    /// Walk `stored` the way a scan and an export both do — the one
+    /// cursor, one move per tuple-list tid, in blocks of 1, 2, …, 7 tids:
+    /// a block of one by `advance` (the export's move), the others by
+    /// `fill_block` (the scan's) — and
     /// return the tids it found defined, or `None` at the first error.
     /// Must return, not panic.
     fn walk(stored: &[u8], is_text: bool, ty: ListType, n: u32) -> Option<Vec<u32>> {

@@ -581,8 +581,7 @@ impl PreparedMatcher {
     /// padding within a cell is ignored); no per-element allocation. On a
     /// one-word geometry the
     /// signature word is one load that may run into the next cell (never
-    /// past `sigs`) — the kernel the hot tier's stride-packed columns are
-    /// shaped for.
+    /// past `sigs`).
     pub fn estimate_block(
         &self,
         sigs: &[u8],

@@ -25,9 +25,9 @@ use crate::search::{QueryBuilder, SearchRequest};
 ///    bytes. They are persisted in the index header; on
 ///    [`IvaDb::open`] the *stored* values win — the ones in `opts` are
 ///    only used if the index has to be rebuilt from the table.
-/// 2. **Runtime defaults** (`config.search_threads`,
-///    `config.hot_tier_bytes`, plus `metric` and `weights` here) set the
-///    database's default execution plan. They are *never* persisted:
+/// 2. **Runtime defaults** (`config.search_threads`, plus `metric` and
+///    `weights` here) set the database's default execution plan. They
+///    are *never* persisted:
 ///    an index header round-trip deliberately drops them, and open
 ///    re-applies the values from `opts` so a reopened database behaves
 ///    like the options say, not like the process that wrote the file.
@@ -35,6 +35,10 @@ use crate::search::{QueryBuilder, SearchRequest};
 ///    [`SearchRequest::threads`], ...) apply to one `execute` call only.
 ///    They never write through to either layer above — a request can
 ///    never change what a later request or a reopened database does.
+///
+/// `config.hot_tier_bytes` belongs to no layer: it is accepted and
+/// ignored. Every `config` field is validated at open, whether the index
+/// is reused or rebuilt.
 ///
 /// Every layer-2/3 knob is plan-only: any setting produces bit-identical
 /// top-k answers, differing only in timing and in how many records are

@@ -66,9 +66,10 @@ use crate::search::{QueryBuilder, SearchRequest};
 ///
 /// The layering contract of [`crate::IvaDbOptions`] carries over
 /// unchanged: structural parameters in `config` shape segment bytes and
-/// are persisted per segment; runtime knobs (`metric`, `weights`,
-/// threads and the hot-tier budget inside `config`) are never persisted;
-/// per-request overrides win for one call. The two thresholds below only
+/// are persisted per segment; runtime knobs (`metric`, `weights` and
+/// `config.search_threads`) are never persisted; per-request overrides
+/// win for one call; `config.hot_tier_bytes` is accepted and ignored.
+/// The two thresholds below only
 /// steer *when* maintenance runs — under EQU any schedule yields
 /// bit-identical answers; under ITF λ follows the tombstones a schedule
 /// has not yet dropped.

@@ -288,15 +288,12 @@ pub struct ServingStats {
     /// Requests that shared a batch with at least one other request —
     /// the admission queue's coalescing win.
     pub coalesced: u64,
-    /// Query attributes whose filter phase ran from the in-memory hot
-    /// tier, summed over every answered request.
+    /// Inert: always 0. It counted query attributes served by an
+    /// in-memory cache of decoded lists that no longer exists; the field
+    /// stays only until the benchmark stops reading it.
     pub hot_tier_attrs: u64,
-    /// Query attributes whose filter phase went to the durable iVA-file.
+    /// Inert: always 0, like [`ServingStats::hot_tier_attrs`].
     pub cold_tier_attrs: u64,
-    /// Bytes the filter phases swept in RAM (hot-tier columns).
-    pub hot_tier_bytes_scanned: u64,
-    /// Bytes the filter phases pulled through the pager (cold lists).
-    pub cold_tier_bytes_scanned: u64,
     /// Logical (raw-layout-equivalent) bytes of the vector lists behind
     /// every answered request's filter phase — the denominator of the
     /// serving-level compression ratio.
@@ -321,10 +318,6 @@ struct ServerState<E: Engine> {
     batches: AtomicU64,
     completed: AtomicU64,
     coalesced: AtomicU64,
-    hot_tier_attrs: AtomicU64,
-    cold_tier_attrs: AtomicU64,
-    hot_tier_bytes_scanned: AtomicU64,
-    cold_tier_bytes_scanned: AtomicU64,
     list_bytes_logical: AtomicU64,
     list_bytes_physical: AtomicU64,
 }
@@ -336,27 +329,17 @@ impl<E: Engine> ServerState<E> {
             batches: self.batches.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
-            hot_tier_attrs: self.hot_tier_attrs.load(Ordering::Relaxed),
-            cold_tier_attrs: self.cold_tier_attrs.load(Ordering::Relaxed),
-            hot_tier_bytes_scanned: self.hot_tier_bytes_scanned.load(Ordering::Relaxed),
-            cold_tier_bytes_scanned: self.cold_tier_bytes_scanned.load(Ordering::Relaxed),
+            hot_tier_attrs: 0,
+            cold_tier_attrs: 0,
             list_bytes_logical: self.list_bytes_logical.load(Ordering::Relaxed),
             list_bytes_physical: self.list_bytes_physical.load(Ordering::Relaxed),
         }
     }
 
-    /// Fold one answered outcome's tier breakdown into the serving-level
+    /// Fold one answered outcome's list bytes into the serving-level
     /// counters.
-    fn absorb_tiering(&self, out: &E::Outcome) {
+    fn absorb_list_bytes(&self, out: &E::Outcome) {
         let s = out.stats();
-        self.hot_tier_attrs
-            .fetch_add(s.hot_tier_attrs, Ordering::Relaxed);
-        self.cold_tier_attrs
-            .fetch_add(s.cold_tier_attrs, Ordering::Relaxed);
-        self.hot_tier_bytes_scanned
-            .fetch_add(s.hot_tier_bytes_scanned, Ordering::Relaxed);
-        self.cold_tier_bytes_scanned
-            .fetch_add(s.cold_tier_bytes_scanned, Ordering::Relaxed);
         self.list_bytes_logical
             .fetch_add(s.list_bytes_logical, Ordering::Relaxed);
         self.list_bytes_physical
@@ -389,10 +372,6 @@ impl<E: Engine + 'static> Server<E> {
             batches: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
-            hot_tier_attrs: AtomicU64::new(0),
-            cold_tier_attrs: AtomicU64::new(0),
-            hot_tier_bytes_scanned: AtomicU64::new(0),
-            cold_tier_bytes_scanned: AtomicU64::new(0),
             list_bytes_logical: AtomicU64::new(0),
             list_bytes_physical: AtomicU64::new(0),
         });
@@ -551,7 +530,7 @@ fn worker_loop<E: Engine>(
             for job in jobs {
                 let out = snap.execute(&job.query, &job.request);
                 if let Ok(out) = &out {
-                    state.absorb_tiering(out);
+                    state.absorb_list_bytes(out);
                 }
                 let _ = job.reply.send(out);
             }
@@ -567,7 +546,7 @@ fn worker_loop<E: Engine>(
         match snap.execute_batch(&batch) {
             Ok(outs) => {
                 for (job, out) in jobs.into_iter().zip(outs) {
-                    state.absorb_tiering(&out);
+                    state.absorb_list_bytes(&out);
                     let _ = job.reply.send(Ok(out));
                 }
             }
@@ -578,7 +557,7 @@ fn worker_loop<E: Engine>(
                 for job in jobs {
                     let out = snap.execute(&job.query, &job.request);
                     if let Ok(out) = &out {
-                        state.absorb_tiering(out);
+                        state.absorb_list_bytes(out);
                     }
                     let _ = job.reply.send(out);
                 }

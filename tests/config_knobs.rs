@@ -5,7 +5,8 @@
 
 use iva_file::vfs::{RealVfs, Vfs};
 use iva_file::{
-    IvaConfig, IvaDb, IvaDbOptions, LsmDb, LsmOptions, Query, SearchRequest, Tuple, Value,
+    IvaConfig, IvaDb, IvaDbOptions, IvaError, LsmDb, LsmOptions, Query, QueryStats, SearchRequest,
+    Tuple, Value,
 };
 
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
@@ -18,7 +19,6 @@ fn knobbed_opts() -> IvaDbOptions {
     IvaDbOptions {
         config: IvaConfig {
             search_threads: 3,
-            hot_tier_bytes: 1 << 16,
             ..Default::default()
         },
         ..Default::default()
@@ -44,18 +44,12 @@ fn runtime_knobs_survive_reopen() {
         let mut db = IvaDb::create(&dir, knobbed_opts()).unwrap();
         populate(&mut db);
         assert_eq!(db.index().config().search_threads, 3);
-        assert_eq!(db.index().config().hot_tier_bytes, 1 << 16);
     }
     let db = IvaDb::open(&dir, knobbed_opts()).unwrap();
     assert_eq!(
         db.index().config().search_threads,
         3,
         "search_threads dropped on open"
-    );
-    assert_eq!(
-        db.index().config().hot_tier_bytes,
-        1 << 16,
-        "hot_tier_bytes dropped on open"
     );
     RealVfs.remove_dir_all(&dir).unwrap();
 }
@@ -72,7 +66,6 @@ fn runtime_knobs_are_not_persisted() {
     }
     let db = IvaDb::open(&dir, IvaDbOptions::default()).unwrap();
     assert_eq!(db.index().config().search_threads, 0);
-    assert_eq!(db.index().config().hot_tier_bytes, 0);
     RealVfs.remove_dir_all(&dir).unwrap();
 }
 
@@ -90,14 +83,12 @@ fn search_request_overrides_never_leak() {
         assert_eq!(out.hits[0].dist, 0.0);
         // The live config still holds the options' knobs.
         assert_eq!(db.index().config().search_threads, 3);
-        assert_eq!(db.index().config().hot_tier_bytes, 1 << 16);
         db.flush().unwrap();
     }
     // ... and the durable image never saw the override either: a reopen
     // with default options shows pure defaults.
     let db = IvaDb::open(&dir, IvaDbOptions::default()).unwrap();
     assert_eq!(db.index().config().search_threads, 0);
-    assert_eq!(db.index().config().hot_tier_bytes, 0);
     RealVfs.remove_dir_all(&dir).unwrap();
 }
 
@@ -121,14 +112,13 @@ fn structural_params_from_disk_win_over_options() {
         .unwrap();
         populate(&mut db);
     }
-    // Open asking for a different alpha AND custom runtime knobs.
+    // Open asking for a different alpha AND a custom runtime knob.
     let db = IvaDb::open(
         &dir,
         IvaDbOptions {
             config: IvaConfig {
                 alpha: 0.10,
                 search_threads: 2,
-                hot_tier_bytes: 4096,
                 ..Default::default()
             },
             ..Default::default()
@@ -138,8 +128,87 @@ fn structural_params_from_disk_win_over_options() {
     let cfg = db.index().config();
     assert_eq!(cfg.alpha, 0.30, "stored structural parameter must win");
     assert_eq!(cfg.search_threads, 2, "opener's runtime knob must apply");
-    assert_eq!(cfg.hot_tier_bytes, 4096);
     RealVfs.remove_dir_all(&dir).unwrap();
+}
+
+/// An out-of-range option is refused at open whether the store's index
+/// is reused or rebuilt. A clean store used to reuse its index without
+/// looking at the options, so `search_threads: 2000` opened and applied
+/// there, and was `InvalidArgument` only on a dirty or stale one.
+#[test]
+fn out_of_range_options_are_refused_on_a_clean_store() {
+    let dir = scratch_dir("invalid");
+    let (mono, lsm) = (dir.join("mono"), dir.join("lsm"));
+    {
+        let mut db = IvaDb::create(&mono, IvaDbOptions::default()).unwrap();
+        populate(&mut db);
+        let mut db = LsmDb::create(&lsm, LsmOptions::default()).unwrap();
+        let name = db.define_text("name").unwrap();
+        db.insert(&Tuple::new().with(name, Value::text("widget")))
+            .unwrap();
+        db.flush().unwrap();
+        assert_eq!(db.segments().len(), 1);
+    }
+    let config = IvaConfig {
+        search_threads: 2000,
+        ..Default::default()
+    };
+    let refused = |r: Result<(), IvaError>| matches!(r, Err(IvaError::InvalidArgument(_)));
+    let mono_opts = IvaDbOptions {
+        config,
+        ..Default::default()
+    };
+    assert!(refused(IvaDb::open(&mono, mono_opts).map(drop)), "IvaDb");
+    let lsm_opts = LsmOptions {
+        config,
+        ..Default::default()
+    };
+    assert!(refused(LsmDb::open(&lsm, lsm_opts).map(drop)), "LsmDb");
+    // The stores themselves are fine: valid options open them.
+    IvaDb::open(&mono, IvaDbOptions::default()).unwrap();
+    LsmDb::open(&lsm, LsmOptions::default()).unwrap();
+    RealVfs.remove_dir_all(&dir).unwrap();
+}
+
+/// `hot_tier_bytes` is inert: the same query, run repeatedly, gives the
+/// same answers and the same counts (all but the nanos) whatever budget
+/// the store was opened with.
+#[test]
+fn hot_tier_budget_is_inert() {
+    let counts = |s: QueryStats| QueryStats {
+        filter_nanos: 0,
+        refine_nanos: 0,
+        ..s
+    };
+    let run = |hot_tier_bytes: usize| {
+        let config = IvaConfig {
+            search_threads: 1,
+            hot_tier_bytes,
+            ..Default::default()
+        };
+        let mut db = IvaDb::create_mem(IvaDbOptions {
+            config,
+            ..Default::default()
+        })
+        .unwrap();
+        let name = db.define_text("name").unwrap();
+        let price = db.define_numeric("price").unwrap();
+        for i in 0..400 {
+            let t = Tuple::new()
+                .with(name, Value::text(format!("widget {}", i % 37)))
+                .with(price, Value::num(f64::from(i % 53)));
+            db.insert(&t).unwrap();
+        }
+        let q = Query::new().text(name, "widget 7").num(price, 20.0);
+        let req = SearchRequest::new(10);
+        let runs = (0..5).map(|_| {
+            let out = db.execute(&q, &req).unwrap();
+            let hits: Vec<_> = out.hits.iter().map(|h| (h.tid, h.dist.to_bits())).collect();
+            (hits, counts(out.stats))
+        });
+        runs.collect::<Vec<_>>()
+    };
+    assert_eq!(run(0), run(64 << 20));
 }
 
 /// An `LsmDb` reopened under another α keeps its sealed segments' α (the

@@ -6,11 +6,8 @@
 //! maintenance policy, and six engines fed one op stream — two `IvaDb`s at
 //! β = 0.25 (deletes trigger rebuilds), two `LsmDb`s behind a serving
 //! `Writer` (`Writer::maintain` after every write), and two bare
-//! `SwtTable` + `IvaIndex` pairs, the only place to set the drain window or
-//! change the hot-tier budget mid-stream. Of each kind one twin stores raw
-//! lists, the other packed; one `IvaDb` and one `LsmDb` twin runs the hot
-//! tier warm, the other off; the pairs' tier follows the stream: off, warm,
-//! squeezed to 64 B, re-enabled.
+//! `SwtTable` + `IvaIndex` pairs, the only place to set the drain window.
+//! Of each kind one twin stores raw lists, the other packed.
 //!
 //! Rows follow the density split that forces vector-list Types I–IV over a
 //! small shared vocabulary, so distances tie at D_k. Two instances start
@@ -22,11 +19,12 @@
 //! companions, and an empty one; drain windows 1, 7, 64 and the default —
 //! and each answer must be the [`Model`]'s `(tid, distance bits)` under the
 //! engine's own λ. Every shape must scan the serial run's tuple-list
-//! entries and, where its lanes are serial (batch members; twins), fetch
-//! its records; an `LsmDb` scans no more entries than the pair; tuple
-//! lists are tid-ascending (an `LsmDb`'s across tiers); every live tuple
-//! reads back; a served write publishes its epochs. All instances together
-//! must probe every storage state, serve from every warm tier, draw every
+//! entries and, where its lanes are serial (batch members), fetch its
+//! records; a packed twin scans what its raw twin scans and fetches no
+//! more; an `LsmDb` scans no more entries than the pair; tuple lists are
+//! tid-ascending (an `LsmDb`'s across tiers); every live tuple reads back;
+//! a served write publishes its epochs. All instances together must probe
+//! every engine, draw every
 //! metric, scheme, list organization and encoding, and give the query every
 //! shape runs a tie at D_k and an attribute fewer than k live tuples
 //! define (then the all-*ndf* level decides by tid alone). A failing
@@ -73,8 +71,6 @@ enum Op {
     /// `IvaDb::rebuild`; an `LsmDb` seals and compacts. A pair keeps its
     /// tombstones, so an `LsmDb` never scans more entries than it does.
     Rebuild,
-    /// The pairs' hot-tier budget in bytes.
-    Budget(usize),
     /// Check every engine; the seed draws the [`Probe`].
     Probe(u64),
 }
@@ -141,7 +137,7 @@ fn stream(seed: u64) -> Vec<Op> {
     ops.extend(large.then_some(Op::Insert(1_100)));
     for _ in 0..if large { 8 } else { 44 } {
         let r: u64 = rng.random();
-        ops.push(match r % 100 {
+        ops.push(match r % 94 {
             0..=29 => Op::Insert(1 + (r >> 8) as u32 % 10),
             30..=44 => Op::Delete(r >> 8),
             45..=54 => Op::Update(r >> 8),
@@ -150,7 +146,6 @@ fn stream(seed: u64) -> Vec<Op> {
             67..=71 => Op::Flush,
             72..=74 => Op::Rebuild,
             75..=76 => Op::Define,
-            77..=82 => Op::Budget(pick(&mut rng, &[0, 64, 1 << 20])),
             _ => Op::Probe(r >> 8),
         });
     }
@@ -240,11 +235,11 @@ fn threaded(threads: usize) -> QueryOptions {
 
 /// One execution: `(tid, distance bits)` in rank order, the rows it
 /// materialized (engines only), and `[table_accesses, tuples_scanned,
-/// list_bytes_logical, hot_tier_attrs, dict_distances]`.
+/// list_bytes_logical, dict_distances]`.
 struct Answer {
     hits: Vec<(Tid, u64)>,
     rows: Vec<Tuple>,
-    counts: [u64; 5],
+    counts: [u64; 4],
 }
 
 type Batch = Result<Vec<Answer>>;
@@ -256,7 +251,6 @@ impl Answer {
             s.table_accesses,
             s.tuples_scanned,
             s.list_bytes_logical,
-            s.hot_tier_attrs,
             s.dict_distances,
         ];
         Self { hits, rows, counts }
@@ -283,7 +277,7 @@ trait Db {
     fn insert(&mut self, tuple: &Tuple) -> Result<Tid>;
     fn delete(&mut self, tid: Tid) -> Result<bool>;
     fn update(&mut self, tid: Tid, tuple: &Tuple) -> Result<Tid>;
-    /// Seal, compact, flush, rebuild or budget: what the engine has of it.
+    /// Seal, compact, flush or rebuild: what the engine has of it.
     fn maintain(&mut self, op: Op) -> Result<()>;
     fn get(&self, tid: Tid) -> Result<Option<Tuple>>;
     /// The λ the engine resolves for `q`.
@@ -401,9 +395,6 @@ impl Db for Pair {
         self.insert(tuple)
     }
     fn maintain(&mut self, op: Op) -> Result<()> {
-        if let Op::Budget(bytes) = op {
-            self.index.set_runtime_knobs(1, bytes);
-        }
         if let Op::Flush = op {
             self.table.flush()?;
             self.index.commit(self.table.file().data_len())?;
@@ -465,10 +456,6 @@ enum Store {
 struct Subject {
     store: Store,
     name: String,
-    /// The hot tier: off, warm, squeezed (a 64-byte budget evicts every
-    /// column of more than a few tuples) or re-enabled (warm again after a
-    /// squeeze).
-    tier: &'static str,
 }
 
 impl Subject {
@@ -532,38 +519,29 @@ impl Instance {
             ..IvaConfig::default()
         };
         let (limit, fanout) = pick(&mut rng, &[(0, 0), (16, 3)]);
-        let warm_packed: bool = rng.random();
         let pager = PagerOptions {
             page_size: 256,
             cache_bytes: 8 << 10,
         };
         let mut inst = Self::default();
         for packed in [false, true] {
-            let warm = packed == warm_packed;
             let mut config = base;
             config.compress_lists = packed;
-            config.hot_tier_bytes = if warm { 1 << 20 } else { 0 };
             let mut mono = IvaDbOptions::default();
             (mono.pager, mono.config, mono.cleaning_threshold) = (pager.clone(), config, 0.25);
             let mut lsm = LsmOptions::default();
             (lsm.pager, lsm.config) = (pager.clone(), config);
             (lsm.memtable_limit, lsm.compact_fanout) = (limit, fanout);
-            config.hot_tier_bytes = 0;
             let table = SwtTable::create_mem(&pager, IoStats::new())?;
             let index = build_index(&table, IndexTarget::Mem, &pager, IoStats::new(), config)?;
-            let tier = if warm { "warm" } else { "off" };
             let mono = Store::Direct(Box::new(IvaDb::create_mem(mono)?));
             let lsm = Store::Served(Writer::new(LsmDb::create_mem(lsm)?));
             let pair = Store::Direct(Box::new(Pair { table, index }));
-            let subjects = [
-                (mono, "IvaDb", tier),
-                (lsm, "LsmDb", tier),
-                (pair, "pair", "off"),
-            ];
+            let subjects = [(mono, "IvaDb"), (lsm, "LsmDb"), (pair, "pair")];
             let encoding = if packed { "packed" } else { "raw" };
-            for (store, kind, tier) in subjects {
+            for (store, kind) in subjects {
                 let name = format!("{kind} {encoding}");
-                inst.subjects.push(Subject { store, name, tier });
+                inst.subjects.push(Subject { store, name });
             }
         }
         Ok(inst)
@@ -626,16 +604,6 @@ impl Instance {
                 }
             }
         }
-        let Op::Budget(bytes) = op else { return Ok(()) };
-        for pair in self.subjects[2..].iter_mut().step_by(3) {
-            pair.tier = match (bytes, pair.tier) {
-                (0, _) => "off",
-                (64, _) => "squeezed",
-                (_, "off") => "warm",
-                (_, "squeezed") => "re-enabled",
-                (_, warm) => warm,
-            };
-        }
         Ok(())
     }
 
@@ -662,7 +630,7 @@ impl Instance {
         cov.extend([format!("{:?}", p.metric), format!("{:?}", p.weights)]);
         let mut serial = Vec::new();
         for s in &self.subjects {
-            let ctx = |e| format!("{} ({} tier), {p:?}: {e}", s.name, s.tier);
+            let ctx = |e| format!("{}, {p:?}: {e}", s.name);
             serial.push(s.read(|db| self.check(db, s, p, cov)).map_err(ctx)?);
         }
         let names = |i: usize| (&self.subjects[i].name, &self.subjects[i + 3].name);
@@ -714,7 +682,7 @@ impl Instance {
         }
         let serial = (0..3).map(|i| db.solo(p, i, 1));
         let serial: Vec<Answer> = serial.collect::<Result<_>>().map_err(e)?;
-        if serial[0].counts[4] > 0 {
+        if serial[0].counts[3] > 0 {
             let kind = s.name.split(' ').next().unwrap_or_default();
             cov.insert(format!("{kind} seeded"));
             if lambda.iter().all(|&l| l == 0.0) {
@@ -729,18 +697,15 @@ impl Instance {
                 cov.insert("seeded over tombstones".into());
             }
         }
-        let mut served = 0;
         // Every shape scans what the serial run scans; one whose lanes are
-        // serial fetches what it fetches, too, where the hot tier served
-        // it alike (a hot attribute's walk is not seeded).
-        let mut check = |a: &Answer, i: usize, shape: &str, serial_lanes: bool| -> Verdict {
+        // serial fetches what it fetches, too.
+        let check = |a: &Answer, i: usize, shape: &str, serial_lanes: bool| -> Verdict {
             let (hits, want, solo) = (&a.hits, &want[i], serial[i % 3].counts);
             if hits != want {
                 return Err(format!("{shape}, query {i}: {hits:?}, the model {want:?}"));
             }
             let counts = a.counts;
-            let same_plan = serial_lanes && counts[3] == solo[3];
-            if counts[1] != solo[1] || (same_plan && counts[0] != solo[0]) {
+            if counts[1] != solo[1] || (serial_lanes && counts[0] != solo[0]) {
                 return Err(format!("{shape}, query {i}: {counts:?}, serially {solo:?}"));
             }
             for ((tid, _), tuple) in hits.iter().zip(&a.rows) {
@@ -748,12 +713,6 @@ impl Instance {
                     return Err(format!("{shape}: hit {tid} materialized wrong"));
                 }
             }
-            // A 64-byte budget holds no column of more than 64 positions.
-            let cold = s.tier == "off" || (s.tier == "squeezed" && live.len() > 64);
-            if a.counts[3] > 0 && cold {
-                return Err(format!("{shape}: the tier served {:?}", a.counts));
-            }
-            served += a.counts[3];
             Ok(())
         };
         for (i, a) in serial.iter().enumerate() {
@@ -792,10 +751,7 @@ impl Instance {
                 |e: &AttrEntry| [format!("Type {}", e.list_type), format!("{:?}", e.encoding)];
             cov.extend(entries.flat_map(seen));
         }
-        cov.insert(format!("{} {}", s.name, s.tier));
-        if served > 0 {
-            cov.insert(format!("{} {} served", s.name, s.tier));
-        }
+        cov.insert(s.name.clone());
         let head = |a: &Answer| [a.counts[0], a.counts[1], a.counts[2]];
         Ok(serial.iter().map(head).collect())
     }
@@ -803,16 +759,9 @@ impl Instance {
 
 /// What the probes of all instances must reach together.
 fn required() -> Coverage {
-    let tiers = ["off", "warm", "warm served"];
-    let pair_tiers = ["squeezed", "re-enabled", "re-enabled served"];
     let mut cov = Coverage::new();
     for kind in ["IvaDb", "LsmDb", "pair"] {
-        for name in [format!("{kind} raw"), format!("{kind} packed")] {
-            cov.extend(tiers.map(|t| format!("{name} {t}")));
-            if kind == "pair" {
-                cov.extend(pair_tiers.map(|t| format!("{name} {t}")));
-            }
-        }
+        cov.extend(["raw", "packed"].map(|encoding| format!("{kind} {encoding}")));
     }
     cov.extend(["Kind(L1)", "Kind(L2)", "Kind(LInf)"].map(String::from));
     cov.extend(["NanAtZero", "Equal", "Itf"].map(String::from));
@@ -905,16 +854,13 @@ fn every_configuration_matches_the_model() {
 /// leave 5 of them live at or below its bound where k = 10 need counting.
 /// Probes ask for k of 3, 10, 30 and every live tuple under each metric,
 /// and each runs every shape of [`Instance::check`], on the first two
-/// instances whose packed twins run the hot tier off. Required: a seed on
-/// `IvaDb` and on `LsmDb`, one over tombstones, one at λ = 0, and a
-/// one-value query with k above the live count.
+/// instances. Required: a seed on `IvaDb` and on `LsmDb`, one over
+/// tombstones, one at λ = 0, and a one-value query with k above the live
+/// count.
 #[test]
 fn one_value_queries_on_string_sections_match_the_model() {
     let mut cov = Coverage::new();
-    // A hot attribute's walk is not seeded: instances whose packed twins
-    // run the hot tier off.
-    let cold = |seed: &u64| Instance::new(*seed).is_ok_and(|i| i.subjects[3].tier == "off");
-    for seed in (0..).filter(cold).take(2) {
+    for seed in 0..2 {
         let mut run = || -> Verdict {
             let mut inst = Instance::new(seed).map_err(|e| e.to_string())?;
             inst.dense = true;

@@ -365,7 +365,7 @@ mod tests {
     #[test]
     fn accepts_the_artifact_shape() {
         let src = r#"{
-  "bench": "tiered_scan",
+  "bench": "parallel_scan",
   "n": 20000,
   "speedup": 3.125,
   "neg": -0.5,
@@ -377,7 +377,7 @@ mod tests {
   "ok": true,
   "nothing": null
 }"#;
-        assert_eq!(check_artifact(src).unwrap(), "tiered_scan");
+        assert_eq!(check_artifact(src).unwrap(), "parallel_scan");
     }
 
     #[test]
@@ -415,7 +415,7 @@ mod tests {
 name = "iva-bench"
 
 [[bench]]
-name = "tiered_scan"
+name = "parallel_scan"
 harness = false
 
 [[bench]]
@@ -426,7 +426,7 @@ harness = false
 name = "retired"
 "#;
         let targets = bench_targets(manifest);
-        assert_eq!(targets, ["tiered_scan", "update_path"]);
+        assert_eq!(targets, ["parallel_scan", "update_path"]);
         let owned = check_artifact(r#"{"bench": "update_path", "n": 1}"#).unwrap();
         assert!(check_owner(&owned, &targets).is_ok());
         let orphan = check_artifact(r#"{"bench": "retired", "n": 1}"#).unwrap();
