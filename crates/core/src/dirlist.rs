@@ -190,16 +190,17 @@ fn decode_packed_dir_frame(
     deltas.clear();
     unpack_bits(tbytes, tbw, elems - 1, deltas)
         .ok_or_else(|| corrupt("bad directory tid delta run"))?;
+    let at = tids.len();
+    tids.resize(at + elems, first_tid);
     // Tids step by Δ+1. Steps above `u32::MAX` are corrupt, and below it
     // the u64 sum of at most 2^20 of them cannot wrap: the loop checks
     // nothing and the last tid is checked once.
     let (mut tid, mut wide) = (u64::from(first_tid), false);
-    tids.reserve(elems);
-    tids.push(first_tid);
-    for &d in deltas.iter() {
+    let rest = tids.get_mut(at + 1..).unwrap_or(&mut []);
+    for (slot, &d) in rest.iter_mut().zip(deltas.iter()) {
         wide |= d > u64::from(u32::MAX);
         tid = tid.wrapping_add(d).wrapping_add(1);
-        tids.push(tid as u32);
+        *slot = tid as u32;
     }
     if wide || tid > u64::from(u32::MAX) {
         return Err(corrupt("directory tid overflow"));
@@ -208,19 +209,21 @@ fn decode_packed_dir_frame(
     unpack_bits(pbytes, pbw, elems - 1, deltas)
         .ok_or_else(|| corrupt("bad directory ptr delta run"))?;
     // The stored pointers are a running sum; eight elements per bitmap
-    // byte, the dead ones read as `TOMBSTONE_PTR`.
-    let mut stored = std::iter::once(first_ptr).chain(deltas.iter().scan(first_ptr, |sp, &z| {
-        *sp = sp.wrapping_add(unzigzag(z) as u64);
-        Some(*sp)
-    }));
-    ptrs.reserve(elems);
-    for &bits in bitmap {
-        for (bit, sp) in (0..8).zip(stored.by_ref()) {
-            ptrs.push(if (bits >> bit) & 1 == 1 {
-                sp
-            } else {
-                TOMBSTONE_PTR
-            });
+    // byte, the dead ones read as `TOMBSTONE_PTR` (a byte of live ones is
+    // passed over).
+    let at = ptrs.len();
+    ptrs.resize(at + elems, first_ptr);
+    let out = ptrs.get_mut(at..).unwrap_or(&mut []);
+    let mut sp = first_ptr;
+    for (slot, &z) in out.iter_mut().skip(1).zip(deltas.iter()) {
+        sp = sp.wrapping_add(unzigzag(z) as u64);
+        *slot = sp;
+    }
+    for (run, &bits) in out.chunks_mut(8).zip(bitmap).filter(|(_, &b)| b != 0xFF) {
+        for (bit, slot) in run.iter_mut().enumerate() {
+            if (bits >> bit) & 1 == 0 {
+                *slot = TOMBSTONE_PTR;
+            }
         }
     }
     Ok(())
@@ -677,6 +680,41 @@ mod tests {
         let mut bad = framed;
         bad[1..5].copy_from_slice(&0u32.to_le_bytes());
         assert!(read_dir(&bad, ListEncoding::Packed).is_err());
+    }
+
+    /// The packed frame decoder, directly: tombstones at a frame's first
+    /// and last positions and on both sides of a bitmap byte boundary, and
+    /// frames of one element, live and dead, each appended after what the
+    /// columns held. A payload a byte short or long, and tids past
+    /// `u32::MAX`, are corrupt.
+    #[test]
+    fn packed_frames_decode_tombstones_at_byte_edges() {
+        let mut full = sample(1024);
+        for j in [0, 7, 8, 1023] {
+            full[j].1 = TOMBSTONE_PTR;
+        }
+        let frames: [&[(u32, u64)]; 3] = [&full, &[(5, 77)], &[(6, TOMBSTONE_PTR)]];
+        let decode = |payload: &[u8], elems: usize| {
+            let (mut tids, mut ptrs) = (vec![1], vec![2]);
+            decode_packed_dir_frame(payload, elems, &mut tids, &mut ptrs, &mut Vec::new())?;
+            assert_eq!((tids[0], ptrs[0]), (1, 2));
+            let got = tids[1..].iter().copied().zip(ptrs[1..].iter().copied());
+            Ok::<_, IvaError>(got.collect::<Vec<_>>())
+        };
+        for frame in frames {
+            let payload = pack_dir_chunk(frame).unwrap();
+            assert_eq!(decode(&payload, frame.len()).unwrap(), frame);
+            assert!(decode(&payload[..payload.len() - 1], frame.len()).is_err());
+            let long = [payload.as_slice(), &[0xFF]].concat();
+            assert!(decode(&long, frame.len()).is_err());
+        }
+        assert_eq!(
+            read_dir(&encode_dir(&full), ListEncoding::Packed).unwrap(),
+            full
+        );
+        let mut high = pack_dir_chunk(&[(u32::MAX - 1, 1), (u32::MAX, 2)]).unwrap();
+        high[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode(&high, 2).is_err_and(|e| e.is_corruption()));
     }
 
     #[test]

@@ -73,8 +73,9 @@
 //! more than their payload holds surface as [`IvaError::Corrupt`], never a
 //! panic — and before the claim has sized anything.
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering::Greater, Reverse};
 use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::ops::Range;
 
 use iva_storage::codec::SliceReader;
 use iva_storage::compress::{bit_width, pack_bits, packed_len, unpack_bits, unpack_bytes};
@@ -671,16 +672,71 @@ fn past_dictionary() -> IvaError {
 }
 
 /// A 1-value text query's threshold before the walk over one list
-/// ([`PackedReader::probe`]).
+/// ([`PackedReader::probe`]), and what passes it.
 pub(crate) struct Seed {
     /// Per code, what a fill reads in place of its estimate: an exact
     /// distance `d ≤ B` as `d −` [`EXACT_BIAS`], otherwise a lower bound
     /// above `B`.
     pub(crate) table: Vec<f64>,
+    /// Per code: whether its bound `b`, exact or estimated, passes the
+    /// walk's own test, `!(combine(λ·b) > limit)` (every exact one does).
+    admit: Vec<bool>,
+    /// Whether an *ndf* value passes it: `combine(λ·ndf_penalty)` does.
+    ndf: bool,
     /// `combine(λ·B)`: at least the values asked for lie at or below it.
     pub(crate) limit: f64,
     /// Edit distances the probe computed.
     pub(crate) distances: u64,
+}
+
+impl Seed {
+    fn admits(&self, code: u64) -> bool {
+        self.admit.get(code as usize) == Some(&true)
+    }
+
+    /// What a seeded fill writes for a value whose strings have `codes` —
+    /// its bound, `NaN` for *ndf* by [`text_lower_bound`]'s rule — or
+    /// `None` where the walk would skip it. A value with a code admitted
+    /// passes: the min over its codes' bounds is exact if any is, and the
+    /// metric is monotone.
+    #[inline]
+    fn bound(&self, ty: ListType, codes: &[u64]) -> Result<Option<f64>> {
+        // The common cases, no string or one, by one lookup.
+        match codes {
+            [] if !self.ndf => return Ok(None),
+            [c] if ty != ListType::II && !self.admits(*c) => return Ok(None),
+            _ => {}
+        }
+        let admitted = codes.iter().any(|&c| self.admits(c));
+        let lb = text_lower_bound(ty, codes.len(), min_estimate(&self.table, codes)?);
+        Ok(match lb {
+            None => self.ndf.then_some(f64::NAN),
+            Some(lb) => admitted.then_some(lb),
+        })
+    }
+}
+
+/// A block's candidate mask ([`crate::scan::Bounds`]) as a seeded fill
+/// narrows it, from the fill's first position, `at`, on. The default is
+/// empty, and changes nothing.
+#[derive(Default)]
+pub(crate) struct Cands<'m> {
+    pub(crate) bits: &'m mut [u64],
+    pub(crate) at: usize,
+}
+
+impl Cands<'_> {
+    /// The fill's positions `js` cannot pass.
+    fn reject(&mut self, js: Range<usize>) {
+        let (mut i, end) = (self.at + js.start, self.at + js.end);
+        while i < end {
+            let n = (64 - i % 64).min(end - i);
+            if let Some(word) = self.bits.get_mut(i / 64) {
+                *word &= !(u64::MAX >> (64 - n) << (i % 64));
+            }
+            i += n;
+        }
+    }
 }
 
 impl Dict {
@@ -860,37 +916,54 @@ impl Sections {
     /// [`PackedReader::fill_run`]): on a positional list each element is
     /// the next position's; a keyed list's tid section is merged against
     /// `tids`. A text value's bound is the min over its strings' codes of
-    /// the dictionary estimates. A merge stops where the frame runs out,
-    /// and before a Type I text value whose strings reach the frame's end —
-    /// the value may go on in the next frame, so the walk serves it.
-    /// Returns the positions served.
+    /// the dictionary estimates — or, seeded, [`Seed::bound`], which
+    /// rejects in `cands` what cannot pass. A merge stops where the frame
+    /// runs out, and before a Type I text value whose strings reach the
+    /// frame's end — the value may go on in the next frame, so the walk
+    /// serves it. Returns the positions served.
     fn fill(
         &mut self,
         ty: ListType,
         bound: Bound<'_>,
         tids: &[u32],
         out: &mut [f64],
+        cands: Cands<'_>,
     ) -> Result<usize> {
         let est = match bound {
-            Bound::Text(_, Some(seeded)) => seeded,
             Bound::Text(matcher, None) => self.dict.estimates(matcher)?,
-            Bound::Num(..) => &[],
+            _ => &[],
         };
+        let seed = match bound {
+            Bound::Text(_, seed) => seed,
+            Bound::Num(..) => None,
+        };
+        let mut cands = seed.map_or_else(Cands::default, |_| cands);
         if ty == ListType::III {
             // The dense lists' run, kept to its bones: a count, its codes.
-            let (mut code_i, mut j) = (self.code_i, 0);
+            // A seeded run rejects the spans between the values that pass.
             let nums = self.nums.get(self.num_i..).unwrap_or(&[]);
-            for (slot, &num) in out.iter_mut().zip(nums).take(tids.len()) {
+            let nums = nums.get(..tids.len().min(out.len())).unwrap_or(nums);
+            let (mut code_i, mut j, mut from) = (self.code_i, 0, 0);
+            for (slot, &num) in out.iter_mut().zip(nums) {
                 let codes = self.codes.get(code_i..code_i + usize::from(num));
                 let codes = codes.ok_or_else(misaligned)?;
                 (code_i, j) = (code_i + codes.len(), j + 1);
-                let best = min_estimate(est, codes)?;
-                *slot = text_lower_bound(ty, codes.len(), best).unwrap_or(f64::NAN);
+                let Some(seed) = seed else {
+                    let best = min_estimate(est, codes)?;
+                    *slot = text_lower_bound(ty, codes.len(), best).unwrap_or(f64::NAN);
+                    continue;
+                };
+                if let Some(lb) = seed.bound(ty, codes)? {
+                    cands.reject(from..j - 1);
+                    (*slot, from) = (lb, j);
+                }
             }
+            cands.reject(from..j);
             self.left = self.left.saturating_sub(j + code_i - self.code_i);
             (self.num_i, self.code_i) = (self.num_i + j, code_i);
             return Ok(j);
         }
+        let ndf = seed.is_none_or(|s| s.ndf).then_some(f64::NAN);
         let (mut tid_i, mut num_i, mut code_i, mut j) = (self.tid_i, self.num_i, self.code_i, 0);
         while let (Some(&t), Some(slot)) = (tids.get(j), out.get_mut(j)) {
             let next = match (ty.is_positional(), self.tids.get(tid_i)) {
@@ -899,20 +972,17 @@ impl Sections {
                 (false, Some(&next)) => next,
                 _ => break,
             };
-            if next > t {
-                // The list holds nothing for `t`.
-                (*slot, j) = (f64::NAN, j + 1);
-                continue;
-            }
             let (elems, lb) = match bound {
+                // The list holds nothing for `t`.
+                _ if next > t => (0, ndf),
                 Bound::Num(codec, q) => {
                     let code = *self.codes.get(code_i).ok_or_else(misaligned)?;
                     code_i += 1;
                     match ty == ListType::IV && code == codec.ndf_code() {
-                        true => (0, f64::NAN),
+                        true => (0, ndf),
                         false => (
                             usize::from(ty == ListType::I),
-                            codec.lower_bound_dist(code, q),
+                            Some(codec.lower_bound_dist(code, q)),
                         ),
                     }
                 }
@@ -931,16 +1001,29 @@ impl Sections {
                         _ => usize::from(*self.nums.get(num_i).ok_or_else(misaligned)?),
                     };
                     num_i += usize::from(ty != ListType::I);
-                    let codes = self.codes.get(code_i..code_i + num);
-                    let best = min_estimate(est, codes.ok_or_else(misaligned)?)?;
+                    let codes = self
+                        .codes
+                        .get(code_i..code_i + num)
+                        .ok_or_else(misaligned)?;
+                    let lb = match seed {
+                        Some(seed) => seed.bound(ty, codes)?,
+                        None => Some(
+                            text_lower_bound(ty, num, min_estimate(est, codes)?)
+                                .unwrap_or(f64::NAN),
+                        ),
+                    };
                     code_i += num;
                     let elems = if ty == ListType::I { num } else { 1 };
-                    (elems, text_lower_bound(ty, num, best).unwrap_or(f64::NAN))
+                    (elems, lb)
                 }
             };
             tid_i += elems;
-            if next == t {
-                (*slot, j) = (lb, j + 1);
+            if next >= t {
+                match lb {
+                    Some(lb) => *slot = lb,
+                    None => cands.reject(j..j + 1),
+                }
+                j += 1;
             }
         }
         // Every field passed counts as handed out.
@@ -1034,7 +1117,7 @@ impl Sections {
 /// per-code table — and the query number against a numeric list's codes.
 #[derive(Clone, Copy)]
 pub(crate) enum Bound<'a> {
-    Text(&'a PreparedMatcher, Option<&'a [f64]>),
+    Text(&'a PreparedMatcher, Option<&'a Seed>),
     Num(&'a NumericCodec, f64),
 }
 
@@ -1124,14 +1207,15 @@ impl PackedReader {
     /// with no tombstones; with them, where `B` would have every code
     /// within it visited for a pruning bound that has grown weak. A visited
     /// distance `≤ B` is exact in the table if no unvisited estimate is
-    /// below it. `None` without a string section or enough counted values;
-    /// `Corrupt` for counts above the list's `values`.
+    /// below it; which codes, and whether *ndf* (penalty `ndf`), pass its
+    /// limit is then decided once. `None` without a string section or
+    /// enough counted values; `Corrupt` for counts above the list's `values`.
     pub(crate) fn probe<M: Metric>(
         &mut self,
         matcher: &PreparedMatcher,
         q: &[u8],
         (k, deleted, values): (u64, u64, u64),
-        (lambda, metric): (f64, &M),
+        (lambda, ndf, metric): (f64, f64, &M),
     ) -> Result<Option<Seed>> {
         if self.inner.tell() == PACKED_PROLOGUE_LEN as u64 && !self.inner.at_end() {
             self.read_frame()?;
@@ -1186,8 +1270,15 @@ impl PackedReader {
             }
         }
         let limit = metric.combine(&[lambda * b as f64]);
+        // The walk's own test, `est > limit`, failed (`NaN` included).
+        let passes = |b: f64| metric.combine(&[lambda * b]).partial_cmp(&limit) != Some(Greater);
+        let admit = (table.iter())
+            .map(|&t| passes(if t < 0.0 { t + EXACT_BIAS } else { t }))
+            .collect();
         Ok(Some(Seed {
             table,
+            admit,
+            ndf: passes(ndf),
             limit,
             distances,
         }))
@@ -1231,36 +1322,43 @@ impl PackedReader {
     /// ([`Sections::fill`]), an NDF_RUN
     /// frame and the end of the list (a positional list's lazy tail, a
     /// keyed list's last element passed) by arithmetic. `peek` is the
-    /// walk's frozen keyed header, which a PACKED frame takes back. Returns
-    /// the positions served; 0 — a RAW tail frame, or a keyed value that
-    /// may run on into the next frame — leaves the next one to the walk.
+    /// walk's frozen keyed header, which a PACKED frame takes back. A
+    /// seeded fill rejects in `cands` what cannot pass, *ndf* positions
+    /// included where *ndf* cannot. Returns the positions served; 0 — a
+    /// RAW tail frame, or a keyed value that may run on into the next
+    /// frame — leaves the next one to the walk, which rejects nothing.
     pub(crate) fn fill_run(
         &mut self,
         peek: &mut Option<u32>,
         bound: Bound<'_>,
         tids: &[u32],
         out: &mut [f64],
+        mut cands: Cands<'_>,
     ) -> Result<usize> {
-        if self.at_end() {
-            out.fill(f64::NAN);
-            return Ok(out.len());
-        }
         let ty = self.org.list_type();
-        Ok(match self.frame()? {
-            Frame::Packed(s) => {
-                if let Some(tid) = peek.take() {
-                    s.unread_tid(tid)?;
+        let n = match self.at_end() {
+            true => out.len(),
+            false => match self.frame()? {
+                Frame::Packed(s) => {
+                    if let Some(tid) = peek.take() {
+                        s.unread_tid(tid)?;
+                    }
+                    return s.fill(ty, bound, tids, out, cands);
                 }
-                s.fill(ty, bound, tids, out)?
-            }
-            Frame::NdfRun(left) => {
-                let n = out.len().min(usize::try_from(*left).unwrap_or(usize::MAX));
-                out.iter_mut().take(n).for_each(|slot| *slot = f64::NAN);
-                *left -= n as u64;
-                n
-            }
-            Frame::Raw(_) => 0,
-        })
+                Frame::NdfRun(left) => {
+                    let n = out.len().min(usize::try_from(*left).unwrap_or(usize::MAX));
+                    *left -= n as u64;
+                    n
+                }
+                Frame::Raw(_) => return Ok(0),
+            },
+        };
+        // *ndf* positions: an NDF_RUN frame's, or past the list's end.
+        out.iter_mut().take(n).for_each(|slot| *slot = f64::NAN);
+        if matches!(bound, Bound::Text(_, Some(seed)) if !seed.ndf) {
+            cands.reject(0..n);
+        }
+        Ok(n)
     }
 
     fn read_frame(&mut self) -> Result<()> {
@@ -1647,7 +1745,7 @@ mod tests {
                 &matcher,
                 b"canon",
                 (k, deleted, values),
-                (1.0, &MetricKind::L1),
+                (1.0, 20.0, &MetricKind::L1),
             )
         };
         // Codes in first-appearance order: canon, cannon, nikon.
@@ -1665,18 +1763,27 @@ mod tests {
         assert!(probe(181, 20, 200).unwrap().is_none());
         assert!(probe(10, 0, 199).is_err_and(|e| e.is_corruption()));
         // The fill: canon, canon, cannon, nikon + canon.
-        let r = PackedReader::new_text(reader_for(&p, &packed), ListType::III, &codec).unwrap();
+        let fill = |seed: &Seed, out: &mut [f64; 4]| {
+            let r = PackedReader::new_text(reader_for(&p, &packed), ListType::III, &codec).unwrap();
+            let mut bits = [u64::MAX];
+            let cands = Cands {
+                bits: &mut bits,
+                at: 1,
+            };
+            TextListCursor::new_packed(r, ListType::III)
+                .fill_seeded(&all_tids[..4], &codec, &matcher, Some(seed), out, cands)
+                .unwrap();
+            bits[0]
+        };
         let mut out = [0.0; 4];
-        TextListCursor::new_packed(r, ListType::III)
-            .fill_seeded(
-                &all_tids[..4],
-                &codec,
-                &matcher,
-                Some(&seed.table),
-                &mut out,
-            )
-            .unwrap();
+        assert_eq!(fill(&seed, &mut out), u64::MAX, "B = 1: every value passes");
         assert_eq!(out, [0.0, 0.0, 1.0, 0.0].map(|d| d - EXACT_BIAS));
+        // At B = 0 cannon cannot pass: its bit (position 2, from bit 1 on)
+        // is cleared and its slot left as it was.
+        let mut out = [7.0; 4];
+        let tight = probe(100, 0, 200).unwrap().unwrap();
+        assert_eq!(fill(&tight, &mut out), !(1 << 3));
+        assert_eq!(out, [-EXACT_BIAS, -EXACT_BIAS, 7.0, -EXACT_BIAS]);
     }
 
     #[test]

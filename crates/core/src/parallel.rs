@@ -173,9 +173,7 @@ impl IvaIndex {
         let mut max_refine = 0u64;
         for slot in slots {
             let seg = slot.ok_or_else(|| IvaError::Corrupt("worker slot unfilled".into()))??;
-            stats.tuples_scanned += seg.carry.stats.tuples_scanned;
-            stats.table_accesses += seg.carry.stats.table_accesses;
-            stats.walk_admits += seg.carry.stats.walk_admits;
+            stats.add_counts(&seg.carry.stats);
             max_filter = max_filter.max(seg.nanos.filter);
             max_refine = max_refine.max(seg.nanos.refine);
             pool.absorb(seg.carry.pool);

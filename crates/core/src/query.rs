@@ -237,6 +237,9 @@ pub struct QueryStats {
     /// a tuple *ndf* on every query attribute, or a dictionary string's
     /// exact distance — with no fetch; summed like `table_accesses`.
     pub walk_admits: u64,
+    /// Tuple-list positions the walk weighed: all but those a seeded walk
+    /// knew could not pass its threshold; summed like `table_accesses`.
+    pub positions_weighed: u64,
     /// Edit distances computed from dictionary strings to seed 1-value
     /// text queries with a threshold before the walk; summed over tiers.
     pub dict_distances: u64,
@@ -261,6 +264,22 @@ pub struct QueryStats {
 }
 
 impl QueryStats {
+    /// Add `o`'s counts; each shape combines the nanos its own way.
+    pub(crate) fn add_counts(&mut self, o: &QueryStats) {
+        *self = QueryStats {
+            tuples_scanned: self.tuples_scanned + o.tuples_scanned,
+            table_accesses: self.table_accesses + o.table_accesses,
+            walk_admits: self.walk_admits + o.walk_admits,
+            positions_weighed: self.positions_weighed + o.positions_weighed,
+            dict_distances: self.dict_distances + o.dict_distances,
+            speculative_accesses: self.speculative_accesses + o.speculative_accesses,
+            filter_nanos: self.filter_nanos,
+            refine_nanos: self.refine_nanos,
+            list_bytes_logical: self.list_bytes_logical + o.list_bytes_logical,
+            list_bytes_physical: self.list_bytes_physical + o.list_bytes_physical,
+        };
+    }
+
     /// Filter time in milliseconds.
     pub fn filter_ms(&self) -> f64 {
         self.filter_nanos as f64 / 1e6

@@ -9,13 +9,13 @@
 //! ([`Bounds`]), its top-k pool and counters (a [`ScanCarry`]), and
 //! `pending` — every candidate `(est, tid, ptr)` the live pool admitted
 //! during the walk. Per block, each attribute fills its column of bounds
-//! once; admission then runs per element, in scan order, so a drain inside
-//! a block tightens the pool for the rest of it. The walk fetches nothing:
-//! a tuple whose distance it already knows exactly — *ndf* on every query
-//! attribute, or a dictionary string's exact distance (below) — goes
-//! straight into the pool, and any other admitted one into `pending`. When
-//! a lane's range ends (or it holds a window of `drain_at` candidates) the
-//! lane **drains**, fetching by need rather than by scan position:
+//! once; admission then runs per candidate, in scan order, so a drain
+//! inside a block tightens the pool for the rest of it. The walk fetches
+//! nothing: a tuple whose distance it already knows exactly — *ndf* on
+//! every query attribute, or a dictionary string's exact distance (below)
+//! — goes straight into the pool, and any other admitted one into
+//! `pending`. When a lane's range ends (or it holds a window of `drain_at`
+//! candidates) the lane **drains**, fetching by need, not scan position:
 //!
 //! 1. **probe** — the k candidates with the smallest `(est, tid)` are
 //!    refined first, in table order. They are the likeliest answers, so
@@ -36,10 +36,11 @@
 //! the dictionary's exact edit distances, in ascending estimate order,
 //! give a bound `B` with at least `k` + the index's tombstones counted
 //! values at or below it — so at least k live tuples lie at or below
-//! `limit = combine(λ·B)`. The walk then skips every tuple with
-//! `est > limit`, and reads each string's bound from the probe's per-code
-//! table, where a distance `≤ B` that no unvisited estimate undercuts is
-//! exact.
+//! `limit = combine(λ·B)`. The walk skips every tuple with `est > limit`,
+//! reading each string's bound from the probe's per-code table, where a
+//! distance `≤ B` that no unvisited estimate undercuts is exact. Which
+//! codes pass the limit, and whether *ndf* does, is known too, so the fill
+//! drops every other position from the block's candidates ([`Bounds`]).
 //!
 //! **Order-independence lemma.** The pool keeps the k smallest
 //! `(dist, tid)` of what was inserted, whatever the order (see
@@ -86,7 +87,7 @@ use crate::index::{IvaIndex, QueryMatchers, ScanCarry, SharedAttr};
 use crate::layout::{ListEncoding, TOMBSTONE_PTR};
 use crate::metric::Metric;
 use crate::numeric::NumericCodec;
-use crate::packed::{Seed, EXACT_BIAS};
+use crate::packed::{Cands, Seed, EXACT_BIAS};
 use crate::pool::{PoolEntry, ResultPool};
 use crate::query::{bounded_distance, Query, QueryValue};
 use crate::timing::{monotonic_nanos, thread_cpu_time};
@@ -99,8 +100,7 @@ pub(crate) enum AttrScan<'a> {
         cur: TextListCursor,
         codec: &'a SigCodec,
         matcher: &'a PreparedMatcher,
-        /// A [`Seed`]'s per-code table.
-        seeded: Option<&'a [f64]>,
+        seed: Option<&'a Seed>,
     },
     Num {
         cur: NumListCursor,
@@ -113,17 +113,13 @@ pub(crate) enum AttrScan<'a> {
 
 impl<'a> AttrScan<'a> {
     /// Open at the head of the attribute's list.
-    fn open(
-        index: &'a IvaIndex,
-        sa: &'a SharedAttr<'a>,
-        seeded: Option<&'a [f64]>,
-    ) -> Result<Self> {
+    fn open(index: &'a IvaIndex, sa: &'a SharedAttr<'a>, seed: Option<&'a Seed>) -> Result<Self> {
         Ok(match sa {
             SharedAttr::Text { matcher, entry } => AttrScan::Text {
                 cur: index.open_text_cursor(entry)?,
                 codec: index.sig_codec(),
                 matcher,
-                seeded,
+                seed,
             },
             SharedAttr::Num { q, codec, entry } => AttrScan::Num {
                 cur: index.open_num_cursor(entry, codec)?,
@@ -157,16 +153,18 @@ impl<'a> AttrScan<'a> {
     /// elements after the last one, writing each one's lower bound on its
     /// difference to the query value into `out` — `NaN` for *ndf*, and an
     /// exact difference `d` as `d −` [`EXACT_BIAS`] (below zero, where no
-    /// bound is); bounds themselves are never `NaN`. Tombstoned elements
+    /// bound is); bounds themselves are never `NaN`. A seeded fill writes
+    /// only the elements it serves from frames that can pass the seed's
+    /// limit, and clears the others' bits in `cands`. Tombstoned elements
     /// are filled like any other (the spine never admits them).
-    fn fill(&mut self, tids: &[u32], out: &mut [f64]) -> Result<()> {
+    fn fill(&mut self, tids: &[u32], out: &mut [f64], cands: Cands<'_>) -> Result<()> {
         match self {
             AttrScan::Text {
                 cur,
                 codec,
                 matcher,
-                seeded,
-            } => cur.fill_seeded(tids, codec, matcher, *seeded, out),
+                seed,
+            } => cur.fill_seeded(tids, codec, matcher, *seed, out, cands),
             AttrScan::Num { cur, codec, q } => cur.fill_block(tids, codec, *q, out),
             AttrScan::AlwaysNdf => {
                 out.fill(f64::NAN);
@@ -174,6 +172,17 @@ impl<'a> AttrScan<'a> {
             }
         }
     }
+}
+
+/// The positions `mask` holds, ascending.
+fn positions(mask: [u64; BLOCK / 64]) -> impl Iterator<Item = usize> {
+    mask.into_iter().enumerate().flat_map(|(w, mut bits)| {
+        std::iter::from_fn(move || {
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits.wrapping_sub(1);
+            (i < 64).then_some(w * 64 + i)
+        })
+    })
 }
 
 /// Tuple-list elements per step of the walk: one `fill` per attribute, then
@@ -187,44 +196,56 @@ pub(crate) fn block_len(left: u64) -> usize {
     usize::try_from(left).map_or(BLOCK, |l| l.min(BLOCK))
 }
 
-/// One walk's per-attribute scan positions and the block of lower bounds
-/// they fill: a column of [`BLOCK`] slots per query attribute.
+/// One walk's per-attribute scan positions, the block of lower bounds
+/// they fill — a column of [`BLOCK`] slots per query attribute — and the
+/// block's candidate mask: bit `i % 64` of word `i / 64` is set while
+/// block position `i` may pass the lane's limit.
 pub(crate) struct Bounds<'a> {
     attrs: Vec<AttrScan<'a>>,
     lbs: Vec<f64>,
+    cands: [u64; BLOCK / 64],
 }
 
 impl<'a> Bounds<'a> {
     /// One scan per query attribute, each at the head of its list, under
-    /// the 1-value query's [`Seed`] table `seeded` if it has one.
+    /// the 1-value query's [`Seed`] if it has one.
     pub(crate) fn open(
         index: &'a IvaIndex,
         shared: &'a [SharedAttr<'a>],
-        seeded: Option<&'a [f64]>,
+        seed: Option<&'a Seed>,
     ) -> Result<Self> {
-        let attrs = shared.iter().map(|sa| AttrScan::open(index, sa, seeded));
+        let attrs = shared.iter().map(|sa| AttrScan::open(index, sa, seed));
         let attrs = attrs.collect::<Result<Vec<_>>>()?;
         let lbs = vec![f64::NAN; attrs.len() * BLOCK];
-        Ok(Self { attrs, lbs })
+        let cands = [u64::MAX; BLOCK / 64];
+        Ok(Self { attrs, lbs, cands })
     }
 
     /// Fill every attribute's column for the next block (≤ [`BLOCK`]), a
     /// column at a time — except that the raw lists of a query, which are
     /// walked element by element, go position by position together: their
     /// page reads (and so a cold query's seeks) keep the order an
-    /// element-by-element scan gave them.
+    /// element-by-element scan gave them. Every position starts as a
+    /// candidate; a seeded fill clears those that cannot pass.
     pub(crate) fn fill(&mut self, tids: &[u32]) -> Result<()> {
         let too_long = || IvaError::InvalidArgument("block too long".into());
+        self.cands = [u64::MAX; BLOCK / 64];
         for (a, col) in self.attrs.iter_mut().zip(self.lbs.chunks_exact_mut(BLOCK)) {
             if !a.walks() {
-                a.fill(tids, col.get_mut(..tids.len()).ok_or_else(too_long)?)?;
+                let col = col.get_mut(..tids.len()).ok_or_else(too_long)?;
+                let cands = Cands {
+                    bits: &mut self.cands,
+                    at: 0,
+                };
+                a.fill(tids, col, cands)?;
             }
         }
         if self.attrs.iter().any(AttrScan::walks) {
             for (i, tid) in tids.chunks(1).enumerate() {
                 for (a, col) in self.attrs.iter_mut().zip(self.lbs.chunks_exact_mut(BLOCK)) {
                     if a.walks() {
-                        a.fill(tid, col.get_mut(i..=i).ok_or_else(too_long)?)?;
+                        let col = col.get_mut(i..=i).ok_or_else(too_long)?;
+                        a.fill(tid, col, Cands::default())?;
                     }
                 }
             }
@@ -281,8 +302,9 @@ pub(crate) struct Lane<'a> {
 
 impl<'a> Lane<'a> {
     /// A lane for `query` under the resolved weights `lambda`, filling
-    /// `carry` — under `seed`, the query's on this index if it has one. This is the spine's entry for every shape, so the weight
-    /// vector is checked here, once.
+    /// `carry` — under `seed`, the query's on this index if it has one.
+    /// This is the spine's entry for every shape, so the weight vector is
+    /// checked here, once.
     pub(crate) fn open(
         index: &'a IvaIndex,
         query: &'a Query,
@@ -305,11 +327,10 @@ impl<'a> Lane<'a> {
                 "attribute weight {bad} is not a finite number ≥ 0"
             )));
         }
-        let seeded = seed.map(|s| s.table.as_slice());
         Ok(Self {
             query,
             lambda,
-            bounds: Bounds::open(index, shared, seeded)?,
+            bounds: Bounds::open(index, shared, seed)?,
             carry,
             diffs: vec![0.0; query.len()],
             locs: Vec::with_capacity(query.len()),
@@ -351,7 +372,8 @@ impl IvaIndex {
             {
                 let counts = (k as u64, self.n_deleted(), entry.df);
                 let mut reader = self.packed_text_reader(entry)?;
-                reader.probe(matcher, q.as_bytes(), counts, (lam, metric))?
+                let ndf = self.config().ndf_penalty;
+                reader.probe(matcher, q.as_bytes(), counts, (lam, ndf, metric))?
             }
             _ => None,
         };
@@ -400,9 +422,13 @@ impl IvaIndex {
             for lane in lanes.iter_mut() {
                 lane.carry.stats.tuples_scanned += tids.len() as u64;
                 lane.bounds.fill(&tids)?;
-                // Admission stays per element, in scan order: a drain
+                // Admission stays per candidate, in scan order: a drain
                 // inside the block tightens the pool for the rest of it.
-                for (i, (&tid, &ptr)) in tids.iter().zip(&ptrs).enumerate() {
+                for i in positions(lane.bounds.cands) {
+                    let (Some(&tid), Some(&ptr)) = (tids.get(i), ptrs.get(i)) else {
+                        break;
+                    };
+                    lane.carry.stats.positions_weighed += 1;
                     if ptr == TOMBSTONE_PTR {
                         continue;
                     }

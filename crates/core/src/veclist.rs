@@ -50,7 +50,7 @@ use iva_text::{PreparedMatcher, SigCodec};
 
 use crate::error::{IvaError, Result};
 use crate::numeric::NumericCodec;
-use crate::packed::{Bound, Frame, Org, PackedReader};
+use crate::packed::{Bound, Cands, Frame, Org, PackedReader, Seed};
 
 /// Width of a tuple id in list elements (the paper's `ltid`).
 pub const LTID: usize = 4;
@@ -696,27 +696,34 @@ impl TextListCursor {
         matcher: &PreparedMatcher,
         out: &mut [f64],
     ) -> Result<()> {
-        self.fill_seeded(tids, codec, matcher, None, out)
+        self.fill_seeded(tids, codec, matcher, None, out, Cands::default())
     }
 
-    /// [`TextListCursor::fill_block`] reading a dictionary-coded string's
-    /// bound from `seeded`, a [`crate::packed::Seed`]'s table, where one
-    /// is given: an exact distance there stands below zero (see
-    /// [`crate::packed::EXACT_BIAS`]). What the walk serves is estimated.
+    /// [`TextListCursor::fill_block`] under `seed`, where one is given:
+    /// a coded string's bound comes from its table, an exact distance
+    /// below zero ([`crate::packed::EXACT_BIAS`]), and what cannot pass is
+    /// rejected in `cands`. What the walk serves is estimated, and kept.
     pub(crate) fn fill_seeded(
         &mut self,
         tids: &[u32],
         codec: &SigCodec,
         matcher: &PreparedMatcher,
-        seeded: Option<&[f64]>,
+        seed: Option<&Seed>,
         out: &mut [f64],
+        cands: Cands<'_>,
     ) -> Result<()> {
-        let (mut done, bound) = (0, Bound::Text(matcher, seeded));
+        let (mut done, bound) = (0, Bound::Text(matcher, seed));
         let tids = tids.get(..out.len()).unwrap_or(tids);
         while let (Some(rest), Some(slots)) = (tids.get(done..), out.get_mut(done..)) {
             let Some(&tid) = rest.first() else { break };
             let served = match &mut self.reader {
-                ElemReader::Packed(p) => p.fill_run(&mut self.peek_tid, bound, rest, slots)?,
+                ElemReader::Packed(p) => {
+                    let cands = Cands {
+                        bits: &mut *cands.bits,
+                        at: cands.at + done,
+                    };
+                    p.fill_run(&mut self.peek_tid, bound, rest, slots, cands)?
+                }
                 ElemReader::Raw(_) => 0,
             };
             done += match served {
@@ -932,7 +939,9 @@ impl NumListCursor {
         while let (Some(rest), Some(slots)) = (tids.get(done..), out.get_mut(done..)) {
             let Some(&tid) = rest.first() else { break };
             let served = match &mut self.reader {
-                ElemReader::Packed(p) => p.fill_run(&mut self.peek_tid, bound, rest, slots)?,
+                ElemReader::Packed(p) => {
+                    p.fill_run(&mut self.peek_tid, bound, rest, slots, Cands::default())?
+                }
                 ElemReader::Raw(_) => 0,
             };
             done += match served {

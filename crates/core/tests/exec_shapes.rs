@@ -1,14 +1,15 @@
 //! What the model-based oracle (`tests/oracle.rs`) does not check of the
-//! execution shapes: how a requested thread count resolves, and how many
-//! records one drain window fetches. Whether every shape returns the
-//! brute-force top-k is the oracle's.
+//! execution shapes: how a requested thread count resolves, how many
+//! records one drain window fetches, and that every shape counts what it
+//! scans and weighs alike. Whether every shape returns the brute-force
+//! top-k is the oracle's.
 
 mod common;
 
 use common::{all_list_types_table, assert_bit_identical, small_pages as opts};
 use iva_core::{
-    build_index, exact_distance, IndexTarget, IvaConfig, Metric, MetricKind, Query, QueryOptions,
-    ScanCarry, WeightScheme,
+    build_index, exact_distance, BatchItem, IndexTarget, IvaConfig, Metric, MetricKind, Query,
+    QueryOptions, ScanCarry, WeightScheme,
 };
 use iva_storage::IoStats;
 use iva_swt::{AttrId, SwtTable, Tuple, Value};
@@ -139,5 +140,56 @@ fn one_window_fetches_within_the_probe_bound() {
             (at_least..=at_most).contains(&fetched),
             "{needle:?} k={k}: {fetched} not in {at_least}..={at_most}"
         );
+    }
+}
+
+/// On a seeded query — a dense attribute whose packed list's dictionary
+/// holds strings — serial, 2-thread (the second lane starts mid-frame)
+/// and each member of a batch of two scan the same positions and weigh the
+/// same few of them: the threaded shape merges every counter, not a list
+/// of them.
+#[test]
+fn every_shape_counts_the_positions_it_weighs() {
+    let mut t = SwtTable::create_mem(&opts(), IoStats::new()).unwrap();
+    let brand = t.define_text("brand").unwrap();
+    let words = [
+        "canon", "nikon", "sony", "pentax", "leica", "ricoh", "sigma", "zeiss",
+    ];
+    for i in 0..3000usize {
+        let mut tup = Tuple::new();
+        if i % 9 != 4 {
+            tup.set(brand, Value::text(format!("{} {}", words[i % 8], i % 50)));
+        }
+        t.insert(&tup).unwrap();
+    }
+    let config = IvaConfig::default();
+    let index = build_index(&t, IndexTarget::Mem, &opts(), IoStats::new(), config).unwrap();
+    let q = Query::new().text(brand, "nikon 17");
+    let (metric, w) = (MetricKind::L2, WeightScheme::Equal);
+    let serial = index.query(&t, &q, 10, &metric, w).unwrap();
+    let o = QueryOptions { threads: Some(2) };
+    let threads = index.query_opts(&t, &q, 10, &metric, w, &o).unwrap();
+    let item = BatchItem {
+        query: &q,
+        k: 10,
+        weights: w,
+    };
+    let batch = index
+        .query_batch(&t, &[item, item], &metric, &QueryOptions::default())
+        .unwrap();
+    let s = serial.stats;
+    assert!(s.dict_distances > 0, "not seeded: {s:?}");
+    assert_eq!(s.tuples_scanned, 3000);
+    // The values at distance 0: i ≡ 17 (mod 200), less every ninth row.
+    assert!((10..=15).contains(&s.positions_weighed), "{s:?}");
+    let shapes = [
+        ("2 threads", &threads),
+        ("batch 0", &batch[0]),
+        ("batch 1", &batch[1]),
+    ];
+    for (shape, out) in shapes {
+        assert_bit_identical(&serial, out, shape);
+        let counts = |s: &iva_core::QueryStats| (s.tuples_scanned, s.positions_weighed);
+        assert_eq!(counts(&out.stats), counts(&s), "{shape}");
     }
 }

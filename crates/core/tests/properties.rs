@@ -14,8 +14,8 @@ use iva_core::{
     bounded_distance, build_index, encode_num_list, encode_packed_num_list,
     encode_packed_text_list, encode_text_list, exact_distance, export_index, import_index,
     IndexTarget, IvaConfig, IvaIndex, ListEncoding, ListType, Metric, MetricKind, NumListCursor,
-    NumericCodec, PackedReader, Query, QueryOptions, QueryOutcome, ResultPool, TextListCursor,
-    WeightScheme, TOMBSTONE_PTR,
+    NumericCodec, PackedReader, Query, QueryOptions, QueryOutcome, QueryStats, ResultPool,
+    ScanCarry, TextListCursor, WeightScheme, TOMBSTONE_PTR,
 };
 use iva_storage::{write_contiguous_list, IoStats, ListReader, Pager};
 use iva_swt::{encode_record, AttrId, RecordView, SwtTable, Tuple, Value};
@@ -280,6 +280,178 @@ fn dictionary_distances_are_attr_difference() {
                 );
             }
         }
+    }
+}
+
+/// Row `i`'s value on the one attribute of [`seeded_pair`]'s table.
+type Row<'a> = dyn Fn(usize) -> Option<Vec<&'static str>> + 'a;
+
+/// A one-attribute table over `rows` (`None`: undefined) and its index
+/// under `config`; then `tail` inserted into both (RAW tail frames on the
+/// packed list) and the tuples `deleted` tombstoned.
+fn seeded_pair(
+    config: IvaConfig,
+    rows: impl Iterator<Item = Option<Vec<&'static str>>>,
+    tail: &[Option<Vec<&'static str>>],
+    deleted: &[u64],
+) -> (SwtTable, IvaIndex) {
+    let mut table = SwtTable::create_mem(&opts(), IoStats::new()).unwrap();
+    let a = table.define_text("a").unwrap();
+    let tuple = |v: &Option<Vec<&str>>| {
+        let mut t = Tuple::new();
+        if let Some(v) = v {
+            t.set(a, Value::texts(v.iter().map(|s| s.to_string())));
+        }
+        t
+    };
+    for v in rows {
+        table.insert(&tuple(&v)).unwrap();
+    }
+    let mut index = build_index(&table, IndexTarget::Mem, &opts(), IoStats::new(), config).unwrap();
+    for v in tail {
+        let t = tuple(v);
+        let (tid, ptr) = table.insert(&t).unwrap();
+        index.insert(tid, ptr, &t, table.catalog()).unwrap();
+    }
+    for &tid in deleted {
+        table
+            .delete(index.lookup_ptr(tid).unwrap().unwrap())
+            .unwrap();
+        assert!(index.delete(tid).unwrap());
+    }
+    (table, index)
+}
+
+/// `q` on attribute 0 at weight `lambda` under `metric`: seeded, and the
+/// top-k at 1, 2 and 3 threads (lanes that start mid-frame) is the brute
+/// force's at the index's *ndf* penalty, by tid and distance bits. The
+/// serial run's counters.
+fn check_seeded<M: Metric + Sync>(
+    (table, index): (&SwtTable, &IvaIndex),
+    q: &str,
+    (lambda, metric): (f64, &M),
+    k: usize,
+) -> QueryStats {
+    let query = Query::new().text(AttrId(0), q);
+    let ndf = index.config().ndf_penalty;
+    let mut pool = ResultPool::new(k);
+    for r in table.scan().map(|r| r.unwrap().1).filter(|r| !r.deleted) {
+        pool.insert(
+            r.tid,
+            exact_distance(&r.tuple, &query, &[lambda], metric, ndf),
+        );
+    }
+    let want: Vec<_> = pool
+        .into_sorted()
+        .iter()
+        .map(|e| (e.tid, e.dist.to_bits()))
+        .collect();
+    let matchers = index.query_matchers(&query);
+    let mut serial = None;
+    for threads in [1, 2, 3] {
+        let (o, mut carry) = (
+            QueryOptions {
+                threads: Some(threads),
+            },
+            ScanCarry::new(k),
+        );
+        let lambda = [lambda];
+        index
+            .query_carry_opts(table, &query, &matchers, metric, &lambda, &o, &mut carry)
+            .unwrap();
+        let stats = carry.stats;
+        let got = carry.finish().results;
+        let got: Vec<_> = got.iter().map(|e| (e.tid, e.dist.to_bits())).collect();
+        let ctx = format!("{q:?}, λ = {lambda:?}, {threads} threads: {stats:?}");
+        assert_eq!(got, want, "{ctx}");
+        assert!(stats.dict_distances > 0, "not seeded: {ctx}");
+        serial.get_or_insert(stats);
+    }
+    serial.unwrap()
+}
+
+/// A seeded walk weighs only the positions whose value can pass its
+/// limit — a code of the value admitted, or *ndf* where the *ndf* penalty
+/// passes — and every position that could be an answer is among them. On
+/// Type III (NDF_RUN frames between PACKED ones), II and I lists coded by
+/// strings, each with a RAW tail and tombstones, against brute force:
+/// * a value admitted by its second string alone;
+/// * a query 30 edits from every string, so *ndf* (20) beats the limit;
+/// * an *ndf* penalty equal to the limit, which ties and passes;
+/// * λ = 0, under which every position passes, and λ = 1e-300, whose
+///   squares underflow under L2 and whose products do not under L1.
+///
+/// On Type III the mask is exact: the PACKED frames' positions weighed
+/// are those holding the query string's code, and the tail's are walked.
+#[test]
+fn seeded_walks_weigh_only_what_can_pass() {
+    let far = "qqqqqqqqqqqqqqqqqqqqqqqqqqqqqq";
+    let vocab: [&[&str]; 6] = [
+        &["canon"],
+        &["nikon"],
+        &["sony"],
+        &["zzzzzzzz", "canon"],
+        &["pentax", "leica"],
+        &["canon eos"],
+    ];
+    let value = |i: usize| Some(vocab[i % 6].to_vec());
+    let tail = [value(0), None, value(3)];
+    let (l1, l2) = (&MetricKind::L1, &MetricKind::L2);
+    // Type III: 70 of every 100 rows defined, the rest in NDF_RUN frames,
+    // and every ninth row undefined inside PACKED frames.
+    let dense = |i: usize| (i % 100 < 70 && i % 9 != 4).then(|| value(i)).flatten();
+    // Types II and I: every sixth row, with two strings and with one.
+    let two: [[&str; 2]; 4] = [
+        ["canon", "eos"],
+        ["nikon", "d50"],
+        ["zzzzzzzz", "canon"],
+        ["pentax", "leica"],
+    ];
+    let pairs = |i: usize| i.is_multiple_of(6).then(|| two[i / 6 % 4].to_vec());
+    let ones = |i: usize| i.is_multiple_of(6).then(|| vec![two[i / 6 % 4][0]]);
+    let cases: [(ListType, &Row<'_>); 3] = [
+        (ListType::III, &dense),
+        (ListType::II, &pairs),
+        (ListType::I, &ones),
+    ];
+    for (ty, row) in cases {
+        let rows = || (0..1200).map(row);
+        let deleted = [0, 3, 6, 9, 12];
+        let pair = seeded_pair(IvaConfig::default(), rows(), &tail, &deleted);
+        let entry = pair.1.attr_entry(AttrId(0)).unwrap();
+        assert_eq!(
+            (entry.list_type, entry.encoding),
+            (ty, ListEncoding::Packed)
+        );
+        let pair = (&pair.0, &pair.1);
+        let canon = check_seeded(pair, "canon", (1.0, l2), 10);
+        let with_canon = rows()
+            .filter(|v| v.as_ref().is_some_and(|v| v.contains(&"canon")))
+            .count() as u64;
+        if ty == ListType::III {
+            let range = with_canon..=with_canon + tail.len() as u64;
+            assert!(range.contains(&canon.positions_weighed), "{ty}: {canon:?}");
+        }
+        assert!(
+            canon.positions_weighed < canon.tuples_scanned / 4,
+            "{ty}: {canon:?}"
+        );
+        let ndf = check_seeded(pair, far, (1.0, l2), 10);
+        assert_eq!(ndf.positions_weighed, ndf.tuples_scanned, "{ty}: {ndf:?}");
+        let all = check_seeded(pair, "canon", (0.0, l2), 10);
+        assert_eq!(all.positions_weighed, all.tuples_scanned, "{ty}: {all:?}");
+        check_seeded(pair, "canon", (1e-300, l2), 10);
+        check_seeded(pair, "nikon", (1e-300, l1), 10);
+
+        // "canonx" is 1 edit from "canon": at an ndf penalty of 1, ndf
+        // ties the limit, and the k-th answer is an ndf tuple.
+        let config = IvaConfig {
+            ndf_penalty: 1.0,
+            ..IvaConfig::default()
+        };
+        let pair = seeded_pair(config, rows(), &tail, &deleted);
+        let tie = check_seeded((&pair.0, &pair.1), "canonx", (1.0, l1), 40);
+        assert!(tie.positions_weighed > with_canon, "{ty}: {tie:?}");
     }
 }
 

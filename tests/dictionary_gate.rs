@@ -9,11 +9,14 @@
 //! lists: the edit distances each probe computed, its bound `B` and the
 //! values at or below it (by brute force over the first strings and the
 //! values, as the probe counts them), the pool entries the walk admitted
-//! without a fetch, the fetches, and the fastest of 7 runs' CPU time.
+//! without a fetch, the positions the walk weighed, the fetches, and the
+//! fastest of 7 runs' CPU time — and, per attribute, the share of
+//! 256-position blocks and 1,024-position frames that hold no position at
+//! or below `B`: what skipping by frame could skip at best.
 //!
 //! `cargo test --release --offline --test dictionary_gate -- --ignored --nocapture`
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use iva_core::{
     attr_difference, build_index, encode_packed_text_list, export_index, IndexTarget, IvaIndex,
@@ -163,6 +166,10 @@ fn dictionary_seed_on_perf_data() {
     );
     let (mut probe, mut bound, mut within, mut distinct) = (vec![], vec![], vec![], vec![]);
     let (mut admits, mut fetches, mut micros) = (vec![], vec![], vec![]);
+    let mut weighed = vec![];
+    // Per attribute: (queries, 256-blocks, 1,024-frames) with no position
+    // at or below `B`, summed.
+    let mut empty: BTreeMap<usize, (usize, usize, usize)> = BTreeMap::new();
     for q in &on_sections {
         let Some((attr, QueryValue::Text(s))) = q.iter().next() else {
             continue;
@@ -174,6 +181,7 @@ fn dictionary_seed_on_perf_data() {
             })
             .collect();
         probe.push(runs[0].dict_distances);
+        weighed.push(runs[0].positions_weighed);
         admits.push(runs[0].walk_admits);
         fetches.push(runs[0].table_accesses);
         micros.push(
@@ -200,12 +208,33 @@ fn dictionary_seed_on_perf_data() {
         bound.push(b as u64);
         within.push(near.len() as u64);
         distinct.push(kinds.len() as u64);
+        // The ideal candidates: every tuple-list position (a tid, in row
+        // order) whose exact distance is at or below `B`.
+        let ndf = config.ndf_penalty;
+        let cand: Vec<bool> = (dataset.tuples.iter())
+            .map(|t| attr_difference(t.get(attr), &qv, ndf) <= b as f64)
+            .collect();
+        let none_in = |n: usize| cand.chunks(n).filter(|c| !c.contains(&true)).count();
+        let e = empty.entry(attr.index()).or_default();
+        *e = (e.0 + 1, e.1 + none_in(256), e.2 + none_in(1024));
     }
     println!("probe edit distances: {}", spread(probe));
     println!("B (edits): {}", spread(bound));
     println!("values at or below B: {}", spread(within));
     println!("distinct values at or below B: {}", spread(distinct));
     println!("walk admits: {}", spread(admits));
+    println!("positions weighed: {}", spread(weighed));
+    let n = dataset.tuples.len();
+    for (a, (queries, blocks, frames)) in empty {
+        let share =
+            |empty: usize, size: usize| 100.0 * empty as f64 / (queries * n.div_ceil(size)) as f64;
+        println!(
+            "attr_{a} ({queries} queries): no position at or below B in {:.1} % of 256-position \
+             blocks, {:.1} % of 1,024-position frames",
+            share(blocks, 256),
+            share(frames, 1024)
+        );
+    }
     println!("fetches: {}", spread(fetches));
     println!("filter + refine CPU us (fastest of 7): {}", spread(micros));
 

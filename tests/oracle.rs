@@ -688,6 +688,13 @@ impl Instance {
             if lambda.iter().all(|&l| l == 0.0) {
                 cov.insert("seeded at λ = 0".into());
             }
+            // An answer that leaves the queried attribute undefined: *ndf*
+            // passed the seed's limit, so the walk had to weigh it.
+            let undefined =
+                |&(tid, _): &(Tid, u64)| q.iter().all(|(a, _)| live[&tid].get(a).is_none());
+            if want[0].iter().any(undefined) {
+                cov.insert("seeded, ndf in the answer".into());
+            }
             if db
                 .tiers()
                 .map_err(e)?
@@ -873,12 +880,15 @@ fn one_value_queries_on_string_sections_match_the_model() {
             }
             let live = inst.model.live.len();
             let one = |a: u32, s: &str| Query::new().text(AttrId(a), s);
+            // 30 edits from every string: ndf (20) beats any seed's limit.
+            let far = "q".repeat(30);
             let queries = vec![
                 one(0, "canon 0"),
                 one(4, "sony"),
                 one(0, "cannon 1"),
                 one(0, "canon 0"),
             ];
+            let ndf_first = vec![one(4, &far), one(0, &far), one(4, "sony"), one(4, &far)];
             let [l1, l2, linf] = [MetricKind::L1, MetricKind::L2, MetricKind::LInf].map(Dist::Kind);
             let (equal, itf) = (WeightScheme::Equal, WeightScheme::Itf);
             let knobs = [
@@ -888,7 +898,12 @@ fn one_value_queries_on_string_sections_match_the_model() {
                 (30, l1, equal),
                 (live + 1, l2, itf),
             ];
-            for (k, metric, weights) in knobs {
+            let far_knobs = [(10, l2, equal), (30, l1, itf)];
+            let probes = knobs.map(|knob| (&queries, knob));
+            for (queries, (k, metric, weights)) in probes
+                .into_iter()
+                .chain(far_knobs.map(|knob| (&ndf_first, knob)))
+            {
                 let (queries, threads) = (queries.clone(), 2);
                 let p = Probe {
                     queries,
@@ -910,6 +925,7 @@ fn one_value_queries_on_string_sections_match_the_model() {
         "LsmDb seeded",
         "seeded over tombstones",
         "seeded at λ = 0",
+        "seeded, ndf in the answer",
     ];
     let want = want
         .into_iter()
