@@ -186,37 +186,47 @@ fn decode_packed_dir_frame(
     let pbytes = c.take(packed_len(elems - 1, pbw))?;
     let bitmap = c.take(elems.div_ceil(8))?;
     c.finish()?;
-    // Each delta section inflates in one bulk call, into one scratch.
-    deltas.clear();
-    unpack_bits(tbytes, tbw, elems - 1, deltas)
-        .ok_or_else(|| corrupt("bad directory tid delta run"))?;
     let at = tids.len();
-    tids.resize(at + elems, first_tid);
-    // Tids step by Δ+1. Steps above `u32::MAX` are corrupt, and below it
-    // the u64 sum of at most 2^20 of them cannot wrap: the loop checks
-    // nothing and the last tid is checked once.
-    let (mut tid, mut wide) = (u64::from(first_tid), false);
-    let rest = tids.get_mut(at + 1..).unwrap_or(&mut []);
-    for (slot, &d) in rest.iter_mut().zip(deltas.iter()) {
-        wide |= d > u64::from(u32::MAX);
-        tid = tid.wrapping_add(d).wrapping_add(1);
-        *slot = tid as u32;
+    if tbw == 0 {
+        // Consecutive tids (every bulk build's): `first_tid + j`, the last
+        // one checked once.
+        if u64::from(first_tid) + (elems as u64 - 1) > u64::from(u32::MAX) {
+            return Err(corrupt("directory tid overflow"));
+        }
+        tids.extend((0..elems as u32).map(|j| first_tid + j));
+    } else {
+        deltas.clear();
+        unpack_bits(tbytes, tbw, elems - 1, deltas)
+            .ok_or_else(|| corrupt("bad directory tid delta run"))?;
+        tids.resize(at + elems, first_tid);
+        // Tids step by Δ+1. Steps above `u32::MAX` are corrupt, and below
+        // it the u64 sum of at most 2^20 of them cannot wrap: the loop
+        // checks nothing and the last tid is checked once.
+        let (mut tid, mut wide) = (u64::from(first_tid), false);
+        let rest = tids.get_mut(at + 1..).unwrap_or(&mut []);
+        for (slot, &d) in rest.iter_mut().zip(deltas.iter()) {
+            wide |= d > u64::from(u32::MAX);
+            tid = tid.wrapping_add(d).wrapping_add(1);
+            *slot = tid as u32;
+        }
+        if wide || tid > u64::from(u32::MAX) {
+            return Err(corrupt("directory tid overflow"));
+        }
     }
-    if wide || tid > u64::from(u32::MAX) {
-        return Err(corrupt("directory tid overflow"));
-    }
-    deltas.clear();
-    unpack_bits(pbytes, pbw, elems - 1, deltas)
-        .ok_or_else(|| corrupt("bad directory ptr delta run"))?;
-    // The stored pointers are a running sum; eight elements per bitmap
-    // byte, the dead ones read as `TOMBSTONE_PTR` (a byte of live ones is
-    // passed over).
+    // The pointer deltas unpack in place after `first_ptr`, and the
+    // running sum turns them into stored pointers where they lie; eight
+    // elements per bitmap byte, the dead ones read as `TOMBSTONE_PTR` (a
+    // byte of live ones is passed over).
     let at = ptrs.len();
-    ptrs.resize(at + elems, first_ptr);
+    ptrs.push(first_ptr);
+    if unpack_bits(pbytes, pbw, elems - 1, ptrs).is_none() {
+        ptrs.truncate(at);
+        return Err(corrupt("bad directory ptr delta run"));
+    }
     let out = ptrs.get_mut(at..).unwrap_or(&mut []);
     let mut sp = first_ptr;
-    for (slot, &z) in out.iter_mut().skip(1).zip(deltas.iter()) {
-        sp = sp.wrapping_add(unzigzag(z) as u64);
+    for slot in out.iter_mut().skip(1) {
+        sp = sp.wrapping_add(unzigzag(*slot) as u64);
         *slot = sp;
     }
     for (run, &bits) in out.chunks_mut(8).zip(bitmap).filter(|(_, &b)| b != 0xFF) {

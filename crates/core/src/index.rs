@@ -202,11 +202,11 @@ impl IvaIndex {
             entries.push(entry);
         }
         // A v2–v4 packed text list stores its signatures inline, which this
-        // build no longer reads, and a v5 one has no dictionary strings:
-        // stale, and a rebuild from the table repairs it.
+        // build no longer reads, a v5 one has no dictionary strings and a
+        // v6 one no postings: stale, and a rebuild from the table repairs it.
         let stale = |e: &AttrEntry| e.is_text && e.encoding == ListEncoding::Packed;
         if header.version < INDEX_VERSION && entries.iter().any(stale) {
-            return Err(IvaError::Corrupt("pre-v6 packed text lists".into()));
+            return Err(IvaError::Corrupt("pre-v7 packed text lists".into()));
         }
         let sig_codec = header.config.sig_codec();
         Ok(Self {
@@ -921,6 +921,13 @@ impl TupleSource {
             true => Ok(()),
             false => Err(IvaError::Corrupt("tuple list not tid-ascending".into())),
         }
+    }
+
+    /// Skip the next `n` elements unread — whole directory frames by their
+    /// headers: a leap (see [`crate::scan`]). The next block is checked
+    /// against the last one handed out.
+    pub(crate) fn leap(&mut self, n: u64) -> Result<()> {
+        self.cur.skip_entries(n)
     }
 
     /// Skip the first `n` elements (segmented scans start mid-list). The

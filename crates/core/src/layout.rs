@@ -211,11 +211,14 @@ pub const INDEX_VERSION_V3: u32 = 3;
 pub const INDEX_VERSION_V4: u32 = 4;
 /// v4 with dictionary-coded packed text lists (see the `packed` module).
 pub const INDEX_VERSION_V5: u32 = 5;
-/// Current format version: v5 whose dense packed text lists' dictionaries
-/// also hold their strings and per-string value counts (see the `packed`
-/// module). A v2–v5 index holding a packed text list is stale: it does not
-/// load, and [`crate::IndexedTable`] rebuilds it from the table.
-pub const INDEX_VERSION: u32 = 6;
+/// v5 whose dense packed text lists' dictionaries also hold their strings
+/// and per-string value counts (see the `packed` module).
+pub const INDEX_VERSION_V6: u32 = 6;
+/// Current format version: v6 whose Type III lists coded by strings also
+/// hold each string's positions (see the `packed` module). A v2–v6 index
+/// holding a packed text list is stale: it does not load, and
+/// [`crate::IndexedTable`] rebuilds it from the table.
+pub const INDEX_VERSION: u32 = 7;
 
 /// The index header stored in page 0.
 #[derive(Debug, Clone, PartialEq)]

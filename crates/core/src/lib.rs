@@ -57,7 +57,7 @@ pub use indexed_table::IndexedTable;
 pub use interchange::{export_index, import_index, ExportedAttr, ExportedIndex};
 pub use layout::{
     AttrEntry, IndexHeader, ListEncoding, INDEX_VERSION, INDEX_VERSION_V2, INDEX_VERSION_V3,
-    INDEX_VERSION_V4, INDEX_VERSION_V5, TOMBSTONE_PTR, TUPLE_ENTRY_LEN,
+    INDEX_VERSION_V4, INDEX_VERSION_V5, INDEX_VERSION_V6, TOMBSTONE_PTR, TUPLE_ENTRY_LEN,
 };
 pub use metric::{Metric, MetricKind, WeightScheme};
 pub use multi::BatchItem;

@@ -26,7 +26,8 @@
 //!
 //! ```text
 //! Dict     [lbw u8][cL × D][cH ...]     each distinct signature once
-//!          ([D u32][sbw u8][len × D][string bytes ...][D u32][nbw u8][count × D])?
+//!          ([D u32][sbw u8][len × D][string bytes ...][D u32][nbw u8][count × D]
+//!           ([covered u64][raw u64][D u32][pbw u8][posts × D][position ...])?)?
 //! Text I   [first_tid u32][bw u8][Δtid × (elems−1)][cbw u8][code × elems]
 //! Text II  [first_tid u32][bw u8][Δtid × (elems−1)][nbw u8][num × elems][cbw u8][code × strings]
 //! Text III [nbw u8][num × elems][cbw u8][code × strings]
@@ -49,6 +50,16 @@
 //! ascending estimate order give a bound `B` with enough counted values at
 //! or below it, and a per-code table ([`Seed`]) the fill reads instead of
 //! the estimates, in which a distance `d ≤ B` is exact.
+//!
+//! **Postings.** On a Type III list coded by strings the DICT frame goes on
+//! to invert the codes (format v7), where the list stays smaller than its
+//! raw layout with them: `covered`, the positions the list's
+//! PACKED and NDF_RUN frames hold, and the raw-layout bytes of those
+//! frames; per entry, how many positions hold a value with that string;
+//! then those positions, grouped by entry and ascending, at one width of
+//! ⌈log₂ covered⌉ bits. A probe that knows which codes pass its limit
+//! reads their runs into the query's candidates ([`Leap`]), and the walk
+//! leaps from one to the next without loading a list frame.
 //!
 //! The positional Types III/IV additionally collapse runs of ndf elements
 //! into header-only NDF_RUN frames — the run-length framing that replaces
@@ -118,6 +129,12 @@ const NDF_RUN_MIN: usize = 16;
 
 /// Bytes of the logical-length prologue heading every packed list.
 pub(crate) const PACKED_PROLOGUE_LEN: usize = 8;
+
+/// A probe hands the walk its candidates ([`Leap`]) only while they are at
+/// most `1 / LEAP_SHARE` of the positions its postings cover; past that,
+/// gathering and sorting them costs more than the seeded walk over every
+/// frame (EXPERIMENTS.md "Postings").
+const LEAP_SHARE: u64 = 2;
 
 /// What a [`Seed`] table subtracts from an exact distance: the result is
 /// below every lower bound (those are ≥ 0) and keeps the distances' order,
@@ -330,8 +347,13 @@ fn take_section(s: &mut SliceReader<'_>, d: usize, out: &mut Vec<u64>) -> Result
 
 /// The DICT frame — none for a list without strings: `[lbw u8][cL × D][cH
 /// …]`, then, given `counts` (entries keyed by string), every entry's
-/// string and count.
-fn push_dict_frame(entries: &[Entry<'_>], counts: Option<&[u64]>, out: &mut Vec<u8>) {
+/// string and count, and the `postings` section where there is one.
+fn push_dict_frame(
+    entries: &[Entry<'_>],
+    counts: Option<&[u64]>,
+    postings: &[u8],
+    out: &mut Vec<u8>,
+) {
     if entries.is_empty() {
         return;
     }
@@ -352,8 +374,39 @@ fn push_dict_frame(entries: &[Entry<'_>], counts: Option<&[u64]>, out: &mut Vec<
         );
         texts.for_each(|t| payload.extend_from_slice(t));
         push_section(counts, &mut payload);
+        payload.extend_from_slice(postings);
     }
     append_frame(out, FRAME_DICT, entries.len(), &payload);
+}
+
+/// The postings section of a Type III list coded by strings, whose
+/// position `p` holds the strings coded `pos_codes[p]` and whose frames
+/// take `raw` bytes in the raw layout: `[covered u64][raw u64]`, per entry
+/// of `d` how many positions hold it (a `[D u32][bw u8][n × D]` section),
+/// then those positions, entry by entry and ascending, bit-packed at one
+/// width wide enough for `covered − 1`.
+fn postings_section(pos_codes: &[&[u64]], d: usize, raw: u64) -> Vec<u8> {
+    let mut runs: Vec<Vec<u64>> = vec![Vec::new(); d];
+    for (p, codes) in (0u64..).zip(pos_codes) {
+        for &c in *codes {
+            // A value holding one string twice is one position.
+            if let Some(run) = runs.get_mut(c as usize).filter(|r| r.last() != Some(&p)) {
+                run.push(p);
+            }
+        }
+    }
+    let covered = pos_codes.len() as u64;
+    let mut out = [covered.to_le_bytes(), raw.to_le_bytes()].concat();
+    push_section(
+        &runs.iter().map(|r| r.len() as u64).collect::<Vec<_>>(),
+        &mut out,
+    );
+    pack_bits(
+        &runs.concat(),
+        bit_width(covered.saturating_sub(1)),
+        &mut out,
+    );
+    out
 }
 
 /// `[cbw u8][code × n]`, at least one bit wide.
@@ -401,8 +454,6 @@ pub(crate) fn encode_packed_text(
         ListType::III => all_tids.len() as u64 + sig_bytes,
         ListType::IV => 0,
     };
-    let mut out = Vec::new();
-    out.extend_from_slice(&logical.to_le_bytes());
     let (mut entries, mut codes) = dictionary(items, strings);
     let text_bytes: usize = entries.iter().map(|(_, t)| t.map_or(0, <[u8]>::len)).sum();
     let width = bit_width(entries.len().saturating_sub(1) as u64).max(1);
@@ -433,7 +484,21 @@ pub(crate) fn encode_packed_text(
         }
         counts
     });
-    push_dict_frame(&entries, counts.as_deref(), &mut out);
+    // A positional list's codes, position by position.
+    let mut pos_codes: Vec<&[u64]> = Vec::new();
+    if ty == ListType::III {
+        pos_codes.reserve(all_tids.len());
+        let mut it = coded.iter().peekable();
+        for &tid in all_tids {
+            pos_codes.push(it.next_if(|(t, _)| *t == tid).map_or(&[], |(_, c)| *c));
+        }
+        debug_assert!(it.peek().is_none(), "items not aligned with tuple list");
+    }
+    let postings = match pays && ty == ListType::III {
+        true => postings_section(&pos_codes, entries.len(), logical),
+        false => Vec::new(),
+    };
+    let mut out = Vec::new();
     match ty {
         ListType::I => {
             let strings: Vec<(u32, u64)> = coded
@@ -461,12 +526,6 @@ pub(crate) fn encode_packed_text(
             }
         }
         ListType::III => {
-            let mut pos_codes: Vec<&[u64]> = Vec::with_capacity(all_tids.len());
-            let mut it = coded.iter().peekable();
-            for &tid in all_tids {
-                pos_codes.push(it.next_if(|(t, _)| *t == tid).map_or(&[], |(_, c)| *c));
-            }
-            debug_assert!(it.peek().is_none(), "items not aligned with tuple list");
             encode_positional(&pos_codes, &mut out, |chunk, payload| {
                 let nums: Vec<u8> = chunk.iter().map(|c| c.len() as u8).collect();
                 pack_byte_section(&nums, payload);
@@ -475,7 +534,16 @@ pub(crate) fn encode_packed_text(
         }
         ListType::IV => debug_assert!(false, "Type IV is numeric-only"),
     }
-    out
+    // Postings ride where the list stays smaller than its raw layout with
+    // them: a build stores the smaller image, and otherwise the raw one.
+    let mut head = logical.to_le_bytes().to_vec();
+    push_dict_frame(&entries, counts.as_deref(), &postings, &mut head);
+    if !postings.is_empty() && (head.len() + out.len()) as u64 >= logical {
+        head.truncate(PACKED_PROLOGUE_LEN);
+        push_dict_frame(&entries, counts.as_deref(), &[], &mut head);
+    }
+    head.extend_from_slice(&out);
+    head
 }
 
 /// Encode a numeric attribute's vector list in the packed framing. Inputs
@@ -662,6 +730,12 @@ struct Dict {
     /// With a string section, how many values have entry `i` as their
     /// first string; empty without one.
     counts: Vec<u64>,
+    /// With a postings section, the positions it covers and their frames'
+    /// raw-layout bytes; entry `i`'s positions are
+    /// `posts[runs[i]..runs[i + 1]]`. Both empty without one.
+    covered: Option<(u64, u64)>,
+    runs: Vec<usize>,
+    posts: Vec<u64>,
     est: Vec<f64>,
     /// The [`PreparedMatcher::serial`] `est` holds estimates under.
     est_for: Option<u64>,
@@ -687,6 +761,36 @@ pub(crate) struct Seed {
     pub(crate) limit: f64,
     /// Edit distances the probe computed.
     pub(crate) distances: u64,
+    /// The candidates, where the list has postings and few enough pass.
+    pub(crate) leap: Option<Leap>,
+}
+
+/// A seeded query's candidates ([`PackedReader::probe`]): every position
+/// below `covered` whose value holds a string that passes the limit,
+/// ascending, each with the bound a seeded fill writes for it — the min
+/// over the value's admitted strings, which is the min over all of them
+/// (one that fails has a larger bound under a monotone metric). The walk
+/// over `[0, covered)` then needs no list frame.
+pub(crate) struct Leap {
+    pos: Vec<u32>,
+    bound: Vec<f64>,
+    /// The positions the postings cover, and the raw-layout bytes of the
+    /// frames that hold them.
+    pub(crate) covered: u64,
+    raw: u64,
+}
+
+impl Leap {
+    /// The first candidate at or after position `at`: its index.
+    pub(crate) fn first_from(&self, at: u64) -> usize {
+        self.pos.partition_point(|&p| u64::from(p) < at)
+    }
+
+    /// Candidate `i`: its position and bound.
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> Option<(u64, f64)> {
+        Some((u64::from(*self.pos.get(i)?), *self.bound.get(i)?))
+    }
 }
 
 impl Seed {
@@ -727,7 +831,7 @@ pub(crate) struct Cands<'m> {
 
 impl Cands<'_> {
     /// The fill's positions `js` cannot pass.
-    fn reject(&mut self, js: Range<usize>) {
+    pub(crate) fn reject(&mut self, js: Range<usize>) {
         let (mut i, end) = (self.at + js.start, self.at + js.end);
         while i < end {
             let n = (64 - i % 64).min(end - i);
@@ -740,12 +844,16 @@ impl Cands<'_> {
 }
 
 impl Dict {
-    /// Parse the `d`-entry payload in `self.payload` under `codec`.
-    fn load(&mut self, d: usize, codec: &SigCodec) -> Result<()> {
+    /// Parse the `d`-entry payload in `self.payload` of a list of type
+    /// `ty` under `codec`.
+    fn load(&mut self, d: usize, ty: ListType, codec: &SigCodec) -> Result<()> {
         self.lens.clear();
         self.starts.clear();
         self.texts.clear();
         self.counts.clear();
+        self.covered = None;
+        self.runs.clear();
+        self.posts.clear();
         let body = self.payload.len().saturating_sub(SIG_PAD);
         let mut s = SliceReader::new(self.payload.get(..body).unwrap_or(&[]), "dictionary frame");
         // Every entry has at least one `cH` byte: more entries than the
@@ -778,8 +886,52 @@ impl Dict {
             }
             s.take(at - (body - s.remaining()))?;
             take_section(&mut s, d, &mut self.counts)?;
+            if ty == ListType::III && s.remaining() > 0 {
+                let covered = load_postings(&mut s, d, &mut self.runs, &mut self.posts)?;
+                self.covered = Some(covered);
+            }
         }
         Ok(s.finish()?)
+    }
+
+    /// The candidates of a seed whose codes pass where `admit` says and
+    /// bound by `table` (see [`Leap`]): `None` without postings, or where
+    /// more than `1 / LEAP_SHARE` of the covered positions hold a string
+    /// that passes.
+    fn leap(&self, table: &[f64], admit: &[bool]) -> Option<Leap> {
+        let (covered, raw) = self.covered?;
+        let run = |c: usize| {
+            let (&a, &b) = self.runs.get(c).zip(self.runs.get(c + 1))?;
+            self.posts.get(a..b)
+        };
+        let admitted = admit.iter().enumerate().filter(|(_, &a)| a);
+        let mut codes: Vec<usize> = admitted.map(|(c, _)| c).collect();
+        let total: usize = codes.iter().filter_map(|&c| run(c)).map(<[u64]>::len).sum();
+        if total as u64 > covered / LEAP_SHARE {
+            return None;
+        }
+        // Key a position by the rank of its string's bound: sorted, a
+        // position's first key names its value's least bound.
+        let at = |c: usize| table.get(c).copied().unwrap_or(f64::INFINITY);
+        codes.sort_by(|&a, &b| at(a).total_cmp(&at(b)));
+        let mut keys = Vec::with_capacity(total);
+        for (rank, &c) in (0u64..).zip(&codes) {
+            keys.extend(run(c).unwrap_or(&[]).iter().map(|&p| p << 32 | rank));
+        }
+        if codes.len() > 1 {
+            keys.sort_unstable();
+            keys.dedup_by_key(|k| *k >> 32);
+        }
+        let bound = |k: &u64| {
+            let code = codes.get((k & u64::from(u32::MAX)) as usize);
+            f64::INFINITY.min(code.map_or(f64::INFINITY, |&c| at(c)))
+        };
+        Some(Leap {
+            pos: keys.iter().map(|k| (k >> 32) as u32).collect(),
+            bound: keys.iter().map(bound).collect(),
+            covered,
+            raw,
+        })
     }
 
     /// Entry `code`'s string.
@@ -831,6 +983,51 @@ impl Dict {
         }
         Ok(&self.est)
     }
+}
+
+/// Parse and check the postings section (see the module doc): no run
+/// longer than `covered`, runs that fill the section exactly, and
+/// positions below `covered`, strictly ascending within a run. Entry
+/// `i`'s run goes to `posts[runs[i]..runs[i + 1]]`; returns `covered`
+/// and the raw-layout bytes of its frames.
+fn load_postings(
+    s: &mut SliceReader<'_>,
+    d: usize,
+    runs: &mut Vec<usize>,
+    posts: &mut Vec<u64>,
+) -> Result<(u64, u64)> {
+    let (covered, raw) = (s.u64()?, s.u64()?);
+    // Positions are tuple-list positions, which u32 tids number.
+    if covered > 1 << 32 {
+        return Err(corrupt("postings cover more positions than tids"));
+    }
+    let mut lens = Vec::new();
+    take_section(s, d, &mut lens)?;
+    runs.push(0);
+    for &n in &lens {
+        // A run of at most `covered` positions: the total stays below
+        // `d · 2^32`, and width 0 (`covered ≤ 1`) below `d`.
+        let n = usize::try_from(n).ok().filter(|&n| n as u64 <= covered);
+        let end = n.and_then(|n| runs.last()?.checked_add(n));
+        runs.push(end.ok_or_else(|| corrupt("postings run past its list"))?);
+    }
+    let total = runs.last().copied().unwrap_or(0);
+    let width = bit_width(covered.saturating_sub(1));
+    let bits = total.checked_mul(width as usize);
+    if bits.is_none_or(|b| b.div_ceil(8) != s.remaining()) {
+        return Err(corrupt("postings do not fill their section"));
+    }
+    let bytes = s.take(s.remaining())?;
+    unpack_bits(bytes, width, total, posts).ok_or_else(|| corrupt("truncated postings"))?;
+    for run in runs.windows(2) {
+        let (&a, &b) = run.first().zip(run.get(1)).ok_or_else(past_dictionary)?;
+        let posts = posts.get(a..b).ok_or_else(past_dictionary)?;
+        let ascending = posts.windows(2).all(|w| w.first() < w.get(1));
+        if !ascending || posts.last().is_some_and(|&p| p >= covered) {
+            return Err(corrupt("postings not ascending below their cover"));
+        }
+    }
+    Ok((covered, raw))
 }
 
 /// One PACKED frame, read in place: its sections unpacked into arrays, and
@@ -1272,16 +1469,44 @@ impl PackedReader {
         let limit = metric.combine(&[lambda * b as f64]);
         // The walk's own test, `est > limit`, failed (`NaN` included).
         let passes = |b: f64| metric.combine(&[lambda * b]).partial_cmp(&limit) != Some(Greater);
-        let admit = (table.iter())
+        let admit: Vec<bool> = (table.iter())
             .map(|&t| passes(if t < 0.0 { t + EXACT_BIAS } else { t }))
             .collect();
+        // Where *ndf* passes, every *ndf* position is a candidate too.
+        let ndf = passes(ndf);
+        let leap = (!ndf).then(|| dict.leap(&table, &admit)).flatten();
         Ok(Some(Seed {
             table,
             admit,
-            ndf: passes(ndf),
+            ndf,
             limit,
             distances,
+            leap,
         }))
+    }
+
+    /// Move a fresh reader past the frames `leap` covers, by their headers
+    /// alone — its DICT frame, then PACKED and NDF_RUN frames holding
+    /// exactly `covered` positions — charging their raw-layout bytes, so
+    /// that the walk goes on at position `covered`, in the RAW tail.
+    pub(crate) fn skip_covered(&mut self, leap: &Leap) -> Result<()> {
+        let mismatch = || corrupt("postings cover other frames than the list holds");
+        if self.inner.tell() != PACKED_PROLOGUE_LEN as u64 {
+            return Err(mismatch());
+        }
+        let (mut left, mut dict) = (leap.covered, true);
+        while dict || left > 0 {
+            let (kind, elems) = (self.inner.read_u8()?, u64::from(self.inner.read_u32()?));
+            let payload_len = u64::from(self.inner.read_u32()?);
+            match kind {
+                FRAME_DICT if dict => dict = false,
+                FRAME_PACKED | FRAME_NDF_RUN if !dict && elems <= left => left -= elems,
+                _ => return Err(mismatch()),
+            }
+            self.inner.skip(payload_len)?;
+        }
+        self.remaining = self.remaining.checked_sub(leap.raw).ok_or_else(mismatch)?;
+        Ok(())
     }
 
     /// True while the current frame has nothing left to hand out (a DICT
@@ -1399,7 +1624,7 @@ impl PackedReader {
                 dict.payload.resize(payload_len + SIG_PAD, 0);
                 self.inner
                     .read_exact(dict.payload.get_mut(..payload_len).unwrap_or(&mut []))?;
-                dict.load(elems, codec)?;
+                dict.load(elems, self.org.list_type(), codec)?;
                 0
             }
             FRAME_NDF_RUN => {
@@ -1697,7 +1922,8 @@ mod tests {
                 + s.nums.capacity()
                 + d.lens.capacity()
                 + (s.codes.capacity() + s.wide.capacity() + d.starts.capacity()) * 8
-                + (d.est.capacity() + d.texts.capacity() + d.counts.capacity()) * 8;
+                + (d.est.capacity() + d.texts.capacity() + d.counts.capacity()) * 8
+                + (d.runs.capacity() + d.posts.capacity()) * 8;
             // At most the payloads' own values, inflated to a word each.
             assert!(
                 held <= 9 * (s.payload.len() + d.payload.len()),
@@ -1775,6 +2001,10 @@ mod tests {
                 .unwrap();
             bits[0]
         };
+        assert!(
+            seed.leap.is_none(),
+            "every position passes: the frames are walked"
+        );
         let mut out = [0.0; 4];
         assert_eq!(fill(&seed, &mut out), u64::MAX, "B = 1: every value passes");
         assert_eq!(out, [0.0, 0.0, 1.0, 0.0].map(|d| d - EXACT_BIAS));
@@ -1784,6 +2014,86 @@ mod tests {
         let tight = probe(100, 0, 200).unwrap().unwrap();
         assert_eq!(fill(&tight, &mut out), !(1 << 3));
         assert_eq!(out, [-EXACT_BIAS, -EXACT_BIAS, 7.0, -EXACT_BIAS]);
+    }
+
+    /// A Type III list coded by strings carries postings: a probe whose
+    /// codes pass at few positions gets them as candidates, each with its
+    /// value's least bound (a value holding the needle second included).
+    /// A fresh reader then skips the covered frames by header and reads on
+    /// in the RAW tail, its raw-layout bytes exact; a leap whose cover or
+    /// bytes the frames do not hold is `Corrupt`.
+    #[test]
+    fn postings_give_candidates_and_skip_to_the_raw_tail() {
+        use crate::metric::MetricKind;
+        let codec = SigCodec::new(0.3, 2);
+        let values: Vec<Vec<&str>> = (0..300)
+            .map(|i| match i {
+                7 => vec!["needle"],
+                100 => vec!["hay", "needle"],
+                _ => vec![["hay", "straw", "stack"][i % 3]],
+            })
+            .collect();
+        let mut strings = TextStrings::default();
+        values
+            .iter()
+            .flatten()
+            .for_each(|s| strings.push(s.as_bytes()));
+        let sigs = |v: &[&str]| {
+            v.iter()
+                .map(|s| codec.encode_to_vec(s.as_bytes()))
+                .collect()
+        };
+        let items: Vec<(u32, Vec<Vec<u8>>)> = (0..300u32)
+            .zip(&values)
+            .map(|(t, v)| (t, sigs(v)))
+            .collect();
+        let all_tids: Vec<u32> = (0..300).collect();
+        let mut packed = encode_packed_text(ListType::III, &items, Some(&strings), &all_tids);
+        let covered_raw = u64::from_le_bytes(packed[..8].try_into().unwrap());
+        let mut tail = vec![1u8];
+        tail.extend_from_slice(&codec.encode_to_vec(b"needle"));
+        append_frame(&mut packed, FRAME_RAW, 1, &tail);
+        packed[..8].copy_from_slice(&(covered_raw + tail.len() as u64).to_le_bytes());
+        let p = pager();
+        let matcher = PreparedMatcher::new(&codec, b"needle");
+        let mut r = PackedReader::new_text(reader_for(&p, &packed), ListType::III, &codec).unwrap();
+        let seed = r
+            .probe(
+                &matcher,
+                b"needle",
+                (1, 0, 301),
+                (1.0, 20.0, &MetricKind::L1),
+            )
+            .unwrap()
+            .unwrap();
+        let leap = seed.leap.as_ref().expect("two candidates of 300");
+        assert_eq!(
+            (leap.pos.as_slice(), leap.covered, leap.raw),
+            (&[7, 100][..], 300, covered_raw)
+        );
+        assert_eq!(leap.bound, [-EXACT_BIAS; 2]);
+        let fresh =
+            || PackedReader::new_text(reader_for(&p, &packed), ListType::III, &codec).unwrap();
+        let mut r = fresh();
+        r.skip_covered(leap).unwrap();
+        assert_eq!(r.remaining(), tail.len() as u64);
+        assert!(matches!(r.frame(), Ok(Frame::Raw(_))));
+        for (covered, raw) in [
+            (299, covered_raw),
+            (301, covered_raw),
+            (300, covered_raw + 2 + tail.len() as u64),
+        ] {
+            let lie = Leap {
+                pos: Vec::new(),
+                bound: Vec::new(),
+                covered,
+                raw,
+            };
+            assert!(
+                fresh().skip_covered(&lie).is_err_and(|e| e.is_corruption()),
+                "{covered} {raw}"
+            );
+        }
     }
 
     #[test]

@@ -225,7 +225,11 @@ pub fn bounded_distance<M: Metric>(
 /// filtering from refinement as in Fig. 9/15 of the paper.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct QueryStats {
-    /// Tuples examined in the filter step.
+    /// Tuple-list positions the walk handed to its lanes, a block at a
+    /// time — every one, but for those a seeded walk leaps over (no
+    /// candidate of its query's postings lies there); summed like
+    /// `table_accesses`. A lane in a batch counts every block the batch
+    /// walks.
     pub tuples_scanned: u64,
     /// Records fetched from the table file and refined (the paper's
     /// "table file accesses", Fig. 8), summed over the workers of a

@@ -42,14 +42,26 @@
 //! codes pass the limit, and whether *ndf* does, is known too, so the fill
 //! drops every other position from the block's candidates ([`Bounds`]).
 //!
+//! **Leaping.** Where *ndf* cannot pass and the list's postings say that
+//! few positions hold a string that can, the seed carries those positions
+//! ([`Leap`]). While every lane of a walk has such candidates, the next
+//! block starts at the lowest next candidate among them: the directory
+//! skips whole frames by header, and a leaping fill writes its candidates'
+//! bounds and mask from the seed, loading no list frame. Past the
+//! postings' cover — the RAW tail inserts append — the list's cursor is
+//! placed by frame headers and the seeded walk goes on as before. A leap
+//! passes over only positions that every lane's candidate mask would
+//! clear.
+//!
 //! **Order-independence lemma.** The pool keeps the k smallest
 //! `(dist, tid)` of what was inserted, whatever the order (see
 //! [`crate::pool`]). A candidate is skipped — at walk time or before its
 //! fetch — only when `(est, tid)` is at or above the pool's worst entry,
-//! or when `est > limit`, where at least k live tuples lie at or below
-//! `limit`; `est ≤ dist`, and the worst entry only falls, so a skipped
-//! candidate is not among the k smallest `(dist, tid)` of the tuples
-//! visited. Every entry inserted is at its exact distance. Hence
+//! or when `est > limit` (a leap skips only such positions), where at
+//! least k live tuples lie at or below `limit`; `est ≤ dist`, and the
+//! worst entry only falls, so a skipped candidate is not among the k
+//! smallest `(dist, tid)` of the tuples visited. Every entry inserted is
+//! at its exact distance. Hence
 //! *any* visiting order, window size or partition into lanes leaves the
 //! pool holding exactly those k, and because every tuple list is
 //! tid-ascending that is Algorithm 1's "strictly smaller distance, first
@@ -87,7 +99,7 @@ use crate::index::{IvaIndex, QueryMatchers, ScanCarry, SharedAttr};
 use crate::layout::{ListEncoding, TOMBSTONE_PTR};
 use crate::metric::Metric;
 use crate::numeric::NumericCodec;
-use crate::packed::{Cands, Seed, EXACT_BIAS};
+use crate::packed::{Cands, Leap, Seed, EXACT_BIAS};
 use crate::pool::{PoolEntry, ResultPool};
 use crate::query::{bounded_distance, Query, QueryValue};
 use crate::timing::{monotonic_nanos, thread_cpu_time};
@@ -101,6 +113,9 @@ pub(crate) enum AttrScan<'a> {
         codec: &'a SigCodec,
         matcher: &'a PreparedMatcher,
         seed: Option<&'a Seed>,
+        /// The seed's candidates and the next one to serve, until the
+        /// scan reaches the positions they do not cover.
+        leap: Option<(&'a Leap, usize)>,
     },
     Num {
         cur: NumListCursor,
@@ -120,6 +135,7 @@ impl<'a> AttrScan<'a> {
                 codec: index.sig_codec(),
                 matcher,
                 seed,
+                leap: seed.and_then(|s| s.leap.as_ref()).map(|l| (l, 0)),
             },
             SharedAttr::Num { q, codec, entry } => AttrScan::Num {
                 cur: index.open_num_cursor(entry, codec)?,
@@ -131,13 +147,56 @@ impl<'a> AttrScan<'a> {
     }
 
     /// Position a freshly opened scan past the first `n` tuple-list
-    /// elements.
+    /// elements: a leaping one at its first candidate from `n` on, unless
+    /// `n` is past them.
     fn seek(&mut self, n: u64) -> Result<()> {
         match self {
-            AttrScan::Text { cur, codec, .. } => cur.seek_elements(n, codec),
+            AttrScan::Text {
+                leap: Some((l, next)),
+                ..
+            } if n < l.covered => {
+                *next = l.first_from(n);
+                Ok(())
+            }
+            AttrScan::Text { .. } => self.land(n),
             AttrScan::Num { cur, codec, .. } => cur.seek_elements(n, codec),
             AttrScan::AlwaysNdf => Ok(()),
         }
+    }
+
+    /// Position a text scan that has not moved its cursor past the first
+    /// `n` elements: a leaping one by skipping the frames its candidates
+    /// cover, by header, and walking on from there.
+    fn land(&mut self, n: u64) -> Result<()> {
+        let AttrScan::Text {
+            cur, codec, leap, ..
+        } = self
+        else {
+            return Ok(());
+        };
+        let from = match leap.take() {
+            Some((l, _)) => {
+                cur.skip_covered(l)?;
+                l.covered
+            }
+            None => 0,
+        };
+        cur.seek_elements(n.saturating_sub(from), codec)
+    }
+
+    /// Where a leaping scan at position `at` has its next candidate — the
+    /// end of its candidates' cover once they run out; `None` where it
+    /// does not leap.
+    fn next_candidate(&self, at: u64) -> Option<u64> {
+        let AttrScan::Text {
+            leap: Some((l, next)),
+            ..
+        } = self
+        else {
+            return None;
+        };
+        let next = l.get(*next).map_or(l.covered, |(p, _)| p);
+        (at < l.covered).then_some(next)
     }
 
     /// Whether the scan walks a raw list element by element.
@@ -150,20 +209,52 @@ impl<'a> AttrScan<'a> {
     }
 
     /// The fill contract: move over `tids`, the block of tuple-list
-    /// elements after the last one, writing each one's lower bound on its
-    /// difference to the query value into `out` — `NaN` for *ndf*, and an
-    /// exact difference `d` as `d −` [`EXACT_BIAS`] (below zero, where no
-    /// bound is); bounds themselves are never `NaN`. A seeded fill writes
+    /// elements from position `at` on, writing each one's lower bound on
+    /// its difference to the query value into `out` — `NaN` for *ndf*, and
+    /// an exact difference `d` as `d −` [`EXACT_BIAS`] (below zero, where
+    /// no bound is); bounds themselves are never `NaN`. A seeded fill writes
     /// only the elements it serves from frames that can pass the seed's
-    /// limit, and clears the others' bits in `cands`. Tombstoned elements
-    /// are filled like any other (the spine never admits them).
-    fn fill(&mut self, tids: &[u32], out: &mut [f64], cands: Cands<'_>) -> Result<()> {
+    /// limit, and clears the others' bits in `cands`. A leaping one writes
+    /// its candidates' bounds and clears every other bit, where they cover
+    /// the block. Tombstoned elements are filled like any other (the spine
+    /// never admits them).
+    fn fill(&mut self, at: u64, tids: &[u32], out: &mut [f64], mut cands: Cands<'_>) -> Result<()> {
+        if let AttrScan::Text {
+            leap: Some((l, next)),
+            ..
+        } = self
+        {
+            let n = usize::try_from(l.covered.saturating_sub(at))
+                .map_or(tids.len(), |n| n.min(tids.len()));
+            let mut from = 0;
+            while let Some((p, bound)) = l.get(*next).filter(|&(p, _)| p < at + n as u64) {
+                let j = usize::try_from(p.saturating_sub(at)).unwrap_or(0);
+                if let Some(slot) = out.get_mut(j).filter(|_| p >= at) {
+                    cands.reject(from..j);
+                    (*slot, from) = (bound, j + 1);
+                }
+                *next += 1;
+            }
+            cands.reject(from..n);
+            if n == tids.len() {
+                return Ok(());
+            }
+            // The rest of the block lies past the candidates.
+            self.land(at + n as u64)?;
+            let (tids, out) = (
+                tids.get(n..).unwrap_or(&[]),
+                out.get_mut(n..).unwrap_or(&mut []),
+            );
+            cands.at += n;
+            return self.fill(at + n as u64, tids, out, cands);
+        }
         match self {
             AttrScan::Text {
                 cur,
                 codec,
                 matcher,
                 seed,
+                ..
             } => cur.fill_seeded(tids, codec, matcher, *seed, out, cands),
             AttrScan::Num { cur, codec, q } => cur.fill_block(tids, codec, *q, out),
             AttrScan::AlwaysNdf => {
@@ -183,6 +274,12 @@ fn positions(mask: [u64; BLOCK / 64]) -> impl Iterator<Item = usize> {
             (i < 64).then_some(w * 64 + i)
         })
     })
+}
+
+/// The least of `next`, if it holds at least one and each is `Some`.
+fn least(mut next: impl Iterator<Item = Option<u64>>) -> Option<u64> {
+    let first = next.next()??;
+    next.try_fold(first, |m, c| Some(m.min(c?)))
 }
 
 /// Tuple-list elements per step of the walk: one `fill` per attribute, then
@@ -221,13 +318,13 @@ impl<'a> Bounds<'a> {
         Ok(Self { attrs, lbs, cands })
     }
 
-    /// Fill every attribute's column for the next block (≤ [`BLOCK`]), a
-    /// column at a time — except that the raw lists of a query, which are
-    /// walked element by element, go position by position together: their
-    /// page reads (and so a cold query's seeks) keep the order an
-    /// element-by-element scan gave them. Every position starts as a
-    /// candidate; a seeded fill clears those that cannot pass.
-    pub(crate) fn fill(&mut self, tids: &[u32]) -> Result<()> {
+    /// Fill every attribute's column for the next block (≤ [`BLOCK`], from
+    /// position `at` on), a column at a time — except that the raw lists
+    /// of a query, which are walked element by element, go position by
+    /// position together: their page reads (and so a cold query's seeks)
+    /// keep the order an element-by-element scan gave them. Every position
+    /// starts as a candidate; a seeded fill clears those that cannot pass.
+    pub(crate) fn fill(&mut self, at: u64, tids: &[u32]) -> Result<()> {
         let too_long = || IvaError::InvalidArgument("block too long".into());
         self.cands = [u64::MAX; BLOCK / 64];
         for (a, col) in self.attrs.iter_mut().zip(self.lbs.chunks_exact_mut(BLOCK)) {
@@ -237,7 +334,7 @@ impl<'a> Bounds<'a> {
                     bits: &mut self.cands,
                     at: 0,
                 };
-                a.fill(tids, col, cands)?;
+                a.fill(at, tids, col, cands)?;
             }
         }
         if self.attrs.iter().any(AttrScan::walks) {
@@ -245,12 +342,18 @@ impl<'a> Bounds<'a> {
                 for (a, col) in self.attrs.iter_mut().zip(self.lbs.chunks_exact_mut(BLOCK)) {
                     if a.walks() {
                         let col = col.get_mut(i..=i).ok_or_else(too_long)?;
-                        a.fill(tid, col, Cands::default())?;
+                        a.fill(at + i as u64, tid, col, Cands::default())?;
                     }
                 }
             }
         }
         Ok(())
+    }
+
+    /// Where the walk at position `at` may start its next block for this
+    /// query: its next candidate, if it leaps (see [`Leap`]).
+    fn next_candidate(&self, at: u64) -> Option<u64> {
+        least(self.attrs.iter().map(|a| a.next_candidate(at)))
     }
 
     /// `diffs[a] = λₐ · (block position i's bound on attribute a, its
@@ -413,15 +516,22 @@ impl IvaIndex {
         let mut refine_wall = 0u64;
         let (cpu_start, wall_start) = (thread_cpu_time(), monotonic_nanos());
         let (mut tids, mut ptrs) = (Vec::with_capacity(BLOCK), Vec::with_capacity(BLOCK));
-        let mut left = range.end.saturating_sub(range.start);
-        while left > 0 {
+        let mut at = range.start;
+        while at < range.end {
+            // Where every lane leaps, the next block starts at the lowest
+            // next candidate among them.
+            let to = least(lanes.iter().map(|l| l.bounds.next_candidate(at)));
+            if let Some(to) = to.map(|to| to.min(range.end)).filter(|&to| to > at) {
+                tsrc.leap(to - at)?;
+                at = to;
+                continue;
+            }
             tids.clear();
             ptrs.clear();
-            tsrc.next_block(block_len(left), &mut tids, &mut ptrs)?;
-            left = left.saturating_sub(tids.len() as u64);
+            tsrc.next_block(block_len(range.end - at), &mut tids, &mut ptrs)?;
             for lane in lanes.iter_mut() {
                 lane.carry.stats.tuples_scanned += tids.len() as u64;
-                lane.bounds.fill(&tids)?;
+                lane.bounds.fill(at, &tids)?;
                 // Admission stays per candidate, in scan order: a drain
                 // inside the block tightens the pool for the rest of it.
                 for i in positions(lane.bounds.cands) {
@@ -449,6 +559,7 @@ impl IvaIndex {
                     }
                 }
             }
+            at += tids.len() as u64;
         }
         for lane in lanes.iter_mut() {
             refine_wall += refiner.drain(lane)?;
@@ -573,7 +684,8 @@ mod tests {
     use super::*;
     use crate::build::{build_index, IndexTarget};
     use crate::config::IvaConfig;
-    use crate::metric::MetricKind;
+    use crate::index::IvaIndex;
+    use crate::metric::{MetricKind, WeightScheme};
     use crate::parallel::QueryOptions;
     use iva_storage::{IoStats, PagerOptions};
     use iva_swt::{AttrId, Tuple, Value};
@@ -613,6 +725,201 @@ mod tests {
         let spent = crate::timing::thread_cpu_time() - before;
         assert!(nanos.filter > 0 && nanos.refine > 0, "{nanos:?}");
         assert!(nanos.filter + nanos.refine <= spent, "{nanos:?} > {spent}");
+    }
+
+    /// A one-attribute table over `rows` (`None`: undefined), its packed
+    /// index, then `tail` inserted into both (RAW tail frames) and the
+    /// first `deleted` tuples that hold "canon" tombstoned.
+    fn one_attr(rows: &[Option<Vec<String>>], tail: usize, deleted: usize) -> (SwtTable, IvaIndex) {
+        let opts = PagerOptions {
+            page_size: 512,
+            cache_bytes: 1 << 20,
+        };
+        let mut table = SwtTable::create_mem(&opts, IoStats::new()).unwrap();
+        let a = table.define_text("a").unwrap();
+        let tuple = |v: &Option<Vec<String>>| {
+            let mut t = Tuple::new();
+            if let Some(v) = v {
+                t.set(a, Value::texts(v.clone()));
+            }
+            t
+        };
+        for v in rows {
+            table.insert(&tuple(v)).unwrap();
+        }
+        let cfg = IvaConfig::default();
+        let mut index = build_index(&table, IndexTarget::Mem, &opts, IoStats::new(), cfg).unwrap();
+        for v in rows.iter().take(tail) {
+            let t = tuple(v);
+            let (tid, ptr) = table.insert(&t).unwrap();
+            index.insert(tid, ptr, &t, table.catalog()).unwrap();
+        }
+        let canon = |v: &&Option<Vec<String>>| v.iter().flatten().any(|s| s == "canon");
+        let holders = rows.iter().enumerate().filter(|(_, v)| canon(v));
+        for (tid, _) in holders.take(deleted) {
+            let ptr = index.lookup_ptr(tid as u64).unwrap().unwrap();
+            table.delete(ptr).unwrap();
+            assert!(index.delete(tid as u64).unwrap());
+        }
+        (table, index)
+    }
+
+    /// Row `i` of the leap tests: 70 of every 100 rows defined (the rest
+    /// NDF_RUN frames), every ninth undefined inside PACKED frames, and one
+    /// value that holds "canon" only as its second string.
+    fn row(i: usize) -> Option<Vec<String>> {
+        let vocab: [&[&str]; 6] = [
+            &["canon"],
+            &["nikon"],
+            &["zzzzzzzz", "canon"],
+            &["sony", "pentax"],
+            &["canon eos"],
+            &["leica"],
+        ];
+        let v = vocab[(i * 7 + i / 13) % 6].iter().map(|s| s.to_string());
+        (i % 100 < 70 && i % 9 != 4).then(|| v.collect())
+    }
+
+    /// From any start, with and without a RAW tail and tombstones, a fill
+    /// that leaps writes exactly what the seeded fill over the frames
+    /// writes — the candidate mask, and the bits of every bound it holds
+    /// (the only slots the walk reads) — block by block: a value admitted
+    /// only by its second string is a candidate, one at the start position
+    /// is, and the blocks that reach past the postings' cover walk the
+    /// tail.
+    #[test]
+    fn a_leaping_fill_is_the_seeded_fill_over_the_frames() {
+        let rows: Vec<_> = (0..2500).map(row).collect();
+        let q = Query::new().text(AttrId(0), "canon");
+        for (tail, deleted) in [(0, 0), (40, 0), (40, 9), (0, 900)] {
+            let (_, index) = one_attr(&rows, tail, deleted);
+            let n = index.n_tuples();
+            let matchers = index.query_matchers(&q);
+            let metric = (&[1.0][..], &MetricKind::L2);
+            let open = || {
+                let mut carry = ScanCarry::new(10);
+                let (shared, seed, _) = index
+                    .prepare_query_timed(&q, &matchers, metric, &mut carry)
+                    .unwrap();
+                (shared, seed.expect("seeded"))
+            };
+            let ((shared, seed), (_, mut walked)) = (open(), open());
+            walked.leap = None;
+            // 900 tombstones raise the bound until most positions pass.
+            assert_eq!(seed.leap.is_some(), deleted < 900, "{tail} {deleted}");
+            let cands: Vec<u64> = seed
+                .leap
+                .iter()
+                .flat_map(|l| (0..).map_while(|i| l.get(i)))
+                .map(|(p, _)| p)
+                .collect();
+            let edges = cands
+                .iter()
+                .take(4)
+                .flat_map(|&c| [c.saturating_sub(1), c, c + 1]);
+            let starts =
+                (0..n)
+                    .step_by(97)
+                    .chain(edges)
+                    .chain([1023, 1024, 1025, 2499, 2500, n - 1]);
+            for start in starts.filter(|&s| s < n) {
+                let mut both =
+                    [&seed, &walked].map(|s| Bounds::open(&index, &shared, Some(s)).unwrap());
+                let mut tsrc = index.open_tuple_source().unwrap();
+                tsrc.skip_entries(start).unwrap();
+                for b in &mut both {
+                    b.attrs.iter_mut().for_each(|a| a.seek(start).unwrap());
+                }
+                let (mut at, mut tids, mut ptrs) = (start, Vec::new(), Vec::new());
+                while at < n {
+                    tids.clear();
+                    ptrs.clear();
+                    tsrc.next_block(block_len(n - at), &mut tids, &mut ptrs)
+                        .unwrap();
+                    for b in &mut both {
+                        b.lbs.fill(f64::from_bits(0x7FF8_0000_DEAD_BEEF));
+                        b.fill(at, &tids).unwrap();
+                    }
+                    let [leapt, walked] = &both;
+                    let ctx =
+                        format!("tail {tail}, deleted {deleted}, start {start}, block at {at}");
+                    assert_eq!(leapt.cands, walked.cands, "{ctx}");
+                    let bits = |b: &Bounds| {
+                        let at = |i: usize| b.lbs.get(i).map(|v| v.to_bits());
+                        positions(b.cands).map(at).collect::<Vec<_>>()
+                    };
+                    assert_eq!(bits(leapt), bits(walked), "{ctx}");
+                    at += tids.len() as u64;
+                }
+            }
+        }
+    }
+
+    /// A leaping query over a list with no RAW tail reads no vector-list
+    /// frame past the dictionary its probe loads, and of the directory
+    /// only the frames that hold a candidate, whole, and every other
+    /// frame's header: the index's list-byte counter is exactly that.
+    #[test]
+    fn a_leaping_query_reads_only_the_frames_its_candidates_need() {
+        let rows: Vec<_> = (0..5000)
+            .map(|i: usize| {
+                let needle = (1100..1110).contains(&i) || i == 3100;
+                Some(vec![if needle {
+                    "needle".into()
+                } else {
+                    format!("hay {}", i % 50)
+                }])
+            })
+            .collect();
+        let (table, index) = one_attr(&rows, 0, 0);
+        let entry = index.attr_entry(AttrId(0)).unwrap();
+        assert_eq!(
+            (entry.list_type, entry.encoding),
+            (crate::ListType::III, ListEncoding::Packed)
+        );
+        let q = Query::new().text(AttrId(0), "needle");
+        let io = index.io_stats();
+        // The probe: the list's prologue and its DICT frame.
+        let before = io.snapshot();
+        let matchers = index.query_matchers(&q);
+        let (metric, mut carry) = ((&[1.0][..], &MetricKind::L2), ScanCarry::new(5));
+        let (_, seed, _) = index
+            .prepare_query_timed(&q, &matchers, metric, &mut carry)
+            .unwrap();
+        let probe = io.snapshot().since(&before).logical_list_bytes;
+        assert!(seed.is_some_and(|s| s.leap.is_some()));
+        // The directory as the build laid it out: `[kind][elems][len]`
+        // and the payload, frame by frame.
+        let column = index.read_tuple_column().unwrap();
+        let entries: Vec<(u32, u64)> = column
+            .tids
+            .iter()
+            .copied()
+            .zip(column.ptrs.iter().copied())
+            .collect();
+        let dir = crate::dirlist::encode_dir(&entries);
+        let (mut at, mut first, mut expected) = (0usize, 0usize, probe + 8);
+        while at < dir.len() {
+            let elems = u32::from_le_bytes(dir[at + 1..at + 5].try_into().unwrap()) as usize;
+            let len = u32::from_le_bytes(dir[at + 5..at + 9].try_into().unwrap()) as u64;
+            let holds = rows[first..first + elems]
+                .iter()
+                .flatten()
+                .any(|v| v[0] == "needle");
+            expected += 9 + if holds { len } else { 0 };
+            (at, first) = (at + 9 + len as usize, first + elems);
+        }
+        let before = io.snapshot();
+        let out = index
+            .query(&table, &q, 5, &MetricKind::L2, WeightScheme::Equal)
+            .unwrap();
+        assert_eq!(io.snapshot().since(&before).logical_list_bytes, expected);
+        assert_eq!(out.stats.positions_weighed, 11);
+        assert!(
+            out.stats.tuples_scanned < 3 * BLOCK as u64,
+            "{:?}",
+            out.stats
+        );
     }
 
     /// A weight vector shorter than the query used to be zipped away

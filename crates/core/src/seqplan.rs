@@ -53,8 +53,8 @@ impl IvaIndex {
             tids.clear();
             ptrs.clear();
             tsrc.next_block(block_len(left), &mut tids, &mut ptrs)?;
+            bounds.fill(self.n_tuples() - left, &tids)?;
             left = left.saturating_sub(tids.len() as u64);
-            bounds.fill(&tids)?;
             for (i, (&tid, &ptr)) in tids.iter().zip(&ptrs).enumerate() {
                 if ptr != TOMBSTONE_PTR {
                     let exact = bounds.weigh(i, lambda, ndf, &mut diffs);

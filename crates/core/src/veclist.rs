@@ -50,7 +50,7 @@ use iva_text::{PreparedMatcher, SigCodec};
 
 use crate::error::{IvaError, Result};
 use crate::numeric::NumericCodec;
-use crate::packed::{Bound, Cands, Frame, Org, PackedReader, Seed};
+use crate::packed::{Bound, Cands, Frame, Leap, Org, PackedReader, Seed};
 
 /// Width of a tuple id in list elements (the paper's `ltid`).
 pub const LTID: usize = 4;
@@ -738,6 +738,15 @@ impl TextListCursor {
             };
         }
         Ok(())
+    }
+
+    /// Position a fresh cursor over a packed list past the frames `leap`
+    /// covers, by their headers ([`PackedReader::skip_covered`]).
+    pub(crate) fn skip_covered(&mut self, leap: &Leap) -> Result<()> {
+        match &mut self.reader {
+            ElemReader::Packed(p) => p.skip_covered(leap),
+            ElemReader::Raw(_) => Err(IvaError::Corrupt("postings of a raw list".into())),
+        }
     }
 
     /// Position a fresh cursor past the first `n` positional elements, so

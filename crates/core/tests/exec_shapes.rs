@@ -144,10 +144,12 @@ fn one_window_fetches_within_the_probe_bound() {
 }
 
 /// On a seeded query — a dense attribute whose packed list's dictionary
-/// holds strings — serial, 2-thread (the second lane starts mid-frame)
-/// and each member of a batch of two scan the same positions and weigh the
-/// same few of them: the threaded shape merges every counter, not a list
-/// of them.
+/// holds strings and postings — serial, 2-thread (the second lane starts
+/// mid-frame) and each member of a batch of two weigh the same few
+/// positions: the threaded shape merges every counter, not a list of them.
+/// Each leaps from candidate to candidate, so it scans far fewer than the
+/// 3,000 positions — the batch's two like lanes exactly what the serial
+/// lane scans, the threads what their own blocks hold.
 #[test]
 fn every_shape_counts_the_positions_it_weighs() {
     let mut t = SwtTable::create_mem(&opts(), IoStats::new()).unwrap();
@@ -179,9 +181,10 @@ fn every_shape_counts_the_positions_it_weighs() {
         .unwrap();
     let s = serial.stats;
     assert!(s.dict_distances > 0, "not seeded: {s:?}");
-    assert_eq!(s.tuples_scanned, 3000);
     // The values at distance 0: i ≡ 17 (mod 200), less every ninth row.
     assert!((10..=15).contains(&s.positions_weighed), "{s:?}");
+    // A block of at most 256 positions from each candidate.
+    assert!(s.tuples_scanned <= 15 * 256, "{s:?}");
     let shapes = [
         ("2 threads", &threads),
         ("batch 0", &batch[0]),
@@ -189,7 +192,14 @@ fn every_shape_counts_the_positions_it_weighs() {
     ];
     for (shape, out) in shapes {
         assert_bit_identical(&serial, out, shape);
-        let counts = |s: &iva_core::QueryStats| (s.tuples_scanned, s.positions_weighed);
-        assert_eq!(counts(&out.stats), counts(&s), "{shape}");
+        assert_eq!(out.stats.positions_weighed, s.positions_weighed, "{shape}");
+        let scanned = out.stats.tuples_scanned;
+        assert!(
+            (s.positions_weighed..=15 * 256).contains(&scanned),
+            "{shape}"
+        );
+        if shape.starts_with("batch") {
+            assert_eq!(scanned, s.tuples_scanned, "{shape}");
+        }
     }
 }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use common::{all_list_types_table, small_pages};
 use iva_core::{
     build_index, segment_base, segment_index_path, IndexTarget, IndexedTable, IvaConfig, IvaError,
-    MetricKind, Query, WeightScheme, INDEX_VERSION_V4, INDEX_VERSION_V5,
+    MetricKind, Query, WeightScheme, INDEX_VERSION_V4, INDEX_VERSION_V5, INDEX_VERSION_V6,
 };
 use iva_storage::{DomainPin, IoStats, MemVfs, PageId, Pager, Vfs, FRAME_TRAILER, SUPERBLOCK_LEN};
 use iva_swt::{AttrId, Catalog, SwtTable, Tuple, Value};
@@ -40,6 +40,9 @@ enum State {
     /// A v5 index holding packed text lists: a format from before their
     /// dictionaries' strings, which is stale.
     PackedTextV5,
+    /// A v6 index holding packed text lists: a format from before their
+    /// postings, which is stale.
+    PackedTextV6,
     /// A v4 index whose lists are all raw: a format still current.
     RawOnlyV4,
 }
@@ -198,22 +201,27 @@ fn arrange(mem: &MemVfs, n: &Names, domains: Option<&[DomainPin]>, state: State)
             mem.set_contents(&n.rebuild_tmp, garbage);
         }
         State::StaleTemporary => mem.set_contents(&n.rebuild_tmp, garbage),
-        State::PackedTextV4 | State::PackedTextV5 | State::RawOnlyV4 => {
-            let opts = small_pages();
-            let pager = Pager::open_with_vfs(mem, &n.index, &opts, IoStats::new()).unwrap();
+        State::PackedTextV4 | State::PackedTextV5 | State::PackedTextV6 | State::RawOnlyV4 => {
             let version = match state {
                 State::PackedTextV5 => INDEX_VERSION_V5,
+                State::PackedTextV6 => INDEX_VERSION_V6,
                 _ => INDEX_VERSION_V4,
             };
-            // The header's version field follows its 4-byte magic.
-            pager
-                .update_page(PageId(0), |p| {
-                    p[4..8].copy_from_slice(&version.to_le_bytes())
-                })
-                .unwrap();
-            pager.sync().unwrap();
+            relabel(mem, &n.index, version);
         }
     }
+}
+
+/// Rewrite the format version in the header of the index at `path`.
+fn relabel(mem: &MemVfs, path: &Path, version: u32) {
+    let pager = Pager::open_with_vfs(mem, path, &small_pages(), IoStats::new()).unwrap();
+    // The header's version field follows its 4-byte magic.
+    pager
+        .update_page(PageId(0), |p| {
+            p[4..8].copy_from_slice(&version.to_le_bytes())
+        })
+        .unwrap();
+    pager.sync().unwrap();
 }
 
 #[test]
@@ -228,6 +236,7 @@ fn open_reuses_a_matching_index_and_rebuilds_any_other() {
         State::StaleTemporary,
         State::PackedTextV4,
         State::PackedTextV5,
+        State::PackedTextV6,
         State::RawOnlyV4,
     ];
     for state in states {
@@ -279,6 +288,69 @@ fn open_reuses_a_matching_index_and_rebuilds_any_other() {
             }
         }
     }
+}
+
+/// A v6 store whose dense text list has string sections — so a v7 build
+/// gives it postings, and a 1-value query on it leaps — opens once as
+/// stale and rebuilds; the rebuilt pair answers as the store did before,
+/// by tid and distance bits, leaping; and the next open reuses it.
+#[test]
+fn a_v6_store_with_a_string_section_list_rebuilds_once() {
+    let (mem, n) = (MemVfs::new(), names(false));
+    let vfs: Arc<dyn Vfs> = Arc::new(mem.clone());
+    let mut source = SwtTable::create_mem(&small_pages(), IoStats::new()).unwrap();
+    let brand = source.define_text("brand").unwrap();
+    for i in 0..1500u32 {
+        let value = format!("{} {}", ["canon", "nikon", "sony"][i as usize % 3], i % 40);
+        source
+            .insert(&Tuple::new().with(brand, Value::text(value)))
+            .unwrap();
+    }
+    let config = IvaConfig::default();
+    let stage = Some((&vfs, n.base.as_path(), n.index.as_path()));
+    let (pages, io) = (small_pages(), IoStats::new);
+    IndexedTable::stage(
+        &[&source],
+        stage,
+        source.catalog(),
+        &pages,
+        config,
+        None,
+        io(),
+        io(),
+    )
+    .unwrap();
+    let q = Query::new().text(brand, "nikon 7");
+    let search = |pair: &IndexedTable| {
+        let (index, table) = pair.searchable().unwrap();
+        let out = index
+            .query(table, &q, 10, &MetricKind::L2, WeightScheme::Equal)
+            .unwrap();
+        let hits: Vec<_> = out
+            .results
+            .iter()
+            .map(|e| (e.tid, e.dist.to_bits()))
+            .collect();
+        (hits, out.stats)
+    };
+    let (want, stats) = search(&open(&vfs, &n, None));
+    assert!(
+        stats.dict_distances > 0 && stats.tuples_scanned < 1500,
+        "{stats:?}"
+    );
+    relabel(&mem, &n.index, INDEX_VERSION_V6);
+    let pair = open(&vfs, &n, None);
+    assert!(
+        pair.index_io().snapshot().bytes_written > 0,
+        "a v6 store is rebuilt"
+    );
+    let (got, stats) = search(&pair);
+    assert_eq!(got, want);
+    assert!(stats.tuples_scanned < 1500, "{stats:?}");
+    drop(pair);
+    let again = open(&vfs, &n, None);
+    assert_eq!(again.index_io().snapshot().bytes_written, 0, "rebuilt once");
+    assert_eq!(search(&again).0, want);
 }
 
 /// The pins are not decoration: the same table under derived domains

@@ -323,7 +323,7 @@ fn seeded_pair(
 }
 
 /// `q` on attribute 0 at weight `lambda` under `metric`: seeded, and the
-/// top-k at 1, 2 and 3 threads (lanes that start mid-frame) is the brute
+/// top-k at 1 to 4 threads (lanes that start mid-frame) is the brute
 /// force's at the index's *ndf* penalty, by tid and distance bits. The
 /// serial run's counters.
 fn check_seeded<M: Metric + Sync>(
@@ -348,7 +348,7 @@ fn check_seeded<M: Metric + Sync>(
         .collect();
     let matchers = index.query_matchers(&query);
     let mut serial = None;
-    for threads in [1, 2, 3] {
+    for threads in [1, 2, 3, 4] {
         let (o, mut carry) = (
             QueryOptions {
                 threads: Some(threads),
@@ -470,11 +470,11 @@ fn one_walk_serves_scan_and_export() {
     const NUM: [u32; 3] = [3, 4, 5]; // dense, sparse, never defined
     let row = |i: u32| {
         let mut t = Tuple::new();
-        if i % 5 != 0 {
+        if !i.is_multiple_of(5) {
             let strings = (0..1 + i % 3).map(|j| format!("listing {i:04} part {j}"));
             t.set(AttrId(0), Value::texts(strings));
         }
-        if i % 9 == 0 {
+        if i.is_multiple_of(9) {
             t.set(AttrId(1), Value::text(format!("note {i}")));
         }
         // Undefined in runs of 30: long enough for NDF_RUN frames, which
@@ -482,7 +482,7 @@ fn one_walk_serves_scan_and_export() {
         if i % 80 < 50 {
             t.set(AttrId(3), Value::num(f64::from(i % 89)));
         }
-        if i % 13 == 0 {
+        if i.is_multiple_of(13) {
             t.set(AttrId(4), Value::num(f64::from(i)));
         }
         t

@@ -200,7 +200,8 @@ fn lying_header_counts_are_corrupt_at_open() {
     let dir = std::env::temp_dir().join(format!("iva-counts-{}", std::process::id()));
     RealVfs.create_dir_all(&dir).unwrap();
     let path = dir.join("x.iva");
-    let edits: [(&str, fn(&mut IndexHeader)); 6] = [
+    type Edit = fn(&mut IndexHeader);
+    let edits: [(&str, Edit); 6] = [
         ("n_attrs", |h| h.n_attrs = u32::MAX),
         ("n_attrs + 1", |h| h.n_attrs += 1),
         ("n_tuples", |h| h.n_tuples = u64::MAX),
@@ -863,6 +864,118 @@ mod fuzz_packed {
             walked.as_ref().is_err_and(corrupt),
             "numeric: walk {walked:?}"
         );
+    }
+
+    /// A Type III DICT frame's postings section (format v7), in each lie a
+    /// disk can tell: truncated, counts one off either way, a position at
+    /// or past `covered`, a run that descends, a cover wider than the
+    /// tuple-id space, and postings on a Type I list. Each is `Corrupt` to
+    /// the whole-image decode and to the walk, which loads the dictionary
+    /// whole — never a panic. The honest frame decodes and walks.
+    #[test]
+    fn lying_postings_are_corrupt() {
+        use iva_core::IvaError;
+        let ch = sig_codec().ch_bytes(0);
+        // `[n u32][width 8][a byte per value]`, and the bytes after it.
+        let section = |n: u32, vals: &[u8], then: &[u8]| {
+            let mut s = n.to_le_bytes().to_vec();
+            s.push(8);
+            s.extend_from_slice(vals);
+            s.extend_from_slice(then);
+            s
+        };
+        // 200 positions: "a" at 0, "b" then "a" at 5, the rest undefined.
+        let logical = 200 + 3 * (1 + ch) as u64;
+        // `[covered][raw]`, the runs' lengths, then positions at 8 bits.
+        let postings = |covered: u64, lens: &[u8], posts: &[u8]| {
+            let mut p = covered.to_le_bytes().to_vec();
+            p.extend_from_slice(&logical.to_le_bytes());
+            p.extend(section(2, lens, posts));
+            p
+        };
+        let dict = |postings: Vec<u8>| {
+            let mut d = vec![0u8];
+            d.resize(1 + 2 * ch, 0xA5);
+            d.extend(section(2, &[1, 1], b"ab"));
+            d.extend(section(2, &[1, 1], &postings));
+            d
+        };
+        // Six Type III elements — string counts 1, 0, 0, 0, 0, 2 at two
+        // bits, codes 0, 1, 0 at one — then 194 undefined.
+        let value: &[u8] = &[2, 1, 8, 1, 2];
+        let list = |dict: &[u8], ty: ListType| {
+            let mut l = frames_list(&[(DICT, 2, dict), (PACKED, 6, value), (2, 194, &[])]);
+            if ty == ListType::I {
+                l = frames_list(&[(DICT, 2, dict)]);
+            }
+            l[..8].copy_from_slice(&logical.to_le_bytes());
+            l
+        };
+        let honest = dict(postings(200, &[2, 1], &[0, 5, 5]));
+        let whole = open_packed(&list(&honest, ListType::III), true, ListType::III)
+            .unwrap()
+            .decode_to_vec();
+        assert!(whole.is_ok(), "honest: {whole:?}");
+        let all: Vec<u32> = (0..200).collect();
+        let walk = |stored: &[u8], ty: ListType| {
+            let (codec, mut out) = (sig_codec(), [0.0; 200]);
+            let matcher = PreparedMatcher::new(&codec, b"ab");
+            let mut cur = TextListCursor::new_packed(open_packed(stored, true, ty).unwrap(), ty);
+            cur.fill_block(&all, &codec, &matcher, &mut out)
+        };
+        walk(&list(&honest, ListType::III), ListType::III).unwrap();
+        let lies = [
+            ("truncated", postings(200, &[2, 1], &[0, 5]), ListType::III),
+            (
+                "a count one short",
+                postings(200, &[2, 0], &[0, 5, 5]),
+                ListType::III,
+            ),
+            (
+                "a count one long",
+                postings(200, &[2, 2], &[0, 5, 5]),
+                ListType::III,
+            ),
+            (
+                "a position at the cover",
+                postings(200, &[2, 1], &[0, 200, 5]),
+                ListType::III,
+            ),
+            (
+                "a descending run",
+                postings(200, &[2, 1], &[5, 0, 5]),
+                ListType::III,
+            ),
+            (
+                "a repeated position",
+                postings(200, &[2, 1], &[5, 5, 5]),
+                ListType::III,
+            ),
+            (
+                "a cover past the tids",
+                postings(1 << 33, &[2, 1], &[0, 5, 5]),
+                ListType::III,
+            ),
+            (
+                "postings on Type I",
+                postings(200, &[2, 1], &[0, 5, 5]),
+                ListType::I,
+            ),
+        ];
+        let corrupt = IvaError::is_corruption;
+        for (what, postings, ty) in lies {
+            let stored = list(&dict(postings), ty);
+            let whole = open_packed(&stored, true, ty).unwrap().decode_to_vec();
+            assert!(
+                whole.as_ref().is_err_and(corrupt),
+                "{what}: decode {whole:?}"
+            );
+            let walked = walk(&stored, ty);
+            assert!(
+                walked.as_ref().is_err_and(corrupt),
+                "{what}: walk {walked:?}"
+            );
+        }
     }
 
     proptest! {

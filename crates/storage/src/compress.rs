@@ -7,10 +7,10 @@
 //! compression-based index structures. This module provides the
 //! primitives: a packer that appends `n` values at `width` bits each
 //! (LSB-first within and across bytes), a checked one-value-at-a-time
-//! [`BitUnpacker`], and a bulk [`unpack_bits`] that inflates a whole
-//! section with it in one call. Reading is word-at-a-time: a value of up
-//! to 56 bits is one unaligned 8-byte little-endian load, a shift and a
-//! mask; only the last few values of a buffer (whose 8-byte window would
+//! [`BitUnpacker`], and a bulk [`unpack_bits`] that sizes its output once
+//! and writes a whole section into it. Reading is word-at-a-time: a value
+//! of up to 56 bits is one unaligned 8-byte little-endian load, a shift
+//! and a mask; only the last few values of a buffer (whose 8-byte window would
 //! run past its end) and widths above 56 take the checked byte loop.
 //! Nothing ever indexes past the buffer — truncated input surfaces as
 //! `None`, never a panic, because these bytes come straight off disk.
@@ -69,15 +69,36 @@ fn low_bits(width: u32) -> u64 {
 /// values. At width 0 the values are `n` zeros and `buf` is not
 /// consulted, so the caller bounds `n`.
 pub fn unpack_bits(buf: &[u8], width: u32, n: usize, out: &mut Vec<u64>) -> Option<()> {
-    if n.checked_mul(width as usize)? > buf.len().checked_mul(8)? {
+    if width > 64 || n.checked_mul(width as usize)? > buf.len().checked_mul(8)? {
         return None;
     }
-    let values = BitUnpacker::new(buf, width)?;
-    if width == 0 {
-        out.resize(out.len() + n, 0);
-    } else {
-        out.reserve(n);
-        out.extend(values.take(n));
+    let (start, w, mask) = (out.len(), width as usize, low_bits(width));
+    out.resize(start + n, 0);
+    if w == 0 {
+        return Some(());
+    }
+    let slots = out.get_mut(start..).unwrap_or(&mut []);
+    // Value `i` starts at bit `i·w`; its window is in bounds while that
+    // bit's byte is at most `len − 8`, and holds it whole up to 56 bits.
+    let windowed = match (width <= WINDOW_WIDTH, buf.len().checked_sub(8)) {
+        (true, Some(last)) => ((last * 8 + 7) / w + 1).min(n),
+        _ => 0,
+    };
+    let (fast, rest) = slots.split_at_mut(windowed);
+    for (i, slot) in fast.iter_mut().enumerate() {
+        let bit = i * w;
+        *slot = (le_u64(buf, bit >> 3).unwrap_or(0) >> (bit & 7)) & mask;
+    }
+    let mut tail = BitUnpacker::new(buf, width)?;
+    tail.bit_pos = windowed * w;
+    for slot in rest {
+        match tail.next() {
+            Some(v) => *slot = v,
+            None => {
+                out.truncate(start);
+                return None;
+            }
+        }
     }
     Some(())
 }
@@ -208,6 +229,37 @@ mod tests {
                 let spare_bits = buf.len() * 8 - values.len() * width as usize;
                 if (spare_bits as u32) < width {
                     assert_eq!(tail.next(), None);
+                }
+            }
+        }
+    }
+
+    /// Both sides of the 8-byte window edge: runs whose last values leave
+    /// the windowed loop for the checked one (and, past 56 bits, runs that
+    /// never enter it), each ending one byte before, at and after the
+    /// edge. A buffer one byte short is `None` and leaves `out` as it was.
+    #[test]
+    fn bulk_unpack_meets_the_window_edge_at_every_width() {
+        for width in 0..=64u32 {
+            let w = width as usize;
+            let edge = if w == 0 { 8 } else { 64usize.div_ceil(w) };
+            for len in [edge.saturating_sub(1), edge, edge + 1, 2 * edge + 3] {
+                let values: Vec<u64> = (0..len as u64)
+                    .map(|i| (i.wrapping_mul(0x2545_F491_4F6C_DD1D) + 3) & low_bits(width))
+                    .collect();
+                let mut buf = Vec::new();
+                pack_bits(&values, width, &mut buf);
+                let mut out = vec![9u64, 9];
+                unpack_bits(&buf, width, len, &mut out).unwrap();
+                assert_eq!(
+                    (&out[..2], &out[2..]),
+                    (&[9, 9][..], &values[..]),
+                    "w={width}"
+                );
+                if let Some(short) = buf.len().checked_sub(1) {
+                    let mut out = vec![9u64];
+                    assert_eq!(unpack_bits(&buf[..short], width, len, &mut out), None);
+                    assert_eq!(out, [9], "w={width} n={len}");
                 }
             }
         }

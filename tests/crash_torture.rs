@@ -413,7 +413,9 @@ fn run_lsm_workload(vfs: Arc<dyn Vfs>) -> Outcome {
 /// live. Returns the recovered live map for the model check.
 fn lsm_recovered_state(db: &LsmDb, acked: &Shadow, pending: Option<&Shadow>, ctx: &str) -> Shadow {
     let pending = pending.unwrap_or(acked);
-    let mut union: Vec<(Tid, (Option<&Tuple>, Option<&Tuple>))> = Vec::new();
+    // Per tuple: its acked and its pending version.
+    type Versions<'a> = (Option<&'a Tuple>, Option<&'a Tuple>);
+    let mut union: Vec<(Tid, Versions<'_>)> = Vec::new();
     fn lookup(s: &Shadow, tid: Tid) -> Option<&Tuple> {
         s.iter().find(|(t, _)| *t == tid).map(|(_, tup)| tup)
     }
@@ -510,7 +512,7 @@ fn verify_lsm_recovery(disk: Arc<dyn Vfs>, outcome: &Outcome, ctx: &str) {
 
 #[test]
 fn lsm_power_cut_sweep_recovers_committed_state() {
-    let seed = 0x15E6_0D_B0u64;
+    let seed = 0x15E6_0DB0_u64;
 
     let dry = FaultVfs::passthrough(seed);
     let outcome = run_lsm_workload(Arc::new(dry.clone()));

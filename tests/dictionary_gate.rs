@@ -14,6 +14,16 @@
 //! 256-position blocks and 1,024-position frames that hold no position at
 //! or below `B`: what skipping by frame could skip at best.
 //!
+//! Then the postings (format v7): per list, its (string, position) pairs
+//! and the bytes its postings section takes by the format's layout, in
+//! total against the index's bytes; and per seeded query that leaps, its
+//! candidates (the positions holding a value at or below `B`, which it
+//! weighs), the tuple-list positions it scans, the directory frames that
+//! hold a candidate — the only ones it loads; it loads no vector-list
+//! frame, which `scan::tests::a_leaping_query_reads_only_the_frames_its_candidates_need`
+//! pins by the list-byte counter — and the list bytes it reads. Last, that
+//! no `mixed_lsm` segment list carries string sections, and so postings.
+//!
 //! `cargo test --release --offline --test dictionary_gate -- --ignored --nocapture`
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -26,6 +36,7 @@ use iva_file::{
     AttrId, AttrType, IoStats, IvaConfig, LsmDb, LsmOptions, MetricKind, PagerOptions, Query,
     QueryValue, SwtTable, Value, WeightScheme,
 };
+use iva_storage::compress::{bit_width, packed_len};
 use iva_text::edit_distance;
 use iva_workload::Zipf;
 use rand::rngs::StdRng;
@@ -152,6 +163,34 @@ fn dictionary_seed_on_perf_data() {
         lists.len(),
         index.size_bytes()
     );
+    // The postings section by the format's layout: `[covered][raw]`, the
+    // `[D u32][bw u8][n × D]` run lengths, the positions at ⌈log₂ n⌉ bits.
+    let n = dataset.tuples.len();
+    let mut postings = 0;
+    for (a, _) in &lists {
+        let values = dataset
+            .tuples
+            .iter()
+            .filter_map(|t| t.get(AttrId(*a as u32)));
+        let mut runs: BTreeMap<&String, usize> = BTreeMap::new();
+        for v in values {
+            let distinct: BTreeSet<&String> = strings(v).iter().collect();
+            distinct
+                .into_iter()
+                .for_each(|s| *runs.entry(s).or_default() += 1);
+        }
+        let pairs: usize = runs.values().sum();
+        let longest = runs.values().max().copied().unwrap_or(0) as u64;
+        let width = bit_width(n as u64 - 1);
+        let bytes = 16 + 5 + packed_len(runs.len(), bit_width(longest)) + packed_len(pairs, width);
+        postings += bytes;
+        println!("attr_{a}: {pairs} (string, position) pairs, postings {bytes} B at {width} bits");
+    }
+    println!(
+        "postings: {postings} B in all, {:.2} % of the index's {} B",
+        100.0 * postings as f64 / index.size_bytes() as f64,
+        index.size_bytes()
+    );
 
     let queries = zipf_queries(&dataset, 128);
     let on_list = |q: &&Query| {
@@ -167,6 +206,7 @@ fn dictionary_seed_on_perf_data() {
     let (mut probe, mut bound, mut within, mut distinct) = (vec![], vec![], vec![], vec![]);
     let (mut admits, mut fetches, mut micros) = (vec![], vec![], vec![]);
     let mut weighed = vec![];
+    let (mut cands, mut scanned, mut dir_frames, mut list_bytes) = (vec![], vec![], vec![], vec![]);
     // Per attribute: (queries, 256-blocks, 1,024-frames) with no position
     // at or below `B`, summed.
     let mut empty: BTreeMap<usize, (usize, usize, usize)> = BTreeMap::new();
@@ -174,12 +214,19 @@ fn dictionary_seed_on_perf_data() {
         let Some((attr, QueryValue::Text(s))) = q.iter().next() else {
             continue;
         };
+        let before = index.io_stats().snapshot();
         let runs: Vec<_> = (0..7)
             .map(|_| {
                 let out = index.query(&table, q, 10, &MetricKind::L2, WeightScheme::Equal);
                 out.unwrap().stats
             })
             .collect();
+        let read = index
+            .io_stats()
+            .snapshot()
+            .since(&before)
+            .logical_list_bytes
+            / 7;
         probe.push(runs[0].dict_distances);
         weighed.push(runs[0].positions_weighed);
         admits.push(runs[0].walk_admits);
@@ -215,6 +262,12 @@ fn dictionary_seed_on_perf_data() {
             .map(|t| attr_difference(t.get(attr), &qv, ndf) <= b as f64)
             .collect();
         let none_in = |n: usize| cand.chunks(n).filter(|c| !c.contains(&true)).count();
+        if runs[0].tuples_scanned < n as u64 {
+            cands.push(cand.iter().filter(|&&c| c).count() as u64);
+            scanned.push(runs[0].tuples_scanned);
+            dir_frames.push((n.div_ceil(1024) - none_in(1024)) as u64);
+            list_bytes.push(read);
+        }
         let e = empty.entry(attr.index()).or_default();
         *e = (e.0 + 1, e.1 + none_in(256), e.2 + none_in(1024));
     }
@@ -237,6 +290,22 @@ fn dictionary_seed_on_perf_data() {
     }
     println!("fetches: {}", spread(fetches));
     println!("filter + refine CPU us (fastest of 7): {}", spread(micros));
+    println!(
+        "{} of {} seeded queries leap:",
+        cands.len(),
+        on_sections.len()
+    );
+    println!("  candidates: {}", spread(cands));
+    println!("  tuple-list positions scanned: {}", spread(scanned));
+    println!(
+        "  directory frames loaded (of {}): {}; vector-list frames loaded: 0",
+        n.div_ceil(1024),
+        spread(dir_frames)
+    );
+    println!(
+        "  list bytes read (dictionary + directory): {}",
+        spread(list_bytes)
+    );
 
     // `mixed_lsm`'s preload: every insert through the write path.
     let mut lsm = LsmDb::create_mem(LsmOptions {
@@ -260,7 +329,9 @@ fn dictionary_seed_on_perf_data() {
         .map(|s| sectioned(s.searchable().unwrap().0).len())
         .collect();
     println!(
-        "mixed_lsm after its preload: {} segments; lists with string sections per segment: {per_segment:?}",
+        "mixed_lsm after its preload: {} segments; lists with string sections, \
+         and so postings, per segment: {per_segment:?}",
         per_segment.len()
     );
+    assert!(per_segment.iter().all(|&lists| lists == 0));
 }

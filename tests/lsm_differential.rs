@@ -86,13 +86,13 @@ impl Rng {
 /// forces list organizations III, I/II, IV and I respectively.
 fn row(i: u64) -> Tuple {
     let mut tup = Tuple::new();
-    if i % 7 != 0 {
+    if !i.is_multiple_of(7) {
         tup.set(
             AttrId(0),
             Value::text(format!("product listing {:04}", i % 97)),
         );
     }
-    if i % 11 == 0 {
+    if i.is_multiple_of(11) {
         tup.set(
             AttrId(1),
             Value::texts([format!("note {}", i % 37), "extra".to_string()]),
@@ -101,7 +101,7 @@ fn row(i: u64) -> Tuple {
     if i % 10 != 9 {
         tup.set(AttrId(2), Value::num((i % 89) as f64));
     }
-    if i % 13 == 0 {
+    if i.is_multiple_of(13) {
         tup.set(AttrId(3), Value::num(i as f64));
     }
     tup

@@ -18,10 +18,12 @@
 //! the first) in every shape — threads 1, 2 and 3; batches with 0, 1 and 3
 //! companions, and an empty one; drain windows 1, 7, 64 and the default —
 //! and each answer must be the [`Model`]'s `(tid, distance bits)` under the
-//! engine's own λ. Every shape must scan the serial run's tuple-list
-//! entries and, where its lanes are serial (batch members), fetch its
-//! records; a packed twin scans what its raw twin scans and fetches no
-//! more; an `LsmDb` scans no more entries than the pair; tuple lists are
+//! engine's own λ. Every shape must weigh the serial run's positions
+//! and, where its lanes are serial (batch members), fetch its records; a
+//! raw engine scans every tuple-list entry in every shape, a packed one no
+//! more (a seeded walk leaps over the positions its postings rule out); a
+//! packed twin scans no more than its raw twin and fetches no more; an
+//! `LsmDb` scans no more entries than the pair; tuple lists are
 //! tid-ascending (an `LsmDb`'s across tiers); every live tuple reads back;
 //! a served write publishes its epochs. All instances together must probe
 //! every engine, draw every
@@ -235,11 +237,11 @@ fn threaded(threads: usize) -> QueryOptions {
 
 /// One execution: `(tid, distance bits)` in rank order, the rows it
 /// materialized (engines only), and `[table_accesses, tuples_scanned,
-/// list_bytes_logical, dict_distances]`.
+/// list_bytes_logical, dict_distances, positions_weighed]`.
 struct Answer {
     hits: Vec<(Tid, u64)>,
     rows: Vec<Tuple>,
-    counts: [u64; 4],
+    counts: [u64; 5],
 }
 
 type Batch = Result<Vec<Answer>>;
@@ -252,6 +254,7 @@ impl Answer {
             s.tuples_scanned,
             s.list_bytes_logical,
             s.dict_distances,
+            s.positions_weighed,
         ];
         Self { hits, rows, counts }
     }
@@ -507,6 +510,9 @@ struct Instance {
     defined: usize,
     /// Rows define the first attribute whatever their number.
     dense: bool,
+    /// Rows inserted since the last `Op::Rebuild`: an `IvaDb`'s packed
+    /// lists hold them in RAW tail frames.
+    since_rebuild: u64,
 }
 
 impl Instance {
@@ -590,6 +596,7 @@ impl Instance {
             _ => self.each((), |db| db.maintain(op))?,
         }
         if let Op::Rebuild = op {
+            self.since_rebuild = 0;
             // Every index but the pairs' is a fresh build now, and a build
             // stores a list packed only where that is smaller.
             let bytes = |i: usize| {
@@ -611,7 +618,7 @@ impl Instance {
     /// next tid.
     fn insert(&mut self, f: impl Fn(&mut dyn Db, &Tuple) -> Result<Tid>) -> Verdict {
         let tuple = row(self.next_row, self.defined, self.dense);
-        self.next_row += 1;
+        (self.next_row, self.since_rebuild) = (self.next_row + 1, self.since_rebuild + 1);
         self.each(self.next_tid, |db| f(db, &tuple))?;
         self.model.live.insert(self.next_tid, tuple);
         self.next_tid += 1;
@@ -638,7 +645,7 @@ impl Instance {
             let pairs = raw.iter().zip(packed);
             pairs
                 .into_iter()
-                .all(|(r, p)| p[0] <= r[0] && p[1..] == r[1..])
+                .all(|(r, p)| p[0] <= r[0] && p[1] <= r[1] && p[2] == r[2])
         };
         if let Some(i) = (0..3).find(|&i| !twins(&serial[i], &serial[i + 3])) {
             let counts = (&serial[i], &serial[i + 3]);
@@ -682,8 +689,19 @@ impl Instance {
         }
         let serial = (0..3).map(|i| db.solo(p, i, 1));
         let serial: Vec<Answer> = serial.collect::<Result<_>>().map_err(e)?;
+        let tiers = db.tiers().map_err(e)?;
+        let deleted = tiers.iter().any(|(i, _)| i.n_deleted() > 0);
+        // Every tuple-list entry: what a shape that does not leap scans.
+        let full: u64 = tiers.iter().map(|(i, _)| i.n_tuples()).sum();
+        let leapt = |a: &Answer| a.counts[1] < full;
+        let kind = s.name.split(' ').next().unwrap_or_default();
+        if leapt(&serial[0]) {
+            cov.insert("seeded, leapt".into());
+            if kind == "IvaDb" && self.since_rebuild > 0 {
+                cov.insert("leapt over a RAW tail".into());
+            }
+        }
         if serial[0].counts[3] > 0 {
-            let kind = s.name.split(' ').next().unwrap_or_default();
             cov.insert(format!("{kind} seeded"));
             if lambda.iter().all(|&l| l == 0.0) {
                 cov.insert("seeded at λ = 0".into());
@@ -692,27 +710,35 @@ impl Instance {
             // passed the seed's limit, so the walk had to weigh it.
             let undefined =
                 |&(tid, _): &(Tid, u64)| q.iter().all(|(a, _)| live[&tid].get(a).is_none());
-            if want[0].iter().any(undefined) {
+            let ndf_answers = want[0].iter().any(undefined);
+            if ndf_answers {
                 cov.insert("seeded, ndf in the answer".into());
             }
-            if db
-                .tiers()
-                .map_err(e)?
-                .iter()
-                .any(|(i, _)| i.n_deleted() > 0)
-            {
+            if deleted {
                 cov.insert("seeded over tombstones".into());
             }
+            // So many values pass that the walk weighs most positions: the
+            // probe left it the frames rather than leap.
+            let weighed = serial[0].counts[4];
+            if deleted && !ndf_answers && !leapt(&serial[0]) && weighed * 2 > full {
+                cov.insert("seeded over tombstones, no leap".into());
+            }
         }
-        // Every shape scans what the serial run scans; one whose lanes are
-        // serial fetches what it fetches, too.
+        // Every shape weighs what the serial run weighs, and scans every
+        // entry unless it leaps — which a raw list never does; one whose
+        // lanes are serial fetches what it fetches, too.
+        let packed = s.name.ends_with("packed");
         let check = |a: &Answer, i: usize, shape: &str, serial_lanes: bool| -> Verdict {
             let (hits, want, solo) = (&a.hits, &want[i], serial[i % 3].counts);
             if hits != want {
                 return Err(format!("{shape}, query {i}: {hits:?}, the model {want:?}"));
             }
             let counts = a.counts;
-            if counts[1] != solo[1] || (serial_lanes && counts[0] != solo[0]) {
+            let scanned = match packed {
+                true => (counts[4]..=full).contains(&counts[1]),
+                false => counts[1] == full,
+            };
+            if counts[4] != solo[4] || !scanned || (serial_lanes && counts[0] != solo[0]) {
                 return Err(format!("{shape}, query {i}: {counts:?}, serially {solo:?}"));
             }
             for ((tid, _), tuple) in hits.iter().zip(&a.rows) {
@@ -725,9 +751,12 @@ impl Instance {
         for (i, a) in serial.iter().enumerate() {
             check(a, i, "serial", true)?;
         }
-        for threads in [2, 3] {
+        for threads in [2, 3, 4] {
             let a = db.solo(p, 0, threads).map_err(e)?;
             check(&a, 0, &format!("{threads} threads"), false)?;
+            if leapt(&a) {
+                cov.insert("leapt in parallel lanes".into());
+            }
         }
         for n in [0, 1, 2, 4] {
             // A real batch runs serial lanes; a singleton is the solo plan.
@@ -740,13 +769,19 @@ impl Instance {
             for (i, a) in got.iter().enumerate() {
                 check(a, i, &shape, threads == 1)?;
             }
+            // A lane that leaps alone rides the walk of one that does not.
+            let (alone, members) = (serial.iter().chain([&serial[0]]).take(n), &got);
+            let alone: Vec<bool> = alone.map(leapt).collect();
+            if alone.contains(&true) && alone.contains(&false) && !members.iter().any(leapt) {
+                cov.insert("batch mixes a leaping lane with a dense one".into());
+            }
         }
         for window in [1, 7, 64] {
             let shape = format!("window {window} at {} threads", p.threads);
             check(&windowed(db, p, window).map_err(e)?, 0, &shape, false)?;
         }
         let mut last = None;
-        for (index, _) in db.tiers().map_err(e)? {
+        for (index, _) in tiers {
             for &(tid, _) in &export_index(index).map_err(e)?.tuple_entries {
                 if last >= Some(tid) {
                     return Err(format!("tuple lists: {tid} after {last:?}"));
@@ -853,17 +888,24 @@ fn every_configuration_matches_the_model() {
 
 /// One-value queries where a dictionary seeds the walk: 600 rows whose
 /// first attribute every row defines — 40 values over the vocabulary, so
-/// a build gives its packed list string sections, and an attribute every
-/// live tuple defines, whose ITF weight is 0 — and so does the fifth's, 8
-/// words on every fourth row. Every engine but the pairs then rebuilds
-/// (an `LsmDb` seals and compacts), and 10 of the 15 rows holding the value
-/// first queried are deleted: a seed that ignored the tombstones would
-/// leave 5 of them live at or below its bound where k = 10 need counting.
-/// Probes ask for k of 3, 10, 30 and every live tuple under each metric,
-/// and each runs every shape of [`Instance::check`], on the first two
-/// instances. Required: a seed on `IvaDb` and on `LsmDb`, one over
-/// tombstones, one at λ = 0, and a one-value query with k above the live
-/// count.
+/// a build gives its packed list string sections and postings, and an
+/// attribute every live tuple defines, whose ITF weight is 0 — and so does
+/// the fifth's, 8 words on every fourth row. Every engine but the pairs
+/// then rebuilds (an `LsmDb` seals and compacts), and is probed three
+/// times: as built, where a seeded walk leaps from candidate to candidate;
+/// after 30 more rows, which an `IvaDb` holds in RAW tail frames its leap
+/// must still walk (one is the queried value, a top-30 answer); and after
+/// 10 of the 15 rows holding the value first queried, and 60 others, are
+/// deleted. A seed that ignored the tombstones would leave 5 of them live
+/// at or below its bound where k = 10 need counting; at k = 200 they raise
+/// the bound until most positions pass, and the walk does not leap. Probes
+/// ask for k of 3, 10, 30, 200 and every live tuple, under each metric,
+/// and each runs every shape of [`Instance::check`] — threads split the
+/// 630 positions mid-frame — on the first two instances. Required: a seed
+/// on `IvaDb` and on `LsmDb`, one over tombstones, one at λ = 0, one that
+/// leaps, over a RAW tail, in parallel lanes and in a batch with a lane
+/// that does not, one over tombstones that does not, and a one-value query
+/// with k above the live count.
 #[test]
 fn one_value_queries_on_string_sections_match_the_model() {
     let mut cov = Coverage::new();
@@ -871,14 +913,6 @@ fn one_value_queries_on_string_sections_match_the_model() {
         let mut run = || -> Verdict {
             let mut inst = Instance::new(seed).map_err(|e| e.to_string())?;
             inst.dense = true;
-            let ops = [Op::Define; 5]
-                .into_iter()
-                .chain([Op::Insert(600), Op::Rebuild]);
-            let deletes = (0..10).map(|j| Op::Delete(40 * j));
-            for op in ops.chain(deletes) {
-                inst.apply(op, &mut cov)?;
-            }
-            let live = inst.model.live.len();
             let one = |a: u32, s: &str| Query::new().text(AttrId(a), s);
             // 30 edits from every string: ndf (20) beats any seed's limit.
             let far = "q".repeat(30);
@@ -891,30 +925,43 @@ fn one_value_queries_on_string_sections_match_the_model() {
             let ndf_first = vec![one(4, &far), one(0, &far), one(4, "sony"), one(4, &far)];
             let [l1, l2, linf] = [MetricKind::L1, MetricKind::L2, MetricKind::LInf].map(Dist::Kind);
             let (equal, itf) = (WeightScheme::Equal, WeightScheme::Itf);
+            let mut probe =
+                |inst: &Instance, queries: &Vec<Query>, knobs: &[(usize, Dist, WeightScheme)]| {
+                    for &(k, metric, weights) in knobs {
+                        let (queries, threads) = (queries.clone(), 2);
+                        let p = Probe {
+                            queries,
+                            metric,
+                            weights,
+                            k,
+                            threads,
+                        };
+                        inst.check_all(&p, &mut cov)?;
+                    }
+                    Ok::<_, String>(())
+                };
+            let built = [Op::Define; 5]
+                .into_iter()
+                .chain([Op::Insert(600), Op::Rebuild]);
+            for op in built {
+                inst.apply(op, &mut Coverage::new())?;
+            }
+            probe(&inst, &queries, &[(200, l1, equal)])?;
+            inst.apply(Op::Insert(30), &mut Coverage::new())?;
+            probe(&inst, &queries, &[(30, l1, equal), (3, l1, equal)])?;
+            let deletes = (0..10).map(|j| 40 * j).chain((0..60).map(|j| 10 * j + 3));
+            for tid in deletes {
+                inst.apply(Op::Delete(tid), &mut Coverage::new())?;
+            }
+            let live = inst.model.live.len();
             let knobs = [
-                (3, l1, equal),
                 (10, l2, equal),
                 (10, linf, itf),
-                (30, l1, equal),
+                (200, l1, equal),
                 (live + 1, l2, itf),
             ];
-            let far_knobs = [(10, l2, equal), (30, l1, itf)];
-            let probes = knobs.map(|knob| (&queries, knob));
-            for (queries, (k, metric, weights)) in probes
-                .into_iter()
-                .chain(far_knobs.map(|knob| (&ndf_first, knob)))
-            {
-                let (queries, threads) = (queries.clone(), 2);
-                let p = Probe {
-                    queries,
-                    metric,
-                    weights,
-                    k,
-                    threads,
-                };
-                inst.check_all(&p, &mut cov)?;
-            }
-            Ok(())
+            probe(&inst, &queries, &knobs)?;
+            probe(&inst, &ndf_first, &[(10, l2, equal), (30, l1, itf)])
         };
         if let Err(failure) = run() {
             panic!("instance {seed}: {failure}");
@@ -926,6 +973,11 @@ fn one_value_queries_on_string_sections_match_the_model() {
         "seeded over tombstones",
         "seeded at λ = 0",
         "seeded, ndf in the answer",
+        "seeded, leapt",
+        "leapt over a RAW tail",
+        "leapt in parallel lanes",
+        "batch mixes a leaping lane with a dense one",
+        "seeded over tombstones, no leap",
     ];
     let want = want
         .into_iter()
