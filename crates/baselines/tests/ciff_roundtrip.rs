@@ -129,13 +129,18 @@ fn iva_import_preserves_compression() {
     let bytes = export_iva(&index).unwrap();
     let imported = import_iva(&bytes, IndexTarget::Mem, &opts(), IoStats::new()).unwrap();
     // The fixture's dense attributes compress; the canonical rebuild
-    // must re-pack them rather than silently fall back to raw.
-    let packed = (0..4u32)
-        .filter(|a| {
-            imported.attr_entry(AttrId(*a)).unwrap().encoding == iva_core::ListEncoding::Packed
-        })
-        .count();
-    assert!(packed >= 1, "import dropped the packed encodings");
+    // must store them in fewer bytes than their logical length, as the
+    // exporting index did.
+    let compressed = |index: &iva_core::IvaIndex| {
+        let entry = |a: u32| index.attr_entry(AttrId(a)).unwrap().clone();
+        let entries = (0..4u32).map(entry);
+        entries.filter(|e| e.vlist.len < e.logical_len).count()
+    };
+    assert!(
+        compressed(&imported) >= 1,
+        "import stored no list compressed"
+    );
+    assert_eq!(compressed(&imported), compressed(&index));
 }
 
 #[test]

@@ -18,14 +18,10 @@ use crate::config::IvaConfig;
 use crate::error::{IvaError, Result};
 use crate::index::IvaIndex;
 use crate::interchange::{ExportedAttr, ExportedIndex};
-use crate::layout::{
-    AttrEntry, IndexHeader, ListEncoding, INDEX_VERSION, TOMBSTONE_PTR, TUPLE_ENTRY_LEN,
-};
+use crate::layout::{AttrEntry, IndexHeader, INDEX_VERSION, TOMBSTONE_PTR};
 use crate::numeric::NumericCodec;
-use crate::packed::{encode_packed_num_list, encode_packed_text, strings_may_pay, TextStrings};
-use crate::veclist::{
-    choose_num_type, choose_text_type, encode_num_list, encode_text_list, ListType,
-};
+use crate::packed::{encode_packed_num, encode_packed_text, strings_may_pay, TextStrings};
+use crate::veclist::{choose_num_type, choose_text_type, ListType};
 
 /// Where to put the index file.
 pub enum IndexTarget<'a> {
@@ -158,8 +154,10 @@ pub fn build_index_with_domains(
         });
     }
     // The strings of the text lists whose dictionaries might hold them.
-    let wanted = |a: &ExportedAttr| config.compress_lists && strings_may_pay(&a.text_postings);
-    let wanted: Vec<bool> = attrs.iter().map(wanted).collect();
+    let wanted: Vec<bool> = attrs
+        .iter()
+        .map(|a| strings_may_pay(&a.text_postings))
+        .collect();
     let strings = read_strings(table, &tuple_entries, &wanted)?;
     let parts = ExportedIndex {
         config,
@@ -204,22 +202,11 @@ fn read_strings(
     Ok(out)
 }
 
-/// Pick the stored image of a freshly encoded list: the packed encoding
-/// when enabled *and* strictly smaller than the raw layout, else raw. The
-/// raw length is the list's logical length either way.
-fn choose_encoding(raw: Vec<u8>, packed: Option<Vec<u8>>) -> (Vec<u8>, ListEncoding, u64) {
-    let logical = raw.len() as u64;
-    match packed {
-        Some(p) if p.len() < raw.len() => (p, ListEncoding::Packed, logical),
-        _ => (raw, ListEncoding::Raw, logical),
-    }
-}
-
 /// The builder's writer: lay out an index file from its logical content —
 /// tuple entries plus, per attribute, postings, the chosen organization
-/// and the numeric domain. Every vector list is encoded raw and (under
-/// `compress_lists`) packed, the smaller image stored, all lists written
-/// physically contiguous. [`build_index_with_domains`] arrives here from a
+/// and the numeric domain. Every vector list is stored as packed frames,
+/// its logical length in its catalog entry, all lists written physically
+/// contiguous. [`build_index_with_domains`] arrives here from a
 /// table scan, [`crate::import_index`] from validated interchange content;
 /// `parts` is trusted to hold strictly ascending tids, postings aligned to
 /// the tuple list, and list types that suit their attribute's kind.
@@ -252,25 +239,18 @@ pub(crate) fn write_index(
     let mut entries: Vec<AttrEntry> = Vec::with_capacity(parts.attrs.len());
     for (a, attr) in parts.attrs.iter().enumerate() {
         let ty = attr.list_type;
-        let (raw, packed, df, str_count) = if attr.is_text {
+        let ((logical_len, frames), df, str_count) = if attr.is_text {
             let items = &attr.text_postings;
-            let raw = encode_text_list(ty, items, &all_tids)?;
             let texts = strings.get(a).and_then(Option::as_ref);
-            let packed = config
-                .compress_lists
-                .then(|| encode_packed_text(ty, items, texts, &all_tids));
             let str_count = items.iter().map(|(_, s)| s.len() as u64).sum();
-            (raw, packed, items.len() as u64, str_count)
+            let list = encode_packed_text(ty, items, texts, &all_tids);
+            (list, items.len() as u64, str_count)
         } else {
             let items = &attr.num_postings;
             let codec = NumericCodec::new(attr.min, attr.max, config.numeric_code_bytes());
-            let raw = encode_num_list(ty, items, &all_tids, &codec)?;
-            let packed = config
-                .compress_lists
-                .then(|| encode_packed_num_list(ty, items, &all_tids, &codec));
-            (raw, packed, items.len() as u64, 0)
+            let list = encode_packed_num(ty, items, &all_tids, &codec);
+            (list, items.len() as u64, 0)
         };
-        let (data, encoding, logical_len) = choose_encoding(raw, packed);
         // Only numbers have a relative domain; a text entry's is empty.
         let (min, max) = if attr.is_text {
             (f64::INFINITY, f64::NEG_INFINITY)
@@ -278,7 +258,7 @@ pub(crate) fn write_index(
             (attr.min, attr.max)
         };
         entries.push(AttrEntry {
-            vlist: write_contiguous_list(&pager, &data)?,
+            vlist: write_contiguous_list(&pager, &frames)?,
             df,
             str_count,
             // Positional lists cover every tuple; Type I stores an element
@@ -293,36 +273,16 @@ pub(crate) fn write_index(
             alpha: config.alpha,
             min,
             max,
-            encoding,
             logical_len,
         });
     }
 
-    // Attribute list (fresh builds always write the current version).
-    let mut attr_bytes = Vec::with_capacity(entries.len() * AttrEntry::ENCODED_LEN_V3);
+    let mut attr_bytes = Vec::with_capacity(entries.len() * AttrEntry::ENCODED_LEN);
     for e in &entries {
-        e.encode(INDEX_VERSION, &mut attr_bytes);
+        e.encode(&mut attr_bytes);
     }
     let attr_list = write_contiguous_list(&pager, &attr_bytes)?;
-
-    // Tuple list: framed delta/bit-packed under `compress_lists`, the
-    // legacy raw element stream otherwise.
-    let dir_encoding = if config.compress_lists {
-        ListEncoding::Packed
-    } else {
-        ListEncoding::Raw
-    };
-    let tuple_bytes = match dir_encoding {
-        ListEncoding::Packed => crate::dirlist::encode_dir(&parts.tuple_entries),
-        ListEncoding::Raw => {
-            let mut raw = Vec::with_capacity(parts.tuple_entries.len() * TUPLE_ENTRY_LEN);
-            for (tid, ptr) in &parts.tuple_entries {
-                raw.extend_from_slice(&tid.to_le_bytes());
-                raw.extend_from_slice(&ptr.to_le_bytes());
-            }
-            raw
-        }
-    };
+    let tuple_bytes = crate::dirlist::encode_dir(&parts.tuple_entries);
     let tuple_list = write_contiguous_list(&pager, &tuple_bytes)?;
 
     let header = IndexHeader {
@@ -339,7 +299,6 @@ pub(crate) fn write_index(
         tuple_list,
         table_watermark: parts.table_watermark,
         dirty: false,
-        dir_encoding,
     };
     IvaIndex::assemble(pager, header, entries)
 }

@@ -23,15 +23,10 @@ pub struct IvaConfig {
     /// re-applies it via `IvaIndex::set_search_threads` (the `IvaDb` open
     /// path does this automatically).
     pub search_threads: usize,
-    /// Build-time switch for the compressed vector-list encodings
-    /// (delta/bit-packed tuple-id runs, dictionary-coded signatures, ndf
-    /// run-length frames). When set, `build_index` stores each vector
-    /// list in the packed encoding whenever that is strictly smaller than
-    /// the raw layout; when clear, every list uses the raw (v2) layout.
-    /// Either way queries are bit-identical — the encoding tag travels in
-    /// the attribute entry, so mixed-encoding indexes read fine. Not
-    /// persisted: an opened index keeps the per-list tags it was built
-    /// with, and this knob only steers future (re)builds.
+    /// Inert: accepted and ignored. It chose between the packed frames
+    /// and a raw layout for a build's lists; packed frames are now the
+    /// only list encoding. The field stays only until the benchmark stops
+    /// setting it.
     pub compress_lists: bool,
     /// Inert: accepted and ignored. It was the budget of an in-RAM cache
     /// of decoded lists, deleted because the packed lists it mirrored

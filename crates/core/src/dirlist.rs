@@ -8,7 +8,7 @@
 //! reusing the vector-list frame header (`[kind u8][elems u32]
 //! [payload_len u32]`, see the `packed` module):
 //!
-//! * `DIR_RAW` — `elems` legacy 12-byte elements, byte-for-byte. Bulk
+//! * `DIR_RAW` — `elems` raw 12-byte elements, byte-for-byte. Bulk
 //!   encodes fall back to it when packing would not help; every
 //!   incremental insert appends a one-element raw frame (rebuilds
 //!   repack).
@@ -22,13 +22,13 @@
 //! **Deletes stay in-place.** Sec. IV-B tombstones a tuple by rewriting
 //! its `ptr` — impossible inside a delta chain without re-encoding the
 //! frame. Instead each packed frame carries a raw liveness bitmap:
-//! clearing one bit (a one-byte [`overwrite_in_list`] patch, same crash
-//! granularity as the raw 8-byte `ptr` rewrite) marks the element dead
-//! while its stored pointer keeps the delta chain intact. Decoders
+//! clearing one bit (a one-byte [`overwrite_in_list`] patch, the crash
+//! granularity of a RAW frame's 8-byte `ptr` rewrite) marks the element
+//! dead while its stored pointer keeps the delta chain intact. Decoders
 //! surface dead elements as [`TOMBSTONE_PTR`], so scan plans and the
-//! interchange exporter see the exact raw-directory
-//! semantics. Elements already dead at encode time repeat the previous
-//! stored pointer (Δ = 0) and clear their bit.
+//! interchange exporter see the paper's semantics. Elements already dead
+//! at encode time repeat the previous stored pointer (Δ = 0) and clear
+//! their bit.
 
 use std::sync::Arc;
 
@@ -37,7 +37,7 @@ use iva_storage::compress::{bit_width, pack_bits, packed_len, unpack_bits};
 use iva_storage::{ListHandle, ListReader, Pager};
 
 use crate::error::{IvaError, Result};
-use crate::layout::{ListEncoding, TOMBSTONE_PTR, TUPLE_ENTRY_LEN};
+use crate::layout::{TOMBSTONE_PTR, TUPLE_ENTRY_LEN};
 use crate::packed::append_frame;
 
 /// Raw 12-byte elements.
@@ -239,13 +239,11 @@ fn decode_packed_dir_frame(
     Ok(())
 }
 
-/// Streaming `(tid, ptr)` cursor over the durable directory, either
-/// encoding. The raw mode reads elements straight off the pager exactly
-/// like the legacy scan; the packed mode buffers one decoded frame at a
-/// time, so a segmented worker's footprint stays one frame.
+/// Streaming `(tid, ptr)` cursor over the durable directory: it buffers
+/// one decoded frame at a time, so a segmented worker's footprint stays
+/// one frame.
 pub(crate) struct DirCursor {
     r: ListReader,
-    packed: bool,
     tids: Vec<u32>,
     ptrs: Vec<u64>,
     pos: usize,
@@ -256,14 +254,9 @@ pub(crate) struct DirCursor {
 
 impl DirCursor {
     /// Open at the first element.
-    pub(crate) fn open(
-        pager: &Arc<Pager>,
-        handle: ListHandle,
-        encoding: ListEncoding,
-    ) -> Result<Self> {
+    pub(crate) fn open(pager: &Arc<Pager>, handle: ListHandle) -> Result<Self> {
         Ok(Self {
             r: ListReader::open(Arc::clone(pager), handle)?,
-            packed: encoding == ListEncoding::Packed,
             tids: Vec::new(),
             ptrs: Vec::new(),
             pos: 0,
@@ -308,28 +301,13 @@ impl DirCursor {
     /// Append the next elements to `tids`/`ptrs` (tombstones as
     /// [`TOMBSTONE_PTR`]): at least one and at most `max` (≥ 1) of them,
     /// never past the end of the current frame — a slice copy of a decoded
-    /// frame. A raw directory's block is the whole elements left in its
-    /// current page, read in one go (one that straddles two pages is a
-    /// block of its own): its page reads fall where an element-by-element
-    /// walk made them.
+    /// frame.
     pub(crate) fn next_block(
         &mut self,
         max: usize,
         tids: &mut Vec<u32>,
         ptrs: &mut Vec<u64>,
     ) -> Result<()> {
-        if !self.packed {
-            let in_page = self.r.in_page_remaining()? / TUPLE_ENTRY_LEN;
-            self.scratch
-                .resize(max.min(in_page).max(1) * TUPLE_ENTRY_LEN, 0);
-            self.r.read_exact(&mut self.scratch)?;
-            for elem in self.scratch.chunks_exact(TUPLE_ENTRY_LEN) {
-                let mut c = SliceReader::new(elem, "directory element");
-                tids.push(c.u32()?);
-                ptrs.push(c.u64()?);
-            }
-            return Ok(());
-        }
         if self.pos >= self.tids.len() {
             if self.r.at_end() {
                 return Err(corrupt("directory scan past end"));
@@ -349,10 +327,6 @@ impl DirCursor {
     /// Packed frames strictly before the target position skip by their
     /// header alone — no payload decode.
     pub(crate) fn skip_entries(&mut self, mut n: u64) -> Result<()> {
-        if !self.packed {
-            self.r.skip(n.saturating_mul(TUPLE_ENTRY_LEN as u64))?;
-            return Ok(());
-        }
         let buffered = (self.tids.len().saturating_sub(self.pos)) as u64;
         if n <= buffered {
             self.pos += n as usize;
@@ -390,32 +364,14 @@ pub(crate) struct DirPatch {
 }
 
 /// Locate `tid` and describe the in-place write that tombstones it: the
-/// 8-byte `ptr` rewrite inside a raw element, or the one-byte liveness
-/// bit clear inside a packed frame. `None` if the tid is absent.
+/// 8-byte `ptr` rewrite inside a RAW frame's element, or the one-byte
+/// liveness bit clear inside a packed frame. `None` if the tid is absent.
 pub(crate) fn locate_tombstone(
     pager: &Arc<Pager>,
     handle: ListHandle,
-    encoding: ListEncoding,
-    n_entries: u64,
     tid: u32,
 ) -> Result<Option<DirPatch>> {
-    let mut cur = DirCursor::open(pager, handle, encoding)?;
-    if encoding == ListEncoding::Raw {
-        for i in 0..n_entries {
-            let (t, p) = (cur.r.read_u32()?, cur.r.read_u64()?);
-            if t == tid {
-                return Ok(Some(DirPatch {
-                    offset: i * TUPLE_ENTRY_LEN as u64 + 4,
-                    bytes: TOMBSTONE_PTR.to_le_bytes().to_vec(),
-                    live: p != TOMBSTONE_PTR,
-                }));
-            }
-            if t > tid {
-                break;
-            }
-        }
-        return Ok(None);
-    }
+    let mut cur = DirCursor::open(pager, handle)?;
     while !cur.r.at_end() {
         let (kind, elems, plen) = cur.read_frame_header()?;
         let payload_start = cur.r.tell();
@@ -489,18 +445,14 @@ mod tests {
 
     /// Every element of the directory stored in `data`, through the
     /// streaming cursor (the one decoder).
-    fn read_dir(data: &[u8], encoding: ListEncoding) -> Result<Vec<(u32, u64)>> {
+    fn read_dir(data: &[u8]) -> Result<Vec<(u32, u64)>> {
         let p = pager();
         let h = write_contiguous_list(&p, data).unwrap();
-        read_dir_at(&p, h, encoding)
+        read_dir_at(&p, h)
     }
 
-    fn read_dir_at(
-        p: &Arc<Pager>,
-        h: ListHandle,
-        encoding: ListEncoding,
-    ) -> Result<Vec<(u32, u64)>> {
-        let mut cur = DirCursor::open(p, h, encoding)?;
+    fn read_dir_at(p: &Arc<Pager>, h: ListHandle) -> Result<Vec<(u32, u64)>> {
+        let mut cur = DirCursor::open(p, h)?;
         let (mut tids, mut ptrs) = (Vec::new(), Vec::new());
         while cur.pos < cur.tids.len() || !cur.r.at_end() {
             cur.next_block(1, &mut tids, &mut ptrs)?;
@@ -515,14 +467,13 @@ mod tests {
         (tids[0], ptrs[0])
     }
 
-    /// Blocks never cross a frame of a packed directory, nor a page of a
-    /// raw one.
+    /// Blocks never cross a frame.
     #[test]
     fn next_block_stops_at_frame_ends() {
         let p = pager();
         let entries = sample(2500);
         let h = write_contiguous_list(&p, &encode_dir(&entries)).unwrap();
-        let mut cur = DirCursor::open(&p, h, ListEncoding::Packed).unwrap();
+        let mut cur = DirCursor::open(&p, h).unwrap();
         let (mut tids, mut ptrs) = (Vec::new(), Vec::new());
         let mut sizes = Vec::new();
         while tids.len() < entries.len() {
@@ -531,23 +482,6 @@ mod tests {
             sizes.push(tids.len() - before);
         }
         assert_eq!(sizes, [300, 300, 300, 124, 300, 300, 300, 124, 300, 152]);
-        assert_eq!(tids.into_iter().zip(ptrs).collect::<Vec<_>>(), entries);
-        let mut raw = Vec::new();
-        for &(t, ptr) in &entries {
-            raw.extend_from_slice(&t.to_le_bytes());
-            raw.extend_from_slice(&ptr.to_le_bytes());
-        }
-        let h = write_contiguous_list(&p, &raw).unwrap();
-        let mut cur = DirCursor::open(&p, h, ListEncoding::Raw).unwrap();
-        let (mut tids, mut ptrs, mut sizes) = (Vec::new(), Vec::new(), Vec::new());
-        while tids.len() < entries.len() {
-            let before = tids.len();
-            cur.next_block(300, &mut tids, &mut ptrs).unwrap();
-            sizes.push(tids.len() - before);
-        }
-        // Pages hold 9 whole 12-byte elements and then part of one, which
-        // is a block of its own.
-        assert_eq!(sizes[..6], [9, 1, 9, 1, 9, 1]);
         assert_eq!(tids.into_iter().zip(ptrs).collect::<Vec<_>>(), entries);
     }
 
@@ -561,25 +495,14 @@ mod tests {
             framed.len(),
             entries.len() * TUPLE_ENTRY_LEN
         );
-        assert_eq!(read_dir(&framed, ListEncoding::Packed).unwrap(), entries);
-    }
-
-    #[test]
-    fn raw_mode_matches_legacy_stream() {
-        let entries = sample(500);
-        let mut raw = Vec::new();
-        for &(t, ptr) in &entries {
-            raw.extend_from_slice(&t.to_le_bytes());
-            raw.extend_from_slice(&ptr.to_le_bytes());
-        }
-        assert_eq!(read_dir(&raw, ListEncoding::Raw).unwrap(), entries);
+        assert_eq!(read_dir(&framed).unwrap(), entries);
     }
 
     #[test]
     fn non_monotonic_tids_fall_back_to_raw_frames() {
         let entries: Vec<(u32, u64)> = vec![(5, 10), (3, 20), (3, 30), (9, 40)];
         let framed = encode_dir(&entries);
-        assert_eq!(read_dir(&framed, ListEncoding::Packed).unwrap(), entries);
+        assert_eq!(read_dir(&framed).unwrap(), entries);
     }
 
     #[test]
@@ -591,7 +514,7 @@ mod tests {
             append_raw_entry(&mut framed, tid, ptr);
             entries.push((tid, ptr));
         }
-        assert_eq!(read_dir(&framed, ListEncoding::Packed).unwrap(), entries);
+        assert_eq!(read_dir(&framed).unwrap(), entries);
     }
 
     #[test]
@@ -601,12 +524,12 @@ mod tests {
         let framed = encode_dir(&entries);
         let h = write_contiguous_list(&p, &framed).unwrap();
         for skip in [0usize, 1, 7, 1023, 1024, 1025, 2048, 2499] {
-            let mut cur = DirCursor::open(&p, h, ListEncoding::Packed).unwrap();
+            let mut cur = DirCursor::open(&p, h).unwrap();
             cur.skip_entries(skip as u64).unwrap();
             assert_eq!(next(&mut cur), entries[skip], "skip {skip}");
         }
         // Skipping in two installments must land at the sum.
-        let mut cur = DirCursor::open(&p, h, ListEncoding::Packed).unwrap();
+        let mut cur = DirCursor::open(&p, h).unwrap();
         cur.skip_entries(100).unwrap();
         cur.skip_entries(1500).unwrap();
         assert_eq!(next(&mut cur), entries[1600]);
@@ -622,18 +545,16 @@ mod tests {
         let h = write_contiguous_list(&p, &framed).unwrap();
         // One victim inside a packed frame, one in the raw tail frame.
         for victim in [entries[700].0, 90_000] {
-            let patch = locate_tombstone(&p, h, ListEncoding::Packed, 0, victim)
+            let patch = locate_tombstone(&p, h, victim)
                 .unwrap()
                 .expect("tid present");
             assert!(patch.live);
             overwrite_in_list(&p, h, patch.offset, &patch.bytes).unwrap();
             // Now dead: locating again reports live = false.
-            let again = locate_tombstone(&p, h, ListEncoding::Packed, 0, victim)
-                .unwrap()
-                .unwrap();
+            let again = locate_tombstone(&p, h, victim).unwrap().unwrap();
             assert!(!again.live);
         }
-        let got = read_dir_at(&p, h, ListEncoding::Packed).unwrap();
+        let got = read_dir_at(&p, h).unwrap();
         assert_eq!(got.len(), entries.len());
         for (&(got_t, got_ptr), &(t, ptr)) in got.iter().zip(&entries) {
             assert_eq!(got_t, t);
@@ -644,30 +565,8 @@ mod tests {
             }
         }
         // Absent tids: inside a frame's tid range and past the end.
-        assert!(locate_tombstone(&p, h, ListEncoding::Packed, 0, 1)
-            .unwrap()
-            .is_none());
-        assert!(locate_tombstone(&p, h, ListEncoding::Packed, 0, 95_000)
-            .unwrap()
-            .is_none());
-    }
-
-    #[test]
-    fn locate_raw_matches_legacy_offsets() {
-        let p = pager();
-        let entries = sample(50);
-        let mut raw = Vec::new();
-        for &(t, ptr) in &entries {
-            raw.extend_from_slice(&t.to_le_bytes());
-            raw.extend_from_slice(&ptr.to_le_bytes());
-        }
-        let h = write_contiguous_list(&p, &raw).unwrap();
-        let victim = entries[31].0;
-        let patch = locate_tombstone(&p, h, ListEncoding::Raw, entries.len() as u64, victim)
-            .unwrap()
-            .unwrap();
-        assert_eq!(patch.offset, 31 * TUPLE_ENTRY_LEN as u64 + 4);
-        assert_eq!(patch.bytes, TOMBSTONE_PTR.to_le_bytes().to_vec());
+        assert!(locate_tombstone(&p, h, 1).unwrap().is_none());
+        assert!(locate_tombstone(&p, h, 95_000).unwrap().is_none());
     }
 
     #[test]
@@ -676,20 +575,20 @@ mod tests {
         let framed = encode_dir(&entries);
         // Truncations at every prefix.
         for cut in 0..framed.len().min(64) {
-            let _ = read_dir(&framed[..cut], ListEncoding::Packed);
+            let _ = read_dir(&framed[..cut]);
         }
         // Bad kind byte.
         let mut bad = framed.clone();
         bad[0] = 7;
-        assert!(read_dir(&bad, ListEncoding::Packed).is_err());
+        assert!(read_dir(&bad).is_err());
         // Overclaimed element count.
         let mut bad = framed.clone();
         bad[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(read_dir(&bad, ListEncoding::Packed).is_err());
+        assert!(read_dir(&bad).is_err());
         // Zero elements.
         let mut bad = framed;
         bad[1..5].copy_from_slice(&0u32.to_le_bytes());
-        assert!(read_dir(&bad, ListEncoding::Packed).is_err());
+        assert!(read_dir(&bad).is_err());
     }
 
     /// The packed frame decoder, directly: tombstones at a frame's first
@@ -718,10 +617,7 @@ mod tests {
             let long = [payload.as_slice(), &[0xFF]].concat();
             assert!(decode(&long, frame.len()).is_err());
         }
-        assert_eq!(
-            read_dir(&encode_dir(&full), ListEncoding::Packed).unwrap(),
-            full
-        );
+        assert_eq!(read_dir(&encode_dir(&full)).unwrap(), full);
         let mut high = pack_dir_chunk(&[(u32::MAX - 1, 1), (u32::MAX, 2)]).unwrap();
         high[..4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode(&high, 2).is_err_and(|e| e.is_corruption()));

@@ -17,9 +17,7 @@ use iva_text::{PreparedMatcher, SigCodec};
 use crate::config::IvaConfig;
 use crate::dirlist::{append_raw_entry, locate_tombstone, DirCursor};
 use crate::error::{IvaError, Result};
-use crate::layout::{
-    AttrEntry, IndexHeader, ListEncoding, INDEX_VERSION, TOMBSTONE_PTR, TUPLE_ENTRY_LEN,
-};
+use crate::layout::{AttrEntry, IndexHeader, TOMBSTONE_PTR, TUPLE_ENTRY_LEN};
 use crate::metric::{Metric, WeightScheme};
 use crate::numeric::NumericCodec;
 use crate::packed::{self, PackedReader};
@@ -169,14 +167,10 @@ impl IvaIndex {
         // a page checksum is no authentication: hold the counts to what
         // the lists they count can hold, and the lists to the file.
         let (attr_list, tuple_list) = (header.attr_list.len, header.tuple_list.len);
-        let entry_len = AttrEntry::encoded_len(header.version) as u64;
-        let tuples_fit = match header.dir_encoding {
-            ListEncoding::Raw => header.n_tuples <= tuple_list / TUPLE_ENTRY_LEN as u64,
-            // A packed frame spends at least a liveness bit per element.
-            ListEncoding::Packed => header.n_tuples / 8 <= tuple_list,
-        };
+        let entry_len = AttrEntry::ENCODED_LEN as u64;
+        // A directory frame spends at least a liveness bit per element.
         if u64::from(header.n_attrs) * entry_len > attr_list
-            || !tuples_fit
+            || header.n_tuples / 8 > tuple_list
             || header.n_deleted > header.n_tuples
             || attr_list.max(tuple_list) > pager.size_bytes()
         {
@@ -187,26 +181,10 @@ impl IvaIndex {
         }
         let mut reader = ListReader::open(Arc::clone(&pager), header.attr_list)?;
         let mut entries = Vec::with_capacity(header.n_attrs as usize);
-        // The attribute-list entry layout is versioned with the index: v2
-        // files carry raw-only entries, v3 adds the encoding tag bit.
-        let mut buf = vec![0u8; AttrEntry::encoded_len(header.version)];
+        let mut buf = [0u8; AttrEntry::ENCODED_LEN];
         for _ in 0..header.n_attrs {
             reader.read_exact(&mut buf)?;
-            let mut entry = AttrEntry::decode(&buf, header.version)?;
-            if entry.encoding == ListEncoding::Packed {
-                // A packed list self-describes: its catalog entry defers
-                // the logical length to the 8-byte list prologue.
-                let mut r = ListReader::open(Arc::clone(&pager), entry.vlist)?;
-                entry.logical_len = packed::read_logical_len(&mut r)?;
-            }
-            entries.push(entry);
-        }
-        // A v2–v4 packed text list stores its signatures inline, which this
-        // build no longer reads, a v5 one has no dictionary strings and a
-        // v6 one no postings: stale, and a rebuild from the table repairs it.
-        let stale = |e: &AttrEntry| e.is_text && e.encoding == ListEncoding::Packed;
-        if header.version < INDEX_VERSION && entries.iter().any(stale) {
-            return Err(IvaError::Corrupt("pre-v7 packed text lists".into()));
+            entries.push(AttrEntry::decode(&buf)?);
         }
         let sig_codec = header.config.sig_codec();
         Ok(Self {
@@ -271,16 +249,9 @@ impl IvaIndex {
     }
 
     /// Stored bytes of the tuple list — the per-query directory scan that
-    /// every plan pays once, independent of the vector-list encoding.
-    /// Always raw, so stored bytes equal logical bytes.
+    /// every plan pays once.
     pub fn tuple_list_bytes(&self) -> u64 {
         self.header.tuple_list.len
-    }
-
-    /// Encoding of the tuple directory (Raw for v2/v3 indexes and
-    /// uncompressed builds; Packed for compressed v4 builds).
-    pub fn dir_encoding(&self) -> ListEncoding {
-        self.header.dir_encoding
     }
 
     /// I/O counters of the index file.
@@ -352,16 +323,15 @@ impl IvaIndex {
     }
 
     fn write_entry(&mut self, idx: usize) -> Result<()> {
-        let entry_len = AttrEntry::encoded_len(self.header.version);
-        let mut buf = Vec::with_capacity(entry_len);
+        let mut buf = Vec::with_capacity(AttrEntry::ENCODED_LEN);
         self.entries
             .get(idx)
             .ok_or_else(|| IvaError::Corrupt("attribute entry missing".into()))?
-            .encode(self.header.version, &mut buf);
+            .encode(&mut buf);
         overwrite_in_list(
             &self.pager,
             self.header.attr_list,
-            (idx * entry_len) as u64,
+            (idx * AttrEntry::ENCODED_LEN) as u64,
             &buf,
         )?;
         Ok(())
@@ -407,46 +377,35 @@ impl IvaIndex {
 
     /// A cursor at the head of the durable tuple list.
     pub(crate) fn open_dir_cursor(&self) -> Result<DirCursor> {
-        DirCursor::open(
-            &self.pager,
-            self.header.tuple_list,
-            self.header.dir_encoding,
-        )
+        DirCursor::open(&self.pager, self.header.tuple_list)
     }
 
-    /// A cursor at the head of a text attribute's durable vector list,
-    /// whichever its encoding — how the scan and an export both read it.
+    /// A reader at the head of an attribute's durable vector list, held to
+    /// the logical length its catalog entry declares.
+    pub(crate) fn list_reader(&self, entry: &AttrEntry) -> Result<PackedReader> {
+        let reader = ListReader::open(Arc::clone(&self.pager), entry.vlist)?;
+        let (ty, len) = (entry.list_type, entry.logical_len);
+        match entry.is_text {
+            true => PackedReader::text_frames(reader, ty, &self.sig_codec, len),
+            false => PackedReader::num_frames(reader, ty, &self.numeric_codec(entry), len),
+        }
+    }
+
+    /// A cursor at the head of a text attribute's list — how the scan and
+    /// an export both read it.
     pub(crate) fn open_text_cursor(&self, entry: &AttrEntry) -> Result<TextListCursor> {
-        let ty = entry.list_type;
-        Ok(match entry.encoding {
-            ListEncoding::Raw => {
-                TextListCursor::new(ListReader::open(Arc::clone(&self.pager), entry.vlist)?, ty)
-            }
-            ListEncoding::Packed => TextListCursor::new_packed(self.packed_text_reader(entry)?, ty),
-        })
+        Ok(TextListCursor::new(
+            self.list_reader(entry)?,
+            entry.list_type,
+        ))
     }
 
-    /// A reader at the head of a packed text list's frames.
-    pub(crate) fn packed_text_reader(&self, entry: &AttrEntry) -> Result<PackedReader> {
-        let reader = ListReader::open(Arc::clone(&self.pager), entry.vlist)?;
-        PackedReader::new_text(reader, entry.list_type, &self.sig_codec)
-    }
-
-    /// [`IvaIndex::open_text_cursor`] for a numeric attribute, under the
-    /// attribute's `codec` ([`IvaIndex::numeric_codec`]).
-    pub(crate) fn open_num_cursor(
-        &self,
-        entry: &AttrEntry,
-        codec: &NumericCodec,
-    ) -> Result<NumListCursor> {
-        let reader = ListReader::open(Arc::clone(&self.pager), entry.vlist)?;
-        let ty = entry.list_type;
-        Ok(match entry.encoding {
-            ListEncoding::Raw => NumListCursor::new(reader, ty),
-            ListEncoding::Packed => {
-                NumListCursor::new_packed(PackedReader::new_num(reader, ty, codec)?, ty)
-            }
-        })
+    /// [`IvaIndex::open_text_cursor`] for a numeric attribute.
+    pub(crate) fn open_num_cursor(&self, entry: &AttrEntry) -> Result<NumListCursor> {
+        Ok(NumListCursor::new(
+            self.list_reader(entry)?,
+            entry.list_type,
+        ))
     }
 
     /// Build the shared immutable per-query state: the packed-mask
@@ -526,11 +485,11 @@ impl IvaIndex {
     }
 
     /// How many tuple-list elements to reserve room for up front: the
-    /// header's count, but never more than the stored list would hold at
-    /// the raw element width — a reservation bounded by the file's size
+    /// header's count, but never more than the stored list could hold at a
+    /// liveness bit each — a reservation bounded by the file's size
     /// whatever the header claims.
     pub(crate) fn tuple_capacity(&self) -> usize {
-        let stored = self.header.tuple_list.len / TUPLE_ENTRY_LEN as u64;
+        let stored = self.header.tuple_list.len.saturating_mul(8);
         usize::try_from(self.header.n_tuples.min(stored)).unwrap_or(0)
     }
 
@@ -551,11 +510,12 @@ impl IvaIndex {
                 SharedAttr::Text { entry, .. } | SharedAttr::Num { entry, .. } => entry,
                 SharedAttr::AlwaysNdf => continue,
             };
-            stats.list_bytes_logical += entry.logical_len;
+            // Off disk, and held to the frames only as a walk reads them.
+            stats.list_bytes_logical = stats.list_bytes_logical.saturating_add(entry.logical_len);
             stats.list_bytes_physical += self.padded_list_bytes(entry.vlist.len);
         }
-        // The directory's logical size is the raw element stream; a
-        // packed directory stores (and therefore sweeps) fewer bytes.
+        // The directory's logical size is the raw element stream; its
+        // frames store (and therefore sweep) fewer bytes.
         stats.list_bytes_logical += self.header.n_tuples * TUPLE_ENTRY_LEN as u64;
         stats.list_bytes_physical += self.padded_list_bytes(self.header.tuple_list.len);
     }
@@ -629,11 +589,10 @@ impl IvaIndex {
             let mut w = ListWriter::append_to(Arc::clone(&self.pager), entry.vlist)?;
             let mut new_entry = entry;
             let ty = new_entry.list_type;
-            // Build the raw-layout bytes of the new elements first; how
-            // they land on disk depends on the list's encoding tag. A
-            // positional list owes `gap` ndf elements (each `gap_pad`
-            // raw) for the tuples inserted since its last element — lazy
-            // positional padding. Both counts come off disk.
+            // The raw-layout bytes of the new elements. A positional list
+            // owes `gap` ndf elements (each `gap_pad` raw) for the tuples
+            // inserted since its last element — lazy positional padding.
+            // Both counts come off disk.
             let gap = if ty.is_positional() {
                 tuple_index.checked_sub(new_entry.elem_count).ok_or_else(|| {
                     IvaError::Corrupt(format!(
@@ -678,49 +637,24 @@ impl IvaIndex {
             } else {
                 new_entry.elem_count + n_elems
             };
-            match new_entry.encoding {
-                ListEncoding::Raw => {
-                    for _ in 0..gap {
-                        w.append(&gap_pad)?;
-                    }
-                    w.append(&elem_buf)?;
-                }
-                ListEncoding::Packed => {
-                    // Frame the tail so the packed decoder keeps working:
-                    // the positional gap becomes a 9-byte ndf-run frame
-                    // (however long the run) and the new elements one RAW
-                    // frame — a mixed-encoding list segment.
-                    let mut framed =
-                        Vec::with_capacity(elem_buf.len() + 2 * packed::FRAME_HEADER_LEN);
-                    if gap > 0 {
-                        packed::append_frame(&mut framed, packed::FRAME_NDF_RUN, gap as usize, &[]);
-                    }
-                    if n_elems > 0 {
-                        packed::append_frame(
-                            &mut framed,
-                            packed::FRAME_RAW,
-                            n_elems as usize,
-                            &elem_buf,
-                        );
-                    }
-                    w.append(&framed)?;
-                }
+            // The tail as frames: the positional gap one 9-byte NDF_RUN
+            // frame (however long the run), the new elements one RAW frame.
+            let mut framed = Vec::with_capacity(elem_buf.len() + 2 * packed::FRAME_HEADER_LEN);
+            if gap > 0 {
+                packed::append_frame(&mut framed, packed::FRAME_NDF_RUN, gap as usize, &[]);
             }
-            // Logical length grows by the raw-layout equivalent either way
-            // (for raw lists this keeps it equal to the stored length).
-            new_entry.logical_len += gap * gap_pad.len() as u64 + elem_buf.len() as u64;
+            if n_elems > 0 {
+                let kind = packed::FRAME_RAW;
+                packed::append_frame(&mut framed, kind, n_elems as usize, &elem_buf);
+            }
+            w.append(&framed)?;
+            // The logical length grows by the tail's raw layout, in the
+            // entry rewritten below: the list's own pages but its tail are
+            // not touched.
+            let grown = gap.saturating_mul(gap_pad.len() as u64) + elem_buf.len() as u64;
+            new_entry.logical_len = new_entry.logical_len.saturating_add(grown);
             new_entry.df += 1;
             new_entry.vlist = w.finish()?;
-            if new_entry.encoding == ListEncoding::Packed {
-                // The catalog defers a packed list's logical length to the
-                // list prologue — rewrite it in place to cover the tail.
-                overwrite_in_list(
-                    &self.pager,
-                    new_entry.vlist,
-                    0,
-                    &new_entry.logical_len.to_le_bytes(),
-                )?;
-            }
             *self
                 .entries
                 .get_mut(i)
@@ -728,21 +662,12 @@ impl IvaIndex {
             self.write_entry(i)?;
         }
 
-        // Tuple list: a framed directory takes the element as a
-        // one-element raw tail frame (rebuilds repack); a raw directory
-        // appends the legacy 12-byte element.
+        // Tuple list: the element as a one-element raw tail frame
+        // (rebuilds repack).
         let mut tw = ListWriter::append_to(Arc::clone(&self.pager), self.header.tuple_list)?;
-        match self.header.dir_encoding {
-            ListEncoding::Raw => {
-                tw.append_u32(tid32)?;
-                tw.append_u64(ptr.0)?;
-            }
-            ListEncoding::Packed => {
-                let mut frame = Vec::with_capacity(TUPLE_ENTRY_LEN + 9);
-                append_raw_entry(&mut frame, tid32, ptr.0);
-                tw.append(&frame)?;
-            }
-        }
+        let mut frame = Vec::with_capacity(TUPLE_ENTRY_LEN + packed::FRAME_HEADER_LEN);
+        append_raw_entry(&mut frame, tid32, ptr.0);
+        tw.append(&frame)?;
         self.header.tuple_list = tw.finish()?;
         self.header.n_tuples += 1;
         self.write_header()
@@ -761,7 +686,7 @@ impl IvaIndex {
                 .ok_or_else(|| IvaError::Corrupt("catalog entry missing during sync".into()))?;
             let vlist = ListWriter::create(Arc::clone(&self.pager))?.finish()?;
             let entry = AttrEntry::empty(vlist, def.ty == AttrType::Text, self.header.config.alpha);
-            entry.encode(self.header.version, &mut appended);
+            entry.encode(&mut appended);
             self.entries.push(entry);
         }
         let mut w = ListWriter::append_to(Arc::clone(&self.pager), self.header.attr_list)?;
@@ -781,17 +706,10 @@ impl IvaIndex {
         }
         let tid32 = tid as u32;
         // Locate the element and the in-place write that tombstones it:
-        // the 8-byte `ptr` rewrite of a raw element, or the one-byte
-        // liveness-bit clear of a packed frame (the stored pointer stays
-        // behind to keep the frame's delta chain intact).
-        let Some(patch) = locate_tombstone(
-            &self.pager,
-            self.header.tuple_list,
-            self.header.dir_encoding,
-            self.header.n_tuples,
-            tid32,
-        )?
-        else {
+        // the 8-byte `ptr` rewrite of a RAW frame's element, or the
+        // one-byte liveness-bit clear of a packed frame (the stored pointer
+        // stays behind to keep the frame's delta chain intact).
+        let Some(patch) = locate_tombstone(&self.pager, self.header.tuple_list, tid32)? else {
             return Ok(false);
         };
         if !patch.live {
@@ -1007,5 +925,84 @@ impl std::fmt::Display for QueryExplain {
             )?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::build::{build_index, IndexTarget};
+    use crate::metric::MetricKind;
+    use iva_storage::MemVfs;
+    use iva_swt::Value;
+    use std::path::Path;
+
+    /// A catalog entry whose logical length is too short or too long for
+    /// its list's frames — one byte either way, none at all, the most a
+    /// u64 holds — opens (open reads no list), and is `Corrupt` to the
+    /// first query that walks the list and to `decode_to_vec`; nothing
+    /// panics, and nothing is sized by the length.
+    #[test]
+    fn a_lying_logical_length_is_corrupt_to_the_walk_and_the_image() {
+        let opts = PagerOptions {
+            page_size: 256,
+            cache_bytes: 1 << 20,
+        };
+        let mut table = SwtTable::create_mem(&opts, IoStats::new()).unwrap();
+        let name = table.define_text("name").unwrap();
+        let price = table.define_numeric("price").unwrap();
+        for i in 0..600u32 {
+            let mut t = Tuple::new().with(name, Value::text(format!("item {}", i % 90)));
+            if i % 3 != 1 {
+                t.set(price, Value::num(f64::from(i % 50)));
+            }
+            table.insert(&t).unwrap();
+        }
+        let (vfs, path) = (Arc::new(MemVfs::new()), Path::new("index.iva"));
+        let target = IndexTarget::Vfs(vfs.clone(), path);
+        let config = IvaConfig::default();
+        let built = build_index(&table, target, &opts, IoStats::new(), config).unwrap();
+        let honest: Vec<u64> = built.entries.iter().map(|e| e.logical_len).collect();
+        drop(built);
+        let both = Query::new().text(name, "item 7").num(price, 7.0);
+        let queries = [both.clone(), Query::new().num(price, 7.0), both];
+        for (a, query) in [name, price].into_iter().zip(&queries) {
+            let real = honest[a.index()];
+            for lie in [real - 1, real + 1, 0, u64::MAX] {
+                let open = || IvaIndex::open_with_vfs(vfs.clone(), path, &opts, IoStats::new());
+                let mut index = open().unwrap();
+                index.entries[a.index()].logical_len = lie;
+                index.write_entry(a.index()).unwrap();
+                index.flush().unwrap();
+                let index = open().unwrap();
+                let ctx = format!("attribute {a}, logical length {lie} for {real}");
+                let out = index.query(&table, query, 10, &MetricKind::L2, WeightScheme::Equal);
+                assert!(out.is_err_and(|e| e.is_corruption()), "{ctx}: query");
+                let entry = index.attr_entry(a).unwrap();
+                let image = index
+                    .list_reader(entry)
+                    .and_then(PackedReader::decode_to_vec);
+                assert!(image.is_err_and(|e| e.is_corruption()), "{ctx}: image");
+            }
+            let mut index = open_honest(&vfs, path, &opts);
+            index.entries[a.index()].logical_len = real;
+            index.write_entry(a.index()).unwrap();
+            index.flush().unwrap();
+        }
+        // Put right, every list answers again.
+        let index = open_honest(&vfs, path, &opts);
+        index
+            .query(
+                &table,
+                &queries[0],
+                10,
+                &MetricKind::L2,
+                WeightScheme::Equal,
+            )
+            .unwrap();
+    }
+
+    fn open_honest(vfs: &Arc<MemVfs>, path: &Path, opts: &PagerOptions) -> IvaIndex {
+        IvaIndex::open_with_vfs(vfs.clone(), path, opts, IoStats::new()).unwrap()
     }
 }

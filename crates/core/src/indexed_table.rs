@@ -98,7 +98,7 @@ impl IndexedTable {
     /// any unflushed tail). The index is then validated against it: a
     /// dirty epoch flag (crash mid-update), a watermark that disagrees
     /// with the table's committed length (flushed out of step), a corrupt
-    /// page, a missing file or a stale format (a v2–v4 packed text list,
+    /// page, a missing file or a stale format (any version but
     /// [`crate::INDEX_VERSION`]) all mean it is rebuilt from the table — into
     /// `rebuild_tmp`, then renamed into place, so a crash mid-rebuild
     /// leaves the (still rebuildable) old state. The header persists only

@@ -8,16 +8,15 @@
 //! `(tid, payload)` pairs — nG-signature blobs for text, quantized codes
 //! for numbers. It is the scan's own walk with a collecting visitor
 //! ([`crate::veclist`]), so the physical organization (Type I–IV layout,
-//! raw vs packed encoding, lazy positional tails) is erased by the one
+//! packed frames, lazy positional tails) is erased by the one
 //! reader that knows it, and what is exported is exactly what a query can
 //! see.
 //!
 //! [`import_index`] rebuilds a canonical index from that content alone —
 //! no table scan, no re-encoding of values: it validates the foreign
 //! postings and hands them to the builder's own writer
-//! (`build::write_index`), which re-derives each list's stored image
-//! exactly as a fresh build would (including re-packing when
-//! `compress_lists` is set). Round-tripping therefore reproduces
+//! (`build::write_index`), which re-derives each list's frames exactly
+//! as a fresh build would. Round-tripping therefore reproduces
 //! bit-identical query answers: the postings carry the exact vectors the
 //! original index filtered with.
 //!
@@ -97,7 +96,7 @@ pub fn export_index(index: &IvaIndex) -> Result<ExportedIndex> {
             (cur.postings(index.sig_codec(), &all_tids)?, Vec::new())
         } else {
             let codec = index.numeric_codec(entry);
-            let cur = index.open_num_cursor(entry, &codec)?;
+            let cur = index.open_num_cursor(entry)?;
             (Vec::new(), cur.postings(&codec, &all_tids)?)
         };
         attrs.push(ExportedAttr {
@@ -140,8 +139,8 @@ fn check_alignment<'a>(
 }
 
 /// Rebuild a canonical index from interchange content. Lists are
-/// re-encoded (and re-packed when `config.compress_lists` is set)
-/// exactly as a fresh [`crate::build_index`] would encode them, so the
+/// re-encoded exactly as a fresh [`crate::build_index`] would encode
+/// them, so the
 /// imported index answers queries bit-identically to the exported one.
 pub fn import_index(
     target: IndexTarget<'_>,

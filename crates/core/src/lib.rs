@@ -55,10 +55,7 @@ pub use error::{IvaError, Result};
 pub use index::{ExplainAttr, IvaIndex, QueryExplain, QueryMatchers, QueryOutcome, ScanCarry};
 pub use indexed_table::IndexedTable;
 pub use interchange::{export_index, import_index, ExportedAttr, ExportedIndex};
-pub use layout::{
-    AttrEntry, IndexHeader, ListEncoding, INDEX_VERSION, INDEX_VERSION_V2, INDEX_VERSION_V3,
-    INDEX_VERSION_V4, INDEX_VERSION_V5, INDEX_VERSION_V6, TOMBSTONE_PTR, TUPLE_ENTRY_LEN,
-};
+pub use layout::{AttrEntry, IndexHeader, INDEX_VERSION, TOMBSTONE_PTR, TUPLE_ENTRY_LEN};
 pub use metric::{Metric, MetricKind, WeightScheme};
 pub use multi::BatchItem;
 pub use numeric::NumericCodec;

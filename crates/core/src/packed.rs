@@ -2,16 +2,18 @@
 //! The packed vector-list codec: compressed on-disk encodings for the four
 //! list organizations of Sec. III-D.
 //!
-//! A packed list opens with an 8-byte prologue — the *logical length*, the
-//! byte size the list would have in the raw layout (the catalog entry
-//! stays v2-sized this way; a raw list needs no such field because its
-//! stored bytes are its logical bytes) — followed by a sequence of
-//! self-describing *frames*, each holding a bounded run of whole elements:
+//! A packed list is a sequence of self-describing *frames*, each holding a
+//! bounded run of whole elements, and has a *logical length*: the byte
+//! size of its elements in the Type I–IV element layout of Sec. III-D (the
+//! raw layout), which a reader holds the frames to. An index keeps the
+//! length in the list's catalog entry and stores the frames alone; the
+//! encoders below hand out a self-contained *image* that carries it in an
+//! 8-byte prologue, for tools and tests:
 //!
 //! ```text
-//! list  := [logical_len: u64] frame*
+//! image := [logical_len: u64] frame*
 //! frame := [kind: u8][elems: u32][payload_len: u32][payload ...]
-//! kind 0 (RAW)     payload is `elems` elements in the legacy raw layout
+//! kind 0 (RAW)     payload is `elems` elements in the raw layout
 //! kind 1 (PACKED)  org-specific packed payload (below)
 //! kind 2 (NDF_RUN) `elems` positional ndf elements, no payload
 //! kind 3 (DICT)    a text list's `elems` distinct signatures (below); the
@@ -52,8 +54,7 @@
 //! the estimates, in which a distance `d ≤ B` is exact.
 //!
 //! **Postings.** On a Type III list coded by strings the DICT frame goes on
-//! to invert the codes (format v7), where the list stays smaller than its
-//! raw layout with them: `covered`, the positions the list's
+//! to invert the codes: `covered`, the positions the list's
 //! PACKED and NDF_RUN frames hold, and the raw-layout bytes of those
 //! frames; per entry, how many positions hold a value with that string;
 //! then those positions, grouped by entry and ascending, at one width of
@@ -64,7 +65,7 @@
 //! The positional Types III/IV additionally collapse runs of ndf elements
 //! into header-only NDF_RUN frames — the run-length framing that replaces
 //! re-packing for the already-dense Type IV code pages. RAW frames carry
-//! insert-appended tails, so one list can mix encodings and still decode
+//! insert-appended tails, so one list can mix frame kinds and still decode
 //! with a single cursor; their signatures are inline, not coded.
 //!
 //! **A PACKED frame is read in place.** [`PackedReader`] holds the list's
@@ -97,7 +98,7 @@ use crate::error::{IvaError, Result};
 use crate::metric::Metric;
 use crate::numeric::NumericCodec;
 use crate::query::edits_past;
-use crate::veclist::{text_lower_bound, ListType, RawBytes, SigView};
+use crate::veclist::{text_lower_bound, ListType, SigView};
 
 /// Frame holding raw-layout element bytes (insert-appended tails).
 pub(crate) const FRAME_RAW: u8 = 0;
@@ -127,8 +128,8 @@ const MAX_FRAME_ELEMS: usize = 1 << 20;
 /// frame header costs 9 bytes; shorter runs ride inside packed frames).
 const NDF_RUN_MIN: usize = 16;
 
-/// Bytes of the logical-length prologue heading every packed list.
-pub(crate) const PACKED_PROLOGUE_LEN: usize = 8;
+/// Bytes of the logical-length prologue heading a list image.
+const PACKED_PROLOGUE_LEN: usize = 8;
 
 /// A probe hands the walk its candidates ([`Leap`]) only while they are at
 /// most `1 / LEAP_SHARE` of the positions its postings cover; past that,
@@ -145,10 +146,14 @@ fn corrupt(msg: &str) -> IvaError {
     IvaError::Corrupt(msg.into())
 }
 
-/// Read the logical-length prologue off the head of a packed list. The
-/// index loader uses this to fill a Packed catalog entry's in-memory
-/// `logical_len`; [`PackedReader`]'s constructors consume it the same way.
-pub(crate) fn read_logical_len(reader: &mut ListReader) -> Result<u64> {
+/// A list's logical length and its frames, as one image (see the module
+/// doc).
+fn image((logical, frames): (u64, Vec<u8>)) -> Vec<u8> {
+    [logical.to_le_bytes().as_slice(), &frames].concat()
+}
+
+/// Read an image's logical-length prologue.
+fn read_prologue(reader: &mut ListReader) -> Result<u64> {
     let mut b = [0u8; PACKED_PROLOGUE_LEN];
     reader.read_exact(&mut b)?;
     Ok(u64::from_le_bytes(b))
@@ -416,27 +421,27 @@ fn push_codes(codes: &[u64], out: &mut Vec<u8>) {
     pack_bits(codes, cbw.max(1), out);
 }
 
-/// Encode a text attribute's vector list in the packed framing. Inputs
-/// mirror [`crate::veclist::encode_text_list`]; the output decodes to the
+/// Encode a text attribute's vector list as a packed image. Inputs
+/// mirror [`crate::veclist::encode_text_list`]; the image decodes to the
 /// byte-identical raw layout.
 pub fn encode_packed_text_list(
     ty: ListType,
     items: &[(u32, Vec<Vec<u8>>)],
     all_tids: &[u32],
 ) -> Vec<u8> {
-    encode_packed_text(ty, items, None, all_tids)
+    image(encode_packed_text(ty, items, None, all_tids))
 }
 
-/// [`encode_packed_text_list`] given each item's strings too: its DICT
-/// frame then carries the string and count sections where the list's
-/// distinct strings take no more bytes than its codes (see the module
-/// doc), and is signature-only elsewhere.
+/// The logical length and frames of [`encode_packed_text_list`], given
+/// each item's strings too: its DICT frame then carries the string and
+/// count sections where the list's distinct strings take no more bytes
+/// than its codes (see the module doc), and is signature-only elsewhere.
 pub(crate) fn encode_packed_text(
     ty: ListType,
     items: &[(u32, Vec<Vec<u8>>)],
     strings: Option<&TextStrings>,
     all_tids: &[u32],
-) -> Vec<u8> {
+) -> (u64, Vec<u8>) {
     let sig_bytes: u64 = items
         .iter()
         .flat_map(|(_, sigs)| sigs.iter())
@@ -534,19 +539,13 @@ pub(crate) fn encode_packed_text(
         }
         ListType::IV => debug_assert!(false, "Type IV is numeric-only"),
     }
-    // Postings ride where the list stays smaller than its raw layout with
-    // them: a build stores the smaller image, and otherwise the raw one.
-    let mut head = logical.to_le_bytes().to_vec();
-    push_dict_frame(&entries, counts.as_deref(), &postings, &mut head);
-    if !postings.is_empty() && (head.len() + out.len()) as u64 >= logical {
-        head.truncate(PACKED_PROLOGUE_LEN);
-        push_dict_frame(&entries, counts.as_deref(), &[], &mut head);
-    }
-    head.extend_from_slice(&out);
-    head
+    let mut frames = Vec::new();
+    push_dict_frame(&entries, counts.as_deref(), &postings, &mut frames);
+    frames.extend_from_slice(&out);
+    (logical, frames)
 }
 
-/// Encode a numeric attribute's vector list in the packed framing. Inputs
+/// Encode a numeric attribute's vector list as a packed image. Inputs
 /// mirror [`crate::veclist::encode_num_list`].
 pub fn encode_packed_num_list(
     ty: ListType,
@@ -554,6 +553,16 @@ pub fn encode_packed_num_list(
     all_tids: &[u32],
     codec: &NumericCodec,
 ) -> Vec<u8> {
+    image(encode_packed_num(ty, items, all_tids, codec))
+}
+
+/// The logical length and frames of [`encode_packed_num_list`].
+pub(crate) fn encode_packed_num(
+    ty: ListType,
+    items: &[(u32, u64)],
+    all_tids: &[u32],
+    codec: &NumericCodec,
+) -> (u64, Vec<u8>) {
     let logical: u64 = match ty {
         // Raw Type I: `[tid u32][code]` per defined value.
         ListType::I => items.len() as u64 * (4 + codec.code_bytes() as u64),
@@ -562,7 +571,6 @@ pub fn encode_packed_num_list(
         _ => 0,
     };
     let mut out = Vec::new();
-    out.extend_from_slice(&logical.to_le_bytes());
     match ty {
         ListType::I => {
             for chunk in items.chunks(FRAME_ELEMS) {
@@ -604,7 +612,7 @@ pub fn encode_packed_num_list(
         }
         _ => debug_assert!(false, "text-only list type for numeric attribute"),
     }
-    out
+    (logical, out)
 }
 
 /// Shared positional segmentation: runs of ndf elements at least
@@ -695,15 +703,16 @@ impl Org {
 }
 
 /// The payload of a RAW tail frame: raw-layout element bytes, which the
-/// walk parses exactly as it parses a raw list's pages.
+/// walk parses field by field.
 #[derive(Default)]
 pub(crate) struct RawTail {
     buf: Vec<u8>,
     pos: usize,
 }
 
-impl RawBytes for RawTail {
-    fn take(&mut self, n: usize) -> Result<&[u8]> {
+impl RawTail {
+    /// The next `n` bytes, as a borrowed view.
+    pub(crate) fn take(&mut self, n: usize) -> Result<&[u8]> {
         let start = self.pos;
         let bytes = start
             .checked_add(n)
@@ -1332,49 +1341,78 @@ pub(crate) enum Frame<'a> {
 /// hands the walk in `veclist.rs` its element fields (see the module doc).
 pub struct PackedReader {
     inner: ListReader,
+    /// Where the list's frames start in `inner`.
+    start: u64,
     org: Org,
     kind: u8,
     raw: RawTail,
     ndf_left: u64,
     sections: Sections,
-    /// Raw-layout bytes of the frames not yet loaded (from the list's
-    /// prologue; what a finished walk must have brought to zero).
+    /// Raw-layout bytes of the frames not yet loaded: the list's logical
+    /// length, less what the frames loaded so far decode to. The last
+    /// frame must bring it to exactly zero.
     remaining: u64,
 }
 
 impl PackedReader {
-    /// Reader over a packed text list. Consumes the list's logical-length
-    /// prologue.
-    pub fn new_text(reader: ListReader, ty: ListType, codec: &SigCodec) -> Result<Self> {
+    /// Reader over a packed text list's image (see the module doc).
+    /// Consumes its logical-length prologue.
+    pub fn new_text(mut reader: ListReader, ty: ListType, codec: &SigCodec) -> Result<Self> {
+        let logical = read_prologue(&mut reader)?;
+        Self::text_frames(reader, ty, codec, logical)
+    }
+
+    /// Reader over a packed numeric list's image. Consumes its
+    /// logical-length prologue.
+    pub fn new_num(mut reader: ListReader, ty: ListType, codec: &NumericCodec) -> Result<Self> {
+        let logical = read_prologue(&mut reader)?;
+        Self::num_frames(reader, ty, codec, logical)
+    }
+
+    /// Reader over the frames at `reader` of a text list whose logical
+    /// length is `logical` — how an index stores a list.
+    pub(crate) fn text_frames(
+        reader: ListReader,
+        ty: ListType,
+        codec: &SigCodec,
+        logical: u64,
+    ) -> Result<Self> {
         if ty == ListType::IV {
             return Err(IvaError::InvalidArgument(
                 "text decoder on numeric-only Type IV list".into(),
             ));
         }
-        Self::new(reader, Org::Text(ty, codec.clone()))
+        Self::over(reader, Org::Text(ty, codec.clone()), logical)
     }
 
-    /// Reader over a packed numeric list. Consumes the list's
-    /// logical-length prologue.
-    pub fn new_num(reader: ListReader, ty: ListType, codec: &NumericCodec) -> Result<Self> {
+    /// [`PackedReader::text_frames`] for a numeric list.
+    pub(crate) fn num_frames(
+        reader: ListReader,
+        ty: ListType,
+        codec: &NumericCodec,
+        logical: u64,
+    ) -> Result<Self> {
         if !matches!(ty, ListType::I | ListType::IV) {
             return Err(IvaError::InvalidArgument(
                 "numeric decoder on text-only list type".into(),
             ));
         }
-        Self::new(reader, Org::Num(ty, *codec))
+        Self::over(reader, Org::Num(ty, *codec), logical)
     }
 
-    fn new(mut inner: ListReader, org: Org) -> Result<Self> {
-        let remaining = read_logical_len(&mut inner)?;
+    fn over(inner: ListReader, org: Org, logical: u64) -> Result<Self> {
+        if inner.at_end() && logical != 0 {
+            return Err(corrupt("list of no frames claims a logical length"));
+        }
         Ok(Self {
+            start: inner.tell(),
             inner,
             org,
             kind: FRAME_RAW,
             raw: RawTail::default(),
             ndf_left: 0,
             sections: Sections::default(),
-            remaining,
+            remaining: logical,
         })
     }
 
@@ -1414,7 +1452,7 @@ impl PackedReader {
         (k, deleted, values): (u64, u64, u64),
         (lambda, ndf, metric): (f64, f64, &M),
     ) -> Result<Option<Seed>> {
-        if self.inner.tell() == PACKED_PROLOGUE_LEN as u64 && !self.inner.at_end() {
+        if self.inner.tell() == self.start && !self.inner.at_end() {
             self.read_frame()?;
         }
         let (counted, need) = (self.counted(), k.saturating_add(deleted));
@@ -1491,7 +1529,7 @@ impl PackedReader {
     /// that the walk goes on at position `covered`, in the RAW tail.
     pub(crate) fn skip_covered(&mut self, leap: &Leap) -> Result<()> {
         let mismatch = || corrupt("postings cover other frames than the list holds");
-        if self.inner.tell() != PACKED_PROLOGUE_LEN as u64 {
+        if self.inner.tell() != self.start {
             return Err(mismatch());
         }
         let (mut left, mut dict) = (leap.covered, true);
@@ -1505,7 +1543,19 @@ impl PackedReader {
             }
             self.inner.skip(payload_len)?;
         }
-        self.remaining = self.remaining.checked_sub(leap.raw).ok_or_else(mismatch)?;
+        self.charge(leap.raw)
+    }
+
+    /// Take `raw` bytes, what the frames just loaded or skipped decode
+    /// to, off the logical length left: the frames must add up to it
+    /// exactly, so frames past it, or a last frame short of it, are
+    /// corrupt.
+    fn charge(&mut self, raw: u64) -> Result<()> {
+        let left = self.remaining.checked_sub(raw);
+        self.remaining = left.ok_or_else(|| corrupt("list frames past its logical length"))?;
+        if self.inner.at_end() && self.remaining != 0 {
+            return Err(corrupt("list frames short of its logical length"));
+        }
         Ok(())
     }
 
@@ -1616,8 +1666,7 @@ impl PackedReader {
                     return Err(corrupt("dictionary frame in a numeric list"));
                 };
                 // The dictionary heads the list's frames, or there is none.
-                let header_end = PACKED_PROLOGUE_LEN + FRAME_HEADER_LEN;
-                if self.inner.tell() != header_end as u64 {
+                if self.inner.tell() != self.start + FRAME_HEADER_LEN as u64 {
                     return Err(corrupt("dictionary frame after the first frame"));
                 }
                 let dict = &mut self.sections.dict;
@@ -1637,9 +1686,10 @@ impl PackedReader {
                 if elems == 0 {
                     return Err(corrupt("empty ndf run frame"));
                 }
-                // The prologue came off disk too: a run claiming more raw
-                // bytes than the list has left is corruption, and checking
-                // here keeps a lying header from driving giant expansions.
+                // The logical length came off disk too: a run claiming more
+                // raw bytes than the list has left is corruption, and
+                // checking here keeps a lying header from driving giant
+                // expansions.
                 let span = (elems as u64).saturating_mul(self.org.ndf_elem_len());
                 if span > self.remaining {
                     return Err(corrupt("ndf run beyond logical length"));
@@ -1650,15 +1700,14 @@ impl PackedReader {
             other => return Err(IvaError::Corrupt(format!("bad list frame kind {other}"))),
         };
         self.kind = kind;
-        self.remaining = self.remaining.saturating_sub(raw_len);
-        Ok(())
+        self.charge(raw_len)
     }
 
     /// Inflate the rest of the list into one raw-layout buffer — the whole
     /// image at once, for tools and tests that compare it with the raw
-    /// encoder's output (scans, promotions and exports read the frames in
-    /// place through the cursors). It is the cursors' walk, written back
-    /// out through the raw element encoders. Strict: the decoded size must
+    /// encoder's output (scans and exports read the frames in place
+    /// through the cursors). It is the cursors' walk, written back out
+    /// through the raw element encoders. Strict: the decoded size must
     /// equal the declared logical length.
     pub fn decode_to_vec(self) -> Result<Vec<u8>> {
         crate::veclist::raw_image(self)
@@ -1794,8 +1843,8 @@ mod tests {
         append_frame(&mut packed, FRAME_RAW, 1, &tail);
         let mut expect = raw.clone();
         expect.extend_from_slice(&tail);
-        // The appended tail grows the logical length; rewrite the
-        // prologue the way the insert path does.
+        // The appended tail grows the logical length, which the image
+        // carries in its prologue.
         packed[..8].copy_from_slice(&(expect.len() as u64).to_le_bytes());
         let r = reader_for(&p, &packed);
         let pr = PackedReader::new_num(r, ListType::I, &codec).unwrap();
@@ -1962,7 +2011,12 @@ mod tests {
             })
             .collect();
         let all_tids: Vec<u32> = (0..200).collect();
-        let packed = encode_packed_text(ListType::III, &items, Some(&strings), &all_tids);
+        let packed = image(encode_packed_text(
+            ListType::III,
+            &items,
+            Some(&strings),
+            &all_tids,
+        ));
         let p = pager();
         let matcher = PreparedMatcher::new(&codec, b"canon");
         let probe = |k: u64, deleted: u64, values: u64| {
@@ -1996,7 +2050,7 @@ mod tests {
                 bits: &mut bits,
                 at: 1,
             };
-            TextListCursor::new_packed(r, ListType::III)
+            TextListCursor::new(r, ListType::III)
                 .fill_seeded(&all_tids[..4], &codec, &matcher, Some(seed), out, cands)
                 .unwrap();
             bits[0]
@@ -2048,7 +2102,12 @@ mod tests {
             .map(|(t, v)| (t, sigs(v)))
             .collect();
         let all_tids: Vec<u32> = (0..300).collect();
-        let mut packed = encode_packed_text(ListType::III, &items, Some(&strings), &all_tids);
+        let mut packed = image(encode_packed_text(
+            ListType::III,
+            &items,
+            Some(&strings),
+            &all_tids,
+        ));
         let covered_raw = u64::from_le_bytes(packed[..8].try_into().unwrap());
         let mut tail = vec![1u8];
         tail.extend_from_slice(&codec.encode_to_vec(b"needle"));

@@ -96,7 +96,7 @@ use iva_text::{PreparedMatcher, SigCodec};
 
 use crate::error::{IvaError, Result};
 use crate::index::{IvaIndex, QueryMatchers, ScanCarry, SharedAttr};
-use crate::layout::{ListEncoding, TOMBSTONE_PTR};
+use crate::layout::TOMBSTONE_PTR;
 use crate::metric::Metric;
 use crate::numeric::NumericCodec;
 use crate::packed::{Cands, Leap, Seed, EXACT_BIAS};
@@ -138,7 +138,7 @@ impl<'a> AttrScan<'a> {
                 leap: seed.and_then(|s| s.leap.as_ref()).map(|l| (l, 0)),
             },
             SharedAttr::Num { q, codec, entry } => AttrScan::Num {
-                cur: index.open_num_cursor(entry, codec)?,
+                cur: index.open_num_cursor(entry)?,
                 codec,
                 q: *q,
             },
@@ -197,15 +197,6 @@ impl<'a> AttrScan<'a> {
         };
         let next = l.get(*next).map_or(l.covered, |(p, _)| p);
         (at < l.covered).then_some(next)
-    }
-
-    /// Whether the scan walks a raw list element by element.
-    fn walks(&self) -> bool {
-        match self {
-            AttrScan::Text { cur, .. } => cur.walks(),
-            AttrScan::Num { cur, .. } => cur.walks(),
-            AttrScan::AlwaysNdf => false,
-        }
     }
 
     /// The fill contract: move over `tids`, the block of tuple-list
@@ -319,33 +310,18 @@ impl<'a> Bounds<'a> {
     }
 
     /// Fill every attribute's column for the next block (≤ [`BLOCK`], from
-    /// position `at` on), a column at a time — except that the raw lists
-    /// of a query, which are walked element by element, go position by
-    /// position together: their page reads (and so a cold query's seeks)
-    /// keep the order an element-by-element scan gave them. Every position
-    /// starts as a candidate; a seeded fill clears those that cannot pass.
+    /// position `at` on), a column at a time. Every position starts as a
+    /// candidate; a seeded fill clears those that cannot pass.
     pub(crate) fn fill(&mut self, at: u64, tids: &[u32]) -> Result<()> {
         let too_long = || IvaError::InvalidArgument("block too long".into());
         self.cands = [u64::MAX; BLOCK / 64];
         for (a, col) in self.attrs.iter_mut().zip(self.lbs.chunks_exact_mut(BLOCK)) {
-            if !a.walks() {
-                let col = col.get_mut(..tids.len()).ok_or_else(too_long)?;
-                let cands = Cands {
-                    bits: &mut self.cands,
-                    at: 0,
-                };
-                a.fill(at, tids, col, cands)?;
-            }
-        }
-        if self.attrs.iter().any(AttrScan::walks) {
-            for (i, tid) in tids.chunks(1).enumerate() {
-                for (a, col) in self.attrs.iter_mut().zip(self.lbs.chunks_exact_mut(BLOCK)) {
-                    if a.walks() {
-                        let col = col.get_mut(i..=i).ok_or_else(too_long)?;
-                        a.fill(at + i as u64, tid, col, Cands::default())?;
-                    }
-                }
-            }
+            let col = col.get_mut(..tids.len()).ok_or_else(too_long)?;
+            let cands = Cands {
+                bits: &mut self.cands,
+                at: 0,
+            };
+            a.fill(at, tids, col, cands)?;
         }
         Ok(())
     }
@@ -452,7 +428,7 @@ pub(crate) struct PhaseNanos {
 
 impl IvaIndex {
     /// [`IvaIndex::prepare_query`], and a 1-value text query's [`Seed`]
-    /// for `carry`'s k where its packed list's dictionary holds strings
+    /// for `carry`'s k where its list's dictionary holds strings
     /// (see the module doc), with the CPU nanos both took. The probe needs
     /// k + this index's tombstones counted values: a counted value may
     /// since have been deleted, and RAW tail inserts only add values.
@@ -471,10 +447,10 @@ impl IvaIndex {
         let shared = self.prepare_query(query, matchers)?;
         let seed = match (query.iter().next(), shared.as_slice(), lambda) {
             (Some((_, QueryValue::Text(q))), [SharedAttr::Text { matcher, entry }], &[lam])
-                if entry.encoding == ListEncoding::Packed && k > 0 =>
+                if k > 0 =>
             {
                 let counts = (k as u64, self.n_deleted(), entry.df);
-                let mut reader = self.packed_text_reader(entry)?;
+                let mut reader = self.list_reader(entry)?;
                 let ndf = self.config().ndf_penalty;
                 reader.probe(matcher, q.as_bytes(), counts, (lam, ndf, metric))?
             }
@@ -873,13 +849,10 @@ mod tests {
             .collect();
         let (table, index) = one_attr(&rows, 0, 0);
         let entry = index.attr_entry(AttrId(0)).unwrap();
-        assert_eq!(
-            (entry.list_type, entry.encoding),
-            (crate::ListType::III, ListEncoding::Packed)
-        );
+        assert_eq!(entry.list_type, crate::ListType::III);
         let q = Query::new().text(AttrId(0), "needle");
         let io = index.io_stats();
-        // The probe: the list's prologue and its DICT frame.
+        // The probe: the list's DICT frame.
         let before = io.snapshot();
         let matchers = index.query_matchers(&q);
         let (metric, mut carry) = ((&[1.0][..], &MetricKind::L2), ScanCarry::new(5));
@@ -898,7 +871,7 @@ mod tests {
             .zip(column.ptrs.iter().copied())
             .collect();
         let dir = crate::dirlist::encode_dir(&entries);
-        let (mut at, mut first, mut expected) = (0usize, 0usize, probe + 8);
+        let (mut at, mut first, mut expected) = (0usize, 0usize, probe);
         while at < dir.len() {
             let elems = u32::from_le_bytes(dir[at + 1..at + 5].try_into().unwrap()) as usize;
             let len = u32::from_le_bytes(dir[at + 5..at + 9].try_into().unwrap()) as u64;

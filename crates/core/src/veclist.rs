@@ -19,13 +19,14 @@
 //! by counting, so they store elements for every tuple. Types I/II are
 //! *keyed* by tid and skip ndf tuples entirely.
 //!
-//! This module is the one owner of that element layout. Bytes are written
-//! by [`push_text_elem`] / [`push_num_elem`] (bulk encodes and
-//! [`crate::IvaIndex::insert`] alike) and read by the two cursors' walk
-//! ([`crate::export_index`], and the scan wherever a frame cannot serve
-//! it a run); [`crate::packed`] owns only
-//! the frame codec that carries the same element stream compressed — and
-//! answers the walk's field reads, and the scan's block fills
+//! This module is the one owner of that element layout. Every list is
+//! stored as packed frames ([`crate::packed`]), which compress it; the
+//! layout itself lives on as the lists' logical length, as the RAW tail
+//! frames an insert appends — written by [`push_text_elem`] /
+//! [`push_num_elem`] and parsed by the two cursors' walk — and as the
+//! size formulas below. The walk serves [`crate::export_index`], and the
+//! scan wherever a frame cannot serve it a run; the frames answer the
+//! walk's field reads, and the scan's block fills
 //! ([`TextListCursor::fill_block`]), from a frame's sections in place,
 //! never by rebuilding the raw bytes.
 //!
@@ -37,20 +38,18 @@
 //!   order) is invisible — the scan steps over it and an export does not
 //!   carry it, wherever in the list it sits;
 //! * a walk over the whole tuple list that ends with list bytes left over
-//!   — a *positional* list with more elements than the tuple list, or a
-//!   packed list whose prologue promises more than its frames hold — is
+//!   — a *positional* list with more elements than the tuple list — is
 //!   [`IvaError::Corrupt`] to the cursors' `finish`, which an export
 //!   ([`TextListCursor::postings`] / [`NumListCursor::postings`]) ends
 //!   with. A positional list *shorter* than the tuple list is legal: the
 //!   lazy tail reads as *ndf*.
 
 use iva_storage::codec::le_u32;
-use iva_storage::{ListReader, PageRef};
 use iva_text::{PreparedMatcher, SigCodec};
 
 use crate::error::{IvaError, Result};
 use crate::numeric::NumericCodec;
-use crate::packed::{Bound, Cands, Frame, Leap, Org, PackedReader, Seed};
+use crate::packed::{Bound, Cands, Frame, Leap, Org, PackedReader, RawTail, Seed};
 
 /// Width of a tuple id in list elements (the paper's `ltid`).
 pub const LTID: usize = 4;
@@ -254,85 +253,47 @@ pub fn encode_num_list(
     Ok(out)
 }
 
-/// Where raw-layout element bytes come from: a raw list's buffer-pool
-/// pages, or the payload of a packed list's RAW tail frame.
-pub(crate) trait RawBytes {
-    /// The next `n` bytes, as a borrowed view.
-    fn take(&mut self, n: usize) -> Result<&[u8]>;
-    /// Step over the next `n` bytes unread.
-    fn skip(&mut self, n: usize) -> Result<()> {
-        self.take(n).map(drop)
-    }
-}
-
-impl RawBytes for ListReader {
-    fn take(&mut self, n: usize) -> Result<&[u8]> {
-        Ok(self.read_bytes(n)?)
-    }
-
-    fn skip(&mut self, n: usize) -> Result<()> {
-        Ok(ListReader::skip(self, n as u64)?)
-    }
-}
-
 fn short_elem() -> IvaError {
     IvaError::Corrupt("vector list element cut short".into())
 }
 
 /// Raw layout: a keyed element's `[tid u32]` header.
-fn raw_tid<B: RawBytes>(src: &mut B) -> Result<u32> {
+fn raw_tid(src: &mut RawTail) -> Result<u32> {
     le_u32(src.take(LTID)?, 0).ok_or_else(short_elem)
 }
 
 /// Raw layout: a Type II/III element's `[num u8]` string count, or a
 /// signature's `[cL u8]`.
-fn raw_byte<B: RawBytes>(src: &mut B) -> Result<u8> {
+fn raw_byte(src: &mut RawTail) -> Result<u8> {
     src.take(LNUM)?.first().copied().ok_or_else(short_elem)
 }
 
 /// Raw layout: one `[cL][cH…]` signature, visited or stepped over.
 #[inline]
-fn raw_sig<B: RawBytes, V: SigVisitor>(
-    src: &mut B,
+fn raw_sig<V: SigVisitor>(
+    src: &mut RawTail,
     codec: &SigCodec,
     v: &mut Option<&mut V>,
 ) -> Result<()> {
     let len_byte = raw_byte(src)?;
-    let ch_len = codec.ch_bytes(len_byte);
+    let ch = src.take(codec.ch_bytes(len_byte))?;
     match v {
-        Some(v) => {
-            let ch = src.take(ch_len)?;
-            v.sig(SigView {
-                len_byte,
-                ch,
-                window: ch,
-            })
-        }
-        None => src.skip(ch_len),
+        Some(v) => v.sig(SigView {
+            len_byte,
+            ch,
+            window: ch,
+        }),
+        None => Ok(()),
     }
 }
 
 /// Raw layout: one numeric code, read when `want`ed.
-fn raw_code<B: RawBytes>(src: &mut B, codec: &NumericCodec, want: bool) -> Result<Option<u64>> {
-    if want {
-        codec.read_code(src.take(codec.code_bytes())?).map(Some)
-    } else {
-        src.skip(codec.code_bytes()).map(|()| None)
+fn raw_code(src: &mut RawTail, codec: &NumericCodec, want: bool) -> Result<Option<u64>> {
+    let bytes = src.take(codec.code_bytes())?;
+    match want {
+        true => codec.read_code(bytes).map(Some),
+        false => Ok(None),
     }
-}
-
-/// Element-stream source for a cursor. The walk asks it for an element
-/// *header* field (a keyed tid, a string count) or a *value* field (one
-/// signature, one numeric code); the raw layout parses them out of
-/// buffer-pool pages, a packed list ([`crate::packed`]) answers from its
-/// current frame — a PACKED frame's sections, an NDF_RUN frame's count, or
-/// a RAW tail frame's bytes, parsed like a raw list's. Same fields in the
-/// same order either way, so the cursors below are encoding-oblivious.
-pub(crate) enum ElemReader {
-    /// Raw (v2) layout: reads borrow buffer-pool pages directly.
-    Raw(ListReader),
-    /// Packed (v3) layout: reads borrow the current frame.
-    Packed(Box<PackedReader>),
 }
 
 /// An NDF_RUN frame holds no keyed header and no signature.
@@ -340,46 +301,32 @@ fn in_ndf_run() -> IvaError {
     IvaError::Corrupt("misaligned read in ndf run".into())
 }
 
-impl ElemReader {
-    fn at_end(&self) -> bool {
-        match self {
-            ElemReader::Raw(r) => r.at_end(),
-            ElemReader::Packed(r) => r.at_end(),
-        }
-    }
-
-    fn remaining(&self) -> u64 {
-        match self {
-            ElemReader::Raw(r) => r.remaining(),
-            ElemReader::Packed(r) => r.remaining(),
-        }
-    }
-
+/// The walk's element fields. It asks for an element *header* field (a
+/// keyed tid, a string count) or a *value* field (one signature, one
+/// numeric code), and the list's current frame answers — a PACKED frame
+/// from its sections, an NDF_RUN frame from its count, a RAW tail frame by
+/// parsing its raw-layout bytes — so the cursors below read every frame
+/// alike.
+impl PackedReader {
     /// Header: the next keyed element's tid.
     fn tid(&mut self) -> Result<u32> {
-        match self {
-            ElemReader::Raw(r) => raw_tid(r),
-            ElemReader::Packed(p) => match p.frame()? {
-                Frame::Raw(tail) => raw_tid(tail),
-                Frame::Packed(sections) => sections.tid(),
-                Frame::NdfRun(_) => Err(in_ndf_run()),
-            },
+        match self.frame()? {
+            Frame::Raw(tail) => raw_tid(tail),
+            Frame::Packed(sections) => sections.tid(),
+            Frame::NdfRun(_) => Err(in_ndf_run()),
         }
     }
 
     /// Header: the next Type II/III element's string count.
     #[inline]
     fn string_count(&mut self) -> Result<u8> {
-        match self {
-            ElemReader::Raw(r) => raw_byte(r),
-            ElemReader::Packed(p) => match p.frame()? {
-                Frame::Raw(tail) => raw_byte(tail),
-                Frame::Packed(sections) => sections.string_count(),
-                Frame::NdfRun(left) => {
-                    *left -= 1;
-                    Ok(0)
-                }
-            },
+        match self.frame()? {
+            Frame::Raw(tail) => raw_byte(tail),
+            Frame::Packed(sections) => sections.string_count(),
+            Frame::NdfRun(left) => {
+                *left -= 1;
+                Ok(0)
+            }
         }
     }
 
@@ -387,32 +334,26 @@ impl ElemReader {
     /// stepped over unread.
     #[inline]
     fn sig<V: SigVisitor>(&mut self, codec: &SigCodec, v: &mut Option<&mut V>) -> Result<()> {
-        match self {
-            ElemReader::Raw(r) => raw_sig(r, codec, v),
-            ElemReader::Packed(p) => match p.frame()? {
-                Frame::Raw(tail) => raw_sig(tail, codec, v),
-                Frame::Packed(sections) => {
-                    let view = sections.sig()?;
-                    v.as_mut().map_or(Ok(()), |v| v.sig(view))
-                }
-                Frame::NdfRun(_) => Err(in_ndf_run()),
-            },
+        match self.frame()? {
+            Frame::Raw(tail) => raw_sig(tail, codec, v),
+            Frame::Packed(sections) => {
+                let view = sections.sig()?;
+                v.as_mut().map_or(Ok(()), |v| v.sig(view))
+            }
+            Frame::NdfRun(_) => Err(in_ndf_run()),
         }
     }
 
     /// Value: the next numeric code (`None` when not `want`ed).
     #[inline]
     fn code(&mut self, codec: &NumericCodec, want: bool) -> Result<Option<u64>> {
-        match self {
-            ElemReader::Raw(r) => raw_code(r, codec, want),
-            ElemReader::Packed(p) => match p.frame()? {
-                Frame::Raw(tail) => raw_code(tail, codec, want),
-                Frame::Packed(sections) => sections.code().map(|c| want.then_some(c)),
-                Frame::NdfRun(left) => {
-                    *left -= 1;
-                    Ok(want.then_some(codec.ndf_code()))
-                }
-            },
+        match self.frame()? {
+            Frame::Raw(tail) => raw_code(tail, codec, want),
+            Frame::Packed(sections) => sections.code().map(|c| want.then_some(c)),
+            Frame::NdfRun(left) => {
+                *left -= 1;
+                Ok(want.then_some(codec.ndf_code()))
+            }
         }
     }
 
@@ -426,8 +367,8 @@ impl ElemReader {
         Ok(*peek)
     }
 
-    /// The end of a walk over the whole tuple list: every element byte
-    /// must have been consumed (see the module doc).
+    /// The end of a walk over the whole tuple list: every element must
+    /// have been consumed (see the module doc).
     fn finish(&self) -> Result<()> {
         if self.at_end() && self.remaining() == 0 {
             Ok(())
@@ -499,14 +440,11 @@ impl SigVisitor for CollectSigs {
 /// The whole raw-layout image of a packed list
 /// ([`PackedReader::decode_to_vec`]): every element the frames hold, read
 /// field by field as the cursors read them and written back out by the
-/// raw element encoders. Strict about the prologue's logical length.
-pub(crate) fn raw_image(reader: PackedReader) -> Result<Vec<u8>> {
-    let (expected, org) = (reader.remaining(), reader.org().clone());
-    let mut r = ElemReader::Packed(Box::new(reader));
-    // Pre-size from the prologue, but cap the up-front trust placed in a
-    // disk-sourced field; a lying length still fails the strict check,
-    // after only incremental growth.
-    let mut out = Vec::with_capacity(expected.min(1 << 22) as usize);
+/// raw element encoders. Strict about the list's logical length, which
+/// sizes nothing: it came off disk.
+pub(crate) fn raw_image(mut r: PackedReader) -> Result<Vec<u8>> {
+    let (expected, org) = (r.remaining(), r.org().clone());
+    let mut out = Vec::new();
     let mut sigs = CollectSigs::default();
     // Text values, for the dictionary's count section to be held to.
     let (mut values, mut last_tid) = (0u64, None);
@@ -539,11 +477,9 @@ pub(crate) fn raw_image(reader: PackedReader) -> Result<Vec<u8>> {
         let msg = "packed list does not decode to its logical length";
         return Err(IvaError::Corrupt(msg.into()));
     }
-    if let ElemReader::Packed(p) = &r {
-        if p.counted() > values {
-            let msg = "dictionary counts more values than the list holds";
-            return Err(IvaError::Corrupt(msg.into()));
-        }
+    if r.counted() > values {
+        let msg = "dictionary counts more values than the list holds";
+        return Err(IvaError::Corrupt(msg.into()));
     }
     Ok(out)
 }
@@ -560,12 +496,11 @@ pub(crate) fn text_lower_bound(ty: ListType, n_sigs: usize, best: f64) -> Option
 /// `MoveTo(currentTuple)` / freeze semantics of Sec. IV-A.
 ///
 /// Signature payloads are consumed as borrowed views straight from the
-/// buffer-pool page ([`ListReader::read_bytes`]) or the packed list's
-/// dictionary, so the hot estimation path copies no element bytes; the
-/// shared immutable [`PreparedMatcher`] kernel evaluates each view in
-/// place.
+/// list's dictionary or a RAW tail frame, so the hot estimation path
+/// copies no element bytes; the shared immutable [`PreparedMatcher`]
+/// kernel evaluates each view in place.
 pub struct TextListCursor {
-    reader: ElemReader,
+    reader: PackedReader,
     ty: ListType,
     /// For keyed types: tid of the element whose header has been read but
     /// whose payload has not yet been consumed ("frozen" pointer).
@@ -573,29 +508,14 @@ pub struct TextListCursor {
 }
 
 impl TextListCursor {
-    /// Open a cursor at the head of a raw-encoded list.
-    pub fn new(reader: ListReader, ty: ListType) -> Self {
-        Self::over(ElemReader::Raw(reader), ty)
-    }
-
-    /// Open a cursor at the head of a packed-encoded list.
-    pub fn new_packed(reader: PackedReader, ty: ListType) -> Self {
-        Self::over(ElemReader::Packed(Box::new(reader)), ty)
-    }
-
-    fn over(reader: ElemReader, ty: ListType) -> Self {
+    /// Open a cursor at the head of a list.
+    pub fn new(reader: PackedReader, ty: ListType) -> Self {
         debug_assert!(matches!(ty, ListType::I | ListType::II | ListType::III));
         Self {
             reader,
             ty,
             peek_tid: None,
         }
-    }
-
-    /// Whether a block fill walks the list element by element (a raw
-    /// list) rather than serving it by runs.
-    pub(crate) fn walks(&self) -> bool {
-        matches!(self.reader, ElemReader::Raw(_))
     }
 
     /// Consume `num` signatures, handing each to `v` as a zero-copy view
@@ -687,8 +607,8 @@ impl TextListCursor {
     /// *ndf*) for a block of consecutive tuple-list elements — as many as
     /// the shorter of the two holds: bit for bit what
     /// [`TextListCursor::advance`] returns one element at a time, in runs
-    /// where a packed list's frames can serve them and through the walk
-    /// where they cannot — a RAW tail frame, a raw list.
+    /// where the list's frames can serve them and through the walk where
+    /// they cannot — a RAW tail frame.
     pub fn fill_block(
         &mut self,
         tids: &[u32],
@@ -716,16 +636,13 @@ impl TextListCursor {
         let tids = tids.get(..out.len()).unwrap_or(tids);
         while let (Some(rest), Some(slots)) = (tids.get(done..), out.get_mut(done..)) {
             let Some(&tid) = rest.first() else { break };
-            let served = match &mut self.reader {
-                ElemReader::Packed(p) => {
-                    let cands = Cands {
-                        bits: &mut *cands.bits,
-                        at: cands.at + done,
-                    };
-                    p.fill_run(&mut self.peek_tid, bound, rest, slots, cands)?
-                }
-                ElemReader::Raw(_) => 0,
+            let cands = Cands {
+                bits: &mut *cands.bits,
+                at: cands.at + done,
             };
+            let served = self
+                .reader
+                .fill_run(&mut self.peek_tid, bound, rest, slots, cands)?;
             done += match served {
                 0 => {
                     let lb = self.advance(tid, codec, matcher)?;
@@ -740,13 +657,10 @@ impl TextListCursor {
         Ok(())
     }
 
-    /// Position a fresh cursor over a packed list past the frames `leap`
-    /// covers, by their headers ([`PackedReader::skip_covered`]).
+    /// Position a fresh cursor past the frames `leap` covers, by their
+    /// headers ([`PackedReader::skip_covered`]).
     pub(crate) fn skip_covered(&mut self, leap: &Leap) -> Result<()> {
-        match &mut self.reader {
-            ElemReader::Packed(p) => p.skip_covered(leap),
-            ElemReader::Raw(_) => Err(IvaError::Corrupt("postings of a raw list".into())),
-        }
+        self.reader.skip_covered(leap)
     }
 
     /// Position a fresh cursor past the first `n` positional elements, so
@@ -811,93 +725,21 @@ fn num_on_text_type() -> IvaError {
 }
 
 /// Scanning cursor over a numeric vector list.
-///
-/// Codes are decoded from borrowed page views ([`ListReader::read_bytes`]);
-/// the dense positional Type IV additionally pins whole-page runs of codes
-/// ([`ListReader::read_run_page`]) so consecutive `advance` calls decode
-/// straight out of one pinned buffer-pool page with no per-element reader
-/// bookkeeping. I/O accounting is unchanged: runs borrow pages the reader
-/// already charged to the stats when it loaded them.
 pub struct NumListCursor {
-    reader: ElemReader,
+    reader: PackedReader,
     ty: ListType,
     peek_tid: Option<u32>,
-    /// Type IV block path: pinned page holding a run of whole codes.
-    run_page: Option<PageRef>,
-    /// Byte offset of the next unconsumed code within `run_page`.
-    run_pos: usize,
-    /// One past the last run byte within `run_page`.
-    run_end: usize,
 }
 
 impl NumListCursor {
-    /// Open a cursor at the head of a raw-encoded list.
-    pub fn new(reader: ListReader, ty: ListType) -> Self {
-        Self::over(ElemReader::Raw(reader), ty)
-    }
-
-    /// Open a cursor at the head of a packed-encoded list.
-    pub fn new_packed(reader: PackedReader, ty: ListType) -> Self {
-        Self::over(ElemReader::Packed(Box::new(reader)), ty)
-    }
-
-    fn over(reader: ElemReader, ty: ListType) -> Self {
+    /// Open a cursor at the head of a list.
+    pub fn new(reader: PackedReader, ty: ListType) -> Self {
         debug_assert!(matches!(ty, ListType::I | ListType::IV));
         Self {
             reader,
             ty,
             peek_tid: None,
-            run_page: None,
-            run_pos: 0,
-            run_end: 0,
         }
-    }
-
-    /// [`TextListCursor::walks`].
-    pub(crate) fn walks(&self) -> bool {
-        matches!(self.reader, ElemReader::Raw(_))
-    }
-
-    /// Next Type IV code, refilling the page run when it drains. Codes that
-    /// straddle a page boundary fall back to the reader's copy path.
-    fn iv_next_code(&mut self, codec: &NumericCodec) -> Result<Option<u64>> {
-        let cb = codec.code_bytes();
-        if self.run_pos >= self.run_end {
-            self.run_page = None;
-            if self.reader.at_end() {
-                return Ok(None);
-            }
-            let pinned = match &mut self.reader {
-                ElemReader::Raw(r) => {
-                    let whole = (r.in_page_remaining()? / cb) * cb;
-                    if whole >= cb {
-                        let (page, range) = r.read_run_page(whole)?;
-                        Some((page, range))
-                    } else {
-                        None // next code crosses the page boundary
-                    }
-                }
-                // The pinned whole-page run is a raw-layout fast path; a
-                // packed list's codes are already an array in its frame.
-                ElemReader::Packed(_) => None,
-            };
-            match pinned {
-                Some((page, range)) => {
-                    self.run_pos = range.start;
-                    self.run_end = range.end;
-                    self.run_page = Some(page);
-                }
-                None => return self.reader.code(codec, true),
-            }
-        }
-        let bytes = self
-            .run_page
-            .as_ref()
-            .and_then(|page| page.get(self.run_pos..self.run_pos + cb))
-            .ok_or_else(|| IvaError::Corrupt("vector list code run out of bounds".into()))?;
-        let code = codec.read_code(bytes)?;
-        self.run_pos += cb;
-        Ok(Some(code))
     }
 
     /// The one walk: move to `tid` — past every keyed element below it,
@@ -919,9 +761,12 @@ impl NumListCursor {
                 }
                 Ok(None)
             }
+            // Past the last element: the lazy positional tail.
+            ListType::IV if self.reader.at_end() => Ok(None),
             ListType::IV => Ok(self
-                .iv_next_code(codec)?
-                .filter(|&code| want && code != codec.ndf_code())),
+                .reader
+                .code(codec, want)?
+                .filter(|&code| code != codec.ndf_code())),
             ListType::II | ListType::III => Err(num_on_text_type()),
         }
     }
@@ -947,12 +792,10 @@ impl NumListCursor {
         let tids = tids.get(..out.len()).unwrap_or(tids);
         while let (Some(rest), Some(slots)) = (tids.get(done..), out.get_mut(done..)) {
             let Some(&tid) = rest.first() else { break };
-            let served = match &mut self.reader {
-                ElemReader::Packed(p) => {
-                    p.fill_run(&mut self.peek_tid, bound, rest, slots, Cands::default())?
-                }
-                ElemReader::Raw(_) => 0,
-            };
+            let cands = Cands::default();
+            let served = self
+                .reader
+                .fill_run(&mut self.peek_tid, bound, rest, slots, cands)?;
             done += match served {
                 0 => {
                     let code = self.advance(tid, codec)?;
@@ -970,25 +813,17 @@ impl NumListCursor {
     /// Position a fresh cursor past the first `n` positional elements (see
     /// [`TextListCursor::seek_elements`]). No-op for the keyed Type I.
     pub fn seek_elements(&mut self, n: u64, codec: &NumericCodec) -> Result<()> {
-        debug_assert!(self.run_page.is_none(), "seek on a started cursor");
         match self.ty {
             ListType::I => Ok(()),
-            ListType::IV => match &mut self.reader {
-                // Fixed-width codes: a byte skip, capped at the lazy tail.
-                ElemReader::Raw(r) => {
-                    let bytes = n.saturating_mul(codec.code_bytes() as u64);
-                    Ok(r.skip(bytes.min(r.remaining()))?)
-                }
-                ElemReader::Packed(_) => {
-                    for _ in 0..n {
-                        if self.reader.at_end() {
-                            break; // lazy positional tail
-                        }
-                        self.reader.code(codec, false)?;
+            ListType::IV => {
+                for _ in 0..n {
+                    if self.reader.at_end() {
+                        break; // lazy positional tail
                     }
-                    Ok(())
+                    self.reader.code(codec, false)?;
                 }
-            },
+                Ok(())
+            }
             _ => Err(num_on_text_type()),
         }
     }
@@ -997,9 +832,6 @@ impl NumListCursor {
     fn finish(mut self, codec: &NumericCodec) -> Result<()> {
         if !self.ty.is_positional() {
             self.walk(u32::MAX, codec, false)?;
-        }
-        if self.run_pos < self.run_end {
-            return Err(leftover());
         }
         self.reader.finish()
     }
@@ -1022,7 +854,8 @@ impl NumListCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iva_storage::{write_contiguous_list, IoStats, Pager, PagerOptions};
+    use crate::packed::{encode_packed_num_list, encode_packed_text_list};
+    use iva_storage::{write_contiguous_list, IoStats, ListReader, Pager, PagerOptions};
     use std::sync::Arc;
 
     fn pager() -> Arc<Pager> {
@@ -1038,6 +871,32 @@ mod tests {
     fn reader_for(p: &Arc<Pager>, data: &[u8]) -> ListReader {
         let h = write_contiguous_list(p, data).unwrap();
         ListReader::open(Arc::clone(p), h).unwrap()
+    }
+
+    /// A cursor over the packed image of `items`.
+    fn text_cursor(
+        p: &Arc<Pager>,
+        ty: ListType,
+        items: &[(u32, Vec<Vec<u8>>)],
+        all_tids: &[u32],
+        codec: &SigCodec,
+    ) -> TextListCursor {
+        let image = encode_packed_text_list(ty, items, all_tids);
+        let reader = PackedReader::new_text(reader_for(p, &image), ty, codec).unwrap();
+        TextListCursor::new(reader, ty)
+    }
+
+    /// [`text_cursor`] for a numeric list.
+    fn num_cursor(
+        p: &Arc<Pager>,
+        ty: ListType,
+        items: &[(u32, u64)],
+        all_tids: &[u32],
+        codec: &NumericCodec,
+    ) -> NumListCursor {
+        let image = encode_packed_num_list(ty, items, all_tids, codec);
+        let reader = PackedReader::new_num(reader_for(p, &image), ty, codec).unwrap();
+        NumListCursor::new(reader, ty)
     }
 
     #[test]
@@ -1146,8 +1005,7 @@ mod tests {
             })
             .collect();
         let all_tids: Vec<u32> = (0..10).collect();
-        let data = encode_text_list(ty, &items, &all_tids).unwrap();
-        let mut cur = TextListCursor::new(reader_for(&p, &data), ty);
+        let mut cur = text_cursor(&p, ty, &items, &all_tids, &codec);
 
         let matcher = PreparedMatcher::new(&codec, b"white");
         for tid in 0..10u32 {
@@ -1189,8 +1047,7 @@ mod tests {
         )];
         let all_tids = vec![0u32];
         for ty in [ListType::I, ListType::II, ListType::III] {
-            let data = encode_text_list(ty, &items, &all_tids).unwrap();
-            let mut cur = TextListCursor::new(reader_for(&p, &data), ty);
+            let mut cur = text_cursor(&p, ty, &items, &all_tids, &codec);
             let matcher = PreparedMatcher::new(&codec, b"white");
             let got = cur.advance(0, &codec, &matcher).unwrap().unwrap();
             assert_eq!(got, 0.0, "type {ty}");
@@ -1206,8 +1063,7 @@ mod tests {
             (9, codec.encode(90.0)),
         ];
         let all_tids: Vec<u32> = (0..10).collect();
-        let data = encode_num_list(ty, &items, &all_tids, &codec).unwrap();
-        let mut cur = NumListCursor::new(reader_for(&p, &data), ty);
+        let mut cur = num_cursor(&p, ty, &items, &all_tids, &codec);
         for tid in 0..10u32 {
             let got = cur.advance(tid, &codec).unwrap();
             let expect = items.iter().find(|(t, _)| *t == tid).map(|(_, c)| *c);
@@ -1236,8 +1092,7 @@ mod tests {
             .collect();
         let all_tids: Vec<u32> = (0..5).collect();
         for ty in [ListType::I, ListType::II, ListType::III] {
-            let data = encode_text_list(ty, &items, &all_tids).unwrap();
-            let mut cur = TextListCursor::new(reader_for(&p, &data), ty);
+            let mut cur = text_cursor(&p, ty, &items, &all_tids, &codec);
             let matcher = PreparedMatcher::new(&codec, b"val3");
             cur.advance(0, &codec, &matcher).unwrap();
             let mut lbs = [f64::NAN; 3];
@@ -1261,8 +1116,7 @@ mod tests {
             .collect();
         let all_tids: Vec<u32> = (0..6).collect();
         for ty in [ListType::I, ListType::II, ListType::III] {
-            let data = encode_text_list(ty, &items, &all_tids).unwrap();
-            let mut cur = TextListCursor::new(reader_for(&p, &data), ty);
+            let mut cur = text_cursor(&p, ty, &items, &all_tids, &codec);
             cur.seek_elements(4, &codec).unwrap();
             let matcher = PreparedMatcher::new(&codec, b"val4");
             // Keyed types seek lazily inside advance; positional types
@@ -1276,8 +1130,7 @@ mod tests {
             .map(|t| (t, ncodec.encode(f64::from(t))))
             .collect();
         for ty in [ListType::I, ListType::IV] {
-            let data = encode_num_list(ty, &nitems, &all_tids, &ncodec).unwrap();
-            let mut cur = NumListCursor::new(reader_for(&p, &data), ty);
+            let mut cur = num_cursor(&p, ty, &nitems, &all_tids, &ncodec);
             cur.seek_elements(4, &ncodec).unwrap();
             assert_eq!(
                 cur.advance(4, &ncodec).unwrap(),
@@ -1292,16 +1145,14 @@ mod tests {
         let codec = SigCodec::new(0.3, 2);
         let p = pager();
         let items: Vec<(u32, Vec<Vec<u8>>)> = vec![(0, vec![codec.encode_to_vec(b"x")])];
-        let data = encode_text_list(ListType::III, &items, &[0u32]).unwrap();
-        let mut cur = TextListCursor::new(reader_for(&p, &data), ListType::III);
+        let mut cur = text_cursor(&p, ListType::III, &items, &[0], &codec);
         cur.seek_elements(5, &codec).unwrap();
         let matcher = PreparedMatcher::new(&codec, b"x");
         assert!(cur.advance(5, &codec, &matcher).unwrap().is_none());
 
         let ncodec = NumericCodec::new(0.0, 10.0, 1);
         let nitems: Vec<(u32, u64)> = vec![(0, ncodec.encode(1.0))];
-        let data = encode_num_list(ListType::IV, &nitems, &[0u32], &ncodec).unwrap();
-        let mut cur = NumListCursor::new(reader_for(&p, &data), ListType::IV);
+        let mut cur = num_cursor(&p, ListType::IV, &nitems, &[0], &ncodec);
         cur.seek_elements(5, &ncodec).unwrap();
         assert!(cur.advance(5, &ncodec).unwrap().is_none());
     }
@@ -1313,17 +1164,19 @@ mod tests {
         let codec = SigCodec::new(0.3, 2);
         let p = pager();
         let items: Vec<(u32, Vec<Vec<u8>>)> = vec![(0, vec![codec.encode_to_vec(b"x")])];
-        let data = encode_text_list(ListType::III, &items, &[0u32]).unwrap();
-        let mut cur = TextListCursor::new(reader_for(&p, &data), ListType::III);
+        let mut cur = text_cursor(&p, ListType::III, &items, &[0], &codec);
         let matcher = PreparedMatcher::new(&codec, b"x");
         assert!(cur.advance(0, &codec, &matcher).unwrap().is_some());
         assert!(cur.advance(1, &codec, &matcher).unwrap().is_none());
         assert!(cur.advance(2, &codec, &matcher).unwrap().is_none());
     }
 
+    /// The walk and one-element fills, interleaved, give each tuple the
+    /// bound its elements give — the min estimate over its strings, its
+    /// code — bit for bit, under two matchers in turn: the dictionary's
+    /// estimates are its matcher's.
     #[test]
-    fn packed_cursors_match_raw_bit_for_bit() {
-        use crate::packed::{encode_packed_num_list, encode_packed_text_list, PackedReader};
+    fn cursors_give_each_element_its_bound_bit_for_bit() {
         let codec = SigCodec::new(0.3, 2);
         let p = pager();
         let all_tids: Vec<u32> = (0..64).collect();
@@ -1340,30 +1193,25 @@ mod tests {
             .collect();
         let matchers = [b"v7-0", b"v9-1"].map(|q| PreparedMatcher::new(&codec, q));
         for ty in [ListType::I, ListType::II, ListType::III] {
-            let raw = encode_text_list(ty, &items, &all_tids).unwrap();
-            let packed = encode_packed_text_list(ty, &items, &all_tids);
-            let mut rc = TextListCursor::new(reader_for(&p, &raw), ty);
-            let pr = PackedReader::new_text(reader_for(&p, &packed), ty, &codec).unwrap();
-            let mut pc = TextListCursor::new_packed(pr, ty);
+            let mut cur = text_cursor(&p, ty, &items, &all_tids, &codec);
             for tid in 0..64u32 {
                 let matcher = &matchers[(tid / 5) as usize % 2];
-                let a = rc.advance(tid, &codec, matcher).unwrap();
-                // Every fifth move of the packed cursor is a one-element
-                // fill, under the two matchers in turn: the dictionary's
-                // estimates are its matcher's.
-                let b = match tid % 5 {
+                let sigs = items.iter().find(|(t, _)| *t == tid).map(|(_, s)| s);
+                let best = sigs.into_iter().flatten().fold(f64::INFINITY, |b, sig| {
+                    b.min(matcher.estimate(sig).unwrap())
+                });
+                let n = sigs.map_or(0, Vec::len);
+                let want = text_lower_bound(ty, n, best);
+                let got = match tid % 5 {
                     4 => {
                         let mut lb = [0.0];
-                        pc.fill_block(&[tid], &codec, matcher, &mut lb).unwrap();
-                        Some(lb[0]).filter(|v| !v.is_nan())
+                        cur.fill_block(&[tid], &codec, matcher, &mut lb).unwrap();
+                        Some(lb[0]).filter(|v: &f64| !v.is_nan())
                     }
-                    _ => pc.advance(tid, &codec, matcher).unwrap(),
+                    _ => cur.advance(tid, &codec, matcher).unwrap(),
                 };
-                assert_eq!(
-                    a.map(f64::to_bits),
-                    b.map(f64::to_bits),
-                    "type {ty} tid {tid}"
-                );
+                let bits = |v: Option<f64>| v.map(f64::to_bits);
+                assert_eq!(bits(got), bits(want), "type {ty} tid {tid}");
             }
         }
 
@@ -1373,21 +1221,21 @@ mod tests {
             .map(|t| (t, ncodec.encode(f64::from(t * 7 % 500))))
             .collect();
         for ty in [ListType::I, ListType::IV] {
-            let raw = encode_num_list(ty, &nitems, &all_tids, &ncodec).unwrap();
-            let packed = encode_packed_num_list(ty, &nitems, &all_tids, &ncodec);
-            let mut rc = NumListCursor::new(reader_for(&p, &raw), ty);
-            let pr = PackedReader::new_num(reader_for(&p, &packed), ty, &ncodec).unwrap();
-            let mut pc = NumListCursor::new_packed(pr, ty);
+            let mut cur = num_cursor(&p, ty, &nitems, &all_tids, &ncodec);
             for tid in 0..64u32 {
-                let a = rc.advance(tid, &ncodec).unwrap();
+                let want = nitems.iter().find(|(t, _)| *t == tid).map(|(_, c)| *c);
                 if tid % 5 == 4 {
                     let mut lb = [0.0];
-                    pc.fill_block(&[tid], &ncodec, 100.0, &mut lb).unwrap();
-                    let want = a.map_or(f64::NAN, |c| ncodec.lower_bound_dist(c, 100.0));
+                    cur.fill_block(&[tid], &ncodec, 100.0, &mut lb).unwrap();
+                    let want = want.map_or(f64::NAN, |c| ncodec.lower_bound_dist(c, 100.0));
                     assert_eq!(lb[0].to_bits(), want.to_bits(), "type {ty} tid {tid}");
                     continue;
                 }
-                assert_eq!(a, pc.advance(tid, &ncodec).unwrap(), "type {ty} tid {tid}");
+                assert_eq!(
+                    cur.advance(tid, &ncodec).unwrap(),
+                    want,
+                    "type {ty} tid {tid}"
+                );
             }
         }
     }
@@ -1398,8 +1246,7 @@ mod tests {
         let codec = NumericCodec::new(0.0, 10.0, 1);
         let p = pager();
         let items: Vec<(u32, u64)> = vec![(5, codec.encode(1.0)), (20, codec.encode(9.0))];
-        let data = encode_num_list(ListType::I, &items, &[], &codec).unwrap();
-        let mut cur = NumListCursor::new(reader_for(&p, &data), ListType::I);
+        let mut cur = num_cursor(&p, ListType::I, &items, &[], &codec);
         for tid in [2u32, 5, 11, 20, 30] {
             let got = cur.advance(tid, &codec).unwrap();
             assert_eq!(got.is_some(), tid == 5 || tid == 20, "tid {tid}");
@@ -1419,20 +1266,18 @@ mod tests {
         let tids = vec![5u32, 9];
         let matcher = PreparedMatcher::new(&codec, b"kept");
         for ty in [ListType::I, ListType::II] {
-            let raw = encode_text_list(ty, &items, &[]).unwrap();
-            let mut scan = TextListCursor::new(reader_for(&p, &raw), ty);
+            let mut scan = text_cursor(&p, ty, &items, &[], &codec);
             assert_eq!(scan.advance(5, &codec, &matcher).unwrap(), Some(0.0));
             assert_eq!(scan.advance(9, &codec, &matcher).unwrap(), None);
-            let export = TextListCursor::new(reader_for(&p, &raw), ty);
+            let export = text_cursor(&p, ty, &items, &[], &codec);
             assert_eq!(export.postings(&codec, &tids).unwrap(), items[..1]);
         }
         let ncodec = NumericCodec::new(0.0, 100.0, 2);
         let nitems: Vec<(u32, u64)> = vec![(5, 1), (7, 2), (11, 3)];
-        let raw = encode_num_list(ListType::I, &nitems, &[], &ncodec).unwrap();
-        let mut scan = NumListCursor::new(reader_for(&p, &raw), ListType::I);
+        let mut scan = num_cursor(&p, ListType::I, &nitems, &[], &ncodec);
         assert_eq!(scan.advance(5, &ncodec).unwrap(), Some(1));
         assert_eq!(scan.advance(9, &ncodec).unwrap(), None);
-        let export = NumListCursor::new(reader_for(&p, &raw), ListType::I);
+        let export = num_cursor(&p, ListType::I, &nitems, &[], &ncodec);
         assert_eq!(export.postings(&ncodec, &tids).unwrap(), nitems[..1]);
     }
 
@@ -1446,18 +1291,16 @@ mod tests {
         let corrupt = |e: IvaError| matches!(e, IvaError::Corrupt(_));
         let codec = SigCodec::new(0.3, 2);
         let items = vec![(0, vec![codec.encode_to_vec(b"a")])];
-        let raw = encode_text_list(ListType::III, &items, &[0, 1, 2]).unwrap();
         let ncodec = NumericCodec::new(0.0, 100.0, 2);
         let nitems: Vec<(u32, u64)> = vec![(0, 4)];
-        let nraw = encode_num_list(ListType::IV, &nitems, &[0, 1, 2], &ncodec).unwrap();
         for (tids, ok) in [
             (&[0u32, 1][..], false),
             (&[0, 1, 2], true),
             (&[0, 1, 2, 3], true),
         ] {
-            let text = TextListCursor::new(reader_for(&p, &raw), ListType::III);
+            let text = text_cursor(&p, ListType::III, &items, &[0, 1, 2], &codec);
             let text = text.postings(&codec, tids);
-            let num = NumListCursor::new(reader_for(&p, &nraw), ListType::IV);
+            let num = num_cursor(&p, ListType::IV, &nitems, &[0, 1, 2], &ncodec);
             let num = num.postings(&ncodec, tids);
             assert_eq!((text.is_ok(), num.is_ok()), (ok, ok), "{tids:?}");
             if !ok {

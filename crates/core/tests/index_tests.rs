@@ -6,12 +6,18 @@
 #[path = "../../../tests/common/model.rs"]
 mod model;
 
+use std::collections::BTreeSet;
+use std::path::Path;
+use std::sync::{Arc, Mutex};
+
 use iva_core::{
-    build_index, IndexTarget, IvaConfig, IvaIndex, Metric, MetricKind, Query, QueryValue,
-    WeightScheme,
+    build_index, IndexHeader, IndexTarget, IvaConfig, IvaIndex, Metric, MetricKind, Query,
+    QueryValue, WeightScheme,
 };
-use iva_storage::{IoStats, PagerOptions};
-use iva_storage::{RealVfs, Vfs};
+use iva_storage::{
+    IoStats, MemVfs, PageId, Pager, PagerOptions, RealVfs, Vfs, VfsFile, FRAME_TRAILER,
+    SUPERBLOCK_LEN,
+};
 use iva_swt::{AttrId, SwtTable, Tuple, Value};
 use model::Model;
 
@@ -498,4 +504,139 @@ fn query_value_accessors() {
     let vals: Vec<_> = q.iter().collect();
     assert_eq!(vals[0].1, &QueryValue::Num(2.0));
     assert_eq!(vals[1].1, &QueryValue::Text("abc".into()));
+}
+
+/// A [`Vfs`] over a [`MemVfs`] that logs the offset of every write.
+struct LoggedVfs {
+    mem: MemVfs,
+    writes: Arc<Mutex<Vec<u64>>>,
+}
+
+struct LoggedFile {
+    inner: Box<dyn VfsFile>,
+    writes: Arc<Mutex<Vec<u64>>>,
+}
+
+impl VfsFile for LoggedFile {
+    fn read_at(&self, buf: &mut [u8], off: u64) -> std::io::Result<usize> {
+        self.inner.read_at(buf, off)
+    }
+    fn write_at(&self, buf: &[u8], off: u64) -> std::io::Result<usize> {
+        self.writes.lock().unwrap().push(off);
+        self.inner.write_at(buf, off)
+    }
+    fn len(&self) -> std::io::Result<u64> {
+        self.inner.len()
+    }
+    fn set_len(&self, len: u64) -> std::io::Result<()> {
+        self.inner.set_len(len)
+    }
+    fn sync(&self) -> std::io::Result<()> {
+        self.inner.sync()
+    }
+}
+
+impl Vfs for LoggedVfs {
+    fn create(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>> {
+        let inner = self.mem.create(path)?;
+        let writes = Arc::clone(&self.writes);
+        Ok(Box::new(LoggedFile { inner, writes }))
+    }
+    fn open(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>> {
+        let inner = self.mem.open(path)?;
+        let writes = Arc::clone(&self.writes);
+        Ok(Box::new(LoggedFile { inner, writes }))
+    }
+    fn exists(&self, path: &Path) -> bool {
+        self.mem.exists(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+        self.mem.rename(from, to)
+    }
+    fn remove(&self, path: &Path) -> std::io::Result<()> {
+        self.mem.remove(path)
+    }
+}
+
+/// One insert into lists that span many pages writes each list once: the
+/// index file's page writes are the touched lists' tail pages (and any
+/// page they grow into), the attribute list's pages, which hold the
+/// catalog entries, the directory's tail and the header — never the head
+/// page of a list, which is where a list's logical length lived while it
+/// was the list's prologue.
+#[test]
+fn an_insert_writes_each_list_once() {
+    let opts = PagerOptions {
+        page_size: 256,
+        cache_bytes: 1 << 20,
+    };
+    let mut table = SwtTable::create_mem(&opts, IoStats::new()).unwrap();
+    let name = table.define_text("name").unwrap();
+    let price = table.define_numeric("price").unwrap();
+    let note = table.define_text("note").unwrap();
+    let row = |i: u32| {
+        let mut t = Tuple::new()
+            .with(name, Value::text(format!("listing {i}")))
+            .with(price, Value::num(f64::from(i % 97)));
+        if i.is_multiple_of(10) {
+            t.set(note, Value::text(format!("note {i}")));
+        }
+        t
+    };
+    for i in 0..3000 {
+        table.insert(&row(i)).unwrap();
+    }
+    let writes = Arc::new(Mutex::new(Vec::new()));
+    let mem = MemVfs::new();
+    let vfs = Arc::new(LoggedVfs {
+        mem: mem.clone(),
+        writes: Arc::clone(&writes),
+    });
+    let path = Path::new("index.iva");
+    let config = IvaConfig::default();
+    let target = IndexTarget::Vfs(vfs, path);
+    let mut index = build_index(&table, target, &opts, IoStats::new(), config).unwrap();
+    index.commit(table.file().data_len()).unwrap();
+
+    // The layout before the insert: the header's lists and every vector
+    // list's first and last page.
+    let frame = (opts.page_size + FRAME_TRAILER) as u64;
+    let pages = (mem.contents(path).unwrap().len() as u64 - SUPERBLOCK_LEN) / frame;
+    let page0 = Pager::open_with_vfs(&mem, path, &opts, IoStats::new())
+        .unwrap()
+        .read_page(PageId(0))
+        .unwrap();
+    let header = IndexHeader::decode(&page0).unwrap();
+    let lists: Vec<_> = [name, price, note]
+        .map(|a| index.attr_entry(a).unwrap().vlist)
+        .to_vec();
+    assert!(
+        lists.iter().all(|l| l.head != l.tail),
+        "every list spans pages: {lists:?}"
+    );
+    let mut allowed: Vec<u64> = vec![0, header.tuple_list.tail.0];
+    allowed.extend((header.attr_list.head.0)..=(header.attr_list.tail.0));
+    allowed.extend(lists.iter().map(|l| l.tail.0));
+
+    writes.lock().unwrap().clear();
+    let tuple = row(3000);
+    let (tid, ptr) = table.insert(&tuple).unwrap();
+    index.insert(tid, ptr, &tuple, table.catalog()).unwrap();
+    let written: BTreeSet<u64> = (writes.lock().unwrap().iter())
+        .filter(|&&off| off >= SUPERBLOCK_LEN)
+        .map(|&off| (off - SUPERBLOCK_LEN) / frame)
+        .collect();
+    for list in &lists {
+        assert!(!written.contains(&list.head.0), "{list:?}: {written:?}");
+    }
+    let stray: Vec<_> = (written.iter())
+        .filter(|&&p| p < pages && !allowed.contains(&p))
+        .collect();
+    assert!(stray.is_empty(), "pages {stray:?} of {written:?}");
+    // The tuple reads back.
+    let q = Query::new().text(name, "listing 3000");
+    let out = index
+        .query(&table, &q, 1, &MetricKind::L2, WeightScheme::Equal)
+        .unwrap();
+    assert_eq!(out.results[0].tid, tid);
 }

@@ -9,10 +9,14 @@ use std::sync::Arc;
 
 use common::{all_list_types_table, small_pages};
 use iva_core::{
-    build_index, segment_base, segment_index_path, IndexTarget, IndexedTable, IvaConfig, IvaError,
-    MetricKind, Query, WeightScheme, INDEX_VERSION_V4, INDEX_VERSION_V5, INDEX_VERSION_V6,
+    build_index, encode_num_list, encode_packed_num_list, encode_packed_text_list,
+    encode_text_list, export_index, segment_base, segment_index_path, IndexTarget, IndexedTable,
+    IvaConfig, IvaError, ListType, MetricKind, NumericCodec, Query, WeightScheme,
 };
-use iva_storage::{DomainPin, IoStats, MemVfs, PageId, Pager, Vfs, FRAME_TRAILER, SUPERBLOCK_LEN};
+use iva_storage::{
+    write_contiguous_list, DomainPin, IoStats, MemVfs, PageId, Pager, Vfs, FRAME_TRAILER,
+    SUPERBLOCK_LEN,
+};
 use iva_swt::{AttrId, Catalog, SwtTable, Tuple, Value};
 
 const ROWS: u32 = 120;
@@ -43,16 +47,19 @@ enum State {
     /// A v6 index holding packed text lists: a format from before their
     /// postings, which is stale.
     PackedTextV6,
-    /// A v4 index whose lists are all raw: a format still current.
+    /// A v4 index whose lists and directory are all raw: a format with a
+    /// second list encoding, which is stale.
     RawOnlyV4,
+    /// A v7 index whose lists and directory are all raw.
+    RawV7,
+    /// A v7 index whose lists are packed, each with its logical length in
+    /// an 8-byte prologue: a format whose inserts rewrite a list's head.
+    PackedV7,
 }
 
 impl State {
     fn wants_rebuild(self) -> bool {
-        !matches!(
-            self,
-            State::Clean | State::StaleTemporary | State::RawOnlyV4
-        )
+        !matches!(self, State::Clean | State::StaleTemporary)
     }
 }
 
@@ -157,16 +164,12 @@ fn open(vfs: &Arc<dyn Vfs>, n: &Names, domains: Option<&[DomainPin]>) -> Indexed
 fn arrange(mem: &MemVfs, n: &Names, domains: Option<&[DomainPin]>, state: State) {
     let vfs: Arc<dyn Vfs> = Arc::new(mem.clone());
     let source = all_list_types_table(ROWS);
-    let config = IvaConfig {
-        compress_lists: !matches!(state, State::RawOnlyV4),
-        ..IvaConfig::default()
-    };
     IndexedTable::stage(
         &[&source],
         Some((&vfs, &n.base, &n.index)),
         source.catalog(),
         &small_pages(),
-        config,
+        IvaConfig::default(),
         domains,
         IoStats::new(),
         IoStats::new(),
@@ -201,15 +204,106 @@ fn arrange(mem: &MemVfs, n: &Names, domains: Option<&[DomainPin]>, state: State)
             mem.set_contents(&n.rebuild_tmp, garbage);
         }
         State::StaleTemporary => mem.set_contents(&n.rebuild_tmp, garbage),
-        State::PackedTextV4 | State::PackedTextV5 | State::PackedTextV6 | State::RawOnlyV4 => {
-            let version = match state {
-                State::PackedTextV5 => INDEX_VERSION_V5,
-                State::PackedTextV6 => INDEX_VERSION_V6,
-                _ => INDEX_VERSION_V4,
+        State::PackedTextV4 => relabel(mem, &n.index, 4),
+        State::PackedTextV5 => relabel(mem, &n.index, 5),
+        State::PackedTextV6 => relabel(mem, &n.index, 6),
+        State::RawOnlyV4 => write_old_format(mem, &n.index, 4, false),
+        State::RawV7 => write_old_format(mem, &n.index, 7, false),
+        State::PackedV7 => write_old_format(mem, &n.index, 7, true),
+    }
+}
+
+/// Rewrite the index at `path` in the layout the v4–v7 formats shared,
+/// holding what it holds: 74-byte catalog entries whose flags byte tags
+/// each list raw (0) or packed (2, beside the text bit); every vector list
+/// in the raw element layout, or as a packed image whose 8-byte prologue
+/// is its logical length; the tuple directory as raw 12-byte elements, or
+/// as raw frames of them (a packed directory may hold those); and a header
+/// whose byte 109 tags the directory.
+fn write_old_format(mem: &MemVfs, path: &Path, version: u32, packed: bool) {
+    let content = {
+        let index = iva_core::IvaIndex::open_with_vfs(
+            Arc::new(mem.clone()),
+            path,
+            &small_pages(),
+            IoStats::new(),
+        )
+        .unwrap();
+        export_index(&index).unwrap()
+    };
+    let config = content.config;
+    let tids: Vec<u32> = content.tuple_entries.iter().map(|(t, _)| *t).collect();
+    let pager = Pager::create_with_vfs(mem, path, &small_pages(), IoStats::new()).unwrap();
+    assert_eq!(pager.allocate_page().unwrap(), PageId(0));
+    let mut entries = Vec::new();
+    for a in &content.attrs {
+        let ty = a.list_type;
+        let (list, df, strings) = if a.is_text {
+            let items = &a.text_postings;
+            let list = match packed {
+                true => encode_packed_text_list(ty, items, &tids),
+                false => encode_text_list(ty, items, &tids).unwrap(),
             };
-            relabel(mem, &n.index, version);
+            let strings = items.iter().map(|(_, s)| s.len() as u64).sum();
+            (list, items.len() as u64, strings)
+        } else {
+            let (items, cb) = (&a.num_postings, config.numeric_code_bytes());
+            let codec = NumericCodec::new(a.min, a.max, cb);
+            let list = match packed {
+                true => encode_packed_num_list(ty, items, &tids, &codec),
+                false => encode_num_list(ty, items, &tids, &codec).unwrap(),
+            };
+            (list, items.len() as u64, 0)
+        };
+        let elems = match ty {
+            ListType::III | ListType::IV => tids.len() as u64,
+            ListType::I if a.is_text => strings,
+            _ => df,
+        };
+        write_contiguous_list(&pager, &list)
+            .unwrap()
+            .encode(&mut entries);
+        for field in [df, strings, elems] {
+            entries.extend_from_slice(&field.to_le_bytes());
+        }
+        entries.push(ty.code());
+        entries.push(u8::from(a.is_text) | u8::from(packed) << 1);
+        for field in [config.alpha, a.min, a.max] {
+            entries.extend_from_slice(&field.to_bits().to_le_bytes());
         }
     }
+    let attr_list = write_contiguous_list(&pager, &entries).unwrap();
+    let mut dir = Vec::new();
+    for chunk in content.tuple_entries.chunks(1024) {
+        if packed {
+            dir.push(0); // a DIR_RAW frame
+            dir.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
+            dir.extend_from_slice(&(chunk.len() as u32 * 12).to_le_bytes());
+        }
+        for (tid, ptr) in chunk {
+            dir.extend_from_slice(&tid.to_le_bytes());
+            dir.extend_from_slice(&ptr.to_le_bytes());
+        }
+    }
+    let tuple_list = write_contiguous_list(&pager, &dir).unwrap();
+    let mut header = 0x6956_4146u32.to_le_bytes().to_vec();
+    header.extend_from_slice(&version.to_le_bytes());
+    header.extend_from_slice(&config.alpha.to_bits().to_le_bytes());
+    header.extend_from_slice(&(config.n as u32).to_le_bytes());
+    header.extend_from_slice(&config.ndf_penalty.to_bits().to_le_bytes());
+    header.extend_from_slice(&(config.numeric_width as u32).to_le_bytes());
+    header.extend_from_slice(&(content.attrs.len() as u32).to_le_bytes());
+    header.extend_from_slice(&(tids.len() as u64).to_le_bytes());
+    header.extend_from_slice(&0u64.to_le_bytes()); // no tombstones
+    for list in [attr_list, tuple_list] {
+        list.encode(&mut header);
+    }
+    header.extend_from_slice(&content.table_watermark.to_le_bytes());
+    header.extend_from_slice(&[0, u8::from(packed)]); // clean; directory tag
+    pager
+        .update_page(PageId(0), |p| p[..header.len()].copy_from_slice(&header))
+        .unwrap();
+    pager.sync().unwrap();
 }
 
 /// Rewrite the format version in the header of the index at `path`.
@@ -238,6 +332,8 @@ fn open_reuses_a_matching_index_and_rebuilds_any_other() {
         State::PackedTextV5,
         State::PackedTextV6,
         State::RawOnlyV4,
+        State::RawV7,
+        State::PackedV7,
     ];
     for state in states {
         for segment in [false, true] {
@@ -338,7 +434,7 @@ fn a_v6_store_with_a_string_section_list_rebuilds_once() {
         stats.dict_distances > 0 && stats.tuples_scanned < 1500,
         "{stats:?}"
     );
-    relabel(&mem, &n.index, INDEX_VERSION_V6);
+    relabel(&mem, &n.index, 6);
     let pair = open(&vfs, &n, None);
     assert!(
         pair.index_io().snapshot().bytes_written > 0,

@@ -13,9 +13,9 @@ use common::{assert_same_plan, small_pages as opts};
 use iva_core::{
     bounded_distance, build_index, encode_num_list, encode_packed_num_list,
     encode_packed_text_list, encode_text_list, exact_distance, export_index, import_index,
-    IndexTarget, IvaConfig, IvaIndex, ListEncoding, ListType, Metric, MetricKind, NumListCursor,
-    NumericCodec, PackedReader, Query, QueryOptions, QueryOutcome, QueryStats, ResultPool,
-    ScanCarry, TextListCursor, WeightScheme, TOMBSTONE_PTR,
+    IndexTarget, IvaConfig, IvaIndex, ListType, Metric, MetricKind, NumListCursor, NumericCodec,
+    PackedReader, Query, QueryOptions, QueryOutcome, QueryStats, ResultPool, ScanCarry,
+    TextListCursor, WeightScheme, TOMBSTONE_PTR,
 };
 use iva_storage::{write_contiguous_list, IoStats, ListReader, Pager};
 use iva_swt::{encode_record, AttrId, RecordView, SwtTable, Tuple, Value};
@@ -418,11 +418,7 @@ fn seeded_walks_weigh_only_what_can_pass() {
         let rows = || (0..1200).map(row);
         let deleted = [0, 3, 6, 9, 12];
         let pair = seeded_pair(IvaConfig::default(), rows(), &tail, &deleted);
-        let entry = pair.1.attr_entry(AttrId(0)).unwrap();
-        assert_eq!(
-            (entry.list_type, entry.encoding),
-            (ty, ListEncoding::Packed)
-        );
+        assert_eq!(pair.1.attr_entry(AttrId(0)).unwrap().list_type, ty);
         let pair = (&pair.0, &pair.1);
         let canon = check_seeded(pair, "canon", (1.0, l2), 10);
         let with_canon = rows()
@@ -455,8 +451,8 @@ fn seeded_walks_weigh_only_what_can_pass() {
     }
 }
 
-/// One walker, one writer, every reader: each list organization × {raw,
-/// packed} over lists with tid gaps, tombstones, a lazy positional tail
+/// One walker, one writer, every reader: each list organization over
+/// lists with tid gaps, tombstones, a lazy positional tail
 /// that a later insert pads out, multi-string values and no values at
 /// all. Every index is written by the builder's one writer (through
 /// `import_index`, which lets the table force an organization the size
@@ -477,8 +473,7 @@ fn one_walk_serves_scan_and_export() {
         if i.is_multiple_of(9) {
             t.set(AttrId(1), Value::text(format!("note {i}")));
         }
-        // Undefined in runs of 30: long enough for NDF_RUN frames, which
-        // are what makes a packed Type IV list smaller than its raw image.
+        // Undefined in runs of 30: long enough for NDF_RUN frames.
         if i % 80 < 50 {
             t.set(AttrId(3), Value::num(f64::from(i % 89)));
         }
@@ -600,71 +595,57 @@ fn one_walk_serves_scan_and_export() {
         (ListType::III, ListType::IV),
     ];
     for (text_ty, num_ty) in organizations {
-        for compress_lists in [false, true] {
-            let label = format!("text {text_ty} / num {num_ty} / packed={compress_lists}");
-            let mut parts = built.clone();
-            parts.config.compress_lists = compress_lists;
-            for attr in &mut parts.attrs {
-                attr.list_type = if attr.is_text { text_ty } else { num_ty };
-            }
-            let mut index =
-                import_index(IndexTarget::Mem, &opts(), IoStats::new(), &parts).unwrap();
-            let entry = |a: u32| index.attr_entry(AttrId(a)).unwrap().clone();
-            for a in TEXT.iter().chain(&NUM) {
-                let want_ty = if TEXT.contains(a) { text_ty } else { num_ty };
-                assert_eq!(entry(*a).list_type, want_ty, "{label}");
-            }
-            // The dense lists must actually be stored packed; a list with
-            // no values is, too, when positional (one ndf-run frame against
-            // an ndf element per tuple) and never when keyed (no bytes).
-            let packed = |a: u32| entry(a).encoding == ListEncoding::Packed;
-            assert_eq!(packed(0) && packed(3), compress_lists, "{label}");
-            assert_eq!(
-                packed(2),
-                compress_lists && text_ty == ListType::III,
-                "{label}"
-            );
-            assert_eq!(
-                packed(5),
-                compress_lists && num_ty == ListType::IV,
-                "{label}"
-            );
-            mutate(&mut index);
+        let label = format!("text {text_ty} / num {num_ty}");
+        let mut parts = built.clone();
+        for attr in &mut parts.attrs {
+            attr.list_type = if attr.is_text { text_ty } else { num_ty };
+        }
+        let mut index = import_index(IndexTarget::Mem, &opts(), IoStats::new(), &parts).unwrap();
+        let entry = |a: u32| index.attr_entry(AttrId(a)).unwrap().clone();
+        for a in TEXT.iter().chain(&NUM) {
+            let want_ty = if TEXT.contains(a) { text_ty } else { num_ty };
+            assert_eq!(entry(*a).list_type, want_ty, "{label}");
+        }
+        // A list with no values is one NDF_RUN frame when positional,
+        // and no frame at all when keyed.
+        let stored = |a: u32| entry(a).vlist.len;
+        assert_eq!(stored(2) > 0, text_ty == ListType::III, "{label}");
+        assert_eq!(stored(5) > 0, num_ty == ListType::IV, "{label}");
+        mutate(&mut index);
 
-            // Export: the walk's postings are the items encoded.
-            let got = export_index(&index).unwrap();
-            let entries: Vec<(u32, bool)> = got
-                .tuple_entries
-                .iter()
-                .map(|&(tid, ptr)| (tid, ptr == TOMBSTONE_PTR))
-                .collect();
-            assert_eq!(entries, tuple_entries, "{label}");
-            for a in TEXT {
-                assert_eq!(
-                    got.attrs[a as usize].text_postings,
-                    text_items(a),
-                    "{label} attr {a}"
-                );
-            }
-            for a in NUM {
-                assert_eq!(
-                    got.attrs[a as usize].num_postings,
-                    num_items(a),
-                    "{label} attr {a}"
-                );
-            }
-            assert!(text_items(0).iter().any(|(_, sigs)| sigs.len() == 3));
-            assert!(text_items(2).is_empty() && num_items(5).is_empty());
+        // Export: the walk's postings are the items encoded.
+        let got = export_index(&index).unwrap();
+        let entries: Vec<(u32, bool)> = got
+            .tuple_entries
+            .iter()
+            .map(|&(tid, ptr)| (tid, ptr == TOMBSTONE_PTR))
+            .collect();
+        assert_eq!(entries, tuple_entries, "{label}");
+        for a in TEXT {
+            assert_eq!(
+                got.attrs[a as usize].text_postings,
+                text_items(a),
+                "{label} attr {a}"
+            );
+        }
+        for a in NUM {
+            assert_eq!(
+                got.attrs[a as usize].num_postings,
+                num_items(a),
+                "{label} attr {a}"
+            );
+        }
+        assert!(text_items(0).iter().any(|(_, sigs)| sigs.len() == 3));
+        assert!(text_items(2).is_empty() && num_items(5).is_empty());
 
-            // Scan: the reference's plan.
-            for (q, w) in queries.iter().zip(&want) {
-                assert_same_plan(w, &run(&index, q), &label);
-            }
+        // Scan: the reference's plan.
+        for (q, w) in queries.iter().zip(&want) {
+            assert_same_plan(w, &run(&index, q), &label);
         }
     }
 }
 
-/// A list as three readers see it: `(value of tid)` per tuple-list tid.
+/// A list as a walk sees it: `(value of tid)` per tuple-list tid.
 type Walked<T> = Vec<Option<T>>;
 
 /// One frame as [`IvaIndex::insert`] appends it: `[kind][elems][len]`
@@ -865,19 +846,19 @@ fn frame_mixtures(sc: &iva_text::SigCodec, nc: &NumericCodec) -> Vec<Mixture> {
     shapes.collect()
 }
 
-/// The frame-direct walk against its two references, on every list
-/// organization and every frame mixture a list can hold: the cursor over
-/// the packed list (PACKED frames served from their sections and the
-/// list's dictionary, RAW tail frames and NDF_RUN runs as they come), the
-/// raw-layout cursor over the
-/// image `decode_to_vec` builds, and the values that were encoded. They
-/// must agree element for element under `advance`, after
-/// `seek_elements(n)` for `n` on and off every frame boundary, and at the
-/// end of the list (`postings` ends with `finish`, which refuses
-/// leftovers) — with the tuple list running on past the list's last
-/// element (the lazy positional tail) throughout.
+/// The frame-direct walk against the values that were encoded, on every
+/// list organization and every frame mixture a list can hold: the cursor
+/// over the packed list (PACKED frames served from their sections and the
+/// list's dictionary, RAW tail frames and NDF_RUN runs as they come) must
+/// give each tuple its value's bound — the min estimate over its strings,
+/// its code — under `advance`, after `seek_elements(n)` for `n` on and off
+/// every frame boundary, and end holding exactly the values encoded
+/// (`postings` ends with `finish`, which refuses leftovers) — with the
+/// tuple list running on past the list's last element (the lazy positional
+/// tail) throughout. `decode_to_vec` rebuilds the image the raw element
+/// encoders write.
 #[test]
-fn frame_direct_walk_matches_raw_walk_and_postings() {
+fn frame_direct_walk_matches_the_encoded_values() {
     let cfg = IvaConfig::default();
     let sc = cfg.sig_codec();
     let nc = NumericCodec::new(0.0, 5000.0, cfg.numeric_code_bytes());
@@ -895,48 +876,43 @@ fn frame_direct_walk_matches_raw_walk_and_postings() {
             m.head as u64 + 3,
             m.n as u64 + 7,
         ];
+        // What each tuple of `tids[from..]` holds, by `value`.
+        fn values<T, V>(
+            tids: &[u32],
+            from: usize,
+            items: &[(u32, T)],
+            value: impl Fn(&T) -> V,
+        ) -> Walked<V> {
+            let at = |t: &u32| items.binary_search_by_key(t, |(tid, _)| *tid).ok();
+            let of = |t| at(t).map(|i| value(&items[i].1));
+            tids.iter().skip(from).map(of).collect()
+        }
 
         for ty in [ListType::I, ListType::II, ListType::III] {
             let label = format!("text {ty}, {shape}");
             let (stored, raw) = m.text_lists(ty);
             let packed = || PackedReader::new_text(list_reader(&stored), ty, &sc).unwrap();
             assert_eq!(packed().decode_to_vec().unwrap(), raw, "{label}: image");
-            let cursors = || {
-                (
-                    TextListCursor::new_packed(packed(), ty),
-                    TextListCursor::new(list_reader(&raw), ty),
-                )
-            };
-            let (p, r) = cursors();
+            let cursor = || TextListCursor::new(packed(), ty);
             assert_eq!(
-                p.postings(&sc, tids).unwrap(),
+                cursor().postings(&sc, tids).unwrap(),
                 *text_items,
                 "{label}: postings"
             );
-            assert_eq!(
-                r.postings(&sc, tids).unwrap(),
-                *text_items,
-                "{label}: raw postings"
-            );
+            let estimate = |sigs: &Vec<Vec<u8>>| {
+                let est = sigs.iter().map(|sig| matcher.estimate(sig).unwrap());
+                est.fold(f64::INFINITY, f64::min).to_bits()
+            };
             for seek in seeks {
-                let (mut p, mut r) = cursors();
-                p.seek_elements(seek, &sc).unwrap();
-                r.seek_elements(seek, &sc).unwrap();
+                let mut cur = cursor();
+                cur.seek_elements(seek, &sc).unwrap();
                 let from = (seek as usize).min(tids.len());
-                let mut walked: [Walked<u64>; 2] = [Vec::new(), Vec::new()];
-                for &tid in tids.iter().skip(from) {
-                    for (cur, out) in [&mut p, &mut r].into_iter().zip(&mut walked) {
-                        let lb = cur.advance(tid, &sc, &matcher).unwrap();
-                        out.push(lb.map(f64::to_bits));
-                    }
-                }
-                assert_eq!(walked[0], walked[1], "{label}: walk after seek {seek}");
-                let seen = walked[0].iter().flatten().count();
-                let expect = tids
+                let walked: Walked<u64> = tids[from..]
                     .iter()
-                    .skip(from)
-                    .filter(|t| text_items.binary_search_by_key(t, |(tid, _)| tid).is_ok());
-                assert_eq!(seen, expect.count(), "{label}: defined after seek {seek}");
+                    .map(|&tid| cur.advance(tid, &sc, &matcher).unwrap().map(f64::to_bits))
+                    .collect();
+                let expect = values(tids, from, text_items, estimate);
+                assert_eq!(walked, expect, "{label}: walk after seek {seek}");
             }
         }
 
@@ -945,44 +921,22 @@ fn frame_direct_walk_matches_raw_walk_and_postings() {
             let (stored, raw) = m.num_lists(ty, &nc);
             let packed = || PackedReader::new_num(list_reader(&stored), ty, &nc).unwrap();
             assert_eq!(packed().decode_to_vec().unwrap(), raw, "{label}: image");
-            let cursors = || {
-                (
-                    NumListCursor::new_packed(packed(), ty),
-                    NumListCursor::new(list_reader(&raw), ty),
-                )
-            };
-            let (p, r) = cursors();
+            let cursor = || NumListCursor::new(packed(), ty);
             assert_eq!(
-                p.postings(&nc, tids).unwrap(),
+                cursor().postings(&nc, tids).unwrap(),
                 *num_items,
                 "{label}: postings"
             );
-            assert_eq!(
-                r.postings(&nc, tids).unwrap(),
-                *num_items,
-                "{label}: raw postings"
-            );
             for seek in seeks {
-                let (mut p, mut r) = cursors();
-                p.seek_elements(seek, &nc).unwrap();
-                r.seek_elements(seek, &nc).unwrap();
+                let mut cur = cursor();
+                cur.seek_elements(seek, &nc).unwrap();
                 let from = (seek as usize).min(tids.len());
-                let mut walked: [Walked<u64>; 2] = [Vec::new(), Vec::new()];
-                for &tid in tids.iter().skip(from) {
-                    for (cur, out) in [&mut p, &mut r].into_iter().zip(&mut walked) {
-                        out.push(cur.advance(tid, &nc).unwrap());
-                    }
-                }
-                assert_eq!(walked[0], walked[1], "{label}: walk after seek {seek}");
-                let expect: Walked<u64> = tids
+                let walked: Walked<u64> = tids[from..]
                     .iter()
-                    .skip(from)
-                    .map(|t| {
-                        let at = num_items.binary_search_by_key(t, |(tid, _)| *tid).ok()?;
-                        Some(num_items[at].1)
-                    })
+                    .map(|&tid| cur.advance(tid, &nc).unwrap())
                     .collect();
-                assert_eq!(walked[0], expect, "{label}: codes after seek {seek}");
+                let expect = values(tids, from, num_items, |&code| code);
+                assert_eq!(walked, expect, "{label}: codes after seek {seek}");
             }
         }
     }
@@ -1012,8 +966,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(36))]
 
     /// The block fill against its oracle, the per-element walk: on every
-    /// organization (Text I/II/III, Num I/IV), raw and packed, over every
-    /// frame mixture (PACKED frames, RAW tail frames appended by inserts,
+    /// organization (Text I/II/III, Num I/IV), over every frame mixture (PACKED frames, RAW tail frames appended by inserts,
     /// NDF_RUN runs, the lazy positional tail, signature dictionaries of
     /// every shape [`frame_mixtures`] names), from any `seek_elements`
     /// start, in blocks of 1 to 300 elements — so block edges fall inside
@@ -1041,59 +994,49 @@ proptest! {
         let plan = blocks(from, tids.len(), &sizes);
         let mut out = vec![0.0f64; 300];
         for ty in [ListType::I, ListType::II, ListType::III] {
-            let (stored, raw) = m.text_lists(ty);
-            for packed in [true, false] {
-                let open = || match packed {
-                    true => {
-                        let r = PackedReader::new_text(list_reader(&stored), ty, &sc).unwrap();
-                        TextListCursor::new_packed(r, ty)
-                    }
-                    false => TextListCursor::new(list_reader(&raw), ty),
-                };
-                let (mut oracle, mut filled) = (open(), open());
-                oracle.seek_elements(from as u64, &sc).unwrap();
-                filled.seek_elements(from as u64, &sc).unwrap();
-                let want: Vec<u64> = tids[from..]
-                    .iter()
-                    .map(|&t| slot_bits(oracle.advance(t, &sc, &matcher).unwrap()))
-                    .collect();
-                let mut got = Vec::new();
-                for &(at, len) in &plan {
-                    let slots = &mut out[..len];
-                    filled.fill_block(&tids[at..at + len], &sc, &matcher, slots).unwrap();
-                    got.extend(slots.iter().map(|v| v.to_bits()));
-                }
-                prop_assert_eq!(got, want, "text {} packed {} {}", ty, packed, m.name);
+            let (stored, _) = m.text_lists(ty);
+            let open = || {
+                let r = PackedReader::new_text(list_reader(&stored), ty, &sc).unwrap();
+                TextListCursor::new(r, ty)
+            };
+            let (mut oracle, mut filled) = (open(), open());
+            oracle.seek_elements(from as u64, &sc).unwrap();
+            filled.seek_elements(from as u64, &sc).unwrap();
+            let want: Vec<u64> = tids[from..]
+                .iter()
+                .map(|&t| slot_bits(oracle.advance(t, &sc, &matcher).unwrap()))
+                .collect();
+            let mut got = Vec::new();
+            for &(at, len) in &plan {
+                let slots = &mut out[..len];
+                filled.fill_block(&tids[at..at + len], &sc, &matcher, slots).unwrap();
+                got.extend(slots.iter().map(|v| v.to_bits()));
             }
+            prop_assert_eq!(got, want, "text {} {}", ty, m.name);
         }
         for ty in [ListType::I, ListType::IV] {
-            let (stored, raw) = m.num_lists(ty, &nc);
-            for packed in [true, false] {
-                let open = || match packed {
-                    true => {
-                        let r = PackedReader::new_num(list_reader(&stored), ty, &nc).unwrap();
-                        NumListCursor::new_packed(r, ty)
-                    }
-                    false => NumListCursor::new(list_reader(&raw), ty),
-                };
-                let (mut oracle, mut filled) = (open(), open());
-                oracle.seek_elements(from as u64, &nc).unwrap();
-                filled.seek_elements(from as u64, &nc).unwrap();
-                let want: Vec<u64> = tids[from..]
-                    .iter()
-                    .map(|&t| {
-                        let code = oracle.advance(t, &nc).unwrap();
-                        slot_bits(code.map(|c| nc.lower_bound_dist(c, q)))
-                    })
-                    .collect();
-                let mut got = Vec::new();
-                for &(at, len) in &plan {
-                    let slots = &mut out[..len];
-                    filled.fill_block(&tids[at..at + len], &nc, q, slots).unwrap();
-                    got.extend(slots.iter().map(|v| v.to_bits()));
-                }
-                prop_assert_eq!(got, want, "num {} packed {} {}", ty, packed, m.name);
+            let (stored, _) = m.num_lists(ty, &nc);
+            let open = || {
+                let r = PackedReader::new_num(list_reader(&stored), ty, &nc).unwrap();
+                NumListCursor::new(r, ty)
+            };
+            let (mut oracle, mut filled) = (open(), open());
+            oracle.seek_elements(from as u64, &nc).unwrap();
+            filled.seek_elements(from as u64, &nc).unwrap();
+            let want: Vec<u64> = tids[from..]
+                .iter()
+                .map(|&t| {
+                    let code = oracle.advance(t, &nc).unwrap();
+                    slot_bits(code.map(|c| nc.lower_bound_dist(c, q)))
+                })
+                .collect();
+            let mut got = Vec::new();
+            for &(at, len) in &plan {
+                let slots = &mut out[..len];
+                filled.fill_block(&tids[at..at + len], &nc, q, slots).unwrap();
+                got.extend(slots.iter().map(|v| v.to_bits()));
             }
+            prop_assert_eq!(got, want, "num {} {}", ty, m.name);
         }
     }
 }

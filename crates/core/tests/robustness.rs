@@ -238,7 +238,7 @@ fn insert_rejects_positional_entry_longer_than_tuple_list() {
             let pager = Pager::open(&path, &opts(), IoStats::new()).unwrap();
             let header = IndexHeader::decode(&pager.read_page(PageId(0)).unwrap()).unwrap();
             // `elem_count` sits 40 bytes into the attribute's entry.
-            let at = (attr * AttrEntry::encoded_len(header.version) + 40) as u64;
+            let at = (attr * AttrEntry::ENCODED_LEN + 40) as u64;
             let claimed = header.n_tuples + 5;
             overwrite_in_list(&pager, header.attr_list, at, &claimed.to_le_bytes()).unwrap();
             pager.sync().unwrap();
@@ -261,55 +261,49 @@ fn insert_rejects_positional_entry_longer_than_tuple_list() {
 /// is `Corrupt` to every execution shape, never an answer: serial;
 /// segmented-parallel, whether the repeat falls inside a worker's range or
 /// opens one (2 workers: the second starts on it); batch; the sequential
-/// plan. Raw and packed directories alike.
+/// plan.
 #[test]
 fn repeated_tid_in_the_directory_is_corrupt_to_every_shape() {
     use iva_core::{BatchItem, QueryOptions};
-    for compress_lists in [true, false] {
-        let mut t = SwtTable::create_mem(&opts(), IoStats::new()).unwrap();
-        let name = t.define_text("name").unwrap();
-        let row = |i: u32| Tuple::new().with(name, Value::text(format!("listing {i:04}")));
-        for i in 0..600 {
-            t.insert(&row(i)).unwrap();
-        }
-        let cfg = IvaConfig {
-            compress_lists,
-            ..IvaConfig::default()
-        };
-        let mut idx = build_index(&t, IndexTarget::Mem, &opts(), IoStats::new(), cfg).unwrap();
-        for i in 600..1201 {
-            let (tid, ptr) = t.insert(&row(i)).unwrap();
-            // Position 600 of the directory lists tid 599 a second time.
-            let listed = if i == 600 { 599 } else { tid };
-            idx.insert(listed, ptr, &row(i), t.catalog()).unwrap();
-        }
-        let q = Query::new().text(name, "listing 0599");
-        let (l2, equ) = (MetricKind::L2, WeightScheme::Equal);
-        let corrupt = |what: &str, r: Result<Vec<_>, IvaError>| match r {
-            Err(e) => assert!(e.is_corruption(), "{what}: {e}"),
-            Ok(hits) => panic!("{what}: answered {hits:?}"),
-        };
-        let results = |o: iva_core::QueryOutcome| o.results;
-        let what = format!("compress {compress_lists}");
-        corrupt(&what, idx.query(&t, &q, 5, &l2, equ).map(results));
-        for threads in [2usize, 3] {
-            let o = QueryOptions {
-                threads: Some(threads),
-            };
-            let r = idx.query_opts(&t, &q, 5, &l2, equ, &o).map(results);
-            corrupt(&format!("{what} threads {threads}"), r);
-        }
-        let item = BatchItem {
-            query: &q,
-            k: 5,
-            weights: equ,
-        };
-        let batch = idx.query_batch(&t, &[item, item], &l2, &QueryOptions::default());
-        let batch = batch.map(|outs| outs.into_iter().flat_map(results).collect());
-        corrupt(&format!("{what} batch"), batch);
-        let seq = idx.query_sequential_plan(&t, &q, 5, &l2, equ).map(results);
-        corrupt(&format!("{what} sequential"), seq);
+    let mut t = SwtTable::create_mem(&opts(), IoStats::new()).unwrap();
+    let name = t.define_text("name").unwrap();
+    let row = |i: u32| Tuple::new().with(name, Value::text(format!("listing {i:04}")));
+    for i in 0..600 {
+        t.insert(&row(i)).unwrap();
     }
+    let cfg = IvaConfig::default();
+    let mut idx = build_index(&t, IndexTarget::Mem, &opts(), IoStats::new(), cfg).unwrap();
+    for i in 600..1201 {
+        let (tid, ptr) = t.insert(&row(i)).unwrap();
+        // Position 600 of the directory lists tid 599 a second time.
+        let listed = if i == 600 { 599 } else { tid };
+        idx.insert(listed, ptr, &row(i), t.catalog()).unwrap();
+    }
+    let q = Query::new().text(name, "listing 0599");
+    let (l2, equ) = (MetricKind::L2, WeightScheme::Equal);
+    let corrupt = |what: &str, r: Result<Vec<_>, IvaError>| match r {
+        Err(e) => assert!(e.is_corruption(), "{what}: {e}"),
+        Ok(hits) => panic!("{what}: answered {hits:?}"),
+    };
+    let results = |o: iva_core::QueryOutcome| o.results;
+    corrupt("serial", idx.query(&t, &q, 5, &l2, equ).map(results));
+    for threads in [2usize, 3] {
+        let o = QueryOptions {
+            threads: Some(threads),
+        };
+        let r = idx.query_opts(&t, &q, 5, &l2, equ, &o).map(results);
+        corrupt(&format!("threads {threads}"), r);
+    }
+    let item = BatchItem {
+        query: &q,
+        k: 5,
+        weights: equ,
+    };
+    let batch = idx.query_batch(&t, &[item, item], &l2, &QueryOptions::default());
+    let batch = batch.map(|outs| outs.into_iter().flat_map(results).collect());
+    corrupt("batch", batch);
+    let seq = idx.query_sequential_plan(&t, &q, 5, &l2, equ).map(results);
+    corrupt("sequential", seq);
 }
 
 #[test]
@@ -328,9 +322,7 @@ mod fuzz_decode {
     //! Fuzz-style hardening of the index-layout decoders: arbitrary and
     //! mutated header/entry bytes must produce typed errors, never panics.
 
-    use iva_core::{
-        AttrEntry, IndexHeader, IvaConfig, ListEncoding, ListType, INDEX_VERSION, INDEX_VERSION_V2,
-    };
+    use iva_core::{AttrEntry, IndexHeader, IvaConfig, ListType, INDEX_VERSION};
     use iva_storage::{ListHandle, PageId};
     use proptest::prelude::*;
 
@@ -353,11 +345,10 @@ mod fuzz_decode {
             },
             table_watermark: 77_777,
             dirty: false,
-            dir_encoding: ListEncoding::Raw,
         }
     }
 
-    fn sample_entry_bytes(version: u32) -> Vec<u8> {
+    fn sample_entry_bytes() -> Vec<u8> {
         let entry = AttrEntry {
             vlist: ListHandle {
                 head: PageId(4),
@@ -372,11 +363,10 @@ mod fuzz_decode {
             alpha: 0.25,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            encoding: ListEncoding::Raw,
-            logical_len: 900,
+            logical_len: 1_500,
         };
         let mut out = Vec::new();
-        entry.encode(version, &mut out);
+        entry.encode(&mut out);
         out
     }
 
@@ -388,8 +378,7 @@ mod fuzz_decode {
             bytes in proptest::collection::vec(any::<u8>(), 0..200),
         ) {
             let _ = IndexHeader::decode(&bytes);
-            let _ = AttrEntry::decode(&bytes, INDEX_VERSION);
-            let _ = AttrEntry::decode(&bytes, INDEX_VERSION_V2);
+            let _ = AttrEntry::decode(&bytes);
             let _ = ListHandle::decode(&bytes);
         }
 
@@ -406,14 +395,12 @@ mod fuzz_decode {
             let _ = IndexHeader::decode(&mutated);
             let _ = IndexHeader::decode(&header[..cut.index(header.len())]);
 
-            for version in [INDEX_VERSION, INDEX_VERSION_V2] {
-                let entry = sample_entry_bytes(version);
-                let mut mutated = entry.clone();
-                let e_at = at.index(mutated.len());
-                mutated[e_at] ^= xor;
-                let _ = AttrEntry::decode(&mutated, version);
-                let _ = AttrEntry::decode(&entry[..cut.index(entry.len())], version);
-            }
+            let entry = sample_entry_bytes();
+            let mut mutated = entry.clone();
+            let e_at = at.index(mutated.len());
+            mutated[e_at] ^= xor;
+            let _ = AttrEntry::decode(&mutated);
+            let _ = AttrEntry::decode(&entry[..cut.index(entry.len())]);
         }
     }
 }
@@ -530,8 +517,8 @@ mod fuzz_packed {
         let (sc, nc) = (sig_codec(), num_codec());
         let matcher = MATCHER.get_or_init(|| PreparedMatcher::new(&sc, b"value 33 1"));
         let (mut text, mut num) = match is_text {
-            true => (Some(TextListCursor::new_packed(packed, ty)), None),
-            false => (None, Some(NumListCursor::new_packed(packed, ty))),
+            true => (Some(TextListCursor::new(packed, ty)), None),
+            false => (None, Some(NumListCursor::new(packed, ty))),
         };
         for len in (1..=7usize).cycle() {
             let block = &all[at..(at + len).min(all.len())];
@@ -737,11 +724,11 @@ mod fuzz_packed {
             let walked = if is_text {
                 let codec = sig_codec();
                 let matcher = PreparedMatcher::new(&codec, b"value");
-                TextListCursor::new_packed(packed, ty)
+                TextListCursor::new(packed, ty)
                     .advance(0, &codec, &matcher)
                     .map(drop)
             } else {
-                NumListCursor::new_packed(packed, ty)
+                NumListCursor::new(packed, ty)
                     .advance(0, &num_codec())
                     .map(drop)
             };
@@ -835,7 +822,7 @@ mod fuzz_packed {
             );
             let codec = sig_codec();
             let matcher = PreparedMatcher::new(&codec, b"ab");
-            let walked = TextListCursor::new_packed(
+            let walked = TextListCursor::new(
                 open_packed(&stored, true, ListType::I).unwrap(),
                 ListType::I,
             )
@@ -855,7 +842,7 @@ mod fuzz_packed {
             whole.as_ref().is_err_and(corrupt),
             "numeric: decode {whole:?}"
         );
-        let walked = NumListCursor::new_packed(
+        let walked = NumListCursor::new(
             open_packed(&numeric, false, ListType::I).unwrap(),
             ListType::I,
         )
@@ -920,7 +907,7 @@ mod fuzz_packed {
         let walk = |stored: &[u8], ty: ListType| {
             let (codec, mut out) = (sig_codec(), [0.0; 200]);
             let matcher = PreparedMatcher::new(&codec, b"ab");
-            let mut cur = TextListCursor::new_packed(open_packed(stored, true, ty).unwrap(), ty);
+            let mut cur = TextListCursor::new(open_packed(stored, true, ty).unwrap(), ty);
             cur.fill_block(&all, &codec, &matcher, &mut out)
         };
         walk(&list(&honest, ListType::III), ListType::III).unwrap();

@@ -218,15 +218,6 @@ impl ListWriter {
 
 /// Sequential cursor over a list's data bytes.
 ///
-/// Besides the copying `read_*` primitives, the reader exposes a zero-copy
-/// path: [`ListReader::read_bytes`] yields element views borrowed directly
-/// from the pinned buffer-pool page whenever the run does not cross a page
-/// boundary (falling back to one internal copy when it does), and
-/// [`ListReader::read_run_page`] hands out whole in-page runs together with
-/// the page reference so callers can hold them across further reads. Both
-/// paths touch exactly the pages the copying path would, so I/O accounting
-/// is identical.
-///
 /// Besides the pager-level counters, the reader feeds two list-granular
 /// [`IoStats`](crate::IoStats) counters: *logical* list bytes (data bytes
 /// delivered to the caller, padding-free) and *physical* list bytes (one
@@ -242,8 +233,6 @@ pub struct ListReader {
     /// Logical position within the list's data bytes.
     pos: u64,
     len: u64,
-    /// Reused buffer for page-crossing [`ListReader::read_bytes`] calls.
-    spill: Vec<u8>,
 }
 
 impl ListReader {
@@ -259,7 +248,6 @@ impl ListReader {
             offset_in_page: 0,
             pos: 0,
             len: handle.len,
-            spill: Vec::new(),
         })
     }
 
@@ -323,94 +311,6 @@ impl ListReader {
         }
         self.pager.stats().record_list_logical(buf.len() as u64);
         Ok(())
-    }
-
-    /// Read exactly `n` bytes as a borrowed view.
-    ///
-    /// When the run lies within the current page the slice borrows the
-    /// pinned buffer-pool page directly (zero copy). A run crossing a page
-    /// boundary is assembled in an internal reusable buffer — the *copy
-    /// fallback* — so the returned view is always contiguous. The borrow
-    /// ends at the next `&mut self` call; callers consuming one element at
-    /// a time never clone page data.
-    pub fn read_bytes(&mut self, n: usize) -> Result<&[u8]> {
-        if self.remaining() < n as u64 {
-            return Err(StorageError::Corrupt(format!(
-                "list read of {} bytes with only {} remaining",
-                n,
-                self.remaining()
-            )));
-        }
-        if n == 0 {
-            return Ok(&[]);
-        }
-        while self.offset_in_page == self.page_used {
-            self.advance_page()?;
-        }
-        if self.page_used - self.offset_in_page >= n {
-            let start = LIST_PAGE_HEADER + self.offset_in_page;
-            self.offset_in_page += n;
-            self.pos += n as u64;
-            self.pager.stats().record_list_logical(n as u64);
-            return self
-                .page
-                .get(start..start + n)
-                .ok_or_else(|| StorageError::Corrupt("list page view out of bounds".into()));
-        }
-        // Page-crossing fallback: one copy through the reusable spill.
-        // `read_exact` charges the logical bytes (and `advance_page` the
-        // spanned pages), so no counter is touched here — charging on this
-        // path too would double-count every boundary-crossing read.
-        let mut spill = std::mem::take(&mut self.spill);
-        spill.clear();
-        spill.resize(n, 0);
-        let res = self.read_exact(&mut spill);
-        self.spill = spill;
-        res?;
-        Ok(&self.spill)
-    }
-
-    /// Bytes readable from the current page without crossing a boundary,
-    /// stepping into the next page first if the current one is exhausted.
-    /// Returns 0 only at end of list.
-    pub fn in_page_remaining(&mut self) -> Result<usize> {
-        if self.at_end() {
-            return Ok(0);
-        }
-        while self.offset_in_page == self.page_used {
-            self.advance_page()?;
-        }
-        let in_page = self.page_used - self.offset_in_page;
-        Ok((in_page as u64).min(self.remaining()) as usize)
-    }
-
-    /// Consume `n` bytes of the current page and return the page reference
-    /// plus the data range — a whole-page run the caller may hold onto
-    /// while the reader moves on (block scans feed such runs to the
-    /// estimation kernel). `n` must not exceed
-    /// [`ListReader::in_page_remaining`].
-    pub fn read_run_page(&mut self, n: usize) -> Result<(PageRef, std::ops::Range<usize>)> {
-        if n == 0 {
-            return Ok((Arc::clone(&self.page), 0..0));
-        }
-        if self.remaining() < n as u64 {
-            return Err(StorageError::Corrupt("list run past end".into()));
-        }
-        while self.offset_in_page == self.page_used {
-            self.advance_page()?;
-        }
-        if self.page_used - self.offset_in_page < n {
-            return Err(StorageError::InvalidArgument(format!(
-                "page run of {} bytes exceeds the {} left in page",
-                n,
-                self.page_used - self.offset_in_page
-            )));
-        }
-        let start = LIST_PAGE_HEADER + self.offset_in_page;
-        self.offset_in_page += n;
-        self.pos += n as u64;
-        self.pager.stats().record_list_logical(n as u64);
-        Ok((Arc::clone(&self.page), start..start + n))
     }
 
     /// Skip `n` bytes.
@@ -691,93 +591,11 @@ mod tests {
     }
 
     #[test]
-    fn read_bytes_views_match_copies() {
-        let p = mem_pager(); // 64 B pages, 54 B data capacity
-        let data: Vec<u8> = (0..240u32).map(|i| (i % 251) as u8).collect();
-        let h = write_contiguous_list(&p, &data).unwrap();
-        // Odd-sized element reads force both in-page views and the
-        // page-crossing copy fallback.
-        for elem in [1usize, 7, 13, 54, 60] {
-            let mut viewer = ListReader::open(Arc::clone(&p), h).unwrap();
-            let mut copier = ListReader::open(Arc::clone(&p), h).unwrap();
-            let mut buf = vec![0u8; elem];
-            while viewer.remaining() >= elem as u64 {
-                let view = viewer.read_bytes(elem).unwrap().to_vec();
-                copier.read_exact(&mut buf).unwrap();
-                assert_eq!(view, buf, "elem={elem}");
-                assert_eq!(viewer.tell(), copier.tell());
-            }
-        }
-    }
-
-    #[test]
-    fn read_bytes_edge_cases() {
-        let p = mem_pager();
-        let h = write_contiguous_list(&p, &[9u8; 10]).unwrap();
-        let mut r = ListReader::open(Arc::clone(&p), h).unwrap();
-        assert_eq!(r.read_bytes(0).unwrap(), &[] as &[u8]);
-        assert_eq!(r.read_bytes(10).unwrap(), &[9u8; 10]);
-        assert!(r.read_bytes(1).is_err());
-    }
-
-    #[test]
-    fn read_run_page_hands_out_whole_runs() {
-        let p = mem_pager(); // 54 B data per page
-        let data: Vec<u8> = (0..200u32).map(|i| i as u8).collect();
-        let h = write_contiguous_list(&p, &data).unwrap();
-        let mut r = ListReader::open(Arc::clone(&p), h).unwrap();
-        let mut reassembled = Vec::new();
-        let mut held = Vec::new(); // runs stay valid while the reader moves on
-        while !r.at_end() {
-            let avail = r.in_page_remaining().unwrap();
-            assert!(avail > 0);
-            let (page, range) = r.read_run_page(avail).unwrap();
-            reassembled.extend_from_slice(&page[range.clone()]);
-            held.push((page, range));
-        }
-        assert_eq!(reassembled, data);
-        assert_eq!(r.in_page_remaining().unwrap(), 0);
-        // Over-long runs are rejected without advancing.
-        let mut r = ListReader::open(Arc::clone(&p), h).unwrap();
-        assert!(r.read_run_page(55).is_err());
-        assert_eq!(r.tell(), 0);
-        let (_, empty) = r.read_run_page(0).unwrap();
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn mixed_view_and_copy_reads_stay_aligned() {
-        let p = mem_pager();
-        let data: Vec<u8> = (0..150u32).map(|i| i as u8).collect();
-        let h = write_contiguous_list(&p, &data).unwrap();
-        let mut r = ListReader::open(Arc::clone(&p), h).unwrap();
-        let mut out = Vec::new();
-        loop {
-            let left = r.remaining() as usize;
-            if left == 0 {
-                break;
-            }
-            match out.len() % 3 {
-                0 => out.extend_from_slice(r.read_bytes(5.min(left)).unwrap()),
-                1 => out.push(r.read_u8().unwrap()),
-                _ => {
-                    let avail = r.in_page_remaining().unwrap().min(4);
-                    let (page, range) = r.read_run_page(avail).unwrap();
-                    out.extend_from_slice(&page[range]);
-                }
-            }
-        }
-        assert_eq!(out, data);
-    }
-
-    #[test]
     fn boundary_crossing_reads_charge_list_bytes_exactly_once() {
         // 64 B pages, 54 B data capacity: a 120 B read starting at offset
         // 10 spans three pages, i.e. crosses a page boundary twice in one
-        // `read_bytes` call. The spill fallback delegates to `read_exact`,
-        // which must be the only site charging the logical bytes and
-        // `advance_page` the only site charging the spanned pages —
-        // charging in `read_bytes` as well would double-count both.
+        // `read_exact` call, which must charge the logical bytes once and
+        // leave `advance_page` the only site charging the spanned pages.
         let p = mem_pager();
         let data: Vec<u8> = (0..200u32).map(|i| i as u8).collect();
         let h = write_contiguous_list(&p, &data).unwrap();
@@ -785,7 +603,8 @@ mod tests {
         let before = p.stats().snapshot();
         let mut r = ListReader::open(Arc::clone(&p), h).unwrap();
         r.skip(10).unwrap();
-        let view = r.read_bytes(120).unwrap().to_vec();
+        let mut view = vec![0u8; 120];
+        r.read_exact(&mut view).unwrap();
         assert_eq!(view, &data[10..130]);
         let d = p.stats().snapshot().since(&before);
         // Exactly the 120 delivered bytes, charged once.
@@ -793,22 +612,21 @@ mod tests {
         // Exactly the three pages entered (open + two boundary crossings).
         assert_eq!(d.physical_list_bytes, 3 * 64);
 
-        // The same bytes read element-wise (views + copies + run pages)
+        // The same bytes read element-wise (single bytes and copies)
         // charge identically: logical counts deliveries, not call shapes.
         let before = p.stats().snapshot();
         let mut r = ListReader::open(Arc::clone(&p), h).unwrap();
         let mut delivered = 0u64;
         while !r.at_end() {
-            match delivered % 3 {
-                0 => delivered += r.read_bytes(7.min(r.remaining() as usize)).unwrap().len() as u64,
-                1 => {
+            match delivered % 2 {
+                0 => {
                     r.read_u8().unwrap();
                     delivered += 1;
                 }
                 _ => {
-                    let n = r.in_page_remaining().unwrap().min(5);
-                    let (_, range) = r.read_run_page(n).unwrap();
-                    delivered += range.len() as u64;
+                    let mut buf = vec![0u8; 5.min(r.remaining() as usize)];
+                    r.read_exact(&mut buf).unwrap();
+                    delivered += buf.len() as u64;
                 }
             }
         }

@@ -36,8 +36,8 @@ use crate::search::{QueryBuilder, SearchRequest};
 ///    They never write through to either layer above — a request can
 ///    never change what a later request or a reopened database does.
 ///
-/// `config.hot_tier_bytes` belongs to no layer: it is accepted and
-/// ignored. Every `config` field is validated at open, whether the index
+/// `config.hot_tier_bytes` and `config.compress_lists` belong to no
+/// layer: they are accepted and ignored. Every `config` field is validated at open, whether the index
 /// is reused or rebuilt.
 ///
 /// Every layer-2/3 knob is plan-only: any setting produces bit-identical

@@ -68,7 +68,8 @@ use crate::search::{QueryBuilder, SearchRequest};
 /// unchanged: structural parameters in `config` shape segment bytes and
 /// are persisted per segment; runtime knobs (`metric`, `weights` and
 /// `config.search_threads`) are never persisted; per-request overrides
-/// win for one call; `config.hot_tier_bytes` is accepted and ignored.
+/// win for one call; `config.hot_tier_bytes` and `config.compress_lists`
+/// are accepted and ignored.
 /// The two thresholds below only
 /// steer *when* maintenance runs — under EQU any schedule yields
 /// bit-identical answers; under ITF λ follows the tombstones a schedule

@@ -82,17 +82,19 @@ fn spread(mut v: Vec<u64>) -> String {
     format!("median {} / p90 {} / max {}", at(50), at(90), at(100))
 }
 
-/// The text attributes of `index` whose packed lists carry string
-/// sections, with the bytes those add over the signature-only image.
+/// The text attributes of `index` whose lists carry string sections, with
+/// the bytes those add over the signature-only frames (the image less its
+/// 8-byte logical-length prologue).
 fn sectioned(index: &IvaIndex) -> Vec<(usize, u64)> {
     let exported = export_index(index).unwrap();
     let all_tids: Vec<u32> = exported.tuple_entries.iter().map(|(t, _)| *t).collect();
     let attrs = exported.attrs.iter().enumerate();
     let text = attrs.filter(|(_, a)| a.is_text && !a.text_postings.is_empty());
     text.filter_map(|(a, attr)| {
-        let plain = encode_packed_text_list(attr.list_type, &attr.text_postings, &all_tids);
+        let image = encode_packed_text_list(attr.list_type, &attr.text_postings, &all_tids);
+        let plain = image.len() as u64 - 8;
         let stored = index.attr_entry(AttrId(a as u32)).unwrap().vlist.len;
-        (stored > plain.len() as u64).then(|| (a, stored - plain.len() as u64))
+        (stored > plain).then(|| (a, stored - plain))
     })
     .collect()
 }

@@ -3,11 +3,10 @@
 //! metric and weights λ ≥ 0 (Algorithm 1, Property 3.1).
 //!
 //! An **instance** is a seed: a signature geometry `(α, n)`, an `LsmDb`
-//! maintenance policy, and six engines fed one op stream — two `IvaDb`s at
-//! β = 0.25 (deletes trigger rebuilds), two `LsmDb`s behind a serving
-//! `Writer` (`Writer::maintain` after every write), and two bare
-//! `SwtTable` + `IvaIndex` pairs, the only place to set the drain window.
-//! Of each kind one twin stores raw lists, the other packed.
+//! maintenance policy, and three engines fed one op stream — an `IvaDb` at
+//! β = 0.25 (deletes trigger rebuilds), an `LsmDb` behind a serving
+//! `Writer` (`Writer::maintain` after every write), and a bare `SwtTable`
+//! + `IvaIndex` pair, the only place to set the drain window.
 //!
 //! Rows follow the density split that forces vector-list Types I–IV over a
 //! small shared vocabulary, so distances tie at D_k. Two instances start
@@ -19,15 +18,14 @@
 //! companions, and an empty one; drain windows 1, 7, 64 and the default —
 //! and each answer must be the [`Model`]'s `(tid, distance bits)` under the
 //! engine's own λ. Every shape must weigh the serial run's positions
-//! and, where its lanes are serial (batch members), fetch its records; a
-//! raw engine scans every tuple-list entry in every shape, a packed one no
-//! more (a seeded walk leaps over the positions its postings rule out); a
-//! packed twin scans no more than its raw twin and fetches no more; an
-//! `LsmDb` scans no more entries than the pair; tuple lists are
+//! and, where its lanes are serial (batch members), fetch its records;
+//! no shape scans more than every tuple-list entry, nor fewer than it
+//! weighs (a seeded walk leaps over the positions its postings rule out);
+//! an `LsmDb` scans no more entries than the pair; tuple lists are
 //! tid-ascending (an `LsmDb`'s across tiers); every live tuple reads back;
 //! a served write publishes its epochs. All instances together must probe
 //! every engine, draw every
-//! metric, scheme, list organization and encoding, and give the query every
+//! metric, scheme and list organization, and give the query every
 //! shape runs a tie at D_k and an attribute fewer than k live tuples
 //! define (then the all-*ndf* level decides by tid alone). A failing
 //! instance is shrunk by dropping ops greedily while it still fails; its
@@ -516,10 +514,10 @@ struct Instance {
 }
 
 impl Instance {
-    /// The engines of instance `seed`, twins at `i` and `i + 3`.
+    /// The engines of instance `seed`: `IvaDb`, `LsmDb`, pair.
     fn new(seed: u64) -> Result<Self> {
         let mut rng = StdRng::seed_from_u64(!seed);
-        let base = IvaConfig {
+        let config = IvaConfig {
             alpha: pick(&mut rng, &[0.1, 0.2, 0.35, 0.5]),
             n: rng.random_range(2..6),
             ..IvaConfig::default()
@@ -530,25 +528,19 @@ impl Instance {
             cache_bytes: 8 << 10,
         };
         let mut inst = Self::default();
-        for packed in [false, true] {
-            let mut config = base;
-            config.compress_lists = packed;
-            let mut mono = IvaDbOptions::default();
-            (mono.pager, mono.config, mono.cleaning_threshold) = (pager.clone(), config, 0.25);
-            let mut lsm = LsmOptions::default();
-            (lsm.pager, lsm.config) = (pager.clone(), config);
-            (lsm.memtable_limit, lsm.compact_fanout) = (limit, fanout);
-            let table = SwtTable::create_mem(&pager, IoStats::new())?;
-            let index = build_index(&table, IndexTarget::Mem, &pager, IoStats::new(), config)?;
-            let mono = Store::Direct(Box::new(IvaDb::create_mem(mono)?));
-            let lsm = Store::Served(Writer::new(LsmDb::create_mem(lsm)?));
-            let pair = Store::Direct(Box::new(Pair { table, index }));
-            let subjects = [(mono, "IvaDb"), (lsm, "LsmDb"), (pair, "pair")];
-            let encoding = if packed { "packed" } else { "raw" };
-            for (store, kind) in subjects {
-                let name = format!("{kind} {encoding}");
-                inst.subjects.push(Subject { store, name });
-            }
+        let mut mono = IvaDbOptions::default();
+        (mono.pager, mono.config, mono.cleaning_threshold) = (pager.clone(), config, 0.25);
+        let mut lsm = LsmOptions::default();
+        (lsm.pager, lsm.config) = (pager.clone(), config);
+        (lsm.memtable_limit, lsm.compact_fanout) = (limit, fanout);
+        let table = SwtTable::create_mem(&pager, IoStats::new())?;
+        let index = build_index(&table, IndexTarget::Mem, &pager, IoStats::new(), config)?;
+        let mono = Store::Direct(Box::new(IvaDb::create_mem(mono)?));
+        let lsm = Store::Served(Writer::new(LsmDb::create_mem(lsm)?));
+        let pair = Store::Direct(Box::new(Pair { table, index }));
+        for (store, name) in [(mono, "IvaDb"), (lsm, "LsmDb"), (pair, "pair")] {
+            let name = name.to_string();
+            inst.subjects.push(Subject { store, name });
         }
         Ok(inst)
     }
@@ -597,19 +589,6 @@ impl Instance {
         }
         if let Op::Rebuild = op {
             self.since_rebuild = 0;
-            // Every index but the pairs' is a fresh build now, and a build
-            // stores a list packed only where that is smaller.
-            let bytes = |i: usize| {
-                self.subjects[i].read(|db| -> Verdict<u64> {
-                    let tiers = db.tiers().map_err(|e| e.to_string())?;
-                    Ok(tiers.iter().map(|(index, _)| index.size_bytes()).sum())
-                })
-            };
-            for i in 0..2 {
-                if bytes(i + 3)? > bytes(i)? {
-                    return Err(format!("{} larger than raw", self.subjects[i + 3].name));
-                }
-            }
         }
         Ok(())
     }
@@ -630,26 +609,13 @@ impl Instance {
         self.check_all(&Probe::draw(seed, self.defined, self.model.live.len()), cov)
     }
 
-    /// [`Instance::probe`] with `p`. A packed twin scans what its raw
-    /// twin scans and fetches no more: where a dictionary seeds a query,
-    /// it fetches fewer.
+    /// [`Instance::probe`] with `p`.
     fn check_all(&self, p: &Probe, cov: &mut Coverage) -> Verdict {
         cov.extend([format!("{:?}", p.metric), format!("{:?}", p.weights)]);
         let mut serial = Vec::new();
         for s in &self.subjects {
             let ctx = |e| format!("{}, {p:?}: {e}", s.name);
             serial.push(s.read(|db| self.check(db, s, p, cov)).map_err(ctx)?);
-        }
-        let names = |i: usize| (&self.subjects[i].name, &self.subjects[i + 3].name);
-        let twins = |raw: &Serial, packed: &Serial| {
-            let pairs = raw.iter().zip(packed);
-            pairs
-                .into_iter()
-                .all(|(r, p)| p[0] <= r[0] && p[1] <= r[1] && p[2] == r[2])
-        };
-        if let Some(i) = (0..3).find(|&i| !twins(&serial[i], &serial[i + 3])) {
-            let counts = (&serial[i], &serial[i + 3]);
-            return Err(format!("serial counts of {:?}: {counts:?}", names(i)));
         }
         for (lsm, pair) in serial[1].iter().zip(&serial[2]) {
             if lsm[1] > pair[1] {
@@ -725,19 +691,15 @@ impl Instance {
             }
         }
         // Every shape weighs what the serial run weighs, and scans every
-        // entry unless it leaps — which a raw list never does; one whose
-        // lanes are serial fetches what it fetches, too.
-        let packed = s.name.ends_with("packed");
+        // entry unless it leaps; one whose lanes are serial fetches what it
+        // fetches, too.
         let check = |a: &Answer, i: usize, shape: &str, serial_lanes: bool| -> Verdict {
             let (hits, want, solo) = (&a.hits, &want[i], serial[i % 3].counts);
             if hits != want {
                 return Err(format!("{shape}, query {i}: {hits:?}, the model {want:?}"));
             }
             let counts = a.counts;
-            let scanned = match packed {
-                true => (counts[4]..=full).contains(&counts[1]),
-                false => counts[1] == full,
-            };
+            let scanned = (counts[4]..=full).contains(&counts[1]);
             if counts[4] != solo[4] || !scanned || (serial_lanes && counts[0] != solo[0]) {
                 return Err(format!("{shape}, query {i}: {counts:?}, serially {solo:?}"));
             }
@@ -789,9 +751,7 @@ impl Instance {
                 last = Some(tid);
             }
             let entries = (0..index.n_attrs()).filter_map(|a| index.attr_entry(AttrId(a as u32)));
-            let seen =
-                |e: &AttrEntry| [format!("Type {}", e.list_type), format!("{:?}", e.encoding)];
-            cov.extend(entries.flat_map(seen));
+            cov.extend(entries.map(|e: &AttrEntry| format!("Type {}", e.list_type)));
         }
         cov.insert(s.name.clone());
         let head = |a: &Answer| [a.counts[0], a.counts[1], a.counts[2]];
@@ -802,13 +762,10 @@ impl Instance {
 /// What the probes of all instances must reach together.
 fn required() -> Coverage {
     let mut cov = Coverage::new();
-    for kind in ["IvaDb", "LsmDb", "pair"] {
-        cov.extend(["raw", "packed"].map(|encoding| format!("{kind} {encoding}")));
-    }
+    cov.extend(["IvaDb", "LsmDb", "pair"].map(String::from));
     cov.extend(["Kind(L1)", "Kind(L2)", "Kind(LInf)"].map(String::from));
     cov.extend(["NanAtZero", "Equal", "Itf"].map(String::from));
     cov.extend(["I", "II", "III", "IV"].map(|ty| format!("Type {ty}")));
-    cov.extend(["Raw", "Packed"].map(String::from));
     cov.extend(["tie at D_k", "attr defined by < k"].map(String::from));
     cov
 }
@@ -888,7 +845,7 @@ fn every_configuration_matches_the_model() {
 
 /// One-value queries where a dictionary seeds the walk: 600 rows whose
 /// first attribute every row defines — 40 values over the vocabulary, so
-/// a build gives its packed list string sections and postings, and an
+/// a build gives its list string sections and postings, and an
 /// attribute every live tuple defines, whose ITF weight is 0 — and so does
 /// the fifth's, 8 words on every fourth row. Every engine but the pairs
 /// then rebuilds (an `LsmDb` seals and compacts), and is probed three
