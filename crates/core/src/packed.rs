@@ -97,7 +97,7 @@ use iva_text::{edit_distance_capped, PreparedMatcher, SigCodec};
 use crate::error::{IvaError, Result};
 use crate::metric::Metric;
 use crate::numeric::NumericCodec;
-use crate::query::edits_past;
+use crate::query::edits_beyond;
 use crate::veclist::{text_lower_bound, ListType, SigView};
 
 /// Frame holding raw-layout element bytes (insert-appended tails).
@@ -830,12 +830,66 @@ impl Seed {
 }
 
 /// A block's candidate mask ([`crate::scan::Bounds`]) as a seeded fill
-/// narrows it, from the fill's first position, `at`, on. The default is
-/// empty, and changes nothing.
+/// narrows it, from the fill's first position, `at`, on — and where an
+/// unseeded fill records its values' codes, if it is given one. The
+/// default is empty, and changes nothing.
 #[derive(Default)]
 pub(crate) struct Cands<'m> {
     pub(crate) bits: &'m mut [u64],
     pub(crate) at: usize,
+    pub(crate) coded: Option<&'m mut Coded>,
+}
+
+/// Per code, a [`Coded`] table entry not computed yet.
+const UNSEEN: u64 = u64::MAX;
+/// Per code, a [`Coded`] table entry at or past its cap.
+const PAST_CAP: u64 = u64::MAX - 1;
+
+/// One lane's exact differences on one query attribute whose list is coded
+/// by strings: the dictionary codes of each value an unseeded fill served
+/// from a PACKED frame, by block position, and per code the edit distance
+/// from the query string to the code's string, computed at first need
+/// ([`PackedReader::coded_diff`]).
+#[derive(Default)]
+pub(crate) struct Coded {
+    /// Block position `j`'s codes are `codes[spans[j].0..spans[j].1]`; an
+    /// empty span where the fill recorded none.
+    spans: Vec<(u32, u32)>,
+    codes: Vec<u64>,
+    /// Per code: its exact distance, [`UNSEEN`] or [`PAST_CAP`].
+    dist: Vec<u64>,
+}
+
+impl Coded {
+    /// Forget the last block's codes.
+    pub(crate) fn clear(&mut self) {
+        if !self.codes.is_empty() {
+            self.spans.fill((0, 0));
+            self.codes.clear();
+        }
+    }
+
+    /// Block position `j`'s value holds `codes`.
+    fn record(&mut self, j: usize, codes: &[u64]) {
+        if self.spans.len() <= j {
+            self.spans.resize(j + 1, (0, 0));
+        }
+        let start = self.codes.len() as u32;
+        self.codes.extend_from_slice(codes);
+        if let Some(span) = self.spans.get_mut(j) {
+            *span = (start, self.codes.len() as u32);
+        }
+    }
+
+    /// Whether the fill recorded no codes since the last [`Coded::clear`].
+    pub(crate) fn is_empty(&self) -> bool {
+        self.codes.is_empty()
+    }
+
+    /// Whether the fill recorded block position `j`'s codes.
+    pub(crate) fn holds(&self, j: usize) -> bool {
+        self.spans.get(j).is_some_and(|(a, b)| a < b)
+    }
 }
 
 impl Cands<'_> {
@@ -1122,11 +1176,12 @@ impl Sections {
     /// [`PackedReader::fill_run`]): on a positional list each element is
     /// the next position's; a keyed list's tid section is merged against
     /// `tids`. A text value's bound is the min over its strings' codes of
-    /// the dictionary estimates — or, seeded, [`Seed::bound`], which
-    /// rejects in `cands` what cannot pass. A merge stops where the frame
-    /// runs out, and before a Type I text value whose strings reach the
-    /// frame's end — the value may go on in the next frame, so the walk
-    /// serves it. Returns the positions served.
+    /// the dictionary estimates, and its codes go to `cands`' [`Coded`]
+    /// where the dictionary holds strings — or, seeded, [`Seed::bound`],
+    /// which rejects in `cands` what cannot pass. A merge stops where the
+    /// frame runs out, and before a Type I text value whose strings reach
+    /// the frame's end — the value may go on in the next frame, so the
+    /// walk serves it. Returns the positions served.
     fn fill(
         &mut self,
         ty: ListType,
@@ -1135,15 +1190,21 @@ impl Sections {
         out: &mut [f64],
         cands: Cands<'_>,
     ) -> Result<usize> {
+        // An unseeded text fill records its values' codes where they name
+        // strings.
+        let strings = !self.dict.texts.is_empty();
+        let (seed, mut cands, mut coded) = match bound {
+            Bound::Text(_, Some(seed)) => (Some(seed), cands, None),
+            Bound::Text(..) if strings => {
+                let at = cands.at;
+                (None, Cands::default(), cands.coded.map(|c| (c, at)))
+            }
+            _ => (None, Cands::default(), None),
+        };
         let est = match bound {
             Bound::Text(matcher, None) => self.dict.estimates(matcher)?,
             _ => &[],
         };
-        let seed = match bound {
-            Bound::Text(_, seed) => seed,
-            Bound::Num(..) => None,
-        };
-        let mut cands = seed.map_or_else(Cands::default, |_| cands);
         if ty == ListType::III {
             // The dense lists' run, kept to its bones: a count, its codes.
             // A seeded run rejects the spans between the values that pass.
@@ -1157,6 +1218,9 @@ impl Sections {
                 let Some(seed) = seed else {
                     let best = min_estimate(est, codes)?;
                     *slot = text_lower_bound(ty, codes.len(), best).unwrap_or(f64::NAN);
+                    if let Some((c, at)) = &mut coded {
+                        c.record(*at + j - 1, codes);
+                    }
                     continue;
                 };
                 if let Some(lb) = seed.bound(ty, codes)? {
@@ -1218,6 +1282,9 @@ impl Sections {
                                 .unwrap_or(f64::NAN),
                         ),
                     };
+                    if let Some((c, at)) = coded.as_mut().filter(|_| next == t) {
+                        c.record(*at + j, codes);
+                    }
                     code_i += num;
                     let elems = if ty == ListType::I { num } else { 1 };
                     (elems, lb)
@@ -1435,9 +1502,10 @@ impl PackedReader {
     /// The probe of a fresh reader (see the module doc): load the list's
     /// dictionary and visit its entries in ascending estimate order,
     /// computing each string's edit distance to `q` — uncapped until a
-    /// bound `B` exists, then where weight `lambda` puts it past `B` under
-    /// `metric` ([`edits_past`]). `B` is the smallest distance at which the
-    /// values counted so far reach `k` + `deleted`; the visit ends at the
+    /// bound `B` exists, then where weight `lambda` puts it past
+    /// `combine(λ·B)` under `metric` ([`edits_beyond`]). `B` is the
+    /// smallest distance at which the values counted so far reach `k` +
+    /// `deleted`; the visit ends at the
     /// first estimate above the one at which they reach `k` — `B` itself
     /// with no tombstones; with them, where `B` would have every code
     /// within it visited for a pruning bound that has grown weak. A visited
@@ -1479,7 +1547,10 @@ impl PackedReader {
             }
             let text = dict.text_of(c)?;
             let longest = q.len().max(text.len());
-            let cap = b.map_or(usize::MAX, |(_, b)| edits_past(b, lambda, longest, metric));
+            let past = |b: usize| metric.combine(&[lambda * b as f64]);
+            let cap = b.map_or(usize::MAX, |(_, b)| {
+                edits_beyond((1, 0), lambda, longest, metric, past(b))
+            });
             let d = edit_distance_capped(q, text, cap);
             distances += 1;
             if d >= cap {
@@ -1521,6 +1592,47 @@ impl PackedReader {
             distances,
             leap,
         }))
+    }
+
+    /// The difference of block position `j`'s value, whose codes `coded`
+    /// holds, to the query string `q`: the min over its codes of their
+    /// edit distances (as [`crate::query::attr_difference`] takes it). A
+    /// code's distance is computed at its first need — counted in
+    /// `distances` — capped at `cap(max(|q|, |string|))`, and remembered: a
+    /// code at or past its cap as past it for good (the caller's caps only
+    /// fall). `None` where every code is past its cap.
+    pub(crate) fn coded_diff(
+        &self,
+        coded: &mut Coded,
+        j: usize,
+        q: &[u8],
+        mut cap: impl FnMut(usize) -> usize,
+        distances: &mut u64,
+    ) -> Result<Option<usize>> {
+        let Coded { spans, codes, dist } = coded;
+        let dict = &self.sections.dict;
+        if dist.is_empty() {
+            dist.resize(dict.lens.len(), UNSEEN);
+        }
+        let (a, b) = spans.get(j).copied().unwrap_or((0, 0));
+        let codes = codes.get(a as usize..b as usize).unwrap_or(&[]);
+        let mut best = None;
+        for &c in codes {
+            let slot = dist.get_mut(c as usize).ok_or_else(past_dictionary)?;
+            if *slot == UNSEEN {
+                let text = dict.text_of(c as usize)?;
+                // lint:allow(panic-reachability, "dynamic edge: the one caller, `Lane::decide`, passes a closure over `query::edits_beyond`, which is total")
+                let cap = cap(q.len().max(text.len()));
+                let d = edit_distance_capped(q, text, cap);
+                *distances += 1;
+                *slot = if d >= cap { PAST_CAP } else { d as u64 };
+            }
+            if *slot != PAST_CAP {
+                let d = *slot as usize;
+                best = Some(best.map_or(d, |b: usize| b.min(d)));
+            }
+        }
+        Ok(best)
     }
 
     /// Move a fresh reader past the frames `leap` covers, by their headers
@@ -2049,6 +2161,7 @@ mod tests {
             let cands = Cands {
                 bits: &mut bits,
                 at: 1,
+                coded: None,
             };
             TextListCursor::new(r, ListType::III)
                 .fill_seeded(&all_tids[..4], &codec, &matcher, Some(seed), out, cands)

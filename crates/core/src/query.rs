@@ -153,13 +153,24 @@ fn edit_cap<M: Metric>(
     Some(hi)
 }
 
-/// The smallest whole number of edits `e ≤ max_edits` at which a 1-value
-/// query's distance `combine([λ·e])` is past that of `b` edits, or
-/// `usize::MAX` if none is: an edit distance capped there is exact at
-/// every distance whose weighted value ties or beats `b`'s.
-pub(crate) fn edits_past<M: Metric>(b: usize, lambda: f64, max_edits: usize, metric: &M) -> usize {
-    let past = metric.combine(&[lambda * b as f64]).next_up();
-    edit_cap(&mut [0.0], 0, lambda, max_edits, metric, past).unwrap_or(usize::MAX)
+/// The smallest whole number of edits `e ≤ max_edits` on attribute `slot`
+/// of a `width`-value query at which, every other attribute at 0, a tuple
+/// is past `threshold` — `combine ≥ threshold.next_up()` — or `usize::MAX`
+/// if none is, and while `threshold` is `+∞` (a pool with room admits any
+/// distance). An edit distance capped there is exact wherever the tuple
+/// can still be admitted or tie.
+pub(crate) fn edits_beyond<M: Metric>(
+    (width, slot): (usize, usize),
+    lambda: f64,
+    max_edits: usize,
+    metric: &M,
+    threshold: f64,
+) -> usize {
+    if threshold == f64::INFINITY {
+        return usize::MAX;
+    }
+    let past = threshold.next_up();
+    edit_cap(&mut vec![0.0; width], slot, lambda, max_edits, metric, past).unwrap_or(usize::MAX)
 }
 
 /// Refine-time distance `D(T,Q)` of the stored record `view`, bounded by
@@ -237,15 +248,19 @@ pub struct QueryStats {
     /// property of the plan, not of the answer: it grows with the number
     /// of lanes the tuple list is split into.
     pub table_accesses: u64,
-    /// Entries the walk put into the pool at a distance it knew exactly —
-    /// a tuple *ndf* on every query attribute, or a dictionary string's
-    /// exact distance — with no fetch; summed like `table_accesses`.
+    /// Entries the walk put into the pool at a distance it knew exactly,
+    /// with no fetch — a tuple *ndf* on every query attribute, a seeded
+    /// string's exact distance, or the dictionary strings' distances of
+    /// every value a multi-value query's position holds; summed like
+    /// `table_accesses`.
     pub walk_admits: u64,
     /// Tuple-list positions the walk weighed: all but those a seeded walk
     /// knew could not pass its threshold; summed like `table_accesses`.
     pub positions_weighed: u64,
-    /// Edit distances computed from dictionary strings to seed 1-value
-    /// text queries with a threshold before the walk; summed over tiers.
+    /// Edit distances computed from dictionary strings: a 1-value text
+    /// query's probe for its threshold before the walk, and the walk's
+    /// per-code distances that decide a position without a fetch; summed
+    /// like `table_accesses`.
     pub dict_distances: u64,
     /// Always 0 — every plan fetches one admitted candidate at a time;
     /// retained until the benchmark drops

@@ -12,10 +12,12 @@
 //! once; admission then runs per candidate, in scan order, so a drain
 //! inside a block tightens the pool for the rest of it. The walk fetches
 //! nothing: a tuple whose distance it already knows exactly — *ndf* on
-//! every query attribute, or a dictionary string's exact distance (below)
-//! — goes straight into the pool, and any other admitted one into
-//! `pending`. When a lane's range ends (or it holds a window of `drain_at`
-//! candidates) the lane **drains**, fetching by need, not scan position:
+//! every query attribute, or a seeded string's exact distance (below) —
+//! goes straight into the pool, and so does an admitted one whose
+//! distance the dictionaries decide ("Exact from the dictionary" below);
+//! any other admitted one goes into `pending`. When a lane's range ends
+//! (or it holds a window of `drain_at` candidates) the lane **drains**,
+//! fetching by need, not scan position:
 //!
 //! 1. **probe** — the k candidates with the smallest `(est, tid)` are
 //!    refined first, in table order. They are the likeliest answers, so
@@ -53,6 +55,19 @@
 //! passes over only positions that every lane's candidate mask would
 //! clear.
 //!
+//! **Exact from the dictionary.** An unseeded fill over a list coded by
+//! strings records every value's dictionary codes beside its bound
+//! ([`Coded`]). A position the pool admits at its estimate, whose every
+//! attribute that is not exact holds such a value, takes per attribute
+//! the min over its codes' edit distances, each computed at first need
+//! into the lane's per-code table and capped where, every other
+//! attribute at 0, the pool's threshold is past ([`edits_beyond`]); it
+//! goes into the pool at `combine(λ·d)`, as [`bounded_distance`] would
+//! compute it from its record, or at `+∞` where a value's every code is
+//! past its cap. A RAW tail value, a numeric or signature-only one, a
+//! position a seed writes and a Type I value the element walk serves are
+//! not recorded: the position goes to `pending`.
+//!
 //! **Order-independence lemma.** The pool keeps the k smallest
 //! `(dist, tid)` of what was inserted, whatever the order (see
 //! [`crate::pool`]). A candidate is skipped — at walk time or before its
@@ -61,7 +76,9 @@
 //! least k live tuples lie at or below `limit`; `est ≤ dist`, and the
 //! worst entry only falls, so a skipped candidate is not among the k
 //! smallest `(dist, tid)` of the tuples visited. Every entry inserted is
-//! at its exact distance. Hence
+//! at its exact distance, but for one offered at `+∞` past its codes'
+//! caps — above a threshold that only falls, so the pool rejects it.
+//! Hence
 //! *any* visiting order, window size or partition into lanes leaves the
 //! pool holding exactly those k, and because every tuple list is
 //! tid-ascending that is Algorithm 1's "strictly smaller distance, first
@@ -99,9 +116,9 @@ use crate::index::{IvaIndex, QueryMatchers, ScanCarry, SharedAttr};
 use crate::layout::TOMBSTONE_PTR;
 use crate::metric::Metric;
 use crate::numeric::NumericCodec;
-use crate::packed::{Cands, Leap, Seed, EXACT_BIAS};
+use crate::packed::{Cands, Coded, Leap, Seed, EXACT_BIAS};
 use crate::pool::{PoolEntry, ResultPool};
-use crate::query::{bounded_distance, Query, QueryValue};
+use crate::query::{bounded_distance, edits_beyond, Query, QueryValue};
 use crate::timing::{monotonic_nanos, thread_cpu_time};
 use crate::veclist::{NumListCursor, TextListCursor};
 
@@ -116,6 +133,8 @@ pub(crate) enum AttrScan<'a> {
         /// The seed's candidates and the next one to serve, until the
         /// scan reaches the positions they do not cover.
         leap: Option<(&'a Leap, usize)>,
+        /// Without a seed: the block's codes, and this lane's distances.
+        coded: Coded,
     },
     Num {
         cur: NumListCursor,
@@ -136,6 +155,7 @@ impl<'a> AttrScan<'a> {
                 matcher,
                 seed,
                 leap: seed.and_then(|s| s.leap.as_ref()).map(|l| (l, 0)),
+                coded: Coded::default(),
             },
             SharedAttr::Num { q, codec, entry } => AttrScan::Num {
                 cur: index.open_num_cursor(entry)?,
@@ -207,8 +227,10 @@ impl<'a> AttrScan<'a> {
     /// only the elements it serves from frames that can pass the seed's
     /// limit, and clears the others' bits in `cands`. A leaping one writes
     /// its candidates' bounds and clears every other bit, where they cover
-    /// the block. Tombstoned elements are filled like any other (the spine
-    /// never admits them).
+    /// the block. An unseeded text fill records in its [`Coded`] the codes
+    /// of the values PACKED frames serve, where they name strings.
+    /// Tombstoned elements are filled like any other (the spine never
+    /// admits them).
     fn fill(&mut self, at: u64, tids: &[u32], out: &mut [f64], mut cands: Cands<'_>) -> Result<()> {
         if let AttrScan::Text {
             leap: Some((l, next)),
@@ -245,8 +267,14 @@ impl<'a> AttrScan<'a> {
                 codec,
                 matcher,
                 seed,
+                coded,
                 ..
-            } => cur.fill_seeded(tids, codec, matcher, *seed, out, cands),
+            } => {
+                coded.clear();
+                let coded = seed.is_none().then_some(coded);
+                let cands = Cands { coded, ..cands };
+                cur.fill_seeded(tids, codec, matcher, *seed, out, cands)
+            }
             AttrScan::Num { cur, codec, q } => cur.fill_block(tids, codec, *q, out),
             AttrScan::AlwaysNdf => {
                 out.fill(f64::NAN);
@@ -292,6 +320,8 @@ pub(crate) struct Bounds<'a> {
     attrs: Vec<AttrScan<'a>>,
     lbs: Vec<f64>,
     cands: [u64; BLOCK / 64],
+    /// Whether the block's fill recorded any value's codes ([`Coded`]).
+    coded: bool,
 }
 
 impl<'a> Bounds<'a> {
@@ -306,7 +336,12 @@ impl<'a> Bounds<'a> {
         let attrs = attrs.collect::<Result<Vec<_>>>()?;
         let lbs = vec![f64::NAN; attrs.len() * BLOCK];
         let cands = [u64::MAX; BLOCK / 64];
-        Ok(Self { attrs, lbs, cands })
+        Ok(Self {
+            attrs,
+            lbs,
+            cands,
+            coded: false,
+        })
     }
 
     /// Fill every attribute's column for the next block (≤ [`BLOCK`], from
@@ -320,9 +355,13 @@ impl<'a> Bounds<'a> {
             let cands = Cands {
                 bits: &mut self.cands,
                 at: 0,
+                coded: None,
             };
             a.fill(at, tids, col, cands)?;
         }
+        let recorded =
+            |a: &AttrScan| matches!(a, AttrScan::Text { coded, .. } if !coded.is_empty());
+        self.coded = self.attrs.iter().any(recorded);
         Ok(())
     }
 
@@ -416,6 +455,53 @@ impl<'a> Lane<'a> {
             pending: Vec::new(),
             limit: seed.map_or(f64::INFINITY, |s| s.limit),
         })
+    }
+
+    /// Block position `i`'s distance where the walk can decide it without
+    /// a fetch, `diffs` holding what [`Bounds::weigh`] left there: every
+    /// attribute whose entry is a bound holds a value whose codes the fill
+    /// recorded ([`Coded`]), and takes `λ ·` its exact difference. Each
+    /// code is capped where, every other attribute at 0, the pool's
+    /// threshold is past ([`edits_beyond`]); where one value's every code
+    /// is past its cap, `+∞`, which the full pool that set those caps does
+    /// not admit. `None` where some such value was not recorded: the tuple
+    /// is fetched.
+    fn decide<M: Metric>(&mut self, i: usize, metric: &M) -> Result<Option<f64>> {
+        let Bounds {
+            attrs, lbs, coded, ..
+        } = &mut self.bounds;
+        if !*coded {
+            return Ok(None);
+        }
+        let bound_at = |col: &[f64]| col.get(i).is_some_and(|&lb| lb >= 0.0);
+        let recorded = |a: &AttrScan| matches!(a, AttrScan::Text { coded, .. } if coded.holds(i));
+        let mut open = attrs.iter().zip(lbs.chunks_exact(BLOCK));
+        if !open.all(|(a, col)| !bound_at(col) || recorded(a)) {
+            return Ok(None);
+        }
+        let (width, threshold) = (self.diffs.len(), self.carry.pool.threshold());
+        let values = attrs
+            .iter_mut()
+            .zip(lbs.chunks_exact(BLOCK))
+            .zip(self.query.iter());
+        for (slot, ((a, col), (_, qv))) in values.enumerate() {
+            if !bound_at(col) {
+                continue;
+            }
+            let (AttrScan::Text { cur, coded, .. }, QueryValue::Text(q)) = (a, qv) else {
+                return Ok(None);
+            };
+            let (Some(d), Some(&lam)) = (self.diffs.get_mut(slot), self.lambda.get(slot)) else {
+                return Ok(None);
+            };
+            let cap = |edits| edits_beyond((width, slot), lam, edits, metric, threshold);
+            let distances = &mut self.carry.stats.dict_distances;
+            match cur.coded_diff(coded, i, q.as_bytes(), cap, distances)? {
+                Some(e) => *d = lam * e as f64,
+                None => return Ok(Some(f64::INFINITY)),
+            }
+        }
+        Ok(Some(metric.combine(&self.diffs)))
     }
 }
 
@@ -524,10 +610,15 @@ impl IvaIndex {
                         continue;
                     }
                     let (tid, dist, ptr) = (u64::from(tid), est, RecordPtr(ptr));
+                    let exact = match exact {
+                        true => Some(dist),
+                        false if lane.carry.pool.admits_at(est, tid) => lane.decide(i, metric)?,
+                        false => continue,
+                    };
                     let ScanCarry { pool, stats } = &mut *lane.carry;
-                    if exact {
-                        stats.walk_admits += u64::from(pool.insert_at(tid, dist, ptr));
-                    } else if pool.admits_at(est, tid) {
+                    if let Some(exact) = exact {
+                        stats.walk_admits += u64::from(pool.insert_at(tid, exact, ptr));
+                    } else {
                         lane.pending.push(PoolEntry { tid, dist, ptr });
                         if lane.pending.len() >= drain_at {
                             refine_wall += refiner.drain(lane)?;
@@ -893,6 +984,218 @@ mod tests {
             "{:?}",
             out.stats
         );
+    }
+
+    /// The row of [`multi`] tuple `i`: three text attributes whose lists are
+    /// coded by strings — Type III of one to three strings, Type II of one
+    /// or two, Type I mostly of one, each with values that hold their
+    /// string nearest the query second — a numeric one on every fifth row
+    /// and a text one of distinct strings, which stays signature-only.
+    fn multi_row(i: usize) -> Vec<Option<Value>> {
+        let words = ["canon", "nikon", "sony", "pentax", "leica", "zzzzzzzz"];
+        let pick = |n: usize, at: usize| (0..n).map(move |j| words[(at + 5 * j) % 6].to_string());
+        let first: Vec<String> = match i % 7 {
+            3 => vec!["zzzzzzzz".into(), "canon".into()],
+            r => pick(1 + r % 3, i / 3).collect(),
+        };
+        vec![
+            Some(Value::texts(first)),
+            i.is_multiple_of(8)
+                .then(|| Value::texts(pick(1 + i / 8 % 2, i / 5))),
+            i.is_multiple_of(6)
+                .then(|| Value::texts(pick(1 + usize::from(i.is_multiple_of(30)), i / 7))),
+            i.is_multiple_of(5).then(|| Value::num((i % 40) as f64)),
+            i.is_multiple_of(4)
+                .then(|| Value::text(format!("item number {i}"))),
+        ]
+    }
+
+    /// A table of `n` [`multi_row`]s, its bulk-built index, then `tail`
+    /// more through `IvaIndex::insert` (RAW tail frames) and every
+    /// `every`-th tuple tombstoned; the tuples, `None` where deleted.
+    fn multi(n: usize, tail: usize, every: usize) -> (SwtTable, IvaIndex, Vec<Option<Tuple>>) {
+        let opts = PagerOptions {
+            page_size: 512,
+            cache_bytes: 1 << 20,
+        };
+        let mut table = SwtTable::create_mem(&opts, IoStats::new()).unwrap();
+        for a in 0..5 {
+            match a {
+                3 => drop(table.define_numeric("n").unwrap()),
+                _ => drop(table.define_text(&format!("t{a}")).unwrap()),
+            }
+        }
+        let tuple = |i: usize| {
+            let mut t = Tuple::new();
+            for (a, v) in multi_row(i).into_iter().enumerate() {
+                if let Some(v) = v {
+                    t.set(AttrId(a as u32), v);
+                }
+            }
+            t
+        };
+        let mut tuples: Vec<Option<Tuple>> = (0..n).map(|i| Some(tuple(i))).collect();
+        for t in tuples.iter().flatten() {
+            table.insert(t).unwrap();
+        }
+        let cfg = IvaConfig::default();
+        let mut index = build_index(&table, IndexTarget::Mem, &opts, IoStats::new(), cfg).unwrap();
+        for i in n..n + tail {
+            let t = tuple(i);
+            let (tid, ptr) = table.insert(&t).unwrap();
+            index.insert(tid, ptr, &t, table.catalog()).unwrap();
+            tuples.push(Some(t));
+        }
+        let doomed = (0..tuples.len())
+            .step_by(every.max(1))
+            .take_while(|_| every > 0);
+        for tid in doomed.collect::<Vec<_>>() {
+            let ptr = index.lookup_ptr(tid as u64).unwrap().unwrap();
+            table.delete(ptr).unwrap();
+            assert!(index.delete(tid as u64).unwrap());
+            tuples[tid] = None;
+        }
+        (table, index, tuples)
+    }
+
+    /// A multi-value query whose every attribute is coded by strings is
+    /// answered with no fetch. A RAW tail, a numeric or signature-only
+    /// attribute and tombstones leave the walk undecided exactly on the
+    /// live tuples that define such an attribute, or a queried one in the
+    /// tail — and on the last value of the Type I list's one PACKED frame,
+    /// which the walk serves: where the pool has room for every tuple,
+    /// those and only those are fetched. Every answer is brute force's,
+    /// bit for bit.
+    #[test]
+    fn a_multi_value_query_fetches_only_what_the_dictionaries_cannot_decide() {
+        let coded = Query::new()
+            .text(AttrId(0), "canon")
+            .text(AttrId(1), "sony")
+            .text(AttrId(2), "nikom");
+        let with = |a: u32, q: &Query| match a {
+            3 => q.clone().num(AttrId(3), 7.0),
+            _ => q.clone().text(AttrId(a), "item number 12"),
+        };
+        let brute = |tuples: &[Option<Tuple>], q: &Query, k: usize, metric: &MetricKind| {
+            let ndf = IvaConfig::default().ndf_penalty;
+            let lambda = vec![1.0; q.len()];
+            let mut all: Vec<(f64, u64)> = (tuples.iter().enumerate())
+                .filter_map(|(tid, t)| Some((t.as_ref()?, tid as u64)))
+                .map(|(t, tid)| (crate::exact_distance(t, q, &lambda, metric, ndf), tid))
+                .collect();
+            all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            all.truncate(k);
+            all.into_iter()
+                .map(|(d, tid)| (tid, d.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        for (tail, every) in [(0, 0), (60, 0), (60, 9)] {
+            let (table, index, tuples) = multi(1500, tail, every);
+            let types = (0..3).map(|a| index.attr_entry(AttrId(a)).unwrap().list_type);
+            let types: Vec<_> = types.collect();
+            assert_eq!(
+                types,
+                [
+                    crate::ListType::III,
+                    crate::ListType::II,
+                    crate::ListType::I
+                ]
+            );
+            let live = tuples.iter().flatten().count();
+            for q in [coded.clone(), with(3, &coded), with(4, &coded)] {
+                // Undecided: a value in the tail, or on a list not coded by
+                // strings.
+                let walked = |a: AttrId, tid: usize| a.0 == 2 && tid == 1494;
+                let undecided = |(tid, t): (usize, &Option<Tuple>)| {
+                    let Some(t) = t else { return false };
+                    let defines = |a: AttrId| t.get(a).is_some();
+                    let open = |a: AttrId| a.0 >= 3 || tid >= 1500 || walked(a, tid);
+                    q.iter().any(|(a, _)| defines(a) && open(a))
+                };
+                let expect = tuples.iter().enumerate().filter(|&e| undecided(e)).count();
+                for (k, metric) in [
+                    (1, MetricKind::L1),
+                    (10, MetricKind::L2),
+                    (live + 1, MetricKind::L2),
+                ] {
+                    let out = index
+                        .query(&table, &q, k, &metric, WeightScheme::Equal)
+                        .unwrap();
+                    let got: Vec<_> = out
+                        .results
+                        .iter()
+                        .map(|e| (e.tid, e.dist.to_bits()))
+                        .collect();
+                    let ctx = format!("tail {tail}, every {every}, {q:?}, k {k}");
+                    assert_eq!(got, brute(&tuples, &q, k, &metric), "{ctx}");
+                    let fetched = out.stats.table_accesses as usize;
+                    if q.len() == 3 && tail == 0 && k < live {
+                        assert_eq!(fetched, 0, "{ctx}");
+                        assert!(
+                            out.stats.walk_admits > 0 && out.stats.dict_distances > 0,
+                            "{ctx}"
+                        );
+                    }
+                    if k > live {
+                        assert_eq!(fetched, expect, "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// What a lane's per-code table holds as a distance is exact, at any
+    /// cap: a value it gives a difference is at its true one — the min
+    /// over all its strings — and a value it gives none has every string
+    /// at or past the cap. A code once past its cap stays past when the
+    /// cap is lifted; an exact one stays.
+    #[test]
+    fn coded_distances_are_exact_or_past_their_cap() {
+        let rows: Vec<_> = (0..2500).map(row).collect();
+        let (_, index) = one_attr(&rows, 0, 0);
+        let q = Query::new().text(AttrId(0), "canon");
+        let matchers = index.query_matchers(&q);
+        let shared = index.prepare_query(&q, &matchers).unwrap();
+        for cap in [0, 1, 2, 4, 5, usize::MAX] {
+            let mut bounds = Bounds::open(&index, &shared, None).unwrap();
+            let mut tsrc = index.open_tuple_source().unwrap();
+            let (n, mut at, mut seen) = (index.n_tuples(), 0, 0);
+            let (mut tids, mut ptrs, mut distances) = (Vec::new(), Vec::new(), 0);
+            while at < n {
+                tids.clear();
+                ptrs.clear();
+                tsrc.next_block(block_len(n - at), &mut tids, &mut ptrs)
+                    .unwrap();
+                bounds.fill(at, &tids).unwrap();
+                let Some(AttrScan::Text { cur, coded, .. }) = bounds.attrs.first_mut() else {
+                    panic!("a text scan");
+                };
+                for (i, &tid) in tids.iter().enumerate() {
+                    let Some(strings) = rows[tid as usize].as_ref().filter(|_| coded.holds(i))
+                    else {
+                        continue;
+                    };
+                    let truth = (strings.iter())
+                        .map(|s| iva_text::edit_distance("canon", s))
+                        .min()
+                        .unwrap();
+                    let mut diff = |cap: usize| {
+                        cur.coded_diff(coded, i, b"canon", |_| cap, &mut distances)
+                            .unwrap()
+                    };
+                    let got = diff(cap);
+                    match got {
+                        Some(d) => assert_eq!(d, truth, "tid {tid}, cap {cap}"),
+                        None => assert!(truth >= cap, "tid {tid}, cap {cap}: {truth}"),
+                    }
+                    assert_eq!(diff(usize::MAX), got, "tid {tid}, cap {cap}");
+                    seen += 1;
+                }
+                at += tids.len() as u64;
+            }
+            assert!(seen > 1500, "{seen} values recorded");
+            assert!(distances <= 7, "{distances} distances for 7 strings");
+        }
     }
 
     /// A weight vector shorter than the query used to be zipped away

@@ -49,7 +49,7 @@ use iva_text::{PreparedMatcher, SigCodec};
 
 use crate::error::{IvaError, Result};
 use crate::numeric::NumericCodec;
-use crate::packed::{Bound, Cands, Frame, Leap, Org, PackedReader, RawTail, Seed};
+use crate::packed::{Bound, Cands, Coded, Frame, Leap, Org, PackedReader, RawTail, Seed};
 
 /// Width of a tuple id in list elements (the paper's `ltid`).
 pub const LTID: usize = 4;
@@ -622,7 +622,9 @@ impl TextListCursor {
     /// [`TextListCursor::fill_block`] under `seed`, where one is given:
     /// a coded string's bound comes from its table, an exact distance
     /// below zero ([`crate::packed::EXACT_BIAS`]), and what cannot pass is
-    /// rejected in `cands`. What the walk serves is estimated, and kept.
+    /// rejected in `cands`. Without one, the codes of what PACKED frames
+    /// serve go to `cands`' [`Coded`], where the dictionary holds strings.
+    /// What the walk serves is estimated, and kept.
     pub(crate) fn fill_seeded(
         &mut self,
         tids: &[u32],
@@ -630,7 +632,7 @@ impl TextListCursor {
         matcher: &PreparedMatcher,
         seed: Option<&Seed>,
         out: &mut [f64],
-        cands: Cands<'_>,
+        mut cands: Cands<'_>,
     ) -> Result<()> {
         let (mut done, bound) = (0, Bound::Text(matcher, seed));
         let tids = tids.get(..out.len()).unwrap_or(tids);
@@ -639,6 +641,7 @@ impl TextListCursor {
             let cands = Cands {
                 bits: &mut *cands.bits,
                 at: cands.at + done,
+                coded: cands.coded.as_deref_mut(),
             };
             let served = self
                 .reader
@@ -655,6 +658,19 @@ impl TextListCursor {
             };
         }
         Ok(())
+    }
+
+    /// Block position `j`'s exact difference to `q`, from the codes the
+    /// last fill recorded ([`PackedReader::coded_diff`]).
+    pub(crate) fn coded_diff(
+        &self,
+        coded: &mut Coded,
+        j: usize,
+        q: &[u8],
+        cap: impl FnMut(usize) -> usize,
+        distances: &mut u64,
+    ) -> Result<Option<usize>> {
+        self.reader.coded_diff(coded, j, q, cap, distances)
     }
 
     /// Position a fresh cursor past the frames `leap` covers, by their

@@ -24,20 +24,32 @@
 //! pins by the list-byte counter — and the list bytes it reads. Last, that
 //! no `mixed_lsm` segment list carries string sections, and so postings.
 //!
+//! A second gate runs `read_cold`'s pool over the same build: 200
+//! three-value queries (`generate_query_set`, seed 0x5EED_0F0E), serial,
+//! k = 10, L2, equal weights. Per query it prints the fetches, the pool
+//! entries the walk admitted without one, the dictionary edit distances
+//! those cost, and the filter and refine CPU of the fastest of 5 runs. It
+//! then replays Algorithm 1 as it runs where the walk decides only the
+//! positions *ndf* on every query attribute — the estimates and the one
+//! drain of a serial lane — and prints which of the records that refines
+//! the index could decide: every query attribute they define is on a list
+//! whose dictionary holds strings (DESIGN.md §13).
+//!
 //! `cargo test --release --offline --test dictionary_gate -- --ignored --nocapture`
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use iva_core::{
-    attr_difference, build_index, encode_packed_text_list, export_index, IndexTarget, IvaIndex,
+    attr_difference, build_index, encode_packed_text_list, exact_distance, export_index,
+    IndexTarget, IvaIndex, ListType, NumericCodec, ResultPool,
 };
-use iva_file::workload::{Dataset, WorkloadConfig};
+use iva_file::workload::{generate_query_set, Dataset, WorkloadConfig};
 use iva_file::{
-    AttrId, AttrType, IoStats, IvaConfig, LsmDb, LsmOptions, MetricKind, PagerOptions, Query,
-    QueryValue, SwtTable, Value, WeightScheme,
+    AttrId, AttrType, IoStats, IvaConfig, LsmDb, LsmOptions, Metric, MetricKind, PagerOptions,
+    Query, QueryValue, SwtTable, Tuple, Value, WeightScheme,
 };
 use iva_storage::compress::{bit_width, packed_len};
-use iva_text::edit_distance;
+use iva_text::{edit_distance, PreparedMatcher};
 use iva_workload::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -75,11 +87,44 @@ fn zipf_queries(dataset: &Dataset, n: usize) -> Vec<Query> {
     out
 }
 
-/// `median / p90 / max`.
+/// `mean / median / p90 / p95 / max`.
 fn spread(mut v: Vec<u64>) -> String {
     v.sort_unstable();
     let at = |p: usize| v[(v.len() - 1) * p / 100];
-    format!("median {} / p90 {} / max {}", at(50), at(90), at(100))
+    let mean = v.iter().sum::<u64>() as f64 / v.len() as f64;
+    format!(
+        "mean {mean:.1} / median {} / p90 {} / p95 {} / max {}",
+        at(50),
+        at(90),
+        at(95),
+        at(100)
+    )
+}
+
+/// Pages of 4 KiB and a cache larger than the store.
+fn perf_pager() -> PagerOptions {
+    PagerOptions {
+        page_size: 4096,
+        cache_bytes: 256 << 20,
+    }
+}
+
+/// `perf/`'s 20,000-tuple dataset in a table, and one bulk build of its
+/// index, as `read_packed` and `read_cold` load their store.
+fn perf_store() -> (Dataset, SwtTable, IvaIndex) {
+    let dataset = Dataset::generate(&WorkloadConfig::scaled(20_000));
+    let pager = perf_pager();
+    let mut table = SwtTable::create_mem(&pager, IoStats::new()).unwrap();
+    define(&dataset, |name, text| match text {
+        true => drop(table.define_text(name).unwrap()),
+        false => drop(table.define_numeric(name).unwrap()),
+    });
+    for t in &dataset.tuples {
+        table.insert(t).unwrap();
+    }
+    let config = IvaConfig::default();
+    let index = build_index(&table, IndexTarget::Mem, &pager, IoStats::new(), config).unwrap();
+    (dataset, table, index)
 }
 
 /// The text attributes of `index` whose lists carry string sections, with
@@ -117,21 +162,8 @@ fn strings(v: &Value) -> &[String] {
 #[test]
 #[ignore]
 fn dictionary_seed_on_perf_data() {
-    let dataset = Dataset::generate(&WorkloadConfig::scaled(20_000));
-    let pager = PagerOptions {
-        page_size: 4096,
-        cache_bytes: 256 << 20,
-    };
-    let mut table = SwtTable::create_mem(&pager, IoStats::new()).unwrap();
-    define(&dataset, |name, text| match text {
-        true => drop(table.define_text(name).unwrap()),
-        false => drop(table.define_numeric(name).unwrap()),
-    });
-    for t in &dataset.tuples {
-        table.insert(t).unwrap();
-    }
-    let config = IvaConfig::default();
-    let index = build_index(&table, IndexTarget::Mem, &pager, IoStats::new(), config).unwrap();
+    let (dataset, table, index) = perf_store();
+    let (config, pager) = (IvaConfig::default(), perf_pager());
     let lists = sectioned(&index);
     let text_lists = (0..index.n_attrs())
         .filter_map(|a| index.attr_entry(AttrId(a as u32)))
@@ -336,4 +368,175 @@ fn dictionary_seed_on_perf_data() {
         per_segment.len()
     );
     assert!(per_segment.iter().all(|&lists| lists == 0));
+}
+
+/// How the filter bounds one query value's difference, for the replay.
+enum Estimate {
+    /// The value's matcher, and whether its list is Type II (where no
+    /// finite estimate reads as *ndf*).
+    Text(PreparedMatcher, bool),
+    Num(NumericCodec, f64),
+}
+
+/// The records Algorithm 1 refines for `q` over `index`'s bulk build of
+/// `dataset` where the walk decides only positions *ndf* on every query
+/// attribute: each position's estimate from its signatures and its
+/// relative-domain codes; the live pool admitting at the estimate; and
+/// one drain, as a serial lane runs it — the k smallest `(est, tid)`
+/// pending refined first, then the rest in scan order, each only while
+/// the pool still admits it and above that cut. By row, in refine order.
+fn refined_deciding_ndf_only(
+    dataset: &Dataset,
+    index: &IvaIndex,
+    q: &Query,
+    lambda: &[f64],
+    k: usize,
+) -> Vec<usize> {
+    let config = index.config();
+    let (codec, ndf, metric) = (config.sig_codec(), config.ndf_penalty, MetricKind::L2);
+    let estimates: Vec<Estimate> = q
+        .iter()
+        .map(|(attr, qv)| {
+            let e = index.attr_entry(attr).unwrap();
+            match qv {
+                QueryValue::Text(s) => Estimate::Text(
+                    PreparedMatcher::new(&codec, s.as_bytes()),
+                    e.list_type == ListType::II,
+                ),
+                QueryValue::Num(x) => {
+                    let bytes = config.numeric_code_bytes();
+                    Estimate::Num(NumericCodec::new(e.min, e.max, bytes), *x)
+                }
+            }
+        })
+        .collect();
+    let bound = |t: &Tuple, (attr, est): (AttrId, &Estimate)| match (t.get(attr), est) {
+        (Some(Value::Text(strings)), Estimate::Text(m, type_ii)) => {
+            let sig = |s: &String| m.estimate(&codec.encode_to_vec(s.as_bytes())).unwrap();
+            let best = strings.iter().map(sig).fold(f64::INFINITY, f64::min);
+            (!strings.is_empty() && (!*type_ii || best.is_finite())).then_some(best)
+        }
+        (Some(Value::Num(v)), Estimate::Num(c, x)) => Some(c.lower_bound_dist(c.encode(*v), *x)),
+        _ => None,
+    };
+    let mut pool = ResultPool::new(k);
+    let mut pending: Vec<(f64, u64)> = Vec::new();
+    let mut diffs = vec![0.0; q.len()];
+    for (row, t) in dataset.tuples.iter().enumerate() {
+        let tid = row as u64;
+        let mut exact = true;
+        let attrs = q.iter().map(|(a, _)| a).zip(&estimates);
+        for ((d, &lam), b) in diffs
+            .iter_mut()
+            .zip(lambda)
+            .zip(attrs.map(|ae| bound(t, ae)))
+        {
+            exact &= b.is_none();
+            *d = lam * b.unwrap_or(ndf);
+        }
+        let est = metric.combine(&diffs);
+        if exact {
+            pool.insert(tid, est);
+        } else if pool.admits_at(est, tid) {
+            pending.push((est, tid));
+        }
+    }
+    let mut refined = Vec::new();
+    let mut refine = |pool: &mut ResultPool, (est, tid): (f64, u64)| {
+        if pool.admits_at(est, tid) {
+            let t = &dataset.tuples[tid as usize];
+            pool.insert(tid, exact_distance(t, q, lambda, &metric, ndf));
+            refined.push(tid as usize);
+        }
+    };
+    let mut best = ResultPool::new(k);
+    for &(est, tid) in &pending {
+        best.insert(tid, est);
+    }
+    let mut probe: Vec<(f64, u64)> = best.into_sorted().iter().map(|e| (e.dist, e.tid)).collect();
+    let cut = (pending.len() >= k)
+        .then(|| probe.last().copied())
+        .flatten();
+    probe.sort_by_key(|&(_, tid)| tid);
+    probe.into_iter().for_each(|c| refine(&mut pool, c));
+    if let Some(cut) = cut {
+        let above =
+            |&&(est, tid): &&(f64, u64)| est.total_cmp(&cut.0).then(tid.cmp(&cut.1)).is_gt();
+        pending
+            .iter()
+            .filter(above)
+            .for_each(|&c| refine(&mut pool, c));
+    }
+    refined
+}
+
+#[test]
+#[ignore]
+fn exact_from_the_dictionary_on_read_cold() {
+    let (dataset, table, index) = perf_store();
+    let coded: BTreeSet<usize> = sectioned(&index).into_iter().map(|(a, _)| a).collect();
+    let queries = generate_query_set(&dataset, 3, 200, 0, 0x5EED_0F0E).queries;
+    let (k, runs) = (10, 5);
+    let (mut fetches, mut admits, mut distances) = (vec![], vec![], vec![]);
+    let (mut filter, mut refine, mut cpu) = (vec![], vec![], vec![]);
+    let (mut replayed, mut decidable) = (vec![], vec![]);
+    for q in &queries {
+        let stats: Vec<_> = (0..runs)
+            .map(|_| {
+                let out = index.query(&table, q, k, &MetricKind::L2, WeightScheme::Equal);
+                out.unwrap().stats
+            })
+            .collect();
+        let fastest = stats
+            .iter()
+            .min_by_key(|s| s.filter_nanos + s.refine_nanos)
+            .unwrap();
+        fetches.push(stats[0].table_accesses);
+        admits.push(stats[0].walk_admits);
+        distances.push(stats[0].dict_distances);
+        filter.push(fastest.filter_nanos / 1000);
+        refine.push(fastest.refine_nanos / 1000);
+        cpu.push((fastest.filter_nanos + fastest.refine_nanos) / 1000);
+        let lambda = index.resolve_weights(q, WeightScheme::Equal);
+        let rows = refined_deciding_ndf_only(&dataset, &index, q, &lambda, k);
+        // Every query attribute the record defines holds strings.
+        let known = |&&row: &&usize| {
+            let t = &dataset.tuples[row];
+            q.iter()
+                .all(|(a, _)| t.get(a).is_none() || coded.contains(&a.index()))
+        };
+        replayed.push(rows.len() as u64);
+        decidable.push(rows.iter().filter(known).count() as u64);
+    }
+    let all_values = queries.len() * 3;
+    let on_coded: usize = (queries.iter())
+        .map(|q| q.iter().filter(|(a, _)| coded.contains(&a.index())).count())
+        .sum();
+    println!(
+        "read_cold pool: {} queries, {on_coded} of {all_values} values on the {} lists \
+         whose dictionaries hold strings",
+        queries.len(),
+        coded.len()
+    );
+    println!("fetches: {}", spread(fetches.clone()));
+    println!("walk admits: {}", spread(admits));
+    println!("dictionary edit distances: {}", spread(distances.clone()));
+    println!("filter CPU us (fastest of {runs}): {}", spread(filter));
+    println!("refine CPU us (fastest of {runs}): {}", spread(refine));
+    println!(
+        "filter + refine CPU us (fastest of {runs}): {}",
+        spread(cpu)
+    );
+    let (all, known): (u64, u64) = (replayed.iter().sum(), decidable.iter().sum());
+    println!(
+        "deciding only ndf positions, Algorithm 1 refines {}; of those records the index \
+         decides {known} of {all} ({:.1} %)",
+        spread(replayed.clone()),
+        100.0 * known as f64 / all.max(1) as f64
+    );
+    let saved: u64 = replayed.iter().sum::<u64>() - fetches.iter().sum::<u64>().min(all);
+    println!(
+        "dictionary edit distances {} against {saved} fetches saved",
+        distances.iter().sum::<u64>()
+    );
 }

@@ -93,10 +93,13 @@ fn pick<T: Copy>(rng: &mut StdRng, from: &[T]) -> T {
 }
 
 /// Row `i`, over the first `defined` attributes; a `dense` row defines
-/// the first one whatever `i`.
-fn row(i: u64, defined: usize, dense: bool) -> Tuple {
+/// the first one whatever `i`, and a `multi` row gives it one to three
+/// strings.
+fn row(i: u64, defined: usize, (dense, multi): (bool, bool)) -> Tuple {
+    let strings = if multi { 1 + i % 3 } else { 1 };
+    let first = (0..strings).map(|j| format!("{} {}", word(i + 3 * j), (i + j) % 5));
     let values = [
-        (dense || !i.is_multiple_of(7)).then(|| Value::text(format!("{} {}", word(i), i % 5))),
+        (dense || !i.is_multiple_of(7)).then(|| Value::texts(first.collect::<Vec<_>>())),
         i.is_multiple_of(11)
             .then(|| Value::texts([word(i / 11).into(), format!("note {}", i % 37)])),
         (i % 10 != 9).then(|| Value::num((i % 89) as f64)),
@@ -508,6 +511,8 @@ struct Instance {
     defined: usize,
     /// Rows define the first attribute whatever their number.
     dense: bool,
+    /// Rows give the first attribute one to three strings.
+    multi: bool,
     /// Rows inserted since the last `Op::Rebuild`: an `IvaDb`'s packed
     /// lists hold them in RAW tail frames.
     since_rebuild: u64,
@@ -596,7 +601,7 @@ impl Instance {
     /// The next row, through `f` on every engine: each must give it the
     /// next tid.
     fn insert(&mut self, f: impl Fn(&mut dyn Db, &Tuple) -> Result<Tid>) -> Verdict {
-        let tuple = row(self.next_row, self.defined, self.dense);
+        let tuple = row(self.next_row, self.defined, (self.dense, self.multi));
         (self.next_row, self.since_rebuild) = (self.next_row + 1, self.since_rebuild + 1);
         self.each(self.next_tid, |db| f(db, &tuple))?;
         self.model.live.insert(self.next_tid, tuple);
@@ -655,6 +660,12 @@ impl Instance {
         }
         let serial = (0..3).map(|i| db.solo(p, i, 1));
         let serial: Vec<Answer> = serial.collect::<Result<_>>().map_err(e)?;
+        // A multi-value query answered with a tuple that defines a queried
+        // attribute, and no record fetched: the walk knew its distance.
+        let defines = |&(tid, _): &(Tid, u64)| q.iter().any(|(a, _)| live[&tid].get(a).is_some());
+        if q.len() > 1 && serial[0].counts[0] == 0 && want[0].iter().any(defines) {
+            cov.insert("exact without a fetch".into());
+        }
         let tiers = db.tiers().map_err(e)?;
         let deleted = tiers.iter().any(|(i, _)| i.n_deleted() > 0);
         // Every tuple-list entry: what a shape that does not leap scans.
@@ -942,6 +953,78 @@ fn one_value_queries_on_string_sections_match_the_model() {
         .map(String::from);
     let missing: Vec<_> = want.filter(|w| !cov.contains(w)).collect();
     assert!(missing.is_empty(), "never reached: {missing:?}");
+}
+
+/// Multi-value queries over lists coded by strings: the rows of
+/// [`one_value_queries_on_string_sections_match_the_model`], but each
+/// giving the first attribute one to three strings, so that its list and
+/// the fifth's hold strings, while the second's 2-string values on every
+/// eleventh row stay signature-only. Every engine rebuilds and is probed
+/// as built, after 30 more rows (RAW tail frames in an `IvaDb`) and after
+/// 70 deletes, with queries of two and three values: on the two coded
+/// lists only, with a numeric value beside them, and with the
+/// signature-only attribute — each in every shape of [`Instance::check`],
+/// threads 1 to 4 and batch lanes among them. Required: a query with no
+/// fetch whose answers define a queried attribute.
+#[test]
+fn multi_value_queries_on_string_sections_match_the_model() {
+    let mut cov = Coverage::new();
+    for seed in 0..2 {
+        let mut run = || -> Verdict {
+            let mut inst = Instance::new(seed).map_err(|e| e.to_string())?;
+            (inst.dense, inst.multi) = (true, true);
+            let text = |q: Query, a: u32, s: &str| q.text(AttrId(a), s);
+            let coded = text(text(Query::new(), 0, "canon 0"), 4, "sony");
+            let queries = vec![
+                coded.clone(),
+                text(text(Query::new(), 0, "cannon 1"), 4, "nikon").num(AttrId(2), 10.0),
+                text(
+                    text(text(Query::new(), 0, "camera 2"), 1, "note 3"),
+                    4,
+                    "wide",
+                ),
+                coded,
+            ];
+            let [l1, l2, linf] = [MetricKind::L1, MetricKind::L2, MetricKind::LInf].map(Dist::Kind);
+            let (equal, itf) = (WeightScheme::Equal, WeightScheme::Itf);
+            let probe = |inst: &Instance, knobs: &[(usize, Dist, WeightScheme)], cov: &mut _| {
+                for &(k, metric, weights) in knobs {
+                    let (queries, threads) = (queries.clone(), 2);
+                    let p = Probe {
+                        queries,
+                        metric,
+                        weights,
+                        k,
+                        threads,
+                    };
+                    inst.check_all(&p, cov)?;
+                }
+                Ok::<_, String>(())
+            };
+            let built = [Op::Define; 5]
+                .into_iter()
+                .chain([Op::Insert(600), Op::Rebuild]);
+            for op in built {
+                inst.apply(op, &mut Coverage::new())?;
+            }
+            probe(&inst, &[(10, l2, equal), (3, linf, itf)], &mut cov)?;
+            inst.apply(Op::Insert(30), &mut Coverage::new())?;
+            probe(&inst, &[(10, l1, equal)], &mut cov)?;
+            let deletes = (0..10).map(|j| 40 * j).chain((0..60).map(|j| 10 * j + 3));
+            for tid in deletes {
+                inst.apply(Op::Delete(tid), &mut Coverage::new())?;
+            }
+            let live = inst.model.live.len();
+            probe(&inst, &[(10, l2, itf), (live + 1, l1, equal)], &mut cov)
+        };
+        if let Err(failure) = run() {
+            panic!("instance {seed}: {failure}");
+        }
+    }
+    assert!(
+        cov.contains("exact without a fetch"),
+        "never reached: exact without a fetch"
+    );
 }
 
 /// Tombstones count in `df` until a rebuild, so one delete below β used to
