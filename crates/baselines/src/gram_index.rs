@@ -7,7 +7,7 @@
 //! attribute map from gram to the sorted list of `(tid, string-index)`
 //! postings, the classic count filter (`T = |common grams| ≥
 //! max(|sq|,|sd|) + n − 1 − n·τ` matching grams needed for edit distance
-//! ≤ τ), and verification by banded edit distance — so the contrast the
+//! ≤ τ), and verification by capped edit distance — so the contrast the
 //! paper draws is concrete:
 //!
 //! - it answers *threshold* queries on *one* text attribute very fast;
@@ -125,7 +125,7 @@ impl GramIndex {
     /// Uses the count filter: a string within `τ` edits of the query must
     /// share at least `max(|sq|,|sd|) + n − 1 − n·τ` grams with it; merge-
     /// counting the query grams' postings finds every string that can
-    /// possibly qualify, and banded edit distance verifies the survivors.
+    /// possibly qualify, and capped edit distance verifies the survivors.
     pub fn search(&self, query: &str, max_edits: usize) -> Vec<GramMatch> {
         let qlen = query.len();
         let counts = self.merge_count(query);

@@ -10,7 +10,9 @@ use iva_core::{
 };
 use iva_storage::{IoStats, PagerOptions};
 use iva_swt::{decode_record, encode_record, AttrId, SwtTable, Tuple, Value};
-use iva_text::{edit_distance_bytes, PreparedMatcher, SigCodec};
+use iva_text::{
+    edit_distance_bytes, edit_distance_capped, PreparedMatcher, PreparedPattern, SigCodec,
+};
 
 fn bench_signatures(c: &mut Criterion) {
     let codec = SigCodec::new(0.2, 2);
@@ -43,13 +45,17 @@ fn bench_signatures(c: &mut Criterion) {
 }
 
 fn bench_edit_distance(c: &mut Criterion) {
+    let (q, s) = (b"digital camera xx", b"digtal camera xyz");
     c.bench_function("text/edit_distance_17B", |b| {
-        b.iter(|| {
-            edit_distance_bytes(
-                black_box(b"digital camera xx"),
-                black_box(b"digtal camera xyz"),
-            )
-        })
+        b.iter(|| edit_distance_bytes(black_box(q), black_box(s)))
+    });
+    c.bench_function("text/edit_distance_17B_cap8", |b| {
+        b.iter(|| edit_distance_capped(black_box(q), black_box(s), 8))
+    });
+    // The refine step's case: the query string's masks built once.
+    let pattern = PreparedPattern::new(q);
+    c.bench_function("text/edit_distance_17B_prepared", |b| {
+        b.iter(|| black_box(&pattern).distance(black_box(s), usize::MAX))
     });
 }
 

@@ -12,7 +12,7 @@ use iva_storage::{
     LIST_PAGE_HEADER,
 };
 use iva_swt::{AttrId, AttrType, Catalog, RecordPtr, SwtTable, Tid, Tuple, Value};
-use iva_text::{PreparedMatcher, SigCodec};
+use iva_text::{PreparedMatcher, PreparedPattern, SigCodec};
 
 use crate::config::IvaConfig;
 use crate::dirlist::{append_raw_entry, locate_tombstone, DirCursor};
@@ -122,6 +122,16 @@ pub(crate) enum SharedAttr<'a> {
     /// The attribute was added to the catalog after the last (re)build and
     /// no tuple defines it in the index: every tuple reads as *ndf*.
     AlwaysNdf,
+}
+
+impl SharedAttr<'_> {
+    /// A text attribute's exact-distance pattern.
+    pub(crate) fn pattern(&self) -> Option<&PreparedPattern> {
+        match self {
+            SharedAttr::Text { matcher, .. } => Some(matcher.pattern()),
+            _ => None,
+        }
+    }
 }
 
 impl IvaIndex {

@@ -92,7 +92,7 @@ use std::ops::Range;
 use iva_storage::codec::SliceReader;
 use iva_storage::compress::{bit_width, pack_bits, packed_len, unpack_bits, unpack_bytes};
 use iva_storage::ListReader;
-use iva_text::{edit_distance_capped, PreparedMatcher, SigCodec};
+use iva_text::{PreparedMatcher, PreparedPattern, SigCodec};
 
 use crate::error::{IvaError, Result};
 use crate::metric::Metric;
@@ -1501,8 +1501,8 @@ impl PackedReader {
 
     /// The probe of a fresh reader (see the module doc): load the list's
     /// dictionary and visit its entries in ascending estimate order,
-    /// computing each string's edit distance to `q` — uncapped until a
-    /// bound `B` exists, then where weight `lambda` puts it past
+    /// computing each string's edit distance to the matcher's query string
+    /// ([`PreparedMatcher::pattern`]) — uncapped until a bound `B` exists, then where weight `lambda` puts it past
     /// `combine(λ·B)` under `metric` ([`edits_beyond`]). `B` is the
     /// smallest distance at which the values counted so far reach `k` +
     /// `deleted`; the visit ends at the
@@ -1516,7 +1516,6 @@ impl PackedReader {
     pub(crate) fn probe<M: Metric>(
         &mut self,
         matcher: &PreparedMatcher,
-        q: &[u8],
         (k, deleted, values): (u64, u64, u64),
         (lambda, ndf, metric): (f64, f64, &M),
     ) -> Result<Option<Seed>> {
@@ -1531,7 +1530,7 @@ impl PackedReader {
         if dict.counts.is_empty() || counted < need {
             return Ok(None);
         }
-        let mut table = dict.estimates(matcher)?.to_vec();
+        let (mut table, q) = (dict.estimates(matcher)?.to_vec(), matcher.pattern());
         // Estimates are ≥ 0, and such floats order as their bits do.
         let mut order: BinaryHeap<_> = (table.iter().enumerate())
             .map(|(c, e)| Reverse((e.to_bits(), c)))
@@ -1546,12 +1545,12 @@ impl PackedReader {
                 break;
             }
             let text = dict.text_of(c)?;
-            let longest = q.len().max(text.len());
+            let longest = q.bytes().len().max(text.len());
             let past = |b: usize| metric.combine(&[lambda * b as f64]);
             let cap = b.map_or(usize::MAX, |(_, b)| {
-                edits_beyond((1, 0), lambda, longest, metric, past(b))
+                edits_beyond(&mut [0.0], 0, lambda, longest, metric, past(b))
             });
-            let d = edit_distance_capped(q, text, cap);
+            let d = q.distance(text, cap);
             distances += 1;
             if d >= cap {
                 if let Some(slot) = table.get_mut(c) {
@@ -1605,7 +1604,7 @@ impl PackedReader {
         &self,
         coded: &mut Coded,
         j: usize,
-        q: &[u8],
+        q: &PreparedPattern,
         mut cap: impl FnMut(usize) -> usize,
         distances: &mut u64,
     ) -> Result<Option<usize>> {
@@ -1622,8 +1621,8 @@ impl PackedReader {
             if *slot == UNSEEN {
                 let text = dict.text_of(c as usize)?;
                 // lint:allow(panic-reachability, "dynamic edge: the one caller, `Lane::decide`, passes a closure over `query::edits_beyond`, which is total")
-                let cap = cap(q.len().max(text.len()));
-                let d = edit_distance_capped(q, text, cap);
+                let cap = cap(q.bytes().len().max(text.len()));
+                let d = q.distance(text, cap);
                 *distances += 1;
                 *slot = if d >= cap { PAST_CAP } else { d as u64 };
             }
@@ -2133,12 +2132,7 @@ mod tests {
         let matcher = PreparedMatcher::new(&codec, b"canon");
         let probe = |k: u64, deleted: u64, values: u64| {
             let mut r = PackedReader::new_text(reader_for(&p, &packed), ListType::III, &codec)?;
-            r.probe(
-                &matcher,
-                b"canon",
-                (k, deleted, values),
-                (1.0, 20.0, &MetricKind::L1),
-            )
+            r.probe(&matcher, (k, deleted, values), (1.0, 20.0, &MetricKind::L1))
         };
         // Codes in first-appearance order: canon, cannon, nikon.
         let seed = probe(120, 0, 200).unwrap().unwrap();
@@ -2230,12 +2224,7 @@ mod tests {
         let matcher = PreparedMatcher::new(&codec, b"needle");
         let mut r = PackedReader::new_text(reader_for(&p, &packed), ListType::III, &codec).unwrap();
         let seed = r
-            .probe(
-                &matcher,
-                b"needle",
-                (1, 0, 301),
-                (1.0, 20.0, &MetricKind::L1),
-            )
+            .probe(&matcher, (1, 0, 301), (1.0, 20.0, &MetricKind::L1))
             .unwrap()
             .unwrap();
         let leap = seed.leap.as_ref().expect("two candidates of 300");

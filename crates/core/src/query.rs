@@ -18,7 +18,7 @@
 //!   [`Tuple`]: baselines, brute-force checks and tests.
 
 use iva_swt::{AttrId, FieldLoc, RecordView, Tuple, Value, ValueRef};
-use iva_text::{edit_distance_bytes, edit_distance_capped};
+use iva_text::{edit_distance_bytes, edit_distance_capped, PreparedPattern};
 
 use crate::metric::Metric;
 
@@ -154,13 +154,15 @@ fn edit_cap<M: Metric>(
 }
 
 /// The smallest whole number of edits `e ≤ max_edits` on attribute `slot`
-/// of a `width`-value query at which, every other attribute at 0, a tuple
-/// is past `threshold` — `combine ≥ threshold.next_up()` — or `usize::MAX`
-/// if none is, and while `threshold` is `+∞` (a pool with room admits any
-/// distance). An edit distance capped there is exact wherever the tuple
-/// can still be admitted or tie.
+/// of a `scratch.len()`-value query at which, every other attribute at 0,
+/// a tuple is past `threshold` — `combine ≥ threshold.next_up()` — or
+/// `usize::MAX` if none is, and while `threshold` is `+∞` (a pool with room
+/// admits any distance). An edit distance capped there is exact wherever
+/// the tuple can still be admitted or tie. `scratch` is the caller's to
+/// lend; its contents are overwritten.
 pub(crate) fn edits_beyond<M: Metric>(
-    (width, slot): (usize, usize),
+    scratch: &mut [f64],
+    slot: usize,
     lambda: f64,
     max_edits: usize,
     metric: &M,
@@ -169,8 +171,9 @@ pub(crate) fn edits_beyond<M: Metric>(
     if threshold == f64::INFINITY {
         return usize::MAX;
     }
+    scratch.fill(0.0);
     let past = threshold.next_up();
-    edit_cap(&mut vec![0.0; width], slot, lambda, max_edits, metric, past).unwrap_or(usize::MAX)
+    edit_cap(scratch, slot, lambda, max_edits, metric, past).unwrap_or(usize::MAX)
 }
 
 /// Refine-time distance `D(T,Q)` of the stored record `view`, bounded by
@@ -180,7 +183,9 @@ pub(crate) fn edits_beyond<M: Metric>(
 ///
 /// The query's attributes are found in one pass over the record's field
 /// headers; nothing is decoded or allocated (`diffs`, one slot per query
-/// value, and `locs` are the caller's reusable buffers). *ndf* and numeric
+/// value, and `locs` are the caller's reusable buffers). `patterns` holds
+/// the query's prepared text values by slot (a slot it does not cover
+/// gets the same distances from the query string). *ndf* and numeric
 /// attributes are evaluated first. Each text attribute then gets a cap
 /// (see `edit_cap`) from what is known so far, shrinking to the best
 /// string found as a multi-string value is walked; the moment an
@@ -190,6 +195,7 @@ pub(crate) fn edits_beyond<M: Metric>(
 pub fn bounded_distance<M: Metric>(
     view: &RecordView<'_>,
     query: &Query,
+    patterns: &[Option<&PreparedPattern>],
     weights: &[f64],
     metric: &M,
     ndf_penalty: f64,
@@ -215,12 +221,15 @@ pub fn bounded_distance<M: Metric>(
         let (Some(ValueRef::Text(text)), QueryValue::Text(q)) = (view.value_at(loc), qv) else {
             continue;
         };
-        let q = q.as_bytes();
         let max_edits = q.len().max(text.max_len_bound());
         let cap = edit_cap(diffs, slot, w, max_edits, metric, threshold);
         let mut best = cap.unwrap_or(usize::MAX);
+        let pattern = patterns.get(slot).copied().flatten();
         for s in text.strings() {
-            best = best.min(edit_distance_capped(q, s, best));
+            best = match pattern {
+                Some(p) => p.distance(s, best),
+                None => edit_distance_capped(q.as_bytes(), s, best),
+            };
         }
         if let Some(d) = diffs.get_mut(slot) {
             *d = w * best as f64;

@@ -109,7 +109,7 @@
 use std::ops::Range;
 
 use iva_swt::{FieldLoc, RecordBuf, RecordPtr, SwtTable};
-use iva_text::{PreparedMatcher, SigCodec};
+use iva_text::{PreparedMatcher, PreparedPattern, SigCodec};
 
 use crate::error::{IvaError, Result};
 use crate::index::{IvaIndex, QueryMatchers, ScanCarry, SharedAttr};
@@ -118,7 +118,7 @@ use crate::metric::Metric;
 use crate::numeric::NumericCodec;
 use crate::packed::{Cands, Coded, Leap, Seed, EXACT_BIAS};
 use crate::pool::{PoolEntry, ResultPool};
-use crate::query::{bounded_distance, edits_beyond, Query, QueryValue};
+use crate::query::{bounded_distance, edits_beyond, Query};
 use crate::timing::{monotonic_nanos, thread_cpu_time};
 use crate::veclist::{NumListCursor, TextListCursor};
 
@@ -402,11 +402,15 @@ pub(crate) const DRAIN_AT: usize = 65_536;
 pub(crate) struct Lane<'a> {
     query: &'a Query,
     lambda: &'a [f64],
+    /// One slot per query value: its prepared pattern, for a text one.
+    patterns: Vec<Option<&'a PreparedPattern>>,
     bounds: Bounds<'a>,
     carry: &'a mut ScanCarry,
     /// One slot per query value: the filter's weighted lower bounds
     /// during the walk, the refine step's weighted differences in a drain.
     diffs: Vec<f64>,
+    /// [`edits_beyond`]'s scratch, one slot per query value.
+    spare: Vec<f64>,
     /// Where a fetched record keeps the query's attributes (refine only).
     locs: Vec<FieldLoc>,
     /// Admitted by the live pool during the walk and not refined yet, in
@@ -448,9 +452,11 @@ impl<'a> Lane<'a> {
         Ok(Self {
             query,
             lambda,
+            patterns: shared.iter().map(SharedAttr::pattern).collect(),
             bounds: Bounds::open(index, shared, seed)?,
             carry,
             diffs: vec![0.0; query.len()],
+            spare: vec![0.0; query.len()],
             locs: Vec::with_capacity(query.len()),
             pending: Vec::new(),
             limit: seed.map_or(f64::INFINITY, |s| s.limit),
@@ -479,24 +485,21 @@ impl<'a> Lane<'a> {
         if !open.all(|(a, col)| !bound_at(col) || recorded(a)) {
             return Ok(None);
         }
-        let (width, threshold) = (self.diffs.len(), self.carry.pool.threshold());
-        let values = attrs
-            .iter_mut()
-            .zip(lbs.chunks_exact(BLOCK))
-            .zip(self.query.iter());
-        for (slot, ((a, col), (_, qv))) in values.enumerate() {
+        let (threshold, spare) = (self.carry.pool.threshold(), &mut self.spare);
+        let values = attrs.iter_mut().zip(lbs.chunks_exact(BLOCK));
+        for (slot, ((a, col), q)) in values.zip(&self.patterns).enumerate() {
             if !bound_at(col) {
                 continue;
             }
-            let (AttrScan::Text { cur, coded, .. }, QueryValue::Text(q)) = (a, qv) else {
+            let (AttrScan::Text { cur, coded, .. }, Some(q)) = (a, q) else {
                 return Ok(None);
             };
             let (Some(d), Some(&lam)) = (self.diffs.get_mut(slot), self.lambda.get(slot)) else {
                 return Ok(None);
             };
-            let cap = |edits| edits_beyond((width, slot), lam, edits, metric, threshold);
+            let cap = |edits| edits_beyond(spare, slot, lam, edits, metric, threshold);
             let distances = &mut self.carry.stats.dict_distances;
-            match cur.coded_diff(coded, i, q.as_bytes(), cap, distances)? {
+            match cur.coded_diff(coded, i, q, cap, distances)? {
                 Some(e) => *d = lam * e as f64,
                 None => return Ok(Some(f64::INFINITY)),
             }
@@ -531,14 +534,12 @@ impl IvaIndex {
     ) -> Result<(Vec<SharedAttr<'a>>, Option<Seed>, u64)> {
         let (start, k) = (thread_cpu_time(), carry.pool.capacity());
         let shared = self.prepare_query(query, matchers)?;
-        let seed = match (query.iter().next(), shared.as_slice(), lambda) {
-            (Some((_, QueryValue::Text(q))), [SharedAttr::Text { matcher, entry }], &[lam])
-                if k > 0 =>
-            {
+        let seed = match (shared.as_slice(), lambda) {
+            ([SharedAttr::Text { matcher, entry }], &[lam]) if k > 0 => {
                 let counts = (k as u64, self.n_deleted(), entry.df);
                 let mut reader = self.list_reader(entry)?;
                 let ndf = self.config().ndf_penalty;
-                reader.probe(matcher, q.as_bytes(), counts, (lam, ndf, metric))?
+                reader.probe(matcher, counts, (lam, ndf, metric))?
             }
             _ => None,
         };
@@ -733,6 +734,7 @@ impl<M: Metric> Refiner<'_, M> {
             let actual = bounded_distance(
                 &rec.view,
                 lane.query,
+                &lane.patterns,
                 lane.lambda,
                 self.metric,
                 self.ndf,
@@ -1167,7 +1169,13 @@ mod tests {
                 tsrc.next_block(block_len(n - at), &mut tids, &mut ptrs)
                     .unwrap();
                 bounds.fill(at, &tids).unwrap();
-                let Some(AttrScan::Text { cur, coded, .. }) = bounds.attrs.first_mut() else {
+                let Some(AttrScan::Text {
+                    cur,
+                    coded,
+                    matcher,
+                    ..
+                }) = bounds.attrs.first_mut()
+                else {
                     panic!("a text scan");
                 };
                 for (i, &tid) in tids.iter().enumerate() {
@@ -1180,7 +1188,7 @@ mod tests {
                         .min()
                         .unwrap();
                     let mut diff = |cap: usize| {
-                        cur.coded_diff(coded, i, b"canon", |_| cap, &mut distances)
+                        cur.coded_diff(coded, i, matcher.pattern(), |_| cap, &mut distances)
                             .unwrap()
                     };
                     let got = diff(cap);

@@ -117,12 +117,13 @@ impl IvaIndex {
         let refine_start = thread_cpu_time();
         let (mut buf, mut locs) = (RecordBuf::default(), Vec::new());
         let mut diffs = vec![0.0f64; query.len()];
+        let patterns: Vec<_> = shared.iter().map(SharedAttr::pattern).collect();
         let mut refine = |pool: &mut ResultPool, tid: u64, ptr: u64| -> Result<()> {
             let rec = table.read(RecordPtr(ptr), &mut buf)?;
             stats.table_accesses += 1;
             let cap = pool.refine_cap(tid);
             let actual = bounded_distance(
-                &rec.view, query, lambda, metric, ndf, cap, &mut diffs, &mut locs,
+                &rec.view, query, &patterns, lambda, metric, ndf, cap, &mut diffs, &mut locs,
             )?;
             pool.insert_at(tid, actual, RecordPtr(ptr));
             Ok(())

@@ -45,7 +45,7 @@
 //!   lazy tail reads as *ndf*.
 
 use iva_storage::codec::le_u32;
-use iva_text::{PreparedMatcher, SigCodec};
+use iva_text::{PreparedMatcher, PreparedPattern, SigCodec};
 
 use crate::error::{IvaError, Result};
 use crate::numeric::NumericCodec;
@@ -666,7 +666,7 @@ impl TextListCursor {
         &self,
         coded: &mut Coded,
         j: usize,
-        q: &[u8],
+        q: &PreparedPattern,
         cap: impl FnMut(usize) -> usize,
         distances: &mut u64,
     ) -> Result<Option<usize>> {

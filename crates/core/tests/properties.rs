@@ -14,12 +14,12 @@ use iva_core::{
     bounded_distance, build_index, encode_num_list, encode_packed_num_list,
     encode_packed_text_list, encode_text_list, exact_distance, export_index, import_index,
     IndexTarget, IvaConfig, IvaIndex, ListType, Metric, MetricKind, NumListCursor, NumericCodec,
-    PackedReader, Query, QueryOptions, QueryOutcome, QueryStats, ResultPool, ScanCarry,
+    PackedReader, Query, QueryOptions, QueryOutcome, QueryStats, QueryValue, ResultPool, ScanCarry,
     TextListCursor, WeightScheme, TOMBSTONE_PTR,
 };
 use iva_storage::{write_contiguous_list, IoStats, ListReader, Pager};
 use iva_swt::{encode_record, AttrId, RecordView, SwtTable, Tuple, Value};
-use iva_text::PreparedMatcher;
+use iva_text::{PreparedMatcher, PreparedPattern};
 use model::Model;
 
 const N_TEXT_ATTRS: u32 = 4;
@@ -87,7 +87,8 @@ impl Metric for SumPlusMax {
 
 /// `bounded_distance` on the tuple's encoded bytes against
 /// `exact_distance` on the tuple, for thresholds around and away from the
-/// true distance.
+/// true distance; with the query's prepared patterns and without them, the
+/// same bits.
 fn check_bounded<M: Metric>(
     tuple: &Tuple,
     query: &Query,
@@ -101,6 +102,13 @@ fn check_bounded<M: Metric>(
     encode_record(tuple, &mut buf).unwrap();
     let view = RecordView::new(&buf);
     let (mut diffs, mut locs) = (vec![0.0; query.len()], Vec::new());
+    let prepared: Vec<_> = (query.iter())
+        .map(|(_, qv)| match qv {
+            QueryValue::Text(s) => Some(PreparedPattern::new(s.as_bytes())),
+            QueryValue::Num(_) => None,
+        })
+        .collect();
+    let patterns: Vec<_> = prepared.iter().map(Option::as_ref).collect();
     let around = [
         exact,
         exact * (1.0 - 1e-12),
@@ -109,8 +117,12 @@ fn check_bounded<M: Metric>(
         0.0,
     ];
     for &t in thresholds.iter().chain(&around) {
-        let got =
-            bounded_distance(&view, query, weights, metric, ndf, t, &mut diffs, &mut locs).unwrap();
+        let mut bounded = |patterns: &[Option<&PreparedPattern>]| {
+            let (d, l) = (&mut diffs, &mut locs);
+            bounded_distance(&view, query, patterns, weights, metric, ndf, t, d, l).unwrap()
+        };
+        let got = bounded(&patterns);
+        prop_assert_eq!(got.to_bits(), bounded(&[]).to_bits(), "t={}", t);
         prop_assert_eq!(got < t, exact < t, "t={} exact={} got={}", t, exact, got);
         if exact < t {
             prop_assert_eq!(
@@ -131,7 +143,7 @@ fn check_bounded<M: Metric>(
         pool.insert(5, exact);
         let cap = pool.refine_cap(tid);
         let got = bounded_distance(
-            &view, query, weights, metric, ndf, cap, &mut diffs, &mut locs,
+            &view, query, &patterns, weights, metric, ndf, cap, &mut diffs, &mut locs,
         )
         .unwrap();
         prop_assert_eq!(

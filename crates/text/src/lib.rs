@@ -20,7 +20,7 @@ mod params;
 mod signature;
 
 pub use edit_distance::{
-    edit_distance, edit_distance_bytes, edit_distance_capped, edit_distance_within,
+    edit_distance, edit_distance_bytes, edit_distance_capped, edit_distance_within, PreparedPattern,
 };
 pub use hash::{fnv1a64, gram_bit_positions, or_gram_into, positions_hit, splitmix64};
 pub use ngram::{est_prime, gram_count, grams_of, padded, GramMultiset, PAD_END, PAD_START};

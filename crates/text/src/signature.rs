@@ -33,6 +33,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::edit_distance::PreparedPattern;
 use crate::hash::{gram_bit_positions, or_gram_into, positions_hit};
 use crate::ngram::{gram_count, grams_of, GramMultiset};
 use crate::params::optimal_t;
@@ -186,7 +187,7 @@ impl SigCodec {
 /// evaluation.
 #[derive(Debug, Clone)]
 pub struct QueryStringMatcher {
-    q_len: usize,
+    sq: Box<[u8]>,
     n: usize,
     /// Distinct query grams.
     grams: Vec<Vec<u8>>,
@@ -201,7 +202,7 @@ impl QueryStringMatcher {
         let grams: Vec<Vec<u8>> = ms.iter().map(|(g, _)| g.to_vec()).collect();
         let counts: Vec<u32> = ms.iter().map(|(_, c)| c).collect();
         Self {
-            q_len: sq.len(),
+            sq: sq.into(),
             n: codec.n,
             grams,
             counts,
@@ -210,7 +211,7 @@ impl QueryStringMatcher {
 
     /// Query string length in bytes.
     pub fn query_len(&self) -> usize {
-        self.q_len
+        self.sq.len()
     }
 
     /// Bake the packed-mask tables for every possible length byte and
@@ -241,7 +242,7 @@ impl QueryStringMatcher {
                 hg += u64::from(c);
             }
         }
-        Ok(finish_estimate(self.q_len, len_byte, hg, self.n))
+        Ok(finish_estimate(self.sq.len(), len_byte, hg, self.n))
     }
 }
 
@@ -348,7 +349,9 @@ struct LenPlan {
 ///
 /// [`QueryStringMatcher::estimate_scalar`] stays the oracle; every value is
 /// bit-identical to it. The matcher is `Sync`: one instance is shared by
-/// reference across all segmented-scan workers of a query.
+/// reference across all segmented-scan workers of a query. It carries the
+/// query string's [`PreparedPattern`] too, so whatever holds the matcher
+/// computes exact distances without building match masks per call.
 #[derive(Debug, Clone)]
 pub struct PreparedMatcher {
     /// See [`PreparedMatcher::serial`].
@@ -371,6 +374,7 @@ pub struct PreparedMatcher {
     pack_counts: Vec<u64>,
     /// `ceil_div[x] = ⌈x/n⌉` for every `x` up to the largest `top`.
     ceil_div: Vec<f64>,
+    pattern: PreparedPattern,
 }
 
 /// Baked per-geometry offsets: `(mask_off, pack_off, pack_len, pack_base)`.
@@ -384,7 +388,7 @@ impl PreparedMatcher {
     }
 
     fn build(codec: &SigCodec, query: &QueryStringMatcher) -> Self {
-        let (q_len, n) = (query.q_len, query.n);
+        let (q_len, n) = (query.sq.len(), query.n);
         let mut plans = Vec::with_capacity(256);
         let mut masks: Vec<u64> = Vec::new();
         let mut pack_masks: Vec<u64> = Vec::new();
@@ -466,7 +470,13 @@ impl PreparedMatcher {
             pack_masks,
             pack_counts,
             ceil_div: (0..=max_top).map(|x| x.div_ceil(n.max(1)) as f64).collect(),
+            pattern: PreparedPattern::new(&query.sq),
         }
+    }
+
+    /// The query string's exact-distance pattern, built with the matcher.
+    pub fn pattern(&self) -> &PreparedPattern {
+        &self.pattern
     }
 
     /// Query string length in bytes.
@@ -896,7 +906,7 @@ mod tests {
         sig: &[u8],
     ) {
         let want = q.estimate_scalar(c, sig).unwrap().to_bits();
-        let what = format!("|sq|={} n={} cL={}", q.q_len, q.n, sig[0]);
+        let what = format!("|sq|={} n={} cL={}", q.sq.len(), q.n, sig[0]);
         assert_eq!(m.estimate(sig).unwrap().to_bits(), want, "{what}");
         assert_eq!(
             m.estimate_parts(sig[0], &sig[1..]).unwrap().to_bits(),

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use iva_text::{
     edit_distance_bytes, edit_distance_capped, edit_distance_within, est_prime, GramMultiset,
-    PreparedMatcher, QueryStringMatcher, SigCodec,
+    PreparedMatcher, PreparedPattern, QueryStringMatcher, SigCodec,
 };
 
 /// Textbook full-matrix Levenshtein: the reference the one production
@@ -28,11 +28,32 @@ fn naive_edit_distance(a: &[u8], b: &[u8]) -> usize {
     d[a.len()][b.len()]
 }
 
-/// Strings over a four-letter alphabet, long enough to leave the stack
-/// row (64 bytes): small alphabets keep distances well below the lengths,
-/// so every cap sees both outcomes.
-fn dna_string() -> impl Strategy<Value = Vec<u8>> {
-    proptest::collection::vec(b'a'..b'e', 0..81)
+/// Four indices into a pair's alphabet per side, 0–140 of them, with
+/// extra weight just around the kernel's 64-byte pattern limit.
+fn alphabet_indices() -> impl Strategy<Value = Vec<usize>> {
+    prop_oneof![
+        proptest::collection::vec(0usize..4, 0..141),
+        proptest::collection::vec(0usize..4, 62..67),
+    ]
+}
+
+/// Two strings over one four-byte alphabet drawn from all 256 byte values,
+/// so a mask table sized for ASCII fails. A small alphabet keeps distances
+/// well below the lengths, so every cap sees both outcomes; the lengths
+/// cover a shorter side of at most 64 bytes, exactly 64 and 65, and both
+/// sides over 64 (the dynamic program's case).
+fn byte_pair() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
+    (any::<u32>(), alphabet_indices(), alphabet_indices()).prop_map(|(alphabet, a, b)| {
+        let bytes = alphabet.to_le_bytes();
+        let spell = |s: Vec<usize>| s.into_iter().map(|i| bytes[i]).collect();
+        (spell(a), spell(b))
+    })
+}
+
+/// The caps worth trying on a pair at distance `exact`: small ones, both
+/// sides of the distance itself, and none.
+fn caps(exact: usize) -> impl Iterator<Item = usize> {
+    (0usize..=12).chain([exact.saturating_sub(1), exact, exact + 1, usize::MAX])
 }
 
 fn short_string() -> impl Strategy<Value = Vec<u8>> {
@@ -80,48 +101,6 @@ proptest! {
             prop_assert_eq!(banded, Some(full));
         } else {
             prop_assert_eq!(banded, None);
-        }
-    }
-
-    #[test]
-    fn capped_kernel_matches_naive_reference(a in dna_string(), b in dna_string()) {
-        let exact = naive_edit_distance(&a, &b);
-        prop_assert_eq!(edit_distance_bytes(&a, &b), exact);
-        for cap in (0usize..=12).chain([usize::MAX]) {
-            let got = edit_distance_capped(&a, &b, cap);
-            if exact < cap {
-                prop_assert_eq!(got, exact, "cap={}", cap);
-            } else {
-                prop_assert!(got >= cap, "cap={} got={} exact={}", cap, got, exact);
-            }
-        }
-    }
-
-    #[test]
-    fn capped_kernel_on_near_duplicates(a in dna_string(), edits in 0usize..6, salt in any::<u64>()) {
-        // A string and a lightly edited copy: the distances the refine
-        // step actually has to get right sit just under small caps.
-        let mut b = a.clone();
-        let mut s = salt;
-        for _ in 0..edits {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let at = (s >> 33) as usize % (b.len() + 1);
-            match (s >> 20) % 3 {
-                0 => b.insert(at, b'z'),
-                1 if at < b.len() => { b.remove(at); }
-                _ if at < b.len() => b[at] = b'y',
-                _ => {}
-            }
-        }
-        let exact = naive_edit_distance(&a, &b);
-        prop_assert!(exact <= edits);
-        for cap in 0usize..=8 {
-            let got = edit_distance_capped(&b, &a, cap);
-            if exact < cap {
-                prop_assert_eq!(got, exact, "cap={}", cap);
-            } else {
-                prop_assert!(got >= cap, "cap={} got={} exact={}", cap, got, exact);
-            }
         }
     }
 
@@ -381,5 +360,62 @@ proptest! {
     fn signature_encoding_deterministic(a in short_string()) {
         let codec = SigCodec::new(0.2, 2);
         prop_assert_eq!(codec.encode_to_vec(&a), codec.encode_to_vec(&a));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 3 } else { 512 }))]
+
+    #[test]
+    fn capped_kernel_matches_naive_reference(pair in byte_pair()) {
+        let (a, b) = pair;
+        let exact = naive_edit_distance(&a, &b);
+        prop_assert_eq!(edit_distance_bytes(&a, &b), exact);
+        for cap in caps(exact) {
+            let got = edit_distance_capped(&a, &b, cap);
+            prop_assert_eq!(got, exact.min(cap), "cap={} |a|={} |b|={}", cap, a.len(), b.len());
+        }
+    }
+
+    #[test]
+    fn capped_kernel_on_near_duplicates(
+        pair in byte_pair(),
+        edits in 0usize..6,
+        salt in any::<u64>(),
+    ) {
+        let (a, _) = pair;
+        // A string and a lightly edited copy: the distances the refine
+        // step actually has to get right sit just under small caps.
+        let mut b = a.clone();
+        let mut s = salt;
+        for _ in 0..edits {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let at = (s >> 33) as usize % (b.len() + 1);
+            let byte = (s >> 8) as u8;
+            match (s >> 20) % 3 {
+                0 => b.insert(at, byte),
+                1 if at < b.len() => { b.remove(at); }
+                _ if at < b.len() => b[at] = byte,
+                _ => {}
+            }
+        }
+        let exact = naive_edit_distance(&a, &b);
+        prop_assert!(exact <= edits);
+        for cap in caps(exact) {
+            let got = edit_distance_capped(&b, &a, cap);
+            prop_assert_eq!(got, exact.min(cap), "cap={} |a|={} |b|={}", cap, a.len(), b.len());
+        }
+    }
+
+    #[test]
+    fn prepared_pattern_equals_free_function(pair in byte_pair()) {
+        let (a, b) = pair;
+        let exact = edit_distance_bytes(&a, &b);
+        let (pa, pb) = (PreparedPattern::new(&a), PreparedPattern::new(&b));
+        for cap in caps(exact) {
+            let free = edit_distance_capped(&a, &b, cap);
+            prop_assert_eq!(pa.distance(&b, cap), free, "cap={}", cap);
+            prop_assert_eq!(pb.distance(&a, cap), free, "cap={}", cap);
+        }
     }
 }
