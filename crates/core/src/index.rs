@@ -1012,6 +1012,50 @@ mod tests {
             .unwrap();
     }
 
+    /// A leaping query loads no list frame past the dictionary, so where
+    /// the postings cover every position the probe holds the catalog's
+    /// logical length to the bytes of their frames: a length one byte
+    /// either way, none at all, or the most a u64 holds is `Corrupt` to
+    /// it.
+    #[test]
+    fn a_lying_logical_length_is_corrupt_to_a_leaping_query() {
+        let opts = PagerOptions {
+            page_size: 256,
+            cache_bytes: 1 << 20,
+        };
+        let mut table = SwtTable::create_mem(&opts, IoStats::new()).unwrap();
+        let name = table.define_text("name").unwrap();
+        for i in 0..2000u32 {
+            let s = match i % 500 {
+                7 => "needle".to_string(),
+                _ => format!("hay {}", i % 20),
+            };
+            table
+                .insert(&Tuple::new().with(name, Value::text(s)))
+                .unwrap();
+        }
+        let (vfs, path) = (Arc::new(MemVfs::new()), Path::new("index.iva"));
+        let target = IndexTarget::Vfs(vfs.clone(), path);
+        let built = build_index(&table, target, &opts, IoStats::new(), IvaConfig::default());
+        let real = built.unwrap().entries[name.index()].logical_len;
+        let q = Query::new().text(name, "needle");
+        let query =
+            |index: &IvaIndex| index.query(&table, &q, 3, &MetricKind::L2, WeightScheme::Equal);
+        let stats = query(&open_honest(&vfs, path, &opts)).unwrap().stats;
+        assert!(stats.tuples_scanned < 2000, "the query leaps: {stats:?}");
+        for lie in [real - 1, real + 1, 0, u64::MAX] {
+            let mut index = open_honest(&vfs, path, &opts);
+            index.entries[name.index()].logical_len = lie;
+            index.write_entry(name.index()).unwrap();
+            index.flush().unwrap();
+            let out = query(&open_honest(&vfs, path, &opts));
+            assert!(
+                out.is_err_and(|e| e.is_corruption()),
+                "length {lie} for {real}"
+            );
+        }
+    }
+
     fn open_honest(vfs: &Arc<MemVfs>, path: &Path, opts: &PagerOptions) -> IvaIndex {
         IvaIndex::open_with_vfs(vfs.clone(), path, opts, IoStats::new()).unwrap()
     }

@@ -47,11 +47,11 @@
 //! **Strings where they pay.** Where a list's distinct strings take no
 //! more bytes than its codes, the DICT frame also holds each entry's
 //! string and the count of values whose *first* string it is, and codes
-//! name strings (two can share a signature). A 1-value query probes them
-//! before its walk ([`PackedReader::probe`]): exact edit distances in
-//! ascending estimate order give a bound `B` with enough counted values at
-//! or below it, and a per-code table ([`Seed`]) the fill reads instead of
-//! the estimates, in which a distance `d ≤ B` is exact.
+//! name strings (two can share a signature). A query keeps what it knows
+//! of its string's edit distance to each in one table per list
+//! ([`Exact`]), which bounds the fill and decides an admitted value. A
+//! 1-value query probes it before its walk ([`PackedReader::probe`]) for a
+//! bound `B` with enough counted values at or below it ([`Seed`]).
 //!
 //! **Postings.** On a Type III list coded by strings the DICT frame goes on
 //! to invert the codes: `covered`, the positions the list's
@@ -98,6 +98,7 @@ use crate::error::{IvaError, Result};
 use crate::metric::Metric;
 use crate::numeric::NumericCodec;
 use crate::query::edits_beyond;
+use crate::scan::BLOCK;
 use crate::veclist::{text_lower_bound, ListType, SigView};
 
 /// Frame holding raw-layout element bytes (insert-appended tails).
@@ -136,11 +137,6 @@ const PACKED_PROLOGUE_LEN: usize = 8;
 /// gathering and sorting them costs more than the seeded walk over every
 /// frame (EXPERIMENTS.md "Postings").
 const LEAP_SHARE: u64 = 2;
-
-/// What a [`Seed`] table subtracts from an exact distance: the result is
-/// below every lower bound (those are ≥ 0) and keeps the distances' order,
-/// so a value's min over its codes is still one gather and one `min`.
-pub(crate) const EXACT_BIAS: f64 = 4_294_967_296.0;
 
 fn corrupt(msg: &str) -> IvaError {
     IvaError::Corrupt(msg.into())
@@ -727,7 +723,7 @@ impl RawTail {
 /// entries, loaded once — and, once a fill has asked, every entry's
 /// estimate under that fill's matcher.
 #[derive(Default)]
-struct Dict {
+pub(crate) struct Dict {
     /// The DICT payload followed by [`SIG_PAD`] zero bytes.
     payload: Vec<u8>,
     lens: Vec<u8>,
@@ -757,13 +753,14 @@ fn past_dictionary() -> IvaError {
 /// A 1-value text query's threshold before the walk over one list
 /// ([`PackedReader::probe`]), and what passes it.
 pub(crate) struct Seed {
-    /// Per code, what a fill reads in place of its estimate: an exact
-    /// distance `d ≤ B` as `d −` [`EXACT_BIAS`], otherwise a lower bound
-    /// above `B`.
-    pub(crate) table: Vec<f64>,
-    /// Per code: whether its bound `b`, exact or estimated, passes the
-    /// walk's own test, `!(combine(λ·b) > limit)` (every exact one does).
-    admit: Vec<bool>,
+    /// The probe's table, which bounds a seeded fill; each lane decides
+    /// from its own copy, and the dictionary's strings.
+    pub(crate) exact: Exact,
+    pub(crate) dict: Dict,
+    /// The largest code bound `b` that passes the walk's own test,
+    /// `!(combine(λ·b) > limit)`: under a monotone metric, a bound passes
+    /// exactly when it is at most this.
+    cut: f64,
     /// Whether an *ndf* value passes it: `combine(λ·ndf_penalty)` does.
     ndf: bool,
     /// `combine(λ·B)`: at least the values asked for lie at or below it.
@@ -775,14 +772,13 @@ pub(crate) struct Seed {
 }
 
 /// A seeded query's candidates ([`PackedReader::probe`]): every position
-/// below `covered` whose value holds a string that passes the limit,
-/// ascending, each with the bound a seeded fill writes for it — the min
-/// over the value's admitted strings, which is the min over all of them
-/// (one that fails has a larger bound under a monotone metric). The walk
-/// over `[0, covered)` then needs no list frame.
+/// below `covered` whose value holds a string that passes the limit, once
+/// per such string, with its code, ascending. The min over those codes'
+/// bounds is the min over all of the value's (one that fails has a larger
+/// bound). The walk over `[0, covered)` then needs no list frame.
 pub(crate) struct Leap {
-    pos: Vec<u32>,
-    bound: Vec<f64>,
+    /// `position << 32 | code`, ascending.
+    keys: Vec<u64>,
     /// The positions the postings cover, and the raw-layout bytes of the
     /// frames that hold them.
     pub(crate) covered: u64,
@@ -792,103 +788,164 @@ pub(crate) struct Leap {
 impl Leap {
     /// The first candidate at or after position `at`: its index.
     pub(crate) fn first_from(&self, at: u64) -> usize {
-        self.pos.partition_point(|&p| u64::from(p) < at)
+        self.keys.partition_point(|&k| k >> 32 < at)
     }
 
-    /// Candidate `i`: its position and bound.
+    /// Candidate `i`: its position and code.
     #[inline]
-    pub(crate) fn get(&self, i: usize) -> Option<(u64, f64)> {
-        Some((u64::from(*self.pos.get(i)?), *self.bound.get(i)?))
+    pub(crate) fn get(&self, i: usize) -> Option<(u64, u64)> {
+        let k = *self.keys.get(i)?;
+        Some((k >> 32, k & u64::from(u32::MAX)))
     }
 }
 
 impl Seed {
-    fn admits(&self, code: u64) -> bool {
-        self.admit.get(code as usize) == Some(&true)
-    }
-
-    /// What a seeded fill writes for a value whose strings have `codes` —
-    /// its bound, `NaN` for *ndf* by [`text_lower_bound`]'s rule — or
-    /// `None` where the walk would skip it. A value with a code admitted
-    /// passes: the min over its codes' bounds is exact if any is, and the
-    /// metric is monotone.
+    /// What a seeded fill writes for a value of bound `lb` (`None`:
+    /// *ndf*, by [`text_lower_bound`]'s rule) — its bound, `NaN` for
+    /// *ndf* — or `None` where the walk would skip it.
     #[inline]
-    fn bound(&self, ty: ListType, codes: &[u64]) -> Result<Option<f64>> {
-        // The common cases, no string or one, by one lookup.
-        match codes {
-            [] if !self.ndf => return Ok(None),
-            [c] if ty != ListType::II && !self.admits(*c) => return Ok(None),
-            _ => {}
-        }
-        let admitted = codes.iter().any(|&c| self.admits(c));
-        let lb = text_lower_bound(ty, codes.len(), min_estimate(&self.table, codes)?);
-        Ok(match lb {
+    fn pass(&self, lb: Option<f64>) -> Option<f64> {
+        match lb {
             None => self.ndf.then_some(f64::NAN),
-            Some(lb) => admitted.then_some(lb),
-        })
+            Some(lb) => (lb <= self.cut).then_some(lb),
+        }
     }
 }
 
 /// A block's candidate mask ([`crate::scan::Bounds`]) as a seeded fill
-/// narrows it, from the fill's first position, `at`, on — and where an
-/// unseeded fill records its values' codes, if it is given one. The
-/// default is empty, and changes nothing.
+/// narrows it, from the fill's first position, `at`, on — and the table
+/// where a fill over a list coded by strings records its values' codes, if
+/// it is given one. The default is empty, and changes nothing.
 #[derive(Default)]
 pub(crate) struct Cands<'m> {
     pub(crate) bits: &'m mut [u64],
     pub(crate) at: usize,
-    pub(crate) coded: Option<&'m mut Coded>,
+    pub(crate) exact: Option<&'m mut Exact>,
 }
 
-/// Per code, a [`Coded`] table entry not computed yet.
-const UNSEEN: u64 = u64::MAX;
-/// Per code, a [`Coded`] table entry at or past its cap.
-const PAST_CAP: u64 = u64::MAX - 1;
+/// What an [`Exact`] table's bound for a code is: its estimate, its edit
+/// distance, or a cap its computation stopped at.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Known {
+    Unseen,
+    Past,
+    Exact,
+}
 
-/// One lane's exact differences on one query attribute whose list is coded
-/// by strings: the dictionary codes of each value an unseeded fill served
-/// from a PACKED frame, by block position, and per code the edit distance
-/// from the query string to the code's string, computed at first need
-/// ([`PackedReader::coded_diff`]).
-#[derive(Default)]
-pub(crate) struct Coded {
-    /// Block position `j`'s codes are `codes[spans[j].0..spans[j].1]`; an
-    /// empty span where the fill recorded none.
+/// One lane's exact table for one query string over one list coded by
+/// strings: per code, a lower bound on the edit distance from the query
+/// string to the code's string, and what it is ([`Known`]); and the codes
+/// of the values the block's fill served, which the decision reads only
+/// for a position it admits.
+#[derive(Clone, Default)]
+pub(crate) struct Exact {
+    pub(crate) lb: Vec<f64>,
+    pub(crate) known: Vec<Known>,
+    /// Block position `j`'s codes are `codes[spans[j].0..spans[j].1]`.
     spans: Vec<(u32, u32)>,
     codes: Vec<u64>,
-    /// Per code: its exact distance, [`UNSEEN`] or [`PAST_CAP`].
-    dist: Vec<u64>,
 }
 
-impl Coded {
+impl Exact {
+    /// Every code unseen at its estimate `est`, if the table is empty.
+    fn start(&mut self, est: &[f64]) {
+        if self.lb.is_empty() {
+            self.lb.extend_from_slice(est);
+            self.known.resize(est.len(), Known::Unseen);
+        }
+    }
+
     /// Forget the last block's codes.
     pub(crate) fn clear(&mut self) {
-        if !self.codes.is_empty() {
-            self.spans.fill((0, 0));
+        if !self.codes.is_empty() || self.spans.is_empty() {
+            self.spans.clear();
+            self.spans.resize(BLOCK, (0, 0));
             self.codes.clear();
         }
     }
 
-    /// Block position `j`'s value holds `codes`.
-    fn record(&mut self, j: usize, codes: &[u64]) {
-        if self.spans.len() <= j {
-            self.spans.resize(j + 1, (0, 0));
-        }
-        let start = self.codes.len() as u32;
-        self.codes.extend_from_slice(codes);
-        if let Some(span) = self.spans.get_mut(j) {
-            *span = (start, self.codes.len() as u32);
-        }
-    }
-
-    /// Whether the fill recorded no codes since the last [`Coded::clear`].
+    /// Whether the fill recorded no codes since the last [`Exact::clear`].
     pub(crate) fn is_empty(&self) -> bool {
         self.codes.is_empty()
+    }
+
+    /// Block position `j`'s value holds `codes` (too, after a record of
+    /// `j`'s).
+    pub(crate) fn one(&mut self, j: usize, codes: &[u64]) {
+        let end = self.codes.len() as u32;
+        self.codes.extend_from_slice(codes);
+        if let Some(s) = self.spans.get_mut(j) {
+            let start = if s.1 == end && s.0 < end { s.0 } else { end };
+            *s = (start, self.codes.len() as u32);
+        }
     }
 
     /// Whether the fill recorded block position `j`'s codes.
     pub(crate) fn holds(&self, j: usize) -> bool {
         self.spans.get(j).is_some_and(|(a, b)| a < b)
+    }
+
+    /// Code `c`'s edit distance to `q`, `dict` holding its string, capped
+    /// at `cap(max(|q|, |string|))`, counted in `distances` and kept —
+    /// `None`, kept as [`Known::Past`], where it is at or past the cap.
+    fn measure(
+        &mut self,
+        c: usize,
+        dict: &Dict,
+        q: &PreparedPattern,
+        cap: impl FnOnce(usize) -> usize,
+        distances: &mut u64,
+    ) -> Result<Option<usize>> {
+        let text = dict.text_of(c)?;
+        // lint:allow(panic-reachability, "dynamic edge: both callers, the probe and `Lane::decide`, pass a closure over `query::edits_beyond`, which is total")
+        let cap = cap(q.bytes().len().max(text.len()));
+        let d = q.distance(text, cap);
+        *distances += 1;
+        let (Some(state), Some(bound)) = (self.known.get_mut(c), self.lb.get_mut(c)) else {
+            return Err(past_dictionary());
+        };
+        (*state, *bound) = match d >= cap {
+            true => (Known::Past, bound.max(cap as f64)),
+            false => (Known::Exact, d as f64),
+        };
+        Ok((d < cap).then_some(d))
+    }
+
+    /// The difference of block position `j`'s value, whose codes the fill
+    /// recorded, to `q` (see [`Exact::measure`]): the min over its codes'
+    /// distances, as [`crate::query::attr_difference`] takes it. A code
+    /// is measured at its first need, and only while its bound is below
+    /// the least distance found; one past a cap — the caller's, which only
+    /// fall, or the probe's limit in a seeded table — is left out, so
+    /// `None` where every code is: whatever such a code gives the value,
+    /// the lane does not admit it.
+    pub(crate) fn decide(
+        &mut self,
+        j: usize,
+        dict: &Dict,
+        q: &PreparedPattern,
+        mut cap: impl FnMut(usize) -> usize,
+        distances: &mut u64,
+    ) -> Result<Option<usize>> {
+        let &(a, b) = self.spans.get(j).ok_or_else(misaligned)?;
+        let code = |e: &Self, i: u32| e.codes.get(i as usize).map(|&c| c as usize);
+        let mut best = f64::INFINITY;
+        for i in a..b {
+            let c = code(self, i).ok_or_else(misaligned)?;
+            if self.known.get(c) == Some(&Known::Exact) {
+                best = best.min(self.lb.get(c).copied().unwrap_or(best));
+            }
+        }
+        for i in a..b {
+            let c = code(self, i).ok_or_else(misaligned)?;
+            let unseen = self.known.get(c) == Some(&Known::Unseen);
+            if unseen && self.lb.get(c).is_some_and(|&lb| lb < best) {
+                if let Some(d) = self.measure(c, dict, q, &mut cap, distances)? {
+                    best = best.min(d as f64);
+                }
+            }
+        }
+        Ok(best.is_finite().then_some(best as usize))
     }
 }
 
@@ -957,44 +1014,30 @@ impl Dict {
         Ok(s.finish()?)
     }
 
-    /// The candidates of a seed whose codes pass where `admit` says and
-    /// bound by `table` (see [`Leap`]): `None` without postings, or where
-    /// more than `1 / LEAP_SHARE` of the covered positions hold a string
-    /// that passes.
-    fn leap(&self, table: &[f64], admit: &[bool]) -> Option<Leap> {
+    /// The candidates of a seed whose codes pass where their bound in
+    /// `exact` is at most `cut` (see [`Leap`]): `None` without postings,
+    /// or where more than `1 / LEAP_SHARE` of the covered positions hold a
+    /// string that passes.
+    fn leap(&self, exact: &Exact, cut: f64) -> Option<Leap> {
         let (covered, raw) = self.covered?;
         let run = |c: usize| {
             let (&a, &b) = self.runs.get(c).zip(self.runs.get(c + 1))?;
             self.posts.get(a..b)
         };
-        let admitted = admit.iter().enumerate().filter(|(_, &a)| a);
-        let mut codes: Vec<usize> = admitted.map(|(c, _)| c).collect();
+        let passing = exact.lb.iter().enumerate().filter(|(_, &b)| b <= cut);
+        let codes: Vec<usize> = passing.map(|(c, _)| c).collect();
         let total: usize = codes.iter().filter_map(|&c| run(c)).map(<[u64]>::len).sum();
         if total as u64 > covered / LEAP_SHARE {
             return None;
         }
-        // Key a position by the rank of its string's bound: sorted, a
-        // position's first key names its value's least bound.
-        let at = |c: usize| table.get(c).copied().unwrap_or(f64::INFINITY);
-        codes.sort_by(|&a, &b| at(a).total_cmp(&at(b)));
         let mut keys = Vec::with_capacity(total);
-        for (rank, &c) in (0u64..).zip(&codes) {
-            keys.extend(run(c).unwrap_or(&[]).iter().map(|&p| p << 32 | rank));
+        for &c in &codes {
+            keys.extend(run(c).unwrap_or(&[]).iter().map(|&p| p << 32 | c as u64));
         }
         if codes.len() > 1 {
             keys.sort_unstable();
-            keys.dedup_by_key(|k| *k >> 32);
         }
-        let bound = |k: &u64| {
-            let code = codes.get((k & u64::from(u32::MAX)) as usize);
-            f64::INFINITY.min(code.map_or(f64::INFINITY, |&c| at(c)))
-        };
-        Some(Leap {
-            pos: keys.iter().map(|k| (k >> 32) as u32).collect(),
-            bound: keys.iter().map(bound).collect(),
-            covered,
-            raw,
-        })
+        Some(Leap { keys, covered, raw })
     }
 
     /// Entry `code`'s string.
@@ -1120,12 +1163,13 @@ fn misaligned() -> IvaError {
     corrupt("packed frame read out of step with its sections")
 }
 
-/// The min over `codes` of their dictionary entries' estimates `est`.
+/// The min over `codes` of their entries in `bounds`: the dictionary's
+/// estimates, or an [`Exact`] table's bounds.
 #[inline(always)]
-fn min_estimate(est: &[f64], codes: &[u64]) -> Result<f64> {
+fn least(codes: &[u64], bounds: &[f64]) -> Result<f64> {
     let mut best = f64::INFINITY;
     for &code in codes {
-        best = best.min(*est.get(code as usize).ok_or_else(misaligned)?);
+        best = best.min(*bounds.get(code as usize).ok_or_else(misaligned)?);
     }
     Ok(best)
 }
@@ -1176,12 +1220,12 @@ impl Sections {
     /// [`PackedReader::fill_run`]): on a positional list each element is
     /// the next position's; a keyed list's tid section is merged against
     /// `tids`. A text value's bound is the min over its strings' codes of
-    /// the dictionary estimates, and its codes go to `cands`' [`Coded`]
-    /// where the dictionary holds strings — or, seeded, [`Seed::bound`],
-    /// which rejects in `cands` what cannot pass. A merge stops where the
-    /// frame runs out, and before a Type I text value whose strings reach
-    /// the frame's end — the value may go on in the next frame, so the
-    /// walk serves it. Returns the positions served.
+    /// the dictionary estimates, or of `cands`' [`Exact`] table where the
+    /// dictionary holds strings, which records its codes — or, seeded, of
+    /// the seed's table, and what cannot pass is rejected ([`Seed::pass`]).
+    /// A merge stops where the frame runs out, and before a Type I text
+    /// value whose strings reach the frame's end — the value may go on in
+    /// the next frame, so the walk serves it. Returns the positions served.
     fn fill(
         &mut self,
         ty: ListType,
@@ -1190,20 +1234,37 @@ impl Sections {
         out: &mut [f64],
         cands: Cands<'_>,
     ) -> Result<usize> {
-        // An unseeded text fill records its values' codes where they name
-        // strings.
         let strings = !self.dict.texts.is_empty();
-        let (seed, mut cands, mut coded) = match bound {
-            Bound::Text(_, Some(seed)) => (Some(seed), cands, None),
-            Bound::Text(..) if strings => {
-                let at = cands.at;
-                (None, Cands::default(), cands.coded.map(|c| (c, at)))
-            }
-            _ => (None, Cands::default(), None),
+        let Cands { bits, at, exact } = cands;
+        let (none, mut spans): (&[f64], &mut [(u32, u32)]) = (&[], &mut []);
+        let (seed, mut bounds) = match bound {
+            Bound::Text(matcher, None) => (None, self.dict.estimates(matcher)?),
+            Bound::Text(_, seed) => (seed, none),
+            Bound::Num(..) => (None, none),
         };
-        let est = match bound {
-            Bound::Text(matcher, None) => self.dict.estimates(matcher)?,
-            _ => &[],
+        let (mut recorded, mut base, c0) = (None, 0, self.code_i);
+        if let Some(e) = exact.filter(|_| strings) {
+            e.start(bounds);
+            (spans, base) = (e.spans.as_mut_slice(), e.codes.len());
+            (bounds, recorded) = (&e.lb, Some(&mut e.codes));
+        }
+        // A seeded fill bounds by the probe's table, so its mask is fixed
+        // before the walk; any other by its lane's, which rises as the walk
+        // measures strings.
+        if let Some(seed) = seed {
+            bounds = &seed.exact.lb;
+        }
+        let mut mark = |j: usize, a: usize, b: usize| {
+            if let Some(s) = spans.get_mut(at + j) {
+                *s = ((base + a - c0) as u32, (base + b - c0) as u32);
+            }
+        };
+        // Only a seeded fill rejects.
+        let bits = if seed.is_some() { bits } else { &mut [] };
+        let mut cands = Cands {
+            bits,
+            at,
+            exact: None,
         };
         if ty == ListType::III {
             // The dense lists' run, kept to its bones: a count, its codes.
@@ -1214,21 +1275,22 @@ impl Sections {
             for (slot, &num) in out.iter_mut().zip(nums) {
                 let codes = self.codes.get(code_i..code_i + usize::from(num));
                 let codes = codes.ok_or_else(misaligned)?;
+                mark(j, code_i, code_i + codes.len());
                 (code_i, j) = (code_i + codes.len(), j + 1);
+                let lb = text_lower_bound(ty, codes.len(), least(codes, bounds)?);
                 let Some(seed) = seed else {
-                    let best = min_estimate(est, codes)?;
-                    *slot = text_lower_bound(ty, codes.len(), best).unwrap_or(f64::NAN);
-                    if let Some((c, at)) = &mut coded {
-                        c.record(*at + j - 1, codes);
-                    }
+                    *slot = lb.unwrap_or(f64::NAN);
                     continue;
                 };
-                if let Some(lb) = seed.bound(ty, codes)? {
+                if let Some(lb) = seed.pass(lb) {
                     cands.reject(from..j - 1);
                     (*slot, from) = (lb, j);
                 }
             }
             cands.reject(from..j);
+            if let Some(recorded) = recorded {
+                recorded.extend_from_slice(self.codes.get(c0..code_i).unwrap_or(&[]));
+            }
             self.left = self.left.saturating_sub(j + code_i - self.code_i);
             (self.num_i, self.code_i) = (self.num_i + j, code_i);
             return Ok(j);
@@ -1275,15 +1337,13 @@ impl Sections {
                         .codes
                         .get(code_i..code_i + num)
                         .ok_or_else(misaligned)?;
+                    let lb = text_lower_bound(ty, num, least(codes, bounds)?);
                     let lb = match seed {
-                        Some(seed) => seed.bound(ty, codes)?,
-                        None => Some(
-                            text_lower_bound(ty, num, min_estimate(est, codes)?)
-                                .unwrap_or(f64::NAN),
-                        ),
+                        Some(seed) => seed.pass(lb),
+                        None => Some(lb.unwrap_or(f64::NAN)),
                     };
-                    if let Some((c, at)) = coded.as_mut().filter(|_| next == t) {
-                        c.record(*at + j, codes);
+                    if next == t {
+                        mark(j, code_i, code_i + num);
                     }
                     code_i += num;
                     let elems = if ty == ListType::I { num } else { 1 };
@@ -1298,6 +1358,9 @@ impl Sections {
                 }
                 j += 1;
             }
+        }
+        if let Some(recorded) = recorded {
+            recorded.extend_from_slice(self.codes.get(c0..code_i).unwrap_or(&[]));
         }
         // Every field passed counts as handed out.
         let passed = (tid_i - self.tid_i) + (num_i - self.num_i) + (code_i - self.code_i);
@@ -1500,23 +1563,23 @@ impl PackedReader {
     }
 
     /// The probe of a fresh reader (see the module doc): load the list's
-    /// dictionary and visit its entries in ascending estimate order,
-    /// computing each string's edit distance to the matcher's query string
-    /// ([`PreparedMatcher::pattern`]) — uncapped until a bound `B` exists, then where weight `lambda` puts it past
-    /// `combine(λ·B)` under `metric` ([`edits_beyond`]). `B` is the
-    /// smallest distance at which the values counted so far reach `k` +
-    /// `deleted`; the visit ends at the
-    /// first estimate above the one at which they reach `k` — `B` itself
-    /// with no tombstones; with them, where `B` would have every code
-    /// within it visited for a pruning bound that has grown weak. A visited
-    /// distance `≤ B` is exact in the table if no unvisited estimate is
-    /// below it; which codes, and whether *ndf* (penalty `ndf`), pass its
-    /// limit is then decided once. `None` without a string section or
-    /// enough counted values; `Corrupt` for counts above the list's `values`.
+    /// dictionary and measure its strings against the matcher's query
+    /// string into an [`Exact`] table, in ascending estimate order —
+    /// uncapped until a bound `B` exists, then where weight `lambda` puts
+    /// them past `combine(λ·B)` under `metric` ([`edits_beyond`]). `B` is
+    /// the smallest distance at which the values counted so far reach
+    /// `k + deleted`; the visit ends at the first estimate above the one at
+    /// which they reach `k` (`B` itself with no tombstones). Which codes,
+    /// and whether *ndf* (penalty `ndf`), pass its limit is then decided
+    /// once. `None` without a string section or enough counted values;
+    /// `Corrupt` for counts above the list's `values`, or postings whose
+    /// frames' bytes the list's logical length cannot hold — or does not
+    /// equal, where they cover all `tuples` positions and a leap reads no
+    /// frame to find out.
     pub(crate) fn probe<M: Metric>(
         &mut self,
         matcher: &PreparedMatcher,
-        (k, deleted, values): (u64, u64, u64),
+        (k, deleted, values, tuples): (u64, u64, u64, u64),
         (lambda, ndf, metric): (f64, f64, &M),
     ) -> Result<Option<Seed>> {
         if self.inner.tell() == self.start && !self.inner.at_end() {
@@ -1526,66 +1589,59 @@ impl PackedReader {
         if counted > values {
             return Err(corrupt("dictionary counts more values than the list holds"));
         }
+        if let Some((covered, raw)) = self.sections.dict.covered {
+            let whole = covered >= tuples;
+            if raw > self.remaining || covered > tuples || (whole && raw != self.remaining) {
+                return Err(corrupt("postings cover other frames than the list holds"));
+            }
+        }
         let dict = &mut self.sections.dict;
         if dict.counts.is_empty() || counted < need {
             return Ok(None);
         }
-        let (mut table, q) = (dict.estimates(matcher)?.to_vec(), matcher.pattern());
+        let (mut exact, q) = (Exact::default(), matcher.pattern());
+        exact.start(dict.estimates(matcher)?);
         // Estimates are ≥ 0, and such floats order as their bits do.
-        let mut order: BinaryHeap<_> = (table.iter().enumerate())
+        let mut order: BinaryHeap<_> = (exact.lb.iter().enumerate())
             .map(|(c, e)| Reverse((e.to_bits(), c)))
             .collect();
         // `(distance, code)` of the exact strings; `(B for k, B)`.
-        let (mut exact, mut b, mut distances) = (Vec::new(), None, 0u64);
-        let mut unvisited = f64::INFINITY;
-        while let Some(Reverse((_, c))) = order.pop() {
-            let est = table.get(c).copied().unwrap_or(0.0);
+        let (mut found, mut b, mut distances) = (Vec::new(), None, 0u64);
+        while let Some(Reverse((est, c))) = order.pop() {
+            let est = f64::from_bits(est);
             if b.is_some_and(|(bk, _)| est > bk as f64) {
-                unvisited = est;
                 break;
             }
-            let text = dict.text_of(c)?;
-            let longest = q.bytes().len().max(text.len());
             let past = |b: usize| metric.combine(&[lambda * b as f64]);
-            let cap = b.map_or(usize::MAX, |(_, b)| {
-                edits_beyond(&mut [0.0], 0, lambda, longest, metric, past(b))
-            });
-            let d = q.distance(text, cap);
-            distances += 1;
-            if d >= cap {
-                if let Some(slot) = table.get_mut(c) {
-                    *slot = slot.max(cap as f64);
-                }
+            let cap = |longest| {
+                let beyond = |(_, b)| edits_beyond(&mut [0.0], 0, lambda, longest, metric, past(b));
+                b.map_or(usize::MAX, beyond)
+            };
+            let Some(d) = exact.measure(c, dict, q, cap, &mut distances)? else {
                 continue;
-            }
-            exact.push((d, c));
-            exact.sort_unstable();
+            };
+            found.push((d, c));
+            found.sort_unstable();
             let (mut reached, mut bk) = (0u64, None);
-            b = exact.iter().find_map(|&(d, c)| {
+            b = found.iter().find_map(|&(d, c)| {
                 reached = reached.saturating_add(dict.counts.get(c).copied().unwrap_or(0));
                 bk = bk.or((reached >= k).then_some(d));
                 bk.zip((reached >= need).then_some(d))
             });
         }
         let Some((_, b)) = b else { return Ok(None) };
-        for (d, c) in exact {
-            if let Some(slot) = table.get_mut(c) {
-                let known = d <= b && d as f64 <= unvisited;
-                *slot = d as f64 - if known { EXACT_BIAS } else { 0.0 };
-            }
-        }
         let limit = metric.combine(&[lambda * b as f64]);
         // The walk's own test, `est > limit`, failed (`NaN` included).
         let passes = |b: f64| metric.combine(&[lambda * b]).partial_cmp(&limit) != Some(Greater);
-        let admit: Vec<bool> = (table.iter())
-            .map(|&t| passes(if t < 0.0 { t + EXACT_BIAS } else { t }))
-            .collect();
+        let passing = exact.lb.iter().copied().filter(|&b| passes(b));
+        let cut = passing.fold(f64::NEG_INFINITY, f64::max);
         // Where *ndf* passes, every *ndf* position is a candidate too.
         let ndf = passes(ndf);
-        let leap = (!ndf).then(|| dict.leap(&table, &admit)).flatten();
+        let leap = (!ndf).then(|| dict.leap(&exact, cut)).flatten();
         Ok(Some(Seed {
-            table,
-            admit,
+            exact,
+            dict: std::mem::take(dict),
+            cut,
             ndf,
             limit,
             distances,
@@ -1593,45 +1649,9 @@ impl PackedReader {
         }))
     }
 
-    /// The difference of block position `j`'s value, whose codes `coded`
-    /// holds, to the query string `q`: the min over its codes of their
-    /// edit distances (as [`crate::query::attr_difference`] takes it). A
-    /// code's distance is computed at its first need — counted in
-    /// `distances` — capped at `cap(max(|q|, |string|))`, and remembered: a
-    /// code at or past its cap as past it for good (the caller's caps only
-    /// fall). `None` where every code is past its cap.
-    pub(crate) fn coded_diff(
-        &self,
-        coded: &mut Coded,
-        j: usize,
-        q: &PreparedPattern,
-        mut cap: impl FnMut(usize) -> usize,
-        distances: &mut u64,
-    ) -> Result<Option<usize>> {
-        let Coded { spans, codes, dist } = coded;
-        let dict = &self.sections.dict;
-        if dist.is_empty() {
-            dist.resize(dict.lens.len(), UNSEEN);
-        }
-        let (a, b) = spans.get(j).copied().unwrap_or((0, 0));
-        let codes = codes.get(a as usize..b as usize).unwrap_or(&[]);
-        let mut best = None;
-        for &c in codes {
-            let slot = dist.get_mut(c as usize).ok_or_else(past_dictionary)?;
-            if *slot == UNSEEN {
-                let text = dict.text_of(c as usize)?;
-                // lint:allow(panic-reachability, "dynamic edge: the one caller, `Lane::decide`, passes a closure over `query::edits_beyond`, which is total")
-                let cap = cap(q.bytes().len().max(text.len()));
-                let d = q.distance(text, cap);
-                *distances += 1;
-                *slot = if d >= cap { PAST_CAP } else { d as u64 };
-            }
-            if *slot != PAST_CAP {
-                let d = *slot as usize;
-                best = Some(best.map_or(d, |b: usize| b.min(d)));
-            }
-        }
-        Ok(best)
+    /// The list's dictionary, as far as the reader has loaded it.
+    pub(crate) fn dict(&self) -> &Dict {
+        &self.sections.dict
     }
 
     /// Move a fresh reader past the frames `leap` covers, by their headers
@@ -2094,10 +2114,11 @@ mod tests {
 
     /// The probe over a list coded by strings: `B` is the smallest
     /// distance at which the values counted by their first string reach
-    /// `need`; the table holds an exact distance at or below `B` as `d −
-    /// EXACT_BIAS`, so a value whose *second* string is exact reads exact;
-    /// too few counted values seed nothing, and counts above the list's
-    /// values are `Corrupt`.
+    /// `need`; the table holds each string it visited at its distance and
+    /// the rest at their estimates, so a value whose *second* string is
+    /// within `B` is bounded by that string's distance; the fill writes
+    /// those bounds, never below zero; too few counted values seed
+    /// nothing, and counts above the list's values are `Corrupt`.
     #[test]
     fn probe_bounds_by_first_strings() {
         use crate::metric::MetricKind;
@@ -2132,19 +2153,36 @@ mod tests {
         let matcher = PreparedMatcher::new(&codec, b"canon");
         let probe = |k: u64, deleted: u64, values: u64| {
             let mut r = PackedReader::new_text(reader_for(&p, &packed), ListType::III, &codec)?;
-            r.probe(&matcher, (k, deleted, values), (1.0, 20.0, &MetricKind::L1))
+            r.probe(
+                &matcher,
+                (k, deleted, values, 200),
+                (1.0, 20.0, &MetricKind::L1),
+            )
         };
         // Codes in first-appearance order: canon, cannon, nikon.
         let seed = probe(120, 0, 200).unwrap().unwrap();
         assert_eq!(seed.limit, 1.0, "L1 at λ = 1: B edits");
-        assert_eq!(seed.table[..2], [-EXACT_BIAS, 1.0 - EXACT_BIAS]);
-        assert!(seed.table[2] >= 0.0, "nikon is 3 edits away");
+        let (lb, known) = (&seed.exact.lb, &seed.exact.known);
+        assert_eq!(
+            (&lb[..2], &known[..2]),
+            (&[0.0, 1.0][..], &[Known::Exact; 2][..])
+        );
+        assert!(
+            lb[2] > 1.0,
+            "nikon is 3 edits away: {} {:?}",
+            lb[2],
+            known[2]
+        );
         assert_eq!(probe(100, 0, 200).unwrap().unwrap().limit, 0.0);
-        // Tombstones count against the bound, not against exactness.
+        // Tombstones count against the bound, not against the table.
         let deleted = probe(100, 20, 200).unwrap().unwrap();
         assert_eq!(
-            (deleted.limit, &deleted.table[..2]),
-            (1.0, &seed.table[..2])
+            (
+                deleted.limit,
+                &deleted.exact.lb[..2],
+                &deleted.exact.known[..2]
+            ),
+            (1.0, &seed.exact.lb[..2], &seed.exact.known[..2])
         );
         assert!(probe(181, 20, 200).unwrap().is_none());
         assert!(probe(10, 0, 199).is_err_and(|e| e.is_corruption()));
@@ -2155,7 +2193,7 @@ mod tests {
             let cands = Cands {
                 bits: &mut bits,
                 at: 1,
-                coded: None,
+                exact: None,
             };
             TextListCursor::new(r, ListType::III)
                 .fill_seeded(&all_tids[..4], &codec, &matcher, Some(seed), out, cands)
@@ -2168,18 +2206,19 @@ mod tests {
         );
         let mut out = [0.0; 4];
         assert_eq!(fill(&seed, &mut out), u64::MAX, "B = 1: every value passes");
-        assert_eq!(out, [0.0, 0.0, 1.0, 0.0].map(|d| d - EXACT_BIAS));
+        assert_eq!(out, [0.0, 0.0, 1.0, 0.0]);
         // At B = 0 cannon cannot pass: its bit (position 2, from bit 1 on)
         // is cleared and its slot left as it was.
         let mut out = [7.0; 4];
         let tight = probe(100, 0, 200).unwrap().unwrap();
         assert_eq!(fill(&tight, &mut out), !(1 << 3));
-        assert_eq!(out, [-EXACT_BIAS, -EXACT_BIAS, 7.0, -EXACT_BIAS]);
+        assert_eq!(out, [0.0, 0.0, 7.0, 0.0]);
     }
 
     /// A Type III list coded by strings carries postings: a probe whose
-    /// codes pass at few positions gets them as candidates, each with its
-    /// value's least bound (a value holding the needle second included).
+    /// codes pass at few positions gets them as candidates, each with the
+    /// code that passes, at its distance (a value holding the needle
+    /// second included).
     /// A fresh reader then skips the covered frames by header and reads on
     /// in the RAW tail, its raw-layout bytes exact; a leap whose cover or
     /// bytes the frames do not hold is `Corrupt`.
@@ -2224,15 +2263,23 @@ mod tests {
         let matcher = PreparedMatcher::new(&codec, b"needle");
         let mut r = PackedReader::new_text(reader_for(&p, &packed), ListType::III, &codec).unwrap();
         let seed = r
-            .probe(&matcher, (1, 0, 301), (1.0, 20.0, &MetricKind::L1))
+            .probe(&matcher, (1, 0, 301, 301), (1.0, 20.0, &MetricKind::L1))
             .unwrap()
             .unwrap();
         let leap = seed.leap.as_ref().expect("two candidates of 300");
+        let cands: Vec<(u64, u64)> = (0..).map_while(|i| leap.get(i)).collect();
+        let pos: Vec<u64> = cands.iter().map(|&(p, _)| p).collect();
         assert_eq!(
-            (leap.pos.as_slice(), leap.covered, leap.raw),
-            (&[7, 100][..], 300, covered_raw)
+            (pos, leap.covered, leap.raw),
+            (vec![7, 100], 300, covered_raw)
         );
-        assert_eq!(leap.bound, [-EXACT_BIAS; 2]);
+        for (_, code) in cands {
+            let code = code as usize;
+            assert_eq!(
+                (seed.exact.lb[code], seed.exact.known[code]),
+                (0.0, Known::Exact)
+            );
+        }
         let fresh =
             || PackedReader::new_text(reader_for(&p, &packed), ListType::III, &codec).unwrap();
         let mut r = fresh();
@@ -2245,8 +2292,7 @@ mod tests {
             (300, covered_raw + 2 + tail.len() as u64),
         ] {
             let lie = Leap {
-                pos: Vec::new(),
-                bound: Vec::new(),
+                keys: Vec::new(),
                 covered,
                 raw,
             };

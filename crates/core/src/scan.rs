@@ -11,11 +11,10 @@
 //! during the walk. Per block, each attribute fills its column of bounds
 //! once; admission then runs per candidate, in scan order, so a drain
 //! inside a block tightens the pool for the rest of it. The walk fetches
-//! nothing: a tuple whose distance it already knows exactly — *ndf* on
-//! every query attribute, or a seeded string's exact distance (below) —
-//! goes straight into the pool, and so does an admitted one whose
-//! distance the dictionaries decide ("Exact from the dictionary" below);
-//! any other admitted one goes into `pending`. When a lane's range ends
+//! nothing: a tuple *ndf* on every query attribute goes straight into the
+//! pool, and so does an admitted one whose distance the dictionaries
+//! decide ("Exact from the dictionary" below); any other admitted one
+//! goes into `pending`. When a lane's range ends
 //! (or it holds a window of `drain_at` candidates) the lane **drains**,
 //! fetching by need, not scan position:
 //!
@@ -33,58 +32,54 @@
 //! ascending — strict best-first order would seek backwards for every
 //! record.
 //!
-//! **A threshold before the walk.** A 1-value text query on a packed list
-//! whose dictionary holds strings is seeded ([`Seed`]):
-//! the dictionary's exact edit distances, in ascending estimate order,
-//! give a bound `B` with at least `k` + the index's tombstones counted
-//! values at or below it — so at least k live tuples lie at or below
-//! `limit = combine(λ·B)`. The walk skips every tuple with `est > limit`,
-//! reading each string's bound from the probe's per-code table, where a
-//! distance `≤ B` that no unvisited estimate undercuts is exact. Which
-//! codes pass the limit, and whether *ndf* does, is known too, so the fill
-//! drops every other position from the block's candidates ([`Bounds`]).
+//! **Leaping.** Where *ndf* cannot pass a 1-value query's limit (below)
+//! and the list's postings say that few positions hold a string that can,
+//! the seed carries those positions ([`Leap`]). While every lane of a walk
+//! has such candidates, the next block starts at the lowest next candidate
+//! among them: the directory skips whole frames by header, and a leaping
+//! fill writes its candidates' bounds and mask from the seed, loading no
+//! list frame. Past the postings' cover — the RAW tail inserts append —
+//! the list's cursor is placed by frame headers and the seeded walk goes
+//! on as before. A leap passes over only positions that every lane's
+//! candidate mask would clear.
 //!
-//! **Leaping.** Where *ndf* cannot pass and the list's postings say that
-//! few positions hold a string that can, the seed carries those positions
-//! ([`Leap`]). While every lane of a walk has such candidates, the next
-//! block starts at the lowest next candidate among them: the directory
-//! skips whole frames by header, and a leaping fill writes its candidates'
-//! bounds and mask from the seed, loading no list frame. Past the
-//! postings' cover — the RAW tail inserts append — the list's cursor is
-//! placed by frame headers and the seeded walk goes on as before. A leap
-//! passes over only positions that every lane's candidate mask would
-//! clear.
-//!
-//! **Exact from the dictionary.** An unseeded fill over a list coded by
-//! strings records every value's dictionary codes beside its bound
-//! ([`Coded`]). A position the pool admits at its estimate, whose every
-//! attribute that is not exact holds such a value, takes per attribute
-//! the min over its codes' edit distances, each computed at first need
-//! into the lane's per-code table and capped where, every other
-//! attribute at 0, the pool's threshold is past ([`edits_beyond`]); it
-//! goes into the pool at `combine(λ·d)`, as [`bounded_distance`] would
-//! compute it from its record, or at `+∞` where a value's every code is
-//! past its cap. A RAW tail value, a numeric or signature-only one, a
-//! position a seed writes and a Type I value the element walk serves are
-//! not recorded: the position goes to `pending`.
+//! **Exact from the dictionary.** Where a text attribute's dictionary
+//! holds strings, each lane holds one exact table for it ([`Exact`]): per
+//! code, the query string's edit distance to the code's string, a lower
+//! bound on it, or its estimate, unseen. A fill bounds a value by the min
+//! over its codes' bounds and records its codes. A position the pool
+//! admits whose every bound is such a value's takes per attribute the min
+//! over its codes' distances, each computed at first need and capped
+//! where, every other attribute at 0, the pool's threshold is past
+//! ([`edits_beyond`]), and goes into the pool at `combine(λ·d)`, as
+//! [`bounded_distance`] would compute it from its record. A RAW tail
+//! value, a numeric or signature-only one, and a Type I value the element
+//! walk serves are not recorded: the position goes to `pending`. A 1-value
+//! query probes the table before its walk ([`Seed`]): exact distances in
+//! ascending estimate order give a bound `B` with at least k + the index's
+//! tombstones counted values at or below it, so at least k live tuples lie
+//! at or below `limit = combine(λ·B)`. The walk skips every tuple whose
+//! estimate or decided distance is past `limit`, and the fill drops every
+//! position whose codes, or *ndf*, cannot pass from the block's candidates
+//! ([`Bounds`]).
 //!
 //! **Order-independence lemma.** The pool keeps the k smallest
 //! `(dist, tid)` of what was inserted, whatever the order (see
 //! [`crate::pool`]). A candidate is skipped — at walk time or before its
 //! fetch — only when `(est, tid)` is at or above the pool's worst entry,
-//! or when `est > limit` (a leap skips only such positions), where at
-//! least k live tuples lie at or below `limit`; `est ≤ dist`, and the
-//! worst entry only falls, so a skipped candidate is not among the k
-//! smallest `(dist, tid)` of the tuples visited. Every entry inserted is
-//! at its exact distance, but for one offered at `+∞` past its codes'
-//! caps — above a threshold that only falls, so the pool rejects it.
-//! Hence
-//! *any* visiting order, window size or partition into lanes leaves the
-//! pool holding exactly those k, and because every tuple list is
-//! tid-ascending that is Algorithm 1's "strictly smaller distance, first
-//! arrival wins" answer. What the order changes is only how many records
-//! are fetched ([`crate::QueryStats::table_accesses`]); every fetch is of
-//! a candidate the pool admitted at that moment.
+//! or when its estimate or decided distance is past `limit` (a leap skips
+//! only such positions), where at least k live tuples lie at or below
+//! `limit`; `est ≤ dist`, and the worst entry only falls, so a skipped
+//! candidate is not among the k smallest `(dist, tid)` of the tuples
+//! visited. Every entry inserted is at its exact distance, but for one
+//! whose least string is past a cap — above a threshold that only falls,
+//! so the pool rejects it. Hence *any* visiting order, window size or
+//! partition into lanes leaves the pool holding exactly those k, and
+//! because every tuple list is tid-ascending that is Algorithm 1's
+//! "strictly smaller distance, first arrival wins" answer. What the order
+//! changes is only how many records are fetched
+//! ([`crate::QueryStats::table_accesses`]); every fetch is of a candidate
+//! the pool admitted at that moment.
 //!
 //! **Refine on bytes.** The refine step hands [`bounded_distance`] the
 //! pool's [`refine_cap`](crate::ResultPool::refine_cap) for the candidate's tid
@@ -116,7 +111,7 @@ use crate::index::{IvaIndex, QueryMatchers, ScanCarry, SharedAttr};
 use crate::layout::TOMBSTONE_PTR;
 use crate::metric::Metric;
 use crate::numeric::NumericCodec;
-use crate::packed::{Cands, Coded, Leap, Seed, EXACT_BIAS};
+use crate::packed::{Cands, Exact, Leap, Seed};
 use crate::pool::{PoolEntry, ResultPool};
 use crate::query::{bounded_distance, edits_beyond, Query};
 use crate::timing::{monotonic_nanos, thread_cpu_time};
@@ -133,8 +128,8 @@ pub(crate) enum AttrScan<'a> {
         /// The seed's candidates and the next one to serve, until the
         /// scan reaches the positions they do not cover.
         leap: Option<(&'a Leap, usize)>,
-        /// Without a seed: the block's codes, and this lane's distances.
-        coded: Coded,
+        /// This lane's exact table: a copy of the seed's, if it has one.
+        exact: Exact,
     },
     Num {
         cur: NumListCursor,
@@ -155,7 +150,7 @@ impl<'a> AttrScan<'a> {
                 matcher,
                 seed,
                 leap: seed.and_then(|s| s.leap.as_ref()).map(|l| (l, 0)),
-                coded: Coded::default(),
+                exact: seed.map(|s| s.exact.clone()).unwrap_or_default(),
             },
             SharedAttr::Num { q, codec, entry } => AttrScan::Num {
                 cur: index.open_num_cursor(entry)?,
@@ -221,30 +216,37 @@ impl<'a> AttrScan<'a> {
 
     /// The fill contract: move over `tids`, the block of tuple-list
     /// elements from position `at` on, writing each one's lower bound on
-    /// its difference to the query value into `out` — `NaN` for *ndf*, and
-    /// an exact difference `d` as `d −` [`EXACT_BIAS`] (below zero, where
-    /// no bound is); bounds themselves are never `NaN`. A seeded fill writes
+    /// its difference to the query value into `out` — `NaN` for *ndf*;
+    /// bounds are never `NaN`, and never below zero. A seeded fill writes
     /// only the elements it serves from frames that can pass the seed's
     /// limit, and clears the others' bits in `cands`. A leaping one writes
     /// its candidates' bounds and clears every other bit, where they cover
-    /// the block. An unseeded text fill records in its [`Coded`] the codes
-    /// of the values PACKED frames serve, where they name strings.
-    /// Tombstoned elements are filled like any other (the spine never
-    /// admits them).
+    /// the block. A text fill records in its [`Exact`] the codes of the
+    /// values it serves from a dictionary of strings. Tombstoned elements
+    /// are filled like any other (the spine never admits them).
     fn fill(&mut self, at: u64, tids: &[u32], out: &mut [f64], mut cands: Cands<'_>) -> Result<()> {
         if let AttrScan::Text {
             leap: Some((l, next)),
+            seed: Some(seed),
+            exact,
             ..
         } = self
         {
             let n = usize::try_from(l.covered.saturating_sub(at))
                 .map_or(tids.len(), |n| n.min(tids.len()));
-            let mut from = 0;
-            while let Some((p, bound)) = l.get(*next).filter(|&(p, _)| p < at + n as u64) {
+            let (mut from, bound) = (0, |c: u64| seed.exact.lb.get(c as usize).copied());
+            while let Some((p, code)) = l.get(*next).filter(|&(p, _)| p < at + n as u64) {
                 let j = usize::try_from(p.saturating_sub(at)).unwrap_or(0);
                 if let Some(slot) = out.get_mut(j).filter(|_| p >= at) {
-                    cands.reject(from..j);
-                    (*slot, from) = (bound, j + 1);
+                    let lb = bound(code).unwrap_or(f64::INFINITY);
+                    if j < from {
+                        // Another code of the candidate just written.
+                        *slot = slot.min(lb);
+                    } else {
+                        cands.reject(from..j);
+                        (*slot, from) = (lb, j + 1);
+                    }
+                    exact.one(cands.at + j, &[code]);
                 }
                 *next += 1;
             }
@@ -267,12 +269,13 @@ impl<'a> AttrScan<'a> {
                 codec,
                 matcher,
                 seed,
-                coded,
+                exact,
                 ..
             } => {
-                coded.clear();
-                let coded = seed.is_none().then_some(coded);
-                let cands = Cands { coded, ..cands };
+                let cands = Cands {
+                    exact: Some(exact),
+                    ..cands
+                };
                 cur.fill_seeded(tids, codec, matcher, *seed, out, cands)
             }
             AttrScan::Num { cur, codec, q } => cur.fill_block(tids, codec, *q, out),
@@ -320,7 +323,7 @@ pub(crate) struct Bounds<'a> {
     attrs: Vec<AttrScan<'a>>,
     lbs: Vec<f64>,
     cands: [u64; BLOCK / 64],
-    /// Whether the block's fill recorded any value's codes ([`Coded`]).
+    /// Whether the block's fill recorded any value's codes ([`Exact`]).
     coded: bool,
 }
 
@@ -352,15 +355,18 @@ impl<'a> Bounds<'a> {
         self.cands = [u64::MAX; BLOCK / 64];
         for (a, col) in self.attrs.iter_mut().zip(self.lbs.chunks_exact_mut(BLOCK)) {
             let col = col.get_mut(..tids.len()).ok_or_else(too_long)?;
+            if let AttrScan::Text { exact, .. } = a {
+                exact.clear();
+            }
             let cands = Cands {
                 bits: &mut self.cands,
                 at: 0,
-                coded: None,
+                exact: None,
             };
             a.fill(at, tids, col, cands)?;
         }
         let recorded =
-            |a: &AttrScan| matches!(a, AttrScan::Text { coded, .. } if !coded.is_empty());
+            |a: &AttrScan| matches!(a, AttrScan::Text { exact, .. } if !exact.is_empty());
         self.coded = self.attrs.iter().any(recorded);
         Ok(())
     }
@@ -371,22 +377,17 @@ impl<'a> Bounds<'a> {
         least(self.attrs.iter().map(|a| a.next_candidate(at)))
     }
 
-    /// `diffs[a] = λₐ · (block position i's bound on attribute a, its
-    /// exact difference, or the ndf penalty)`; whether every entry is
-    /// exact — the ndf penalty is — so `combine(diffs)` is the distance.
+    /// `diffs[a] = λₐ · (block position i's bound on attribute a, or the
+    /// ndf penalty)`; whether every entry is the ndf penalty, so that
+    /// `combine(diffs)` is the distance.
     #[inline]
     pub(crate) fn weigh(&self, i: usize, lambda: &[f64], ndf: f64, diffs: &mut [f64]) -> bool {
         let mut exact = true;
         let cols = self.lbs.chunks_exact(BLOCK);
         for ((d, &lam), col) in diffs.iter_mut().zip(lambda).zip(cols) {
             let lb = col.get(i).copied().unwrap_or(f64::NAN);
-            let (diff, known) = match lb {
-                _ if lb.is_nan() => (ndf, true),
-                _ if lb < 0.0 => (lb + EXACT_BIAS, true),
-                _ => (lb, false),
-            };
-            exact &= known;
-            *d = lam * diff;
+            exact &= lb.is_nan();
+            *d = lam * if lb.is_nan() { ndf } else { lb };
         }
         exact
     }
@@ -464,23 +465,16 @@ impl<'a> Lane<'a> {
     }
 
     /// Block position `i`'s distance where the walk can decide it without
-    /// a fetch, `diffs` holding what [`Bounds::weigh`] left there: every
-    /// attribute whose entry is a bound holds a value whose codes the fill
-    /// recorded ([`Coded`]), and takes `λ ·` its exact difference. Each
-    /// code is capped where, every other attribute at 0, the pool's
-    /// threshold is past ([`edits_beyond`]); where one value's every code
-    /// is past its cap, `+∞`, which the full pool that set those caps does
-    /// not admit. `None` where some such value was not recorded: the tuple
-    /// is fetched.
+    /// a fetch, `diffs` holding what [`Bounds::weigh`] left there: each
+    /// attribute whose entry is a bound takes `λ ·` its difference from
+    /// the lane's exact table ([`Exact::decide`]), each code capped where,
+    /// every other attribute at 0, the pool's threshold is past
+    /// ([`edits_beyond`]); `+∞` where a value's every code is past a cap.
+    /// `None` where a bound's codes were not recorded: the tuple is fetched.
     fn decide<M: Metric>(&mut self, i: usize, metric: &M) -> Result<Option<f64>> {
-        let Bounds {
-            attrs, lbs, coded, ..
-        } = &mut self.bounds;
-        if !*coded {
-            return Ok(None);
-        }
-        let bound_at = |col: &[f64]| col.get(i).is_some_and(|&lb| lb >= 0.0);
-        let recorded = |a: &AttrScan| matches!(a, AttrScan::Text { coded, .. } if coded.holds(i));
+        let Bounds { attrs, lbs, .. } = &mut self.bounds;
+        let bound_at = |col: &[f64]| col.get(i).is_some_and(|lb| !lb.is_nan());
+        let recorded = |a: &AttrScan| matches!(a, AttrScan::Text { exact, .. } if exact.holds(i));
         let mut open = attrs.iter().zip(lbs.chunks_exact(BLOCK));
         if !open.all(|(a, col)| !bound_at(col) || recorded(a)) {
             return Ok(None);
@@ -491,15 +485,21 @@ impl<'a> Lane<'a> {
             if !bound_at(col) {
                 continue;
             }
-            let (AttrScan::Text { cur, coded, .. }, Some(q)) = (a, q) else {
+            let AttrScan::Text {
+                cur, seed, exact, ..
+            } = a
+            else {
                 return Ok(None);
             };
-            let (Some(d), Some(&lam)) = (self.diffs.get_mut(slot), self.lambda.get(slot)) else {
+            let (Some(q), Some(d), Some(&lam)) =
+                (q, self.diffs.get_mut(slot), self.lambda.get(slot))
+            else {
                 return Ok(None);
             };
             let cap = |edits| edits_beyond(spare, slot, lam, edits, metric, threshold);
+            let dict = seed.map_or_else(|| cur.dict(), |s| &s.dict);
             let distances = &mut self.carry.stats.dict_distances;
-            match cur.coded_diff(coded, i, q, cap, distances)? {
+            match exact.decide(i, dict, q, cap, distances)? {
                 Some(e) => *d = lam * e as f64,
                 None => return Ok(Some(f64::INFINITY)),
             }
@@ -536,7 +536,7 @@ impl IvaIndex {
         let shared = self.prepare_query(query, matchers)?;
         let seed = match (shared.as_slice(), lambda) {
             ([SharedAttr::Text { matcher, entry }], &[lam]) if k > 0 => {
-                let counts = (k as u64, self.n_deleted(), entry.df);
+                let counts = (k as u64, self.n_deleted(), entry.df, self.n_tuples());
                 let mut reader = self.list_reader(entry)?;
                 let ndf = self.config().ndf_penalty;
                 reader.probe(matcher, counts, (lam, ndf, metric))?
@@ -613,9 +613,15 @@ impl IvaIndex {
                     let (tid, dist, ptr) = (u64::from(tid), est, RecordPtr(ptr));
                     let exact = match exact {
                         true => Some(dist),
-                        false if lane.carry.pool.admits_at(est, tid) => lane.decide(i, metric)?,
-                        false => continue,
+                        false if !lane.carry.pool.admits_at(est, tid) => continue,
+                        false if lane.bounds.coded => lane.decide(i, metric)?,
+                        false => None,
                     };
+                    // A decided distance past the limit is skipped, as an
+                    // estimate is.
+                    if exact.is_some_and(|d| d > lane.limit) {
+                        continue;
+                    }
                     let ScanCarry { pool, stats } = &mut *lane.carry;
                     if let Some(exact) = exact {
                         stats.walk_admits += u64::from(pool.insert_at(tid, exact, ptr));
@@ -755,6 +761,7 @@ mod tests {
     use crate::config::IvaConfig;
     use crate::index::IvaIndex;
     use crate::metric::{MetricKind, WeightScheme};
+    use crate::packed::Known;
     use crate::parallel::QueryOptions;
     use iva_storage::{IoStats, PagerOptions};
     use iva_swt::{AttrId, Tuple, Value};
@@ -1146,64 +1153,137 @@ mod tests {
         }
     }
 
-    /// What a lane's per-code table holds as a distance is exact, at any
-    /// cap: a value it gives a difference is at its true one — the min
-    /// over all its strings — and a value it gives none has every string
-    /// at or past the cap. A code once past its cap stays past when the
-    /// cap is lifted; an exact one stays.
+    /// The one exact table's contract, in a lane with no seed and in
+    /// seeded lanes that leap and that walk the frames: for every position
+    /// whose codes a fill recorded, at any cap, the decision is the
+    /// value's true difference — the min over all of its strings —
+    /// wherever that is below the cap and within the seed's limit, and
+    /// otherwise none, or a difference past the cap or the limit too. A
+    /// code once past its cap stays past when the cap is lifted, and an
+    /// exact one stays; no lane measures a string twice.
     #[test]
-    fn coded_distances_are_exact_or_past_their_cap() {
+    fn the_exact_table_is_exact_within_its_caps() {
         let rows: Vec<_> = (0..2500).map(row).collect();
         let (_, index) = one_attr(&rows, 0, 0);
         let q = Query::new().text(AttrId(0), "canon");
         let matchers = index.query_matchers(&q);
-        let shared = index.prepare_query(&q, &matchers).unwrap();
-        for cap in [0, 1, 2, 4, 5, usize::MAX] {
-            let mut bounds = Bounds::open(&index, &shared, None).unwrap();
-            let mut tsrc = index.open_tuple_source().unwrap();
-            let (n, mut at, mut seen) = (index.n_tuples(), 0, 0);
-            let (mut tids, mut ptrs, mut distances) = (Vec::new(), Vec::new(), 0);
-            while at < n {
-                tids.clear();
-                ptrs.clear();
-                tsrc.next_block(block_len(n - at), &mut tids, &mut ptrs)
-                    .unwrap();
-                bounds.fill(at, &tids).unwrap();
-                let Some(AttrScan::Text {
-                    cur,
-                    coded,
-                    matcher,
-                    ..
-                }) = bounds.attrs.first_mut()
-                else {
-                    panic!("a text scan");
-                };
-                for (i, &tid) in tids.iter().enumerate() {
-                    let Some(strings) = rows[tid as usize].as_ref().filter(|_| coded.holds(i))
-                    else {
-                        continue;
-                    };
-                    let truth = (strings.iter())
-                        .map(|s| iva_text::edit_distance("canon", s))
-                        .min()
+        let metric = (&[1.0][..], &MetricKind::L1);
+        let seeded = || {
+            let mut carry = ScanCarry::new(10);
+            let (shared, seed, _) = index
+                .prepare_query_timed(&q, &matchers, metric, &mut carry)
+                .unwrap();
+            (shared, seed.expect("seeded"))
+        };
+        let ((shared, leaping), (_, mut walking)) = (seeded(), seeded());
+        assert!(leaping.leap.is_some());
+        walking.leap = None;
+        for (what, seed) in [
+            ("none", None),
+            ("leap", Some(&leaping)),
+            ("walk", Some(&walking)),
+        ] {
+            let limit = seed.map_or(f64::INFINITY, |s| s.limit);
+            for cap in [0, 1, 2, 4, 5, usize::MAX] {
+                let mut bounds = Bounds::open(&index, &shared, seed).unwrap();
+                let mut tsrc = index.open_tuple_source().unwrap();
+                let (n, mut at, mut seen) = (index.n_tuples(), 0, 0);
+                let (mut tids, mut ptrs, mut distances) = (Vec::new(), Vec::new(), 0);
+                while at < n {
+                    tids.clear();
+                    ptrs.clear();
+                    tsrc.next_block(block_len(n - at), &mut tids, &mut ptrs)
                         .unwrap();
-                    let mut diff = |cap: usize| {
-                        cur.coded_diff(coded, i, matcher.pattern(), |_| cap, &mut distances)
-                            .unwrap()
+                    bounds.fill(at, &tids).unwrap();
+                    let Some(AttrScan::Text {
+                        cur,
+                        seed,
+                        exact,
+                        matcher,
+                        ..
+                    }) = bounds.attrs.first_mut()
+                    else {
+                        panic!("a text scan");
                     };
-                    let got = diff(cap);
-                    match got {
-                        Some(d) => assert_eq!(d, truth, "tid {tid}, cap {cap}"),
-                        None => assert!(truth >= cap, "tid {tid}, cap {cap}: {truth}"),
+                    let dict = seed.map_or_else(|| cur.dict(), |s| &s.dict);
+                    for (i, &tid) in tids.iter().enumerate() {
+                        let Some(strings) = rows[tid as usize].as_ref().filter(|_| exact.holds(i))
+                        else {
+                            continue;
+                        };
+                        let truth = (strings.iter())
+                            .map(|s| iva_text::edit_distance("canon", s))
+                            .min()
+                            .unwrap();
+                        let mut decide = |cap: usize| {
+                            let q = matcher.pattern();
+                            exact.decide(i, dict, q, |_| cap, &mut distances).unwrap()
+                        };
+                        let got = decide(cap);
+                        let ctx = format!("{what}: tid {tid}, cap {cap}, truth {truth}: {got:?}");
+                        match truth < cap && truth as f64 <= limit {
+                            true => assert_eq!(got, Some(truth), "{ctx}"),
+                            false => assert!(
+                                got.is_none_or(|d| d >= truth && (d >= cap || d as f64 > limit)),
+                                "{ctx}"
+                            ),
+                        }
+                        assert_eq!(decide(usize::MAX), got, "{ctx}");
+                        seen += 1;
                     }
-                    assert_eq!(diff(usize::MAX), got, "tid {tid}, cap {cap}");
-                    seen += 1;
+                    at += tids.len() as u64;
                 }
-                at += tids.len() as u64;
+                let want = if seed.is_some_and(|s| s.leap.is_some()) {
+                    500
+                } else {
+                    1500
+                };
+                assert!(seen > want, "{what}: {seen} values recorded");
+                assert!(
+                    distances <= 7,
+                    "{what}: {distances} distances for 7 strings"
+                );
             }
-            assert!(seen > 1500, "{seen} values recorded");
-            assert!(distances <= 7, "{distances} distances for 7 strings");
         }
+    }
+
+    /// A distance the table decides past the seed's limit is skipped like
+    /// an estimate: over a range whose every value is decided past it (a
+    /// parallel worker's), the lane inserts nothing and fetches nothing.
+    /// Tombstones on "canon" raise `B` to "cannon"'s 1 edit past the codes
+    /// the probe visits, so "nonac" and "oncan" — estimated at 1 edit, 4
+    /// away — stay unseen, pass the limit and are decided.
+    #[test]
+    fn a_seeded_lane_skips_a_decided_distance_past_its_limit() {
+        let words = |i: usize| match i {
+            0..100 => "canon",
+            100..150 => "cannon",
+            _ => ["nonac", "oncan"][i % 2],
+        };
+        let rows: Vec<_> = (0..350).map(|i| Some(vec![words(i).to_string()])).collect();
+        let (table, index) = one_attr(&rows, 0, 95);
+        let q = Query::new().text(AttrId(0), "canon");
+        let matchers = index.query_matchers(&q);
+        let (metric, mut carry) = ((&[1.0][..], &MetricKind::L1), ScanCarry::new(10));
+        let (shared, seed, _) = index
+            .prepare_query_timed(&q, &matchers, metric, &mut carry)
+            .unwrap();
+        let seed = seed.expect("seeded");
+        assert_eq!(
+            (seed.limit, &seed.exact.known[2..]),
+            (1.0, &[Known::Unseen; 2][..])
+        );
+        let lane = Lane::open(&index, &q, &[1.0], &shared, Some(&seed), &mut carry);
+        let mut lanes = [lane.unwrap()];
+        index
+            .scan(&table, &mut lanes, 150..350, DRAIN_AT, &MetricKind::L1)
+            .unwrap();
+        drop(lanes);
+        let (worst, stats) = (carry.pool.worst(), &carry.stats);
+        assert!(
+            worst.is_none() && stats.table_accesses == 0,
+            "{worst:?} {stats:?}"
+        );
     }
 
     /// A weight vector shorter than the query used to be zipped away

@@ -45,11 +45,11 @@
 //!   lazy tail reads as *ndf*.
 
 use iva_storage::codec::le_u32;
-use iva_text::{PreparedMatcher, PreparedPattern, SigCodec};
+use iva_text::{PreparedMatcher, SigCodec};
 
 use crate::error::{IvaError, Result};
 use crate::numeric::NumericCodec;
-use crate::packed::{Bound, Cands, Coded, Frame, Leap, Org, PackedReader, RawTail, Seed};
+use crate::packed::{Bound, Cands, Dict, Frame, Leap, Org, PackedReader, RawTail, Seed};
 
 /// Width of a tuple id in list elements (the paper's `ltid`).
 pub const LTID: usize = 4;
@@ -620,11 +620,10 @@ impl TextListCursor {
     }
 
     /// [`TextListCursor::fill_block`] under `seed`, where one is given:
-    /// a coded string's bound comes from its table, an exact distance
-    /// below zero ([`crate::packed::EXACT_BIAS`]), and what cannot pass is
-    /// rejected in `cands`. Without one, the codes of what PACKED frames
-    /// serve go to `cands`' [`Coded`], where the dictionary holds strings.
-    /// What the walk serves is estimated, and kept.
+    /// a coded string's bound comes from its table, and what cannot pass is
+    /// rejected in `cands`. The codes of what the frames serve go to
+    /// `cands`' [`crate::packed::Exact`], where the dictionary holds
+    /// strings. What the walk serves is estimated, and kept.
     pub(crate) fn fill_seeded(
         &mut self,
         tids: &[u32],
@@ -641,7 +640,7 @@ impl TextListCursor {
             let cands = Cands {
                 bits: &mut *cands.bits,
                 at: cands.at + done,
-                coded: cands.coded.as_deref_mut(),
+                exact: cands.exact.as_deref_mut(),
             };
             let served = self
                 .reader
@@ -660,17 +659,9 @@ impl TextListCursor {
         Ok(())
     }
 
-    /// Block position `j`'s exact difference to `q`, from the codes the
-    /// last fill recorded ([`PackedReader::coded_diff`]).
-    pub(crate) fn coded_diff(
-        &self,
-        coded: &mut Coded,
-        j: usize,
-        q: &PreparedPattern,
-        cap: impl FnMut(usize) -> usize,
-        distances: &mut u64,
-    ) -> Result<Option<usize>> {
-        self.reader.coded_diff(coded, j, q, cap, distances)
+    /// The list's dictionary, as far as the cursor has loaded it.
+    pub(crate) fn dict(&self) -> &Dict {
+        self.reader.dict()
     }
 
     /// Position a fresh cursor past the frames `leap` covers, by their

@@ -660,11 +660,16 @@ impl Instance {
         }
         let serial = (0..3).map(|i| db.solo(p, i, 1));
         let serial: Vec<Answer> = serial.collect::<Result<_>>().map_err(e)?;
-        // A multi-value query answered with a tuple that defines a queried
-        // attribute, and no record fetched: the walk knew its distance.
+        // A query answered with a tuple that defines a queried attribute,
+        // and no record fetched: the walk decided its distance from the
+        // exact tables.
         let defines = |&(tid, _): &(Tid, u64)| q.iter().any(|(a, _)| live[&tid].get(a).is_some());
-        if q.len() > 1 && serial[0].counts[0] == 0 && want[0].iter().any(defines) {
-            cov.insert("exact without a fetch".into());
+        if serial[0].counts[0] == 0 && want[0].iter().any(defines) {
+            let key = match q.len() {
+                1 => "1-value decided by the table",
+                _ => "exact without a fetch",
+            };
+            cov.insert(key.into());
         }
         let tiers = db.tiers().map_err(e)?;
         let deleted = tiers.iter().any(|(i, _)| i.n_deleted() > 0);
@@ -872,8 +877,9 @@ fn every_configuration_matches_the_model() {
 /// 630 positions mid-frame — on the first two instances. Required: a seed
 /// on `IvaDb` and on `LsmDb`, one over tombstones, one at λ = 0, one that
 /// leaps, over a RAW tail, in parallel lanes and in a batch with a lane
-/// that does not, one over tombstones that does not, and a one-value query
-/// with k above the live count.
+/// that does not, one over tombstones that does not, one whose answer the
+/// table decides with no fetch, and a one-value query with k above the
+/// live count.
 #[test]
 fn one_value_queries_on_string_sections_match_the_model() {
     let mut cov = Coverage::new();
@@ -946,6 +952,7 @@ fn one_value_queries_on_string_sections_match_the_model() {
         "leapt in parallel lanes",
         "batch mixes a leaping lane with a dense one",
         "seeded over tombstones, no leap",
+        "1-value decided by the table",
     ];
     let want = want
         .into_iter()
