@@ -190,7 +190,9 @@ pub fn run_queries(
         System::Sii => Some(&bed.sii_io),
         System::Dst => None,
     };
-    let iva_opts = QueryOptions::default();
+    // iVA runs serially like SII and DST: a segmented scan's fetches grow
+    // with its lanes, so Fig. 8's column would follow the host's cores.
+    let iva_opts = QueryOptions { threads: Some(1) };
     let run_one = |q: &Query| -> PerQuery {
         let io_before = combine(index_io, &bed.table_io);
         let start = Instant::now();

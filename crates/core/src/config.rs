@@ -1,5 +1,7 @@
 //! Index configuration.
 
+use std::sync::OnceLock;
+
 use iva_text::SigCodec;
 
 /// Tunable parameters of an iVA-file (Table I defaults).
@@ -61,10 +63,12 @@ impl IvaConfig {
     }
 
     /// Resolve [`IvaConfig::search_threads`]: `0` means one worker per
-    /// available CPU (falling back to 1 if parallelism cannot be queried).
+    /// available CPU (falling back to 1 if parallelism cannot be queried),
+    /// looked up once per process — every query resolves it.
     pub fn resolved_search_threads(&self) -> usize {
+        static CPUS: OnceLock<usize> = OnceLock::new();
         if self.search_threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
+            *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
         } else {
             self.search_threads
         }

@@ -20,7 +20,7 @@ use crate::error::{IvaError, Result};
 use crate::layout::{AttrEntry, IndexHeader, TOMBSTONE_PTR, TUPLE_ENTRY_LEN};
 use crate::metric::{Metric, WeightScheme};
 use crate::numeric::NumericCodec;
-use crate::packed::{self, PackedReader};
+use crate::packed::{self, Dict, PackedReader};
 use crate::pool::{PoolEntry, ResultPool};
 use crate::query::{Query, QueryStats, QueryValue};
 use crate::scan::{block_len, DRAIN_AT};
@@ -106,13 +106,14 @@ impl QueryMatchers {
 }
 
 /// Immutable per-query attribute state, built once per query and shared by
-/// every scan worker by reference: the packed-mask estimation kernel for
-/// text attributes, the quantization codec for numeric ones. Only the list
-/// positions ([`crate::scan::AttrScan`]) are per-worker.
+/// every scan worker by reference: a text attribute's estimation kernel
+/// and list dictionary, a numeric one's quantization codec. Only list
+/// positions and tables ([`crate::scan::AttrScan`]) are per-worker.
 pub(crate) enum SharedAttr<'a> {
     Text {
         matcher: Cow<'a, PreparedMatcher>,
         entry: &'a AttrEntry,
+        dict: Arc<Dict>,
     },
     Num {
         q: f64,
@@ -421,7 +422,8 @@ impl IvaIndex {
     /// Build the shared immutable per-query state: the packed-mask
     /// estimation kernel for each text attribute — `matchers`' own where
     /// it was built under this index's codec, else prepared here (hashing
-    /// the query's grams once per distinct signature geometry) — and the
+    /// the query's grams once per distinct signature geometry) and its
+    /// list's dictionary, the query's one read of its DICT frame — and the
     /// quantization codec for each numeric one. Workers then open cheap
     /// per-worker [`crate::scan::AttrScan`]s over it and share this by
     /// reference.
@@ -457,7 +459,12 @@ impl IvaIndex {
                         Some(m) => Cow::Borrowed(m),
                         None => Cow::Owned(PreparedMatcher::new(&self.sig_codec, s.as_bytes())),
                     };
-                    shared.push(SharedAttr::Text { matcher, entry });
+                    let dict = self.list_reader(entry)?.load_dict()?;
+                    shared.push(SharedAttr::Text {
+                        matcher,
+                        entry,
+                        dict,
+                    });
                 }
                 QueryValue::Num(v) => {
                     if entry.is_text {

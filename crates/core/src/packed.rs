@@ -44,14 +44,15 @@
 //! is bounded by its bytes). The `num` (string count) and `cL` (length
 //! byte) sections are bit-packed too: byte fields clustered near zero.
 //!
-//! **Strings where they pay.** Where a list's distinct strings take no
-//! more bytes than its codes, the DICT frame also holds each entry's
-//! string and the count of values whose *first* string it is, and codes
-//! name strings (two can share a signature). A query keeps what it knows
-//! of its string's edit distance to each in one table per list
-//! ([`Exact`]), which bounds the fill and decides an admitted value. A
-//! 1-value query probes it before its walk ([`PackedReader::probe`]) for a
-//! bound `B` with enough counted values at or below it ([`Seed`]).
+//! **Strings where they pay.** Where a list's distinct strings take no more
+//! bytes than its codes, the DICT frame also holds each entry's string and
+//! the count of values whose *first* string it is, and codes name strings
+//! (two can share a signature). A query parses a list's dictionary once and
+//! never writes to it ([`Dict`]). A lane keeps what it knows of its
+//! string's difference to each entry in one table per list ([`Exact`]),
+//! which bounds every fill and decides an admitted value. A 1-value query
+//! probes the dictionary before its walk ([`Dict::probe`]) for a bound `B`
+//! with enough counted values at or below it ([`Seed`]).
 //!
 //! **Postings.** On a Type III list coded by strings the DICT frame goes on
 //! to invert the codes: `covered`, the positions the list's
@@ -69,13 +70,13 @@
 //! with a single cursor; their signatures are inline, not coded.
 //!
 //! **A PACKED frame is read in place.** [`PackedReader`] holds the list's
-//! dictionary, loaded with the first frame it reads, and one frame at a
-//! time, its sections inflated once into reused arrays ([`Sections`]). A
-//! scan's block fill is served by runs ([`PackedReader::fill_run`]): a
-//! query's first fill estimates each dictionary entry once, and a string
-//! is then a gather of its code's estimate. The walk in [`crate::veclist`]
-//! borrows each signature from the dictionary payload, padded by
-//! [`SIG_PAD`] bytes so the kernel can load a whole word from any of them;
+//! dictionary — its own, or the query's, whose DICT frame it steps over by
+//! its header — and one frame at a time, its sections inflated once into
+//! reused arrays ([`Sections`]). A scan's block fill is served by runs
+//! ([`PackedReader::fill_run`]): a string is a gather of its code's bound
+//! in the lane's table. The walk in [`crate::veclist`] borrows each
+//! signature from the dictionary payload, padded by [`SIG_PAD`] bytes so
+//! the kernel can load a whole word from any of them;
 //! [`PackedReader::decode_to_vec`] is a tool that runs that walk through
 //! the raw encoders. RAW tail frames hand the walk raw-layout bytes
 //! ([`RawTail`]); NDF_RUN frames are served arithmetically.
@@ -88,6 +89,7 @@
 use std::cmp::{Ordering::Greater, Reverse};
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::ops::Range;
+use std::sync::Arc;
 
 use iva_storage::codec::SliceReader;
 use iva_storage::compress::{bit_width, pack_bits, packed_len, unpack_bits, unpack_bytes};
@@ -719,9 +721,8 @@ impl RawTail {
     }
 }
 
-/// A text list's dictionary as the reader holds it — its DICT frame's
-/// entries, loaded once — and, once a fill has asked, every entry's
-/// estimate under that fill's matcher.
+/// A text list's dictionary: its DICT frame's entries, parsed and checked
+/// once, then only read.
 #[derive(Default)]
 pub(crate) struct Dict {
     /// The DICT payload followed by [`SIG_PAD`] zero bytes.
@@ -741,9 +742,6 @@ pub(crate) struct Dict {
     covered: Option<(u64, u64)>,
     runs: Vec<usize>,
     posts: Vec<u64>,
-    est: Vec<f64>,
-    /// The [`PreparedMatcher::serial`] `est` holds estimates under.
-    est_for: Option<u64>,
 }
 
 fn past_dictionary() -> IvaError {
@@ -751,18 +749,11 @@ fn past_dictionary() -> IvaError {
 }
 
 /// A 1-value text query's threshold before the walk over one list
-/// ([`PackedReader::probe`]), and what passes it.
+/// ([`Dict::probe`]), and what passes it.
 pub(crate) struct Seed {
-    /// The probe's table, which bounds a seeded fill; each lane decides
-    /// from its own copy, and the dictionary's strings.
+    /// The probe's table, under the seed's rule: each lane starts its own
+    /// from a copy.
     pub(crate) exact: Exact,
-    pub(crate) dict: Dict,
-    /// The largest code bound `b` that passes the walk's own test,
-    /// `!(combine(λ·b) > limit)`: under a monotone metric, a bound passes
-    /// exactly when it is at most this.
-    cut: f64,
-    /// Whether an *ndf* value passes it: `combine(λ·ndf_penalty)` does.
-    ndf: bool,
     /// `combine(λ·B)`: at least the values asked for lie at or below it.
     pub(crate) limit: f64,
     /// Edit distances the probe computed.
@@ -771,7 +762,7 @@ pub(crate) struct Seed {
     pub(crate) leap: Option<Leap>,
 }
 
-/// A seeded query's candidates ([`PackedReader::probe`]): every position
+/// A seeded query's candidates ([`Dict::probe`]): every position
 /// below `covered` whose value holds a string that passes the limit, once
 /// per such string, with its code, ascending. The min over those codes'
 /// bounds is the min over all of the value's (one that fails has a larger
@@ -799,28 +790,13 @@ impl Leap {
     }
 }
 
-impl Seed {
-    /// What a seeded fill writes for a value of bound `lb` (`None`:
-    /// *ndf*, by [`text_lower_bound`]'s rule) — its bound, `NaN` for
-    /// *ndf* — or `None` where the walk would skip it.
-    #[inline]
-    fn pass(&self, lb: Option<f64>) -> Option<f64> {
-        match lb {
-            None => self.ndf.then_some(f64::NAN),
-            Some(lb) => (lb <= self.cut).then_some(lb),
-        }
-    }
-}
-
-/// A block's candidate mask ([`crate::scan::Bounds`]) as a seeded fill
-/// narrows it, from the fill's first position, `at`, on — and the table
-/// where a fill over a list coded by strings records its values' codes, if
-/// it is given one. The default is empty, and changes nothing.
+/// A block's candidate mask ([`crate::scan::Bounds`]) as a fill narrows
+/// it, from the fill's first position, `at`, on. The default is empty, and
+/// changes nothing.
 #[derive(Default)]
 pub(crate) struct Cands<'m> {
     pub(crate) bits: &'m mut [u64],
     pub(crate) at: usize,
-    pub(crate) exact: Option<&'m mut Exact>,
 }
 
 /// What an [`Exact`] table's bound for a code is: its estimate, its edit
@@ -832,27 +808,48 @@ pub(crate) enum Known {
     Exact,
 }
 
-/// One lane's exact table for one query string over one list coded by
-/// strings: per code, a lower bound on the edit distance from the query
-/// string to the code's string, and what it is ([`Known`]); and the codes
-/// of the values the block's fill served, which the decision reads only
-/// for a position it admits.
+/// One lane's table for one query string over one text list's dictionary:
+/// per code, a lower bound on the difference from the query string to the
+/// code's string, and what it is ([`Known`]); the rule by which a fill over
+/// it lets a value through; and, where the dictionary holds strings, the
+/// codes of the values the block's fill served, which the decision reads
+/// only for a position it admits.
 #[derive(Clone, Default)]
 pub(crate) struct Exact {
+    /// The query's one copy of the dictionary.
+    dict: Arc<Dict>,
     pub(crate) lb: Vec<f64>,
     pub(crate) known: Vec<Known>,
+    /// A fill lets through a value whose bound is at most `cut`, and an
+    /// *ndf* one where `ndf`: a seed's rule ([`Dict::probe`]), everything
+    /// elsewhere. No bound rises across the cut — a distance past it is
+    /// kept as past it — so a seeded fill lets through what the probe's
+    /// table does.
+    pub(crate) cut: f64,
+    pub(crate) ndf: bool,
     /// Block position `j`'s codes are `codes[spans[j].0..spans[j].1]`.
     spans: Vec<(u32, u32)>,
-    codes: Vec<u64>,
+    pub(crate) codes: Vec<u64>,
 }
 
 impl Exact {
-    /// Every code unseen at its estimate `est`, if the table is empty.
-    fn start(&mut self, est: &[f64]) {
-        if self.lb.is_empty() {
-            self.lb.extend_from_slice(est);
-            self.known.resize(est.len(), Known::Unseen);
+    /// Every code of `dict` unseen at its estimate under `matcher`,
+    /// computed by the one kernel the walk runs.
+    pub(crate) fn new(dict: &Arc<Dict>, matcher: &PreparedMatcher) -> Result<Self> {
+        let mut lb = Vec::with_capacity(dict.lens.len());
+        for (&len_byte, &start) in dict.lens.iter().zip(&dict.starts) {
+            let window = dict.payload.get(start..).ok_or_else(past_dictionary)?;
+            lb.push(matcher.estimate_parts(len_byte, window)?);
         }
+        let (known, cut, ndf) = (vec![Known::Unseen; lb.len()], f64::INFINITY, true);
+        Ok(Self {
+            dict: Arc::clone(dict),
+            lb,
+            known,
+            cut,
+            ndf,
+            ..Self::default()
+        })
     }
 
     /// Forget the last block's codes.
@@ -862,11 +859,6 @@ impl Exact {
             self.spans.resize(BLOCK, (0, 0));
             self.codes.clear();
         }
-    }
-
-    /// Whether the fill recorded no codes since the last [`Exact::clear`].
-    pub(crate) fn is_empty(&self) -> bool {
-        self.codes.is_empty()
     }
 
     /// Block position `j`'s value holds `codes` (too, after a record of
@@ -885,18 +877,18 @@ impl Exact {
         self.spans.get(j).is_some_and(|(a, b)| a < b)
     }
 
-    /// Code `c`'s edit distance to `q`, `dict` holding its string, capped
-    /// at `cap(max(|q|, |string|))`, counted in `distances` and kept —
-    /// `None`, kept as [`Known::Past`], where it is at or past the cap.
+    /// Code `c`'s edit distance to `q`, capped at `cap(max(|q|,
+    /// |string|))`, counted in `distances` and kept —
+    /// `None`, kept as [`Known::Past`], where it is at or past the cap or
+    /// the table's cut; a bound at or below the cut stays there.
     fn measure(
         &mut self,
         c: usize,
-        dict: &Dict,
         q: &PreparedPattern,
         cap: impl FnOnce(usize) -> usize,
         distances: &mut u64,
     ) -> Result<Option<usize>> {
-        let text = dict.text_of(c)?;
+        let text = self.dict.text_of(c)?;
         // lint:allow(panic-reachability, "dynamic edge: both callers, the probe and `Lane::decide`, pass a closure over `query::edits_beyond`, which is total")
         let cap = cap(q.bytes().len().max(text.len()));
         let d = q.distance(text, cap);
@@ -904,25 +896,26 @@ impl Exact {
         let (Some(state), Some(bound)) = (self.known.get_mut(c), self.lb.get_mut(c)) else {
             return Err(past_dictionary());
         };
-        (*state, *bound) = match d >= cap {
-            true => (Known::Past, bound.max(cap as f64)),
-            false => (Known::Exact, d as f64),
+        let (cut, risen) = (self.cut, if d < cap { d } else { cap } as f64);
+        *state = match d >= cap || risen > cut {
+            true => Known::Past,
+            false => Known::Exact,
         };
-        Ok((d < cap).then_some(d))
+        *bound = bound.max(risen).min(cut.max(*bound));
+        Ok((*state == Known::Exact).then_some(d))
     }
 
     /// The difference of block position `j`'s value, whose codes the fill
     /// recorded, to `q` (see [`Exact::measure`]): the min over its codes'
     /// distances, as [`crate::query::attr_difference`] takes it. A code
     /// is measured at its first need, and only while its bound is below
-    /// the least distance found; one past a cap — the caller's, which only
-    /// fall, or the probe's limit in a seeded table — is left out, so
-    /// `None` where every code is: whatever such a code gives the value,
-    /// the lane does not admit it.
+    /// the least distance found and not past the table's cut; one past a
+    /// cap — the caller's, which only fall, or the cut in a seeded table —
+    /// is left out, so `None` where every code is: whatever such a code
+    /// gives the value, the lane does not admit it.
     pub(crate) fn decide(
         &mut self,
         j: usize,
-        dict: &Dict,
         q: &PreparedPattern,
         mut cap: impl FnMut(usize) -> usize,
         distances: &mut u64,
@@ -939,8 +932,9 @@ impl Exact {
         for i in a..b {
             let c = code(self, i).ok_or_else(misaligned)?;
             let unseen = self.known.get(c) == Some(&Known::Unseen);
-            if unseen && self.lb.get(c).is_some_and(|&lb| lb < best) {
-                if let Some(d) = self.measure(c, dict, q, &mut cap, distances)? {
+            let open = |&lb: &f64| lb < best && lb <= self.cut;
+            if unseen && self.lb.get(c).is_some_and(open) {
+                if let Some(d) = self.measure(c, q, &mut cap, distances)? {
                     best = best.min(d as f64);
                 }
             }
@@ -965,15 +959,8 @@ impl Cands<'_> {
 
 impl Dict {
     /// Parse the `d`-entry payload in `self.payload` of a list of type
-    /// `ty` under `codec`.
+    /// `ty` under `codec` into a fresh dictionary.
     fn load(&mut self, d: usize, ty: ListType, codec: &SigCodec) -> Result<()> {
-        self.lens.clear();
-        self.starts.clear();
-        self.texts.clear();
-        self.counts.clear();
-        self.covered = None;
-        self.runs.clear();
-        self.posts.clear();
         let body = self.payload.len().saturating_sub(SIG_PAD);
         let mut s = SliceReader::new(self.payload.get(..body).unwrap_or(&[]), "dictionary frame");
         // Every entry has at least one `cH` byte: more entries than the
@@ -1075,19 +1062,93 @@ impl Dict {
         })
     }
 
-    /// Every entry's estimate under `matcher`: computed by the one kernel
-    /// the walk runs, once per matcher.
-    fn estimates(&mut self, matcher: &PreparedMatcher) -> Result<&[f64]> {
-        if self.est_for != Some(matcher.serial()) {
-            self.est_for = None;
-            self.est.clear();
-            for (&len_byte, &start) in self.lens.iter().zip(&self.starts) {
-                let window = self.payload.get(start..).ok_or_else(past_dictionary)?;
-                self.est.push(matcher.estimate_parts(len_byte, window)?);
-            }
-            self.est_for = Some(matcher.serial());
+    /// Values the count section counts (0 without one).
+    pub(crate) fn counted(&self) -> u64 {
+        (self.counts.iter()).fold(0, |sum, &n| sum.saturating_add(n))
+    }
+
+    /// The probe (see the module doc): measure the dictionary's strings
+    /// against the matcher's query string into a fresh [`Exact`] table, in
+    /// ascending estimate order — uncapped until a bound `B` exists, then
+    /// where weight `lambda` puts them past `combine(λ·B)` under `metric`
+    /// ([`edits_beyond`]). `B` is the smallest distance at which the values
+    /// counted so far reach `k + deleted`; the visit ends at the first
+    /// estimate above the one at which they reach `k` (`B` itself with no
+    /// tombstones). Which codes, and whether *ndf* (penalty `ndf`), pass its
+    /// limit is then decided once. `None` without a string
+    /// section or enough counted values; `Corrupt` for counts above the
+    /// list's `values`, or postings whose frames' bytes the list's
+    /// `logical` length cannot hold — or does not equal, where they cover
+    /// all `tuples` positions and a leap reads no frame to find out.
+    pub(crate) fn probe<M: Metric>(
+        self: &Arc<Self>,
+        matcher: &PreparedMatcher,
+        (k, deleted, values, tuples, logical): (u64, u64, u64, u64, u64),
+        (lambda, ndf, metric): (f64, f64, &M),
+    ) -> Result<Option<Seed>> {
+        let (counted, need) = (self.counted(), k.saturating_add(deleted));
+        if counted > values {
+            return Err(corrupt("dictionary counts more values than the list holds"));
         }
-        Ok(&self.est)
+        if let Some((covered, raw)) = self.covered {
+            let whole = covered >= tuples;
+            if raw > logical || covered > tuples || (whole && raw != logical) {
+                return Err(corrupt("postings cover other frames than the list holds"));
+            }
+        }
+        if self.counts.is_empty() || counted < need {
+            return Ok(None);
+        }
+        let (mut exact, q) = (Exact::new(self, matcher)?, matcher.pattern());
+        // Estimates are ≥ 0, and such floats order as their bits do.
+        let mut order: BinaryHeap<_> = (exact.lb.iter().enumerate())
+            .map(|(c, e)| Reverse((e.to_bits(), c)))
+            .collect();
+        // `(distance, code)` of the exact strings; `(B for k, B)`.
+        let (mut found, mut b, mut distances) = (Vec::new(), None, 0u64);
+        while let Some(Reverse((est, c))) = order.pop() {
+            let est = f64::from_bits(est);
+            if b.is_some_and(|(bk, _)| est > bk as f64) {
+                break;
+            }
+            let past = |b: usize| metric.combine(&[lambda * b as f64]);
+            let cap = |longest| {
+                let beyond = |(_, b)| edits_beyond(&mut [0.0], 0, lambda, longest, metric, past(b));
+                b.map_or(usize::MAX, beyond)
+            };
+            let Some(d) = exact.measure(c, q, cap, &mut distances)? else {
+                continue;
+            };
+            found.push((d, c));
+            found.sort_unstable();
+            let (mut reached, mut bk) = (0u64, None);
+            b = found.iter().find_map(|&(d, c)| {
+                reached = reached.saturating_add(self.counts.get(c).copied().unwrap_or(0));
+                bk = bk.or((reached >= k).then_some(d));
+                bk.zip((reached >= need).then_some(d))
+            });
+        }
+        let Some((_, b)) = b else { return Ok(None) };
+        let limit = metric.combine(&[lambda * b as f64]);
+        // The walk's own test, `est > limit`, failed (`NaN` included).
+        let passes = |b: f64| metric.combine(&[lambda * b]).partial_cmp(&limit) != Some(Greater);
+        // The cut is the largest bound of the table that passes, so under a
+        // monotone metric a bound passes exactly when it is at most the cut,
+        // and an edit count past it fails too — unless `B + 1` passes (a
+        // weight of 0), where nothing is cut.
+        let none = passes(b as f64 + 1.0);
+        exact.cut = (exact.lb.iter().copied())
+            .filter(|&b| passes(b))
+            .fold(if none { f64::MAX } else { 0.0 }, f64::max);
+        // Where *ndf* passes, every *ndf* position is a candidate too.
+        exact.ndf = passes(ndf);
+        let leap = (!exact.ndf).then(|| self.leap(&exact, exact.cut)).flatten();
+        Ok(Some(Seed {
+            exact,
+            limit,
+            distances,
+            leap,
+        }))
     }
 }
 
@@ -1151,7 +1212,7 @@ pub(crate) struct Sections {
     codes: Vec<u64>,
     /// Scratch the bit-packed sections inflate through.
     wide: Vec<u64>,
-    dict: Dict,
+    dict: Arc<Dict>,
     tid_i: usize,
     num_i: usize,
     code_i: usize,
@@ -1163,8 +1224,8 @@ fn misaligned() -> IvaError {
     corrupt("packed frame read out of step with its sections")
 }
 
-/// The min over `codes` of their entries in `bounds`: the dictionary's
-/// estimates, or an [`Exact`] table's bounds.
+/// The min over `codes` of their entries in `bounds`, an [`Exact`]
+/// table's.
 #[inline(always)]
 fn least(codes: &[u64], bounds: &[f64]) -> Result<f64> {
     let mut best = f64::INFINITY;
@@ -1220,143 +1281,123 @@ impl Sections {
     /// [`PackedReader::fill_run`]): on a positional list each element is
     /// the next position's; a keyed list's tid section is merged against
     /// `tids`. A text value's bound is the min over its strings' codes of
-    /// the dictionary estimates, or of `cands`' [`Exact`] table where the
-    /// dictionary holds strings, which records its codes — or, seeded, of
-    /// the seed's table, and what cannot pass is rejected ([`Seed::pass`]).
-    /// A merge stops where the frame runs out, and before a Type I text
-    /// value whose strings reach the frame's end — the value may go on in
-    /// the next frame, so the walk serves it. Returns the positions served.
+    /// the lane's table, which records its codes where the dictionary
+    /// holds strings; what the table's rule does not let through is
+    /// rejected. A merge stops where the frame runs out, and before a
+    /// Type I text value whose strings reach the frame's end — the value
+    /// may go on in the next frame, so the walk serves it. Returns the
+    /// positions served.
     fn fill(
         &mut self,
         ty: ListType,
         bound: Bound<'_>,
         tids: &[u32],
         out: &mut [f64],
-        cands: Cands<'_>,
+        mut cands: Cands<'_>,
     ) -> Result<usize> {
-        let strings = !self.dict.texts.is_empty();
-        let Cands { bits, at, exact } = cands;
-        let (none, mut spans): (&[f64], &mut [(u32, u32)]) = (&[], &mut []);
-        let (seed, mut bounds) = match bound {
-            Bound::Text(matcher, None) => (None, self.dict.estimates(matcher)?),
-            Bound::Text(_, seed) => (seed, none),
-            Bound::Num(..) => (None, none),
+        let (strings, at, c0) = (!self.dict.texts.is_empty(), cands.at, self.code_i);
+        let (mut bounds, mut cut, mut ndf, mut numeric): (&[f64], _, _, _) =
+            (&[], f64::INFINITY, true, None);
+        let (mut spans, mut recorded, mut base): (&mut [(u32, u32)], _, _) = (&mut [], None, 0);
+        match bound {
+            Bound::Text(e) => {
+                (bounds, cut, ndf) = (&e.lb, e.cut, e.ndf);
+                if strings {
+                    (spans, base, recorded) = (&mut e.spans, e.codes.len(), Some(&mut e.codes));
+                }
+            }
+            Bound::Num(codec, q) => numeric = Some((codec, q)),
+        }
+        // What the fill writes for a value of bound `lb` (`None`: *ndf*, by
+        // `text_lower_bound`'s rule) — its bound, `NaN` for *ndf* — or
+        // `None` where the table's rule rejects it.
+        let pass = |lb: Option<f64>| match lb {
+            None => ndf.then_some(f64::NAN),
+            Some(lb) => (lb <= cut).then_some(lb),
         };
-        let (mut recorded, mut base, c0) = (None, 0, self.code_i);
-        if let Some(e) = exact.filter(|_| strings) {
-            e.start(bounds);
-            (spans, base) = (e.spans.as_mut_slice(), e.codes.len());
-            (bounds, recorded) = (&e.lb, Some(&mut e.codes));
-        }
-        // A seeded fill bounds by the probe's table, so its mask is fixed
-        // before the walk; any other by its lane's, which rises as the walk
-        // measures strings.
-        if let Some(seed) = seed {
-            bounds = &seed.exact.lb;
-        }
         let mut mark = |j: usize, a: usize, b: usize| {
             if let Some(s) = spans.get_mut(at + j) {
                 *s = ((base + a - c0) as u32, (base + b - c0) as u32);
             }
         };
-        // Only a seeded fill rejects.
-        let bits = if seed.is_some() { bits } else { &mut [] };
-        let mut cands = Cands {
-            bits,
-            at,
-            exact: None,
-        };
+        let (mut tid_i, mut num_i, mut code_i, mut j) = (self.tid_i, self.num_i, self.code_i, 0);
         if ty == ListType::III {
             // The dense lists' run, kept to its bones: a count, its codes.
-            // A seeded run rejects the spans between the values that pass.
-            let nums = self.nums.get(self.num_i..).unwrap_or(&[]);
+            // It rejects the spans between the values that pass.
+            let nums = self.nums.get(num_i..).unwrap_or(&[]);
             let nums = nums.get(..tids.len().min(out.len())).unwrap_or(nums);
-            let (mut code_i, mut j, mut from) = (self.code_i, 0, 0);
+            let mut from = 0;
             for (slot, &num) in out.iter_mut().zip(nums) {
                 let codes = self.codes.get(code_i..code_i + usize::from(num));
                 let codes = codes.ok_or_else(misaligned)?;
                 mark(j, code_i, code_i + codes.len());
                 (code_i, j) = (code_i + codes.len(), j + 1);
                 let lb = text_lower_bound(ty, codes.len(), least(codes, bounds)?);
-                let Some(seed) = seed else {
-                    *slot = lb.unwrap_or(f64::NAN);
-                    continue;
-                };
-                if let Some(lb) = seed.pass(lb) {
+                if let Some(lb) = pass(lb) {
                     cands.reject(from..j - 1);
                     (*slot, from) = (lb, j);
                 }
             }
             cands.reject(from..j);
-            if let Some(recorded) = recorded {
-                recorded.extend_from_slice(self.codes.get(c0..code_i).unwrap_or(&[]));
-            }
-            self.left = self.left.saturating_sub(j + code_i - self.code_i);
-            (self.num_i, self.code_i) = (self.num_i + j, code_i);
-            return Ok(j);
-        }
-        let ndf = seed.is_none_or(|s| s.ndf).then_some(f64::NAN);
-        let (mut tid_i, mut num_i, mut code_i, mut j) = (self.tid_i, self.num_i, self.code_i, 0);
-        while let (Some(&t), Some(slot)) = (tids.get(j), out.get_mut(j)) {
-            let next = match (ty.is_positional(), self.tids.get(tid_i)) {
-                // A Type IV frame runs while its codes do.
-                (true, _) if code_i < self.codes.len() => t,
-                (false, Some(&next)) => next,
-                _ => break,
-            };
-            let (elems, lb) = match bound {
-                // The list holds nothing for `t`.
-                _ if next > t => (0, ndf),
-                Bound::Num(codec, q) => {
-                    let code = *self.codes.get(code_i).ok_or_else(misaligned)?;
-                    code_i += 1;
-                    match ty == ListType::IV && code == codec.ndf_code() {
-                        true => (0, ndf),
-                        false => (
-                            usize::from(ty == ListType::I),
-                            Some(codec.lower_bound_dist(code, q)),
-                        ),
-                    }
-                }
-                // `next`'s value: one Type II element, or Type I's run of
-                // one-string elements.
-                Bound::Text(..) => {
-                    let num = match ty {
-                        ListType::I => {
-                            let run = self.tids.get(tid_i..).unwrap_or(&[]);
-                            let run = run.iter().take_while(|&&x| x == next).count();
-                            if next == t && tid_i + run == self.tids.len() {
-                                break;
-                            }
-                            run
+            num_i += j;
+        } else {
+            while let (Some(&t), Some(slot)) = (tids.get(j), out.get_mut(j)) {
+                let next = match (ty.is_positional(), self.tids.get(tid_i)) {
+                    // A Type IV frame runs while its codes do.
+                    (true, _) if code_i < self.codes.len() => t,
+                    (false, Some(&next)) => next,
+                    _ => break,
+                };
+                let (elems, lb) = match numeric {
+                    // The list holds nothing for `t`.
+                    _ if next > t => (0, pass(None)),
+                    Some((codec, q)) => {
+                        let code = *self.codes.get(code_i).ok_or_else(misaligned)?;
+                        code_i += 1;
+                        match ty == ListType::IV && code == codec.ndf_code() {
+                            true => (0, pass(None)),
+                            false => (
+                                usize::from(ty == ListType::I),
+                                Some(codec.lower_bound_dist(code, q)),
+                            ),
                         }
-                        _ => usize::from(*self.nums.get(num_i).ok_or_else(misaligned)?),
-                    };
-                    num_i += usize::from(ty != ListType::I);
-                    let codes = self
-                        .codes
-                        .get(code_i..code_i + num)
-                        .ok_or_else(misaligned)?;
-                    let lb = text_lower_bound(ty, num, least(codes, bounds)?);
-                    let lb = match seed {
-                        Some(seed) => seed.pass(lb),
-                        None => Some(lb.unwrap_or(f64::NAN)),
-                    };
-                    if next == t {
-                        mark(j, code_i, code_i + num);
                     }
-                    code_i += num;
-                    let elems = if ty == ListType::I { num } else { 1 };
-                    (elems, lb)
+                    // `next`'s value: one Type II element, or Type I's run of
+                    // one-string elements.
+                    None => {
+                        let num = match ty {
+                            ListType::I => {
+                                let run = self.tids.get(tid_i..).unwrap_or(&[]);
+                                let run = run.iter().take_while(|&&x| x == next).count();
+                                if next == t && tid_i + run == self.tids.len() {
+                                    break;
+                                }
+                                run
+                            }
+                            _ => usize::from(*self.nums.get(num_i).ok_or_else(misaligned)?),
+                        };
+                        num_i += usize::from(ty != ListType::I);
+                        let codes = self
+                            .codes
+                            .get(code_i..code_i + num)
+                            .ok_or_else(misaligned)?;
+                        let lb = pass(text_lower_bound(ty, num, least(codes, bounds)?));
+                        if next == t {
+                            mark(j, code_i, code_i + num);
+                        }
+                        code_i += num;
+                        let elems = if ty == ListType::I { num } else { 1 };
+                        (elems, lb)
+                    }
+                };
+                tid_i += elems;
+                if next >= t {
+                    match lb {
+                        Some(lb) => *slot = lb,
+                        None => cands.reject(j..j + 1),
+                    }
+                    j += 1;
                 }
-            };
-            tid_i += elems;
-            if next >= t {
-                match lb {
-                    Some(lb) => *slot = lb,
-                    None => cands.reject(j..j + 1),
-                }
-                j += 1;
             }
         }
         if let Some(recorded) = recorded {
@@ -1448,12 +1489,11 @@ impl Sections {
     }
 }
 
-/// How a value's lower bound is computed: the query string's matcher over
-/// a text list's signatures — or, for a query a [`Seed`] covers, its
-/// per-code table — and the query number against a numeric list's codes.
-#[derive(Clone, Copy)]
+/// How a value's lower bound is computed: a text list's from its lane's
+/// table, under the table's rule; a numeric list's from the query
+/// number against its codes.
 pub(crate) enum Bound<'a> {
-    Text(&'a PreparedMatcher, Option<&'a Seed>),
+    Text(&'a mut Exact),
     Num(&'a NumericCodec, f64),
 }
 
@@ -1478,6 +1518,9 @@ pub struct PackedReader {
     raw: RawTail,
     ndf_left: u64,
     sections: Sections,
+    /// Whether the dictionary was handed to the reader, which then steps
+    /// over the DICT frame by its header.
+    handed: bool,
     /// Raw-layout bytes of the frames not yet loaded: the list's logical
     /// length, less what the frames loaded so far decode to. The last
     /// frame must bring it to exactly zero.
@@ -1542,8 +1585,24 @@ impl PackedReader {
             raw: RawTail::default(),
             ndf_left: 0,
             sections: Sections::default(),
+            handed: false,
             remaining: logical,
         })
+    }
+
+    /// The reader over `dict`, the list's dictionary, parsed elsewhere.
+    pub(crate) fn with_dict(mut self, dict: &Arc<Dict>) -> Self {
+        (self.sections.dict, self.handed) = (Arc::clone(dict), true);
+        self
+    }
+
+    /// The list's dictionary, which a fresh reader first reads from its
+    /// first frame (empty where that is no DICT frame).
+    pub(crate) fn load_dict(&mut self) -> Result<Arc<Dict>> {
+        if self.inner.tell() == self.start && !self.inner.at_end() {
+            self.read_frame()?;
+        }
+        Ok(Arc::clone(&self.sections.dict))
     }
 
     /// The organization this reader decodes.
@@ -1554,104 +1613,6 @@ impl PackedReader {
     /// Raw-layout bytes of the frames not yet loaded.
     pub fn remaining(&self) -> u64 {
         self.remaining
-    }
-
-    /// Values the dictionary's count section counts (0 without one).
-    pub(crate) fn counted(&self) -> u64 {
-        let counts = self.sections.dict.counts.iter();
-        counts.fold(0, |sum, &n| sum.saturating_add(n))
-    }
-
-    /// The probe of a fresh reader (see the module doc): load the list's
-    /// dictionary and measure its strings against the matcher's query
-    /// string into an [`Exact`] table, in ascending estimate order —
-    /// uncapped until a bound `B` exists, then where weight `lambda` puts
-    /// them past `combine(λ·B)` under `metric` ([`edits_beyond`]). `B` is
-    /// the smallest distance at which the values counted so far reach
-    /// `k + deleted`; the visit ends at the first estimate above the one at
-    /// which they reach `k` (`B` itself with no tombstones). Which codes,
-    /// and whether *ndf* (penalty `ndf`), pass its limit is then decided
-    /// once. `None` without a string section or enough counted values;
-    /// `Corrupt` for counts above the list's `values`, or postings whose
-    /// frames' bytes the list's logical length cannot hold — or does not
-    /// equal, where they cover all `tuples` positions and a leap reads no
-    /// frame to find out.
-    pub(crate) fn probe<M: Metric>(
-        &mut self,
-        matcher: &PreparedMatcher,
-        (k, deleted, values, tuples): (u64, u64, u64, u64),
-        (lambda, ndf, metric): (f64, f64, &M),
-    ) -> Result<Option<Seed>> {
-        if self.inner.tell() == self.start && !self.inner.at_end() {
-            self.read_frame()?;
-        }
-        let (counted, need) = (self.counted(), k.saturating_add(deleted));
-        if counted > values {
-            return Err(corrupt("dictionary counts more values than the list holds"));
-        }
-        if let Some((covered, raw)) = self.sections.dict.covered {
-            let whole = covered >= tuples;
-            if raw > self.remaining || covered > tuples || (whole && raw != self.remaining) {
-                return Err(corrupt("postings cover other frames than the list holds"));
-            }
-        }
-        let dict = &mut self.sections.dict;
-        if dict.counts.is_empty() || counted < need {
-            return Ok(None);
-        }
-        let (mut exact, q) = (Exact::default(), matcher.pattern());
-        exact.start(dict.estimates(matcher)?);
-        // Estimates are ≥ 0, and such floats order as their bits do.
-        let mut order: BinaryHeap<_> = (exact.lb.iter().enumerate())
-            .map(|(c, e)| Reverse((e.to_bits(), c)))
-            .collect();
-        // `(distance, code)` of the exact strings; `(B for k, B)`.
-        let (mut found, mut b, mut distances) = (Vec::new(), None, 0u64);
-        while let Some(Reverse((est, c))) = order.pop() {
-            let est = f64::from_bits(est);
-            if b.is_some_and(|(bk, _)| est > bk as f64) {
-                break;
-            }
-            let past = |b: usize| metric.combine(&[lambda * b as f64]);
-            let cap = |longest| {
-                let beyond = |(_, b)| edits_beyond(&mut [0.0], 0, lambda, longest, metric, past(b));
-                b.map_or(usize::MAX, beyond)
-            };
-            let Some(d) = exact.measure(c, dict, q, cap, &mut distances)? else {
-                continue;
-            };
-            found.push((d, c));
-            found.sort_unstable();
-            let (mut reached, mut bk) = (0u64, None);
-            b = found.iter().find_map(|&(d, c)| {
-                reached = reached.saturating_add(dict.counts.get(c).copied().unwrap_or(0));
-                bk = bk.or((reached >= k).then_some(d));
-                bk.zip((reached >= need).then_some(d))
-            });
-        }
-        let Some((_, b)) = b else { return Ok(None) };
-        let limit = metric.combine(&[lambda * b as f64]);
-        // The walk's own test, `est > limit`, failed (`NaN` included).
-        let passes = |b: f64| metric.combine(&[lambda * b]).partial_cmp(&limit) != Some(Greater);
-        let passing = exact.lb.iter().copied().filter(|&b| passes(b));
-        let cut = passing.fold(f64::NEG_INFINITY, f64::max);
-        // Where *ndf* passes, every *ndf* position is a candidate too.
-        let ndf = passes(ndf);
-        let leap = (!ndf).then(|| dict.leap(&exact, cut)).flatten();
-        Ok(Some(Seed {
-            exact,
-            dict: std::mem::take(dict),
-            cut,
-            ndf,
-            limit,
-            distances,
-            leap,
-        }))
-    }
-
-    /// The list's dictionary, as far as the reader has loaded it.
-    pub(crate) fn dict(&self) -> &Dict {
-        &self.sections.dict
     }
 
     /// Move a fresh reader past the frames `leap` covers, by their headers
@@ -1728,9 +1689,9 @@ impl PackedReader {
     /// ([`Sections::fill`]), an NDF_RUN
     /// frame and the end of the list (a positional list's lazy tail, a
     /// keyed list's last element passed) by arithmetic. `peek` is the
-    /// walk's frozen keyed header, which a PACKED frame takes back. A
-    /// seeded fill rejects in `cands` what cannot pass, *ndf* positions
-    /// included where *ndf* cannot. Returns the positions served; 0 — a
+    /// walk's frozen keyed header, which a PACKED frame takes back. A text
+    /// fill rejects in `cands` what its table's rule does not let
+    /// through, *ndf* positions included. Returns the positions served; 0 — a
     /// RAW tail frame, or a keyed value that may run on into the next
     /// frame — leaves the next one to the walk, which rejects nothing.
     pub(crate) fn fill_run(
@@ -1761,7 +1722,7 @@ impl PackedReader {
         };
         // *ndf* positions: an NDF_RUN frame's, or past the list's end.
         out.iter_mut().take(n).for_each(|slot| *slot = f64::NAN);
-        if matches!(bound, Bound::Text(_, Some(seed)) if !seed.ndf) {
+        if matches!(bound, Bound::Text(e) if !e.ndf) {
             cands.reject(0..n);
         }
         Ok(n)
@@ -1793,18 +1754,24 @@ impl PackedReader {
                 self.sections.load(&self.org, elems)?
             }
             FRAME_DICT => {
-                let Org::Text(_, codec) = &self.org else {
+                let Org::Text(ty, codec) = &self.org else {
                     return Err(corrupt("dictionary frame in a numeric list"));
                 };
                 // The dictionary heads the list's frames, or there is none.
                 if self.inner.tell() != self.start + FRAME_HEADER_LEN as u64 {
                     return Err(corrupt("dictionary frame after the first frame"));
                 }
-                let dict = &mut self.sections.dict;
-                dict.payload.resize(payload_len + SIG_PAD, 0);
-                self.inner
-                    .read_exact(dict.payload.get_mut(..payload_len).unwrap_or(&mut []))?;
-                dict.load(elems, self.org.list_type(), codec)?;
+                if self.handed {
+                    self.inner.skip(payload_len as u64)?;
+                } else {
+                    let mut dict = Dict::default();
+                    dict.payload.resize(payload_len + SIG_PAD, 0);
+                    self.inner
+                        .read_exact(dict.payload.get_mut(..payload_len).unwrap_or(&mut []))?;
+                    let loaded = dict.load(elems, *ty, codec);
+                    self.sections.dict = Arc::new(dict);
+                    loaded?;
+                }
                 0
             }
             FRAME_NDF_RUN => {
@@ -2102,7 +2069,7 @@ mod tests {
                 + s.nums.capacity()
                 + d.lens.capacity()
                 + (s.codes.capacity() + s.wide.capacity() + d.starts.capacity()) * 8
-                + (d.est.capacity() + d.texts.capacity() + d.counts.capacity()) * 8
+                + (d.texts.capacity() + d.counts.capacity()) * 8
                 + (d.runs.capacity() + d.posts.capacity()) * 8;
             // At most the payloads' own values, inflated to a word each.
             assert!(
@@ -2153,9 +2120,10 @@ mod tests {
         let matcher = PreparedMatcher::new(&codec, b"canon");
         let probe = |k: u64, deleted: u64, values: u64| {
             let mut r = PackedReader::new_text(reader_for(&p, &packed), ListType::III, &codec)?;
-            r.probe(
+            let logical = r.remaining();
+            r.load_dict()?.probe(
                 &matcher,
-                (k, deleted, values, 200),
+                (k, deleted, values, 200, logical),
                 (1.0, 20.0, &MetricKind::L1),
             )
         };
@@ -2189,14 +2157,14 @@ mod tests {
         // The fill: canon, canon, cannon, nikon + canon.
         let fill = |seed: &Seed, out: &mut [f64; 4]| {
             let r = PackedReader::new_text(reader_for(&p, &packed), ListType::III, &codec).unwrap();
-            let mut bits = [u64::MAX];
+            let (mut bits, mut exact) = ([u64::MAX], seed.exact.clone());
             let cands = Cands {
                 bits: &mut bits,
                 at: 1,
-                exact: None,
             };
+            let tids = &all_tids[..4];
             TextListCursor::new(r, ListType::III)
-                .fill_seeded(&all_tids[..4], &codec, &matcher, Some(seed), out, cands)
+                .fill(tids, &codec, &matcher, &mut exact, out, cands)
                 .unwrap();
             bits[0]
         };
@@ -2262,8 +2230,9 @@ mod tests {
         let p = pager();
         let matcher = PreparedMatcher::new(&codec, b"needle");
         let mut r = PackedReader::new_text(reader_for(&p, &packed), ListType::III, &codec).unwrap();
-        let seed = r
-            .probe(&matcher, (1, 0, 301, 301), (1.0, 20.0, &MetricKind::L1))
+        let counts = (1, 0, 301, 301, r.remaining());
+        let seed = (r.load_dict().unwrap())
+            .probe(&matcher, counts, (1.0, 20.0, &MetricKind::L1))
             .unwrap()
             .unwrap();
         let leap = seed.leap.as_ref().expect("two candidates of 300");
@@ -2300,6 +2269,33 @@ mod tests {
                 fresh().skip_covered(&lie).is_err_and(|e| e.is_corruption()),
                 "{covered} {raw}"
             );
+        }
+    }
+
+    /// A reader handed the list's dictionary steps over the DICT frame by
+    /// its header and decodes the rest as one that parsed it; a second
+    /// DICT frame, or one after the first frame, is still `Corrupt` to it.
+    #[test]
+    fn a_handed_dictionary_steps_over_only_the_first_frame() {
+        let codec = SigCodec::new(0.3, 2);
+        let p = pager();
+        let all_tids: Vec<u32> = (0..50).collect();
+        let items = text_items(&codec, &all_tids);
+        let good = encode_packed_text_list(ListType::II, &items, &all_tids);
+        let raw = encode_text_list(ListType::II, &items, &all_tids).unwrap();
+        let open =
+            |image: &[u8]| PackedReader::new_text(reader_for(&p, image), ListType::II, &codec);
+        let dict = open(&good).unwrap().load_dict().unwrap();
+        let at = PACKED_PROLOGUE_LEN + 5;
+        let len = u32::from_le_bytes(good[at..at + 4].try_into().unwrap()) as usize;
+        let (head, frame, rest) = (&good[..8], &good[8..at + 4 + len], &good[at + 4 + len..]);
+        let handed = |image: &[u8]| open(image).unwrap().with_dict(&dict).decode_to_vec();
+        assert_eq!(handed(&good).unwrap(), raw);
+        for lie in [
+            [head, frame, frame, rest].concat(),
+            [head, rest, frame].concat(),
+        ] {
+            assert!(handed(&lie).is_err_and(|e| e.is_corruption()));
         }
     }
 

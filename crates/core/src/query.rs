@@ -258,18 +258,20 @@ pub struct QueryStats {
     /// of lanes the tuple list is split into.
     pub table_accesses: u64,
     /// Entries the walk put into the pool at a distance it knew exactly,
-    /// with no fetch — a tuple *ndf* on every query attribute, a seeded
-    /// string's exact distance, or the dictionary strings' distances of
-    /// every value a multi-value query's position holds; summed like
-    /// `table_accesses`.
+    /// with no fetch — a tuple *ndf* on every query attribute, or an
+    /// admitted one whose every other value its lane's per-code tables
+    /// decide from dictionary strings, in a 1-value or a multi-value
+    /// query alike; summed like `table_accesses`.
     pub walk_admits: u64,
-    /// Tuple-list positions the walk weighed: all but those a seeded walk
-    /// knew could not pass its threshold; summed like `table_accesses`.
+    /// Tuple-list positions the walk weighed: all but those a seeded
+    /// lane's fill rejects — every code's bound in its table, or *ndf*,
+    /// past the seed's cut — and those a leaping walk passes over; summed
+    /// like `table_accesses`.
     pub positions_weighed: u64,
     /// Edit distances computed from dictionary strings: a 1-value text
     /// query's probe for its threshold before the walk, and the walk's
-    /// per-code distances that decide a position without a fetch; summed
-    /// like `table_accesses`.
+    /// per-code distances that decide an admitted position without a
+    /// fetch; summed like `table_accesses`.
     pub dict_distances: u64,
     /// Always 0 — every plan fetches one admitted candidate at a time;
     /// retained until the benchmark drops

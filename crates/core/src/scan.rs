@@ -43,25 +43,28 @@
 //! on as before. A leap passes over only positions that every lane's
 //! candidate mask would clear.
 //!
-//! **Exact from the dictionary.** Where a text attribute's dictionary
-//! holds strings, each lane holds one exact table for it ([`Exact`]): per
-//! code, the query string's edit distance to the code's string, a lower
-//! bound on it, or its estimate, unseen. A fill bounds a value by the min
-//! over its codes' bounds and records its codes. A position the pool
-//! admits whose every bound is such a value's takes per attribute the min
-//! over its codes' distances, each computed at first need and capped
-//! where, every other attribute at 0, the pool's threshold is past
-//! ([`edits_beyond`]), and goes into the pool at `combine(λ·d)`, as
-//! [`bounded_distance`] would compute it from its record. A RAW tail
-//! value, a numeric or signature-only one, and a Type I value the element
-//! walk serves are not recorded: the position goes to `pending`. A 1-value
-//! query probes the table before its walk ([`Seed`]): exact distances in
-//! ascending estimate order give a bound `B` with at least k + the index's
-//! tombstones counted values at or below it, so at least k live tuples lie
-//! at or below `limit = combine(λ·B)`. The walk skips every tuple whose
-//! estimate or decided distance is past `limit`, and the fill drops every
-//! position whose codes, or *ndf*, cannot pass from the block's candidates
-//! ([`Bounds`]).
+//! **Exact from the dictionary.** A query parses each text list's
+//! dictionary once, when it is prepared; its lanes share that copy, and
+//! each holds one table per text attribute ([`Exact`]): per code, its
+//! estimate, unseen, or — where the dictionary holds strings — the query
+//! string's edit distance to the code's string, or a lower bound on it.
+//! Every fill bounds a value by the min over its codes' bounds, recording
+//! its codes where there are strings. A position the pool admits whose
+//! every bound is such a value's takes per attribute the min over its
+//! codes' distances, each computed at first need and capped where, every
+//! other attribute at 0, the pool's threshold is past ([`edits_beyond`]),
+//! and goes into the pool at `combine(λ·d)`, as [`bounded_distance`] would
+//! compute it from its record. A RAW tail value, a numeric or
+//! signature-only one, and a Type I value the element walk serves are not
+//! recorded: the position goes to `pending`. A 1-value query probes the
+//! dictionary before its walk ([`Seed`]): exact distances in ascending
+//! estimate order give a bound `B` with at least k + the index's tombstones
+//! counted values at or below it, so at least k live tuples lie at or below
+//! `limit = combine(λ·B)`. The walk skips every tuple whose estimate or
+//! decided distance is past `limit`; its lanes start from the probe's
+//! table, whose rule drops from the block's candidates ([`Bounds`]) every
+//! position whose codes, or *ndf*, cannot pass. An unseeded lane's rule
+//! lets everything through.
 //!
 //! **Order-independence lemma.** The pool keeps the k smallest
 //! `(dist, tid)` of what was inserted, whatever the order (see
@@ -124,11 +127,10 @@ pub(crate) enum AttrScan<'a> {
         cur: TextListCursor,
         codec: &'a SigCodec,
         matcher: &'a PreparedMatcher,
-        seed: Option<&'a Seed>,
         /// The seed's candidates and the next one to serve, until the
         /// scan reaches the positions they do not cover.
         leap: Option<(&'a Leap, usize)>,
-        /// This lane's exact table: a copy of the seed's, if it has one.
+        /// This lane's table: a copy of the seed's, if it has one.
         exact: Exact,
     },
     Num {
@@ -144,13 +146,19 @@ impl<'a> AttrScan<'a> {
     /// Open at the head of the attribute's list.
     fn open(index: &'a IvaIndex, sa: &'a SharedAttr<'a>, seed: Option<&'a Seed>) -> Result<Self> {
         Ok(match sa {
-            SharedAttr::Text { matcher, entry } => AttrScan::Text {
-                cur: index.open_text_cursor(entry)?,
+            SharedAttr::Text {
+                matcher,
+                entry,
+                dict,
+            } => AttrScan::Text {
+                cur: TextListCursor::new(
+                    index.list_reader(entry)?.with_dict(dict),
+                    entry.list_type,
+                ),
                 codec: index.sig_codec(),
                 matcher,
-                seed,
                 leap: seed.and_then(|s| s.leap.as_ref()).map(|l| (l, 0)),
-                exact: seed.map(|s| s.exact.clone()).unwrap_or_default(),
+                exact: seed.map_or_else(|| Exact::new(dict, matcher), |s| Ok(s.exact.clone()))?,
             },
             SharedAttr::Num { q, codec, entry } => AttrScan::Num {
                 cur: index.open_num_cursor(entry)?,
@@ -217,28 +225,31 @@ impl<'a> AttrScan<'a> {
     /// The fill contract: move over `tids`, the block of tuple-list
     /// elements from position `at` on, writing each one's lower bound on
     /// its difference to the query value into `out` — `NaN` for *ndf*;
-    /// bounds are never `NaN`, and never below zero. A seeded fill writes
-    /// only the elements it serves from frames that can pass the seed's
-    /// limit, and clears the others' bits in `cands`. A leaping one writes
-    /// its candidates' bounds and clears every other bit, where they cover
-    /// the block. A text fill records in its [`Exact`] the codes of the
-    /// values it serves from a dictionary of strings. Tombstoned elements
-    /// are filled like any other (the spine never admits them).
+    /// bounds are never `NaN`, and never below zero. A text fill bounds by
+    /// the lane's [`Exact`] table, writes only the elements it serves from
+    /// frames that the table's rule lets through, clears the others' bits
+    /// in `cands`, and records the codes of a dictionary of strings. A
+    /// leaping one writes its candidates' bounds and clears every other
+    /// bit, where they cover the block. Tombstoned elements are filled
+    /// like any other (the spine never admits them).
     fn fill(&mut self, at: u64, tids: &[u32], out: &mut [f64], mut cands: Cands<'_>) -> Result<()> {
         if let AttrScan::Text {
             leap: Some((l, next)),
-            seed: Some(seed),
             exact,
             ..
         } = self
         {
             let n = usize::try_from(l.covered.saturating_sub(at))
                 .map_or(tids.len(), |n| n.min(tids.len()));
-            let (mut from, bound) = (0, |c: u64| seed.exact.lb.get(c as usize).copied());
+            let mut from = 0;
             while let Some((p, code)) = l.get(*next).filter(|&(p, _)| p < at + n as u64) {
                 let j = usize::try_from(p.saturating_sub(at)).unwrap_or(0);
                 if let Some(slot) = out.get_mut(j).filter(|_| p >= at) {
-                    let lb = bound(code).unwrap_or(f64::INFINITY);
+                    let lb = exact
+                        .lb
+                        .get(code as usize)
+                        .copied()
+                        .unwrap_or(f64::INFINITY);
                     if j < from {
                         // Another code of the candidate just written.
                         *slot = slot.min(lb);
@@ -268,16 +279,9 @@ impl<'a> AttrScan<'a> {
                 cur,
                 codec,
                 matcher,
-                seed,
                 exact,
                 ..
-            } => {
-                let cands = Cands {
-                    exact: Some(exact),
-                    ..cands
-                };
-                cur.fill_seeded(tids, codec, matcher, *seed, out, cands)
-            }
+            } => cur.fill(tids, codec, matcher, exact, out, cands),
             AttrScan::Num { cur, codec, q } => cur.fill_block(tids, codec, *q, out),
             AttrScan::AlwaysNdf => {
                 out.fill(f64::NAN);
@@ -323,8 +327,6 @@ pub(crate) struct Bounds<'a> {
     attrs: Vec<AttrScan<'a>>,
     lbs: Vec<f64>,
     cands: [u64; BLOCK / 64],
-    /// Whether the block's fill recorded any value's codes ([`Exact`]).
-    coded: bool,
 }
 
 impl<'a> Bounds<'a> {
@@ -339,17 +341,12 @@ impl<'a> Bounds<'a> {
         let attrs = attrs.collect::<Result<Vec<_>>>()?;
         let lbs = vec![f64::NAN; attrs.len() * BLOCK];
         let cands = [u64::MAX; BLOCK / 64];
-        Ok(Self {
-            attrs,
-            lbs,
-            cands,
-            coded: false,
-        })
+        Ok(Self { attrs, lbs, cands })
     }
 
     /// Fill every attribute's column for the next block (≤ [`BLOCK`], from
     /// position `at` on), a column at a time. Every position starts as a
-    /// candidate; a seeded fill clears those that cannot pass.
+    /// candidate; a fill clears those its rule does not let through.
     pub(crate) fn fill(&mut self, at: u64, tids: &[u32]) -> Result<()> {
         let too_long = || IvaError::InvalidArgument("block too long".into());
         self.cands = [u64::MAX; BLOCK / 64];
@@ -361,13 +358,9 @@ impl<'a> Bounds<'a> {
             let cands = Cands {
                 bits: &mut self.cands,
                 at: 0,
-                exact: None,
             };
             a.fill(at, tids, col, cands)?;
         }
-        let recorded =
-            |a: &AttrScan| matches!(a, AttrScan::Text { exact, .. } if !exact.is_empty());
-        self.coded = self.attrs.iter().any(recorded);
         Ok(())
     }
 
@@ -485,10 +478,7 @@ impl<'a> Lane<'a> {
             if !bound_at(col) {
                 continue;
             }
-            let AttrScan::Text {
-                cur, seed, exact, ..
-            } = a
-            else {
+            let AttrScan::Text { exact, .. } = a else {
                 return Ok(None);
             };
             let (Some(q), Some(d), Some(&lam)) =
@@ -497,9 +487,8 @@ impl<'a> Lane<'a> {
                 return Ok(None);
             };
             let cap = |edits| edits_beyond(spare, slot, lam, edits, metric, threshold);
-            let dict = seed.map_or_else(|| cur.dict(), |s| &s.dict);
             let distances = &mut self.carry.stats.dict_distances;
-            match exact.decide(i, dict, q, cap, distances)? {
+            match exact.decide(i, q, cap, distances)? {
                 Some(e) => *d = lam * e as f64,
                 None => return Ok(Some(f64::INFINITY)),
             }
@@ -535,11 +524,17 @@ impl IvaIndex {
         let (start, k) = (thread_cpu_time(), carry.pool.capacity());
         let shared = self.prepare_query(query, matchers)?;
         let seed = match (shared.as_slice(), lambda) {
-            ([SharedAttr::Text { matcher, entry }], &[lam]) if k > 0 => {
-                let counts = (k as u64, self.n_deleted(), entry.df, self.n_tuples());
-                let mut reader = self.list_reader(entry)?;
-                let ndf = self.config().ndf_penalty;
-                reader.probe(matcher, counts, (lam, ndf, metric))?
+            (
+                [SharedAttr::Text {
+                    matcher,
+                    entry,
+                    dict,
+                }],
+                &[lam],
+            ) if k > 0 => {
+                let (n, logical) = (self.n_tuples(), entry.logical_len);
+                let counts = (k as u64, self.n_deleted(), entry.df, n, logical);
+                dict.probe(matcher, counts, (lam, self.config().ndf_penalty, metric))?
             }
             _ => None,
         };
@@ -595,6 +590,8 @@ impl IvaIndex {
             for lane in lanes.iter_mut() {
                 lane.carry.stats.tuples_scanned += tids.len() as u64;
                 lane.bounds.fill(at, &tids)?;
+                let coded = (lane.bounds.attrs.iter())
+                    .any(|a| matches!(a, AttrScan::Text { exact, .. } if !exact.codes.is_empty()));
                 // Admission stays per candidate, in scan order: a drain
                 // inside the block tightens the pool for the rest of it.
                 for i in positions(lane.bounds.cands) {
@@ -614,7 +611,7 @@ impl IvaIndex {
                     let exact = match exact {
                         true => Some(dist),
                         false if !lane.carry.pool.admits_at(est, tid) => continue,
-                        false if lane.bounds.coded => lane.decide(i, metric)?,
+                        false if coded => lane.decide(i, metric)?,
                         false => None,
                     };
                     // A decided distance past the limit is skipped, as an
@@ -995,6 +992,50 @@ mod tests {
         );
     }
 
+    /// A query reads each list's DICT frame once, whatever its shape: two
+    /// indexes whose dictionaries differ only in the length of one string,
+    /// which no query here admits, read list bytes that differ by exactly
+    /// what one parse of the dictionary reads more — for a seeded query
+    /// that tombstones keep from leaping, a leaping one over a RAW tail,
+    /// and an unseeded two-value query over two workers.
+    #[test]
+    fn a_query_reads_each_dictionary_once() {
+        let one = Query::new().text(AttrId(0), "canon");
+        let two = one.clone().text(AttrId(1), "canon");
+        for (tail, deleted, q, threads) in [(0, 900, &one, 1), (40, 0, &one, 1), (0, 0, &two, 2)] {
+            let read = |rare: &str| {
+                let mut rows: Vec<_> = (0..2500).map(row).collect();
+                rows[2000] = Some(vec![rare.to_string()]);
+                let (table, index) = one_attr(&rows, tail, deleted);
+                let (io, entry) = (index.io_stats(), index.attr_entry(AttrId(0)).unwrap());
+                let before = io.snapshot();
+                index.list_reader(entry).unwrap().load_dict().unwrap();
+                let parse = io.snapshot().since(&before).logical_list_bytes;
+                let opts = QueryOptions {
+                    threads: Some(threads),
+                };
+                let before = io.snapshot();
+                let out = index
+                    .query_opts(&table, q, 10, &MetricKind::L2, WeightScheme::Equal, &opts)
+                    .unwrap();
+                let read = io.snapshot().since(&before).logical_list_bytes;
+                (parse, read, out, index.n_tuples())
+            };
+            let ((parse, read, out, n), (longer, more, other, _)) =
+                (read("xylophone"), read(&"xylophone".repeat(4)));
+            let ctx = format!(
+                "tail {tail}, deleted {deleted}, {threads} threads: {:?}",
+                out.stats
+            );
+            // Only the seeded query over a RAW tail leaps.
+            assert_eq!(out.stats.tuples_scanned < n, tail > 0, "{ctx}");
+            assert!(out.stats.dict_distances > 0, "{ctx}");
+            assert_eq!(out.results, other.results, "{ctx}");
+            assert!(longer > parse, "{ctx}");
+            assert_eq!(more - read, longer - parse, "{ctx}");
+        }
+    }
+
     /// The row of [`multi`] tuple `i`: three text attributes whose lists are
     /// coded by strings — Type III of one to three strings, Type II of one
     /// or two, Type I mostly of one, each with values that hold their
@@ -1195,17 +1236,10 @@ mod tests {
                     tsrc.next_block(block_len(n - at), &mut tids, &mut ptrs)
                         .unwrap();
                     bounds.fill(at, &tids).unwrap();
-                    let Some(AttrScan::Text {
-                        cur,
-                        seed,
-                        exact,
-                        matcher,
-                        ..
-                    }) = bounds.attrs.first_mut()
+                    let Some(AttrScan::Text { exact, matcher, .. }) = bounds.attrs.first_mut()
                     else {
                         panic!("a text scan");
                     };
-                    let dict = seed.map_or_else(|| cur.dict(), |s| &s.dict);
                     for (i, &tid) in tids.iter().enumerate() {
                         let Some(strings) = rows[tid as usize].as_ref().filter(|_| exact.holds(i))
                         else {
@@ -1217,7 +1251,7 @@ mod tests {
                             .unwrap();
                         let mut decide = |cap: usize| {
                             let q = matcher.pattern();
-                            exact.decide(i, dict, q, |_| cap, &mut distances).unwrap()
+                            exact.decide(i, q, |_| cap, &mut distances).unwrap()
                         };
                         let got = decide(cap);
                         let ctx = format!("{what}: tid {tid}, cap {cap}, truth {truth}: {got:?}");
@@ -1282,6 +1316,51 @@ mod tests {
         let (worst, stats) = (carry.pool.worst(), &carry.stats);
         assert!(
             worst.is_none() && stats.table_accesses == 0,
+            "{worst:?} {stats:?}"
+        );
+    }
+
+    /// A seeded lane's table never rises across its cut: a string it
+    /// measures past the cut is kept as past it, at the cut, and one whose
+    /// bound is past the cut is never measured. Over 850 values — four
+    /// blocks — that hold "nonac" or "oncan" (estimated 1 edit from
+    /// "canon", the cut; 4 away) beside a string estimated past the cut,
+    /// the lane weighs every position, as its probe's table lets through,
+    /// measures the two near strings once each and nothing else, and
+    /// inserts and fetches nothing.
+    #[test]
+    fn a_seeded_lane_measures_no_string_past_its_cut() {
+        let words = |i: usize| match i {
+            0..100 => vec!["canon"],
+            100..150 => vec!["cannon"],
+            _ => vec![["nonac", "oncan"][i % 2], "qqqqqqqqqq"],
+        };
+        let rows: Vec<_> = (0..1000)
+            .map(|i| Some(words(i).into_iter().map(String::from).collect()))
+            .collect();
+        let (table, index) = one_attr(&rows, 0, 95);
+        let q = Query::new().text(AttrId(0), "canon");
+        let matchers = index.query_matchers(&q);
+        let (metric, mut carry) = ((&[1.0][..], &MetricKind::L1), ScanCarry::new(10));
+        let (shared, seed, _) = index
+            .prepare_query_timed(&q, &matchers, metric, &mut carry)
+            .unwrap();
+        let seed = seed.expect("seeded");
+        assert_eq!((seed.exact.cut, seed.distances), (1.0, 2));
+        let lane = Lane::open(&index, &q, &[1.0], &shared, Some(&seed), &mut carry);
+        let mut lanes = [lane.unwrap()];
+        index
+            .scan(&table, &mut lanes, 150..1000, DRAIN_AT, &MetricKind::L1)
+            .unwrap();
+        drop(lanes);
+        let (worst, stats) = (carry.pool.worst(), &carry.stats);
+        let counts = (
+            stats.positions_weighed,
+            stats.dict_distances,
+            stats.table_accesses,
+        );
+        assert!(
+            worst.is_none() && counts == (850, 4, 0),
             "{worst:?} {stats:?}"
         );
     }

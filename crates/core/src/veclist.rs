@@ -49,7 +49,7 @@ use iva_text::{PreparedMatcher, SigCodec};
 
 use crate::error::{IvaError, Result};
 use crate::numeric::NumericCodec;
-use crate::packed::{Bound, Cands, Dict, Frame, Leap, Org, PackedReader, RawTail, Seed};
+use crate::packed::{Bound, Cands, Exact, Frame, Leap, Org, PackedReader, RawTail};
 
 /// Width of a tuple id in list elements (the paper's `ltid`).
 pub const LTID: usize = 4;
@@ -477,7 +477,7 @@ pub(crate) fn raw_image(mut r: PackedReader) -> Result<Vec<u8>> {
         let msg = "packed list does not decode to its logical length";
         return Err(IvaError::Corrupt(msg.into()));
     }
-    if r.counted() > values {
+    if r.load_dict()?.counted() > values {
         let msg = "dictionary counts more values than the list holds";
         return Err(IvaError::Corrupt(msg.into()));
     }
@@ -616,32 +616,34 @@ impl TextListCursor {
         matcher: &PreparedMatcher,
         out: &mut [f64],
     ) -> Result<()> {
-        self.fill_seeded(tids, codec, matcher, None, out, Cands::default())
+        let mut exact = Exact::new(&self.reader.load_dict()?, matcher)?;
+        self.fill(tids, codec, matcher, &mut exact, out, Cands::default())
     }
 
-    /// [`TextListCursor::fill_block`] under `seed`, where one is given:
-    /// a coded string's bound comes from its table, and what cannot pass is
-    /// rejected in `cands`. The codes of what the frames serve go to
-    /// `cands`' [`crate::packed::Exact`], where the dictionary holds
-    /// strings. What the walk serves is estimated, and kept.
-    pub(crate) fn fill_seeded(
+    /// [`TextListCursor::fill_block`] by `exact`, the lane's table of the
+    /// list's dictionary: a value the frames serve is bounded by the min
+    /// over its codes' bounds, its codes recorded in `exact` where the
+    /// dictionary holds strings, and what the table's rule does not let
+    /// through is rejected in `cands`. What the walk serves is estimated,
+    /// and kept.
+    pub(crate) fn fill(
         &mut self,
         tids: &[u32],
         codec: &SigCodec,
         matcher: &PreparedMatcher,
-        seed: Option<&Seed>,
+        exact: &mut Exact,
         out: &mut [f64],
-        mut cands: Cands<'_>,
+        cands: Cands<'_>,
     ) -> Result<()> {
-        let (mut done, bound) = (0, Bound::Text(matcher, seed));
+        let mut done = 0;
         let tids = tids.get(..out.len()).unwrap_or(tids);
         while let (Some(rest), Some(slots)) = (tids.get(done..), out.get_mut(done..)) {
             let Some(&tid) = rest.first() else { break };
             let cands = Cands {
                 bits: &mut *cands.bits,
                 at: cands.at + done,
-                exact: cands.exact.as_deref_mut(),
             };
+            let bound = Bound::Text(&mut *exact);
             let served = self
                 .reader
                 .fill_run(&mut self.peek_tid, bound, rest, slots, cands)?;
@@ -657,11 +659,6 @@ impl TextListCursor {
             };
         }
         Ok(())
-    }
-
-    /// The list's dictionary, as far as the cursor has loaded it.
-    pub(crate) fn dict(&self) -> &Dict {
-        self.reader.dict()
     }
 
     /// Position a fresh cursor past the frames `leap` covers, by their
@@ -795,11 +792,11 @@ impl NumListCursor {
         q: f64,
         out: &mut [f64],
     ) -> Result<()> {
-        let (mut done, bound) = (0, Bound::Num(codec, q));
+        let mut done = 0;
         let tids = tids.get(..out.len()).unwrap_or(tids);
         while let (Some(rest), Some(slots)) = (tids.get(done..), out.get_mut(done..)) {
             let Some(&tid) = rest.first() else { break };
-            let cands = Cands::default();
+            let (bound, cands) = (Bound::Num(codec, q), Cands::default());
             let served = self
                 .reader
                 .fill_run(&mut self.peek_tid, bound, rest, slots, cands)?;

@@ -31,15 +31,10 @@
 //!   and tests them byte by byte. Property tests pin the kernel to this
 //!   reference bit for bit.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use crate::edit_distance::PreparedPattern;
 use crate::hash::{gram_bit_positions, or_gram_into, positions_hit};
 use crate::ngram::{gram_count, grams_of, GramMultiset};
 use crate::params::optimal_t;
-
-/// The next [`PreparedMatcher::serial`] to hand out.
-static NEXT_SERIAL: AtomicU64 = AtomicU64::new(0);
 
 /// Signature bytes failed validation during estimation.
 ///
@@ -354,8 +349,6 @@ struct LenPlan {
 /// computes exact distances without building match masks per call.
 #[derive(Debug, Clone)]
 pub struct PreparedMatcher {
-    /// See [`PreparedMatcher::serial`].
-    serial: u64,
     q_len: usize,
     n: usize,
     /// Multiset count of each distinct gram.
@@ -461,7 +454,6 @@ impl PreparedMatcher {
         }
         let max_top = q_len.max(255) + n - 1;
         Self {
-            serial: NEXT_SERIAL.fetch_add(1, Ordering::Relaxed),
             q_len,
             n,
             counts: query.counts.iter().map(|&c| u64::from(c)).collect(),
@@ -482,13 +474,6 @@ impl PreparedMatcher {
     /// Query string length in bytes.
     pub fn query_len(&self) -> usize {
         self.q_len
-    }
-
-    /// A number no other matcher built in this process carries; a clone
-    /// carries its original's. Equal serials estimate alike, so a reader
-    /// that caches estimates keys them by it.
-    pub fn serial(&self) -> u64 {
-        self.serial
     }
 
     /// The baked plan for a length byte. `plans` has a row per `u8` value,
