@@ -10,12 +10,8 @@
 //!   3. `kernel_block` — [`PreparedMatcher::estimate_block`], the batch
 //!      entry point over stride-packed signature cells.
 //!
-//! Every variant runs on 1, 2 and 4 threads (the signature set is split
-//! into contiguous chunks; the prepared matcher is shared by reference,
-//! exactly as the segmented scan shares it across workers). A point with
-//! more threads than the host has cores is marked `oversubscribed` — it
-//! times the scheduler — and nothing is judged from it; the judged
-//! figures are single-thread.
+//! Every variant runs on one thread, as the engine runs the kernel: a
+//! query's walk never leaves the thread that issued it.
 //!
 //! Beside each full-column figure stands `first_256_looped`: the same
 //! variant over a column made of the full column's first 256 signatures
@@ -44,7 +40,6 @@ use iva_workload::{Dataset, WorkloadConfig};
 
 const MIN_TUPLES: usize = 100_000;
 const QUERY: &[u8] = b"product listing number 42";
-const THREADS: &[usize] = &[1, 2, 4];
 const REPS: usize = 5;
 /// Signatures of the looped series: short enough to memorise.
 const LOOPED: usize = 256;
@@ -68,15 +63,8 @@ impl Column {
 
 struct Point {
     variant: &'static str,
-    threads: usize,
     ns_per_sig: f64,
     sigs_per_sec: f64,
-}
-
-/// Chunk `n` items into `t` contiguous ranges (same split as the
-/// segmented tuple-list scan).
-fn bounds(n: usize, t: usize) -> Vec<(usize, usize)> {
-    (0..t).map(|i| (i * n / t, (i + 1) * n / t)).collect()
 }
 
 fn main() {
@@ -139,26 +127,26 @@ fn main() {
         assert_eq!(scalar.to_bits(), out[i].to_bits(), "sig {i} (block)");
     }
 
-    // One pass of a variant over cells `lo..hi` of a column; `out` is the
-    // block entry point's output slice for that range.
-    type Pass<'a> = &'a (dyn Fn(&Column, usize, usize, &mut [f64]) -> f64 + Sync);
-    let scalar_pass = |col: &Column, lo: usize, hi: usize, _: &mut [f64]| -> f64 {
+    // One pass of a variant over a whole column; `out` is the block entry
+    // point's output.
+    type Pass<'a> = &'a dyn Fn(&Column, &mut [f64]) -> f64;
+    let scalar_pass = |col: &Column, _: &mut [f64]| -> f64 {
         let mut acc = 0.0;
-        for sig in &col.sigs[lo..hi] {
+        for sig in &col.sigs {
             acc += builder.estimate_scalar(&codec, sig).expect("scalar");
         }
         acc
     };
-    let kernel_pass = |col: &Column, lo: usize, hi: usize, _: &mut [f64]| -> f64 {
+    let kernel_pass = |col: &Column, _: &mut [f64]| -> f64 {
         let mut acc = 0.0;
-        for sig in &col.sigs[lo..hi] {
+        for sig in &col.sigs {
             acc += prepared.estimate(sig).expect("kernel");
         }
         acc
     };
-    let block_pass = |col: &Column, lo: usize, hi: usize, out: &mut [f64]| -> f64 {
+    let block_pass = |col: &Column, out: &mut [f64]| -> f64 {
         prepared
-            .estimate_block(&col.block[lo * stride..hi * stride], stride, out)
+            .estimate_block(&col.block, stride, out)
             .expect("block");
         out.iter().sum()
     };
@@ -168,86 +156,53 @@ fn main() {
         ("kernel_block", &block_pass),
     ];
 
-    // One pass of a variant over a whole column on `threads` workers, each
-    // on its contiguous chunk and its own slice of `out`; ns/signature.
-    let mut time_once = |pass: Pass, col: &Column, threads: usize| -> f64 {
+    // One pass of a variant over a whole column; ns/signature.
+    let mut time_once = |pass: Pass, col: &Column| -> f64 {
         let start = Instant::now();
-        let acc: f64 = if threads == 1 {
-            pass(col, 0, n_sigs, &mut out)
-        } else {
-            let mut rest = out.as_mut_slice();
-            std::thread::scope(|s| {
-                let handles: Vec<_> = bounds(n_sigs, threads)
-                    .into_iter()
-                    .map(|(lo, hi)| {
-                        let (mine, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
-                        rest = tail;
-                        s.spawn(move || pass(col, lo, hi, mine))
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("worker")).sum()
-            })
-        };
-        black_box(acc);
+        black_box(pass(col, &mut out));
         start.elapsed().as_nanos() as f64 / n_sigs as f64
     };
 
     // The fastest of `REPS` passes after a warm-up (the steady-state
-    // figure). Single-thread, the full and the repeated column are timed
-    // in alternation, so a noisy moment on a shared host hits both sides
-    // of `full_over_looped` alike.
+    // figure). The full and the repeated column are timed in alternation,
+    // so a noisy moment on a shared host hits both sides of
+    // `full_over_looped` alike.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut points: Vec<Point> = Vec::new();
     let mut looped: Vec<(&str, f64)> = Vec::new();
-    for &threads in THREADS {
-        for (variant, pass) in variants {
-            let (mut ns, mut ns_repeated) = (f64::INFINITY, f64::INFINITY);
-            for rep in 0..=REPS {
-                let (full_ns, repeated_ns) = (
-                    time_once(pass, &full, threads),
-                    if threads == 1 {
-                        time_once(pass, &repeated, 1)
-                    } else {
-                        f64::INFINITY
-                    },
-                );
-                if rep > 0 {
-                    (ns, ns_repeated) = (ns.min(full_ns), ns_repeated.min(repeated_ns));
-                }
+    for (variant, pass) in variants {
+        let (mut ns, mut ns_repeated) = (f64::INFINITY, f64::INFINITY);
+        for rep in 0..=REPS {
+            let (full_ns, repeated_ns) = (time_once(pass, &full), time_once(pass, &repeated));
+            if rep > 0 {
+                (ns, ns_repeated) = (ns.min(full_ns), ns_repeated.min(repeated_ns));
             }
-            if threads == 1 {
-                looped.push((variant, ns_repeated));
-            }
-            points.push(Point {
-                variant,
-                threads,
-                ns_per_sig: ns,
-                // `ns` is wall time over the whole set, so this is the
-                // aggregate throughput across all workers.
-                sigs_per_sec: 1e9 / ns,
-            });
         }
+        looped.push((variant, ns_repeated));
+        points.push(Point {
+            variant,
+            ns_per_sig: ns,
+            sigs_per_sec: 1e9 / ns,
+        });
     }
 
-    let ns_of = |variant: &str, threads: usize| {
+    let ns_of = |variant: &str| {
         points
             .iter()
-            .find(|p| p.variant == variant && p.threads == threads)
+            .find(|p| p.variant == variant)
             .map(|p| p.ns_per_sig)
             .expect("point")
     };
-    let speedup1 = ns_of("scalar", 1) / ns_of("kernel", 1);
-    let speedup1_block = ns_of("scalar", 1) / ns_of("kernel_block", 1);
+    let speedup1 = ns_of("scalar") / ns_of("kernel");
+    let speedup1_block = ns_of("scalar") / ns_of("kernel_block");
 
-    report::header(&["variant", "threads", "ns/sig", "Msig/s", "vs scalar"]);
+    report::header(&["variant", "ns/sig", "Msig/s", "vs scalar"]);
     for p in &points {
-        let mark = if p.threads > cores { " (oversub.)" } else { "" };
         report::row(&[
             p.variant.to_string(),
-            format!("{}{mark}", p.threads),
             format!("{:.1}", p.ns_per_sig),
             format!("{:.2}", p.sigs_per_sec / 1e6),
-            format!("{:.2}x", ns_of("scalar", p.threads) / p.ns_per_sig),
+            format!("{:.2}x", ns_of("scalar") / p.ns_per_sig),
         ]);
     }
     println!(
@@ -264,9 +219,9 @@ fn main() {
     for (variant, ns) in &looped {
         report::row(&[
             variant.to_string(),
-            format!("{:.1}", ns_of(variant, 1)),
+            format!("{:.1}", ns_of(variant)),
             format!("{ns:.1}"),
-            format!("{:.2}x", ns_of(variant, 1) / ns),
+            format!("{:.2}x", ns_of(variant) / ns),
         ]);
     }
 
@@ -274,13 +229,8 @@ fn main() {
         .iter()
         .map(|p| {
             format!(
-                "    {{\"variant\": \"{}\", \"threads\": {}, \"oversubscribed\": {}, \
-                 \"ns_per_sig\": {:.2}, \"sigs_per_sec\": {:.0}}}",
-                p.variant,
-                p.threads,
-                p.threads > cores,
-                p.ns_per_sig,
-                p.sigs_per_sec
+                "    {{\"variant\": \"{}\", \"ns_per_sig\": {:.2}, \"sigs_per_sec\": {:.0}}}",
+                p.variant, p.ns_per_sig, p.sigs_per_sec
             )
         })
         .collect();
@@ -290,15 +240,14 @@ fn main() {
             format!(
                 "    {{\"variant\": \"{variant}\", \"ns_per_sig\": {ns:.2}, \
                  \"full_over_looped\": {:.3}}}",
-                ns_of(variant, 1) / ns
+                ns_of(variant) / ns
             )
         })
         .collect();
     let json = format!(
         "{{\n  \"bench\": \"filter_kernel\",\n  \"n_signatures\": {},\n  \
          \"query_bytes\": {},\n  \"alpha\": {},\n  \"n\": {},\n  \"host_cores\": {},\n  \
-         \"headline\": \"single-thread ns_per_sig; points with threads > host_cores are \
-         oversubscribed and not judged\",\n  \
+         \"headline\": \"single-thread ns_per_sig\",\n  \
          \"single_thread_speedup\": {:.3},\n  \
          \"single_thread_speedup_block\": {:.3},\n  \"threshold\": 2.0,\n  \
          \"passes_threshold\": {},\n  \"points\": [\n{}\n  ],\n  \

@@ -28,10 +28,11 @@
 //! `--threads <a,b,c>` client-thread counts (default 1,2,4,8),
 //! `--workers <n>` server workers (default 2), `--max-batch <n>` the
 //! server's coalescing limit (default 16; 1 turns the batch lane off),
-//! `--tuples <n>` dataset size (default 20000). Every query scans on one
-//! thread (`search_threads = 1`, as in `perf/`), so the server's workers
-//! are the only parallelism and the batch lane is the only difference
-//! between `--max-batch` values. Results land in `BENCH_serving.json`.
+//! `--tuples <n>` dataset size (default 20000). Every query scans on the
+//! worker thread that runs it, so the server's workers are the only
+//! parallelism and the batch lane is the only difference between
+//! `--max-batch` values. Results land in `BENCH_serving.json` (its
+//! `search_threads` key records the inert field as `perf/` sets it).
 
 use std::time::Duration;
 

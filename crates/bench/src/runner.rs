@@ -5,9 +5,7 @@
 use std::time::Instant;
 
 use iva_baselines::{DirectScan, SiiIndex};
-use iva_core::{
-    build_index, IndexTarget, IvaConfig, IvaIndex, MetricKind, Query, QueryOptions, WeightScheme,
-};
+use iva_core::{build_index, IndexTarget, IvaConfig, IvaIndex, MetricKind, Query, WeightScheme};
 use iva_storage::{DiskModel, IoSnapshot, IoStats, PagerOptions};
 use iva_swt::SwtTable;
 use iva_workload::{generate_query_set, Dataset, QuerySet, WorkloadConfig};
@@ -190,9 +188,6 @@ pub fn run_queries(
         System::Sii => Some(&bed.sii_io),
         System::Dst => None,
     };
-    // iVA runs serially like SII and DST: a segmented scan's fetches grow
-    // with its lanes, so Fig. 8's column would follow the host's cores.
-    let iva_opts = QueryOptions { threads: Some(1) };
     let run_one = |q: &Query| -> PerQuery {
         let io_before = combine(index_io, &bed.table_io);
         let start = Instant::now();
@@ -200,7 +195,7 @@ pub fn run_queries(
             System::Iva => {
                 let out = bed
                     .iva
-                    .query_opts(&bed.table, q, k, &metric, weights, &iva_opts)
+                    .query(&bed.table, q, k, &metric, weights)
                     .expect("iva query");
                 (out.stats, out.results.len())
             }

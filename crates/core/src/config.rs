@@ -1,7 +1,5 @@
 //! Index configuration.
 
-use std::sync::OnceLock;
-
 use iva_text::SigCodec;
 
 /// Tunable parameters of an iVA-file (Table I defaults).
@@ -17,13 +15,11 @@ pub struct IvaConfig {
     pub ndf_penalty: f64,
     /// Width `r` in bytes of a stored numerical value (f64 ⇒ 8).
     pub numeric_width: usize,
-    /// Worker threads for the segmented filter scan (`0` ⇒ one per
-    /// available CPU). An effective count of 1 runs the exact
-    /// single-threaded code path; any count produces bit-identical
-    /// results. Runtime-only: not persisted in the index header. A
-    /// freshly opened index starts at the default until the caller
-    /// re-applies it via `IvaIndex::set_search_threads` (the `IvaDb` open
-    /// path does this automatically).
+    /// Inert: accepted and ignored, though [`IvaConfig::validate`] still
+    /// bounds it. It was the worker count of a segmented-parallel filter
+    /// scan, deleted because it no longer beat the serial scan's wall
+    /// clock; a query runs on the thread that issued it. The field stays
+    /// only until the benchmark stops setting it.
     pub search_threads: usize,
     /// Inert: accepted and ignored. It chose between the packed frames
     /// and a raw layout for a build's lists; packed frames are now the
@@ -60,18 +56,6 @@ impl IvaConfig {
     /// Build the signature codec for this configuration.
     pub fn sig_codec(&self) -> SigCodec {
         SigCodec::new(self.alpha, self.n)
-    }
-
-    /// Resolve [`IvaConfig::search_threads`]: `0` means one worker per
-    /// available CPU (falling back to 1 if parallelism cannot be queried),
-    /// looked up once per process — every query resolves it.
-    pub fn resolved_search_threads(&self) -> usize {
-        static CPUS: OnceLock<usize> = OnceLock::new();
-        if self.search_threads == 0 {
-            *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-        } else {
-            self.search_threads
-        }
     }
 
     /// Validate parameter ranges.
@@ -179,16 +163,5 @@ mod tests {
         }
         .validate()
         .is_err());
-    }
-
-    #[test]
-    fn search_threads_resolution() {
-        let c = IvaConfig {
-            search_threads: 3,
-            ..Default::default()
-        };
-        assert_eq!(c.resolved_search_threads(), 3);
-        let auto = IvaConfig::default().resolved_search_threads();
-        assert!(auto >= 1);
     }
 }

@@ -240,8 +240,7 @@ fn decode_packed_dir_frame(
 }
 
 /// Streaming `(tid, ptr)` cursor over the durable directory: it buffers
-/// one decoded frame at a time, so a segmented worker's footprint stays
-/// one frame.
+/// one decoded frame at a time, so a walk's footprint stays one frame.
 pub(crate) struct DirCursor {
     r: ListReader,
     tids: Vec<u32>,
@@ -323,9 +322,9 @@ impl DirCursor {
         Ok(())
     }
 
-    /// Skip the next `n` elements (segmented scans start mid-list).
-    /// Packed frames strictly before the target position skip by their
-    /// header alone — no payload decode.
+    /// Skip the next `n` elements (a leap, see [`crate::scan`]). Packed
+    /// frames strictly before the target position skip by their header
+    /// alone — no payload decode.
     pub(crate) fn skip_entries(&mut self, mut n: u64) -> Result<()> {
         let buffered = (self.tids.len().saturating_sub(self.pos)) as u64;
         if n <= buffered {

@@ -23,7 +23,7 @@ use crate::numeric::NumericCodec;
 use crate::packed::{self, Dict, PackedReader};
 use crate::pool::{PoolEntry, ResultPool};
 use crate::query::{Query, QueryStats, QueryValue};
-use crate::scan::{block_len, DRAIN_AT};
+use crate::scan::block_len;
 use crate::timing::thread_cpu_time;
 use crate::veclist::{push_num_elem, push_text_elem, ListType, NumListCursor, TextListCursor};
 
@@ -105,10 +105,10 @@ impl QueryMatchers {
     }
 }
 
-/// Immutable per-query attribute state, built once per query and shared by
-/// every scan worker by reference: a text attribute's estimation kernel
-/// and list dictionary, a numeric one's quantization codec. Only list
-/// positions and tables ([`crate::scan::AttrScan`]) are per-worker.
+/// Immutable per-query attribute state, built once per query and borrowed
+/// by its lane: a text attribute's estimation kernel and list dictionary,
+/// a numeric one's quantization codec. Only list positions and tables
+/// ([`crate::scan::AttrScan`]) are the lane's own.
 pub(crate) enum SharedAttr<'a> {
     Text {
         matcher: Cow<'a, PreparedMatcher>,
@@ -209,19 +209,6 @@ impl IvaIndex {
     /// Index configuration.
     pub fn config(&self) -> &IvaConfig {
         &self.header.config
-    }
-
-    /// Overlay the runtime-only worker count onto this index's in-memory
-    /// configuration.
-    ///
-    /// The persistent header stores only the structural parameters (α,
-    /// `n`, ndf penalty, numeric width) — `IndexHeader::decode` resets
-    /// `search_threads` to its default — so an opened index forgets the
-    /// count its caller asked for. Callers that carry it in their options
-    /// re-apply it here after open. This never touches the persistent
-    /// format: `IndexHeader::encode` does not serialize it.
-    pub fn set_search_threads(&mut self, search_threads: usize) {
-        self.header.config.search_threads = search_threads;
     }
 
     /// Number of tuple-list elements (live + tombstoned).
@@ -424,9 +411,8 @@ impl IvaIndex {
     /// it was built under this index's codec, else prepared here (hashing
     /// the query's grams once per distinct signature geometry) and its
     /// list's dictionary, the query's one read of its DICT frame — and the
-    /// quantization codec for each numeric one. Workers then open cheap
-    /// per-worker [`crate::scan::AttrScan`]s over it and share this by
-    /// reference.
+    /// quantization codec for each numeric one. The query's lane then
+    /// opens its [`crate::scan::AttrScan`]s over it, borrowing this.
     pub(crate) fn prepare_query<'a>(
         &'a self,
         query: &Query,
@@ -518,9 +504,8 @@ impl IvaIndex {
         })
     }
 
-    /// Fold the bytes of the lists behind a prepared query into `stats`.
-    /// Called once per plan (parallel plans account the merged scan once,
-    /// not per worker).
+    /// Fold the bytes of the lists behind a prepared query into `stats`,
+    /// once per query and index.
     pub(crate) fn list_bytes_into(&self, shared: &[SharedAttr<'_>], stats: &mut QueryStats) {
         for sa in shared {
             let entry = match sa {
@@ -546,7 +531,8 @@ impl IvaIndex {
         stored.div_ceil(cap) * page
     }
 
-    /// Algorithm 1: top-k query with the parallel filter-and-refine plan.
+    /// Algorithm 1: top-k query with the parallel filter-and-refine plan,
+    /// on the calling thread.
     ///
     /// The tuple list and the vector lists of the query's attributes are
     /// scanned in a synchronized pass; each tuple's estimated distance is a
@@ -565,9 +551,7 @@ impl IvaIndex {
         let matchers = self.query_matchers(query);
         let mut carry = ScanCarry::new(k);
         carry.stats.filter_nanos += matchers.build_nanos();
-        self.scan_serial(
-            table, query, &matchers, metric, &lambda, DRAIN_AT, &mut carry,
-        )?;
+        self.query_carry(table, query, &matchers, metric, &lambda, &mut carry)?;
         Ok(carry.finish())
     }
 
@@ -863,17 +847,6 @@ impl TupleSource {
     /// against the last one handed out.
     pub(crate) fn leap(&mut self, n: u64) -> Result<()> {
         self.cur.skip_entries(n)
-    }
-
-    /// Skip the first `n` elements (segmented scans start mid-list). The
-    /// last one skipped is read, so that the first block is checked
-    /// against the tid before it.
-    pub(crate) fn skip_entries(&mut self, n: u64) -> Result<()> {
-        let Some(before) = n.checked_sub(1) else {
-            return Ok(());
-        };
-        self.cur.skip_entries(before)?;
-        self.next_block(1, &mut Vec::with_capacity(1), &mut Vec::with_capacity(1))
     }
 }
 

@@ -102,9 +102,8 @@ impl IndexedTable {
     /// [`crate::INDEX_VERSION`]) all mean it is rebuilt from the table — into
     /// `rebuild_tmp`, then renamed into place, so a crash mid-rebuild
     /// leaves the (still rebuildable) old state. The header persists only
-    /// structural parameters: `config`'s worker count is re-applied.
-    /// `config` is validated first, whether the index is reused or
-    /// rebuilt.
+    /// structural parameters. `config` is validated first, whether the
+    /// index is reused or rebuilt.
     pub fn open(
         at: Files<'_>,
         rebuild_tmp: &Path,
@@ -133,7 +132,7 @@ impl IndexedTable {
             }
             Err(e) => return Err(e),
         };
-        let mut index = match reusable {
+        let index = match reusable {
             Some(index) => index,
             None => {
                 let mut index = build_index_with_domains(
@@ -151,7 +150,6 @@ impl IndexedTable {
                 IvaIndex::open_with_vfs(Arc::clone(vfs), path, pager, index_io)?
             }
         };
-        index.set_search_threads(config.search_threads);
         Ok(Self {
             table,
             index,

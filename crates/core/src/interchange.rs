@@ -58,7 +58,7 @@ pub struct ExportedAttr {
 /// The full logical content of an iVA-file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExportedIndex {
-    /// Index configuration (runtime-only knobs travel as defaults).
+    /// Index configuration (its inert fields travel as defaults).
     pub config: IvaConfig,
     /// The tuple list: `(tid, record ptr)` per element, tombstones
     /// included (`ptr == TOMBSTONE_PTR`), strictly increasing tids.

@@ -198,7 +198,7 @@ impl IndexHeader {
             n: u32at(16)? as usize,
             ndf_penalty: f64::from_bits(u64at(20)?),
             numeric_width: u32at(28)? as usize,
-            // Runtime knobs, not part of the persistent format.
+            // Inert fields, not part of the persistent format.
             search_threads: 0,
             compress_lists: true,
             hot_tier_bytes: 0,
@@ -306,7 +306,7 @@ mod tests {
     }
 
     #[test]
-    fn search_threads_is_runtime_only() {
+    fn inert_fields_are_not_persisted() {
         let mut h = IndexHeader {
             config: IvaConfig {
                 search_threads: 7,

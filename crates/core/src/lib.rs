@@ -15,13 +15,13 @@
 //! tuple's distance through any monotone metric, and random-accesses the
 //! table file only for candidates the top-k pool admits — the "parallel
 //! plan" that works even though unbounded strings admit no upper bound.
-//! That pass exists once (the `scan` module): serial
-//! ([`IvaIndex::query`]), segmented-parallel ([`IvaIndex::query_opts`])
-//! and multi-query batch ([`IvaIndex::query_batch`]) execution are
-//! arguments of it, bit-identical to one another by one order-independence
-//! lemma: candidates are collected during the pass and fetched by need —
-//! the k best estimates first, then whatever the tightened pool still
-//! admits.
+//! That pass exists once (the `scan` module), on the thread that issued
+//! the query: serial ([`IvaIndex::query`], carried across the tiers of a
+//! segmented store by [`IvaIndex::query_carry`]) and multi-query batch
+//! ([`IvaIndex::query_batch`]) execution are arguments of it,
+//! bit-identical to one another by one order-independence lemma:
+//! candidates are collected during the pass and fetched by need — the k
+//! best estimates first, then whatever the tightened pool still admits.
 //!
 //! Guarantee: with no-false-negative vector encodings and a monotone
 //! metric, results are exactly the brute-force top-k.
@@ -40,7 +40,6 @@ mod metric;
 mod multi;
 mod numeric;
 mod packed;
-mod parallel;
 mod pool;
 mod query;
 mod scan;
@@ -60,7 +59,6 @@ pub use metric::{Metric, MetricKind, WeightScheme};
 pub use multi::BatchItem;
 pub use numeric::NumericCodec;
 pub use packed::{encode_packed_num_list, encode_packed_text_list, PackedReader};
-pub use parallel::QueryOptions;
 pub use pool::{PoolEntry, ResultPool};
 pub use query::{attr_difference, bounded_distance, exact_distance, Query, QueryStats, QueryValue};
 pub use segment::{

@@ -13,8 +13,7 @@
 //! tuple-list read is shared. A lane drains on its *own* pending count,
 //! so nothing about its schedule depends on its neighbors: the top-k and
 //! `table_accesses` of every batch member are those of running that query
-//! alone through [`IvaIndex::query_opts`] at `threads = 1`, for every
-//! batch composition.
+//! alone through [`IvaIndex::query`], for every batch composition.
 //!
 //! Phase timings are per-*batch*, not per-query: every member reports the
 //! same filter time (every member's query preparation plus the shared
@@ -27,7 +26,6 @@ use iva_swt::SwtTable;
 use crate::error::Result;
 use crate::index::{IvaIndex, QueryOutcome, ScanCarry};
 use crate::metric::{Metric, WeightScheme};
-use crate::parallel::QueryOptions;
 use crate::query::Query;
 use crate::scan::{Lane, DRAIN_AT};
 
@@ -45,24 +43,17 @@ pub struct BatchItem<'a> {
 impl IvaIndex {
     /// Run a batch of top-k queries over one shared tuple-list scan. Every
     /// member's top-k and access counters are bit-identical to running it
-    /// alone, serially, through [`IvaIndex::query_opts`] — for any batch
-    /// composition (see the module doc). A singleton batch falls back to
-    /// the ordinary (possibly parallel) single-query plan; `opts.threads`
-    /// is otherwise ignored — batching *is* the parallelism here, across
-    /// queries instead of across segments.
-    pub fn query_batch<M: Metric + Sync>(
+    /// alone through [`IvaIndex::query`] — for any batch composition (see
+    /// the module doc). A singleton batch is that single-query plan.
+    pub fn query_batch<M: Metric>(
         &self,
         table: &SwtTable,
         batch: &[BatchItem<'_>],
         metric: &M,
-        opts: &QueryOptions,
     ) -> Result<Vec<QueryOutcome>> {
         match batch {
             [] => return Ok(Vec::new()),
-            [it] => {
-                let solo = self.query_opts(table, it.query, it.k, metric, it.weights, opts)?;
-                return Ok(vec![solo]);
-            }
+            [it] => return Ok(vec![self.query(table, it.query, it.k, metric, it.weights)?]),
             _ => {}
         }
         let lambdas: Vec<Vec<f64>> = batch
@@ -103,7 +94,7 @@ impl IvaIndex {
                 carry,
             )?);
         }
-        let nanos = self.scan(table, &mut lanes, 0..self.n_tuples(), DRAIN_AT, metric)?;
+        let nanos = self.scan(table, &mut lanes, DRAIN_AT, metric)?;
         drop(lanes);
         Ok(carries
             .into_iter()

@@ -751,8 +751,8 @@ fn past_dictionary() -> IvaError {
 /// A 1-value text query's threshold before the walk over one list
 /// ([`Dict::probe`]), and what passes it.
 pub(crate) struct Seed {
-    /// The probe's table, under the seed's rule: each lane starts its own
-    /// from a copy.
+    /// The probe's table, under the seed's rule: the query's lane starts
+    /// its own from a copy.
     pub(crate) exact: Exact,
     /// `combine(λ·B)`: at least the values asked for lie at or below it.
     pub(crate) limit: f64,
@@ -777,11 +777,6 @@ pub(crate) struct Leap {
 }
 
 impl Leap {
-    /// The first candidate at or after position `at`: its index.
-    pub(crate) fn first_from(&self, at: u64) -> usize {
-        self.keys.partition_point(|&k| k >> 32 < at)
-    }
-
     /// Candidate `i`: its position and code.
     #[inline]
     pub(crate) fn get(&self, i: usize) -> Option<(u64, u64)> {

@@ -252,10 +252,10 @@ pub struct QueryStats {
     /// walks.
     pub tuples_scanned: u64,
     /// Records fetched from the table file and refined (the paper's
-    /// "table file accesses", Fig. 8), summed over the workers of a
-    /// segmented-parallel scan and the tiers of a segmented store. A
-    /// property of the plan, not of the answer: it grows with the number
-    /// of lanes the tuple list is split into.
+    /// "table file accesses", Fig. 8), summed over the tiers of a
+    /// segmented store. A property of the plan, not of the answer: a
+    /// smaller drain window, or a store split into more tiers, fetches
+    /// more; a batch member fetches what its solo run fetches.
     pub table_accesses: u64,
     /// Entries the walk put into the pool at a distance it knew exactly,
     /// with no fetch — a tuple *ndf* on every query attribute, or an
@@ -277,9 +277,12 @@ pub struct QueryStats {
     /// retained until the benchmark drops
     /// `core.speculative_accesses_per_query`.
     pub speculative_accesses: u64,
-    /// Time spent scanning the index and estimating distances, in nanos.
+    /// CPU time the issuing thread spent preparing the query, scanning the
+    /// index and estimating distances, in nanos. A batch member reports
+    /// every member's preparation plus the shared walk.
     pub filter_nanos: u64,
-    /// Time spent on random table accesses + exact distances, in nanos.
+    /// CPU time the issuing thread spent on random table accesses and
+    /// exact distances, in nanos; a batch member reports the batch's.
     pub refine_nanos: u64,
     /// *Logical* (raw-layout-equivalent) bytes of the lists behind this
     /// query's filter phase: the tuple list plus every query attribute's
@@ -294,22 +297,6 @@ pub struct QueryStats {
 }
 
 impl QueryStats {
-    /// Add `o`'s counts; each shape combines the nanos its own way.
-    pub(crate) fn add_counts(&mut self, o: &QueryStats) {
-        *self = QueryStats {
-            tuples_scanned: self.tuples_scanned + o.tuples_scanned,
-            table_accesses: self.table_accesses + o.table_accesses,
-            walk_admits: self.walk_admits + o.walk_admits,
-            positions_weighed: self.positions_weighed + o.positions_weighed,
-            dict_distances: self.dict_distances + o.dict_distances,
-            speculative_accesses: self.speculative_accesses + o.speculative_accesses,
-            filter_nanos: self.filter_nanos,
-            refine_nanos: self.refine_nanos,
-            list_bytes_logical: self.list_bytes_logical + o.list_bytes_logical,
-            list_bytes_physical: self.list_bytes_physical + o.list_bytes_physical,
-        };
-    }
-
     /// Filter time in milliseconds.
     pub fn filter_ms(&self) -> f64 {
         self.filter_nanos as f64 / 1e6

@@ -2,8 +2,8 @@
 //! The scan spine: the one walk of Algorithm 1 (Sec. IV-A) and the one
 //! refine step every execution shape runs.
 //!
-//! [`IvaIndex::scan`] walks tuple-list positions `[lo, hi)` once, a block
-//! of at most [`BLOCK`] elements at a time, in step with the vector lists
+//! [`IvaIndex::scan`] walks the tuple list once, a block of at most
+//! [`BLOCK`] elements at a time, in step with the vector lists
 //! of every [`Lane`] riding it. A lane is one query: its per-attribute
 //! [`AttrScan`] positions and the block of lower bounds they fill
 //! ([`Bounds`]), its top-k pool and counters (a [`ScanCarry`]), and
@@ -14,8 +14,8 @@
 //! nothing: a tuple *ndf* on every query attribute goes straight into the
 //! pool, and so does an admitted one whose distance the dictionaries
 //! decide ("Exact from the dictionary" below); any other admitted one
-//! goes into `pending`. When a lane's range ends
-//! (or it holds a window of `drain_at` candidates) the lane **drains**,
+//! goes into `pending`. When the walk ends (or a lane holds a window of
+//! `drain_at` candidates) the lane **drains**,
 //! fetching by need, not scan position:
 //!
 //! 1. **probe** — the k candidates with the smallest `(est, tid)` are
@@ -44,8 +44,8 @@
 //! candidate mask would clear.
 //!
 //! **Exact from the dictionary.** A query parses each text list's
-//! dictionary once, when it is prepared; its lanes share that copy, and
-//! each holds one table per text attribute ([`Exact`]): per code, its
+//! dictionary once, when it is prepared; its probe and its lane share
+//! that copy, and the lane holds one table per text attribute ([`Exact`]): per code, its
 //! estimate, unseen, or — where the dictionary holds strings — the query
 //! string's edit distance to the code's string, or a lower bound on it.
 //! Every fill bounds a value by the min over its codes' bounds, recording
@@ -61,7 +61,7 @@
 //! estimate order give a bound `B` with at least k + the index's tombstones
 //! counted values at or below it, so at least k live tuples lie at or below
 //! `limit = combine(λ·B)`. The walk skips every tuple whose estimate or
-//! decided distance is past `limit`; its lanes start from the probe's
+//! decided distance is past `limit`; its lane starts from the probe's
 //! table, whose rule drops from the block's candidates ([`Bounds`]) every
 //! position whose codes, or *ndf*, cannot pass. An unseeded lane's rule
 //! lets everything through.
@@ -93,18 +93,15 @@
 //! a tie can be admitted, and every value `insert_at` admits is exact.
 //! Whatever it rejects it would have rejected at its exact value too.
 //!
-//! The three execution shapes are arguments of the one function:
+//! A query runs on the thread that issued it. The two execution shapes
+//! are arguments of the one function:
 //!
-//! * **serial** — one lane over `0..n` on the caller's carried pool
-//!   ([`IvaIndex::scan_serial`]); a pool carried across LSM tiers is
+//! * **serial** — one lane on the caller's carried pool
+//!   ([`IvaIndex::query_carry`]); a pool carried across LSM tiers is
 //!   simply already tight when the next tier's walk starts;
-//! * **segmented-parallel** — per worker, one lane over its `[lo, hi)` on
-//!   a private pool; [`crate::parallel`] fans out and unions the pools;
-//! * **batch** — N lanes over `0..n` sharing the tuple-list read
+//! * **batch** — N lanes sharing the tuple-list read
 //!   ([`IvaIndex::query_batch`]); each lane drains on its own count, so
 //!   its numbers are those of its solo run.
-
-use std::ops::Range;
 
 use iva_swt::{FieldLoc, RecordBuf, RecordPtr, SwtTable};
 use iva_text::{PreparedMatcher, PreparedPattern, SigCodec};
@@ -120,7 +117,7 @@ use crate::query::{bounded_distance, edits_beyond, Query};
 use crate::timing::{monotonic_nanos, thread_cpu_time};
 use crate::veclist::{NumListCursor, TextListCursor};
 
-/// One worker's scan position over one query attribute: borrows the
+/// One lane's scan position over one query attribute: borrows the
 /// immutable per-query state ([`SharedAttr`]) and owns the position.
 pub(crate) enum AttrScan<'a> {
     Text {
@@ -169,42 +166,16 @@ impl<'a> AttrScan<'a> {
         })
     }
 
-    /// Position a freshly opened scan past the first `n` tuple-list
-    /// elements: a leaping one at its first candidate from `n` on, unless
-    /// `n` is past them.
-    fn seek(&mut self, n: u64) -> Result<()> {
-        match self {
-            AttrScan::Text {
-                leap: Some((l, next)),
-                ..
-            } if n < l.covered => {
-                *next = l.first_from(n);
-                Ok(())
-            }
-            AttrScan::Text { .. } => self.land(n),
-            AttrScan::Num { cur, codec, .. } => cur.seek_elements(n, codec),
-            AttrScan::AlwaysNdf => Ok(()),
-        }
-    }
-
-    /// Position a text scan that has not moved its cursor past the first
-    /// `n` elements: a leaping one by skipping the frames its candidates
-    /// cover, by header, and walking on from there.
-    fn land(&mut self, n: u64) -> Result<()> {
-        let AttrScan::Text {
-            cur, codec, leap, ..
-        } = self
-        else {
-            return Ok(());
-        };
-        let from = match leap.take() {
-            Some((l, _)) => {
+    /// Place a leaping text scan whose cursor has not moved at the end of
+    /// its candidates' cover: the frames they cover are skipped by header,
+    /// and the walk goes on from there.
+    fn land(&mut self) -> Result<()> {
+        if let AttrScan::Text { cur, leap, .. } = self {
+            if let Some((l, _)) = leap.take() {
                 cur.skip_covered(l)?;
-                l.covered
             }
-            None => 0,
-        };
-        cur.seek_elements(n.saturating_sub(from), codec)
+        }
+        Ok(())
     }
 
     /// Where a leaping scan at position `at` has its next candidate — the
@@ -266,7 +237,7 @@ impl<'a> AttrScan<'a> {
                 return Ok(());
             }
             // The rest of the block lies past the candidates.
-            self.land(at + n as u64)?;
+            self.land()?;
             let (tids, out) = (
                 tids.get(n..).unwrap_or(&[]),
                 out.get_mut(n..).unwrap_or(&mut []),
@@ -386,7 +357,7 @@ impl<'a> Bounds<'a> {
     }
 }
 
-/// Pending candidates at which a lane drains mid-range (1.5 MiB of
+/// Pending candidates at which a lane drains mid-walk (1.5 MiB of
 /// them). A window's probe can only be as good as the window is
 /// wide, so this is sized to hold a whole scan's candidates in practice;
 /// [`IvaIndex::scan`] takes it as an argument only so tests can shrink it.
@@ -542,25 +513,18 @@ impl IvaIndex {
         Ok((shared, seed, thread_cpu_time().saturating_sub(start)))
     }
 
-    /// Walk tuple-list positions `range` once for every lane, draining
-    /// each lane at `drain_at` pending candidates and at the end of the
-    /// range (see the module doc). Lanes must be freshly opened.
+    /// Walk the tuple list once for every lane, draining each lane at
+    /// `drain_at` pending candidates and at the end of the list (see the
+    /// module doc). Lanes must be freshly opened.
     pub(crate) fn scan<M: Metric>(
         &self,
         table: &SwtTable,
         lanes: &mut [Lane<'_>],
-        range: Range<u64>,
         drain_at: usize,
         metric: &M,
     ) -> Result<PhaseNanos> {
-        let ndf = self.config().ndf_penalty;
+        let (ndf, n) = (self.config().ndf_penalty, self.n_tuples());
         let mut tsrc = self.open_tuple_source()?;
-        tsrc.skip_entries(range.start)?;
-        for lane in lanes.iter_mut() {
-            for a in &mut lane.bounds.attrs {
-                a.seek(range.start)?;
-            }
-        }
         let mut refiner = Refiner {
             table,
             metric,
@@ -574,19 +538,19 @@ impl IvaIndex {
         let mut refine_wall = 0u64;
         let (cpu_start, wall_start) = (thread_cpu_time(), monotonic_nanos());
         let (mut tids, mut ptrs) = (Vec::with_capacity(BLOCK), Vec::with_capacity(BLOCK));
-        let mut at = range.start;
-        while at < range.end {
+        let mut at = 0;
+        while at < n {
             // Where every lane leaps, the next block starts at the lowest
             // next candidate among them.
             let to = least(lanes.iter().map(|l| l.bounds.next_candidate(at)));
-            if let Some(to) = to.map(|to| to.min(range.end)).filter(|&to| to > at) {
+            if let Some(to) = to.map(|to| to.min(n)).filter(|&to| to > at) {
                 tsrc.leap(to - at)?;
                 at = to;
                 continue;
             }
             tids.clear();
             ptrs.clear();
-            tsrc.next_block(block_len(range.end - at), &mut tids, &mut ptrs)?;
+            tsrc.next_block(block_len(n - at), &mut tids, &mut ptrs)?;
             for lane in lanes.iter_mut() {
                 lane.carry.stats.tuples_scanned += tids.len() as u64;
                 lane.bounds.fill(at, &tids)?;
@@ -645,13 +609,33 @@ impl IvaIndex {
         })
     }
 
-    /// The serial shape: one lane over the whole tuple list on the carried
-    /// pool. `lambda` is the resolved per-query-attribute weight vector; a
-    /// segmented store resolves it once, globally, so every tier admits
-    /// under the one λ its distances are computed with — and builds the
-    /// query's `matchers` once, too.
+    /// One query's walk on the carried pool: the serial shape, and a
+    /// segmented store's call per tier, in tid order — a pool carried
+    /// across tiers is already tight when the next tier's walk starts, so
+    /// the concatenated walk is bit-identical to one over a single index
+    /// holding every tuple. `lambda` is the resolved per-query-attribute
+    /// weight vector; a segmented store resolves it once, globally, so
+    /// every tier admits under the one λ its distances are computed with —
+    /// and builds the query's `matchers` once too, and charges their build.
+    pub fn query_carry<M: Metric>(
+        &self,
+        table: &SwtTable,
+        query: &Query,
+        matchers: &QueryMatchers,
+        metric: &M,
+        lambda: &[f64],
+        carry: &mut ScanCarry,
+    ) -> Result<()> {
+        self.query_carry_windowed(table, query, matchers, metric, lambda, DRAIN_AT, carry)
+    }
+
+    /// [`IvaIndex::query_carry`] with the spine's drain window as an
+    /// argument. Test hook: the window is not an option — every engine
+    /// runs the one crate-private constant — but the suites shrink it to
+    /// put window boundaries inside small tables.
+    #[doc(hidden)]
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn scan_serial<M: Metric>(
+    pub fn query_carry_windowed<M: Metric>(
         &self,
         table: &SwtTable,
         query: &Query,
@@ -663,15 +647,8 @@ impl IvaIndex {
     ) -> Result<()> {
         let (shared, seed, prepare_nanos) =
             self.prepare_query_timed(query, matchers, (lambda, metric), carry)?;
-        let mut lanes = [Lane::open(
-            self,
-            query,
-            lambda,
-            &shared,
-            seed.as_ref(),
-            carry,
-        )?];
-        let nanos = self.scan(table, &mut lanes, 0..self.n_tuples(), drain_at, metric)?;
+        let lane = Lane::open(self, query, lambda, &shared, seed.as_ref(), carry)?;
+        let nanos = self.scan(table, &mut [lane], drain_at, metric)?;
         carry.stats.filter_nanos += prepare_nanos + nanos.filter;
         carry.stats.refine_nanos += nanos.refine;
         self.list_bytes_into(&shared, &mut carry.stats);
@@ -758,8 +735,8 @@ mod tests {
     use crate::config::IvaConfig;
     use crate::index::IvaIndex;
     use crate::metric::{MetricKind, WeightScheme};
+    use crate::multi::BatchItem;
     use crate::packed::Known;
-    use crate::parallel::QueryOptions;
     use iva_storage::{IoStats, PagerOptions};
     use iva_swt::{AttrId, Tuple, Value};
 
@@ -787,13 +764,7 @@ mod tests {
         let mut lanes = [Lane::open(&index, &q, &[1.0], &shared, None, &mut carry).unwrap()];
         let before = crate::timing::thread_cpu_time();
         let nanos = index
-            .scan(
-                &table,
-                &mut lanes,
-                0..index.n_tuples(),
-                DRAIN_AT,
-                &MetricKind::L2,
-            )
+            .scan(&table, &mut lanes, DRAIN_AT, &MetricKind::L2)
             .unwrap();
         let spent = crate::timing::thread_cpu_time() - before;
         assert!(nanos.filter > 0 && nanos.refine > 0, "{nanos:?}");
@@ -853,13 +824,12 @@ mod tests {
         (i % 100 < 70 && i % 9 != 4).then(|| v.collect())
     }
 
-    /// From any start, with and without a RAW tail and tombstones, a fill
-    /// that leaps writes exactly what the seeded fill over the frames
-    /// writes — the candidate mask, and the bits of every bound it holds
-    /// (the only slots the walk reads) — block by block: a value admitted
-    /// only by its second string is a candidate, one at the start position
-    /// is, and the blocks that reach past the postings' cover walk the
-    /// tail.
+    /// With and without a RAW tail and tombstones, a fill that leaps
+    /// writes exactly what the seeded fill over the frames writes — the
+    /// candidate mask, and the bits of every bound it holds (the only
+    /// slots the walk reads) — block by block: a value admitted only by
+    /// its second string is a candidate, and the blocks that reach past
+    /// the postings' cover walk the tail.
     #[test]
     fn a_leaping_fill_is_the_seeded_fill_over_the_frames() {
         let rows: Vec<_> = (0..2500).map(row).collect();
@@ -880,50 +850,28 @@ mod tests {
             walked.leap = None;
             // 900 tombstones raise the bound until most positions pass.
             assert_eq!(seed.leap.is_some(), deleted < 900, "{tail} {deleted}");
-            let cands: Vec<u64> = seed
-                .leap
-                .iter()
-                .flat_map(|l| (0..).map_while(|i| l.get(i)))
-                .map(|(p, _)| p)
-                .collect();
-            let edges = cands
-                .iter()
-                .take(4)
-                .flat_map(|&c| [c.saturating_sub(1), c, c + 1]);
-            let starts =
-                (0..n)
-                    .step_by(97)
-                    .chain(edges)
-                    .chain([1023, 1024, 1025, 2499, 2500, n - 1]);
-            for start in starts.filter(|&s| s < n) {
-                let mut both =
-                    [&seed, &walked].map(|s| Bounds::open(&index, &shared, Some(s)).unwrap());
-                let mut tsrc = index.open_tuple_source().unwrap();
-                tsrc.skip_entries(start).unwrap();
+            let mut both =
+                [&seed, &walked].map(|s| Bounds::open(&index, &shared, Some(s)).unwrap());
+            let mut tsrc = index.open_tuple_source().unwrap();
+            let (mut at, mut tids, mut ptrs) = (0, Vec::new(), Vec::new());
+            while at < n {
+                tids.clear();
+                ptrs.clear();
+                tsrc.next_block(block_len(n - at), &mut tids, &mut ptrs)
+                    .unwrap();
                 for b in &mut both {
-                    b.attrs.iter_mut().for_each(|a| a.seek(start).unwrap());
+                    b.lbs.fill(f64::from_bits(0x7FF8_0000_DEAD_BEEF));
+                    b.fill(at, &tids).unwrap();
                 }
-                let (mut at, mut tids, mut ptrs) = (start, Vec::new(), Vec::new());
-                while at < n {
-                    tids.clear();
-                    ptrs.clear();
-                    tsrc.next_block(block_len(n - at), &mut tids, &mut ptrs)
-                        .unwrap();
-                    for b in &mut both {
-                        b.lbs.fill(f64::from_bits(0x7FF8_0000_DEAD_BEEF));
-                        b.fill(at, &tids).unwrap();
-                    }
-                    let [leapt, walked] = &both;
-                    let ctx =
-                        format!("tail {tail}, deleted {deleted}, start {start}, block at {at}");
-                    assert_eq!(leapt.cands, walked.cands, "{ctx}");
-                    let bits = |b: &Bounds| {
-                        let at = |i: usize| b.lbs.get(i).map(|v| v.to_bits());
-                        positions(b.cands).map(at).collect::<Vec<_>>()
-                    };
-                    assert_eq!(bits(leapt), bits(walked), "{ctx}");
-                    at += tids.len() as u64;
-                }
+                let [leapt, walked] = &both;
+                let ctx = format!("tail {tail}, deleted {deleted}, block at {at}");
+                assert_eq!(leapt.cands, walked.cands, "{ctx}");
+                let bits = |b: &Bounds| {
+                    let at = |i: usize| b.lbs.get(i).map(|v| v.to_bits());
+                    positions(b.cands).map(at).collect::<Vec<_>>()
+                };
+                assert_eq!(bits(leapt), bits(walked), "{ctx}");
+                at += tids.len() as u64;
             }
         }
     }
@@ -995,14 +943,15 @@ mod tests {
     /// A query reads each list's DICT frame once, whatever its shape: two
     /// indexes whose dictionaries differ only in the length of one string,
     /// which no query here admits, read list bytes that differ by exactly
-    /// what one parse of the dictionary reads more — for a seeded query
-    /// that tombstones keep from leaping, a leaping one over a RAW tail,
-    /// and an unseeded two-value query over two workers.
+    /// what one parse of the dictionary per query reads more — for a
+    /// seeded query that tombstones keep from leaping, a leaping one over
+    /// a RAW tail, and each member of a batch of two unseeded two-value
+    /// queries.
     #[test]
     fn a_query_reads_each_dictionary_once() {
         let one = Query::new().text(AttrId(0), "canon");
         let two = one.clone().text(AttrId(1), "canon");
-        for (tail, deleted, q, threads) in [(0, 900, &one, 1), (40, 0, &one, 1), (0, 0, &two, 2)] {
+        for (tail, deleted, q, members) in [(0, 900, &one, 1), (40, 0, &one, 1), (0, 0, &two, 2)] {
             let read = |rare: &str| {
                 let mut rows: Vec<_> = (0..2500).map(row).collect();
                 rows[2000] = Some(vec![rare.to_string()]);
@@ -1011,28 +960,32 @@ mod tests {
                 let before = io.snapshot();
                 index.list_reader(entry).unwrap().load_dict().unwrap();
                 let parse = io.snapshot().since(&before).logical_list_bytes;
-                let opts = QueryOptions {
-                    threads: Some(threads),
+                let item = BatchItem {
+                    query: q,
+                    k: 10,
+                    weights: WeightScheme::Equal,
                 };
                 let before = io.snapshot();
-                let out = index
-                    .query_opts(&table, q, 10, &MetricKind::L2, WeightScheme::Equal, &opts)
+                let outs = index
+                    .query_batch(&table, &vec![item; members], &MetricKind::L2)
                     .unwrap();
                 let read = io.snapshot().since(&before).logical_list_bytes;
-                (parse, read, out, index.n_tuples())
+                (parse, read, outs, index.n_tuples())
             };
-            let ((parse, read, out, n), (longer, more, other, _)) =
+            let ((parse, read, outs, n), (longer, more, other, _)) =
                 (read("xylophone"), read(&"xylophone".repeat(4)));
-            let ctx = format!(
-                "tail {tail}, deleted {deleted}, {threads} threads: {:?}",
-                out.stats
-            );
-            // Only the seeded query over a RAW tail leaps.
-            assert_eq!(out.stats.tuples_scanned < n, tail > 0, "{ctx}");
-            assert!(out.stats.dict_distances > 0, "{ctx}");
-            assert_eq!(out.results, other.results, "{ctx}");
-            assert!(longer > parse, "{ctx}");
-            assert_eq!(more - read, longer - parse, "{ctx}");
+            for (out, other) in outs.iter().zip(&other) {
+                let ctx = format!(
+                    "tail {tail}, deleted {deleted}, batch of {members}: {:?}",
+                    out.stats
+                );
+                // Only the seeded query over a RAW tail leaps.
+                assert_eq!(out.stats.tuples_scanned < n, tail > 0, "{ctx}");
+                assert!(out.stats.dict_distances > 0, "{ctx}");
+                assert_eq!(out.results, other.results, "{ctx}");
+            }
+            assert!(longer > parse);
+            assert_eq!(more - read, members as u64 * (longer - parse), "{members}");
         }
     }
 
@@ -1282,16 +1235,18 @@ mod tests {
     }
 
     /// A distance the table decides past the seed's limit is skipped like
-    /// an estimate: over a range whose every value is decided past it (a
-    /// parallel worker's), the lane inserts nothing and fetches nothing.
-    /// Tombstones on "canon" raise `B` to "cannon"'s 1 edit past the codes
-    /// the probe visits, so "nonac" and "oncan" — estimated at 1 edit, 4
-    /// away — stay unseen, pass the limit and are decided.
+    /// an estimate: the 200 values that walk decides past it, while the
+    /// pool still has room, are neither inserted nor fetched. Tombstones on
+    /// "canon" raise `B` to "cannon"'s 1 edit past the codes the probe
+    /// visits, so "nonac" and "oncan" — estimated at 1 edit, 4 away — stay
+    /// unseen, pass the limit and are decided. The walk inserts only the 4
+    /// "cannon" before them, the 5 live "canon" and the first "cannon"
+    /// after them.
     #[test]
     fn a_seeded_lane_skips_a_decided_distance_past_its_limit() {
         let words = |i: usize| match i {
-            0..100 => "canon",
-            100..150 => "cannon",
+            0..4 | 304.. => "cannon",
+            4..104 => "canon",
             _ => ["nonac", "oncan"][i % 2],
         };
         let rows: Vec<_> = (0..350).map(|i| Some(vec![words(i).to_string()])).collect();
@@ -1310,14 +1265,14 @@ mod tests {
         let lane = Lane::open(&index, &q, &[1.0], &shared, Some(&seed), &mut carry);
         let mut lanes = [lane.unwrap()];
         index
-            .scan(&table, &mut lanes, 150..350, DRAIN_AT, &MetricKind::L1)
+            .scan(&table, &mut lanes, DRAIN_AT, &MetricKind::L1)
             .unwrap();
         drop(lanes);
-        let (worst, stats) = (carry.pool.worst(), &carry.stats);
-        assert!(
-            worst.is_none() && stats.table_accesses == 0,
-            "{worst:?} {stats:?}"
-        );
+        let stats = carry.stats;
+        let got: Vec<_> = carry.pool.into_sorted().iter().map(|e| e.tid).collect();
+        let want: Vec<u64> = (99..104).chain([0, 1, 2, 3, 304]).collect();
+        let counts = (stats.walk_admits, stats.table_accesses);
+        assert!(got == want && counts == (10, 0), "{got:?} {stats:?}");
     }
 
     /// A seeded lane's table never rises across its cut: a string it
@@ -1325,14 +1280,15 @@ mod tests {
     /// bound is past the cut is never measured. Over 850 values — four
     /// blocks — that hold "nonac" or "oncan" (estimated 1 edit from
     /// "canon", the cut; 4 away) beside a string estimated past the cut,
-    /// the lane weighs every position, as its probe's table lets through,
-    /// measures the two near strings once each and nothing else, and
-    /// inserts and fetches nothing.
+    /// walked while the pool still has room, the lane weighs every
+    /// position, as its probe's table lets through, measures the two near
+    /// strings once each and nothing else, and inserts and fetches none of
+    /// them.
     #[test]
     fn a_seeded_lane_measures_no_string_past_its_cut() {
         let words = |i: usize| match i {
-            0..100 => vec!["canon"],
-            100..150 => vec!["cannon"],
+            0..4 | 954.. => vec!["cannon"],
+            4..104 => vec!["canon"],
             _ => vec![["nonac", "oncan"][i % 2], "qqqqqqqqqq"],
         };
         let rows: Vec<_> = (0..1000)
@@ -1350,23 +1306,21 @@ mod tests {
         let lane = Lane::open(&index, &q, &[1.0], &shared, Some(&seed), &mut carry);
         let mut lanes = [lane.unwrap()];
         index
-            .scan(&table, &mut lanes, 150..1000, DRAIN_AT, &MetricKind::L1)
+            .scan(&table, &mut lanes, DRAIN_AT, &MetricKind::L1)
             .unwrap();
         drop(lanes);
-        let (worst, stats) = (carry.pool.worst(), &carry.stats);
+        let stats = &carry.stats;
         let counts = (
             stats.positions_weighed,
             stats.dict_distances,
+            stats.walk_admits,
             stats.table_accesses,
         );
-        assert!(
-            worst.is_none() && counts == (850, 4, 0),
-            "{worst:?} {stats:?}"
-        );
+        assert_eq!(counts, (1000, 4, 10, 0), "{stats:?}");
     }
 
-    /// A weight vector shorter than the query used to be zipped away
-    /// silently by the parallel shape; every shape now rejects it.
+    /// A weight vector shorter than the query is rejected by every shape:
+    /// serial, and each lane of a batch of two.
     #[test]
     fn short_weight_vector_is_rejected_by_every_shape() {
         let opts = PagerOptions {
@@ -1389,19 +1343,13 @@ mod tests {
         let matchers = index.query_matchers(&q);
         let rejected = |r: Result<()>| matches!(r, Err(IvaError::InvalidArgument(_)));
 
-        // Serial and 2-thread segmented-parallel.
-        for threads in [1usize, 2] {
-            let o = QueryOptions {
-                threads: Some(threads),
-            };
-            let mut carry = ScanCarry::new(3);
-            let m = &matchers;
-            let r = index.query_carry_opts(&table, &q, m, &MetricKind::L2, &short, &o, &mut carry);
-            assert!(rejected(r), "threads={threads}");
-            index
-                .query_carry_opts(&table, &q, m, &MetricKind::L2, &good, &o, &mut carry)
-                .unwrap();
-        }
+        // Serial.
+        let (mut carry, m) = (ScanCarry::new(3), &matchers);
+        let r = index.query_carry(&table, &q, m, &MetricKind::L2, &short, &mut carry);
+        assert!(rejected(r));
+        index
+            .query_carry(&table, &q, m, &MetricKind::L2, &good, &mut carry)
+            .unwrap();
         // Batch of two: one well-formed lane does not excuse the other.
         let shared = index.prepare_query(&q, &matchers).unwrap();
         let (mut a, mut b) = (ScanCarry::new(3), ScanCarry::new(3));

@@ -2,17 +2,18 @@
 //!
 //! This module is the **only** place in `iva-core` allowed to read a clock.
 //! Everything else in the crate participates in bit-identical merge replay
-//! (serial ≡ segmented-parallel ≡ batched results), and the `determinism`
+//! (serial ≡ batched ≡ tiered results), and the `determinism`
 //! lint in `cargo xtask analyze` bans `Instant::now`/`SystemTime`/RNG calls
 //! from those modules so no timing or randomness can leak into plan
 //! decisions. Phase *measurements* are still wanted, so the plans call
 //! [`thread_cpu_time`] — values flow only into [`QueryStats`] nanos fields,
 //! never into admission, ordering or merge logic.
 //!
-//! Wall-clock would charge a worker for time its siblings spent preempting
-//! it whenever workers outnumber cores, inflating the max-over-workers
-//! phase stats; thread CPU time equals wall time when every worker has a
-//! core to itself and stays meaningful when oversubscribed.
+//! Wall-clock would charge a query for time other threads of the process
+//! (the serving layer's workers, their clients) spent preempting it
+//! whenever they outnumber cores; thread CPU time equals wall time when the
+//! query's thread has a core to itself and stays meaningful when it does
+//! not.
 //!
 //! [`QueryStats`]: crate::query::QueryStats
 
@@ -51,8 +52,8 @@ pub(crate) fn thread_cpu_time() -> u64 {
 }
 
 /// Fallback where thread CPU clocks are unavailable: a process-wide
-/// monotonic clock (phase timings then include preemption by sibling
-/// workers).
+/// monotonic clock (phase timings then include preemption by other
+/// threads).
 #[cfg(not(target_os = "linux"))]
 pub(crate) fn thread_cpu_time() -> u64 {
     use std::sync::OnceLock;

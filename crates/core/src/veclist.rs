@@ -667,23 +667,6 @@ impl TextListCursor {
         self.reader.skip_covered(leap)
     }
 
-    /// Position a fresh cursor past the first `n` positional elements, so
-    /// a scan can start mid-list (segmented parallel filtering). Keyed
-    /// types (I/II) need no seek — their walk steps over lower tids
-    /// lazily — so this is a no-op for them. Must be called before the
-    /// first `advance`/`skip`.
-    pub fn seek_elements(&mut self, n: u64, codec: &SigCodec) -> Result<()> {
-        if self.ty.is_positional() {
-            for _ in 0..n {
-                if self.reader.at_end() {
-                    break; // lazy positional tail: the rest reads as ndf
-                }
-                self.walk::<()>(0, codec, None)?;
-            }
-        }
-        Ok(())
-    }
-
     /// End a walk that visited every tuple-list tid. Keyed elements past
     /// the last tuple are stepped over like any other the tuple list does
     /// not name; bytes still left after that are [`IvaError::Corrupt`]
@@ -812,24 +795,6 @@ impl NumListCursor {
             };
         }
         Ok(())
-    }
-
-    /// Position a fresh cursor past the first `n` positional elements (see
-    /// [`TextListCursor::seek_elements`]). No-op for the keyed Type I.
-    pub fn seek_elements(&mut self, n: u64, codec: &NumericCodec) -> Result<()> {
-        match self.ty {
-            ListType::I => Ok(()),
-            ListType::IV => {
-                for _ in 0..n {
-                    if self.reader.at_end() {
-                        break; // lazy positional tail
-                    }
-                    self.reader.code(codec, false)?;
-                }
-                Ok(())
-            }
-            _ => Err(num_on_text_type()),
-        }
     }
 
     /// End a walk that visited every tuple-list tid (see the module doc).
@@ -1109,56 +1074,6 @@ mod tests {
                 .unwrap();
             assert!(!lbs[0].is_nan() && lbs[1].is_nan(), "type {ty}");
         }
-    }
-
-    #[test]
-    fn seek_elements_positions_mid_list() {
-        let codec = SigCodec::new(0.3, 2);
-        let p = pager();
-        let items: Vec<(u32, Vec<Vec<u8>>)> = (0..6u32)
-            .map(|t| (t, vec![codec.encode_to_vec(format!("val{t}").as_bytes())]))
-            .collect();
-        let all_tids: Vec<u32> = (0..6).collect();
-        for ty in [ListType::I, ListType::II, ListType::III] {
-            let mut cur = text_cursor(&p, ty, &items, &all_tids, &codec);
-            cur.seek_elements(4, &codec).unwrap();
-            let matcher = PreparedMatcher::new(&codec, b"val4");
-            // Keyed types seek lazily inside advance; positional types
-            // must land exactly on element 4.
-            let got = cur.advance(4, &codec, &matcher).unwrap();
-            assert_eq!(got, Some(0.0), "type {ty}");
-        }
-
-        let ncodec = NumericCodec::new(0.0, 100.0, 2);
-        let nitems: Vec<(u32, u64)> = (0..6u32)
-            .map(|t| (t, ncodec.encode(f64::from(t))))
-            .collect();
-        for ty in [ListType::I, ListType::IV] {
-            let mut cur = num_cursor(&p, ty, &nitems, &all_tids, &ncodec);
-            cur.seek_elements(4, &ncodec).unwrap();
-            assert_eq!(
-                cur.advance(4, &ncodec).unwrap(),
-                Some(nitems[4].1),
-                "type {ty}"
-            );
-        }
-    }
-
-    #[test]
-    fn seek_elements_past_lazy_tail_is_ok() {
-        let codec = SigCodec::new(0.3, 2);
-        let p = pager();
-        let items: Vec<(u32, Vec<Vec<u8>>)> = vec![(0, vec![codec.encode_to_vec(b"x")])];
-        let mut cur = text_cursor(&p, ListType::III, &items, &[0], &codec);
-        cur.seek_elements(5, &codec).unwrap();
-        let matcher = PreparedMatcher::new(&codec, b"x");
-        assert!(cur.advance(5, &codec, &matcher).unwrap().is_none());
-
-        let ncodec = NumericCodec::new(0.0, 10.0, 1);
-        let nitems: Vec<(u32, u64)> = vec![(0, ncodec.encode(1.0))];
-        let mut cur = num_cursor(&p, ListType::IV, &nitems, &[0], &ncodec);
-        cur.seek_elements(5, &ncodec).unwrap();
-        assert!(cur.advance(5, &ncodec).unwrap().is_none());
     }
 
     #[test]

@@ -14,7 +14,7 @@ use iva_core::{
     bounded_distance, build_index, encode_num_list, encode_packed_num_list,
     encode_packed_text_list, encode_text_list, exact_distance, export_index, import_index,
     IndexTarget, IvaConfig, IvaIndex, ListType, Metric, MetricKind, NumListCursor, NumericCodec,
-    PackedReader, Query, QueryOptions, QueryOutcome, QueryStats, QueryValue, ResultPool, ScanCarry,
+    PackedReader, Query, QueryOutcome, QueryStats, QueryValue, ResultPool, ScanCarry,
     TextListCursor, WeightScheme, TOMBSTONE_PTR,
 };
 use iva_storage::{write_contiguous_list, IoStats, ListReader, Pager};
@@ -335,10 +335,9 @@ fn seeded_pair(
 }
 
 /// `q` on attribute 0 at weight `lambda` under `metric`: seeded, and the
-/// top-k at 1 to 4 threads (lanes that start mid-frame) is the brute
-/// force's at the index's *ndf* penalty, by tid and distance bits. The
-/// serial run's counters.
-fn check_seeded<M: Metric + Sync>(
+/// top-k is the brute force's at the index's *ndf* penalty, by tid and
+/// distance bits. The run's counters.
+fn check_seeded<M: Metric>(
     (table, index): (&SwtTable, &IvaIndex),
     q: &str,
     (lambda, metric): (f64, &M),
@@ -358,28 +357,17 @@ fn check_seeded<M: Metric + Sync>(
         .iter()
         .map(|e| (e.tid, e.dist.to_bits()))
         .collect();
-    let matchers = index.query_matchers(&query);
-    let mut serial = None;
-    for threads in [1, 2, 3, 4] {
-        let (o, mut carry) = (
-            QueryOptions {
-                threads: Some(threads),
-            },
-            ScanCarry::new(k),
-        );
-        let lambda = [lambda];
-        index
-            .query_carry_opts(table, &query, &matchers, metric, &lambda, &o, &mut carry)
-            .unwrap();
-        let stats = carry.stats;
-        let got = carry.finish().results;
-        let got: Vec<_> = got.iter().map(|e| (e.tid, e.dist.to_bits())).collect();
-        let ctx = format!("{q:?}, λ = {lambda:?}, {threads} threads: {stats:?}");
-        assert_eq!(got, want, "{ctx}");
-        assert!(stats.dict_distances > 0, "not seeded: {ctx}");
-        serial.get_or_insert(stats);
-    }
-    serial.unwrap()
+    let (matchers, mut carry, lambda) = (index.query_matchers(&query), ScanCarry::new(k), [lambda]);
+    index
+        .query_carry(table, &query, &matchers, metric, &lambda, &mut carry)
+        .unwrap();
+    let stats = carry.stats;
+    let got = carry.finish().results;
+    let got: Vec<_> = got.iter().map(|e| (e.tid, e.dist.to_bits())).collect();
+    let ctx = format!("{q:?}, λ = {lambda:?}: {stats:?}");
+    assert_eq!(got, want, "{ctx}");
+    assert!(stats.dict_distances > 0, "not seeded: {ctx}");
+    stats
 }
 
 /// A seeded walk weighs only the positions whose value can pass its
@@ -557,9 +545,8 @@ fn one_walk_serves_scan_and_export() {
             .text(AttrId(0), "listing 0301 part 0"),
     ];
     let run = |index: &IvaIndex, q: &Query| {
-        let o = QueryOptions { threads: Some(1) };
         index
-            .query_opts(&table, q, 7, &MetricKind::L2, WeightScheme::Equal, &o)
+            .query(&table, q, 7, &MetricKind::L2, WeightScheme::Equal)
             .unwrap()
     };
     // The reference: the organizations the size formulas chose, same
@@ -863,8 +850,7 @@ fn frame_mixtures(sc: &iva_text::SigCodec, nc: &NumericCodec) -> Vec<Mixture> {
 /// over the packed list (PACKED frames served from their sections and the
 /// list's dictionary, RAW tail frames and NDF_RUN runs as they come) must
 /// give each tuple its value's bound — the min estimate over its strings,
-/// its code — under `advance`, after `seek_elements(n)` for `n` on and off
-/// every frame boundary, and end holding exactly the values encoded
+/// its code — under `advance`, and end holding exactly the values encoded
 /// (`postings` ends with `finish`, which refuses leftovers) — with the
 /// tuple list running on past the list's last element (the lazy positional
 /// tail) throughout. `decode_to_vec` rebuilds the image the raw element
@@ -877,27 +863,11 @@ fn frame_direct_walk_matches_the_encoded_values() {
     let matcher = PreparedMatcher::new(&sc, b"value 33 1");
     for m in frame_mixtures(&sc, &nc) {
         let (shape, tids, text_items, num_items) = (m.name, &m.tids, &m.text_items, &m.num_items);
-        let seeks = [
-            0u64,
-            1,
-            500,
-            1023,
-            1024,
-            1025,
-            2047,
-            m.head as u64 + 3,
-            m.n as u64 + 7,
-        ];
-        // What each tuple of `tids[from..]` holds, by `value`.
-        fn values<T, V>(
-            tids: &[u32],
-            from: usize,
-            items: &[(u32, T)],
-            value: impl Fn(&T) -> V,
-        ) -> Walked<V> {
+        // What each tuple of `tids` holds, by `value`.
+        fn values<T, V>(tids: &[u32], items: &[(u32, T)], value: impl Fn(&T) -> V) -> Walked<V> {
             let at = |t: &u32| items.binary_search_by_key(t, |(tid, _)| *tid).ok();
             let of = |t| at(t).map(|i| value(&items[i].1));
-            tids.iter().skip(from).map(of).collect()
+            tids.iter().map(of).collect()
         }
 
         for ty in [ListType::I, ListType::II, ListType::III] {
@@ -915,17 +885,12 @@ fn frame_direct_walk_matches_the_encoded_values() {
                 let est = sigs.iter().map(|sig| matcher.estimate(sig).unwrap());
                 est.fold(f64::INFINITY, f64::min).to_bits()
             };
-            for seek in seeks {
-                let mut cur = cursor();
-                cur.seek_elements(seek, &sc).unwrap();
-                let from = (seek as usize).min(tids.len());
-                let walked: Walked<u64> = tids[from..]
-                    .iter()
-                    .map(|&tid| cur.advance(tid, &sc, &matcher).unwrap().map(f64::to_bits))
-                    .collect();
-                let expect = values(tids, from, text_items, estimate);
-                assert_eq!(walked, expect, "{label}: walk after seek {seek}");
-            }
+            let mut cur = cursor();
+            let walked: Walked<u64> = tids
+                .iter()
+                .map(|&tid| cur.advance(tid, &sc, &matcher).unwrap().map(f64::to_bits))
+                .collect();
+            assert_eq!(walked, values(tids, text_items, estimate), "{label}: walk");
         }
 
         for ty in [ListType::I, ListType::IV] {
@@ -939,26 +904,25 @@ fn frame_direct_walk_matches_the_encoded_values() {
                 *num_items,
                 "{label}: postings"
             );
-            for seek in seeks {
-                let mut cur = cursor();
-                cur.seek_elements(seek, &nc).unwrap();
-                let from = (seek as usize).min(tids.len());
-                let walked: Walked<u64> = tids[from..]
-                    .iter()
-                    .map(|&tid| cur.advance(tid, &nc).unwrap())
-                    .collect();
-                let expect = values(tids, from, num_items, |&code| code);
-                assert_eq!(walked, expect, "{label}: codes after seek {seek}");
-            }
+            let mut cur = cursor();
+            let walked: Walked<u64> = tids
+                .iter()
+                .map(|&tid| cur.advance(tid, &nc).unwrap())
+                .collect();
+            assert_eq!(
+                walked,
+                values(tids, num_items, |&code| code),
+                "{label}: codes"
+            );
         }
     }
 }
 
-/// `(start, len)` of consecutive blocks covering `tids[from..]`, their
+/// `(start, len)` of consecutive blocks covering `tids[..end]`, their
 /// sizes taken from `sizes` in turn.
-fn blocks(from: usize, end: usize, sizes: &[usize]) -> Vec<(usize, usize)> {
+fn blocks(end: usize, sizes: &[usize]) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
-    let mut at = from;
+    let mut at = 0;
     for &size in sizes.iter().cycle() {
         if at >= end {
             break;
@@ -980,8 +944,8 @@ proptest! {
     /// The block fill against its oracle, the per-element walk: on every
     /// organization (Text I/II/III, Num I/IV), over every frame mixture (PACKED frames, RAW tail frames appended by inserts,
     /// NDF_RUN runs, the lazy positional tail, signature dictionaries of
-    /// every shape [`frame_mixtures`] names), from any `seek_elements`
-    /// start, in blocks of 1 to 300 elements — so block edges fall inside
+    /// every shape [`frame_mixtures`] names), in blocks of 1 to 300
+    /// elements — so block edges fall inside
     /// list frames, on them, and inside a Type I value split across two
     /// frames — `fill_block` writes, bit for bit, what `advance` returns
     /// element by element (`NaN` for *ndf*). Tombstones are no list's
@@ -991,7 +955,6 @@ proptest! {
     #[test]
     fn fill_blocks_match_the_element_walk(
         pick in any::<prop::sample::Index>(),
-        seek in any::<prop::sample::Index>(),
         sizes in proptest::collection::vec(1usize..301, 1..10),
         q in 0.0f64..3000.0,
     ) {
@@ -1002,8 +965,7 @@ proptest! {
         let mixtures = frame_mixtures(&sc, &nc);
         let m = &mixtures[pick.index(mixtures.len())];
         let tids = &m.tids;
-        let from = seek.index(tids.len() + 1);
-        let plan = blocks(from, tids.len(), &sizes);
+        let plan = blocks(tids.len(), &sizes);
         let mut out = vec![0.0f64; 300];
         for ty in [ListType::I, ListType::II, ListType::III] {
             let (stored, _) = m.text_lists(ty);
@@ -1012,9 +974,7 @@ proptest! {
                 TextListCursor::new(r, ty)
             };
             let (mut oracle, mut filled) = (open(), open());
-            oracle.seek_elements(from as u64, &sc).unwrap();
-            filled.seek_elements(from as u64, &sc).unwrap();
-            let want: Vec<u64> = tids[from..]
+            let want: Vec<u64> = tids
                 .iter()
                 .map(|&t| slot_bits(oracle.advance(t, &sc, &matcher).unwrap()))
                 .collect();
@@ -1033,9 +993,7 @@ proptest! {
                 NumListCursor::new(r, ty)
             };
             let (mut oracle, mut filled) = (open(), open());
-            oracle.seek_elements(from as u64, &nc).unwrap();
-            filled.seek_elements(from as u64, &nc).unwrap();
-            let want: Vec<u64> = tids[from..]
+            let want: Vec<u64> = tids
                 .iter()
                 .map(|&t| {
                     let code = oracle.advance(t, &nc).unwrap();

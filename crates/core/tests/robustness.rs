@@ -99,7 +99,7 @@ fn concurrent_readers_agree() {
         .iter()
         .map(|e| e.dist)
         .collect();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..8 {
             let (t, idx, q, baseline) = (
                 Arc::clone(&t),
@@ -107,7 +107,7 @@ fn concurrent_readers_agree() {
                 q.clone(),
                 baseline.clone(),
             );
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for _ in 0..5 {
                     let got: Vec<f64> = idx
                         .query(&t, &q, 5, &MetricKind::L2, WeightScheme::Equal)
@@ -120,8 +120,7 @@ fn concurrent_readers_agree() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 }
 
 #[test]
@@ -258,13 +257,11 @@ fn insert_rejects_positional_entry_longer_than_tuple_list() {
 /// tie rule (lowest tid wins) and the keyed lists' frozen pointer rest on
 /// it. A directory whose RAW tail frame repeats a tid — here one appended
 /// by an insert under a tid already listed, with more tuples after it —
-/// is `Corrupt` to every execution shape, never an answer: serial;
-/// segmented-parallel, whether the repeat falls inside a worker's range or
-/// opens one (2 workers: the second starts on it); batch; the sequential
-/// plan.
+/// is `Corrupt` to every execution shape, never an answer: serial, batch
+/// and the sequential plan.
 #[test]
 fn repeated_tid_in_the_directory_is_corrupt_to_every_shape() {
-    use iva_core::{BatchItem, QueryOptions};
+    use iva_core::BatchItem;
     let mut t = SwtTable::create_mem(&opts(), IoStats::new()).unwrap();
     let name = t.define_text("name").unwrap();
     let row = |i: u32| Tuple::new().with(name, Value::text(format!("listing {i:04}")));
@@ -287,19 +284,12 @@ fn repeated_tid_in_the_directory_is_corrupt_to_every_shape() {
     };
     let results = |o: iva_core::QueryOutcome| o.results;
     corrupt("serial", idx.query(&t, &q, 5, &l2, equ).map(results));
-    for threads in [2usize, 3] {
-        let o = QueryOptions {
-            threads: Some(threads),
-        };
-        let r = idx.query_opts(&t, &q, 5, &l2, equ, &o).map(results);
-        corrupt(&format!("threads {threads}"), r);
-    }
     let item = BatchItem {
         query: &q,
         k: 5,
         weights: equ,
     };
-    let batch = idx.query_batch(&t, &[item, item], &l2, &QueryOptions::default());
+    let batch = idx.query_batch(&t, &[item, item], &l2);
     let batch = batch.map(|outs| outs.into_iter().flat_map(results).collect());
     corrupt("batch", batch);
     let seq = idx.query_sequential_plan(&t, &q, 5, &l2, equ).map(results);

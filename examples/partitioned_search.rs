@@ -3,13 +3,10 @@
 //! for indexing horizontally or vertically partitioned datasets in a
 //! distributed and parallel system architecture".
 //!
-//! The horizontal partition two ways, each checked against one serial
-//! scan by `(tid, distance bits)`:
-//! - `IvaDb` at `SearchRequest::threads(4)`: the tuple list split into
-//!   four contiguous partitions, each scanned into a private top-k pool,
-//!   the pools unioned;
-//! - an `LsmDb` sealed into four segments: four independent table +
-//!   iVA-file pairs, scanned one after another under one carried pool.
+//! The horizontal partition is an `LsmDb` sealed into four segments: four
+//! independent table + iVA-file pairs, scanned one after another under
+//! one carried pool, checked against one serial scan of an `IvaDb` over
+//! the same rows by `(tid, distance bits)`.
 //!
 //! Run with: `cargo run --release --example partitioned_search`
 
@@ -66,37 +63,23 @@ fn main() -> Result<()> {
     println!("loaded into one table + iVA-file pair and into {PARTS} sealed segments\n");
 
     let qs = generate_query_set(&dataset, 3, 25, 5, 4242);
-    let serial = SearchRequest::new(10).threads(1);
-    let (mut t_serial, mut t_parts, mut t_segments) = (0.0f64, 0.0f64, 0.0f64);
+    let request = SearchRequest::new(10);
+    let (mut t_serial, mut t_segments) = (0.0f64, 0.0f64);
     for q in qs.measured() {
-        let want = timed(&mut t_serial, || single.execute(q, &serial))?;
-        let parts = timed(&mut t_parts, || {
-            single.execute(q, &serial.clone().threads(PARTS))
-        })?;
-        let segments = timed(&mut t_segments, || segmented.execute(q, &serial))?;
-        assert_eq!(
-            parts, want,
-            "{PARTS} partitions differ from the serial scan"
-        );
+        let want = timed(&mut t_serial, || single.execute(q, &request))?;
+        let segments = timed(&mut t_segments, || segmented.execute(q, &request))?;
         assert_eq!(
             segments, want,
             "{PARTS} segments differ from the serial scan"
         );
     }
     let n = qs.measured().len();
-    println!("answers bit-identical to the serial scan on {n}/{n} queries, both shapes");
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    println!("answers bit-identical to the serial scan on {n}/{n} queries");
     let ms = |secs: f64| secs / n as f64 * 1e3;
     println!(
-        "mean latency: serial {:.1} ms, {PARTS} partitions {:.1} ms, {PARTS} segments {:.1} ms \
-         (this host has {cores} core(s))",
+        "mean latency: one pair {:.1} ms, {PARTS} segments {:.1} ms",
         ms(t_serial),
-        ms(t_parts),
         ms(t_segments),
     );
-    if cores < PARTS {
-        println!("note: {PARTS} partitions only run at once on >= {PARTS} cores;");
-        println!("      the point demonstrated here is exactness under partitioning.");
-    }
     Ok(())
 }

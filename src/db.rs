@@ -25,24 +25,19 @@ use crate::search::{QueryBuilder, SearchRequest};
 ///    bytes. They are persisted in the index header; on
 ///    [`IvaDb::open`] the *stored* values win — the ones in `opts` are
 ///    only used if the index has to be rebuilt from the table.
-/// 2. **Runtime defaults** (`config.search_threads`, plus `metric` and
-///    `weights` here) set the database's default execution plan. They
-///    are *never* persisted:
-///    an index header round-trip deliberately drops them, and open
-///    re-applies the values from `opts` so a reopened database behaves
-///    like the options say, not like the process that wrote the file.
+/// 2. **Runtime defaults** (`metric` and `weights` here) set what a
+///    request that names neither runs under. They are *never* persisted:
+///    a reopened database behaves like the options it was opened with,
+///    not like the process that wrote the file.
 /// 3. **Per-request overrides** ([`SearchRequest::metric`],
-///    [`SearchRequest::threads`], ...) apply to one `execute` call only.
-///    They never write through to either layer above — a request can
-///    never change what a later request or a reopened database does.
+///    [`SearchRequest::weights`]) apply to one `execute` call only. They
+///    never write through to either layer above — a request can never
+///    change what a later request or a reopened database does.
 ///
-/// `config.hot_tier_bytes` and `config.compress_lists` belong to no
-/// layer: they are accepted and ignored. Every `config` field is validated at open, whether the index
-/// is reused or rebuilt.
-///
-/// Every layer-2/3 knob is plan-only: any setting produces bit-identical
-/// top-k answers, differing only in timing and in how many records are
-/// fetched to find them.
+/// `config.search_threads`, `config.hot_tier_bytes` and
+/// `config.compress_lists` belong to no layer: they are accepted and
+/// ignored (a query runs on the thread that issued it). Every `config`
+/// field is validated at open, whether the index is reused or rebuilt.
 #[derive(Debug, Clone)]
 pub struct IvaDbOptions {
     /// Pager/page-cache options (shared shape for table and index files).
@@ -258,16 +253,17 @@ impl IvaDb {
 
     /// [`IvaDb::execute`] under a caller-supplied [`Metric`]
     /// implementation (for metrics beyond [`MetricKind`]).
-    pub fn execute_metric<M: Metric + Sync>(
+    pub fn execute_metric<M: Metric>(
         &self,
         query: &Query,
         metric: &M,
         request: &SearchRequest,
     ) -> Result<SearchOutcome> {
         let weights = request.weights_override().unwrap_or(self.opts.weights);
-        let qopts = SearchRequest::query_options([request]);
         let (index, table) = self.pair.searchable()?;
-        let out = index.query_opts(table, query, request.k(), metric, weights, &qopts)?;
+        // A path call: the lints' call graph links a method call on an
+        // untyped receiver to every `query` in the workspace, baselines too.
+        let out = IvaIndex::query(index, table, query, request.k(), metric, weights)?;
         self.materialize(out)
     }
 
@@ -293,15 +289,13 @@ impl IvaDb {
     /// request on its own.
     ///
     /// Requests may disagree on their knobs: entries are grouped by
-    /// resolved metric (one shared scan per distinct metric), weights and
-    /// `k` are honored per entry, and the scan-level knobs take the first
-    /// explicit `threads` override in the group (which only reaches a
-    /// singleton group, since batching replaces segment parallelism).
+    /// resolved metric (one shared scan per distinct metric), and weights
+    /// and `k` are honored per entry.
     pub fn execute_batch(&self, batch: &[(Query, SearchRequest)]) -> Result<Vec<SearchOutcome>> {
         let (index, table) = self.pair.searchable()?;
         let mut answered = Vec::with_capacity(batch.len());
         for g in SearchRequest::metric_groups(batch, self.opts.metric, self.opts.weights) {
-            let outs = index.query_batch(table, &g.items, &g.metric, &g.opts)?;
+            let outs = index.query_batch(table, &g.items, &g.metric)?;
             for (slot, o) in g.slots.into_iter().zip(outs) {
                 answered.push((slot, self.materialize(o)?));
             }

@@ -40,8 +40,7 @@
 //! let snap = reader.snapshot();
 //!
 //! // Queries address attributes by name, resolved through the catalog;
-//! // a SearchRequest carries the execution knobs (k, metric, weights,
-//! // filter-scan threads).
+//! // a SearchRequest carries the execution knobs (k, metric, weights).
 //! let query = snap
 //!     .query_builder()
 //!     .text("Type", "Digital Camera")
@@ -59,11 +58,12 @@
 //! requests into shared scans (see the [`serve`] module docs).
 //!
 //! Two engines implement [`Engine`]: [`IvaDb`] (one table file + iVA-file
-//! pair) and [`LsmDb`] (a memtable in front of sealed segments). Both
-//! serve the horizontal partitioning of the paper's Sec. VI, bit-identical
-//! to the serial scan: [`SearchRequest::threads`] scans contiguous
-//! partitions of the tuple list with private pools, and every `LsmDb`
-//! segment is an independent pair.
+//! pair) and [`LsmDb`] (a memtable in front of sealed segments). A query
+//! runs on the thread that issued it; parallelism is across queries
+//! ([`serve::Server`]'s workers). The horizontal partitioning of the
+//! paper's Sec. VI is `LsmDb`'s: every segment is an independent pair,
+//! scanned in tid order on one carried pool, bit-identical to one serial
+//! scan of the monolith.
 //!
 //! ## Crate map
 //!
@@ -93,8 +93,8 @@ pub use serve::{Client, Reader, ServeOptions, Server, ServingStats, Snapshot, Wr
 
 // Re-export the pieces users compose.
 pub use iva_core::{
-    build_index, IndexTarget, IvaConfig, IvaError, IvaIndex, Metric, MetricKind, Query,
-    QueryOptions, QueryStats, QueryValue, Result, WeightScheme,
+    build_index, IndexTarget, IvaConfig, IvaError, IvaIndex, Metric, MetricKind, Query, QueryStats,
+    QueryValue, Result, WeightScheme,
 };
 pub use iva_storage::{DiskModel, IoSnapshot, IoStats, PagerOptions};
 pub use iva_swt::{AttrId, AttrType, Catalog, SwtTable, Tid, Tuple, Value};

@@ -66,10 +66,10 @@ use crate::search::{QueryBuilder, SearchRequest};
 ///
 /// The layering contract of [`crate::IvaDbOptions`] carries over
 /// unchanged: structural parameters in `config` shape segment bytes and
-/// are persisted per segment; runtime knobs (`metric`, `weights` and
-/// `config.search_threads`) are never persisted; per-request overrides
-/// win for one call; `config.hot_tier_bytes` and `config.compress_lists`
-/// are accepted and ignored.
+/// are persisted per segment; runtime knobs (`metric` and `weights`) are
+/// never persisted; per-request overrides win for one call;
+/// `config.search_threads`, `config.hot_tier_bytes` and
+/// `config.compress_lists` are accepted and ignored.
 /// The two thresholds below only
 /// steer *when* maintenance runs — under EQU any schedule yields
 /// bit-identical answers; under ITF λ follows the tombstones a schedule
@@ -611,7 +611,7 @@ impl LsmDb {
 
     /// [`LsmDb::execute`] under a caller-supplied [`Metric`]
     /// implementation.
-    pub fn execute_metric<M: Metric + Sync>(
+    pub fn execute_metric<M: Metric>(
         &self,
         query: &Query,
         metric: &M,
@@ -619,7 +619,6 @@ impl LsmDb {
     ) -> Result<SearchOutcome> {
         let scheme = request.weights_override().unwrap_or(self.opts.weights);
         let lambda = self.resolve_weights(query, scheme);
-        let qopts = SearchRequest::query_options([request]);
         // One kernel per text value for every tier, built under the
         // store's codec (the memtable's) and charged once.
         let matchers = self.memtable.index().query_matchers(query);
@@ -627,7 +626,7 @@ impl LsmDb {
         carry.stats.filter_nanos += matchers.build_nanos();
         for tier in self.tiers() {
             let (index, table) = tier.searchable()?;
-            index.query_carry_opts(table, query, &matchers, metric, &lambda, &qopts, &mut carry)?;
+            index.query_carry(table, query, &matchers, metric, &lambda, &mut carry)?;
         }
         self.materialize(carry.finish())
     }

@@ -1,5 +1,5 @@
 //! The unified search surface: [`SearchRequest`] describes *how* to run a
-//! top-k search (k, metric, weights, parallelism) while
+//! top-k search (k, metric, weights) while
 //! [`crate::Query`] describes *what* to search for. Every search entry
 //! point on [`crate::IvaDb`] and [`crate::LsmDb`] funnels into one
 //! `execute` implementation taking a request.
@@ -9,7 +9,7 @@
 //! catalog and reporting unknown or mistyped names as errors instead of
 //! panicking or silently matching nothing.
 
-use iva_core::{BatchItem, IvaError, MetricKind, Query, QueryOptions, Result, WeightScheme};
+use iva_core::{BatchItem, IvaError, MetricKind, Query, Result, WeightScheme};
 use iva_swt::{AttrType, Catalog};
 
 /// Execution options for one top-k search, builder style.
@@ -19,8 +19,7 @@ use iva_swt::{AttrType, Catalog};
 ///
 /// let req = SearchRequest::new(10)
 ///     .metric(MetricKind::L1)
-///     .weights(WeightScheme::Itf)
-///     .threads(4);
+///     .weights(WeightScheme::Itf);
 /// assert_eq!(req.k(), 10);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -28,18 +27,16 @@ pub struct SearchRequest {
     k: usize,
     metric: Option<MetricKind>,
     weights: Option<WeightScheme>,
-    threads: Option<usize>,
 }
 
 impl SearchRequest {
     /// A request for the `k` nearest tuples under the database's default
-    /// metric and weight scheme, with the configured parallelism.
+    /// metric and weight scheme.
     pub fn new(k: usize) -> Self {
         Self {
             k,
             metric: None,
             weights: None,
-            threads: None,
         }
     }
 
@@ -52,15 +49,6 @@ impl SearchRequest {
     /// Override the database's default weight scheme.
     pub fn weights(mut self, weights: WeightScheme) -> Self {
         self.weights = Some(weights);
-        self
-    }
-
-    /// Override the configured filter-scan thread count
-    /// ([`crate::IvaConfig::search_threads`]) for this request. Any count
-    /// returns bit-identical results; `1` forces the single-threaded path
-    /// and `0` means what it means there, one worker per available CPU.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
         self
     }
 
@@ -77,22 +65,6 @@ impl SearchRequest {
     /// Weight-scheme override, if any.
     pub fn weights_override(&self) -> Option<WeightScheme> {
         self.weights
-    }
-
-    /// Thread-count override, if any.
-    pub fn threads_override(&self) -> Option<usize> {
-        self.threads
-    }
-
-    /// The scan-level knobs of a group of requests served by one scan (a
-    /// single request is a group of one): the first explicit `threads`
-    /// override in the group.
-    pub(crate) fn query_options<'a>(
-        group: impl IntoIterator<Item = &'a SearchRequest>,
-    ) -> QueryOptions {
-        QueryOptions {
-            threads: group.into_iter().find_map(|r| r.threads),
-        }
     }
 
     /// Split an admission batch into one group per resolved metric
@@ -127,7 +99,6 @@ impl SearchRequest {
                         weights: r.weights.unwrap_or(weights),
                     })
                     .collect(),
-                opts: Self::query_options(entries.iter().map(|(_, (_, r))| r)),
             })
             .collect()
     }
@@ -149,8 +120,6 @@ pub(crate) struct MetricGroup<'b> {
     /// Where each item sits in the batch, item by item.
     pub(crate) slots: Vec<usize>,
     pub(crate) items: Vec<BatchItem<'b>>,
-    /// The group's scan-level knobs ([`SearchRequest::query_options`]).
-    pub(crate) opts: QueryOptions,
 }
 
 /// Builds a [`Query`] from attribute *names*, resolved through a catalog.

@@ -1,12 +1,13 @@
 //! The configuration-layering contract of `IvaDbOptions` (see its
-//! rustdoc): structural parameters persist, runtime knobs follow the
-//! options of the opening process, and per-request overrides never
-//! write through to either.
+//! rustdoc): structural parameters persist, runtime knobs (the default
+//! metric and weights) follow the options of the opening process, per-request
+//! overrides never write through to either, and the inert fields change
+//! nothing.
 
 use iva_file::vfs::{RealVfs, Vfs};
 use iva_file::{
-    IvaConfig, IvaDb, IvaDbOptions, IvaError, LsmDb, LsmOptions, Query, QueryStats, SearchRequest,
-    Tuple, Value,
+    IvaConfig, IvaDb, IvaDbOptions, IvaError, LsmDb, LsmOptions, MetricKind, Query, QueryStats,
+    SearchRequest, Tuple, Value, WeightScheme,
 };
 
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
@@ -17,21 +18,56 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 
 fn knobbed_opts() -> IvaDbOptions {
     IvaDbOptions {
-        config: IvaConfig {
-            search_threads: 3,
-            ..Default::default()
-        },
+        metric: MetricKind::L1,
+        weights: WeightScheme::Itf,
         ..Default::default()
     }
 }
 
+/// The options' runtime knobs, and the library defaults, spelt out as a
+/// request's overrides.
+fn knobbed() -> SearchRequest {
+    SearchRequest::new(5)
+        .metric(MetricKind::L1)
+        .weights(WeightScheme::Itf)
+}
+
+fn plain() -> SearchRequest {
+    SearchRequest::new(5)
+        .metric(MetricKind::L2)
+        .weights(WeightScheme::Equal)
+}
+
+/// 40 rows: a name on each, a price on every other one.
 fn populate(db: &mut IvaDb) {
     let name = db.define_text("name").unwrap();
+    let price = db.define_numeric("price").unwrap();
     for i in 0..40 {
-        db.insert(&Tuple::new().with(name, Value::text(format!("widget {i}"))))
-            .unwrap();
+        let mut t = Tuple::new().with(name, Value::text(format!("widget {i}")));
+        if i % 2 == 0 {
+            t.set(price, Value::num(f64::from(i % 7)));
+        }
+        db.insert(&t).unwrap();
     }
     db.flush().unwrap();
+}
+
+/// `request`'s hits on a two-value query, by tid and distance bits.
+fn answer(db: &IvaDb, request: &SearchRequest) -> Vec<(u64, u64)> {
+    let q = Query::new()
+        .text(db.attr("name").unwrap(), "widget 7")
+        .num(db.attr("price").unwrap(), 3.0);
+    let hits = db.execute(&q, request).unwrap().hits;
+    hits.iter().map(|h| (h.tid, h.dist.to_bits())).collect()
+}
+
+/// A request that names no metric or weights runs under the options'
+/// runtime knobs, and under the library defaults only where they are.
+fn runs_under(db: &IvaDb, knobs: fn() -> SearchRequest, metric: MetricKind) {
+    assert_eq!(db.default_metric(), metric);
+    let got = answer(db, &SearchRequest::new(5));
+    assert_eq!(got, answer(db, &knobs()));
+    assert_eq!(got == answer(db, &plain()), metric == MetricKind::L2);
 }
 
 /// Regression: runtime knobs used to be silently dropped on open because
@@ -43,14 +79,10 @@ fn runtime_knobs_survive_reopen() {
     {
         let mut db = IvaDb::create(&dir, knobbed_opts()).unwrap();
         populate(&mut db);
-        assert_eq!(db.index().config().search_threads, 3);
+        runs_under(&db, knobbed, MetricKind::L1);
     }
     let db = IvaDb::open(&dir, knobbed_opts()).unwrap();
-    assert_eq!(
-        db.index().config().search_threads,
-        3,
-        "search_threads dropped on open"
-    );
+    runs_under(&db, knobbed, MetricKind::L1);
     RealVfs.remove_dir_all(&dir).unwrap();
 }
 
@@ -65,30 +97,28 @@ fn runtime_knobs_are_not_persisted() {
         populate(&mut db);
     }
     let db = IvaDb::open(&dir, IvaDbOptions::default()).unwrap();
-    assert_eq!(db.index().config().search_threads, 0);
+    runs_under(&db, plain, MetricKind::L2);
     RealVfs.remove_dir_all(&dir).unwrap();
 }
 
 /// Per-request overrides are scoped to one `execute` call: they must
-/// not leak into the live config, nor into the persisted image.
+/// not leak into the live defaults, nor into the persisted image.
 #[test]
 fn search_request_overrides_never_leak() {
     let dir = scratch_dir("noleak");
     {
-        let mut db = IvaDb::create(&dir, knobbed_opts()).unwrap();
+        let mut db = IvaDb::create(&dir, IvaDbOptions::default()).unwrap();
         populate(&mut db);
-        let q = Query::new().text(db.attr("name").unwrap(), "widget 7");
-        let req = SearchRequest::new(5).threads(13);
-        let out = db.execute(&q, &req).unwrap();
-        assert_eq!(out.hits[0].dist, 0.0);
-        // The live config still holds the options' knobs.
-        assert_eq!(db.index().config().search_threads, 3);
+        let (overridden, defaults) = (answer(&db, &knobbed()), answer(&db, &plain()));
+        assert_ne!(overridden, defaults);
+        // The live defaults still hold the options' knobs.
+        runs_under(&db, plain, MetricKind::L2);
         db.flush().unwrap();
     }
     // ... and the durable image never saw the override either: a reopen
     // with default options shows pure defaults.
     let db = IvaDb::open(&dir, IvaDbOptions::default()).unwrap();
-    assert_eq!(db.index().config().search_threads, 0);
+    runs_under(&db, plain, MetricKind::L2);
     RealVfs.remove_dir_all(&dir).unwrap();
 }
 
@@ -118,16 +148,15 @@ fn structural_params_from_disk_win_over_options() {
         IvaDbOptions {
             config: IvaConfig {
                 alpha: 0.10,
-                search_threads: 2,
                 ..Default::default()
             },
-            ..Default::default()
+            ..knobbed_opts()
         },
     )
     .unwrap();
     let cfg = db.index().config();
     assert_eq!(cfg.alpha, 0.30, "stored structural parameter must win");
-    assert_eq!(cfg.search_threads, 2, "opener's runtime knob must apply");
+    runs_under(&db, knobbed, MetricKind::L1);
     RealVfs.remove_dir_all(&dir).unwrap();
 }
 
@@ -170,9 +199,9 @@ fn out_of_range_options_are_refused_on_a_clean_store() {
     RealVfs.remove_dir_all(&dir).unwrap();
 }
 
-/// `hot_tier_bytes` is inert: the same query, run repeatedly, gives the
-/// same answers and the same counts (all but the nanos) whatever budget
-/// the store was opened with.
+/// `hot_tier_bytes` and `search_threads` are inert: the same query, run
+/// repeatedly, gives the same answers and the same counts (all but the
+/// nanos) whatever budget and thread count the store was opened with.
 #[test]
 fn hot_tier_budget_is_inert() {
     let counts = |s: QueryStats| QueryStats {
@@ -180,9 +209,9 @@ fn hot_tier_budget_is_inert() {
         refine_nanos: 0,
         ..s
     };
-    let run = |hot_tier_bytes: usize| {
+    let run = |hot_tier_bytes: usize, search_threads: usize| {
         let config = IvaConfig {
-            search_threads: 1,
+            search_threads,
             hot_tier_bytes,
             ..Default::default()
         };
@@ -199,6 +228,8 @@ fn hot_tier_budget_is_inert() {
                 .with(price, Value::num(f64::from(i % 53)));
             db.insert(&t).unwrap();
         }
+        // Packed lists and pinned domains: the walk admits by need.
+        db.rebuild().unwrap();
         let q = Query::new().text(name, "widget 7").num(price, 20.0);
         let req = SearchRequest::new(10);
         let runs = (0..5).map(|_| {
@@ -208,7 +239,12 @@ fn hot_tier_budget_is_inert() {
         });
         runs.collect::<Vec<_>>()
     };
-    assert_eq!(run(0), run(64 << 20));
+    let want = run(0, 1);
+    for budget in [0, 64 << 20] {
+        for threads in [0, 1, 4] {
+            assert_eq!(run(budget, threads), want, "{budget} B, {threads} threads");
+        }
+    }
 }
 
 /// An `LsmDb` reopened under another α keeps its sealed segments' α (the

@@ -8,10 +8,9 @@
 //!
 //! * tuple ids assigned by the two engines are identical;
 //! * top-k hits are bit-identical — same tids, same `f64::to_bits`
-//!   distances, same order — under the serial plan, the segmented
-//!   parallel plan (2 and 3 threads) and batched refinement (each tier
-//!   drains on its own, so the two engines fetch different numbers of
-//!   records: `table_accesses` is not compared);
+//!   distances, same order (each tier drains on its own, so the two
+//!   engines fetch different numbers of records: `table_accesses` is not
+//!   compared);
 //! * the segmented engine never scans more tuple-list entries than the
 //!   monolith (sealing drops tombstones; the monolith keeps them).
 //!
@@ -140,15 +139,10 @@ fn keys(hits: &[iva_file::SearchHit]) -> Vec<(u64, u64)> {
 
 /// Compare every plan's answer on one query. `k` varies per call site.
 fn check_query(mono: &IvaDb, lsm: &LsmDb, query: &Query, k: usize, ctx: &str) {
-    // Serial plan.
-    let req = SearchRequest::new(k).threads(1);
+    let req = SearchRequest::new(k);
     let want = mono.execute(query, &req).unwrap();
     let got = lsm.execute(query, &req).unwrap();
-    assert_eq!(
-        keys(&got.hits),
-        keys(&want.hits),
-        "{ctx}: serial hits diverge"
-    );
+    assert_eq!(keys(&got.hits), keys(&want.hits), "{ctx}: hits diverge");
     for (g, w) in got.hits.iter().zip(&want.hits) {
         assert_eq!(g.tuple, w.tuple, "{ctx}: tuple materialization diverges");
     }
@@ -158,18 +152,6 @@ fn check_query(mono: &IvaDb, lsm: &LsmDb, query: &Query, k: usize, ctx: &str) {
         got.stats.tuples_scanned,
         want.stats.tuples_scanned
     );
-
-    // Parallel filter scans: hits stay bit-identical (an execution
-    // strategy, never a semantic).
-    for threads in [2usize, 3] {
-        let req = SearchRequest::new(k).threads(threads);
-        let got = lsm.execute(query, &req).unwrap();
-        assert_eq!(
-            keys(&got.hits),
-            keys(&want.hits),
-            "{ctx}: hits diverge at {threads} threads"
-        );
-    }
 }
 
 fn check_state(mono: &IvaDb, lsm: &LsmDb, live: &HashMap<Tid, Tuple>, ctx: &str) {

@@ -10,15 +10,15 @@
 //!
 //! Rows follow the density split that forces vector-list Types I–IV over a
 //! small shared vocabulary, so distances tie at D_k. Two instances start
-//! with 1,100 rows, so blocks, workers and windows start inside directory
-//! frames, and delete tids on block and frame edges.
+//! with 1,100 rows, so blocks and windows start inside directory frames,
+//! and delete tids on block and frame edges.
 //!
 //! At a **probe** every engine answers four queries (the fourth a copy of
-//! the first) in every shape — threads 1, 2 and 3; batches with 0, 1 and 3
+//! the first) in every shape — serial; batches with 0, 1 and 3
 //! companions, and an empty one; drain windows 1, 7, 64 and the default —
 //! and each answer must be the [`Model`]'s `(tid, distance bits)` under the
 //! engine's own λ. Every shape must weigh the serial run's positions
-//! and, where its lanes are serial (batch members), fetch its records;
+//! and, but for a smaller drain window, fetch its records;
 //! no shape scans more than every tuple-list entry, nor fewer than it
 //! weighs (a seeded walk leaps over the positions its postings rule out);
 //! an `LsmDb` scans no more entries than the pair; tuple lists are
@@ -46,8 +46,8 @@ use iva_core::{
 use iva_file::serve::Writer;
 use iva_file::{
     AttrId, Engine, IoStats, IvaConfig, IvaDb, IvaDbOptions, IvaError, IvaIndex, LsmDb, LsmOptions,
-    Metric, MetricKind, PagerOptions, Query, QueryOptions, QueryStats, Result, SearchOutcome,
-    SearchRequest, SwtTable, Tid, Tuple, Value, WeightScheme,
+    Metric, MetricKind, PagerOptions, Query, QueryStats, Result, SearchOutcome, SearchRequest,
+    SwtTable, Tid, Tuple, Value, WeightScheme,
 };
 use model::Model;
 use rand::rngs::StdRng;
@@ -190,8 +190,6 @@ struct Probe {
     metric: Dist,
     weights: WeightScheme,
     k: usize,
-    /// Threads of the singleton batch and of the windows.
-    threads: usize,
 }
 
 impl Probe {
@@ -210,30 +208,23 @@ impl Probe {
             Dist::Kind(_) => pick(&mut rng, &[1, 3, 10, live + 1][..choices]),
         };
         let weights = pick(&mut rng, &[WeightScheme::Equal, WeightScheme::Itf]);
-        let threads = rng.random_range(1..4);
         Self {
             queries,
             metric,
             weights,
             k,
-            threads,
         }
     }
 
     /// A request for the probe's k, weights and metric — `NanAtZero` is no
     /// `MetricKind`, so it goes beside the request.
-    fn request(&self, threads: usize) -> SearchRequest {
+    fn request(&self) -> SearchRequest {
         let req = SearchRequest::new(self.k).weights(self.weights);
         match self.metric {
-            Dist::Kind(kind) => req.threads(threads).metric(kind),
-            Dist::NanAtZero => req.threads(threads),
+            Dist::Kind(kind) => req.metric(kind),
+            Dist::NanAtZero => req,
         }
     }
-}
-
-fn threaded(threads: usize) -> QueryOptions {
-    let threads = Some(threads);
-    QueryOptions { threads }
 }
 
 /// One execution: `(tid, distance bits)` in rank order, the rows it
@@ -289,9 +280,9 @@ trait Db {
     /// Its table + index pairs, in scan order.
     fn tiers(&self) -> Result<Vec<(&IvaIndex, &SwtTable)>>;
     /// Query `i` of `p` through the engine's own entry point.
-    fn solo(&self, p: &Probe, i: usize, threads: usize) -> Result<Answer>;
+    fn solo(&self, p: &Probe, i: usize) -> Result<Answer>;
     /// The first `n` queries of `p` as one batch.
-    fn batch(&self, p: &Probe, n: usize, threads: usize) -> Batch;
+    fn batch(&self, p: &Probe, n: usize) -> Batch;
 }
 
 /// The [`Db`] methods both engines spell alike: their public API.
@@ -315,16 +306,16 @@ macro_rules! engine_api {
         fn get(&self, tid: Tid) -> Result<Option<Tuple>> {
             $engine::get(self, tid)
         }
-        fn solo(&self, p: &Probe, i: usize, threads: usize) -> Result<Answer> {
-            let req = p.request(threads);
+        fn solo(&self, p: &Probe, i: usize) -> Result<Answer> {
+            let req = p.request();
             Ok(self.execute_metric(&p.queries[i], &p.metric, &req)?.into())
         }
         /// Under `NanAtZero`, which no request carries, a loop.
-        fn batch(&self, p: &Probe, n: usize, threads: usize) -> Batch {
+        fn batch(&self, p: &Probe, n: usize) -> Batch {
             if let Dist::NanAtZero = p.metric {
-                return (0..n).map(|i| self.solo(p, i, threads)).collect();
+                return (0..n).map(|i| self.solo(p, i)).collect();
             }
-            let item = |q: &Query| (q.clone(), p.request(threads));
+            let item = |q: &Query| (q.clone(), p.request());
             let batch: Vec<_> = p.queries[..n].iter().map(item).collect();
             let outs = Engine::execute_batch(self, &batch)?;
             Ok(outs.into_iter().map(Answer::from).collect())
@@ -415,20 +406,16 @@ impl Db for Pair {
     fn tiers(&self) -> Result<Vec<(&IvaIndex, &SwtTable)>> {
         Ok(vec![(&self.index, &self.table)])
     }
-    fn solo(&self, p: &Probe, i: usize, threads: usize) -> Result<Answer> {
-        let (q, opts) = (&p.queries[i], threaded(threads));
+    fn solo(&self, p: &Probe, i: usize) -> Result<Answer> {
         let (table, index) = (&self.table, &self.index);
-        let out = index.query_opts(table, q, p.k, &p.metric, p.weights, &opts)?;
+        let out = index.query(table, &p.queries[i], p.k, &p.metric, p.weights)?;
         Ok(out.into())
     }
-    fn batch(&self, p: &Probe, n: usize, threads: usize) -> Batch {
+    fn batch(&self, p: &Probe, n: usize) -> Batch {
         let (k, weights) = (p.k, p.weights);
         let item = |query| BatchItem { query, k, weights };
         let items: Vec<_> = p.queries[..n].iter().map(item).collect();
-        let opts = threaded(threads);
-        let outs = self
-            .index
-            .query_batch(&self.table, &items, &p.metric, &opts)?;
+        let outs = self.index.query_batch(&self.table, &items, &p.metric)?;
         Ok(outs.into_iter().map(Answer::from).collect())
     }
 }
@@ -436,7 +423,7 @@ impl Db for Pair {
 /// The drain-window shape: one pool carried through the tiers in scan
 /// order, each drained every `window` pending candidates.
 fn windowed(db: &dyn Db, p: &Probe, window: usize) -> Result<Answer> {
-    let (q, m, opts) = (&p.queries[0], &p.metric, threaded(p.threads));
+    let (q, m) = (&p.queries[0], &p.metric);
     let lambda = db.lambda(q, p.weights);
     let mut carry = ScanCarry::new(p.k);
     let tiers = db.tiers()?;
@@ -446,7 +433,7 @@ fn windowed(db: &dyn Db, p: &Probe, window: usize) -> Result<Answer> {
     };
     let matchers = last.query_matchers(q);
     for (index, table) in tiers {
-        index.query_carry_windowed(table, q, &matchers, m, &lambda, &opts, window, &mut carry)?;
+        index.query_carry_windowed(table, q, &matchers, m, &lambda, window, &mut carry)?;
     }
     Ok(carry.finish().into())
 }
@@ -658,7 +645,7 @@ impl Instance {
         if q.len() == 1 && p.k > live.len() {
             cov.insert("one value, k > live".into());
         }
-        let serial = (0..3).map(|i| db.solo(p, i, 1));
+        let serial = (0..3).map(|i| db.solo(p, i));
         let serial: Vec<Answer> = serial.collect::<Result<_>>().map_err(e)?;
         // A query answered with a tuple that defines a queried attribute,
         // and no record fetched: the walk decided its distance from the
@@ -707,8 +694,8 @@ impl Instance {
             }
         }
         // Every shape weighs what the serial run weighs, and scans every
-        // entry unless it leaps; one whose lanes are serial fetches what it
-        // fetches, too.
+        // entry unless it leaps; one that drains where the serial run
+        // drains fetches what it fetches, too.
         let check = |a: &Answer, i: usize, shape: &str, serial_lanes: bool| -> Verdict {
             let (hits, want, solo) = (&a.hits, &want[i], serial[i % 3].counts);
             if hits != want {
@@ -729,23 +716,15 @@ impl Instance {
         for (i, a) in serial.iter().enumerate() {
             check(a, i, "serial", true)?;
         }
-        for threads in [2, 3, 4] {
-            let a = db.solo(p, 0, threads).map_err(e)?;
-            check(&a, 0, &format!("{threads} threads"), false)?;
-            if leapt(&a) {
-                cov.insert("leapt in parallel lanes".into());
-            }
-        }
         for n in [0, 1, 2, 4] {
-            // A real batch runs serial lanes; a singleton is the solo plan.
-            let threads = if n == 1 { p.threads } else { 1 };
-            let shape = format!("batch of {n} at {threads} threads");
-            let got = db.batch(p, n, threads).map_err(e)?;
+            // A batch runs serial lanes; a singleton is the solo plan.
+            let shape = format!("batch of {n}");
+            let got = db.batch(p, n).map_err(e)?;
             if got.len() != n {
                 return Err(format!("{shape}: {} answers", got.len()));
             }
             for (i, a) in got.iter().enumerate() {
-                check(a, i, &shape, threads == 1)?;
+                check(a, i, &shape, true)?;
             }
             // A lane that leaps alone rides the walk of one that does not.
             let (alone, members) = (serial.iter().chain([&serial[0]]).take(n), &got);
@@ -755,7 +734,7 @@ impl Instance {
             }
         }
         for window in [1, 7, 64] {
-            let shape = format!("window {window} at {} threads", p.threads);
+            let shape = format!("window {window}");
             check(&windowed(db, p, window).map_err(e)?, 0, &shape, false)?;
         }
         let mut last = None;
@@ -873,11 +852,10 @@ fn every_configuration_matches_the_model() {
 /// at or below its bound where k = 10 need counting; at k = 200 they raise
 /// the bound until most positions pass, and the walk does not leap. Probes
 /// ask for k of 3, 10, 30, 200 and every live tuple, under each metric,
-/// and each runs every shape of [`Instance::check`] — threads split the
-/// 630 positions mid-frame — on the first two instances. Required: a seed
-/// on `IvaDb` and on `LsmDb`, one over tombstones, one at λ = 0, one that
-/// leaps, over a RAW tail, in parallel lanes and in a batch with a lane
-/// that does not, one over tombstones that does not, one whose answer the
+/// and each runs every shape of [`Instance::check`] on the first two
+/// instances. Required: a seed on `IvaDb` and on `LsmDb`, one over
+/// tombstones, one at λ = 0, one that leaps, over a RAW tail and in a
+/// batch with a lane that does not, one over tombstones that does not, one whose answer the
 /// table decides with no fetch, and a one-value query with k above the
 /// live count.
 #[test]
@@ -902,13 +880,12 @@ fn one_value_queries_on_string_sections_match_the_model() {
             let mut probe =
                 |inst: &Instance, queries: &Vec<Query>, knobs: &[(usize, Dist, WeightScheme)]| {
                     for &(k, metric, weights) in knobs {
-                        let (queries, threads) = (queries.clone(), 2);
+                        let queries = queries.clone();
                         let p = Probe {
                             queries,
                             metric,
                             weights,
                             k,
-                            threads,
                         };
                         inst.check_all(&p, &mut cov)?;
                     }
@@ -949,7 +926,6 @@ fn one_value_queries_on_string_sections_match_the_model() {
         "seeded, ndf in the answer",
         "seeded, leapt",
         "leapt over a RAW tail",
-        "leapt in parallel lanes",
         "batch mixes a leaping lane with a dense one",
         "seeded over tombstones, no leap",
         "1-value decided by the table",
@@ -971,7 +947,7 @@ fn one_value_queries_on_string_sections_match_the_model() {
 /// 70 deletes, with queries of two and three values: on the two coded
 /// lists only, with a numeric value beside them, and with the
 /// signature-only attribute — each in every shape of [`Instance::check`],
-/// threads 1 to 4 and batch lanes among them. Required: a query with no
+/// serial, batch lanes and drain windows. Required: a query with no
 /// fetch whose answers define a queried attribute.
 #[test]
 fn multi_value_queries_on_string_sections_match_the_model() {
@@ -996,13 +972,12 @@ fn multi_value_queries_on_string_sections_match_the_model() {
             let (equal, itf) = (WeightScheme::Equal, WeightScheme::Itf);
             let probe = |inst: &Instance, knobs: &[(usize, Dist, WeightScheme)], cov: &mut _| {
                 for &(k, metric, weights) in knobs {
-                    let (queries, threads) = (queries.clone(), 2);
+                    let queries = queries.clone();
                     let p = Probe {
                         queries,
                         metric,
                         weights,
                         k,
-                        threads,
                     };
                     inst.check_all(&p, cov)?;
                 }

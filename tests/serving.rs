@@ -30,9 +30,9 @@ fn text_db(rows: usize) -> (Writer<IvaDb>, iva_file::AttrId) {
 
 /// The S3 property test: 4 readers hammer snapshots while the writer
 /// churns inserts and deletes. Every snapshot must (a) hold a stable
-/// epoch, (b) answer the parallel/batched plan bit-identically to a
-/// serial replay of the same snapshot, and (c) agree with every other
-/// snapshot of the same epoch.
+/// epoch, (b) answer each member of a batch bit-identically to a serial
+/// run on the same snapshot, and (c) agree with every other snapshot of
+/// the same epoch.
 #[test]
 fn concurrent_readers_observe_consistent_epochs() {
     let (mut writer, name) = text_db(60);
@@ -58,22 +58,24 @@ fn concurrent_readers_observe_consistent_epochs() {
                     assert!(epoch >= last_epoch, "epoch went backwards on one reader");
                     last_epoch = epoch;
 
-                    let fast = snap.execute(&query, &SearchRequest::new(8)).unwrap();
-                    // Serial replay of the *same snapshot*. The plan knobs
-                    // must not change the answer.
-                    let serial = snap
-                        .execute(&query, &SearchRequest::new(8).threads(1))
-                        .unwrap();
-                    assert_eq!(
-                        fast.hit_keys(),
-                        serial.hit_keys(),
-                        "snapshot answer differs from its serial replay"
-                    );
-                    assert_eq!(
-                        fast.stats().tuples_scanned,
-                        serial.stats().tuples_scanned,
-                        "scan accounting depends on the plan"
-                    );
+                    let serial = snap.execute(&query, &SearchRequest::new(8)).unwrap();
+                    // A batch of two on the *same snapshot*. The plan must
+                    // not change the answer.
+                    let item = (query.clone(), SearchRequest::new(8));
+                    let batch = snap.execute_batch(&[item.clone(), item]).unwrap();
+                    for fast in &batch {
+                        assert_eq!(
+                            fast.hit_keys(),
+                            serial.hit_keys(),
+                            "batch member differs from the serial run"
+                        );
+                        assert_eq!(
+                            (fast.stats().tuples_scanned, fast.stats().table_accesses),
+                            (serial.stats().tuples_scanned, serial.stats().table_accesses),
+                            "scan accounting depends on the plan"
+                        );
+                    }
+                    let fast = &batch[0];
                     assert!(fast.stats().tuples_scanned > 0);
                     // The snapshot pins the engine: the epoch cannot have
                     // moved while we held it.
@@ -293,17 +295,9 @@ fn non_finite_query_number_is_rejected_by_every_engine() {
     }
     for v in bad {
         let q = Query::new().num(price, v);
-        for threads in [1usize, 2] {
-            let req = SearchRequest::new(3).threads(threads);
-            rejected(
-                mono.execute(&q, &req),
-                &format!("IvaDb {v} threads={threads}"),
-            );
-            rejected(
-                lsm.execute(&q, &req),
-                &format!("LsmDb {v} threads={threads}"),
-            );
-        }
+        let req = SearchRequest::new(3);
+        rejected(mono.execute(&q, &req), &format!("IvaDb {v}"));
+        rejected(lsm.execute(&q, &req), &format!("LsmDb {v}"));
     }
     // The finite neighbours still answer.
     let ok = mono

@@ -6,9 +6,9 @@
 //!   site in *any* crate (reported with the full call chain).
 //!   Unresolvable dynamic calls (through callable params) are
 //!   conservatively panic-capable.
-//! - **lock-discipline** — in `src/serve.rs`, `src/lsm.rs`, and
-//!   `crates/core/src/parallel.rs`: no second lock acquisition and no raw
-//!   VFS I/O reachable inside a lock critical section; no staging-class
+//! - **lock-discipline** — in `src/serve.rs` and `src/lsm.rs`: no second
+//!   lock acquisition and no raw VFS I/O reachable inside a lock critical
+//!   section; no staging-class
 //!   maintenance (`prepare`/`prepare_*`, `stage`) reachable from a
 //!   `Writer::apply` publication closure; every `publish_*` in the LSM
 //!   carries the ops-counter fence (or delegates only to fenced
@@ -28,10 +28,9 @@ use crate::lexer::Tok;
 use crate::lints::Violation;
 use crate::resolver::{FnId, Workspace};
 
-/// Files subject to the lock-discipline pass — the serving layer, the LSM
-/// publication path, and the parallel scan spine.
-pub const LOCK_DISCIPLINE_TARGETS: [&str; 3] =
-    ["src/serve.rs", "src/lsm.rs", "crates/core/src/parallel.rs"];
+/// Files subject to the lock-discipline pass — the serving layer and the
+/// LSM publication path.
+pub const LOCK_DISCIPLINE_TARGETS: [&str; 2] = ["src/serve.rs", "src/lsm.rs"];
 
 /// Staging-class maintenance functions — the expensive half of the
 /// prepare/publish split: the LSM's `prepare` and the one stage under it

@@ -71,7 +71,7 @@ fn f() {
     let x = rand::random::<u64>();
 }
 "#;
-    let v = analyze_source("determinism", "crates/core/src/parallel.rs", src);
+    let v = analyze_source("determinism", "crates/core/src/scan.rs", src);
     assert_eq!(v.len(), 4, "{v:?}");
 }
 
@@ -753,7 +753,7 @@ fn lock_discipline_flags_staging_reachable_from_publication_closure() {
 
 #[test]
 fn lock_discipline_ignores_files_outside_its_targets() {
-    // Same double-lock shape, but not in the serving/LSM/parallel spine.
+    // Same double-lock shape, but not in the serving layer or the LSM.
     let a = analyze_sources(
         Some("lock-discipline"),
         &[(
