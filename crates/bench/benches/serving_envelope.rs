@@ -20,19 +20,19 @@
 //! ```text
 //! cargo bench -p iva-bench --bench serving_envelope
 //! cargo bench -p iva-bench --bench serving_envelope -- --qps 100 --secs 2   # CI smoke
-//! cargo bench -p iva-bench --bench serving_envelope -- --threads 4,8 --max-batch 1   # no batch lane
+//! cargo bench -p iva-bench --bench serving_envelope -- --threads 4,8 --workers 4
 //! ```
 //!
 //! Flags (after `--`): `--qps <f64>` target per-point arrival rate
 //! (default 500), `--secs <f64>` per-phase duration (default 3),
 //! `--threads <a,b,c>` client-thread counts (default 1,2,4,8),
 //! `--workers <n>` server workers (default 2), `--max-batch <n>` the
-//! server's coalescing limit (default 16; 1 turns the batch lane off),
-//! `--tuples <n>` dataset size (default 20000). Every query scans on the
-//! worker thread that runs it, so the server's workers are the only
-//! parallelism and the batch lane is the only difference between
-//! `--max-batch` values. Results land in `BENCH_serving.json` (its
-//! `search_threads` key records the inert field as `perf/` sets it).
+//! server's inert `max_batch` field (default 16; the server runs one
+//! request at a time per worker whatever it holds), `--tuples <n>`
+//! dataset size (default 20000). Every query scans on the worker thread
+//! that runs it, so the server's workers are the only parallelism.
+//! Results land in `BENCH_serving.json` (its `search_threads` key records
+//! the inert field as `perf/` sets it; its `coalesced_fraction` reads 0).
 
 use std::time::Duration;
 

@@ -36,16 +36,11 @@ pub struct QueryOutcome {
     pub stats: QueryStats,
 }
 
-/// Carry-through state for a top-k scan spanning several index files.
-///
-/// A segmented store answers one query by scanning its tiers in tid order
-/// — oldest sealed segment first, memtable last — threading one candidate
-/// pool and one statistics block through every per-segment scan. Because
-/// each per-segment scan replays the same admission test against the
-/// *carried* pool, the concatenated scan admits exactly the candidates a
-/// monolithic index holding all tuples would admit, and the final
-/// [`QueryOutcome`] is bit-identical to the single-file engine's (see
-/// DESIGN.md §14).
+/// Carry-through state of one top-k query: the pool and counters every
+/// tier's walk adds to ([`IvaIndex::walk_tier`]), so a search over several
+/// index files admits what one index holding every tuple would, and its
+/// [`QueryOutcome`] is bit-identical to the single-file engine's
+/// (DESIGN.md §14).
 #[derive(Debug)]
 pub struct ScanCarry {
     /// The candidate pool shared by every tier of the scan.
@@ -72,6 +67,35 @@ impl ScanCarry {
     }
 }
 
+/// One query as [`IvaIndex::walk_tier`] carries it through an engine's
+/// tiers: its matchers and resolved weights, built once for every tier,
+/// and its [`ScanCarry`].
+pub struct CarriedQuery<'q> {
+    /// The query.
+    pub query: &'q Query,
+    /// The resolved weight `λ` of each query attribute.
+    pub lambda: Vec<f64>,
+    /// The query's kernels, lent to every tier of the same codec.
+    pub matchers: QueryMatchers,
+    /// The pool and counters every tier's walk adds to.
+    pub carry: ScanCarry,
+}
+
+impl<'q> CarriedQuery<'q> {
+    /// `query` for the top `k` under `lambda`, its matchers built under
+    /// `index`'s codec and their build charged to its filter time.
+    pub fn new(index: &IvaIndex, query: &'q Query, k: usize, lambda: Vec<f64>) -> Self {
+        let (matchers, mut carry) = (index.query_matchers(query), ScanCarry::new(k));
+        carry.stats.filter_nanos = matchers.nanos;
+        Self {
+            query,
+            lambda,
+            matchers,
+            carry,
+        }
+    }
+}
+
 /// The inverted vector approximation file.
 pub struct IvaIndex {
     pager: Arc<Pager>,
@@ -88,16 +112,12 @@ pub struct QueryMatchers {
     codec: (u64, usize),
     /// One slot per query value, in query order; `None` for a number.
     kernels: Vec<Option<PreparedMatcher>>,
+    /// Per-thread CPU nanos the build took: filter work, which
+    /// [`CarriedQuery::new`] charges to the query, once.
     nanos: u64,
 }
 
 impl QueryMatchers {
-    /// Per-thread CPU nanos the build took: filter work, which whoever
-    /// built the kernels charges to the query, once.
-    pub fn build_nanos(&self) -> u64 {
-        self.nanos
-    }
-
     /// Query value `i`'s kernel, if it was built under `codec`'s α and n.
     fn kernel(&self, i: usize, codec: &SigCodec) -> Option<&PreparedMatcher> {
         let same = self.codec == (codec.alpha().to_bits(), codec.n());
@@ -343,12 +363,26 @@ impl IvaIndex {
 
     /// Resolve the weight `λ` of each query attribute under `scheme`.
     pub fn resolve_weights(&self, query: &Query, scheme: WeightScheme) -> Vec<f64> {
-        let total = self.header.n_tuples - self.header.n_deleted;
+        Self::resolve_weights_across(&[self], query, scheme)
+    }
+
+    /// [`IvaIndex::resolve_weights`] over the tiers of a segmented store:
+    /// `|T|` is their live tuple count and `|T|_A` sums the attribute's
+    /// document frequency over all of them (tombstones a tier still holds
+    /// included), so λ is one vector for every tier — each tier's walk
+    /// lower-bounds the same weighted metric (a per-tier λ would break the
+    /// carried pool's admission bound).
+    pub fn resolve_weights_across(
+        tiers: &[&IvaIndex],
+        query: &Query,
+        scheme: WeightScheme,
+    ) -> Vec<f64> {
+        let total = tiers.iter().map(|i| i.n_tuples() - i.n_deleted()).sum();
         query
             .iter()
             .map(|(attr, _)| {
-                let df = self.attr_entry(attr).map_or(0, |e| e.df);
-                scheme.weight(total, df)
+                let entries = tiers.iter().filter_map(|i| i.attr_entry(attr));
+                scheme.weight(total, entries.map(|e| e.df).sum())
             })
             .collect()
     }
@@ -538,7 +572,7 @@ impl IvaIndex {
     /// scanned in a synchronized pass; each tuple's estimated distance is a
     /// lower bound (by the monotonous property of `metric`), and only
     /// candidates the pool admits are fetched from the table file. This
-    /// is the serial shape of the one scan spine (DESIGN.md §15).
+    /// is [`IvaIndex::walk_tier`] on one index (DESIGN.md §15).
     pub fn query<M: Metric>(
         &self,
         table: &SwtTable,
@@ -548,11 +582,9 @@ impl IvaIndex {
         weights: WeightScheme,
     ) -> Result<QueryOutcome> {
         let lambda = self.resolve_weights(query, weights);
-        let matchers = self.query_matchers(query);
-        let mut carry = ScanCarry::new(k);
-        carry.stats.filter_nanos += matchers.build_nanos();
-        self.query_carry(table, query, &matchers, metric, &lambda, &mut carry)?;
-        Ok(carry.finish())
+        let mut carried = CarriedQuery::new(self, query, k, lambda);
+        self.walk_tier(table, &mut carried, metric)?;
+        Ok(carried.carry.finish())
     }
 
     /// Index a freshly inserted tuple (Sec. IV-B): append to the tuple list

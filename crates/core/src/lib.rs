@@ -16,10 +16,11 @@
 //! table file only for candidates the top-k pool admits — the "parallel
 //! plan" that works even though unbounded strings admit no upper bound.
 //! That pass exists once (the `scan` module), on the thread that issued
-//! the query: serial ([`IvaIndex::query`], carried across the tiers of a
-//! segmented store by [`IvaIndex::query_carry`]) and multi-query batch
-//! ([`IvaIndex::query_batch`]) execution are arguments of it,
-//! bit-identical to one another by one order-independence lemma:
+//! the query, behind one entry: [`IvaIndex::walk_tier`] walks one index
+//! for a [`CarriedQuery`], on its pool carried across the tiers of a
+//! segmented store; [`IvaIndex::query`] is that walk on one index. Every
+//! tier split and drain window is bit-identical to the walk of one index
+//! by one order-independence lemma:
 //! candidates are collected during the pass and fetched by need — the k
 //! best estimates first, then whatever the tightened pool still admits.
 //!
@@ -37,7 +38,6 @@ mod indexed_table;
 mod interchange;
 mod layout;
 mod metric;
-mod multi;
 mod numeric;
 mod packed;
 mod pool;
@@ -51,12 +51,13 @@ mod veclist;
 pub use build::{build_index, build_index_with_domains, IndexTarget};
 pub use config::IvaConfig;
 pub use error::{IvaError, Result};
-pub use index::{ExplainAttr, IvaIndex, QueryExplain, QueryMatchers, QueryOutcome, ScanCarry};
+pub use index::{
+    CarriedQuery, ExplainAttr, IvaIndex, QueryExplain, QueryMatchers, QueryOutcome, ScanCarry,
+};
 pub use indexed_table::IndexedTable;
 pub use interchange::{export_index, import_index, ExportedAttr, ExportedIndex};
 pub use layout::{AttrEntry, IndexHeader, INDEX_VERSION, TOMBSTONE_PTR, TUPLE_ENTRY_LEN};
 pub use metric::{Metric, MetricKind, WeightScheme};
-pub use multi::BatchItem;
 pub use numeric::NumericCodec;
 pub use packed::{encode_packed_num_list, encode_packed_text_list, PackedReader};
 pub use pool::{PoolEntry, ResultPool};

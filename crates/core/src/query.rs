@@ -245,17 +245,16 @@ pub fn bounded_distance<M: Metric>(
 /// filtering from refinement as in Fig. 9/15 of the paper.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct QueryStats {
-    /// Tuple-list positions the walk handed to its lanes, a block at a
+    /// Tuple-list positions the walk handed to its lane, a block at a
     /// time — every one, but for those a seeded walk leaps over (no
     /// candidate of its query's postings lies there); summed like
-    /// `table_accesses`. A lane in a batch counts every block the batch
-    /// walks.
+    /// `table_accesses`.
     pub tuples_scanned: u64,
     /// Records fetched from the table file and refined (the paper's
     /// "table file accesses", Fig. 8), summed over the tiers of a
     /// segmented store. A property of the plan, not of the answer: a
     /// smaller drain window, or a store split into more tiers, fetches
-    /// more; a batch member fetches what its solo run fetches.
+    /// more.
     pub table_accesses: u64,
     /// Entries the walk put into the pool at a distance it knew exactly,
     /// with no fetch — a tuple *ndf* on every query attribute, or an
@@ -278,11 +277,10 @@ pub struct QueryStats {
     /// `core.speculative_accesses_per_query`.
     pub speculative_accesses: u64,
     /// CPU time the issuing thread spent preparing the query, scanning the
-    /// index and estimating distances, in nanos. A batch member reports
-    /// every member's preparation plus the shared walk.
+    /// index and estimating distances, in nanos.
     pub filter_nanos: u64,
     /// CPU time the issuing thread spent on random table accesses and
-    /// exact distances, in nanos; a batch member reports the batch's.
+    /// exact distances, in nanos.
     pub refine_nanos: u64,
     /// *Logical* (raw-layout-equivalent) bytes of the lists behind this
     /// query's filter phase: the tuple list plus every query attribute's

@@ -3,10 +3,10 @@
 //! refine step every execution shape runs.
 //!
 //! [`IvaIndex::scan`] walks the tuple list once, a block of at most
-//! [`BLOCK`] elements at a time, in step with the vector lists
-//! of every [`Lane`] riding it. A lane is one query: its per-attribute
-//! [`AttrScan`] positions and the block of lower bounds they fill
-//! ([`Bounds`]), its top-k pool and counters (a [`ScanCarry`]), and
+//! [`BLOCK`] elements at a time, in step with the vector lists of the
+//! query's [`Lane`]. A lane is the query as it rides the walk: its
+//! per-attribute [`AttrScan`] positions and the block of lower bounds
+//! they fill ([`Bounds`]), its top-k pool and counters (a [`ScanCarry`]), and
 //! `pending` — every candidate `(est, tid, ptr)` the live pool admitted
 //! during the walk. Per block, each attribute fills its column of bounds
 //! once; admission then runs per candidate, in scan order, so a drain
@@ -14,7 +14,7 @@
 //! nothing: a tuple *ndf* on every query attribute goes straight into the
 //! pool, and so does an admitted one whose distance the dictionaries
 //! decide ("Exact from the dictionary" below); any other admitted one
-//! goes into `pending`. When the walk ends (or a lane holds a window of
+//! goes into `pending`. When the walk ends (or the lane holds a window of
 //! `drain_at` candidates) the lane **drains**,
 //! fetching by need, not scan position:
 //!
@@ -34,13 +34,12 @@
 //!
 //! **Leaping.** Where *ndf* cannot pass a 1-value query's limit (below)
 //! and the list's postings say that few positions hold a string that can,
-//! the seed carries those positions ([`Leap`]). While every lane of a walk
-//! has such candidates, the next block starts at the lowest next candidate
-//! among them: the directory skips whole frames by header, and a leaping
-//! fill writes its candidates' bounds and mask from the seed, loading no
-//! list frame. Past the postings' cover — the RAW tail inserts append —
+//! the seed carries those positions ([`Leap`]). While the lane has such
+//! candidates, the next block starts at its next candidate: the directory
+//! skips whole frames by header, and a leaping fill writes its
+//! candidates' bounds and mask from the seed, loading no list frame. Past the postings' cover — the RAW tail inserts append —
 //! the list's cursor is placed by frame headers and the seeded walk goes
-//! on as before. A leap passes over only positions that every lane's
+//! on as before. A leap passes over only positions that the lane's
 //! candidate mask would clear.
 //!
 //! **Exact from the dictionary.** A query parses each text list's
@@ -77,7 +76,7 @@
 //! visited. Every entry inserted is at its exact distance, but for one
 //! whose least string is past a cap — above a threshold that only falls,
 //! so the pool rejects it. Hence *any* visiting order, window size or
-//! partition into lanes leaves the pool holding exactly those k, and
+//! partition into tiers leaves the pool holding exactly those k, and
 //! because every tuple list is tid-ascending that is Algorithm 1's
 //! "strictly smaller distance, first arrival wins" answer. What the order
 //! changes is only how many records are fetched
@@ -93,21 +92,16 @@
 //! a tie can be admitted, and every value `insert_at` admits is exact.
 //! Whatever it rejects it would have rejected at its exact value too.
 //!
-//! A query runs on the thread that issued it. The two execution shapes
-//! are arguments of the one function:
-//!
-//! * **serial** — one lane on the caller's carried pool
-//!   ([`IvaIndex::query_carry`]); a pool carried across LSM tiers is
-//!   simply already tight when the next tier's walk starts;
-//! * **batch** — N lanes sharing the tuple-list read
-//!   ([`IvaIndex::query_batch`]); each lane drains on its own count, so
-//!   its numbers are those of its solo run.
+//! A query runs on the thread that issued it, through one entry:
+//! [`IvaIndex::walk_tier`] opens the query's lane on its carried pool and
+//! walks one tier; a pool carried across LSM tiers is simply already
+//! tight when the next tier's walk starts.
 
 use iva_swt::{FieldLoc, RecordBuf, RecordPtr, SwtTable};
 use iva_text::{PreparedMatcher, PreparedPattern, SigCodec};
 
 use crate::error::{IvaError, Result};
-use crate::index::{IvaIndex, QueryMatchers, ScanCarry, SharedAttr};
+use crate::index::{CarriedQuery, IvaIndex, QueryMatchers, ScanCarry, SharedAttr};
 use crate::layout::TOMBSTONE_PTR;
 use crate::metric::Metric;
 use crate::numeric::NumericCodec;
@@ -482,9 +476,7 @@ impl IvaIndex {
     /// k + this index's tombstones counted values: a counted value may
     /// since have been deleted, and RAW tail inserts only add values.
     /// Preparation is filter work — any matcher `matchers` could not lend,
-    /// and the probe — so
-    /// every execution shape's entry charges it to `filter_nanos` (and
-    /// whoever built `matchers` charges their build once).
+    /// and the probe — which [`IvaIndex::walk_tier`] charges.
     pub(crate) fn prepare_query_timed<'a, M: Metric>(
         &'a self,
         query: &Query,
@@ -513,13 +505,13 @@ impl IvaIndex {
         Ok((shared, seed, thread_cpu_time().saturating_sub(start)))
     }
 
-    /// Walk the tuple list once for every lane, draining each lane at
-    /// `drain_at` pending candidates and at the end of the list (see the
-    /// module doc). Lanes must be freshly opened.
+    /// Walk the tuple list once for `lane`, draining it at `drain_at`
+    /// pending candidates and at the end of the list (see the module doc).
+    /// The lane must be freshly opened.
     pub(crate) fn scan<M: Metric>(
         &self,
         table: &SwtTable,
-        lanes: &mut [Lane<'_>],
+        lane: &mut Lane<'_>,
         drain_at: usize,
         metric: &M,
     ) -> Result<PhaseNanos> {
@@ -540,9 +532,9 @@ impl IvaIndex {
         let (mut tids, mut ptrs) = (Vec::with_capacity(BLOCK), Vec::with_capacity(BLOCK));
         let mut at = 0;
         while at < n {
-            // Where every lane leaps, the next block starts at the lowest
-            // next candidate among them.
-            let to = least(lanes.iter().map(|l| l.bounds.next_candidate(at)));
+            // Where the lane leaps, the next block starts at its next
+            // candidate.
+            let to = lane.bounds.next_candidate(at);
             if let Some(to) = to.map(|to| to.min(n)).filter(|&to| to > at) {
                 tsrc.leap(to - at)?;
                 at = to;
@@ -551,54 +543,50 @@ impl IvaIndex {
             tids.clear();
             ptrs.clear();
             tsrc.next_block(block_len(n - at), &mut tids, &mut ptrs)?;
-            for lane in lanes.iter_mut() {
-                lane.carry.stats.tuples_scanned += tids.len() as u64;
-                lane.bounds.fill(at, &tids)?;
-                let coded = (lane.bounds.attrs.iter())
-                    .any(|a| matches!(a, AttrScan::Text { exact, .. } if !exact.codes.is_empty()));
-                // Admission stays per candidate, in scan order: a drain
-                // inside the block tightens the pool for the rest of it.
-                for i in positions(lane.bounds.cands) {
-                    let (Some(&tid), Some(&ptr)) = (tids.get(i), ptrs.get(i)) else {
-                        break;
-                    };
-                    lane.carry.stats.positions_weighed += 1;
-                    if ptr == TOMBSTONE_PTR {
-                        continue;
-                    }
-                    let exact = lane.bounds.weigh(i, lane.lambda, ndf, &mut lane.diffs);
-                    let est = metric.combine(&lane.diffs);
-                    if est > lane.limit {
-                        continue;
-                    }
-                    let (tid, dist, ptr) = (u64::from(tid), est, RecordPtr(ptr));
-                    let exact = match exact {
-                        true => Some(dist),
-                        false if !lane.carry.pool.admits_at(est, tid) => continue,
-                        false if coded => lane.decide(i, metric)?,
-                        false => None,
-                    };
-                    // A decided distance past the limit is skipped, as an
-                    // estimate is.
-                    if exact.is_some_and(|d| d > lane.limit) {
-                        continue;
-                    }
-                    let ScanCarry { pool, stats } = &mut *lane.carry;
-                    if let Some(exact) = exact {
-                        stats.walk_admits += u64::from(pool.insert_at(tid, exact, ptr));
-                    } else {
-                        lane.pending.push(PoolEntry { tid, dist, ptr });
-                        if lane.pending.len() >= drain_at {
-                            refine_wall += refiner.drain(lane)?;
-                        }
+            lane.carry.stats.tuples_scanned += tids.len() as u64;
+            lane.bounds.fill(at, &tids)?;
+            let coded = (lane.bounds.attrs.iter())
+                .any(|a| matches!(a, AttrScan::Text { exact, .. } if !exact.codes.is_empty()));
+            // Admission stays per candidate, in scan order: a drain
+            // inside the block tightens the pool for the rest of it.
+            for i in positions(lane.bounds.cands) {
+                let (Some(&tid), Some(&ptr)) = (tids.get(i), ptrs.get(i)) else {
+                    break;
+                };
+                lane.carry.stats.positions_weighed += 1;
+                if ptr == TOMBSTONE_PTR {
+                    continue;
+                }
+                let exact = lane.bounds.weigh(i, lane.lambda, ndf, &mut lane.diffs);
+                let est = metric.combine(&lane.diffs);
+                if est > lane.limit {
+                    continue;
+                }
+                let (tid, dist, ptr) = (u64::from(tid), est, RecordPtr(ptr));
+                let exact = match exact {
+                    true => Some(dist),
+                    false if !lane.carry.pool.admits_at(est, tid) => continue,
+                    false if coded => lane.decide(i, metric)?,
+                    false => None,
+                };
+                // A decided distance past the limit is skipped, as an
+                // estimate is.
+                if exact.is_some_and(|d| d > lane.limit) {
+                    continue;
+                }
+                let ScanCarry { pool, stats } = &mut *lane.carry;
+                if let Some(exact) = exact {
+                    stats.walk_admits += u64::from(pool.insert_at(tid, exact, ptr));
+                } else {
+                    lane.pending.push(PoolEntry { tid, dist, ptr });
+                    if lane.pending.len() >= drain_at {
+                        refine_wall += refiner.drain(lane)?;
                     }
                 }
             }
             at += tids.len() as u64;
         }
-        for lane in lanes.iter_mut() {
-            refine_wall += refiner.drain(lane)?;
-        }
+        refine_wall += refiner.drain(lane)?;
         let cpu = thread_cpu_time().saturating_sub(cpu_start);
         let wall = monotonic_nanos().saturating_sub(wall_start).max(1);
         let refine = (u128::from(cpu) * u128::from(refine_wall) / u128::from(wall)) as u64;
@@ -609,47 +597,45 @@ impl IvaIndex {
         })
     }
 
-    /// One query's walk on the carried pool: the serial shape, and a
-    /// segmented store's call per tier, in tid order — a pool carried
-    /// across tiers is already tight when the next tier's walk starts, so
-    /// the concatenated walk is bit-identical to one over a single index
-    /// holding every tuple. `lambda` is the resolved per-query-attribute
-    /// weight vector; a segmented store resolves it once, globally, so
-    /// every tier admits under the one λ its distances are computed with —
-    /// and builds the query's `matchers` once too, and charges their build.
-    pub fn query_carry<M: Metric>(
+    /// Walk this tier once for `carried`, on its carried pool: the one
+    /// search path. A segmented store calls this once per tier, in tid
+    /// order — a pool carried across tiers is already tight when the next
+    /// tier's walk starts, so the concatenated walk is bit-identical to
+    /// one over a single index holding every tuple. The query is charged,
+    /// besides what its carry already holds, its preparation on this tier
+    /// and the walk.
+    pub fn walk_tier<M: Metric>(
         &self,
         table: &SwtTable,
-        query: &Query,
-        matchers: &QueryMatchers,
+        carried: &mut CarriedQuery<'_>,
         metric: &M,
-        lambda: &[f64],
-        carry: &mut ScanCarry,
     ) -> Result<()> {
-        self.query_carry_windowed(table, query, matchers, metric, lambda, DRAIN_AT, carry)
+        self.walk_tier_windowed(table, carried, metric, DRAIN_AT)
     }
 
-    /// [`IvaIndex::query_carry`] with the spine's drain window as an
+    /// [`IvaIndex::walk_tier`] with the spine's drain window as an
     /// argument. Test hook: the window is not an option — every engine
     /// runs the one crate-private constant — but the suites shrink it to
     /// put window boundaries inside small tables.
     #[doc(hidden)]
-    #[allow(clippy::too_many_arguments)]
-    pub fn query_carry_windowed<M: Metric>(
+    pub fn walk_tier_windowed<M: Metric>(
         &self,
         table: &SwtTable,
-        query: &Query,
-        matchers: &QueryMatchers,
+        carried: &mut CarriedQuery<'_>,
         metric: &M,
-        lambda: &[f64],
         drain_at: usize,
-        carry: &mut ScanCarry,
     ) -> Result<()> {
-        let (shared, seed, prepare_nanos) =
+        let CarriedQuery {
+            query,
+            lambda,
+            matchers,
+            carry,
+        } = carried;
+        let (shared, seed, prepare) =
             self.prepare_query_timed(query, matchers, (lambda, metric), carry)?;
-        let lane = Lane::open(self, query, lambda, &shared, seed.as_ref(), carry)?;
-        let nanos = self.scan(table, &mut [lane], drain_at, metric)?;
-        carry.stats.filter_nanos += prepare_nanos + nanos.filter;
+        let lane = &mut Lane::open(self, query, lambda, &shared, seed.as_ref(), carry)?;
+        let nanos = self.scan(table, lane, drain_at, metric)?;
+        carry.stats.filter_nanos += prepare + nanos.filter;
         carry.stats.refine_nanos += nanos.refine;
         self.list_bytes_into(&shared, &mut carry.stats);
         Ok(())
@@ -735,7 +721,6 @@ mod tests {
     use crate::config::IvaConfig;
     use crate::index::IvaIndex;
     use crate::metric::{MetricKind, WeightScheme};
-    use crate::multi::BatchItem;
     use crate::packed::Known;
     use iva_storage::{IoStats, PagerOptions};
     use iva_swt::{AttrId, Tuple, Value};
@@ -761,10 +746,10 @@ mod tests {
         let matchers = index.query_matchers(&q);
         let shared = index.prepare_query(&q, &matchers).unwrap();
         let mut carry = ScanCarry::new(10);
-        let mut lanes = [Lane::open(&index, &q, &[1.0], &shared, None, &mut carry).unwrap()];
+        let mut lane = Lane::open(&index, &q, &[1.0], &shared, None, &mut carry).unwrap();
         let before = crate::timing::thread_cpu_time();
         let nanos = index
-            .scan(&table, &mut lanes, DRAIN_AT, &MetricKind::L2)
+            .scan(&table, &mut lane, DRAIN_AT, &MetricKind::L2)
             .unwrap();
         let spent = crate::timing::thread_cpu_time() - before;
         assert!(nanos.filter > 0 && nanos.refine > 0, "{nanos:?}");
@@ -945,13 +930,12 @@ mod tests {
     /// which no query here admits, read list bytes that differ by exactly
     /// what one parse of the dictionary per query reads more — for a
     /// seeded query that tombstones keep from leaping, a leaping one over
-    /// a RAW tail, and each member of a batch of two unseeded two-value
-    /// queries.
+    /// a RAW tail, and an unseeded two-value query.
     #[test]
     fn a_query_reads_each_dictionary_once() {
         let one = Query::new().text(AttrId(0), "canon");
         let two = one.clone().text(AttrId(1), "canon");
-        for (tail, deleted, q, members) in [(0, 900, &one, 1), (40, 0, &one, 1), (0, 0, &two, 2)] {
+        for (tail, deleted, q) in [(0, 900, &one), (40, 0, &one), (0, 0, &two)] {
             let read = |rare: &str| {
                 let mut rows: Vec<_> = (0..2500).map(row).collect();
                 rows[2000] = Some(vec![rare.to_string()]);
@@ -960,32 +944,24 @@ mod tests {
                 let before = io.snapshot();
                 index.list_reader(entry).unwrap().load_dict().unwrap();
                 let parse = io.snapshot().since(&before).logical_list_bytes;
-                let item = BatchItem {
-                    query: q,
-                    k: 10,
-                    weights: WeightScheme::Equal,
-                };
+                let lambda = index.resolve_weights(q, WeightScheme::Equal);
+                let mut carried = CarriedQuery::new(&index, q, 10, lambda);
                 let before = io.snapshot();
-                let outs = index
-                    .query_batch(&table, &vec![item; members], &MetricKind::L2)
+                index
+                    .walk_tier(&table, &mut carried, &MetricKind::L2)
                     .unwrap();
                 let read = io.snapshot().since(&before).logical_list_bytes;
-                (parse, read, outs, index.n_tuples())
+                (parse, read, carried.carry.finish(), index.n_tuples())
             };
-            let ((parse, read, outs, n), (longer, more, other, _)) =
+            let ((parse, read, out, n), (longer, more, other, _)) =
                 (read("xylophone"), read(&"xylophone".repeat(4)));
-            for (out, other) in outs.iter().zip(&other) {
-                let ctx = format!(
-                    "tail {tail}, deleted {deleted}, batch of {members}: {:?}",
-                    out.stats
-                );
-                // Only the seeded query over a RAW tail leaps.
-                assert_eq!(out.stats.tuples_scanned < n, tail > 0, "{ctx}");
-                assert!(out.stats.dict_distances > 0, "{ctx}");
-                assert_eq!(out.results, other.results, "{ctx}");
-            }
+            let ctx = format!("tail {tail}, deleted {deleted}: {:?}", out.stats);
+            // Only the seeded query over a RAW tail leaps.
+            assert_eq!(out.stats.tuples_scanned < n, tail > 0, "{ctx}");
+            assert!(out.stats.dict_distances > 0, "{ctx}");
+            assert_eq!(out.results, other.results, "{ctx}");
             assert!(longer > parse);
-            assert_eq!(more - read, members as u64 * (longer - parse), "{members}");
+            assert_eq!(more - read, longer - parse, "{ctx}");
         }
     }
 
@@ -1263,11 +1239,11 @@ mod tests {
             (1.0, &[Known::Unseen; 2][..])
         );
         let lane = Lane::open(&index, &q, &[1.0], &shared, Some(&seed), &mut carry);
-        let mut lanes = [lane.unwrap()];
+        let mut lane = lane.unwrap();
         index
-            .scan(&table, &mut lanes, DRAIN_AT, &MetricKind::L1)
+            .scan(&table, &mut lane, DRAIN_AT, &MetricKind::L1)
             .unwrap();
-        drop(lanes);
+        drop(lane);
         let stats = carry.stats;
         let got: Vec<_> = carry.pool.into_sorted().iter().map(|e| e.tid).collect();
         let want: Vec<u64> = (99..104).chain([0, 1, 2, 3, 304]).collect();
@@ -1304,11 +1280,11 @@ mod tests {
         let seed = seed.expect("seeded");
         assert_eq!((seed.exact.cut, seed.distances), (1.0, 2));
         let lane = Lane::open(&index, &q, &[1.0], &shared, Some(&seed), &mut carry);
-        let mut lanes = [lane.unwrap()];
+        let mut lane = lane.unwrap();
         index
-            .scan(&table, &mut lanes, DRAIN_AT, &MetricKind::L1)
+            .scan(&table, &mut lane, DRAIN_AT, &MetricKind::L1)
             .unwrap();
-        drop(lanes);
+        drop(lane);
         let stats = &carry.stats;
         let counts = (
             stats.positions_weighed,
@@ -1319,8 +1295,9 @@ mod tests {
         assert_eq!(counts, (1000, 4, 10, 0), "{stats:?}");
     }
 
-    /// A weight vector shorter than the query is rejected by every shape:
-    /// serial, and each lane of a batch of two.
+    /// A weight vector shorter than the query is rejected by the walk and
+    /// by the lane's door, whatever another lane over the same preparation
+    /// was given.
     #[test]
     fn short_weight_vector_is_rejected_by_every_shape() {
         let opts = PagerOptions {
@@ -1343,14 +1320,11 @@ mod tests {
         let matchers = index.query_matchers(&q);
         let rejected = |r: Result<()>| matches!(r, Err(IvaError::InvalidArgument(_)));
 
-        // Serial.
-        let (mut carry, m) = (ScanCarry::new(3), &matchers);
-        let r = index.query_carry(&table, &q, m, &MetricKind::L2, &short, &mut carry);
+        let carried = |lambda: &[f64]| CarriedQuery::new(&index, &q, 3, lambda.to_vec());
+        let r = index.walk_tier(&table, &mut carried(&short), &MetricKind::L2);
         assert!(rejected(r));
-        index
-            .query_carry(&table, &q, m, &MetricKind::L2, &good, &mut carry)
-            .unwrap();
-        // Batch of two: one well-formed lane does not excuse the other.
+        (index.walk_tier(&table, &mut carried(&good), &MetricKind::L2)).unwrap();
+        // One well-formed lane does not excuse another.
         let shared = index.prepare_query(&q, &matchers).unwrap();
         let (mut a, mut b) = (ScanCarry::new(3), ScanCarry::new(3));
         assert!(Lane::open(&index, &q, &good, &shared, None, &mut a).is_ok());

@@ -2,7 +2,7 @@
 //!
 //! This module is the **only** place in `iva-core` allowed to read a clock.
 //! Everything else in the crate participates in bit-identical merge replay
-//! (serial ≡ batched ≡ tiered results), and the `determinism`
+//! (whole ≡ windowed ≡ tiered results), and the `determinism`
 //! lint in `cargo xtask analyze` bans `Instant::now`/`SystemTime`/RNG calls
 //! from those modules so no timing or randomness can leak into plan
 //! decisions. Phase *measurements* are still wanted, so the plans call

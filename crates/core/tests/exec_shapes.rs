@@ -7,8 +7,8 @@ mod common;
 
 use common::{assert_bit_identical, small_pages as opts};
 use iva_core::{
-    build_index, exact_distance, BatchItem, IndexTarget, IvaConfig, Metric, MetricKind, Query,
-    ScanCarry, WeightScheme,
+    build_index, exact_distance, CarriedQuery, IndexTarget, IvaConfig, Metric, MetricKind, Query,
+    WeightScheme,
 };
 use iva_storage::IoStats;
 use iva_swt::{AttrId, SwtTable, Tuple, Value};
@@ -95,12 +95,11 @@ fn one_window_fetches_within_the_probe_bound() {
         let d_k = by(|r| r.1)[k - 1].1;
         let at_most = k + rows.iter().filter(|r| r.0 <= t1).count();
         let at_least = rows.iter().filter(|r| r.0 < d_k).count();
-        let mut got = ScanCarry::new(k);
-        let (window, matchers) = (n as usize, index.query_matchers(&q));
+        let mut got = CarriedQuery::new(&index, &q, k, lambda);
         index
-            .query_carry_windowed(&t, &q, &matchers, &metric, &lambda, window, &mut got)
+            .walk_tier_windowed(&t, &mut got, &metric, n as usize)
             .unwrap();
-        let fetched = got.stats.table_accesses as usize;
+        let fetched = got.carry.stats.table_accesses as usize;
         assert!(
             (at_least..=at_most).contains(&fetched),
             "{needle:?} k={k}: {fetched} not in {at_least}..={at_most}"
@@ -109,10 +108,11 @@ fn one_window_fetches_within_the_probe_bound() {
 }
 
 /// On a seeded query — a dense attribute whose packed list's dictionary
-/// holds strings and postings — serial and each member of a batch of two
-/// weigh the same few positions. Each leaps from candidate to candidate,
-/// so it scans far fewer than the 3,000 positions — the batch's two like
-/// lanes exactly what the serial lane scans.
+/// holds strings and postings — the whole-table walk and walks that drain
+/// every 1 and 7 pending candidates weigh the same few positions. Each
+/// leaps from candidate to candidate, so it scans far fewer than the 3,000
+/// positions — the windowed walks exactly what the whole-table walk
+/// scans.
 #[test]
 fn every_shape_counts_the_positions_it_weighs() {
     let mut t = SwtTable::create_mem(&opts(), IoStats::new()).unwrap();
@@ -132,19 +132,18 @@ fn every_shape_counts_the_positions_it_weighs() {
     let q = Query::new().text(brand, "nikon 17");
     let (metric, w) = (MetricKind::L2, WeightScheme::Equal);
     let serial = index.query(&t, &q, 10, &metric, w).unwrap();
-    let item = BatchItem {
-        query: &q,
-        k: 10,
-        weights: w,
+    let windowed = |window| {
+        let mut carried = CarriedQuery::new(&index, &q, 10, index.resolve_weights(&q, w));
+        (index.walk_tier_windowed(&t, &mut carried, &metric, window)).unwrap();
+        carried.carry.finish()
     };
-    let batch = index.query_batch(&t, &[item, item], &metric).unwrap();
     let s = serial.stats;
     assert!(s.dict_distances > 0, "not seeded: {s:?}");
     // The values at distance 0: i ≡ 17 (mod 200), less every ninth row.
     assert!((10..=15).contains(&s.positions_weighed), "{s:?}");
     // A block of at most 256 positions from each candidate.
     assert!(s.tuples_scanned <= 15 * 256, "{s:?}");
-    for (shape, out) in [("batch 0", &batch[0]), ("batch 1", &batch[1])] {
+    for (shape, out) in [("window 1", &windowed(1)), ("window 7", &windowed(7))] {
         assert_bit_identical(&serial, out, shape);
         assert_eq!(out.stats.positions_weighed, s.positions_weighed, "{shape}");
         assert_eq!(out.stats.tuples_scanned, s.tuples_scanned, "{shape}");

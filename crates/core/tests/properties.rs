@@ -13,8 +13,8 @@ use common::{assert_same_plan, small_pages as opts};
 use iva_core::{
     bounded_distance, build_index, encode_num_list, encode_packed_num_list,
     encode_packed_text_list, encode_text_list, exact_distance, export_index, import_index,
-    IndexTarget, IvaConfig, IvaIndex, ListType, Metric, MetricKind, NumListCursor, NumericCodec,
-    PackedReader, Query, QueryOutcome, QueryStats, QueryValue, ResultPool, ScanCarry,
+    CarriedQuery, IndexTarget, IvaConfig, IvaIndex, ListType, Metric, MetricKind, NumListCursor,
+    NumericCodec, PackedReader, Query, QueryOutcome, QueryStats, QueryValue, ResultPool,
     TextListCursor, WeightScheme, TOMBSTONE_PTR,
 };
 use iva_storage::{write_contiguous_list, IoStats, ListReader, Pager};
@@ -357,10 +357,9 @@ fn check_seeded<M: Metric>(
         .iter()
         .map(|e| (e.tid, e.dist.to_bits()))
         .collect();
-    let (matchers, mut carry, lambda) = (index.query_matchers(&query), ScanCarry::new(k), [lambda]);
-    index
-        .query_carry(table, &query, &matchers, metric, &lambda, &mut carry)
-        .unwrap();
+    let mut carried = CarriedQuery::new(index, &query, k, vec![lambda]);
+    index.walk_tier(table, &mut carried, metric).unwrap();
+    let CarriedQuery { carry, .. } = carried;
     let stats = carry.stats;
     let got = carry.finish().results;
     let got: Vec<_> = got.iter().map(|e| (e.tid, e.dist.to_bits())).collect();

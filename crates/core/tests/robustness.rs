@@ -257,11 +257,11 @@ fn insert_rejects_positional_entry_longer_than_tuple_list() {
 /// tie rule (lowest tid wins) and the keyed lists' frozen pointer rest on
 /// it. A directory whose RAW tail frame repeats a tid — here one appended
 /// by an insert under a tid already listed, with more tuples after it —
-/// is `Corrupt` to every execution shape, never an answer: serial, batch
-/// and the sequential plan.
+/// is `Corrupt` to every execution shape, never an answer: the walk, a
+/// walk that drains every pending candidate, and the sequential plan.
 #[test]
 fn repeated_tid_in_the_directory_is_corrupt_to_every_shape() {
-    use iva_core::BatchItem;
+    use iva_core::CarriedQuery;
     let mut t = SwtTable::create_mem(&opts(), IoStats::new()).unwrap();
     let name = t.define_text("name").unwrap();
     let row = |i: u32| Tuple::new().with(name, Value::text(format!("listing {i:04}")));
@@ -284,14 +284,9 @@ fn repeated_tid_in_the_directory_is_corrupt_to_every_shape() {
     };
     let results = |o: iva_core::QueryOutcome| o.results;
     corrupt("serial", idx.query(&t, &q, 5, &l2, equ).map(results));
-    let item = BatchItem {
-        query: &q,
-        k: 5,
-        weights: equ,
-    };
-    let batch = idx.query_batch(&t, &[item, item], &l2);
-    let batch = batch.map(|outs| outs.into_iter().flat_map(results).collect());
-    corrupt("batch", batch);
+    let mut carried = CarriedQuery::new(&idx, &q, 5, idx.resolve_weights(&q, equ));
+    let walked = idx.walk_tier_windowed(&t, &mut carried, &l2, 1);
+    corrupt("window 1", walked.map(|()| results(carried.carry.finish())));
     let seq = idx.query_sequential_plan(&t, &q, 5, &l2, equ).map(results);
     corrupt("sequential", seq);
 }

@@ -5,14 +5,14 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use iva_core::{
-    IndexedTable, IvaConfig, IvaError, IvaIndex, Metric, MetricKind, PoolEntry, Query,
-    QueryOutcome, QueryStats, Result, WeightScheme,
+    IndexedTable, IvaConfig, IvaError, IvaIndex, Metric, MetricKind, Query, QueryStats, Result,
+    WeightScheme,
 };
 use iva_storage::vfs::{RealVfs, Vfs};
 use iva_storage::{sidecar_path, IoStats, PagerOptions};
 use iva_swt::{catalog_path, table_file_path, AttrId, Catalog, SwtTable, Tid, Tuple};
 
-use crate::search::{QueryBuilder, SearchRequest};
+use crate::search::{search, QueryBuilder, SearchRequest, Tiered};
 
 /// Options for creating an [`IvaDb`].
 ///
@@ -75,17 +75,6 @@ pub struct SearchHit {
     pub dist: f64,
     /// The matching tuple.
     pub tuple: Tuple,
-}
-
-impl SearchHit {
-    /// Materialize one pool entry from `table`, the file it points into.
-    pub(crate) fn materialize(entry: PoolEntry, table: &SwtTable) -> Result<Self> {
-        Ok(Self {
-            tid: entry.tid,
-            dist: entry.dist,
-            tuple: table.get(entry.ptr)?.tuple,
-        })
-    }
 }
 
 /// Everything one search run produces: the ranked hits and the
@@ -244,8 +233,7 @@ impl IvaDb {
         QueryBuilder::new(self.pair.table().catalog())
     }
 
-    /// Run one top-k search as described by `request` — the single entry
-    /// point every other search method wraps.
+    /// Run one top-k search as described by `request`.
     pub fn execute(&self, query: &Query, request: &SearchRequest) -> Result<SearchOutcome> {
         let metric = request.metric_override().unwrap_or(self.opts.metric);
         self.execute_metric(query, &metric, request)
@@ -259,48 +247,7 @@ impl IvaDb {
         metric: &M,
         request: &SearchRequest,
     ) -> Result<SearchOutcome> {
-        let weights = request.weights_override().unwrap_or(self.opts.weights);
-        let (index, table) = self.pair.searchable()?;
-        // A path call: the lints' call graph links a method call on an
-        // untyped receiver to every `query` in the workspace, baselines too.
-        let out = IvaIndex::query(index, table, query, request.k(), metric, weights)?;
-        self.materialize(out)
-    }
-
-    /// Turn a raw index outcome into a [`SearchOutcome`] by fetching each
-    /// hit's tuple from the table file.
-    fn materialize(&self, out: QueryOutcome) -> Result<SearchOutcome> {
-        let hits = out
-            .results
-            .into_iter()
-            .map(|e| SearchHit::materialize(e, self.pair.table()))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(SearchOutcome {
-            hits,
-            stats: out.stats,
-        })
-    }
-
-    /// Run several searches as one admission batch: the tuple list is
-    /// scanned once for the whole batch and the entries' refinements run
-    /// back to back (see [`iva_core::IvaIndex::query_batch`]). Every
-    /// entry's result is
-    /// bit-identical to calling [`IvaDb::execute`] with the same query and
-    /// request on its own.
-    ///
-    /// Requests may disagree on their knobs: entries are grouped by
-    /// resolved metric (one shared scan per distinct metric), and weights
-    /// and `k` are honored per entry.
-    pub fn execute_batch(&self, batch: &[(Query, SearchRequest)]) -> Result<Vec<SearchOutcome>> {
-        let (index, table) = self.pair.searchable()?;
-        let mut answered = Vec::with_capacity(batch.len());
-        for g in SearchRequest::metric_groups(batch, self.opts.metric, self.opts.weights) {
-            let outs = index.query_batch(table, &g.items, &g.metric)?;
-            for (slot, o) in g.slots.into_iter().zip(outs) {
-                answered.push((slot, self.materialize(o)?));
-            }
-        }
-        SearchRequest::in_batch_order(batch.len(), answered)
+        search(self, query, metric, request, self.opts.weights)
     }
 
     /// The metric used when a request carries no override.
@@ -397,5 +344,17 @@ impl IvaDb {
     /// Persist both files, table first ([`IndexedTable::flush`]).
     pub fn flush(&mut self) -> Result<()> {
         self.pair.flush()
+    }
+}
+
+impl Tiered for IvaDb {
+    fn tiers(&self) -> impl Iterator<Item = &IndexedTable> {
+        [&self.pair].into_iter()
+    }
+    fn tier_of(&self, _: Tid) -> &IndexedTable {
+        &self.pair
+    }
+    fn newest(&self) -> &IndexedTable {
+        &self.pair
     }
 }

@@ -63,17 +63,6 @@ pub trait Engine: Send + Sync {
     /// Run one top-k search as described by `request`.
     fn execute(&self, query: &Query, request: &SearchRequest) -> Result<Self::Outcome>;
 
-    /// Run several searches as one admission batch, sharing the filter
-    /// scan where the engine supports it.
-    /// Results are bit-identical to calling [`Engine::execute`] once per
-    /// entry — batching is an execution strategy, never a semantic.
-    ///
-    /// The default implementation simply loops; engines override it with
-    /// a genuinely shared plan.
-    fn execute_batch(&self, batch: &[(Query, SearchRequest)]) -> Result<Vec<Self::Outcome>> {
-        batch.iter().map(|(q, r)| self.execute(q, r)).collect()
-    }
-
     /// The metric used when a request carries no override.
     fn default_metric(&self) -> MetricKind;
 
@@ -140,9 +129,6 @@ impl Engine for IvaDb {
     }
     fn execute(&self, query: &Query, request: &SearchRequest) -> Result<SearchOutcome> {
         IvaDb::execute(self, query, request)
-    }
-    fn execute_batch(&self, batch: &[(Query, SearchRequest)]) -> Result<Vec<SearchOutcome>> {
-        IvaDb::execute_batch(self, batch)
     }
     fn default_metric(&self) -> MetricKind {
         IvaDb::default_metric(self)

@@ -54,15 +54,17 @@
 //!
 //! Single-caller deployments can keep using [`IvaDb`] directly — the
 //! writer/reader split wraps the same engine without copying it, and
-//! [`serve::Server`] adds an admission queue that coalesces concurrent
-//! requests into shared scans (see the [`serve`] module docs).
+//! [`serve::Server`] adds an admission queue whose workers execute one
+//! request at a time (see the [`serve`] module docs).
 //!
 //! Two engines implement [`Engine`]: [`IvaDb`] (one table file + iVA-file
-//! pair) and [`LsmDb`] (a memtable in front of sealed segments). A query
-//! runs on the thread that issued it; parallelism is across queries
+//! pair) and [`LsmDb`] (a memtable in front of sealed segments). Both
+//! answer a query through one search path: every tier walked once, in
+//! tid order, on a pool carried from tier to tier. A query runs on the
+//! thread that issued it; parallelism is across queries
 //! ([`serve::Server`]'s workers). The horizontal partitioning of the
 //! paper's Sec. VI is `LsmDb`'s: every segment is an independent pair,
-//! scanned in tid order on one carried pool, bit-identical to one serial
+//! walked in tid order on the carried pool, bit-identical to one serial
 //! scan of the monolith.
 //!
 //! ## Crate map

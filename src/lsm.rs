@@ -34,15 +34,15 @@
 //!
 //! ## Query equivalence
 //!
-//! A query scans the tiers oldest-first (segments in tid order, then the
-//! memtable), threading one [`ScanCarry`] — the shared candidate pool
-//! and counters — through every per-tier scan under one λ, resolved across
-//! all tiers. The pool keeps the k smallest `(dist, tid)` of whatever it
-//! is offered, in any order, so the answer is the exact top-k of the live
-//! tuples under that λ (DESIGN.md §14). Under EQU that is the single-file
-//! engine's answer, bit for bit. Under ITF it need not be: `df` counts
-//! tombstones until a seal or merge drops them, so each engine's λ follows
-//! its own tombstones. `table_accesses` differs too: each tier drains its
+//! A search walks the tiers oldest-first (segments in tid order, then the
+//! memtable), threading the query's [`iva_core::ScanCarry`] — its
+//! candidate pool and counters — through every tier's walk under one λ,
+//! resolved across all tiers. The pool keeps the k smallest `(dist, tid)`
+//! of whatever it is offered, in any order, so the answer is the exact
+//! top-k of the live tuples under that λ (DESIGN.md §14). Under EQU that
+//! is the single-file engine's answer, bit for bit. Under ITF it need not
+//! be: `df` counts tombstones until a seal or merge drops them, so each
+//! engine's λ follows its own tombstones. `table_accesses` differs too: each tier drains its
 //! own candidates, against a pool the earlier tiers already tightened.
 
 use std::path::{Path, PathBuf};
@@ -50,8 +50,7 @@ use std::sync::Arc;
 
 use iva_core::{
     collect_orphans, remove_segment_files, segment_base, segment_index_path, IndexedTable,
-    IvaConfig, IvaError, Metric, MetricKind, Query, QueryOutcome, Result, ScanCarry, Segment,
-    WeightScheme,
+    IvaConfig, IvaError, IvaIndex, Metric, MetricKind, Query, Result, Segment, WeightScheme,
 };
 use iva_storage::vfs::{MemVfs, RealVfs, Vfs};
 use iva_storage::{
@@ -59,8 +58,8 @@ use iva_storage::{
 };
 use iva_swt::{AttrId, Catalog, SwtTable, Tid, Tuple, Value};
 
-use crate::db::{SearchHit, SearchOutcome};
-use crate::search::{QueryBuilder, SearchRequest};
+use crate::db::SearchOutcome;
+use crate::search::{search, QueryBuilder, SearchRequest, Tiered};
 
 /// Options for creating an [`LsmDb`].
 ///
@@ -390,21 +389,6 @@ impl LsmDb {
         &self.maintenance_io
     }
 
-    /// Every tier in scan order: segments by tid, then the memtable.
-    fn tiers(&self) -> impl Iterator<Item = &IndexedTable> {
-        let segments = self.segments.iter().map(|s| &**s);
-        segments.chain([&self.memtable])
-    }
-
-    /// The tier that holds `tid` if any does: tiers cover disjoint tid
-    /// ranges, and what no segment covers can only be in the memtable.
-    fn tier_of(&self, tid: Tid) -> &IndexedTable {
-        match self.segments.iter().find(|s| s.covers(tid)) {
-            Some(seg) => seg,
-            None => &self.memtable,
-        }
-    }
-
     /// The staging half of maintenance (`&self` — readers keep scanning
     /// the sources): stage the live records of `sources` (oldest first)
     /// as the next segment, on the store's pinned domains, charged to
@@ -578,32 +562,14 @@ impl LsmDb {
         QueryBuilder::new(self.catalog())
     }
 
-    /// Resolve the weight `λ` of each query attribute under `scheme`,
-    /// aggregated across every tier: `|T|` is the store's live tuple
-    /// count and `|T|_A` sums the attribute's document frequency over
-    /// all tiers (tombstones a tier still holds included), so λ is one
-    /// global vector — every tier scan lower-bounds the same weighted
-    /// metric (a per-tier λ would break the carried pool's admission
-    /// bound).
+    /// The weight `λ` of each query attribute under `scheme`, resolved
+    /// across every tier, as every search of the store resolves it.
     pub fn resolve_weights(&self, query: &Query, scheme: WeightScheme) -> Vec<f64> {
-        let total = self
-            .tiers()
-            .map(|t| t.index().n_tuples() - t.index().n_deleted())
-            .sum();
-        query
-            .iter()
-            .map(|(attr, _)| {
-                let df = self
-                    .tiers()
-                    .map(|t| t.index().attr_entry(attr).map_or(0, |e| e.df))
-                    .sum();
-                scheme.weight(total, df)
-            })
-            .collect()
+        let indexes: Vec<_> = self.tiers().map(IndexedTable::index).collect();
+        IvaIndex::resolve_weights_across(&indexes, query, scheme)
     }
 
-    /// Run one top-k search as described by `request` — the single entry
-    /// point every other search method wraps.
+    /// Run one top-k search as described by `request`.
     pub fn execute(&self, query: &Query, request: &SearchRequest) -> Result<SearchOutcome> {
         let metric = request.metric_override().unwrap_or(self.opts.metric);
         self.execute_metric(query, &metric, request)
@@ -617,36 +583,30 @@ impl LsmDb {
         metric: &M,
         request: &SearchRequest,
     ) -> Result<SearchOutcome> {
-        let scheme = request.weights_override().unwrap_or(self.opts.weights);
-        let lambda = self.resolve_weights(query, scheme);
-        // One kernel per text value for every tier, built under the
-        // store's codec (the memtable's) and charged once.
-        let matchers = self.memtable.index().query_matchers(query);
-        let mut carry = ScanCarry::new(request.k());
-        carry.stats.filter_nanos += matchers.build_nanos();
-        for tier in self.tiers() {
-            let (index, table) = tier.searchable()?;
-            index.query_carry(table, query, &matchers, metric, &lambda, &mut carry)?;
-        }
-        self.materialize(carry.finish())
-    }
-
-    /// Turn a raw carried outcome into a [`SearchOutcome`] by fetching
-    /// each hit's tuple from the tier that holds it.
-    fn materialize(&self, out: QueryOutcome) -> Result<SearchOutcome> {
-        let hits = out
-            .results
-            .into_iter()
-            .map(|e| SearchHit::materialize(e, self.tier_of(e.tid).table()))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(SearchOutcome {
-            hits,
-            stats: out.stats,
-        })
+        search(self, query, metric, request, self.opts.weights)
     }
 
     /// The metric used when a request carries no override.
     pub fn default_metric(&self) -> MetricKind {
         self.opts.metric
+    }
+}
+
+impl Tiered for LsmDb {
+    /// Segments by tid, then the memtable.
+    fn tiers(&self) -> impl Iterator<Item = &IndexedTable> {
+        let segments = self.segments.iter().map(|s| &**s);
+        segments.chain([self.newest()])
+    }
+    /// Tiers cover disjoint tid ranges, and what no segment covers can
+    /// only be in the memtable.
+    fn tier_of(&self, tid: Tid) -> &IndexedTable {
+        match self.segments.iter().find(|s| s.covers(tid)) {
+            Some(seg) => seg,
+            None => &self.memtable,
+        }
+    }
+    fn newest(&self) -> &IndexedTable {
+        &self.memtable
     }
 }

@@ -1,16 +1,23 @@
 //! The unified search surface: [`SearchRequest`] describes *how* to run a
 //! top-k search (k, metric, weights) while
 //! [`crate::Query`] describes *what* to search for. Every search entry
-//! point on [`crate::IvaDb`] and [`crate::LsmDb`] funnels into one
-//! `execute` implementation taking a request.
+//! point on [`crate::IvaDb`] and [`crate::LsmDb`] — a query under the
+//! engine's metric or under a caller's — funnels into one function,
+//! `search`: the query walks each of the engine's tiers once, in tid
+//! order, on a pool carried from tier to tier (DESIGN.md §14).
 //!
 //! [`QueryBuilder`] complements it on the *what* side: it builds a
 //! [`crate::Query`] from attribute **names**, resolving them through the
 //! catalog and reporting unknown or mistyped names as errors instead of
 //! panicking or silently matching nothing.
 
-use iva_core::{BatchItem, IvaError, MetricKind, Query, Result, WeightScheme};
-use iva_swt::{AttrType, Catalog};
+use iva_core::{
+    CarriedQuery, IndexedTable, IvaError, IvaIndex, Metric, MetricKind, PoolEntry, Query,
+    QueryOutcome, Result, WeightScheme,
+};
+use iva_swt::{AttrType, Catalog, Tid};
+
+use crate::db::{SearchHit, SearchOutcome};
 
 /// Execution options for one top-k search, builder style.
 ///
@@ -66,60 +73,6 @@ impl SearchRequest {
     pub fn weights_override(&self) -> Option<WeightScheme> {
         self.weights
     }
-
-    /// Split an admission batch into one group per resolved metric
-    /// (`metric` / `weights` are the database defaults), submission order
-    /// kept within a group. Each group is served by one shared scan.
-    pub(crate) fn metric_groups(
-        batch: &[(Query, SearchRequest)],
-        metric: MetricKind,
-        weights: WeightScheme,
-    ) -> Vec<MetricGroup<'_>> {
-        // Each group keeps the entry reference next to its slot index so
-        // the batch is never re-indexed.
-        type Entry<'b> = (usize, &'b (Query, SearchRequest));
-        let mut groups: Vec<(MetricKind, Vec<Entry<'_>>)> = Vec::new();
-        for (i, entry) in batch.iter().enumerate() {
-            let m = entry.1.metric.unwrap_or(metric);
-            match groups.iter_mut().find(|(g, _)| *g == m) {
-                Some((_, entries)) => entries.push((i, entry)),
-                None => groups.push((m, vec![(i, entry)])),
-            }
-        }
-        groups
-            .into_iter()
-            .map(|(metric, entries)| MetricGroup {
-                metric,
-                slots: entries.iter().map(|&(i, _)| i).collect(),
-                items: entries
-                    .iter()
-                    .map(|(_, (query, r))| BatchItem {
-                        query,
-                        k: r.k,
-                        weights: r.weights.unwrap_or(weights),
-                    })
-                    .collect(),
-            })
-            .collect()
-    }
-
-    /// The outcomes of a batch of `n`, each beside the slot its group
-    /// named for it, back in submission order.
-    pub(crate) fn in_batch_order<O>(n: usize, mut answered: Vec<(usize, O)>) -> Result<Vec<O>> {
-        if answered.len() != n {
-            return Err(IvaError::Corrupt("batch entry left unanswered".into()));
-        }
-        answered.sort_by_key(|&(slot, _)| slot);
-        Ok(answered.into_iter().map(|(_, o)| o).collect())
-    }
-}
-
-/// The entries of an admission batch that resolve to one metric.
-pub(crate) struct MetricGroup<'b> {
-    pub(crate) metric: MetricKind,
-    /// Where each item sits in the batch, item by item.
-    pub(crate) slots: Vec<usize>,
-    pub(crate) items: Vec<BatchItem<'b>>,
 }
 
 /// Builds a [`Query`] from attribute *names*, resolved through a catalog.
@@ -195,4 +148,46 @@ impl<'a> QueryBuilder<'a> {
             None => Ok(self.query),
         }
     }
+}
+
+/// An engine as [`search`] walks it.
+pub(crate) trait Tiered {
+    /// Its table + index pairs in tid order, each holding a tid range of
+    /// its own.
+    fn tiers(&self) -> impl Iterator<Item = &IndexedTable>;
+    /// The tier that holds `tid`.
+    fn tier_of(&self, tid: Tid) -> &IndexedTable;
+    /// The last of [`Tiered::tiers`]: the one inserts go to.
+    fn newest(&self) -> &IndexedTable;
+}
+
+/// The one search path: answer `query` on `engine` under `metric`, the
+/// weights `request` names or else `weights`. The query's λ is resolved
+/// across the tiers and its matchers are built once; every tier is walked
+/// once, in tid order, on the query's carried pool; each hit is read from
+/// the tier that holds it.
+pub(crate) fn search<E: Tiered, M: Metric>(
+    engine: &E,
+    query: &Query,
+    metric: &M,
+    request: &SearchRequest,
+    weights: WeightScheme,
+) -> Result<SearchOutcome> {
+    let tiers = engine.tiers().map(IndexedTable::searchable);
+    let tiers = tiers.collect::<Result<Vec<_>>>()?;
+    let indexes: Vec<_> = tiers.iter().map(|&(index, _)| index).collect();
+    let scheme = request.weights.unwrap_or(weights);
+    let lambda = IvaIndex::resolve_weights_across(&indexes, query, scheme);
+    // Built under the newest tier's codec, lent to every tier.
+    let mut carried = CarriedQuery::new(engine.newest().index(), query, request.k, lambda);
+    for (index, table) in tiers {
+        index.walk_tier(table, &mut carried, metric)?;
+    }
+    let QueryOutcome { results, stats } = carried.carry.finish();
+    let hits = results.into_iter().map(|PoolEntry { tid, dist, ptr }| {
+        let tuple = engine.tier_of(tid).table().get(ptr)?.tuple;
+        Ok(SearchHit { tid, dist, tuple })
+    });
+    let hits = hits.collect::<Result<_>>()?;
+    Ok(SearchOutcome { hits, stats })
 }

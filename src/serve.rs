@@ -13,13 +13,11 @@
 //!   a [`Snapshot`] dereferences to cannot change while it is held, and
 //!   its [`Snapshot::epoch`] uniquely identifies that state — two
 //!   snapshots with equal epochs saw bit-identical data.
-//! * **A [`Server`]** (optional) adds admission batching on top: worker
-//!   threads drain a queue of submitted requests and execute each drained
-//!   group as one [`crate::Engine::execute_batch`] call against a single
-//!   snapshot, so concurrent queries share the filter scan. Batching
-//!   never changes results — every response is bit-identical to
-//!   executing that request alone against the same snapshot (see
-//!   `iva_core::multi`).
+//! * **A [`Server`]** (optional) adds an admission queue on top: worker
+//!   threads take submitted requests from it one at a time and execute
+//!   each with [`crate::Engine::execute`] against a snapshot of its own,
+//!   so every response is the one that request gets alone against that
+//!   snapshot.
 //!
 //! ## What the epoch contract guarantees (and doesn't)
 //!
@@ -232,9 +230,8 @@ impl<E: Engine> Reader<E> {
 /// A pinned publication: shared access to the engine state of one epoch.
 ///
 /// Derefs to the engine, so the whole read API is available:
-/// `snap.query_builder()`, `snap.execute(…)`, `snap.execute_batch(…)`,
-/// `snap.len()`. Holding a snapshot blocks the writer — keep it scoped to
-/// one query or one batch.
+/// `snap.query_builder()`, `snap.execute(…)`, `snap.len()`. Holding a
+/// snapshot blocks the writer — keep it scoped to one query or a few.
 pub struct Snapshot<'a, E> {
     guard: RwLockReadGuard<'a, E>,
     epoch: u64,
@@ -259,10 +256,13 @@ impl<E> Deref for Snapshot<'_, E> {
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
     /// Worker threads draining the admission queue. Each worker executes
-    /// one batch at a time against its own pinned snapshot.
+    /// one request at a time against its own pinned snapshot.
     pub workers: usize,
-    /// Most requests coalesced into one shared-scan batch. `1` disables
-    /// coalescing (the queue then only provides thread hand-off).
+    /// Inert: a worker takes one request at a time, whatever this holds.
+    /// It bounded the requests a worker coalesced into one shared walk, a
+    /// lane that lost to one walk per request on a bulk-built index
+    /// (EXPERIMENTS.md, "The batch lane: the verdict"); the field stays
+    /// only until the benchmark stops setting it.
     pub max_batch: usize,
 }
 
@@ -281,12 +281,15 @@ impl Default for ServeOptions {
 pub struct ServingStats {
     /// Requests submitted through [`Client::search`].
     pub submitted: u64,
-    /// Batches executed (each against one snapshot).
+    /// Requests executed, each against one snapshot: always
+    /// [`ServingStats::completed`]. Kept, like
+    /// [`ServingStats::coalesced`], only until the benchmark stops
+    /// reading it.
     pub batches: u64,
     /// Requests answered.
     pub completed: u64,
-    /// Requests that shared a batch with at least one other request —
-    /// the admission queue's coalescing win.
+    /// Inert: always 0. It counted requests that shared a walk with
+    /// another; no request does.
     pub coalesced: u64,
     /// Inert: always 0. It counted query attributes served by an
     /// in-memory cache of decoded lists that no longer exists; the field
@@ -315,20 +318,19 @@ struct ServerState<E: Engine> {
     available: Condvar,
     shutdown: AtomicBool,
     submitted: AtomicU64,
-    batches: AtomicU64,
     completed: AtomicU64,
-    coalesced: AtomicU64,
     list_bytes_logical: AtomicU64,
     list_bytes_physical: AtomicU64,
 }
 
 impl<E: Engine> ServerState<E> {
     fn stats(&self) -> ServingStats {
+        let completed = self.completed.load(Ordering::Relaxed);
         ServingStats {
             submitted: self.submitted.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
+            batches: completed,
+            completed,
+            coalesced: 0,
             hot_tier_attrs: 0,
             cold_tier_attrs: 0,
             list_bytes_logical: self.list_bytes_logical.load(Ordering::Relaxed),
@@ -347,15 +349,13 @@ impl<E: Engine> ServerState<E> {
     }
 }
 
-/// The admission-batching front end: worker threads + a request queue
-/// over a [`Reader`].
+/// The admission-queue front end: worker threads + a request queue over
+/// a [`Reader`].
 ///
-/// Submissions arriving while all workers are busy pile up in the queue;
-/// when a worker frees up it drains up to `max_batch` of them and runs
-/// them as **one** shared-scan batch against **one** snapshot. Under
-/// light load batches degenerate to singletons and the server adds only
-/// a thread hand-off; under heavy load batching caps the per-query scan
-/// cost at `1/batch_size` of a dedicated scan.
+/// Submissions arriving while all workers are busy wait in the queue, in
+/// arrival order; a worker that frees up takes the oldest, pins a
+/// snapshot and executes it. The server adds a thread hand-off to each
+/// request and bounds the searches running at once by `workers`.
 pub struct Server<E: Engine + 'static> {
     state: Arc<ServerState<E>>,
     workers: Vec<JoinHandle<()>>,
@@ -369,19 +369,15 @@ impl<E: Engine + 'static> Server<E> {
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
             submitted: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
             completed: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
             list_bytes_logical: AtomicU64::new(0),
             list_bytes_physical: AtomicU64::new(0),
         });
-        let max_batch = opts.max_batch.max(1);
-        let n_workers = opts.workers.max(1);
-        let workers = (0..n_workers)
+        let workers = (0..opts.workers.max(1))
             .map(|_| {
                 let reader = reader.clone();
                 let state = Arc::clone(&state);
-                std::thread::spawn(move || worker_loop(reader, state, max_batch, n_workers))
+                std::thread::spawn(move || worker_loop(reader, state))
             })
             .collect();
         Self { state, workers }
@@ -444,7 +440,7 @@ impl<E: Engine> Clone for Client<E> {
 impl<E: Engine> Client<E> {
     /// Submit one search and block until its answer arrives. The answer
     /// is bit-identical to `reader.execute(&query, &request)` against the
-    /// snapshot the serving batch pinned.
+    /// snapshot the serving worker pinned.
     pub fn search(&self, query: Query, request: SearchRequest) -> Result<E::Outcome> {
         let (reply, rx) = mpsc::channel();
         {
@@ -482,18 +478,13 @@ impl<E: Engine> Client<E> {
     }
 }
 
-fn worker_loop<E: Engine>(
-    reader: Reader<E>,
-    state: Arc<ServerState<E>>,
-    max_batch: usize,
-    n_workers: usize,
-) {
+fn worker_loop<E: Engine>(reader: Reader<E>, state: Arc<ServerState<E>>) {
     loop {
-        let jobs: Vec<Job<E>> = {
+        let job = {
             let mut q = state.queue.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
-                if !q.is_empty() {
-                    break;
+                if let Some(job) = q.pop_front() {
+                    break job;
                 }
                 if state.shutdown.load(Ordering::Acquire) {
                     return;
@@ -503,65 +494,13 @@ fn worker_loop<E: Engine>(
                     .wait(q)
                     .unwrap_or_else(PoisonError::into_inner);
             }
-            // Fair-share drain. Taking `q.len()` outright lets the first
-            // worker woken by a burst swallow the whole queue and serve it
-            // as one serial mega-batch while its siblings sleep — under an
-            // open-loop arrival stream that is head-of-line blocking and
-            // tail latency grows with the burst, not with `max_batch`.
-            // Each worker instead takes its 1/n share (capped by
-            // `max_batch`), and, if work remains, wakes one sibling before
-            // releasing the lock so the burst fans out across all workers.
-            let take = (q.len().div_ceil(n_workers)).clamp(1, max_batch);
-            let jobs: Vec<Job<E>> = q.drain(..take).collect();
-            if !q.is_empty() {
-                state.available.notify_one();
-            }
-            jobs
         };
-        // One snapshot per batch: every member answers from the same
-        // epoch, and the write lock is held shared for exactly one
-        // execution round.
-        let snap = reader.snapshot();
-        state.batches.fetch_add(1, Ordering::Relaxed);
-        state
-            .completed
-            .fetch_add(jobs.len() as u64, Ordering::Relaxed);
-        if jobs.len() == 1 {
-            for job in jobs {
-                let out = snap.execute(&job.query, &job.request);
-                if let Ok(out) = &out {
-                    state.absorb_list_bytes(out);
-                }
-                let _ = job.reply.send(out);
-            }
-            continue;
+        // The read lock is held shared for exactly one execution.
+        let out = reader.execute(&job.query, &job.request);
+        state.completed.fetch_add(1, Ordering::Relaxed);
+        if let Ok(out) = &out {
+            state.absorb_list_bytes(out);
         }
-        state
-            .coalesced
-            .fetch_add(jobs.len() as u64, Ordering::Relaxed);
-        let batch: Vec<(Query, SearchRequest)> = jobs
-            .iter()
-            .map(|j| (j.query.clone(), j.request.clone()))
-            .collect();
-        match snap.execute_batch(&batch) {
-            Ok(outs) => {
-                for (job, out) in jobs.into_iter().zip(outs) {
-                    state.absorb_list_bytes(&out);
-                    let _ = job.reply.send(Ok(out));
-                }
-            }
-            // A batch-level failure (say, one malformed query) must not
-            // take its neighbors down: re-run each member alone so every
-            // caller gets its own verdict.
-            Err(_) => {
-                for job in jobs {
-                    let out = snap.execute(&job.query, &job.request);
-                    if let Ok(out) = &out {
-                        state.absorb_list_bytes(out);
-                    }
-                    let _ = job.reply.send(out);
-                }
-            }
-        }
+        let _ = job.reply.send(out);
     }
 }

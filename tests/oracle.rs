@@ -14,8 +14,9 @@
 //! and delete tids on block and frame edges.
 //!
 //! At a **probe** every engine answers four queries (the fourth a copy of
-//! the first) in every shape — serial; batches with 0, 1 and 3
-//! companions, and an empty one; drain windows 1, 7, 64 and the default —
+//! the first) in every shape — serial through `execute_metric`, and
+//! through `execute` under a request naming the metric; drain windows 1,
+//! 7, 64 and the default —
 //! and each answer must be the [`Model`]'s `(tid, distance bits)` under the
 //! engine's own λ. Every shape must weigh the serial run's positions
 //! and, but for a smaller drain window, fetch its records;
@@ -40,9 +41,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::thread;
 
-use iva_core::{
-    build_index, export_index, AttrEntry, BatchItem, IndexTarget, QueryOutcome, ScanCarry,
-};
+use iva_core::{build_index, export_index, AttrEntry, CarriedQuery, IndexTarget, QueryOutcome};
 use iva_file::serve::Writer;
 use iva_file::{
     AttrId, Engine, IoStats, IvaConfig, IvaDb, IvaDbOptions, IvaError, IvaIndex, LsmDb, LsmOptions,
@@ -236,8 +235,6 @@ struct Answer {
     counts: [u64; 5],
 }
 
-type Batch = Result<Vec<Answer>>;
-
 impl Answer {
     fn new(hits: impl Iterator<Item = (Tid, f64)>, rows: Vec<Tuple>, s: &QueryStats) -> Self {
         let hits = hits.map(|(tid, dist)| (tid, dist.to_bits())).collect();
@@ -281,8 +278,11 @@ trait Db {
     fn tiers(&self) -> Result<Vec<(&IvaIndex, &SwtTable)>>;
     /// Query `i` of `p` through the engine's own entry point.
     fn solo(&self, p: &Probe, i: usize) -> Result<Answer>;
-    /// The first `n` queries of `p` as one batch.
-    fn batch(&self, p: &Probe, n: usize) -> Batch;
+    /// Query `i` of `p` through [`Engine::execute`], under a request that
+    /// names the metric; `None` where none can (the pair, `NanAtZero`).
+    fn requested(&self, _: &Probe, _: usize) -> Result<Option<Answer>> {
+        Ok(None)
+    }
 }
 
 /// The [`Db`] methods both engines spell alike: their public API.
@@ -310,15 +310,13 @@ macro_rules! engine_api {
             let req = p.request();
             Ok(self.execute_metric(&p.queries[i], &p.metric, &req)?.into())
         }
-        /// Under `NanAtZero`, which no request carries, a loop.
-        fn batch(&self, p: &Probe, n: usize) -> Batch {
-            if let Dist::NanAtZero = p.metric {
-                return (0..n).map(|i| self.solo(p, i)).collect();
-            }
-            let item = |q: &Query| (q.clone(), p.request());
-            let batch: Vec<_> = p.queries[..n].iter().map(item).collect();
-            let outs = Engine::execute_batch(self, &batch)?;
-            Ok(outs.into_iter().map(Answer::from).collect())
+        fn requested(&self, p: &Probe, i: usize) -> Result<Option<Answer>> {
+            let Dist::Kind(_) = p.metric else {
+                return Ok(None);
+            };
+            Ok(Some(
+                Engine::execute(self, &p.queries[i], &p.request())?.into(),
+            ))
         }
     };
 }
@@ -411,31 +409,22 @@ impl Db for Pair {
         let out = index.query(table, &p.queries[i], p.k, &p.metric, p.weights)?;
         Ok(out.into())
     }
-    fn batch(&self, p: &Probe, n: usize) -> Batch {
-        let (k, weights) = (p.k, p.weights);
-        let item = |query| BatchItem { query, k, weights };
-        let items: Vec<_> = p.queries[..n].iter().map(item).collect();
-        let outs = self.index.query_batch(&self.table, &items, &p.metric)?;
-        Ok(outs.into_iter().map(Answer::from).collect())
-    }
 }
 
 /// The drain-window shape: one pool carried through the tiers in scan
 /// order, each drained every `window` pending candidates.
 fn windowed(db: &dyn Db, p: &Probe, window: usize) -> Result<Answer> {
-    let (q, m) = (&p.queries[0], &p.metric);
-    let lambda = db.lambda(q, p.weights);
-    let mut carry = ScanCarry::new(p.k);
+    let q = &p.queries[0];
     let tiers = db.tiers()?;
     // Built once, like `lambda`, and lent to every tier.
     let Some((last, _)) = tiers.last() else {
-        return Ok(carry.finish().into());
+        return Err(IvaError::Corrupt("no tier".into()));
     };
-    let matchers = last.query_matchers(q);
+    let mut carried = CarriedQuery::new(last, q, p.k, db.lambda(q, p.weights));
     for (index, table) in tiers {
-        index.query_carry_windowed(table, q, &matchers, m, &lambda, window, &mut carry)?;
+        index.walk_tier_windowed(table, &mut carried, &p.metric, window)?;
     }
-    Ok(carry.finish().into())
+    Ok(carried.carry.finish().into())
 }
 
 enum Store {
@@ -716,21 +705,9 @@ impl Instance {
         for (i, a) in serial.iter().enumerate() {
             check(a, i, "serial", true)?;
         }
-        for n in [0, 1, 2, 4] {
-            // A batch runs serial lanes; a singleton is the solo plan.
-            let shape = format!("batch of {n}");
-            let got = db.batch(p, n).map_err(e)?;
-            if got.len() != n {
-                return Err(format!("{shape}: {} answers", got.len()));
-            }
-            for (i, a) in got.iter().enumerate() {
-                check(a, i, &shape, true)?;
-            }
-            // A lane that leaps alone rides the walk of one that does not.
-            let (alone, members) = (serial.iter().chain([&serial[0]]).take(n), &got);
-            let alone: Vec<bool> = alone.map(leapt).collect();
-            if alone.contains(&true) && alone.contains(&false) && !members.iter().any(leapt) {
-                cov.insert("batch mixes a leaping lane with a dense one".into());
+        for i in 0..p.queries.len() {
+            if let Some(a) = db.requested(p, i).map_err(e)? {
+                check(&a, i, "execute", true)?;
             }
         }
         for window in [1, 7, 64] {
@@ -854,9 +831,9 @@ fn every_configuration_matches_the_model() {
 /// ask for k of 3, 10, 30, 200 and every live tuple, under each metric,
 /// and each runs every shape of [`Instance::check`] on the first two
 /// instances. Required: a seed on `IvaDb` and on `LsmDb`, one over
-/// tombstones, one at λ = 0, one that leaps, over a RAW tail and in a
-/// batch with a lane that does not, one over tombstones that does not, one whose answer the
-/// table decides with no fetch, and a one-value query with k above the
+/// tombstones, one at λ = 0, one that leaps, one that leaps over a RAW
+/// tail, one over tombstones that does not, one whose answer the table
+/// decides with no fetch, and a one-value query with k above the
 /// live count.
 #[test]
 fn one_value_queries_on_string_sections_match_the_model() {
@@ -926,7 +903,6 @@ fn one_value_queries_on_string_sections_match_the_model() {
         "seeded, ndf in the answer",
         "seeded, leapt",
         "leapt over a RAW tail",
-        "batch mixes a leaping lane with a dense one",
         "seeded over tombstones, no leap",
         "1-value decided by the table",
     ];
@@ -947,7 +923,7 @@ fn one_value_queries_on_string_sections_match_the_model() {
 /// 70 deletes, with queries of two and three values: on the two coded
 /// lists only, with a numeric value beside them, and with the
 /// signature-only attribute — each in every shape of [`Instance::check`],
-/// serial, batch lanes and drain windows. Required: a query with no
+/// serial, through `execute` and drain windows. Required: a query with no
 /// fetch whose answers define a queried attribute.
 #[test]
 fn multi_value_queries_on_string_sections_match_the_model() {
