@@ -10,9 +10,10 @@
 //! candidates survive filtering than with the iVA-file's
 //! content-conscious vectors.
 //!
-//! The on-disk machinery (tuple list, per-attribute lists, pool-based
-//! filter-and-refine) deliberately mirrors the iVA-file so the comparison
-//! isolates exactly the content-consciousness difference.
+//! The on-disk machinery (tuple list, per-attribute lists, a bounded
+//! result pool) deliberately mirrors the iVA-file so the comparison
+//! isolates exactly the content-consciousness difference; the query plan
+//! is the union fetch of \[7\] ([`SiiIndex::query`]).
 
 use std::sync::Arc;
 use std::time::Instant;

@@ -546,14 +546,18 @@ impl IvaIndex {
                 SharedAttr::Text { entry, .. } | SharedAttr::Num { entry, .. } => entry,
                 SharedAttr::AlwaysNdf => continue,
             };
-            // Off disk, and held to the frames only as a walk reads them.
-            stats.list_bytes_logical = stats.list_bytes_logical.saturating_add(entry.logical_len);
-            stats.list_bytes_physical += self.padded_list_bytes(entry.vlist.len);
+            // Off disk, and held to the frames only as a walk reads them:
+            // every term saturates, so a lying length cannot overflow.
+            let (logical, physical) = (entry.logical_len, self.padded_list_bytes(entry.vlist.len));
+            stats.list_bytes_logical = stats.list_bytes_logical.saturating_add(logical);
+            stats.list_bytes_physical = stats.list_bytes_physical.saturating_add(physical);
         }
         // The directory's logical size is the raw element stream; its
         // frames store (and therefore sweep) fewer bytes.
-        stats.list_bytes_logical += self.header.n_tuples * TUPLE_ENTRY_LEN as u64;
-        stats.list_bytes_physical += self.padded_list_bytes(self.header.tuple_list.len);
+        let logical = self.header.n_tuples.saturating_mul(TUPLE_ENTRY_LEN as u64);
+        let physical = self.padded_list_bytes(self.header.tuple_list.len);
+        stats.list_bytes_logical = stats.list_bytes_logical.saturating_add(logical);
+        stats.list_bytes_physical = stats.list_bytes_physical.saturating_add(physical);
     }
 
     /// Physical page-padded footprint of `stored` list-data bytes: lists
@@ -562,7 +566,7 @@ impl IvaIndex {
     fn padded_list_bytes(&self, stored: u64) -> u64 {
         let page = self.pager.page_size() as u64;
         let cap = page.saturating_sub(LIST_PAGE_HEADER as u64).max(1);
-        stored.div_ceil(cap) * page
+        stored.div_ceil(cap).saturating_mul(page)
     }
 
     /// Algorithm 1: top-k query with the parallel filter-and-refine plan,
@@ -1066,6 +1070,40 @@ mod tests {
                 "length {lie} for {real}"
             );
         }
+    }
+
+    /// A catalog entry's lying lengths — the list's logical length and its
+    /// stored length, each the most a u64 holds — saturate the query's
+    /// byte counters when they are folded in before any walk, instead of
+    /// overflowing them.
+    #[test]
+    fn lying_lengths_saturate_the_list_byte_counters() {
+        let opts = PagerOptions {
+            page_size: 256,
+            cache_bytes: 1 << 20,
+        };
+        let mut table = SwtTable::create_mem(&opts, IoStats::new()).unwrap();
+        let price = table.define_numeric("price").unwrap();
+        for i in 0..100u32 {
+            let t = Tuple::new().with(price, Value::num(f64::from(i % 7)));
+            table.insert(&t).unwrap();
+        }
+        let config = IvaConfig::default();
+        let mut index =
+            build_index(&table, IndexTarget::Mem, &opts, IoStats::new(), config).unwrap();
+        let entry = &mut index.entries[price.index()];
+        (entry.logical_len, entry.vlist.len) = (u64::MAX, u64::MAX);
+        let matchers = QueryMatchers {
+            codec: (0, 0),
+            kernels: Vec::new(),
+            nanos: 0,
+        };
+        let query = Query::new().num(price, 3.0);
+        let shared = index.prepare_query(&query, &matchers).unwrap();
+        let mut stats = QueryStats::default();
+        index.list_bytes_into(&shared, &mut stats);
+        assert_eq!(stats.list_bytes_logical, u64::MAX);
+        assert_eq!(stats.list_bytes_physical, u64::MAX);
     }
 
     fn open_honest(vfs: &Arc<MemVfs>, path: &Path, opts: &PagerOptions) -> IvaIndex {

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use iva_storage::vfs::Vfs;
 use iva_storage::{DomainPin, IoStats, PagerOptions, StorageError};
-use iva_swt::{AttrId, Catalog, RecordPtr, SwtTable, Tid, Tuple};
+use iva_swt::{AttrId, AttrType, Catalog, RecordPtr, SwtTable, Tid, Tuple};
 
 use crate::build::{build_index_with_domains, IndexTarget};
 use crate::config::IvaConfig;
@@ -188,14 +188,12 @@ impl IndexedTable {
         Ok((staged, range))
     }
 
-    /// Define (or look up) a text attribute.
-    pub fn define_text(&mut self, name: &str) -> Result<AttrId> {
-        Ok(self.table.define_text(name)?)
-    }
-
-    /// Define (or look up) a numerical attribute.
-    pub fn define_numeric(&mut self, name: &str) -> Result<AttrId> {
-        Ok(self.table.define_numeric(name)?)
+    /// Define (or look up) an attribute of type `ty`.
+    pub fn define(&mut self, name: &str, ty: AttrType) -> Result<AttrId> {
+        Ok(match ty {
+            AttrType::Text => self.table.define_text(name)?,
+            AttrType::Numeric => self.table.define_numeric(name)?,
+        })
     }
 
     /// The index, unless a failed mutation may have left it half-applied.

@@ -17,7 +17,7 @@ use iva_storage::{
     write_contiguous_list, DomainPin, IoStats, MemVfs, PageId, Pager, Vfs, FRAME_TRAILER,
     SUPERBLOCK_LEN,
 };
-use iva_swt::{AttrId, Catalog, SwtTable, Tuple, Value};
+use iva_swt::{AttrId, AttrType, Catalog, SwtTable, Tuple, Value};
 
 const ROWS: u32 = 120;
 
@@ -488,7 +488,7 @@ fn insert_past_the_tid_space_is_refused_before_the_table_append() {
         None,
     )
     .unwrap();
-    let name = pair.define_text("name").unwrap();
+    let name = pair.define("name", AttrType::Text).unwrap();
     let tuple = Tuple::new().with(name, Value::text("one too many"));
     for _ in 0..2 {
         assert!(matches!(
@@ -517,7 +517,7 @@ fn insert_past_the_tid_space_is_refused_before_the_table_append() {
         None,
     )
     .unwrap();
-    let name = pair.define_text("name").unwrap();
+    let name = pair.define("name", AttrType::Text).unwrap();
     let tuple = Tuple::new().with(name, Value::text("the last one"));
     let tid = pair.insert(&tuple).unwrap();
     assert_eq!(tid, u64::from(u32::MAX) - 1);

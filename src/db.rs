@@ -1,18 +1,16 @@
-//! `IvaDb`: the full system — a sparse wide table plus its iVA-file, with
-//! the paper's periodic-cleanup policy (Sec. IV-B / V-C) wired in.
+//! `IvaDb`: the full system — the store over one tier, a sparse wide
+//! table plus its iVA-file, with the paper's periodic-cleanup policy
+//! (Sec. IV-B / V-C) wired in.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use iva_core::{
-    IndexedTable, IvaConfig, IvaError, IvaIndex, Metric, MetricKind, Query, QueryStats, Result,
-    WeightScheme,
-};
+use iva_core::{IndexedTable, IvaConfig, IvaError, IvaIndex, MetricKind, Result, WeightScheme};
 use iva_storage::vfs::{RealVfs, Vfs};
 use iva_storage::{sidecar_path, IoStats, PagerOptions};
-use iva_swt::{catalog_path, table_file_path, AttrId, Catalog, SwtTable, Tid, Tuple};
+use iva_swt::{catalog_path, table_file_path, AttrId, AttrType, Catalog, SwtTable, Tid, Tuple};
 
-use crate::search::{search, QueryBuilder, SearchRequest, Tiered};
+use crate::store::{Store, Tiered};
 
 /// Options for creating an [`IvaDb`].
 ///
@@ -29,10 +27,10 @@ use crate::search::{search, QueryBuilder, SearchRequest, Tiered};
 ///    request that names neither runs under. They are *never* persisted:
 ///    a reopened database behaves like the options it was opened with,
 ///    not like the process that wrote the file.
-/// 3. **Per-request overrides** ([`SearchRequest::metric`],
-///    [`SearchRequest::weights`]) apply to one `execute` call only. They
-///    never write through to either layer above — a request can never
-///    change what a later request or a reopened database does.
+/// 3. **Per-request overrides** ([`crate::SearchRequest::metric`],
+///    [`crate::SearchRequest::weights`]) apply to one `execute` call
+///    only. They never write through to either layer above — a request
+///    can never change what a later request or a reopened database does.
 ///
 /// `config.search_threads`, `config.hot_tier_bytes` and
 /// `config.compress_lists` belong to no layer: they are accepted and
@@ -46,7 +44,7 @@ pub struct IvaDbOptions {
     pub config: IvaConfig,
     /// Cleaning trigger threshold β (Sec. V-C): when the fraction of
     /// deleted tuples reaches β, the table file and the iVA-file are
-    /// rebuilt. Set to 1.0 to disable automatic cleaning.
+    /// rebuilt. Set to 1.0 (or more) to disable automatic cleaning.
     pub cleaning_threshold: f64,
     /// Default metric for [`IvaDb::execute`].
     pub metric: MetricKind,
@@ -66,29 +64,12 @@ impl Default for IvaDbOptions {
     }
 }
 
-/// One search answer with its tuple materialized.
-#[derive(Debug, Clone)]
-pub struct SearchHit {
-    /// Tuple id.
-    pub tid: Tid,
-    /// Distance to the query (under the metric used).
-    pub dist: f64,
-    /// The matching tuple.
-    pub tuple: Tuple,
-}
+/// The monolith: one table file + iVA-file pair and the paper's periodic
+/// cleanup (Sec. IV-B / V-C).
+pub type IvaDb = Store<Monolith>;
 
-/// Everything one search run produces: the ranked hits and the
-/// measurement counters.
-#[derive(Debug, Clone)]
-pub struct SearchOutcome {
-    /// The top-k answers in ascending distance order.
-    pub hits: Vec<SearchHit>,
-    /// Measurement counters.
-    pub stats: QueryStats,
-}
-
-/// A complete community-data store: one [`IndexedTable`] + cleanup policy.
-pub struct IvaDb {
+/// [`IvaDb`]'s tier set: one [`IndexedTable`] and its cleanup policy.
+pub struct Monolith {
     pair: IndexedTable,
     /// Where a disk-backed database lives; `None` in memory.
     home: Option<(Arc<dyn Vfs>, PathBuf)>,
@@ -99,11 +80,7 @@ impl IvaDb {
     /// Create an in-memory database (tests, examples, experiments).
     pub fn create_mem(opts: IvaDbOptions) -> Result<Self> {
         let pair = IndexedTable::create(None, &Catalog::new(), 0, &opts.pager, opts.config, None)?;
-        Ok(Self {
-            pair,
-            home: None,
-            opts,
-        })
+        Ok(Monolith::store(pair, None, opts))
     }
 
     /// Create a disk-backed database inside directory `dir` (created if
@@ -126,11 +103,7 @@ impl IvaDb {
             None,
         )?;
         pair.flush()?; // make the directory openable immediately
-        Ok(Self {
-            pair,
-            home: Some((vfs, dir.to_path_buf())),
-            opts,
-        })
+        Ok(Monolith::store(pair, Some((vfs, dir.to_path_buf())), opts))
     }
 
     /// Open an existing disk-backed database.
@@ -143,12 +116,48 @@ impl IvaDb {
     /// index is reused only if it is clean and matches it, else rebuilt.
     /// `opts.config`'s execution knobs are re-applied ([`IvaDbOptions`]).
     pub fn open_with_vfs(vfs: Arc<dyn Vfs>, dir: &Path, opts: IvaDbOptions) -> Result<Self> {
-        let pair = Self::open_pair(&vfs, dir, &opts, IoStats::new(), IoStats::new())?;
-        Ok(Self {
-            pair,
-            home: Some((vfs, dir.to_path_buf())),
-            opts,
-        })
+        let pair = Monolith::open_pair(&vfs, dir, &opts, IoStats::new(), IoStats::new())?;
+        Ok(Monolith::store(pair, Some((vfs, dir.to_path_buf())), opts))
+    }
+
+    /// The periodic cleanup (Sec. IV-B): copy the live tuples into a fresh
+    /// table file (dropping tombstones, preserving tuple ids) and rebuild
+    /// the iVA-file over it — one [`IndexedTable::stage`], on disk beside
+    /// the live files, then renamed over them and reopened. The I/O
+    /// counters start afresh and hold the rebuild's own cost.
+    pub fn rebuild(&mut self) -> Result<()> {
+        self.set.rebuild()
+    }
+
+    /// The underlying table.
+    pub fn table(&self) -> &SwtTable {
+        self.set.pair.table()
+    }
+
+    /// The underlying index.
+    pub fn index(&self) -> &IvaIndex {
+        self.set.pair.index()
+    }
+
+    /// Table-file I/O counters.
+    pub fn table_io(&self) -> &IoStats {
+        self.set.pair.table_io()
+    }
+
+    /// Index-file I/O counters.
+    pub fn index_io(&self) -> &IoStats {
+        self.set.pair.index_io()
+    }
+}
+
+impl Monolith {
+    fn store(
+        pair: IndexedTable,
+        home: Option<(Arc<dyn Vfs>, PathBuf)>,
+        opts: IvaDbOptions,
+    ) -> IvaDb {
+        let set = Self { pair, home, opts };
+        Store { set }
     }
 
     fn open_pair(
@@ -169,108 +178,16 @@ impl IvaDb {
         )
     }
 
-    /// Define (or look up) a text attribute.
-    pub fn define_text(&mut self, name: &str) -> Result<AttrId> {
-        self.pair.define_text(name)
-    }
-
-    /// Define (or look up) a numerical attribute.
-    pub fn define_numeric(&mut self, name: &str) -> Result<AttrId> {
-        self.pair.define_numeric(name)
-    }
-
-    /// Attribute id by name.
-    pub fn attr(&self, name: &str) -> Option<AttrId> {
-        self.pair.table().catalog().id_of(name)
-    }
-
-    /// Insert a tuple; returns its tuple id.
-    pub fn insert(&mut self, tuple: &Tuple) -> Result<Tid> {
-        self.pair.insert(tuple)
-    }
-
-    /// Delete a tuple by id. Returns false if absent/already deleted.
-    /// Triggers a rebuild when the deleted fraction reaches β.
-    pub fn delete(&mut self, tid: Tid) -> Result<bool> {
-        if !self.pair.delete(tid)? {
-            return Ok(false);
+    /// Rebuild if the deleted fraction reached β (never when β ≥ 1).
+    fn maybe_clean(&mut self) -> Result<()> {
+        let (beta, index) = (self.opts.cleaning_threshold, self.pair.index());
+        if beta < 1.0 && index.deleted_fraction() >= beta && index.n_deleted() > 0 {
+            return self.rebuild();
         }
-        self.maybe_clean()?;
-        Ok(true)
+        Ok(())
     }
 
-    /// Update = delete + insert under a fresh tuple id (Sec. IV-B).
-    /// Returns the new tuple id.
-    ///
-    /// If inserting `new_tuple` fails (say, it references an undefined
-    /// attribute), the old tuple is reinserted — under a fresh id, like
-    /// any update — so the data survives the failed attempt.
-    pub fn update(&mut self, tid: Tid, new_tuple: &Tuple) -> Result<Tid> {
-        crate::engine::update(self, tid, new_tuple)
-    }
-
-    /// Fetch a live tuple by id.
-    pub fn get(&self, tid: Tid) -> Result<Option<Tuple>> {
-        self.pair.get(tid)
-    }
-
-    /// Build a [`Query`] from attribute names resolved through this
-    /// database's catalog:
-    ///
-    /// ```
-    /// # use iva_file::{IvaDb, IvaDbOptions, SearchRequest};
-    /// # let mut db = IvaDb::create_mem(IvaDbOptions::default()).unwrap();
-    /// # db.define_text("Company").unwrap();
-    /// # db.define_numeric("Price").unwrap();
-    /// let query = db.query_builder().text("Company", "Canon").num("Price", 230.0).build()?;
-    /// let outcome = db.execute(&query, &SearchRequest::new(5))?;
-    /// # Ok::<(), iva_file::IvaError>(())
-    /// ```
-    ///
-    /// Unknown or mistyped names surface as
-    /// [`IvaError::InvalidArgument`] from `build()`.
-    pub fn query_builder(&self) -> QueryBuilder<'_> {
-        QueryBuilder::new(self.pair.table().catalog())
-    }
-
-    /// Run one top-k search as described by `request`.
-    pub fn execute(&self, query: &Query, request: &SearchRequest) -> Result<SearchOutcome> {
-        let metric = request.metric_override().unwrap_or(self.opts.metric);
-        self.execute_metric(query, &metric, request)
-    }
-
-    /// [`IvaDb::execute`] under a caller-supplied [`Metric`]
-    /// implementation (for metrics beyond [`MetricKind`]).
-    pub fn execute_metric<M: Metric>(
-        &self,
-        query: &Query,
-        metric: &M,
-        request: &SearchRequest,
-    ) -> Result<SearchOutcome> {
-        search(self, query, metric, request, self.opts.weights)
-    }
-
-    /// The metric used when a request carries no override.
-    pub fn default_metric(&self) -> MetricKind {
-        self.opts.metric
-    }
-
-    /// Rebuild if the deleted fraction reached β.
-    pub fn maybe_clean(&mut self) -> Result<bool> {
-        let index = self.pair.index();
-        if index.deleted_fraction() >= self.opts.cleaning_threshold && index.n_deleted() > 0 {
-            self.rebuild()?;
-            return Ok(true);
-        }
-        Ok(false)
-    }
-
-    /// The periodic cleanup (Sec. IV-B): copy the live tuples into a fresh
-    /// table file (dropping tombstones, preserving tuple ids) and rebuild
-    /// the iVA-file over it — one [`IndexedTable::stage`], on disk beside
-    /// the live files, then renamed over them and reopened. The I/O
-    /// counters start afresh and hold the rebuild's own cost.
-    pub fn rebuild(&mut self) -> Result<()> {
+    fn rebuild(&mut self) -> Result<()> {
         let (table_io, index_io) = (IoStats::new(), IoStats::new());
         let tmp = self.home.as_ref().map(|(vfs, dir)| {
             (
@@ -310,44 +227,9 @@ impl IvaDb {
         self.pair = Self::open_pair(vfs, dir, &self.opts, table_io, index_io)?;
         Ok(())
     }
-
-    /// Live tuple count.
-    pub fn len(&self) -> u64 {
-        self.pair.live_records()
-    }
-
-    /// True if no live tuples exist.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The underlying table.
-    pub fn table(&self) -> &SwtTable {
-        self.pair.table()
-    }
-
-    /// The underlying index.
-    pub fn index(&self) -> &IvaIndex {
-        self.pair.index()
-    }
-
-    /// Table-file I/O counters.
-    pub fn table_io(&self) -> &IoStats {
-        self.pair.table_io()
-    }
-
-    /// Index-file I/O counters.
-    pub fn index_io(&self) -> &IoStats {
-        self.pair.index_io()
-    }
-
-    /// Persist both files, table first ([`IndexedTable::flush`]).
-    pub fn flush(&mut self) -> Result<()> {
-        self.pair.flush()
-    }
 }
 
-impl Tiered for IvaDb {
+impl Tiered for Monolith {
     fn tiers(&self) -> impl Iterator<Item = &IndexedTable> {
         [&self.pair].into_iter()
     }
@@ -356,5 +238,26 @@ impl Tiered for IvaDb {
     }
     fn newest(&self) -> &IndexedTable {
         &self.pair
+    }
+    fn defaults(&self) -> (MetricKind, WeightScheme) {
+        (self.opts.metric, self.opts.weights)
+    }
+    fn define(&mut self, name: &str, ty: AttrType) -> Result<AttrId> {
+        self.pair.define(name, ty)
+    }
+    fn insert(&mut self, tuple: &Tuple) -> Result<Tid> {
+        self.pair.insert(tuple)
+    }
+    /// Triggers a rebuild when the deleted fraction reaches β.
+    fn delete(&mut self, tid: Tid) -> Result<bool> {
+        if !self.pair.delete(tid)? {
+            return Ok(false);
+        }
+        self.maybe_clean()?;
+        Ok(true)
+    }
+    /// Both files, table first ([`IndexedTable::flush`]).
+    fn flush(&mut self) -> Result<()> {
+        self.pair.flush()
     }
 }

@@ -1,6 +1,6 @@
-//! The common engine surface: one trait pair implemented by [`IvaDb`]
-//! and [`LsmDb`] so callers — the serving layer above all — are generic
-//! over the write path.
+//! The common engine surface: one trait pair implemented by every
+//! [`Store`] — [`crate::IvaDb`] and [`crate::LsmDb`] — so callers, the
+//! serving layer above all, are generic over the write path.
 //!
 //! [`Engine`] is the read side: everything that runs with `&self` and is
 //! safe to call from any number of threads at once (every engine holds
@@ -12,12 +12,11 @@
 //! thread owns the mutations and publishes epoch snapshots; reader
 //! threads execute searches against whichever snapshot they pinned.
 
-use iva_core::{IvaError, MetricKind, Query, QueryStats, Result};
+use iva_core::{MetricKind, Query, QueryStats, Result};
 use iva_swt::{AttrId, Tid, Tuple};
 
-use crate::db::{IvaDb, SearchOutcome};
-use crate::lsm::LsmDb;
 use crate::search::{QueryBuilder, SearchRequest};
+use crate::store::{SearchOutcome, Store, Tiered};
 
 /// What any engine's search outcome can report. `hit_keys` gives a
 /// shape-independent digest — `(distance bits, tid, 0)` per hit, in rank
@@ -47,11 +46,10 @@ impl EngineOutcome for SearchOutcome {
 
 /// The read side of an engine: concurrent top-k search with `&self`.
 ///
-/// Implemented by [`IvaDb`] and [`LsmDb`]; the serving layer
-/// ([`crate::serve`]) is generic over this trait, so a deployment can
-/// switch between one database and a segmented one without touching its
-/// serving code. Both serve the paper's horizontal partition (see the
-/// crate docs).
+/// Implemented by every [`Store`]; the serving layer ([`crate::serve`])
+/// is generic over this trait, so a deployment can switch between one
+/// database and a segmented one without touching its serving code. Both
+/// serve the paper's horizontal partition (see the crate docs).
 pub trait Engine: Send + Sync {
     /// What one search run produces.
     type Outcome: EngineOutcome + Send;
@@ -76,9 +74,9 @@ pub trait Engine: Send + Sync {
 }
 
 /// The write side of an engine: every `&mut self` mutator the serving
-/// layer routes through its single [`crate::serve::Writer`]. Engine-
-/// specific operations not listed here (`update`, `rebuild`, …) remain
-/// reachable through [`crate::serve::Writer::apply`].
+/// layer routes through its single [`crate::serve::Writer`]. Operations
+/// not listed here (`update`, `rebuild`, …) remain reachable through
+/// [`crate::serve::Writer::apply`].
 pub trait EngineWriter: Engine {
     /// The engine's tuple handle: [`Tid`] for both engines, kept as an
     /// associated type only because the load harness names it.
@@ -103,100 +101,42 @@ pub trait EngineWriter: Engine {
     fn flush(&mut self) -> Result<()>;
 }
 
-/// The delete, insert, and reinsert-the-old-tuple-on-failure behind
-/// [`IvaDb::update`] and [`LsmDb::update`].
-pub(crate) fn update<E: EngineWriter>(
-    engine: &mut E,
-    id: E::Id,
-    new_tuple: &Tuple,
-) -> Result<E::Id> {
-    let unknown = || IvaError::InvalidArgument(format!("update of unknown tuple {id:?}"));
-    let old = engine.get(id)?.ok_or_else(unknown)?;
-    if !engine.delete(id)? {
-        return Err(unknown());
-    }
-    engine.insert(new_tuple).or_else(|e| {
-        engine.insert(&old)?;
-        Err(e)
-    })
-}
-
-impl Engine for IvaDb {
+impl<T: Tiered + Send + Sync> Engine for Store<T> {
     type Outcome = SearchOutcome;
 
     fn query_builder(&self) -> QueryBuilder<'_> {
-        IvaDb::query_builder(self)
+        Store::query_builder(self)
     }
     fn execute(&self, query: &Query, request: &SearchRequest) -> Result<SearchOutcome> {
-        IvaDb::execute(self, query, request)
+        Store::execute(self, query, request)
     }
     fn default_metric(&self) -> MetricKind {
-        IvaDb::default_metric(self)
+        Store::default_metric(self)
     }
     fn len(&self) -> u64 {
-        IvaDb::len(self)
+        Store::len(self)
     }
 }
 
-impl EngineWriter for IvaDb {
+impl<T: Tiered + Send + Sync> EngineWriter for Store<T> {
     type Id = Tid;
 
     fn define_text(&mut self, name: &str) -> Result<AttrId> {
-        IvaDb::define_text(self, name)
+        Store::define_text(self, name)
     }
     fn define_numeric(&mut self, name: &str) -> Result<AttrId> {
-        IvaDb::define_numeric(self, name)
+        Store::define_numeric(self, name)
     }
     fn insert(&mut self, tuple: &Tuple) -> Result<Tid> {
-        IvaDb::insert(self, tuple)
+        Store::insert(self, tuple)
     }
     fn delete(&mut self, id: Tid) -> Result<bool> {
-        IvaDb::delete(self, id)
+        Store::delete(self, id)
     }
     fn get(&self, id: Tid) -> Result<Option<Tuple>> {
-        IvaDb::get(self, id)
+        Store::get(self, id)
     }
     fn flush(&mut self) -> Result<()> {
-        IvaDb::flush(self)
-    }
-}
-
-impl Engine for LsmDb {
-    type Outcome = SearchOutcome;
-
-    fn query_builder(&self) -> QueryBuilder<'_> {
-        LsmDb::query_builder(self)
-    }
-    fn execute(&self, query: &Query, request: &SearchRequest) -> Result<SearchOutcome> {
-        LsmDb::execute(self, query, request)
-    }
-    fn default_metric(&self) -> MetricKind {
-        LsmDb::default_metric(self)
-    }
-    fn len(&self) -> u64 {
-        LsmDb::len(self)
-    }
-}
-
-impl EngineWriter for LsmDb {
-    type Id = Tid;
-
-    fn define_text(&mut self, name: &str) -> Result<AttrId> {
-        LsmDb::define_text(self, name)
-    }
-    fn define_numeric(&mut self, name: &str) -> Result<AttrId> {
-        LsmDb::define_numeric(self, name)
-    }
-    fn insert(&mut self, tuple: &Tuple) -> Result<Tid> {
-        LsmDb::insert(self, tuple)
-    }
-    fn delete(&mut self, id: Tid) -> Result<bool> {
-        LsmDb::delete(self, id)
-    }
-    fn get(&self, id: Tid) -> Result<Option<Tuple>> {
-        LsmDb::get(self, id)
-    }
-    fn flush(&mut self) -> Result<()> {
-        LsmDb::flush(self)
+        Store::flush(self)
     }
 }

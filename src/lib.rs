@@ -57,15 +57,16 @@
 //! [`serve::Server`] adds an admission queue whose workers execute one
 //! request at a time (see the [`serve`] module docs).
 //!
-//! Two engines implement [`Engine`]: [`IvaDb`] (one table file + iVA-file
-//! pair) and [`LsmDb`] (a memtable in front of sealed segments). Both
-//! answer a query through one search path: every tier walked once, in
-//! tid order, on a pool carried from tier to tier. A query runs on the
-//! thread that issued it; parallelism is across queries
-//! ([`serve::Server`]'s workers). The horizontal partitioning of the
-//! paper's Sec. VI is `LsmDb`'s: every segment is an independent pair,
-//! walked in tid order on the carried pool, bit-identical to one serial
-//! scan of the monolith.
+//! There is one store, [`Store`], and it implements [`Engine`]. Its two
+//! spellings differ only in their tier set ([`Tiered`]): [`IvaDb`] is
+//! one table file + iVA-file pair, [`LsmDb`] a memtable in front of
+//! sealed segments. Both answer a query through one search path: every
+//! tier walked once, in tid order, on a pool carried from tier to tier.
+//! A query runs on the thread that issued it; parallelism is across
+//! queries ([`serve::Server`]'s workers). The horizontal partitioning of
+//! the paper's Sec. VI is `LsmDb`'s: every segment is an independent
+//! pair, walked in tid order on the carried pool, bit-identical to one
+//! serial scan of the monolith.
 //!
 //! ## Crate map
 //!
@@ -86,12 +87,14 @@ mod engine;
 mod lsm;
 mod search;
 pub mod serve;
+mod store;
 
-pub use db::{IvaDb, IvaDbOptions, SearchHit, SearchOutcome};
+pub use db::{IvaDb, IvaDbOptions};
 pub use engine::{Engine, EngineOutcome, EngineWriter};
 pub use lsm::{LsmDb, LsmOptions, MaintenancePlan};
 pub use search::{QueryBuilder, SearchRequest};
 pub use serve::{Client, Reader, ServeOptions, Server, ServingStats, Snapshot, Writer};
+pub use store::{SearchHit, SearchOutcome, Store, Tiered};
 
 // Re-export the pieces users compose.
 pub use iva_core::{

@@ -1,7 +1,7 @@
-//! `LsmDb`: the segmented (LSM-style) write path — an in-memory mutable
-//! tier (the memtable) in front of immutable sealed [`Segment`]s, merged
-//! by a background compactor, all tracked by an atomically-committed
-//! manifest.
+//! `LsmDb`: the store over the segmented (LSM-style) write path — an
+//! in-memory mutable tier (the memtable) in front of immutable sealed
+//! [`Segment`]s, merged by a background compactor, all tracked by an
+//! atomically-committed manifest.
 //!
 //! ## Tiers
 //!
@@ -50,16 +50,15 @@ use std::sync::Arc;
 
 use iva_core::{
     collect_orphans, remove_segment_files, segment_base, segment_index_path, IndexedTable,
-    IvaConfig, IvaError, IvaIndex, Metric, MetricKind, Query, Result, Segment, WeightScheme,
+    IvaConfig, IvaError, MetricKind, Result, Segment, WeightScheme,
 };
 use iva_storage::vfs::{MemVfs, RealVfs, Vfs};
 use iva_storage::{
     read_manifest, write_manifest, DomainPin, IoStats, Manifest, PagerOptions, SegmentMeta,
 };
-use iva_swt::{AttrId, Catalog, SwtTable, Tid, Tuple, Value};
+use iva_swt::{AttrId, AttrType, Catalog, SwtTable, Tid, Tuple, Value};
 
-use crate::db::SearchOutcome;
-use crate::search::{search, QueryBuilder, SearchRequest, Tiered};
+use crate::store::{Store, Tiered};
 
 /// Options for creating an [`LsmDb`].
 ///
@@ -126,7 +125,10 @@ pub struct MaintenancePlan {
 }
 
 /// The segmented store: memtable + sealed segments + manifest.
-pub struct LsmDb {
+pub type LsmDb = Store<Segmented>;
+
+/// [`LsmDb`]'s tier set: memtable + sealed segments + manifest.
+pub struct Segmented {
     vfs: Arc<dyn Vfs>,
     dir: PathBuf,
     opts: LsmOptions,
@@ -176,9 +178,9 @@ impl LsmDb {
         vfs.create_dir_all(dir)
             .map_err(|e| IvaError::Storage(e.into()))?;
         let empty = Manifest::default();
-        let mut db = Self::assemble(vfs, dir, opts, empty, &Catalog::new(), IoStats::new())?;
-        db.write_manifest()?; // make the directory openable immediately
-        Ok(db)
+        let mut set = Segmented::assemble(vfs, dir, opts, empty, &Catalog::new(), IoStats::new())?;
+        set.write_manifest()?; // make the directory openable immediately
+        Ok(Store { set })
     }
 
     /// Open an existing store.
@@ -200,10 +202,84 @@ impl LsmDb {
         let manifest = read_manifest(vfs.as_ref(), &manifest_path(dir), &manifest_io)?;
         let catalog = Catalog::decode(&manifest.catalog)?;
         collect_orphans(vfs.as_ref(), dir, &manifest)?;
-        Self::assemble(vfs, dir, opts, manifest, &catalog, manifest_io)
+        let set = Segmented::assemble(vfs, dir, opts, manifest, &catalog, manifest_io)?;
+        Ok(Store { set })
     }
 
-    /// The store `manifest` describes, with an empty memtable.
+    /// The sealed segments, oldest first (advanced/testing surface).
+    pub fn segments(&self) -> &[Segment] {
+        &self.set.segments
+    }
+
+    /// The mutable tier (advanced/testing surface).
+    pub fn memtable(&self) -> &IndexedTable {
+        &self.set.memtable
+    }
+
+    /// Manifest read/write accounting.
+    pub fn manifest_io(&self) -> &IoStats {
+        &self.set.manifest_io
+    }
+
+    /// Seal/compaction build accounting (staging I/O).
+    pub fn maintenance_io(&self) -> &IoStats {
+        &self.set.maintenance_io
+    }
+
+    /// Seal the memtable into a fresh segment (prepare + publish in
+    /// one). Returns whether anything was sealed.
+    pub fn seal(&mut self) -> Result<bool> {
+        self.set.seal()
+    }
+
+    /// Merge every sealed segment into one (prepare + publish in one).
+    /// Returns whether a merge ran.
+    pub fn compact(&mut self) -> Result<bool> {
+        match self.set.plan_merge()? {
+            Some(plan) => self.publish_maintenance(plan),
+            None => Ok(false),
+        }
+    }
+
+    /// Propose the next unit of maintenance under the configured
+    /// thresholds: a seal once the memtable reaches
+    /// [`LsmOptions::memtable_limit`] records, else a merge once the
+    /// store reaches [`LsmOptions::compact_fanout`] segments. `&self` —
+    /// this is the expensive staging half, safe under concurrent reads.
+    pub fn plan_maintenance(&self) -> Result<Option<MaintenancePlan>> {
+        let (set, opts) = (&self.set, &self.set.opts);
+        if opts.memtable_limit > 0 && set.memtable.total_records() >= opts.memtable_limit {
+            if let Some(plan) = set.plan_seal()? {
+                return Ok(Some(plan));
+            }
+        }
+        if opts.compact_fanout > 0 && set.segments.len() >= opts.compact_fanout {
+            return set.plan_merge();
+        }
+        Ok(None)
+    }
+
+    /// Commit a staged maintenance plan (`&mut self` — the cheap swap):
+    /// the new segment (if any record survived) replaces its sources, a
+    /// seal restarts the memtable past the sealed tids, the manifest
+    /// commit is the single atomic point, and only then are the source
+    /// files removed. A plan made stale by an interleaved mutation errors.
+    pub fn publish_maintenance(&mut self, plan: MaintenancePlan) -> Result<bool> {
+        self.set.publish_maintenance(plan)
+    }
+
+    /// Run one round of threshold-driven maintenance synchronously.
+    /// Returns whether any work ran.
+    pub fn maintain(&mut self) -> Result<bool> {
+        match self.plan_maintenance()? {
+            Some(plan) => self.publish_maintenance(plan),
+            None => Ok(false),
+        }
+    }
+}
+
+impl Segmented {
+    /// The tier set `manifest` describes, with an empty memtable.
     fn assemble(
         vfs: Arc<dyn Vfs>,
         dir: &Path,
@@ -247,10 +323,6 @@ impl LsmDb {
         })
     }
 
-    fn catalog(&self) -> &Catalog {
-        self.memtable.table().catalog()
-    }
-
     fn write_manifest(&mut self) -> Result<()> {
         let m = Manifest {
             next_segment_id: self.next_segment_id,
@@ -267,34 +339,6 @@ impl LsmDb {
         )?;
         self.meta_dirty = false;
         Ok(())
-    }
-
-    /// Define (or look up) a text attribute.
-    pub fn define_text(&mut self, name: &str) -> Result<AttrId> {
-        let id = self.memtable.define_text(name)?;
-        self.sync_domains();
-        Ok(id)
-    }
-
-    /// Define (or look up) a numerical attribute.
-    pub fn define_numeric(&mut self, name: &str) -> Result<AttrId> {
-        let id = self.memtable.define_numeric(name)?;
-        self.sync_domains();
-        Ok(id)
-    }
-
-    /// Attribute id by name.
-    pub fn attr(&self, name: &str) -> Option<AttrId> {
-        self.catalog().id_of(name)
-    }
-
-    fn sync_domains(&mut self) {
-        if self.domains.len() < self.catalog().len() {
-            self.domains
-                .resize(self.catalog().len(), DomainPin::unpinned());
-            self.ops += 1;
-            self.meta_dirty = true;
-        }
     }
 
     /// Pin the codec domain of any numeric attribute `tuple` defines for
@@ -320,73 +364,6 @@ impl LsmDb {
                 }
             }
         }
-    }
-
-    /// Insert a tuple; returns its tuple id (globally unique across
-    /// tiers). Volatile until the next [`LsmDb::flush`].
-    pub fn insert(&mut self, tuple: &Tuple) -> Result<Tid> {
-        let tid = self.memtable.insert(tuple)?;
-        self.observe_domains(tuple);
-        self.ops += 1;
-        Ok(tid)
-    }
-
-    /// Delete a tuple by id, tombstoning whichever tier holds it.
-    /// Returns false if absent/already deleted.
-    pub fn delete(&mut self, tid: Tid) -> Result<bool> {
-        self.ops += 1;
-        if tid >= self.memtable_base {
-            return self.memtable.delete(tid);
-        }
-        match self.segments.iter_mut().find(|s| s.covers(tid)) {
-            Some(seg) => seg.delete(tid),
-            None => Ok(false),
-        }
-    }
-
-    /// Update = delete + insert under a fresh tuple id (Sec. IV-B).
-    /// Returns the new tuple id.
-    ///
-    /// If inserting `new_tuple` fails, the old tuple is reinserted —
-    /// under a fresh id, like any update — so the data survives the
-    /// failed attempt.
-    pub fn update(&mut self, tid: Tid, new_tuple: &Tuple) -> Result<Tid> {
-        crate::engine::update(self, tid, new_tuple)
-    }
-
-    /// Fetch a live tuple by id from whichever tier holds it.
-    pub fn get(&self, tid: Tid) -> Result<Option<Tuple>> {
-        self.tier_of(tid).get(tid)
-    }
-
-    /// Live tuple count across every tier.
-    pub fn len(&self) -> u64 {
-        self.tiers().map(IndexedTable::live_records).sum()
-    }
-
-    /// True if no live tuples exist.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The sealed segments, oldest first (advanced/testing surface).
-    pub fn segments(&self) -> &[Segment] {
-        &self.segments
-    }
-
-    /// The mutable tier (advanced/testing surface).
-    pub fn memtable(&self) -> &IndexedTable {
-        &self.memtable
-    }
-
-    /// Manifest read/write accounting.
-    pub fn manifest_io(&self) -> &IoStats {
-        &self.manifest_io
-    }
-
-    /// Seal/compaction build accounting (staging I/O).
-    pub fn maintenance_io(&self) -> &IoStats {
-        &self.maintenance_io
     }
 
     /// The staging half of maintenance (`&self` — readers keep scanning
@@ -447,48 +424,14 @@ impl LsmDb {
         self.prepare(&sources, ids, None).map(Some)
     }
 
-    /// Seal the memtable into a fresh segment (prepare + publish in
-    /// one). Returns whether anything was sealed.
-    pub fn seal(&mut self) -> Result<bool> {
+    fn seal(&mut self) -> Result<bool> {
         match self.plan_seal()? {
             Some(plan) => self.publish_maintenance(plan),
             None => Ok(false),
         }
     }
 
-    /// Merge every sealed segment into one (prepare + publish in one).
-    /// Returns whether a merge ran.
-    pub fn compact(&mut self) -> Result<bool> {
-        match self.plan_merge()? {
-            Some(plan) => self.publish_maintenance(plan),
-            None => Ok(false),
-        }
-    }
-
-    /// Propose the next unit of maintenance under the configured
-    /// thresholds: a seal once the memtable reaches
-    /// [`LsmOptions::memtable_limit`] records, else a merge once the
-    /// store reaches [`LsmOptions::compact_fanout`] segments. `&self` —
-    /// this is the expensive staging half, safe under concurrent reads.
-    pub fn plan_maintenance(&self) -> Result<Option<MaintenancePlan>> {
-        if self.opts.memtable_limit > 0 && self.memtable.total_records() >= self.opts.memtable_limit
-        {
-            if let Some(plan) = self.plan_seal()? {
-                return Ok(Some(plan));
-            }
-        }
-        if self.opts.compact_fanout > 0 && self.segments.len() >= self.opts.compact_fanout {
-            return self.plan_merge();
-        }
-        Ok(None)
-    }
-
-    /// Commit a staged maintenance plan (`&mut self` — the cheap swap):
-    /// the new segment (if any record survived) replaces its sources, a
-    /// seal restarts the memtable past the sealed tids, the manifest
-    /// commit is the single atomic point, and only then are the source
-    /// files removed. A plan made stale by an interleaved mutation errors.
-    pub fn publish_maintenance(&mut self, plan: MaintenancePlan) -> Result<bool> {
+    fn publish_maintenance(&mut self, plan: MaintenancePlan) -> Result<bool> {
         if plan.new_id != self.next_segment_id || plan.ops != self.ops {
             return Err(IvaError::InvalidArgument(
                 "stale maintenance plan: mutations interleaved with the prepare phase".into(),
@@ -530,69 +473,9 @@ impl LsmDb {
         }
         Ok(true)
     }
-
-    /// Run one round of threshold-driven maintenance synchronously.
-    /// Returns whether any work ran.
-    pub fn maintain(&mut self) -> Result<bool> {
-        match self.plan_maintenance()? {
-            Some(plan) => self.publish_maintenance(plan),
-            None => Ok(false),
-        }
-    }
-
-    /// Persist everything durably — the acknowledgement point. Dirty
-    /// segments commit their in-place tombstones; the memtable (if used)
-    /// seals into a segment; metadata-only changes (new attributes,
-    /// freshly pinned domains) rewrite the manifest.
-    pub fn flush(&mut self) -> Result<()> {
-        for seg in &mut self.segments {
-            if seg.is_dirty() {
-                seg.flush()?;
-            }
-        }
-        if !self.seal()? && self.meta_dirty {
-            self.write_manifest()?;
-        }
-        Ok(())
-    }
-
-    /// Build a [`Query`] from attribute names resolved through this
-    /// store's catalog.
-    pub fn query_builder(&self) -> QueryBuilder<'_> {
-        QueryBuilder::new(self.catalog())
-    }
-
-    /// The weight `λ` of each query attribute under `scheme`, resolved
-    /// across every tier, as every search of the store resolves it.
-    pub fn resolve_weights(&self, query: &Query, scheme: WeightScheme) -> Vec<f64> {
-        let indexes: Vec<_> = self.tiers().map(IndexedTable::index).collect();
-        IvaIndex::resolve_weights_across(&indexes, query, scheme)
-    }
-
-    /// Run one top-k search as described by `request`.
-    pub fn execute(&self, query: &Query, request: &SearchRequest) -> Result<SearchOutcome> {
-        let metric = request.metric_override().unwrap_or(self.opts.metric);
-        self.execute_metric(query, &metric, request)
-    }
-
-    /// [`LsmDb::execute`] under a caller-supplied [`Metric`]
-    /// implementation.
-    pub fn execute_metric<M: Metric>(
-        &self,
-        query: &Query,
-        metric: &M,
-        request: &SearchRequest,
-    ) -> Result<SearchOutcome> {
-        search(self, query, metric, request, self.opts.weights)
-    }
-
-    /// The metric used when a request carries no override.
-    pub fn default_metric(&self) -> MetricKind {
-        self.opts.metric
-    }
 }
 
-impl Tiered for LsmDb {
+impl Tiered for Segmented {
     /// Segments by tid, then the memtable.
     fn tiers(&self) -> impl Iterator<Item = &IndexedTable> {
         let segments = self.segments.iter().map(|s| &**s);
@@ -608,5 +491,51 @@ impl Tiered for LsmDb {
     }
     fn newest(&self) -> &IndexedTable {
         &self.memtable
+    }
+    fn defaults(&self) -> (MetricKind, WeightScheme) {
+        (self.opts.metric, self.opts.weights)
+    }
+    fn define(&mut self, name: &str, ty: AttrType) -> Result<AttrId> {
+        let id = self.memtable.define(name, ty)?;
+        if self.domains.len() < self.catalog().len() {
+            self.domains
+                .resize(self.catalog().len(), DomainPin::unpinned());
+            self.ops += 1;
+            self.meta_dirty = true;
+        }
+        Ok(id)
+    }
+    /// Into the memtable, under a tid unique across tiers; volatile until
+    /// the next flush.
+    fn insert(&mut self, tuple: &Tuple) -> Result<Tid> {
+        let tid = self.memtable.insert(tuple)?;
+        self.observe_domains(tuple);
+        self.ops += 1;
+        Ok(tid)
+    }
+    fn delete(&mut self, tid: Tid) -> Result<bool> {
+        self.ops += 1;
+        if tid >= self.memtable_base {
+            return self.memtable.delete(tid);
+        }
+        match self.segments.iter_mut().find(|s| s.covers(tid)) {
+            Some(seg) => seg.delete(tid),
+            None => Ok(false),
+        }
+    }
+    /// The acknowledgement point. Dirty segments commit their in-place
+    /// tombstones; the memtable (if used) seals into a segment;
+    /// metadata-only changes (new attributes, freshly pinned domains)
+    /// rewrite the manifest.
+    fn flush(&mut self) -> Result<()> {
+        for seg in &mut self.segments {
+            if seg.is_dirty() {
+                seg.flush()?;
+            }
+        }
+        if !self.seal()? && self.meta_dirty {
+            self.write_manifest()?;
+        }
+        Ok(())
     }
 }

@@ -1,10 +1,10 @@
 //! The unified search surface: [`SearchRequest`] describes *how* to run a
 //! top-k search (k, metric, weights) while
 //! [`crate::Query`] describes *what* to search for. Every search entry
-//! point on [`crate::IvaDb`] and [`crate::LsmDb`] — a query under the
-//! engine's metric or under a caller's — funnels into one function,
-//! `search`: the query walks each of the engine's tiers once, in tid
-//! order, on a pool carried from tier to tier (DESIGN.md §14).
+//! point of a [`crate::Store`] — a query under the store's metric or
+//! under a caller's — funnels into one function, `search`: the query
+//! walks each of the store's tiers once, in tid order, on a pool carried
+//! from tier to tier (DESIGN.md §14).
 //!
 //! [`QueryBuilder`] complements it on the *what* side: it builds a
 //! [`crate::Query`] from attribute **names**, resolving them through the
@@ -15,9 +15,9 @@ use iva_core::{
     CarriedQuery, IndexedTable, IvaError, IvaIndex, Metric, MetricKind, PoolEntry, Query,
     QueryOutcome, Result, WeightScheme,
 };
-use iva_swt::{AttrType, Catalog, Tid};
+use iva_swt::{AttrType, Catalog};
 
-use crate::db::{SearchHit, SearchOutcome};
+use crate::store::{SearchHit, SearchOutcome, Tiered};
 
 /// Execution options for one top-k search, builder style.
 ///
@@ -77,11 +77,10 @@ impl SearchRequest {
 
 /// Builds a [`Query`] from attribute *names*, resolved through a catalog.
 ///
-/// Created by [`crate::IvaDb::query_builder`] /
-/// [`crate::LsmDb::query_builder`]. Name resolution errors (unknown
-/// attribute, string value on a numerical attribute, number on a text
-/// attribute) are reported by [`QueryBuilder::build`]; the first error
-/// wins.
+/// Created by [`crate::Store::query_builder`]. Name resolution errors
+/// (unknown attribute, string value on a numerical attribute, number on
+/// a text attribute) are reported by [`QueryBuilder::build`]; the first
+/// error wins.
 pub struct QueryBuilder<'a> {
     catalog: &'a Catalog,
     query: Query,
@@ -148,17 +147,6 @@ impl<'a> QueryBuilder<'a> {
             None => Ok(self.query),
         }
     }
-}
-
-/// An engine as [`search`] walks it.
-pub(crate) trait Tiered {
-    /// Its table + index pairs in tid order, each holding a tid range of
-    /// its own.
-    fn tiers(&self) -> impl Iterator<Item = &IndexedTable>;
-    /// The tier that holds `tid`.
-    fn tier_of(&self, tid: Tid) -> &IndexedTable;
-    /// The last of [`Tiered::tiers`]: the one inserts go to.
-    fn newest(&self) -> &IndexedTable;
 }
 
 /// The one search path: answer `query` on `engine` under `metric`, the

@@ -107,6 +107,32 @@ fn auto_cleanup_triggers_at_beta() {
     assert_eq!(hits[0].dist, 0.0);
 }
 
+/// β ≥ 1 turns automatic cleaning off, even once every tuple is deleted
+/// (the deleted fraction then reaches 1); β = 0.5 cleans on the way.
+#[test]
+fn beta_of_one_never_cleans() {
+    for (beta, cleans) in [(1.0, false), (0.5, true)] {
+        let mut db = IvaDb::create_mem(IvaDbOptions {
+            cleaning_threshold: beta,
+            ..Default::default()
+        })
+        .unwrap();
+        let name = db.define_text("name").unwrap();
+        let tuple = |i| Tuple::new().with(name, Value::text(format!("item {i}")));
+        let tids: Vec<_> = (0..20).map(|i| db.insert(&tuple(i)).unwrap()).collect();
+        for tid in tids {
+            assert!(db.delete(tid).unwrap());
+        }
+        assert_eq!(db.len(), 0);
+        let tombstones = db.index().n_deleted();
+        assert_eq!(
+            tombstones == 0,
+            cleans,
+            "β = {beta}: {tombstones} tombstones"
+        );
+    }
+}
+
 #[test]
 fn disk_persistence_full_cycle() {
     let dir = std::env::temp_dir().join(format!("iva-db-int-{}", std::process::id()));

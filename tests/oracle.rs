@@ -11,7 +11,11 @@
 //! Rows follow the density split that forces vector-list Types I–IV over a
 //! small shared vocabulary, so distances tie at D_k. Two instances start
 //! with 1,100 rows, so blocks and windows start inside directory frames,
-//! and delete tids on block and frame edges.
+//! and delete tids on block and frame edges; every one of those rows
+//! defines the first attribute and every engine but the pair rebuilds
+//! them (an `LsmDb` seals and compacts), so its list has string sections
+//! and postings, and a probe's first query there — on that attribute
+//! alone — may leap.
 //!
 //! At a **probe** every engine answers four queries (the fourth a copy of
 //! the first) in every shape — serial through `execute_metric`, and
@@ -27,10 +31,10 @@
 //! a served write publishes its epochs. All instances together must probe
 //! every engine, draw every
 //! metric, scheme and list organization, and give the query every
-//! shape runs a tie at D_k and an attribute fewer than k live tuples
-//! define (then the all-*ndf* level decides by tid alone). A failing
-//! instance is shrunk by dropping ops greedily while it still fails; its
-//! seed, stream and failure are printed.
+//! shape runs a tie at D_k, an attribute fewer than k live tuples
+//! define (then the all-*ndf* level decides by tid alone) and a walk
+//! that leaps. A failing instance is shrunk by dropping ops greedily
+//! while it still fails; its seed, stream and failure are printed.
 
 #[path = "common/model.rs"]
 mod model;
@@ -41,12 +45,14 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::thread;
 
-use iva_core::{build_index, export_index, AttrEntry, CarriedQuery, IndexTarget, QueryOutcome};
+use iva_core::{
+    build_index, export_index, AttrEntry, CarriedQuery, IndexTarget, IndexedTable, QueryOutcome,
+};
 use iva_file::serve::Writer;
 use iva_file::{
     AttrId, Engine, IoStats, IvaConfig, IvaDb, IvaDbOptions, IvaError, IvaIndex, LsmDb, LsmOptions,
     Metric, MetricKind, PagerOptions, Query, QueryStats, Result, SearchOutcome, SearchRequest,
-    SwtTable, Tid, Tuple, Value, WeightScheme,
+    Store, SwtTable, Tid, Tiered, Tuple, Value, WeightScheme,
 };
 use model::Model;
 use rand::rngs::StdRng;
@@ -131,12 +137,21 @@ fn query(rng: &mut StdRng, defined: usize) -> Query {
     q
 }
 
+/// Whether instance `seed` starts with 1,100 rows, rebuilt, whose first
+/// attribute every row defines: its list gets string sections and
+/// postings, so a 1-value probe on it can leap.
+fn large(seed: u64) -> bool {
+    seed % 19 == 18
+}
+
 /// The stream of instance `seed`.
 fn stream(seed: u64) -> Vec<Op> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let large = seed % 19 == 18;
+    let large = large(seed);
     let mut ops = vec![Op::Define; 4];
-    ops.extend(large.then_some(Op::Insert(1_100)));
+    if large {
+        ops.extend([Op::Insert(1_100), Op::Rebuild]);
+    }
     for _ in 0..if large { 8 } else { 44 } {
         let r: u64 = rng.random();
         ops.push(match r % 94 {
@@ -194,10 +209,12 @@ struct Probe {
 impl Probe {
     /// A probe over the first `defined` attributes of `live` tuples. It
     /// asks for every live tuple (as `NanAtZero` always does) only while
-    /// they number at most 300.
-    fn draw(seed: u64, defined: usize, live: usize) -> Self {
+    /// they number at most 300. In a `dense` instance the first query
+    /// names the first attribute alone, so its walk may leap.
+    fn draw(seed: u64, defined: usize, live: usize, dense: bool) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut queries: Vec<_> = (0..3).map(|_| query(&mut rng, defined)).collect();
+        let first = if dense { 1 } else { defined };
+        let mut queries = Vec::from([first, defined, defined].map(|d| query(&mut rng, d)));
         queries.push(queries[0].clone());
         let choices = if live < 300 { 4 } else { 3 };
         let [l1, l2, linf] = [MetricKind::L1, MetricKind::L2, MetricKind::LInf].map(Dist::Kind);
@@ -285,44 +302,60 @@ trait Db {
     }
 }
 
-/// The [`Db`] methods both engines spell alike: their public API.
-macro_rules! engine_api {
-    ($engine:ident) => {
-        fn define(&mut self, name: &str, text: bool) -> Result<AttrId> {
-            match text {
-                true => self.define_text(name),
-                false => self.define_numeric(name),
-            }
+/// Both engines are one [`Store`]: the oracle drives its public API.
+impl<T: Tiered + Send + Sync> Db for Store<T>
+where
+    Self: Maintain,
+{
+    fn define(&mut self, name: &str, text: bool) -> Result<AttrId> {
+        match text {
+            true => self.define_text(name),
+            false => self.define_numeric(name),
         }
-        fn insert(&mut self, tuple: &Tuple) -> Result<Tid> {
-            $engine::insert(self, tuple)
-        }
-        fn delete(&mut self, tid: Tid) -> Result<bool> {
-            $engine::delete(self, tid)
-        }
-        fn update(&mut self, tid: Tid, tuple: &Tuple) -> Result<Tid> {
-            $engine::update(self, tid, tuple)
-        }
-        fn get(&self, tid: Tid) -> Result<Option<Tuple>> {
-            $engine::get(self, tid)
-        }
-        fn solo(&self, p: &Probe, i: usize) -> Result<Answer> {
-            let req = p.request();
-            Ok(self.execute_metric(&p.queries[i], &p.metric, &req)?.into())
-        }
-        fn requested(&self, p: &Probe, i: usize) -> Result<Option<Answer>> {
-            let Dist::Kind(_) = p.metric else {
-                return Ok(None);
-            };
-            Ok(Some(
-                Engine::execute(self, &p.queries[i], &p.request())?.into(),
-            ))
-        }
-    };
+    }
+    fn insert(&mut self, tuple: &Tuple) -> Result<Tid> {
+        Store::insert(self, tuple)
+    }
+    fn delete(&mut self, tid: Tid) -> Result<bool> {
+        Store::delete(self, tid)
+    }
+    fn update(&mut self, tid: Tid, tuple: &Tuple) -> Result<Tid> {
+        Store::update(self, tid, tuple)
+    }
+    fn maintain(&mut self, op: Op) -> Result<()> {
+        Maintain::maintain(self, op)
+    }
+    fn get(&self, tid: Tid) -> Result<Option<Tuple>> {
+        Store::get(self, tid)
+    }
+    fn lambda(&self, q: &Query, w: WeightScheme) -> Vec<f64> {
+        self.resolve_weights(q, w)
+    }
+    fn tiers(&self) -> Result<Vec<(&IvaIndex, &SwtTable)>> {
+        Store::tiers(self).map(IndexedTable::searchable).collect()
+    }
+    fn solo(&self, p: &Probe, i: usize) -> Result<Answer> {
+        let req = p.request();
+        Ok(self.execute_metric(&p.queries[i], &p.metric, &req)?.into())
+    }
+    fn requested(&self, p: &Probe, i: usize) -> Result<Option<Answer>> {
+        let Dist::Kind(_) = p.metric else {
+            return Ok(None);
+        };
+        Ok(Some(
+            Engine::execute(self, &p.queries[i], &p.request())?.into(),
+        ))
+    }
 }
 
-impl Db for IvaDb {
-    engine_api!(IvaDb);
+/// What differs between the engines: the monolith rebuilds, an `LsmDb`
+/// seals and compacts.
+trait Maintain {
+    /// Seal, compact, flush or rebuild: what the engine has of it.
+    fn maintain(&mut self, op: Op) -> Result<()>;
+}
+
+impl Maintain for IvaDb {
     fn maintain(&mut self, op: Op) -> Result<()> {
         match op {
             Op::Flush => self.flush(),
@@ -330,16 +363,9 @@ impl Db for IvaDb {
             _ => Ok(()),
         }
     }
-    fn lambda(&self, q: &Query, w: WeightScheme) -> Vec<f64> {
-        self.index().resolve_weights(q, w)
-    }
-    fn tiers(&self) -> Result<Vec<(&IvaIndex, &SwtTable)>> {
-        Ok(vec![(self.index(), self.table())])
-    }
 }
 
-impl Db for LsmDb {
-    engine_api!(LsmDb);
+impl Maintain for LsmDb {
     fn maintain(&mut self, op: Op) -> Result<()> {
         match op {
             Op::Seal => self.seal().map(drop),
@@ -348,13 +374,6 @@ impl Db for LsmDb {
             Op::Rebuild => self.seal().and(self.compact()).map(drop),
             _ => Ok(()),
         }
-    }
-    fn lambda(&self, q: &Query, w: WeightScheme) -> Vec<f64> {
-        self.resolve_weights(q, w)
-    }
-    fn tiers(&self) -> Result<Vec<(&IvaIndex, &SwtTable)>> {
-        let segments = self.segments().iter().map(|s| s.searchable());
-        segments.chain([self.memtable().searchable()]).collect()
     }
 }
 
@@ -427,14 +446,14 @@ fn windowed(db: &dyn Db, p: &Probe, window: usize) -> Result<Answer> {
     Ok(carried.carry.finish().into())
 }
 
-enum Store {
+enum Handle {
     Direct(Box<dyn Db>),
     Served(Writer<LsmDb>),
 }
 
 /// One engine under test.
 struct Subject {
-    store: Store,
+    handle: Handle,
     name: String,
 }
 
@@ -443,9 +462,9 @@ impl Subject {
     /// publish an epoch for the write and one for maintenance that ran.
     fn write<R>(&mut self, f: impl FnOnce(&mut dyn Db) -> Result<R>) -> Verdict<R> {
         let e = |e: IvaError| format!("{}: {e}", self.name);
-        let w = match &mut self.store {
-            Store::Direct(db) => return f(db.as_mut()).map_err(e),
-            Store::Served(w) => w,
+        let w = match &mut self.handle {
+            Handle::Direct(db) => return f(db.as_mut()).map_err(e),
+            Handle::Served(w) => w,
         };
         let epoch = w.epoch();
         let out = w.apply(|db| f(db)).map_err(e)?;
@@ -460,9 +479,9 @@ impl Subject {
     /// The engine as a probe sees it: a served one through a reader's
     /// snapshot.
     fn read<R>(&self, f: impl FnOnce(&dyn Db) -> R) -> R {
-        match &self.store {
-            Store::Direct(db) => f(db.as_ref()),
-            Store::Served(w) => f(&*w.reader().snapshot()),
+        match &self.handle {
+            Handle::Direct(db) => f(db.as_ref()),
+            Handle::Served(w) => f(&*w.reader().snapshot()),
         }
     }
 }
@@ -508,7 +527,10 @@ impl Instance {
             page_size: 256,
             cache_bytes: 8 << 10,
         };
-        let mut inst = Self::default();
+        let mut inst = Self {
+            dense: large(seed),
+            ..Self::default()
+        };
         let mut mono = IvaDbOptions::default();
         (mono.pager, mono.config, mono.cleaning_threshold) = (pager.clone(), config, 0.25);
         let mut lsm = LsmOptions::default();
@@ -516,12 +538,12 @@ impl Instance {
         (lsm.memtable_limit, lsm.compact_fanout) = (limit, fanout);
         let table = SwtTable::create_mem(&pager, IoStats::new())?;
         let index = build_index(&table, IndexTarget::Mem, &pager, IoStats::new(), config)?;
-        let mono = Store::Direct(Box::new(IvaDb::create_mem(mono)?));
-        let lsm = Store::Served(Writer::new(LsmDb::create_mem(lsm)?));
-        let pair = Store::Direct(Box::new(Pair { table, index }));
-        for (store, name) in [(mono, "IvaDb"), (lsm, "LsmDb"), (pair, "pair")] {
+        let mono = Handle::Direct(Box::new(IvaDb::create_mem(mono)?));
+        let lsm = Handle::Served(Writer::new(LsmDb::create_mem(lsm)?));
+        let pair = Handle::Direct(Box::new(Pair { table, index }));
+        for (handle, name) in [(mono, "IvaDb"), (lsm, "LsmDb"), (pair, "pair")] {
             let name = name.to_string();
-            inst.subjects.push(Subject { store, name });
+            inst.subjects.push(Subject { handle, name });
         }
         Ok(inst)
     }
@@ -587,7 +609,8 @@ impl Instance {
 
     /// Check every engine against the model (see the module doc).
     fn probe(&self, seed: u64, cov: &mut Coverage) -> Verdict {
-        self.check_all(&Probe::draw(seed, self.defined, self.model.live.len()), cov)
+        let (live, dense) = (self.model.live.len(), self.dense);
+        self.check_all(&Probe::draw(seed, self.defined, live, dense), cov)
     }
 
     /// [`Instance::probe`] with `p`.
@@ -738,7 +761,7 @@ fn required() -> Coverage {
     cov.extend(["Kind(L1)", "Kind(L2)", "Kind(LInf)"].map(String::from));
     cov.extend(["NanAtZero", "Equal", "Itf"].map(String::from));
     cov.extend(["I", "II", "III", "IV"].map(|ty| format!("Type {ty}")));
-    cov.extend(["tie at D_k", "attr defined by < k"].map(String::from));
+    cov.extend(["tie at D_k", "attr defined by < k", "seeded, leapt"].map(String::from));
     cov
 }
 

@@ -1,10 +1,11 @@
 //! Whole-workspace resolver and best-effort call graph.
 //!
-//! Indexes every `fn`, `impl`, `trait`, `struct`, and `use` alias across
-//! the workspace from the token streams produced by [`crate::lexer`] —
-//! still no `syn`, no nightly, no network — and extracts call edges for
-//! the interprocedural lints (`panic-reachability`, `lock-discipline`,
-//! `accounting-dataflow`; see `ANALYSIS.md` for the catalog entries).
+//! Indexes every `fn`, `impl`, `trait`, `struct`, `use` alias and `type`
+//! alias across the workspace from the token streams produced by
+//! [`crate::lexer`] — still no `syn`, no nightly, no network — and
+//! extracts call edges for the interprocedural lints
+//! (`panic-reachability`, `lock-discipline`, `accounting-dataflow`; see
+//! `ANALYSIS.md` for the catalog entries).
 //!
 //! ## Resolution rules (documented in ANALYSIS.md, kept in sync)
 //!
@@ -19,6 +20,11 @@
 //!   matches (`codec::le_u64` → `crates/storage/src/codec.rs`).
 //!   `Self::name` uses the enclosing impl type; unknown qualifiers are
 //!   external (std) and produce no edge.
+//! - **Type aliases** `type A = B<…>;` (module level, `B` a workspace
+//!   type) make `A` a known type with `B`'s methods and fields besides
+//!   its own `impl A` ones; `B` gets the methods written on its aliases
+//!   (`impl A` is an impl of `B<…>`). This holds for qualified calls and
+//!   typed receivers alike.
 //! - **Method calls** `recv.name(...)` infer the receiver type from
 //!   `self` (the enclosing impl type), typed params, `let` bindings
 //!   (`let x: T`, `let x = T::...`), and `self.field` chains through the
@@ -368,6 +374,7 @@ impl Workspace {
         let mut raw_fns: Vec<RawFn> = Vec::new();
         let mut struct_fields_raw: HashMap<String, Vec<(String, Vec<String>)>> = HashMap::new();
         let mut traits: HashSet<String> = HashSet::new();
+        let mut type_aliases: HashMap<String, String> = HashMap::new();
 
         for (path, toks) in inputs {
             let stem = path
@@ -385,6 +392,7 @@ impl Workspace {
                 &mut struct_fields_raw,
                 &mut traits,
                 &mut aliases,
+                &mut type_aliases,
             );
             files.push(SourceFile {
                 path,
@@ -401,6 +409,16 @@ impl Workspace {
             if let Some(t) = &f.impl_type {
                 known.insert(t.clone());
             }
+        }
+        // Only an alias of a workspace type is one; it is known in turn.
+        type_aliases.retain(|alias, target| alias != target && known.contains(target));
+        known.extend(type_aliases.keys().cloned());
+        let mut aliased_by: HashMap<String, Vec<String>> = HashMap::new();
+        for (alias, target) in &type_aliases {
+            aliased_by
+                .entry(target.clone())
+                .or_default()
+                .push(alias.clone());
         }
 
         let fields: HashMap<String, HashMap<String, String>> = struct_fields_raw
@@ -478,6 +496,8 @@ impl Workspace {
         let idx = Indexes {
             known: &known,
             traits: &traits,
+            type_aliases: &type_aliases,
+            aliased_by: &aliased_by,
             fields: &fields,
             free_by_name: &free_by_name,
             methods_by_name: &methods_by_name,
@@ -590,6 +610,10 @@ impl Workspace {
 struct Indexes<'a> {
     known: &'a HashSet<String>,
     traits: &'a HashSet<String>,
+    /// `type` alias → the workspace type it names.
+    type_aliases: &'a HashMap<String, String>,
+    /// Workspace type → its `type` aliases.
+    aliased_by: &'a HashMap<String, Vec<String>>,
     fields: &'a HashMap<String, HashMap<String, String>>,
     free_by_name: &'a HashMap<&'a str, Vec<FnId>>,
     methods_by_name: &'a HashMap<&'a str, Vec<FnId>>,
@@ -598,8 +622,17 @@ struct Indexes<'a> {
     by_stem: &'a HashMap<(&'a str, &'a str), Vec<FnId>>,
 }
 
+impl Indexes<'_> {
+    /// The field index of `ty`, or of the type it aliases.
+    fn fields_of(&self, ty: &str) -> Option<&HashMap<String, String>> {
+        let target = || self.type_aliases.get(ty).and_then(|t| self.fields.get(t));
+        self.fields.get(ty).or_else(target)
+    }
+}
+
 /// Structural pass over one file: functions, impl/trait contexts, struct
-/// fields, and `use ... as` aliases.
+/// fields, `use ... as` aliases and module-level `type` aliases (alias →
+/// the last path segment before the target's generics).
 fn scan_file(
     file_idx: usize,
     toks: &[Tok],
@@ -607,6 +640,7 @@ fn scan_file(
     struct_fields: &mut HashMap<String, Vec<(String, Vec<String>)>>,
     traits: &mut HashSet<String>,
     aliases: &mut HashMap<String, String>,
+    type_aliases: &mut HashMap<String, String>,
 ) {
     let mut depth = 0i64;
     // (depth the block opened at — pop when depth drops back to it)
@@ -660,6 +694,26 @@ fn scan_file(
                 }
                 // Main loop continues from the header; the body holds no
                 // items of interest and braces stay balanced.
+                i += 2;
+            }
+            "type" if ctx.is_empty() && toks.get(i + 1).is_some_and(|t| is_ident(&t.s)) => {
+                let mut j = i + 2;
+                if toks.get(j).is_some_and(|t| t.s == "<") {
+                    j = skip_angles(toks, j);
+                }
+                if toks.get(j).is_some_and(|t| t.s == "=") {
+                    let mut target = None;
+                    j += 1;
+                    while j < n && toks[j].s != ";" && toks[j].s != "<" {
+                        if is_ident(&toks[j].s) {
+                            target = Some(toks[j].s.clone());
+                        }
+                        j += 1;
+                    }
+                    if let Some(target) = target {
+                        type_aliases.insert(toks[i + 1].s.clone(), target);
+                    }
+                }
                 i += 2;
             }
             "trait" if toks.get(i + 1).is_some_and(|t| is_ident(&t.s)) => {
@@ -1121,7 +1175,7 @@ fn extract_calls(f: &FnDef, fns: &[FnDef], files: &[SourceFile], idx: &Indexes) 
                         for fld in &chain[1..] {
                             ty = ty
                                 .as_ref()
-                                .and_then(|t| idx.fields.get(t))
+                                .and_then(|t| idx.fields_of(t))
                                 .and_then(|m| m.get(*fld))
                                 .cloned();
                         }
@@ -1135,7 +1189,7 @@ fn extract_calls(f: &FnDef, fns: &[FnDef], files: &[SourceFile], idx: &Indexes) 
                         for fld in &chain[1..] {
                             ty = ty
                                 .as_ref()
-                                .and_then(|t| idx.fields.get(t))
+                                .and_then(|t| idx.fields_of(t))
                                 .and_then(|m| m.get(*fld))
                                 .cloned();
                         }
@@ -1237,10 +1291,20 @@ fn resolve_free(name: &str, file: usize, fns: &[FnDef], idx: &Indexes) -> Vec<Fn
 }
 
 /// `Type::name` / trait-receiver resolution: the impl index for concrete
-/// types, every impl of the method for traits (default methods included
-/// via the impl index keyed by the trait name).
+/// types — an alias's and its target's impls, or a type's and its
+/// aliases' — every impl of the method for traits (default methods
+/// included via the impl index keyed by the trait name).
 fn resolve_qualified(ty: &str, name: &str, idx: &Indexes) -> Vec<FnId> {
-    let mut out = idx.methods.get(&(ty, name)).cloned().unwrap_or_default();
+    let target = idx.type_aliases.get(ty).into_iter();
+    let aliases = idx.aliased_by.get(ty).into_iter().flatten();
+    let mut out = Vec::new();
+    for t in std::iter::once(ty).chain(target.chain(aliases).map(String::as_str)) {
+        for id in idx.methods.get(&(t, name)).into_iter().flatten() {
+            if !out.contains(id) {
+                out.push(*id);
+            }
+        }
+    }
     if idx.traits.contains(ty) {
         for id in idx.trait_methods.get(&(ty, name)).into_iter().flatten() {
             if !out.contains(id) {

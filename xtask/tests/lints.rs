@@ -751,6 +751,114 @@ fn lock_discipline_flags_staging_reachable_from_publication_closure() {
     );
 }
 
+/// `IvaDb` and `LsmDb` are type aliases of one `Store<T>`, whose shared
+/// methods live in `impl<T: Tiered> Store<T>` and whose engine-specific
+/// ones in `impl LsmDb`. A path call through an alias
+/// (`LsmDb::execute(…)`) and a method call on a receiver typed by one
+/// (`db.get(…)`, a prelude name that an untyped receiver would assume to
+/// be std) must both reach the store's methods.
+#[test]
+fn panic_reachability_follows_type_aliases() {
+    let a = analyze_sources(
+        Some("panic-reachability"),
+        &[
+            (
+                "src/serve.rs",
+                "//! lint:scope(panic-reachability)
+pub fn read(db: &LsmDb) -> u8 { db.get(0) }
+pub fn run() -> u8 { LsmDb::execute(&LsmDb::open()) }
+",
+            ),
+            (
+                "src/store.rs",
+                "pub struct Store<T> { set: T }
+impl<T: Tiered> Store<T> {
+    pub fn get(&self, tid: u64) -> u8 { self.set.find(tid).unwrap() }
+    pub fn execute(&self) -> u8 { self.hits[0] }
+}
+",
+            ),
+            (
+                "src/lsm.rs",
+                "pub struct Segmented;
+pub type LsmDb = Store<Segmented>;
+impl LsmDb {
+    pub fn open() -> Self { Store { set: Segmented } }
+}
+",
+            ),
+        ],
+    );
+    assert!(a.errors.is_empty(), "{:?}", a.errors);
+    let chains: Vec<&str> = a.violations.iter().map(|v| v.message.as_str()).collect();
+    assert_eq!(chains.len(), 2, "{chains:?}");
+    assert!(
+        chains
+            .iter()
+            .any(|m| m.contains("`.unwrap()`") && m.contains("serve::read → store::Store::get")),
+        "{chains:?}"
+    );
+    assert!(
+        chains
+            .iter()
+            .any(|m| m.contains("slice-index") && m.contains("serve::run → store::Store::execute")),
+        "{chains:?}"
+    );
+}
+
+/// A publication closure that calls the store's `flush` through the
+/// `LsmDb` alias reaches the seal's staging — `Store::flush` → the tier
+/// set's `flush` → `seal` → `prepare` — as the real tree's
+/// `Writer::flush` does (allowlisted there, with its reason).
+#[test]
+fn lock_discipline_follows_type_aliases() {
+    let a = analyze_sources(
+        Some("lock-discipline"),
+        &[
+            (
+                "src/serve.rs",
+                "pub struct Writer;
+impl Writer {
+    pub fn flush(&self) {
+        self.apply(|e| LsmDb::flush(e))
+    }
+}
+",
+            ),
+            (
+                "src/store.rs",
+                "pub struct Store<T> { set: T }
+impl<T: Tiered> Store<T> {
+    pub fn flush(&mut self) { self.set.flush_tiers() }
+}
+",
+            ),
+            (
+                "src/lsm.rs",
+                "pub struct Segmented;
+pub type LsmDb = Store<Segmented>;
+impl Tiered for Segmented {
+    fn flush_tiers(&mut self) { self.seal() }
+}
+impl Segmented {
+    fn seal(&mut self) { self.prepare() }
+    fn prepare(&self) {}
+}
+",
+            ),
+        ],
+    );
+    assert_eq!(a.violations.len(), 1, "{:?}", a.violations);
+    let v = &a.violations[0];
+    assert_eq!(v.file, "src/serve.rs");
+    assert!(
+        v.message
+            .contains("store::Store::flush → lsm::Segmented::flush_tiers → lsm::Segmented::seal → lsm::Segmented::prepare"),
+        "chain missing from: {}",
+        v.message
+    );
+}
+
 #[test]
 fn lock_discipline_ignores_files_outside_its_targets() {
     // Same double-lock shape, but not in the serving layer or the LSM.
