@@ -24,7 +24,8 @@
 //!
 //! Results are checked bit-identical across variants on every signature
 //! (the CI gate), then ns/signature and signatures/sec are recorded in
-//! `BENCH_filter_kernel.json` at the repo root with the host's core count.
+//! `BENCH_filter_kernel.json` at the repo root with the host (cores, arch,
+//! OS), as `serving_envelope` records it.
 //!
 //! Run with: `cargo bench -p iva-bench --bench filter_kernel`
 //! (the dataset is floored at 100,000 tuples regardless of `IVA_SCALE`).
@@ -246,7 +247,8 @@ fn main() {
         .collect();
     let json = format!(
         "{{\n  \"bench\": \"filter_kernel\",\n  \"n_signatures\": {},\n  \
-         \"query_bytes\": {},\n  \"alpha\": {},\n  \"n\": {},\n  \"host_cores\": {},\n  \
+         \"query_bytes\": {},\n  \"alpha\": {},\n  \"n\": {},\n  \
+         \"host\": {{\"cores\": {cores}, \"arch\": \"{}\", \"os\": \"{}\"}},\n  \
          \"headline\": \"single-thread ns_per_sig\",\n  \
          \"single_thread_speedup\": {:.3},\n  \
          \"single_thread_speedup_block\": {:.3},\n  \"threshold\": 2.0,\n  \
@@ -256,7 +258,8 @@ fn main() {
         QUERY.len(),
         config.alpha,
         config.n,
-        cores,
+        std::env::consts::ARCH,
+        std::env::consts::OS,
         speedup1,
         speedup1_block,
         speedup1 >= 2.0,

@@ -1,18 +1,22 @@
 //! Criterion microbenchmarks of the hot kernels: signature encoding, the
 //! hit-gram estimator, edit distance, numeric quantization, the
-//! interpreted record codec, and a small end-to-end query.
+//! interpreted record codec, the walk's weigh + admit step over one block,
+//! and a small end-to-end query.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use iva_core::{
-    build_index, IndexTarget, IvaConfig, MetricKind, NumericCodec, Query, WeightScheme,
+    build_index, IndexTarget, IvaConfig, Metric, MetricKind, NumericCodec, Query, ResultPool,
+    WeightScheme, TOMBSTONE_PTR,
 };
 use iva_storage::{IoStats, PagerOptions};
 use iva_swt::{decode_record, encode_record, AttrId, SwtTable, Tuple, Value};
 use iva_text::{
     edit_distance_bytes, edit_distance_capped, PreparedMatcher, PreparedPattern, SigCodec,
 };
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn bench_signatures(c: &mut Criterion) {
     let codec = SigCodec::new(0.2, 2);
@@ -90,6 +94,94 @@ fn bench_record_codec(c: &mut Criterion) {
     });
 }
 
+/// The floor of the walk's weigh + admit step: one 256-position block of
+/// three columns of bounds, half of them *ndf* (`NaN`), under L2 against
+/// a full k = 10 pool whose worst entry is 29. `per_position`
+/// is the shape the walk ran before the block pass — per candidate, weigh
+/// its three terms, `combine`, `admits_at` — and `block_pass` the walk's
+/// now: a terms pass per column, `combine_block`, and the survivors mask
+/// — estimates past the pool's threshold dropped 8 at a time, then the
+/// pool's `Admission` on what is left. An iteration weighs the
+/// block 1,000 times, so ns per position and list = ns/iter ÷ 768,000.
+fn bench_block_weigh(c: &mut Criterion) {
+    const N: usize = 256;
+    const REPS: usize = 1_000;
+    let mut rng = StdRng::seed_from_u64(0xB10C);
+    let mut bound = || match rng.random_range(0..2) {
+        0 => f64::NAN,
+        _ => rng.random_range(0.0..12.0),
+    };
+    let lbs: Vec<f64> = (0..3 * N).map(|_| bound()).collect();
+    let (lambda, ndf, metric, limit) = ([1.0, 0.8, 1.25], 20.0, MetricKind::L2, f64::INFINITY);
+    let (tids, ptrs): (Vec<u64>, Vec<u64>) = (0..N as u64).map(|t| (t, t * 64)).unzip();
+    let mut pool = ResultPool::new(10);
+    for tid in 0..10 {
+        pool.insert(1_000 + tid, 20.0 + tid as f64);
+    }
+    c.bench_function("weigh/per_position_1000_blocks", |b| {
+        let mut diffs = [0.0; 3];
+        b.iter(|| {
+            let (mut admitted, mut exacts) = (0u32, 0u32);
+            for _ in 0..REPS {
+                let lbs = black_box(&lbs);
+                for (i, (&tid, &ptr)) in tids.iter().zip(&ptrs).enumerate() {
+                    let mut exact = true;
+                    for ((d, &lam), col) in diffs.iter_mut().zip(&lambda).zip(lbs.chunks_exact(N)) {
+                        let lb = col[i];
+                        exact &= lb.is_nan();
+                        *d = lam * if lb.is_nan() { ndf } else { lb };
+                    }
+                    let est = metric.combine(&diffs);
+                    if ptr == TOMBSTONE_PTR || est > limit {
+                        continue;
+                    }
+                    admitted += u32::from(pool.admits_at(est, tid));
+                    exacts += u32::from(exact);
+                }
+            }
+            (admitted, exacts)
+        })
+    });
+    c.bench_function("weigh/block_pass_1000_blocks", |b| {
+        let (mut terms, mut ests) = (vec![0.0; 3 * N], vec![0.0; N]);
+        b.iter(|| {
+            let mut admitted = 0u32;
+            for _ in 0..REPS {
+                let lbs = black_box(&lbs);
+                for (out, (col, &lam)) in terms
+                    .chunks_exact_mut(N)
+                    .zip(lbs.chunks_exact(N).zip(&lambda))
+                {
+                    for (t, &lb) in out.iter_mut().zip(col) {
+                        *t = lam * if lb.is_nan() { ndf } else { lb };
+                    }
+                }
+                metric.combine_block(&terms, &mut ests);
+                let (bar, cut) = (pool.admission(), pool.threshold().min(limit));
+                for ((tids, ptrs), ests) in
+                    tids.chunks(64).zip(ptrs.chunks(64)).zip(ests.chunks(64))
+                {
+                    let mut bits = u64::MAX;
+                    for (k, ests) in ests.chunks_exact(8).enumerate() {
+                        let past = ests.iter().enumerate();
+                        bits &=
+                            !(past.fold(0, |b, (j, &e)| b | u64::from(e > cut) << j) << (8 * k));
+                    }
+                    let mut left = bits;
+                    while left != 0 {
+                        let j = left.trailing_zeros() as usize;
+                        left &= left - 1;
+                        let pass = (ptrs[j] != TOMBSTONE_PTR) & bar.admits(ests[j], tids[j]);
+                        bits &= !(u64::from(!pass) << j);
+                    }
+                    admitted += bits.count_ones();
+                }
+            }
+            admitted
+        })
+    });
+}
+
 fn bench_end_to_end_query(c: &mut Criterion) {
     let opts = PagerOptions {
         page_size: 4096,
@@ -139,6 +231,7 @@ criterion_group!(
     bench_edit_distance,
     bench_numeric,
     bench_record_codec,
+    bench_block_weigh,
     bench_end_to_end_query
 );
 criterion_main!(benches);

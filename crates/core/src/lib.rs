@@ -60,7 +60,7 @@ pub use layout::{AttrEntry, IndexHeader, INDEX_VERSION, TOMBSTONE_PTR, TUPLE_ENT
 pub use metric::{Metric, MetricKind, WeightScheme};
 pub use numeric::NumericCodec;
 pub use packed::{encode_packed_num_list, encode_packed_text_list, PackedReader};
-pub use pool::{PoolEntry, ResultPool};
+pub use pool::{Admission, PoolEntry, ResultPool};
 pub use query::{attr_difference, bounded_distance, exact_distance, Query, QueryStats, QueryValue};
 pub use segment::{
     collect_orphans, remove_segment_files, segment_base, segment_file_candidates,

@@ -22,6 +22,19 @@ pub trait Metric {
     /// Combine weighted differences (all `>= 0`) into a distance.
     fn combine(&self, weighted_diffs: &[f64]) -> f64;
 
+    /// `out[i] = combine([t₀[i], t₁[i], …])` for each position `i` of a
+    /// block, where `terms` holds one column of `out.len()` weighted
+    /// differences per attribute, back to back. The default calls
+    /// [`Metric::combine`] per position; an override must give its bits.
+    fn combine_block(&self, terms: &[f64], out: &mut [f64]) {
+        let (n, mut diffs) = (out.len(), Vec::new());
+        for (i, o) in out.iter_mut().enumerate() {
+            diffs.clear();
+            diffs.extend(terms.chunks_exact(n).filter_map(|col| col.get(i)));
+            *o = self.combine(&diffs);
+        }
+    }
+
     /// Human-readable name (for experiment reports).
     fn name(&self) -> &'static str {
         "custom"
@@ -54,6 +67,23 @@ impl Metric for MetricKind {
             MetricKind::L1 => weighted_diffs.iter().sum(),
             MetricKind::L2 => weighted_diffs.iter().map(|d| d * d).sum::<f64>().sqrt(),
             MetricKind::LInf => weighted_diffs.iter().copied().fold(0.0, f64::max),
+        }
+    }
+
+    /// `combine`'s folds a column at a time — the same operations in the
+    /// same order, so the same bits: `sum` starts from `-0.0`.
+    fn combine_block(&self, terms: &[f64], out: &mut [f64]) {
+        out.fill(if *self == MetricKind::LInf { 0.0 } else { -0.0 });
+        for col in terms.chunks_exact(out.len().max(1)) {
+            let pairs = out.iter_mut().zip(col);
+            match self {
+                MetricKind::L1 => pairs.for_each(|(o, d)| *o += d),
+                MetricKind::L2 => pairs.for_each(|(o, d)| *o += d * d),
+                MetricKind::LInf => pairs.for_each(|(o, d)| *o = o.max(*d)),
+            }
+        }
+        if *self == MetricKind::L2 {
+            out.iter_mut().for_each(|o| *o = o.sqrt());
         }
     }
 
@@ -115,6 +145,60 @@ mod tests {
     fn empty_diffs_are_zero() {
         for m in [MetricKind::L1, MetricKind::L2, MetricKind::LInf] {
             assert_eq!(m.combine(&[]), 0.0);
+        }
+    }
+
+    /// The block combine is `combine` bit for bit, per position, for each
+    /// built-in metric and through a caller's metric that takes the
+    /// default: at block lengths around a 64-position word, over terms of
+    /// 0 and `-0.0`, weights of 0, `1e-300`, the ndf penalty, large values,
+    /// their squares' overflow and `0 · ∞`.
+    #[test]
+    fn combine_block_is_combine_bit_for_bit() {
+        struct Caller(MetricKind);
+        impl Metric for Caller {
+            fn combine(&self, d: &[f64]) -> f64 {
+                self.0.combine(d)
+            }
+        }
+        let ndf = crate::IvaConfig::default().ndf_penalty;
+        let values = [
+            0.0,
+            -0.0,
+            1e-300,
+            ndf,
+            3.5,
+            1e154,
+            1e200,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        let lambdas = [1.0, 0.0, -0.0, 0.37, 2.0];
+        for m in [MetricKind::L1, MetricKind::L2, MetricKind::LInf] {
+            for n in [1, 63, 64, 65, 256] {
+                for q in 0..4 {
+                    let term = |a: usize, i: usize| {
+                        let lam = lambdas[(a * 3 + i / 7) % lambdas.len()];
+                        lam * values[(i * (a + 2) + a) % values.len()]
+                    };
+                    let terms: Vec<f64> = (0..q)
+                        .flat_map(|a| (0..n).map(move |i| term(a, i)))
+                        .collect();
+                    let want: Vec<u64> = (0..n)
+                        .map(|i| {
+                            m.combine(&(0..q).map(|a| term(a, i)).collect::<Vec<_>>())
+                                .to_bits()
+                        })
+                        .collect();
+                    for got in [&m as &dyn Metric, &Caller(m)].map(|metric| {
+                        let mut out = vec![f64::NAN; n];
+                        metric.combine_block(&terms, &mut out);
+                        out.iter().map(|d| d.to_bits()).collect::<Vec<_>>()
+                    }) {
+                        assert_eq!(got, want, "{} n={n} q={q}", m.name());
+                    }
+                }
+            }
         }
     }
 

@@ -48,6 +48,25 @@ fn key_cmp(a: (f64, Tid), b: (f64, Tid)) -> Ordering {
     a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
 }
 
+/// `d`'s rank under [`f64::total_cmp`], as an integer.
+fn rank(d: f64) -> i64 {
+    d.to_bits() as i64 ^ ((d.to_bits() as i64 >> 63) as u64 >> 1) as i64
+}
+
+/// A pool's admission test as it stood ([`ResultPool::admission`]): room,
+/// or the worst entry's rank, then its tid.
+#[derive(Debug, Clone, Copy)]
+pub struct Admission(bool, i64, Tid);
+
+impl Admission {
+    /// `admits_at(lower_bound, tid)` as the pool stood.
+    #[inline]
+    pub fn admits(self, lower_bound: f64, tid: Tid) -> bool {
+        let (Self(room, worst, worst_tid), key) = (self, rank(lower_bound));
+        room | (key < worst) | ((key == worst) & (tid < worst_tid))
+    }
+}
+
 /// Bounded top-k pool keyed by `(actual distance, tid)`.
 #[derive(Debug)]
 pub struct ResultPool {
@@ -88,6 +107,16 @@ impl ResultPool {
             && self
                 .worst()
                 .is_none_or(|w| key_cmp((lower_bound, tid), (w.dist, w.tid)).is_lt())
+    }
+
+    /// [`ResultPool::admits_at`] as the pool stands now, to test a block of
+    /// candidates with, branch-free. The worst entry only falls, so
+    /// whatever this rejects the pool rejects from then on.
+    pub fn admission(&self) -> Admission {
+        match self.worst() {
+            Some(w) => Admission(false, rank(w.dist), w.tid),
+            None => Admission(self.k > 0, i64::MIN, 0),
+        }
     }
 
     /// The pool's current admission boundary as a single number: a finite
@@ -226,6 +255,38 @@ mod tests {
         p.insert(2, 5.0); // evicts 20.0
         assert_eq!(p.threshold(), 10.0);
         assert_eq!(ResultPool::new(0).threshold(), f64::NEG_INFINITY);
+    }
+
+    /// An admission taken from the pool answers as `admits_at` did then,
+    /// over every class `total_cmp` orders — both zeros and both NaNs —
+    /// and for a pool with room, a full one and `k = 0`.
+    #[test]
+    fn admission_is_admits_at() {
+        let dists = [
+            -f64::NAN,
+            f64::NEG_INFINITY,
+            -1.0,
+            -0.0,
+            0.0,
+            1e-300,
+            2.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for k in [0, 1, 3, 20] {
+            let mut pool = ResultPool::new(k);
+            for (tid, &d) in dists.iter().enumerate().step_by(2) {
+                let admission = pool.admission();
+                for (&lb, t) in dists
+                    .iter()
+                    .flat_map(|d| [d; 3].into_iter().zip([0, 4, Tid::MAX]))
+                {
+                    let ctx = format!("k {k}, {lb} at {t}, pool {:?}", pool.worst());
+                    assert_eq!(admission.admits(lb, t), pool.admits_at(lb, t), "{ctx}");
+                }
+                pool.insert(tid as Tid, d);
+            }
+        }
     }
 
     #[test]

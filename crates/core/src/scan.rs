@@ -9,8 +9,15 @@
 //! they fill ([`Bounds`]), its top-k pool and counters (a [`ScanCarry`]), and
 //! `pending` — every candidate `(est, tid, ptr)` the live pool admitted
 //! during the walk. Per block, each attribute fills its column of bounds
-//! once; admission then runs per candidate, in scan order, so a drain
-//! inside a block tightens the pool for the rest of it. The walk fetches
+//! once, and the block is weighed at once: one pass per column writes its
+//! weighted terms, one combine loop gives every candidate's estimate, and
+//! a survivors mask drops each candidate that is tombstoned, past the
+//! limit, or rejected by the pool's worst entry as it stood at the block's
+//! start — estimates past the pool's threshold branch-free, 8 positions at
+//! a time, the few left by an exact test. Each 64-position word is weighed
+//! only over the span of its candidates. The survivors are then admitted
+//! one at a time, in scan order, so a drain inside a block tightens the
+//! pool for the rest of it. The walk fetches
 //! nothing: a tuple *ndf* on every query attribute goes straight into the
 //! pool, and so does an admitted one whose distance the dictionaries
 //! decide ("Exact from the dictionary" below); any other admitted one
@@ -73,7 +80,9 @@
 //! only such positions), where at least k live tuples lie at or below
 //! `limit`; `est ≤ dist`, and the worst entry only falls, so a skipped
 //! candidate is not among the k smallest `(dist, tid)` of the tuples
-//! visited. Every entry inserted is at its exact distance, but for one
+//! visited. For the same reason a block's survivors mask may test against
+//! the worst entry as it stood at the block's start: what that rejects,
+//! every later worst entry rejects too. Every entry inserted is at its exact distance, but for one
 //! whose least string is past a cap — above a threshold that only falls,
 //! so the pool rejects it. Hence *any* visiting order, window size or
 //! partition into tiers leaves the pool holding exactly those k, and
@@ -256,8 +265,16 @@ impl<'a> AttrScan<'a> {
     }
 }
 
+/// A block's positions: bit `i % 64` of word `i / 64` for position `i`.
+type Mask = [u64; BLOCK / 64];
+
+/// A mask word's span: from its lowest set bit to past its highest.
+fn span(bits: u64) -> std::ops::Range<usize> {
+    bits.trailing_zeros() as usize..64 - bits.leading_zeros() as usize
+}
+
 /// The positions `mask` holds, ascending.
-fn positions(mask: [u64; BLOCK / 64]) -> impl Iterator<Item = usize> {
+fn positions(mask: Mask) -> impl Iterator<Item = usize> {
     mask.into_iter().enumerate().flat_map(|(w, mut bits)| {
         std::iter::from_fn(move || {
             let i = bits.trailing_zeros() as usize;
@@ -273,10 +290,11 @@ fn least(mut next: impl Iterator<Item = Option<u64>>) -> Option<u64> {
     next.try_fold(first, |m, c| Some(m.min(c?)))
 }
 
-/// Tuple-list elements per step of the walk: one `fill` per attribute, then
-/// one admission loop. A block never spans two directory frames (1,024
-/// elements). Blocks of 128 to 1,024 measured alike and 64 slower
-/// (EXPERIMENTS.md); 256 keeps the bounds at 2 KiB per attribute.
+/// Tuple-list elements per step of the walk: one `fill` per attribute, one
+/// weigh of the block, then one admission loop over its survivors. A
+/// block never spans two directory frames (1,024 elements). Blocks of 128
+/// to 1,024 measured alike and 64 slower (EXPERIMENTS.md); 256 keeps the
+/// bounds at 2 KiB per attribute.
 pub(crate) const BLOCK: usize = 256;
 
 /// How many elements the next block of a walk with `left` to go takes.
@@ -285,13 +303,17 @@ pub(crate) fn block_len(left: u64) -> usize {
 }
 
 /// One walk's per-attribute scan positions, the block of lower bounds
-/// they fill — a column of [`BLOCK`] slots per query attribute — and the
-/// block's candidate mask: bit `i % 64` of word `i / 64` is set while
-/// block position `i` may pass the lane's limit.
+/// they fill — a column of [`BLOCK`] slots per query attribute — the
+/// block's candidate mask (set while a position may pass the lane's
+/// limit), and what weighing the block writes: per word `w` of the mask,
+/// from `w·q·64` on, a column of weighted terms per attribute over the
+/// word's [`span`], then `ests[i]`, position `i`'s estimate.
 pub(crate) struct Bounds<'a> {
     attrs: Vec<AttrScan<'a>>,
     lbs: Vec<f64>,
-    cands: [u64; BLOCK / 64],
+    terms: Vec<f64>,
+    pub(crate) ests: Vec<f64>,
+    cands: Mask,
 }
 
 impl<'a> Bounds<'a> {
@@ -304,9 +326,14 @@ impl<'a> Bounds<'a> {
     ) -> Result<Self> {
         let attrs = shared.iter().map(|sa| AttrScan::open(index, sa, seed));
         let attrs = attrs.collect::<Result<Vec<_>>>()?;
-        let lbs = vec![f64::NAN; attrs.len() * BLOCK];
-        let cands = [u64::MAX; BLOCK / 64];
-        Ok(Self { attrs, lbs, cands })
+        let n = attrs.len() * BLOCK;
+        Ok(Self {
+            attrs,
+            lbs: vec![f64::NAN; n],
+            terms: vec![0.0; n],
+            ests: vec![0.0; BLOCK],
+            cands: [u64::MAX; BLOCK / 64],
+        })
     }
 
     /// Fill every attribute's column for the next block (≤ [`BLOCK`], from
@@ -314,7 +341,8 @@ impl<'a> Bounds<'a> {
     /// candidate; a fill clears those its rule does not let through.
     pub(crate) fn fill(&mut self, at: u64, tids: &[u32]) -> Result<()> {
         let too_long = || IvaError::InvalidArgument("block too long".into());
-        self.cands = [u64::MAX; BLOCK / 64];
+        let len = |w: usize| tids.len().saturating_sub(w * 64).min(64) as u32;
+        self.cands = std::array::from_fn(|w| u64::MAX.checked_shr(64 - len(w)).unwrap_or(0));
         for (a, col) in self.attrs.iter_mut().zip(self.lbs.chunks_exact_mut(BLOCK)) {
             let col = col.get_mut(..tids.len()).ok_or_else(too_long)?;
             if let AttrScan::Text { exact, .. } = a {
@@ -335,19 +363,34 @@ impl<'a> Bounds<'a> {
         least(self.attrs.iter().map(|a| a.next_candidate(at)))
     }
 
-    /// `diffs[a] = λₐ · (block position i's bound on attribute a, or the
-    /// ndf penalty)`; whether every entry is the ndf penalty, so that
-    /// `combine(diffs)` is the distance.
-    #[inline]
-    pub(crate) fn weigh(&self, i: usize, lambda: &[f64], ndf: f64, diffs: &mut [f64]) -> bool {
-        let mut exact = true;
-        let cols = self.lbs.chunks_exact(BLOCK);
-        for ((d, &lam), col) in diffs.iter_mut().zip(lambda).zip(cols) {
-            let lb = col.get(i).copied().unwrap_or(f64::NAN);
-            exact &= lb.is_nan();
-            *d = lam * if lb.is_nan() { ndf } else { lb };
+    /// Weigh the block at once, a 64-position word of the candidate mask
+    /// at a time, over the span from its lowest candidate to its highest:
+    /// one pass per attribute column writes the span's weighted terms —
+    /// `λ·lb`, or `λ·ndf` where the bound is `NaN` — into the word's
+    /// region of `terms`, and one combine loop gives each estimate.
+    pub(crate) fn weigh<M: Metric>(&mut self, lambda: &[f64], ndf: f64, metric: &M) {
+        let q = self.attrs.len();
+        for (w, (ests, &bits)) in self.ests.chunks_exact_mut(64).zip(&self.cands).enumerate() {
+            let (at, region) = (span(bits), w * q * 64..(w + 1) * q * 64);
+            let (Some(ests), Some(terms)) = (ests.get_mut(at.clone()), self.terms.get_mut(region))
+            else {
+                continue;
+            };
+            let (lo, n) = (w * 64 + at.start, ests.len());
+            let cols = (self.lbs.chunks_exact(BLOCK)).filter_map(|c| c.get(lo..lo + n));
+            for ((out, col), &lam) in terms.chunks_exact_mut(n.max(1)).zip(cols).zip(lambda) {
+                for (t, &lb) in out.iter_mut().zip(col) {
+                    *t = lam * if lb.is_nan() { ndf } else { lb };
+                }
+            }
+            metric.combine_block(terms.get(..q * n).unwrap_or(&[]), ests);
         }
-        exact
+    }
+
+    /// Whether block position `i` is *ndf* on every query attribute, so
+    /// that its estimate is its distance.
+    pub(crate) fn all_ndf(&self, i: usize) -> bool {
+        (self.lbs.chunks_exact(BLOCK)).all(|col| col.get(i).is_none_or(|lb| lb.is_nan()))
     }
 }
 
@@ -365,8 +408,8 @@ pub(crate) struct Lane<'a> {
     patterns: Vec<Option<&'a PreparedPattern>>,
     bounds: Bounds<'a>,
     carry: &'a mut ScanCarry,
-    /// One slot per query value: the filter's weighted lower bounds
-    /// during the walk, the refine step's weighted differences in a drain.
+    /// One slot per query value: a decided position's weighted
+    /// differences during the walk, the refine step's in a drain.
     diffs: Vec<f64>,
     /// [`edits_beyond`]'s scratch, one slot per query value.
     spare: Vec<f64>,
@@ -422,15 +465,64 @@ impl<'a> Lane<'a> {
         })
     }
 
+    /// The block's candidates left to admit one at a time: each live one
+    /// whose estimate is within the limit and that the pool admits as it
+    /// stands at the block's start. An estimate past the pool's threshold
+    /// or the limit fails that test, so those go first, by estimate alone,
+    /// branch-free, 8 positions at a time; the few left take the exact test.
+    fn survivors(&self, tids: &[u32], ptrs: &[u64]) -> Mask {
+        let (pool, mut keep) = (&self.carry.pool, self.bounds.cands);
+        let (bar, cut) = (pool.admission(), pool.threshold().min(self.limit));
+        for (word, ests) in keep.iter_mut().zip(self.bounds.ests.chunks_exact(64)) {
+            let at = span(*word);
+            let groups = ests.chunks_exact(8).enumerate().skip(at.start / 8);
+            for (k, ests) in groups.take(at.end.div_ceil(8).saturating_sub(at.start / 8)) {
+                let past = ests.iter().enumerate();
+                let past = past.fold(0, |b, (j, &e)| b | u64::from(e > cut) << j);
+                *word &= !(past << (8 * k));
+            }
+        }
+        for i in positions(keep) {
+            let (Some(&est), Some(&tid), Some(&ptr)) =
+                (self.bounds.ests.get(i), tids.get(i), ptrs.get(i))
+            else {
+                break;
+            };
+            let pass = (ptr != TOMBSTONE_PTR) & bar.admits(est, u64::from(tid));
+            if let Some(word) = keep.get_mut(i / 64) {
+                *word &= !(u64::from(!pass) << (i % 64));
+            }
+        }
+        keep
+    }
+
     /// Block position `i`'s distance where the walk can decide it without
-    /// a fetch, `diffs` holding what [`Bounds::weigh`] left there: each
-    /// attribute whose entry is a bound takes `λ ·` its difference from
-    /// the lane's exact table ([`Exact::decide`]), each code capped where,
-    /// every other attribute at 0, the pool's threshold is past
-    /// ([`edits_beyond`]); `+∞` where a value's every code is past a cap.
-    /// `None` where a bound's codes were not recorded: the tuple is fetched.
+    /// a fetch, from its weighted terms: each attribute whose entry is a
+    /// bound takes `λ ·` its difference from the lane's exact table
+    /// ([`Exact::decide`]), each code capped where, every other attribute
+    /// at 0, the pool's threshold is past ([`edits_beyond`]); `+∞` where a
+    /// value's every code is past a cap. `None` where a bound's codes were
+    /// not recorded: the tuple is fetched.
     fn decide<M: Metric>(&mut self, i: usize, metric: &M) -> Result<Option<f64>> {
-        let Bounds { attrs, lbs, .. } = &mut self.bounds;
+        let Bounds {
+            attrs,
+            lbs,
+            terms,
+            cands,
+            ..
+        } = &mut self.bounds;
+        let (w, q) = (i / 64, attrs.len());
+        let at = span(cands.get(w).copied().unwrap_or(0));
+        let word = terms
+            .get(w * q * 64..)
+            .unwrap_or(&[])
+            .chunks_exact(at.len().max(1));
+        for (d, col) in self.diffs.iter_mut().zip(word) {
+            *d = col
+                .get((i % 64).wrapping_sub(at.start))
+                .copied()
+                .unwrap_or(f64::NAN);
+        }
         let bound_at = |col: &[f64]| col.get(i).is_some_and(|lb| !lb.is_nan());
         let recorded = |a: &AttrScan| matches!(a, AttrScan::Text { exact, .. } if exact.holds(i));
         let mut open = attrs.iter().zip(lbs.chunks_exact(BLOCK));
@@ -545,27 +637,25 @@ impl IvaIndex {
             tsrc.next_block(block_len(n - at), &mut tids, &mut ptrs)?;
             lane.carry.stats.tuples_scanned += tids.len() as u64;
             lane.bounds.fill(at, &tids)?;
+            lane.bounds.weigh(lane.lambda, ndf, metric);
+            let survivors = lane.survivors(&tids, &ptrs);
+            let weighed = lane.bounds.cands.iter().map(|w| u64::from(w.count_ones()));
+            lane.carry.stats.positions_weighed += weighed.sum::<u64>();
             let coded = (lane.bounds.attrs.iter())
                 .any(|a| matches!(a, AttrScan::Text { exact, .. } if !exact.codes.is_empty()));
-            // Admission stays per candidate, in scan order: a drain
-            // inside the block tightens the pool for the rest of it.
-            for i in positions(lane.bounds.cands) {
-                let (Some(&tid), Some(&ptr)) = (tids.get(i), ptrs.get(i)) else {
+            // The block is weighed at once; its survivors are admitted one
+            // at a time, in scan order: a drain inside the block tightens
+            // the pool for the rest of it.
+            for i in positions(survivors) {
+                let (Some(&tid), Some(&ptr), Some(&dist)) =
+                    (tids.get(i), ptrs.get(i), lane.bounds.ests.get(i))
+                else {
                     break;
                 };
-                lane.carry.stats.positions_weighed += 1;
-                if ptr == TOMBSTONE_PTR {
-                    continue;
-                }
-                let exact = lane.bounds.weigh(i, lane.lambda, ndf, &mut lane.diffs);
-                let est = metric.combine(&lane.diffs);
-                if est > lane.limit {
-                    continue;
-                }
-                let (tid, dist, ptr) = (u64::from(tid), est, RecordPtr(ptr));
-                let exact = match exact {
+                let (tid, ptr) = (u64::from(tid), RecordPtr(ptr));
+                let exact = match lane.bounds.all_ndf(i) {
                     true => Some(dist),
-                    false if !lane.carry.pool.admits_at(est, tid) => continue,
+                    false if !lane.carry.pool.admits_at(dist, tid) => continue,
                     false if coded => lane.decide(i, metric)?,
                     false => None,
                 };

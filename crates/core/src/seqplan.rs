@@ -46,7 +46,6 @@ impl IvaIndex {
         let ndf = self.config().ndf_penalty;
         let mut bounds = Bounds::open(self, shared, None)?;
         let mut tsrc = self.open_tuple_source()?;
-        let mut diffs = vec![0.0f64; shared.len()];
         let (mut tids, mut ptrs, mut scanned) = (Vec::new(), Vec::new(), Vec::new());
         let mut left = self.n_tuples();
         while left > 0 {
@@ -54,11 +53,12 @@ impl IvaIndex {
             ptrs.clear();
             tsrc.next_block(block_len(left), &mut tids, &mut ptrs)?;
             bounds.fill(self.n_tuples() - left, &tids)?;
+            bounds.weigh(lambda, ndf, metric);
             left = left.saturating_sub(tids.len() as u64);
             for (i, (&tid, &ptr)) in tids.iter().zip(&ptrs).enumerate() {
                 if ptr != TOMBSTONE_PTR {
-                    let exact = bounds.weigh(i, lambda, ndf, &mut diffs);
-                    scanned.push((u64::from(tid), ptr, metric.combine(&diffs), exact));
+                    let est = bounds.ests.get(i).copied().unwrap_or(f64::NAN);
+                    scanned.push((u64::from(tid), ptr, est, bounds.all_ndf(i)));
                 }
             }
         }

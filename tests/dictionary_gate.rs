@@ -26,10 +26,12 @@
 //!
 //! A second gate runs `read_cold`'s pool over the same build: 200
 //! three-value queries (`generate_query_set`, seed 0x5EED_0F0E), serial,
-//! k = 10, L2, equal weights. Per query it prints the fetches, the pool
-//! entries the walk admitted without one, the dictionary edit distances
-//! those cost, and the filter and refine CPU of the fastest of 5 runs. It
-//! then replays Algorithm 1 as it runs where the walk decides only the
+//! k = 10, L2, equal weights. Per query it prints the fetches, the
+//! positions weighed, the pool entries the walk admitted without a fetch,
+//! the dictionary edit distances those cost, and the filter and refine CPU
+//! of the fastest of 5 runs — the filter CPU also grouped by the query's
+//! *ndf* ceiling at its final D_k (the positions whose *ndf* pattern alone
+//! passes it: under 2,000, 2,000–10,000, 10,000 or more). It then replays Algorithm 1 as it runs where the walk decides only the
 //! positions *ndf* on every query attribute — the estimates and the one
 //! drain of a serial lane — and prints which of the records that refines
 //! the index could decide: every query attribute they define is on a list
@@ -476,28 +478,41 @@ fn exact_from_the_dictionary_on_read_cold() {
     let (dataset, table, index) = perf_store();
     let coded: BTreeSet<usize> = sectioned(&index).into_iter().map(|(a, _)| a).collect();
     let queries = generate_query_set(&dataset, 3, 200, 0, 0x5EED_0F0E).queries;
-    let (k, runs) = (10, 5);
+    let (k, runs, ndf) = (10, 5, index.config().ndf_penalty);
     let (mut fetches, mut admits, mut distances) = (vec![], vec![], vec![]);
     let (mut filter, mut refine, mut cpu) = (vec![], vec![], vec![]);
     let (mut replayed, mut decidable) = (vec![], vec![]);
+    let (mut weighed, mut ceilings) = (vec![], vec![]);
     for q in &queries {
-        let stats: Vec<_> = (0..runs)
+        let outs: Vec<_> = (0..runs)
             .map(|_| {
                 let out = index.query(&table, q, k, &MetricKind::L2, WeightScheme::Equal);
-                out.unwrap().stats
+                out.unwrap()
             })
             .collect();
-        let fastest = stats
-            .iter()
+        let fastest = (outs.iter().map(|o| &o.stats))
             .min_by_key(|s| s.filter_nanos + s.refine_nanos)
             .unwrap();
-        fetches.push(stats[0].table_accesses);
-        admits.push(stats[0].walk_admits);
-        distances.push(stats[0].dict_distances);
+        let stats = &outs[0].stats;
+        fetches.push(stats.table_accesses);
+        admits.push(stats.walk_admits);
+        distances.push(stats.dict_distances);
+        weighed.push(stats.positions_weighed);
         filter.push(fastest.filter_nanos / 1000);
         refine.push(fastest.refine_nanos / 1000);
         cpu.push((fastest.filter_nanos + fastest.refine_nanos) / 1000);
         let lambda = index.resolve_weights(q, WeightScheme::Equal);
+        // The ndf ceiling at the final D_k: the positions whose *ndf*
+        // pattern alone — λ·ndf where undefined, 0 elsewhere — passes it.
+        let d_k = outs[0].results.last().map_or(f64::INFINITY, |e| e.dist);
+        let pattern = |t: &Tuple| {
+            let terms = q.iter().zip(&lambda);
+            let diffs: Vec<f64> = terms
+                .map(|((a, _), lam)| if t.get(a).is_some() { 0.0 } else { lam * ndf })
+                .collect();
+            MetricKind::L2.combine(&diffs)
+        };
+        ceilings.push(dataset.tuples.iter().filter(|t| pattern(t) <= d_k).count());
         let rows = refined_deciding_ndf_only(&dataset, &index, q, &lambda, k);
         // Every query attribute the record defines holds strings.
         let known = |&&row: &&usize| {
@@ -519,8 +534,28 @@ fn exact_from_the_dictionary_on_read_cold() {
         coded.len()
     );
     println!("fetches: {}", spread(fetches.clone()));
+    println!("positions weighed: {}", spread(weighed));
     println!("walk admits: {}", spread(admits));
     println!("dictionary edit distances: {}", spread(distances.clone()));
+    let total: u64 = filter.iter().sum();
+    for (name, range) in [
+        ("< 2,000", 0..2_000),
+        ("2,000-10,000", 2_000..10_000),
+        (">= 10,000", 10_000..usize::MAX),
+    ] {
+        let group: Vec<u64> = (filter.iter().zip(&ceilings))
+            .filter(|(_, c)| range.contains(c))
+            .map(|(&f, _)| f)
+            .collect();
+        let sum: u64 = group.iter().sum();
+        println!(
+            "filter CPU us, ndf ceiling at the final D_k {name} positions: {} queries, \
+             mean {:.0}, {:.1} % of the pool's",
+            group.len(),
+            sum as f64 / group.len().max(1) as f64,
+            100.0 * sum as f64 / total.max(1) as f64
+        );
+    }
     println!("filter CPU us (fastest of {runs}): {}", spread(filter));
     println!("refine CPU us (fastest of {runs}): {}", spread(refine));
     println!(

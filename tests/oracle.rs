@@ -195,6 +195,23 @@ impl Metric for Dist {
             Dist::NanAtZero => sum,
         }
     }
+
+    /// A built-in metric weighs a block by its own column loops. A
+    /// `NanAtZero` block takes the trait's default, one `combine` per
+    /// position, so the walk's survivors test ranks its NaN estimates.
+    fn combine_block(&self, terms: &[f64], out: &mut [f64]) {
+        /// `combine` alone: the default block combine.
+        struct PerPosition(Dist);
+        impl Metric for PerPosition {
+            fn combine(&self, diffs: &[f64]) -> f64 {
+                self.0.combine(diffs)
+            }
+        }
+        match self {
+            Dist::Kind(kind) => kind.combine_block(terms, out),
+            Dist::NanAtZero => PerPosition(*self).combine_block(terms, out),
+        }
+    }
 }
 
 /// One probe's queries and knobs.
