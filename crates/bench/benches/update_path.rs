@@ -35,7 +35,8 @@
 //! Flags (after `--`): `--tuples <n>` largest table in the ladder
 //! (default 8000), `--updates <n>` update-count floor per point (default
 //! 48; each point runs `max(updates, n/50)` so every size trips at least
-//! one rebuild at β = 1%). Results land in `BENCH_update_path.json`.
+//! one rebuild at β = 1%). Results land in `BENCH_update_path.json`,
+//! with the host (cores, arch, OS) as `serving_envelope` records it.
 //! The growth-exponent and tail-ratio envelopes are asserted only at
 //! full size (`--tuples` ≥ 8000); smoke runs just record.
 
@@ -410,8 +411,10 @@ fn main() {
         })
         .collect::<Vec<_>>()
         .join(",\n");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         "{{\n  \"bench\": \"update_path\",\n  \"sizes\": [{}],\n  \"beta\": {BETA},\n  \
+         \"host\": {{\"cores\": {cores}, \"arch\": \"{}\", \"os\": \"{}\"}},\n  \
          \"memtable_limit\": {MEMTABLE_LIMIT},\n  \"compact_fanout\": {COMPACT_FANOUT},\n  \
          \"growth_exponent_monolithic\": {mono_alpha:.4},\n  \
          \"growth_exponent_lsm\": {lsm_alpha:.4},\n  \
@@ -422,6 +425,8 @@ fn main() {
             .map(|s| s.to_string())
             .collect::<Vec<_>>()
             .join(", "),
+        std::env::consts::ARCH,
+        std::env::consts::OS,
         full,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_update_path.json");

@@ -5,13 +5,14 @@
 //! Sec. III-D size formulas, and writes all lists physically contiguous so
 //! subsequent partial scans are sequential. Numeric attributes are
 //! re-quantized on their *current* relative domain (Sec. III-C's periodic
-//! renewal).
+//! renewal) — on every build: the monolith's rebuild, and for one tier of
+//! a segmented store a seal, a merge or a recovery rebuild.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use iva_storage::vfs::Vfs;
-use iva_storage::{write_contiguous_list, DomainPin, IoStats, Pager, PagerOptions};
+use iva_storage::{write_contiguous_list, IoStats, Pager, PagerOptions};
 use iva_swt::{AttrId, RecordBuf, RecordPtr, SwtTable, Value, ValueRef};
 
 use crate::config::IvaConfig;
@@ -34,33 +35,14 @@ pub enum IndexTarget<'a> {
     Vfs(Arc<dyn Vfs>, &'a Path),
 }
 
-/// Build an iVA-file over all live tuples of `table`.
+/// Build an iVA-file over all live tuples of `table`, each numeric
+/// attribute quantised on the relative domain of the values it indexes.
 pub fn build_index(
     table: &SwtTable,
     target: IndexTarget<'_>,
     opts: &PagerOptions,
     io: IoStats,
     config: IvaConfig,
-) -> Result<IvaIndex> {
-    build_index_with_domains(table, target, opts, io, config, None)
-}
-
-/// [`build_index`] with per-attribute numeric domain pins.
-///
-/// The incremental index fixes an attribute's quantisation domain at its
-/// first insert and never widens it (Sec. III-C renewal happens only on
-/// an explicit rebuild). A segmented store must reproduce those exact
-/// codes when it seals a memtable or merges segments, otherwise
-/// lower-bound estimates — and with them `table_accesses` — drift from
-/// the monolithic engine. `domains[attr]`, when pinned, overrides the
-/// min/max this build would otherwise derive from the scanned values.
-pub fn build_index_with_domains(
-    table: &SwtTable,
-    target: IndexTarget<'_>,
-    opts: &PagerOptions,
-    io: IoStats,
-    config: IvaConfig,
-    domains: Option<&[DomainPin]>,
 ) -> Result<IvaIndex> {
     config.validate().map_err(IvaError::InvalidArgument)?;
     let sig_codec = config.sig_codec();
@@ -107,8 +89,8 @@ pub fn build_index_with_domains(
     }
 
     // Choose each attribute's organization (Sec. III-D) and quantize its
-    // numbers on the pinned or current relative domain; what is left is
-    // the index's logical content, which one writer turns into a file.
+    // numbers on their current relative domain; what is left is the
+    // index's logical content, which one writer turns into a file.
     let n_tuples = tuple_entries.len() as u64;
     let mut attrs: Vec<ExportedAttr> = Vec::with_capacity(n_attrs);
     for (attr, def) in table.catalog().iter() {
@@ -130,14 +112,11 @@ pub fn build_index_with_domains(
             }
         } else {
             let values = num_items.get_mut(i).map(std::mem::take).unwrap_or_default();
-            let (min, max) = match domains.and_then(|d| d.get(i)) {
-                Some(pin) if pin.is_pinned() => (pin.min, pin.max),
-                _ => values
-                    .iter()
-                    .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), (_, v)| {
-                        (lo.min(*v), hi.max(*v))
-                    }),
-            };
+            let (min, max) = values
+                .iter()
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), (_, v)| {
+                    (lo.min(*v), hi.max(*v))
+                });
             let codec = NumericCodec::new(min, max, config.numeric_code_bytes());
             ExportedAttr {
                 is_text: false,
@@ -206,8 +185,8 @@ fn read_strings(
 /// tuple entries plus, per attribute, postings, the chosen organization
 /// and the numeric domain. Every vector list is stored as packed frames,
 /// its logical length in its catalog entry, all lists written physically
-/// contiguous. [`build_index_with_domains`] arrives here from a
-/// table scan, [`crate::import_index`] from validated interchange content;
+/// contiguous. [`build_index`] arrives here from a table scan,
+/// [`crate::import_index`] from validated interchange content;
 /// `parts` is trusted to hold strictly ascending tids, postings aligned to
 /// the tuple list, and list types that suit their attribute's kind.
 /// `strings[a]`, where given, holds attribute `a`'s text postings'

@@ -15,10 +15,10 @@ use std::path::Path;
 use std::sync::Arc;
 
 use iva_storage::vfs::Vfs;
-use iva_storage::{DomainPin, IoStats, PagerOptions, StorageError};
+use iva_storage::{IoStats, PagerOptions, StorageError};
 use iva_swt::{AttrId, AttrType, Catalog, RecordPtr, SwtTable, Tid, Tuple};
 
-use crate::build::{build_index_with_domains, IndexTarget};
+use crate::build::{build_index, IndexTarget};
 use crate::config::IvaConfig;
 use crate::error::{IvaError, Result};
 use crate::index::IvaIndex;
@@ -57,21 +57,19 @@ impl IndexedTable {
         Ok(table)
     }
 
-    /// Build the index over `table` (numeric domains pinned to `domains`
-    /// where given, else derived from the values) and pair the two.
+    /// Build the index over `table` and pair the two.
     fn derive(
         table: SwtTable,
         at: Option<Files<'_>>,
         pager: &PagerOptions,
         config: IvaConfig,
-        domains: Option<&[DomainPin]>,
         index_io: IoStats,
     ) -> Result<Self> {
         let target = match at {
             Some((vfs, _, path)) => IndexTarget::Vfs(Arc::clone(vfs), path),
             None => IndexTarget::Mem,
         };
-        let index = build_index_with_domains(&table, target, pager, index_io, config, domains)?;
+        let index = build_index(&table, target, pager, index_io, config)?;
         Ok(Self {
             table,
             index,
@@ -87,10 +85,9 @@ impl IndexedTable {
         base_tid: Tid,
         pager: &PagerOptions,
         config: IvaConfig,
-        domains: Option<&[DomainPin]>,
     ) -> Result<Self> {
         let table = Self::fresh_table(at, catalog, base_tid, pager, IoStats::new())?;
-        Self::derive(table, at, pager, config, domains, IoStats::new())
+        Self::derive(table, at, pager, config, IoStats::new())
     }
 
     /// Open the pair at `at`, with crash recovery (Sec. IV-B's rebuild
@@ -109,7 +106,6 @@ impl IndexedTable {
         rebuild_tmp: &Path,
         pager: &PagerOptions,
         config: IvaConfig,
-        domains: Option<&[DomainPin]>,
         table_io: IoStats,
         index_io: IoStats,
     ) -> Result<Self> {
@@ -135,13 +131,12 @@ impl IndexedTable {
         let index = match reusable {
             Some(index) => index,
             None => {
-                let mut index = build_index_with_domains(
+                let mut index = build_index(
                     &table,
                     IndexTarget::Vfs(Arc::clone(vfs), rebuild_tmp),
                     pager,
                     index_io.clone(),
                     config,
-                    domains,
                 )?;
                 index.flush()?;
                 drop(index);
@@ -166,21 +161,19 @@ impl IndexedTable {
     /// monolith's periodic cleanup (its own table). It only stages: on
     /// disk both files are left flushed and openable, for the caller to
     /// commit a manifest naming them or rename them into place.
-    #[allow(clippy::too_many_arguments)]
     pub fn stage(
         sources: &[&SwtTable],
         at: Option<Files<'_>>,
         catalog: &Catalog,
         pager: &PagerOptions,
         config: IvaConfig,
-        domains: Option<&[DomainPin]>,
         table_io: IoStats,
         index_io: IoStats,
     ) -> Result<(Self, Option<(Tid, Tid)>)> {
         let mut table = Self::fresh_table(at, catalog, 0, pager, table_io)?;
         let range = table.copy_live_from(sources)?;
         table.flush()?;
-        let mut staged = Self::derive(table, at, pager, config, domains, index_io)?;
+        let mut staged = Self::derive(table, at, pager, config, index_io)?;
         if at.is_some() {
             // Only files are left behind for a later open to find.
             staged.index.flush()?;

@@ -48,7 +48,7 @@ mod seqplan;
 mod timing;
 mod veclist;
 
-pub use build::{build_index, build_index_with_domains, IndexTarget};
+pub use build::{build_index, IndexTarget};
 pub use config::IvaConfig;
 pub use error::{IvaError, Result};
 pub use index::{

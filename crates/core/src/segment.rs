@@ -8,8 +8,8 @@
 //! "Immutable" refers to segment *membership*: records never move between
 //! segments outside a merge. Liveness is updated in place — a cross-tier
 //! delete tombstones the record in both files through the pair's one
-//! Sec. IV-B protocol — so segment recovery is [`IndexedTable::open`], on
-//! the store's pinned [`DomainPin`]s so that nothing is re-quantised.
+//! Sec. IV-B protocol — so segment recovery is [`IndexedTable::open`],
+//! whose rebuild quantises on the segment's live values like any build.
 //!
 //! A crash around a manifest commit leaves files the manifest does not
 //! name — staged ones before the rename, superseded sources after it —
@@ -20,9 +20,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use iva_storage::vfs::Vfs;
-use iva_storage::{
-    sidecar_path, DomainPin, IoStats, Manifest, PagerOptions, SegmentMeta, StorageError,
-};
+use iva_storage::{sidecar_path, IoStats, Manifest, PagerOptions, SegmentMeta, StorageError};
 use iva_swt::{catalog_path, table_file_path, Tid};
 
 use crate::config::IvaConfig;
@@ -122,15 +120,13 @@ pub fn collect_orphans(vfs: &dyn Vfs, dir: &Path, manifest: &Manifest) -> Result
 
 impl Segment {
     /// Open the segment of the store in `dir` that the manifest records
-    /// as `meta`, rebuilding its index on the store's pinned `domains` if
-    /// a crash left it dirty or stale.
+    /// as `meta`, rebuilding its index if a crash left it dirty or stale.
     pub fn open(
         vfs: &Arc<dyn Vfs>,
         dir: &Path,
         meta: SegmentMeta,
         pager: &PagerOptions,
         config: IvaConfig,
-        domains: &[DomainPin],
     ) -> Result<Self> {
         let pair = IndexedTable::open(
             (
@@ -141,7 +137,6 @@ impl Segment {
             &segment_rebuild_path(dir, meta.id),
             pager,
             config,
-            Some(domains),
             IoStats::new(),
             IoStats::new(),
         )?;

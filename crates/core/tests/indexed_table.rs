@@ -1,6 +1,6 @@
 //! The table + iVA-file pair's one protocol: the open-or-rebuild verdict
-//! under every file naming and domain policy that reaches it, and the
-//! insert that must not leave the two halves disagreeing.
+//! under every file naming that reaches it, and the insert that must not
+//! leave the two halves disagreeing.
 
 mod common;
 
@@ -14,8 +14,7 @@ use iva_core::{
     IvaConfig, IvaError, ListType, MetricKind, NumericCodec, Query, WeightScheme,
 };
 use iva_storage::{
-    write_contiguous_list, DomainPin, IoStats, MemVfs, PageId, Pager, Vfs, FRAME_TRAILER,
-    SUPERBLOCK_LEN,
+    write_contiguous_list, IoStats, MemVfs, PageId, Pager, Vfs, FRAME_TRAILER, SUPERBLOCK_LEN,
 };
 use iva_swt::{AttrId, AttrType, Catalog, SwtTable, Tuple, Value};
 
@@ -87,18 +86,6 @@ fn names(segment: bool) -> Names {
     }
 }
 
-/// Pins on the two numeric attributes of [`all_list_types_table`], wider
-/// than the values: a pinned build quantises on a different domain from a
-/// derived one, so a rebuild that dropped the pins shows in the index's
-/// attribute entries (the hits are exact whatever the codes are).
-fn pins() -> Vec<DomainPin> {
-    let wide = DomainPin {
-        min: -50.0,
-        max: 500.0,
-    };
-    vec![DomainPin::unpinned(), DomainPin::unpinned(), wide, wide]
-}
-
 fn extra_row() -> Tuple {
     Tuple::new()
         .with(AttrId(0), Value::text("product listing late"))
@@ -147,13 +134,12 @@ fn domains_of(pair: &IndexedTable) -> Vec<(f64, f64)> {
         .collect()
 }
 
-fn open(vfs: &Arc<dyn Vfs>, n: &Names, domains: Option<&[DomainPin]>) -> IndexedTable {
+fn open(vfs: &Arc<dyn Vfs>, n: &Names) -> IndexedTable {
     IndexedTable::open(
         (vfs, &n.base, &n.index),
         &n.rebuild_tmp,
         &small_pages(),
         IvaConfig::default(),
-        domains,
         IoStats::new(),
         IoStats::new(),
     )
@@ -161,7 +147,7 @@ fn open(vfs: &Arc<dyn Vfs>, n: &Names, domains: Option<&[DomainPin]>) -> Indexed
 }
 
 /// Stage a clean pair at `n`, then bring its files into `state`.
-fn arrange(mem: &MemVfs, n: &Names, domains: Option<&[DomainPin]>, state: State) {
+fn arrange(mem: &MemVfs, n: &Names, state: State) {
     let vfs: Arc<dyn Vfs> = Arc::new(mem.clone());
     let source = all_list_types_table(ROWS);
     IndexedTable::stage(
@@ -170,7 +156,6 @@ fn arrange(mem: &MemVfs, n: &Names, domains: Option<&[DomainPin]>, state: State)
         source.catalog(),
         &small_pages(),
         IvaConfig::default(),
-        domains,
         IoStats::new(),
         IoStats::new(),
     )
@@ -181,7 +166,7 @@ fn arrange(mem: &MemVfs, n: &Names, domains: Option<&[DomainPin]>, state: State)
         State::DirtyFlag => {
             // The dirty flag is synced before the first in-place patch;
             // the table's unflushed tail rolls back at the next open.
-            let mut pair = open(&vfs, n, domains);
+            let mut pair = open(&vfs, n);
             pair.insert(&extra_row()).unwrap();
             assert!(pair.is_dirty());
         }
@@ -337,51 +322,46 @@ fn open_reuses_a_matching_index_and_rebuilds_any_other() {
     ];
     for state in states {
         for segment in [false, true] {
-            for pinned in [false, true] {
-                let ctx = format!("{state:?}, segment names: {segment}, pinned: {pinned}");
-                let pins = pins();
-                let domains = pinned.then_some(pins.as_slice());
-                let mem = MemVfs::new();
-                let vfs: Arc<dyn Vfs> = Arc::new(mem.clone());
-                let n = names(segment);
-                arrange(&mem, &n, domains, state);
+            let ctx = format!("{state:?}, segment names: {segment}");
+            let mem = MemVfs::new();
+            let vfs: Arc<dyn Vfs> = Arc::new(mem.clone());
+            let n = names(segment);
+            arrange(&mem, &n, state);
 
-                let pair = open(&vfs, &n, domains);
-                let rebuilt = pair.index_io().snapshot().bytes_written > 0;
-                assert_eq!(rebuilt, state.wants_rebuild(), "{ctx}");
-                assert!(!pair.is_dirty(), "{ctx}");
-                assert_eq!(
-                    pair.index().table_watermark(),
-                    pair.table().file().data_len(),
-                    "{ctx}"
-                );
-                let rows = u64::from(ROWS) + u64::from(matches!(state, State::WatermarkBehind));
-                assert_eq!(pair.live_records(), rows, "{ctx}");
-                if state.wants_rebuild() {
-                    assert!(!vfs.exists(&n.rebuild_tmp), "{ctx}: temporary not renamed");
-                }
-
-                // Whatever the verdict, the answers are a fresh build's.
-                let (fresh, _) = IndexedTable::stage(
-                    &[pair.table()],
-                    None,
-                    pair.table().catalog(),
-                    &small_pages(),
-                    IvaConfig::default(),
-                    domains,
-                    IoStats::new(),
-                    IoStats::new(),
-                )
-                .unwrap();
-                assert_eq!(answers(&pair), answers(&fresh), "{ctx}");
-                assert_eq!(domains_of(&pair), domains_of(&fresh), "{ctx}");
-
-                // A repaired pair is a clean pair: the next open reuses it.
-                drop(pair);
-                let again = open(&vfs, &n, domains);
-                assert_eq!(again.index_io().snapshot().bytes_written, 0, "{ctx}");
-                assert_eq!(answers(&again), answers(&fresh), "{ctx}");
+            let pair = open(&vfs, &n);
+            let rebuilt = pair.index_io().snapshot().bytes_written > 0;
+            assert_eq!(rebuilt, state.wants_rebuild(), "{ctx}");
+            assert!(!pair.is_dirty(), "{ctx}");
+            assert_eq!(
+                pair.index().table_watermark(),
+                pair.table().file().data_len(),
+                "{ctx}"
+            );
+            let rows = u64::from(ROWS) + u64::from(matches!(state, State::WatermarkBehind));
+            assert_eq!(pair.live_records(), rows, "{ctx}");
+            if state.wants_rebuild() {
+                assert!(!vfs.exists(&n.rebuild_tmp), "{ctx}: temporary not renamed");
             }
+
+            // Whatever the verdict, the answers are a fresh build's.
+            let (fresh, _) = IndexedTable::stage(
+                &[pair.table()],
+                None,
+                pair.table().catalog(),
+                &small_pages(),
+                IvaConfig::default(),
+                IoStats::new(),
+                IoStats::new(),
+            )
+            .unwrap();
+            assert_eq!(answers(&pair), answers(&fresh), "{ctx}");
+            assert_eq!(domains_of(&pair), domains_of(&fresh), "{ctx}");
+
+            // A repaired pair is a clean pair: the next open reuses it.
+            drop(pair);
+            let again = open(&vfs, &n);
+            assert_eq!(again.index_io().snapshot().bytes_written, 0, "{ctx}");
+            assert_eq!(answers(&again), answers(&fresh), "{ctx}");
         }
     }
 }
@@ -411,7 +391,6 @@ fn a_v6_store_with_a_string_section_list_rebuilds_once() {
         source.catalog(),
         &pages,
         config,
-        None,
         io(),
         io(),
     )
@@ -429,13 +408,13 @@ fn a_v6_store_with_a_string_section_list_rebuilds_once() {
             .collect();
         (hits, out.stats)
     };
-    let (want, stats) = search(&open(&vfs, &n, None));
+    let (want, stats) = search(&open(&vfs, &n));
     assert!(
         stats.dict_distances > 0 && stats.tuples_scanned < 1500,
         "{stats:?}"
     );
     relabel(&mem, &n.index, 6);
-    let pair = open(&vfs, &n, None);
+    let pair = open(&vfs, &n);
     assert!(
         pair.index_io().snapshot().bytes_written > 0,
         "a v6 store is rebuilt"
@@ -444,34 +423,9 @@ fn a_v6_store_with_a_string_section_list_rebuilds_once() {
     assert_eq!(got, want);
     assert!(stats.tuples_scanned < 1500, "{stats:?}");
     drop(pair);
-    let again = open(&vfs, &n, None);
+    let again = open(&vfs, &n);
     assert_eq!(again.index_io().snapshot().bytes_written, 0, "rebuilt once");
     assert_eq!(search(&again).0, want);
-}
-
-/// The pins are not decoration: the same table under derived domains
-/// quantises on the values' own range, which is what makes the pinned
-/// arms above mean something.
-#[test]
-fn pinned_and_derived_builds_differ_in_domains() {
-    let source = all_list_types_table(ROWS);
-    let build = |domains: Option<&[DomainPin]>| {
-        IndexedTable::stage(
-            &[&source],
-            None,
-            source.catalog(),
-            &small_pages(),
-            IvaConfig::default(),
-            domains,
-            IoStats::new(),
-            IoStats::new(),
-        )
-        .unwrap()
-        .0
-    };
-    let (pinned, derived) = (build(Some(&pins())), build(None));
-    assert_eq!(domains_of(&pinned)[2], (-50.0, 500.0));
-    assert_eq!(domains_of(&derived)[2], (0.0, 88.0));
 }
 
 /// The index's tid space ends below `u32::MAX`. The bound is checked
@@ -485,7 +439,6 @@ fn insert_past_the_tid_space_is_refused_before_the_table_append() {
         u64::from(u32::MAX),
         &small_pages(),
         IvaConfig::default(),
-        None,
     )
     .unwrap();
     let name = pair.define("name", AttrType::Text).unwrap();
@@ -514,7 +467,6 @@ fn insert_past_the_tid_space_is_refused_before_the_table_append() {
         u64::from(u32::MAX) - 1,
         &small_pages(),
         IvaConfig::default(),
-        None,
     )
     .unwrap();
     let name = pair.define("name", AttrType::Text).unwrap();

@@ -47,8 +47,7 @@ pub use listfile::{
     LIST_PAGE_HEADER,
 };
 pub use manifest::{
-    decode_manifest, encode_manifest, read_manifest, write_manifest, DomainPin, Manifest,
-    SegmentMeta,
+    decode_manifest, encode_manifest, read_manifest, write_manifest, Manifest, SegmentMeta,
 };
 pub use page::{PageId, DEFAULT_PAGE_SIZE};
 pub use pager::{Pager, PagerOptions};

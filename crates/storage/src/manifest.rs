@@ -10,13 +10,13 @@
 //! manifest does not reference). Recovery therefore never sees a
 //! half-merged state.
 //!
-//! Besides the segment list the manifest carries everything the engine
-//! must pin globally so that per-segment index rebuilds stay bit-identical
-//! to a monolithic index: the tid watermark, the per-attribute numeric
-//! domain pins (the iVA numeric quantisation domain is fixed at first
-//! insert and never widens — see DESIGN.md §14), and the encoded attribute
-//! catalog (opaque bytes owned by the table layer; the manifest does not
-//! interpret them).
+//! Besides the segment list the manifest carries what the store holds
+//! across its tiers: the tid watermark and the encoded attribute catalog
+//! (opaque bytes owned by the table layer; the manifest does not
+//! interpret them). The layout keeps a count of 16-byte per-attribute
+//! entries between the two that is written as 0: earlier stores wrote
+//! numeric domain pins there, which decoding skips (each segment
+//! quantises on its own values — DESIGN.md §14).
 //!
 //! Decoding is total: any truncated, oversized, or bit-flipped input
 //! returns [`StorageError`], never panics, and count fields are
@@ -34,8 +34,8 @@ const MANIFEST_MAGIC: [u8; 4] = *b"IVLS";
 const MANIFEST_VERSION: u32 = 1;
 /// magic + version + next_segment_id + next_tid + three u32 counts.
 const MANIFEST_HEADER: usize = 4 + 4 + 8 + 8 + 4 + 4 + 4;
-/// Upper bound on the segment / domain counts a decoder will accept; a
-/// bit-flipped length field must not drive allocation.
+/// Upper bound on the counts a decoder will accept; a bit-flipped length
+/// field must not drive allocation.
 const MAX_COUNT: u32 = 1 << 20;
 
 /// One sealed segment: its file id and the inclusive tid range it covers.
@@ -53,40 +53,6 @@ pub struct SegmentMeta {
     pub hi_tid: u64,
 }
 
-/// A pinned numeric quantisation domain for one attribute.
-///
-/// `min > max` (the default `+inf / -inf` pair) means "not yet pinned":
-/// the attribute has seen no numeric value, matching the degenerate
-/// domain a fresh in-memory index starts with.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DomainPin {
-    /// Domain lower bound.
-    pub min: f64,
-    /// Domain upper bound.
-    pub max: f64,
-}
-
-impl DomainPin {
-    /// The unpinned sentinel.
-    pub fn unpinned() -> Self {
-        DomainPin {
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Whether the pin holds a real domain.
-    pub fn is_pinned(&self) -> bool {
-        self.min <= self.max
-    }
-}
-
-impl Default for DomainPin {
-    fn default() -> Self {
-        Self::unpinned()
-    }
-}
-
 /// The decoded manifest payload.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Manifest {
@@ -98,8 +64,6 @@ pub struct Manifest {
     pub next_tid: u64,
     /// Live sealed segments, oldest first (ascending tid ranges).
     pub segments: Vec<SegmentMeta>,
-    /// Per-attribute numeric domain pins, indexed by attribute id.
-    pub domains: Vec<DomainPin>,
     /// Encoded attribute catalog (opaque to the storage layer).
     pub catalog: Vec<u8>,
 }
@@ -107,24 +71,18 @@ pub struct Manifest {
 /// Serialise a manifest payload (the commit-record envelope is added by
 /// [`write_manifest`]).
 pub fn encode_manifest(m: &Manifest) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(
-        MANIFEST_HEADER + m.segments.len() * 24 + m.domains.len() * 16 + m.catalog.len(),
-    );
+    let mut buf = Vec::with_capacity(MANIFEST_HEADER + m.segments.len() * 24 + m.catalog.len());
     buf.extend_from_slice(&MANIFEST_MAGIC);
     buf.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
     buf.extend_from_slice(&m.next_segment_id.to_le_bytes());
     buf.extend_from_slice(&m.next_tid.to_le_bytes());
     buf.extend_from_slice(&(m.segments.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&(m.domains.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&0u32.to_le_bytes()); // no domain entries
     buf.extend_from_slice(&(m.catalog.len() as u32).to_le_bytes());
     for s in &m.segments {
         buf.extend_from_slice(&s.id.to_le_bytes());
         buf.extend_from_slice(&s.lo_tid.to_le_bytes());
         buf.extend_from_slice(&s.hi_tid.to_le_bytes());
-    }
-    for d in &m.domains {
-        buf.extend_from_slice(&d.min.to_le_bytes());
-        buf.extend_from_slice(&d.max.to_le_bytes());
     }
     buf.extend_from_slice(&m.catalog);
     buf
@@ -195,13 +153,7 @@ pub fn decode_manifest(buf: &[u8]) -> Result<Manifest> {
         prev_hi = Some(hi_tid);
         segments.push(SegmentMeta { id, lo_tid, hi_tid });
     }
-    let mut domains = Vec::with_capacity(n_domains as usize);
-    for _ in 0..n_domains {
-        let min = codec::le_f64(buf, off).ok_or_else(short)?;
-        let max = codec::le_f64(buf, off + 8).ok_or_else(short)?;
-        off += 16;
-        domains.push(DomainPin { min, max });
-    }
+    off += n_domains as usize * 16; // an older store's domain pins
     let catalog = buf
         .get(off..off + catalog_len as usize)
         .map(<[u8]>::to_vec)
@@ -210,7 +162,6 @@ pub fn decode_manifest(buf: &[u8]) -> Result<Manifest> {
         next_segment_id,
         next_tid,
         segments,
-        domains,
         catalog,
     })
 }
@@ -254,13 +205,6 @@ mod tests {
                     hi_tid: 311,
                 },
             ],
-            domains: vec![
-                DomainPin::unpinned(),
-                DomainPin {
-                    min: -3.5,
-                    max: 9.0,
-                },
-            ],
             catalog: b"opaque-catalog-bytes".to_vec(),
         }
     }
@@ -285,6 +229,38 @@ mod tests {
         assert!(io.snapshot().bytes_read() > 0);
     }
 
+    /// `bytes` with its domain count set to `n` and `entries` 16-byte
+    /// domain entries spliced in before the catalog — the shape of a
+    /// manifest that pinned numeric domains.
+    fn with_domains(bytes: &[u8], n: u32, entries: usize) -> Vec<u8> {
+        let at = MANIFEST_HEADER + sample().segments.len() * 24;
+        let mut out = bytes[..at].to_vec();
+        out[28..32].copy_from_slice(&n.to_le_bytes());
+        for d in 0..entries {
+            out.extend_from_slice(&(-3.5 * d as f64).to_le_bytes());
+            out.extend_from_slice(&f64::NEG_INFINITY.to_le_bytes());
+        }
+        out.extend_from_slice(&bytes[at..]);
+        out
+    }
+
+    #[test]
+    fn domain_pins_of_an_older_store_are_skipped() {
+        let m = sample();
+        let bytes = encode_manifest(&m);
+        assert_eq!(codec::le_u32(&bytes, 28), Some(0), "a domain was written");
+        for n in [1, 2, 5] {
+            let old = with_domains(&bytes, n, n as usize);
+            assert_eq!(decode_manifest(&old).unwrap(), m, "{n} domains");
+        }
+        // Malformed counts stay errors: past the cap, or not backed by
+        // exactly that many entries.
+        assert!(decode_manifest(&with_domains(&bytes, MAX_COUNT + 1, 0)).is_err());
+        assert!(decode_manifest(&with_domains(&bytes, 2, 1)).is_err());
+        assert!(decode_manifest(&with_domains(&bytes, 2, 3)).is_err());
+        assert!(decode_manifest(&with_domains(&bytes, 0, 1)).is_err());
+    }
+
     #[test]
     fn truncation_never_panics() {
         let bytes = encode_manifest(&sample());
@@ -305,8 +281,8 @@ mod tests {
                 let mut flipped = bytes.clone();
                 flipped[byte] ^= 1 << bit;
                 // A flip must either decode to *some* valid manifest
-                // (flips inside f64 domains or catalog bytes are data, not
-                // structure) or error out — decoding itself never panics.
+                // (flips inside catalog bytes are data, not structure) or
+                // error out — decoding itself never panics.
                 if let Ok(got) = decode_manifest(&flipped) {
                     assert_ne!(got, m, "flip {byte}:{bit} was a no-op");
                 }

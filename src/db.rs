@@ -79,7 +79,7 @@ pub struct Monolith {
 impl IvaDb {
     /// Create an in-memory database (tests, examples, experiments).
     pub fn create_mem(opts: IvaDbOptions) -> Result<Self> {
-        let pair = IndexedTable::create(None, &Catalog::new(), 0, &opts.pager, opts.config, None)?;
+        let pair = IndexedTable::create(None, &Catalog::new(), 0, &opts.pager, opts.config)?;
         Ok(Monolith::store(pair, None, opts))
     }
 
@@ -100,7 +100,6 @@ impl IvaDb {
             0,
             &opts.pager,
             opts.config,
-            None,
         )?;
         pair.flush()?; // make the directory openable immediately
         Ok(Monolith::store(pair, Some((vfs, dir.to_path_buf())), opts))
@@ -172,7 +171,6 @@ impl Monolith {
             &dir.join("index.rebuild.iva"),
             &opts.pager,
             opts.config,
-            None,
             table_io,
             index_io,
         )
@@ -204,7 +202,6 @@ impl Monolith {
             self.pair.table().catalog(),
             &self.opts.pager,
             self.opts.config,
-            None,
             table_io.clone(),
             index_io.clone(),
         )?;

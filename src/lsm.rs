@@ -8,11 +8,13 @@
 //! Every tier is an [`IndexedTable`] — the monolithic engine's table +
 //! iVA-file pair and its one Sec. IV-B protocol. Inserts land in the
 //! memtable: a pair created in memory at the store's tid watermark,
-//! quantising exactly like the monolithic engine (the numeric codec
-//! domains are pinned store-wide, see [`DomainPin`]). Sealing stages its
-//! live records as an on-disk segment with its own files and
-//! [`IoStats`]; compaction stages several segments' live records as one.
-//! Deletes tombstone in whichever tier holds the record, in place.
+//! quantising exactly like the monolithic engine's incremental index.
+//! Sealing stages its live records as an on-disk segment with its own
+//! files and [`IoStats`]; compaction stages several segments' live
+//! records as one. Either is a rebuild of one tier, so it quantises each
+//! numeric attribute on the relative domain of the values it stages
+//! (Sec. III-C's renewal); no domain is kept store-wide. Deletes
+//! tombstone in whichever tier holds the record, in place.
 //!
 //! ## Commit protocol
 //!
@@ -42,8 +44,9 @@
 //! top-k of the live tuples under that λ (DESIGN.md §14). Under EQU that
 //! is the single-file engine's answer, bit for bit. Under ITF it need not
 //! be: `df` counts tombstones until a seal or merge drops them, so each
-//! engine's λ follows its own tombstones. `table_accesses` differs too: each tier drains its
-//! own candidates, against a pool the earlier tiers already tightened.
+//! engine's λ follows its own tombstones. `table_accesses` differs too:
+//! each tier drains its own candidates, bounded on its own numeric
+//! domains, against a pool the earlier tiers already tightened.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -53,10 +56,8 @@ use iva_core::{
     IvaConfig, IvaError, MetricKind, Result, Segment, WeightScheme,
 };
 use iva_storage::vfs::{MemVfs, RealVfs, Vfs};
-use iva_storage::{
-    read_manifest, write_manifest, DomainPin, IoStats, Manifest, PagerOptions, SegmentMeta,
-};
-use iva_swt::{AttrId, AttrType, Catalog, SwtTable, Tid, Tuple, Value};
+use iva_storage::{read_manifest, write_manifest, IoStats, Manifest, PagerOptions, SegmentMeta};
+use iva_swt::{AttrId, AttrType, Catalog, SwtTable, Tid, Tuple};
 
 use crate::store::{Store, Tiered};
 
@@ -127,16 +128,12 @@ pub struct MaintenancePlan {
 /// The segmented store: memtable + sealed segments + manifest.
 pub type LsmDb = Store<Segmented>;
 
-/// [`LsmDb`]'s tier set: memtable + sealed segments + manifest.
+/// [`LsmDb`]'s tier set: memtable + sealed segments + manifest. It keeps
+/// no numeric domain of its own: each tier quantises on its values.
 pub struct Segmented {
     vfs: Arc<dyn Vfs>,
     dir: PathBuf,
     opts: LsmOptions,
-    /// Store-wide numeric codec domains, indexed by attribute. Pinned at
-    /// the first inserted value of each numeric attribute (exactly the
-    /// monolithic engine's degenerate first-value domain) and never
-    /// widened, so every tier quantises every value identically.
-    domains: Vec<DomainPin>,
     /// Sealed segments in ascending tid order (oldest first — scan order).
     segments: Vec<Segment>,
     /// The mutable tier: every tuple inserted since the last seal, in
@@ -149,7 +146,7 @@ pub struct Segmented {
     ops: u64,
     manifest_io: IoStats,
     maintenance_io: IoStats,
-    /// Catalog or domain pins changed since the last manifest write.
+    /// The catalog grew since the last manifest write.
     meta_dirty: bool,
 }
 
@@ -194,7 +191,7 @@ impl LsmDb {
     /// any segment files it does not reference (a seal or compaction
     /// that crashed around its commit point) are collected as orphans.
     /// Each referenced segment then recovers exactly like the monolithic
-    /// engine ([`IndexedTable::open`], on the store's pinned domains).
+    /// engine ([`IndexedTable::open`]).
     /// The memtable is volatile — recovery restarts it empty at the
     /// manifest's tid watermark.
     pub fn open_with_vfs(vfs: Arc<dyn Vfs>, dir: &Path, opts: LsmOptions) -> Result<Self> {
@@ -290,28 +287,14 @@ impl Segmented {
     ) -> Result<Self> {
         let mut segments = Vec::with_capacity(manifest.segments.len());
         for &meta in &manifest.segments {
-            segments.push(Segment::open(
-                &vfs,
-                dir,
-                meta,
-                &opts.pager,
-                opts.config,
-                &manifest.domains,
-            )?);
+            segments.push(Segment::open(&vfs, dir, meta, &opts.pager, opts.config)?);
         }
-        let memtable = IndexedTable::create(
-            None,
-            catalog,
-            manifest.next_tid,
-            &opts.pager,
-            opts.config,
-            Some(&manifest.domains),
-        )?;
+        let memtable =
+            IndexedTable::create(None, catalog, manifest.next_tid, &opts.pager, opts.config)?;
         Ok(Self {
             vfs,
             dir: dir.to_path_buf(),
             opts,
-            domains: manifest.domains,
             segments,
             memtable,
             memtable_base: manifest.next_tid,
@@ -328,7 +311,6 @@ impl Segmented {
             next_segment_id: self.next_segment_id,
             next_tid: self.memtable_base,
             segments: self.segments.iter().map(Segment::meta).collect(),
-            domains: self.domains.clone(),
             catalog: self.catalog().encode(),
         };
         write_manifest(
@@ -341,35 +323,10 @@ impl Segmented {
         Ok(())
     }
 
-    /// Pin the codec domain of any numeric attribute `tuple` defines for
-    /// the first time store-wide. The memtable's index just fixed the
-    /// degenerate first-value domain (the monolithic engine's rule);
-    /// recording it makes every later tier quantise identically.
-    fn observe_domains(&mut self, tuple: &Tuple) {
-        for (attr, value) in tuple.iter() {
-            if !matches!(value, Value::Num(_)) {
-                continue;
-            }
-            let i = attr.index();
-            if self.domains.get(i).is_some_and(|d| d.is_pinned()) {
-                continue;
-            }
-            if let Some(e) = self.memtable.index().attr_entry(attr) {
-                if e.min <= e.max {
-                    self.domains[i] = DomainPin {
-                        min: e.min,
-                        max: e.max,
-                    };
-                    self.meta_dirty = true;
-                }
-            }
-        }
-    }
-
     /// The staging half of maintenance (`&self` — readers keep scanning
     /// the sources): stage the live records of `sources` (oldest first)
-    /// as the next segment, on the store's pinned domains, charged to
-    /// [`LsmDb::maintenance_io`]; if none survived, remove the files again.
+    /// as the next segment, charged to [`LsmDb::maintenance_io`]; if none
+    /// survived, remove the files again.
     fn prepare(
         &self,
         sources: &[&SwtTable],
@@ -387,7 +344,6 @@ impl Segmented {
             self.catalog(),
             &self.opts.pager,
             self.opts.config,
-            Some(&self.domains),
             self.maintenance_io.clone(),
             self.maintenance_io.clone(),
         )?;
@@ -448,7 +404,6 @@ impl Segmented {
                 },
                 &self.opts.pager,
                 self.opts.config,
-                &self.domains,
             )?),
             None => None,
         };
@@ -463,7 +418,6 @@ impl Segmented {
                 base,
                 &self.opts.pager,
                 self.opts.config,
-                Some(&self.domains),
             )?;
             self.memtable_base = base;
         }
@@ -496,10 +450,9 @@ impl Tiered for Segmented {
         (self.opts.metric, self.opts.weights)
     }
     fn define(&mut self, name: &str, ty: AttrType) -> Result<AttrId> {
+        let known = self.catalog().len();
         let id = self.memtable.define(name, ty)?;
-        if self.domains.len() < self.catalog().len() {
-            self.domains
-                .resize(self.catalog().len(), DomainPin::unpinned());
+        if self.catalog().len() > known {
             self.ops += 1;
             self.meta_dirty = true;
         }
@@ -509,7 +462,6 @@ impl Tiered for Segmented {
     /// the next flush.
     fn insert(&mut self, tuple: &Tuple) -> Result<Tid> {
         let tid = self.memtable.insert(tuple)?;
-        self.observe_domains(tuple);
         self.ops += 1;
         Ok(tid)
     }
@@ -525,8 +477,7 @@ impl Tiered for Segmented {
     }
     /// The acknowledgement point. Dirty segments commit their in-place
     /// tombstones; the memtable (if used) seals into a segment;
-    /// metadata-only changes (new attributes, freshly pinned domains)
-    /// rewrite the manifest.
+    /// a metadata-only change (a new attribute) rewrites the manifest.
     fn flush(&mut self) -> Result<()> {
         for seg in &mut self.segments {
             if seg.is_dirty() {

@@ -228,7 +228,7 @@ fn hot_tier_budget_is_inert() {
                 .with(price, Value::num(f64::from(i % 53)));
             db.insert(&t).unwrap();
         }
-        // Packed lists and pinned domains: the walk admits by need.
+        // Packed lists and rebuilt domains: the walk admits by need.
         db.rebuild().unwrap();
         let q = Query::new().text(name, "widget 7").num(price, 20.0);
         let req = SearchRequest::new(10);

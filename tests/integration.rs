@@ -1,13 +1,17 @@
 //! Whole-system integration tests: `IvaDb` lifecycle, persistence,
-//! automatic cleanup, and agreement with the baselines on generated
-//! workloads.
+//! automatic cleanup, agreement with the baselines on generated
+//! workloads, and what an `LsmDb` define commits.
+
+use std::path::Path;
+use std::sync::Arc;
 
 use iva_file::baselines::{DirectScan, SiiIndex};
 use iva_file::workload::{generate_query_set, Dataset, WorkloadConfig};
 use iva_file::{
-    IvaDb, IvaDbOptions, MetricKind, PagerOptions, Query, SearchRequest, Tuple, Value, WeightScheme,
+    IvaDb, IvaDbOptions, LsmDb, LsmOptions, MetricKind, PagerOptions, Query, SearchRequest, Tuple,
+    Value, WeightScheme,
 };
-use iva_storage::{RealVfs, Vfs};
+use iva_storage::{MemVfs, RealVfs, Vfs};
 
 fn mem_db() -> IvaDb {
     IvaDb::create_mem(IvaDbOptions::default()).unwrap()
@@ -183,6 +187,53 @@ fn disk_persistence_full_cycle() {
         .hits;
     assert_eq!(hits[0].dist, 0.0);
     RealVfs.remove_dir_all(&dir).unwrap();
+}
+
+/// An `LsmDb` define is a mutation only when it grows the catalog: a new
+/// attribute is committed by the next flush, with nothing to seal, and
+/// reopens; a define of a known name neither stales a prepared plan nor
+/// rewrites the manifest.
+#[test]
+fn lsm_define_commits_only_a_new_attribute() {
+    let (mem, dir) = (MemVfs::new(), Path::new("lsm"));
+    let manifest = dir.join("manifest.ivls");
+    let opts = LsmOptions {
+        memtable_limit: 1,
+        compact_fanout: 0,
+        ..Default::default()
+    };
+    let open = || LsmDb::open_with_vfs(Arc::new(mem.clone()), dir, opts.clone()).unwrap();
+    let mut db = LsmDb::create_with_vfs(Arc::new(mem.clone()), dir, opts.clone()).unwrap();
+    let price = db.define_numeric("price").unwrap();
+    db.flush().unwrap();
+    assert!(db.segments().is_empty());
+    let mut db = open();
+    assert_eq!(db.attr("price"), Some(price));
+
+    db.insert(&Tuple::new().with(price, Value::num(4.0)))
+        .unwrap();
+    let plan = db.plan_maintenance().unwrap().expect("a seal");
+    assert_eq!(db.define_numeric("price").unwrap(), price);
+    assert!(db.publish_maintenance(plan).unwrap());
+    let written = db.manifest_io().snapshot().bytes_written;
+    let bytes = mem.contents(&manifest).unwrap();
+    assert_eq!(db.define_numeric("price").unwrap(), price);
+    db.flush().unwrap();
+    assert_eq!(db.manifest_io().snapshot().bytes_written, written);
+    assert_eq!(mem.contents(&manifest).unwrap(), bytes);
+
+    // A new name does both.
+    db.insert(&Tuple::new().with(price, Value::num(5.0)))
+        .unwrap();
+    let plan = db.plan_maintenance().unwrap().expect("a seal");
+    let year = db.define_numeric("year").unwrap();
+    assert!(
+        db.publish_maintenance(plan).is_err(),
+        "a stale plan published"
+    );
+    db.flush().unwrap();
+    assert!(db.manifest_io().snapshot().bytes_written > written);
+    assert_eq!(open().attr("year"), Some(year));
 }
 
 /// A store written over many sessions — open, insert one tuple, flush,

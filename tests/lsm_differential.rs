@@ -39,11 +39,11 @@ fn pager() -> PagerOptions {
 fn mono_opts() -> IvaDbOptions {
     IvaDbOptions {
         pager: pager(),
-        // The shadow must never rebuild: a rebuild re-picks organizations
-        // and re-quantises numeric domains, while the segmented engine
-        // pins both — the equivalence target is the *incrementally
-        // maintained* monolith. 1.0 is not enough: a run that deletes
-        // every tuple reaches deleted_fraction == 1.0 and still triggers.
+        // The shadow must never rebuild: a rebuild drops its tombstones,
+        // and the monolith's tombstones are what keep "the segmented
+        // engine scans no more entries" true. 1.0 is not enough: a run
+        // that deletes every tuple reaches deleted_fraction == 1.0 and
+        // still triggers.
         cleaning_threshold: 2.0,
         weights: WeightScheme::Equal,
         ..Default::default()
@@ -254,6 +254,40 @@ fn pick(rng: &mut Rng, live: &HashMap<Tid, Tuple>) -> Option<Tid> {
 fn randomized_interleavings_match_monolith_bit_for_bit() {
     for seed in 0..INTERLEAVINGS {
         run_interleaving(0x5EED_0000 + seed);
+    }
+}
+
+/// A seal quantises each numeric attribute on the values it stages, like
+/// a rebuild: an attribute whose first value arrived by insert, after the
+/// store's (empty) build, is bounded by the sealed segment as tightly as
+/// by a rebuilt monolith, not by its first value's `[v, v]` domain —
+/// under which every record scores a lower bound of 0 and is fetched.
+#[test]
+fn a_seal_bounds_numbers_like_a_rebuild() {
+    const ROWS: u64 = 400;
+    let mut mono = IvaDb::create_mem(mono_opts()).unwrap();
+    let mut lsm = LsmDb::create_mem(lsm_opts()).unwrap();
+    define_schema(&mut mono, &mut lsm);
+    for i in 0..ROWS {
+        let tuple = row(i);
+        assert_eq!(mono.insert(&tuple).unwrap(), lsm.insert(&tuple).unwrap());
+    }
+    mono.rebuild().unwrap();
+    lsm.flush().unwrap();
+    assert_eq!(lsm.segments().len(), 1, "the flush did not seal");
+    for value in [0.0, 42.0, 87.5] {
+        let q = Query::new().num(AttrId(2), value);
+        let req = SearchRequest::new(10);
+        let (want, got) = (
+            mono.execute(&q, &req).unwrap(),
+            lsm.execute(&q, &req).unwrap(),
+        );
+        assert_eq!(keys(&got.hits), keys(&want.hits), "{value}: hits diverge");
+        let (fetched, rebuilt) = (got.stats.table_accesses, want.stats.table_accesses);
+        assert!(
+            fetched <= rebuilt,
+            "{value}: the sealed store fetched {fetched} records, the rebuilt monolith {rebuilt}"
+        );
     }
 }
 

@@ -32,8 +32,10 @@
 //! every engine, draw every
 //! metric, scheme and list organization, and give the query every
 //! shape runs a tie at D_k, an attribute fewer than k live tuples
-//! define (then the all-*ndf* level decides by tid alone) and a walk
-//! that leaps. A failing instance is shrunk by dropping ops greedily
+//! define (then the all-*ndf* level decides by tid alone), a walk
+//! that leaps, and a numeric attribute defined after a tier's build (its
+//! first value fixed a `[v, v]` domain the tier's other values pass
+//! beyond). A failing instance is shrunk by dropping ops greedily
 //! while it still fails; its seed, stream and failure are printed.
 
 #[path = "common/model.rs"]
@@ -688,6 +690,15 @@ impl Instance {
             cov.insert(key.into());
         }
         let tiers = db.tiers().map_err(e)?;
+        const AFTER_BUILD: &str = "numeric attribute defined after the build";
+        let numeric: Vec<AttrId> = q
+            .iter()
+            .map(|(a, _)| a)
+            .filter(|a| !TEXT[a.index()])
+            .collect();
+        if !cov.contains(AFTER_BUILD) && beyond_domain(&tiers, &numeric).map_err(e)? {
+            cov.insert(AFTER_BUILD.into());
+        }
         let deleted = tiers.iter().any(|(i, _)| i.n_deleted() > 0);
         // Every tuple-list entry: what a shape that does not leap scans.
         let full: u64 = tiers.iter().map(|(i, _)| i.n_tuples()).sum();
@@ -771,6 +782,26 @@ impl Instance {
     }
 }
 
+/// Whether a tier holds a live value of one of `attrs` outside its own
+/// quantisation domain: the attribute's first value in the tier arrived
+/// after the tier's build, and fixed its `[v, v]` domain.
+fn beyond_domain(tiers: &[(&IvaIndex, &SwtTable)], attrs: &[AttrId]) -> Result<bool> {
+    for &(index, table) in tiers {
+        for item in table.scan() {
+            let (_, rec) = item?;
+            for &a in attrs {
+                let (Some(e), Some(Value::Num(v))) = (index.attr_entry(a), rec.tuple.get(a)) else {
+                    continue;
+                };
+                if !rec.deleted && (*v < e.min || *v > e.max) {
+                    return Ok(true);
+                }
+            }
+        }
+    }
+    Ok(false)
+}
+
 /// What the probes of all instances must reach together.
 fn required() -> Coverage {
     let mut cov = Coverage::new();
@@ -779,6 +810,7 @@ fn required() -> Coverage {
     cov.extend(["NanAtZero", "Equal", "Itf"].map(String::from));
     cov.extend(["I", "II", "III", "IV"].map(|ty| format!("Type {ty}")));
     cov.extend(["tie at D_k", "attr defined by < k", "seeded, leapt"].map(String::from));
+    cov.insert("numeric attribute defined after the build".into());
     cov
 }
 
