@@ -42,18 +42,14 @@ impl DirectScan {
         Self { ndf_penalty }
     }
 
-    /// Resolve attribute weights from table statistics.
+    /// Resolve attribute weights over the table's live records.
     pub fn resolve_weights(
         &self,
         table: &SwtTable,
         query: &Query,
         scheme: WeightScheme,
-    ) -> Vec<f64> {
-        let total = table.file().live_records();
-        query
-            .iter()
-            .map(|(attr, _)| scheme.weight(total, table.stats().attr(attr).df))
-            .collect()
+    ) -> Result<Vec<f64>> {
+        table_weights(table, query, scheme, table.file().live_records())
     }
 
     /// Top-k by full sequential scan with exact distances.
@@ -65,7 +61,7 @@ impl DirectScan {
         metric: &M,
         weights: WeightScheme,
     ) -> Result<DstOutcome> {
-        let lambda = self.resolve_weights(table, query, weights);
+        let lambda = self.resolve_weights(table, query, weights)?;
         let mut pool = ResultPool::new(k);
         let mut stats = QueryStats::default();
         let start = Instant::now();
@@ -85,4 +81,26 @@ impl DirectScan {
             stats,
         })
     }
+}
+
+/// Each queried attribute's weight under `scheme` over `total` tuples.
+/// ITF counts each attribute's `df` over every record the table file
+/// holds, tombstoned ones included — the count the index's attribute list
+/// keeps until a rebuild drops them; EQU needs no count, so no scan.
+pub(crate) fn table_weights(
+    table: &SwtTable,
+    query: &Query,
+    scheme: WeightScheme,
+    total: u64,
+) -> Result<Vec<f64>> {
+    let mut df = vec![0u64; query.len()];
+    if scheme == WeightScheme::Itf {
+        for item in table.scan() {
+            let (_, rec) = item?;
+            for ((attr, _), n) in query.iter().zip(&mut df) {
+                *n += u64::from(rec.tuple.get(attr).is_some());
+            }
+        }
+    }
+    Ok(df.into_iter().map(|df| scheme.weight(total, df)).collect())
 }

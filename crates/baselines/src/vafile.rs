@@ -20,6 +20,8 @@ use iva_core::{
 use iva_storage::{write_contiguous_list, IoStats, ListHandle, ListReader, Pager, PagerOptions};
 use iva_swt::{AttrType, RecordPtr, SwtTable, Value};
 
+use crate::dst::table_weights;
+
 /// One row's approximation: a cell per attribute.
 ///
 /// Cell layout per attribute: numerical attributes use `code_bytes` bytes
@@ -44,13 +46,28 @@ impl VaFile {
         code_bytes: usize,
         ndf_penalty: f64,
     ) -> Result<Self> {
+        // Each numeric attribute's absolute domain, over every record the
+        // table file holds (tombstoned ones included).
         let catalog = table.catalog();
-        let mut attrs = Vec::with_capacity(catalog.len());
-        for (attr, def) in catalog.iter() {
-            let is_text = def.ty == AttrType::Text;
-            let st = table.stats().attr(attr);
-            attrs.push((is_text, NumericCodec::new(st.min, st.max, code_bytes)));
+        let mut domains = vec![(f64::INFINITY, f64::NEG_INFINITY); catalog.len()];
+        for item in table.scan() {
+            let (_, rec) = item?;
+            for (attr, value) in rec.tuple.iter() {
+                if let (Value::Num(v), Some((lo, hi))) = (value, domains.get_mut(attr.index())) {
+                    (*lo, *hi) = (lo.min(*v), hi.max(*v));
+                }
+            }
         }
+        let attrs: Vec<(bool, NumericCodec)> = catalog
+            .iter()
+            .zip(domains)
+            .map(|((_, def), (lo, hi))| {
+                (
+                    def.ty == AttrType::Text,
+                    NumericCodec::new(lo, hi, code_bytes),
+                )
+            })
+            .collect();
         let row_bytes: usize = attrs
             .iter()
             .map(|(t, c)| if *t { 1 } else { c.code_bytes() })
@@ -111,11 +128,7 @@ impl VaFile {
         metric: &M,
         weights: WeightScheme,
     ) -> Result<VaOutcome> {
-        let total = self.tids_ptrs.len() as u64;
-        let lambda: Vec<f64> = query
-            .iter()
-            .map(|(attr, _)| weights.weight(total, table.stats().attr(attr).df))
-            .collect();
+        let lambda = table_weights(table, query, weights, self.tids_ptrs.len() as u64)?;
         // Precompute each queried attribute's byte offset within a row.
         let mut offsets = Vec::with_capacity(query.len());
         for (attr, _) in query.iter() {

@@ -30,12 +30,19 @@ fn main() {
     let codec = config.sig_codec();
     let tuples = table.file().total_records();
 
-    // Exact per-attribute signature volume L.
+    // Exact per-attribute `df`, `str` and signature volume L over every
+    // tuple the table holds.
     let n_attrs = table.catalog().len();
-    let mut sig_total = vec![0u64; n_attrs];
+    let (mut df, mut str_count, mut sig_total) = (
+        vec![0u64; n_attrs],
+        vec![0u64; n_attrs],
+        vec![0u64; n_attrs],
+    );
     for t in &dataset.tuples {
         for (attr, v) in t.iter() {
+            df[attr.index()] += 1;
             if let Value::Text(strings) = v {
+                str_count[attr.index()] += strings.len() as u64;
                 for s in strings {
                     let len_byte = s.len().min(255) as u8;
                     sig_total[attr.index()] += codec.encoded_len(len_byte) as u64;
@@ -49,11 +56,10 @@ fn main() {
     let mut forced = [0u64; 4]; // I, II, III(text)/IV(num) as "positional", keyed-per-tuple
     let mut counts = std::collections::HashMap::<ListType, usize>::new();
     for (attr, def) in table.catalog().iter() {
-        let st = table.stats().attr(attr);
+        let (df, str_count) = (df[attr.index()], str_count[attr.index()]);
         if def.ty == AttrType::Text {
-            let (l1, l2, l3) =
-                text_list_sizes(st.str_count, st.df, tuples, sig_total[attr.index()]);
-            let choice = choose_text_type(st.str_count, st.df, tuples);
+            let (l1, l2, l3) = text_list_sizes(str_count, df, tuples, sig_total[attr.index()]);
+            let choice = choose_text_type(str_count, df, tuples);
             *counts.entry(choice).or_default() += 1;
             auto += match choice {
                 ListType::I => l1,
@@ -66,8 +72,8 @@ fn main() {
             forced[2] += l3;
             forced[3] += l3; // positional bucket
         } else {
-            let (l1, l4) = num_list_sizes(code_bytes, st.df, tuples);
-            let choice = choose_num_type(code_bytes, st.df, tuples);
+            let (l1, l4) = num_list_sizes(code_bytes, df, tuples);
+            let choice = choose_num_type(code_bytes, df, tuples);
             *counts.entry(choice).or_default() += 1;
             auto += match choice {
                 ListType::I => l1,

@@ -1,7 +1,8 @@
 //! Immutable sealed segments of the segmented (LSM-style) write path.
 //!
 //! A segment is an [`IndexedTable`] over a frozen run of tuples — its own
-//! table file, catalog sidecar and index, with its own I/O counters —
+//! table file (whose commit record carries the catalog) and index, with
+//! its own I/O counters —
 //! staged once by [`IndexedTable::stage`] (a seal or a merge) and named by
 //! the store's manifest together with the tid range it covers.
 //!
@@ -21,7 +22,7 @@ use std::sync::Arc;
 
 use iva_storage::vfs::Vfs;
 use iva_storage::{sidecar_path, IoStats, Manifest, PagerOptions, SegmentMeta, StorageError};
-use iva_swt::{catalog_path, table_file_path, Tid};
+use iva_swt::{table_file_path, Tid};
 
 use crate::config::IvaConfig;
 use crate::error::{IvaError, Result};
@@ -48,7 +49,6 @@ fn segment_rebuild_path(dir: &Path, id: u64) -> PathBuf {
 pub fn segment_file_candidates(dir: &Path, id: u64) -> Vec<PathBuf> {
     let base = segment_base(dir, id);
     let tbl = table_file_path(&base);
-    let meta = catalog_path(&base);
     let iva = segment_index_path(dir, id);
     let rebuild = segment_rebuild_path(dir, id);
     let staged = |p: &Path| {
@@ -60,8 +60,6 @@ pub fn segment_file_candidates(dir: &Path, id: u64) -> Vec<PathBuf> {
         staged(&sidecar_path(&tbl)),
         sidecar_path(&tbl),
         tbl,
-        staged(&meta),
-        meta,
         rebuild,
         iva,
     ]

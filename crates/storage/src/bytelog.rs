@@ -11,9 +11,10 @@
 //! The log's durable state lives in two files: the data file (page frames,
 //! see [`BlockFile`](crate::BlockFile)) and a sidecar **commit record**
 //! (`<path>.meta`, see [`commit`](crate::commit)) holding the committed
-//! length, the 32 user-header bytes, a byte-exact shadow of the committed
-//! tail page, and a redo journal of in-place page rewrites. [`ByteLog::flush`]
-//! is the commit:
+//! length, the owning layer's user bytes (any length: the table file keeps
+//! its counters and catalog there), a byte-exact shadow of the committed
+//! tail page, and a redo journal of in-place page rewrites.
+//! [`ByteLog::flush`] is the commit:
 //!
 //! 1. write the tail page, fsync the data file — everything the new record
 //!    will point at is durable *first*;
@@ -43,12 +44,15 @@ use crate::pager::{Pager, PagerOptions};
 use crate::stats::IoStats;
 use crate::vfs::{RealVfs, Vfs};
 
-/// Bytes of header space reserved for the owning layer.
-pub const USER_HEADER_LEN: usize = 32;
+/// First bytes of a commit-record payload. An earlier layout began with
+/// the committed length and carried exactly 32 user bytes; a payload
+/// without this tag is refused as that layout, never guessed at.
+const PAYLOAD_TAG: [u8; 8] = *b"IVBLOGv2";
 
-/// Fixed prefix of the commit-record payload:
-/// `len (8) | user header (32) | tail_len (4) | journal_count (4)`.
-const PAYLOAD_FIXED: usize = 8 + USER_HEADER_LEN + 4 + 4;
+/// Fixed prefix of the commit-record payload: `tag (8) | len (8) |
+/// user_len (4) | tail_len (4) | journal_count (4)`, followed by the user
+/// bytes, the tail image and the journal.
+const PAYLOAD_FIXED: usize = 8 + 8 + 4 + 4 + 4;
 
 /// The sidecar commit-record path for a byte log at `path`.
 pub fn sidecar_path(path: &Path) -> PathBuf {
@@ -57,7 +61,9 @@ pub fn sidecar_path(path: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
-/// Append-only byte log with random read access and atomic commits.
+/// Append-only byte log with random read access and atomic commits: one
+/// commit record holds the data's committed state and the owner's user
+/// bytes, so the two never disagree after a crash.
 pub struct ByteLog {
     vfs: Arc<dyn Vfs>,
     meta_path: PathBuf,
@@ -68,7 +74,8 @@ pub struct ByteLog {
     tail_page: PageId,
     tail_buf: Vec<u8>,
     tail_dirty: bool,
-    user_header: [u8; USER_HEADER_LEN],
+    /// The owner's bytes, committed in the commit record.
+    user: Vec<u8>,
     header_dirty: bool,
     /// Post-images of committed pages mutated by [`ByteLog::write_at`]
     /// since the last flush. Readers consult this first; the pages on disk
@@ -99,11 +106,6 @@ impl ByteLog {
         )
     }
 
-    /// The [`Vfs`] this log lives on (shared with its commit sidecar).
-    pub fn vfs(&self) -> Arc<dyn Vfs> {
-        Arc::clone(&self.vfs)
-    }
-
     /// Create a new log through an explicit [`Vfs`].
     pub fn create_with_vfs(
         vfs: Arc<dyn Vfs>,
@@ -124,7 +126,7 @@ impl ByteLog {
             tail_page,
             tail_buf,
             tail_dirty: false,
-            user_header: [0; USER_HEADER_LEN],
+            user: Vec::new(),
             header_dirty: true,
             overlay: BTreeMap::new(),
         };
@@ -143,7 +145,7 @@ impl ByteLog {
     ) -> Result<Self> {
         let meta_path = sidecar_path(path);
         let payload = read_commit_record(vfs.as_ref(), &meta_path)?;
-        let (len, user_header, tail_image, journal) = parse_payload(&payload, opts.page_size)?;
+        let (len, user, tail_image, journal) = parse_payload(&payload, opts.page_size)?;
 
         let (pager, _torn) = Pager::open_recovering(vfs.as_ref(), path, opts, stats)?;
         let page_size = pager.page_size() as u64;
@@ -188,7 +190,7 @@ impl ByteLog {
             tail_page,
             tail_buf,
             tail_dirty: false,
-            user_header,
+            user,
             header_dirty: false,
             overlay: BTreeMap::new(),
         })
@@ -220,14 +222,15 @@ impl ByteLog {
         self.pager.size_bytes()
     }
 
-    /// The 32 user-header bytes.
-    pub fn user_header(&self) -> &[u8; USER_HEADER_LEN] {
-        &self.user_header
+    /// The owning layer's user bytes, as last set or recovered.
+    pub fn user(&self) -> &[u8] {
+        &self.user
     }
 
-    /// Overwrite the user-header bytes (persisted on the next flush).
-    pub fn set_user_header(&mut self, bytes: [u8; USER_HEADER_LEN]) {
-        self.user_header = bytes;
+    /// Replace the user bytes: committed with the next flush, in the same
+    /// commit record as the data.
+    pub fn set_user(&mut self, bytes: Vec<u8>) {
+        self.user = bytes;
         self.header_dirty = true;
     }
 
@@ -450,12 +453,15 @@ impl ByteLog {
 
         // Step 2: the commit point — atomically replace the commit record.
         let tail_len = (self.len % self.pager.page_size() as u64) as usize;
-        let mut payload =
-            Vec::with_capacity(PAYLOAD_FIXED + tail_len + self.overlay.len() * (8 + 16));
+        let mut payload = Vec::with_capacity(
+            PAYLOAD_FIXED + self.user.len() + tail_len + self.overlay.len() * (8 + 16),
+        );
+        payload.extend_from_slice(&PAYLOAD_TAG);
         payload.extend_from_slice(&self.len.to_le_bytes());
-        payload.extend_from_slice(&self.user_header);
+        payload.extend_from_slice(&(self.user.len() as u32).to_le_bytes());
         payload.extend_from_slice(&(tail_len as u32).to_le_bytes());
         payload.extend_from_slice(&(self.overlay.len() as u32).to_le_bytes());
+        payload.extend_from_slice(&self.user);
         payload.extend_from_slice(
             self.tail_buf
                 .get(..tail_len)
@@ -491,14 +497,24 @@ fn geometry(what: &str) -> StorageError {
     StorageError::Corrupt(format!("byte-log internal geometry error: {what}"))
 }
 
-/// Parse a commit-record payload into
-/// `(len, user_header, tail_image, journal)`.
+/// Parse a commit-record payload into `(len, user, tail_image, journal)`.
 #[allow(clippy::type_complexity)]
 fn parse_payload(
     payload: &[u8],
     page_size: usize,
-) -> Result<(u64, [u8; USER_HEADER_LEN], Vec<u8>, Vec<(u64, Vec<u8>)>)> {
+) -> Result<(u64, Vec<u8>, Vec<u8>, Vec<(u64, Vec<u8>)>)> {
     let corrupt = |msg: &str| StorageError::Corrupt(format!("byte-log commit record: {msg}"));
+    if payload.get(..PAYLOAD_TAG.len()) != Some(PAYLOAD_TAG.as_slice()) {
+        return Err(StorageError::Format {
+            expected: "byte-log commit payload tagged \"IVBLOGv2\" (user bytes of any length)"
+                .into(),
+            found: format!(
+                "an untagged {}-byte payload: the earlier layout with a fixed 32-byte user \
+                 header, which this build does not read",
+                payload.len()
+            ),
+        });
+    }
     // The payload comes straight off disk; every field read is total —
     // a record of any length yields `Corrupt`, never a panic.
     let le8 = |b: Option<&[u8]>| {
@@ -510,13 +526,10 @@ fn parse_payload(
             .map(|b| u32::from_le_bytes(b) as usize)
     };
     let short = || corrupt("shorter than fixed header");
-    let len = le8(payload.get(0..8)).ok_or_else(short)?;
-    let user_header: [u8; USER_HEADER_LEN] = payload
-        .get(8..8 + USER_HEADER_LEN)
-        .and_then(|b| b.try_into().ok())
-        .ok_or_else(short)?;
-    let tail_len = le4(payload.get(40..44)).ok_or_else(short)?;
-    let journal_count = le4(payload.get(44..48)).ok_or_else(short)?;
+    let len = le8(payload.get(8..16)).ok_or_else(short)?;
+    let user_len = le4(payload.get(16..20)).ok_or_else(short)?;
+    let tail_len = le4(payload.get(20..24)).ok_or_else(short)?;
+    let journal_count = le4(payload.get(24..28)).ok_or_else(short)?;
     if tail_len >= page_size {
         return Err(corrupt("tail image longer than a page"));
     }
@@ -526,6 +539,11 @@ fn parse_payload(
         ));
     }
     let mut off = PAYLOAD_FIXED;
+    let user = payload
+        .get(off..off + user_len)
+        .ok_or_else(|| corrupt("truncated user bytes"))?
+        .to_vec();
+    off += user_len;
     let tail_image = payload
         .get(off..off + tail_len)
         .ok_or_else(|| corrupt("truncated tail image"))?
@@ -548,7 +566,7 @@ fn parse_payload(
     if off != payload.len() {
         return Err(corrupt("trailing bytes after journal"));
     }
-    Ok((len, user_header, tail_image, journal))
+    Ok((len, user, tail_image, journal))
 }
 
 #[cfg(test)]
@@ -620,13 +638,13 @@ mod tests {
         {
             let mut log = ByteLog::create(&path, &opts, IoStats::new()).unwrap();
             log.append(&data).unwrap();
-            log.set_user_header([7u8; USER_HEADER_LEN]);
+            log.set_user(vec![7u8; 45]);
             log.flush().unwrap();
         }
         {
             let mut log = ByteLog::open(&path, &opts, IoStats::new()).unwrap();
             assert_eq!(log.len(), 500);
-            assert_eq!(log.user_header(), &[7u8; USER_HEADER_LEN]);
+            assert_eq!(log.user(), &[7u8; 45]);
             let mut buf = vec![0u8; 500];
             log.read_at(0, &mut buf).unwrap();
             assert_eq!(buf, data);

@@ -11,8 +11,9 @@
 //! that somehow is neither.
 //!
 //! [`ByteLog`](crate::ByteLog) uses this as its commit record (committed
-//! length, tail-page shadow and redo journal); the table catalog rides the
-//! same mechanism.
+//! length, user bytes, tail-page shadow and redo journal; a table keeps
+//! its counters and catalog in the user bytes). The segmented store's
+//! manifest is the other user.
 
 use std::path::{Path, PathBuf};
 

@@ -35,7 +35,7 @@ mod pager;
 mod stats;
 pub mod vfs;
 
-pub use bytelog::{sidecar_path, ByteLog, USER_HEADER_LEN};
+pub use bytelog::{sidecar_path, ByteLog};
 pub use cache::{LruCache, PageRef};
 pub use crc::{crc32c, crc32c_append, crc32c_append_portable, crc32c_kernel};
 pub use disk_model::DiskModel;

@@ -10,9 +10,10 @@
 //!
 //! The buffer pool is split into shards, each behind its own mutex, with the
 //! backing file behind a separate mutex. Cache hits on different shards
-//! proceed fully in parallel, which is what the intra-query parallel filter
-//! scan needs: worker threads streaming disjoint segments of the same lists
-//! touch different pages, and page ids map round-robin onto shards.
+//! proceed fully in parallel, which is what the serving layer needs: a
+//! query runs on one thread, but the `Server`'s workers each run one at
+//! once against the same pager, and page ids map round-robin onto shards,
+//! so concurrent queries reading different pages rarely share a lock.
 //!
 //! **Reads hold no pool lock across I/O.** [`Pager::read_page`]'s miss
 //! protocol:
@@ -55,9 +56,10 @@ use crate::page::{PageId, DEFAULT_PAGE_SIZE};
 use crate::stats::IoStats;
 use crate::vfs::Vfs;
 
-/// Upper bound on buffer-pool shards. Eight matches the widest intra-query
-/// fan-out the engine defaults to; more shards than cached pages would leave
-/// some shards permanently empty.
+/// Upper bound on buffer-pool shards: enough that the serving layer's
+/// workers, each reading the same pager for its own query, seldom meet on
+/// one shard lock; more shards than cached pages would leave some shards
+/// permanently empty.
 const MAX_CACHE_SHARDS: usize = 8;
 
 /// Configuration for opening or creating a paged file.

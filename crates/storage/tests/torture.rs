@@ -16,9 +16,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use iva_storage::{
-    ByteLog, FaultKind, FaultVfs, IoStats, PagerOptions, PlannedFault, Vfs, USER_HEADER_LEN,
-};
+use iva_storage::{ByteLog, FaultKind, FaultVfs, IoStats, PagerOptions, PlannedFault, Vfs};
 
 const PAGE: usize = 128;
 const LOG_PATH: &str = "torture.log";
@@ -42,7 +40,7 @@ fn splitmix(x: &mut u64) -> u64 {
 #[derive(Clone, PartialEq)]
 struct State {
     content: Vec<u8>,
-    header: [u8; USER_HEADER_LEN],
+    user: Vec<u8>,
 }
 
 /// What a (possibly crash-interrupted) workload run acknowledged.
@@ -71,18 +69,23 @@ fn run_workload(vfs: Arc<dyn Vfs>, seed: u64) -> Outcome {
     };
     let mut current = State {
         content: Vec::new(),
-        header: [0; USER_HEADER_LEN],
+        user: Vec::new(),
     };
     let mut acked = Some(current.clone());
     let mut flushes = 0u64;
 
     for _ in 0..48 {
         match splitmix(&mut rng) % 5 {
-            // Flush: stamp a recognizable header, attempt the commit.
+            // Flush: stamp recognizable user bytes — their length cycles
+            // through 0, a few bytes, and more than a page — and attempt
+            // the commit.
             0 => {
                 flushes += 1;
-                current.header[0..8].copy_from_slice(&flushes.to_le_bytes());
-                log.set_user_header(current.header);
+                let n = [0usize, 7, 32, 300][flushes as usize % 4];
+                current.user = (0..n)
+                    .map(|i| (flushes as u8).wrapping_add(i as u8))
+                    .collect();
+                log.set_user(current.user.clone());
                 let pending = current.clone();
                 match log.flush() {
                     Ok(()) => acked = Some(pending),
@@ -163,7 +166,7 @@ fn verify_recovery(disk: &dyn Fn() -> Arc<dyn Vfs>, outcome: &Outcome, ctx: &str
     };
 
     let matches = |want: &State| -> bool {
-        if log.len() != want.content.len() as u64 || log.user_header() != &want.header {
+        if log.len() != want.content.len() as u64 || log.user() != want.user {
             return false;
         }
         let mut buf = vec![0u8; want.content.len()];

@@ -7,14 +7,16 @@
 //! Beckmann et al. — each record lists only its defined `(attribute,
 //! value)` pairs — in an append-only, page-cached table file supporting
 //! fast sequential scans, random fetch by record pointer, tombstone
-//! deletes and compaction.
+//! deletes and compaction. The attribute catalog commits with the records
+//! in the table file's one commit record. The table keeps no statistics:
+//! each attribute's `df`, `str` and numeric domain live in the index's
+//! attribute list (Sec. III-C/III-D), which the index build counts.
 
 #![warn(missing_docs)]
 
 mod error;
 mod record;
 mod schema;
-mod stats;
 mod swt;
 mod table;
 mod value;
@@ -24,7 +26,6 @@ pub use record::{
     decode_record, encode_record, record_len, FieldLoc, Fields, RecordView, TextRef, ValueRef,
 };
 pub use schema::{AttrDef, AttrId, AttrType, Catalog};
-pub use stats::{AttrStats, TableStats};
-pub use swt::{catalog_path, table_file_path, SwtTable};
+pub use swt::{table_file_path, SwtTable};
 pub use table::{RecordBuf, RecordPtr, RecordRef, StoredRecord, TableFile, TableScan, Tid};
 pub use value::{Tuple, Value};

@@ -1,55 +1,38 @@
 //! lint:scope(panic-reachability)
-//! The sparse wide table: catalog + statistics + table file, with typed
-//! inserts and compaction.
+//! The sparse wide table: catalog + table file, with typed inserts and
+//! compaction.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use iva_storage::codec::le_u32;
 use iva_storage::vfs::{RealVfs, Vfs};
-use iva_storage::{commit, IoStats, PagerOptions};
+use iva_storage::{IoStats, PagerOptions};
 
 use crate::error::{Result, SwtError};
 use crate::schema::{AttrId, AttrType, Catalog};
-use crate::stats::TableStats;
 use crate::table::{RecordBuf, RecordPtr, RecordRef, StoredRecord, TableFile, TableScan, Tid};
 use crate::value::{Tuple, Value};
 
-const META_MAGIC: u32 = 0x4956_4D54; // "IVMT"
-
 /// A sparse wide table: the data side of the system (the index lives in
-/// `iva-core`).
+/// `iva-core`). One file and one commit record: the catalog commits with
+/// the records it describes, in the table file's own commit.
 pub struct SwtTable {
     catalog: Catalog,
-    stats: TableStats,
     file: TableFile,
-    vfs: Arc<dyn Vfs>,
-    meta_path: Option<PathBuf>,
 }
 
-/// `<base><suffix>`: the suffix is appended, never substituted for an
-/// extension `base` already has — a staging base such as `data.rebuild`
-/// must not name the live `data.tbl`.
-fn suffixed(base: &Path, suffix: &str) -> PathBuf {
-    let mut name = base.as_os_str().to_os_string();
-    name.push(suffix);
-    PathBuf::from(name)
-}
-
-/// The table file of the table at `base`: `<base>.tbl`.
+/// The table file of the table at `base`: `<base>.tbl`. The suffix is
+/// appended, never substituted for an extension `base` already has — a
+/// staging base such as `data.rebuild` must not name the live `data.tbl`.
 pub fn table_file_path(base: &Path) -> PathBuf {
-    suffixed(base, ".tbl")
-}
-
-/// The catalog/statistics sidecar of the table at `base`: `<base>.meta`.
-pub fn catalog_path(base: &Path) -> PathBuf {
-    suffixed(base, ".meta")
+    let mut name = base.as_os_str().to_os_string();
+    name.push(".tbl");
+    PathBuf::from(name)
 }
 
 impl SwtTable {
     /// Create a fresh disk-backed table. `base` is a path prefix: the table
-    /// file lands at [`table_file_path`] and catalog/statistics at
-    /// [`catalog_path`].
+    /// file lands at [`table_file_path`].
     pub fn create(base: &Path, opts: &PagerOptions, stats: IoStats) -> Result<Self> {
         Self::create_with_vfs(Arc::new(RealVfs), base, opts, stats)
     }
@@ -61,31 +44,20 @@ impl SwtTable {
         opts: &PagerOptions,
         stats: IoStats,
     ) -> Result<Self> {
-        let file =
-            TableFile::create_with_vfs(Arc::clone(&vfs), &table_file_path(base), opts, stats)?;
-        Ok(Self {
-            catalog: Catalog::new(),
-            stats: TableStats::new(),
-            file,
-            vfs,
-            meta_path: Some(catalog_path(base)),
-        })
+        let file = TableFile::create_with_vfs(vfs, &table_file_path(base), opts, stats)?;
+        Ok(Self::with_file(file))
     }
 
-    /// Create a fresh memory-backed table (tests, property checks). The
-    /// table adopts its file's [`Vfs`] — under `IVA_VFS=fault` that is the
-    /// pass-through fault injector, and everything the table ever writes
-    /// (including meta sidecars of compaction targets) stays on it.
+    /// Create a fresh memory-backed table (tests, property checks).
     pub fn create_mem(opts: &PagerOptions, stats: IoStats) -> Result<Self> {
-        let file = TableFile::create_mem(opts, stats)?;
-        let vfs = file.vfs();
-        Ok(Self {
+        Ok(Self::with_file(TableFile::create_mem(opts, stats)?))
+    }
+
+    fn with_file(file: TableFile) -> Self {
+        Self {
             catalog: Catalog::new(),
-            stats: TableStats::new(),
             file,
-            vfs,
-            meta_path: None,
-        })
+        }
     }
 
     /// Open an existing disk-backed table created with [`SwtTable::create`].
@@ -93,25 +65,17 @@ impl SwtTable {
         Self::open_with_vfs(Arc::new(RealVfs), base, opts, stats)
     }
 
-    /// Open an existing table on an explicit [`Vfs`]. The catalog sidecar
-    /// is a checksummed commit record; the data file runs crash recovery.
+    /// Open an existing table on an explicit [`Vfs`]: the table file runs
+    /// crash recovery, and the catalog is the one its commit carried.
     pub fn open_with_vfs(
         vfs: Arc<dyn Vfs>,
         base: &Path,
         opts: &PagerOptions,
         stats: IoStats,
     ) -> Result<Self> {
-        let file = TableFile::open_with_vfs(Arc::clone(&vfs), &table_file_path(base), opts, stats)?;
-        let meta_path = catalog_path(base);
-        let bytes = commit::read_commit_record(vfs.as_ref(), &meta_path)?;
-        let (catalog, table_stats) = decode_meta(&bytes)?;
-        Ok(Self {
-            catalog,
-            stats: table_stats,
-            file,
-            vfs,
-            meta_path: Some(meta_path),
-        })
+        let file = TableFile::open_with_vfs(vfs, &table_file_path(base), opts, stats)?;
+        let catalog = Catalog::decode(file.committed_catalog())?;
+        Ok(Self { catalog, file })
     }
 
     /// Define (or look up) a text attribute.
@@ -127,11 +91,6 @@ impl SwtTable {
     /// The attribute catalog.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
-    }
-
-    /// Table statistics (df / str / numeric domains).
-    pub fn stats(&self) -> &TableStats {
-        &self.stats
     }
 
     /// The underlying table file.
@@ -181,10 +140,7 @@ impl SwtTable {
     fn insert_with_tid(&mut self, tid: Tid, tuple: &Tuple) -> Result<RecordPtr> {
         tuple.validate()?;
         self.check_types(tuple)?;
-        let ptr = self.file.append_with_tid(tid, tuple)?;
-        self.stats.ensure_attrs(self.catalog.len());
-        self.stats.observe_insert(tuple);
-        Ok(ptr)
+        self.file.append_with_tid(tid, tuple)
     }
 
     /// Never assign a tid below `tid`, even though no record carries it.
@@ -199,7 +155,6 @@ impl SwtTable {
     /// stamps it onto fresh memtables and merged segment tables.
     pub fn adopt_catalog(&mut self, catalog: Catalog) {
         self.catalog = catalog;
-        self.stats.ensure_attrs(self.catalog.len());
     }
 
     /// Tombstone the record at `ptr`.
@@ -232,8 +187,8 @@ impl SwtTable {
     /// table under the tid it already carries, first reserving every tid
     /// any source ever assigned so that none is handed out again — the
     /// table-file half of the paper's periodic cleanup (Sec. IV-B), of a
-    /// seal and of a merge. Statistics are recomputed. Returns the
-    /// inclusive tid range copied, `None` when no live record survived.
+    /// seal and of a merge. Returns the inclusive tid range copied, `None`
+    /// when no live record survived.
     pub fn copy_live_from(&mut self, sources: &[&SwtTable]) -> Result<Option<(Tid, Tid)>> {
         let watermark = sources.iter().map(|s| s.file.next_tid()).max();
         self.file.reserve_tids_below(watermark.unwrap_or(0));
@@ -251,51 +206,11 @@ impl SwtTable {
         Ok(range)
     }
 
-    /// Persist data file and catalog/statistics sidecar. The sidecar is
-    /// replaced atomically (write-new → fsync → rename), so a crash during
-    /// flush leaves either the old or the new catalog, never a torn one.
+    /// Commit the records and the catalog together, in the table file's
+    /// one commit record: a crash leaves both as of the same flush.
     pub fn flush(&mut self) -> Result<()> {
-        self.file.flush()?;
-        if let Some(path) = &self.meta_path {
-            commit::write_commit_record(
-                self.vfs.as_ref(),
-                path,
-                &encode_meta(&self.catalog, &self.stats),
-            )?;
-        }
-        Ok(())
+        self.file.flush(&self.catalog.encode())
     }
-}
-
-fn encode_meta(catalog: &Catalog, stats: &TableStats) -> Vec<u8> {
-    let cat = catalog.encode();
-    let st = stats.encode();
-    let mut out = Vec::with_capacity(12 + cat.len() + st.len());
-    out.extend_from_slice(&META_MAGIC.to_le_bytes());
-    out.extend_from_slice(&(cat.len() as u32).to_le_bytes());
-    out.extend_from_slice(&cat);
-    out.extend_from_slice(&(st.len() as u32).to_le_bytes());
-    out.extend_from_slice(&st);
-    out
-}
-
-fn decode_meta(buf: &[u8]) -> Result<(Catalog, TableStats)> {
-    let corrupt = |m: &str| SwtError::Corrupt(format!("meta: {m}"));
-    if le_u32(buf, 0) != Some(META_MAGIC) {
-        return Err(corrupt("bad magic"));
-    }
-    let cat_len = le_u32(buf, 4).ok_or_else(|| corrupt("truncated header"))? as usize;
-    let cat_bytes = buf
-        .get(8..8 + cat_len)
-        .ok_or_else(|| corrupt("truncated catalog"))?;
-    let catalog = Catalog::decode(cat_bytes)?;
-    let st_off = 8 + cat_len;
-    let st_len = le_u32(buf, st_off).ok_or_else(|| corrupt("truncated stats header"))? as usize;
-    let st_bytes = buf
-        .get(st_off + 4..st_off + 4 + st_len)
-        .ok_or_else(|| corrupt("truncated stats"))?;
-    let stats = TableStats::decode(st_bytes).ok_or_else(|| corrupt("bad stats"))?;
-    Ok((catalog, stats))
 }
 
 #[cfg(test)]
@@ -328,8 +243,6 @@ mod tests {
         let (tid, ptr) = t.insert(&tuple).unwrap();
         assert_eq!(tid, 0);
         assert_eq!(t.get(ptr).unwrap().tuple, tuple);
-        assert_eq!(t.stats().tuple_count, 1);
-        assert_eq!(t.stats().attr(price).min, 230.0);
     }
 
     #[test]
@@ -397,7 +310,6 @@ mod tests {
         assert_eq!(fresh.copy_live_from(&[&t]).unwrap(), Some((1, 8)));
         assert_eq!(fresh.file().total_records(), 7);
         assert_eq!(fresh.file().deleted_records(), 0);
-        assert_eq!(fresh.stats().tuple_count, 7);
         // Tid preserved; content matches.
         let copied: Vec<_> = fresh.scan().collect::<Result<Vec<_>>>().unwrap();
         let live: Vec<_> = t
@@ -434,10 +346,50 @@ mod tests {
         let t = SwtTable::open(&base, &opts(), IoStats::new()).unwrap();
         assert_eq!(t.catalog().len(), 2);
         assert_eq!(t.catalog().id_of("Year"), Some(AttrId(1)));
-        assert_eq!(t.stats().tuple_count, 1);
-        assert_eq!(t.stats().attr(AttrId(1)).max, 1982.0);
         let recs: Vec<_> = t.scan().collect::<Result<Vec<_>>>().unwrap();
         assert_eq!(recs.len(), 1);
         RealVfs.remove_dir_all(&dir).unwrap();
+    }
+
+    /// A table whose commit record is in the earlier layout — the length,
+    /// a fixed 32-byte user header of counters, no catalog — is refused
+    /// with a typed error naming that layout, not opened with an empty
+    /// catalog.
+    #[test]
+    fn earlier_commit_layout_is_refused_typed() {
+        use iva_storage::commit::{read_commit_record, write_commit_record};
+        use iva_storage::{sidecar_path, MemVfs, StorageError};
+        let vfs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
+        let base = Path::new("old");
+        let mut t =
+            SwtTable::create_with_vfs(Arc::clone(&vfs), base, &opts(), IoStats::new()).unwrap();
+        let name = t.define_text("Name").unwrap();
+        for i in 0..9 {
+            t.insert(&Tuple::new().with(name, Value::text(format!("row {i}"))))
+                .unwrap();
+        }
+        t.flush().unwrap();
+        drop(t);
+
+        // Re-lay the committed payload `tag | len | user_len | tail_len |
+        // journal_count | user | tail` as `len | 32-byte header |
+        // tail_len | journal_count | tail`.
+        let meta = sidecar_path(&table_file_path(base));
+        let now = read_commit_record(vfs.as_ref(), &meta).unwrap();
+        let user_len = u32::from_le_bytes(now[16..20].try_into().unwrap()) as usize;
+        let mut old = now[8..16].to_vec();
+        old.extend_from_slice(&now[28..28 + 24]);
+        old.extend_from_slice(&[0u8; 8]);
+        old.extend_from_slice(&now[20..28]);
+        old.extend_from_slice(&now[28 + user_len..]);
+        write_commit_record(vfs.as_ref(), &meta, &old).unwrap();
+
+        match SwtTable::open_with_vfs(Arc::clone(&vfs), base, &opts(), IoStats::new()) {
+            Err(SwtError::Storage(StorageError::Format { found, .. })) => {
+                assert!(found.contains("fixed 32-byte user header"), "{found}")
+            }
+            Err(e) => panic!("untyped refusal: {e}"),
+            Ok(t) => panic!("opened with {} attributes", t.catalog().len()),
+        }
     }
 }

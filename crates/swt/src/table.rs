@@ -17,13 +17,19 @@
 //! straddle a page boundary are assembled in the caller's [`RecordBuf`]
 //! instead. [`TableFile::get`] materializes an owned [`StoredRecord`]
 //! from that view.
+//!
+//! The file has one commit record, its byte log's: [`TableFile::flush`]
+//! commits the records together with the user bytes `next_tid (8) |
+//! total_records (8) | deleted_records (8) | catalog`, where the catalog
+//! is whatever encoded bytes the owner passes
+//! ([`SwtTable`](crate::SwtTable)'s [`Catalog`](crate::Catalog)).
 
 use std::path::Path;
 use std::sync::Arc;
 
 use iva_storage::codec::{le_u32, le_u64};
 use iva_storage::vfs::Vfs;
-use iva_storage::{ByteLog, IoStats, PageRef, PagerOptions, USER_HEADER_LEN};
+use iva_storage::{ByteLog, IoStats, PageRef, PagerOptions};
 
 use crate::error::{Result, SwtError};
 use crate::record::{decode_record, encode_record, RecordView};
@@ -40,6 +46,8 @@ pub struct RecordPtr(pub u64);
 
 const FLAG_DELETED: u8 = 1;
 const RECORD_HEADER: usize = 4 + 8 + 1;
+/// The three counters that lead the committed user bytes.
+const COUNTERS: usize = 3 * 8;
 
 /// A record fetched from the table file.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,7 +102,9 @@ impl RecordRef<'_> {
     }
 }
 
-/// Append-only table file of interpreted records.
+/// Append-only table file of interpreted records. Records, counters and
+/// the owner's catalog commit together, in its byte log's one commit
+/// record ([`TableFile::flush`]).
 pub struct TableFile {
     log: ByteLog,
     next_tid: Tid,
@@ -137,14 +147,6 @@ impl TableFile {
         Self::from_opened(ByteLog::open_with_vfs(vfs, path, opts, stats)?)
     }
 
-    /// The [`Vfs`] the backing log lives on. [`SwtTable`](crate::SwtTable)
-    /// writes its catalog sidecar through this same handle so the whole
-    /// table — data and meta — shares one filesystem (and one fault
-    /// injector, under `IVA_VFS=fault`).
-    pub fn vfs(&self) -> Arc<dyn Vfs> {
-        self.log.vfs()
-    }
-
     fn from_log(log: ByteLog) -> Self {
         Self {
             log,
@@ -160,7 +162,7 @@ impl TableFile {
     }
 
     fn from_opened(log: ByteLog) -> Result<Self> {
-        let h = log.user_header();
+        let h = log.user();
         let header = |o| le_u64(h, o).ok_or_else(|| SwtError::Corrupt("short user header".into()));
         let next_tid = header(0)?;
         let total_records = header(8)?;
@@ -178,6 +180,12 @@ impl TableFile {
             total_records,
             deleted_records,
         })
+    }
+
+    /// The catalog bytes the last commit carried (as recovered by open;
+    /// empty for a file never flushed with one).
+    pub fn committed_catalog(&self) -> &[u8] {
+        self.log.user().get(COUNTERS..).unwrap_or_default()
     }
 
     /// Append a tuple, returning its assigned tuple id and record pointer.
@@ -358,14 +366,15 @@ impl TableFile {
         self.log.pager().set_verify_checksums(verify);
     }
 
-    /// Persist header and tail page.
-    pub fn flush(&mut self) -> Result<()> {
-        let mut h = [0u8; USER_HEADER_LEN];
-        let words = [self.next_tid, self.total_records, self.deleted_records];
-        for (dst, src) in h.chunks_exact_mut(8).zip(words) {
-            dst.copy_from_slice(&src.to_le_bytes());
+    /// Commit the records, the counters and `catalog` in one commit
+    /// record.
+    pub fn flush(&mut self, catalog: &[u8]) -> Result<()> {
+        let mut user = Vec::with_capacity(COUNTERS + catalog.len());
+        for word in [self.next_tid, self.total_records, self.deleted_records] {
+            user.extend_from_slice(&word.to_le_bytes());
         }
-        self.log.set_user_header(h);
+        user.extend_from_slice(catalog);
+        self.log.set_user(user);
         self.log.flush()?;
         Ok(())
     }
@@ -470,9 +479,10 @@ mod tests {
             p = t.append(&tuple(0)).unwrap().1;
             t.append(&tuple(1)).unwrap();
             t.mark_deleted(p).unwrap();
-            t.flush().unwrap();
+            t.flush(b"the owner's catalog").unwrap();
         }
         let t = TableFile::open(&path, &opts(), IoStats::new()).unwrap();
+        assert_eq!(t.committed_catalog(), b"the owner's catalog");
         assert_eq!(t.next_tid(), 2);
         assert_eq!(t.total_records(), 2);
         assert_eq!(t.deleted_records(), 1);
@@ -490,7 +500,7 @@ mod tests {
         for i in 0..20 {
             ptrs.push(t.append(&tuple(i)).unwrap().1);
         }
-        t.flush().unwrap();
+        t.flush(&[]).unwrap();
         let bad = ptrs[7];
         t.log.write_at(bad.0, &u32::MAX.to_le_bytes()).unwrap();
         let corrupt = |r: Result<()>| matches!(r, Err(SwtError::Corrupt(_)));
@@ -520,7 +530,7 @@ mod tests {
         for i in 0..40 {
             ptrs.push(t.append(&tuple(i)).unwrap().1);
         }
-        t.flush().unwrap();
+        t.flush(&[]).unwrap();
         for i in 40..44 {
             ptrs.push(t.append(&tuple(i)).unwrap().1);
         }

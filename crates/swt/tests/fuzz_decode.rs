@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 
 use iva_swt::{
-    decode_record, encode_record, AttrId, AttrType, Catalog, FieldLoc, RecordView, TableStats,
-    Tuple, Value, ValueRef,
+    decode_record, encode_record, AttrId, AttrType, Catalog, FieldLoc, RecordView, Tuple, Value,
+    ValueRef,
 };
 
 fn sample_tuple() -> Tuple {
@@ -156,7 +156,6 @@ proptest! {
     fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..300)) {
         let _ = decode_record(&bytes);
         let _ = Catalog::decode(&bytes);
-        let _ = TableStats::decode(&bytes);
     }
 
     /// A valid record with one mutated byte either still decodes to *a*
@@ -179,7 +178,7 @@ proptest! {
         let _ = decode_record(&buf[..cut]);
     }
 
-    /// Same for the catalog sidecar payload.
+    /// Same for the catalog bytes a table's commit record carries.
     #[test]
     fn mutated_catalog_never_panics(
         at in any::<prop::sample::Index>(),
@@ -193,24 +192,5 @@ proptest! {
         let _ = Catalog::decode(&mutated);
         let cut = cut.index(buf.len());
         let _ = Catalog::decode(&buf[..cut]);
-    }
-
-    /// Same for the table statistics payload.
-    #[test]
-    fn mutated_stats_never_panic(
-        at in any::<prop::sample::Index>(),
-        xor in 1u8..255,
-        cut in any::<prop::sample::Index>(),
-    ) {
-        let mut stats = TableStats::new();
-        stats.ensure_attrs(3);
-        stats.observe_insert(&sample_tuple());
-        let buf = stats.encode();
-        let mut mutated = buf.clone();
-        let at = at.index(mutated.len());
-        mutated[at] ^= xor;
-        let _ = TableStats::decode(&mutated);
-        let cut = cut.index(buf.len());
-        let _ = TableStats::decode(&buf[..cut]);
     }
 }

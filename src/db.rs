@@ -8,7 +8,7 @@ use std::sync::Arc;
 use iva_core::{IndexedTable, IvaConfig, IvaError, IvaIndex, MetricKind, Result, WeightScheme};
 use iva_storage::vfs::{RealVfs, Vfs};
 use iva_storage::{sidecar_path, IoStats, PagerOptions};
-use iva_swt::{catalog_path, table_file_path, AttrId, AttrType, Catalog, SwtTable, Tid, Tuple};
+use iva_swt::{table_file_path, AttrId, AttrType, Catalog, SwtTable, Tid, Tuple};
 
 use crate::store::{Store, Tiered};
 
@@ -84,7 +84,8 @@ impl IvaDb {
     }
 
     /// Create a disk-backed database inside directory `dir` (created if
-    /// missing): `data.tbl` + `data.meta` + `index.iva`.
+    /// missing): `data.tbl` + its commit record `data.tbl.meta` (which
+    /// carries the catalog) + `index.iva`.
     pub fn create(dir: &Path, opts: IvaDbOptions) -> Result<Self> {
         Self::create_with_vfs(Arc::new(RealVfs), dir, opts)
     }
@@ -210,16 +211,16 @@ impl Monolith {
             return Ok(());
         };
         drop(staged);
-        // Swap files into place, then reopen. The byte log's commit-record
-        // sidecar (`data.tbl.meta`) must move with its data file, or the
-        // old sidecar would describe the new file.
+        // Swap the three files into place, then reopen. The table's commit
+        // record (`data.tbl.meta`, which also carries the catalog) must
+        // move with its data file, or the old record would describe the
+        // new file.
         let rn =
             |a: PathBuf, b: PathBuf| vfs.rename(&a, &b).map_err(|e| IvaError::Storage(e.into()));
         let (tmp_tbl, dst_base) = (table_file_path(&tmp_base), dir.join("data"));
         let dst_tbl = table_file_path(&dst_base);
         rn(sidecar_path(&tmp_tbl), sidecar_path(&dst_tbl))?;
         rn(tmp_tbl, dst_tbl)?;
-        rn(catalog_path(&tmp_base), catalog_path(&dst_base))?;
         rn(tmp_index, dir.join("index.iva"))?;
         self.pair = Self::open_pair(vfs, dir, &self.opts, table_io, index_io)?;
         Ok(())

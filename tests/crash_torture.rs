@@ -9,7 +9,8 @@
 //! when the cut landed. Every tuple of the matched state must read back
 //! exactly, top-k answers must be the model's over that state
 //! (`common/model.rs`), and the recovered database must accept new
-//! commits.
+//! commits. A second sweep cuts power at every op of a workload that
+//! defines an attribute between two flushes.
 //!
 //! Failures print `(seed, crash_at)`; see TESTING.md for how to replay
 //! one crash point under a debugger.
@@ -115,8 +116,9 @@ fn run_workload(vfs: Arc<dyn Vfs>) -> Outcome {
             return nothing;
         }
     }
-    // Commit the schema before any data: from here on the catalog sidecar
-    // is only rewritten with identical attribute definitions.
+    // The schema commits before any data, but nothing rests on that order:
+    // the catalog commits with the rows in the table's one commit record
+    // (see `define_between_flushes_power_cut_sweep_keeps_acked_rows`).
     let mut live: Shadow = Vec::new();
     if db.flush().is_err() {
         return Outcome {
@@ -193,12 +195,23 @@ fn probe_query() -> Query {
 /// defaults) against the model of `shadow` under the store's `lambda`, by
 /// `(tid, distance bits)`.
 fn assert_topk(out: Result<SearchOutcome>, lambda: &[f64], shadow: &Shadow, ctx: &str) {
+    assert_topk_of(&probe_query(), out, lambda, shadow, ctx);
+}
+
+/// [`assert_topk`] for query `q`.
+fn assert_topk_of(
+    q: &Query,
+    out: Result<SearchOutcome>,
+    lambda: &[f64],
+    shadow: &Shadow,
+    ctx: &str,
+) {
     let out = out.unwrap_or_else(|e| panic!("{ctx}: search after recovery failed: {e}"));
     let got: Vec<_> = out.hits.iter().map(|h| (h.tid, h.dist.to_bits())).collect();
     let model = Model {
         live: shadow.iter().cloned().collect(),
     };
-    let want = model.topk(&probe_query(), lambda, &MetricKind::L2, 10);
+    let want = model.topk(q, lambda, &MetricKind::L2, 10);
     assert_eq!(got, want, "{ctx}: top-k after recovery");
 }
 
@@ -292,6 +305,128 @@ fn full_stack_power_cut_sweep_recovers_committed_state() {
         let ctx = format!("seed={seed:#x} crash_at={crash_at}");
         verify_recovery(Arc::new(fv.durable_snapshot()), &outcome, &ctx);
     }
+}
+
+// ---------------------------------------------------------------------
+// An attribute defined between two flushes.
+// ---------------------------------------------------------------------
+
+const LATE_DIR: &str = "late-define-db";
+
+/// Flush `db`: `live` is in flight while the flush runs and acked once it
+/// returns.
+fn commit(db: &mut IvaDb, live: &Shadow, out: &mut Outcome) -> Result<()> {
+    out.pending = Some(live.clone());
+    db.flush()?;
+    out.acked = out.pending.take();
+    Ok(())
+}
+
+/// Define a text attribute and flush; insert 20 rows and flush; then
+/// define a numeric attribute, insert 5 rows that use it and flush — that
+/// last flush commits a grown catalog together with rows that need it.
+/// Stops at the first failed operation.
+fn late_define_steps(vfs: Arc<dyn Vfs>, out: &mut Outcome) -> Result<()> {
+    let mut db = IvaDb::create_with_vfs(vfs, Path::new(LATE_DIR), opts())?;
+    let name = db.define_text("name")?;
+    let mut live: Shadow = Vec::new();
+    commit(&mut db, &live, out)?;
+    for i in 0..20 {
+        let tup = Tuple::new().with(name, Value::text(format!("early row {i}")));
+        live.push((db.insert(&tup)?, tup));
+    }
+    commit(&mut db, &live, out)?;
+    let price = db.define_numeric("price")?;
+    for i in 0..5 {
+        let tup = Tuple::new()
+            .with(name, Value::text(format!("late row {i}")))
+            .with(price, Value::num(f64::from(i) * 10.0));
+        live.push((db.insert(&tup)?, tup));
+    }
+    commit(&mut db, &live, out)
+}
+
+/// The late attribute's query.
+fn late_query() -> Query {
+    Query::new().num(AttrId(1), 25.0)
+}
+
+/// Reopen after a cut: the store must open whenever a flush was acked and
+/// hold the acked or the in-flight state; a query on the late attribute,
+/// where the recovered catalog has it, is the model's. Returns whether it
+/// had it.
+fn verify_late_define(disk: Arc<dyn Vfs>, out: &Outcome, ctx: &str) -> bool {
+    let reopened = IvaDb::open_with_vfs(disk, Path::new(LATE_DIR), opts());
+    let Some(acked) = &out.acked else {
+        return false;
+    };
+    let mut db =
+        reopened.unwrap_or_else(|e| panic!("{ctx}: acked state exists but reopen failed: {e}"));
+    let matched = [Some(acked), out.pending.as_ref()]
+        .into_iter()
+        .flatten()
+        .find(|s| state_matches(&db, s))
+        .unwrap_or_else(|| {
+            panic!(
+                "{ctx}: recovered db (len {}) matches neither state",
+                db.len()
+            )
+        });
+    let late = db.table().catalog().id_of("price").is_some();
+    if late {
+        let q = late_query();
+        let out = db.execute(&q, &SearchRequest::new(10));
+        let lambda = db.index().resolve_weights(&q, WeightScheme::Equal);
+        assert_topk_of(&q, out, &lambda, matched, ctx);
+    } else {
+        assert!(
+            matched.iter().all(|(_, t)| t.get(AttrId(1)).is_none()),
+            "{ctx}: rows use an attribute the recovered catalog lacks"
+        );
+    }
+    db.insert(&Tuple::new().with(AttrId(0), Value::text("post recovery tuple")))
+        .unwrap_or_else(|e| panic!("{ctx}: insert after recovery failed: {e}"));
+    db.flush()
+        .unwrap_or_else(|e| panic!("{ctx}: flush after recovery failed: {e}"));
+    late
+}
+
+/// A cut at every op of a workload that defines an attribute between two
+/// flushes. With the catalog in a second commit record, written after the
+/// table's, the cuts between the two left rows that use the new attribute
+/// beside the old catalog, and the store could not reopen at all (`tuple
+/// 20 references attribute A1 beyond catalog`): the 20 acked rows were
+/// lost with it.
+#[test]
+fn define_between_flushes_power_cut_sweep_keeps_acked_rows() {
+    let seed = 0x1A7E_DEF5_u64;
+    let run = |vfs: Arc<dyn Vfs>| {
+        let mut out = Outcome {
+            acked: None,
+            pending: None,
+        };
+        let _ = late_define_steps(vfs, &mut out);
+        out
+    };
+    let dry = FaultVfs::passthrough(seed);
+    let outcome = run(Arc::new(dry.clone()));
+    assert!(outcome.acked.is_some() && outcome.pending.is_none());
+    let total_ops = dry.op_count();
+    assert!(total_ops >= 100, "workload too small: {total_ops} ops");
+
+    let mut late_seen = 0;
+    for crash_at in 0..total_ops {
+        let fv = FaultVfs::power_cut_at(seed, crash_at);
+        let outcome = run(Arc::new(fv.clone()));
+        assert!(fv.crashed(), "crash_at={crash_at}: cut never fired");
+        let ctx = format!("seed={seed:#x} crash_at={crash_at}");
+        late_seen += usize::from(verify_late_define(
+            Arc::new(fv.durable_snapshot()),
+            &outcome,
+            &ctx,
+        ));
+    }
+    assert!(late_seen > 0, "no cut recovered the late attribute");
 }
 
 // ---------------------------------------------------------------------

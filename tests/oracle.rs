@@ -1083,3 +1083,41 @@ fn itf_after_a_delete_matches_brute_force() {
         assert_eq!(got, want, "{q:?}");
     }
 }
+
+/// DST counts `df` itself, over every record the table file holds: its
+/// ITF weights are the index's, bit for bit, while tombstones still count
+/// and again once a rebuild has dropped them.
+#[test]
+fn direct_scan_weights_are_the_index_weights() {
+    let opts = IvaDbOptions {
+        cleaning_threshold: 1.0,
+        ..IvaDbOptions::default()
+    };
+    let mut db = IvaDb::create_mem(opts).unwrap();
+    let name = db.define_text("name").unwrap();
+    let price = db.define_numeric("price").unwrap();
+    for i in 0..60u64 {
+        let mut tuple = Tuple::new().with(name, Value::text(word(i)));
+        if i % 3 == 0 {
+            tuple.set(price, Value::num(i as f64));
+        }
+        db.insert(&tuple).unwrap();
+    }
+    for tid in (0..60).step_by(5) {
+        assert!(db.delete(tid).unwrap());
+    }
+    let q = Query::new().text(name, "x").num(price, 1.0);
+    let (itf, dst) = (
+        WeightScheme::Itf,
+        iva_file::baselines::DirectScan::new(20.0),
+    );
+    let with_tombstones = db.resolve_weights(&q, itf);
+    assert_eq!(
+        dst.resolve_weights(db.table(), &q, itf).unwrap(),
+        with_tombstones
+    );
+    db.rebuild().unwrap();
+    let rebuilt = db.resolve_weights(&q, itf);
+    assert_eq!(dst.resolve_weights(db.table(), &q, itf).unwrap(), rebuilt);
+    assert_ne!(rebuilt, with_tombstones, "the rebuild dropped no tombstone");
+}

@@ -74,13 +74,14 @@ const ROWS: u32 = 90;
 /// Rows deleted before the records are staged, wherever they live then.
 const DELETED: [u32; 5] = [3, 17, 40, 41, 77];
 
-/// The four files of the pair at `base` (no extension) + `index`.
-fn pair_files(mem: &MemVfs, base: &Path, index: &Path) -> [Vec<u8>; 4] {
+/// The three files of the pair at `base` (no extension) + `index`: the
+/// table's commit record (which carries the catalog), the table, the
+/// index.
+fn pair_files(mem: &MemVfs, base: &Path, index: &Path) -> [Vec<u8>; 3] {
     let tbl = base.with_extension("tbl");
     [
         mem.contents(&sidecar_path(&tbl)).unwrap(),
         mem.contents(&tbl).unwrap(),
-        mem.contents(&base.with_extension("meta")).unwrap(),
         mem.contents(index).unwrap(),
     ]
 }
@@ -127,7 +128,7 @@ fn seal_merge_and_rebuild_stage_the_same_bytes() {
         &dir.join("seg-00000002"),
         &dir.join("seg-00000002.iva"),
     );
-    for (what, (s, m)) in ["table sidecar", "table", "catalog", "index"]
+    for (what, (s, m)) in ["table commit record", "table", "index"]
         .iter()
         .zip(sealed.iter().zip(&merged))
     {
@@ -136,7 +137,7 @@ fn seal_merge_and_rebuild_stage_the_same_bytes() {
     assert_eq!(a.len(), b.len());
 
     // Rebuilt by the monolith's cleanup: every build quantises on the
-    // live values' own domain, so all four files are the seal's.
+    // live values' own domain, so all three files are the seal's.
     let mem_c = MemVfs::new();
     let mut c = IvaDb::create_with_vfs(Arc::new(mem_c.clone()), dir, mono_opts()).unwrap();
     define_schema(&mut c);
@@ -148,7 +149,7 @@ fn seal_merge_and_rebuild_stage_the_same_bytes() {
     }
     c.rebuild().unwrap();
     let rebuilt = pair_files(&mem_c, &dir.join("data"), &dir.join("index.iva"));
-    for (what, (s, r)) in ["table sidecar", "table", "catalog", "index"]
+    for (what, (s, r)) in ["table commit record", "table", "index"]
         .iter()
         .zip(sealed.iter().zip(&rebuilt))
     {
@@ -157,7 +158,6 @@ fn seal_merge_and_rebuild_stage_the_same_bytes() {
     for staged in [
         "data.rebuild.tbl",
         "data.rebuild.tbl.meta",
-        "data.rebuild.meta",
         "index.rebuild.iva",
     ] {
         assert!(!mem_c.exists(&dir.join(staged)), "{staged} left behind");
