@@ -36,7 +36,10 @@
 //!
 //! `tid_gap` is the distance to the previous tid in the same sequence
 //! (the first posting stores the tid itself) — CIFF's d-gap scheme.
-//! Tombstoned tuples keep their doc record with `ptr = u64::MAX`.
+//! An SII's tombstoned tuples keep their doc record with `ptr =
+//! u64::MAX`. An iVA-file keeps no liveness (its table holds the
+//! tombstones), so its export has no such record and its import refuses
+//! one.
 //!
 //! Every byte of a CIFF container crossed a trust boundary: malformed
 //! input (truncation, bad magic, overflowing varints or gaps, payloads

@@ -295,13 +295,13 @@ mod tests {
     fn multi_string_values_and_deletes() {
         let mut t = SwtTable::create_mem(&opts(), IoStats::new()).unwrap();
         let a = t.define_text("a").unwrap();
-        let (_, p1) = t
+        let (t1, _) = t
             .insert(&Tuple::new().with(a, Value::texts(["wide-angle", "telephoto"])))
             .unwrap();
         t.insert(&Tuple::new().with(a, Value::text("wide angle")))
             .unwrap();
         // Tombstoned tuples are not indexed.
-        t.delete(p1).unwrap();
+        t.delete(t1).unwrap();
         let idx = GramIndex::build(&t, a, 2).unwrap();
         let hits = idx.search("wide-angle", 1);
         assert_eq!(hits.len(), 1);

@@ -171,8 +171,8 @@ fn sii_update_paths_stay_exact() {
     }
     // Deletes.
     for tid in [5u64, 50, 105] {
-        if let Some(ptr) = sii.lookup_ptr(tid).unwrap() {
-            table.delete(ptr).unwrap();
+        if sii.lookup_ptr(tid).unwrap().is_some() {
+            assert!(table.delete(tid).unwrap());
             assert!(sii.delete(tid).unwrap());
         }
     }

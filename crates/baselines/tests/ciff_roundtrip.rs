@@ -5,7 +5,9 @@
 //! error — never panic.
 
 use iva_baselines::{export_iva, export_sii, import_iva, import_sii, SiiIndex};
-use iva_core::{build_index, IndexTarget, IvaConfig, MetricKind, Query, WeightScheme};
+use iva_core::{
+    build_index, IndexTarget, IvaConfig, IvaError, MetricKind, Query, WeightScheme, TOMBSTONE_PTR,
+};
 use iva_storage::{IoStats, PagerOptions};
 use iva_swt::{AttrId, SwtTable, Tuple, Value};
 
@@ -76,10 +78,9 @@ fn iva_fixture() -> (SwtTable, iva_core::IvaIndex) {
         let (tid, ptr) = table.insert(&tup).unwrap();
         index.insert(tid, ptr, &tup, table.catalog()).unwrap();
     }
+    // The table's tombstones: the index keeps no liveness to export.
     for tid in [3u64, 77, 150] {
-        let ptr = index.lookup_ptr(tid).unwrap().unwrap();
-        table.delete(ptr).unwrap();
-        index.delete(tid).unwrap();
+        assert!(table.delete(tid).unwrap());
     }
     (table, index)
 }
@@ -91,7 +92,6 @@ fn iva_roundtrip_reproduces_topk() {
     let imported = import_iva(&bytes, IndexTarget::Mem, &opts(), IoStats::new()).unwrap();
 
     assert_eq!(imported.n_tuples(), index.n_tuples());
-    assert_eq!(imported.n_deleted(), index.n_deleted());
     assert_eq!(imported.table_watermark(), index.table_watermark());
     for q in &queries() {
         for k in [1usize, 5, 20] {
@@ -109,6 +109,23 @@ fn iva_roundtrip_reproduces_topk() {
             assert_eq!(a.stats.table_accesses, b.stats.table_accesses);
             assert_eq!(a.stats.tuples_scanned, b.stats.tuples_scanned);
         }
+    }
+}
+
+/// An iVA-file lists only live tuples, so content whose tuple list marks
+/// an element dead — as an export from a build that kept liveness in the
+/// directory did — is refused with a typed error, not imported as live.
+#[test]
+fn iva_import_refuses_a_dead_element() {
+    let (_table, index) = iva_fixture();
+    let mut parts = iva_core::export_index(&index).unwrap();
+    assert!(parts.tuple_entries.iter().all(|e| e.1 != TOMBSTONE_PTR));
+    parts.tuple_entries[77].1 = TOMBSTONE_PTR;
+    let got = iva_core::import_index(IndexTarget::Mem, &opts(), IoStats::new(), &parts);
+    match got {
+        Err(IvaError::InvalidArgument(m)) => assert!(m.contains("marked deleted"), "{m}"),
+        Err(e) => panic!("untyped refusal: {e}"),
+        Ok(_) => panic!("a dead element imported as live"),
     }
 }
 
@@ -154,8 +171,8 @@ fn sii_roundtrip_reproduces_topk() {
         sii.insert(tid, ptr, &tup, table.catalog()).unwrap();
     }
     for tid in [5u64, 121] {
-        let ptr = sii.lookup_ptr(tid).unwrap().unwrap();
-        table.delete(ptr).unwrap();
+        assert!(sii.lookup_ptr(tid).unwrap().is_some());
+        assert!(table.delete(tid).unwrap());
         assert!(sii.delete(tid).unwrap());
     }
 

@@ -254,7 +254,7 @@ fn run_point(n: usize, updates: usize) -> (Point, Point) {
         assert!(mono.delete(tid).expect("mono delete"));
         let new_mono = mono.insert(tuple).expect("mono reinsert");
         let mut op = mono_bytes(&mono) - b0;
-        if mono.index().deleted_fraction() >= BETA {
+        if mono.deleted_fraction() >= BETA {
             mono.rebuild().expect("rebuild");
             op += mono_bytes(&mono); // fresh counters == the rebuild's writes
             mono_pt.rebuilds += 1;

@@ -19,7 +19,7 @@ use crate::config::IvaConfig;
 use crate::error::{IvaError, Result};
 use crate::index::IvaIndex;
 use crate::interchange::{ExportedAttr, ExportedIndex};
-use crate::layout::{AttrEntry, IndexHeader, INDEX_VERSION, TOMBSTONE_PTR};
+use crate::layout::{AttrEntry, IndexHeader, INDEX_VERSION};
 use crate::numeric::NumericCodec;
 use crate::packed::{encode_packed_num, encode_packed_text, strings_may_pay, TextStrings};
 use crate::veclist::{choose_num_type, choose_text_type, ListType};
@@ -269,11 +269,6 @@ pub(crate) fn write_index(
         config,
         n_attrs: entries.len() as u32,
         n_tuples,
-        n_deleted: parts
-            .tuple_entries
-            .iter()
-            .filter(|(_, ptr)| *ptr == TOMBSTONE_PTR)
-            .count() as u64,
         attr_list,
         tuple_list,
         table_watermark: parts.table_watermark,

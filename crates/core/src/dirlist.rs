@@ -13,22 +13,19 @@
 //!   incremental insert appends a one-element raw frame (rebuilds
 //!   repack).
 //! * `DIR_PACKED` — `[first_tid u32][tbw u8][Δtid−1 × (elems−1)]
-//!   [first_ptr u64][pbw u8][zigzag Δptr × (elems−1)]
-//!   [liveness bitmap ⌈elems/8⌉ bytes]`, delta sections bit-packed at
-//!   their declared widths. Tids are strictly increasing (so Δ−1 packs
-//!   dense appends at width 0); record pointers are near-sorted, so
-//!   zigzag deltas stay narrow without assuming monotonicity.
+//!   [first_ptr u64][pbw u8][zigzag Δptr × (elems−1)]`, delta sections
+//!   bit-packed at their declared widths. Tids are strictly increasing (so
+//!   Δ−1 packs dense appends at width 0); record pointers are
+//!   near-sorted, so zigzag deltas stay narrow without assuming
+//!   monotonicity.
 //!
-//! **Deletes stay in-place.** Sec. IV-B tombstones a tuple by rewriting
-//! its `ptr` — impossible inside a delta chain without re-encoding the
-//! frame. Instead each packed frame carries a raw liveness bitmap:
-//! clearing one bit (a one-byte [`overwrite_in_list`] patch, the crash
-//! granularity of a RAW frame's 8-byte `ptr` rewrite) marks the element
-//! dead while its stored pointer keeps the delta chain intact. Decoders
-//! surface dead elements as [`TOMBSTONE_PTR`], so scan plans and the
-//! interchange exporter see the paper's semantics. Elements already dead
-//! at encode time repeat the previous stored pointer (Δ = 0) and clear
-//! their bit.
+//! **Deletes write nothing here.** Sec. IV-B tombstones a tuple by
+//! rewriting its `ptr`; this directory is never rewritten. The table keeps
+//! one tombstone set, and the walk reads each deleted tid in a block it
+//! fills as [`TOMBSTONE_PTR`](crate::TOMBSTONE_PTR) (see
+//! `IvaIndex::open_tuple_source`), so scan plans see the paper's
+//! semantics. A build skips deleted tuples; every stored element is live
+//! as of the build or insert that wrote it.
 
 use std::sync::Arc;
 
@@ -37,19 +34,27 @@ use iva_storage::compress::{bit_width, pack_bits, packed_len, unpack_bits};
 use iva_storage::{ListHandle, ListReader, Pager};
 
 use crate::error::{IvaError, Result};
-use crate::layout::{TOMBSTONE_PTR, TUPLE_ENTRY_LEN};
-use crate::packed::append_frame;
+use crate::layout::TUPLE_ENTRY_LEN;
+use crate::packed::{append_frame, FRAME_HEADER_LEN};
 
 /// Raw 12-byte elements.
 pub(crate) const DIR_RAW: u8 = 0;
-/// Delta/bit-packed elements with a liveness bitmap.
+/// Delta/bit-packed elements.
 pub(crate) const DIR_PACKED: u8 = 1;
 
-/// Elements per packed frame in bulk encodes.
+/// Elements per frame in bulk encodes, and the most a frame may claim:
+/// an insert's frame holds one.
 const DIR_FRAME_ELEMS: usize = 1024;
 
-/// Decode-side cap on one frame's claimed element count.
-const MAX_DIR_FRAME_ELEMS: usize = 1 << 20;
+/// The fewest stored bytes a frame takes: a one-element raw frame (a
+/// packed one spends at least 14 payload bytes).
+const MIN_DIR_FRAME: u64 = (FRAME_HEADER_LEN + TUPLE_ENTRY_LEN) as u64;
+
+/// The most elements a directory of `stored` bytes can hold: a frame of
+/// [`DIR_FRAME_ELEMS`] in every [`MIN_DIR_FRAME`] bytes.
+pub(crate) fn max_dir_elems(stored: u64) -> u64 {
+    (stored / MIN_DIR_FRAME).saturating_mul(DIR_FRAME_ELEMS as u64)
+}
 
 fn corrupt(msg: &str) -> IvaError {
     IvaError::Corrupt(msg.into())
@@ -105,20 +110,12 @@ fn pack_dir_chunk(chunk: &[(u32, u64)]) -> Option<Vec<u8>> {
         let b = w.get(1)?.0;
         tds.push(u64::from(b).checked_sub(u64::from(a))?.checked_sub(1)?);
     }
-    // Stored-pointer chain: dead elements repeat the previous value.
-    let mut stored = Vec::with_capacity(chunk.len());
-    let mut prev = 0u64;
-    for &(_, p) in chunk {
-        let s = if p == TOMBSTONE_PTR { prev } else { p };
-        stored.push(s);
-        prev = s;
-    }
-    let first_ptr = stored.first().copied()?;
-    let zs: Vec<u64> = stored
+    let &(_, first_ptr) = chunk.first()?;
+    let zs: Vec<u64> = chunk
         .windows(2)
         .map(|w| {
-            let a = w.first().copied().unwrap_or(0);
-            let b = w.get(1).copied().unwrap_or(0);
+            let a = w.first().map_or(0, |e| e.1);
+            let b = w.get(1).map_or(0, |e| e.1);
             zigzag(b.wrapping_sub(a) as i64)
         })
         .collect();
@@ -131,15 +128,6 @@ fn pack_dir_chunk(chunk: &[(u32, u64)]) -> Option<Vec<u8>> {
     out.extend_from_slice(&first_ptr.to_le_bytes());
     out.push(pbw as u8);
     pack_bits(&zs, pbw, &mut out);
-    let mut bitmap = vec![0u8; chunk.len().div_ceil(8)];
-    for (j, &(_, p)) in chunk.iter().enumerate() {
-        if p != TOMBSTONE_PTR {
-            if let Some(b) = bitmap.get_mut(j / 8) {
-                *b |= 1 << (j % 8);
-            }
-        }
-    }
-    out.extend_from_slice(&bitmap);
     Some(out)
 }
 
@@ -150,7 +138,7 @@ fn decode_raw_dir_frame(
     tids: &mut Vec<u32>,
     ptrs: &mut Vec<u64>,
 ) -> Result<()> {
-    if elems == 0 || elems > MAX_DIR_FRAME_ELEMS {
+    if elems == 0 || elems > DIR_FRAME_ELEMS {
         return Err(corrupt("bad directory frame element count"));
     }
     if payload.len() != elems.saturating_mul(TUPLE_ENTRY_LEN) {
@@ -174,7 +162,7 @@ fn decode_packed_dir_frame(
     ptrs: &mut Vec<u64>,
     deltas: &mut Vec<u64>,
 ) -> Result<()> {
-    if elems == 0 || elems > MAX_DIR_FRAME_ELEMS {
+    if elems == 0 || elems > DIR_FRAME_ELEMS {
         return Err(corrupt("bad directory frame element count"));
     }
     let mut c = SliceReader::new(payload, "directory frame");
@@ -184,7 +172,6 @@ fn decode_packed_dir_frame(
     let first_ptr = c.u64()?;
     let pbw = u32::from(c.u8()?);
     let pbytes = c.take(packed_len(elems - 1, pbw))?;
-    let bitmap = c.take(elems.div_ceil(8))?;
     c.finish()?;
     let at = tids.len();
     if tbw == 0 {
@@ -214,9 +201,7 @@ fn decode_packed_dir_frame(
         }
     }
     // The pointer deltas unpack in place after `first_ptr`, and the
-    // running sum turns them into stored pointers where they lie; eight
-    // elements per bitmap byte, the dead ones read as `TOMBSTONE_PTR` (a
-    // byte of live ones is passed over).
+    // running sum turns them into stored pointers where they lie.
     let at = ptrs.len();
     ptrs.push(first_ptr);
     if unpack_bits(pbytes, pbw, elems - 1, ptrs).is_none() {
@@ -228,13 +213,6 @@ fn decode_packed_dir_frame(
     for slot in out.iter_mut().skip(1) {
         sp = sp.wrapping_add(unzigzag(*slot) as u64);
         *slot = sp;
-    }
-    for (run, &bits) in out.chunks_mut(8).zip(bitmap).filter(|(_, &b)| b != 0xFF) {
-        for (bit, slot) in run.iter_mut().enumerate() {
-            if (bits >> bit) & 1 == 0 {
-                *slot = TOMBSTONE_PTR;
-            }
-        }
     }
     Ok(())
 }
@@ -297,8 +275,8 @@ impl DirCursor {
         }
     }
 
-    /// Append the next elements to `tids`/`ptrs` (tombstones as
-    /// [`TOMBSTONE_PTR`]): at least one and at most `max` (≥ 1) of them,
+    /// Append the next elements to `tids`/`ptrs`: at least one and at most
+    /// `max` (≥ 1) of them,
     /// never past the end of the current frame — a slice copy of a decoded
     /// frame.
     pub(crate) fn next_block(
@@ -351,73 +329,10 @@ impl DirCursor {
     }
 }
 
-/// The in-place patch that tombstones one directory element.
-pub(crate) struct DirPatch {
-    /// Byte offset into the directory list's content.
-    pub offset: u64,
-    /// Replacement bytes at that offset.
-    pub bytes: Vec<u8>,
-    /// Whether the element was live when located (false: already dead,
-    /// nothing to write).
-    pub live: bool,
-}
-
-/// Locate `tid` and describe the in-place write that tombstones it: the
-/// 8-byte `ptr` rewrite inside a RAW frame's element, or the one-byte
-/// liveness bit clear inside a packed frame. `None` if the tid is absent.
-pub(crate) fn locate_tombstone(
-    pager: &Arc<Pager>,
-    handle: ListHandle,
-    tid: u32,
-) -> Result<Option<DirPatch>> {
-    let mut cur = DirCursor::open(pager, handle)?;
-    while !cur.r.at_end() {
-        let (kind, elems, plen) = cur.read_frame_header()?;
-        let payload_start = cur.r.tell();
-        cur.load_frame(kind, elems, plen)?;
-        let (tids, ptrs, scratch) = (&cur.tids, &cur.ptrs, &cur.scratch);
-        if tids.first().is_some_and(|&f| f > tid) {
-            return Ok(None); // frames are globally tid-sorted
-        }
-        if tids.last().is_some_and(|&l| l < tid) {
-            continue;
-        }
-        let Some(j) = tids.iter().position(|&t| t == tid) else {
-            return Ok(None);
-        };
-        let live = ptrs.get(j).copied().is_some_and(|p| p != TOMBSTONE_PTR);
-        let patch = if kind == DIR_RAW {
-            DirPatch {
-                offset: payload_start + (j * TUPLE_ENTRY_LEN + 4) as u64,
-                bytes: TOMBSTONE_PTR.to_le_bytes().to_vec(),
-                live,
-            }
-        } else {
-            // decode validated the exact section layout, so the bitmap
-            // is the payload tail.
-            let bm_off = plen
-                .checked_sub(elems.div_ceil(8))
-                .and_then(|b| b.checked_add(j / 8))
-                .ok_or_else(|| corrupt("short directory frame"))?;
-            let old = scratch
-                .get(bm_off)
-                .copied()
-                .ok_or_else(|| corrupt("short directory frame"))?;
-            DirPatch {
-                offset: payload_start + bm_off as u64,
-                bytes: vec![old & !(1u8 << (j % 8))],
-                live,
-            }
-        };
-        return Ok(Some(patch));
-    }
-    Ok(None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iva_storage::{overwrite_in_list, write_contiguous_list, IoStats, PagerOptions};
+    use iva_storage::{write_contiguous_list, IoStats, PagerOptions};
 
     fn pager() -> Arc<Pager> {
         Pager::create_mem(
@@ -432,12 +347,10 @@ mod tests {
     fn sample(n: u32) -> Vec<(u32, u64)> {
         (0..n)
             .map(|t| {
-                let ptr = if t % 97 == 3 {
-                    TOMBSTONE_PTR
-                } else {
-                    u64::from(t) * 237 + (u64::from(t) % 5) * 11
-                };
-                (t * 2 + (t % 2), ptr)
+                (
+                    t * 2 + (t % 2),
+                    u64::from(t) * 237 + (u64::from(t) % 5) * 11,
+                )
             })
             .collect()
     }
@@ -485,7 +398,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_roundtrip_with_tombstones() {
+    fn packed_roundtrip() {
         let entries = sample(3000);
         let framed = encode_dir(&entries);
         assert!(
@@ -535,40 +448,6 @@ mod tests {
     }
 
     #[test]
-    fn locate_and_patch_tombstones_in_place() {
-        let p = pager();
-        let mut entries = sample(1400);
-        let mut framed = encode_dir(&entries);
-        append_raw_entry(&mut framed, 90_000, 123_456);
-        entries.push((90_000, 123_456));
-        let h = write_contiguous_list(&p, &framed).unwrap();
-        // One victim inside a packed frame, one in the raw tail frame.
-        for victim in [entries[700].0, 90_000] {
-            let patch = locate_tombstone(&p, h, victim)
-                .unwrap()
-                .expect("tid present");
-            assert!(patch.live);
-            overwrite_in_list(&p, h, patch.offset, &patch.bytes).unwrap();
-            // Now dead: locating again reports live = false.
-            let again = locate_tombstone(&p, h, victim).unwrap().unwrap();
-            assert!(!again.live);
-        }
-        let got = read_dir_at(&p, h).unwrap();
-        assert_eq!(got.len(), entries.len());
-        for (&(got_t, got_ptr), &(t, ptr)) in got.iter().zip(&entries) {
-            assert_eq!(got_t, t);
-            if t == entries[700].0 || t == 90_000 {
-                assert_eq!(got_ptr, TOMBSTONE_PTR, "tid {t} must be tombstoned");
-            } else {
-                assert_eq!(got_ptr, ptr);
-            }
-        }
-        // Absent tids: inside a frame's tid range and past the end.
-        assert!(locate_tombstone(&p, h, 1).unwrap().is_none());
-        assert!(locate_tombstone(&p, h, 95_000).unwrap().is_none());
-    }
-
-    #[test]
     fn corrupt_frames_error_not_panic() {
         let entries = sample(300);
         let framed = encode_dir(&entries);
@@ -590,18 +469,17 @@ mod tests {
         assert!(read_dir(&bad).is_err());
     }
 
-    /// The packed frame decoder, directly: tombstones at a frame's first
-    /// and last positions and on both sides of a bitmap byte boundary, and
-    /// frames of one element, live and dead, each appended after what the
-    /// columns held. A payload a byte short or long, and tids past
-    /// `u32::MAX`, are corrupt.
+    /// The packed frame decoder, directly: a full frame whose pointers
+    /// step back and forth, and frames of one element, each appended
+    /// after what the columns held. A payload a byte short or long, and
+    /// tids past `u32::MAX`, are corrupt.
     #[test]
-    fn packed_frames_decode_tombstones_at_byte_edges() {
+    fn packed_frames_decode_after_what_the_columns_held() {
         let mut full = sample(1024);
         for j in [0, 7, 8, 1023] {
-            full[j].1 = TOMBSTONE_PTR;
+            full[j].1 = u64::MAX - j as u64;
         }
-        let frames: [&[(u32, u64)]; 3] = [&full, &[(5, 77)], &[(6, TOMBSTONE_PTR)]];
+        let frames: [&[(u32, u64)]; 3] = [&full, &[(5, 77)], &[(6, u64::MAX)]];
         let decode = |payload: &[u8], elems: usize| {
             let (mut tids, mut ptrs) = (vec![1], vec![2]);
             decode_packed_dir_frame(payload, elems, &mut tids, &mut ptrs, &mut Vec::new())?;

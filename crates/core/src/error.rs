@@ -19,7 +19,7 @@ pub enum IvaError {
     InvalidArgument(String),
     /// A tuple id outside the index's 32-bit tid space.
     TidOverflow(u64),
-    /// An index update failed part-way and may be half-applied. The table
+    /// An index insert failed part-way and may be half-applied. The table
     /// file is intact; reopening the store rebuilds the index from it.
     IndexTorn,
 }

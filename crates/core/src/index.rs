@@ -3,6 +3,7 @@
 //! (Sec. IV-B).
 
 use std::borrow::Cow;
+use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -15,7 +16,7 @@ use iva_swt::{AttrId, AttrType, Catalog, RecordPtr, SwtTable, Tid, Tuple, Value}
 use iva_text::{PreparedMatcher, PreparedPattern, SigCodec};
 
 use crate::config::IvaConfig;
-use crate::dirlist::{append_raw_entry, locate_tombstone, DirCursor};
+use crate::dirlist::{append_raw_entry, max_dir_elems, DirCursor};
 use crate::error::{IvaError, Result};
 use crate::layout::{AttrEntry, IndexHeader, TOMBSTONE_PTR, TUPLE_ENTRY_LEN};
 use crate::metric::{Metric, WeightScheme};
@@ -199,15 +200,13 @@ impl IvaIndex {
         // the lists they count can hold, and the lists to the file.
         let (attr_list, tuple_list) = (header.attr_list.len, header.tuple_list.len);
         let entry_len = AttrEntry::ENCODED_LEN as u64;
-        // A directory frame spends at least a liveness bit per element.
         if u64::from(header.n_attrs) * entry_len > attr_list
-            || header.n_tuples / 8 > tuple_list
-            || header.n_deleted > header.n_tuples
+            || header.n_tuples > max_dir_elems(tuple_list)
             || attr_list.max(tuple_list) > pager.size_bytes()
         {
             return Err(IvaError::Corrupt(format!(
-                "index header counts {} attributes, {} tuples and {} tombstones over lists of {attr_list} and {tuple_list} bytes",
-                header.n_attrs, header.n_tuples, header.n_deleted
+                "index header counts {} attributes and {} tuples over lists of {attr_list} and {tuple_list} bytes",
+                header.n_attrs, header.n_tuples
             )));
         }
         let mut reader = ListReader::open(Arc::clone(&pager), header.attr_list)?;
@@ -231,24 +230,10 @@ impl IvaIndex {
         &self.header.config
     }
 
-    /// Number of tuple-list elements (live + tombstoned).
+    /// Number of tuple-list elements (the table's tombstones included:
+    /// the index keeps no liveness).
     pub fn n_tuples(&self) -> u64 {
         self.header.n_tuples
-    }
-
-    /// Tombstoned tuple-list elements.
-    pub fn n_deleted(&self) -> u64 {
-        self.header.n_deleted
-    }
-
-    /// Fraction of tuple-list elements that are tombstones (the cleanup
-    /// trigger input, Sec. V-C's β).
-    pub fn deleted_fraction(&self) -> f64 {
-        if self.header.n_tuples == 0 {
-            0.0
-        } else {
-            self.header.n_deleted as f64 / self.header.n_tuples as f64
-        }
     }
 
     /// Number of attribute-list entries.
@@ -309,17 +294,17 @@ impl IvaIndex {
         self.header.table_watermark
     }
 
-    /// True if an update epoch is open (mutations since the last commit).
+    /// True if an update epoch is open (inserts since the last commit).
     pub fn is_dirty(&self) -> bool {
         self.header.dirty
     }
 
-    /// Mark the start of an update epoch *durably* before the first
-    /// in-place mutation: a crash mid-update then leaves a dirty flag on
-    /// disk, and open-time recovery knows the index may hold partially
-    /// applied updates and must be rebuilt from the table. One sync per
-    /// epoch — subsequent mutations see the flag already set, which it is
-    /// only once it is on disk.
+    /// Mark the start of an update epoch *durably* before an insert's
+    /// first write: a crash mid-insert then leaves a dirty flag on disk,
+    /// and open-time recovery knows the index may hold a partially applied
+    /// insert and must be rebuilt from the table. One sync per epoch —
+    /// subsequent inserts see the flag already set, which it is only once
+    /// it is on disk.
     pub(crate) fn ensure_dirty(&mut self) -> Result<()> {
         if self.header.dirty {
             return Ok(());
@@ -361,27 +346,34 @@ impl IvaIndex {
         NumericCodec::new(entry.min, entry.max, code_bytes)
     }
 
-    /// Resolve the weight `λ` of each query attribute under `scheme`.
-    pub fn resolve_weights(&self, query: &Query, scheme: WeightScheme) -> Vec<f64> {
-        Self::resolve_weights_across(&[self], query, scheme)
-    }
-
-    /// [`IvaIndex::resolve_weights`] over the tiers of a segmented store:
-    /// `|T|` is their live tuple count and `|T|_A` sums the attribute's
-    /// document frequency over all of them (tombstones a tier still holds
-    /// included), so λ is one vector for every tier — each tier's walk
-    /// lower-bounds the same weighted metric (a per-tier λ would break the
-    /// carried pool's admission bound).
-    pub fn resolve_weights_across(
-        tiers: &[&IvaIndex],
+    /// Resolve the weight `λ` of each query attribute under `scheme`, for
+    /// this index over `table`.
+    pub fn resolve_weights(
+        &self,
+        table: &SwtTable,
         query: &Query,
         scheme: WeightScheme,
     ) -> Vec<f64> {
-        let total = tiers.iter().map(|i| i.n_tuples() - i.n_deleted()).sum();
+        Self::resolve_weights_across(&[(self, table)], query, scheme)
+    }
+
+    /// [`IvaIndex::resolve_weights`] over the tiers of a segmented store,
+    /// each an index and its table: `|T|` is the tables' live record count
+    /// and `|T|_A` sums the attribute's document frequency over the
+    /// indexes (tombstones a tier still lists included), so λ is one
+    /// vector for every tier — each tier's walk lower-bounds the same
+    /// weighted metric (a per-tier λ would break the carried pool's
+    /// admission bound).
+    pub fn resolve_weights_across(
+        tiers: &[(&IvaIndex, &SwtTable)],
+        query: &Query,
+        scheme: WeightScheme,
+    ) -> Vec<f64> {
+        let total = tiers.iter().map(|(_, t)| t.file().live_records()).sum();
         query
             .iter()
             .map(|(attr, _)| {
-                let entries = tiers.iter().filter_map(|i| i.attr_entry(attr));
+                let entries = tiers.iter().filter_map(|(i, _)| i.attr_entry(attr));
                 scheme.weight(total, entries.map(|e| e.df).sum())
             })
             .collect()
@@ -505,11 +497,11 @@ impl IvaIndex {
 
     /// The durable tuple list as a column: the directory's first
     /// `n_tuples` elements, exactly what a scan walks (and checked as it
-    /// checks them).
+    /// checks them) with no tombstone set applied.
     pub(crate) fn read_tuple_column(&self) -> Result<TupleColumn> {
-        let mut src = self.open_tuple_source()?;
-        let n = self.tuple_capacity();
-        let (mut tids, mut ptrs) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let none = BTreeSet::new();
+        let mut src = self.open_tuple_source(&none)?;
+        let (mut tids, mut ptrs) = (Vec::new(), Vec::new());
         while (tids.len() as u64) < self.header.n_tuples {
             let left = self.header.n_tuples - tids.len() as u64;
             src.next_block(
@@ -521,20 +513,17 @@ impl IvaIndex {
         Ok(TupleColumn { tids, ptrs })
     }
 
-    /// How many tuple-list elements to reserve room for up front: the
-    /// header's count, but never more than the stored list could hold at a
-    /// liveness bit each — a reservation bounded by the file's size
-    /// whatever the header claims.
-    pub(crate) fn tuple_capacity(&self) -> usize {
-        let stored = self.header.tuple_list.len.saturating_mul(8);
-        usize::try_from(self.header.n_tuples.min(stored)).unwrap_or(0)
-    }
-
-    /// Open a tuple-list scan source at the head of the durable directory.
-    pub(crate) fn open_tuple_source(&self) -> Result<TupleSource> {
+    /// Open a tuple-list scan source at the head of the durable directory,
+    /// reading each tid in `deleted` (the table's tombstone set) as
+    /// [`TOMBSTONE_PTR`].
+    pub(crate) fn open_tuple_source<'a>(
+        &self,
+        deleted: &'a BTreeSet<Tid>,
+    ) -> Result<TupleSource<'a>> {
         Ok(TupleSource {
             cur: self.open_dir_cursor()?,
             last: None,
+            deleted,
         })
     }
 
@@ -585,7 +574,7 @@ impl IvaIndex {
         metric: &M,
         weights: WeightScheme,
     ) -> Result<QueryOutcome> {
-        let lambda = self.resolve_weights(query, weights);
+        let lambda = self.resolve_weights(table, query, weights);
         let mut carried = CarriedQuery::new(self, query, k, lambda);
         self.walk_tier(table, &mut carried, metric)?;
         Ok(carried.carry.finish())
@@ -733,44 +722,15 @@ impl IvaIndex {
         self.write_header()
     }
 
-    /// Tombstone a tuple (Sec. IV-B): scan the tuple list for its element
-    /// and rewrite the `ptr` with the special value. Vector lists and the
-    /// table file are not modified. Returns false if the tid is absent or
-    /// already deleted.
-    pub fn delete(&mut self, tid: Tid) -> Result<bool> {
+    /// Look up the record pointer of a tuple by scanning the tuple list
+    /// (used by callers that track tuples by tid only): `None` where the
+    /// list does not hold `tid` or `deleted` (its table's tombstone set)
+    /// does.
+    pub fn lookup_ptr(&self, tid: Tid, deleted: &BTreeSet<Tid>) -> Result<Option<RecordPtr>> {
         if tid >= u64::from(u32::MAX) {
             return Err(IvaError::TidOverflow(tid));
         }
-        let tid32 = tid as u32;
-        // Locate the element and the in-place write that tombstones it:
-        // the 8-byte `ptr` rewrite of a RAW frame's element, or the
-        // one-byte liveness-bit clear of a packed frame (the stored pointer
-        // stays behind to keep the frame's delta chain intact).
-        let Some(patch) = locate_tombstone(&self.pager, self.header.tuple_list, tid32)? else {
-            return Ok(false);
-        };
-        if !patch.live {
-            return Ok(false);
-        }
-        self.ensure_dirty()?;
-        overwrite_in_list(
-            &self.pager,
-            self.header.tuple_list,
-            patch.offset,
-            &patch.bytes,
-        )?;
-        self.header.n_deleted += 1;
-        self.write_header()?;
-        Ok(true)
-    }
-
-    /// Look up the record pointer of a live tuple by scanning the tuple
-    /// list (used by callers that track tuples by tid only).
-    pub fn lookup_ptr(&self, tid: Tid) -> Result<Option<RecordPtr>> {
-        if tid >= u64::from(u32::MAX) {
-            return Err(IvaError::TidOverflow(tid));
-        }
-        let (mut src, mut left) = (self.open_tuple_source()?, self.header.n_tuples);
+        let (mut src, mut left) = (self.open_tuple_source(deleted)?, self.header.n_tuples);
         let (mut tids, mut ptrs) = (Vec::new(), Vec::new());
         while left > 0 {
             tids.clear();
@@ -794,13 +754,13 @@ impl IvaIndex {
         Ok(())
     }
 
-    /// Describe how a query would execute: per attribute, the vector-list
-    /// organization, its size, the definedness (`df/|T|`), and the
-    /// resolved weight — the information an operator needs to understand
-    /// a slow query.
-    pub fn explain(&self, query: &Query, weights: WeightScheme) -> QueryExplain {
-        let lambda = self.resolve_weights(query, weights);
-        let live = self.header.n_tuples - self.header.n_deleted;
+    /// Describe how a query over `table` would execute: per attribute, the
+    /// vector-list organization, its size, the definedness (`df/|T|`), and
+    /// the resolved weight — the information an operator needs to
+    /// understand a slow query.
+    pub fn explain(&self, table: &SwtTable, query: &Query, weights: WeightScheme) -> QueryExplain {
+        let lambda = self.resolve_weights(table, query, weights);
+        let live = table.file().live_records();
         let attrs = query
             .iter()
             .zip(&lambda)
@@ -824,33 +784,36 @@ impl IvaIndex {
         QueryExplain {
             attrs,
             tuples_to_scan: self.header.n_tuples,
-            tombstones: self.header.n_deleted,
+            tombstones: table.file().deleted_records(),
             tuple_list_bytes: self.header.tuple_list.len,
         }
     }
 }
 
 /// The durable tuple list as parallel arrays: `(tids[i], ptrs[i])` is
-/// tuple-list element `i` (tombstones keep their `TOMBSTONE_PTR`) — what
-/// [`crate::export_index`] reads.
+/// tuple-list element `i` — what [`crate::export_index`] reads.
 pub(crate) struct TupleColumn {
     /// Tuple ids in list order.
     pub tids: Vec<u32>,
-    /// Record pointers (or `TOMBSTONE_PTR`) in list order.
+    /// Record pointers in list order.
     pub ptrs: Vec<u64>,
 }
 
 /// One scan pass over the tuple list, a block at a time, checked
-/// tid-ascending as it goes.
-pub(crate) struct TupleSource {
+/// tid-ascending as it goes, each deleted tid's pointer read as
+/// [`TOMBSTONE_PTR`].
+pub(crate) struct TupleSource<'a> {
     cur: DirCursor,
     /// The last tid handed out.
     last: Option<u32>,
+    /// The table's tombstone set.
+    deleted: &'a BTreeSet<Tid>,
 }
 
-impl TupleSource {
+impl TupleSource<'_> {
     /// Append the next elements to `tids`/`ptrs`: at least one and at most
-    /// `max` (≥ 1), never more than one directory frame holds. The pool's
+    /// `max` (≥ 1), never more than one directory frame holds, a deleted
+    /// tid's pointer as [`TOMBSTONE_PTR`]. The pool's
     /// tie rule (lowest tid wins) is Algorithm 1's "first arrival wins"
     /// only because the tuple list is tid-ascending, and the keyed lists'
     /// frozen pointer relies on it too: tids that do not strictly ascend,
@@ -872,10 +835,15 @@ impl TupleSource {
             last = Some(tid);
         }
         self.last = last;
-        match ascending {
-            true => Ok(()),
-            false => Err(IvaError::Corrupt("tuple list not tid-ascending".into())),
+        if !ascending {
+            return Err(IvaError::Corrupt("tuple list not tid-ascending".into()));
         }
+        // An empty set, the common case, costs this one branch per block.
+        if !self.deleted.is_empty() {
+            let (tids, ptrs) = (tids.get(start..), ptrs.get_mut(start..));
+            read_tombstones(self.deleted, tids.unwrap_or(&[]), ptrs.unwrap_or(&mut []));
+        }
+        Ok(())
     }
 
     /// Skip the next `n` elements unread — whole directory frames by their
@@ -883,6 +851,26 @@ impl TupleSource {
     /// against the last one handed out.
     pub(crate) fn leap(&mut self, n: u64) -> Result<()> {
         self.cur.skip_entries(n)
+    }
+}
+
+/// Read each element of the tid-ascending `tids` that `deleted` holds as
+/// [`TOMBSTONE_PTR`] in `ptrs`: the index keeps no liveness, its table
+/// does.
+fn read_tombstones(deleted: &BTreeSet<Tid>, tids: &[u32], ptrs: &mut [u64]) {
+    let (Some(&lo), Some(&hi)) = (tids.first(), tids.last()) else {
+        return;
+    };
+    if lo > hi {
+        return;
+    }
+    for &tid in deleted.range(u64::from(lo)..=u64::from(hi)) {
+        let at = u32::try_from(tid)
+            .ok()
+            .and_then(|t| tids.binary_search(&t).ok());
+        if let Some(ptr) = at.and_then(|j| ptrs.get_mut(j)) {
+            *ptr = TOMBSTONE_PTR;
+        }
     }
 }
 
@@ -913,7 +901,7 @@ pub struct QueryExplain {
     pub attrs: Vec<ExplainAttr>,
     /// Tuple-list elements the scan will visit.
     pub tuples_to_scan: u64,
-    /// Of which tombstones (skipped without estimation).
+    /// The table's tombstones (skipped without estimation).
     pub tombstones: u64,
     /// Tuple-list bytes scanned.
     pub tuple_list_bytes: u64,

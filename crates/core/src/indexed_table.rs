@@ -1,15 +1,18 @@
 //! A table file and the iVA-file derived from it, maintained as one pair.
 //!
 //! Sec. IV-B gives the pair one protocol: an insert appends to both, a
-//! delete tombstones both, a crash is repaired by rebuilding the index
-//! from the table, and the periodic cleanup copies the live tuples into a
-//! fresh table file and rebuilds the iVA-file over it. [`IndexedTable`] is
-//! that protocol, once: the monolithic store is one pair on disk, a sealed
-//! segment one pair with a tid range, the segmented store's mutable tier
-//! one pair in memory; a seal, a merge and the monolith's cleanup are all
-//! [`IndexedTable::stage`]. The table is the truth: whenever the two may
-//! disagree — at open, or after an index mutation failed part-way — the
-//! index is distrusted, never committed clean, and rebuilt.
+//! delete tombstones the tuple, a crash is repaired by rebuilding the
+//! index from the table, and the periodic cleanup copies the live tuples
+//! into a fresh table file and rebuilds the iVA-file over it.
+//! [`IndexedTable`] is that protocol, once: the monolithic store is one
+//! pair on disk, a sealed segment one pair with a tid range, the
+//! segmented store's mutable tier one pair in memory; a seal, a merge and
+//! the monolith's cleanup are all [`IndexedTable::stage`]. A delete writes
+//! neither file: the tid joins the table's tombstone set, which the
+//! table's commit record commits and every walk reads. The table is the
+//! truth: whenever the two may disagree — at open, or after an index
+//! insert failed part-way — the index is distrusted, never committed
+//! clean, and rebuilt.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -32,7 +35,7 @@ type Files<'a> = (&'a Arc<dyn Vfs>, &'a Path, &'a Path);
 pub struct IndexedTable {
     table: SwtTable,
     index: IvaIndex,
-    /// An index mutation failed part-way: nothing reads the index and no
+    /// An index insert failed part-way: nothing reads the index and no
     /// flush commits it clean until a reopen has rebuilt it.
     index_torn: bool,
 }
@@ -189,7 +192,7 @@ impl IndexedTable {
         })
     }
 
-    /// The index, unless a failed mutation may have left it half-applied.
+    /// The index, unless a failed insert may have left it half-applied.
     fn intact_index(&self) -> Result<&IvaIndex> {
         if self.index_torn {
             return Err(IvaError::IndexTorn);
@@ -201,8 +204,8 @@ impl IndexedTable {
     /// index); returns its tuple id. The table append cannot be undone, so
     /// whatever can refuse the tuple is asked first: the index's 32-bit
     /// tid space here, the catalog inside the table's own insert. If the
-    /// index append then fails anyway (an I/O error), its record in the
-    /// table is tombstoned — so the live count, `get` and every search
+    /// index append then fails anyway (an I/O error), its tid joins the
+    /// table's tombstone set — so the live count, `get` and every search
     /// agree the tuple does not exist — and the index counts as torn.
     pub fn insert(&mut self, tuple: &Tuple) -> Result<Tid> {
         self.intact_index()?;
@@ -213,26 +216,25 @@ impl IndexedTable {
         let (tid, ptr) = self.table.insert(tuple)?;
         if let Err(e) = self.index.insert(tid, ptr, tuple, self.table.catalog()) {
             self.index_torn = true;
-            self.table.delete(ptr)?;
+            self.table.delete(tid)?;
             return Err(e);
         }
         Ok(tid)
     }
 
-    /// Tombstone `tid` in both files if it is live here; whether it was.
+    /// Tombstone `tid` in the table's set if it is live here; whether it
+    /// was. Nothing is written until the next flush.
     pub fn delete(&mut self, tid: Tid) -> Result<bool> {
-        let Some(ptr) = self.lookup_ptr(tid)? else {
+        if self.lookup_ptr(tid)?.is_none() {
             return Ok(false);
-        };
-        self.table.delete(ptr)?;
-        let deleted = self.index.delete(tid);
-        self.index_torn = deleted.is_err();
-        deleted
+        }
+        Ok(self.table.delete(tid)?)
     }
 
     /// Locate a live tid.
     pub fn lookup_ptr(&self, tid: Tid) -> Result<Option<RecordPtr>> {
-        self.intact_index()?.lookup_ptr(tid)
+        self.intact_index()?
+            .lookup_ptr(tid, self.table.file().deleted())
     }
 
     /// Fetch the live tuple `tid`, if this pair holds it.
@@ -252,22 +254,20 @@ impl IndexedTable {
     /// Persist both files: the table commits first, then the index commits
     /// stamped with the table's data length; a crash between the two
     /// leaves the watermark behind the table, which [`IndexedTable::open`]
-    /// repairs. A torn index is never committed: its dirty flag is made
-    /// durable *before* the table commits — a tombstone does not move the
-    /// table's length, so the watermark alone would let the stale index
-    /// pass for current — and the next open rebuilds it.
+    /// repairs. A torn index is never committed: only an insert tears it,
+    /// after appending to the table, so the watermark lags the table this
+    /// flush commits and the next open rebuilds it.
     pub fn flush(&mut self) -> Result<()> {
-        if self.index_torn {
-            self.index.ensure_dirty()?;
-            return Ok(self.table.flush()?);
-        }
         self.table.flush()?;
+        if self.index_torn {
+            return Ok(());
+        }
         self.index.commit(self.table.file().data_len())
     }
 
     /// Whether a flush has anything to commit (a torn index always has).
     pub fn is_dirty(&self) -> bool {
-        self.index.is_dirty() || self.index_torn
+        self.index.is_dirty() || self.index_torn || self.table.file().is_dirty()
     }
 
     /// Live (non-tombstoned) records.

@@ -20,6 +20,10 @@
 //! bit-identical query answers: the postings carry the exact vectors the
 //! original index filtered with.
 //!
+//! Like CIFF's postings, the content carries no liveness (the table keeps
+//! the tombstones); an import refuses an element marked dead
+//! ([`TOMBSTONE_PTR`]) rather than list it as live.
+//!
 //! Everything here handles data that crossed a trust boundary (a list
 //! image off disk, postings from a foreign CIFF file), so malformed
 //! input must surface [`IvaError::Corrupt`], never a panic.
@@ -31,6 +35,7 @@ use crate::build::{write_index, IndexTarget};
 use crate::config::IvaConfig;
 use crate::error::{IvaError, Result};
 use crate::index::{IvaIndex, TupleColumn};
+use crate::layout::TOMBSTONE_PTR;
 use crate::numeric::NumericCodec;
 use crate::veclist::ListType;
 
@@ -60,8 +65,8 @@ pub struct ExportedAttr {
 pub struct ExportedIndex {
     /// Index configuration (its inert fields travel as defaults).
     pub config: IvaConfig,
-    /// The tuple list: `(tid, record ptr)` per element, tombstones
-    /// included (`ptr == TOMBSTONE_PTR`), strictly increasing tids.
+    /// The tuple list: `(tid, record ptr)` per element, strictly
+    /// increasing tids, none marked dead.
     pub tuple_entries: Vec<(u32, u64)>,
     /// Table-file watermark the source index was committed against.
     pub table_watermark: u64,
@@ -75,9 +80,9 @@ fn corrupt(what: &str) -> IvaError {
 
 /// Decode `index` into its logical interchange content.
 pub fn export_index(index: &IvaIndex) -> Result<ExportedIndex> {
-    // The tuple list, tombstones included: positional lists align
-    // against every element, live or not. The read surfaces packed
-    // directories as the same `(tid, ptr)` stream, checked tid-ascending.
+    // The tuple list, every element the index lists: positional lists
+    // align against each of them. The read surfaces packed directories as
+    // the same `(tid, ptr)` stream, checked tid-ascending.
     let TupleColumn {
         tids: all_tids,
         ptrs,
@@ -158,6 +163,10 @@ pub fn import_index(
         .any(|w| w.first().map(|e| e.0) >= w.last().map(|e| e.0))
     {
         return Err(corrupt("tuple list tids out of order"));
+    }
+    if let Some((tid, _)) = parts.tuple_entries.iter().find(|e| e.1 == TOMBSTONE_PTR) {
+        let msg = format!("interchange: tuple {tid} is marked deleted; its table keeps tombstones");
+        return Err(IvaError::InvalidArgument(msg));
     }
     let all_tids: Vec<u32> = parts.tuple_entries.iter().map(|(t, _)| *t).collect();
 

@@ -21,8 +21,11 @@ use crate::config::IvaConfig;
 use crate::error::{IvaError, Result};
 use crate::veclist::ListType;
 
-/// Tombstone marker in a tuple-list `ptr` (Sec. IV-B: "rewrite the ptr in
-/// the element with a special value to mark the deletion").
+/// What a deleted tuple's `ptr` reads as in a walk's directory block
+/// (Sec. IV-B: "rewrite the ptr in the element with a special value to
+/// mark the deletion"). The index stores no liveness: the walk reads the
+/// table's tombstone set into each block it fills, and a stored directory
+/// holds no such element.
 pub const TOMBSTONE_PTR: u64 = u64::MAX;
 
 /// Size of one tuple-list element: `<tid: u32, ptr: u64>`.
@@ -125,10 +128,11 @@ impl AttrEntry {
 
 const MAGIC: u32 = 0x6956_4146; // "iVAF"
 /// The format version this build writes and reads: every vector list and
-/// the tuple directory are packed frames, and each list's logical length
-/// is in its catalog entry. An index of any other version is stale: it
-/// does not load, and [`crate::IndexedTable`] rebuilds it from the table.
-pub const INDEX_VERSION: u32 = 8;
+/// the tuple directory are packed frames, each list's logical length is
+/// in its catalog entry, and the directory carries no liveness (the table
+/// keeps the tombstones). An index of any other version is stale: it does
+/// not load, and [`crate::IndexedTable`] rebuilds it from the table.
+pub const INDEX_VERSION: u32 = 9;
 
 /// The index header stored in page 0.
 #[derive(Debug, Clone, PartialEq)]
@@ -139,23 +143,21 @@ pub struct IndexHeader {
     pub config: IvaConfig,
     /// Number of attributes (attribute-list elements).
     pub n_attrs: u32,
-    /// Tuple-list element count (including tombstones).
+    /// Tuple-list element count (the table's tombstones included).
     pub n_tuples: u64,
-    /// Tombstoned tuple-list elements.
-    pub n_deleted: u64,
     /// Location of the attribute list.
     pub attr_list: ListHandle,
-    /// Location of the tuple list: framed delta/bit-packed elements with
-    /// per-frame liveness bitmaps (see the `dirlist` module).
+    /// Location of the tuple list: framed delta/bit-packed elements (see
+    /// the `dirlist` module).
     pub tuple_list: ListHandle,
     /// Table-file logical length this index was last committed against.
     /// An index whose watermark disagrees with the table it is opened
     /// with was not committed after the table's last flush and must be
     /// rebuilt.
     pub table_watermark: u64,
-    /// Set (and synced) before the first in-place mutation of an update
-    /// epoch, cleared by a commit. A dirty flag found at open time means
-    /// the index may hold partially applied updates.
+    /// Set (and synced) before an insert's first write, cleared by a
+    /// commit. A dirty flag found at open time means the index may hold
+    /// partially applied inserts.
     pub dirty: bool,
 }
 
@@ -171,7 +173,6 @@ impl IndexHeader {
         out.extend_from_slice(&(self.config.numeric_width as u32).to_le_bytes());
         out.extend_from_slice(&self.n_attrs.to_le_bytes());
         out.extend_from_slice(&self.n_tuples.to_le_bytes());
-        out.extend_from_slice(&self.n_deleted.to_le_bytes());
         self.attr_list.encode(&mut out);
         self.tuple_list.encode(&mut out);
         out.extend_from_slice(&self.table_watermark.to_le_bytes());
@@ -208,11 +209,10 @@ impl IndexHeader {
             config,
             n_attrs: u32at(32)?,
             n_tuples: u64at(36)?,
-            n_deleted: u64at(44)?,
-            attr_list: ListHandle::decode(buf.get(52..76).ok_or_else(short)?)?,
-            tuple_list: ListHandle::decode(buf.get(76..100).ok_or_else(short)?)?,
-            table_watermark: u64at(100)?,
-            dirty: *buf.get(108).ok_or_else(short)? != 0,
+            attr_list: ListHandle::decode(buf.get(44..68).ok_or_else(short)?)?,
+            tuple_list: ListHandle::decode(buf.get(68..92).ok_or_else(short)?)?,
+            table_watermark: u64at(92)?,
+            dirty: *buf.get(100).ok_or_else(short)? != 0,
         })
     }
 }
@@ -236,7 +236,6 @@ mod tests {
             config: IvaConfig::default(),
             n_attrs: 0,
             n_tuples: 0,
-            n_deleted: 0,
             attr_list: handle(1, 1, 0),
             tuple_list: handle(2, 2, 0),
             table_watermark: 0,
@@ -294,7 +293,6 @@ mod tests {
             },
             n_attrs: 1147,
             n_tuples: 779_019,
-            n_deleted: 3,
             attr_list: handle(1, 2, 100),
             tuple_list: handle(3, 4, 200),
             table_watermark: 0xDEAD_BEEF_u64,

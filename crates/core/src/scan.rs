@@ -64,7 +64,7 @@
 //! signature-only one, and a Type I value the element walk serves are not
 //! recorded: the position goes to `pending`. A 1-value query probes the
 //! dictionary before its walk ([`Seed`]): exact distances in ascending
-//! estimate order give a bound `B` with at least k + the index's tombstones
+//! estimate order give a bound `B` with at least k + the table's tombstones
 //! counted values at or below it, so at least k live tuples lie at or below
 //! `limit = combine(λ·B)`. The walk skips every tuple whose estimate or
 //! decided distance is past `limit`; its lane starts from the probe's
@@ -565,8 +565,9 @@ impl IvaIndex {
     /// [`IvaIndex::prepare_query`], and a 1-value text query's [`Seed`]
     /// for `carry`'s k where its list's dictionary holds strings
     /// (see the module doc), with the CPU nanos both took. The probe needs
-    /// k + this index's tombstones counted values: a counted value may
-    /// since have been deleted, and RAW tail inserts only add values.
+    /// k + `deleted` (the table's tombstones) counted values: a counted
+    /// value may since have been deleted, and RAW tail inserts only add
+    /// values.
     /// Preparation is filter work — any matcher `matchers` could not lend,
     /// and the probe — which [`IvaIndex::walk_tier`] charges.
     pub(crate) fn prepare_query_timed<'a, M: Metric>(
@@ -574,6 +575,7 @@ impl IvaIndex {
         query: &Query,
         matchers: &'a QueryMatchers,
         (lambda, metric): (&[f64], &M),
+        deleted: u64,
         carry: &mut ScanCarry,
     ) -> Result<(Vec<SharedAttr<'a>>, Option<Seed>, u64)> {
         let (start, k) = (thread_cpu_time(), carry.pool.capacity());
@@ -588,7 +590,7 @@ impl IvaIndex {
                 &[lam],
             ) if k > 0 => {
                 let (n, logical) = (self.n_tuples(), entry.logical_len);
-                let counts = (k as u64, self.n_deleted(), entry.df, n, logical);
+                let counts = (k as u64, deleted, entry.df, n, logical);
                 dict.probe(matcher, counts, (lam, self.config().ndf_penalty, metric))?
             }
             _ => None,
@@ -608,7 +610,7 @@ impl IvaIndex {
         metric: &M,
     ) -> Result<PhaseNanos> {
         let (ndf, n) = (self.config().ndf_penalty, self.n_tuples());
-        let mut tsrc = self.open_tuple_source()?;
+        let mut tsrc = self.open_tuple_source(table.file().deleted())?;
         let mut refiner = Refiner {
             table,
             metric,
@@ -721,8 +723,9 @@ impl IvaIndex {
             matchers,
             carry,
         } = carried;
+        let deleted = table.file().deleted_records();
         let (shared, seed, prepare) =
-            self.prepare_query_timed(query, matchers, (lambda, metric), carry)?;
+            self.prepare_query_timed(query, matchers, (lambda, metric), deleted, carry)?;
         let lane = &mut Lane::open(self, query, lambda, &shared, seed.as_ref(), carry)?;
         let nanos = self.scan(table, lane, drain_at, metric)?;
         carry.stats.filter_nanos += prepare + nanos.filter;
@@ -876,9 +879,7 @@ mod tests {
         let canon = |v: &&Option<Vec<String>>| v.iter().flatten().any(|s| s == "canon");
         let holders = rows.iter().enumerate().filter(|(_, v)| canon(v));
         for (tid, _) in holders.take(deleted) {
-            let ptr = index.lookup_ptr(tid as u64).unwrap().unwrap();
-            table.delete(ptr).unwrap();
-            assert!(index.delete(tid as u64).unwrap());
+            assert!(table.delete(tid as u64).unwrap());
         }
         (table, index)
     }
@@ -910,14 +911,14 @@ mod tests {
         let rows: Vec<_> = (0..2500).map(row).collect();
         let q = Query::new().text(AttrId(0), "canon");
         for (tail, deleted) in [(0, 0), (40, 0), (40, 9), (0, 900)] {
-            let (_, index) = one_attr(&rows, tail, deleted);
-            let n = index.n_tuples();
+            let (table, index) = one_attr(&rows, tail, deleted);
+            let (n, dead) = (index.n_tuples(), table.file().deleted_records());
             let matchers = index.query_matchers(&q);
             let metric = (&[1.0][..], &MetricKind::L2);
             let open = || {
                 let mut carry = ScanCarry::new(10);
                 let (shared, seed, _) = index
-                    .prepare_query_timed(&q, &matchers, metric, &mut carry)
+                    .prepare_query_timed(&q, &matchers, metric, dead, &mut carry)
                     .unwrap();
                 (shared, seed.expect("seeded"))
             };
@@ -927,7 +928,7 @@ mod tests {
             assert_eq!(seed.leap.is_some(), deleted < 900, "{tail} {deleted}");
             let mut both =
                 [&seed, &walked].map(|s| Bounds::open(&index, &shared, Some(s)).unwrap());
-            let mut tsrc = index.open_tuple_source().unwrap();
+            let mut tsrc = index.open_tuple_source(table.file().deleted()).unwrap();
             let (mut at, mut tids, mut ptrs) = (0, Vec::new(), Vec::new());
             while at < n {
                 tids.clear();
@@ -977,7 +978,7 @@ mod tests {
         let matchers = index.query_matchers(&q);
         let (metric, mut carry) = ((&[1.0][..], &MetricKind::L2), ScanCarry::new(5));
         let (_, seed, _) = index
-            .prepare_query_timed(&q, &matchers, metric, &mut carry)
+            .prepare_query_timed(&q, &matchers, metric, 0, &mut carry)
             .unwrap();
         let probe = io.snapshot().since(&before).logical_list_bytes;
         assert!(seed.is_some_and(|s| s.leap.is_some()));
@@ -1034,7 +1035,7 @@ mod tests {
                 let before = io.snapshot();
                 index.list_reader(entry).unwrap().load_dict().unwrap();
                 let parse = io.snapshot().since(&before).logical_list_bytes;
-                let lambda = index.resolve_weights(q, WeightScheme::Equal);
+                let lambda = index.resolve_weights(&table, q, WeightScheme::Equal);
                 let mut carried = CarriedQuery::new(&index, q, 10, lambda);
                 let before = io.snapshot();
                 index
@@ -1119,9 +1120,7 @@ mod tests {
             .step_by(every.max(1))
             .take_while(|_| every > 0);
         for tid in doomed.collect::<Vec<_>>() {
-            let ptr = index.lookup_ptr(tid as u64).unwrap().unwrap();
-            table.delete(ptr).unwrap();
-            assert!(index.delete(tid as u64).unwrap());
+            assert!(table.delete(tid as u64).unwrap());
             tuples[tid] = None;
         }
         (table, index, tuples)
@@ -1231,7 +1230,7 @@ mod tests {
         let seeded = || {
             let mut carry = ScanCarry::new(10);
             let (shared, seed, _) = index
-                .prepare_query_timed(&q, &matchers, metric, &mut carry)
+                .prepare_query_timed(&q, &matchers, metric, 0, &mut carry)
                 .unwrap();
             (shared, seed.expect("seeded"))
         };
@@ -1246,7 +1245,8 @@ mod tests {
             let limit = seed.map_or(f64::INFINITY, |s| s.limit);
             for cap in [0, 1, 2, 4, 5, usize::MAX] {
                 let mut bounds = Bounds::open(&index, &shared, seed).unwrap();
-                let mut tsrc = index.open_tuple_source().unwrap();
+                let none = std::collections::BTreeSet::new();
+                let mut tsrc = index.open_tuple_source(&none).unwrap();
                 let (n, mut at, mut seen) = (index.n_tuples(), 0, 0);
                 let (mut tids, mut ptrs, mut distances) = (Vec::new(), Vec::new(), 0);
                 while at < n {
@@ -1320,8 +1320,9 @@ mod tests {
         let q = Query::new().text(AttrId(0), "canon");
         let matchers = index.query_matchers(&q);
         let (metric, mut carry) = ((&[1.0][..], &MetricKind::L1), ScanCarry::new(10));
+        let dead = table.file().deleted_records();
         let (shared, seed, _) = index
-            .prepare_query_timed(&q, &matchers, metric, &mut carry)
+            .prepare_query_timed(&q, &matchers, metric, dead, &mut carry)
             .unwrap();
         let seed = seed.expect("seeded");
         assert_eq!(
@@ -1364,8 +1365,9 @@ mod tests {
         let q = Query::new().text(AttrId(0), "canon");
         let matchers = index.query_matchers(&q);
         let (metric, mut carry) = ((&[1.0][..], &MetricKind::L1), ScanCarry::new(10));
+        let dead = table.file().deleted_records();
         let (shared, seed, _) = index
-            .prepare_query_timed(&q, &matchers, metric, &mut carry)
+            .prepare_query_timed(&q, &matchers, metric, dead, &mut carry)
             .unwrap();
         let seed = seed.expect("seeded");
         assert_eq!((seed.exact.cut, seed.distances), (1.0, 2));

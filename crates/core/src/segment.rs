@@ -7,10 +7,12 @@
 //! the store's manifest together with the tid range it covers.
 //!
 //! "Immutable" refers to segment *membership*: records never move between
-//! segments outside a merge. Liveness is updated in place — a cross-tier
-//! delete tombstones the record in both files through the pair's one
-//! Sec. IV-B protocol — so segment recovery is [`IndexedTable::open`],
-//! whose rebuild quantises on the segment's live values like any build.
+//! segments outside a merge. Liveness is the segment table's tombstone
+//! set — a cross-tier delete adds the tid to it through the pair's one
+//! Sec. IV-B protocol, and the segment's next flush commits it in the
+//! table's commit record; neither file is written in place. Segment
+//! recovery is [`IndexedTable::open`], whose rebuild (if the index is
+//! stale) quantises on the segment's live values like any build.
 //!
 //! A crash around a manifest commit leaves files the manifest does not
 //! name — staged ones before the rename, superseded sources after it —
@@ -166,13 +168,13 @@ impl Segment {
         (self.meta.lo_tid..=self.meta.hi_tid).contains(&tid)
     }
 
-    /// Tombstone `tid` in place if this segment holds it live (Sec. IV-B
-    /// across tiers). Returns whether a record was deleted.
+    /// Tombstone `tid` if this segment holds it live (Sec. IV-B across
+    /// tiers). Returns whether a record was deleted.
     pub fn delete(&mut self, tid: Tid) -> Result<bool> {
         self.pair.delete(tid)
     }
 
-    /// Persist in-place liveness patches ([`IndexedTable::flush`]).
+    /// Commit the segment's tombstone set ([`IndexedTable::flush`]).
     pub fn flush(&mut self) -> Result<()> {
         self.pair.flush()
     }

@@ -18,7 +18,9 @@
 //! relative to Algorithm 1's interleaved plan. See the
 //! `ablation_query_plans` bench.
 
-use iva_swt::{RecordBuf, RecordPtr, SwtTable};
+use std::collections::BTreeSet;
+
+use iva_swt::{RecordBuf, RecordPtr, SwtTable, Tid};
 
 use crate::error::Result;
 use crate::index::{IvaIndex, QueryOutcome, SharedAttr};
@@ -35,17 +37,19 @@ type Scanned = (u64, u64, f64, bool);
 
 impl IvaIndex {
     /// Phase 1 of the sequential plan: a full index scan collecting every
-    /// live tuple's lower bound, through the same per-attribute scan
-    /// positions the interleaved spine reads.
+    /// tuple's lower bound that `deleted` (the table's tombstone set) does
+    /// not hold, through the same per-attribute scan positions the
+    /// interleaved spine reads.
     fn collect_lower_bounds<M: Metric>(
         &self,
         shared: &[SharedAttr<'_>],
         lambda: &[f64],
         metric: &M,
+        deleted: &BTreeSet<Tid>,
     ) -> Result<Vec<Scanned>> {
         let ndf = self.config().ndf_penalty;
         let mut bounds = Bounds::open(self, shared, None)?;
-        let mut tsrc = self.open_tuple_source()?;
+        let mut tsrc = self.open_tuple_source(deleted)?;
         let (mut tids, mut ptrs, mut scanned) = (Vec::new(), Vec::new(), Vec::new());
         let mut left = self.n_tuples();
         while left > 0 {
@@ -88,7 +92,7 @@ impl IvaIndex {
         metric: &M,
         weights: WeightScheme,
     ) -> Result<QueryOutcome> {
-        let lambda = &self.resolve_weights(query, weights);
+        let lambda = &self.resolve_weights(table, query, weights);
         let mut pool = ResultPool::new(k);
         let mut stats = QueryStats::default();
         let ndf = self.config().ndf_penalty;
@@ -104,7 +108,7 @@ impl IvaIndex {
 
         let matchers = self.query_matchers(query);
         let shared = self.prepare_query(query, &matchers)?;
-        let scanned = self.collect_lower_bounds(&shared, lambda, metric)?;
+        let scanned = self.collect_lower_bounds(&shared, lambda, metric, table.file().deleted())?;
 
         // ---- Phase 2: refine the candidate set. ----
         // Candidates: every tuple whose lower bound does not exceed the
@@ -248,7 +252,7 @@ mod tests {
         metric: &M,
         weights: WeightScheme,
     ) -> (Vec<(u64, u64, u64)>, u64) {
-        let lambda = index.resolve_weights(query, weights);
+        let lambda = index.resolve_weights(table, query, weights);
         let ndf = index.config().ndf_penalty;
         let all_ndf_dist = {
             let v: Vec<f64> = lambda.iter().map(|l| l * ndf).collect();
@@ -257,7 +261,7 @@ mod tests {
         let matchers = index.query_matchers(query);
         let shared = index.prepare_query(query, &matchers).unwrap();
         let scanned = index
-            .collect_lower_bounds(&shared, &lambda, metric)
+            .collect_lower_bounds(&shared, &lambda, metric, table.file().deleted())
             .unwrap();
         let mut pool = ResultPool::new(k);
         let mut accesses = 0u64;

@@ -58,7 +58,7 @@ fn one_window_fetches_within_the_probe_bound() {
         ("zzz", 5),
     ] {
         let q = Query::new().text(AttrId(0), needle);
-        let lambda = index.resolve_weights(&q, WeightScheme::Equal);
+        let lambda = index.resolve_weights(&t, &q, WeightScheme::Equal);
         let matcher = PreparedMatcher::new(&codec, needle.as_bytes());
         // (est, dist, tid) of every tuple, as the walk and the refine
         // step compute them.
@@ -133,7 +133,7 @@ fn every_shape_counts_the_positions_it_weighs() {
     let (metric, w) = (MetricKind::L2, WeightScheme::Equal);
     let serial = index.query(&t, &q, 10, &metric, w).unwrap();
     let windowed = |window| {
-        let mut carried = CarriedQuery::new(&index, &q, 10, index.resolve_weights(&q, w));
+        let mut carried = CarriedQuery::new(&index, &q, 10, index.resolve_weights(&t, &q, w));
         (index.walk_tier_windowed(&t, &mut carried, &metric, window)).unwrap();
         carried.carry.finish()
     };

@@ -86,7 +86,7 @@ fn assert_matches_brute_force<M: Metric>(
     let model = Model {
         live: records.map(|r| (r.tid, r.tuple)).collect(),
     };
-    let lambda = index.resolve_weights(query, weights);
+    let lambda = index.resolve_weights(table, query, weights);
     let want = model.topk(query, &lambda, metric, k);
     let got = index.query(table, query, k, metric, weights).unwrap();
     let got: Vec<_> = got
@@ -363,19 +363,28 @@ fn many_inserts_stay_exact() {
 #[test]
 fn delete_removes_from_results() {
     let mut table = sample_table();
-    let mut index = build(&table, IvaConfig::default());
+    let index = build(&table, IvaConfig::default());
     let q = Query::new().text(AttrId(2), "Canon");
     let before = index
         .query(&table, &q, 1, &MetricKind::L2, WeightScheme::Equal)
         .unwrap();
     let victim = before.results[0].tid;
 
-    let ptr = index.lookup_ptr(victim).unwrap().unwrap();
-    table.delete(ptr).unwrap();
-    assert!(index.delete(victim).unwrap());
-    assert!(!index.delete(victim).unwrap()); // idempotent
-    assert_eq!(index.n_deleted(), 1);
-    assert!(index.deleted_fraction() > 0.0);
+    // The table's set is the only tombstone: the index is not written.
+    let size = index.size_bytes();
+    assert!(index
+        .lookup_ptr(victim, table.file().deleted())
+        .unwrap()
+        .is_some());
+    assert!(table.delete(victim).unwrap());
+    assert!(!table.delete(victim).unwrap()); // idempotent
+    assert_eq!(table.file().deleted_records(), 1);
+    assert!(table.file().deleted_fraction() > 0.0);
+    assert_eq!(
+        index.lookup_ptr(victim, table.file().deleted()).unwrap(),
+        None
+    );
+    assert_eq!(index.size_bytes(), size);
 
     let after = index
         .query(&table, &q, 10, &MetricKind::L2, WeightScheme::Equal)
@@ -385,21 +394,22 @@ fn delete_removes_from_results() {
 }
 
 #[test]
-fn delete_unknown_tid_is_noop() {
-    let table = sample_table();
-    let mut index = build(&table, IvaConfig::default());
-    assert!(!index.delete(9999).unwrap());
-    assert_eq!(index.n_deleted(), 0);
+fn delete_unknown_tid_is_refused() {
+    let mut table = sample_table();
+    let index = build(&table, IvaConfig::default());
+    assert!(table.delete(9999).is_err());
+    assert_eq!(table.file().deleted_records(), 0);
+    assert_eq!(
+        index.lookup_ptr(9999, table.file().deleted()).unwrap(),
+        None
+    );
 }
 
 #[test]
 fn rebuild_after_deletes_matches() {
     let mut table = sample_table();
-    let mut index = build(&table, IvaConfig::default());
     for tid in [1u64, 3, 5] {
-        let ptr = index.lookup_ptr(tid).unwrap().unwrap();
-        table.delete(ptr).unwrap();
-        index.delete(tid).unwrap();
+        assert!(table.delete(tid).unwrap());
     }
     // Periodic cleanup: compact the table, rebuild the index.
     let mut fresh_table = SwtTable::create_mem(&opts(), IoStats::new()).unwrap();
@@ -407,7 +417,7 @@ fn rebuild_after_deletes_matches() {
     fresh_table.copy_live_from(&[&table]).unwrap();
     let fresh_index = build(&fresh_table, IvaConfig::default());
     assert_eq!(fresh_index.n_tuples(), 5);
-    assert_eq!(fresh_index.n_deleted(), 0);
+    assert_eq!(fresh_table.file().deleted_records(), 0);
 
     let q = Query::new().text(AttrId(2), "Canon").num(AttrId(1), 230.0);
     assert_matches_brute_force(

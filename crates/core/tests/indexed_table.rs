@@ -54,6 +54,10 @@ enum State {
     /// A v7 index whose lists are packed, each with its logical length in
     /// an 8-byte prologue: a format whose inserts rewrite a list's head.
     PackedV7,
+    /// A v8 index — its directory frames carry a liveness bitmap and its
+    /// header a tombstone count — beside a table whose commit record
+    /// keeps the tombstone set (`IVBLOGv3`).
+    LivenessV8,
 }
 
 impl State {
@@ -164,7 +168,7 @@ fn arrange(mem: &MemVfs, n: &Names, state: State) {
     match state {
         State::Clean => {}
         State::DirtyFlag => {
-            // The dirty flag is synced before the first in-place patch;
+            // The dirty flag is synced before an insert's first write;
             // the table's unflushed tail rolls back at the next open.
             let mut pair = open(&vfs, n);
             pair.insert(&extra_row()).unwrap();
@@ -195,6 +199,7 @@ fn arrange(mem: &MemVfs, n: &Names, state: State) {
         State::RawOnlyV4 => write_old_format(mem, &n.index, 4, false),
         State::RawV7 => write_old_format(mem, &n.index, 7, false),
         State::PackedV7 => write_old_format(mem, &n.index, 7, true),
+        State::LivenessV8 => relabel(mem, &n.index, 8),
     }
 }
 
@@ -319,6 +324,7 @@ fn open_reuses_a_matching_index_and_rebuilds_any_other() {
         State::RawOnlyV4,
         State::RawV7,
         State::PackedV7,
+        State::LivenessV8,
     ];
     for state in states {
         for segment in [false, true] {

@@ -178,7 +178,7 @@ fn check_equivalence(table: &SwtTable, index: &IvaIndex, query: &Query, k: usize
     let model = Model {
         live: records.map(|r| (r.tid, r.tuple)).collect(),
     };
-    let lambda = index.resolve_weights(query, WeightScheme::Equal);
+    let lambda = index.resolve_weights(table, query, WeightScheme::Equal);
     let want = model.topk(query, &lambda, &MetricKind::L2, k);
     let got = index.query(table, query, k, &MetricKind::L2, WeightScheme::Equal);
     let got = got.unwrap().results;
@@ -326,10 +326,7 @@ fn seeded_pair(
         index.insert(tid, ptr, &t, table.catalog()).unwrap();
     }
     for &tid in deleted {
-        table
-            .delete(index.lookup_ptr(tid).unwrap().unwrap())
-            .unwrap();
-        assert!(index.delete(tid).unwrap());
+        assert!(table.delete(tid).unwrap());
     }
     (table, index)
 }
@@ -491,9 +488,9 @@ fn one_walk_serves_scan_and_export() {
     // Tid gaps: tuples deleted before the build never reach the tuple list.
     let mut rows: Vec<(u64, Tuple)> = Vec::new();
     for i in 0..300u32 {
-        let (tid, ptr) = table.insert(&row(i)).unwrap();
+        let (tid, _) = table.insert(&row(i)).unwrap();
         if i % 17 == 3 {
-            table.delete(ptr).unwrap();
+            table.delete(tid).unwrap();
         } else {
             rows.push((tid, row(i)));
         }
@@ -502,19 +499,18 @@ fn one_walk_serves_scan_and_export() {
     let base = build_index(&table, IndexTarget::Mem, &opts(), IoStats::new(), cfg).unwrap();
     let built = export_index(&base).unwrap();
 
-    // After the build: tombstones, then a tail of tuples that leave the
-    // dense attributes undefined (the lazy positional tail), one that
-    // defines them again (the gap is padded with ndf elements), and a
-    // last undefined one so every positional list still ends early.
+    // After the build: tombstones (the table's alone: no index holds
+    // liveness), then a tail of tuples that leave the dense attributes
+    // undefined (the lazy positional tail), one that defines them again
+    // (the gap is padded with ndf elements), and a last undefined one so
+    // every positional list still ends early.
     let deleted: Vec<u64> = rows
         .iter()
         .map(|(tid, _)| *tid)
         .filter(|t| t % 7 == 1)
         .collect();
     for &tid in &deleted {
-        table
-            .delete(base.lookup_ptr(tid).unwrap().unwrap())
-            .unwrap();
+        assert!(table.delete(tid).unwrap());
     }
     let sparse_only = |i: u32| Tuple::new().with(AttrId(1), Value::text(format!("late {i}")));
     let mut inserted = Vec::new();
@@ -525,9 +521,6 @@ fn one_walk_serves_scan_and_export() {
         inserted.push((tid, ptr, tup));
     }
     let mutate = |index: &mut IvaIndex| {
-        for &tid in &deleted {
-            assert!(index.delete(tid).unwrap());
-        }
         for (tid, ptr, tup) in &inserted {
             index.insert(*tid, *ptr, tup, table.catalog()).unwrap();
         }
@@ -582,10 +575,9 @@ fn one_walk_serves_scan_and_export() {
             .filter_map(|(tid, t)| Some((*tid as u32, code(t.get(AttrId(a))?))))
             .collect()
     };
-    let tuple_entries: Vec<(u32, bool)> = rows
-        .iter()
-        .map(|(tid, _)| (*tid as u32, deleted.contains(tid)))
-        .collect();
+    // An export lists every tuple the index lists, none marked dead.
+    let tuple_entries: Vec<(u32, bool)> =
+        rows.iter().map(|(tid, _)| (*tid as u32, false)).collect();
 
     let organizations = [
         (ListType::I, ListType::I),

@@ -43,11 +43,11 @@ fn sample() -> (SwtTable, IvaIndex) {
 
 #[test]
 fn explain_reports_plan_shape() {
-    let (_t, idx) = sample();
+    let (t, idx) = sample();
     let q = Query::new()
         .text(AttrId(0), "listing number 0001")
         .num(AttrId(1), 10.0);
-    let ex = idx.explain(&q, WeightScheme::Itf);
+    let ex = idx.explain(&t, &q, WeightScheme::Itf);
     assert_eq!(ex.attrs.len(), 2);
     assert_eq!(ex.tuples_to_scan, 300);
     assert_eq!(ex.tombstones, 0);
@@ -75,9 +75,9 @@ fn explain_reports_plan_shape() {
 
 #[test]
 fn explain_handles_unknown_attribute() {
-    let (_t, idx) = sample();
+    let (t, idx) = sample();
     let q = Query::new().text(AttrId(99), "whatever");
-    let ex = idx.explain(&q, WeightScheme::Equal);
+    let ex = idx.explain(&t, &q, WeightScheme::Equal);
     assert_eq!(ex.attrs[0].list_type, None);
     assert_eq!(ex.attrs[0].df, 0);
 }
@@ -200,14 +200,16 @@ fn lying_header_counts_are_corrupt_at_open() {
     RealVfs.create_dir_all(&dir).unwrap();
     let path = dir.join("x.iva");
     type Edit = fn(&mut IndexHeader);
-    let edits: [(&str, Edit); 6] = [
+    // A directory frame holds at most 1,024 elements and takes at least
+    // 21 bytes (a one-element raw frame), so no list holds more than
+    // 1,024 elements per 21 bytes.
+    let edits: [(&str, Edit); 5] = [
         ("n_attrs", |h| h.n_attrs = u32::MAX),
         ("n_attrs + 1", |h| h.n_attrs += 1),
         ("n_tuples", |h| h.n_tuples = u64::MAX),
         ("n_tuples beyond the list", |h| {
-            h.n_tuples = 8 * h.tuple_list.len + 8
+            h.n_tuples = h.tuple_list.len / 21 * 1024 + 1
         }),
-        ("n_deleted", |h| h.n_deleted = h.n_tuples + 1),
         ("tuple_list.len", |h| h.tuple_list.len = u64::MAX / 2),
     ];
     for (what, edit) in edits {
@@ -284,7 +286,7 @@ fn repeated_tid_in_the_directory_is_corrupt_to_every_shape() {
     };
     let results = |o: iva_core::QueryOutcome| o.results;
     corrupt("serial", idx.query(&t, &q, 5, &l2, equ).map(results));
-    let mut carried = CarriedQuery::new(&idx, &q, 5, idx.resolve_weights(&q, equ));
+    let mut carried = CarriedQuery::new(&idx, &q, 5, idx.resolve_weights(&t, &q, equ));
     let walked = idx.walk_tier_windowed(&t, &mut carried, &l2, 1);
     corrupt("window 1", walked.map(|()| results(carried.carry.finish())));
     let seq = idx.query_sequential_plan(&t, &q, 5, &l2, equ).map(results);
@@ -317,7 +319,6 @@ mod fuzz_decode {
             config: IvaConfig::default(),
             n_attrs: 4,
             n_tuples: 1_000,
-            n_deleted: 3,
             attr_list: ListHandle {
                 head: PageId(1),
                 tail: PageId(2),

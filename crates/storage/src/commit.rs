@@ -11,8 +11,8 @@
 //! that somehow is neither.
 //!
 //! [`ByteLog`](crate::ByteLog) uses this as its commit record (committed
-//! length, user bytes, tail-page shadow and redo journal; a table keeps
-//! its counters and catalog in the user bytes). The segmented store's
+//! length, user bytes and tail-page shadow; a table keeps its counters,
+//! tombstone set and catalog in the user bytes). The segmented store's
 //! manifest is the other user.
 
 use std::path::{Path, PathBuf};

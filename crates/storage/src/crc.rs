@@ -2,7 +2,7 @@
 //!
 //! Polynomial 0x1EDC6F41 (reflected 0x82F63B78), the checksum of iSCSI,
 //! ext4 metadata and RocksDB block trailers. Every page frame, commit
-//! record, manifest and journal entry is sealed and verified through the
+//! record and manifest is sealed and verified through the
 //! two public functions here, so the kernel below sits under every physical
 //! page read and every page write.
 //!

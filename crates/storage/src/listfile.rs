@@ -366,9 +366,9 @@ impl ListReader {
 }
 
 /// Overwrite `data.len()` bytes at logical offset `logical_off` of a list,
-/// in place (walks the chain; used for the paper's tuple-list tombstones and
-/// attribute-list element updates, which rewrite fixed-size fields without
-/// moving anything).
+/// in place (walks the chain; used for the SII baseline's tuple-list
+/// tombstones and attribute-list element updates, which rewrite
+/// fixed-size fields without moving anything).
 pub fn overwrite_in_list(
     pager: &Arc<Pager>,
     handle: ListHandle,

@@ -107,8 +107,6 @@ proptest! {
     fn bytelog_matches_model(
         appends in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..150), 1..15),
         reads in proptest::collection::vec((any::<prop::sample::Index>(), 0usize..60), 0..10),
-        patches in proptest::collection::vec(
-            (any::<prop::sample::Index>(), proptest::collection::vec(any::<u8>(), 1..20)), 0..5),
     ) {
         let opts = PagerOptions { page_size: 64, cache_bytes: 64 * 4 };
         let mut log = ByteLog::create_mem(&opts, IoStats::new()).unwrap();
@@ -117,14 +115,6 @@ proptest! {
             let off = log.append(a).unwrap();
             prop_assert_eq!(off, model.len() as u64);
             model.extend_from_slice(a);
-        }
-        // Random in-place patches.
-        for (at, patch) in &patches {
-            if model.len() >= patch.len() {
-                let at = at.index(model.len() - patch.len() + 1);
-                log.write_at(at as u64, patch).unwrap();
-                model[at..at + patch.len()].copy_from_slice(patch);
-            }
         }
         // Random reads.
         for (at, len) in &reads {

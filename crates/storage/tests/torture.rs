@@ -1,6 +1,6 @@
 //! Crash-torture tests for the byte log.
 //!
-//! A deterministic workload (appends, in-place patches, flushes) is first
+//! A deterministic workload (appends and flushes) is first
 //! dry-run on a pass-through [`FaultVfs`] to count filesystem operations,
 //! then replayed once per operation index with a power cut injected at
 //! exactly that op. After each crash the durable disk image is reopened
@@ -93,25 +93,6 @@ fn run_workload(vfs: Arc<dyn Vfs>, seed: u64) -> Outcome {
                         return Outcome {
                             acked,
                             pending: Some(pending),
-                        }
-                    }
-                }
-            }
-            // In-place patch of already-appended bytes.
-            1 if !current.content.is_empty() => {
-                let pos = splitmix(&mut rng) % current.content.len() as u64;
-                let n =
-                    (1 + splitmix(&mut rng) % 8).min(current.content.len() as u64 - pos) as usize;
-                let byte = splitmix(&mut rng) as u8;
-                let patch = vec![byte; n];
-                match log.write_at(pos, &patch) {
-                    Ok(()) => {
-                        current.content[pos as usize..pos as usize + n].copy_from_slice(&patch)
-                    }
-                    Err(_) => {
-                        return Outcome {
-                            acked,
-                            pending: None,
                         }
                     }
                 }

@@ -6,9 +6,10 @@
 //! paper). Tuples are stored row-wise in the *interpreted format* of
 //! Beckmann et al. — each record lists only its defined `(attribute,
 //! value)` pairs — in an append-only, page-cached table file supporting
-//! fast sequential scans, random fetch by record pointer, tombstone
-//! deletes and compaction. The attribute catalog commits with the records
-//! in the table file's one commit record. The table keeps no statistics:
+//! fast sequential scans, random fetch by record pointer, deletes by tid
+//! (one resident tombstone set) and compaction. The attribute catalog and
+//! the tombstone set commit with the records in the table file's one
+//! commit record. The table keeps no statistics:
 //! each attribute's `df`, `str` and numeric domain live in the index's
 //! attribute list (Sec. III-C/III-D), which the index build counts.
 

@@ -157,9 +157,10 @@ impl SwtTable {
         self.catalog = catalog;
     }
 
-    /// Tombstone the record at `ptr`.
-    pub fn delete(&mut self, ptr: RecordPtr) -> Result<()> {
-        self.file.mark_deleted(ptr)
+    /// Tombstone the record of `tid` ([`TableFile::delete`]); whether it
+    /// was live.
+    pub fn delete(&mut self, tid: Tid) -> Result<bool> {
+        self.file.delete(tid)
     }
 
     /// Fetch the record at `ptr`.
@@ -255,7 +256,7 @@ mod tests {
                 .with(price, Value::num(i as f64 * 1.5));
             ptrs.push(t.insert(&tuple).unwrap().1);
         }
-        t.delete(ptrs[5]).unwrap();
+        t.delete(5).unwrap();
         // Scattered, unsorted, with a duplicate; includes a record in the
         // unflushed tail page.
         let req = [
@@ -294,16 +295,15 @@ mod tests {
     #[test]
     fn copy_drops_tombstones_and_keeps_tids() {
         let (mut t, ty, price, _) = camera_table();
-        let mut ptrs = Vec::new();
         for i in 0..10 {
             let tuple = Tuple::new()
                 .with(ty, Value::text(format!("item {i}")))
                 .with(price, Value::num(i as f64));
-            ptrs.push(t.insert(&tuple).unwrap().1);
+            t.insert(&tuple).unwrap();
         }
-        t.delete(ptrs[0]).unwrap();
-        t.delete(ptrs[3]).unwrap();
-        t.delete(ptrs[9]).unwrap();
+        for tid in [0, 3, 9] {
+            assert!(t.delete(tid).unwrap());
+        }
 
         let mut fresh = SwtTable::create_mem(&opts(), IoStats::new()).unwrap();
         fresh.adopt_catalog(t.catalog().clone());
@@ -351,10 +351,11 @@ mod tests {
         RealVfs.remove_dir_all(&dir).unwrap();
     }
 
-    /// A table whose commit record is in the earlier layout — the length,
-    /// a fixed 32-byte user header of counters, no catalog — is refused
-    /// with a typed error naming that layout, not opened with an empty
-    /// catalog.
+    /// A table whose commit record is in an earlier layout — untagged
+    /// (the length, a fixed 32-byte user header of counters, no catalog),
+    /// or tagged `IVBLOGv2` (a redo journal after the tail image) — is
+    /// refused with a typed error naming that layout, not opened with an
+    /// empty catalog or a guessed journal.
     #[test]
     fn earlier_commit_layout_is_refused_typed() {
         use iva_storage::commit::{read_commit_record, write_commit_record};
@@ -372,24 +373,35 @@ mod tests {
         drop(t);
 
         // Re-lay the committed payload `tag | len | user_len | tail_len |
-        // journal_count | user | tail` as `len | 32-byte header |
-        // tail_len | journal_count | tail`.
+        // user | tail` in each earlier layout: `len | 32-byte header |
+        // tail_len | journal_count | tail` untagged, and `IVBLOGv2 | len |
+        // user_len | tail_len | journal_count | user | tail`.
         let meta = sidecar_path(&table_file_path(base));
         let now = read_commit_record(vfs.as_ref(), &meta).unwrap();
         let user_len = u32::from_le_bytes(now[16..20].try_into().unwrap()) as usize;
-        let mut old = now[8..16].to_vec();
-        old.extend_from_slice(&now[28..28 + 24]);
-        old.extend_from_slice(&[0u8; 8]);
-        old.extend_from_slice(&now[20..28]);
-        old.extend_from_slice(&now[28 + user_len..]);
-        write_commit_record(vfs.as_ref(), &meta, &old).unwrap();
+        let mut untagged = now[8..16].to_vec();
+        untagged.extend_from_slice(&now[24..24 + 24]);
+        untagged.extend_from_slice(&[0u8; 8]);
+        untagged.extend_from_slice(&now[20..24]);
+        untagged.extend_from_slice(&[0u8; 4]);
+        untagged.extend_from_slice(&now[24 + user_len..]);
+        let mut journaled = b"IVBLOGv2".to_vec();
+        journaled.extend_from_slice(&now[8..24]);
+        journaled.extend_from_slice(&[0u8; 4]);
+        journaled.extend_from_slice(&now[24..]);
 
-        match SwtTable::open_with_vfs(Arc::clone(&vfs), base, &opts(), IoStats::new()) {
-            Err(SwtError::Storage(StorageError::Format { found, .. })) => {
-                assert!(found.contains("fixed 32-byte user header"), "{found}")
+        for (old, layout) in [
+            (untagged, "fixed 32-byte user header"),
+            (journaled, "redo journal"),
+        ] {
+            write_commit_record(vfs.as_ref(), &meta, &old).unwrap();
+            match SwtTable::open_with_vfs(Arc::clone(&vfs), base, &opts(), IoStats::new()) {
+                Err(SwtError::Storage(StorageError::Format { found, .. })) => {
+                    assert!(found.contains(layout), "{found}")
+                }
+                Err(e) => panic!("untyped refusal: {e}"),
+                Ok(t) => panic!("opened with {} attributes", t.catalog().len()),
             }
-            Err(e) => panic!("untyped refusal: {e}"),
-            Ok(t) => panic!("opened with {} attributes", t.catalog().len()),
         }
     }
 }

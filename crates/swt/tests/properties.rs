@@ -62,9 +62,9 @@ proptest! {
         }
         // Random deletions.
         let mut deleted = vec![false; tuples.len()];
-        for (i, &(tid, ptr)) in ptrs.iter().enumerate() {
+        for (i, &(tid, _)) in ptrs.iter().enumerate() {
             if delete_mask[i % delete_mask.len()] && tid % 2 == 0 {
-                table.mark_deleted(ptr).unwrap();
+                prop_assert!(table.delete(tid).unwrap());
                 deleted[i] = true;
             }
         }

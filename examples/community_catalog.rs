@@ -85,13 +85,13 @@ fn main() -> iva_file::Result<()> {
         println!(
             "round {round}: {} live items, deleted fraction {:.2} %",
             db.len(),
-            db.index().deleted_fraction() * 100.0
+            db.deleted_fraction() * 100.0
         );
     }
     println!("\ntotals: {deleted} deletions, {updated} updates");
     println!(
         "tombstones now {:.2} % (β = 5 % rebuilds keep scans tight)",
-        db.index().deleted_fraction() * 100.0
+        db.deleted_fraction() * 100.0
     );
 
     // Queries still return exact answers mid-churn.

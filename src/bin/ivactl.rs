@@ -129,10 +129,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 db.table().file().size_bytes()
             );
             println!("iVA-file:          {} bytes", db.index().size_bytes());
-            println!(
-                "deleted fraction:  {:.2} %",
-                db.index().deleted_fraction() * 100.0
-            );
+            println!("deleted fraction:  {:.2} %", db.deleted_fraction() * 100.0);
             let cfg = db.index().config();
             println!(
                 "index config:      alpha={:.0}% n={} ndf-penalty={}",

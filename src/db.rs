@@ -177,10 +177,11 @@ impl Monolith {
         )
     }
 
-    /// Rebuild if the deleted fraction reached β (never when β ≥ 1).
+    /// Rebuild if the table's deleted fraction reached β (never when
+    /// β ≥ 1).
     fn maybe_clean(&mut self) -> Result<()> {
-        let (beta, index) = (self.opts.cleaning_threshold, self.pair.index());
-        if beta < 1.0 && index.deleted_fraction() >= beta && index.n_deleted() > 0 {
+        let (beta, table) = (self.opts.cleaning_threshold, self.pair.table().file());
+        if beta < 1.0 && table.deleted_fraction() >= beta && table.deleted_records() > 0 {
             return self.rebuild();
         }
         Ok(())

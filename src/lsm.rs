@@ -13,8 +13,9 @@
 //! files and [`IoStats`]; compaction stages several segments' live
 //! records as one. Either is a rebuild of one tier, so it quantises each
 //! numeric attribute on the relative domain of the values it stages
-//! (Sec. III-C's renewal); no domain is kept store-wide. Deletes
-//! tombstone in whichever tier holds the record, in place.
+//! (Sec. III-C's renewal); no domain is kept store-wide. A delete adds
+//! the tid to the tombstone set of whichever tier's table holds the
+//! record; it writes nothing until the next flush commits that table.
 //!
 //! ## Commit protocol
 //!
@@ -475,8 +476,8 @@ impl Tiered for Segmented {
             None => Ok(false),
         }
     }
-    /// The acknowledgement point. Dirty segments commit their in-place
-    /// tombstones; the memtable (if used) seals into a segment;
+    /// The acknowledgement point. Dirty segments commit their tombstone
+    /// sets; the memtable (if used) seals into a segment;
     /// a metadata-only change (a new attribute) rewrites the manifest.
     fn flush(&mut self) -> Result<()> {
         for seg in &mut self.segments {

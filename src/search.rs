@@ -163,9 +163,8 @@ pub(crate) fn search<E: Tiered, M: Metric>(
 ) -> Result<SearchOutcome> {
     let tiers = engine.tiers().map(IndexedTable::searchable);
     let tiers = tiers.collect::<Result<Vec<_>>>()?;
-    let indexes: Vec<_> = tiers.iter().map(|&(index, _)| index).collect();
     let scheme = request.weights.unwrap_or(weights);
-    let lambda = IvaIndex::resolve_weights_across(&indexes, query, scheme);
+    let lambda = IvaIndex::resolve_weights_across(&tiers, query, scheme);
     // Built under the newest tier's codec, lent to every tier.
     let mut carried = CarriedQuery::new(engine.newest().index(), query, request.k, lambda);
     for (index, table) in tiers {

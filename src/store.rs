@@ -142,8 +142,8 @@ impl<T: Tiered> Store<T> {
     /// The weight `λ` of each query attribute under `scheme`, resolved
     /// across every tier, as every search of the store resolves it.
     pub fn resolve_weights(&self, query: &Query, scheme: WeightScheme) -> Vec<f64> {
-        let indexes: Vec<_> = self.tiers().map(IndexedTable::index).collect();
-        IvaIndex::resolve_weights_across(&indexes, query, scheme)
+        let tiers: Vec<_> = self.tiers().map(|t| (t.index(), t.table())).collect();
+        IvaIndex::resolve_weights_across(&tiers, query, scheme)
     }
 
     /// Run one top-k search as described by `request`.
@@ -176,6 +176,24 @@ impl<T: Tiered> Store<T> {
     /// True if no live tuples exist.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Tombstoned tuples across every tier: what their tables' tombstone
+    /// sets hold until a rebuild, seal or merge drops them.
+    pub fn deleted(&self) -> u64 {
+        self.tiers()
+            .map(|t| t.table().file().deleted_records())
+            .sum()
+    }
+
+    /// Tombstoned tuples as a fraction of the records the tiers' tables
+    /// store: for an `IvaDb`, its table's, the β the periodic cleanup
+    /// compares against ([`crate::IvaDbOptions::cleaning_threshold`]).
+    pub fn deleted_fraction(&self) -> f64 {
+        match self.tiers().map(IndexedTable::total_records).sum::<u64>() {
+            0 => 0.0,
+            stored => self.deleted() as f64 / stored as f64,
+        }
     }
 
     /// Every tier, oldest first: the pairs a search walks in tid order.

@@ -243,7 +243,7 @@ fn verify_recovery(disk: Arc<dyn Vfs>, outcome: &Outcome, ctx: &str) {
 
     let (q, equ) = (probe_query(), WeightScheme::Equal);
     let out = db.execute(&q, &SearchRequest::new(10));
-    assert_topk(out, &db.index().resolve_weights(&q, equ), matched, ctx);
+    assert_topk(out, &db.resolve_weights(&q, equ), matched, ctx);
 
     // The recovered database must accept and commit new work.
     let tid = db
@@ -376,7 +376,7 @@ fn verify_late_define(disk: Arc<dyn Vfs>, out: &Outcome, ctx: &str) -> bool {
     if late {
         let q = late_query();
         let out = db.execute(&q, &SearchRequest::new(10));
-        let lambda = db.index().resolve_weights(&q, WeightScheme::Equal);
+        let lambda = db.resolve_weights(&q, WeightScheme::Equal);
         assert_topk_of(&q, out, &lambda, matched, ctx);
     } else {
         assert!(
@@ -495,8 +495,9 @@ fn run_lsm_workload(vfs: Arc<dyn Vfs>) -> Outcome {
             }
         }
         // A mid-batch seal moves the young inserts to disk before the
-        // deletes below, so the deletes tombstone a *sealed segment* in
-        // place — the cross-tier arm of the delete path.
+        // deletes below, so the deletes tombstone a *sealed segment* —
+        // the cross-tier arm of the delete path: the segment table's
+        // tombstone set, committed by the flush below.
         if batch == 1 && db.seal().is_err() {
             return Outcome {
                 acked,
@@ -667,6 +668,46 @@ fn lsm_power_cut_sweep_recovers_committed_state() {
         let ctx = format!("lsm seed={seed:#x} crash_at={crash_at}");
         verify_lsm_recovery(Arc::new(fv.durable_snapshot()), &outcome, &ctx);
     }
+}
+
+/// A delete committed by a flush survives a reopen on both engines: the
+/// tuple stays gone, deleting it again returns `false`, and the live count
+/// holds — on the monolith, and on an `LsmDb` whose victim sits in a
+/// sealed segment.
+#[test]
+fn a_committed_delete_is_still_a_delete_after_reopen() {
+    let vfs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
+    let named = |i: u32| Tuple::new().with(AttrId(0), Value::text(format!("row {i}")));
+    let mut db = IvaDb::create_with_vfs(Arc::clone(&vfs), Path::new(DIR), opts()).unwrap();
+    db.define_text("dense_txt").unwrap();
+    let rows: Vec<Tid> = (0..20).map(|i| db.insert(&named(i)).unwrap()).collect();
+    assert!(db.delete(rows[7]).unwrap());
+    db.flush().unwrap();
+    drop(db);
+    let mut db = IvaDb::open_with_vfs(Arc::clone(&vfs), Path::new(DIR), opts()).unwrap();
+    assert_eq!(db.len(), 19);
+    assert!(db.get(rows[7]).unwrap().is_none());
+    assert!(
+        !db.delete(rows[7]).unwrap(),
+        "IvaDb: a committed delete came back"
+    );
+    assert_eq!((db.len(), db.deleted()), (19, 1));
+
+    let mut lsm = LsmDb::create_with_vfs(Arc::clone(&vfs), Path::new(LSM_DIR), lsm_opts()).unwrap();
+    lsm.define_text("dense_txt").unwrap();
+    let rows: Vec<Tid> = (0..20).map(|i| lsm.insert(&named(i)).unwrap()).collect();
+    lsm.flush().unwrap(); // seals every row into a segment
+    assert!(lsm.delete(rows[7]).unwrap());
+    lsm.flush().unwrap();
+    drop(lsm);
+    let mut lsm = LsmDb::open_with_vfs(vfs, Path::new(LSM_DIR), lsm_opts()).unwrap();
+    assert_eq!(lsm.len(), 19);
+    assert!(lsm.get(rows[7]).unwrap().is_none());
+    assert!(
+        !lsm.delete(rows[7]).unwrap(),
+        "LsmDb: a committed delete came back"
+    );
+    assert_eq!((lsm.len(), lsm.deleted()), (19, 1));
 }
 
 /// What the commit-point sweep's deterministic replay reports back when

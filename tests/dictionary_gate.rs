@@ -501,7 +501,7 @@ fn exact_from_the_dictionary_on_read_cold() {
         filter.push(fastest.filter_nanos / 1000);
         refine.push(fastest.refine_nanos / 1000);
         cpu.push((fastest.filter_nanos + fastest.refine_nanos) / 1000);
-        let lambda = index.resolve_weights(q, WeightScheme::Equal);
+        let lambda = index.resolve_weights(&table, q, WeightScheme::Equal);
         // The ndf ceiling at the final D_k: the positions whose *ndf*
         // pattern alone — λ·ndf where undefined, 0 elsewhere — passes it.
         let d_k = outs[0].results.last().map_or(f64::INFINITY, |e| e.dist);

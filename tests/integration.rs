@@ -98,10 +98,10 @@ fn auto_cleanup_triggers_at_beta() {
     for &t in &tids[..4] {
         db.delete(t).unwrap();
     }
-    assert!(db.index().n_deleted() > 0);
+    assert_eq!(db.deleted(), 4);
     // The 5th deletion crosses 10%: rebuild fires and tombstones vanish.
     db.delete(tids[4]).unwrap();
-    assert_eq!(db.index().n_deleted(), 0);
+    assert_eq!(db.deleted(), 0);
     assert_eq!(db.len(), 45);
     // Content preserved.
     let hits = db
@@ -128,7 +128,7 @@ fn beta_of_one_never_cleans() {
             assert!(db.delete(tid).unwrap());
         }
         assert_eq!(db.len(), 0);
-        let tombstones = db.index().n_deleted();
+        let tombstones = db.deleted();
         assert_eq!(
             tombstones == 0,
             cleans,

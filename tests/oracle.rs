@@ -415,11 +415,14 @@ impl Db for Pair {
         Ok(tid)
     }
     fn delete(&mut self, tid: Tid) -> Result<bool> {
-        let Some(ptr) = self.index.lookup_ptr(tid)? else {
+        if self
+            .index
+            .lookup_ptr(tid, self.table.file().deleted())?
+            .is_none()
+        {
             return Ok(false);
-        };
-        self.table.delete(ptr)?;
-        self.index.delete(tid)
+        }
+        Ok(self.table.delete(tid)?)
     }
     fn update(&mut self, tid: Tid, tuple: &Tuple) -> Result<Tid> {
         self.delete(tid)?;
@@ -433,11 +436,11 @@ impl Db for Pair {
         Ok(())
     }
     fn get(&self, tid: Tid) -> Result<Option<Tuple>> {
-        let ptr = self.index.lookup_ptr(tid)?;
+        let ptr = self.index.lookup_ptr(tid, self.table.file().deleted())?;
         ptr.map(|ptr| Ok(self.table.get(ptr)?.tuple)).transpose()
     }
     fn lambda(&self, q: &Query, w: WeightScheme) -> Vec<f64> {
-        self.index.resolve_weights(q, w)
+        self.index.resolve_weights(&self.table, q, w)
     }
     fn tiers(&self) -> Result<Vec<(&IvaIndex, &SwtTable)>> {
         Ok(vec![(&self.index, &self.table)])
@@ -699,7 +702,7 @@ impl Instance {
         if !cov.contains(AFTER_BUILD) && beyond_domain(&tiers, &numeric).map_err(e)? {
             cov.insert(AFTER_BUILD.into());
         }
-        let deleted = tiers.iter().any(|(i, _)| i.n_deleted() > 0);
+        let deleted = tiers.iter().any(|(_, t)| t.file().deleted_records() > 0);
         // Every tuple-list entry: what a shape that does not leap scans.
         let full: u64 = tiers.iter().map(|(i, _)| i.n_tuples()).sum();
         let leapt = |a: &Answer| a.counts[1] < full;
@@ -1078,7 +1081,7 @@ fn itf_after_a_delete_matches_brute_force() {
         let q = Query::new().text(name, format!("{} {}", word(i / 3), i % 17));
         let hits = db.execute(&q, &req).unwrap().hits;
         let got: Vec<_> = hits.iter().map(|h| (h.tid, h.dist.to_bits())).collect();
-        let lambda = db.index().resolve_weights(&q, itf);
+        let lambda = db.resolve_weights(&q, itf);
         let want = model.topk(&q, &lambda, &MetricKind::L1, 5);
         assert_eq!(got, want, "{q:?}");
     }

@@ -7,6 +7,8 @@
 //! * An insert whose index half fails after its table half succeeded must
 //!   not leave a tuple the live count includes and nothing can find — not
 //!   now, not after the next flush, not after the next open.
+//! * A delete writes nothing: its tid joins the table's tombstone set, and
+//!   the flush after it commits the set in the table's commit record.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -307,8 +309,50 @@ fn sweep_one_insert(seed: u64, tuple: Tuple) -> u32 {
     table_failures
 }
 
-/// The same sweep over one delete: whichever half the fault hits, the
-/// live count, `get` and search keep telling one story about the victim.
+/// Every file's bytes as the process sees them.
+fn image(fv: &FaultVfs) -> Vec<(std::path::PathBuf, Vec<u8>)> {
+    let mem = fv.volatile_snapshot();
+    let mut paths = mem.paths();
+    paths.sort();
+    paths
+        .into_iter()
+        .map(|p| (p.clone(), mem.contents(&p).unwrap()))
+        .collect()
+}
+
+/// A delete writes neither file, on either engine: one `IvaDb::delete`,
+/// and one `LsmDb::delete` of a tuple in a sealed segment, leave every
+/// file's bytes as they were and, with the directory's pages cached (a
+/// `get` of the victim reads them), make no filesystem op at all.
+#[test]
+fn a_delete_writes_nothing() {
+    let fv = FaultVfs::passthrough(0x7E_A2_00_04);
+    let (mut db, _) = base_db(Arc::new(fv.clone()));
+    let (before, ops) = (image(&fv), fv.op_count());
+    assert!(db.delete(Tid::from(BASE_ROWS / 2)).unwrap());
+    assert_eq!(fv.op_count(), ops, "IvaDb::delete made a filesystem op");
+    assert!(image(&fv) == before, "IvaDb::delete changed a file");
+
+    let fv = FaultVfs::passthrough(0x7E_A2_00_05);
+    let mut lsm = LsmDb::create_with_vfs(Arc::new(fv.clone()), Path::new(DIR), lsm_opts()).unwrap();
+    define_schema(&mut lsm);
+    for i in 0..BASE_ROWS {
+        lsm.insert(&row(i)).unwrap();
+    }
+    assert!(lsm.seal().unwrap());
+    assert!(lsm.get(Tid::from(BASE_ROWS / 2)).unwrap().is_some());
+    let (before, ops) = (image(&fv), fv.op_count());
+    assert!(lsm.delete(Tid::from(BASE_ROWS / 2)).unwrap());
+    assert_eq!(fv.op_count(), ops, "LsmDb::delete made a filesystem op");
+    assert!(image(&fv) == before, "LsmDb::delete changed a file");
+}
+
+/// The sweep over one delete and the flush that commits it. The delete
+/// itself does no I/O, so every swept op is the flush's: whichever one
+/// fails, the live count, `get` and search keep telling one story about
+/// the victim, and the reopen shows the delete acked (the flush returned
+/// `Ok`) or, after a failed flush, either the previous commit or the one
+/// it was writing.
 #[test]
 fn delete_failing_at_any_op_leaves_table_and_index_agreeing() {
     let seed = 0x7E_A2_00_02u64;
@@ -318,10 +362,13 @@ fn delete_failing_at_any_op_leaves_table_and_index_agreeing() {
     let (mut db, _) = base_db(Arc::new(dry.clone()));
     let first = dry.op_count();
     assert!(db.delete(victim).unwrap());
+    assert_eq!(dry.op_count(), first, "the delete did I/O");
+    db.flush().unwrap();
     let last = dry.op_count();
-    assert!(last > first, "delete did no I/O to fault");
+    assert!(last - first >= 4, "the flush did {} ops", last - first);
     drop(db);
 
+    let (mut kept, mut lost) = (0, 0);
     for at in first..last {
         let ctx = format!("seed={seed:#x} eio_at={at}");
         let fault = PlannedFault {
@@ -330,30 +377,27 @@ fn delete_failing_at_any_op_leaves_table_and_index_agreeing() {
         };
         let fv = FaultVfs::with_faults(seed, vec![fault]);
         let (mut db, mut model) = base_db(Arc::new(fv.clone()));
-        let torn = match db.delete(victim) {
-            Ok(deleted) => {
-                assert!(deleted, "{ctx}");
-                false
-            }
-            Err(_) => true,
-        };
-        // A failed delete is pending: it may or may not have happened,
-        // and the table's live count says which.
-        let gone = db.len() < model.len() as u64;
-        if gone {
-            model.retain(|(tid, _)| *tid != victim);
-        }
-        check(&db, &model, torn, &ctx);
-        match db.get(victim) {
-            Ok(got) => assert_eq!(got.is_none(), gone, "{ctx}: get(victim)"),
-            Err(IvaError::IndexTorn) if torn => {}
-            Err(e) => panic!("{ctx}: get(victim): {e}"),
-        }
-        db.flush().unwrap_or_else(|e| panic!("{ctx}: flush: {e}"));
+        assert!(db.delete(victim).unwrap(), "{ctx}");
+        model.retain(|(tid, _)| *tid != victim);
+        check(&db, &model, false, &ctx);
+        let acked = db.flush().is_ok();
+        assert!(fv.op_count() > at, "{ctx}: fault never fired");
+        check(&db, &model, false, &ctx);
+        assert_eq!(db.get(victim).unwrap(), None, "{ctx}: get(victim)");
         drop(db);
+
         let db = IvaDb::open_with_vfs(Arc::new(fv.clone()), Path::new(DIR), mono_opts())
             .unwrap_or_else(|e| panic!("{ctx}: reopen: {e}"));
+        let gone = db.get(victim).unwrap().is_none();
+        assert!(gone || !acked, "{ctx}: an acked delete came back");
+        if !gone {
+            model.push((victim, row(BASE_ROWS / 2)));
+        }
+        (kept, lost) = (kept + u32::from(gone), lost + u32::from(!gone));
         check(&db, &model, false, &ctx);
-        assert_eq!(db.get(victim).unwrap().is_none(), gone, "{ctx}: reopened");
     }
+    assert!(
+        kept > 0 && lost > 0,
+        "{kept} cuts kept the delete, {lost} lost it"
+    );
 }
